@@ -4,7 +4,8 @@
 on one grid (no artifact cache — the mapper runs for real), prints a table
 of per-job wall clock split by mapper phase plus the search-effort
 counters from :mod:`repro.compiler.stats` (state expansions, BFS/DFS
-route searches, placement probes, memo-table hits), and records the run
+route searches, placement probes, routes and trials the reachability
+filter refuted, memo-table hits), and records the run
 as a labelled entry in ``BENCH_compile_speed.json`` at the repository
 root.  Entries accumulate across PRs, so the file is a trajectory: the
 first entry is the pre-optimisation baseline and the report's geomean
@@ -128,7 +129,8 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
     against the first (baseline) entry of *history* when one exists."""
     header = (
         f"{'kernel':<10} {'ps':>2} {'seconds':>8} {'base_s':>7} {'paged_s':>8} "
-        f"{'expand':>9} {'probes':>7} {'bfs':>6} {'dfs':>7} {'memo_hits':>9}"
+        f"{'expand':>9} {'probes':>7} {'bfs':>6} {'dfs':>7} "
+        f"{'routes_refuted':>14} {'trials_refuted':>14} {'memo_hits':>9}"
     )
     lines = [header, "-" * len(header)]
     for st in stats:
@@ -138,7 +140,9 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
             f"{st.kernel:<10} {st.page_size:>2} {st.seconds:>8.3f} "
             f"{st.base_map_seconds:>7.3f} {st.paged_map_seconds:>8.3f} "
             f"{c.get('expansions', 0):>9} {c.get('placement_probes', 0):>7} "
-            f"{c.get('bfs_calls', 0):>6} {c.get('dfs_calls', 0):>7} {memo:>9}"
+            f"{c.get('bfs_calls', 0):>6} {c.get('dfs_calls', 0):>7} "
+            f"{c.get('routes_refuted', 0):>14} {c.get('trials_refuted', 0):>14} "
+            f"{memo:>9}"
         )
     total = sum(st.seconds for st in stats)
     lines.append(f"total: {total:.2f}s over {len(stats)} cold compile(s)")

@@ -30,7 +30,7 @@ from repro.compiler.mapping import (
     materialized_ops,
 )
 from repro.compiler.mrt import ReservationTable
-from repro.compiler.routing import commit_route, find_route
+from repro.compiler.routing import RoutingContext, commit_route, find_route
 from repro.dfg.analysis import asap_times, rec_mii
 from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
@@ -95,10 +95,11 @@ def _detailed_route(
     cgra: CGRA,
     ii: int,
     pos: dict[int, tuple[Coord, int]],
-    hop_allowed=None,
+    ctx: RoutingContext,
     bus_key=None,
 ) -> Mapping | None:
-    """Try to realise a zero-cost placement with concrete routes."""
+    """Try to realise a zero-cost placement with concrete routes (*ctx*:
+    the anneal's one routing context, hop filter included)."""
     mrt = ReservationTable(cgra, ii, bus_key)
     placements: dict[int, Placement] = {}
     try:
@@ -117,8 +118,7 @@ def _detailed_route(
         pe_u, t_u = pos[e.src]
         pe_v, t_v = pos[e.dst]
         steps = find_route(
-            cgra, mrt, pe_u, t_u - e.distance * ii, pe_v, t_v,
-            hop_allowed=hop_allowed,
+            cgra, mrt, pe_u, t_u - e.distance * ii, pe_v, t_v, ctx=ctx
         )
         if steps is None:
             return None
@@ -162,6 +162,7 @@ def anneal_map(
     )
     asap = asap_times(dfg)
     depth = max(asap.values(), default=0)
+    ctx = RoutingContext(cgra, hop_allowed)
 
     for ii in range(start_ii, max_ii + 1):
         horizon = depth + 3 * ii + 1
@@ -175,9 +176,7 @@ def anneal_map(
             for it in range(iterations):
                 # repro: allow[DET-FLOAT-EQ] energies are sums of integer penalty weights, exact by construction
                 if energy == 0.0 and it % 50 == 0:
-                    mapping = _detailed_route(
-                        dfg, cgra, ii, pos, hop_allowed, bus_key
-                    )
+                    mapping = _detailed_route(dfg, cgra, ii, pos, ctx, bus_key)
                     if mapping is not None:
                         return mapping
                     energy += _W_CONFLICT  # congestion: keep searching
@@ -196,9 +195,7 @@ def anneal_map(
                 temp *= 0.999
             # repro: allow[DET-FLOAT-EQ] energies are sums of integer penalty weights, exact by construction
             if energy == 0.0:
-                mapping = _detailed_route(
-                    dfg, cgra, ii, pos, hop_allowed, bus_key
-                )
+                mapping = _detailed_route(dfg, cgra, ii, pos, ctx, bus_key)
                 if mapping is not None:
                     return mapping
     raise MappingError(

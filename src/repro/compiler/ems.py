@@ -44,7 +44,7 @@ from repro.compiler.routing import (
     find_route_shared_ids,
     release_route,
 )
-from repro.compiler.stats import counters, search_stats
+from repro.compiler.stats import MapperCounters, counters, search_stats
 from repro.dfg.analysis import alap_times, asap_times, rec_mii
 from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
@@ -99,8 +99,14 @@ class _Attempt:
     """
 
     mrt: ReservationTable
+    #: the thread's active counters, fetched once per attempt
+    stats: MapperCounters
     placements: dict[int, tuple[int, int]] = field(default_factory=dict)
     routes: dict[int, Route] = field(default_factory=dict)
+    #: :meth:`RoutingContext.reachable` frontiers of the current
+    #: ``_place_op``: every trial rolls ``mrt`` back to the state the op
+    #: started from, so all its candidates share them
+    fronts: dict[tuple[int, int], list[int]] = field(default_factory=dict)
 
 
 class EMSMapper:
@@ -405,7 +411,7 @@ class EMSMapper:
     ) -> Mapping | None:
         asap = asap_times(dfg)
         horizon = max(asap.values(), default=0) + self.config.horizon_factor * ii
-        st = _Attempt(ReservationTable(self.cgra, ii, self.bus_key))
+        st = _Attempt(ReservationTable(self.cgra, ii, self.bus_key), counters())
         self._rank_targets = self._spread_targets(dfg, order)
         self._op_domains = domains or {}
         for op_id in order:
@@ -524,10 +530,12 @@ class EMSMapper:
         feasible_seen = 0
         evals = 0
         mrt = st.mrt
+        stats = st.stats
+        st.fronts = {}
         is_mem = op.is_memory
         for t in range(t_lo, t_hi + 1):
             for pe in candidates:
-                counters().placement_probes += 1
+                stats.placement_probes += 1
                 if not mrt.slot_free_id(pe, t):
                     continue
                 if is_mem and not mrt.bus_free_id(pe, t):
@@ -565,7 +573,7 @@ class EMSMapper:
         Cost = route slots consumed + congestion of this PE's 1-hop
         neighbourhood at the next cycle (the value's escape room).
         """
-        counters().trial_commits += 1
+        st.stats.trial_commits += 1
         if not self._commit_candidate(
             dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges
         ):
@@ -658,9 +666,16 @@ class EMSMapper:
         """Claim the op slot and route all its placed-neighbour edges
         (including self-recurrences); roll back entirely on any failure,
         including when the commit would *trap* another placed op by taking
-        the last free arrival/escape slot one of its unrouted edges needs."""
+        the last free arrival/escape slot one of its unrouted edges needs.
+
+        Nothing is claimed when some edge is already unreachable from every
+        holder of its value on the table as it stands: claiming the op and
+        routing the other edges only takes slots away.  (A tap committed
+        later in this trial lies on a walk from one of those holders
+        through slots free now, so that holder's frontier covers it.)"""
         op = dfg.ops[op_id]
-        st.mrt.claim_id(pe_id, t, f"op{op_id}", memory=op.is_memory)
+        mrt = st.mrt
+        ctx = self._route_ctx
         routed: list[tuple[int, tuple[RouteStep, ...], RouteStep | None]] = []
         local_routes: dict[int, tuple[RouteStep, ...]] = {}
         id_of = self._gi.id_of
@@ -679,39 +694,41 @@ class EMSMapper:
                     out.append((id_of[s2.pe], s2.time, s2))
             return out
 
-        def route_edge(e, src_id, src_time_eff, dst_id, dst_time) -> bool:
+        # (edge, producer PE, producer time in the consumer's frame,
+        # consumer PE, consumer time), in routing order
+        edges = [(e, pe_id, t - e.distance * ii, pe_id, t) for e in self_edges]
+        for e in pred_edges:
+            src_id, src_t = st.placements[e.src]
+            edges.append((e, src_id, src_t - e.distance * ii, pe_id, t))
+        for e in succ_edges:
+            edges.append((e, pe_id, t - e.distance * ii, *st.placements[e.dst]))
+
+        for e, src_id, src_t, dst_id, dst_t in edges:
+            if not any(
+                ctx.reachable(mrt, st.fronts, s_id, s_t, dst_id, dst_t)
+                for s_id, s_t, _ in sources_for(e.src, src_id, src_t, e.distance)
+            ):
+                st.stats.trials_refuted += 1
+                return False
+
+        mrt.claim_id(pe_id, t, f"op{op_id}", memory=op.is_memory)
+        ok = True
+        for e, src_id, src_t, dst_id, dst_t in edges:
             found = find_route_shared_ids(
-                self._route_ctx,
-                st.mrt,
-                sources_for(e.src, src_id, src_time_eff, e.distance),
+                ctx,
+                mrt,
+                sources_for(e.src, src_id, src_t, e.distance),
                 dst_id,
-                dst_time,
+                dst_t,
                 max_expansions=self.config.route_budget,
             )
             if found is None:
-                return False
+                ok = False
+                break
             steps, tap = found
-            commit_route(st.mrt, e.id, steps)
+            commit_route(mrt, e.id, steps)
             routed.append((e.id, steps, tap))
             local_routes[e.id] = steps
-            return True
-
-        ok = True
-        for e in self_edges:
-            if not route_edge(e, pe_id, t - e.distance * ii, pe_id, t):
-                ok = False
-                break
-        for e in pred_edges if ok else ():
-            src_id, src_t = st.placements[e.src]
-            if not route_edge(e, src_id, src_t - e.distance * ii, pe_id, t):
-                ok = False
-                break
-        if ok:
-            for e in succ_edges:
-                dst_id, dst_t = st.placements[e.dst]
-                if not route_edge(e, pe_id, t - e.distance * ii, dst_id, dst_t):
-                    ok = False
-                    break
         if ok:
             st.placements[op_id] = (pe_id, t)
             if self._traps_pending_edge(dfg, ii, st):
@@ -719,8 +736,8 @@ class EMSMapper:
                 ok = False
         if not ok:
             for _, steps, _tap in routed:
-                release_route(st.mrt, steps)
-            st.mrt.release_id(pe_id, t, memory=op.is_memory)
+                release_route(mrt, steps)
+            mrt.release_id(pe_id, t, memory=op.is_memory)
             return False
         for edge_id, steps, tap in routed:
             st.routes[edge_id] = Route(edge_id, steps, tap)

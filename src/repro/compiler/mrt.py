@@ -17,13 +17,14 @@ that each legally used the row's bus would oversubscribe it.)
 
 Storage model: one flat ``ii x num_pes`` occupancy array indexed by
 ``modulo_slot * num_pes + pe_id`` (PE ids from the fabric's
-:class:`~repro.arch.interconnect.GridIndex`), a free-slot counter per
-modulo slot, and a flat per-(bus segment, modulo slot) use-count array.
-Every query the mapper's inner loops issue — ``slot_free``,
-``free_slots_at``, ``bus_free`` — is O(1) array arithmetic, and ``copy``
-is three ``list.copy`` calls.  The Coord-taking methods remain the public
-API; the ``*_id`` variants are the hot-path entry points for callers that
-already hold integer PE ids.
+:class:`~repro.arch.interconnect.GridIndex`), one free-PE bitmask per
+modulo slot (bit ``p`` set == PE ``p`` free; the routers' reachability
+filter ANDs its frontiers with it), and a flat per-(bus segment, modulo
+slot) use-count array.  Every query the mapper's inner loops issue —
+``slot_free``, ``free_slots_at``, ``bus_free`` — is O(1) array arithmetic,
+and ``copy`` is a handful of flat ``copy`` calls.  The Coord-taking methods
+remain the public API; the ``*_id`` variants are the hot-path entry points
+for callers that already hold integer PE ids.
 
 Bus segments are interned lazily: ``bus_key`` is only ever invoked for PEs
 that actually issue memory operations, so a key function that rejects some
@@ -57,7 +58,7 @@ class ReservationTable:
         "num_pes",
         "_occ",
         "_occ_mask",
-        "_free",
+        "free_mask",
         "_bus_of_pe",
         "_bus_segments",
         "_bus_use",
@@ -85,8 +86,8 @@ class ReservationTable:
         # lockstep so the routers' inner loops test one byte per slot and
         # seed their visited sets with a C-speed copy
         self._occ_mask = bytearray(ii * self.num_pes)
-        # free-PE count per modulo slot (makes free_slots_at O(1))
-        self._free: list[int] = [self.num_pes] * ii
+        # free-PE bitmask per modulo slot (bit p set == PE p free)
+        self.free_mask: list[int] = [(1 << self.num_pes) - 1] * ii
         # lazily interned bus segments: pe_id -> segment index
         self._bus_of_pe: list[int] = [_UNKNOWN_BUS] * self.num_pes
         self._bus_segments: dict[Hashable, int] = {}
@@ -125,7 +126,7 @@ class ReservationTable:
         return self.bus_free_id(self.cgra.grid_index.id_of[pe], time)
 
     def free_slots_at(self, time: int) -> int:
-        return self._free[time % self.ii]
+        return self.free_mask[time % self.ii].bit_count()
 
     # -- queries (integer fast path) -----------------------------------------------
 
@@ -168,7 +169,7 @@ class ReservationTable:
             self._bus_use[b * self.ii + m] += 1
         self._occ[idx] = label
         self._occ_mask[idx] = 1
-        self._free[m] -= 1
+        self.free_mask[m] ^= 1 << pe_id
 
     def release(self, pe: Coord, time: int, *, memory: bool = False) -> None:
         self.release_id(self.cgra.grid_index.id_of[pe], time, memory=memory)
@@ -181,7 +182,7 @@ class ReservationTable:
             raise MappingError(f"slot ({pe}, mod {m}) not claimed")
         self._occ[idx] = None
         self._occ_mask[idx] = 0
-        self._free[m] += 1
+        self.free_mask[m] ^= 1 << pe_id
         if memory:
             b = self._bus_id(pe_id)
             if self._bus_use[b * self.ii + m] <= 0:
@@ -199,7 +200,7 @@ class ReservationTable:
         dup.num_pes = self.num_pes
         dup._occ = self._occ.copy()
         dup._occ_mask = self._occ_mask.copy()
-        dup._free = self._free.copy()
+        dup.free_mask = self.free_mask.copy()
         dup._bus_of_pe = self._bus_of_pe.copy()
         dup._bus_segments = dict(self._bus_segments)
         dup._bus_use = self._bus_use.copy()
@@ -209,7 +210,7 @@ class ReservationTable:
 
     @property
     def occupancy(self) -> int:
-        return self.ii * self.num_pes - sum(self._free)
+        return sum(self._occ_mask)
 
     @property
     def slots(self) -> dict[tuple[Coord, int], str]:

@@ -17,6 +17,13 @@ When a route is longer than the II, a PE could collide with the route's own
 earlier steps modulo II; the search then switches from layered BFS to a
 depth-first search that tracks the slots used along the partial path.
 
+Before the depth-first search runs, :meth:`RoutingContext.reachable`
+asks the cheaper question it can only fail on: ignoring self-collision, is
+there *any* walk of the required length through free modulo slots?  That is
+a handful of OR/AND steps over per-PE move bitmasks and the reservation
+table's per-slot free-PE bitmasks, and the placer asks it for every edge of
+a candidate before claiming anything (:mod:`repro.compiler.ems`).
+
 The searches run entirely on integer PE ids from the fabric's
 :class:`~repro.arch.interconnect.GridIndex`: a :class:`RoutingContext`
 pins one (fabric, hop filter) pair and memoizes the per-PE allowed-move
@@ -37,7 +44,7 @@ from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
 from repro.compiler.mapping import RouteStep
 from repro.compiler.mrt import ReservationTable
-from repro.compiler.stats import counters
+from repro.compiler.stats import MapperCounters, counters
 
 __all__ = [
     "RoutingContext",
@@ -53,6 +60,11 @@ HopFilter = Callable[[Coord, Coord], bool]
 #: satisfy ``dist > remaining`` being False): larger than any grid distance.
 _UNREACHABLE = 1 << 30
 
+#: (goal ids sorted, membership mask, min-dist-to-goal, hint, goal bitmask)
+_GoalEntry = tuple[
+    tuple[int, ...], tuple[bool, ...], tuple[int, ...], int | None, int
+]
+
 
 class RoutingContext:
     """Memoized integer-domain routing tables for one (fabric, hop filter).
@@ -66,8 +78,8 @@ class RoutingContext:
         "gi",
         "hop_allowed",
         "allowed_moves",
+        "move_bits",
         "_route_mask",
-        "_moves_toward",
         "_moves_tables",
         "_goals",
     )
@@ -98,60 +110,43 @@ class RoutingContext:
                 )
                 for p in range(gi.num_pes)
             )
-        # (pe, hint) -> allowed moves stably sorted by Manhattan-to-hint
-        self._moves_toward: list[dict[int, tuple[int, ...]]] = [
-            {} for _ in range(gi.num_pes)
-        ]
+        # allowed_moves[p] as a bitmask (bit q set == p may move to q)
+        self.move_bits: tuple[int, ...] = tuple(
+            sum(1 << q for q in qs) for qs in self.allowed_moves
+        )
         # hint -> full per-PE move table (one indexed load per expansion in
         # the route searches instead of a method call + dict probe)
         self._moves_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
-        # dst -> (goal ids sorted, membership mask, min-dist-to-goal, hint)
-        self._goals: dict[
-            int,
-            tuple[tuple[int, ...], tuple[bool, ...], tuple[int, ...], int | None],
-        ] = {}
+        self._goals: dict[int, _GoalEntry] = {}  # keyed by destination PE id
 
-    def moves(self, pe_id: int, hint_id: int | None) -> tuple[int, ...]:
-        """Legal one-cycle moves from *pe_id*, greedily ordered toward the
-        destination hint (stable sort, so base adjacency order breaks
-        ties exactly as the Coord-domain router did)."""
-        if hint_id is None:
-            return self.allowed_moves[pe_id]
-        memo = self._moves_toward[pe_id]
-        out = memo.get(hint_id)
-        if out is None:
-            row = self.gi.manhattan[hint_id]
-            out = tuple(sorted(self.allowed_moves[pe_id], key=row.__getitem__))
-            memo[hint_id] = out
-        else:
-            counters().move_cache_hits += 1
-        return out
-
-    def moves_table(self, hint_id: int | None) -> tuple[tuple[int, ...], ...]:
-        """The full per-PE :meth:`moves` table for one destination hint.
-
-        The route searches index this tuple directly in their inner loops;
-        each entry is exactly ``moves(p, hint_id)``, so move ordering (and
-        therefore every tie-break the searches make) is unchanged."""
+    def moves_table(
+        self, hint_id: int | None, stats: MapperCounters | None = None
+    ) -> tuple[tuple[int, ...], ...]:
+        """Per-PE legal one-cycle moves, greedily ordered toward the
+        destination hint (stable sort by Manhattan-to-hint, so base
+        adjacency order breaks ties exactly as the Coord-domain router
+        did).  The route searches index this tuple directly in their inner
+        loops; a memo hit is billed to *stats* when the caller passes its
+        counters."""
         if hint_id is None:
             return self.allowed_moves
         tbl = self._moves_tables.get(hint_id)
         if tbl is None:
-            tbl = tuple(
-                self.moves(p, hint_id) for p in range(self.gi.num_pes)
-            )
+            key = self.gi.manhattan[hint_id].__getitem__
+            tbl = tuple(tuple(sorted(qs, key=key)) for qs in self.allowed_moves)
             self._moves_tables[hint_id] = tbl
-        else:
-            counters().move_cache_hits += 1
+        elif stats is not None:
+            stats.move_cache_hits += 1
         return tbl
 
     def goal_table(
-        self, dst_id: int
-    ) -> tuple[tuple[int, ...], tuple[bool, ...], tuple[int, ...], int | None]:
+        self, dst_id: int, stats: MapperCounters | None = None
+    ) -> _GoalEntry:
         """Goal PEs from which the consumer at *dst_id* can read the value,
         sorted by PE id, plus a membership mask, the per-PE minimum
-        Manhattan distance to any goal (the search's pruning bound), and
-        the greedy destination hint the move ordering anchors on.
+        Manhattan distance to any goal (the search's pruning bound), the
+        greedy destination hint the move ordering anchors on, and the
+        membership mask again as an int (for :meth:`reachable`).
 
         The hint is pinned to the anchor the v1 Coord-domain router used
         (the first element of its goal *set*): route tie-breaks are part of
@@ -199,11 +194,52 @@ class RoutingContext:
             else:
                 min_dist = (_UNREACHABLE,) * gi.num_pes
                 hint = None
-            entry = (tuple(goal), tuple(mask), min_dist, hint)
+            bits = sum(1 << g for g in goal)
+            entry = (tuple(goal), tuple(mask), min_dist, hint, bits)
             self._goals[dst_id] = entry
-        else:
-            counters().target_cache_hits += 1
+        elif stats is not None:
+            stats.target_cache_hits += 1
         return entry
+
+    def reachable(
+        self,
+        mrt: ReservationTable,
+        fronts: dict[tuple[int, int], list[int]],
+        src_id: int,
+        t_src_eff: int,
+        dst_id: int,
+        t_dst: int,
+    ) -> bool:
+        """Necessary condition for :func:`find_route_ids` to succeed: some
+        walk leaves ``(src_id, t_src_eff)``, takes one allowed move per
+        cycle onto a slot free in *mrt*, and stands on a goal PE of
+        *dst_id* at ``t_dst - 1``.  Self-collision modulo II and the search
+        budget are ignored, so ``False`` proves there is no route; for
+        routes shorter than the II it is exact.
+
+        ``fronts[(src_id, t_src_eff)][j]`` is the set of PEs (a bitmask)
+        such a walk can stand on after *j* cycles; callers share one dict
+        across queries for as long as *mrt* does not change."""
+        gap = t_dst - t_src_eff
+        if gap < 1:
+            return False
+        front = fronts.get((src_id, t_src_eff))
+        if front is None:
+            front = fronts[(src_id, t_src_eff)] = [1 << src_id]
+        if len(front) < gap:
+            move_bits = self.move_bits
+            free = mrt.free_mask
+            ii = mrt.ii
+            bits = front[-1]
+            for t in range(t_src_eff + len(front), t_dst):
+                nxt = 0
+                while bits:
+                    low = bits & -bits
+                    nxt |= move_bits[low.bit_length() - 1]
+                    bits ^= low
+                bits = nxt & free[t % ii]
+                front.append(bits)
+        return bool(front[gap - 1] & self.goal_table(dst_id)[4])
 
 
 def find_route_shared(
@@ -303,26 +339,26 @@ def find_route_ids(
     max_expansions: int = 20000,
 ) -> tuple[RouteStep, ...] | None:
     """Integer-domain :func:`find_route` (hot-path entry point)."""
-    counters().route_calls += 1
+    stats = counters()
+    stats.route_calls += 1
     gap = t_dst - t_src_eff
     if gap < 1:
         return None
-    goal, goal_mask, min_dist, hint = ctx.goal_table(dst_id)
+    _, goal_mask, min_dist, hint, _ = ctx.goal_table(dst_id, stats)
     if gap == 1:
         return () if goal_mask[src_id] else None
     hops = gap - 1  # number of route steps, at times t_src_eff+1 .. t_dst-1
     if hops < mrt.ii:
-        return _bfs_route(ctx, mrt, src_id, t_src_eff, goal_mask, min_dist, hint, hops)
+        # the layered BFS *is* the reachability computation
+        return _bfs_route(
+            ctx, mrt, src_id, t_src_eff, goal_mask, min_dist, hint, hops, stats
+        )
+    if not ctx.reachable(mrt, {}, src_id, t_src_eff, dst_id, t_dst):
+        stats.routes_refuted += 1
+        return None
     return _dfs_route(
-        ctx,
-        mrt,
-        src_id,
-        t_src_eff,
-        goal_mask,
-        min_dist,
-        hint,
-        hops,
-        max_expansions,
+        ctx, mrt, src_id, t_src_eff, goal_mask, min_dist, hint, hops,
+        max_expansions, stats,
     )
 
 
@@ -342,14 +378,15 @@ def _bfs_route(
     min_dist: tuple[int, ...],
     hint: int | None,
     hops: int,
+    stats: MapperCounters,
 ) -> tuple[RouteStep, ...] | None:
     """Layered BFS: all step times are distinct modulo II (hops < II), so a
     path can never collide with itself and per-layer reachability suffices."""
-    counters().bfs_calls += 1
+    stats.bfs_calls += 1
     ii = mrt.ii
     num_pes = mrt.num_pes
     occ = mrt._occ_mask
-    mt = ctx.moves_table(hint)
+    mt = ctx.moves_table(hint, stats)
     expansions = 0
     layer: dict[int, int | None] = {src_id: None}
     parents: list[dict[int, int]] = []
@@ -369,11 +406,11 @@ def _bfs_route(
                     continue
                 nxt[q] = p
         if not nxt:
-            counters().expansions += expansions
+            stats.expansions += expansions
             return None
         parents.append(nxt)
         layer = nxt
-    counters().expansions += expansions
+    stats.expansions += expansions
     final = next((p for p in layer if goal_mask[p]), None)
     if final is None:
         return None
@@ -396,6 +433,7 @@ def _dfs_route(
     hint: int | None,
     hops: int,
     max_expansions: int,
+    stats: MapperCounters,
 ) -> tuple[RouteStep, ...] | None:
     """Depth-first exact-length search tracking the modulo slots the partial
     path itself occupies (needed when the route is longer than the II).
@@ -405,10 +443,10 @@ def _dfs_route(
     leaf goal tests are inlined into the parent's loop; visit order,
     budget accounting and therefore search results are bit-for-bit
     unchanged from the original formulation."""
-    counters().dfs_calls += 1
+    stats.dfs_calls += 1
     ii = mrt.ii
     num_pes = mrt.num_pes
-    mt = ctx.moves_table(hint)
+    mt = ctx.moves_table(hint, stats)
     # visited-set seeded with the MRT occupancy bitmap (one C-speed copy),
     # so the inner loop tests a single byte per candidate slot
     used = bytearray(mrt._occ_mask)
@@ -494,7 +532,7 @@ def _dfs_route(
     if budget > 0:
         budget -= 1  # visit the source node
         found = rec(src_id, 0)
-    counters().expansions += max_expansions - budget
+    stats.expansions += max_expansions - budget
     if not found:
         return None
     return _steps_of(ctx, path, t_src_eff)

@@ -59,7 +59,11 @@ class PhaseTimes:
 class MapperCounters:
     """Cumulative search-effort counters for this process."""
 
-    route_calls: int = 0  #: find_route invocations
+    #: route queries that reached the router (find_route_ids); edges of
+    #: candidates the placer refuted before claiming never issue one
+    route_calls: int = 0
+    routes_refuted: int = 0  #: queries answered None by the reachability filter, no DFS run
+    trials_refuted: int = 0  #: placer candidates rejected by the filter before any claim
     bfs_calls: int = 0  #: layered-BFS searches (route shorter than II)
     dfs_calls: int = 0  #: depth-first searches (route >= II, self-collisions)
     expansions: int = 0  #: time-extended states expanded across both searches

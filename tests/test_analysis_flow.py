@@ -449,12 +449,16 @@ def test_reverting_counters_fix_refires_race(tmp_path):
     shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
     routing = dst / "compiler" / "routing.py"
     text = routing.read_text()
-    assert "from repro.compiler.stats import counters" in text
+    # the router fetches the thread's counters once per query and bumps
+    # that instance; the reverted form bumps the process-wide totals
+    fixed_import = "from repro.compiler.stats import MapperCounters, counters"
+    fixed_bump = "stats = counters()\n    stats.route_calls += 1"
+    assert fixed_import in text and fixed_bump in text
     routing.write_text(
         text.replace(
-            "from repro.compiler.stats import counters",
-            "from repro.compiler.stats import COUNTERS",
-        ).replace("counters().", "COUNTERS.")
+            fixed_import,
+            "from repro.compiler.stats import COUNTERS, MapperCounters",
+        ).replace(fixed_bump, "stats = COUNTERS\n    COUNTERS.route_calls += 1")
     )
     report = analyze_tree(dst)
     hits = [

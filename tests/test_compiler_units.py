@@ -198,13 +198,17 @@ class TestMappingModel:
 
 
 class TestReservationCounters:
-    """The flat table's per-slot free counters and bus use-counts must
+    """The flat table's per-slot free-PE bitmasks and bus use-counts must
     agree with a brute-force scan of the occupancy array at every point of
-    an interleaved claim/release history (satellite of the integer-indexed
-    mapper PR: ``free_slots_at`` is O(1) *because* of these counters)."""
+    an interleaved claim/release history (``free_slots_at`` is a bit count
+    of these masks, and the routers' reachability filter ANDs with them)."""
 
     def _assert_counters_agree(self, t, cgra):
+        n = cgra.num_pes
         for m in range(t.ii):
+            assert t.free_mask[m] == sum(
+                1 << p for p in range(n) if not t._occ_mask[m * n + p]
+            ), f"slot {m}"
             brute = sum(
                 1 for pe in cgra.interconnect.coords() if t.slot_free(pe, m)
             )
@@ -319,10 +323,172 @@ class TestRoutingDeterminism:
         ctx = RoutingContext(cgra44)
         gi = cgra44.grid_index
         for dst_id in range(gi.num_pes):
-            goal, mask, min_dist, hint = ctx.goal_table(dst_id)
+            goal, mask, min_dist, hint, bits = ctx.goal_table(dst_id)
             assert list(goal) == sorted(goal)
+            assert bits == sum(1 << g for g in goal)
             assert all(mask[g] for g in goal)
             assert sum(mask) == len(goal)
             # pruning bound is tight at the goals themselves
             assert all(min_dist[g] == 0 for g in goal)
             assert hint is not None and mask[hint]
+
+
+class TestReachabilityFilter:
+    """``RoutingContext.reachable`` must be a *necessary* condition for a
+    route (so skipping the search on ``False`` never changes an answer),
+    exact whenever the route is shorter than the II, and equal to the plain
+    set-based frontier it abbreviates — on random occupancy, with and
+    without a ring hop filter and a ROUTE capability mask."""
+
+    @staticmethod
+    def _fabric(name, route_mask, rng):
+        from repro.arch.capability import CapabilityMap, OpClass
+        from repro.arch.presets import preset
+
+        cgra = preset(name)
+        if not route_mask:
+            return cgra
+        classes = () if cgra.capability is None else cgra.capability.classes
+        ids = [p for p in range(cgra.num_pes) if rng.random() < 0.8]
+        cap = CapabilityMap(
+            cgra.rows, cgra.cols, (*classes, (OpClass.ROUTE.value, tuple(ids)))
+        )
+        return CGRA(cgra.rows, cgra.cols, rf_depth=cgra.rf_depth, capability=cap)
+
+    @staticmethod
+    def _set_frontier(ctx, mrt, src_id, t_src, hops):
+        layer = {src_id}
+        for t in range(t_src + 1, t_src + hops + 1):
+            layer = {
+                q
+                for p in layer
+                for q in ctx.allowed_moves[p]
+                if mrt.slot_free_id(q, t)
+            }
+        return layer
+
+    @pytest.mark.parametrize("name", ["4x4", "8x8-memcols"])
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("route_mask", [False, True])
+    def test_filter_never_changes_an_answer(self, name, ring, route_mask):
+        import random
+
+        from repro.compiler.constraints import ring_hop_filter
+        from repro.compiler.routing import (
+            RoutingContext,
+            _dfs_route,
+            find_route_ids,
+        )
+        from repro.compiler.stats import MapperCounters
+        from repro.core.paging import PageLayout
+
+        rng = random.Random(f"{name}/{ring}/{route_mask}")
+        cgra = self._fabric(name, route_mask, rng)
+        hop = ring_hop_filter(PageLayout(cgra, (2, 2))) if ring else None
+        ctx = RoutingContext(cgra, hop)
+        n = cgra.num_pes
+        refuted = 0
+        for _ in range(250):
+            ii = rng.randrange(1, 6)
+            mrt = ReservationTable(cgra, ii)
+            density = rng.uniform(0.1, 0.8)
+            for m in range(ii):
+                for p in range(n):
+                    if rng.random() < density:
+                        mrt.claim_id(p, m, "x")
+            src, dst = rng.randrange(n), rng.randrange(n)
+            t_src = rng.randrange(0, 8)
+            t_dst = t_src + rng.randrange(0, ii + 5)
+            hops = t_dst - t_src - 1
+            goal, goal_mask, min_dist, hint, _ = ctx.goal_table(dst)
+            can = ctx.reachable(mrt, {}, src, t_src, dst, t_dst)
+            if hops >= 0:
+                assert can == bool(
+                    self._set_frontier(ctx, mrt, src, t_src, hops) & set(goal)
+                )
+            else:
+                assert not can
+            found = find_route_ids(
+                ctx, mrt, src, t_src, dst, t_dst, max_expansions=10**7
+            )
+            if hops < ii:
+                assert can == (found is not None)  # direct link or BFS: exact
+                continue
+            # the unfiltered search is the reference for long routes
+            reference = _dfs_route(
+                ctx, mrt, src, t_src, goal_mask, min_dist, hint, hops,
+                10**7, MapperCounters(),
+            )
+            assert found == reference
+            if not can:
+                assert reference is None
+                refuted += 1
+        assert refuted > 0  # the property was exercised, not vacuous
+
+    def test_shared_frontiers_match_fresh_ones(self, cgra44):
+        """One ``fronts`` dict shared across queries of different lengths
+        (the placer's use) answers exactly like a fresh dict per query."""
+        import random
+
+        from repro.compiler.routing import RoutingContext
+
+        rng = random.Random(11)
+        ctx = RoutingContext(cgra44)
+        mrt = ReservationTable(cgra44, 3)
+        for m in range(3):
+            for p in range(16):
+                if rng.random() < 0.6:
+                    mrt.claim_id(p, m, "x")
+        shared: dict = {}
+        for _ in range(400):
+            q = (rng.randrange(4), rng.randrange(3), rng.randrange(16),
+                 rng.randrange(0, 12))
+            assert ctx.reachable(mrt, shared, *q) == ctx.reachable(mrt, {}, *q)
+
+
+#: Parent-commit (pre-filter) search trajectory of cold ``compile_job_stats``
+#: at mapper seed 0: (backend, kernel, page size) -> (ii_base, ii_paged,
+#: placement_probes, trial_commits, rungs_skipped, rungs_pruned,
+#: hier_attempts, hier_wins, hier_flat_attempts, hier_flat_wins, expansions).
+_PARENT_TRAJECTORY = {
+    ("flat", "mpeg", 2): (1, 1, 3082, 2260, 0, 0, 0, 0, 0, 0, 4906),
+    ("flat", "mpeg", 4): (1, 1, 2731, 1815, 0, 0, 0, 0, 0, 0, 5485),
+    ("flat", "sor", 2): (4, 4, 1440, 1165, 0, 0, 0, 0, 0, 0, 6160),
+    ("flat", "sor", 4): (4, 4, 309, 262, 0, 0, 0, 0, 0, 0, 349),
+    ("flat", "wavelet", 2): (1, 2, 1689, 1267, 0, 0, 0, 0, 0, 0, 3269),
+    ("flat", "wavelet", 4): (1, 2, 2206, 1663, 0, 0, 0, 0, 0, 0, 3813),
+    ("flat", "compress", 2): (4, 5, 3810, 3287, 0, 0, 0, 0, 0, 0, 326817),
+    ("flat", "compress", 4): (4, 4, 1250, 1133, 0, 0, 0, 0, 0, 0, 45490),
+    ("hier", "sor", 4): (4, 4, 1201, 1137, 0, 0, 1, 1, 0, 0, 870),
+    ("hier", "sor", 8): (4, 4, 1219, 1159, 0, 0, 1, 1, 0, 0, 864),
+    ("hier", "compress", 4): (4, 4, 667, 616, 0, 0, 1, 1, 0, 0, 1210),
+    ("hier", "compress", 8): (4, 4, 677, 641, 0, 0, 1, 1, 0, 0, 1317),
+}
+
+
+@pytest.mark.parametrize("backend,kernel,page_size", sorted(_PARENT_TRAJECTORY))
+def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
+    """A refuted candidate still counts as probed and trialled, so the
+    eval-budget / candidate-cap cuts fall where they always did: every
+    trajectory counter equals the pre-filter value and only search volume
+    (``expansions``) drops."""
+    from repro.pipeline.compile import CompileJob, compile_job_stats
+
+    job = (
+        CompileJob(kernel, 4, page_size, seed=0)
+        if backend == "flat"
+        else CompileJob(
+            kernel, 8, page_size, seed=0, arch="8x8-memcols", backend="hier"
+        )
+    )
+    artifact, stats = compile_job_stats(job)
+    c = stats.counters
+    *pinned, parent_expansions = _PARENT_TRAJECTORY[backend, kernel, page_size]
+    assert [
+        artifact.ii_base, artifact.ii_paged, c["placement_probes"],
+        c["trial_commits"], c["rungs_skipped"], c["rungs_pruned"],
+        c["hier_attempts"], c["hier_wins"], c["hier_flat_attempts"],
+        c["hier_flat_wins"],
+    ] == pinned
+    assert c["expansions"] < parent_expansions
+    assert c["trials_refuted"] > 0

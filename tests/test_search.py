@@ -38,6 +38,7 @@ from repro.compiler.search import (
     portfolio_map,
     run_probe,
 )
+from repro.compiler.stats import MapperCounters, job_counters
 from repro.kernels import get_kernel
 from repro.util.errors import MappingError
 from repro.util.rng import make_rng
@@ -435,3 +436,22 @@ class TestRealPoolParity:
         assert parallel.placements == serial.placements
         assert parallel.routes == serial.routes
         assert parallel.dfg is dfg and parallel.cgra is cgra
+
+    def test_refutation_counters_cross_the_process_boundary(self):
+        """With ``workers=2`` every probe runs in a worker process, so the
+        reachability filter's counters can only reach the caller's job
+        scope as ``ProbeResult.counters`` through ``MapperCounters.add``."""
+        dfg = get_kernel("mpeg").build()
+        cgra = CGRA(4, 4)
+        with job_counters() as (serial, _):
+            map_dfg(dfg, cgra)
+        assert serial.routes_refuted > 0 and serial.trials_refuted > 0
+        with job_counters() as (parallel, _):
+            map_dfg(dfg, cgra, workers=2)
+        # the winning probe's delta is always merged; speculation above it
+        # is billed to the process totals instead
+        assert parallel.routes_refuted >= serial.routes_refuted
+        assert parallel.trials_refuted >= serial.trials_refuted
+        merged = MapperCounters()
+        merged.add({"routes_refuted": 3, "trials_refuted": 5, "not_a_counter": 1})
+        assert (merged.routes_refuted, merged.trials_refuted) == (3, 5)
