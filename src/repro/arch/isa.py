@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.util.errors import SimulationError
 
@@ -122,6 +123,49 @@ def is_memory_op(op: Opcode) -> bool:
     return OPCODE_INFO[op].is_memory
 
 
+def _div(a: int, b: int) -> int:
+    """Truncating signed division; division by zero yields 0."""
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return wrap32(-q if (a < 0) != (b < 0) else q)
+
+
+def _mod(a: int, b: int) -> int:
+    """Remainder with the sign of the dividend; modulo zero yields 0."""
+    if b == 0:
+        return 0
+    r = abs(a) % abs(b)
+    return wrap32(-r if a < 0 else r)
+
+
+#: What each ALU opcode computes from its operands (CONST and the memory
+#: opcodes are not here: they take no ALU path).
+_ALU: dict[Opcode, Callable[..., int]] = {
+    Opcode.ROUTE: wrap32,
+    Opcode.NEG: lambda a: wrap32(-a),
+    Opcode.NOT: lambda a: wrap32(~a),
+    Opcode.ABS: lambda a: wrap32(abs(a)),
+    Opcode.ADD: lambda a, b: wrap32(a + b),
+    Opcode.SUB: lambda a, b: wrap32(a - b),
+    Opcode.MUL: lambda a, b: wrap32(a * b),
+    Opcode.DIV: _div,
+    Opcode.MOD: _mod,
+    Opcode.SHL: lambda a, b: wrap32(a << (b & 31)),
+    Opcode.SHR: lambda a, b: wrap32(a >> (b & 31)),
+    Opcode.AND: lambda a, b: wrap32(a & b),
+    Opcode.OR: lambda a, b: wrap32(a | b),
+    Opcode.XOR: lambda a, b: wrap32(a ^ b),
+    Opcode.MIN: lambda a, b: wrap32(min(a, b)),
+    Opcode.MAX: lambda a, b: wrap32(max(a, b)),
+    Opcode.LT: lambda a, b: int(a < b),
+    Opcode.LE: lambda a, b: int(a <= b),
+    Opcode.EQ: lambda a, b: int(a == b),
+    Opcode.NE: lambda a, b: int(a != b),
+    Opcode.SELECT: lambda a, b, c: wrap32(b if a else c),
+}
+
+
 def evaluate(op: Opcode, operands: list[int], immediate: int | None = None) -> int:
     """Evaluate *op* on integer *operands*, returning a wrapped 32-bit value.
 
@@ -139,54 +183,4 @@ def evaluate(op: Opcode, operands: list[int], immediate: int | None = None) -> i
         if immediate is None:
             raise SimulationError("CONST requires an immediate")
         return wrap32(immediate)
-    a = operands[0] if info.arity >= 1 else 0
-    b = operands[1] if info.arity >= 2 else 0
-    if op is Opcode.ROUTE:
-        return wrap32(a)
-    if op is Opcode.NEG:
-        return wrap32(-a)
-    if op is Opcode.NOT:
-        return wrap32(~a)
-    if op is Opcode.ABS:
-        return wrap32(abs(a))
-    if op is Opcode.ADD:
-        return wrap32(a + b)
-    if op is Opcode.SUB:
-        return wrap32(a - b)
-    if op is Opcode.MUL:
-        return wrap32(a * b)
-    if op is Opcode.DIV:
-        if b == 0:
-            return 0
-        q = abs(a) // abs(b)
-        return wrap32(-q if (a < 0) != (b < 0) else q)
-    if op is Opcode.MOD:
-        if b == 0:
-            return 0
-        r = abs(a) % abs(b)
-        return wrap32(-r if a < 0 else r)
-    if op is Opcode.SHL:
-        return wrap32(a << (b & 31))
-    if op is Opcode.SHR:
-        return wrap32(a >> (b & 31))
-    if op is Opcode.AND:
-        return wrap32(a & b)
-    if op is Opcode.OR:
-        return wrap32(a | b)
-    if op is Opcode.XOR:
-        return wrap32(a ^ b)
-    if op is Opcode.MIN:
-        return wrap32(min(a, b))
-    if op is Opcode.MAX:
-        return wrap32(max(a, b))
-    if op is Opcode.LT:
-        return int(a < b)
-    if op is Opcode.LE:
-        return int(a <= b)
-    if op is Opcode.EQ:
-        return int(a == b)
-    if op is Opcode.NE:
-        return int(a != b)
-    if op is Opcode.SELECT:
-        return wrap32(operands[1] if a else operands[2])
-    raise SimulationError(f"unhandled opcode {op}")
+    return _ALU[op](*operands)

@@ -39,7 +39,10 @@ class RotatingRegisterFile:
         if depth <= 0:
             raise SimulationError(f"register file depth must be >= 1, got {depth}")
         self.depth = depth
-        self._history: OrderedDict[int, int] = OrderedDict()
+        # cycle of production -> (value, push sequence number); the sequence
+        # number makes the depth of a read a subtraction instead of a scan
+        self._history: OrderedDict[int, tuple[int, int]] = OrderedDict()
+        self._pushes = 0
         self._last_cycle: int | None = None
         self.max_occupancy = 0  # high-water mark, reported as RF pressure
 
@@ -51,10 +54,13 @@ class RotatingRegisterFile:
                 f"cycle {cycle} after {self._last_cycle}"
             )
         self._last_cycle = cycle
-        self._history[cycle] = value
-        while len(self._history) > self.depth:
-            self._history.popitem(last=False)
-        self.max_occupancy = max(self.max_occupancy, len(self._history))
+        self._pushes += 1
+        history = self._history
+        history[cycle] = (value, self._pushes)
+        if len(history) > self.depth:
+            history.popitem(last=False)
+        elif len(history) > self.max_occupancy:
+            self.max_occupancy = len(history)
 
     def read_produced_at(self, cycle: int) -> int:
         """Return the value produced at exactly *cycle*.
@@ -64,7 +70,7 @@ class RotatingRegisterFile:
         deeper register file than this architecture has.
         """
         try:
-            return self._history[cycle]
+            return self._history[cycle][0]
         except KeyError:
             raise SimulationError(
                 f"value produced at cycle {cycle} is not in the rotating "
@@ -75,16 +81,18 @@ class RotatingRegisterFile:
     def depth_of(self, produced_cycle: int) -> int:
         """How many retained entries are at least as new as the value from
         *produced_cycle* (0 if the value is absent): the register-file
-        depth a read of that value requires."""
-        if produced_cycle not in self._history:
+        depth a read of that value requires.  Entries rotate out oldest
+        first, so every push since the value's own is still retained."""
+        entry = self._history.get(produced_cycle)
+        if entry is None:
             return 0
-        return sum(1 for c in self._history if c >= produced_cycle)
+        return self._pushes - entry[1] + 1
 
     def latest(self) -> int | None:
         """The most recently produced value (the PE's output register)."""
         if not self._history:
             return None
-        return next(reversed(self._history.values()))
+        return next(reversed(self._history.values()))[0]
 
     def occupancy(self) -> int:
         return len(self._history)

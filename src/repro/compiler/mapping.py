@@ -143,7 +143,8 @@ class Mapping:
             raise MappingError(f"op {op_id} is not placed") from None
 
     def route(self, edge_id: int) -> Route:
-        return self.routes.get(edge_id, Route(edge_id))
+        r = self.routes.get(edge_id)
+        return r if r is not None else Route(edge_id)
 
     def holder_before(self, edge: Edge) -> tuple[Coord, int]:
         """PE whose output the consumer of *edge* reads, and the cycle (in

@@ -28,7 +28,7 @@ from repro.arch.interconnect import Coord
 from repro.arch.isa import Opcode
 from repro.arch.memory import DataMemory
 from repro.arch.pe import ProcessingElement
-from repro.sim.lowering import Firing, GlobalSlot, ResolvedRead
+from repro.sim.lowering import Firing, GlobalSlot, ResolvedRead, firing_order
 from repro.util.errors import SimulationError
 
 __all__ = ["SimResult", "simulate"]
@@ -83,79 +83,86 @@ def simulate(
     if bus_key is None:
         bus_key = lambda pe: pe.row  # noqa: E731 - tiny local default
     depth = rf_depth if rf_depth is not None else cgra.rf_depth
-    pes: dict[Coord, ProcessingElement] = {}
+    # PEs are keyed by (row, col): hashing a tuple of ints stays in C, while
+    # hashing a Coord runs its generated Python-level __hash__
+    pes: dict[tuple[int, int], ProcessingElement] = {}
     global_store: dict[GlobalSlot, int] = {}
-    result = SimResult(cycles=0, firings=0, loads=0, stores=0)
+    loads = stores = rf_reads = rf_max_depth = global_reads = global_writes = 0
+    load, loadt, store = Opcode.LOAD, Opcode.LOADT, Opcode.STORE
+    cycle = -1
 
-    ordered = sorted(firings, key=lambda f: (f.cycle, f.pe))
+    ordered = sorted(firings, key=firing_order)
     idx = 0
     n = len(ordered)
     while idx < n:
         cycle = ordered[idx].cycle
         if cycle < 0:
             raise SimulationError(f"firing {ordered[idx].label} at negative cycle")
-        batch: list[Firing] = []
-        while idx < n and ordered[idx].cycle == cycle:
-            batch.append(ordered[idx])
-            idx += 1
+        end = idx + 1
+        while end < n and ordered[end].cycle == cycle:
+            end += 1
+        batch = ordered[idx:end]
+        idx = end
 
         if check_conflicts:
             _check_conflicts(batch, cgra, bus_key, cycle)
 
         # 1) reads: all operand reads observe pre-cycle state
-        resolved: list[tuple[Firing, list[int]]] = []
-        stores_this_cycle: dict[int, str] = {}
+        resolved: list[list[int]] = []
         for f in batch:
             ops: list[int] = []
             for src in f.operands:
-                if isinstance(src, ResolvedRead):
+                if isinstance(src, int):
+                    ops.append(src)
+                elif isinstance(src, ResolvedRead):
                     if src.cycle >= cycle:
                         raise SimulationError(
                             f"{f.label} reads a value produced at cycle "
                             f"{src.cycle} >= its own cycle {cycle}"
                         )
-                    producer = pes.get(src.pe)
+                    producer = pes.get((src.pe.row, src.pe.col))
                     if producer is None:
                         raise SimulationError(
                             f"{f.label} reads PE {src.pe} which never produced"
                         )
                     ops.append(producer.read_output(src.cycle))
-                    result.rf_reads += 1
-                    result.rf_max_depth_used = max(
-                        result.rf_max_depth_used, producer.depth_of(src.cycle)
-                    )
+                    rf_reads += 1
+                    used = producer.depth_of(src.cycle)
+                    if used > rf_max_depth:
+                        rf_max_depth = used
                 elif isinstance(src, GlobalSlot):
                     if src not in global_store:
                         raise SimulationError(
                             f"{f.label} reads global slot {src} before any write"
                         )
                     ops.append(global_store[src])
-                    result.global_reads += 1
-                elif isinstance(src, int):
-                    ops.append(src)
+                    global_reads += 1
                 else:
                     raise SimulationError(
                         f"{f.label}: unknown operand source {src!r}"
                     )
-            resolved.append((f, ops))
+            resolved.append(ops)
 
         # 2) execute, push results, queue memory effects.  Store addresses
         # are collected up front so a load in the same cycle is flagged
         # regardless of intra-cycle processing order.
+        stores_this_cycle: dict[int, str] = {}
         for f in batch:
-            if f.opcode is Opcode.STORE:
+            if f.opcode is store:
                 if f.addr in stores_this_cycle:
                     raise SimulationError(
                         f"{f.label}: double store to address {f.addr} "
                         f"({stores_this_cycle[f.addr]})"
                     )
                 stores_this_cycle[f.addr] = f.label
-        pending_stores: list[tuple[int, int, str]] = []
-        for f, ops in resolved:
-            pe = pes.get(f.pe)
+        pending_stores: list[tuple[int, int]] = []
+        for f, ops in zip(batch, resolved):
+            opcode = f.opcode
+            key = (f.pe.row, f.pe.col)
+            pe = pes.get(key)
             if pe is None:
-                pe = pes[f.pe] = ProcessingElement(f.pe, depth)
-            if f.opcode in (Opcode.LOAD, Opcode.LOADT):
+                pe = pes[key] = ProcessingElement(f.pe, depth)
+            if opcode is load or opcode is loadt:
                 if f.addr is None:
                     raise SimulationError(f"{f.label}: load without address")
                 if f.addr in stores_this_cycle:
@@ -164,51 +171,64 @@ def simulate(
                         f"with {stores_this_cycle[f.addr]}"
                     )
                 value = memory.load(f.addr)
-                result.loads += 1
+                loads += 1
                 pe.commit(cycle, value)
-            elif f.opcode is Opcode.STORE:
+            elif opcode is store:
                 if f.addr is None:
                     raise SimulationError(f"{f.label}: store without address")
-                pending_stores.append((f.addr, ops[0], f.label))
                 value = ops[0]
+                pending_stores.append((f.addr, value))
                 pe.commit(cycle, value)
             else:
-                value = pe.execute(f.opcode, ops, f.immediate, cycle)
+                value = pe.execute(opcode, ops, f.immediate, cycle)
             if trace is not None:
                 trace.record(f, ops, value)
             for slot in f.global_writes:
                 global_store[slot] = value
-                result.global_writes += 1
-            result.firings += 1
-            result.pe_busy[f.pe] = result.pe_busy.get(f.pe, 0) + 1
+                global_writes += 1
 
-        # load/store hazard check is order-independent because loads above
-        # saw only *earlier-cycle* memory state except when flagged; commit
-        # stores at end of cycle.
-        for addr, value, _label in pending_stores:
+        # loads above saw only earlier-cycle memory state (a same-cycle
+        # load/store pair was flagged); stores commit at end of cycle.
+        for addr, value in pending_stores:
             memory.store(addr, value)
-            result.stores += 1
+        stores += len(pending_stores)
 
-        result.cycles = cycle + 1
-    return result
+    return SimResult(
+        cycles=cycle + 1,
+        firings=n,
+        loads=loads,
+        stores=stores,
+        rf_reads=rf_reads,
+        rf_max_depth_used=rf_max_depth,
+        global_reads=global_reads,
+        global_writes=global_writes,
+        # every firing commits exactly one value on its PE
+        pe_busy={pe.coord: pe.firings for pe in pes.values()},
+    )
 
 
 def _check_conflicts(batch, cgra, bus_key, cycle) -> None:
-    seen: dict[Coord, str] = {}
+    """One firing per PE per cycle, on the grid, within each bus segment's
+    port count.  *batch* is sorted by PE, so a double booking is adjacent."""
+    rows, cols, ports = cgra.rows, cgra.cols, cgra.mem_ports_per_row
     bus: dict[Hashable, int] = {}
+    previous = None
     for f in batch:
-        if not cgra.interconnect.contains(f.pe):
-            raise SimulationError(f"{f.label} fires on PE {f.pe} outside grid")
-        if f.pe in seen:
+        pe = f.pe
+        if not (0 <= pe.row < rows and 0 <= pe.col < cols):
+            raise SimulationError(f"{f.label} fires on PE {pe} outside grid")
+        if previous is not None and (
+            previous.pe.row == pe.row and previous.pe.col == pe.col
+        ):
             raise SimulationError(
-                f"PE {f.pe} double-booked at cycle {cycle}: "
-                f"{seen[f.pe]} and {f.label}"
+                f"PE {pe} double-booked at cycle {cycle}: "
+                f"{previous.label} and {f.label}"
             )
-        seen[f.pe] = f.label
+        previous = f
         if f.is_memory:
-            key = bus_key(f.pe)
+            key = bus_key(pe)
             bus[key] = bus.get(key, 0) + 1
-            if bus[key] > cgra.mem_ports_per_row:
+            if bus[key] > ports:
                 raise SimulationError(
                     f"bus segment {key} over capacity at cycle {cycle}"
                 )

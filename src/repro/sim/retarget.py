@@ -13,7 +13,17 @@ explicit firing program of the shrunken schedule on a concrete chain of
   a mesh neighbour — the §VI-E architectural support), else a round trip
   through the reserved global storage area of the data memory;
 * every firing's cycle comes from the placement, so the simulated cycle
-  count is exactly the transformed schedule's makespan.
+  count is exactly the transformed schedule's makespan;
+* fold mirroring knows nothing about PE capabilities, so on a
+  heterogeneous fabric every physical PE an item lands on is checked
+  against the item's op class, and a fold that would fire an op where it
+  cannot execute is refused (:class:`~repro.util.errors.TransformError`).
+
+The program is the mapping's schedule template
+(:func:`repro.sim.lowering.schedule_template`) stamped once per iteration;
+only the locate step — placement slot and re-oriented tile position instead
+of the compiled PE and time — differs from :func:`~repro.sim.lowering.
+lower_mapping`.
 
 Functional equivalence with the untransformed mapping (and with the DFG
 reference interpreter) is checked by the integration tests for every
@@ -22,16 +32,20 @@ kernel and every legal M.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from repro.arch.interconnect import Coord
-from repro.arch.isa import Opcode
 from repro.arch.memory import DataMemory
 from repro.compiler.paged import PagedMapping
 from repro.core.mirroring import fold_orientations
 from repro.core.pagemaster import PagePlacement
-from repro.sim.lowering import Firing, GlobalSlot, ResolvedRead, resolve_addr
+from repro.sim.lowering import (
+    Firing,
+    TemplateItem,
+    check_capable,
+    schedule_template,
+    stamp_firings,
+)
 from repro.util.errors import TransformError
 
 __all__ = ["required_batches", "retarget_firings"]
@@ -96,137 +110,49 @@ def retarget_firings(
 
     if rf_limit is None:
         rf_limit = mapping.cgra.rf_depth
+    cgra, slots = mapping.cgra, placement.slots
     orients = fold_orientations(layout)
 
-    def locate(pe: Coord, batch: int) -> tuple[Coord, int]:
-        """Transformed (physical PE, cycle) of the item originally on *pe*
-        firing at original cycle *batch*."""
-        n = layout.page_of[pe]
-        col, t = placement.slots[(n, batch)]
-        phys = full.place_local(target_pages[col], layout.local_of[pe], orients[n])
-        return phys, t + start_cycle
+    def locate(item: TemplateItem, batches: range) -> list[tuple[Coord, int]]:
+        """Transformed (physical PE, cycle) of *item* at each original
+        cycle in *batches*: the cycle and column come from the placement,
+        the PE from the item's page-local position re-oriented on that
+        column's tile."""
+        page, local = layout.page_of[item.pe], layout.local_of[item.pe]
+        tiles = [
+            full.place_local(target, local, orients[page]) for target in target_pages
+        ]
+        hits = [slots[(page, batch)] for batch in batches]
+        if cgra.capability is not None:
+            for col in sorted({col for col, _ in hits}):
+                check_capable(cgra, item, tiles[col], TransformError)
+        return [(tiles[col], cycle) for col, cycle in hits]
 
-    dfg = mapping.dfg
-    firings: dict[tuple, Firing] = {}
-    # transfers that need the global fallback: holder firing key -> slots
-    pending_global: dict[tuple, list[GlobalSlot]] = {}
-    # identity of every committed route step, for resolving fanout taps
-    step_index: dict[tuple, tuple[int, int]] = {
-        (st.pe, st.time): (eid, hop)
-        for eid, r in mapping.routes.items()
-        for hop, st in enumerate(r.steps)
-    }
+    adjacent: dict[int, bool] = {}  # memo over physical PE id pairs
+    cols, num_pes = cgra.cols, cgra.num_pes
 
-    def chain_origin(e):
-        """(pe, time, firing-key-prefix) of the position an edge's chain
-        reads first: a tapped sibling step or the producer."""
-        r = mapping.route(e.id)
-        if r.tap is not None:
-            eid, hop = step_index[(r.tap.pe, r.tap.time)]
-            return r.tap.pe, r.tap.time, ("route", eid, hop)
-        src = mapping.placement(e.src)
-        return src.pe, src.time - e.distance * ii, ("op", e.src)
+    def readable(reader: Coord, holder: Coord, wait: int) -> bool:
+        """A rotating-register read works from the same PE or a mesh
+        neighbour, for as long as the file keeps the value."""
+        if wait > rf_limit:
+            return False
+        pair = (reader.row * cols + reader.col) * num_pes + (
+            holder.row * cols + holder.col
+        )
+        near = adjacent.get(pair)
+        if near is None:
+            near = adjacent[pair] = cgra.adjacent_or_same(reader, holder)
+        return near
 
-    def transfer_operand(
-        holder_pe: Coord,
-        holder_time: int,
-        holder_key: tuple,
-        reader_phys: Coord,
-        reader_cycle: int,
-        edge_id: int,
-        iteration: int,
-    ):
-        batch_h = holder_time + iteration * ii
-        phys_h, t_h = locate(holder_pe, batch_h)
-        if (
-            mapping.cgra.adjacent_or_same(reader_phys, phys_h)
-            and reader_cycle - t_h <= rf_limit
-        ):
-            return ResolvedRead(phys_h, t_h)
-        slot = GlobalSlot((firing_tag, edge_id) if firing_tag else edge_id, iteration)
-        pending_global.setdefault(holder_key, []).append(slot)
-        return slot
-
-    for i in range(trip):
-        for op_id, op in dfg.ops.items():
-            if op.opcode is Opcode.CONST:
-                continue
-            p = mapping.placement(op_id)
-            batch = p.time + i * ii
-            phys, cycle = locate(p.pe, batch)
-            operands = []
-            for e in dfg.in_edges(op_id):
-                src_op = dfg.ops[e.src]
-                if src_op.opcode is Opcode.CONST:
-                    operands.append(src_op.immediate)
-                    continue
-                if i < e.distance:
-                    operands.append(e.init[i])
-                    continue
-                holder_pe, holder_time = mapping.holder_before(e)
-                steps = mapping.route(e.id).steps
-                if steps:
-                    holder_key = ("route", e.id, len(steps) - 1, i)
-                else:
-                    ope, oti, prefix = chain_origin(e)
-                    holder_key = (
-                        (*prefix, i)
-                        if prefix[0] == "route"
-                        else ("op", e.src, i - e.distance)
-                    )
-                operands.append(
-                    transfer_operand(holder_pe, holder_time, holder_key, phys, cycle, e.id, i)
-                )
-            addr = (
-                resolve_addr(op.memref, first_iteration + i, memory, array_prefix)
-                if op.memref
-                else None
-            )
-            firings[("op", op_id, i)] = Firing(
-                cycle=cycle,
-                pe=phys,
-                label=f"{op.label}#{i}",
-                opcode=op.opcode,
-                operands=tuple(operands),
-                immediate=op.immediate,
-                addr=addr,
-                iteration=i,
-            )
-        for e in dfg.edges.values():
-            if i < e.distance:
-                continue
-            steps = mapping.route(e.id).steps
-            if not steps:
-                continue
-            prev_pe, prev_time, prefix = chain_origin(e)
-            prev_key = (
-                (*prefix, i)
-                if prefix[0] == "route"
-                else ("op", e.src, i - e.distance)
-            )
-            for hop, s in enumerate(steps):
-                batch = s.time + i * ii
-                phys, cycle = locate(s.pe, batch)
-                operand = transfer_operand(
-                    prev_pe, prev_time, prev_key, phys, cycle, e.id, i
-                )
-                firings[("route", e.id, hop, i)] = Firing(
-                    cycle=cycle,
-                    pe=phys,
-                    label=f"route{e.id}.{hop}#{i}",
-                    opcode=Opcode.ROUTE,
-                    operands=(operand,),
-                    iteration=i,
-                )
-                prev_pe, prev_time = s.pe, s.time
-                prev_key = ("route", e.id, hop, i)
-
-    for key, slots in pending_global.items():
-        f = firings.get(key)
-        if f is None:
-            raise TransformError(f"global transfer from missing firing {key}")
-        firings[key] = replace(f, global_writes=f.global_writes + tuple(slots))
-
-    out = list(firings.values())
-    out.sort(key=lambda f: (f.cycle, f.pe))
-    return out
+    return stamp_firings(
+        schedule_template(mapping),
+        ii,
+        trip,
+        memory,
+        locate,
+        start_cycle=start_cycle,
+        array_prefix=array_prefix,
+        first_iteration=first_iteration,
+        readable=readable,
+        firing_tag=firing_tag,
+    )

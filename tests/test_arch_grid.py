@@ -125,6 +125,37 @@ class TestRotatingRegisterFile:
         rf.push(0, 2)  # time restarts after clear
         assert rf.latest() == 2
 
+    def test_depth_is_the_count_of_entries_at_least_as_new(self):
+        """The O(1) depth (a push-sequence subtraction) against its
+        definition, under random pushes and reads that overflow the file;
+        evicted and never-produced cycles read as absent."""
+        import random
+
+        rng = random.Random(20260930)
+        for _ in range(200):
+            depth = rng.randint(1, 9)
+            rf = RotatingRegisterFile(depth)
+            retained: list[int] = []  # the model: the newest `depth` cycles
+            cycle = -1
+            for _ in range(rng.randint(1, 60)):
+                if retained and rng.random() < 0.4:
+                    probe = rng.randint(0, cycle + 2)
+                    if probe in retained:
+                        newer_or_same = sum(1 for c in retained if c >= probe)
+                        assert rf.depth_of(probe) == newer_or_same
+                        assert rf.read_produced_at(probe) == probe * 3
+                    else:
+                        assert rf.depth_of(probe) == 0
+                        with pytest.raises(SimulationError):
+                            rf.read_produced_at(probe)
+                else:
+                    cycle += rng.randint(1, 3)
+                    rf.push(cycle, cycle * 3)
+                    retained = (retained + [cycle])[-depth:]
+                    assert rf.occupancy() == len(retained)
+                    assert rf.depth_of(cycle) == 1
+                    assert rf.depth_of(retained[0]) == len(retained)
+
     @given(st.integers(1, 8), st.lists(st.integers(0, 100), min_size=1, max_size=20, unique=True))
     def test_last_depth_values_always_readable(self, depth, cycles):
         cycles = sorted(cycles)

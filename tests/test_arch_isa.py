@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,6 +107,119 @@ class TestEvaluate:
             info = OPCODE_INFO[op]
             if info.commutative and info.arity == 2:
                 assert evaluate(op, [a, b]) == evaluate(op, [b, a])
+
+
+def evaluate_by_definition(op, operands, immediate=None):
+    """The opcode semantics written out as one ``if`` chain — the form
+    ``evaluate`` had before it became table-driven, kept as the reference."""
+    info = OPCODE_INFO[op]
+    if info.is_memory:
+        raise SimulationError(f"{op} must be executed by the memory system")
+    if len(operands) != info.arity:
+        raise SimulationError(f"{op.value} expects {info.arity} operands")
+    if op is Opcode.CONST:
+        if immediate is None:
+            raise SimulationError("CONST requires an immediate")
+        return wrap32(immediate)
+    a = operands[0] if info.arity >= 1 else 0
+    b = operands[1] if info.arity >= 2 else 0
+    if op is Opcode.ROUTE:
+        return wrap32(a)
+    if op is Opcode.NEG:
+        return wrap32(-a)
+    if op is Opcode.NOT:
+        return wrap32(~a)
+    if op is Opcode.ABS:
+        return wrap32(abs(a))
+    if op is Opcode.ADD:
+        return wrap32(a + b)
+    if op is Opcode.SUB:
+        return wrap32(a - b)
+    if op is Opcode.MUL:
+        return wrap32(a * b)
+    if op is Opcode.DIV:
+        if b == 0:
+            return 0
+        q = abs(a) // abs(b)
+        return wrap32(-q if (a < 0) != (b < 0) else q)
+    if op is Opcode.MOD:
+        if b == 0:
+            return 0
+        r = abs(a) % abs(b)
+        return wrap32(-r if a < 0 else r)
+    if op is Opcode.SHL:
+        return wrap32(a << (b & 31))
+    if op is Opcode.SHR:
+        return wrap32(a >> (b & 31))
+    if op is Opcode.AND:
+        return wrap32(a & b)
+    if op is Opcode.OR:
+        return wrap32(a | b)
+    if op is Opcode.XOR:
+        return wrap32(a ^ b)
+    if op is Opcode.MIN:
+        return wrap32(min(a, b))
+    if op is Opcode.MAX:
+        return wrap32(max(a, b))
+    if op is Opcode.LT:
+        return int(a < b)
+    if op is Opcode.LE:
+        return int(a <= b)
+    if op is Opcode.EQ:
+        return int(a == b)
+    if op is Opcode.NE:
+        return int(a != b)
+    if op is Opcode.SELECT:
+        return wrap32(operands[1] if a else operands[2])
+    raise AssertionError(f"no definition for {op}")
+
+
+class TestEvaluateAgainstDefinition:
+    """The table-driven ``evaluate`` against the written-out semantics, for
+    every opcode, on the operands where 32-bit arithmetic goes wrong."""
+
+    BOUNDARY = [
+        -(2**31), -(2**31) + 1, -33, -32, -7, -1, 0, 1, 7, 31, 32, 33, 64,
+        2**31 - 1, 2**31, -(2**31) - 1, 2**32 + 5,
+    ]
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+    def test_every_opcode_on_boundary_operands(self, op):
+        info = OPCODE_INFO[op]
+        if info.is_memory:
+            with pytest.raises(SimulationError, match="memory system"):
+                evaluate(op, [0] * info.arity)
+            return
+        if op is Opcode.CONST:
+            for imm in self.BOUNDARY:
+                assert evaluate(op, [], imm) == evaluate_by_definition(op, [], imm)
+            return
+        for operands in itertools.product(self.BOUNDARY, repeat=info.arity):
+            assert evaluate(op, list(operands)) == evaluate_by_definition(
+                op, list(operands)
+            ), (op, operands)
+
+    def test_random_operands(self):
+        import random
+
+        rng = random.Random(20260930)
+        alu = [op for op in Opcode if not OPCODE_INFO[op].is_memory and op is not Opcode.CONST]
+        for _ in range(4000):
+            op = rng.choice(alu)
+            operands = [
+                rng.choice([rng.randint(-(2**33), 2**33), rng.randint(-40, 40)])
+                for _ in range(OPCODE_INFO[op].arity)
+            ]
+            assert evaluate(op, operands) == evaluate_by_definition(op, operands)
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.value)
+    def test_wrong_arity_raises(self, op):
+        info = OPCODE_INFO[op]
+        if info.is_memory:
+            return  # refused before the arity is looked at, see above
+        for n in {info.arity - 1, info.arity + 1} - {-1}:
+            with pytest.raises(SimulationError, match="expects"):
+                evaluate(op, [1] * n, 1)
 
 
 class TestOpInfo:

@@ -250,6 +250,33 @@ class TestCapabilityCompilation:
         with pytest.raises(SimulationError, match="lacks the 'mem' capability"):
             lower_mapping(moved, bind_memory(arrays), 8)
 
+    def test_fold_refuses_capability_violation(self, tmp_path):
+        """Fold mirroring is capability-blind: on 8x8-memcols it re-places
+        laplace's LOAD/STORE ops onto odd (port-less) columns — even at
+        M = N — and the simulator would execute them silently.  Retargeting
+        must refuse, naming the op, the PE and the missing class.  (The
+        homogeneous fabric is unaffected: tests/test_firing_golden.py runs
+        all 69 committed 4x4 folds through the same code.)"""
+        from repro.core.pagemaster import PageMaster
+        from repro.kernels import bind_memory
+        from repro.sim import required_batches, retarget_firings
+        from repro.util.errors import TransformError
+
+        job = CompileJob("laplace", 8, 4, arch="8x8-memcols", backend="hier")
+        artifact, _ = _compile_one(job, tmp_path)
+        dfg, arrays, _ = get_kernel("laplace").fresh(seed=7, trip=8)
+        paged = artifact.materialize(dfg)
+        assert paged.mapping.cgra.capability is not None
+        for m in (artifact.pages_used, 1):
+            placement = PageMaster(
+                paged.layout.num_pages, paged.ii, m, wrap_used=paged.wrap_used
+            ).place(batches=required_batches(paged.mapping, 8))
+            with pytest.raises(
+                TransformError,
+                match=r"\(mem\) would fire on \(\d,[1357]\), which lacks the 'mem'",
+            ):
+                retarget_firings(paged, placement, list(range(m)), bind_memory(arrays), 8)
+
     @pytest.mark.parametrize("arch", ["4x4", "4x4-memcols"])
     def test_recompilation_is_byte_identical_per_preset(self, arch, tmp_path):
         job = CompileJob("gsr", 4, 2, seed=0, arch=arch)

@@ -173,6 +173,26 @@ class TestSimulatorContracts:
         with pytest.raises(SimulationError):
             simulate(firings, cgra44, mem)
 
+    def test_operand_sources_are_told_apart_by_kind(self, cgra44):
+        """Immediates, register reads and global slots are told apart by
+        type; a subclass counts as its base (``bool`` is an immediate), and
+        anything else is refused."""
+        mem = DataMemory(64)
+        res = simulate(
+            [
+                F(0, Coord(0, 0), Opcode.ADD, "a", operands=(True, 2)),
+                F(1, Coord(0, 1), Opcode.ADD, "b",
+                  operands=(ResolvedRead(Coord(0, 0), 0), False)),
+                F(2, Coord(0, 1), Opcode.STORE, "s", addr=5,
+                  operands=(ResolvedRead(Coord(0, 1), 1),)),
+            ],
+            cgra44,
+            mem,
+        )
+        assert mem.load(5) == 3 and res.rf_reads == 2
+        with pytest.raises(SimulationError, match="unknown operand source"):
+            simulate([F(0, Coord(0, 0), Opcode.ROUTE, "r", operands=(1.5,))], cgra44, mem)
+
     def test_negative_cycle_rejected(self, cgra44):
         mem = DataMemory(64)
         with pytest.raises(SimulationError):

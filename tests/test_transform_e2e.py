@@ -20,7 +20,7 @@ from repro.kernels import bind_memory, get_kernel
 from repro.sim.cgra_sim import simulate
 from repro.sim.lowering import lower_mapping
 from repro.sim.retarget import required_batches, retarget_firings
-from repro.util.errors import TransformError
+from repro.util.errors import SimulationError, TransformError
 
 TRIP = 16
 KERNELS = ["sor", "mpeg", "laplace", "swim", "wavelet", "gsr"]
@@ -137,6 +137,26 @@ def test_mismatched_placement_rejected(compiled):
         retarget_firings(pm, placement, [0, 1], mem, 4)
 
 
+@pytest.mark.parametrize(
+    "trip, keywords, message",
+    [
+        (-1, {}, "trip count must be >= 0, got -1"),
+        (4, {"start_cycle": -2}, "start_cycle must be >= 0, got -2"),
+    ],
+)
+def test_both_entry_points_reject_negative_arguments(compiled, trip, keywords, message):
+    """One stamping routine, one validation: ``retarget_firings`` used to
+    return [] for a negative trip and pass a negative start through."""
+    cgra, _, mapped = compiled
+    pm = mapped["sor"]
+    _, arrays, _ = get_kernel("sor").fresh(seed=7, trip=4)
+    placement = PageMaster(4, pm.ii, 2).place(batches=required_batches(pm.mapping, 4))
+    with pytest.raises(SimulationError, match=message):
+        lower_mapping(pm.mapping, bind_memory(arrays), trip, **keywords)
+    with pytest.raises(SimulationError, match=message):
+        retarget_firings(pm, placement, [0, 1], bind_memory(arrays), trip, **keywords)
+
+
 def test_zigzag_m3_is_faster_than_m2(compiled):
     """More pages -> faster, even through the zigzag path (M=3 of 4)."""
     cgra, _, mapped = compiled
@@ -167,6 +187,40 @@ def test_tiny_register_file_falls_back_to_global_storage(compiled):
     # and the timing is unchanged: the placement dictates the cycles
     rf_res, _, _, _ = run_shrunk(cgra, pm, 1, TRIP)
     assert res.cycles == rf_res.cycles
+
+
+def test_simulate_accepts_firings_in_any_order(compiled):
+    """``simulate`` sorts internally: seeded shuffles of a folded program
+    (register reads, global-storage round trips, loads and stores) give the
+    same SimResult and memory as the sorted list."""
+    import random
+
+    cgra, _, mapped = compiled
+    pm = mapped["mpeg"]
+    _, arrays, expected = get_kernel("mpeg").fresh(seed=7, trip=TRIP)
+    placement = PageMaster(pm.layout.num_pages, pm.ii, 2).place(
+        batches=required_batches(pm.mapping, TRIP)
+    )
+    firings = retarget_firings(
+        pm, placement, [0, 1], bind_memory(arrays), TRIP, rf_limit=2
+    )
+    assert any(f.global_writes for f in firings)
+
+    def run(order):
+        mem = bind_memory(arrays)
+        res = simulate(order, cgra, mem, bus_key=paged_bus_key(pm.layout), rf_depth=64)
+        return res, mem.snapshot()
+
+    base, base_snap = run(firings)
+    for arr in expected:
+        assert np.array_equal(base_snap[arr], expected[arr]), arr
+    rng = random.Random(20260930)
+    for _ in range(3):
+        shuffled = list(firings)
+        rng.shuffle(shuffled)
+        res, snap = run(shuffled)
+        assert res == base
+        assert all(np.array_equal(snap[a], base_snap[a]) for a in base_snap)
 
 
 def test_retarget_deterministic(compiled):
