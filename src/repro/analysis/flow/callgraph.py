@@ -11,6 +11,11 @@ receiver/argument bindings, so the effect pass can interpret known external
 hazards and bind parameter mutations without pretending to understand
 arbitrary Python.
 
+Receiver classes come from three places only: ``self``/``cls``, a local
+bound to a constructor call, and a parameter whose annotation names a
+project class — which is how a polymorphic helper such as the II-ladder
+driver (``mapper: EMSMapper``) stays connected to the code it drives.
+
 Scoping is the real thing: parameters and local assignments shadow module
 globals, ``global`` declarations un-shadow them, nested functions and
 lambdas extend the local scope, and import aliases resolve through
@@ -435,6 +440,17 @@ class _FunctionLinker(ast.NodeVisitor):
         if fn.cls is not None and fn.params:
             # `self` / `cls` carry the enclosing class
             self.var_types[fn.params[0]] = fn.cls
+        # a parameter annotated with a project class carries that class:
+        # method calls on it resolve (to the annotated class's own methods;
+        # overrides in subclasses stay invisible, as everywhere else here)
+        args = fn.node.args
+        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+            dotted = dotted_name(arg.annotation) if arg.annotation else None
+            if dotted is None:
+                continue
+            cls = info.classes.get(dotted) or _resolve_dotted(graph, info, dotted)
+            if cls in graph.classes:
+                self.var_types.setdefault(arg.arg, cls)
 
     # -- scope bookkeeping ----------------------------------------------------
 

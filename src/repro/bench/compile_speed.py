@@ -9,7 +9,14 @@ filter refuted, memo-table hits), and records the run
 as a labelled entry in ``BENCH_compile_speed.json`` at the repository
 root.  Entries accumulate across PRs, so the file is a trajectory: the
 first entry is the pre-optimisation baseline and the report's geomean
-speedup compares the latest run against it.
+speedup compares the latest run against it.  Every new entry records the
+host's ``nproc``: a ``--workers 2`` run on one core and on two are
+different measurements, and the file holds both kinds.  Entries of
+backends that no longer exist (``pr8-exact-backend``) are data and stay.
+
+``--workers 1`` walks every II ladder inline; ``--workers N`` hands the
+same ladder driver a warm N-process pool to race them over (jobs stay
+sequential either way).
 
 The jobs here are exactly the Fig. 8 suite configurations
 (:func:`repro.bench.fig8.page_sizes_for`), so the timings measure the
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from pathlib import Path
 from typing import Sequence
@@ -76,7 +84,7 @@ def run_compile_speed(
     timings and counters remain cleanly attributed); artifacts and IIs are
     byte-identical to the serial run.  *arch* selects a fabric preset
     (``repro.arch.presets``; overrides *size*), *backend* the paged
-    mapping strategy (``"flat"``, ``"hier"`` or ``"exact"``).
+    mapping strategy (one of :data:`repro.compiler.ems.BACKENDS`).
     """
     if arch is not None:
         from repro.arch.presets import preset
@@ -155,16 +163,9 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
             f"hier backend: clustered {hier_wins}/{hier_att} wins, "
             f"flat-fallback {flat_wins}/{flat_att} wins"
         )
-    rungs = {
-        k: sum(st.counters.get(k, 0) for st in stats)
-        for k in ("rungs_skipped", "rungs_pruned", "exact_probes", "exact_wins")
-    }
-    if any(rungs.values()):
-        lines.append(
-            "II rungs: {rungs_skipped} skipped (ladder memoization), "
-            "{rungs_pruned} pruned (feasibility certificates), "
-            "{exact_probes} SAT probes ({exact_wins} refuted)".format(**rungs)
-        )
+    skipped = sum(st.counters.get("rungs_skipped", 0) for st in stats)
+    if skipped:
+        lines.append(f"II rungs: {skipped} skipped (ladder memoization)")
     board = backend_summary(stats)
     if len(board) > 1 or any(b != "flat" for b in board):
         lines.append("backend leaderboard (by total seconds):")
@@ -202,9 +203,8 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
 def backend_summary(stats: Sequence[CompileStats]) -> dict[str, dict]:
     """Per-backend aggregate: job count, wall clock, rung accounting and
     the backend's *win rate* — how often its distinguishing mechanism beat
-    the plain flat ladder (clustered placements for ``hier``, UNSAT rung
-    refutations for ``exact``; the flat ladder has no such mechanism, so
-    its rate is ``None``)."""
+    the plain flat ladder (clustered placements for ``hier``; the flat
+    ladder has no such mechanism, so its rate is ``None``)."""
     out: dict[str, dict] = {}
     for st in stats:
         rec = out.setdefault(
@@ -213,30 +213,18 @@ def backend_summary(stats: Sequence[CompileStats]) -> dict[str, dict]:
                 "jobs": 0,
                 "seconds": 0.0,
                 "rungs_skipped": 0,
-                "rungs_pruned": 0,
-                "exact_probes": 0,
-                "exact_wins": 0,
                 "hier_attempts": 0,
                 "hier_wins": 0,
             },
         )
         rec["jobs"] += 1
         rec["seconds"] += st.seconds
-        for k in (
-            "rungs_skipped",
-            "rungs_pruned",
-            "exact_probes",
-            "exact_wins",
-            "hier_attempts",
-            "hier_wins",
-        ):
+        for k in ("rungs_skipped", "hier_attempts", "hier_wins"):
             rec[k] += st.counters.get(k, 0)
     for name, rec in out.items():
         rec["seconds"] = round(rec["seconds"], 3)
         if name == "hier" and rec["hier_attempts"]:
             rec["win_rate"] = round(rec["hier_wins"] / rec["hier_attempts"], 4)
-        elif name == "exact" and rec["exact_probes"]:
-            rec["win_rate"] = round(rec["exact_wins"] / rec["exact_probes"], 4)
         else:
             rec["win_rate"] = None
     return out
@@ -244,7 +232,7 @@ def backend_summary(stats: Sequence[CompileStats]) -> dict[str, dict]:
 
 def search_totals(stats: Sequence[CompileStats]) -> dict | None:
     """Aggregate the speculative-search stats across jobs (``None`` when
-    no job ran through the portfolio engine)."""
+    no job was handed a search context)."""
     records = [st.search for st in stats if st.search is not None]
     if not records:
         return None
@@ -283,6 +271,7 @@ def _entry_from_stats(
         "date": time.strftime("%Y-%m-%d"),
         "seed": seed,
         "workers": workers,
+        "nproc": os.cpu_count(),
         "total_seconds": round(sum(st.seconds for st in stats), 3),
         "counters_total": totals,
         "backends": backend_summary(stats),

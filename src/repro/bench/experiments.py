@@ -25,6 +25,7 @@ from typing import Callable
 
 from repro.bench.fig8 import page_sizes_for, render_fig8, run_fig8
 from repro.bench.fig9 import best_improvement, render_fig9, run_fig9
+from repro.compiler.ems import BACKENDS
 from repro.pipeline import ArtifactStore
 
 __all__ = ["EXPERIMENTS", "run_experiment", "main"]
@@ -150,7 +151,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=["flat", "hier", "exact"],
+        choices=BACKENDS,
         default=None,
         help="paged mapping backend (compile-speed; default flat)",
     )

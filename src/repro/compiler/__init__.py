@@ -13,13 +13,20 @@ initiation interval II (§II of the paper).  Two mappers are provided:
 The *paged* compiler (:func:`repro.compiler.paged.map_dfg_paged`) runs the
 same engine with the paper's §VI-B compile-time constraints switched on and
 additionally returns the page-level schedule the PageMaster transformation
-consumes.
+consumes.  It has two backends (:data:`~repro.compiler.ems.BACKENDS`): the
+flat ladder and the cluster-then-place ``hier`` one.
+
+A mapper knows how to run one (II, attempt) probe; the walk over IIs and
+restarts is :func:`repro.compiler.search.climb_ladder`, the single ladder
+driver every entry point above calls.  A :class:`SearchContext` chooses
+where its probes run — inline in the calling thread, or raced over a
+process pool — and the result is the same bytes either way.
 """
 
 from repro.compiler.mapping import Mapping, Placement, Route, RouteStep
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.check import validate_mapping
-from repro.compiler.ems import EMSMapper, MapperConfig, map_dfg
+from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
 from repro.compiler.paged import PagedMapping, map_dfg_paged
 from repro.compiler.annealing import anneal_map
 from repro.compiler.search import (
@@ -27,7 +34,7 @@ from repro.compiler.search import (
     MapperSpec,
     SearchContext,
     WorkerBudget,
-    portfolio_map,
+    climb_ladder,
 )
 
 __all__ = [
@@ -37,6 +44,7 @@ __all__ = [
     "RouteStep",
     "ReservationTable",
     "validate_mapping",
+    "BACKENDS",
     "EMSMapper",
     "MapperConfig",
     "map_dfg",
@@ -47,5 +55,5 @@ __all__ = [
     "MapperSpec",
     "SearchContext",
     "WorkerBudget",
-    "portfolio_map",
+    "climb_ladder",
 ]

@@ -13,6 +13,10 @@ al. [25]), which the paper's experiments build on.  The algorithm:
 3. a few restarts with perturbed op order absorb unlucky greedy choices
    before giving up and bumping the II.
 
+This module owns steps 1 and 2 for one (II, attempt) probe; the walk over
+IIs and restarts (the *ladder*) is :func:`repro.compiler.search.
+climb_ladder`, shared by every mapper.
+
 The paged compiler (:mod:`repro.compiler.paged`) reuses this engine with a
 hop filter and a restricted PE set, which is how the paper describes its
 approach: "add some additional constraints to the compiler when it is
@@ -44,16 +48,20 @@ from repro.compiler.routing import (
     find_route_shared_ids,
     release_route,
 )
-from repro.compiler.stats import MapperCounters, counters, search_stats
+from repro.compiler.stats import MapperCounters, counters
 from repro.dfg.analysis import alap_times, asap_times, rec_mii
 from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
 from repro.util.fingerprint import canonical_fingerprint
 from repro.util.rng import make_rng
 
-__all__ = ["MapperConfig", "EMSMapper", "map_dfg"]
+__all__ = ["BACKENDS", "MapperConfig", "EMSMapper", "map_dfg"]
 
 HopFilter = Callable[[Coord, Coord], bool]
+
+#: The paged-mapping backends, spelled once: ``MapperConfig``, the wire
+#: protocol and the bench CLI all validate against this tuple.
+BACKENDS = ("flat", "hier")
 
 
 @dataclass(frozen=True)
@@ -68,15 +76,17 @@ class MapperConfig:
     candidate_cap: int = 10  # feasible candidates scored per op
     eval_budget: int = 200  # total (time, PE) candidates probed per op
     root_margin: int = 2  # extra slack before anchor-less non-source ops
-    #: Paged-mapping backend: "flat" is the original single-level ladder;
-    #: "hier" prepends a cluster-then-place hierarchical attempt at every II
-    #: rung (:mod:`repro.compiler.hier`); "exact" is the flat ladder with
-    #: SAT-certificate rung pruning (:mod:`repro.compiler.exact`).
+    #: Paged-mapping backend (one of :data:`BACKENDS`): "flat" is the
+    #: original single-level ladder; "hier" prepends a cluster-then-place
+    #: hierarchical attempt at every II rung (:mod:`repro.compiler.hier`).
     backend: str = "flat"
 
     def __post_init__(self) -> None:
-        if self.backend not in ("flat", "hier", "exact"):
-            raise MappingError(f"unknown mapper backend {self.backend!r}")
+        if self.backend not in BACKENDS:
+            raise MappingError(
+                f"unknown mapper backend {self.backend!r} "
+                f"(valid: {', '.join(BACKENDS)})"
+            )
 
     def fingerprint(self) -> str:
         """Canonical hash over every knob — any tuning change invalidates
@@ -111,6 +121,10 @@ class _Attempt:
 
 class EMSMapper:
     """Place-and-route modulo scheduler for one CGRA (optionally paged)."""
+
+    #: the page layout the mapper is constrained to: None on the whole
+    #: array, set by :class:`repro.compiler.paged.PagedMapper`
+    layout = None
 
     def __init__(
         self,
@@ -191,73 +205,21 @@ class EMSMapper:
             for pe in self.allowed_pes:
                 self._rank_ids[gi.id_of[pe]] = pe_rank(pe)
 
-    # -- public API ---------------------------------------------------------------
-
-    def map(
-        self,
-        dfg: DFG,
-        *,
-        min_ii: int | None = None,
-        resume_ii: int | None = None,
-    ) -> Mapping:
-        """Map *dfg*, returning the best (lowest-II) mapping found.
-
-        Raises :class:`MappingError` when no mapping exists up to
-        ``config.max_ii``.
-
-        *resume_ii* is the ladder-memoization contract: the caller asserts
-        that every rung below it was already probed — with this exact
-        mapper geometry, config (up to ``max_ii``) and *min_ii* — and
-        failed, so those rungs are skipped.  The rng stream is still
-        advanced exactly as if the skipped perturbation attempts had run,
-        so the op orders tried at the remaining rungs (and therefore the
-        resulting mapping) are bit-for-bit what a full re-climb would
-        produce.
-        """
-        start_ii = self.ladder_start_ii(dfg, min_ii=min_ii)
-        search_stats().serial_ladders += 1
-        rng = make_rng(self.config.seed)
-        orders = self.attempt_orders(dfg)
-        for ii in range(start_ii, self.config.max_ii + 1):
-            skip = resume_ii is not None and ii < resume_ii
-            if skip:
-                counters().rungs_skipped += 1
-            elif self.rung_infeasible(dfg, ii):
-                skip = True  # hook holds a proof; it does its own counting
-            if skip:
-                # burn the skipped rung's perturbation draws to keep the
-                # stream position identical to a full climb
-                for attempt in range(self.config.attempts_per_ii):
-                    if attempt >= len(orders):
-                        self._perturb(list(orders[0]), rng)
-                continue
-            for attempt in range(self.config.attempts_per_ii):
-                if attempt < len(orders):
-                    order = list(orders[attempt])
-                else:
-                    order = list(orders[0])
-                    self._perturb(order, rng)
-                result = self._try_map(dfg, ii, order)
-                if result is not None:
-                    return result
-        err = MappingError(self.ladder_fail_message(dfg))
-        err.ladder_probed = (start_ii, self.config.max_ii)
-        raise err
-
     # -- the (II, attempt) ladder as data ------------------------------------------
     #
-    # The serial `map()` above walks the lattice {(ii, attempt)} in
-    # lexicographic order and returns the first success.  The speculative
-    # portfolio engine (:mod:`repro.compiler.search`) races the same
-    # probes out of order; the helpers below expose the ladder's pieces —
-    # start rung, base orders, and the exact per-(ii, attempt) op order —
-    # so an out-of-order probe is bit-identical to its serial twin.
+    # The mapper knows what one probe is; what a *ladder* is — the walk over
+    # the lattice {(ii, attempt)}, first success in canonical order wins —
+    # lives in :func:`repro.compiler.search.climb_ladder` alone.  The helpers
+    # below are the pieces that driver asks for: start rung, rung width, base
+    # orders, and the exact per-(ii, attempt) op order, indexed so a probe
+    # run out of order (or in another process) is bit-identical to the same
+    # probe of an in-order walk.
 
     def ladder_start_ii(self, dfg: DFG, *, min_ii: int | None = None) -> int:
         """First II rung of the ladder (MII, floored by *min_ii*).
 
-        Raises :class:`MappingError` for DFGs that can never fit, exactly
-        as :meth:`map` would before entering the ladder.
+        Raises :class:`MappingError` for DFGs that can never fit, before
+        any rung is probed.
         """
         bound = ii_lower_bound(
             dfg,
@@ -270,19 +232,6 @@ class EMSMapper:
         if min_ii is not None:
             start_ii = max(start_ii, min_ii)
         return start_ii
-
-    def rung_infeasible(self, dfg: DFG, ii: int) -> bool:
-        """Certificate hook: may a backend *prove* rung *ii* dead?
-
-        The flat ladder never prunes.  Overrides (the exact backend's SAT
-        refutation, :class:`repro.compiler.exact.ExactMapper`) must hold a
-        soundness proof covering every attempt the rung would have run —
-        a pruned rung burns its rng draws but is otherwise skipped, so an
-        unsound prune would change the ladder's outcome, not just its
-        cost.  Only consulted by the serial climb; speculative portfolio
-        probes replay single lattice points and never prune.
-        """
-        return False
 
     def ladder_fail_message(self, dfg: DFG) -> str:
         """The error text of a ladder exhausted up to ``config.max_ii``."""
@@ -314,16 +263,17 @@ class EMSMapper:
         ii: int,
         attempt: int,
     ) -> list[int]:
-        """The exact op order the serial ladder uses at (*ii*, *attempt*).
+        """The op order of lattice point (*ii*, *attempt*).
 
-        The serial loop draws perturbations from one rng stream in
-        lexicographic (ii, attempt) order, so the order at a given lattice
-        point depends on how many perturbed attempts precede it.  Each
-        perturbation consumes a fixed amount of rng state (the order length
-        never changes), so an independent probe can replay the stream:
-        burn the preceding perturbations on scratch copies, then apply the
-        real one.  This is what makes out-of-order parallel probes
-        byte-identical to the serial ladder.
+        Perturbed attempts draw from one seeded rng stream in lexicographic
+        (ii, attempt) order counted from *start_ii*, so the order at a
+        point depends only on how many perturbed attempts precede it.
+        Each perturbation consumes a fixed amount of rng state (the order
+        length never changes), so any probe can replay the stream from the
+        seed: burn the preceding perturbations on scratch copies, then
+        apply the real one.  Being indexed — not incremental — is what
+        makes a probe's order independent of which other probes ran: out
+        of order, in another process, or above skipped rungs.
         """
         if attempt < len(orders):
             return list(orders[attempt])
@@ -339,8 +289,8 @@ class EMSMapper:
     def lattice_attempts_per_ii(self) -> int:
         """Width of one II rung of the (II, attempt) lattice.  Backends
         with extra per-rung probes (:class:`~repro.compiler.hier.
-        HierMapper`) override this; the portfolio engine sizes its rank
-        lattice from it instead of assuming ``config.attempts_per_ii``."""
+        HierMapper`) widen it; the ladder driver sizes its rank lattice
+        from it instead of assuming ``config.attempts_per_ii``."""
         return self.config.attempts_per_ii
 
     def run_lattice_attempt(
@@ -351,9 +301,9 @@ class EMSMapper:
         attempt: int,
         orders: Sequence[Sequence[int]],
     ) -> Mapping | None:
-        """Run the single lattice probe (*ii*, *attempt*), bit-identical to
-        the serial ladder's visit of that point (see :meth:`attempt_order`).
-        This is the probe entry point the portfolio engine races."""
+        """Run the single lattice probe (*ii*, *attempt*) — the one probe
+        entry point both executors of the ladder driver call (see
+        :meth:`attempt_order` for why its result is order-independent)."""
         order = self.attempt_order(orders, start_ii, ii, attempt)
         return self._try_map(dfg, ii, order)
 
@@ -825,30 +775,24 @@ def map_dfg(
     *,
     config: MapperConfig | None = None,
     min_ii: int | None = None,
-    workers: int = 1,
     search=None,
     search_log=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
 
-    With ``workers > 1`` (or a live :class:`repro.compiler.search.
-    SearchContext` passed as *search*) the (II, attempt) ladder is raced
-    speculatively over a process pool; the result is byte-identical to the
-    serial path — ``workers=1`` takes the exact in-process ladder.
-    ``search_log`` collects per-ladder :class:`~repro.compiler.search.
-    LadderReport` records.
+    *search* is an optional :class:`repro.compiler.search.SearchContext`:
+    with a live process pool the (II, attempt) ladder is raced
+    speculatively, without one it is walked in this thread — the same
+    driver either way, and the same bytes.  ``search_log`` collects the
+    ladder's :class:`~repro.compiler.search.LadderReport`.
     """
-    if search is not None or workers > 1:
-        from repro.compiler.search import MapperSpec, SearchContext, portfolio_map
+    from repro.compiler.search import climb_ladder
 
-        spec = MapperSpec.for_base(cgra, config or MapperConfig())
-        ctx = search if search is not None else SearchContext.create(workers)
-        try:
-            return portfolio_map(
-                spec, dfg, cgra=cgra, min_ii=min_ii, ctx=ctx, log=search_log
-            )
-        finally:
-            if search is None:
-                ctx.close()
-    return EMSMapper(cgra, config=config).map(dfg, min_ii=min_ii)
+    return climb_ladder(
+        EMSMapper(cgra, config=config),
+        dfg,
+        min_ii=min_ii,
+        search=search,
+        log=search_log,
+    )

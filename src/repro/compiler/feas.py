@@ -3,11 +3,11 @@
 Every backend climbs an (II, attempt) ladder whose first rung is the
 minimum initiation interval MII = max(ResMII, RecMII).  This module owns
 that computation — :func:`ii_lower_bound` is the single source of truth the
-flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_start_ii`), the
-hierarchical backend and the exact SAT backend all delegate to — plus a
-family of *certificates*: cheap, sound proofs that a DFG cannot map at a
-given II (or at any II) on a given fabric, in the style of the degree and
-neighborhood filters subgraph-monomorphism solvers run before search.
+flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_start_ii`) and the
+hierarchical backend delegate to — plus a *certificate*: a cheap, sound
+proof that a DFG cannot map at any II on a given fabric, in the style of
+the degree and neighborhood filters subgraph-monomorphism solvers run
+before search.
 
 Soundness contract: a certificate may only fire when **no** mapping exists
 under the mapper's own constraint model.  Certificates therefore reason
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 from repro.compiler.mapping import materialized_ops
-from repro.compiler.stats import counters
 from repro.dfg.analysis import rec_mii
 from repro.dfg.graph import DFG, Opcode
 from repro.util.errors import MappingError
@@ -35,8 +34,6 @@ __all__ = [
     "ii_lower_bound",
     "max_distinct_fanin",
     "fanin_certificate",
-    "page_order_certificate",
-    "prune_to",
 ]
 
 
@@ -159,51 +156,3 @@ def fanin_certificate(dfg: DFG, arr_sizes) -> str | None:
             f"({cap} PEs incl. self): unmappable at any II"
         )
     return None
-
-
-def page_order_certificate(
-    edges,
-    page_domains: dict[int, frozenset[int]],
-    *,
-    allow_wrap: bool,
-) -> str | None:
-    """Page-direction filter for *pinned* placements (hier/exact/tests).
-
-    Under the ring constraint, inter-page traffic only flows to the next
-    page in chain order (plus the wrap link when the layout allows it).
-    If every candidate page of a producer sits strictly *after* every
-    candidate page of its consumer on a wrap-free chain, no route exists
-    at any II.  *edges* is an iterable of ``(src_op, dst_op)`` pairs;
-    *page_domains* maps op ids to their candidate page sets (ops absent
-    from the dict are unconstrained).  Returns refutation text or
-    ``None``.  Purely advisory for the flat ladder — it never pins ops —
-    so it cannot change flat artifacts.
-    """
-    if allow_wrap:
-        return None
-    for src, dst in edges:
-        ds = page_domains.get(src)
-        dd = page_domains.get(dst)
-        if not ds or not dd:
-            continue
-        if min(ds) > max(dd):
-            return (
-                f"edge {src}->{dst} forced backwards across the wrap-free "
-                f"chain (pages {sorted(ds)} -> {sorted(dd)}): unmappable "
-                f"at any II"
-            )
-    return None
-
-
-def prune_to(start_ii: int, certified_ii: int) -> int:
-    """Raise a ladder's first rung to *certified_ii*, counting the rungs a
-    certificate proved infeasible into ``MapperCounters.rungs_pruned``.
-
-    Callers must hold a soundness proof for every skipped rung; the flat
-    ladder's byte-stability is preserved because its bounds already equal
-    the certified floor (this helper is for the exact backend's probes).
-    """
-    if certified_ii > start_ii:
-        counters().rungs_pruned += certified_ii - start_ii
-        return certified_ii
-    return start_ii

@@ -28,11 +28,11 @@ granularity before deciding *when* at PE granularity:
 
 The backend plugs into the (II, attempt) lattice as *attempt 0* of every
 II rung; attempts 1..N replay the flat ladder's probes unchanged.  The
-lattice therefore stays a deterministic total order that the PR-3
-portfolio engine can race speculatively and reduce canonically — serial
-and parallel runs of the hier backend are byte-identical, and the flat
-fallback guarantees the hier backend never maps less than the flat chain
-pass at the same II.
+lattice therefore stays a deterministic total order that the one ladder
+driver (:func:`repro.compiler.search.climb_ladder`) walks inline or races
+speculatively with canonical reduction — the hier backend's artifacts are
+byte-identical either way, and the flat fallback guarantees it never maps
+less than the flat chain pass at the same II.
 
 The hier backend is chain-only (it never uses the ring-wrap link): the
 contiguous forward partition cannot produce a wrap dependency, and flat
@@ -47,11 +47,11 @@ from dataclasses import replace
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
-from repro.compiler.constraints import paged_bus_key, ring_hop_filter
-from repro.compiler.ems import EMSMapper, MapperConfig
+from repro.compiler.ems import MapperConfig
 from repro.compiler.mapping import Mapping, materialized_ops
-from repro.compiler.paged import PagedMapping, _map_once, paged_mapper
-from repro.compiler.stats import counters, search_stats
+from repro.compiler.paged import PagedMapper, PagedMapping, shrink_to_page_need
+from repro.compiler.search import climb_ladder
+from repro.compiler.stats import counters
 from repro.core.page_schedule import extract_page_schedule
 from repro.core.paging import PageLayout
 from repro.dfg.graph import DFG
@@ -236,15 +236,17 @@ def cluster_dfg(
     return None
 
 
-class HierMapper:
-    """Two-level paged mapper speaking the lattice-attempt protocol.
+class HierMapper(PagedMapper):
+    """The flat chain mapper of a layout, with one more probe per rung.
 
     Rung layout: attempt 0 is the clustered (hierarchical) probe; attempts
     ``1 .. config.attempts_per_ii`` are the flat chain ladder's attempts
     ``0 .. attempts_per_ii - 1``, bit for bit (same op orders, same
-    replayed rng perturbations).  Both the serial :meth:`map` ladder and
-    the portfolio engine enumerate exactly this lattice, which keeps the
-    hier backend's artifacts byte-identical across worker counts.
+    replayed rng perturbations).  Everything else about the ladder — its
+    bounds, so hier and flat start at the same rung; its base orders — is
+    the inherited flat mapper's.  The ladder driver enumerates exactly
+    this lattice with either executor, which keeps the hier backend's
+    artifacts byte-identical across worker counts.
     """
 
     def __init__(
@@ -253,31 +255,15 @@ class HierMapper:
         layout: PageLayout,
         config: MapperConfig | None = None,
     ) -> None:
-        self.cgra = cgra
-        self.layout = layout
-        self.config = config or MapperConfig()
-        #: the flat chain mapper used for fallback attempts (and for the
-        #: ladder bounds, so hier and flat ladders start at the same rung)
-        self.flat = paged_mapper(cgra, layout, self.config)
-        # per-prefix sub-mappers for clustered attempts, built lazily
-        self._subs: dict[tuple[int, bool], tuple[EMSMapper, PageLayout]] = {}
-        # reduced-budget single-page mapper for the diversification probes
-        # (fail fast; an easy win still lands well inside these budgets)
-        self._cheap: EMSMapper | None = None
+        super().__init__(cgra, layout, config)
+        # chain-prefix mappers by (pages, reduced budget), built lazily;
+        # the full chain at full budget is this mapper itself
+        self._subs: dict[tuple[int, bool], PagedMapper] = {
+            (layout.num_pages, False): self
+        }
         # SCC/topo block decomposition is II-independent: one entry per DFG,
         # shared by every rung of a ladder (and every probe in a worker)
         self._block_cache: dict[str, tuple] = {}
-
-    # -- ladder protocol (mirrors EMSMapper's) --------------------------------------
-
-    def ladder_start_ii(self, dfg: DFG, *, min_ii: int | None = None) -> int:
-        return self.flat.ladder_start_ii(dfg, min_ii=min_ii)
-
-    def ladder_fail_message(self, dfg: DFG) -> str:
-        return self.flat.ladder_fail_message(dfg)
-
-    def attempt_orders(self, dfg: DFG) -> list[list[int]]:
-        return self.flat.attempt_orders(dfg)
 
     def lattice_attempts_per_ii(self) -> int:
         return self.config.attempts_per_ii + 1
@@ -292,31 +278,19 @@ class HierMapper:
                 counters().hier_wins += 1
             return mapping
         counters().hier_flat_attempts += 1
-        order = self.flat.attempt_order(orders, start_ii, ii, attempt - 1)
-        mapping = self.flat._try_map(dfg, ii, order)
+        mapping = super().run_lattice_attempt(
+            dfg, start_ii, ii, attempt - 1, orders
+        )
         if mapping is not None:
             counters().hier_flat_wins += 1
         return mapping
 
-    def map(self, dfg: DFG, *, min_ii: int | None = None) -> Mapping:
-        """Serial ladder over the widened lattice (first success wins)."""
-        start_ii = self.ladder_start_ii(dfg, min_ii=min_ii)
-        search_stats().serial_ladders += 1
-        orders = self.attempt_orders(dfg)
-        for ii in range(start_ii, self.config.max_ii + 1):
-            for attempt in range(self.lattice_attempts_per_ii()):
-                result = self.run_lattice_attempt(
-                    dfg, start_ii, ii, attempt, orders
-                )
-                if result is not None:
-                    return result
-        raise MappingError(self.ladder_fail_message(dfg))
-
     # -- the clustered attempt -------------------------------------------------------
 
-    def _sub(
-        self, k: int, *, cheap: bool = False
-    ) -> tuple[EMSMapper, PageLayout]:
+    def prefix_mapper(self, k: int, *, cheap: bool = False) -> PagedMapper:
+        """The flat mapper of the first *k* chain pages (its ``layout`` is
+        that prefix).  *cheap* selects the reduced budgets of the fail-fast
+        probes: an easy win still lands well inside them."""
         key = (k, cheap)
         hit = self._subs.get(key)
         if hit is None:
@@ -332,8 +306,7 @@ class HierMapper:
                 if cheap
                 else self.config
             )
-            hit = (paged_mapper(self.cgra, sub, config), sub)
-            self._subs[key] = hit
+            hit = self._subs[key] = PagedMapper(self.cgra, sub, config)
         return hit
 
     def _hier_attempt(self, dfg: DFG, ii: int, orders) -> Mapping | None:
@@ -351,10 +324,12 @@ class HierMapper:
         if assignment is None:
             return None
         k = 1 + max(assignment.values())
-        mapper, sub = self._sub(k, cheap=k > 1)
+        mapper = self.prefix_mapper(k, cheap=k > 1)
         id_of = self.cgra.grid_index.id_of
         page_ids = {
-            n: tuple(sorted(id_of[pe] for pe in sub.coords_of_page(n)))
+            n: tuple(
+                sorted(id_of[pe] for pe in mapper.layout.coords_of_page(n))
+            )
             for n in range(k)
         }
         domains = {op: page_ids[page] for op, page in assignment.items()}
@@ -372,19 +347,9 @@ class HierMapper:
         # orders at reduced budget.  A win here short-circuits the rung's
         # full-array flat attempts AND the page-minimisation epilogue; a
         # loss costs little because the budgets fail fast on 1 page.
-        if self._cheap is None:
-            self._cheap = paged_mapper(
-                self.cgra,
-                sub,
-                replace(
-                    self.config,
-                    eval_budget=50,
-                    route_budget=800,
-                    candidate_cap=6,
-                ),
-            )
+        cheap = self.prefix_mapper(1, cheap=True)
         for oi in range(1, len(orders)):
-            mapping = self._cheap._try_map(
+            mapping = cheap._try_map(
                 dfg, ii, list(orders[oi]), domains=domains
             )
             if mapping is not None:
@@ -422,62 +387,33 @@ def map_dfg_hier(
     Entry point the paged compiler dispatches to for
     ``config.backend == "hier"``; the signature mirrors
     :func:`~repro.compiler.paged.map_dfg_paged` minus ``wrap_fallback``
-    (the hier backend is chain-only).  With a live *search* context the
-    widened (II, attempt) lattice is raced speculatively with canonical
-    reduction — byte-identical to the serial path.
+    (the hier backend is chain-only).  The widened (II, attempt) lattice
+    is climbed by the same driver as the flat one, with whichever executor
+    *search* carries.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
     cfg = config or MapperConfig()
-    if search is not None:
-        from repro.compiler.search import MapperSpec, portfolio_map
-
-        spec = MapperSpec.for_paged(cgra, layout, cfg)
-        mapping = portfolio_map(
-            spec, dfg, cgra=cgra, min_ii=min_ii, ctx=search, log=search_log
-        )
-    else:
-        mapping = HierMapper(cgra, layout, cfg).map(dfg, min_ii=min_ii)
-    k = _spanned_prefix(mapping, layout)
-    sub = layout.subchain(k) if k < layout.num_pages else layout
+    hier = HierMapper(cgra, layout, cfg)
+    mapping = climb_ladder(
+        hier, dfg, min_ii=min_ii, search=search, log=search_log
+    )
+    # the result lives on the prefix it touches: validate against, and
+    # page-schedule on, the flat mapper of exactly those pages
+    spanned = hier.prefix_mapper(_spanned_prefix(mapping, layout))
     if validate:
         validate_mapping(
             mapping,
-            allowed_pes=[pe for pe in cgra.coords() if pe in sub.page_of],
-            hop_allowed=ring_hop_filter(sub),
-            bus_key=paged_bus_key(sub),
+            allowed_pes=spanned.allowed_pes,
+            hop_allowed=spanned.hop_allowed,
+            bus_key=spanned.bus_key,
         )
+    sub = spanned.layout
     best = PagedMapping(mapping, sub, extract_page_schedule(mapping, sub), layout)
     if not minimize_pages:
         return best
-    # Same page-need minimisation as the flat backend: re-map onto smaller
-    # prefixes while the II is preserved.  When the clustered attempt won,
-    # k already sits at the capacity lower bound and this loop is empty.
-    # (A capability-starved prefix just fails its ladder and is skipped.)
-    n_mat = len(materialized_ops(dfg))
-    slots_per_page = layout.page_size * best.ii
-    mem_per_page = layout.shape[0] * cgra.mem_ports_per_row * best.ii
-    k_min = max(
-        1,
-        math.ceil(n_mat / slots_per_page),
-        math.ceil(dfg.num_memory_ops / max(1, mem_per_page)),
+    # When the clustered attempt won, the prefix already sits at the
+    # capacity lower bound and there is nothing left to try.
+    return shrink_to_page_need(
+        best, dfg, cgra, layout, cfg, min_ii, validate, search, search_log
     )
-    tight = replace(cfg, max_ii=best.ii, backend="flat")
-    for k2 in range(k_min, best.layout.num_pages):
-        try:
-            candidate = _map_once(
-                dfg,
-                cgra,
-                layout.subchain(k2),
-                tight,
-                min_ii,
-                validate,
-                full_layout=layout,
-                search=search,
-                search_log=search_log,
-            )
-        except MappingError:
-            continue
-        if candidate.ii <= best.ii:
-            return candidate
-    return best

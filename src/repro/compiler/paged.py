@@ -17,12 +17,13 @@ from repro.compiler.check import validate_mapping
 from repro.compiler.constraints import paged_bus_key, ring_hop_filter
 from repro.compiler.ems import EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping, materialized_ops
+from repro.compiler.search import climb_ladder
 from repro.core.page_schedule import PageSchedule, extract_page_schedule
 from repro.core.paging import PageLayout
 from repro.dfg.analysis import rec_mii
 from repro.util.errors import MappingError
 
-__all__ = ["PagedMapping", "map_dfg_paged", "paged_mapper"]
+__all__ = ["PagedMapping", "PagedMapper", "map_dfg_paged"]
 
 
 @dataclass
@@ -102,7 +103,6 @@ def map_dfg_paged(
     validate: bool = True,
     wrap_fallback: bool = True,
     minimize_pages: bool = True,
-    workers: int = 1,
     search=None,
     search_log=None,
 ) -> PagedMapping:
@@ -122,34 +122,19 @@ def map_dfg_paged(
     returned mapping's layout covers exactly :attr:`PagedMapping.pages_used`
     pages.
 
-    With ``workers > 1`` (or a live :class:`repro.compiler.search.
-    SearchContext` as *search*) every inner (II, attempt) ladder — chain
-    pass, ring fallback, page-minimisation passes — races speculative
-    probes over a process pool with canonical reduction; artifacts are
-    byte-identical to the serial path at any worker count.
+    Every inner (II, attempt) ladder — chain pass, ring fallback,
+    page-minimisation passes — is one :func:`~repro.compiler.search.
+    climb_ladder` call; *search* (a :class:`~repro.compiler.search.
+    SearchContext`) picks its executor, and artifacts are byte-identical
+    whichever it is.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
-    if search is None and workers > 1:
-        from repro.compiler.search import SearchContext
-
-        with SearchContext.create(workers) as ctx:
-            return map_dfg_paged(
-                dfg,
-                cgra,
-                layout,
-                config=config,
-                min_ii=min_ii,
-                validate=validate,
-                wrap_fallback=wrap_fallback,
-                minimize_pages=minimize_pages,
-                search=ctx,
-                search_log=search_log,
-            )
-    if (config or MapperConfig()).backend == "hier":
-        # third backend: cluster-then-place (chain topology only); shares
-        # the flat ladder as its in-lattice fallback, so it can only match
-        # or beat the chain pass — see repro.compiler.hier.
+    config = config or MapperConfig()
+    if config.backend == "hier":
+        # cluster-then-place (chain topology only); shares the flat ladder
+        # as its in-lattice fallback, so it can only match or beat the
+        # chain pass — see repro.compiler.hier.
         from repro.compiler.hier import map_dfg_hier
 
         return map_dfg_hier(
@@ -167,9 +152,29 @@ def map_dfg_paged(
         dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
         search, search_log,
     )
-    if not minimize_pages or best.layout.num_pages <= 1:
+    if not minimize_pages:
         return best
-    base_cfg = config or MapperConfig()
+    return shrink_to_page_need(
+        best, dfg, cgra, layout, config, min_ii, validate, search, search_log
+    )
+
+
+def shrink_to_page_need(
+    best: PagedMapping,
+    dfg,
+    cgra: CGRA,
+    layout: PageLayout,
+    config: MapperConfig,
+    min_ii,
+    validate,
+    search,
+    search_log,
+) -> PagedMapping:
+    """Page-need minimisation, shared by both backends: re-map *dfg* with
+    the flat ladder onto ever larger chain prefixes of *layout*, from the
+    capacity lower bound up, and return the first that preserves
+    ``best.ii`` (else *best*).  A prefix that cannot hold the kernel — by
+    capacity or capability — just fails its ladder and is skipped."""
     n_mat = len(materialized_ops(dfg))
     slots_per_page = layout.page_size * best.ii
     mem_per_page = layout.shape[0] * cgra.mem_ports_per_row * best.ii
@@ -178,13 +183,12 @@ def map_dfg_paged(
         math.ceil(n_mat / slots_per_page),
         math.ceil(dfg.num_memory_ops / max(1, mem_per_page)),
     )
-    tight = replace(base_cfg, max_ii=best.ii)
+    tight = replace(config, max_ii=best.ii, backend="flat")
     for k in range(k_min, best.layout.num_pages):
         try:
-            sub = layout.subchain(k)
             candidate = _map_once(
-                dfg, cgra, sub, tight, min_ii, validate, full_layout=layout,
-                search=search, search_log=search_log,
+                dfg, cgra, layout.subchain(k), tight, min_ii, validate,
+                full_layout=layout, search=search, search_log=search_log,
             )
         except MappingError:
             continue
@@ -197,7 +201,7 @@ def _map_topologies(
     dfg,
     cgra: CGRA,
     layout: PageLayout,
-    config,
+    config: MapperConfig,
     min_ii,
     validate,
     wrap_fallback,
@@ -211,14 +215,15 @@ def _map_topologies(
     if can_fall_back:
         # bound the chain pass so a hard kernel falls back to the full ring
         # quickly instead of escalating the II all the way to max_ii
-        base = config or MapperConfig()
         covered = sum(1 for pe in cgra.coords() if pe in layout.page_of)
         floor_ii = max(
             math.ceil(len(materialized_ops(dfg)) / covered),
             rec_mii(dfg),
             1,
         )
-        first_config = replace(base, max_ii=min(base.max_ii, 3 * floor_ii + 6))
+        first_config = replace(
+            config, max_ii=min(config.max_ii, 3 * floor_ii + 6)
+        )
     try:
         return _map_once(
             dfg, cgra, layout, first_config, min_ii, validate,
@@ -248,29 +253,29 @@ def _map_topologies(
             )
 
 
-def paged_mapper(
-    cgra: CGRA, layout: PageLayout, config: MapperConfig | None
-) -> EMSMapper:
-    """The flat ring-constrained mapper of *layout*: the §VI-B wiring
-    (covered PEs, ring hop filter, banked bus key, page-rank bias) shared
-    by the serial path, the portfolio's :class:`~repro.compiler.search.
-    MapperSpec` and the hierarchical backend."""
-    cls = EMSMapper
-    if config is not None and config.backend == "exact":
-        from repro.compiler.exact import ExactMapper
+class PagedMapper(EMSMapper):
+    """The flat ring-constrained mapper of *layout*: the baseline engine
+    under the §VI-B wiring (covered PEs, ring hop filter, banked bus key,
+    page-rank bias), written here once — every flat paged ladder, the
+    probe workers' :class:`~repro.compiler.search.MapperSpec` and the
+    hierarchical backend build through it, and validation reads the
+    constraints back off it."""
 
-        cls = ExactMapper
-    allowed = [pe for pe in cgra.coords() if pe in layout.page_of]
-    mem_slots = layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row
-    return cls(
-        cgra,
-        allowed_pes=allowed,
-        hop_allowed=ring_hop_filter(layout),
-        mem_slots_per_cycle=mem_slots,
-        bus_key=paged_bus_key(layout),
-        pe_rank=lambda pe: layout.page_of[pe],
-        config=config,
-    )
+    def __init__(
+        self, cgra: CGRA, layout: PageLayout, config: MapperConfig | None = None
+    ) -> None:
+        super().__init__(
+            cgra,
+            allowed_pes=[pe for pe in cgra.coords() if pe in layout.page_of],
+            hop_allowed=ring_hop_filter(layout),
+            mem_slots_per_cycle=(
+                layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row
+            ),
+            bus_key=paged_bus_key(layout),
+            pe_rank=lambda pe: layout.page_of[pe],
+            config=config,
+        )
+        self.layout = layout
 
 
 def _map_once(
@@ -285,26 +290,17 @@ def _map_once(
     search_log=None,
     resume_ii=None,
 ) -> PagedMapping:
-    hop = ring_hop_filter(layout)
-    allowed = [pe for pe in cgra.coords() if pe in layout.page_of]
-    if search is not None:
-        from repro.compiler.search import MapperSpec, portfolio_map
-
-        spec = MapperSpec.for_paged(cgra, layout, config or MapperConfig())
-        mapping = portfolio_map(
-            spec, dfg, cgra=cgra, min_ii=min_ii, resume_ii=resume_ii,
-            ctx=search, log=search_log,
-        )
-    else:
-        mapping = paged_mapper(cgra, layout, config).map(
-            dfg, min_ii=min_ii, resume_ii=resume_ii
-        )
+    mapper = PagedMapper(cgra, layout, config)
+    mapping = climb_ladder(
+        mapper, dfg, min_ii=min_ii, resume_ii=resume_ii,
+        search=search, log=search_log,
+    )
     if validate:
         validate_mapping(
             mapping,
-            allowed_pes=allowed,
-            hop_allowed=hop,
-            bus_key=paged_bus_key(layout),
+            allowed_pes=mapper.allowed_pes,
+            hop_allowed=mapper.hop_allowed,
+            bus_key=mapper.bus_key,
         )
     schedule = extract_page_schedule(mapping, layout)
     return PagedMapping(mapping, layout, schedule, full_layout)

@@ -1,36 +1,37 @@
-"""Speculative parallel II search: a deterministic (II, attempt) portfolio.
+"""The II ladder: one driver over the (II, attempt) lattice, two executors.
 
-The serial mapper (:meth:`repro.compiler.ems.EMSMapper.map`) walks the
-modulo-scheduling ladder — for each candidate II, a handful of placement
-attempts — strictly in lexicographic (ii, attempt) order and returns the
-first success.  On the hard kernels nearly all of that wall clock is spent
-*proving failures* at low IIs, one attempt at a time.  Exact mappers attack
-the same search-space explosion with SAT portfolios (Tirelli et al.); this
-module is the heuristic analogue:
+Every mapping in this compiler is the answer to the same question: walking
+the lattice {(ii, attempt)} in lexicographic order from the lower bound
+``ladder_start_ii``, which probe succeeds first?  :func:`climb_ladder` is
+the only code that knows that walk — start rung, rank <-> (ii, attempt),
+``resume_ii`` as rank arithmetic, the ``cancel_check`` poll between
+probes, the exhaustion :class:`~repro.util.errors.MappingError` — and it
+runs the probes through one of two executors:
 
-* every lattice point (ii, attempt) becomes an independent, picklable
-  **probe** — a :class:`ProbeTask` that rebuilds the mapper in a worker
-  process from a :class:`MapperSpec` and runs exactly the serial ladder's
-  attempt (same op order, including replayed rng perturbations);
-* probes fan out over a ``ProcessPoolExecutor``, speculating ahead on
-  higher rungs while lower ones are still running;
-* a landed success **cancels** every probe strictly above it in the
-  canonical order; probes already running are left to finish and their
-  verdicts discarded (counted as speculation waste);
-* the reduction is by **canonical order, not completion order**: the
-  winner is always the success with the smallest (ii, attempt), so the
-  artifact is byte-identical to the serial ladder for any worker count
-  and any completion timing.
+* **inline** (a :class:`SearchContext` without a pool, which is what
+  ``workers=1`` means): each probe runs in the calling thread on the
+  caller's mapper, one at a time, so the walk *is* the serial ladder;
+* **raced** (a context owning a ``ProcessPoolExecutor``): every lattice
+  point becomes an independent, picklable :class:`ProbeTask` that rebuilds
+  the mapper in a worker process from a :class:`MapperSpec`; probes
+  speculate ahead on higher rungs while lower ones are still running, a
+  landed success **cancels** every probe strictly above it, and probes
+  already running are left to finish, their verdicts discarded (counted
+  as speculation waste).
 
-Worker-budget sharing: all concurrent ladders (e.g. the per-kernel misses
-of :func:`repro.pipeline.compile.compile_many`) draw probe slots from one
-:class:`WorkerBudget`.  A ladder blocks for its *first* slot (so every
-miss makes progress — misses fan out across jobs first) but only takes
-speculative extra slots opportunistically (so once most jobs are done,
-the idle slots drain into attempt probes of the stragglers).
+The reduction is by **canonical order, not completion order**: the winner
+is always the success with the smallest (ii, attempt), and a probe's op
+order is indexed by its lattice point (:meth:`~repro.compiler.ems.
+EMSMapper.attempt_order`), not by which probes ran before it.  So the
+artifact is byte-identical for either executor, any worker count and any
+completion timing.
 
-``workers=1`` never enters this module's engine: callers take the exact
-serial in-process path.
+Worker-budget sharing: all concurrent raced ladders (e.g. the per-kernel
+misses of :func:`repro.pipeline.compile.compile_many`) draw probe slots
+from one :class:`WorkerBudget`.  A ladder blocks for its *first* slot (so
+every miss makes progress — misses fan out across jobs first) but only
+takes speculative extra slots opportunistically (so once most jobs are
+done, the idle slots drain into attempt probes of the stragglers).
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import EMSMapper, MapperConfig
@@ -61,7 +61,7 @@ __all__ = [
     "SearchContext",
     "CancelledSearch",
     "LadderReport",
-    "portfolio_map",
+    "climb_ladder",
     "run_probe",
 ]
 
@@ -110,12 +110,14 @@ class MapperSpec:
     # worker-side context cache key like every other spec field
     capability: tuple[tuple[str, tuple[int, ...]], ...] | None = None
 
-    @staticmethod
-    def _capability_of(cgra: CGRA):
-        return cgra.capability.classes if cgra.capability is not None else None
-
     @classmethod
-    def for_base(cls, cgra: CGRA, config: MapperConfig) -> "MapperSpec":
+    def of(cls, mapper: EMSMapper) -> "MapperSpec":
+        """The spec of a live mapper: the whole-array :class:`EMSMapper`,
+        or the :class:`~repro.compiler.paged.PagedMapper` /
+        :class:`~repro.compiler.hier.HierMapper` of a layout (full chain,
+        full ring, or a prefix subchain — subchains are always prefixes of
+        the ring order, so the page count alone reconstructs them)."""
+        cgra, layout = mapper.cgra, mapper.layout
         return cls(
             rows=cgra.rows,
             cols=cgra.cols,
@@ -123,27 +125,13 @@ class MapperSpec:
             mem_ports_per_row=cgra.mem_ports_per_row,
             diagonal=cgra.diagonal,
             torus=cgra.torus,
-            config=config,
-            capability=cls._capability_of(cgra),
-        )
-
-    @classmethod
-    def for_paged(cls, cgra: CGRA, layout, config: MapperConfig) -> "MapperSpec":
-        """Spec for the paged mapper of *layout* (full chain, full ring, or
-        a prefix subchain — subchains are always prefixes of the ring
-        order, so the page count alone reconstructs them)."""
-        return cls(
-            rows=cgra.rows,
-            cols=cgra.cols,
-            rf_depth=cgra.rf_depth,
-            mem_ports_per_row=cgra.mem_ports_per_row,
-            diagonal=cgra.diagonal,
-            torus=cgra.torus,
-            config=config,
-            page_shape=tuple(layout.shape),
-            allow_wrap=layout.allow_wrap,
-            num_pages=layout.num_pages,
-            capability=cls._capability_of(cgra),
+            config=mapper.config,
+            page_shape=tuple(layout.shape) if layout is not None else None,
+            allow_wrap=layout is not None and layout.allow_wrap,
+            num_pages=layout.num_pages if layout is not None else None,
+            capability=(
+                cgra.capability.classes if cgra.capability is not None else None
+            ),
         )
 
     def build_cgra(self) -> CGRA:
@@ -164,48 +152,23 @@ class MapperSpec:
         )
 
     def build(self):
-        """Reconstruct the mapper (mirrors ``paged._map_once``'s wiring).
-
-        Returns an :class:`EMSMapper`, or a :class:`~repro.compiler.hier.
-        HierMapper` when the spec is paged and the config selects the
-        hierarchical backend — both speak the lattice-attempt protocol
-        (``lattice_attempts_per_ii`` / ``run_lattice_attempt``) the probe
-        runner drives.
+        """Reconstruct the mapper: the whole-array :class:`EMSMapper`, or —
+        for a paged spec — the :class:`~repro.compiler.paged.PagedMapper`
+        / :class:`~repro.compiler.hier.HierMapper` of the rebuilt layout,
+        as ``config.backend`` selects.
         """
         cgra = self.build_cgra()
-        cls = EMSMapper
-        if self.config.backend == "exact":
-            # exact backend: flat ladder + SAT rung pruning.  Probe workers
-            # replay single lattice points, which ExactMapper inherits
-            # unchanged, so speculative probes never consult the solver.
-            from repro.compiler.exact import ExactMapper
-
-            cls = ExactMapper
         if self.page_shape is None:
-            return cls(cgra, config=self.config)
-        from repro.compiler.constraints import paged_bus_key, ring_hop_filter
+            return EMSMapper(cgra, config=self.config)
+        from repro.compiler.hier import HierMapper
+        from repro.compiler.paged import PagedMapper
         from repro.core.paging import PageLayout
 
         layout = PageLayout(cgra, self.page_shape, allow_wrap=self.allow_wrap)
         if self.num_pages is not None and self.num_pages < layout.num_pages:
             layout = layout.subchain(self.num_pages)
-        if self.config.backend == "hier":
-            from repro.compiler.hier import HierMapper
-
-            return HierMapper(cgra, layout, self.config)
-        allowed = [pe for pe in cgra.coords() if pe in layout.page_of]
-        mem_slots = (
-            layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row
-        )
-        return cls(
-            cgra,
-            allowed_pes=allowed,
-            hop_allowed=ring_hop_filter(layout),
-            mem_slots_per_cycle=mem_slots,
-            bus_key=paged_bus_key(layout),
-            pe_rank=lambda pe: layout.page_of[pe],
-            config=self.config,
-        )
+        cls = HierMapper if self.config.backend == "hier" else PagedMapper
+        return cls(cgra, layout, self.config)
 
 
 @dataclass(frozen=True)
@@ -299,28 +262,31 @@ class WorkerBudget:
         self._sem.release()
 
 
-# --------------------------------------------------------------------- the engine
+# ------------------------------------------------------------------- the context
 
 
 @dataclass
 class SearchContext:
-    """A live speculative-search backend: executor + shared budget.
+    """Where a ladder's probes run, and whether it can be stopped.
 
-    One context is shared by every ladder of a compile batch
-    (:func:`repro.pipeline.compile.compile_many` creates one per call);
-    single mappings create an ephemeral one via :meth:`create`.  The
-    ``executor`` only needs ``submit``; tests inject thread pools or
-    deliberately reordered executors to exercise the reduction.
+    The default-constructed context is the **inline** executor: no pool,
+    one probe at a time in the calling thread.  :meth:`create` builds the
+    **raced** one — a process pool plus the shared budget; one such
+    context is shared by every ladder of a compile batch
+    (:func:`repro.pipeline.compile.compile_many` creates one per call) or
+    of a service's lifetime.  A raced ``executor`` only needs ``submit``;
+    tests inject deliberately reordered executors to exercise the
+    reduction.
     """
 
-    workers: int
-    executor: object  # duck-typed: needs .submit(fn, arg) -> Future
-    budget: WorkerBudget
+    workers: int = 1
+    executor: object | None = None  # duck-typed: .submit(fn, arg) -> Future
+    budget: WorkerBudget | None = None
     owns_executor: bool = False
-    #: Cooperative-cancellation probe: checked by :func:`portfolio_map`
-    #: between probe completions; returning True raises
-    #: :class:`CancelledSearch` out of the ladder.  ``None`` (the default)
-    #: means the ladder is not cancellable.
+    #: Cooperative-cancellation probe: polled by :func:`climb_ladder`
+    #: between probes; returning True raises :class:`CancelledSearch` out
+    #: of the ladder.  ``None`` (the default) means the ladder is not
+    #: cancellable.
     cancel_check: object | None = None
 
     def for_request(self, cancel_check) -> "SearchContext":
@@ -329,13 +295,7 @@ class SearchContext:
         in so one request's ladders can be cancelled without touching the
         shared pool.  The view never owns the executor — closing it is a
         no-op."""
-        return SearchContext(
-            workers=self.workers,
-            executor=self.executor,
-            budget=self.budget,
-            owns_executor=False,
-            cancel_check=cancel_check,
-        )
+        return replace(self, owns_executor=False, cancel_check=cancel_check)
 
     @classmethod
     def create(cls, workers: int) -> "SearchContext":
@@ -421,81 +381,82 @@ class LadderReport:
         }
 
 
-def portfolio_map(
-    spec: MapperSpec,
+# ---------------------------------------------------------------------- the driver
+
+
+def _probe_inline(
+    mapper: EMSMapper, dfg, start_ii: int, ii: int, attempt: int, orders
+) -> Future:
+    """The inline executor: run the probe to completion in the calling
+    thread, on the caller's mapper, and hand it back as a finished future.
+    Its search effort lands on the thread's active counters directly, so
+    the result carries no counter delta."""
+    began = time.perf_counter()
+    mapping = mapper.run_lattice_attempt(dfg, start_ii, ii, attempt, orders)
+    fut: Future = Future()
+    fut.set_result(
+        ProbeResult(ii, attempt, mapping, time.perf_counter() - began, {})
+    )
+    return fut
+
+
+def climb_ladder(
+    mapper: EMSMapper,
     dfg,
     *,
-    cgra: CGRA | None = None,
     min_ii: int | None = None,
     resume_ii: int | None = None,
-    ctx: SearchContext,
+    search: SearchContext | None = None,
     log: list[LadderReport] | None = None,
 ) -> Mapping:
-    """Race the (II, attempt) lattice and reduce canonically.
+    """Climb *mapper*'s (II, attempt) ladder for *dfg*: the one II walk.
 
-    Returns exactly what the serial ladder would: the mapping of the
-    lowest-(ii, attempt) success, or :class:`MappingError` when every
-    rung up to ``config.max_ii`` fails.  ``cgra`` rebinds the winning
-    mapping (produced against a worker-side CGRA copy) to the caller's
-    instance.  ``log`` collects this ladder's :class:`LadderReport`.
+    Returns the mapping of the lowest-(ii, attempt) success, or raises
+    :class:`MappingError` (carrying ``ladder_probed = (start_ii, max_ii)``)
+    when every rung up to ``config.max_ii`` fails.  *search* picks the
+    executor (``None`` is the inline one) and may carry a ``cancel_check``,
+    polled between probes; ``log`` collects this ladder's
+    :class:`LadderReport`.
 
-    *resume_ii* carries the same ladder-memoization contract as
-    :meth:`~repro.compiler.ems.EMSMapper.map`: rungs below it were
-    already probed and failed in an identical context, so their lattice
-    ranks are marked resolved up front and never submitted.  Probe op
-    orders stay anchored at *start_ii* (indexed rng replay), so the
-    reduction is byte-identical to a full climb.
+    *resume_ii* is the ladder-memoisation contract: the caller asserts
+    that every rung below it was already probed — with this exact mapper
+    geometry, config (up to ``max_ii``) and *min_ii* — and failed.  Those
+    lattice ranks are never submitted; probe op orders stay anchored at
+    the start rung (they are indexed, see :meth:`EMSMapper.attempt_order`),
+    so the result is byte-identical to a full climb.
     """
-    mapper = spec.build()
+    ctx = search or SearchContext()
     start_ii = mapper.ladder_start_ii(dfg, min_ii=min_ii)
-    cfg = spec.config
+    max_ii = mapper.config.max_ii
     per_ii = mapper.lattice_attempts_per_ii()
-    n_ranks = (cfg.max_ii - start_ii + 1) * per_ii
-    skip_ranks = 0
+    n_ranks = max(0, max_ii - start_ii + 1) * per_ii
+    next_rank = 0
     if resume_ii is not None and resume_ii > start_ii:
-        skip_ranks = min(n_ranks, (resume_ii - start_ii) * per_ii)
-    dfg_fp = dfg.fingerprint()
+        next_rank = min(n_ranks, (resume_ii - start_ii) * per_ii)
+        counters().rungs_skipped += next_rank // per_ii
     report = LadderReport(start_ii=start_ii, attempts_per_ii=per_ii)
     # this thread's active stats scope: the enclosing job's context when the
-    # ladder runs under compile_many, else the process-wide totals
+    # ladder runs under compile_job_stats, else the process-wide totals
     stats = search_stats()
-    stats.ladders += 1
-
-    def task_for(rank: int) -> ProbeTask:
-        return ProbeTask(
-            spec=spec,
-            dfg=dfg,
-            dfg_fp=dfg_fp,
-            start_ii=start_ii,
-            ii=start_ii + rank // per_ii,
-            attempt=rank % per_ii,
-        )
+    inline = ctx.executor is None
+    if inline:
+        stats.serial_ladders += 1
+        orders = mapper.attempt_orders(dfg)
+    else:
+        stats.ladders += 1
+        spec, dfg_fp = MapperSpec.of(mapper), dfg.fingerprint()
 
     def point(rank: int) -> tuple[int, int]:
         return (start_ii + rank // per_ii, rank % per_ii)
 
-    inflight: dict[Future, int] = {}
-    outcome: dict[int, str] = {}  # rank -> success|fail|cancelled|skipped
-    seconds: dict[int, float] = {}
-    mappings: dict[int, Mapping] = {}
-    best: int | None = None
-    for rank in range(skip_ranks):
-        outcome[rank] = "skipped"
-        seconds[rank] = 0.0
-    if skip_ranks:
-        counters().rungs_skipped += skip_ranks // per_ii
-
-    def bound() -> int:
-        # never submit at or above a landed success: canonical pruning
-        return n_ranks if best is None else best
-
     def record(rank: int, verdict: str, secs: float = 0.0) -> None:
-        outcome[rank] = verdict
-        seconds[rank] = secs
-        ii, attempt = point(rank)
-        report.timeline.append([ii, attempt, verdict, round(secs, 4)])
+        report.timeline.append([*point(rank), verdict, round(secs, 4)])
+        if verdict == "cancelled":
+            report.probes_cancelled += 1
+            stats.probes_cancelled += 1
 
-    next_rank = skip_ranks
+    inflight: dict[Future, int] = {}
+    best: int | None = None  # rank of the lowest success so far
     cancel_check = ctx.cancel_check
     try:
         while True:
@@ -506,19 +467,32 @@ def portfolio_map(
                 raise CancelledSearch(
                     f"ladder cancelled at rank {next_rank}/{n_ranks}"
                 )
-            if best is not None and all(r in outcome for r in range(best)):
-                break  # every lower rung resolved: canonical winner stands
-            if next_rank >= bound() and not inflight:
+            # ranks are submitted in order, so every rank below a landed
+            # success is resolved unless it is still in flight
+            if best is not None and all(r > best for r in inflight.values()):
+                break  # canonical winner stands
+            # never submit at or above a landed success: canonical pruning
+            limit = n_ranks if best is None else best
+            if next_rank >= limit and not inflight:
                 err = MappingError(mapper.ladder_fail_message(dfg))
-                err.ladder_probed = (start_ii, cfg.max_ii)
+                err.ladder_probed = (start_ii, max_ii)
                 raise err
-            while next_rank < bound() and len(inflight) < ctx.workers:
-                # first slot blocks (every ladder keeps moving); extras are
-                # speculative and only taken when the budget has idle slots
-                if not ctx.budget.acquire(blocking=not inflight):
+            while next_rank < limit and len(inflight) < ctx.workers:
+                ii, attempt = point(next_rank)
+                if inline:
+                    fut = _probe_inline(mapper, dfg, start_ii, ii, attempt, orders)
+                # raced: a picklable task on the pool, one shared-budget slot
+                # per probe in flight.  The first slot blocks (every ladder
+                # keeps moving); extras are speculative and only taken when
+                # the budget has idle slots
+                elif ctx.budget.acquire(blocking=not inflight):
+                    fut = ctx.executor.submit(
+                        run_probe,
+                        ProbeTask(spec, dfg, dfg_fp, start_ii, ii, attempt),
+                    )
+                    fut.add_done_callback(lambda _f: ctx.budget.release())
+                else:
                     break
-                fut = ctx.executor.submit(run_probe, task_for(next_rank))
-                fut.add_done_callback(lambda _f: ctx.budget.release())
                 inflight[fut] = next_rank
                 next_rank += 1
                 report.probes_launched += 1
@@ -536,8 +510,6 @@ def portfolio_map(
                 rank = inflight.pop(fut)
                 if fut.cancelled():
                     record(rank, "cancelled")
-                    report.probes_cancelled += 1
-                    stats.probes_cancelled += 1
                     continue
                 res: ProbeResult = fut.result()
                 counters().add(res.counters)
@@ -558,16 +530,14 @@ def portfolio_map(
                 report.useful_seconds += res.seconds
                 stats.useful_seconds += res.seconds
                 if res.mapping is not None:
-                    mappings[rank] = res.mapping
-                    if best is None or rank < best:
-                        best = rank
+                    # a success above an earlier one was billed as waste
+                    # just now, so this one is the lowest so far
+                    best, winner = rank, res.mapping
                     # cancel everything strictly above the success
                     for f2, r2 in list(inflight.items()):
                         if r2 > best and f2.cancel():
                             inflight.pop(f2)
                             record(r2, "cancelled")
-                            report.probes_cancelled += 1
-                            stats.probes_cancelled += 1
     finally:
         # Probes still running above the winner (or after an error) cannot
         # be interrupted; cancel what never started and let the rest drain
@@ -575,8 +545,6 @@ def portfolio_map(
         for fut, rank in list(inflight.items()):
             if fut.cancel():
                 record(rank, "cancelled")
-                report.probes_cancelled += 1
-                stats.probes_cancelled += 1
             else:
                 record(rank, "abandoned")
                 report.probes_wasted += 1
@@ -586,12 +554,10 @@ def portfolio_map(
         if log is not None:
             log.append(report)
 
-    winner = mappings[best]
-    # The mapping was built against the worker's CGRA/DFG copies; rebind to
-    # the caller's objects so identity-sensitive callers see their own.
+    # A raced mapping was built against the worker's CGRA/DFG copies; rebind
+    # to the caller's objects so identity-sensitive callers see their own.
     winner.dfg = dfg
-    if cgra is not None:
-        winner.cgra = cgra
+    winner.cgra = mapper.cgra
     return winner
 
 
@@ -606,14 +572,3 @@ def _charge_waste(fut: Future) -> None:
     res = fut.result()
     merge_search_delta({"wasted_seconds": res.seconds})
     merge_counter_delta(res.counters)
-
-
-def lattice(
-    start_ii: int, max_ii: int, attempts_per_ii: int
-) -> Sequence[tuple[int, int]]:
-    """The canonical (ii, attempt) enumeration the serial ladder walks."""
-    return [
-        (ii, attempt)
-        for ii in range(start_ii, max_ii + 1)
-        for attempt in range(attempts_per_ii)
-    ]

@@ -76,9 +76,10 @@ class MapperCounters:
     hier_flat_attempts: int = 0  #: flat-ladder probes run inside the hier backend
     hier_flat_wins: int = 0  #: flat fallback probes that produced a mapping
     rungs_skipped: int = 0  #: II rungs skipped as already proven failed (memoized)
-    rungs_pruned: int = 0  #: II rungs skipped by a feasibility certificate
-    exact_probes: int = 0  #: SAT-backend exact scheduling probes run
-    exact_wins: int = 0  #: exact probes that produced a mapping
+    #: II rungs skipped by a feasibility certificate.  No backend prunes a
+    #: rung today; the key is part of the counter table the benchmark and
+    #: BENCH_compile_speed.json record per job, so it stays reported (as 0)
+    rungs_pruned: int = 0
 
     def snapshot(self) -> "MapperCounters":
         return MapperCounters(**asdict(self))
@@ -109,19 +110,19 @@ class MapperCounters:
 class SearchStats:
     """Cumulative speculative-II-search effort for this process.
 
-    Tracks what the portfolio engine (:mod:`repro.compiler.search`) did
-    with its worker budget: how many (II, attempt) probes it launched, how
+    Tracks what the ladder driver (:func:`repro.compiler.search.
+    climb_ladder`) did: how many (II, attempt) probes it launched, how
     many a landed success cancelled before they started, and how the probe
-    wall clock splits into *useful* seconds (probes the serial ladder would
-    also have run, i.e. at or below the canonical winner) and *wasted*
-    seconds (speculation that overshot the winner).  ``ladders`` counts
-    portfolio searches; ``serial_ladders`` counts searches that took the
-    in-process serial path (workers=1 or no free budget).
+    wall clock splits into *useful* seconds (probes at or below the
+    canonical winner, which an in-order walk also runs) and *wasted*
+    seconds (speculation that overshot the winner — always zero for the
+    inline executor).  ``ladders`` counts climbs raced over a process
+    pool; ``serial_ladders`` counts climbs walked inline.
     """
 
-    ladders: int = 0  #: portfolio (parallel) ladder searches run
-    serial_ladders: int = 0  #: ladders that took the serial in-process path
-    probes_launched: int = 0  #: (II, attempt) probes submitted to workers
+    ladders: int = 0  #: ladders raced over a process pool
+    serial_ladders: int = 0  #: ladders walked inline in the calling thread
+    probes_launched: int = 0  #: (II, attempt) probes submitted to an executor
     probes_completed: int = 0  #: probes that ran to a success/fail verdict
     probes_cancelled: int = 0  #: probes cancelled before they started
     probes_wasted: int = 0  #: completed probes above the winner (discarded)
@@ -181,7 +182,7 @@ def counters() -> MapperCounters:
 
 
 def search_stats() -> SearchStats:
-    """The :class:`SearchStats` the portfolio engine should update on this
+    """The :class:`SearchStats` the ladder driver should update on this
     thread: the active job context's instance, else the totals."""
     active = getattr(_TLS, "search", None)
     return SEARCH if active is None else active

@@ -8,16 +8,18 @@ fingerprints the job's DFG, architecture and mapper configuration, consults
 the :class:`~repro.pipeline.store.ArtifactStore`, and only invokes the
 mapper on a genuine miss.
 
-``compile_many`` with ``workers > 1`` runs the misses through the
-speculative (II, attempt) portfolio engine (:mod:`repro.compiler.search`):
-one shared ``ProcessPoolExecutor`` of probe workers serves every miss, and
-a shared :class:`~repro.compiler.search.WorkerBudget` keeps kernel-level
-and attempt-level parallelism from oversubscribing it — each miss holds at
+Every mapping ladder of a job is one :func:`repro.compiler.search.
+climb_ladder` call; the only thing ``workers`` changes is which executor
+that driver gets.  ``workers=1`` walks each ladder inline in the calling
+thread.  ``compile_many`` with ``workers > 1`` hands every miss one shared
+:class:`~repro.compiler.search.SearchContext`: a ``ProcessPoolExecutor``
+of probe workers racing the (II, attempt) lattice, with a shared
+:class:`~repro.compiler.search.WorkerBudget` that keeps kernel-level and
+attempt-level parallelism from oversubscribing it — each miss holds at
 least one probe slot (misses fan out across jobs first), and idle slots
-drain into speculative probes of the stragglers.  The whole construction is
-deterministic: the engine reduces probe results in canonical (II, attempt)
-order, so the artifacts are byte-identical to the serial path for a fixed
-seed, regardless of worker count.
+drain into speculative probes of the stragglers.  The driver reduces probe
+results in canonical (II, attempt) order, so the artifacts are
+byte-identical for a fixed seed, regardless of worker count.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class CompileJob:
     heterogeneous fabric); by default the job builds the homogeneous
     ``size`` x ``size`` grid, which is fingerprint-identical to the
     ``"{size}x{size}"`` preset.  ``backend`` picks the paged mapping
-    strategy (``"flat"``, ``"hier"`` or ``"exact"``) when ``mapper`` is
-    not given.
+    strategy (one of :data:`repro.compiler.ems.BACKENDS`) when ``mapper``
+    is not given.
     """
 
     kernel: str
@@ -126,9 +128,9 @@ class CompileStats:
     (probe workers report their deltas back, so speculative search effort
     is included).  ``base_map_seconds``/``paged_map_seconds`` split the
     mapper wall clock by phase (unconstrained baseline vs ring-constrained
-    paged mapping).  ``search`` is present when the compile ran through the
-    speculative portfolio engine: probe launch/cancel/waste totals plus the
-    per-ladder (II, attempt) outcome timelines.
+    paged mapping).  ``search`` is present when the compile was handed a
+    :class:`~repro.compiler.search.SearchContext`: probe launch/cancel/waste
+    totals plus the per-ladder (II, attempt) outcome timelines.
     """
 
     kernel: str
@@ -178,9 +180,9 @@ def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, float]:
 
     Top-level (picklable) so callers can run it in worker processes;
     deterministic for a fixed job, so parallel and serial runs produce
-    byte-identical artifacts.  *search* is an optional live
-    :class:`~repro.compiler.search.SearchContext` — when set, the mapping
-    ladders race speculative probes over its shared worker pool.
+    byte-identical artifacts.  *search* is an optional
+    :class:`~repro.compiler.search.SearchContext` — the executor (and
+    cancellation check) every mapping ladder of the job runs under.
     """
     artifact, stats = compile_job_stats(job, search=search)
     return artifact, stats.seconds
@@ -421,7 +423,7 @@ def compile_many(
 
     Warm jobs are served from *store* without touching the mapper;
     duplicate jobs are compiled once.  With ``workers > 1`` the misses run
-    concurrently through the speculative portfolio engine: one shared pool
+    concurrently, their ladders raced: one shared pool
     of *workers* probe processes serves every miss's (II, attempt) ladder,
     under a shared budget so kernel-level and attempt-level parallelism
     never oversubscribe — each miss holds at least one probe slot, and

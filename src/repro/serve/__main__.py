@@ -29,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="probe worker processes in the warm search pool "
-        "(>= 2 enables speculative ladders and mid-ladder cancellation)",
+        "(>= 2 races each II ladder speculatively; 1 walks it inline)",
     )
     p.add_argument(
         "--slots",
@@ -43,9 +43,12 @@ def main(argv: list[str] | None = None) -> int:
         help="artifact store root (default: $REPRO_CACHE_DIR/.repro_artifacts)",
     )
     args = p.parse_args(argv)
-    config = ServiceConfig(
-        store_root=args.store, workers=args.workers, slots=args.slots
-    )
+    try:
+        config = ServiceConfig(
+            store_root=args.store, workers=args.workers, slots=args.slots
+        )
+    except ValueError as exc:
+        p.error(str(exc))
     try:
         asyncio.run(serve_forever(config, host=args.host, port=args.port))
     except KeyboardInterrupt:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.compiler.ems import BACKENDS
 from repro.pipeline.compile import CompileJob
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
 MAX_BODY_BYTES = 1 << 20
 
 _VALID_PREFER = ("square", "column", "row")
-_VALID_BACKENDS = ("flat", "hier", "exact")
 
 
 class ProtocolError(ValueError):
@@ -100,9 +100,9 @@ class CompileRequest:
             raise ProtocolError(
                 f"'prefer' must be one of {_VALID_PREFER}, got {req.prefer!r}"
             )
-        if req.backend not in _VALID_BACKENDS:
+        if req.backend not in BACKENDS:
             raise ProtocolError(
-                f"'backend' must be one of {_VALID_BACKENDS}, got {req.backend!r}"
+                f"'backend' must be one of {BACKENDS}, got {req.backend!r}"
             )
         if not req.tenant:
             raise ProtocolError("'tenant' must be non-empty")

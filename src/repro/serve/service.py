@@ -1,4 +1,4 @@
-"""The compile service: singleflight + fair scheduler + warm worker pool.
+"""The compile service: singleflight + fair scheduler + one search context.
 
 :class:`CompileService` is the transport-independent core the HTTP server
 (:mod:`repro.serve.server`) and the bench harness drive directly.  One
@@ -7,9 +7,12 @@ instance owns:
 * the :class:`~repro.pipeline.store.ArtifactStore` (thread-safe counters,
   atomic unique-temp writes — the PR's store fixes are what make sharing
   one store across handler threads sound);
-* one **warm, long-lived** :class:`~repro.compiler.search.SearchContext`
-  (``workers >= 2``): probe processes fork once at startup and serve every
-  request's ladders, instead of a pool per batch;
+* one long-lived :class:`~repro.compiler.search.SearchContext`: with
+  ``workers >= 2`` a **warm** pool whose probe processes fork once at
+  startup and serve every request's ladders, instead of a pool per batch;
+  with ``workers = 1`` the inline executor.  Either way each request
+  compiles under its own view of it (``for_request``), which is what
+  carries the request's cancel token into the ladder driver;
 * a worker thread pool of ``slots + 2`` threads: one per scheduler
   dispatch slot, plus headroom so request-key resolution stays responsive
   while every compile slot is busy;
@@ -50,9 +53,9 @@ class ServiceConfig:
     """Tuning for one service instance.
 
     ``workers >= 2`` pre-forks that many probe processes into the warm
-    :class:`~repro.compiler.search.SearchContext`; ``workers = 1`` compiles
-    serially on the handler thread (no speculative pool — mid-ladder
-    cancellation then degrades to queue-time cancellation).  ``slots``
+    :class:`~repro.compiler.search.SearchContext`; ``workers = 1`` walks
+    each ladder inline on the handler thread.  A running compile stops at
+    its next probe boundary when cancelled, at any worker count.  ``slots``
     bounds concurrent compiles; ``tenant_weights`` feeds the weighted
     round-robin (missing tenants get ``default_weight``).
     """
@@ -62,6 +65,10 @@ class ServiceConfig:
     slots: int = 2
     tenant_weights: dict[str, int] | None = None
     default_weight: int = 1
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -128,6 +135,8 @@ class CompileService:
             self._search = await loop.run_in_executor(
                 self._pool, SearchContext.create, self.config.workers
             )
+        else:
+            self._search = SearchContext()
         self.scheduler.start()
         self._started = True
         return self
@@ -291,8 +300,9 @@ class CompileService:
         self, job: CompileJob, key: ArtifactKey, token: CancelToken
     ) -> _FlightOutcome:
         """The worker-thread body: store probe, then (on a miss) one
-        mapper invocation with the warm search pool; served bytes are read
-        back from the store file for byte parity with offline compiles."""
+        mapper invocation under this request's view of the search context;
+        served bytes are read back from the store file for byte parity
+        with offline compiles."""
         hit = self.store.get(key)
         if hit is not None:
             return _FlightOutcome(
@@ -302,13 +312,10 @@ class CompileService:
             )
         if token.cancelled:
             raise CancelledSearch("cancelled before ladder start")
-        search = (
-            self._search.for_request(token.is_set)
-            if self._search is not None
-            else None
-        )
         started = time.perf_counter()
-        artifact, seconds = compile_job(job, search=search)
+        artifact, seconds = compile_job(
+            job, search=self._search.for_request(token.is_set)
+        )
         self.store.note_compile_time(seconds)
         path = self.store.put(artifact)
         body = (

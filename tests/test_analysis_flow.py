@@ -72,11 +72,19 @@ SHAPES = {
             Crate().put(c)
     """,
     "uses.py": """
-        from pkg.shapes import fill
+        from pkg.shapes import Box, fill
 
 
         def run(n):
             return fill(n)
+
+
+        def stock(box: Box, bag, n):
+            def one(i):
+                box.put(i)
+
+            one(n)
+            bag.put(n)
     """,
 }
 
@@ -104,6 +112,11 @@ def test_callgraph_resolves_inherited_methods_and_imports(tmp_path):
     assert graph.method_of("pkg.shapes.Crate", "put") == "pkg.shapes.Box.put"
     run = graph.functions["pkg.uses.run"]
     assert {s.callee for s in run.calls} == {"pkg.shapes.fill"}
+    # a parameter annotated with a project class carries it (also inside a
+    # nested def); an unannotated one stays an unknown receiver
+    stock = graph.functions["pkg.uses.stock"]
+    puts = [s for s in stock.calls if s.method == "put"]
+    assert [s.callee for s in puts] == ["pkg.shapes.Box.put", None]
 
 
 def test_callgraph_classifies_global_mutability(tmp_path):

@@ -1,14 +1,11 @@
-"""Soundness tests for the II feasibility prover and the exact backend.
+"""Soundness tests for the II feasibility prover.
 
 The prover's contract is one-sided: a bound or certificate may only rule
-out IIs at which **no** mapping exists, and the exact backend's SAT
-refutations may only prune ladder rungs the greedy attempts would have
-failed anyway.  Every test here attacks that direction — real mappings
-(the full kernel suite, plus every committed artifact) are replayed
-against the bounds, the CNF relaxation, and the pruning ladder, and none
-of them may ever be rejected.  The payoff of soundness is byte-stability:
-the exact backend must produce bit-for-bit the flat backend's mapping at
-any worker count, which the last test class checks end to end.
+out IIs at which **no** mapping exists.  Every test here attacks that
+direction — real mappings (the full kernel suite, plus every committed
+artifact) are replayed against the bounds and the certificate, and none
+of them may ever be rejected.  The last class pins the backend set and
+the mapper fingerprints the committed artifacts are addressed by.
 """
 
 from __future__ import annotations
@@ -19,20 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.compiler.ems import EMSMapper, MapperConfig, map_dfg
-from repro.compiler.exact import (
-    ExactMapper,
-    encode_modulo_relaxation,
-    probe_rung,
-)
+from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
 from repro.compiler.feas import (
     fanin_certificate,
     ii_lower_bound,
     max_distinct_fanin,
-    page_order_certificate,
-    prune_to,
 )
-from repro.compiler.stats import COUNTERS
 from repro.dfg.graph import DFG, MemRef
 from repro.arch.isa import Opcode
 from repro.kernels import get_kernel, kernel_names
@@ -57,7 +46,7 @@ def base_bound(dfg, cgra):
 class TestIIBound:
     def test_ladder_starts_at_the_bound(self):
         """Every backend's first rung is ii_lower_bound — the dedup that
-        keeps flat/hier/exact from drifting apart."""
+        keeps flat and hier from drifting apart."""
         cgra = CGRA(4, 4)
         mapper = EMSMapper(cgra)
         for name in kernel_names():
@@ -185,128 +174,22 @@ class TestCertificates:
         for name in kernel_names():
             assert fanin_certificate(get_kernel(name).build(), arr_sizes) is None
 
-    def test_page_order_certificate(self):
-        domains = {0: frozenset({2}), 1: frozenset({0, 1})}
-        edges = [(0, 1)]
-        assert page_order_certificate(edges, domains, allow_wrap=True) is None
-        assert page_order_certificate(edges, domains, allow_wrap=False)
-        # forward (or overlapping) traffic is fine
-        fwd = {0: frozenset({0, 1}), 1: frozenset({1})}
-        assert page_order_certificate(edges, fwd, allow_wrap=False) is None
-        # unconstrained ops never trigger
-        assert page_order_certificate([(0, 9)], domains, allow_wrap=False) is None
 
-    def test_prune_to_counts_rungs(self):
-        before = COUNTERS.snapshot()
-        assert prune_to(3, 6) == 6
-        assert prune_to(6, 3) == 6
-        assert COUNTERS.delta(before)["rungs_pruned"] == 3
+class TestBackendSet:
+    def test_backends_are_flat_and_hier(self):
+        assert BACKENDS == ("flat", "hier")
+        for backend in BACKENDS:
+            assert MapperConfig(backend=backend).backend == backend
 
+    @pytest.mark.parametrize("backend", ["exact", "smt"])
+    def test_unknown_backend_is_a_mapping_error(self, backend):
+        with pytest.raises(MappingError, match="flat, hier"):
+            MapperConfig(backend=backend)
 
-# ------------------------------------------------------- the SAT relaxation
-
-
-class TestRelaxation:
-    def test_relaxation_admits_real_mappings(self):
-        """The soundness keystone: the assignment induced by an *actual*
-        mapping — op placements assumed at their (PE, slot) — must
-        satisfy the CNF for every suite kernel.  If this breaks, an UNSAT
-        verdict no longer certifies infeasibility."""
-        cgra = CGRA(4, 4)
-        id_of = cgra.grid_index.id_of
-        mapper = EMSMapper(cgra)
-        for name in kernel_names():
-            dfg = get_kernel(name).build()
-            mapping = map_dfg(dfg, cgra)
-            solver, X = encode_modulo_relaxation(mapper, dfg, mapping.ii)
-            assume = []
-            for op_id, pl in mapping.placements.items():
-                assert op_id in X, (name, op_id)
-                var = X[op_id].get((id_of[pl.pe], pl.time % mapping.ii))
-                assert var is not None, (name, op_id, "outside capability domain")
-                assume.append(var)
-            assert solver.solve(assume) is True, name
-
-    def test_probe_refutes_resource_pigeonhole(self):
-        """A kernel with more ops than (PE, slot) pairs is a pigeonhole
-        the solver must close (the certificate that prunes rungs): mpeg
-        has 10 materialized ops, a 2x2 grid at II 2 offers 8 slots."""
-        mapper = EMSMapper(CGRA(2, 2))
-        dfg = get_kernel("mpeg").build()
-        for ii in (1, 2):
-            assert probe_rung(mapper, dfg, ii, conflict_budget=10_000) is False
-
-    def test_probe_accepts_the_achieved_ii(self):
-        cgra = CGRA(4, 4)
-        mapper = EMSMapper(cgra)
-        for name in ("mpeg", "swim", "lowpass"):
-            dfg = get_kernel(name).build()
-            mapping = map_dfg(dfg, cgra)
-            assert probe_rung(
-                mapper, dfg, mapping.ii, conflict_budget=50_000
-            ) is True, name
-
-
-# ----------------------------------------------------------- exact backend
-
-
-class TestExactBackend:
-    def test_config_accepts_exact_and_rejects_unknown(self):
-        assert MapperConfig(backend="exact").backend == "exact"
-        with pytest.raises(Exception):
-            MapperConfig(backend="smt")
-
-    def test_backend_is_fingerprinted(self):
-        assert (
-            MapperConfig(backend="exact").fingerprint()
-            != MapperConfig().fingerprint()
-        )
-
-    def test_exact_ladder_never_prunes_the_winning_rung(self):
-        """ExactMapper must land on the flat ladder's II with identical
-        placements and routes — pruning is only ever of dead rungs."""
-        cgra = CGRA(4, 4)
-        for name in ("mpeg", "compress", "gsr", "sor"):
-            dfg = get_kernel(name).build()
-            flat = EMSMapper(cgra).map(dfg)
-            exact = ExactMapper(cgra, config=MapperConfig(backend="exact")).map(dfg)
-            assert exact.ii == flat.ii, name
-            assert exact.placements == flat.placements, name
-            assert exact.routes == flat.routes, name
-
-    def test_exact_artifacts_match_flat_bytes(self):
-        """End to end through the paged pipeline: same payload as flat,
-        differing only in the mapper fingerprint (by design — the backend
-        is part of the artifact address)."""
-        from repro.pipeline.compile import CompileJob, compile_job
-
-        before = COUNTERS.snapshot()
-        for kernel in ("mpeg", "compress", "gsr"):
-            flat, _ = compile_job(CompileJob(kernel, 4, 2, seed=0))
-            exact, _ = compile_job(
-                CompileJob(kernel, 4, 2, seed=0, backend="exact")
-            )
-            fd, ed = flat.to_json_dict(), exact.to_json_dict()
-            assert fd.pop("mapper_fp") != ed.pop("mapper_fp")
-            assert fd == ed, kernel
-        delta = COUNTERS.delta(before)
-        # the probes engaged and at least one rung was actually refuted
-        # (compress and gsr both have provably-dead rungs on 2x2 pages)
-        assert delta["exact_probes"] > 0
-        assert delta["exact_wins"] >= 2
-        assert delta["rungs_pruned"] >= delta["exact_wins"]
-
-    def test_exact_backend_worker_parity(self, tmp_path):
-        """workers in {1, 2, 4} must produce byte-identical exact-backend
-        artifacts: speculative probes replay lattice points and never
-        consult the solver, so worker count is unobservable."""
-        from repro.pipeline.compile import CompileJob, compile_many
-        from repro.pipeline.store import ArtifactStore
-
-        job = CompileJob("compress", 4, 2, seed=0, backend="exact")
-        payloads = []
-        for w in (1, 2, 4):
-            store = ArtifactStore(tmp_path / f"w{w}")
-            (artifact,) = compile_many([job], store=store, workers=w)
-            payloads.append(artifact.to_json())
-        assert payloads[0] == payloads[1] == payloads[2]
+    def test_fingerprints_are_unchanged(self):
+        """The committed artifacts are addressed by these: the default
+        backend stays out of the hashed payload, ``hier`` stays in."""
+        cfg = MapperConfig(seed=0, attempts_per_ii=4)
+        assert cfg.fingerprint() == "41bca46230905c8e"
+        hier = MapperConfig(seed=0, attempts_per_ii=4, backend="hier")
+        assert hier.fingerprint() == "385d22a173c42830"

@@ -8,7 +8,7 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
-from repro.compiler.ems import EMSMapper, MapperConfig, map_dfg
+from repro.compiler.ems import MapperConfig, map_dfg
 from repro.dfg.analysis import mii, rec_mii
 from repro.dfg.builder import DFGBuilder
 from repro.kernels import bind_memory, get_kernel
@@ -82,7 +82,7 @@ class TestMappingQuality:
         b.store("out", x)
         dfg = b.build()
         with pytest.raises(MappingError):
-            EMSMapper(cgra, config=MapperConfig(max_ii=2)).map(dfg)
+            map_dfg(dfg, cgra, config=MapperConfig(max_ii=2))
 
     def test_empty_dfg_rejected(self):
         from repro.dfg.graph import DFG

@@ -1,8 +1,8 @@
-"""Tests for the speculative (II, attempt) portfolio engine.
+"""Tests for the one II-ladder driver and its two executors.
 
-The engine's whole contract is *determinism under races*: whatever order
+The driver's whole contract is *determinism under races*: whatever order
 probes complete in, the reduction must pick the success with the smallest
-(ii, attempt) — the rung the serial ladder would have returned — so the
+(ii, attempt) — the point an in-order walk reaches first — so the
 artifact bytes never depend on worker count or scheduling luck.  The
 tests here attack that contract directly:
 
@@ -10,10 +10,13 @@ tests here attack that contract directly:
   rungs first) with fabricated verdicts, proving canonical reduction
   beats completion order and that cancellation prunes strictly above the
   winner;
-* the rng-replay helper is checked against the serial ladder's actual
+* a ``ScriptedMapper`` fabricates verdicts per lattice point, so the
+  ``resume_ii`` contract is checked on the inline executor and on a raced
+  one alike;
+* the rng-replay helper is checked against an incrementally drawn
   perturbation stream;
 * ``MapperSpec``/``ProbeTask`` are round-tripped through ``pickle`` and a
-  real two-worker process pool is raced against the in-process ladder.
+  real two-worker process pool is raced against the inline walk.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from repro.compiler.search import (
     ProbeTask,
     SearchContext,
     WorkerBudget,
-    lattice,
-    portfolio_map,
+    climb_ladder,
     run_probe,
 )
 from repro.compiler.stats import MapperCounters, job_counters
@@ -48,32 +50,13 @@ def _sor():
     return get_kernel("sor").build()
 
 
-# ------------------------------------------------------------------ the lattice
-
-
-class TestLattice:
-    def test_enumeration_is_lexicographic(self):
-        pts = lattice(3, 5, 2)
-        assert pts == [(3, 0), (3, 1), (4, 0), (4, 1), (5, 0), (5, 1)]
-        assert pts == sorted(pts)
-
-    def test_matches_serial_loop(self):
-        cfg = MapperConfig()
-        pts = lattice(4, cfg.max_ii, cfg.attempts_per_ii)
-        serial = [
-            (ii, attempt)
-            for ii in range(4, cfg.max_ii + 1)
-            for attempt in range(cfg.attempts_per_ii)
-        ]
-        assert pts == serial
-
-
 # ------------------------------------------------------------------- rng replay
 
 
 class TestAttemptOrderReplay:
-    """attempt_order(rank) must reproduce the serial ladder's op order at
-    that lattice point, including the shared-rng perturbation stream."""
+    """attempt_order must reproduce, at any lattice point asked for in any
+    order, the op order an in-order walk drawing from one rng stream would
+    use there."""
 
     def test_replay_matches_serial_stream(self):
         dfg = _sor()
@@ -82,7 +65,7 @@ class TestAttemptOrderReplay:
         start_ii = mapper.ladder_start_ii(dfg)
         orders = mapper.attempt_orders(dfg)
 
-        # walk the serial loop for a few rungs, drawing from one stream
+        # walk a few rungs in order, drawing from one stream
         rng = make_rng(cfg.seed)
         serial: dict[tuple[int, int], list[int]] = {}
         for ii in range(start_ii, start_ii + 3):
@@ -114,21 +97,23 @@ class TestAttemptOrderReplay:
 class TestMapperSpec:
     def test_base_spec_rebuilds_equivalent_mapper(self):
         dfg = _sor()
-        cgra = CGRA(4, 4)
-        spec = MapperSpec.for_base(cgra, MapperConfig())
-        rebuilt = spec.build().map(dfg)
-        direct = EMSMapper(cgra, config=MapperConfig()).map(dfg)
+        mapper = EMSMapper(CGRA(4, 4), config=MapperConfig())
+        spec = MapperSpec.of(mapper)
+        assert spec.page_shape is None and spec.num_pages is None
+        rebuilt = climb_ladder(spec.build(), dfg)
+        direct = climb_ladder(mapper, dfg)
         assert rebuilt.ii == direct.ii
         assert rebuilt.placements == direct.placements
         assert rebuilt.routes == direct.routes
 
     def test_paged_spec_rebuilds_equivalent_mapper(self):
+        from repro.compiler.paged import PagedMapper
         from repro.core.paging import PageLayout
 
         dfg = _sor()
         cgra = CGRA(4, 4)
         layout = PageLayout(cgra, (1, 4))
-        spec = MapperSpec.for_paged(cgra, layout, MapperConfig())
+        spec = MapperSpec.of(PagedMapper(cgra, layout, MapperConfig()))
         assert spec.page_shape == (1, 4)
         assert spec.num_pages == layout.num_pages
         rebuilt = spec.build()
@@ -158,7 +143,7 @@ class TestMapperSpec:
 
     def test_probe_task_round_trips_pickle(self):
         dfg = _sor()
-        spec = MapperSpec.for_base(CGRA(4, 4), MapperConfig())
+        spec = MapperSpec.of(EMSMapper(CGRA(4, 4)))
         task = ProbeTask(
             spec=spec,
             dfg=dfg,
@@ -276,16 +261,11 @@ def _scripted_ctx(verdicts, release_order, workers, running_points=()):
     )
 
 
-def _spec_and_start(max_ii=None, attempts_per_ii=6):
+def _mapper_and_start(attempts_per_ii=6):
     dfg = _sor()
     cgra = CGRA(4, 4)
-    cfg = MapperConfig(
-        attempts_per_ii=attempts_per_ii,
-        **({"max_ii": max_ii} if max_ii is not None else {}),
-    )
-    spec = MapperSpec.for_base(cgra, cfg)
-    start = spec.build().ladder_start_ii(dfg)
-    return spec, dfg, cgra, start
+    mapper = EMSMapper(cgra, config=MapperConfig(attempts_per_ii=attempts_per_ii))
+    return mapper, dfg, cgra, mapper.ladder_start_ii(dfg)
 
 
 # ------------------------------------------------------------ canonical winner
@@ -295,13 +275,13 @@ class TestCanonicalReduction:
     def test_late_low_attempt_beats_early_high_attempt(self):
         """(start, 1) succeeds *first*; (start, 0) succeeds later and must
         still win — reduction is by canonical order, not completion order."""
-        spec, dfg, cgra, start = _spec_and_start()
+        mapper, dfg, cgra, start = _mapper_and_start()
         win, lose = _FakeMapping("canonical"), _FakeMapping("fastest")
         verdicts = {(start, 0): win, (start, 1): lose}
         log: list[LadderReport] = []
         ctx = _scripted_ctx(verdicts, [(start, 1), (start, 0)], workers=2)
         with ctx:
-            result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx, log=log)
+            result = climb_ladder(mapper, dfg, search=ctx, log=log)
         assert result is win
         assert result.dfg is dfg and result.cgra is cgra
         (report,) = log
@@ -317,7 +297,7 @@ class TestCanonicalReduction:
         """A success on II+1 lands while the II rung is still in flight:
         it must cancel only the rungs *above* itself, and the later II-rung
         success must still win the reduction."""
-        spec, dfg, cgra, start = _spec_and_start(attempts_per_ii=2)
+        mapper, dfg, cgra, start = _mapper_and_start(attempts_per_ii=2)
         win = _FakeMapping("low-ii")
         early = _FakeMapping("high-ii")
         verdicts = {
@@ -331,7 +311,7 @@ class TestCanonicalReduction:
         log: list[LadderReport] = []
         ctx = _scripted_ctx(verdicts, release, workers=4)
         with ctx:
-            result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx, log=log)
+            result = climb_ladder(mapper, dfg, search=ctx, log=log)
         assert result is win
         (report,) = log
         assert report.winner == (start, 1)
@@ -352,7 +332,7 @@ class TestCanonicalReduction:
         drains back into the pool."""
         from repro.compiler.stats import SEARCH
 
-        spec, dfg, cgra, start = _spec_and_start(attempts_per_ii=2)
+        mapper, dfg, cgra, start = _mapper_and_start(attempts_per_ii=2)
         win = _FakeMapping("winner")
         verdicts = {
             (start, 0): win,
@@ -369,7 +349,7 @@ class TestCanonicalReduction:
             verdicts, release, workers=4, running_points={(start, 1)}
         )
         with ctx:
-            result = portfolio_map(spec, dfg, cgra=cgra, ctx=ctx, log=log)
+            result = climb_ladder(mapper, dfg, search=ctx, log=log)
             assert result is win
             (report,) = log
             assert report.winner == (start, 0)
@@ -389,17 +369,111 @@ class TestCanonicalReduction:
             assert SEARCH.delta(before)["wasted_seconds"] > 0
 
     def test_exhausted_lattice_raises_mapping_error(self):
-        spec, dfg, cgra, start = _spec_and_start(attempts_per_ii=2)
+        mapper, dfg, cgra, start = _mapper_and_start(attempts_per_ii=2)
         # clamp the ladder to two rungs and fail every point
         cfg = MapperConfig(attempts_per_ii=2, max_ii=start + 1)
-        spec = MapperSpec.for_base(CGRA(4, 4), cfg)
+        mapper = EMSMapper(cgra, config=cfg)
         verdicts = {
             (ii, a) for ii in (start, start + 1) for a in (0, 1)
         }
         verdicts = {p: None for p in verdicts}
         ctx = _scripted_ctx(verdicts, sorted(verdicts), workers=2)
-        with ctx, pytest.raises(MappingError, match="could not map"):
-            portfolio_map(spec, dfg, cgra=cgra, ctx=ctx)
+        with ctx, pytest.raises(MappingError, match="could not map") as exc:
+            climb_ladder(mapper, dfg, search=ctx)
+        assert exc.value.ladder_probed == (start, start + 1)
+
+
+# ------------------------------------------------------------------- resume_ii
+
+
+class ScriptedMapper(EMSMapper):
+    """A mapper whose probes never place anything: every lattice point
+    below ``win`` (start rung + 2, a perturbed attempt — so the winning op
+    order depends on the rng stream position) fails, every point from it
+    on succeeds with a :class:`_FakeMapping` tagged with the op order the
+    real ``attempt_order`` assigns that point.  ``probed`` lists the
+    points in the order they ran."""
+
+    def __init__(self, dfg, **config) -> None:
+        super().__init__(CGRA(4, 4), config=MapperConfig(**config))
+        self.start = self.ladder_start_ii(dfg)
+        self.win = (self.start + 2, 4)
+        self.probed: list[tuple[int, int]] = []
+
+    def run_lattice_attempt(self, dfg, start_ii, ii, attempt, orders):
+        self.probed.append((ii, attempt))
+        if (ii, attempt) < self.win:
+            return None
+        return _FakeMapping(self.attempt_order(orders, start_ii, ii, attempt))
+
+
+class MapperExecutor:
+    """A raced executor that runs each submitted probe at once, on the
+    test's own mapper instead of one rebuilt from the task's spec."""
+
+    def __init__(self, mapper) -> None:
+        self.mapper = mapper
+
+    def submit(self, fn, task):
+        orders = self.mapper.attempt_orders(task.dfg)
+        mapping = self.mapper.run_lattice_attempt(
+            task.dfg, task.start_ii, task.ii, task.attempt, orders
+        )
+        fut: Future = Future()
+        fut.set_result(ProbeResult(task.ii, task.attempt, mapping, 0.01, {}))
+        return fut
+
+
+@pytest.mark.parametrize("raced", [False, True], ids=["inline", "raced"])
+class TestResumeII:
+    """``resume_ii`` is rank arithmetic: rungs below it are never probed,
+    and what is probed is exactly what a full climb probes there — with
+    either executor."""
+
+    def _climb(self, raced, resume_ii=None, **config):
+        """(mapper, result or the MappingError raised, job counters)"""
+        dfg = _sor()
+        mapper = ScriptedMapper(dfg, attempts_per_ii=6, **config)
+        search = (
+            SearchContext(
+                workers=2, executor=MapperExecutor(mapper), budget=WorkerBudget(2)
+            )
+            if raced
+            else None
+        )
+        with job_counters() as (ctrs, _):
+            try:
+                result = climb_ladder(
+                    mapper, dfg, resume_ii=resume_ii, search=search
+                )
+            except MappingError as exc:
+                result = exc
+        return mapper, result, ctrs
+
+    def test_resumed_climb_equals_full_climb(self, raced):
+        full_mapper, full, full_ctrs = self._climb(raced)
+        start = full_mapper.start
+        assert full_ctrs.rungs_skipped == 0
+        assert full_mapper.probed[0] == (start, 0)
+        mapper, resumed, ctrs = self._climb(raced, resume_ii=start + 2)
+        assert resumed.tag == full.tag  # same op order at the winning point
+        assert ctrs.rungs_skipped == 2
+        assert min(mapper.probed) == (start + 2, 0)  # nothing below resume_ii
+        assert mapper.win in mapper.probed
+        if not raced:
+            assert mapper.probed == [(start + 2, a) for a in range(5)]
+
+    def test_resume_at_or_below_the_start_rung_skips_nothing(self, raced):
+        mapper, _result, ctrs = self._climb(raced, resume_ii=1)
+        assert ctrs.rungs_skipped == 0
+        assert mapper.probed[0] == (mapper.start, 0)
+
+    def test_resume_past_the_top_exhausts_without_probing(self, raced):
+        mapper, error, ctrs = self._climb(raced, resume_ii=99, max_ii=8)
+        assert isinstance(error, MappingError)
+        assert error.ladder_probed == (mapper.start, 8)
+        assert mapper.probed == []
+        assert ctrs.rungs_skipped == 8 - mapper.start + 1
 
 
 # --------------------------------------------------------------- worker budget
@@ -426,12 +500,13 @@ class TestRealPoolParity:
             SearchContext.create(1)
 
     def test_two_worker_pool_matches_serial_ladder(self):
-        """End-to-end: the speculative engine over a real process pool
-        returns the exact mapping of the serial in-process ladder."""
+        """End-to-end: the driver racing a real process pool returns the
+        exact mapping of the same driver walking inline."""
         dfg = _sor()
         cgra = CGRA(4, 4)
         serial = map_dfg(dfg, cgra)
-        parallel = map_dfg(dfg, cgra, workers=2)
+        with SearchContext.create(2) as ctx:
+            parallel = map_dfg(dfg, cgra, search=ctx)
         assert parallel.ii == serial.ii
         assert parallel.placements == serial.placements
         assert parallel.routes == serial.routes
@@ -446,8 +521,8 @@ class TestRealPoolParity:
         with job_counters() as (serial, _):
             map_dfg(dfg, cgra)
         assert serial.routes_refuted > 0 and serial.trials_refuted > 0
-        with job_counters() as (parallel, _):
-            map_dfg(dfg, cgra, workers=2)
+        with SearchContext.create(2) as ctx, job_counters() as (parallel, _):
+            map_dfg(dfg, cgra, search=ctx)
         # the winning probe's delta is always merged; speculation above it
         # is billed to the process totals instead
         assert parallel.routes_refuted >= serial.routes_refuted

@@ -5,7 +5,9 @@ served responses and offline ``compile_many`` output."""
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -71,6 +73,7 @@ class TestProtocol:
             {"priority": 1.5},
             {"prefer": "diagonal"},
             {"backend": "quantum"},
+            {"backend": "exact"},
             {"tenant": ""},
             {"request_id": 7},
         ],
@@ -78,6 +81,10 @@ class TestProtocol:
     def test_bad_fields_rejected(self, patch):
         with pytest.raises(ProtocolError):
             CompileRequest.from_dict({"kernel": "sor", **patch})
+
+    def test_bad_backend_names_the_valid_set(self):
+        with pytest.raises(ProtocolError, match=r"\('flat', 'hier'\)"):
+            CompileRequest.from_dict({"kernel": "sor", "backend": "exact"})
 
     def test_percentile_nearest_rank(self):
         values = sorted(float(v) for v in range(1, 11))
@@ -188,6 +195,18 @@ class TestFairScheduler:
             FairScheduler(0)
         with pytest.raises(ValueError):
             FairScheduler(1, weights={"a": 0})
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_bad_workers(self, workers, capsys):
+        """A non-positive worker count is a usage error, not ``workers=1``."""
+        from repro.serve.__main__ import main
+
+        with pytest.raises(ValueError, match="workers"):
+            ServiceConfig(workers=workers)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--workers", str(workers)])
+        assert exit_.value.code == 2  # argparse usage error
+        assert "workers must be >= 1" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- singleflight
@@ -341,10 +360,10 @@ class TestCompileService:
 
 class TestMidLadderCancellation:
     def test_preset_token_stops_ladder(self):
-        """A fired cancel token stops the portfolio ladder at a probe
-        boundary with CancelledSearch — which is deliberately NOT a
-        MappingError, so a cancelled compile can never be stored as a
-        bogus 'unmappable' artifact."""
+        """A fired cancel token stops the ladder at a probe boundary with
+        CancelledSearch — which is deliberately NOT a MappingError, so a
+        cancelled compile can never be stored as a bogus 'unmappable'
+        artifact."""
         from repro.util.errors import MappingError
 
         assert not issubclass(CancelledSearch, MappingError)
@@ -355,6 +374,82 @@ class TestMidLadderCancellation:
             assert view.executor is ctx.executor  # shares the warm pool
             with pytest.raises(CancelledSearch):
                 compile_job(CompileJob("sor", 4, 2), search=view)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_check_firing_mid_ladder_stops_it(self, workers):
+        """The poll sits in the one ladder driver, so it is there with
+        either executor: a check that turns true on its third poll — after
+        probes have run — raises out of the compile."""
+        polls = []
+
+        def third_poll() -> bool:
+            polls.append(None)
+            return len(polls) >= 3
+
+        ctx = SearchContext.create(workers) if workers > 1 else SearchContext()
+        with ctx:
+            with pytest.raises(CancelledSearch):
+                compile_job(
+                    CompileJob("compress", 4, 2), search=ctx.for_request(third_poll)
+                )
+        assert len(polls) == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sole_waiter_cancelling_a_running_compile(
+        self, tmp_path, monkeypatch, workers
+    ):
+        """The only waiter of a request whose ladder is already running
+        cancels: the ladder stops at its next probe boundary, nothing is
+        stored, and every slot and flight is given back."""
+        import repro.serve.service as service_mod
+
+        climbing = threading.Event()
+        real = service_mod.compile_job
+
+        def signalling(job, search=None):
+            inner = search.cancel_check
+
+            def check() -> bool:
+                climbing.set()  # polled: a ladder of this compile is running
+                return inner()
+
+            return real(job, search=replace(search, cancel_check=check))
+
+        monkeypatch.setattr(service_mod, "compile_job", signalling)
+        request = _request("compress", request_id="victim")
+
+        async def body():
+            config = ServiceConfig(
+                store_root=str(tmp_path), workers=workers, slots=2
+            )
+            async with CompileService(config) as service:
+                pending = asyncio.ensure_future(service.submit(request))
+                deadline = time.monotonic() + 30.0
+                while not climbing.is_set() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.005)
+                assert climbing.is_set()
+                assert service.scheduler.stats()["running"] == 1
+                assert await service.cancel("victim")
+                result = await pending
+                # the waiter is answered at once; the ladder itself stops
+                # at its next poll, which is when the slot comes back
+                while (
+                    service.scheduler.stats()["running"]
+                    and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.005)
+                return result, service.stats()
+
+        result, stats = _run(body())
+        assert not result.ok and result.error == "RequestCancelled"
+        key = job_key(request.to_job())
+        assert not ArtifactStore(tmp_path).path_for(key).exists()
+        assert stats["store"]["puts"] == 0
+        assert stats["compiles"] == 0 and stats["cancelled"] == 1
+        assert stats["scheduler"]["running"] == 0
+        assert stats["scheduler"]["queued"] == 0
+        assert stats["singleflight"]["in_flight"] == 0
+        assert stats["singleflight"]["cancelled_flights"] == 1
 
 
 # ----------------------------------------------------- HTTP server + parity
@@ -411,6 +506,9 @@ class TestServeServer:
                     bad_method = await client.request("GET", "/compile")
                     unknown_kernel = await client.compile({"kernel": "nope"})
                     bad_field = await client.compile({"kernel": "sor", "oops": 1})
+                    gone_backend = await client.compile(
+                        {"kernel": "sor", "backend": "exact"}
+                    )
                     ping = await client.request(
                         "POST", "/rpc", {"jsonrpc": "2.0", "id": 1, "method": "ping"}
                     )
@@ -424,15 +522,17 @@ class TestServeServer:
                 bad_method,
                 unknown_kernel,
                 bad_field,
+                gone_backend,
                 ping,
                 bad_rpc,
             )
 
         import json
 
-        health, stats, missing, bad_method, unknown, bad_field, ping, bad_rpc = _run(
-            body()
-        )
+        (
+            health, stats, missing, bad_method, unknown, bad_field, gone_backend,
+            ping, bad_rpc,
+        ) = _run(body())
         assert health[0] == 200 and json.loads(health[2]) == {"ok": True}
         assert stats[0] == 200 and "requests" in json.loads(stats[2])
         assert missing[0] == 404
@@ -440,6 +540,8 @@ class TestServeServer:
         assert unknown[0] == 404
         assert json.loads(unknown[2])["error"] == "WorkloadError"
         assert bad_field[0] == 400
+        assert gone_backend[0] == 400
+        assert "('flat', 'hier')" in json.loads(gone_backend[2])["message"]
         assert ping[0] == 200 and json.loads(ping[2])["result"] == "pong"
         assert json.loads(bad_rpc[2])["error"]["code"] == -32601
 
