@@ -4,9 +4,10 @@ Unlike the figure benches, this target deliberately bypasses the
 repository artifact store: the thing under measurement is the
 place-and-route mapper itself.  It compiles a fast subset of the 4x4
 suite (the full sweep, including the slow sobel/fft searches, is
-``python -m repro.bench compile-speed``; its trajectory lives in
-``BENCH_compile_speed.json``) and prints the search-effort counters —
-routing-state expansions, BFS/DFS invocations, placement probes — that
+``python -m repro.bench compile-speed``; the recorded measurement is
+``perf/``'s ``compile_flat_4x4`` workload, and ``BENCH_compile_speed.json``
+is the frozen history up to PR 14) and prints the search-effort counters
+— routing-state expansions, BFS/DFS invocations, placement probes — that
 put the timings in context.
 """
 

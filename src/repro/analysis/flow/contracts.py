@@ -69,28 +69,21 @@ class Contract:
         return "reads-global" in self.allow_effects or g in self.allow_global_reads
 
 
-#: Sanctioned side channels of the compile pipeline: the process-wide stat
-#: totals (merged under ``stats._MERGE_LOCK``) and the per-process probe
-#: context cache.  Everything else a worker touches must arrive through
-#: its task payload.
-_STATS_CHANNEL = frozenset(
-    {
-        "repro.compiler.stats.COUNTERS",
-        "repro.compiler.stats.SEARCH",
-    }
-)
+#: The one global a compile may write: the per-process probe context
+#: cache.  Everything else a worker touches must arrive through its task
+#: payload, and its telemetry leaves as a return value.
+_PROBE_CACHE = frozenset({"repro.compiler.search._CTX_CACHE"})
 
 DEFAULT_CONTRACTS: tuple[Contract, ...] = (
     Contract(
         name="probe-worker",
         entrypoints=("repro.compiler.search.run_probe",),
         description="process-pool probe workers: results must be a pure "
-        "function of the task payload; per-process scratch (stat totals, "
-        "the context cache) never flows back except as explicit counter "
-        "deltas in the result",
+        "function of the task payload; the per-process context cache never "
+        "flows back, and search effort returns only as the explicit counter "
+        "delta in the result",
         allow_effects=frozenset({"mutates-param", "reads-global"}),
-        allow_global_writes=_STATS_CHANNEL
-        | frozenset({"repro.compiler.search._CTX_CACHE"}),
+        allow_global_writes=_PROBE_CACHE,
     ),
     Contract(
         name="compile-job",
@@ -99,11 +92,10 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
             "repro.pipeline.compile.compile_job_stats",
         ),
         description="concurrent compile-thread jobs: artifact bytes must "
-        "depend only on the job spec; stat totals merge through the locked "
-        "job-counter context",
+        "depend only on the job spec; counters live in the job's own "
+        "thread-local scope and leave as the returned stats",
         allow_effects=frozenset({"mutates-param", "reads-global"}),
-        allow_global_writes=_STATS_CHANNEL
-        | frozenset({"repro.compiler.search._CTX_CACHE"}),
+        allow_global_writes=_PROBE_CACHE,
     ),
     Contract(
         name="artifact-store",
@@ -126,13 +118,11 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
         description="compile-service worker threads: served bytes must be "
         "a pure function of the request's job (read back from the store "
         "file, so byte-identical to offline compile_many); store I/O and "
-        "temp-name pid/tid are the store contract's business, stat totals "
-        "merge through the locked channels",
+        "temp-name pid/tid are the store contract's business",
         allow_effects=frozenset(
             {"mutates-param", "reads-global", "io", "wall-clock"}
         ),
-        allow_global_writes=_STATS_CHANNEL
-        | frozenset({"repro.compiler.search._CTX_CACHE"}),
+        allow_global_writes=_PROBE_CACHE,
     ),
     Contract(
         name="fingerprint",

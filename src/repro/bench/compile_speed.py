@@ -5,14 +5,10 @@ on one grid (no artifact cache — the mapper runs for real), prints a table
 of per-job wall clock split by mapper phase plus the search-effort
 counters from :mod:`repro.compiler.stats` (state expansions, BFS/DFS
 route searches, placement probes, routes and trials the reachability
-filter refuted, memo-table hits), and records the run
-as a labelled entry in ``BENCH_compile_speed.json`` at the repository
-root.  Entries accumulate across PRs, so the file is a trajectory: the
-first entry is the pre-optimisation baseline and the report's geomean
-speedup compares the latest run against it.  Every new entry records the
-host's ``nproc``: a ``--workers 2`` run on one core and on two are
-different measurements, and the file holds both kinds.  Entries of
-backends that no longer exist (``pr8-exact-backend``) are data and stay.
+filter refuted, memo-table hits).  It prints and records nothing:
+numbers that back a performance claim are measured by ``perf/``
+(``compile_flat_4x4`` / ``compile_hier_8x8``), which stamps host, core
+count, commit and repeats on every result.
 
 ``--workers 1`` walks every II ladder inline; ``--workers N`` hands the
 same ladder driver a warm N-process pool to race them over (jobs stay
@@ -25,46 +21,20 @@ compiles the experiment pipeline actually performs on a cold cache.
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import time
-from pathlib import Path
 from typing import Sequence
 
 from repro.bench.fig8 import page_sizes_for
+from repro.compiler.search import SearchContext, ladder_totals
 from repro.kernels import kernel_names
 from repro.pipeline.compile import CompileJob, CompileStats, compile_job_stats
 
 __all__ = [
     "run_compile_speed",
-    "geomean_speedup",
     "render_report",
     "backend_summary",
     "search_totals",
-    "update_bench_file",
     "main",
 ]
-
-DEFAULT_OUT = "BENCH_compile_speed.json"
-
-# Minimum per-job seconds used in ratio math: records round to 1 ms and
-# trivial kernels compile faster than timer noise.
-_FLOOR_SECONDS = 1e-3
-
-
-def _job_key(
-    kernel: str, page_size: int, arch: str | None = None, backend: str = "flat"
-) -> str:
-    """Bench-entry job key.  Arch/backend qualifiers append only when
-    non-default, so historical entries (pre-preset, flat-only) keep their
-    keys and stay comparable in the geomean."""
-    key = f"{kernel}/ps{page_size}"
-    if arch is not None:
-        key += f"/{arch}"
-    if backend != "flat":
-        key += f"/{backend}"
-    return key
 
 
 def run_compile_speed(
@@ -99,8 +69,6 @@ def run_compile_speed(
     ]
     stats: list[CompileStats] = []
     if workers > 1:
-        from repro.compiler.search import SearchContext
-
         with SearchContext.create(workers) as ctx:
             for job in jobs:
                 stats.append(compile_job_stats(job, search=ctx)[1])
@@ -110,31 +78,8 @@ def run_compile_speed(
     return stats
 
 
-def geomean_speedup(
-    baseline: dict[str, float], current: dict[str, float]
-) -> float | None:
-    """Geometric-mean per-job speedup of *current* over *baseline* (shared
-    job keys only).  ``None`` when the runs share no jobs."""
-    ratios = []
-    for key, base_s in baseline.items():
-        cur_s = current.get(key)
-        if cur_s is None:
-            continue
-        ratios.append(
-            math.log(max(base_s, _FLOOR_SECONDS) / max(cur_s, _FLOOR_SECONDS))
-        )
-    if not ratios:
-        return None
-    return math.exp(sum(ratios) / len(ratios))
-
-
-def _seconds_by_job(entry: dict) -> dict[str, float]:
-    return {key: rec["seconds"] for key, rec in entry["jobs"].items()}
-
-
-def render_report(stats: Sequence[CompileStats], history: dict | None = None) -> str:
-    """Table of per-job timings and search counters, plus the speedup
-    against the first (baseline) entry of *history* when one exists."""
+def render_report(stats: Sequence[CompileStats]) -> str:
+    """Table of per-job timings and search counters."""
     header = (
         f"{'kernel':<10} {'ps':>2} {'seconds':>8} {'base_s':>7} {'paged_s':>8} "
         f"{'expand':>9} {'probes':>7} {'bfs':>6} {'dfs':>7} "
@@ -185,18 +130,6 @@ def render_report(stats: Sequence[CompileStats], history: dict | None = None) ->
             "({useful_seconds:.2f}s useful / {wasted_seconds:.2f}s wasted, "
             "efficiency {speculation_efficiency:.0%})".format(**search)
         )
-    entries = (history or {}).get("entries", [])
-    if entries:
-        base = entries[0]
-        current = {
-            _job_key(st.kernel, st.page_size, st.arch, st.backend): st.seconds
-            for st in stats
-        }
-        speedup = geomean_speedup(_seconds_by_job(base), current)
-        if speedup is not None:
-            lines.append(
-                f"geomean speedup vs '{base['label']}': {speedup:.2f}x"
-            )
     return "\n".join(lines)
 
 
@@ -233,84 +166,10 @@ def backend_summary(stats: Sequence[CompileStats]) -> dict[str, dict]:
 def search_totals(stats: Sequence[CompileStats]) -> dict | None:
     """Aggregate the speculative-search stats across jobs (``None`` when
     no job was handed a search context)."""
-    records = [st.search for st in stats if st.search is not None]
-    if not records:
+    ladders = [st.ladders for st in stats if st.ladders is not None]
+    if not ladders:
         return None
-    out = {
-        k: sum(r[k] for r in records)
-        for k in (
-            "ladders",
-            "probes_launched",
-            "probes_cancelled",
-            "probes_wasted",
-            "useful_seconds",
-            "wasted_seconds",
-        )
-    }
-    total = out["useful_seconds"] + out["wasted_seconds"]
-    out["useful_seconds"] = round(out["useful_seconds"], 3)
-    out["wasted_seconds"] = round(out["wasted_seconds"], 3)
-    out["speculation_efficiency"] = (
-        round(out["useful_seconds"] / total, 4) if total > 0 else 1.0
-    )
-    return out
-
-
-def _entry_from_stats(
-    stats: Sequence[CompileStats], label: str, seed: int, workers: int = 1
-) -> dict:
-    totals: dict[str, int] = {}
-    jobs = {}
-    for st in stats:
-        jobs[_job_key(st.kernel, st.page_size, st.arch, st.backend)] = st.as_record()
-        for name, value in st.counters.items():
-            totals[name] = totals.get(name, 0) + value
-    entry = {
-        "label": label,
-        # repro: allow[DET-WALL-CLOCK] run date annotates the perf log for humans; artifacts are addressed by content
-        "date": time.strftime("%Y-%m-%d"),
-        "seed": seed,
-        "workers": workers,
-        "nproc": os.cpu_count(),
-        "total_seconds": round(sum(st.seconds for st in stats), 3),
-        "counters_total": totals,
-        "backends": backend_summary(stats),
-        "jobs": jobs,
-    }
-    search = search_totals(stats)
-    if search is not None:
-        entry["search_total"] = search
-    return entry
-
-
-def update_bench_file(
-    path: Path,
-    stats: Sequence[CompileStats],
-    *,
-    label: str,
-    seed: int,
-    workers: int = 1,
-) -> dict:
-    """Insert/replace the *label* entry in the bench file and refresh the
-    headline geomean (latest entry vs the file's first entry)."""
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {"bench": "compile_speed", "entries": []}
-    entry = _entry_from_stats(stats, label, seed, workers)
-    entries = [e for e in data["entries"] if e["label"] != label]
-    entries.append(entry)
-    data["entries"] = entries
-    if len(entries) >= 2:
-        speedup = geomean_speedup(
-            _seconds_by_job(entries[0]), _seconds_by_job(entries[-1])
-        )
-        if speedup is not None:
-            data["geomean_speedup_vs_baseline"] = round(speedup, 2)
-            data["baseline_label"] = entries[0]["label"]
-            data["current_label"] = entries[-1]["label"]
-    path.write_text(json.dumps(data, indent=1, sort_keys=False) + "\n")
-    return data
+    return ladder_totals(report for job in ladders for report in job)
 
 
 def main(args) -> int:
@@ -319,42 +178,14 @@ def main(args) -> int:
     page_sizes = (
         [int(p) for p in args.page_sizes.split(",")] if args.page_sizes else None
     )
-    size = args.size or 4
-    workers = getattr(args, "workers", 1) or 1
-    arch = getattr(args, "arch", None)
-    backend = getattr(args, "backend", None) or "flat"
     stats = run_compile_speed(
-        size=size,
+        size=args.size or 4,
         kernels=kernels,
         page_sizes=page_sizes,
         seed=args.seed,
-        workers=workers,
-        arch=arch,
-        backend=backend,
+        workers=args.workers or 1,
+        arch=args.arch,
+        backend=args.backend or "flat",
     )
-    out = Path(args.out or DEFAULT_OUT)
-    history = json.loads(out.read_text()) if out.exists() else None
-    print(render_report(stats, history))
-    if args.dry_run:
-        print(f"[dry-run] not updating {out}")
-        return 0
-    partial = kernels is not None or page_sizes is not None
-    if partial and args.label == "current":
-        # Partial sweeps (CI smoke) must not overwrite the full-suite entry.
-        print(f"[skip] partial kernel/page-size selection; not updating {out}")
-        return 0
-    if (arch is not None or backend != "flat") and args.label == "current":
-        # Arch/backend variants get their own entries; never clobber the
-        # default 4x4 flat trajectory under the 'current' label.
-        print(
-            f"[skip] arch/backend variant needs an explicit --label; "
-            f"not updating {out}"
-        )
-        return 0
-    data = update_bench_file(
-        out, stats, label=args.label, seed=args.seed, workers=workers
-    )
-    speedup = data.get("geomean_speedup_vs_baseline")
-    suffix = f" (geomean speedup {speedup}x)" if speedup else ""
-    print(f"[write] {out}: entry '{args.label}'{suffix}")
+    print(render_report(stats))
     return 0

@@ -7,7 +7,7 @@ Every paper artifact has a named experiment that regenerates it::
     python -m repro.bench fig9_8x8 --page-size 4
     python -m repro.bench headline
     python -m repro.bench all --workers 8
-    python -m repro.bench compile-speed --kernels mpeg,wavelet --dry-run
+    python -m repro.bench compile-speed --kernels mpeg,wavelet
     python -m repro.bench sim-oracle --configs 60
     python -m repro.bench serve --requests 80 --clients 8
 
@@ -125,8 +125,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="policies/serve: tiny oracle-verified CI variant (no "
-        "bench-file update)",
+        help="policies/serve: tiny oracle-verified CI variant",
     )
     p.add_argument("--page-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -154,19 +153,6 @@ def _parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="paged mapping backend (compile-speed; default flat)",
-    )
-    p.add_argument(
-        "--label",
-        default="current",
-        help="entry label recorded in the bench file (compile-speed)",
-    )
-    p.add_argument(
-        "--out", default=None, help="bench JSON path (compile-speed)"
-    )
-    p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="print the report without updating the bench file (compile-speed)",
     )
     p.add_argument(
         "--workers",
@@ -228,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return analysis_main(["all", "--strict"])
     if args.experiment == "policies":
-        # Policy tournament + engine-scale bench: pure simulation.
+        # Policy tournament: pure simulation.
         from repro.bench.policies import main as policies_main
 
         return policies_main(args)

@@ -17,18 +17,17 @@ number of mapper invocations equals the number of *distinct* jobs (N
 identical concurrent requests → one compile), and every served payload is
 byte-identical to the offline :func:`~repro.pipeline.compile.compile_many`
 output for the same job.  ``--smoke`` is the CI variant: tiny schedule,
-hard assertions, no bench-file update.
+hard assertions.
 
-Results append to the ``BENCH_serve.json`` trajectory at the repo root,
-one labelled entry per run, mirroring ``BENCH_compile_speed.json``.
+The run prints its report and records nothing; serve numbers that back a
+performance claim are measured by ``perf/`` (``serve_zipf``,
+``serve_warm``, ``service_burst``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import tempfile
-import time
 from pathlib import Path
 
 from repro.pipeline.compile import CompileJob, compile_many, job_key
@@ -38,16 +37,12 @@ from repro.serve.server import ServeServer
 from repro.serve.service import ServiceConfig
 
 __all__ = [
-    "DEFAULT_OUT",
     "default_jobs",
     "run_serve_bench",
     "verify_parity",
     "render_report",
-    "update_bench_file",
     "main",
 ]
-
-DEFAULT_OUT = "BENCH_serve.json"
 
 #: Default tenant mix: three tenants, one with double weight, so the
 #: weighted round-robin actually has something to arbitrate.
@@ -180,42 +175,6 @@ def render_report(report: LoadReport, stats: dict, parity: int) -> str:
     return "\n".join(lines)
 
 
-def _entry(
-    report: LoadReport, stats: dict, parity: int, *, label: str, seed: int, args
-) -> dict:
-    rec = report.as_record()
-    return {
-        "label": label,
-        # repro: allow[DET-WALL-CLOCK] run date annotates the perf log for humans; artifacts are addressed by content
-        "date": time.strftime("%Y-%m-%d"),
-        "seed": seed,
-        "workers": args.workers,
-        "slots": args.slots,
-        "clients": args.clients,
-        "requests": rec["requests"],
-        "throughput_rps": rec["throughput_rps"],
-        "latency_ms": rec["latency_ms"],
-        "coalesce_rate": stats["coalesce_rate"],
-        "cache_hit_rate": stats["cache_hit_rate"],
-        "compiles": stats["compiles"],
-        "coalesced": stats["coalesced"],
-        "hits": stats["hits"],
-        "errors": rec["errors"],
-        "parity_artifacts": parity,
-    }
-
-
-def update_bench_file(path: Path, entry: dict) -> dict:
-    if path.exists():
-        data = json.loads(path.read_text())
-    else:
-        data = {"bench": "serve", "entries": []}
-    data["entries"] = [e for e in data["entries"] if e["label"] != entry["label"]]
-    data["entries"].append(entry)
-    path.write_text(json.dumps(data, indent=1, sort_keys=False) + "\n")
-    return data
-
-
 def main(args) -> int:
     """``python -m repro.bench serve`` body (argparse namespace)."""
     workers = getattr(args, "workers", 1) or 1
@@ -258,13 +217,4 @@ def main(args) -> int:
     if report.errors:
         print(f"[fail] {report.errors} request(s) errored")
         return 1
-    out = Path(args.out or DEFAULT_OUT)
-    if args.dry_run:
-        print(f"[dry-run] not updating {out}")
-        return 0
-    entry = _entry(
-        report, stats, parity, label=args.label, seed=args.seed, args=args
-    )
-    update_bench_file(out, entry)
-    print(f"[write] {out}: entry '{args.label}'")
     return 0

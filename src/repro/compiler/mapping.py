@@ -167,16 +167,6 @@ class Mapping:
         src = self.placement(edge.src)
         return src.pe, src.time - edge.distance * self.ii
 
-    def value_holders(self, src_op: int, distance: int) -> list[RouteStep]:
-        """All committed positions re-emitting ``src_op``'s value at the
-        given loop distance (the tappable points for new fanout edges)."""
-        out: list[RouteStep] = []
-        for e in self.dfg.out_edges(src_op):
-            if e.distance != distance:
-                continue
-            out.extend(self.route(e.id).steps)
-        return out
-
     def slot_occupancy(self) -> dict[tuple[Coord, int], list[str]]:
         """All (PE, modulo-slot) claims: op ids and route step labels."""
         occ: dict[tuple[Coord, int], list[str]] = {}

@@ -44,13 +44,7 @@ from dataclasses import dataclass, field, replace
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping
-from repro.compiler.stats import (
-    counters,
-    job_counters,
-    merge_counter_delta,
-    merge_search_delta,
-    search_stats,
-)
+from repro.compiler.stats import counters, job_counters
 from repro.util.errors import MappingError
 
 __all__ = [
@@ -61,6 +55,7 @@ __all__ = [
     "SearchContext",
     "CancelledSearch",
     "LadderReport",
+    "ladder_totals",
     "climb_ladder",
     "run_probe",
 ]
@@ -215,7 +210,6 @@ def _probe_context(task: ProbeTask) -> tuple[object, list[list[int]]]:
     return hit
 
 
-# repro: allow[RACE-FORK-STATE] pool is pre-warmed: every worker forks at SearchContext.create before any ladder thread exists, and the worker-side COUNTERS/SEARCH totals are per-process scratch that only returns as explicit counter deltas in ProbeResult
 def run_probe(task: ProbeTask) -> ProbeResult:
     """Run one serial-identical placement attempt (the worker entry point).
 
@@ -223,7 +217,7 @@ def run_probe(task: ProbeTask) -> ProbeResult:
     it; also callable in-process (the tests' synchronous executors do).
     """
     started = time.perf_counter()
-    with job_counters() as (probe_counters, _search):
+    with job_counters() as probe_counters:
         mapper, orders = _probe_context(task)
         mapping = mapper.run_lattice_attempt(
             task.dfg, task.start_ii, task.ii, task.attempt, orders
@@ -368,17 +362,24 @@ class LadderReport:
                 row[4] = attempt
         return [rows[ii] for ii in sorted(rows)]
 
-    def as_record(self) -> dict:
-        return {
-            "start_ii": self.start_ii,
-            "winner": list(self.winner) if self.winner else None,
-            "probes_launched": self.probes_launched,
-            "probes_cancelled": self.probes_cancelled,
-            "probes_wasted": self.probes_wasted,
-            "useful_seconds": round(self.useful_seconds, 4),
-            "wasted_seconds": round(self.wasted_seconds, 4),
-            "per_ii": self.per_ii(),
-        }
+
+def ladder_totals(reports) -> dict:
+    """Sum ladder reports — one job's, or every job's of a run — into
+    probe totals plus the speculation efficiency (the fraction of probe
+    wall clock the canonical reduction kept)."""
+    reports = list(reports)
+    useful = sum(r.useful_seconds for r in reports)
+    wasted = sum(r.wasted_seconds for r in reports)
+    total = useful + wasted
+    return {
+        "ladders": len(reports),
+        "probes_launched": sum(r.probes_launched for r in reports),
+        "probes_cancelled": sum(r.probes_cancelled for r in reports),
+        "probes_wasted": sum(r.probes_wasted for r in reports),
+        "useful_seconds": round(useful, 4),
+        "wasted_seconds": round(wasted, 4),
+        "speculation_efficiency": round(useful / total, 4) if total > 0 else 1.0,
+    }
 
 
 # ---------------------------------------------------------------------- the driver
@@ -435,15 +436,10 @@ def climb_ladder(
         next_rank = min(n_ranks, (resume_ii - start_ii) * per_ii)
         counters().rungs_skipped += next_rank // per_ii
     report = LadderReport(start_ii=start_ii, attempts_per_ii=per_ii)
-    # this thread's active stats scope: the enclosing job's context when the
-    # ladder runs under compile_job_stats, else the process-wide totals
-    stats = search_stats()
     inline = ctx.executor is None
     if inline:
-        stats.serial_ladders += 1
         orders = mapper.attempt_orders(dfg)
     else:
-        stats.ladders += 1
         spec, dfg_fp = MapperSpec.of(mapper), dfg.fingerprint()
 
     def point(rank: int) -> tuple[int, int]:
@@ -453,7 +449,6 @@ def climb_ladder(
         report.timeline.append([*point(rank), verdict, round(secs, 4)])
         if verdict == "cancelled":
             report.probes_cancelled += 1
-            stats.probes_cancelled += 1
 
     inflight: dict[Future, int] = {}
     best: int | None = None  # rank of the lowest success so far
@@ -463,7 +458,7 @@ def climb_ladder(
             if cancel_check is not None and cancel_check():
                 # Cooperative cancellation: stop submitting and bail out;
                 # the finally block cancels queued probes and abandons the
-                # running ones (their wall clock bills to waste on arrival).
+                # running ones.
                 raise CancelledSearch(
                     f"ladder cancelled at rank {next_rank}/{n_ranks}"
                 )
@@ -496,7 +491,6 @@ def climb_ladder(
                 inflight[fut] = next_rank
                 next_rank += 1
                 report.probes_launched += 1
-                stats.probes_launched += 1
             done, _pending = wait(
                 list(inflight),
                 return_when=FIRST_COMPLETED,
@@ -513,14 +507,11 @@ def climb_ladder(
                     continue
                 res: ProbeResult = fut.result()
                 counters().add(res.counters)
-                stats.probes_completed += 1
                 if best is not None and rank > best:
                     # completed above an already-landed success: waste
                     record(rank, "wasted", res.seconds)
                     report.probes_wasted += 1
                     report.wasted_seconds += res.seconds
-                    stats.probes_wasted += 1
-                    stats.wasted_seconds += res.seconds
                     continue
                 record(
                     rank,
@@ -528,7 +519,6 @@ def climb_ladder(
                     res.seconds,
                 )
                 report.useful_seconds += res.seconds
-                stats.useful_seconds += res.seconds
                 if res.mapping is not None:
                     # a success above an earlier one was billed as waste
                     # just now, so this one is the lowest so far
@@ -541,15 +531,13 @@ def climb_ladder(
     finally:
         # Probes still running above the winner (or after an error) cannot
         # be interrupted; cancel what never started and let the rest drain
-        # into the pool — their wall clock is charged to waste on arrival.
+        # into the pool, their verdicts unread.
         for fut, rank in list(inflight.items()):
             if fut.cancel():
                 record(rank, "cancelled")
             else:
                 record(rank, "abandoned")
                 report.probes_wasted += 1
-                stats.probes_wasted += 1
-                fut.add_done_callback(_charge_waste)
         report.winner = point(best) if best is not None else None
         if log is not None:
             log.append(report)
@@ -559,16 +547,3 @@ def climb_ladder(
     winner.dfg = dfg
     winner.cgra = mapper.cgra
     return winner
-
-
-def _charge_waste(fut: Future) -> None:
-    """Done-callback for abandoned probes: bill their wall clock to the
-    process-wide speculation-waste account once they finally finish."""
-    if fut.cancelled():
-        return
-    exc = fut.exception()
-    if exc is not None:
-        return
-    res = fut.result()
-    merge_search_delta({"wasted_seconds": res.seconds})
-    merge_counter_delta(res.counters)

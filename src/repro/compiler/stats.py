@@ -3,24 +3,20 @@
 The mapper's cost model is search volume: how many time-extended states the
 router expands, how many (time, PE) candidates the placer probes, how often
 the memoized routing tables answer without a search.  These counters are
-what ``python -m repro.bench compile-speed`` prints next to wall-clock
-timings, so a perf regression shows up as a *search-volume* regression even
-on noisy CI machines.
+what ``python -m repro.bench compile-speed`` and ``perf/wl_compile.py``
+report next to wall-clock timings, so a perf regression shows up as a
+*search-volume* regression even on noisy CI machines.
 
-Counting is two-level.  The process-wide totals (:data:`COUNTERS`,
-:data:`SEARCH`) stay cumulative, as before.  On top of them sits a
-*per-job counter context* (:func:`job_counters`): a compile job opens a
-scope, the hot paths increment the scope's own thread-local instances
-(fetched via :func:`counters` / :func:`search_stats`), and the scope
-merges its totals into the process-wide singletons — under a lock — when
-it closes.  That gives ``compile_many``'s concurrent thread jobs *exact*
-per-job attribution (no interleaved snapshot/delta windows) while the
-cumulative totals remain exactly what they always were.
+Counters are a return value, never state left behind in the process: a
+compile job opens a scope (:func:`job_counters`), the hot paths increment
+the scope's own thread-local instance (fetched via :func:`counters`), and
+the caller reads the instance when the scope closes.  Concurrent thread
+jobs therefore get *exact* per-job attribution, and nothing is shared
+between threads — there is no lock and no process-wide total.
 
 The increments live on paths executed millions of times per kernel, so
 hot functions fetch the active instance once (one thread-local read) and
-then do plain integer adds on it — no locks and no indirection inside the
-inner loops; the only lock is taken once per job, at merge time.
+then do plain integer adds on it.
 """
 
 from __future__ import annotations
@@ -29,35 +25,12 @@ import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
-__all__ = [
-    "MapperCounters",
-    "PhaseTimes",
-    "SearchStats",
-    "COUNTERS",
-    "SEARCH",
-    "counters",
-    "search_stats",
-    "job_counters",
-    "merge_counter_delta",
-    "merge_search_delta",
-]
-
-
-@dataclass
-class PhaseTimes:
-    """Wall-clock seconds spent per compile phase (one compile_job)."""
-
-    base_map: float = 0.0
-    paged_map: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.base_map + self.paged_map
+__all__ = ["MapperCounters", "counters", "job_counters"]
 
 
 @dataclass
 class MapperCounters:
-    """Cumulative search-effort counters for this process."""
+    """Search-effort counters of one counter scope (one compile job)."""
 
     #: route queries that reached the router (find_route_ids); edges of
     #: candidates the placer refuted before claiming never issue one
@@ -77,158 +50,52 @@ class MapperCounters:
     hier_flat_wins: int = 0  #: flat fallback probes that produced a mapping
     rungs_skipped: int = 0  #: II rungs skipped as already proven failed (memoized)
     #: II rungs skipped by a feasibility certificate.  No backend prunes a
-    #: rung today; the key is part of the counter table the benchmark and
-    #: BENCH_compile_speed.json record per job, so it stays reported (as 0)
+    #: rung today; the key is part of the counter table perf/wl_compile.py
+    #: records per job, so it stays reported (as 0)
     rungs_pruned: int = 0
-
-    def snapshot(self) -> "MapperCounters":
-        return MapperCounters(**asdict(self))
-
-    def delta(self, since: "MapperCounters") -> dict[str, int]:
-        """Counter increments since *since*, as a plain dict."""
-        now = asdict(self)
-        then = asdict(since)
-        return {k: now[k] - then[k] for k in now}
-
-    def reset(self) -> None:
-        for k in asdict(self):
-            setattr(self, k, 0)
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
 
     def add(self, delta: dict[str, int]) -> None:
-        """Fold a counter delta (from a probe worker process) into this
-        instance, so search effort spent in speculative probes still shows
-        up in the parent's totals."""
+        """Fold a counter delta (a nested scope's totals, or a probe worker
+        process's :attr:`~repro.compiler.search.ProbeResult.counters`) into
+        this instance."""
         for k, v in delta.items():
             if hasattr(self, k):
                 setattr(self, k, getattr(self, k) + v)
 
 
-@dataclass
-class SearchStats:
-    """Cumulative speculative-II-search effort for this process.
-
-    Tracks what the ladder driver (:func:`repro.compiler.search.
-    climb_ladder`) did: how many (II, attempt) probes it launched, how
-    many a landed success cancelled before they started, and how the probe
-    wall clock splits into *useful* seconds (probes at or below the
-    canonical winner, which an in-order walk also runs) and *wasted*
-    seconds (speculation that overshot the winner — always zero for the
-    inline executor).  ``ladders`` counts climbs raced over a process
-    pool; ``serial_ladders`` counts climbs walked inline.
-    """
-
-    ladders: int = 0  #: ladders raced over a process pool
-    serial_ladders: int = 0  #: ladders walked inline in the calling thread
-    probes_launched: int = 0  #: (II, attempt) probes submitted to an executor
-    probes_completed: int = 0  #: probes that ran to a success/fail verdict
-    probes_cancelled: int = 0  #: probes cancelled before they started
-    probes_wasted: int = 0  #: completed probes above the winner (discarded)
-    useful_seconds: float = 0.0  #: probe seconds at/below the canonical winner
-    wasted_seconds: float = 0.0  #: probe seconds above the winner (speculation)
-
-    @property
-    def speculation_efficiency(self) -> float:
-        """Fraction of probe wall clock the canonical reduction kept."""
-        total = self.useful_seconds + self.wasted_seconds
-        return self.useful_seconds / total if total > 0 else 1.0
-
-    def snapshot(self) -> "SearchStats":
-        return SearchStats(**asdict(self))
-
-    def delta(self, since: "SearchStats") -> dict[str, float]:
-        """Stat increments since *since*, as a plain dict (ints stay int)."""
-        now = asdict(self)
-        then = asdict(since)
-        return {k: now[k] - then[k] for k in now}
-
-    def add(self, delta: dict[str, float]) -> None:
-        for k, v in delta.items():
-            if hasattr(self, k):
-                setattr(self, k, getattr(self, k) + v)
-
-    def reset(self) -> None:
-        for k in asdict(self):
-            setattr(self, k, type(getattr(self, k))(0))
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
-#: The process-wide counter totals (merged from finished job contexts, or
-#: incremented directly when no context is active).
-COUNTERS = MapperCounters()
-
-#: The process-wide speculative-search totals.
-SEARCH = SearchStats()
-
-#: Per-thread active counter context.  ``threading.local`` keeps each
-#: compile thread's scope private, so concurrent jobs never interleave.
+#: Per-thread active counter scope.  ``threading.local`` keeps each compile
+#: thread's scope private, so concurrent jobs never interleave.
 _TLS = threading.local()
-
-#: Guards every merge into the process-wide singletons: job contexts close
-#: on their own threads, and probe done-callbacks bill waste from whatever
-#: thread the executor runs them on.
-_MERGE_LOCK = threading.Lock()
 
 
 def counters() -> MapperCounters:
     """The :class:`MapperCounters` increments should target on this thread:
-    the active job context's instance, else the process-wide totals."""
+    the active :func:`job_counters` scope's instance.  Outside any scope it
+    is a per-thread instance that nobody merges or reads."""
     active = getattr(_TLS, "counters", None)
-    return COUNTERS if active is None else active
-
-
-def search_stats() -> SearchStats:
-    """The :class:`SearchStats` the ladder driver should update on this
-    thread: the active job context's instance, else the totals."""
-    active = getattr(_TLS, "search", None)
-    return SEARCH if active is None else active
-
-
-def merge_counter_delta(delta: dict[str, int]) -> None:
-    """Fold a counter delta straight into the process-wide totals (used by
-    done-callbacks that run outside any job context)."""
-    with _MERGE_LOCK:
-        COUNTERS.add(delta)
-
-
-def merge_search_delta(delta: dict[str, float]) -> None:
-    """Fold a search-stat delta straight into the process-wide totals."""
-    with _MERGE_LOCK:
-        SEARCH.add(delta)
+    if active is None:
+        active = _TLS.counters = MapperCounters()
+    return active
 
 
 @contextmanager
 def job_counters():
-    """Per-job counter scope: yields fresh ``(MapperCounters, SearchStats)``
-    instances that every increment on this thread targets for the duration,
-    then merges them into the process-wide totals under the lock.
+    """Per-job counter scope: yields a fresh :class:`MapperCounters` that
+    every increment on this thread targets for the duration.
 
-    Scopes nest (the previous context is restored on exit), and the yielded
-    instances remain readable after the scope closes — that is the per-job
-    delta, attributed exactly even when many jobs compile concurrently on
-    sibling threads.
+    The yielded instance remains readable after the scope closes — that is
+    the job's telemetry, attributed exactly even when many jobs compile
+    concurrently on sibling threads.  Scopes nest: the enclosing instance
+    is restored on exit and the closed scope's totals roll up into it.
     """
-    prev_counters = getattr(_TLS, "counters", None)
-    prev_search = getattr(_TLS, "search", None)
-    local_counters = MapperCounters()
-    local_search = SearchStats()
-    _TLS.counters = local_counters
-    _TLS.search = local_search
+    enclosing = getattr(_TLS, "counters", None)
+    local = _TLS.counters = MapperCounters()
     try:
-        yield local_counters, local_search
+        yield local
     finally:
-        _TLS.counters = prev_counters
-        _TLS.search = prev_search
-        if prev_counters is not None:
-            # nested scope: roll up into the enclosing job only — the
-            # outermost scope carries the totals to COUNTERS exactly once
-            prev_counters.add(local_counters.as_dict())
-            prev_search.add(local_search.as_dict())
-        else:
-            with _MERGE_LOCK:
-                COUNTERS.add(local_counters.as_dict())
-                SEARCH.add(local_search.as_dict())
+        _TLS.counters = enclosing
+        if enclosing is not None:
+            enclosing.add(local.as_dict())

@@ -22,7 +22,6 @@ simulator counts those.
 
 from __future__ import annotations
 
-from repro.arch.interconnect import Coord
 from repro.core.paging import Orientation, PageLayout
 from repro.util.errors import TransformError
 
@@ -61,15 +60,3 @@ def fold_orientations(layout: PageLayout) -> list[Orientation]:
         )
         out.append(mirror.compose(out[-1]))
     return out
-
-
-def folded_position(
-    layout: PageLayout,
-    orientations: list[Orientation],
-    page: int,
-    local: Coord,
-    target_page: int,
-) -> Coord:
-    """Physical PE of *page*'s item at *local* when folded onto
-    *target_page*'s tile."""
-    return layout.place_local(target_page, local, orientations[page])

@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
+from repro.compiler.search import LadderReport, SearchContext, ladder_totals
 from repro.compiler.stats import job_counters
 from repro.core.pagemaster import steady_state_ii
 from repro.core.paging import PageLayout, choose_page_shape
@@ -120,17 +121,19 @@ class CompileJob:
 
 @dataclass(frozen=True)
 class CompileStats:
-    """Wall-clock and search-effort profile of one uncached compilation.
+    """Wall-clock and search-effort profile of one uncached compilation:
+    the compile's whole telemetry, as a return value.
 
-    ``counters`` is the increment of the process-wide
-    :data:`repro.compiler.stats.COUNTERS` over this compile: route-search
-    expansions, BFS/DFS invocations, placement probes, and memo-table hits
-    (probe workers report their deltas back, so speculative search effort
-    is included).  ``base_map_seconds``/``paged_map_seconds`` split the
+    ``counters`` is the job's own :class:`~repro.compiler.stats.
+    MapperCounters` scope: route-search expansions, BFS/DFS invocations,
+    placement probes, and memo-table hits (probe workers report their
+    deltas back, so the search effort of every probe the ladder read is
+    included).  ``base_map_seconds``/``paged_map_seconds`` split the
     mapper wall clock by phase (unconstrained baseline vs ring-constrained
-    paged mapping).  ``search`` is present when the compile was handed a
-    :class:`~repro.compiler.search.SearchContext`: probe launch/cancel/waste
-    totals plus the per-ladder (II, attempt) outcome timelines.
+    paged mapping).  ``ladders`` is present when the compile was handed a
+    :class:`~repro.compiler.search.SearchContext`: one
+    :class:`~repro.compiler.search.LadderReport` — the (II, attempt)
+    outcome timeline — per ladder climbed; ``search`` sums them.
     """
 
     kernel: str
@@ -140,27 +143,14 @@ class CompileStats:
     base_map_seconds: float
     paged_map_seconds: float
     counters: dict[str, int]
-    search: dict | None = field(default=None)
+    ladders: tuple[LadderReport, ...] | None = field(default=None)
     arch: str | None = field(default=None)
     backend: str = "flat"
 
-    def as_record(self) -> dict:
-        rec = {
-            "kernel": self.kernel,
-            "size": self.size,
-            "page_size": self.page_size,
-            "seconds": round(self.seconds, 4),
-            "base_map_seconds": round(self.base_map_seconds, 4),
-            "paged_map_seconds": round(self.paged_map_seconds, 4),
-            "counters": dict(self.counters),
-        }
-        if self.search is not None:
-            rec["search"] = dict(self.search)
-        if self.arch is not None:
-            rec["arch"] = self.arch
-        if self.backend != "flat":
-            rec["backend"] = self.backend
-        return rec
+    @property
+    def search(self) -> dict | None:
+        """Probe totals and speculation efficiency over :attr:`ladders`."""
+        return ladder_totals(self.ladders) if self.ladders is not None else None
 
 
 def job_key(job: CompileJob) -> ArtifactKey:
@@ -188,36 +178,17 @@ def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, float]:
     return artifact, stats.seconds
 
 
-def _search_record(log) -> dict:
-    """Compress a job's ladder reports into the ``CompileStats.search``
-    record: probe totals, speculation efficiency, per-ladder timelines."""
-    useful = sum(r.useful_seconds for r in log)
-    wasted = sum(r.wasted_seconds for r in log)
-    total = useful + wasted
-    return {
-        "ladders": len(log),
-        "probes_launched": sum(r.probes_launched for r in log),
-        "probes_cancelled": sum(r.probes_cancelled for r in log),
-        "probes_wasted": sum(r.probes_wasted for r in log),
-        "useful_seconds": round(useful, 4),
-        "wasted_seconds": round(wasted, 4),
-        "speculation_efficiency": round(useful / total, 4) if total > 0 else 1.0,
-        "timeline": [r.as_record() for r in log],
-    }
-
-
 def compile_job_stats(
     job: CompileJob, search=None
 ) -> tuple[CompiledKernel, CompileStats]:
     """Compile one job, uncached, with per-phase timings and the mapper's
     search-effort counter deltas (the ``compile-speed`` bench's input).
 
-    The compile runs inside a per-job counter context
+    The compile runs inside a per-job counter scope
     (:func:`repro.compiler.stats.job_counters`): the mapper's increments
-    land on this thread's private instances and merge into the process-wide
-    totals when the job finishes, so per-job attribution is *exact* even
-    when several jobs compile concurrently on sibling threads — and the
-    cumulative totals stay exactly what they always were.
+    land on this thread's private instance, so per-job attribution is
+    *exact* even when several jobs compile concurrently on sibling threads,
+    and nothing outlives the call but the returned stats.
     """
     started = time.perf_counter()
     key = job_key(job)
@@ -226,7 +197,7 @@ def compile_job_stats(
     layout = make_layout(cgra, job.page_size, job.prefer)
     config = job.mapper_config
     search_log: list = [] if search is not None else None
-    with job_counters() as (job_ctrs, _job_search):
+    with job_counters() as job_ctrs:
         base_started = time.perf_counter()
         base = map_dfg(
             dfg, cgra, config=config, search=search, search_log=search_log
@@ -263,7 +234,7 @@ def compile_job_stats(
         base_map_seconds=base_seconds,
         paged_map_seconds=paged_seconds,
         counters=job_ctrs.as_dict(),
-        search=_search_record(search_log) if search_log is not None else None,
+        ladders=tuple(search_log) if search_log is not None else None,
         arch=job.arch,
         backend=job.backend,
     )
@@ -387,8 +358,6 @@ def compile_many_outcomes(
             pending.append(job)
     if pending:
         if workers > 1:
-            from repro.compiler.search import SearchContext
-
             with SearchContext.create(workers) as ctx:
                 # Bounded orchestration threads: each blocks on probe
                 # futures, so the thread count is about coordination, not

@@ -19,9 +19,8 @@ warning — never silently swallowed — and treated as a miss.
 The store counts hits, misses, writes and mapper seconds, which is how the
 bench CLI reports cache effectiveness (a warm ``python -m repro.bench``
 run shows zero misses — zero mapper invocations).  The counters are
-guarded by a per-store lock — the same merge discipline as the compiler's
-process-wide stat totals (:mod:`repro.compiler.stats`) — so concurrent
-service handlers never lose increments.
+guarded by a per-store lock, so concurrent service handlers never lose
+increments.
 """
 
 from __future__ import annotations

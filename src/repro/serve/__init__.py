@@ -3,7 +3,7 @@
 The paper's premise is many applications dynamically sharing one CGRA
 under a PageMaster; this package is the system analogue — many tenants
 dynamically sharing one *compiler*.  A long-running asyncio service
-accepts (kernel, arch preset, mapper config) requests over HTTP/JSON-RPC,
+accepts (kernel, arch preset, mapper config) requests over HTTP/JSON,
 resolves each to its content address
 (:func:`repro.pipeline.compile.job_key`), and serves the artifact bytes:
 
@@ -25,9 +25,10 @@ resolves each to its content address
   .compile_many` output at any concurrency.
 
 ``python -m repro.serve`` runs the server; ``python -m repro.bench serve``
-load-generates against an in-process instance and records throughput,
-latency percentiles, coalesce rate and cache hit rate into
-``BENCH_serve.json``.
+load-generates against an in-process instance and prints throughput,
+latency percentiles, coalesce rate and cache hit rate.  Serve numbers that
+back a performance claim are measured by ``perf/`` (``serve_zipf``,
+``serve_warm``, ``service_burst``).
 """
 
 from repro.serve.protocol import (

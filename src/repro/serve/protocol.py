@@ -1,8 +1,7 @@
 """Wire protocol of the compile service: requests, results, HTTP framing.
 
 The service speaks plain HTTP/1.1 with JSON bodies (no third-party
-dependencies — the framing below is a minimal, strict subset) plus a
-JSON-RPC 2.0 endpoint (``POST /rpc``) that maps onto the same handlers.
+dependencies — the framing below is a minimal, strict subset).
 
 The one deliberate wire-format choice: a successful ``POST /compile``
 response body is the **raw artifact JSON exactly as stored** — byte
@@ -28,8 +27,6 @@ __all__ = [
     "read_http_request",
     "http_response",
     "json_response",
-    "rpc_result",
-    "rpc_error",
 ]
 
 #: Request body size cap (1 MiB): compile requests are a handful of small
@@ -232,14 +229,3 @@ def json_response(
 ) -> bytes:
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return http_response(status, body, headers=headers)
-
-
-# --------------------------------------------------------------- JSON-RPC 2.0
-
-
-def rpc_result(rpc_id, result) -> dict:
-    return {"jsonrpc": "2.0", "id": rpc_id, "result": result}
-
-
-def rpc_error(rpc_id, code: int, message: str) -> dict:
-    return {"jsonrpc": "2.0", "id": rpc_id, "error": {"code": code, "message": message}}

@@ -1,4 +1,4 @@
-"""The asyncio HTTP/JSON-RPC front end over :class:`CompileService`.
+"""The asyncio HTTP/JSON front end over :class:`CompileService`.
 
 Routes (all bodies JSON):
 
@@ -13,9 +13,6 @@ Routes (all bodies JSON):
 * ``GET /stats`` — the service's counters (singleflight, scheduler,
   store) as JSON.
 * ``GET /healthz`` — liveness.
-* ``POST /rpc`` — JSON-RPC 2.0 envelope over the same handlers (methods
-  ``compile``, ``cancel``, ``stats``, ``ping``); compile results embed
-  the artifact as a parsed object plus the serving metadata.
 
 Connections are keep-alive; one request is served at a time per
 connection (pipelining is not supported), but any number of connections
@@ -25,7 +22,6 @@ are served concurrently on the event loop.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 
 from repro.serve.protocol import (
@@ -35,8 +31,6 @@ from repro.serve.protocol import (
     json_response,
     http_response,
     read_http_request,
-    rpc_error,
-    rpc_result,
 )
 from repro.serve.service import CompileService, ServiceConfig
 from repro.util.errors import WorkloadError
@@ -137,8 +131,6 @@ class ServeServer:
                 return json_response(200, self.service.stats())
             if route == ("GET", "/healthz"):
                 return json_response(200, {"ok": True})
-            if route == ("POST", "/rpc"):
-                return await self._handle_rpc(request.json())
         except ProtocolError as exc:
             return json_response(400, {"error": "ProtocolError", "message": str(exc)})
         except Exception as exc:  # noqa: BLE001 - last-resort per-request 500
@@ -146,7 +138,7 @@ class ServeServer:
             return json_response(
                 500, {"error": type(exc).__name__, "message": str(exc)}
             )
-        if request.path in ("/compile", "/cancel", "/stats", "/healthz", "/rpc"):
+        if request.path in ("/compile", "/cancel", "/stats", "/healthz"):
             return json_response(
                 405, {"error": "MethodNotAllowed", "message": request.method}
             )
@@ -187,46 +179,6 @@ class ServeServer:
             raise ProtocolError("'request_id' is required")
         cancelled = await self.service.cancel(rid)
         return json_response(200, {"request_id": rid, "cancelled": cancelled})
-
-    async def _handle_rpc(self, payload: dict) -> bytes:
-        rpc_id = payload.get("id")
-        method = payload.get("method")
-        params = payload.get("params") or {}
-        try:
-            if method == "ping":
-                return json_response(200, rpc_result(rpc_id, "pong"))
-            if method == "stats":
-                return json_response(200, rpc_result(rpc_id, self.service.stats()))
-            if method == "cancel":
-                rid = params.get("request_id", "")
-                cancelled = await self.service.cancel(rid)
-                return json_response(
-                    200, rpc_result(rpc_id, {"request_id": rid, "cancelled": cancelled})
-                )
-            if method == "compile":
-                result = await self._submit(params)
-                if result.ok:
-                    return json_response(
-                        200,
-                        rpc_result(
-                            rpc_id,
-                            {
-                                **result.meta(),
-                                "artifact": json.loads(result.body),
-                            },
-                        ),
-                    )
-                return json_response(
-                    200,
-                    rpc_error(
-                        rpc_id,
-                        -32000 - _ERROR_STATUS.get(result.error, 500),
-                        f"{result.error}: {result.message}",
-                    ),
-                )
-        except ProtocolError as exc:
-            return json_response(200, rpc_error(rpc_id, -32602, str(exc)))
-        return json_response(200, rpc_error(rpc_id, -32601, f"unknown method {method!r}"))
 
 
 async def serve_forever(

@@ -85,7 +85,6 @@ class _FlightOutcome:
 
 @dataclass
 class _ActiveRequest:
-    flight: Flight
     waiter: asyncio.Future
     cancelled: bool = field(default=False)
 
@@ -180,33 +179,39 @@ class CompileService:
                 error="DuplicateRequest",
                 message=f"request id {rid!r} is already active",
             )
-        self.requests += 1
-        job = request.to_job()
-        try:
-            key: ArtifactKey = await loop.run_in_executor(self._pool, job_key, job)
-        except ReproError as exc:
-            self.errors += 1
-            return ServeResult(
-                request_id=rid, error=type(exc).__name__, message=str(exc)
-            )
-        flight, leader = self.flights.join(key.digest)
-        if leader:
-            self._lead_flight(flight, job, key, request)
+        # reserve the id before the first await: a concurrent submit with
+        # the same id must see it active, and cancel() can already reach it
         waiter: asyncio.Future = loop.create_future()
-
-        def _on_flight_done(fut: asyncio.Future) -> None:
-            if not waiter.done():
-                waiter.set_result(fut.result())
-
-        flight.future.add_done_callback(_on_flight_done)
-        self._active[rid] = _ActiveRequest(flight=flight, waiter=waiter)
+        active = self._active[rid] = _ActiveRequest(waiter=waiter)
+        self.requests += 1
+        flight: Flight | None = None
         try:
+            job = request.to_job()
+            try:
+                key: ArtifactKey = await loop.run_in_executor(
+                    self._pool, job_key, job
+                )
+            except ReproError as exc:
+                self.errors += 1
+                return ServeResult(
+                    request_id=rid, error=type(exc).__name__, message=str(exc)
+                )
+            flight, leader = self.flights.join(key.digest)
+            if leader:
+                self._lead_flight(flight, job, key, request)
+
+            def _on_flight_done(fut: asyncio.Future) -> None:
+                if not waiter.done():
+                    waiter.set_result(fut.result())
+
+            flight.future.add_done_callback(_on_flight_done)
             outcome: _FlightOutcome | None = await waiter
         finally:
-            active = self._active.pop(rid)
+            del self._active[rid]
             # single detach per request: cancel() only resolves the waiter,
             # the flight refcount is always settled here
-            self.flights.leave(flight)
+            if flight is not None:
+                self.flights.leave(flight)
         if active.cancelled or outcome is None:
             self.cancelled += 1
             return ServeResult(

@@ -3,7 +3,7 @@
 Fixture packages are built on disk (the pass is package-level: module
 names, import resolution, and display paths all derive from the tree), one
 firing and one clean fixture per flow rule, plus callgraph-resolution and
-SCC-fixpoint unit coverage, the COUNTERS-revert mutation test, and the
+SCC-fixpoint unit coverage, the shared-counter mutation test, and the
 end-to-end run over the installed ``repro`` tree asserting the committed
 baseline is clean.
 """
@@ -22,7 +22,11 @@ from repro.analysis.cli import main
 from repro.analysis.flow import analyze_tree
 from repro.analysis.flow.callgraph import build_callgraph
 from repro.analysis.flow.concurrency import check_races, find_roots
-from repro.analysis.flow.contracts import Contract, check_contracts
+from repro.analysis.flow.contracts import (
+    DEFAULT_CONTRACTS,
+    Contract,
+    check_contracts,
+)
 from repro.analysis.flow.effects import infer_effects
 from repro.analysis.registry import flow_rules
 
@@ -455,22 +459,22 @@ def test_stale_flow_suppression_reported_by_flow_not_lint(tmp_path):
 
 
 def test_reverting_counters_fix_refires_race(tmp_path):
-    """Textually revert routing.py to the pre-PR direct COUNTERS mutation
-    and assert the race rule catches exactly the bug this PR fixed."""
+    """Textually revert routing.py to bumping a module-level counter
+    instance straight from the router (what the process-wide totals once
+    were) and assert the race rule catches exactly that bug."""
     src = Path(repro.__file__).parent
     dst = tmp_path / "repro"
     shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
     routing = dst / "compiler" / "routing.py"
     text = routing.read_text()
     # the router fetches the thread's counters once per query and bumps
-    # that instance; the reverted form bumps the process-wide totals
+    # that instance; the reverted form bumps one shared by every thread
     fixed_import = "from repro.compiler.stats import MapperCounters, counters"
     fixed_bump = "stats = counters()\n    stats.route_calls += 1"
     assert fixed_import in text and fixed_bump in text
     routing.write_text(
         text.replace(
-            fixed_import,
-            "from repro.compiler.stats import COUNTERS, MapperCounters",
+            fixed_import, fixed_import + "\n\nCOUNTERS = MapperCounters()"
         ).replace(fixed_bump, "stats = COUNTERS\n    COUNTERS.route_calls += 1")
     )
     report = analyze_tree(dst)
@@ -479,7 +483,7 @@ def test_reverting_counters_fix_refires_race(tmp_path):
         for f in report.findings
         if f.rule_id == "RACE-SHARED-MUT" and "routing" in f.file
     ]
-    assert hits, "reverted COUNTERS mutation must re-fire RACE-SHARED-MUT"
+    assert hits, "a shared counter bumped from the router must fire RACE-SHARED-MUT"
     assert all("COUNTERS" in f.message for f in hits)
 
 
@@ -502,6 +506,10 @@ def test_default_contracts_cover_live_entrypoints():
     graph = build_callgraph()
     summaries = infer_effects(graph)
     assert check_contracts(graph, summaries) == []
+    # a compile's only sanctioned global write is the probe context cache
+    budgets = {c.name: c.allow_global_writes for c in DEFAULT_CONTRACTS}
+    cache = {"repro.compiler.search._CTX_CACHE"}
+    assert budgets["probe-worker"] == budgets["compile-job"] == cache
 
 
 def test_cli_flow_exit_codes_and_json(tmp_path, capsys):
@@ -535,4 +543,6 @@ def test_cli_summaries_dump(capsys):
     payload = json.loads(capsys.readouterr().out)
     probe = payload["repro.compiler.search.run_probe"]
     assert "mutates-global" in probe["effects"]
-    assert "repro.compiler.stats.COUNTERS" in probe["writes"]
+    # telemetry is a return value: the probe context cache is the one
+    # global a probe (and so a compile) writes
+    assert set(probe["writes"]) == {"repro.compiler.search._CTX_CACHE"}

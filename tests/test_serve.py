@@ -349,6 +349,29 @@ class TestCompileService:
         assert stats["store"]["puts"] == 1  # only the leader's artifact
         assert stats["scheduler"]["cancelled_queued"] == 1
 
+    def test_concurrent_duplicate_request_id_is_rejected(self, tmp_path):
+        """Two submits racing on one explicit request id: the id is
+        reserved before key resolution is awaited, so the second is a
+        structured DuplicateRequest (HTTP 400), the first is served, and
+        every flight and slot is given back."""
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with CompileService(config) as service:
+                results = await asyncio.gather(
+                    service.submit(_request("sor", request_id="same")),
+                    service.submit(_request("sor", request_id="same")),
+                )
+                return results, service.stats()
+
+        (first, second), stats = _run(body())
+        assert first.ok and first.source == "compiled"
+        assert not second.ok and second.error == "DuplicateRequest"
+        assert stats["requests"] == 1 and stats["compiles"] == 1
+        assert stats["singleflight"]["in_flight"] == 0
+        assert stats["scheduler"]["queued"] == 0
+        assert stats["scheduler"]["running"] == 0
+
     def test_cancel_unknown_request_is_false(self, tmp_path):
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
@@ -432,11 +455,11 @@ class TestMidLadderCancellation:
                 assert await service.cancel("victim")
                 result = await pending
                 # the waiter is answered at once; the ladder itself stops
-                # at its next poll, which is when the slot comes back
+                # at its next poll, which is when the slot comes back — and
+                # the flight leader resolves the flight one loop turn later
                 while (
-                    service.scheduler.stats()["running"]
-                    and time.monotonic() < deadline
-                ):
+                    service.scheduler.stats()["running"] or len(service.flights)
+                ) and time.monotonic() < deadline:
                     await asyncio.sleep(0.005)
                 return result, service.stats()
 
@@ -509,11 +532,8 @@ class TestServeServer:
                     gone_backend = await client.compile(
                         {"kernel": "sor", "backend": "exact"}
                     )
-                    ping = await client.request(
+                    rpc = await client.request(
                         "POST", "/rpc", {"jsonrpc": "2.0", "id": 1, "method": "ping"}
-                    )
-                    bad_rpc = await client.request(
-                        "POST", "/rpc", {"jsonrpc": "2.0", "id": 2, "method": "nope"}
                     )
             return (
                 health,
@@ -523,15 +543,14 @@ class TestServeServer:
                 unknown_kernel,
                 bad_field,
                 gone_backend,
-                ping,
-                bad_rpc,
+                rpc,
             )
 
         import json
 
         (
             health, stats, missing, bad_method, unknown, bad_field, gone_backend,
-            ping, bad_rpc,
+            rpc,
         ) = _run(body())
         assert health[0] == 200 and json.loads(health[2]) == {"ok": True}
         assert stats[0] == 200 and "requests" in json.loads(stats[2])
@@ -542,32 +561,4 @@ class TestServeServer:
         assert bad_field[0] == 400
         assert gone_backend[0] == 400
         assert "('flat', 'hier')" in json.loads(gone_backend[2])["message"]
-        assert ping[0] == 200 and json.loads(ping[2])["result"] == "pong"
-        assert json.loads(bad_rpc[2])["error"]["code"] == -32601
-
-    def test_rpc_compile_returns_artifact(self, tmp_path):
-        async def body():
-            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
-            async with ServeServer(config) as server:
-                async with ServeClient(server.host, server.port) as client:
-                    status, _headers, body_bytes = await client.request(
-                        "POST",
-                        "/rpc",
-                        {
-                            "jsonrpc": "2.0",
-                            "id": 9,
-                            "method": "compile",
-                            "params": {"kernel": "sor", "page_size": 2},
-                        },
-                    )
-            return status, body_bytes
-
-        import json
-
-        status, body_bytes = _run(body())
-        assert status == 200
-        envelope = json.loads(body_bytes)
-        assert envelope["id"] == 9
-        artifact = envelope["result"]["artifact"]
-        assert artifact["kernel"] == "sor"
-        assert envelope["result"]["digest"] == job_key(CompileJob("sor", 4, 2)).digest
+        assert rpc[0] == 404  # the JSON-RPC envelope is gone: REST routes only
