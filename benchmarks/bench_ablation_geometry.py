@@ -20,25 +20,21 @@ from repro.util.tables import format_table
 KERNELS = ["mpeg", "sor", "laplace", "wavelet", "swim", "compress", "gsr", "lowpass"]
 
 
-def test_geometry_ablation(benchmark, store):
-    def run():
-        cgra = CGRA(4, 4, rf_depth=16)
-        quad = PageLayout(cgra, (2, 2))
-        cols = PageLayout(cgra, (4, 1))
-        rows = []
-        for name in KERNELS:
-            dfg = get_kernel(name).build()
-            cells = [name]
-            for layout in (quad, cols):
-                try:
-                    pm = map_dfg_paged(dfg, cgra, layout)
-                    cells.append(f"II{pm.ii}/{pm.pages_used}p")
-                except MappingError:
-                    cells.append("n/a")
-            rows.append(cells)
-        return quad, cols, rows
-
-    quad, cols, rows = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_geometry_ablation(store):
+    cgra = CGRA(4, 4, rf_depth=16)
+    quad = PageLayout(cgra, (2, 2))
+    cols = PageLayout(cgra, (4, 1))
+    rows = []
+    for name in KERNELS:
+        dfg = get_kernel(name).build()
+        cells = [name]
+        for layout in (quad, cols):
+            try:
+                pm = map_dfg_paged(dfg, cgra, layout)
+                cells.append(f"II{pm.ii}/{pm.pages_used}p")
+            except MappingError:
+                cells.append("n/a")
+        rows.append(cells)
     emit(
         format_table(
             ["kernel", "2x2 quadrants", "4x1 columns"],

@@ -22,34 +22,30 @@ from repro.util.tables import format_table
 OVERHEADS = [0, 10, 100, 1000, 10_000]
 
 
-def test_overhead_sensitivity(benchmark, store):
-    def run():
-        profiles = build_profiles(4, 4, store=store)
-        nominal = {k: p.ii_paged for k, p in profiles.items()}
-        rows = []
-        curve = {}
-        for ovh in OVERHEADS:
-            imps = []
-            for r in range(3):
-                wl = generate_workload(
-                    8,
-                    0.75,
-                    sorted(profiles),
-                    nominal,
-                    seed=derive_seed(1, "ovh", r),
-                )
-                cfg0 = SystemConfig(n_pages=4, profiles=profiles)
-                base = simulate_system(wl, cfg0, "single")
-                cfg = SystemConfig(
-                    n_pages=4, profiles=profiles, reconfig_overhead=ovh
-                )
-                mt = simulate_system(wl, cfg, "multithreaded")
-                imps.append(improvement(base, mt))
-            curve[ovh] = mean(imps)
-            rows.append([ovh, f"{mean(imps) * 100:+.1f}%"])
-        return rows, curve
-
-    rows, curve = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_overhead_sensitivity(store):
+    profiles = build_profiles(4, 4, store=store)
+    nominal = {k: p.ii_paged for k, p in profiles.items()}
+    rows = []
+    curve = {}
+    for ovh in OVERHEADS:
+        imps = []
+        for r in range(3):
+            wl = generate_workload(
+                8,
+                0.75,
+                sorted(profiles),
+                nominal,
+                seed=derive_seed(1, "ovh", r),
+            )
+            cfg0 = SystemConfig(n_pages=4, profiles=profiles)
+            base = simulate_system(wl, cfg0, "single")
+            cfg = SystemConfig(
+                n_pages=4, profiles=profiles, reconfig_overhead=ovh
+            )
+            mt = simulate_system(wl, cfg, "multithreaded")
+            imps.append(improvement(base, mt))
+        curve[ovh] = mean(imps)
+        rows.append([ovh, f"{mean(imps) * 100:+.1f}%"])
     emit(
         format_table(
             ["reconfig overhead (cycles)", "improvement"],

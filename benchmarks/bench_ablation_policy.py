@@ -28,43 +28,39 @@ from repro.util.tables import format_table
 SIZE, PAGE_SIZE, N_PAGES = 4, 4, 4
 
 
-def test_policy_ablation(benchmark, store):
-    def run():
-        profiles = build_profiles(SIZE, PAGE_SIZE, store=store)
-        nominal = {k: p.ii_paged for k, p in profiles.items()}
-        policies = {
-            "halving (paper)": lambda: HalvingPolicy(),
-            "need-aware halving": lambda: NeedAwareHalvingPolicy(),
-            "fair share": lambda: FairSharePolicy(),
-            "static equal (PPA-like)": lambda: StaticEqualPolicy(N_PAGES),
-        }
-        rows = []
-        results: dict[str, dict[int, float]] = {name: {} for name in policies}
-        for n_threads in (1, 2, 4, 8):
-            base_cfg = SystemConfig(n_pages=N_PAGES, profiles=profiles)
-            row = [n_threads]
-            for name, factory in policies.items():
-                imps = []
-                for r in range(3):
-                    wl = generate_workload(
-                        n_threads,
-                        0.75,
-                        sorted(profiles),
-                        nominal,
-                        seed=derive_seed(0, "ablpol", n_threads, r),
-                    )
-                    base = simulate_system(wl, base_cfg, "single")
-                    cfg = SystemConfig(
-                        n_pages=N_PAGES, profiles=profiles, policy=factory()
-                    )
-                    mt = simulate_system(wl, cfg, "multithreaded")
-                    imps.append(improvement(base, mt))
-                results[name][n_threads] = mean(imps)
-                row.append(f"{mean(imps) * 100:+.1f}%")
-            rows.append(row)
-        return rows, results
-
-    rows, results = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_policy_ablation(store):
+    profiles = build_profiles(SIZE, PAGE_SIZE, store=store)
+    nominal = {k: p.ii_paged for k, p in profiles.items()}
+    policies = {
+        "halving (paper)": lambda: HalvingPolicy(),
+        "need-aware halving": lambda: NeedAwareHalvingPolicy(),
+        "fair share": lambda: FairSharePolicy(),
+        "static equal (PPA-like)": lambda: StaticEqualPolicy(N_PAGES),
+    }
+    rows = []
+    results: dict[str, dict[int, float]] = {name: {} for name in policies}
+    for n_threads in (1, 2, 4, 8):
+        base_cfg = SystemConfig(n_pages=N_PAGES, profiles=profiles)
+        row = [n_threads]
+        for name, factory in policies.items():
+            imps = []
+            for r in range(3):
+                wl = generate_workload(
+                    n_threads,
+                    0.75,
+                    sorted(profiles),
+                    nominal,
+                    seed=derive_seed(0, "ablpol", n_threads, r),
+                )
+                base = simulate_system(wl, base_cfg, "single")
+                cfg = SystemConfig(
+                    n_pages=N_PAGES, profiles=profiles, policy=factory()
+                )
+                mt = simulate_system(wl, cfg, "multithreaded")
+                imps.append(improvement(base, mt))
+            results[name][n_threads] = mean(imps)
+            row.append(f"{mean(imps) * 100:+.1f}%")
+        rows.append(row)
     emit(
         format_table(
             [

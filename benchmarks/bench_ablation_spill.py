@@ -42,28 +42,24 @@ def _slots(mapping) -> int:
     return rep["self_holds"] + rep["move_hops"]
 
 
-def test_spill_ablation(benchmark):
-    def run():
-        cgra = CGRA(4, 4, rf_depth=8)
-        rows = []
-        for name in KERNELS:
-            dfg = get_kernel(name).build()
-            plain = map_dfg(dfg, cgra)
-            spilled_dfg, n = spill_long_edges(dfg, threshold=3)
-            spilled = map_dfg(spilled_dfg, cgra)
-            rows.append(
-                [name, n, plain.ii, _slots(plain), spilled.ii, _slots(spilled)]
-            )
-        deep = long_lived_dfg()
-        plain = map_dfg(deep, cgra)
-        spilled_dfg, n = spill_long_edges(deep, threshold=3)
+def test_spill_ablation():
+    cgra = CGRA(4, 4, rf_depth=8)
+    rows = []
+    for name in KERNELS:
+        dfg = get_kernel(name).build()
+        plain = map_dfg(dfg, cgra)
+        spilled_dfg, n = spill_long_edges(dfg, threshold=3)
         spilled = map_dfg(spilled_dfg, cgra)
         rows.append(
-            ["longlive*", n, plain.ii, _slots(plain), spilled.ii, _slots(spilled)]
+            [name, n, plain.ii, _slots(plain), spilled.ii, _slots(spilled)]
         )
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+    deep = long_lived_dfg()
+    plain = map_dfg(deep, cgra)
+    spilled_dfg, n = spill_long_edges(deep, threshold=3)
+    spilled = map_dfg(spilled_dfg, cgra)
+    rows.append(
+        ["longlive*", n, plain.ii, _slots(plain), spilled.ii, _slots(spilled)]
+    )
     emit(
         format_table(
             [

@@ -31,17 +31,13 @@ def fig3_dfg():
     return b.build()
 
 
-def test_fig3_unrolling_does_not_beat_recurrence(benchmark):
-    def run():
-        g = fig3_dfg()
-        rows = []
-        for factor in (1, 2, 4):
-            u = unroll(g, factor)
-            rmii = rec_mii(u)
-            rows.append([factor, u.num_ops, rmii, f"{rmii / factor:.2f}"])
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_fig3_unrolling_does_not_beat_recurrence():
+    g = fig3_dfg()
+    rows = []
+    for factor in (1, 2, 4):
+        u = unroll(g, factor)
+        rmii = rec_mii(u)
+        rows.append([factor, u.num_ops, rmii, f"{rmii / factor:.2f}"])
     emit(
         format_table(
             ["unroll", "ops", "RecMII", "effective II/iter"],
@@ -53,11 +49,8 @@ def test_fig3_unrolling_does_not_beat_recurrence(benchmark):
     assert all(e == pytest.approx(eff[0]) for e in eff)
 
 
-def test_fig3_ii_independent_of_cgra_size(benchmark):
-    def run():
-        g = fig3_dfg()
-        return {size: map_dfg(g, CGRA(size, size)).ii for size in (4, 6, 8)}
-
-    iis = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_fig3_ii_independent_of_cgra_size():
+    g = fig3_dfg()
+    iis = {size: map_dfg(g, CGRA(size, size)).ii for size in (4, 6, 8)}
     emit(f"Fig. 3 — mapped II per CGRA size: {iis}")
     assert len(set(iis.values())) == 1, "a bigger array must not change II"

@@ -27,40 +27,36 @@ from repro.sim.retarget import required_batches, retarget_firings
 TRIP = 24
 
 
-def test_fig6_fold_to_one_page(benchmark, store):
+def test_fig6_fold_to_one_page(store):
     """mpeg maps onto 3 pages at II=1 (exactly Fig. 6's shape)."""
 
-    def run():
-        cgra = CGRA(4, 4, rf_depth=16)
-        layout = PageLayout(cgra, (2, 2))
-        spec = get_kernel("mpeg")
-        pm = map_dfg_paged(spec.build(), cgra, layout)
-        _, arrays, expected = spec.fresh(seed=6, trip=TRIP)
-        mem = bind_memory(arrays)
-        full = simulate(
-            lower_mapping(pm.mapping, mem, TRIP),
-            cgra,
-            mem,
-            bus_key=paged_bus_key(pm.layout),
-        )
-        placement = PageMaster(pm.pages_used, pm.ii, 1).place(
-            batches=required_batches(pm.mapping, TRIP)
-        )
-        _, arrays2, _ = spec.fresh(seed=6, trip=TRIP)
-        mem2 = bind_memory(arrays2)
-        folded = simulate(
-            retarget_firings(pm, placement, [0], mem2, TRIP),
-            cgra,
-            mem2,
-            bus_key=paged_bus_key(pm.layout),
-            rf_depth=16,
-        )
-        ok = all(
-            np.array_equal(mem2.snapshot()[k], expected[k]) for k in expected
-        )
-        return pm, full, folded, ok
-
-    pm, full, folded, ok = benchmark.pedantic(run, iterations=1, rounds=1)
+    cgra = CGRA(4, 4, rf_depth=16)
+    layout = PageLayout(cgra, (2, 2))
+    spec = get_kernel("mpeg")
+    pm = map_dfg_paged(spec.build(), cgra, layout)
+    _, arrays, expected = spec.fresh(seed=6, trip=TRIP)
+    mem = bind_memory(arrays)
+    full = simulate(
+        lower_mapping(pm.mapping, mem, TRIP),
+        cgra,
+        mem,
+        bus_key=paged_bus_key(pm.layout),
+    )
+    placement = PageMaster(pm.pages_used, pm.ii, 1).place(
+        batches=required_batches(pm.mapping, TRIP)
+    )
+    _, arrays2, _ = spec.fresh(seed=6, trip=TRIP)
+    mem2 = bind_memory(arrays2)
+    folded = simulate(
+        retarget_firings(pm, placement, [0], mem2, TRIP),
+        cgra,
+        mem2,
+        bus_key=paged_bus_key(pm.layout),
+        rf_depth=16,
+    )
+    ok = all(
+        np.array_equal(mem2.snapshot()[k], expected[k]) for k in expected
+    )
     emit(
         f"Fig. 6 — mpeg uses {pm.pages_used} pages at II={pm.ii}; "
         f"full run {full.cycles} cycles, folded-to-1-page run "
@@ -73,13 +69,9 @@ def test_fig6_fold_to_one_page(benchmark, store):
     assert folded.cycles / full.cycles <= pm.pages_used + 0.5
 
 
-def test_fig7_zigzag_n6_m5(benchmark):
-    def run():
-        p = PageMaster(6, 1, 5, force_zigzag=True).place()
-        check_placement(p, require_wrap=True)
-        return p
-
-    p = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_fig7_zigzag_n6_m5():
+    p = PageMaster(6, 1, 5, force_zigzag=True).place()
+    check_placement(p, require_wrap=True)
     emit(
         f"Fig. 7 — N=6 -> M=5: II_q={float(p.ii_q_effective()):.3f} "
         f"(bound {float(p.ii_q_bound()):.3f}), batch-0 columns "

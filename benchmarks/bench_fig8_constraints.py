@@ -23,10 +23,8 @@ def _average(rows, ps):
 
 
 @pytest.mark.parametrize("size", [4, 6, 8])
-def test_fig8(benchmark, store, size):
-    rows = benchmark.pedantic(
-        lambda: run_fig8(size, store=store), iterations=1, rounds=1
-    )
+def test_fig8(store, size):
+    rows = run_fig8(size, store=store)
     emit(render_fig8(size, rows))
     sizes = page_sizes_for(size)
     best_avg = max(_average(rows, ps) for ps in sizes)
@@ -37,8 +35,8 @@ def test_fig8(benchmark, store, size):
         assert any(v is not None for v in r.per_page_size.values()), r.kernel
 
 
-def test_fig8_page4_gentler_than_page2_on_4x4(benchmark, store):
+def test_fig8_page4_gentler_than_page2_on_4x4(store):
     """Fig. 8(a): 'for a page size of 4, performance remains identical ...
     slight performance degradation for a page size of 2 PEs'."""
-    rows = benchmark.pedantic(lambda: run_fig8(4, store=store), iterations=1, rounds=1)
+    rows = run_fig8(4, store=store)
     assert _average(rows, 4) >= _average(rows, 2) - 0.02

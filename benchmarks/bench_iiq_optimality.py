@@ -18,27 +18,23 @@ from repro.core.transform_check import check_placement
 from repro.util.tables import format_table
 
 
-def test_iiq_vs_bound_sweep(benchmark):
-    def run():
-        rows = []
-        for n in (4, 6, 8, 12, 16):
-            for m in range(1, n + 1):
-                p = PageMaster(n, 2, m).place()
-                check_placement(p)
-                rows.append(
-                    (
-                        n,
-                        m,
-                        p.strategy,
-                        float(p.ii_q_effective()),
-                        float(p.ii_q_bound()),
-                        p.ii_q_effective() / p.ii_q_bound(),
-                        p.ii_q_effective() >= 2 * (n // m),  # paper bound
-                    )
+def test_iiq_vs_bound_sweep():
+    rows = []
+    for n in (4, 6, 8, 12, 16):
+        for m in range(1, n + 1):
+            p = PageMaster(n, 2, m).place()
+            check_placement(p)
+            rows.append(
+                (
+                    n,
+                    m,
+                    p.strategy,
+                    float(p.ii_q_effective()),
+                    float(p.ii_q_bound()),
+                    p.ii_q_effective() / p.ii_q_bound(),
+                    p.ii_q_effective() >= 2 * (n // m),  # paper bound
                 )
-        return rows
-
-    rows = benchmark.pedantic(run, iterations=1, rounds=1)
+            )
     body = [
         [n, m, strat, f"{eff:.2f}", f"{bound:.2f}", f"{float(ratio):.2f}"]
         for (n, m, strat, eff, bound, ratio, _ok) in rows

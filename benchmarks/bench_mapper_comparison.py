@@ -23,27 +23,23 @@ from repro.util.tables import format_table
 KERNELS = ["mpeg", "sor", "laplace", "wavelet"]
 
 
-def test_mapper_comparison(benchmark):
-    def run():
-        cgra = CGRA(4, 4)
-        rows = []
-        for name in KERNELS:
-            dfg = get_kernel(name).build()
-            t0 = time.perf_counter()
-            ems = map_dfg(dfg, cgra)
-            t_ems = time.perf_counter() - t0
-            validate_mapping(ems)
-            t0 = time.perf_counter()
-            sa = anneal_map(dfg, cgra, seed=1, max_ii=ems.ii + 4)
-            t_sa = time.perf_counter() - t0
-            validate_mapping(sa)
-            rows.append([name, ems.ii, f"{t_ems * 1e3:.0f}", sa.ii, f"{t_sa * 1e3:.0f}"])
+def test_mapper_comparison():
+    cgra = CGRA(4, 4)
+    rows = []
+    for name in KERNELS:
+        dfg = get_kernel(name).build()
         t0 = time.perf_counter()
-        PageMaster(4, 4, 2).place(batches=200)
-        t_pm = time.perf_counter() - t0
-        return rows, t_pm
-
-    rows, t_pm = benchmark.pedantic(run, iterations=1, rounds=1)
+        ems = map_dfg(dfg, cgra)
+        t_ems = time.perf_counter() - t0
+        validate_mapping(ems)
+        t0 = time.perf_counter()
+        sa = anneal_map(dfg, cgra, seed=1, max_ii=ems.ii + 4)
+        t_sa = time.perf_counter() - t0
+        validate_mapping(sa)
+        rows.append([name, ems.ii, f"{t_ems * 1e3:.0f}", sa.ii, f"{t_sa * 1e3:.0f}"])
+    t0 = time.perf_counter()
+    PageMaster(4, 4, 2).place(batches=200)
+    t_pm = time.perf_counter() - t0
     emit(
         format_table(
             ["kernel", "EMS II", "EMS ms", "SA II", "SA ms"],

@@ -27,59 +27,56 @@ KERNELS = ["sor", "gsr", "compress", "wavelet"]
 TRIP = 32
 
 
-def test_motivation_utilization(benchmark, store):
-    def run():
-        cgra = CGRA(4, 4, rf_depth=24)
-        layout = PageLayout(cgra, (2, 2))
-        compiled = {
-            name: map_dfg_paged(get_kernel(name).build(), cgra, layout)
-            for name in KERNELS
-        }
-        rows = []
-        solo_utils = {}
-        for name, pm in compiled.items():
-            spec = get_kernel(name)
-            _, arrays, _ = spec.fresh(seed=0, trip=TRIP)
-            mem = DataMemory(1 << 16)
-            for aname in sorted(arrays):
-                mem.bind_array(aname, arrays[aname])
-            res = simulate(
-                lower_mapping(pm.mapping, mem, TRIP),
-                cgra,
-                mem,
-                bus_key=paged_bus_key(pm.layout),
-            )
-            solo_utils[name] = res.utilization(cgra)
-            rows.append([name, pm.ii, pm.pages_used, f"{res.utilization(cgra) * 100:.1f}%"])
-
-        # four kernels co-resident, one per page, in one simulation
+def test_motivation_utilization(store):
+    cgra = CGRA(4, 4, rf_depth=24)
+    layout = PageLayout(cgra, (2, 2))
+    compiled = {
+        name: map_dfg_paged(get_kernel(name).build(), cgra, layout)
+        for name in KERNELS
+    }
+    rows = []
+    solo_utils = {}
+    for name, pm in compiled.items():
+        spec = get_kernel(name)
+        _, arrays, _ = spec.fresh(seed=0, trip=TRIP)
         mem = DataMemory(1 << 16)
-        all_firings = []
-        for tid, (name, pm) in enumerate(compiled.items()):
-            spec = get_kernel(name)
-            _, arrays, _ = spec.fresh(seed=100 + tid, trip=TRIP)
-            prefix = f"t{tid}/"
-            for aname in sorted(arrays):
-                mem.bind_array(prefix + aname, arrays[aname])
-            placement = PageMaster(pm.pages_used, pm.ii, pm.pages_used).place(
-                batches=required_batches(pm.mapping, TRIP)
-            )
-            all_firings += retarget_firings(
-                pm,
-                placement,
-                [tid],
-                mem,
-                TRIP,
-                array_prefix=prefix,
-                firing_tag=f"t{tid}",
-                rf_limit=64,
-            )
-        multi = simulate(
-            all_firings, cgra, mem, bus_key=paged_bus_key(layout), rf_depth=64
+        for aname in sorted(arrays):
+            mem.bind_array(aname, arrays[aname])
+        res = simulate(
+            lower_mapping(pm.mapping, mem, TRIP),
+            cgra,
+            mem,
+            bus_key=paged_bus_key(pm.layout),
         )
-        return rows, solo_utils, multi.utilization(cgra)
+        solo_utils[name] = res.utilization(cgra)
+        rows.append([name, pm.ii, pm.pages_used, f"{res.utilization(cgra) * 100:.1f}%"])
 
-    rows, solo, multi_util = benchmark.pedantic(run, iterations=1, rounds=1)
+    # four kernels co-resident, one per page, in one simulation
+    mem = DataMemory(1 << 16)
+    all_firings = []
+    for tid, (name, pm) in enumerate(compiled.items()):
+        spec = get_kernel(name)
+        _, arrays, _ = spec.fresh(seed=100 + tid, trip=TRIP)
+        prefix = f"t{tid}/"
+        for aname in sorted(arrays):
+            mem.bind_array(prefix + aname, arrays[aname])
+        placement = PageMaster(pm.pages_used, pm.ii, pm.pages_used).place(
+            batches=required_batches(pm.mapping, TRIP)
+        )
+        all_firings += retarget_firings(
+            pm,
+            placement,
+            [tid],
+            mem,
+            TRIP,
+            array_prefix=prefix,
+            firing_tag=f"t{tid}",
+            rf_limit=64,
+        )
+    multi = simulate(
+        all_firings, cgra, mem, bus_key=paged_bus_key(layout), rf_depth=64
+    )
+    multi_util = multi.utilization(cgra)
     emit(
         format_table(
             ["kernel (alone)", "II", "pages used", "PE utilization"],
@@ -89,4 +86,4 @@ def test_motivation_utilization(benchmark, store):
     )
     emit(f"four kernels co-resident: PE utilization {multi_util * 100:.1f}%")
     # co-residency must beat every solo run by a wide margin
-    assert multi_util > 2 * max(solo.values())
+    assert multi_util > 2 * max(solo_utils.values())

@@ -49,14 +49,11 @@ def _panel(size, page_size, store, thread_counts):
     return n_pages, out
 
 
-def test_saturation(benchmark, store):
-    def run():
-        return {
-            size: _panel(size, 4, store, (2, 4, 8, 16, 32))
-            for size in (4, 8)
-        }
-
-    panels = benchmark.pedantic(run, iterations=1, rounds=1)
+def test_saturation(store):
+    panels = {
+        size: _panel(size, 4, store, (2, 4, 8, 16, 32))
+        for size in (4, 8)
+    }
     for size, (n_pages, rows) in panels.items():
         emit(
             format_table(

@@ -19,5 +19,5 @@ def store() -> ArtifactStore:
 
 
 def emit(text: str) -> None:
-    """Print a result block, keeping benchmark output readable."""
+    """Print a result block on its own line."""
     print("\n" + text)

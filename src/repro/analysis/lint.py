@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import (
@@ -217,9 +217,3 @@ def lint_tree(root: Path | None = None) -> list[Finding]:
     if root.is_file():
         return lint_paths([root], base=root.parent)
     return lint_paths(sorted(root.rglob("*.py")), base=root.parent)
-
-
-def worst_severity(findings: Sequence[Finding]) -> Severity | None:
-    if not findings:
-        return None
-    return min((f.severity for f in findings), key=lambda s: s.rank)

@@ -97,10 +97,6 @@ class CGRA:
 
     # -- capabilities ------------------------------------------------------------
 
-    @property
-    def is_heterogeneous(self) -> bool:
-        return self.capability is not None
-
     def supports_id(self, cls_: OpClass, pe_id: int) -> bool:
         """Whether the PE with row-major id *pe_id* supports *cls_*."""
         if self.capability is None:
@@ -113,12 +109,6 @@ class CGRA:
         if self.capability is None:
             return None
         return self.capability.mask(cls_)
-
-    def class_ids(self, cls_: OpClass) -> tuple[int, ...]:
-        """Sorted PE ids supporting *cls_*."""
-        if self.capability is None:
-            return tuple(range(self.num_pes))
-        return self.capability.ids(cls_)
 
     def fingerprint(self) -> str:
         """Canonical structural hash of the architecture description.

@@ -9,17 +9,18 @@ geometric — slot occupancy lives in the compiler's reservation tables.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.util.errors import ArchitectureError
 
 __all__ = ["Coord", "GridIndex", "Interconnect"]
 
 
-@dataclass(frozen=True, order=True)
-class Coord:
-    """Position of a PE in the grid: row-major, (row, col)."""
+class Coord(NamedTuple):
+    """Position of a PE in the grid: row-major, (row, col).
+
+    A tuple, so the hashing, equality and ordering that every simulator
+    and compiler dict, set and sort runs on it stay in C."""
 
     row: int
     col: int
@@ -35,7 +36,7 @@ class GridIndex:
     """Immutable integer view of one :class:`Interconnect`.
 
     The compiler's inner loops (reservation lookups, route search) run
-    millions of state expansions per kernel; hashing ``Coord`` dataclasses
+    millions of state expansions per kernel; hashing ``Coord`` pairs
     and recomputing distances there dominates cold-compile time.  This
     index precomputes, once per fabric:
 

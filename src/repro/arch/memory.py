@@ -79,10 +79,6 @@ class DataMemory:
         self._next_base += length
         return spec
 
-    def alloc_array(self, name: str, length: int, fill: int = 0) -> ArraySpec:
-        """Allocate a named output array of *length* words."""
-        return self.bind_array(name, np.full(length, fill, dtype=np.int64))
-
     def reserve_global_storage(self, words: int) -> int:
         """Reserve *words* at the top of memory for the transformation.
 

@@ -7,14 +7,13 @@ Every paper artifact has a named experiment that regenerates it::
     python -m repro.bench fig9_8x8 --page-size 4
     python -m repro.bench headline
     python -m repro.bench all --workers 8
-    python -m repro.bench compile-speed --kernels mpeg,wavelet
     python -m repro.bench sim-oracle --configs 60
-    python -m repro.bench serve --requests 80 --clients 8
 
 All compilation goes through :mod:`repro.pipeline`; ``--workers N`` fans a
 cold cache out over N processes, and after each experiment the CLI reports
 the artifact cache's hit/miss counters — a warm run shows zero misses,
-i.e. zero mapper invocations.
+i.e. zero mapper invocations.  No timing is taken here: every performance
+number is measured and recorded by ``perf/`` (``python perf/run.py``).
 """
 
 from __future__ import annotations
@@ -24,8 +23,12 @@ import sys
 from typing import Callable
 
 from repro.bench.fig8 import page_sizes_for, render_fig8, run_fig8
-from repro.bench.fig9 import best_improvement, render_fig9, run_fig9
-from repro.compiler.ems import BACKENDS
+from repro.bench.fig9 import (
+    HEADLINE_CLAIMS,
+    best_improvement,
+    render_fig9,
+    run_fig9,
+)
 from repro.pipeline import ArtifactStore
 
 __all__ = ["EXPERIMENTS", "run_experiment", "main"]
@@ -66,8 +69,7 @@ def _fig9(size: int):
 
 def _headline(store: ArtifactStore, args) -> str:
     lines = ["headline (abstract): best improvement per CGRA size"]
-    claims = {4: 30, 6: 75, 8: 150}
-    for size in (4, 6, 8):
+    for size, claim in HEADLINE_CLAIMS.items():
         best = max(
             best_improvement(
                 run_fig9(
@@ -82,7 +84,7 @@ def _headline(store: ArtifactStore, args) -> str:
             for ps in page_sizes_for(size)
         )
         lines.append(
-            f"  {size}x{size}: {best * 100:+7.1f}%   (paper claims > {claims[size]}%)"
+            f"  {size}x{size}: {best * 100:+7.1f}%   (paper claims > {claim * 100:.0f}%)"
         )
     return "\n".join(lines)
 
@@ -97,6 +99,10 @@ EXPERIMENTS: dict[str, Callable] = {
     "headline": _headline,
 }
 
+#: What ``list`` prints: the paper registry plus the simulator's differential
+#: check, which compiles nothing and touches no store.
+_LISTED = (*EXPERIMENTS, "sim-oracle")
+
 
 def run_experiment(name: str, store: ArtifactStore | None = None, argv=()) -> str:
     """Run one named experiment and return its report text."""
@@ -109,51 +115,10 @@ def _parser() -> argparse.ArgumentParser:
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
     )
-    p.add_argument(
-        "experiment",
-        choices=[
-            *EXPERIMENTS,
-            "compile-speed",
-            "analysis",
-            "sim-oracle",
-            "policies",
-            "serve",
-            "all",
-            "list",
-        ],
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="policies/serve: tiny oracle-verified CI variant",
-    )
+    p.add_argument("experiment", choices=[*_LISTED, "all", "list"])
     p.add_argument("--page-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=2)
-    # compile-speed options (ignored by the figure experiments)
-    p.add_argument("--size", type=int, default=None, help="grid size (compile-speed)")
-    p.add_argument(
-        "--kernels",
-        default=None,
-        help="comma-separated kernel subset (compile-speed; default: full suite)",
-    )
-    p.add_argument(
-        "--page-sizes",
-        default=None,
-        help="comma-separated page sizes (compile-speed; default: suite set)",
-    )
-    p.add_argument(
-        "--arch",
-        default=None,
-        help="fabric preset name from repro.arch.presets (compile-speed; "
-        "overrides --size)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help="paged mapping backend (compile-speed; default flat)",
-    )
     p.add_argument(
         "--workers",
         type=int,
@@ -170,59 +135,14 @@ def _parser() -> argparse.ArgumentParser:
         default=60,
         help="workload configurations to verify (sim-oracle)",
     )
-    p.add_argument(
-        "--requests",
-        type=int,
-        default=80,
-        help="load-generator request count (serve)",
-    )
-    p.add_argument(
-        "--clients",
-        type=int,
-        default=8,
-        help="concurrent keep-alive client connections (serve)",
-    )
-    p.add_argument(
-        "--slots",
-        type=int,
-        default=2,
-        help="concurrent compile slots in the service (serve)",
-    )
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.experiment == "list":
-        print(
-            "\n".join(
-                [
-                    *EXPERIMENTS,
-                    "compile-speed",
-                    "analysis",
-                    "sim-oracle",
-                    "policies",
-                    "serve",
-                ]
-            )
-        )
+        print("\n".join(_LISTED))
         return 0
-    if args.experiment == "analysis":
-        # Lint + audit over the default tree/store; same exit-code
-        # contract as `python -m repro.analysis all --strict`.
-        from repro.analysis.cli import main as analysis_main
-
-        return analysis_main(["all", "--strict"])
-    if args.experiment == "policies":
-        # Policy tournament: pure simulation.
-        from repro.bench.policies import main as policies_main
-
-        return policies_main(args)
-    if args.experiment == "serve":
-        # Compile-as-a-service load bench: own ephemeral server + store.
-        from repro.bench.serve import main as serve_main
-
-        return serve_main(args)
     if args.experiment == "sim-oracle":
         # Pure-simulation differential check: no compilation, no cache.
         from repro.sim.fuzz import run_fuzz
@@ -230,12 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         report = run_fuzz(n_cases=args.configs, seed=args.seed)
         print(report.render())
         return 0 if report.ok else 1
-    if args.experiment == "compile-speed":
-        # Deliberately cache-free (it measures the mapper, not the store),
-        # so it bypasses the ArtifactStore loop below.
-        from repro.bench.compile_speed import main as compile_speed_main
-
-        return compile_speed_main(args)
     store = ArtifactStore()
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     for name in names:

@@ -12,19 +12,28 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
-from repro.core.paging import choose_page_shape
-from repro.arch.cgra import CGRA
-from repro.core.paging import PageLayout
-from repro.pipeline import ArtifactStore, build_profiles
+from repro.arch.presets import experiment_cgra
+from repro.pipeline import ArtifactStore, build_profiles, make_layout
 from repro.sim.system import SystemConfig, improvement, simulate_system
 from repro.sim.workload import generate_workload
 from repro.util.rng import derive_seed
 from repro.util.tables import format_table
 
-__all__ = ["Fig9Cell", "run_fig9", "render_fig9", "NEEDS", "THREAD_COUNTS"]
+__all__ = [
+    "Fig9Cell",
+    "run_fig9",
+    "render_fig9",
+    "NEEDS",
+    "THREAD_COUNTS",
+    "HEADLINE_CLAIMS",
+]
 
 NEEDS = (0.5, 0.75, 0.875)  # the paper's low / medium / high CGRA need
 THREAD_COUNTS = (1, 2, 4, 8, 16)
+
+#: The abstract's claim: best-case improvement exceeds this fraction on
+#: the size x size CGRA.
+HEADLINE_CLAIMS = {4: 0.30, 6: 0.75, 8: 1.50}
 
 
 @dataclass(frozen=True)
@@ -40,9 +49,7 @@ class Fig9Cell:
 
 
 def _num_pages(size: int, page_size: int) -> int:
-    cgra = CGRA(size, size)
-    shape = choose_page_shape(page_size, size, size)
-    return PageLayout(cgra, shape).num_pages
+    return make_layout(experiment_cgra(size), page_size).num_pages
 
 
 def run_fig9(

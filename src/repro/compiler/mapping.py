@@ -184,11 +184,6 @@ class Mapping:
         paper's throughput identity ``I = N x U x II`` (§IV)."""
         return len(self.slot_occupancy()) / float(self.cgra.num_pes * self.ii)
 
-    def ops_on_pe(self, pe: Coord) -> list[int]:
-        return sorted(
-            op_id for op_id, p in self.placements.items() if p.pe == pe
-        )
-
     def summary(self) -> str:
         return (
             f"mapping of {self.dfg.name!r} on {self.cgra.rows}x{self.cgra.cols}: "

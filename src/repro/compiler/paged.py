@@ -82,10 +82,6 @@ class PagedMapping:
             for n in range(self.layout.num_pages)
         )
 
-    def page_deps(self) -> frozenset:
-        """The observed page-level transfers ``((n_s, t_s), (n_d, t_d))``."""
-        return frozenset((src, dst) for (src, dst, _k) in self.page_schedule.deps)
-
     def summary(self) -> str:
         return (
             f"{self.mapping.summary()} | {self.layout.num_pages} pages of "

@@ -49,7 +49,6 @@ from repro.compiler.stats import MapperCounters, counters
 __all__ = [
     "RoutingContext",
     "find_route",
-    "find_route_shared",
     "commit_route",
     "release_route",
 ]
@@ -242,34 +241,6 @@ class RoutingContext:
         return bool(front[gap - 1] & self.goal_table(dst_id)[4])
 
 
-def find_route_shared(
-    cgra: CGRA,
-    mrt: ReservationTable,
-    sources: list[tuple[Coord, int, "RouteStep | None"]],
-    dst_pe: Coord,
-    t_dst: int,
-    *,
-    hop_allowed: HopFilter | None = None,
-    max_expansions: int = 20000,
-    ctx: RoutingContext | None = None,
-) -> tuple[tuple[RouteStep, ...], "RouteStep | None"] | None:
-    """Route from the *best* of several value holders to the consumer.
-
-    ``sources`` are ``(pe, time, tap)`` triples: the producer itself
-    (``tap=None``) and any sibling route steps already re-emitting the same
-    value (fanout sharing — see :class:`~repro.compiler.mapping.Route`).
-    Holders closest in time to the consumer are tried first, so shared
-    chains are extended instead of duplicated.  Returns ``(steps, tap)``.
-    """
-    if ctx is None:
-        ctx = RoutingContext(cgra, hop_allowed)
-    id_of = ctx.gi.id_of
-    ids = [(id_of[s[0]], s[1], s[2]) for s in sources]
-    return find_route_shared_ids(
-        ctx, mrt, ids, id_of[dst_pe], t_dst, max_expansions=max_expansions
-    )
-
-
 def find_route_shared_ids(
     ctx: RoutingContext,
     mrt: ReservationTable,
@@ -279,7 +250,14 @@ def find_route_shared_ids(
     *,
     max_expansions: int = 20000,
 ) -> tuple[tuple[RouteStep, ...], "RouteStep | None"] | None:
-    """Integer-domain :func:`find_route_shared` (hot-path entry point)."""
+    """Route from the *best* of several value holders to the consumer.
+
+    ``sources`` are ``(pe id, time, tap)`` triples: the producer itself
+    (``tap=None``) and any sibling route steps already re-emitting the same
+    value (fanout sharing — see :class:`~repro.compiler.mapping.Route`).
+    Holders closest in time to the consumer are tried first, so shared
+    chains are extended instead of duplicated.  Returns ``(steps, tap)``.
+    """
     ordered = [s for s in sources if t_dst - s[1] >= 1]
     if len(ordered) > 1:
         # nearest holder (latest re-emission) first; stable, so sibling

@@ -3,9 +3,9 @@
 The mapper's cost model is search volume: how many time-extended states the
 router expands, how many (time, PE) candidates the placer probes, how often
 the memoized routing tables answer without a search.  These counters are
-what ``python -m repro.bench compile-speed`` and ``perf/wl_compile.py``
-report next to wall-clock timings, so a perf regression shows up as a
-*search-volume* regression even on noisy CI machines.
+what ``perf/wl_compile.py`` reports next to wall-clock timings, so a perf
+regression shows up as a *search-volume* regression even on noisy CI
+machines.
 
 Counters are a return value, never state left behind in the process: a
 compile job opens a scope (:func:`job_counters`), the hot paths increment

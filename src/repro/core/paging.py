@@ -228,13 +228,6 @@ class PageLayout:
                     return True
         return False
 
-    def pages_of_rows(self) -> dict[int, set[int]]:
-        """Which pages touch each grid row (used for bus accounting)."""
-        out: dict[int, set[int]] = {r: set() for r in range(self.cgra.rows)}
-        for pe, n in self.page_of.items():
-            out[pe.row].add(n)
-        return out
-
     def subchain(self, k: int) -> "PageLayout":
         """A layout over only the first *k* pages of the ring order.
 

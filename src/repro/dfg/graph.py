@@ -205,11 +205,6 @@ class DFG:
         s = op.id if isinstance(op, Op) else op
         return self._adjacency()[1][s]
 
-    def operands_bound(self, op: Op | int) -> bool:
-        """All operand slots of *op* driven by an edge?"""
-        o = self.ops[op.id if isinstance(op, Op) else op]
-        return len(self.in_edges(o)) == OPCODE_INFO[o.opcode].arity
-
     def to_networkx(self) -> nx.MultiDiGraph:
         """Export as a networkx multigraph (edge attrs: distance, operand)."""
         g = nx.MultiDiGraph(name=self.name)

@@ -182,7 +182,7 @@ def compile_job_stats(
     job: CompileJob, search=None
 ) -> tuple[CompiledKernel, CompileStats]:
     """Compile one job, uncached, with per-phase timings and the mapper's
-    search-effort counter deltas (the ``compile-speed`` bench's input).
+    search-effort counter deltas (the input of ``perf/``'s compile workloads).
 
     The compile runs inside a per-job counter scope
     (:func:`repro.compiler.stats.job_counters`): the mapper's increments

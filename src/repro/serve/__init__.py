@@ -24,11 +24,10 @@ resolves each to its content address
   is byte-identical to the offline :func:`~repro.pipeline.compile
   .compile_many` output at any concurrency.
 
-``python -m repro.serve`` runs the server; ``python -m repro.bench serve``
-load-generates against an in-process instance and prints throughput,
-latency percentiles, coalesce rate and cache hit rate.  Serve numbers that
-back a performance claim are measured by ``perf/`` (``serve_zipf``,
-``serve_warm``, ``service_burst``).
+``python -m repro.serve`` runs the server.  Throughput, latency
+percentiles, coalesce rate and cache hit rate under load are measured by
+``perf/`` (``serve_zipf``, ``serve_warm``, ``service_burst``), which also
+checks served bytes against offline bytes on every run.
 """
 
 from repro.serve.protocol import (

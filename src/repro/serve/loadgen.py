@@ -1,31 +1,21 @@
-"""Seeded load generator and minimal async HTTP client for the service.
+"""Minimal async HTTP client for the service.
 
-The generator speaks the real wire protocol over real sockets (no
-in-process shortcuts), so the measured latencies include framing, loop
-scheduling and thread handoff — the numbers ``python -m repro.bench
-serve`` reports are what a tenant would see.
-
-Determinism: the request schedule is a pure function of the seed — which
-job each request asks for, its tenant and its priority all come from
-:func:`repro.util.rng.make_rng` draws.  Job popularity is skewed
-(weight ∝ 1/(rank+1), a Zipf-flavoured mix) so duplicate concurrent
-requests actually occur and the coalesce rate measures something real.
-Wall-clock latencies are measured with ``time.perf_counter`` and are of
-course not deterministic; everything else in the report is.
+:class:`ServeClient` speaks the real wire protocol over a real socket (no
+in-process shortcut), so a test that drives the server through it
+exercises framing, loop scheduling and thread handoff the way a tenant
+would.  It generates no load and measures nothing: request schedules,
+latency percentiles and the byte-parity check of a load run live in
+``perf/`` (``perf/client.py``, ``perf/wl_serve.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import math
-import time
-from dataclasses import dataclass, field
 
 from repro.serve.protocol import ProtocolError
-from repro.util.rng import make_rng
 
-__all__ = ["ServeClient", "LoadReport", "build_schedule", "run_load", "percentile"]
+__all__ = ["ServeClient"]
 
 
 class ServeClient:
@@ -95,125 +85,3 @@ class ServeClient:
 
     async def compile(self, payload: dict) -> tuple[int, dict[str, str], bytes]:
         return await self.request("POST", "/compile", payload)
-
-
-# ----------------------------------------------------------------- the schedule
-
-
-def build_schedule(
-    jobs: list[dict],
-    *,
-    n_requests: int,
-    tenants: list[str],
-    seed: int = 0,
-    priority_levels: int = 3,
-) -> list[dict]:
-    """The deterministic request schedule: one compile payload per
-    request, with Zipf-skewed job popularity and round-robin-seeded
-    tenant/priority assignment."""
-    if not jobs:
-        raise ValueError("schedule needs at least one job")
-    rng = make_rng(seed)
-    weights = [1.0 / (rank + 1) for rank in range(len(jobs))]
-    total = sum(weights)
-    probs = [w / total for w in weights]
-    picks = rng.choice(len(jobs), size=n_requests, p=probs)
-    prios = rng.integers(0, priority_levels, size=n_requests)
-    schedule = []
-    for i in range(n_requests):
-        payload = dict(jobs[int(picks[i])])
-        payload["tenant"] = tenants[i % len(tenants)]
-        payload["priority"] = int(prios[i])
-        schedule.append(payload)
-    return schedule
-
-
-# ------------------------------------------------------------------ the report
-
-
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an ascending-sorted list."""
-    if not sorted_values:
-        return 0.0
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    idx = min(len(sorted_values) - 1, rank - 1)
-    return sorted_values[idx]
-
-
-@dataclass
-class LoadReport:
-    """What one load run measured, client-side."""
-
-    requests: int = 0
-    ok: int = 0
-    errors: int = 0
-    elapsed_seconds: float = 0.0
-    latencies_ms: list[float] = field(default_factory=list)
-    by_source: dict[str, int] = field(default_factory=dict)
-    bodies: dict[str, bytes] = field(default_factory=dict)  # digest -> payload
-
-    @property
-    def throughput_rps(self) -> float:
-        return self.requests / self.elapsed_seconds if self.elapsed_seconds else 0.0
-
-    def latency_ms(self, q: float) -> float:
-        return percentile(sorted(self.latencies_ms), q)
-
-    def as_record(self) -> dict:
-        lat = sorted(self.latencies_ms)
-        return {
-            "requests": self.requests,
-            "ok": self.ok,
-            "errors": self.errors,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "throughput_rps": round(self.throughput_rps, 2),
-            "latency_ms": {
-                "p50": round(percentile(lat, 0.50), 2),
-                "p99": round(percentile(lat, 0.99), 2),
-                "mean": round(sum(lat) / len(lat), 2) if lat else 0.0,
-                "max": round(lat[-1], 2) if lat else 0.0,
-            },
-            "by_source": dict(self.by_source),
-        }
-
-
-async def run_load(
-    host: str,
-    port: int,
-    schedule: list[dict],
-    *,
-    clients: int = 4,
-) -> LoadReport:
-    """Fire *schedule* at the server from *clients* concurrent keep-alive
-    connections (request i goes to client ``i % clients``, each client
-    issues its slice in order) and collect the latency/source report."""
-    report = LoadReport()
-    slices: list[list[dict]] = [schedule[i::clients] for i in range(clients)]
-
-    async def run_client(slice_: list[dict]) -> None:
-        async with ServeClient(host, port) as client:
-            for payload in slice_:
-                started = time.perf_counter()
-                status, headers, body = await client.compile(payload)
-                elapsed_ms = (time.perf_counter() - started) * 1e3
-                report.requests += 1
-                report.latencies_ms.append(elapsed_ms)
-                if status == 200:
-                    report.ok += 1
-                    source = headers.get("x-repro-source", "?")
-                    report.by_source[source] = report.by_source.get(source, 0) + 1
-                    digest = headers.get("x-repro-digest", "")
-                    if digest:
-                        previous = report.bodies.get(digest)
-                        if previous is not None and previous != body:
-                            raise AssertionError(
-                                f"served bytes diverged for digest {digest}"
-                            )
-                        report.bodies[digest] = body
-                else:
-                    report.errors += 1
-
-    started = time.perf_counter()
-    await asyncio.gather(*(run_client(s) for s in slices if s))
-    report.elapsed_seconds = time.perf_counter() - started
-    return report

@@ -83,9 +83,7 @@ def simulate(
     if bus_key is None:
         bus_key = lambda pe: pe.row  # noqa: E731 - tiny local default
     depth = rf_depth if rf_depth is not None else cgra.rf_depth
-    # PEs are keyed by (row, col): hashing a tuple of ints stays in C, while
-    # hashing a Coord runs its generated Python-level __hash__
-    pes: dict[tuple[int, int], ProcessingElement] = {}
+    pes: dict[Coord, ProcessingElement] = {}
     global_store: dict[GlobalSlot, int] = {}
     loads = stores = rf_reads = rf_max_depth = global_reads = global_writes = 0
     load, loadt, store = Opcode.LOAD, Opcode.LOADT, Opcode.STORE
@@ -120,7 +118,7 @@ def simulate(
                             f"{f.label} reads a value produced at cycle "
                             f"{src.cycle} >= its own cycle {cycle}"
                         )
-                    producer = pes.get((src.pe.row, src.pe.col))
+                    producer = pes.get(src.pe)
                     if producer is None:
                         raise SimulationError(
                             f"{f.label} reads PE {src.pe} which never produced"
@@ -158,10 +156,9 @@ def simulate(
         pending_stores: list[tuple[int, int]] = []
         for f, ops in zip(batch, resolved):
             opcode = f.opcode
-            key = (f.pe.row, f.pe.col)
-            pe = pes.get(key)
+            pe = pes.get(f.pe)
             if pe is None:
-                pe = pes[key] = ProcessingElement(f.pe, depth)
+                pe = pes[f.pe] = ProcessingElement(f.pe, depth)
             if opcode is load or opcode is loadt:
                 if f.addr is None:
                     raise SimulationError(f"{f.label}: load without address")
@@ -217,9 +214,7 @@ def _check_conflicts(batch, cgra, bus_key, cycle) -> None:
         pe = f.pe
         if not (0 <= pe.row < rows and 0 <= pe.col < cols):
             raise SimulationError(f"{f.label} fires on PE {pe} outside grid")
-        if previous is not None and (
-            previous.pe.row == pe.row and previous.pe.col == pe.col
-        ):
+        if previous is not None and previous.pe == pe:
             raise SimulationError(
                 f"PE {pe} double-booked at cycle {cycle}: "
                 f"{previous.label} and {f.label}"

@@ -18,6 +18,7 @@ positions a PageMaster placement assigns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
 from repro.arch.capability import op_class
@@ -80,11 +81,8 @@ class Firing:
         return self.opcode in (Opcode.LOAD, Opcode.LOADT, Opcode.STORE)
 
 
-def firing_order(f: Firing) -> tuple[int, int, int]:
-    """Sort key of a firing program: by cycle, then PE.  ``(row, col)``
-    orders exactly as :class:`Coord` does, without running its generated
-    Python-level comparisons for every same-cycle pair."""
-    return f.cycle, f.pe.row, f.pe.col
+#: Sort key of a firing program: by cycle, then PE (row-major).
+firing_order = attrgetter("cycle", "pe")
 
 
 def resolve_addr(

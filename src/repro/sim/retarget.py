@@ -128,17 +128,14 @@ def retarget_firings(
                 check_capable(cgra, item, tiles[col], TransformError)
         return [(tiles[col], cycle) for col, cycle in hits]
 
-    adjacent: dict[int, bool] = {}  # memo over physical PE id pairs
-    cols, num_pes = cgra.cols, cgra.num_pes
+    adjacent: dict[tuple[Coord, Coord], bool] = {}  # memo over physical PE pairs
 
     def readable(reader: Coord, holder: Coord, wait: int) -> bool:
         """A rotating-register read works from the same PE or a mesh
         neighbour, for as long as the file keeps the value."""
         if wait > rf_limit:
             return False
-        pair = (reader.row * cols + reader.col) * num_pes + (
-            holder.row * cols + holder.col
-        )
+        pair = (reader, holder)
         near = adjacent.get(pair)
         if near is None:
             near = adjacent[pair] = cgra.adjacent_or_same(reader, holder)

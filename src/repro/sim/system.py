@@ -253,7 +253,7 @@ class SystemResult:
         return self.evictions / self.kernel_invocations
 
     def slo_summary(self) -> dict:
-        """The SLO metrics the policy tournament reports, as one record."""
+        """The SLO metrics of the run, as one record."""
         return {
             "makespan": self.makespan,
             "avg_turnaround": self.avg_turnaround,

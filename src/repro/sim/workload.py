@@ -161,7 +161,7 @@ def _phase_segments(
 # in bursts, follow daily load curves, and carry different service classes.
 # `generate_trace` models all three while staying seeded and deterministic
 # — the same (seed, parameters) pair always produces the identical trace,
-# which is what lets policy tournaments and recorded bench trajectories be
+# which is what lets policy comparisons and recorded benchmark runs be
 # replayed bit-for-bit.
 
 

@@ -187,8 +187,8 @@ class TestCLI:
         from repro.bench.experiments import main
 
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig8_4x4" in out and "headline" in out
+        # the paper registry plus the simulator's differential check
+        assert capsys.readouterr().out.split() == [*EXPERIMENTS, "sim-oracle"]
 
     def test_single_experiment_with_json(self, capsys, tmp_path):
         import json
@@ -203,122 +203,22 @@ class TestCLI:
         records = json.loads(out_path.read_text())
         assert records and records[0]["experiment"] == "fig9"
 
-
-    @pytest.mark.parametrize("flag", ["--label=x", "--out=x.json", "--dry-run"])
-    def test_bench_file_flags_are_gone(self, flag):
+    @pytest.mark.parametrize(
+        "arg",
+        [
+            "--label=x", "--out=x.json", "--dry-run",
+            # flags only the deleted report-only commands read
+            "--smoke", "--size=4", "--kernels=sor", "--page-sizes=2",
+            "--arch=4x4-memcols", "--backend=hier", "--requests=8",
+            "--clients=2", "--slots=2",
+            # the deleted commands themselves
+            "compile-speed", "policies", "serve", "analysis",
+        ],
+    )
+    def test_bench_file_flags_are_gone(self, arg):
         from repro.bench.experiments import main
 
+        argv = ["list", arg] if arg.startswith("--") else [arg]
         with pytest.raises(SystemExit) as exc:
-            main(["compile-speed", flag])
+            main(argv)
         assert exc.value.code == 2
-
-
-class TestCompileSpeed:
-    def test_cli_prints_the_report_and_writes_nothing(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        from repro.bench.experiments import main
-
-        monkeypatch.chdir(tmp_path)
-        assert main(["compile-speed", "--kernels", "sor", "--page-sizes", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "sor" in out and "total:" in out and "1 cold compile(s)" in out
-        assert list(tmp_path.iterdir()) == []
-
-    def test_report_sums_counters_and_ladders_across_jobs(self):
-        from dataclasses import replace
-
-        from repro.bench.compile_speed import render_report, search_totals
-        from repro.compiler.search import LadderReport, ladder_totals
-        from repro.pipeline.compile import CompileStats
-
-        ladder = LadderReport(
-            start_ii=2,
-            attempts_per_ii=4,
-            probes_launched=5,
-            probes_cancelled=1,
-            probes_wasted=1,
-            useful_seconds=3.0,
-            wasted_seconds=1.0,
-        )
-        job = CompileStats(
-            kernel="sor",
-            size=8,
-            page_size=4,
-            seconds=1.0,
-            base_map_seconds=0.4,
-            paged_map_seconds=0.6,
-            counters={
-                "hier_attempts": 3,
-                "hier_wins": 2,
-                "hier_flat_attempts": 1,
-                "hier_flat_wins": 1,
-                "rungs_skipped": 2,
-            },
-            ladders=(ladder,),
-            arch="8x8-memcols",
-            backend="hier",
-        )
-        stats = [job, replace(job, kernel="mpeg")]
-        report = render_report(stats)
-        assert "total: 2.00s over 2 cold compile(s)" in report
-        assert "hier backend: clustered 4/6 wins, flat-fallback 2/2 wins" in report
-        assert "II rungs: 4 skipped" in report
-        assert "10 probes launched, 2 cancelled, 2 wasted" in report
-        assert "efficiency 75%" in report
-        # one sum for the per-job and the across-jobs summary
-        assert job.search == ladder_totals([ladder])
-        assert search_totals(stats) == ladder_totals([ladder, ladder])
-        assert search_totals([replace(job, ladders=None)]) is None
-
-
-class TestPolicyTournament:
-    def _tournament(self, **kw):
-        from repro.bench.policies import run_tournament
-
-        defaults = dict(n_threads=40, n_pages=8, seed=3)
-        defaults.update(kw)
-        return run_tournament(**defaults)
-
-    def test_all_policies_all_series(self):
-        from repro.bench.policies import SERIES, run_tournament
-
-        results = self._tournament()
-        assert set(results) == set(SERIES)
-        for rows in results.values():
-            assert set(rows) == {
-                "halving",
-                "need-aware",
-                "fair-share",
-                "static-equal",
-                "best-fit",
-                "priority-evict",
-            }
-            for m in rows.values():
-                assert m["makespan"] > 0
-                assert 0 <= m["cgra_utilization"] <= 1
-                assert m["turnaround_p99"] >= m["turnaround_p50"] > 0
-
-    def test_leaderboard_deterministic_and_ranked(self):
-        from repro.bench.policies import leaderboard
-
-        a = leaderboard(self._tournament())
-        b = leaderboard(self._tournament())
-        # ranking uses simulated quantities only, so it is seed-deterministic
-        assert a == b
-        assert [r["rank"] for r in a] == list(range(1, len(a) + 1))
-        assert a[0]["score"] == 1.0 or a[0]["score"] < a[-1]["score"]
-
-    def test_smoke_subset_verifies_against_oracle(self):
-        from repro.bench.policies import leaderboard, run_tournament
-
-        # the CI smoke path: tiny, two policies, oracle-replayed
-        results = run_tournament(
-            n_threads=10,
-            n_pages=4,
-            seed=1,
-            policies=["halving", "best-fit"],
-            verify=True,
-        )
-        board = leaderboard(results)
-        assert {r["policy"] for r in board} == {"halving", "best-fit"}

@@ -10,7 +10,8 @@ mapper rewrite had to pass, kept as a permanent test so future "harmless"
 refactors can't silently change schedules.
 
 Only the sub-second kernels are recompiled (the full 4x4 suite, sobel and
-fft included, is exercised by ``python -m repro.bench compile-speed``).
+fft included, is cold-compiled and byte-compared by ``perf/``'s
+``compile_flat_4x4`` workload).
 """
 
 from __future__ import annotations

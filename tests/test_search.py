@@ -38,6 +38,7 @@ from repro.compiler.search import (
     SearchContext,
     WorkerBudget,
     climb_ladder,
+    ladder_totals,
     run_probe,
 )
 from repro.compiler.stats import MapperCounters, counters, job_counters
@@ -518,6 +519,51 @@ class TestRealPoolParity:
         merged = MapperCounters()
         merged.add({"routes_refuted": 3, "trials_refuted": 5, "not_a_counter": 1})
         assert (merged.routes_refuted, merged.trials_refuted) == (3, 5)
+
+
+# ---------------------------------------------------------------- ladder totals
+
+
+class TestLadderTotals:
+    def test_sums_reports_per_job_and_across_jobs(self):
+        """One sum for one job's ladders (``CompileStats.search``) and for
+        every job's of a run; no ladders recorded means no totals."""
+        from dataclasses import replace
+
+        from repro.pipeline.compile import CompileStats
+
+        ladder = LadderReport(
+            start_ii=2,
+            attempts_per_ii=4,
+            probes_launched=5,
+            probes_cancelled=1,
+            probes_wasted=1,
+            useful_seconds=3.0,
+            wasted_seconds=1.0,
+        )
+        job = CompileStats(
+            kernel="sor",
+            size=8,
+            page_size=4,
+            seconds=1.0,
+            base_map_seconds=0.4,
+            paged_map_seconds=0.6,
+            counters={},
+            ladders=(ladder,),
+        )
+        assert job.search == ladder_totals([ladder])
+        assert job.search["speculation_efficiency"] == 0.75
+        assert ladder_totals([ladder, ladder]) == {
+            "ladders": 2,
+            "probes_launched": 10,
+            "probes_cancelled": 2,
+            "probes_wasted": 2,
+            "useful_seconds": 6.0,
+            "wasted_seconds": 2.0,
+            "speculation_efficiency": 0.75,
+        }
+        assert ladder_totals([])["speculation_efficiency"] == 1.0
+        assert replace(job, ladders=None).search is None
 
 
 # -------------------------------------------------------------- counter scopes

@@ -19,7 +19,7 @@ from repro.pipeline import (
     compile_many,
     job_key,
 )
-from repro.serve.loadgen import ServeClient, build_schedule, percentile
+from repro.serve.loadgen import ServeClient
 from repro.serve.protocol import CompileRequest, ProtocolError
 from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
 from repro.serve.server import ServeServer
@@ -85,19 +85,6 @@ class TestProtocol:
     def test_bad_backend_names_the_valid_set(self):
         with pytest.raises(ProtocolError, match=r"\('flat', 'hier'\)"):
             CompileRequest.from_dict({"kernel": "sor", "backend": "exact"})
-
-    def test_percentile_nearest_rank(self):
-        values = sorted(float(v) for v in range(1, 11))
-        assert percentile(values, 0.50) == 5.0
-        assert percentile(values, 0.99) == 10.0
-        assert percentile([], 0.5) == 0.0
-
-    def test_schedule_deterministic(self):
-        jobs = [{"kernel": "sor", "size": 4, "page_size": 2}]
-        a = build_schedule(jobs, n_requests=10, tenants=["t0", "t1"], seed=7)
-        b = build_schedule(jobs, n_requests=10, tenants=["t0", "t1"], seed=7)
-        assert a == b
-        assert {p["tenant"] for p in a} == {"t0", "t1"}
 
 
 # ------------------------------------------------------------------ scheduler

@@ -27,7 +27,7 @@ from repro.sim.system import (
     simulate_system,
 )
 from repro.sim.trace import DecisionTrace, SystemTimeline
-from repro.sim.workload import Segment, ThreadSpec
+from repro.sim.workload import ARRIVAL_MODELS, Segment, ThreadSpec, generate_trace
 from repro.util.errors import OracleViolation, SimulationError
 
 PROFILES = {
@@ -491,6 +491,25 @@ class TestFuzzSweep:
     def test_cases_deterministic(self):
         assert make_case(7, 0) == make_case(7, 0)
         assert make_case(7, 0) != make_case(7, 1)
+
+    @pytest.mark.parametrize("model", ARRIVAL_MODELS)
+    def test_generated_trace_verifies(self, model):
+        """Every arrival model of the trace generator, replayed through the
+        oracle (the fuzz sweep below draws staggered arrivals only)."""
+        wl = generate_trace(
+            24,
+            0.75,
+            sorted(PROFILES),
+            {name: p.ii_base for name, p in PROFILES.items()},
+            seed=0,
+            arrival_model=model,
+            mean_arrival_gap=8.0,
+            diurnal_period=500,
+            mean_total_work=300,
+        )
+        cfg = config(n_pages=8, validate_decisions=True)
+        result, _oracle = verified(wl, cfg, "multithreaded")
+        assert len(result.finish_times) == 24
 
     def test_small_sweep_green(self):
         report = run_fuzz(n_cases=12, seed=0)

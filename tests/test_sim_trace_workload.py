@@ -1,6 +1,6 @@
 """Tests for the trace-driven workload generator (datacenter-scale sim).
 
-Covers the three properties the policy tournament depends on: seeded
+Covers the three properties trace-driven runs depend on: seeded
 determinism (same seed, same trace, bit for bit), arrival-rate sanity for
 every arrival model, and the priority-class mix tracking its declared
 weights."""
