@@ -15,8 +15,9 @@ process that wrote it — and proves the full invariant suite:
   (every value is read exactly one cycle after it was produced or
   re-emitted, so the rotating register file stays free for PageMaster);
 * **foldability** — for every target ``M <= N`` the PageMaster fold
-  preserves all page dependencies on chain-adjacent columns without
-  double-booking a slot, the stored steady-state II table matches an
+  passes :func:`repro.core.transform_check.check_placement` (all page
+  dependencies on chain-adjacent columns, strictly later, no slot
+  double-booked), the stored steady-state II table matches an
   independent recomputation exactly, and the achieved ``II_q`` respects the
   paper's ``II_q ~ II_p * N / M`` model: never below the resource bound
   ``II_p * N / M``, *equal* to it whenever ``M`` divides ``N`` on a
@@ -579,6 +580,7 @@ def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
 
 def _audit_fold(entry: AuditEntry, artifact) -> None:
     from repro.core.pagemaster import PageMaster
+    from repro.core.transform_check import check_placement
 
     n, ii_p = artifact.pages_used, artifact.ii_paged
     stored = artifact.steady_table()
@@ -598,13 +600,13 @@ def _audit_fold(entry: AuditEntry, artifact) -> None:
             placement = PageMaster(
                 n, ii_p, m, wrap_used=artifact.wrap_used
             ).place()
-        except TransformError as exc:
+            check_placement(placement)
+        except (TransformError, ConstraintViolation) as exc:
             entry.findings.append(
                 _finding(FOLD_DEPS, entry.path, f"M={m}: {exc}")
             )
             continue
         entry.folds_checked += 1
-        _check_fold_legality(entry, artifact, placement, m)
         achieved = placement.ii_q_effective()
         if stored[m] != achieved:
             entry.findings.append(
@@ -615,52 +617,6 @@ def _audit_fold(entry: AuditEntry, artifact) -> None:
                 )
             )
         _check_fold_bound(entry, artifact, achieved, m)
-
-
-def _check_fold_legality(entry: AuditEntry, artifact, placement, m: int) -> None:
-    n = artifact.pages_used
-    slots = placement.slots
-    occupied: dict[tuple[int, int], tuple[int, int]] = {}
-    for (page, batch) in sorted(slots):
-        col, t = slots[(page, batch)]
-        if (col, t) in occupied:
-            entry.findings.append(
-                _finding(
-                    FOLD_DEPS,
-                    entry.path,
-                    f"M={m}: slot (col {col}, t {t}) double-booked by "
-                    f"{occupied[(col, t)]} and {(page, batch)}",
-                )
-            )
-            return
-        occupied[(col, t)] = (page, batch)
-        if batch == 0:
-            continue
-        deps = [(page, "self")]
-        if page > 0 or artifact.wrap_used:
-            deps.append(((page - 1) % n, "ring"))
-        for src_page, kind in deps:
-            src_col, src_t = slots[(src_page, batch - 1)]
-            if t <= src_t:
-                entry.findings.append(
-                    _finding(
-                        FOLD_DEPS,
-                        entry.path,
-                        f"M={m}: {kind} dep of page {page} batch {batch} "
-                        f"not later than its producer (t {t} <= {src_t})",
-                    )
-                )
-                return
-            if abs(col - src_col) > 1:
-                entry.findings.append(
-                    _finding(
-                        FOLD_DEPS,
-                        entry.path,
-                        f"M={m}: {kind} dep of page {page} batch {batch} "
-                        f"spans columns {src_col}->{col} (> 1 hop)",
-                    )
-                )
-                return
 
 
 def _check_fold_bound(entry: AuditEntry, artifact, achieved, m: int) -> None:

@@ -2,13 +2,15 @@
 
 A *concurrency root* is a site that hands a callable to another thread or
 process: ``ThreadPoolExecutor.submit``/``.map``, ``ProcessPoolExecutor``
-probes, ``Future.add_done_callback`` (callbacks run on executor threads),
-and ``threading.Thread(target=...)``.  A ``.submit`` on a receiver the
-call graph cannot type (``ctx.executor.submit(...)``) becomes an
-*unknown*-kind root that conservatively participates in both race rules.
-Roots submitted inside a loop or comprehension (or via ``.map``) are
-*multi* roots: two copies of the same entrypoint may run concurrently, so
-they count twice when weighing writers.
+probes, ``loop.run_in_executor(pool, fn, *args)`` (an asyncio service's
+blocking work: any number of coroutines may be awaiting one at a time, so
+it is always a *multi* root), ``Future.add_done_callback`` (callbacks run
+on executor threads), and ``threading.Thread(target=...)``.  A ``.submit``
+on a receiver the call graph cannot type (``ctx.executor.submit(...)``)
+becomes an *unknown*-kind root that conservatively participates in both
+race rules.  Roots submitted inside a loop or comprehension (or via
+``.map``) are *multi* roots: two copies of the same entrypoint may run
+concurrently, so they count twice when weighing writers.
 
 **RACE-SHARED-MUT** — a mutable module global is written *without a lock*
 in code reachable from concurrency roots whose combined weight is ≥ 2.
@@ -145,10 +147,19 @@ def _entries_of_arg(
     graph: CallGraph, fn: FunctionNode, arg_node: ast.AST | None, arg_res
 ) -> tuple[str, ...]:
     """Project functions a submitted callable enters.  Handles direct
-    function references, lambdas (their inlined calls belong to the
-    enclosing function), and ``functools.partial``."""
+    function references, bound methods of the enclosing class
+    (``self.method``), lambdas (their inlined calls belong to the enclosing
+    function), and ``functools.partial``."""
     if arg_res is not None and arg_res.kind == "function":
         return (arg_res.ref,)
+    if (
+        isinstance(arg_node, ast.Attribute)
+        and isinstance(arg_node.value, ast.Name)
+        and fn.cls is not None
+        and fn.params[:1] == (arg_node.value.id,)
+    ):
+        method = graph.method_of(fn.cls, arg_node.attr)
+        return (method,) if method else ()
     if isinstance(arg_node, ast.Lambda):
         lo = arg_node.lineno
         hi = getattr(arg_node, "end_lineno", None) or lo
@@ -212,6 +223,25 @@ def find_roots(graph: CallGraph) -> list[Root]:
                         label=f"{recv_name or site.raw.split('.')[0]}.{site.method}",
                         entries=entries,
                         multi=site.method == "map" or in_loop(site.lineno),
+                    )
+                )
+            elif site.method == "run_in_executor" and len(node.args) >= 2:
+                # loop.run_in_executor(pool, fn, *args): a thread unless
+                # *pool* is a local typed as something else (None is the
+                # loop's default ThreadPoolExecutor)
+                pool = node.args[0]
+                entries = _entries_of_arg(graph, fn, node.args[1], site.args[1])
+                if not entries:
+                    continue
+                roots.append(
+                    Root(
+                        kind=executors.get(getattr(pool, "id", None), "thread"),
+                        owner=qual,
+                        display=fn.display,
+                        line=site.lineno,
+                        label=site.raw,
+                        entries=entries,
+                        multi=True,
                     )
                 )
             elif site.method == "add_done_callback":

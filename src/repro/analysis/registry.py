@@ -29,10 +29,8 @@ from repro.analysis.findings import Severity
 __all__ = [
     "Rule",
     "register",
-    "get_rule",
     "all_rules",
     "lint_rules",
-    "audit_rules",
     "flow_rules",
     "flow_rule_ids",
 ]
@@ -68,15 +66,6 @@ def register(rule: Rule) -> Rule:
     return rule
 
 
-def get_rule(rule_id: str) -> Rule:
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise KeyError(
-            f"unknown rule id {rule_id!r} (known: {', '.join(sorted(_REGISTRY))})"
-        ) from None
-
-
 def known_rule_ids() -> frozenset[str]:
     _ensure_loaded()
     return frozenset(_REGISTRY)
@@ -90,10 +79,6 @@ def all_rules() -> list[Rule]:
 
 def lint_rules() -> list[Rule]:
     return [r for r in all_rules() if r.kind == "lint"]
-
-
-def audit_rules() -> list[Rule]:
-    return [r for r in all_rules() if r.kind == "audit"]
 
 
 def flow_rules() -> list[Rule]:

@@ -3,7 +3,9 @@
 This package models the hardware substrate of the paper (Fig. 1): a 2-D grid
 of processing elements (PEs) connected by a mesh interconnect, each PE an ALU
 with a local rotating register file, plus a data memory with one shared bus
-per row and a per-PE configuration memory written by the compiler.
+per row.  The per-PE configuration memory is not modelled as words: a
+compiled schedule is a :class:`~repro.compiler.mapping.Mapping`, lowered to
+firings by :mod:`repro.sim.lowering`.
 """
 
 from repro.arch.isa import Opcode, OPCODE_INFO, evaluate, is_memory_op
@@ -14,15 +16,6 @@ from repro.arch.pe import ProcessingElement
 from repro.arch.capability import CapabilityMap, OpClass, op_class
 from repro.arch.cgra import CGRA
 from repro.arch.presets import demo_cgra, experiment_cgra, preset, preset_names
-from repro.arch.config import (
-    OperandSource,
-    ReadNeighbor,
-    ReadRotating,
-    Immediate,
-    AddressPattern,
-    SlotConfig,
-    ConfigTable,
-)
 
 __all__ = [
     "Opcode",
@@ -43,11 +36,4 @@ __all__ = [
     "experiment_cgra",
     "preset",
     "preset_names",
-    "OperandSource",
-    "ReadNeighbor",
-    "ReadRotating",
-    "Immediate",
-    "AddressPattern",
-    "SlotConfig",
-    "ConfigTable",
 ]

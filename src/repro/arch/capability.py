@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.arch.isa import Opcode, is_memory_op
 from repro.util.errors import ArchitectureError
@@ -169,18 +169,6 @@ class CapabilityMap:
         if self.is_homogeneous:
             return None
         return [[name, list(ids)] for name, ids in self.classes]
-
-    @classmethod
-    def from_spec(
-        cls, rows: int, cols: int, spec: Sequence[Sequence] | None
-    ) -> "CapabilityMap | None":
-        """Inverse of :meth:`spec`; ``None`` spec means homogeneous."""
-        if spec is None:
-            return None
-        classes = tuple(
-            (str(name), tuple(int(i) for i in ids)) for name, ids in spec
-        )
-        return cls(rows, cols, classes)
 
     def describe(self) -> str:
         if self.is_homogeneous:

@@ -2,13 +2,13 @@
 
 The paper's architecture (Fig. 1) has a data memory shared by the array, with
 one data bus per row of PEs, plus "a global storage area reserved by the
-compiler in the Data Memory".  This module models:
-
-* a word-addressed memory with a symbol table of named arrays (kernel inputs
-  and outputs live here), and
-* a reserved *global storage area* that the runtime transformation uses to
-  carry values between page instances that land on non-adjacent PEs
-  (see :mod:`repro.core.mirroring` for when that happens).
+compiler in the Data Memory".  This module models the word-addressed
+memory with a symbol table of named arrays (kernel inputs and outputs live
+here).  The *global storage area* that the runtime transformation uses to
+carry values between page instances that land on non-adjacent PEs (see
+:mod:`repro.core.mirroring` for when that happens) is not carved out of
+these words: the simulator keys it by (edge, iteration)
+(:class:`repro.sim.lowering.GlobalSlot`).
 
 Bus arbitration (at most one memory operation per row per cycle) is a
 *compile-time* resource enforced by the mapper's reservation table and
@@ -39,12 +39,10 @@ class ArraySpec:
 
 
 class DataMemory:
-    """Word-addressed data memory with named arrays and a reserved area.
+    """Word-addressed data memory with named arrays.
 
     ``size`` is the number of 32-bit words.  Arrays are allocated
-    sequentially from address 0 with :meth:`bind_array`; the global storage
-    area (used only by the runtime transformation) grows from the top of
-    memory via :meth:`reserve_global_storage`.
+    sequentially from address 0 with :meth:`bind_array`.
     """
 
     def __init__(self, size: int = 1 << 16) -> None:
@@ -54,7 +52,6 @@ class DataMemory:
         self._words = np.zeros(size, dtype=np.int64)
         self._arrays: dict[str, ArraySpec] = {}
         self._next_base = 0
-        self._global_storage_base = size  # grows downward
         self.load_count = 0
         self.store_count = 0
 
@@ -68,7 +65,7 @@ class DataMemory:
         if data.ndim != 1:
             raise SimulationError(f"array {name!r} must be 1-D, got {data.ndim}-D")
         length = int(data.shape[0])
-        if self._next_base + length > self._global_storage_base:
+        if self._next_base + length > self.size:
             raise SimulationError(
                 f"out of data memory binding {name!r} "
                 f"({length} words at {self._next_base})"
@@ -78,23 +75,6 @@ class DataMemory:
         self._arrays[name] = spec
         self._next_base += length
         return spec
-
-    def reserve_global_storage(self, words: int) -> int:
-        """Reserve *words* at the top of memory for the transformation.
-
-        Returns the base address of the reserved block.  This is the
-        paper's "global storage area reserved by the compiler".
-        """
-        if words < 0:
-            raise SimulationError(f"cannot reserve {words} words")
-        base = self._global_storage_base - words
-        if base < self._next_base:
-            raise SimulationError(
-                f"global storage of {words} words collides with arrays "
-                f"(top of arrays at {self._next_base})"
-            )
-        self._global_storage_base = base
-        return base
 
     # -- access -----------------------------------------------------------------
 

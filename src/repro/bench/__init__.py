@@ -17,12 +17,7 @@ convenience.
 
 from repro.bench.fig8 import Fig8Row, run_fig8
 from repro.bench.fig9 import Fig9Cell, run_fig9
-from repro.bench.reporting import (
-    fig8_to_records,
-    fig9_to_records,
-    write_csv,
-    write_json,
-)
+from repro.bench.reporting import fig8_to_records, fig9_to_records, write_json
 from repro.pipeline import ArtifactStore, build_profiles
 
 __all__ = [
@@ -34,6 +29,5 @@ __all__ = [
     "run_fig9",
     "fig8_to_records",
     "fig9_to_records",
-    "write_csv",
     "write_json",
 ]

@@ -31,7 +31,7 @@ from repro.bench.fig9 import (
 )
 from repro.pipeline import ArtifactStore
 
-__all__ = ["EXPERIMENTS", "run_experiment", "main"]
+__all__ = ["EXPERIMENTS", "main"]
 
 
 def _fig8(size: int):
@@ -102,12 +102,6 @@ EXPERIMENTS: dict[str, Callable] = {
 #: What ``list`` prints: the paper registry plus the simulator's differential
 #: check, which compiles nothing and touches no store.
 _LISTED = (*EXPERIMENTS, "sim-oracle")
-
-
-def run_experiment(name: str, store: ArtifactStore | None = None, argv=()) -> str:
-    """Run one named experiment and return its report text."""
-    args = _parser().parse_args([name, *argv])
-    return EXPERIMENTS[name](store or ArtifactStore(), args)
 
 
 def _parser() -> argparse.ArgumentParser:

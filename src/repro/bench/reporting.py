@@ -1,26 +1,22 @@
 """Machine-readable experiment exports.
 
 The figure drivers return plain dataclasses; this module serialises them to
-JSON (full fidelity) and CSV (one row per data point) so results can be
-plotted or diffed outside this repository::
+JSON records (one per data point) so results can be plotted or diffed
+outside this repository::
 
     rows = run_fig8(4, store=store)
     write_json(fig8_to_records(4, rows), "fig8_4x4.json")
-    write_csv(fig8_to_records(4, rows), "fig8_4x4.csv")
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
-from typing import Iterable
 
 from repro.bench.fig8 import Fig8Row
 from repro.bench.fig9 import Fig9Cell
-from repro.util.errors import ReproError
 
-__all__ = ["fig8_to_records", "fig9_to_records", "write_json", "write_csv"]
+__all__ = ["fig8_to_records", "fig9_to_records", "write_json"]
 
 
 def fig8_to_records(size: int, rows: list[Fig8Row]) -> list[dict]:
@@ -66,20 +62,3 @@ def write_json(records: list[dict], path: str | Path) -> Path:
     p.write_text(json.dumps(records, indent=2) + "\n")
     return p
 
-
-def write_csv(records: Iterable[dict], path: str | Path) -> Path:
-    """Write records as CSV with a union header; returns the path."""
-    records = list(records)
-    if not records:
-        raise ReproError("no records to write")
-    fields: list[str] = []
-    for r in records:
-        for k in r:
-            if k not in fields:
-                fields.append(k)
-    p = Path(path)
-    with p.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(records)
-    return p

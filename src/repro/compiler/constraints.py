@@ -15,8 +15,9 @@
    operand reads have register-file depth 1, so the entire rotating file
    remains free for the PageMaster transformation to stretch lifetimes.
    :func:`register_usage_report` quantifies how much transfer state a
-   mapping keeps in flight, and :func:`assert_register_constraint` verifies
-   the depth-1 property on a built configuration.
+   mapping keeps in flight; the depth-1 property itself is checked by
+   :func:`repro.compiler.check.validate_mapping` (contiguous route steps)
+   and, on stored artifacts, by the ``MAP-REGDEPTH`` audit rule.
 
 3. **Fold-safe bus constraint** — memory ops budget their page's banked bus
    segment (see :mod:`repro.compiler.mrt`); :func:`paged_bus_key` builds
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
-from repro.arch.config import ConfigTable, ReadNeighbor
 from repro.arch.interconnect import Coord
 from repro.core.paging import PageLayout
 from repro.util.errors import ConstraintViolation
@@ -36,7 +36,6 @@ __all__ = [
     "ring_hop_filter",
     "paged_bus_key",
     "register_usage_report",
-    "assert_register_constraint",
 ]
 
 
@@ -91,14 +90,3 @@ def register_usage_report(mapping) -> dict[str, int]:
             holder = step.pe
     return {"self_holds": self_holds, "move_hops": move_hops}
 
-
-def assert_register_constraint(config: ConfigTable) -> None:
-    """Verify the register-usage constraint on a built configuration:
-    every neighbour read has depth exactly 1 (no rotating-file reliance)."""
-    for (pe, mtime), slot in config.slots.items():
-        for src in slot.operands:
-            if isinstance(src, ReadNeighbor) and src.delta != 1:
-                raise ConstraintViolation(
-                    f"slot {slot.op_id} at {pe} mod {mtime} reads at register "
-                    f"depth {src.delta}; compiled mappings must be depth-1"
-                )

@@ -1,22 +1,18 @@
-"""II feasibility: exact lower bounds and cheap infeasibility certificates.
+"""II feasibility: the exact lower bound every ladder starts from.
 
 Every backend climbs an (II, attempt) ladder whose first rung is the
 minimum initiation interval MII = max(ResMII, RecMII).  This module owns
 that computation — :func:`ii_lower_bound` is the single source of truth the
-flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_start_ii`) and the
-hierarchical backend delegate to — plus a *certificate*: a cheap, sound
-proof that a DFG cannot map at any II on a given fabric, in the style of
-the degree and neighborhood filters subgraph-monomorphism solvers run
-before search.
+flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_start_ii`), the
+hierarchical backend and the auditor's ``MAP-MII`` rule delegate to.
 
-Soundness contract: a certificate may only fire when **no** mapping exists
-under the mapper's own constraint model.  Certificates therefore reason
-about the same resources the placer and router charge — one op or routed
-value per (PE, cycle-slot), operand arrival from the in-neighborhood
-``arr(p) = {p} ∪ in-neighbors(p)``, memory issue slots per cycle — and
-never about heuristics.  The property tests in
-``tests/test_feasibility.py`` replay every committed artifact against the
-certificates: an II that actually mapped must never be pruned.
+Soundness contract: the bound may only exclude an II at which **no**
+mapping exists under the mapper's own constraint model.  It therefore
+reasons about the same resources the placer and router charge — one op or
+routed value per (PE, cycle-slot), memory issue slots per cycle — and never
+about heuristics.  The property tests in ``tests/test_feasibility.py``
+replay every committed artifact against it: an II that actually mapped
+must never lie below the bound.
 """
 
 from __future__ import annotations
@@ -26,14 +22,12 @@ from dataclasses import dataclass
 
 from repro.compiler.mapping import materialized_ops
 from repro.dfg.analysis import rec_mii
-from repro.dfg.graph import DFG, Opcode
+from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
 
 __all__ = [
     "IIBound",
     "ii_lower_bound",
-    "max_distinct_fanin",
-    "fanin_certificate",
 ]
 
 
@@ -104,55 +98,3 @@ def ii_lower_bound(
         rec_mii=rec_mii(dfg),
     )
 
-
-# -- certificates ---------------------------------------------------------------
-#
-# Degree/neighborhood filters: II-independent structural proofs that no
-# placement can satisfy the routing model, checked in O(V + E).  They are
-# the moral equivalent of a subgraph-monomorphism solver rejecting a
-# pattern vertex whose degree exceeds every target vertex's degree.
-
-
-def max_distinct_fanin(dfg: DFG) -> int:
-    """Largest number of distinct routed input values any op consumes.
-
-    CONST operands are baked into the consuming PE's instruction word and
-    never routed, so they don't count; neither do duplicate uses of the
-    same producer (one arriving value feeds both operand ports).
-    """
-    ops = dfg.ops
-    worst = 0
-    for v in ops.values():
-        srcs = {
-            e.src
-            for e in dfg.in_edges(v)
-            if ops[e.src].opcode is not Opcode.CONST
-        }
-        if len(srcs) > worst:
-            worst = len(srcs)
-    return worst
-
-
-def fanin_certificate(dfg: DFG, arr_sizes) -> str | None:
-    """Fan-in/neighborhood filter: proof *dfg* maps at **no** II.
-
-    At the cycle an op fires on PE ``p``, each of its distinct routed
-    input values occupies a distinct ``(q, t-1)`` slot with
-    ``q ∈ arr(p)`` — one PE holds one value per cycle-slot, so an op
-    needing more distinct inputs than the largest arrival neighborhood on
-    the fabric can never have all operands adjacent, at any II.
-
-    *arr_sizes* is an iterable of ``len(arr(p))`` over the PEs available
-    to the mapper (``arr`` includes ``p`` itself: a value may wait on the
-    firing PE).  Returns the refutation text, or ``None`` when the filter
-    passes.  This fires on pathological fabrics (e.g. 1-wide chains) and
-    adversarial random DFGs — never on the paper's kernel suite.
-    """
-    cap = max(arr_sizes, default=0)
-    need = max_distinct_fanin(dfg)
-    if need > cap:
-        return (
-            f"op fan-in {need} exceeds the largest arrival neighborhood "
-            f"({cap} PEs incl. self): unmappable at any II"
-        )
-    return None

@@ -34,7 +34,6 @@ __all__ = [
     "RouteStep",
     "Route",
     "Mapping",
-    "edge_gap",
     "materialized_ops",
     "materialized_edges",
 ]
@@ -101,11 +100,6 @@ class Route:
     tap: RouteStep | None = None
 
 
-def edge_gap(edge: Edge, t_src: int, t_dst: int, ii: int) -> int:
-    """Timing gap of *edge* in the consumer's iteration frame."""
-    return t_dst - (t_src - edge.distance * ii)
-
-
 @dataclass
 class Mapping:
     """A complete modulo-scheduled mapping of *dfg* onto *cgra*."""
@@ -145,18 +139,6 @@ class Mapping:
     def route(self, edge_id: int) -> Route:
         r = self.routes.get(edge_id)
         return r if r is not None else Route(edge_id)
-
-    def holder_before(self, edge: Edge) -> tuple[Coord, int]:
-        """PE whose output the consumer of *edge* reads, and the cycle (in
-        the consumer frame) that PE produced/re-emitted the value."""
-        r = self.route(edge.id)
-        if r.steps:
-            last = r.steps[-1]
-            return last.pe, last.time
-        if r.tap is not None:
-            return r.tap.pe, r.tap.time
-        src = self.placement(edge.src)
-        return src.pe, src.time - edge.distance * self.ii
 
     def route_origin(self, edge: Edge) -> tuple[Coord, int]:
         """Where this edge's route chain starts reading the value: the tap

@@ -118,9 +118,6 @@ class ReservationTable:
     def slot_free(self, pe: Coord, time: int) -> bool:
         return self._occ[(time % self.ii) * self.num_pes + self.cgra.grid_index.id_of[pe]] is None
 
-    def occupant(self, pe: Coord, time: int) -> str | None:
-        return self._occ[(time % self.ii) * self.num_pes + self.cgra.grid_index.id_of[pe]]
-
     def bus_free(self, pe: Coord, time: int) -> bool:
         """Can a memory op on *pe* use its bus segment at this modulo slot?"""
         return self.bus_free_id(self.cgra.grid_index.id_of[pe], time)

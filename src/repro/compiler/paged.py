@@ -71,17 +71,6 @@ class PagedMapping:
         unused portion"), so it doubles as the kernel's page *need*."""
         return self.layout.num_pages
 
-    def activity(self) -> tuple[tuple[bool, ...], ...]:
-        """Bitmap [page][modulo time] of non-empty page instances — the
-        input to activity-aware PageMaster placement."""
-        return tuple(
-            tuple(
-                bool(self.page_schedule.instance(n, t).items)
-                for t in range(self.ii)
-            )
-            for n in range(self.layout.num_pages)
-        )
-
     def summary(self) -> str:
         return (
             f"{self.mapping.summary()} | {self.layout.num_pages} pages of "

@@ -26,12 +26,15 @@ EMSMapper.attempt_order`), not by which probes ran before it.  So the
 artifact is byte-identical for either executor, any worker count and any
 completion timing.
 
-Worker-budget sharing: all concurrent raced ladders (e.g. the per-kernel
-misses of :func:`repro.pipeline.compile.compile_many`) draw probe slots
-from one :class:`WorkerBudget`.  A ladder blocks for its *first* slot (so
-every miss makes progress — misses fan out across jobs first) but only
-takes speculative extra slots opportunistically (so once most jobs are
-done, the idle slots drain into attempt probes of the stragglers).
+Worker-budget sharing: all concurrent raced ladders (the concurrent
+requests of :mod:`repro.serve` at ``--workers N``, the raced executor's
+one production caller) draw probe slots from one :class:`WorkerBudget`.
+A ladder blocks for its *first* slot (so every miss makes progress) but
+only takes speculative extra slots opportunistically (so once most
+requests are done, the idle slots drain into attempt probes of the
+stragglers).  Batches do not come here: :func:`repro.pipeline.compile.
+compile_many` fans whole jobs out to worker processes, each walking its
+ladders inline (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ def _probe_context(task: ProbeTask) -> tuple[object, list[list[int]]]:
         mapper = task.spec.build()
         hit = (mapper, mapper.attempt_orders(task.dfg))
         if len(_CTX_CACHE) >= _CTX_CACHE_MAX:
-            _CTX_CACHE.pop(next(iter(_CTX_CACHE)))  # repro: allow[RACE-SHARED-MUT] per-process probe cache: the probe pool is a ProcessPoolExecutor, each worker owns a private copy; the serial fallback runs single-threaded
+            _CTX_CACHE.pop(next(iter(_CTX_CACHE)))  # repro: allow[RACE-SHARED-MUT] per-process probe cache: run_probe only runs in a ProcessPoolExecutor worker, which owns a private copy and runs one task at a time
         _CTX_CACHE[key] = hit  # repro: allow[RACE-SHARED-MUT] per-process probe cache: same ownership argument as the eviction above
     return hit
 
@@ -266,11 +269,10 @@ class SearchContext:
     The default-constructed context is the **inline** executor: no pool,
     one probe at a time in the calling thread.  :meth:`create` builds the
     **raced** one — a process pool plus the shared budget; one such
-    context is shared by every ladder of a compile batch
-    (:func:`repro.pipeline.compile.compile_many` creates one per call) or
-    of a service's lifetime.  A raced ``executor`` only needs ``submit``;
-    tests inject deliberately reordered executors to exercise the
-    reduction.
+    context is shared by every ladder of a compile service's lifetime
+    (:class:`repro.serve.service.CompileService` creates it at start-up).
+    A raced ``executor`` only needs ``submit``; tests inject deliberately
+    reordered executors to exercise the reduction.
     """
 
     workers: int = 1

@@ -196,10 +196,6 @@ class PageLayout:
         self._check_page(n)
         return (n + 1) % self.num_pages
 
-    def ring_pred(self, n: int) -> int:
-        self._check_page(n)
-        return (n - 1) % self.num_pages
-
     def ring_hop_allowed(self, src_page: int, dst_page: int) -> bool:
         """May a value move from *src_page* to *dst_page* in one cycle under
         the §VI-B data-flow constraint?  Same page is always allowed; the

@@ -206,6 +206,7 @@ class CGRAManager:
             raise ReproError(f"thread {tid} unknown to the manager")
         if h.allocation is None:
             self._queue.remove(tid)
+            self.needs.pop(tid, None)
             return []
         # the policy sees the departing thread still resident; it must
         # return a map without it

@@ -3,22 +3,15 @@
 Loop kernels are represented as DFGs (Fig. 2 of the paper): vertices are
 micro-operations, edges are data dependencies, optionally loop-carried with
 an iteration distance.  This package provides the graph model, a builder
-API, scheduling analyses (ASAP/ALAP, ResMII/RecMII/MII), and structural
-transforms (unrolling, dead-code elimination).
+API, scheduling analyses (ASAP/ALAP, RecMII), and structural transforms
+(unrolling, spilling long edges through memory).
 """
 
 from repro.dfg.graph import DFG, Edge, MemRef, Op
 from repro.dfg.builder import DFGBuilder
-from repro.dfg.analysis import (
-    asap_times,
-    alap_times,
-    critical_path_length,
-    rec_mii,
-    res_mii,
-    mii,
-)
-from repro.dfg.transforms import unroll, eliminate_dead_ops
-from repro.dfg.spill import bind_spill_arrays, spill_candidates, spill_long_edges
+from repro.dfg.analysis import asap_times, alap_times, rec_mii
+from repro.dfg.transforms import unroll
+from repro.dfg.spill import spill_candidates, spill_long_edges
 from repro.dfg.random_dfg import random_arrays, random_dfg
 from repro.dfg.validate import validate_dfg
 
@@ -30,15 +23,10 @@ __all__ = [
     "DFGBuilder",
     "asap_times",
     "alap_times",
-    "critical_path_length",
     "rec_mii",
-    "res_mii",
-    "mii",
     "unroll",
-    "eliminate_dead_ops",
     "spill_long_edges",
     "spill_candidates",
-    "bind_spill_arrays",
     "random_dfg",
     "random_arrays",
     "validate_dfg",

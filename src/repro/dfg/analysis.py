@@ -1,15 +1,13 @@
 """Scheduling analyses on dataflow graphs.
 
-Implements the standard modulo-scheduling bounds the paper's compiler
-(EMS-based) relies on:
+Implements the graph-side analyses the paper's compiler (EMS-based)
+relies on:
 
-* ``res_mii`` — resource-constrained lower bound on the initiation
-  interval: enough PE slots for all ops, and enough row-bus slots for all
-  memory ops.
 * ``rec_mii`` — recurrence-constrained lower bound (Rau): the smallest II
   such that no dependence cycle requires more latency than ``II x`` its
   total iteration distance (Fig. 3's recurrence is the canonical example).
-* ``mii`` — max of the two.
+  The resource terms, and the MII that combines them, are
+  :func:`repro.compiler.feas.ii_lower_bound`'s.
 * ``asap_times`` / ``alap_times`` — schedule windows on the distance-0 DAG,
   used for op prioritisation by the mappers.
 
@@ -18,20 +16,14 @@ All latencies are 1 cycle (see :mod:`repro.arch.isa`).
 
 from __future__ import annotations
 
-import math
-
 import networkx as nx
 
 from repro.dfg.graph import DFG
-from repro.util.errors import GraphError
 
 __all__ = [
     "asap_times",
     "alap_times",
-    "critical_path_length",
-    "res_mii",
     "rec_mii",
-    "mii",
     "has_positive_cycle",
 ]
 
@@ -71,30 +63,6 @@ def alap_times(dfg: DFG, horizon: int | None = None) -> dict[int, int]:
     return times
 
 
-def critical_path_length(dfg: DFG) -> int:
-    """Length (in ops) of the longest distance-0 dependency chain."""
-    asap = asap_times(dfg)
-    return max(asap.values(), default=0) + 1 if asap else 0
-
-
-def res_mii(dfg: DFG, num_pes: int, mem_slots_per_cycle: int) -> int:
-    """Resource-constrained minimum II.
-
-    ``num_pes`` is the number of PEs available to this kernel (a page
-    subset for the paged compiler); ``mem_slots_per_cycle`` is the total
-    row-bus capacity available per cycle.
-    """
-    if num_pes <= 0:
-        raise GraphError(f"num_pes must be positive, got {num_pes}")
-    if mem_slots_per_cycle <= 0:
-        raise GraphError(
-            f"mem_slots_per_cycle must be positive, got {mem_slots_per_cycle}"
-        )
-    compute_bound = math.ceil(dfg.num_ops / num_pes)
-    mem_bound = math.ceil(dfg.num_memory_ops / mem_slots_per_cycle)
-    return max(1, compute_bound, mem_bound)
-
-
 def has_positive_cycle(dfg: DFG, ii: int) -> bool:
     """True if some dependence cycle is infeasible at initiation interval
     *ii*: total latency around the cycle exceeds ``ii x`` total distance.
@@ -126,7 +94,3 @@ def rec_mii(dfg: DFG) -> int:
             return ii
     return upper
 
-
-def mii(dfg: DFG, num_pes: int, mem_slots_per_cycle: int) -> int:
-    """Minimum initiation interval: ``max(ResMII, RecMII)``."""
-    return max(res_mii(dfg, num_pes, mem_slots_per_cycle), rec_mii(dfg))

@@ -15,9 +15,7 @@ binding to concrete base addresses happens when a kernel is loaded into a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import networkx as nx
+from dataclasses import dataclass, field
 
 from repro.arch.isa import OPCODE_INFO, Opcode
 from repro.util.errors import GraphError
@@ -205,17 +203,6 @@ class DFG:
         s = op.id if isinstance(op, Op) else op
         return self._adjacency()[1][s]
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Export as a networkx multigraph (edge attrs: distance, operand)."""
-        g = nx.MultiDiGraph(name=self.name)
-        for op in self.ops.values():
-            g.add_node(op.id, opcode=op.opcode.value, label=op.label)
-        for e in self.edges.values():
-            g.add_edge(
-                e.src, e.dst, key=e.id, distance=e.distance, operand=e.operand_index
-            )
-        return g
-
     def copy(self, name: str | None = None) -> "DFG":
         return DFG(
             name=name or self.name,
@@ -224,28 +211,6 @@ class DFG:
             _next_op=self._next_op,
             _next_edge=self._next_edge,
         )
-
-    def relabel(self, mapping: dict[int, int]) -> "DFG":
-        """Renumber ops according to *mapping* (must be a bijection over op
-        ids); edge ids are renumbered densely."""
-        if sorted(mapping) != sorted(self.ops) or sorted(set(mapping.values())) != sorted(
-            mapping.values()
-        ):
-            raise GraphError("relabel mapping must be a bijection over op ids")
-        out = DFG(name=self.name)
-        for old_id in sorted(self.ops, key=lambda i: mapping[i]):
-            op = self.ops[old_id]
-            out.ops[mapping[old_id]] = replace(op, id=mapping[old_id])
-        out._next_op = max(out.ops) + 1 if out.ops else 0
-        for e in sorted(self.edges.values(), key=lambda e: e.id):
-            out.add_edge(
-                mapping[e.src],
-                mapping[e.dst],
-                e.operand_index,
-                distance=e.distance,
-                init=e.init,
-            )
-        return out
 
     def fingerprint(self) -> str:
         """Canonical structural hash of the graph.

@@ -62,7 +62,7 @@ def spill_long_edges(
 
     Each spilled edge gets its own circular temporary array
     ``__tmp<edge_id>`` of *ring* words (bind a zeroed array of that name
-    before executing; :func:`bind_spill_arrays` does it for you).
+    before executing).
     """
     targets = set(spill_candidates(dfg, threshold))
     if not targets:
@@ -91,15 +91,3 @@ def spill_long_edges(
         out.add_edge(load, e.dst, e.operand_index)
     return out, len(targets)
 
-
-def bind_spill_arrays(dfg: DFG, memory, ring: int = 8) -> None:
-    """Allocate the temporary buffers a spilled DFG references."""
-    import numpy as np
-
-    for op in dfg.ops.values():
-        if (
-            op.memref is not None
-            and op.memref.array.startswith(TMP_ARRAY_PREFIX)
-            and op.opcode is Opcode.STORE
-        ):
-            memory.bind_array(op.memref.array, np.zeros(op.memref.ring or ring))

@@ -3,18 +3,15 @@
 ``unroll`` reproduces the paper's Fig. 3 experiment: unrolling a loop with a
 recurrence does not beat the recurrence bound — the unrolled graph's RecMII
 grows with the factor, keeping the *effective* II per original iteration
-constant.  ``eliminate_dead_ops`` removes value-producing ops whose results
-reach no store and no recurrence.
+constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.dfg.graph import DFG, MemRef
 from repro.util.errors import GraphError
 
-__all__ = ["unroll", "eliminate_dead_ops"]
+__all__ = ["unroll"]
 
 
 def unroll(dfg: DFG, factor: int) -> DFG:
@@ -72,36 +69,3 @@ def unroll(dfg: DFG, factor: int) -> DFG:
             )
     return out
 
-
-def eliminate_dead_ops(dfg: DFG) -> DFG:
-    """Remove ops whose value can never reach a store.
-
-    Keeps every memory op, then walks def-use edges backwards (through
-    loop-carried edges too — recurrence values are live).  Returns a new,
-    densely renumbered DFG.
-    """
-    live: set[int] = {op.id for op in dfg.ops.values() if op.is_memory}
-    frontier = list(live)
-    while frontier:
-        v = frontier.pop()
-        for e in dfg.in_edges(v):
-            if e.src not in live:
-                live.add(e.src)
-                frontier.append(e.src)
-    kept = sorted(live)
-    mapping = {old: new for new, old in enumerate(kept)}
-    out = DFG(name=dfg.name)
-    for old in kept:
-        op = dfg.ops[old]
-        out.ops[mapping[old]] = replace(op, id=mapping[old])
-    out._next_op = len(kept)
-    for e in sorted(dfg.edges.values(), key=lambda e: e.id):
-        if e.src in live and e.dst in live:
-            out.add_edge(
-                mapping[e.src],
-                mapping[e.dst],
-                e.operand_index,
-                distance=e.distance,
-                init=e.init,
-            )
-    return out

@@ -9,30 +9,31 @@ the :class:`~repro.pipeline.store.ArtifactStore`, and only invokes the
 mapper on a genuine miss.
 
 Every mapping ladder of a job is one :func:`repro.compiler.search.
-climb_ladder` call; the only thing ``workers`` changes is which executor
-that driver gets.  ``workers=1`` walks each ladder inline in the calling
-thread.  ``compile_many`` with ``workers > 1`` hands every miss one shared
-:class:`~repro.compiler.search.SearchContext`: a ``ProcessPoolExecutor``
-of probe workers racing the (II, attempt) lattice, with a shared
-:class:`~repro.compiler.search.WorkerBudget` that keeps kernel-level and
-attempt-level parallelism from oversubscribing it — each miss holds at
-least one probe slot (misses fan out across jobs first), and idle slots
-drain into speculative probes of the stragglers.  The driver reduces probe
-results in canonical (II, attempt) order, so the artifacts are
-byte-identical for a fixed seed, regardless of worker count.
+climb_ladder` call.  A batch is N independent compiles (the paper's §III:
+mapping happens offline, once per kernel), so ``compile_many`` with
+``workers > 1`` fans **whole jobs** out over a ``ProcessPoolExecutor``:
+each worker process runs :func:`compile_job` exactly as ``workers=1``
+does — every ladder inline — and the parent stores the results in input
+order, which is why the artifacts are byte-identical at any worker count.
+The raced executor (:meth:`~repro.compiler.search.SearchContext.create`)
+is not used here: it is the compile service's tool for single-miss
+latency, handed to :func:`compile_job` as *search* (DESIGN.md §11 has the
+measurements behind both choices).
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
-from repro.compiler.search import LadderReport, SearchContext, ladder_totals
+from repro.compiler.search import LadderReport, ladder_totals
 from repro.compiler.stats import job_counters
 from repro.core.pagemaster import steady_state_ii
 from repro.core.paging import PageLayout, choose_page_shape
@@ -46,7 +47,6 @@ __all__ = [
     "CompileJob",
     "CompileStats",
     "CompileFailure",
-    "MAX_COORDINATION_THREADS",
     "job_key",
     "compile_job",
     "compile_job_stats",
@@ -56,13 +56,6 @@ __all__ = [
     "build_profiles",
     "make_layout",
 ]
-
-#: Upper bound on ``compile_many``'s per-miss coordination threads.  The
-#: threads only block on probe futures (the shared WorkerBudget bounds
-#: actual parallelism), but an unbounded one-thread-per-miss spawn still
-#: explodes on a large multi-tenant batch; misses beyond the cap queue on
-#: the same bounded executor, in input order, with byte-identical results.
-MAX_COORDINATION_THREADS = 32
 
 
 def make_layout(cgra: CGRA, page_size: int, prefer: str = "square") -> PageLayout:
@@ -302,21 +295,28 @@ class CompileFailure:
         raise MappingError(f"{self.job.kernel}: {self.error}: {self.message}")
 
 
-def _coordination_threads(n_pending: int, workers: int) -> int:
-    """Thread count for the per-miss coordination fan-out: one per miss,
-    bounded by :data:`MAX_COORDINATION_THREADS` (but never fewer than the
-    probe pool, so *workers* processes are never starved of feeders)."""
-    return min(n_pending, max(workers, MAX_COORDINATION_THREADS))
-
-
-def _job_outcome(job: CompileJob, search=None):
+def _job_outcome(job: CompileJob):
     """Compile one job, capturing any exception as a structured failure."""
     try:
-        return compile_job(job, search=search)
+        return compile_job(job)
     except Exception as exc:  # noqa: BLE001 - isolated per-job, reported upstream
         return CompileFailure(
             job=job, error=type(exc).__name__, message=str(exc), cause=exc
         )
+
+
+def _job_outcome_pooled(job: CompileJob):
+    """:func:`_job_outcome` as a pool worker's entry point: the outcome is
+    pickled back to the parent, so a failure whose exception does not
+    survive the round trip travels as its class name and message alone
+    (an unpicklable result would otherwise break the whole pool)."""
+    outcome = _job_outcome(job)
+    if isinstance(outcome, CompileFailure):
+        try:
+            pickle.loads(pickle.dumps(outcome.cause))
+        except Exception:  # noqa: BLE001 - any pickling failure, same answer
+            outcome = replace(outcome, cause=None)
+    return outcome
 
 
 def compile_many_outcomes(
@@ -357,17 +357,13 @@ def compile_many_outcomes(
         else:
             pending.append(job)
     if pending:
-        if workers > 1:
-            with SearchContext.create(workers) as ctx:
-                # Bounded orchestration threads: each blocks on probe
-                # futures, so the thread count is about coordination, not
-                # CPU — the shared budget bounds actual parallelism, and
-                # misses beyond the cap queue in input order.
-                n_threads = _coordination_threads(len(pending), workers)
-                with ThreadPoolExecutor(max_workers=n_threads) as tp:
-                    compiled = list(
-                        tp.map(lambda j: _job_outcome(j, search=ctx), pending)
-                    )
+        if workers > 1 and len(pending) > 1:
+            # spawn, not fork: the caller may be a threaded process
+            with ProcessPoolExecutor(
+                min(workers, len(pending)),
+                mp_context=multiprocessing.get_context("spawn"),
+            ) as pool:
+                compiled = list(pool.map(_job_outcome_pooled, pending))
         else:
             compiled = [_job_outcome(job) for job in pending]
         for job, outcome in zip(pending, compiled):
@@ -391,13 +387,13 @@ def compile_many(
     """Compile *jobs*, returning artifacts in input order.
 
     Warm jobs are served from *store* without touching the mapper;
-    duplicate jobs are compiled once.  With ``workers > 1`` the misses run
-    concurrently, their ladders raced: one shared pool
-    of *workers* probe processes serves every miss's (II, attempt) ladder,
-    under a shared budget so kernel-level and attempt-level parallelism
-    never oversubscribe — each miss holds at least one probe slot, and
-    idle slots drain into speculative probes of the stragglers.  Results
-    are byte-identical to the serial path, only wall-clock changes.
+    duplicate jobs are compiled once.  With ``workers > 1`` and more than
+    one miss, whole jobs fan out over ``min(workers, misses)`` worker
+    processes, each compiling its job exactly as ``workers=1`` would; the
+    parent stores the results.  Artifacts are byte-identical to the serial
+    path, only wall-clock changes.  The workers are *spawned* (safe in a
+    threaded caller), so a script that passes ``workers > 1`` needs the
+    usual ``if __name__ == "__main__":`` guard.
 
     A failing job raises (the first failure in input order) after the
     rest of the batch has compiled and been stored; callers that need

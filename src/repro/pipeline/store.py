@@ -162,11 +162,6 @@ class ArtifactStore:
         with self._lock:
             self.compile_seconds += seconds
 
-    def reset_stats(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.puts = 0
-            self.compile_seconds = 0.0
-
     def stats(self) -> dict:
         with self._lock:
             return {

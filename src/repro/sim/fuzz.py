@@ -107,7 +107,7 @@ class FuzzCase:
 def make_case(index: int, seed: int) -> FuzzCase:
     """The *index*-th lattice point: the policy x overhead x boundary x
     arrival-gap grid cycles fastest, thread/page/need shape slower, so any
-    prefix of the sweep already spans all four policies and both modes'
+    prefix of the sweep already spans all six policies and both modes'
     interesting knobs."""
     pol = _POLICIES[index % len(_POLICIES)]
     rest = index // len(_POLICIES)

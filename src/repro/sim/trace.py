@@ -1,6 +1,6 @@
 """Execution tracing.
 
-Two recorders, both optional and zero-cost when unused:
+Three recorders, all optional and zero-cost when unused:
 
 * :class:`CycleTrace` — plugs into :func:`repro.sim.cgra_sim.simulate` and
   records every firing with its resolved operand values, for debugging
@@ -74,9 +74,6 @@ class CycleTrace:
             )
         )
 
-    def at_cycle(self, cycle: int) -> list[FiringRecord]:
-        return [r for r in self.records if r.cycle == cycle]
-
     def of_op(self, label_prefix: str) -> list[FiringRecord]:
         return [r for r in self.records if r.label.startswith(label_prefix)]
 
@@ -127,12 +124,6 @@ class SystemTimeline:
         alloc: tuple[int, int] | None = None,
     ) -> None:
         self.events.append(TimelineEvent(float(time), kind, tid, detail, alloc))
-
-    def of_thread(self, tid: int) -> list[TimelineEvent]:
-        return [e for e in self.events if e.tid == tid]
-
-    def of_kind(self, kind: str) -> list[TimelineEvent]:
-        return [e for e in self.events if e.kind == kind]
 
     def render(self, *, max_events: int | None = None) -> str:
         events = sorted(self.events, key=lambda e: (e.time, e.tid))
@@ -190,9 +181,3 @@ class DecisionTrace:
                 tuple(sorted(residents.items())),
             )
         )
-
-    def of_kind(self, kind: str) -> list[Decision]:
-        return [d for d in self.decisions if d.kind == kind]
-
-    def of_thread(self, tid: int) -> list[Decision]:
-        return [d for d in self.decisions if d.tid == tid]

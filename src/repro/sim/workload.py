@@ -69,15 +69,6 @@ class ThreadSpec:
     # allocation policies read it, everything else ignores it
     priority: int = 0
 
-    def cgra_fraction(self, nominal_ii: dict[str, int]) -> float:
-        """Fraction of nominal time spent on the CGRA."""
-        cpu = sum(s.cycles for s in self.segments if s.kind == "cpu")
-        acc = sum(
-            s.trip * nominal_ii[s.kernel] for s in self.segments if s.kind == "cgra"
-        )
-        total = cpu + acc
-        return acc / total if total else 0.0
-
 
 def generate_workload(
     n_threads: int,

@@ -9,8 +9,8 @@ from repro.util.errors import (
     TransformError,
     SimulationError,
 )
-from repro.util.rng import make_rng, spawn_rngs
-from repro.util.tables import format_table, format_percent
+from repro.util.rng import make_rng
+from repro.util.tables import format_table
 
 __all__ = [
     "ReproError",
@@ -21,7 +21,5 @@ __all__ = [
     "TransformError",
     "SimulationError",
     "make_rng",
-    "spawn_rngs",
     "format_table",
-    "format_percent",
 ]

@@ -8,11 +8,9 @@ in the paper reproduction is bit-for-bit repeatable.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs", "derive_seed"]
+__all__ = ["make_rng", "derive_seed"]
 
 
 def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
@@ -47,23 +45,3 @@ def derive_seed(seed: int, *streams: int | str) -> int:
     ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(keys))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Spawn *n* independent generators from one master seed."""
-    if n < 0:
-        raise ValueError(f"cannot spawn {n} generators")
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]
-
-
-def choice_weighted(
-    rng: np.random.Generator, items: Sequence, weights: Iterable[float]
-):
-    """Pick one element of *items* with the given (unnormalised) weights."""
-    w = np.asarray(list(weights), dtype=float)
-    if len(w) != len(items):
-        raise ValueError("weights length must match items length")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be non-negative and sum to > 0")
-    idx = rng.choice(len(items), p=w / w.sum())
-    return items[int(idx)]

@@ -8,12 +8,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-__all__ = ["format_table", "format_percent", "format_grid"]
-
-
-def format_percent(value: float, digits: int = 1) -> str:
-    """Format a ratio (1.0 == 100%) as a percentage string."""
-    return f"{value * 100.0:.{digits}f}%"
+__all__ = ["format_table"]
 
 
 def _cell(value: Any) -> str:
@@ -69,15 +64,3 @@ def _looks_numeric(s: str) -> bool:
     except ValueError:
         return False
 
-
-def format_grid(grid: dict[tuple[Any, Any], Any], row_label: str = "") -> str:
-    """Render a dict keyed by (row, col) as a matrix table.
-
-    Useful for figure-style data: rows are e.g. thread counts, columns are
-    e.g. CGRA-need levels.
-    """
-    rows = sorted({k[0] for k in grid})
-    cols = sorted({k[1] for k in grid})
-    headers = [row_label] + [str(c) for c in cols]
-    body = [[r] + [grid.get((r, c), "-") for c in cols] for r in rows]
-    return format_table(headers, body)

@@ -297,34 +297,50 @@ def _fold_stub(n=2, ii=1, wrap=False):
     return SimpleNamespace(pages_used=n, ii_paged=ii, wrap_used=wrap)
 
 
-def test_fold_legality_catches_time_inversion():
+def _audit_tampered_fold(monkeypatch, overrides, n=2):
+    """Run the auditor's fold pass over an *n*-page, II 1, wrap-free
+    artifact whose M=n fold — the identity, (page, batch) at (col page,
+    t batch) — comes back from PageMaster with *overrides* applied; every
+    other M is the real fold."""
+    from repro.core.pagemaster import PageMaster
+
+    real = PageMaster.place
+    table = {
+        m: real(PageMaster(n, 1, m)).ii_q_effective() for m in range(1, n + 1)
+    }
+
+    def place(self):
+        placement = real(self)
+        if self.m == n:
+            placement.slots.update(overrides)
+        return placement
+
+    monkeypatch.setattr(PageMaster, "place", place)
+    artifact = _fold_stub(n)
+    artifact.steady_table = lambda: table
     entry = AuditEntry(path="x", status="ok")
-    placement = SimpleNamespace(
-        slots={(0, 0): (0, 2), (0, 1): (0, 1), (1, 0): (1, 3), (1, 1): (1, 4)}
-    )
-    audit_mod._check_fold_legality(entry, _fold_stub(), placement, 2)
+    audit_mod._audit_fold(entry, artifact)
+    return entry
+
+
+def test_fold_legality_catches_time_inversion(monkeypatch):
+    entry = _audit_tampered_fold(monkeypatch, {(0, 0): (0, 2)})
     assert [f.rule_id for f in entry.findings] == ["FOLD-DEPS"]
-    assert "not later" in entry.findings[0].message
+    assert "M=2" in entry.findings[0].message
+    assert "not after its dependency" in entry.findings[0].message
+    assert entry.folds_checked == 1  # M=1 verified, M=2 refused
 
 
-def test_fold_legality_catches_double_booking():
-    entry = AuditEntry(path="x", status="ok")
-    placement = SimpleNamespace(
-        slots={(0, 0): (0, 0), (0, 1): (0, 1), (1, 0): (0, 0), (1, 1): (0, 1)}
-    )
-    audit_mod._check_fold_legality(entry, _fold_stub(), placement, 2)
+def test_fold_legality_catches_double_booking(monkeypatch):
+    entry = _audit_tampered_fold(monkeypatch, {(1, 0): (0, 0)})
     assert [f.rule_id for f in entry.findings] == ["FOLD-DEPS"]
-    assert "double-booked" in entry.findings[0].message
+    assert "holds both" in entry.findings[0].message
 
 
-def test_fold_legality_catches_column_jump():
-    entry = AuditEntry(path="x", status="ok")
-    placement = SimpleNamespace(
-        slots={(0, 0): (0, 0), (0, 1): (3, 1), (1, 0): (1, 0), (1, 1): (2, 1)}
-    )
-    audit_mod._check_fold_legality(entry, _fold_stub(), placement, 2)
+def test_fold_legality_catches_column_jump(monkeypatch):
+    entry = _audit_tampered_fold(monkeypatch, {(0, 1): (2, 2)}, n=3)
     assert [f.rule_id for f in entry.findings] == ["FOLD-DEPS"]
-    assert "spans columns" in entry.findings[0].message
+    assert "more than one hop" in entry.findings[0].message
 
 
 def test_fold_bound_envelope():

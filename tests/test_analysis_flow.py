@@ -368,6 +368,53 @@ def test_race_shared_mut_clean_under_lock(tmp_path):
     assert flow_findings(pkg) == []
 
 
+RUN_IN_EXECUTOR = {
+    "svc.py": """
+        import asyncio
+        from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+        SEEN = {}
+
+
+        def note(x):
+            SEEN[x] = True
+
+
+        class Service:
+            def __init__(self):
+                self._pool = ThreadPoolExecutor()
+
+            def _blocking(self, x):
+                note(x)
+
+            async def handle(self, x):
+                loop = asyncio.get_running_loop()
+                await loop.run_in_executor(self._pool, self._blocking, x)
+
+
+        async def offload(x):
+            pool = ProcessPoolExecutor()
+            await asyncio.get_running_loop().run_in_executor(pool, note, x)
+    """,
+}
+
+
+def test_run_in_executor_is_a_multi_thread_root(tmp_path):
+    """One hand-off site is enough to race: any number of coroutines may be
+    awaiting it.  The callable is the second positional argument — a bound
+    method of the enclosing class resolves — and a pool the function types
+    as a process pool is a process root, which shares nothing."""
+    pkg = make_pkg(tmp_path, dict(RUN_IN_EXECUTOR))
+    roots = {r.owner: r for r in find_roots(build_callgraph(pkg))}
+    handle, offload = roots["pkg.svc.Service.handle"], roots["pkg.svc.offload"]
+    assert (handle.kind, handle.multi) == ("thread", True)
+    assert handle.entries == ("pkg.svc.Service._blocking",)
+    assert (offload.kind, offload.entries) == ("process", ("pkg.svc.note",))
+    hits = [f for f in flow_findings(pkg) if f.rule_id == "RACE-SHARED-MUT"]
+    assert len(hits) == 1 and "SEEN" in hits[0].message
+    assert "Service._blocking" in hits[0].message  # reached via the service
+
+
 def test_race_fork_state_fires_at_worker_entrypoint(tmp_path):
     pkg = make_pkg(tmp_path, dict(RACE_FORK_FIRES))
     findings = flow_findings(pkg)
@@ -496,10 +543,17 @@ def test_flow_baseline_is_clean_over_repro_tree():
     # the concurrency surface the pass certifies is actually in view
     entries = {e for r in report.roots for e in r.entries}
     assert "repro.compiler.search.run_probe" in entries
-    # compile_many's thread fan-out maps the fault-isolating wrapper, so
-    # that is the root the pass sees; compile_job stays certified through
-    # it (and through its own contract)
-    assert "repro.pipeline.compile._job_outcome" in entries
+    # compile_many fans whole jobs out to a process pool (no shared state
+    # to race on); the compiler's thread-side concurrency is the service's
+    # run_in_executor hand-offs, which is where RACE-SHARED-MUT now reaches
+    # compile_job from
+    kinds = {e: r.kind for r in report.roots for e in r.entries}
+    assert kinds["repro.pipeline.compile._job_outcome_pooled"] == "process"
+    assert kinds["repro.serve.service.CompileService._compile_blocking"] == "thread"
+    assert any(
+        r.kind == "thread" and r.owner.startswith("repro.serve.service.")
+        for r in report.roots
+    )
 
 
 def test_default_contracts_cover_live_entrypoints():

@@ -190,19 +190,6 @@ class TestDataMemory:
         with pytest.raises(SimulationError):
             mem.bind_array("big", [0] * 5)
 
-    def test_global_storage_from_top(self):
-        mem = DataMemory(100)
-        base = mem.reserve_global_storage(10)
-        assert base == 90
-        base2 = mem.reserve_global_storage(5)
-        assert base2 == 85
-
-    def test_global_storage_collision(self):
-        mem = DataMemory(16)
-        mem.bind_array("a", [0] * 10)
-        with pytest.raises(SimulationError):
-            mem.reserve_global_storage(10)
-
     def test_store_load_roundtrip_and_counts(self):
         mem = DataMemory(16)
         mem.store(3, -7)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.bench.experiments import EXPERIMENTS, run_experiment
+from repro.bench.experiments import EXPERIMENTS
 from repro.bench.fig8 import page_sizes_for, render_fig8, run_fig8
 from repro.bench.fig9 import best_improvement, render_fig9, run_fig9
 from repro.pipeline import (
@@ -131,17 +131,20 @@ class TestRegistry:
         ):
             assert name in EXPERIMENTS
 
-    def test_run_experiment_uses_shared_cache(self):
+    def test_run_experiment_uses_shared_cache(self, capsys):
         # the repo-level artifact store is warm (committed), so this is fast
-        out = run_experiment("fig8_4x4")
-        assert "Fig. 8" in out
+        from repro.bench.experiments import main
+
+        assert main(["fig8_4x4"]) == 0
+        out = capsys.readouterr().out
+        assert "Fig. 8" in out and " 0 miss(es)" in out
 
 
 class TestReporting:
     def test_fig8_records_roundtrip(self, tmp_store, tmp_path):
         import json
 
-        from repro.bench.reporting import fig8_to_records, write_csv, write_json
+        from repro.bench.reporting import fig8_to_records, write_json
 
         rows = run_fig8(4, page_sizes=[4], store=tmp_store, kernels=FAST)
         records = fig8_to_records(4, rows)
@@ -149,10 +152,6 @@ class TestReporting:
         assert all(r["experiment"] == "fig8" for r in records)
         jpath = write_json(records, tmp_path / "out.json")
         assert json.loads(jpath.read_text()) == records
-        cpath = write_csv(records, tmp_path / "out.csv")
-        lines = cpath.read_text().strip().splitlines()
-        assert len(lines) == len(records) + 1
-        assert "kernel" in lines[0]
 
     def test_fig9_records(self, tmp_store):
         from repro.bench.reporting import fig9_to_records
@@ -164,13 +163,6 @@ class TestReporting:
         records = fig9_to_records(4, 4, cells)
         assert len(records) == 2
         assert {r["threads"] for r in records} == {1, 2}
-
-    def test_empty_csv_rejected(self, tmp_path):
-        from repro.bench.reporting import write_csv
-        from repro.util.errors import ReproError
-
-        with pytest.raises(ReproError):
-            write_csv([], tmp_path / "e.csv")
 
     def test_unmappable_marked(self, tmp_store):
         from repro.bench.reporting import fig8_to_records

@@ -10,9 +10,6 @@ from repro.arch.interconnect import Coord
 from repro.compiler.mapping import (
     Mapping,
     Placement,
-    Route,
-    RouteStep,
-    edge_gap,
     materialized_edges,
     materialized_ops,
 )
@@ -157,11 +154,6 @@ class TestRouting:
 
 
 class TestMappingModel:
-    def test_edge_gap_with_distance(self):
-        g = tiny_dfg()
-        e = list(g.edges.values())[0]
-        assert edge_gap(e, t_src=3, t_dst=4, ii=2) == 1
-
     def test_schedule_length_and_stages(self, cgra44):
         g = tiny_dfg()
         m = Mapping(cgra44, g, ii=2)
@@ -175,18 +167,6 @@ class TestMappingModel:
         m = Mapping(cgra44, tiny_dfg(), ii=1)
         with pytest.raises(MappingError):
             m.placement(0)
-
-    def test_holder_before_prefers_route_tail(self, cgra44):
-        g = tiny_dfg()
-        m = Mapping(cgra44, g, ii=4)
-        e = [e for e in g.edges.values() if not g.ops[e.src].opcode.value == "const"][0]
-        m.placements[e.src] = Placement(e.src, Coord(0, 0), 0)
-        m.placements[e.dst] = Placement(e.dst, Coord(0, 2), 3)
-        m.routes[e.id] = Route(
-            e.id, (RouteStep(Coord(0, 1), 1), RouteStep(Coord(0, 2), 2))
-        )
-        holder, t = m.holder_before(e)
-        assert holder == Coord(0, 2) and t == 2
 
     def test_invalid_ii(self, cgra44):
         with pytest.raises(MappingError):

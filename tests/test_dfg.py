@@ -8,7 +8,7 @@ import pytest
 from repro.arch.isa import Opcode
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.graph import DFG, MemRef
-from repro.dfg.transforms import eliminate_dead_ops, unroll
+from repro.dfg.transforms import unroll
 from repro.dfg.validate import validate_dfg
 from repro.sim.reference import run_reference
 from repro.util.errors import GraphError
@@ -89,31 +89,11 @@ class TestGraphModel:
         with pytest.raises(GraphError):
             g.add_op(Opcode.ADD, memref=MemRef("x"))  # memref on ALU op
 
-    def test_to_networkx(self):
-        g = recurrence_dfg()
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == g.num_ops
-        assert nxg.number_of_edges() == g.num_edges
-
     def test_copy_independent(self):
         g = simple_dfg()
         h = g.copy()
         h.add_op(Opcode.CONST, immediate=9)
         assert h.num_ops == g.num_ops + 1
-
-    def test_relabel_preserves_semantics(self):
-        g = recurrence_dfg()
-        mapping = {i: g.num_ops - 1 - i for i in g.ops}
-        h = g.relabel(mapping)
-        arrays = {"in": np.arange(10, dtype=np.int64), "out": np.zeros(10, dtype=np.int64)}
-        got_g = run_reference(g, {k: v.copy() for k, v in arrays.items()}, 10)
-        got_h = run_reference(h, {k: v.copy() for k, v in arrays.items()}, 10)
-        assert np.array_equal(got_g["out"], got_h["out"])
-
-    def test_relabel_requires_bijection(self):
-        g = simple_dfg()
-        with pytest.raises(GraphError):
-            g.relabel({i: 0 for i in g.ops})
 
     def test_summary_mentions_loop_carried(self):
         assert "1 loop-carried" in recurrence_dfg().summary()
@@ -251,31 +231,3 @@ class TestUnroll:
         # still crosses the iteration boundary
         assert len(carried) == 1
         assert carried[0].distance == 1
-
-
-class TestDeadCode:
-    def test_removes_unused_chain(self):
-        b = DFGBuilder("t")
-        x = b.load("in")
-        b.add(x, b.const(1))  # dead: result never stored
-        b.store("out", x)
-        g = b.build()
-        pruned = eliminate_dead_ops(g)
-        assert pruned.num_ops == g.num_ops - 2
-
-    def test_keeps_recurrence_feeding_store(self):
-        g = recurrence_dfg()
-        pruned = eliminate_dead_ops(g)
-        assert pruned.num_ops == g.num_ops
-
-    def test_pruned_graph_semantics(self):
-        b = DFGBuilder("t")
-        x = b.load("in")
-        b.mul(b.add(x, b.const(1)), b.const(7))  # dead subtree
-        b.store("out", b.add(x, b.const(2)))
-        g = b.build()
-        pruned = eliminate_dead_ops(g)
-        arrays = {"in": np.arange(8, dtype=np.int64), "out": np.zeros(8, dtype=np.int64)}
-        ref = run_reference(g, {k: v.copy() for k, v in arrays.items()}, 8)
-        got = run_reference(pruned, {k: v.copy() for k, v in arrays.items()}, 8)
-        assert np.array_equal(ref["out"], got["out"])

@@ -1,10 +1,9 @@
 """Soundness tests for the II feasibility prover.
 
-The prover's contract is one-sided: a bound or certificate may only rule
-out IIs at which **no** mapping exists.  Every test here attacks that
-direction — real mappings (the full kernel suite, plus every committed
-artifact) are replayed against the bounds and the certificate, and none
-of them may ever be rejected.  The last class pins the backend set and
+The prover's contract is one-sided: the bound may only rule out IIs at
+which **no** mapping exists.  Every test here attacks that direction —
+real mappings (the full kernel suite, plus every committed artifact) are
+replayed against the bound, and none of them may ever be rejected.  The last class pins the backend set and
 the mapper fingerprints the committed artifacts are addressed by.
 """
 
@@ -17,13 +16,8 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
-from repro.compiler.feas import (
-    fanin_certificate,
-    ii_lower_bound,
-    max_distinct_fanin,
-)
-from repro.dfg.graph import DFG, MemRef
-from repro.arch.isa import Opcode
+from repro.compiler.feas import ii_lower_bound
+from repro.dfg.graph import DFG
 from repro.kernels import get_kernel, kernel_names
 from repro.util.errors import MappingError
 
@@ -129,50 +123,7 @@ class TestCommittedStore:
         assert checked > 50
 
 
-# ------------------------------------------------------------- certificates
-
-
-def wide_fanin_dfg() -> DFG:
-    """A SELECT fed by three distinct loads: distinct routed fan-in 3."""
-    dfg = DFG("fanin3")
-    loads = [
-        dfg.add_op(Opcode.LOAD, memref=MemRef(a)) for a in ("a", "b", "c")
-    ]
-    sel = dfg.add_op(Opcode.SELECT)
-    for i, ld in enumerate(loads):
-        dfg.add_edge(ld, sel, i)
-    store = dfg.add_op(Opcode.STORE, memref=MemRef("out"))
-    dfg.add_edge(sel, store, 0)
-    return dfg
-
-
-class TestCertificates:
-    def test_fanin_counts_distinct_non_const_sources(self):
-        dfg = wide_fanin_dfg()
-        assert max_distinct_fanin(dfg) == 3
-        # CONST operands and duplicate producers don't count
-        dup = DFG("dup")
-        c = dup.add_op(Opcode.CONST, immediate=7)
-        x = dup.add_op(Opcode.LOAD, memref=MemRef("a"))
-        add = dup.add_op(Opcode.ADD)
-        dup.add_edge(c, add, 0)
-        dup.add_edge(x, add, 1)
-        mul = dup.add_op(Opcode.MUL)
-        dup.add_edge(add, mul, 0)
-        dup.add_edge(add, mul, 1)  # both operands are the same value
-        assert max_distinct_fanin(dup) == 1
-
-    def test_fanin_certificate_fires_only_on_narrow_fabrics(self):
-        dfg = wide_fanin_dfg()
-        assert fanin_certificate(dfg, [2, 2]) is not None
-        assert fanin_certificate(dfg, [2, 3]) is None
-
-    def test_fanin_certificate_passes_the_suite(self):
-        """The paper's kernels must never be refuted on the 4x4 mesh."""
-        mapper = EMSMapper(CGRA(4, 4))
-        arr_sizes = [len(a) for a in mapper._arr_ids]
-        for name in kernel_names():
-            assert fanin_certificate(get_kernel(name).build(), arr_sizes) is None
+# ------------------------------------------------------------- backend set
 
 
 class TestBackendSet:

@@ -9,7 +9,8 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
 from repro.compiler.ems import MapperConfig, map_dfg
-from repro.dfg.analysis import mii, rec_mii
+from repro.compiler.feas import ii_lower_bound
+from repro.dfg.analysis import rec_mii
 from repro.dfg.builder import DFGBuilder
 from repro.kernels import bind_memory, get_kernel
 from repro.sim.cgra_sim import simulate
@@ -48,7 +49,13 @@ class TestMappingQuality:
     def test_ii_at_most_small_multiple_of_mii(self, mapped44):
         cgra, mapped = mapped44
         for name, (dfg, m) in mapped.items():
-            bound = mii(dfg, cgra.num_pes, cgra.rows * cgra.mem_ports_per_row)
+            bound = ii_lower_bound(
+                dfg,
+                num_pes=cgra.num_pes,
+                mem_slots=cgra.rows * cgra.mem_ports_per_row,
+                mem_capable_pes=cgra.num_pes,
+                max_ii=MapperConfig().max_ii,
+            ).mii
             assert m.ii <= 3 * bound, (name, m.ii, bound)
 
     def test_deterministic(self):

@@ -10,7 +10,6 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
 from repro.compiler.constraints import (
-    assert_register_constraint,
     paged_bus_key,
     register_usage_report,
     ring_hop_filter,
@@ -20,7 +19,7 @@ from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel
 from repro.sim.cgra_sim import simulate
 from repro.sim.lowering import lower_mapping
-from repro.util.errors import ConstraintViolation, MappingError
+from repro.util.errors import MappingError
 
 FAST = ["mpeg", "sor", "laplace", "wavelet", "swim", "compress", "gsr"]
 
@@ -80,25 +79,6 @@ class TestConstraints:
         rep = register_usage_report(mapped["sor"].mapping)
         assert rep["self_holds"] >= 0 and rep["move_hops"] >= 0
 
-    def test_assert_register_constraint_on_config(self):
-        from repro.arch.config import ConfigTable, ReadNeighbor, SlotConfig
-        from repro.arch.interconnect import Coord
-        from repro.arch.isa import Opcode
-
-        table = ConfigTable(ii=2)
-        table.place(
-            Coord(0, 0),
-            SlotConfig(
-                "bad",
-                Opcode.ROUTE,
-                operands=(ReadNeighbor(Coord(0, 1), delta=3),),
-                start=1,
-            ),
-        )
-        with pytest.raises(ConstraintViolation):
-            assert_register_constraint(table)
-
-
 class TestPageNeed:
     def test_recurrence_kernels_need_one_page(self, paged44):
         """§IV: recurrence-bound kernels cannot use a big array; the
@@ -111,14 +91,6 @@ class TestPageNeed:
         _, layout, mapped = paged44
         for name, pm in mapped.items():
             assert 1 <= pm.pages_used <= layout.num_pages
-
-    def test_activity_shape(self, paged44):
-        _, _, mapped = paged44
-        for name, pm in mapped.items():
-            act = pm.activity()
-            assert len(act) == pm.pages_used
-            assert all(len(row) == pm.ii for row in act)
-            assert any(any(row) for row in act)
 
     def test_minimize_pages_off_uses_full_layout(self):
         cgra = CGRA(4, 4)

@@ -93,10 +93,6 @@ class TestPageLayout:
         with pytest.raises(ArchitectureError):
             layout44_q.place_local(99, Coord(0, 0))
 
-    def test_ring_succ_pred_inverse(self, layout44_q):
-        for n in range(layout44_q.num_pages):
-            assert layout44_q.ring_pred(layout44_q.ring_succ(n)) == n
-
     def test_ring_hop_allowed_semantics(self, layout44_q):
         assert layout44_q.ring_hop_allowed(0, 0)  # same page
         assert layout44_q.ring_hop_allowed(0, 1)  # forward

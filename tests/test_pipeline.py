@@ -222,8 +222,8 @@ class TestCacheCorrectness:
 class TestParallelFanout:
     @pytest.mark.parametrize("workers", [2, 4])
     def test_workers_match_serial_byte_for_byte(self, tmp_path, workers):
-        # speculative (II, attempt) probes race out of order across the
-        # pool; canonical reduction must keep the artifacts byte-identical
+        # whole jobs compile in spawned worker processes and come back
+        # pickled; the artifacts must be byte-identical to the inline batch
         jobs = [CompileJob(k, 4, 4) for k in ("sor", "laplace", "wavelet")]
         serial = compile_many(jobs, store=ArtifactStore(tmp_path / "s"), workers=1)
         par = compile_many(
@@ -332,13 +332,6 @@ class TestStoreConcurrency:
         assert store.compile_seconds == float(total)
         assert store.misses == total
         assert store.stats()["misses"] == total
-        store.reset_stats()
-        assert store.stats() == {
-            "hits": 0,
-            "misses": 0,
-            "puts": 0,
-            "compile_seconds": 0.0,
-        }
 
 
 # ------------------------------------------------------ batch fault isolation
@@ -347,37 +340,72 @@ class TestStoreConcurrency:
 class TestBatchOutcomes:
     def test_failures_isolated_per_job(self, tmp_path):
         from repro.pipeline import CompileFailure, compile_many_outcomes
-        from repro.util.errors import WorkloadError
+        from repro.util.errors import MappingError, WorkloadError
 
-        store = ArtifactStore(tmp_path / "store")
         jobs = [
             CompileJob("sor", 4, 2),
             CompileJob("no-such-kernel", 4, 2),
             CompileJob("mpeg", 4, 2),
+            CompileJob("sor", 4, 2, arch="8x8-memcols"),  # preset is 8x8
         ]
-        outcomes = compile_many_outcomes(jobs, store=store)
-        assert isinstance(outcomes[0], CompiledKernel)
-        assert isinstance(outcomes[2], CompiledKernel)
-        failure = outcomes[1]
-        assert isinstance(failure, CompileFailure)
-        assert failure.error == "WorkloadError"
-        # the siblings still compiled and were stored
-        assert store.puts == 2
-        # compile_many surfaces the same batch as the first original error
-        with pytest.raises(WorkloadError):
-            compile_many(jobs, store=ArtifactStore(tmp_path / "raise"))
-        # and the good jobs' artifacts are byte-identical to a clean batch
         clean = compile_many([jobs[0], jobs[2]])
-        assert outcomes[0].to_json() == clean[0].to_json()
-        assert outcomes[2].to_json() == clean[1].to_json()
+        for workers in (1, 2):  # inline, then across the process boundary
+            store = ArtifactStore(tmp_path / f"store-{workers}")
+            outcomes = compile_many_outcomes(jobs, store=store, workers=workers)
+            assert isinstance(outcomes[0], CompiledKernel)
+            assert isinstance(outcomes[2], CompiledKernel)
+            assert all(isinstance(outcomes[i], CompileFailure) for i in (1, 3))
+            assert outcomes[1].error == "WorkloadError"
+            assert outcomes[3].error == "MappingError"
+            # the siblings still compiled and were stored (by this process:
+            # at workers=2 the jobs ran in pool workers, the puts here)
+            assert store.puts == 2
+            # without a store nothing resolves keys up front, so at
+            # workers=2 the failures themselves cross the process boundary,
+            # class intact
+            storeless = compile_many_outcomes(jobs, workers=workers)
+            assert [type(storeless[i].cause) for i in (1, 3)] == [
+                WorkloadError,
+                MappingError,
+            ]
+            # compile_many surfaces the same batch as the first original
+            # error (the warm store answers the good jobs: no third pool)
+            with pytest.raises(WorkloadError):
+                compile_many(jobs, store=store, workers=workers)
+            # and the good jobs' artifacts are byte-identical to a clean batch
+            for got in (outcomes, storeless):
+                assert got[0].to_json() == clean[0].to_json()
+                assert got[2].to_json() == clean[1].to_json()
 
-    def test_coordination_threads_bounded(self):
-        from repro.pipeline.compile import (
-            MAX_COORDINATION_THREADS,
-            _coordination_threads,
+    def test_unpicklable_cause_is_dropped_in_the_worker(self, monkeypatch):
+        """A pool worker ships a failure whose exception cannot make the
+        pickle round trip as class name + message only."""
+        import repro.pipeline.compile as compile_mod
+        from repro.util.errors import MappingError
+
+        class Local(Exception):  # local classes do not pickle
+            pass
+
+        def boom(job):
+            raise Local("nope")
+
+        monkeypatch.setattr(compile_mod, "compile_job", boom)
+        job = CompileJob("sor", 4, 2)
+        assert isinstance(compile_mod._job_outcome(job).cause, Local)
+        failure = compile_mod._job_outcome_pooled(job)
+        assert (failure.error, failure.message, failure.cause) == (
+            "Local", "nope", None,
         )
+        with pytest.raises(MappingError, match="Local: nope"):
+            failure.raise_()
 
-        assert _coordination_threads(3, 8) == 3  # never more than misses
-        assert _coordination_threads(1000, 4) == MAX_COORDINATION_THREADS
-        # but never fewer threads than probe workers to feed
-        assert _coordination_threads(1000, 64) == 64
+    @pytest.mark.parametrize("jobs, workers", [(1, 4), (3, 1)])
+    def test_no_pool_for_one_miss_or_one_worker(self, monkeypatch, jobs, workers):
+        import repro.pipeline.compile as compile_mod
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was created")
+
+        monkeypatch.setattr(compile_mod, "ProcessPoolExecutor", no_pool)
+        batch = [CompileJob(k, 4, 4) for k in ("sor", "mpeg", "gsr")[:jobs]]
+        assert len(compile_many(batch, workers=workers)) == jobs

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.pipeline.compile import CompileJob, compile_many, job_key
+from repro.compiler.search import SearchContext
+from repro.pipeline.compile import CompileJob, compile_job, compile_many, job_key
 from repro.pipeline.store import ArtifactStore
 
 REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
@@ -51,19 +52,25 @@ def test_cold_recompile_is_byte_identical(job, tmp_path):
 
 @pytest.mark.parametrize("workers", [2, 4])
 def test_speculative_recompile_is_byte_identical(workers, tmp_path):
-    """The speculative portfolio engine (out-of-order parallel probes with
-    canonical reduction, :mod:`repro.compiler.search`) must reproduce the
-    committed store bytes at any worker count."""
+    """Both parallel paths must reproduce the committed store bytes at any
+    worker count: the batch fan-out (whole jobs in worker processes,
+    ``compile_many``) and the raced executor the compile service hands to
+    ``compile_job`` (out-of-order parallel probes with canonical reduction,
+    :mod:`repro.compiler.search`)."""
     store = ArtifactStore(REPO_STORE)
     jobs = [j for j in FAST_JOBS if store.path_for(job_key(j)).exists()]
     if not jobs:
         pytest.skip("committed artifact store not present")
-    fresh = ArtifactStore(tmp_path / "store")
-    compile_many(jobs, store=fresh, workers=workers)
+    fanned = ArtifactStore(tmp_path / "fanned")
+    compile_many(jobs, store=fanned, workers=workers)
+    raced = ArtifactStore(tmp_path / "raced")
+    with SearchContext.create(workers) as ctx:
+        for job in jobs:
+            raced.put(compile_job(job, search=ctx)[0])
     for job in jobs:
-        produced = fresh.path_for(job_key(job))
-        committed = store.path_for(job_key(job))
-        assert produced.read_bytes() == committed.read_bytes(), (
-            f"{job.kernel} ps={job.page_size} @ workers={workers}: "
-            f"speculative compile diverged from the serial artifact"
-        )
+        committed = store.path_for(job_key(job)).read_bytes()
+        for how, fresh in (("fan-out", fanned), ("raced", raced)):
+            assert fresh.path_for(job_key(job)).read_bytes() == committed, (
+                f"{job.kernel} ps={job.page_size} @ workers={workers}: "
+                f"{how} compile diverged from the serial artifact"
+            )

@@ -163,9 +163,11 @@ class TestManagerErrors:
     def test_queued_release(self):
         mgr = CGRAManager(1)
         mgr.request(0)
-        mgr.request(1)  # queued
+        mgr.request(1, need=1)  # queued: the array is saturated
+        assert mgr.needs == {1: 1}
         assert mgr.release(1) == []
         assert mgr.queue == []
+        assert mgr.needs == {}  # a queued thread leaves no need behind
 
     def test_reallocation_counters(self):
         mgr = CGRAManager(8, HalvingPolicy())

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.arch.config import AddressPattern
 from repro.arch.interconnect import Coord
 from repro.arch.isa import Opcode
 from repro.arch.memory import DataMemory
@@ -213,15 +212,6 @@ def DataMemoryWith(src):  # tiny helper: fresh memory with same arrays
 
 
 class TestAddressing:
-    def test_address_pattern_affine(self):
-        p = AddressPattern(base=100, stride=3, offset=2)
-        assert p.resolve(0) == 102
-        assert p.resolve(5) == 117
-
-    def test_address_pattern_ring(self):
-        p = AddressPattern(base=10, stride=1, offset=0, ring=4)
-        assert [p.resolve(i) for i in range(6)] == [10, 11, 12, 13, 10, 11]
-
     def test_resolve_addr_bounds(self):
         mem = DataMemory(64)
         mem.bind_array("a", [0] * 4)

@@ -370,10 +370,9 @@ class TestEvictionRegression:
         # with 3 left, finishing at 36 after 16 cycles queued
         assert result.finish_times == {1: 24.0, 0: 36.0}
         assert result.wait_cycles == 16
-        queued = [e for e in timeline.of_thread(0) if e.kind == "queued"]
-        assert [e.time for e in queued] == [8.0]
-        starts = [e for e in timeline.of_thread(0) if e.kind == "kernel_start"]
-        assert [e.time for e in starts] == [0.0, 24.0]
+        of_t0 = [e for e in timeline.events if e.tid == 0]
+        assert [e.time for e in of_t0 if e.kind == "queued"] == [8.0]
+        assert [e.time for e in of_t0 if e.kind == "kernel_start"] == [0.0, 24.0]
 
     def test_no_completion_while_evicted(self):
         wl, cfg = self._scenario()

@@ -13,7 +13,6 @@ from repro.compiler.ems import map_dfg
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.spill import (
     TMP_ARRAY_PREFIX,
-    bind_spill_arrays,
     spill_candidates,
     spill_long_edges,
 )
@@ -110,7 +109,11 @@ class TestRewrite:
         m = map_dfg(spilled, cgra)
         validate_mapping(m)
         mem = bind_memory(arrays)
-        bind_spill_arrays(spilled, mem)
+        for op in spilled.ops.values():
+            if op.opcode is Opcode.STORE and op.memref.array.startswith(
+                TMP_ARRAY_PREFIX
+            ):
+                mem.bind_array(op.memref.array, np.zeros(op.memref.ring))
         simulate(lower_mapping(m, mem, trip), cgra, mem)
         snap = mem.snapshot()
         for arr in expected:

@@ -59,7 +59,9 @@ class TestWorkloadGeneration:
                 6, need, ["fast"], {"fast": 1}, seed=3, mean_total_work=100_000
             )
             for t in wl:
-                assert t.cgra_fraction({"fast": 1}) == pytest.approx(need, abs=0.05)
+                acc = sum(s.trip for s in t.segments if s.kind == "cgra")  # II 1
+                cpu = sum(s.cycles for s in t.segments if s.kind == "cpu")
+                assert acc / (acc + cpu) == pytest.approx(need, abs=0.05)
 
     def test_deterministic(self):
         a = generate_workload(3, 0.5, ["fast"], {"fast": 1}, seed=9)

@@ -35,11 +35,6 @@ class TestCycleTrace:
         stores = trace.of_op("st_out")
         assert stores and all(r.opcode == "store" for r in stores)
 
-    def test_at_cycle_filter(self, traced):
-        res, trace = traced
-        c0 = trace.at_cycle(trace.records[0].cycle)
-        assert c0 and all(r.cycle == c0[0].cycle for r in c0)
-
     def test_render(self, traced):
         _, trace = traced
         text = trace.render(first=0, last=3)
@@ -86,15 +81,13 @@ class TestSystemTimeline:
             wl, SystemConfig(n_pages=2, profiles=profiles), "multithreaded",
             timeline=tl,
         )
-        assert tl.of_kind("queued")
+        assert any(e.kind == "queued" for e in tl.events)
 
-    def test_filters_and_render(self):
+    def test_render(self):
         tl = SystemTimeline()
         tl.record(1.0, "kernel_start", 0, "k")
         tl.record(2.0, "kernel_done", 0)
         tl.record(1.5, "kernel_start", 1, "k")
-        assert len(tl.of_thread(0)) == 2
-        assert len(tl.of_kind("kernel_start")) == 2
         text = tl.render()
         assert text.splitlines()[0].startswith("t=")
         assert len(tl.render(max_events=1).splitlines()) == 1

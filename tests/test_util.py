@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.util.errors import ReproError, SimulationError
-from repro.util.rng import choice_weighted, derive_seed, make_rng, spawn_rngs
-from repro.util.tables import format_grid, format_percent, format_table
+from repro.util.rng import derive_seed, make_rng
+from repro.util.tables import format_table
 
 
 class TestRng:
@@ -32,36 +32,7 @@ class TestRng:
         assert derive_seed(5, "a") != derive_seed(5, "b")
         assert derive_seed(5, 1) != derive_seed(5, 2)
 
-    def test_spawn_rngs_count_and_independence(self):
-        rngs = spawn_rngs(9, 4)
-        assert len(rngs) == 4
-        draws = [r.integers(0, 1 << 30) for r in rngs]
-        assert len(set(int(d) for d in draws)) > 1
-
-    def test_spawn_rngs_negative(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_choice_weighted_validates(self):
-        rng = make_rng(0)
-        with pytest.raises(ValueError):
-            choice_weighted(rng, ["a", "b"], [1.0])
-        with pytest.raises(ValueError):
-            choice_weighted(rng, ["a"], [-1.0])
-        with pytest.raises(ValueError):
-            choice_weighted(rng, ["a"], [0.0])
-
-    def test_choice_weighted_degenerate(self):
-        rng = make_rng(0)
-        picks = {choice_weighted(rng, ["x", "y"], [0.0, 3.0]) for _ in range(20)}
-        assert picks == {"y"}
-
-
 class TestTables:
-    def test_format_percent(self):
-        assert format_percent(1.0) == "100.0%"
-        assert format_percent(0.375, digits=2) == "37.50%"
-
     def test_format_table_basic(self):
         s = format_table(["name", "ii"], [["mpeg", 3], ["sor", 4]])
         lines = s.splitlines()
@@ -76,13 +47,6 @@ class TestTables:
     def test_format_table_title(self):
         s = format_table(["a"], [[1]], title="T")
         assert s.splitlines()[0] == "T"
-
-    def test_format_grid(self):
-        g = {(1, "x"): 10, (2, "x"): 20, (1, "y"): 30}
-        s = format_grid(g, row_label="threads")
-        assert "threads" in s
-        assert "-" in s  # missing (2, "y") cell
-
 
 class TestErrors:
     def test_hierarchy(self):
