@@ -115,14 +115,24 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
     Contract(
         name="serve-worker",
         entrypoints=("repro.serve.service.CompileService._compile_blocking",),
-        description="compile-service worker threads: served bytes must be "
-        "a pure function of the request's job (read back from the store "
-        "file, so byte-identical to offline compile_many); store I/O and "
-        "temp-name pid/tid are the store contract's business",
+        description="compile-service worker threads, entered on a store "
+        "miss only: one compile, then the bytes are read back from the "
+        "store file (so byte-identical to offline compile_many); store I/O "
+        "and temp-name pid/tid are the store contract's business",
         allow_effects=frozenset(
             {"mutates-param", "reads-global", "io", "wall-clock"}
         ),
         allow_global_writes=_PROBE_CACHE,
+    ),
+    Contract(
+        name="serve-loop",
+        entrypoints=("repro.serve.service.CompileService.submit",),
+        description="the event-loop side of a request — key memo, flight "
+        "bookkeeping and the store probe a hit is served from: it reads "
+        "the store file (io) and mutates its own service instance, and "
+        "writes no global at all, so the memo is instance state that dies "
+        "with its service, never process state",
+        allow_effects=frozenset({"mutates-param", "io"}),
     ),
     Contract(
         name="fingerprint",

@@ -14,6 +14,7 @@ with the serving metadata (cache source, request id, compile seconds) in
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from repro.compiler.ems import BACKENDS
@@ -34,6 +35,12 @@ __all__ = [
 MAX_BODY_BYTES = 1 << 20
 
 _VALID_PREFER = ("square", "column", "row")
+
+#: ``tenant`` and ``request_id`` are echoed into response headers
+#: (``X-Repro-Request-Id``; a server-assigned id embeds the tenant), so they
+#: are held to header-safe printable ASCII: no CR/LF to inject a header line
+#: with, nothing ``.encode("ascii")`` can fail on after the compile ran.
+_TOKEN_RE = re.compile(r"[A-Za-z0-9._:/@-]{1,128}")
 
 
 class ProtocolError(ValueError):
@@ -101,8 +108,12 @@ class CompileRequest:
             raise ProtocolError(
                 f"'backend' must be one of {BACKENDS}, got {req.backend!r}"
             )
-        if not req.tenant:
-            raise ProtocolError("'tenant' must be non-empty")
+        for name in ("tenant", "request_id"):
+            value = getattr(req, name)
+            if value is not None and not _TOKEN_RE.fullmatch(value):
+                raise ProtocolError(
+                    f"'{name}' must be 1-128 characters of [A-Za-z0-9._:/@-]"
+                )
         return req
 
     def to_job(self) -> CompileJob:

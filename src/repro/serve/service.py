@@ -16,12 +16,18 @@ instance owns:
 * a worker thread pool of ``slots + 2`` threads: one per scheduler
   dispatch slot, plus headroom so request-key resolution stays responsive
   while every compile slot is busy;
+* the key memo, ``CompileJob`` -> the future of its ``job_key`` call
+  (bounded, FIFO; instance state like everything here);
 * the :class:`~repro.serve.singleflight.Singleflight` table and the
   :class:`~repro.serve.scheduler.FairScheduler`.
 
-Request lifecycle: resolve the job to its ArtifactKey digest (off-loop —
-it builds the DFG), join the digest's flight; the flight leader schedules
-the store-check-then-compile onto the fair scheduler; waiters coalesce.
+Request lifecycle: resolve the job to its ArtifactKey digest, join the
+digest's flight; the flight leader schedules probe-then-compile onto the
+fair scheduler; waiters coalesce.  Resolution builds the DFG, so a job's
+first requests share one off-loop call and every later one reads the memo
+without awaiting.  The scheduled work probes the store on the loop (two
+small file reads): a hit — the common case — has no thread hop at all,
+only a miss hands the compile to a worker thread.
 Served bytes are always read back from the store file, so they are
 byte-identical to offline ``compile_many`` output.  Cancellation detaches
 one waiter; the last detach fires the flight's token, which drops a
@@ -46,6 +52,10 @@ from repro.serve.singleflight import Flight, Singleflight
 from repro.util.errors import ReproError
 
 __all__ = ["ServiceConfig", "CompileService"]
+
+#: Bound on the key memo (FIFO, like ``search._CTX_CACHE_MAX``): ``seed`` is
+#: an unbounded wire field, so the set of distinct jobs is unbounded too.
+_KEY_MEMO_MAX = 1024
 
 
 @dataclass(frozen=True)
@@ -109,7 +119,10 @@ class CompileService:
         self._leader_tasks: dict[str, asyncio.Task] = {}
         self._seq = 0
         self._started = False
+        self._keys: dict[CompileJob, asyncio.Future] = {}
         # request-level counters: only ever touched on the event loop
+        self.memo_hits = 0
+        self.memo_misses = 0
         self.requests = 0
         self.hits = 0
         self.compiles = 0
@@ -152,6 +165,7 @@ class CompileService:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
+        self._keys.clear()  # its futures belong to this run's loop
         self._started = False
 
     async def __aenter__(self) -> "CompileService":
@@ -165,6 +179,27 @@ class CompileService:
     def _next_request_id(self, request: CompileRequest) -> str:
         self._seq += 1
         return f"{request.tenant}-{self._seq}"
+
+    def _resolve(self, job: CompileJob) -> asyncio.Future:
+        """The memoised future of ``job_key(job)``: the first request of a
+        job starts the one off-loop resolution, every other shares it."""
+        resolving = self._keys.get(job)
+        if resolving is not None:
+            self.memo_hits += 1
+            return resolving
+        self.memo_misses += 1
+        if len(self._keys) >= _KEY_MEMO_MAX:
+            del self._keys[next(iter(self._keys))]
+        loop = asyncio.get_running_loop()
+        resolving = self._keys[job] = loop.run_in_executor(self._pool, job_key, job)
+
+        def _evict_failure(fut: asyncio.Future) -> None:
+            # a failed resolution is reported to its waiters, never cached
+            if (fut.cancelled() or fut.exception()) and self._keys.get(job) is fut:
+                del self._keys[job]
+
+        resolving.add_done_callback(_evict_failure)
+        return resolving
 
     async def submit(self, request: CompileRequest) -> ServeResult:
         """Serve one compile request end to end; never raises for
@@ -185,26 +220,32 @@ class CompileService:
         active = self._active[rid] = _ActiveRequest(waiter=waiter)
         self.requests += 1
         flight: Flight | None = None
+        leader = False
         try:
             job = request.to_job()
+            resolving = self._resolve(job)
             try:
-                key: ArtifactKey = await loop.run_in_executor(
-                    self._pool, job_key, job
-                )
+                if not resolving.done():
+                    # shielded: a cancelled waiter must not cancel its siblings'
+                    await asyncio.shield(resolving)
+                key: ArtifactKey = resolving.result()
             except ReproError as exc:
                 self.errors += 1
                 return ServeResult(
                     request_id=rid, error=type(exc).__name__, message=str(exc)
                 )
-            flight, leader = self.flights.join(key.digest)
-            if leader:
-                self._lead_flight(flight, job, key, request)
 
             def _on_flight_done(fut: asyncio.Future) -> None:
                 if not waiter.done():
                     waiter.set_result(fut.result())
 
-            flight.future.add_done_callback(_on_flight_done)
+            # cancel() may have landed while the key resolved: that request
+            # must not join (and, by leaving, cancel) its siblings' flight
+            if not waiter.done():
+                flight, leader = self.flights.join(key.digest)
+                if leader:
+                    self._lead_flight(flight, job, key, request)
+                flight.future.add_done_callback(_on_flight_done)
             outcome: _FlightOutcome | None = await waiter
         finally:
             del self._active[rid]
@@ -257,8 +298,8 @@ class CompileService:
     def _lead_flight(
         self, flight: Flight, job: CompileJob, key: ArtifactKey, request: CompileRequest
     ) -> None:
-        """Schedule the flight's store-check-then-compile and publish its
-        outcome to every waiter."""
+        """Schedule the flight's probe-then-compile and publish its outcome
+        to every waiter."""
         sched = self.scheduler.submit(
             self._make_work(job, key),
             tenant=request.tenant,
@@ -295,6 +336,14 @@ class CompileService:
         loop = asyncio.get_running_loop()
 
         async def work(token: CancelToken) -> _FlightOutcome:
+            # the one store probe of the request, on the loop: a hit costs
+            # two ~50 us file reads, less than the thread hop it would ride
+            if self.store.get(key) is not None:
+                return _FlightOutcome(
+                    digest=key.digest,
+                    source="hit",
+                    body=self.store.path_for(key).read_bytes(),
+                )
             return await loop.run_in_executor(
                 self._pool, self._compile_blocking, job, key, token
             )
@@ -304,17 +353,10 @@ class CompileService:
     def _compile_blocking(
         self, job: CompileJob, key: ArtifactKey, token: CancelToken
     ) -> _FlightOutcome:
-        """The worker-thread body: store probe, then (on a miss) one
+        """The worker-thread body, entered on a store miss only: one
         mapper invocation under this request's view of the search context;
         served bytes are read back from the store file for byte parity
         with offline compiles."""
-        hit = self.store.get(key)
-        if hit is not None:
-            return _FlightOutcome(
-                digest=key.digest,
-                source="hit",
-                body=self.store.path_for(key).read_bytes(),
-            )
         if token.cancelled:
             raise CancelledSearch("cancelled before ladder start")
         started = time.perf_counter()
@@ -353,6 +395,11 @@ class CompileService:
             "cache_hit_rate": round(self.hits / self.requests, 4)
             if self.requests
             else 0.0,
+            "resolve": {
+                "memo_hits": self.memo_hits,
+                "memo_misses": self.memo_misses,
+                "entries": len(self._keys),
+            },
             "singleflight": self.flights.stats(),
             "scheduler": self.scheduler.stats(),
             "store": self.store.stats(),

@@ -564,6 +564,12 @@ def test_default_contracts_cover_live_entrypoints():
     budgets = {c.name: c.allow_global_writes for c in DEFAULT_CONTRACTS}
     cache = {"repro.compiler.search._CTX_CACHE"}
     assert budgets["probe-worker"] == budgets["compile-job"] == cache
+    # the service's loop side (key memo, on-loop store probe) may write no
+    # global at all — and the probe it certifies is really in view: the
+    # inferred summary of submit() reaches the store file read
+    assert budgets["serve-loop"] == frozenset()
+    submit = summaries["repro.serve.service.CompileService.submit"]
+    assert "io" in submit.hazards and not submit.writes
 
 
 def test_cli_flow_exit_codes_and_json(tmp_path, capsys):

@@ -5,6 +5,7 @@ served responses and offline ``compile_many`` output."""
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from dataclasses import replace
@@ -76,6 +77,11 @@ class TestProtocol:
             {"backend": "exact"},
             {"tenant": ""},
             {"request_id": 7},
+            {"tenant": "a b"},
+            {"tenant": "x" * 129},
+            {"request_id": ""},
+            {"request_id": "a\r\nX-Evil: 1"},
+            {"request_id": "\u00e9-1"},
         ],
     )
     def test_bad_fields_rejected(self, patch):
@@ -289,17 +295,24 @@ class TestCompileService:
         assert stats["compiles"] == 2 and stats["hits"] == 1
 
     def test_unknown_kernel_is_structured_error(self, tmp_path):
+        """Twice: a failed key resolution is reported, never memoised, so
+        the second request resolves afresh and gets the same answer."""
+
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
             async with CompileService(config) as service:
-                result = await service.submit(_request("no-such-kernel"))
+                results = [
+                    await service.submit(_request("no-such-kernel")) for _ in range(2)
+                ]
                 stats = service.stats()
-            return result, stats
+            return results, stats
 
-        result, stats = _run(body())
-        assert not result.ok
-        assert result.error == "WorkloadError"
-        assert stats["errors"] == 1
+        (first, second), stats = _run(body())
+        assert not first.ok
+        assert first.error == "WorkloadError"
+        assert (second.error, second.message) == (first.error, first.message)
+        assert stats["errors"] == 2
+        assert stats["resolve"] == {"memo_hits": 0, "memo_misses": 2, "entries": 0}
 
     def test_cancel_queued_request_drops_compile(self, tmp_path, monkeypatch):
         """Cancelling the only waiter of a queued compile drops it: the
@@ -366,6 +379,218 @@ class TestCompileService:
                 return await service.cancel("nope")
 
         assert _run(body()) is False
+
+
+def _count_job_key(monkeypatch, before=None) -> list[CompileJob]:
+    """Wrap the service's ``job_key`` (it runs on a pool thread): every
+    call is recorded, *before* runs first."""
+    import repro.serve.service as service_mod
+
+    calls: list[CompileJob] = []
+    real = service_mod.job_key
+
+    def counting(job):
+        calls.append(job)
+        if before is not None:
+            before()
+        return real(job)
+
+    monkeypatch.setattr(service_mod, "job_key", counting)
+    return calls
+
+
+class TestHitPath:
+    """Count-based guards (no timing asserts) of what makes a hit cheap:
+    one key resolution per job, and no thread hop once the job is stored."""
+
+    def test_stored_job_is_served_from_the_loop(self, tmp_path, monkeypatch):
+        key_calls = _count_job_key(monkeypatch)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                cold = await service.submit(_request())
+                del key_calls[:]
+                hops, gets = [], []
+                pool_submit, store_get = service._pool.submit, service.store.get
+
+                def counting_submit(fn, *args):
+                    hops.append(fn)
+                    return pool_submit(fn, *args)
+
+                def counting_get(key):
+                    gets.append(key)
+                    return store_get(key)
+
+                monkeypatch.setattr(service._pool, "submit", counting_submit)
+                monkeypatch.setattr(service.store, "get", counting_get)
+                warm = await service.submit(_request())
+                return cold, warm, hops, gets, service.stats()
+
+        cold, warm, hops, gets, stats = _run(body())
+        assert cold.source == "compiled" and warm.source == "hit"
+        assert hops == [] and key_calls == []
+        assert len(gets) == 1
+        path = ArtifactStore(tmp_path).path_for(job_key(_request().to_job()))
+        assert warm.body == path.read_bytes() == cold.body
+        assert stats["resolve"] == {"memo_hits": 1, "memo_misses": 1, "entries": 1}
+        assert stats["store"]["hits"] == 1 and stats["store"]["misses"] == 1
+
+    def test_concurrent_first_requests_share_one_resolution(
+        self, tmp_path, monkeypatch
+    ):
+        key_calls = _count_job_key(monkeypatch)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                flights = []
+                join = service.flights.join
+
+                def recording_join(digest):
+                    flight, leader = join(digest)
+                    flights.append(flight)
+                    return flight, leader
+
+                monkeypatch.setattr(service.flights, "join", recording_join)
+                results = await asyncio.gather(
+                    *(service.submit(_request()) for _ in range(50))
+                )
+                return results, flights, service.stats()
+
+        results, flights, stats = _run(body())
+        assert len(key_calls) == 1
+        assert sorted(r.source for r in results) == ["coalesced"] * 49 + ["compiled"]
+        assert len({r.body for r in results}) == 1
+        assert stats["compiles"] == 1 and stats["coalesced"] == 49
+        assert stats["resolve"] == {"memo_hits": 49, "memo_misses": 1, "entries": 1}
+        assert len(flights) == 50 and all(f.waiters == 0 for f in flights)
+        assert stats["singleflight"]["in_flight"] == 0
+        assert stats["singleflight"]["cancelled_flights"] == 0
+        assert stats["scheduler"]["queued"] == 0
+        assert stats["scheduler"]["running"] == 0
+        assert stats["scheduler"]["dispatched"] == 1
+
+    @pytest.mark.parametrize(
+        "damage, warning",
+        [("truncated", "discarding"), ("misaddressed", "does not match")],
+        ids=["truncated", "misaddressed"],
+    )
+    def test_damaged_store_file_is_a_logged_miss(
+        self, tmp_path, caplog, damage, warning
+    ):
+        """The on-loop probe keeps the store's corruption tolerance: a bad
+        file is logged, recompiled and overwritten, and the answer is the
+        offline bytes."""
+        job, other = CompileJob("sor", 4, 2), CompileJob("mpeg", 4, 2)
+        offline = ArtifactStore(tmp_path / "offline")
+        compile_many([job, other], store=offline)
+        good = offline.path_for(job_key(job)).read_bytes()
+        bad = (
+            good[: len(good) // 2]
+            if damage == "truncated"
+            else offline.path_for(job_key(other)).read_bytes()
+        )
+        path = ArtifactStore(tmp_path / "served").path_for(job_key(job))
+        path.parent.mkdir(parents=True)
+        path.write_bytes(bad)
+
+        async def body():
+            config = ServiceConfig(
+                store_root=str(tmp_path / "served"), workers=1, slots=1
+            )
+            async with CompileService(config) as service:
+                return await service.submit(_request()), service.stats()
+
+        with caplog.at_level("WARNING", logger="repro.pipeline.store"):
+            result, stats = _run(body())
+        assert warning in caplog.text
+        assert result.source == "compiled" and result.body == good
+        assert path.read_bytes() == good
+        assert stats["store"]["misses"] == 1 and stats["store"]["puts"] == 1
+
+    @pytest.mark.parametrize("how", ["cancel", "task_cancel"])
+    def test_cancel_while_resolving_spares_the_sibling(
+        self, tmp_path, monkeypatch, how
+    ):
+        """One waiter going away — ``cancel()``, or its task cancelled as a
+        dropped connection would — while the key is still resolving: it is
+        answered RequestCancelled without ever joining a flight, and the
+        sibling sharing that resolution still gets its bytes."""
+        resolving, release = threading.Event(), threading.Event()
+
+        def hold():
+            resolving.set()
+            assert release.wait(30.0)
+
+        key_calls = _count_job_key(monkeypatch, before=hold)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with CompileService(config) as service:
+                victim = asyncio.ensure_future(
+                    service.submit(_request(request_id="victim"))
+                )
+                sibling = asyncio.ensure_future(
+                    service.submit(_request(request_id="sibling"))
+                )
+                try:
+                    deadline = time.monotonic() + 30.0
+                    while not resolving.is_set() and time.monotonic() < deadline:
+                        await asyncio.sleep(0.002)
+                    assert resolving.is_set()
+                    assert set(service._active) == {"victim", "sibling"}
+                    if how == "cancel":
+                        assert await service.cancel("victim")
+                    else:
+                        victim.cancel()
+                finally:
+                    release.set()
+                answers = await asyncio.gather(
+                    victim, sibling, return_exceptions=True
+                )
+                return answers, dict(service._active), service.stats()
+
+        (gone, served), active, stats = _run(body())
+        if how == "cancel":
+            assert not gone.ok and gone.error == "RequestCancelled"
+            assert stats["cancelled"] == 1
+        else:
+            assert isinstance(gone, asyncio.CancelledError)
+        assert served.ok and served.source == "compiled"
+        assert served.body == _offline_bytes(CompileJob("sor", 4, 2), tmp_path / "off")
+        assert active == {} and len(key_calls) == 1
+        assert stats["compiles"] == 1
+        assert stats["singleflight"]["flights_started"] == 1
+        assert stats["singleflight"]["cancelled_flights"] == 0
+        assert stats["singleflight"]["in_flight"] == 0
+
+    def test_memo_is_bounded_and_eviction_only_costs_a_resolution(
+        self, tmp_path, monkeypatch
+    ):
+        """``seed`` is an unbounded wire field: more distinct jobs than the
+        bound evict oldest-first, and an evicted job is simply resolved
+        again — still a store hit, still the same bytes."""
+        import repro.serve.service as service_mod
+
+        monkeypatch.setattr(service_mod, "_KEY_MEMO_MAX", 2)
+        key_calls = _count_job_key(monkeypatch)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                out = []
+                for seed in (0, 1, 2, 0):
+                    out.append(await service.submit(_request(seed=seed)))
+                    assert len(service._keys) <= 2
+                return out, [job.seed for job in service._keys], service.stats()
+
+        (first, _, _, again), memoised, stats = _run(body())
+        assert [job.seed for job in key_calls] == [0, 1, 2, 0]
+        assert memoised == [2, 0]
+        assert again.source == "hit" and again.body == first.body
+        assert stats["resolve"] == {"memo_hits": 0, "memo_misses": 4, "entries": 2}
+        assert stats["compiles"] == 3 and stats["hits"] == 1
 
 
 class TestMidLadderCancellation:
@@ -511,7 +736,6 @@ class TestServeServer:
             async with ServeServer(config) as server:
                 async with ServeClient(server.host, server.port) as client:
                     health = await client.request("GET", "/healthz")
-                    stats = await client.request("GET", "/stats")
                     missing = await client.request("GET", "/no-such-route")
                     bad_method = await client.request("GET", "/compile")
                     unknown_kernel = await client.compile({"kernel": "nope"})
@@ -522,6 +746,7 @@ class TestServeServer:
                     rpc = await client.request(
                         "POST", "/rpc", {"jsonrpc": "2.0", "id": 1, "method": "ping"}
                     )
+                    stats = await client.request("GET", "/stats")
             return (
                 health,
                 stats,
@@ -533,14 +758,17 @@ class TestServeServer:
                 rpc,
             )
 
-        import json
-
         (
             health, stats, missing, bad_method, unknown, bad_field, gone_backend,
             rpc,
         ) = _run(body())
         assert health[0] == 200 and json.loads(health[2]) == {"ok": True}
-        assert stats[0] == 200 and "requests" in json.loads(stats[2])
+        assert stats[0] == 200 and json.loads(stats[2])["requests"] == 1
+        # the one request that reached the service failed to resolve: a
+        # memo miss, evicted instead of cached
+        assert json.loads(stats[2])["resolve"] == {
+            "memo_hits": 0, "memo_misses": 1, "entries": 0,
+        }
         assert missing[0] == 404
         assert bad_method[0] == 405
         assert unknown[0] == 404
@@ -549,3 +777,36 @@ class TestServeServer:
         assert gone_backend[0] == 400
         assert "('flat', 'hier')" in json.loads(gone_backend[2])["message"]
         assert rpc[0] == 404  # the JSON-RPC envelope is gone: REST routes only
+
+    @pytest.mark.parametrize("field", ["request_id", "tenant"])
+    @pytest.mark.parametrize(
+        "value", ["a\r\nX-Evil: 1", "\u00e9-1"], ids=["crlf", "non_ascii"]
+    )
+    def test_header_unsafe_ids_are_rejected_before_any_work(
+        self, tmp_path, field, value
+    ):
+        """``request_id`` (and ``tenant``, which a server-assigned id
+        embeds) is echoed in ``X-Repro-Request-Id``: CR/LF used to inject a
+        response header line, non-ASCII used to compile the kernel and then
+        die encoding the headers (500).  Both are a 400 up front."""
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with ServeServer(config) as server:
+                async with ServeClient(server.host, server.port) as client:
+                    answer = await client.compile(
+                        {"kernel": "sor", "page_size": 2, field: value}
+                    )
+                    # the connection is still framed correctly afterwards
+                    health = await client.request("GET", "/healthz")
+                return answer, health, server.service.stats()
+
+        (status, headers, payload), health, stats = _run(body())
+        assert status == 400 and "x-evil" not in headers
+        assert json.loads(payload)["error"] == "ProtocolError"
+        assert health[0] == 200
+        assert stats["requests"] == 0 and stats["compiles"] == 0
+        assert stats["store"] == {
+            "hits": 0, "misses": 0, "puts": 0, "compile_seconds": 0.0,
+        }
+        assert not any(ArtifactStore(tmp_path).walk())
