@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import networkx as nx
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
@@ -97,6 +99,19 @@ class MapperConfig:
         if payload["backend"] == "flat":
             del payload["backend"]
         return canonical_fingerprint(payload)
+
+
+class _DfgTables(NamedTuple):
+    """What every probe of a ladder needs and only the DFG (and the
+    mapper's ranks) determines; see :meth:`EMSMapper._dfg_tables`."""
+
+    epoch: tuple  #: the ``DFG._adjacency()`` object the tables were built from
+    asap: dict[int, int]
+    rank_targets: dict[int, int]
+    #: non-constant producer of every in-edge of an op (duplicates
+    #: preserved, one per edge, matching the historical per-edge count)
+    trap_in: dict[int, tuple[int, ...]]
+    trap_out: dict[int, tuple[int, ...]]  #: consumer op ids of an op
 
 
 @dataclass
@@ -179,9 +194,9 @@ class EMSMapper:
         # Per-op placement domains (hier backend: ops pinned to one page's
         # PEs); empty outside a hierarchical attempt.
         self._op_domains: dict[int, tuple[int, ...]] = {}
-        # one-slot memo of the per-op trap tables, keyed on the DFG's
-        # adjacency epoch (see DFG._adjacency)
-        self._trap_cache: tuple | None = None
+        # one-slot memo of everything a probe derives from the DFG alone
+        # (see _dfg_tables), keyed on the DFG's adjacency epoch
+        self._dfg_cache: _DfgTables | None = None
         self._route_ctx = RoutingContext(cgra, hop_allowed)
         # escape direction (pe -> nb) shares the router's allowed-move table
         self._esc_ids = self._route_ctx.allowed_moves
@@ -359,10 +374,11 @@ class EMSMapper:
         order: list[int],
         domains: dict[int, tuple[int, ...]] | None = None,
     ) -> Mapping | None:
-        asap = asap_times(dfg)
+        tables = self._dfg_tables(dfg)
+        asap = tables.asap
+        self._rank_targets = tables.rank_targets
         horizon = max(asap.values(), default=0) + self.config.horizon_factor * ii
         st = _Attempt(ReservationTable(self.cgra, ii, self.bus_key), counters())
-        self._rank_targets = self._spread_targets(dfg, order)
         self._op_domains = domains or {}
         for op_id in order:
             if not self._place_op(dfg, ii, st, op_id, asap, horizon):
@@ -374,8 +390,8 @@ class EMSMapper:
         }
         return Mapping(self.cgra, dfg, ii, placements, st.routes)
 
-    def _spread_targets(self, dfg: DFG, order: list[int]) -> dict[int, int]:
-        """Target fabric rank per op when a ``pe_rank`` is set.
+    def _spread_targets(self, dfg: DFG) -> dict[int, int]:
+        """Target fabric rank per materialized op when a ``pe_rank`` is set.
 
         On a ring/chain-constrained fabric dataflow can only move forward
         through the page chain, so an op with *h* levels of computation
@@ -387,8 +403,6 @@ class EMSMapper:
         """
         if self.pe_rank is None:
             return {}
-        import networkx as nx
-
         ranks = sorted({self.pe_rank(pe) for pe in self.allowed_pes})
         top = len(ranks) - 1
         # Height on the SCC condensation of the *full* dependence graph
@@ -411,7 +425,7 @@ class EMSMapper:
         max_h = max(height.values(), default=0)
         scale = min(1.0, top / max_h) if max_h else 0.0
         targets: dict[int, int] = {}
-        for v in order:
+        for v in materialized_ops(dfg):
             h = height[cond.graph["mapping"][v]]
             targets[v] = ranks[max(0, top - round(h * scale))]
         return targets
@@ -714,7 +728,8 @@ class EMSMapper:
         occ = mrt._occ_mask
         num_pes = mrt.num_pes
         placements = st.placements
-        trap_in, trap_out = self._trap_tables(dfg)
+        tables = self._dfg_tables(dfg)
+        trap_in, trap_out = tables.trap_in, tables.trap_out
         for u_id, (u_pe, u_t) in placements.items():
             srcs = trap_in[u_id]
             if srcs:
@@ -744,16 +759,15 @@ class EMSMapper:
                     break
         return False
 
-    def _trap_tables(self, dfg: DFG) -> tuple[dict, dict]:
-        """Per-op operand-source / consumer tables for the trap check,
-        memoized per DFG adjacency epoch.  ``trap_in[u]`` lists the
-        non-constant producer of every in-edge (duplicates preserved, one
-        per edge, matching the historical per-edge count); ``trap_out[u]``
-        lists consumer op ids."""
+    def _dfg_tables(self, dfg: DFG) -> _DfgTables:
+        """The per-DFG invariants of a probe — ASAP times, rank targets,
+        the trap check's operand-source / consumer tables — memoized per
+        DFG adjacency epoch, so the ~1 000 probes of a ladder build them
+        once."""
         adj = dfg._adjacency()
-        cache = self._trap_cache
-        if cache is not None and cache[0] is adj:
-            return cache[1], cache[2]
+        cache = self._dfg_cache
+        if cache is not None and cache.epoch is adj:
+            return cache
         ins, outs = adj
         ops = dfg.ops
         trap_in = {
@@ -765,8 +779,10 @@ class EMSMapper:
             for u, edges in ins.items()
         }
         trap_out = {u: tuple(e.dst for e in edges) for u, edges in outs.items()}
-        self._trap_cache = (adj, trap_in, trap_out)
-        return trap_in, trap_out
+        cache = self._dfg_cache = _DfgTables(
+            adj, asap_times(dfg), self._spread_targets(dfg), trap_in, trap_out
+        )
+        return cache
 
 
 def map_dfg(

@@ -13,16 +13,30 @@ whose modulo slot is free in the reservation table.  An optional
 to enforce the §VI-B ring-topology constraint (values may only stay within
 a page or cross to the ring-successor page).
 
-When a route is longer than the II, a PE could collide with the route's own
-earlier steps modulo II; the search then switches from layered BFS to a
-depth-first search that tracks the slots used along the partial path.
+Both searches start from the query's *corridor*: the PEs a walk may stand
+on at each step and still end on a goal PE at the right cycle, one ``int``
+per step — a forward sweep from the holder (:meth:`RoutingContext.
+reachable`) and a backward one from the consumer (:meth:`RoutingContext.
+corridor`), each a handful of OR/AND steps over per-PE move bitmasks and the
+reservation table's per-slot free-PE bitmasks.
 
-Before the depth-first search runs, :meth:`RoutingContext.reachable`
-asks the cheaper question it can only fail on: ignoring self-collision, is
-there *any* walk of the required length through free modulo slots?  That is
-a handful of OR/AND steps over per-PE move bitmasks and the reservation
-table's per-slot free-PE bitmasks, and the placer asks it for every edge of
-a candidate before claiming anything (:mod:`repro.compiler.ems`).
+A route shorter than the II visits every modulo slot at most once, so it
+cannot collide with itself and the backward sweep *is* the search: the
+route is the greedy walk that, at every step, takes the first move of the
+hint-ordered move table that stays inside the corridor.  (That is, step
+for step, the path a layered breadth-first search in the same move order
+returns — ``tests/test_compiler_units.py`` keeps that search as the
+reference.)
+
+When a route is at least as long as the II, a PE could collide with the
+route's own earlier steps modulo II, and the search is a depth-first one
+that tracks the slots used along the partial path.  Before it spends its
+budget, :meth:`RoutingContext.reachable` asks the two cheaper questions it
+can only fail on: is there *any* walk of the required length through free
+modulo slots, and do the steps that share a modulo slot have enough
+distinct corridor PEs between them?  The placer asks the same predicate
+for every edge of a candidate before claiming anything
+(:mod:`repro.compiler.ems`).
 
 The searches run entirely on integer PE ids from the fabric's
 :class:`~repro.arch.interconnect.GridIndex`: a :class:`RoutingContext`
@@ -78,6 +92,7 @@ class RoutingContext:
         "hop_allowed",
         "allowed_moves",
         "move_bits",
+        "rev_bits",
         "_route_mask",
         "_moves_tables",
         "_goals",
@@ -113,6 +128,12 @@ class RoutingContext:
         self.move_bits: tuple[int, ...] = tuple(
             sum(1 << q for q in qs) for qs in self.allowed_moves
         )
+        # move_bits transposed (bit p of rev_bits[q] set == p may move to q)
+        rev = [0] * gi.num_pes
+        for p, qs in enumerate(self.allowed_moves):
+            for q in qs:
+                rev[q] |= 1 << p
+        self.rev_bits: tuple[int, ...] = tuple(rev)
         # hint -> full per-PE move table (one indexed load per expansion in
         # the route searches instead of a method call + dict probe)
         self._moves_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -143,9 +164,9 @@ class RoutingContext:
     ) -> _GoalEntry:
         """Goal PEs from which the consumer at *dst_id* can read the value,
         sorted by PE id, plus a membership mask, the per-PE minimum
-        Manhattan distance to any goal (the search's pruning bound), the
-        greedy destination hint the move ordering anchors on, and the
-        membership mask again as an int (for :meth:`reachable`).
+        Manhattan distance to any goal (the depth-first search's pruning
+        bound), the greedy destination hint the move ordering anchors on,
+        and the membership mask again as an int (for the corridor sweeps).
 
         The hint is pinned to the anchor the v1 Coord-domain router used
         (the first element of its goal *set*): route tie-breaks are part of
@@ -212,12 +233,14 @@ class RoutingContext:
         """Necessary condition for :func:`find_route_ids` to succeed: some
         walk leaves ``(src_id, t_src_eff)``, takes one allowed move per
         cycle onto a slot free in *mrt*, and stands on a goal PE of
-        *dst_id* at ``t_dst - 1``.  Self-collision modulo II and the search
-        budget are ignored, so ``False`` proves there is no route; for
-        routes shorter than the II it is exact.
+        *dst_id* at ``t_dst - 1`` — and, when the walk is longer than the
+        II, the steps that share a modulo slot have enough distinct PEs to
+        stand on.  The search budget is ignored, so ``False`` proves
+        there is no route; for routes shorter than the II it is exact.
 
         ``fronts[(src_id, t_src_eff)][j]`` is the set of PEs (a bitmask)
-        such a walk can stand on after *j* cycles; callers share one dict
+        such a walk can stand on after *j* cycles; the backward sweeps of
+        :meth:`corridor` live in the same dict.  Callers share one dict
         across queries for as long as *mrt* does not change."""
         gap = t_dst - t_src_eff
         if gap < 1:
@@ -225,20 +248,80 @@ class RoutingContext:
         front = fronts.get((src_id, t_src_eff))
         if front is None:
             front = fronts[(src_id, t_src_eff)] = [1 << src_id]
+        ii = mrt.ii
         if len(front) < gap:
-            move_bits = self.move_bits
-            free = mrt.free_mask
-            ii = mrt.ii
-            bits = front[-1]
-            for t in range(t_src_eff + len(front), t_dst):
-                nxt = 0
-                while bits:
-                    low = bits & -bits
-                    nxt |= move_bits[low.bit_length() - 1]
-                    bits ^= low
-                bits = nxt & free[t % ii]
-                front.append(bits)
-        return bool(front[gap - 1] & self.goal_table(dst_id)[4])
+            _sweep(
+                front, self.move_bits, mrt.free_mask, ii,
+                range(t_src_eff + len(front), t_dst),
+            )
+        if not front[gap - 1] & self.goal_table(dst_id)[4]:
+            return False
+        hops = gap - 1
+        if hops <= ii:
+            return True  # at most one step per modulo slot
+        # Pigeonhole per modulo slot: the steps at times = r (mod II) claim
+        # distinct PEs of slot r, and step j can only stand inside
+        # front[j] & back[hops - j].  The walk found above puts a PE in
+        # every one of those sets, so only a slot that several steps share
+        # — the slots of the first hops - II steps — can run short.
+        back = self.corridor(mrt, fronts, dst_id, t_dst, hops)
+        for first in range(1, min(ii, hops - ii) + 1):
+            sharing = range(first, gap, ii)
+            room = 0
+            for j in sharing:
+                room |= front[j] & back[hops - j]
+            if room.bit_count() < len(sharing):
+                return False
+        return True
+
+    def corridor(
+        self,
+        mrt: ReservationTable,
+        fronts: dict[tuple[int, int], list[int]],
+        dst_id: int,
+        t_dst: int,
+        hops: int,
+    ) -> list[int]:
+        """The backward half of a route query's corridor: ``back[k]``, for
+        ``k < hops``, is the set of PEs (a bitmask) a walk may stand on at
+        time ``t_dst - 1 - k`` — on a slot free in *mrt* — and still, one
+        allowed move per cycle through free slots, stand on a goal PE of
+        *dst_id* at ``t_dst - 1``.  It does not depend on where the walk
+        started, so it is memoized in *fronts* under ``(~dst_id, t_dst)``
+        (PE ids are non-negative: no clash with a forward frontier's key)
+        on the terms :meth:`reachable` states."""
+        key = (~dst_id, t_dst)
+        back = fronts.get(key)
+        ii = mrt.ii
+        if back is None:
+            last = self.goal_table(dst_id)[4] & mrt.free_mask[(t_dst - 1) % ii]
+            back = fronts[key] = [last]
+        if len(back) < hops:
+            _sweep(
+                back, self.rev_bits, mrt.free_mask, ii,
+                range(t_dst - 1 - len(back), t_dst - 1 - hops, -1),
+            )
+        return back
+
+
+def _sweep(
+    sets: list[int],
+    step_bits: tuple[int, ...],
+    free: list[int],
+    ii: int,
+    times: range,
+) -> None:
+    """Extend *sets* by one bitmask per cycle of *times*: the PEs one
+    ``step_bits`` move away from the previous set whose slot is free."""
+    bits = sets[-1]
+    for t in times:
+        nxt = 0
+        while bits:
+            low = bits & -bits
+            nxt |= step_bits[low.bit_length() - 1]
+            bits ^= low
+        bits = nxt & free[t % ii]
+        sets.append(bits)
 
 
 def find_route_shared_ids(
@@ -327,10 +410,7 @@ def find_route_ids(
         return () if goal_mask[src_id] else None
     hops = gap - 1  # number of route steps, at times t_src_eff+1 .. t_dst-1
     if hops < mrt.ii:
-        # the layered BFS *is* the reachability computation
-        return _bfs_route(
-            ctx, mrt, src_id, t_src_eff, goal_mask, min_dist, hint, hops, stats
-        )
+        return _walk_route(ctx, mrt, src_id, t_src_eff, dst_id, t_dst, hint, stats)
     if not ctx.reachable(mrt, {}, src_id, t_src_eff, dst_id, t_dst):
         stats.routes_refuted += 1
         return None
@@ -347,57 +427,39 @@ def _steps_of(ctx: RoutingContext, path: list[int], t_src_eff: int):
     )
 
 
-def _bfs_route(
+def _walk_route(
     ctx: RoutingContext,
     mrt: ReservationTable,
     src_id: int,
     t_src_eff: int,
-    goal_mask: tuple[bool, ...],
-    min_dist: tuple[int, ...],
+    dst_id: int,
+    t_dst: int,
     hint: int | None,
-    hops: int,
     stats: MapperCounters,
 ) -> tuple[RouteStep, ...] | None:
-    """Layered BFS: all step times are distinct modulo II (hops < II), so a
-    path can never collide with itself and per-layer reachability suffices."""
+    """Short route: all step times are distinct modulo II (hops < II), so a
+    path can never collide with itself and the corridor is the whole
+    answer.  Walk it greedily, taking at every step the first move of the
+    hint-ordered table that stays inside; only the first step can fail
+    (every corridor PE has a successor in the next corridor set).  The
+    depth-first search's Manhattan bound has nothing to add: on the mesh a
+    corridor PE is within the remaining hops of a goal by construction."""
     stats.bfs_calls += 1
-    ii = mrt.ii
-    num_pes = mrt.num_pes
-    occ = mrt._occ_mask
+    hops = t_dst - t_src_eff - 1
+    back = ctx.corridor(mrt, {}, dst_id, t_dst, hops)
     mt = ctx.moves_table(hint, stats)
-    expansions = 0
-    layer: dict[int, int | None] = {src_id: None}
-    parents: list[dict[int, int]] = []
-    for j in range(1, hops + 1):
-        base = ((t_src_eff + j) % ii) * num_pes
-        remaining = hops - j
-        nxt: dict[int, int] = {}
-        for p in layer:
-            expansions += 1
-            for q in mt[p]:
-                if q in nxt:
-                    continue
-                if occ[base + q]:
-                    continue
-                # prune states that cannot reach any goal in remaining hops
-                if min_dist[q] > remaining:
-                    continue
-                nxt[q] = p
-        if not nxt:
-            stats.expansions += expansions
+    path: list[int] = []
+    p = src_id
+    for k in range(hops - 1, -1, -1):
+        inside = back[k]
+        for q in mt[p]:
+            if inside >> q & 1:
+                break
+        else:
             return None
-        parents.append(nxt)
-        layer = nxt
-    stats.expansions += expansions
-    final = next((p for p in layer if goal_mask[p]), None)
-    if final is None:
-        return None
-    path = [final]
-    p = final
-    for j in range(hops - 1, 0, -1):
-        p = parents[j][p]
-        path.append(p)
-    path.reverse()
+        path.append(q)
+        p = q
+    stats.expansions += hops
     return _steps_of(ctx, path, t_src_eff)
 
 

@@ -35,11 +35,21 @@ class MapperCounters:
     #: route queries that reached the router (find_route_ids); edges of
     #: candidates the placer refuted before claiming never issue one
     route_calls: int = 0
-    routes_refuted: int = 0  #: queries answered None by the reachability filter, no DFS run
-    trials_refuted: int = 0  #: placer candidates rejected by the filter before any claim
-    bfs_calls: int = 0  #: layered-BFS searches (route shorter than II)
+    #: long-route queries answered None by RoutingContext.reachable (no
+    #: walk through free slots, or too few corridor PEs for some modulo
+    #: slot's steps), no DFS run
+    routes_refuted: int = 0
+    #: placer candidates rejected by the same predicate before any claim
+    trials_refuted: int = 0
+    #: short-route searches (route shorter than II): one backward corridor
+    #: sweep plus a greedy walk (the steps a layered BFS would return —
+    #: hence the key, which every recorded counter table carries)
+    bfs_calls: int = 0
     dfs_calls: int = 0  #: depth-first searches (route >= II, self-collisions)
-    expansions: int = 0  #: time-extended states expanded across both searches
+    #: search volume: time-extended states a depth-first search visited,
+    #: plus one per step of every short route walked (a short route that
+    #: does not exist costs a sweep and no expansion)
+    expansions: int = 0
     placement_probes: int = 0  #: (time, PE) candidates probed by the placer
     trial_commits: int = 0  #: tentative commit+rollback scoring passes
     target_cache_hits: int = 0  #: memoized per-(dst, hop-filter) goal tables reused

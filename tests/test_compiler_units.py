@@ -14,7 +14,12 @@ from repro.compiler.mapping import (
     materialized_ops,
 )
 from repro.compiler.mrt import ReservationTable
-from repro.compiler.routing import commit_route, find_route, release_route
+from repro.compiler.routing import (
+    _steps_of,
+    commit_route,
+    find_route,
+    release_route,
+)
 from repro.dfg.builder import DFGBuilder
 from repro.util.errors import MappingError
 
@@ -313,12 +318,45 @@ class TestRoutingDeterminism:
             assert hint is not None and mask[hint]
 
 
+def _reference_bfs(ctx, mrt, src_id, t_src_eff, dst_id, hops, pruned):
+    """The layered BFS (dict of first-discoverer parents per layer, children
+    in hint order, Manhattan pruning) that the corridor walk of
+    ``routing._walk_route`` replaced: the reference for its steps.  Every
+    free node the Manhattan bound cuts is appended to *pruned*."""
+    _, goal_mask, min_dist, hint, _ = ctx.goal_table(dst_id)
+    mt = ctx.moves_table(hint)
+    layer, parents = {src_id: None}, []
+    for j in range(1, hops + 1):
+        nxt = {}
+        for p in layer:
+            for q in mt[p]:
+                if q in nxt or not mrt.slot_free_id(q, t_src_eff + j):
+                    continue
+                if min_dist[q] > hops - j:
+                    pruned.append(q)
+                    continue
+                nxt[q] = p
+        if not nxt:
+            return None
+        parents.append(nxt)
+        layer = nxt
+    path = [next((p for p in layer if goal_mask[p]), None)]
+    if path[0] is None:
+        return None
+    for j in range(hops - 1, 0, -1):
+        path.append(parents[j][path[-1]])
+    return _steps_of(ctx, path[::-1], t_src_eff)
+
+
 class TestReachabilityFilter:
     """``RoutingContext.reachable`` must be a *necessary* condition for a
-    route (so skipping the search on ``False`` never changes an answer),
-    exact whenever the route is shorter than the II, and equal to the plain
-    set-based frontier it abbreviates — on random occupancy, with and
-    without a ring hop filter and a ROUTE capability mask."""
+    route (so skipping the search on ``False`` never changes an answer).
+    For a route shorter than the II it is exact and equal to the plain
+    set-based frontier it abbreviates; for a longer one it implies that
+    frontier and is implied by the unlimited-budget DFS.  The short-route
+    search must return, step for step, what the layered BFS it replaced
+    returns.  All on random occupancy, with and without a ring hop filter
+    and a ROUTE capability mask."""
 
     @staticmethod
     def _fabric(name, route_mask, rng):
@@ -334,6 +372,26 @@ class TestReachabilityFilter:
             cgra.rows, cgra.cols, (*classes, (OpClass.ROUTE.value, tuple(ids)))
         )
         return CGRA(cgra.rows, cgra.cols, rf_depth=cgra.rf_depth, capability=cap)
+
+    @classmethod
+    def _context(cls, name, ring, route_mask, rng):
+        from repro.compiler.constraints import ring_hop_filter
+        from repro.compiler.routing import RoutingContext
+        from repro.core.paging import PageLayout
+
+        cgra = cls._fabric(name, route_mask, rng)
+        hop = ring_hop_filter(PageLayout(cgra, (2, 2))) if ring else None
+        return cgra, RoutingContext(cgra, hop)
+
+    @staticmethod
+    def _random_mrt(cgra, ii, rng):
+        mrt = ReservationTable(cgra, ii)
+        density = rng.uniform(0.1, 0.95)
+        for m in range(ii):
+            for p in range(cgra.num_pes):
+                if rng.random() < density:
+                    mrt.claim_id(p, m, "x")
+        return mrt
 
     @staticmethod
     def _set_frontier(ctx, mrt, src_id, t_src, hops):
@@ -353,47 +411,35 @@ class TestReachabilityFilter:
     def test_filter_never_changes_an_answer(self, name, ring, route_mask):
         import random
 
-        from repro.compiler.constraints import ring_hop_filter
-        from repro.compiler.routing import (
-            RoutingContext,
-            _dfs_route,
-            find_route_ids,
-        )
+        from repro.compiler.routing import _dfs_route, find_route_ids
         from repro.compiler.stats import MapperCounters
-        from repro.core.paging import PageLayout
 
         rng = random.Random(f"{name}/{ring}/{route_mask}")
-        cgra = self._fabric(name, route_mask, rng)
-        hop = ring_hop_filter(PageLayout(cgra, (2, 2))) if ring else None
-        ctx = RoutingContext(cgra, hop)
+        cgra, ctx = self._context(name, ring, route_mask, rng)
         n = cgra.num_pes
-        refuted = 0
+        # non-vacuity, per kind of refutation: no walk at all / a walk but
+        # too few corridor PEs for some modulo slot's steps
+        no_walk = no_room = 0
         for _ in range(250):
             ii = rng.randrange(1, 6)
-            mrt = ReservationTable(cgra, ii)
-            density = rng.uniform(0.1, 0.8)
-            for m in range(ii):
-                for p in range(n):
-                    if rng.random() < density:
-                        mrt.claim_id(p, m, "x")
+            mrt = self._random_mrt(cgra, ii, rng)
             src, dst = rng.randrange(n), rng.randrange(n)
             t_src = rng.randrange(0, 8)
-            t_dst = t_src + rng.randrange(0, ii + 5)
+            t_dst = t_src + rng.randrange(0, ii + 8)
             hops = t_dst - t_src - 1
             goal, goal_mask, min_dist, hint, _ = ctx.goal_table(dst)
             can = ctx.reachable(mrt, {}, src, t_src, dst, t_dst)
-            if hops >= 0:
-                assert can == bool(
-                    self._set_frontier(ctx, mrt, src, t_src, hops) & set(goal)
-                )
-            else:
-                assert not can
+            walk = hops >= 0 and bool(
+                self._set_frontier(ctx, mrt, src, t_src, hops) & set(goal)
+            )
             found = find_route_ids(
                 ctx, mrt, src, t_src, dst, t_dst, max_expansions=10**7
             )
             if hops < ii:
-                assert can == (found is not None)  # direct link or BFS: exact
+                # direct link or corridor walk: the frontier, and exact
+                assert can == walk == (found is not None)
                 continue
+            assert walk or not can
             # the unfiltered search is the reference for long routes
             reference = _dfs_route(
                 ctx, mrt, src, t_src, goal_mask, min_dist, hint, hops,
@@ -402,8 +448,41 @@ class TestReachabilityFilter:
             assert found == reference
             if not can:
                 assert reference is None
-                refuted += 1
-        assert refuted > 0  # the property was exercised, not vacuous
+                no_walk += not walk
+                no_room += walk
+        # the properties were exercised, not vacuous
+        assert no_walk > 0 and no_room > 0
+
+    @pytest.mark.parametrize("name", ["4x4", "8x8-memcols"])
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("route_mask", [False, True])
+    def test_short_route_is_the_layered_bfs_route(self, name, ring, route_mask):
+        """Same *steps*, not merely the same verdict, ``None`` included."""
+        import random
+
+        from repro.compiler.routing import find_route_ids
+
+        rng = random.Random(f"walk/{name}/{ring}/{route_mask}")
+        cgra, ctx = self._context(name, ring, route_mask, rng)
+        n = cgra.num_pes
+        routed = unrouted = 0
+        pruned: list[int] = []
+        for _ in range(250):
+            ii = rng.randrange(2, 9)
+            mrt = self._random_mrt(cgra, ii, rng)
+            for _ in range(8):
+                src, dst = rng.randrange(n), rng.randrange(n)
+                t_src = rng.randrange(0, 8)
+                hops = rng.randrange(1, ii)
+                steps = find_route_ids(ctx, mrt, src, t_src, dst, t_src + hops + 1)
+                assert steps == _reference_bfs(
+                    ctx, mrt, src, t_src, dst, hops, pruned
+                )
+                routed += steps is not None
+                unrouted += steps is None
+        # both answers occurred, and the reference's Manhattan bound (over
+        # the ROUTE-capable goals only, on the masked fabrics) did cut nodes
+        assert routed > 0 and unrouted > 0 and pruned
 
     def test_shared_frontiers_match_fresh_ones(self, cgra44):
         """One ``fronts`` dict shared across queries of different lengths
@@ -426,23 +505,25 @@ class TestReachabilityFilter:
             assert ctx.reachable(mrt, shared, *q) == ctx.reachable(mrt, {}, *q)
 
 
-#: Parent-commit (pre-filter) search trajectory of cold ``compile_job_stats``
+#: Parent-commit (pre-corridor) search trajectory of cold ``compile_job_stats``
 #: at mapper seed 0: (backend, kernel, page size) -> (ii_base, ii_paged,
 #: placement_probes, trial_commits, rungs_skipped, rungs_pruned,
 #: hier_attempts, hier_wins, hier_flat_attempts, hier_flat_wins, expansions).
+#: ``fft/ps4`` is the long-route-heavy one: the others barely reach the DFS.
 _PARENT_TRAJECTORY = {
-    ("flat", "mpeg", 2): (1, 1, 3082, 2260, 0, 0, 0, 0, 0, 0, 4906),
-    ("flat", "mpeg", 4): (1, 1, 2731, 1815, 0, 0, 0, 0, 0, 0, 5485),
-    ("flat", "sor", 2): (4, 4, 1440, 1165, 0, 0, 0, 0, 0, 0, 6160),
-    ("flat", "sor", 4): (4, 4, 309, 262, 0, 0, 0, 0, 0, 0, 349),
-    ("flat", "wavelet", 2): (1, 2, 1689, 1267, 0, 0, 0, 0, 0, 0, 3269),
-    ("flat", "wavelet", 4): (1, 2, 2206, 1663, 0, 0, 0, 0, 0, 0, 3813),
-    ("flat", "compress", 2): (4, 5, 3810, 3287, 0, 0, 0, 0, 0, 0, 326817),
-    ("flat", "compress", 4): (4, 4, 1250, 1133, 0, 0, 0, 0, 0, 0, 45490),
-    ("hier", "sor", 4): (4, 4, 1201, 1137, 0, 0, 1, 1, 0, 0, 870),
-    ("hier", "sor", 8): (4, 4, 1219, 1159, 0, 0, 1, 1, 0, 0, 864),
-    ("hier", "compress", 4): (4, 4, 667, 616, 0, 0, 1, 1, 0, 0, 1210),
-    ("hier", "compress", 8): (4, 4, 677, 641, 0, 0, 1, 1, 0, 0, 1317),
+    ("flat", "mpeg", 2): (1, 1, 3082, 2260, 0, 0, 0, 0, 0, 0, 3152),
+    ("flat", "mpeg", 4): (1, 1, 2731, 1815, 0, 0, 0, 0, 0, 0, 3766),
+    ("flat", "sor", 2): (4, 4, 1440, 1165, 0, 0, 0, 0, 0, 0, 2306),
+    ("flat", "sor", 4): (4, 4, 309, 262, 0, 0, 0, 0, 0, 0, 305),
+    ("flat", "wavelet", 2): (1, 2, 1689, 1267, 0, 0, 0, 0, 0, 0, 1460),
+    ("flat", "wavelet", 4): (1, 2, 2206, 1663, 0, 0, 0, 0, 0, 0, 2587),
+    ("flat", "compress", 2): (4, 5, 3810, 3287, 0, 0, 0, 0, 0, 0, 147627),
+    ("flat", "compress", 4): (4, 4, 1250, 1133, 0, 0, 0, 0, 0, 0, 42920),
+    ("flat", "fft", 4): (3, 7, 37039, 26444, 0, 0, 0, 0, 0, 0, 2067037),
+    ("hier", "sor", 4): (4, 4, 1201, 1137, 0, 0, 1, 1, 0, 0, 554),
+    ("hier", "sor", 8): (4, 4, 1219, 1159, 0, 0, 1, 1, 0, 0, 538),
+    ("hier", "compress", 4): (4, 4, 667, 616, 0, 0, 1, 1, 0, 0, 465),
+    ("hier", "compress", 8): (4, 4, 677, 641, 0, 0, 1, 1, 0, 0, 501),
 }
 
 
@@ -450,7 +531,7 @@ _PARENT_TRAJECTORY = {
 def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
     """A refuted candidate still counts as probed and trialled, so the
     eval-budget / candidate-cap cuts fall where they always did: every
-    trajectory counter equals the pre-filter value and only search volume
+    trajectory counter equals the parent's value and only search volume
     (``expansions``) drops."""
     from repro.pipeline.compile import CompileJob, compile_job_stats
 

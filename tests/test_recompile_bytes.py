@@ -9,13 +9,18 @@ up here as a byte diff — which is exactly the check the integer-indexed
 mapper rewrite had to pass, kept as a permanent test so future "harmless"
 refactors can't silently change schedules.
 
-Only the sub-second kernels are recompiled (the full 4x4 suite, sobel and
-fft included, is cold-compiled and byte-compared by ``perf/``'s
-``compile_flat_4x4`` workload).
+Tier-1 recompiles only the sub-second 4x4 kernels.  Run as a script
+(``python tests/test_recompile_bytes.py``, a CI step of its own) the file
+cold-compiles *every* committed artifact — 11 kernels at page sizes {2,4}
+on 4x4 and {2,4,8} on 6x6 and 8x8, 88 jobs fanned out over two worker
+processes — and byte-compares each: the check a router or placer change
+exists to pass.
 """
 
 from __future__ import annotations
 
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -74,3 +79,41 @@ def test_speculative_recompile_is_byte_identical(workers, tmp_path):
                 f"{job.kernel} ps={job.page_size} @ workers={workers}: "
                 f"{how} compile diverged from the serial artifact"
             )
+
+
+def recompile_all() -> list[str]:
+    """Cold-compile every job behind the committed store into a temporary
+    one; the problems found (empty when every file is byte-identical and
+    the two stores hold the same files)."""
+    from repro.bench.fig8 import page_sizes_for
+    from repro.kernels import kernel_names
+
+    jobs = [
+        CompileJob(kernel, size, page_size)
+        for size in (4, 6, 8)
+        for kernel in kernel_names()
+        for page_size in page_sizes_for(size)
+    ]
+    committed = ArtifactStore(REPO_STORE)
+    with tempfile.TemporaryDirectory(prefix="recompile-") as tmp:
+        fresh = ArtifactStore(Path(tmp) / "store")
+        compile_many(jobs, store=fresh, workers=2)
+        problems = []
+        for job in jobs:
+            label = f"{job.kernel} {job.size}x{job.size} ps={job.page_size}"
+            reference = committed.path_for(job_key(job))
+            if not reference.exists():
+                problems.append(f"{label}: no committed artifact")
+            elif reference.read_bytes() != fresh.path_for(job_key(job)).read_bytes():
+                problems.append(f"{label}: bytes differ from the committed artifact")
+        produced = {path.relative_to(fresh.root) for path, _ in fresh.walk()}
+        for path, _ in committed.walk():
+            if path.relative_to(committed.root) not in produced:
+                problems.append(f"{path.name}: committed, but no job compiles it")
+    return problems
+
+
+if __name__ == "__main__":  # spawned workers re-import this file: keep the guard
+    found = recompile_all()
+    print("\n".join(found) or "all committed artifacts recompile byte-identical")
+    sys.exit(1 if found else 0)
