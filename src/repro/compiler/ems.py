@@ -6,16 +6,30 @@ al. [25]), which the paper's experiments build on.  The algorithm:
 
 1. compute ``MII = max(ResMII, RecMII)``;
 2. for each candidate II (MII, MII+1, ...), try to place operations one at
-   a time in slack order (ALAP-first); each op is placed at the first
-   (time, PE) candidate from which *every* edge to an already-placed
-   producer or consumer can be routed on the time-extended mesh
-   (:mod:`repro.compiler.routing`), claiming routing PEs as it goes;
+   a time in slack order (ALAP-first); each op is placed at the cheapest
+   of the first few (time, PE) candidates from which *every* edge to an
+   already-placed producer or consumer can be routed on the time-extended
+   mesh (:mod:`repro.compiler.routing`), claiming routing PEs as it goes;
 3. a few restarts with perturbed op order absorb unlucky greedy choices
    before giving up and bumping the II.
 
 This module owns steps 1 and 2 for one (II, attempt) probe; the walk over
 IIs and restarts (the *ladder*) is :func:`repro.compiler.search.
 climb_ladder`, shared by every mapper.
+
+Placing one op (:meth:`EMSMapper._place_op`) decides *where* before
+*when*.  Under the ring constraint most PEs are hopeless for an op whose
+neighbours are placed, and that is a question about sets: per cycle, one
+sweep from each anchored endpoint — forward from every holder of a
+producer's value, backward from each placed consumer — yields the mask of
+PEs from which all edges are still reachable
+(:meth:`EMSMapper._candidate_mask`).  A candidate outside the mask is
+refuted without a trial (and counted as one, so the scan's budget cuts do
+not move); one inside it is trialled — committed, scored, rolled back — and
+where the mask is exact the trial skips the per-edge check it would have
+opened with.  Every trial starts from the table the op started from, so
+the best one's routes are kept and replayed as the commit
+(:meth:`EMSMapper._replay`) instead of being searched a second time.
 
 The paged compiler (:mod:`repro.compiler.paged`) reuses this engine with a
 hop filter and a restricted PE set, which is how the paper describes its
@@ -128,9 +142,10 @@ class _Attempt:
     stats: MapperCounters
     placements: dict[int, tuple[int, int]] = field(default_factory=dict)
     routes: dict[int, Route] = field(default_factory=dict)
-    #: :meth:`RoutingContext.reachable` frontiers of the current
-    #: ``_place_op``: every trial rolls ``mrt`` back to the state the op
-    #: started from, so all its candidates share them
+    #: the :class:`RoutingContext` sweeps (forward frontiers, backward
+    #: corridors) of the current ``_place_op``: every trial rolls ``mrt``
+    #: back to the state the op started from, so its candidate masks and
+    #: all its candidates share them
     fronts: dict[tuple[int, int], list[int]] = field(default_factory=dict)
 
 
@@ -198,20 +213,10 @@ class EMSMapper:
         # (see _dfg_tables), keyed on the DFG's adjacency epoch
         self._dfg_cache: _DfgTables | None = None
         self._route_ctx = RoutingContext(cgra, hop_allowed)
-        # escape direction (pe -> nb) shares the router's allowed-move table
+        # escape direction (pe -> nb) shares the router's allowed-move
+        # table, arrival direction (nb -> pe) its read table
         self._esc_ids = self._route_ctx.allowed_moves
-        if hop_allowed is None:
-            self._arr_ids = gi.reach1_ids
-        else:
-            coords = gi.coords
-            self._arr_ids = tuple(
-                tuple(
-                    q
-                    for q in gi.reach1_ids[p]
-                    if hop_allowed(coords[q], coords[p])
-                )
-                for p in range(gi.num_pes)
-            )
+        self._arr_ids = self._route_ctx.readable_from
         # fabric rank per PE id (None where pe_rank is unset/undefined)
         if pe_rank is None:
             self._rank_ids = None
@@ -440,19 +445,7 @@ class EMSMapper:
         horizon: int,
     ) -> bool:
         op = dfg.ops[op_id]
-        self_edges = [e for e in dfg.in_edges(op_id) if e.src == op_id]
-        pred_edges = [
-            e
-            for e in dfg.in_edges(op_id)
-            if e.src in st.placements
-            and e.src != op_id
-            and dfg.ops[e.src].opcode is not Opcode.CONST
-        ]
-        succ_edges = [
-            e
-            for e in dfg.out_edges(op_id)
-            if e.dst in st.placements and e.dst != op_id
-        ]
+        pred_edges, succ_edges, self_edges = self._placed_edges(dfg, st, op_id)
         t_lo = max(
             [asap[op_id]]
             + [
@@ -490,14 +483,34 @@ class EMSMapper:
         # slot, so time and route length are the same currency; the escape
         # term keeps producers' neighbourhoods breathable so later
         # consumers can still be reached (greedy dead-end avoidance).
-        best: tuple[float, int, int] | None = None
+        #
+        # Where before when: one mask per cycle answers, for every
+        # candidate at once, the frontier question each trial would ask of
+        # its edges (_candidate_mask).  A candidate outside it is refuted
+        # here, counted exactly like a refuted trial, so the eval-budget /
+        # candidate-cap cuts fall where they always did.
+        best: tuple[float, int, int, list[Route]] | None = None
         feasible_seen = 0
         evals = 0
         mrt = st.mrt
         stats = st.stats
         st.fronts = {}
         is_mem = op.is_memory
+        # what the masks sweep from: every holder of each pred edge's
+        # value, and each succ edge's placed consumer
+        pred_holders = []
+        for e in pred_edges:
+            src_id, src_t = st.placements[e.src]
+            holders = self._holders(dfg, st, e, src_id, src_t - e.distance * ii)
+            pred_holders.append([(s_id, s_t) for s_id, s_t, _ in holders])
+        succ_anchors = [
+            (*st.placements[e.dst], e.distance * ii) for e in succ_edges
+        ]
         for t in range(t_lo, t_hi + 1):
+            mask, exact = self._candidate_mask(st, t, pred_holders, succ_anchors)
+            # a recurrence leaves from the candidate itself: nothing
+            # anchored to sweep from, so its trials ask per candidate
+            prechecked = exact and not self_edges
             for pe in candidates:
                 stats.placement_probes += 1
                 if not mrt.slot_free_id(pe, t):
@@ -505,13 +518,19 @@ class EMSMapper:
                 if is_mem and not mrt.bus_free_id(pe, t):
                     continue
                 evals += 1
-                cost = self._trial_cost(
-                    dfg, ii, st, op_id, pe, t, pred_edges, succ_edges, self_edges
-                )
-                if cost is not None:
-                    cost += 0.25 * (t - t_lo)
+                if mask >> pe & 1:
+                    trial = self._trial_cost(
+                        dfg, ii, st, op_id, pe, t,
+                        pred_edges, succ_edges, self_edges, prechecked,
+                    )
+                else:
+                    stats.trial_commits += 1
+                    stats.trials_refuted += 1
+                    trial = None
+                if trial is not None:
+                    cost = trial[0] + 0.25 * (t - t_lo)
                     if best is None or cost < best[0]:
-                        best = (cost, pe, t)
+                        best = (cost, pe, t, trial[1])
                     feasible_seen += 1
                 if feasible_seen >= self.config.candidate_cap:
                     break
@@ -523,29 +542,105 @@ class EMSMapper:
                 break
         if best is None:
             return False
-        _, pe, t = best
-        return self._commit_candidate(
-            dfg, ii, st, op_id, pe, t, pred_edges, succ_edges, self_edges
-        )
+        _, pe, t, routes = best
+        self._replay(dfg, st, op_id, pe, t, routes)
+        return True
+
+    @staticmethod
+    def _placed_edges(dfg: DFG, st: _Attempt, op_id: int):
+        """The edges of *op_id* that are routed when it is placed: from a
+        placed (non-constant) producer, to a placed consumer, and its
+        self-recurrences — ``(pred_edges, succ_edges, self_edges)``."""
+        self_edges = [e for e in dfg.in_edges(op_id) if e.src == op_id]
+        pred_edges = [
+            e
+            for e in dfg.in_edges(op_id)
+            if e.src in st.placements
+            and e.src != op_id
+            and dfg.ops[e.src].opcode is not Opcode.CONST
+        ]
+        succ_edges = [
+            e
+            for e in dfg.out_edges(op_id)
+            if e.dst in st.placements and e.dst != op_id
+        ]
+        return pred_edges, succ_edges, self_edges
+
+    def _candidate_mask(
+        self,
+        st: _Attempt,
+        t: int,
+        pred_holders: list[list[tuple[int, int]]],
+        succ_anchors: list[tuple[int, int, int]],
+    ) -> tuple[int, bool]:
+        """``(mask, exact)`` for the candidates of cycle *t*: bit ``pe`` of
+        *mask* is clear only if placing the op on ``(pe, t)`` leaves some
+        edge unreachable — :meth:`_commit_candidate`'s pre-claim check
+        would refute it.  The mask is the frontier half of
+        :meth:`RoutingContext.reachable` asked once per anchored endpoint
+        instead of once per candidate: per pred edge the readers within
+        reach of any holder of the value (*pred_holders*), per succ edge
+        the PEs the placed consumer ``(pe, time, distance * II)`` of
+        *succ_anchors* can still be reached from, edges AND-ed.
+
+        *exact* holds while no holder/consumer gap exceeds the II — where
+        ``reachable`` has nothing to ask beyond its frontier, so a set bit
+        *is* the pre-claim check passed for these edges.  A longer gap
+        (the pigeonhole half is per pair) leaves the set bits of its cycle
+        for the per-candidate predicate to decide."""
+        ctx = self._route_ctx
+        mrt = st.mrt
+        fronts = st.fronts
+        ii = mrt.ii
+        mask = -1
+        exact = True
+        for holders in pred_holders:
+            readers = 0
+            for s_id, s_t in holders:
+                readers |= ctx.reach_from(mrt, fronts, s_id, s_t, t)
+                if t - s_t - 1 > ii:
+                    exact = False
+            mask &= readers
+            if not mask:
+                return 0, exact
+        for dst_id, dst_t, shift in succ_anchors:
+            mask &= ctx.reach_to(mrt, fronts, dst_id, dst_t, t - shift)
+            if dst_t - (t - shift) - 1 > ii:
+                exact = False
+        return mask, exact
+
+    def _replay(
+        self, dfg: DFG, st: _Attempt, op_id: int, pe_id: int, t: int,
+        routes: list[Route],
+    ) -> None:
+        """Commit a candidate by replaying the *routes* its trial found.
+        Every trial starts from, and rolls back to, the table the op
+        started from, so searching again would find them route for route;
+        the trap check passed on this very state."""
+        mrt = st.mrt
+        mrt.claim_id(pe_id, t, f"op{op_id}", memory=dfg.ops[op_id].is_memory)
+        for route in routes:
+            commit_route(mrt, route.edge_id, route.steps)
+            st.routes[route.edge_id] = route
+        st.placements[op_id] = (pe_id, t)
 
     def _trial_cost(
-        self, dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges
-    ) -> float | None:
+        self, dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges,
+        prechecked,
+    ) -> tuple[float, list[Route]] | None:
         """Score a candidate slot by committing it and rolling back.
 
-        Returns None when some edge cannot be routed from this slot.
+        Returns None when some edge cannot be routed from this slot, else
+        the cost and the routes the commit made (for :meth:`_replay`).
         Cost = route slots consumed + congestion of this PE's 1-hop
         neighbourhood at the next cycle (the value's escape room).
         """
         st.stats.trial_commits += 1
         if not self._commit_candidate(
-            dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges
+            dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges,
+            prechecked,
         ):
             return None
-        route_slots = sum(
-            len(st.routes[e.id].steps)
-            for e in (*pred_edges, *succ_edges, *self_edges)
-        )
         # congestion terms, only in the directions with unrouted edges:
         # escape room at t+1 when some consumer is still unplaced, arrival
         # room at t-1 when some producer is still unplaced
@@ -565,14 +660,22 @@ class EMSMapper:
             for nb in self._arr_ids[pe_id]:
                 if not mrt.slot_free_id(nb, t - 1):
                     blocked += 1
-        self._rollback(dfg, st, op_id, pred_edges, succ_edges, self_edges)
-        return route_slots + 0.6 * blocked
+        routes = self._rollback(dfg, st, op_id, pred_edges, succ_edges, self_edges)
+        route_slots = sum(len(route.steps) for route in routes)
+        return route_slots + 0.6 * blocked, routes
 
-    def _rollback(self, dfg, st, op_id, pred_edges, succ_edges, self_edges) -> None:
+    def _rollback(
+        self, dfg, st, op_id, pred_edges, succ_edges, self_edges
+    ) -> list[Route]:
+        """Undo a committed candidate; the routes it held, released."""
         pe_id, t = st.placements.pop(op_id)
-        for e in (*pred_edges, *succ_edges, *self_edges):
-            release_route(st.mrt, st.routes.pop(e.id).steps)
+        routes = [
+            st.routes.pop(e.id) for e in (*pred_edges, *succ_edges, *self_edges)
+        ]
+        for route in routes:
+            release_route(st.mrt, route.steps)
         st.mrt.release_id(pe_id, t, memory=dfg.ops[op_id].is_memory)
+        return routes
 
     def _candidate_pes(
         self,
@@ -626,6 +729,7 @@ class EMSMapper:
         pred_edges,
         succ_edges,
         self_edges=(),
+        prechecked: bool = False,
     ) -> bool:
         """Claim the op slot and route all its placed-neighbour edges
         (including self-recurrences); roll back entirely on any failure,
@@ -636,27 +740,12 @@ class EMSMapper:
         holder of its value on the table as it stands: claiming the op and
         routing the other edges only takes slots away.  (A tap committed
         later in this trial lies on a walk from one of those holders
-        through slots free now, so that holder's frontier covers it.)"""
+        through slots free now, so that holder's frontier covers it.)
+        *prechecked* says the caller's :meth:`_candidate_mask` has already
+        answered that, exactly, for this candidate."""
         op = dfg.ops[op_id]
         mrt = st.mrt
         ctx = self._route_ctx
-        routed: list[tuple[int, tuple[RouteStep, ...], RouteStep | None]] = []
-        local_routes: dict[int, tuple[RouteStep, ...]] = {}
-        id_of = self._gi.id_of
-
-        def sources_for(src_op_id: int, src_id, src_time_eff, distance):
-            """Tappable holders of the value: the producer plus every step
-            of sibling routes carrying it (fanout sharing)."""
-            out = [(src_id, src_time_eff, None)]
-            for e2 in dfg.out_edges(src_op_id):
-                if e2.distance != distance:
-                    continue
-                steps2 = local_routes.get(e2.id)
-                if steps2 is None and e2.id in st.routes:
-                    steps2 = st.routes[e2.id].steps
-                for s2 in steps2 or ():
-                    out.append((id_of[s2.pe], s2.time, s2))
-            return out
 
         # (edge, producer PE, producer time in the consumer's frame,
         # consumer PE, consumer time), in routing order
@@ -667,21 +756,28 @@ class EMSMapper:
         for e in succ_edges:
             edges.append((e, pe_id, t - e.distance * ii, *st.placements[e.dst]))
 
-        for e, src_id, src_t, dst_id, dst_t in edges:
-            if not any(
-                ctx.reachable(mrt, st.fronts, s_id, s_t, dst_id, dst_t)
-                for s_id, s_t, _ in sources_for(e.src, src_id, src_t, e.distance)
-            ):
-                st.stats.trials_refuted += 1
-                return False
+        if not prechecked:
+            for e, src_id, src_t, dst_id, dst_t in edges:
+                if not any(
+                    ctx.reachable(mrt, st.fronts, s_id, s_t, dst_id, dst_t)
+                    for s_id, s_t, _ in self._holders(dfg, st, e, src_id, src_t)
+                ):
+                    st.stats.trials_refuted += 1
+                    return False
 
         mrt.claim_id(pe_id, t, f"op{op_id}", memory=op.is_memory)
+        # Routes go straight into st.routes, where the holders of the next
+        # edge's value are read from; edges with zero steps still get a
+        # Route record so downstream consumers can distinguish "routed,
+        # direct" from "not yet routed".  (Edges between unplaced endpoints
+        # are routed when the second endpoint is placed.)
+        routed: list[int] = []
         ok = True
         for e, src_id, src_t, dst_id, dst_t in edges:
             found = find_route_shared_ids(
                 ctx,
                 mrt,
-                sources_for(e.src, src_id, src_t, e.distance),
+                self._holders(dfg, st, e, src_id, src_t),
                 dst_id,
                 dst_t,
                 max_expansions=self.config.route_budget,
@@ -691,25 +787,34 @@ class EMSMapper:
                 break
             steps, tap = found
             commit_route(mrt, e.id, steps)
-            routed.append((e.id, steps, tap))
-            local_routes[e.id] = steps
+            st.routes[e.id] = Route(e.id, steps, tap)
+            routed.append(e.id)
         if ok:
             st.placements[op_id] = (pe_id, t)
             if self._traps_pending_edge(dfg, ii, st):
                 del st.placements[op_id]
                 ok = False
         if not ok:
-            for _, steps, _tap in routed:
-                release_route(mrt, steps)
+            for edge_id in routed:
+                release_route(mrt, st.routes.pop(edge_id).steps)
             mrt.release_id(pe_id, t, memory=op.is_memory)
-            return False
-        for edge_id, steps, tap in routed:
-            st.routes[edge_id] = Route(edge_id, steps, tap)
-        # edges between unplaced endpoints are routed when the second
-        # endpoint is placed; edges with zero steps still get a Route record
-        # so downstream consumers can distinguish "routed, direct" from
-        # "not yet routed".
-        return True
+        return ok
+
+    def _holders(
+        self, dfg: DFG, st: _Attempt, e, src_id: int, src_time_eff: int
+    ) -> list[tuple[int, int, RouteStep | None]]:
+        """Tappable holders of the value edge *e* carries, as ``(pe id,
+        time, tap)``: the producer — at *src_time_eff*, its time in the
+        consumer's frame — plus every step of the sibling routes already in
+        ``st.routes`` that carry it (fanout sharing)."""
+        id_of = self._gi.id_of
+        routes = st.routes
+        out = [(src_id, src_time_eff, None)]
+        for e2 in dfg.out_edges(e.src):
+            if e2.distance == e.distance and e2.id in routes:
+                for s2 in routes[e2.id].steps:
+                    out.append((id_of[s2.pe], s2.time, s2))
+        return out
 
     def _traps_pending_edge(self, dfg: DFG, ii: int, st: _Attempt) -> bool:
         """Would the current reservations starve a placed op whose edges

@@ -261,9 +261,10 @@ class HierMapper(PagedMapper):
         self._subs: dict[tuple[int, bool], PagedMapper] = {
             (layout.num_pages, False): self
         }
-        # SCC/topo block decomposition is II-independent: one entry per DFG,
-        # shared by every rung of a ladder (and every probe in a worker)
-        self._block_cache: dict[str, tuple] = {}
+        # SCC/topo block decomposition is II-independent: a one-slot memo
+        # ``(DFG adjacency epoch, blocks)`` shared by every rung of a ladder
+        # (and every probe in a worker), like EMSMapper._dfg_tables
+        self._block_cache: tuple | None = None
 
     def lattice_attempts_per_ii(self) -> int:
         return self.config.attempts_per_ii + 1
@@ -316,11 +317,11 @@ class HierMapper(PagedMapper):
         # Fall straight through to the flat replay attempts there.
         if min(self.layout.shape) < 2:
             return None
-        fp = dfg.fingerprint()
-        blocks = self._block_cache.get(fp)
-        if blocks is None:
-            blocks = self._block_cache[fp] = _blocks(dfg)
-        assignment = cluster_dfg(dfg, self.layout, ii, blocks=blocks)
+        adj = dfg._adjacency()
+        cache = self._block_cache
+        if cache is None or cache[0] is not adj:
+            cache = self._block_cache = (adj, _blocks(dfg))
+        assignment = cluster_dfg(dfg, self.layout, ii, blocks=cache[1])
         if assignment is None:
             return None
         k = 1 + max(assignment.values())

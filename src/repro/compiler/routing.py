@@ -36,17 +36,22 @@ can only fail on: is there *any* walk of the required length through free
 modulo slots, and do the steps that share a modulo slot have enough
 distinct corridor PEs between them?  The placer asks the same predicate
 for every edge of a candidate before claiming anything
-(:mod:`repro.compiler.ems`).
+(:mod:`repro.compiler.ems`) — and asks its first question of all
+candidates at once: :meth:`RoutingContext.reach_from` and
+:meth:`RoutingContext.reach_to` return, as one bitmask, every consumer PE
+a holder's frontier reaches and every holder PE a consumer's corridor is
+reachable from.
 
 The searches run entirely on integer PE ids from the fabric's
 :class:`~repro.arch.interconnect.GridIndex`: a :class:`RoutingContext`
 pins one (fabric, hop filter) pair and memoizes the per-PE allowed-move
-lists, the per-(PE, destination-hint) greedy move orderings, and the
-per-destination goal tables (goal PEs sorted by PE id, a membership mask,
-the min-Manhattan-to-goal pruning bound, and the greedy destination
-*hint*).  Route choice is a pure function of these explicit tables — the
-search itself never consults set iteration order.  ``Coord`` objects only
-appear at the public API boundary.
+lists (and their bitmask, transposed and read-hop forms), the per-(PE,
+destination-hint) greedy move orderings, and the per-destination goal
+tables (goal PEs sorted by PE id, a membership mask, the
+min-Manhattan-to-goal pruning bound, and the greedy destination *hint*).
+Route choice is a pure function of these explicit tables — the search
+itself never consults set iteration order.  ``Coord`` objects only appear
+at the public API boundary.
 """
 
 from __future__ import annotations
@@ -93,6 +98,8 @@ class RoutingContext:
         "allowed_moves",
         "move_bits",
         "rev_bits",
+        "readable_from",
+        "arrive_bits",
         "_route_mask",
         "_moves_tables",
         "_goals",
@@ -134,20 +141,40 @@ class RoutingContext:
             for q in qs:
                 rev[q] |= 1 << p
         self.rev_bits: tuple[int, ...] = tuple(rev)
+        # readable_from[c]: the PEs whose output a consumer on c can read
+        # (its goal PEs, in reach1_ids order; reading parks nothing, so no
+        # ROUTE mask)
+        if hop_allowed is None:
+            self.readable_from: tuple[tuple[int, ...], ...] = gi.reach1_ids
+        else:
+            coords = gi.coords
+            self.readable_from = tuple(
+                tuple(
+                    p
+                    for p in gi.reach1_ids[c]
+                    if hop_allowed(coords[p], coords[c])
+                )
+                for c in range(gi.num_pes)
+            )
+        # readable_from transposed (bit c of arrive_bits[p] set == a
+        # consumer on c can read a value held on p): move_bits without the
+        # ROUTE mask on the destination
+        arrive = [0] * gi.num_pes
+        for c, ps in enumerate(self.readable_from):
+            for p in ps:
+                arrive[p] |= 1 << c
+        self.arrive_bits: tuple[int, ...] = tuple(arrive)
         # hint -> full per-PE move table (one indexed load per expansion in
         # the route searches instead of a method call + dict probe)
         self._moves_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._goals: dict[int, _GoalEntry] = {}  # keyed by destination PE id
 
-    def moves_table(
-        self, hint_id: int | None, stats: MapperCounters | None = None
-    ) -> tuple[tuple[int, ...], ...]:
+    def moves_table(self, hint_id: int | None) -> tuple[tuple[int, ...], ...]:
         """Per-PE legal one-cycle moves, greedily ordered toward the
         destination hint (stable sort by Manhattan-to-hint, so base
         adjacency order breaks ties exactly as the Coord-domain router
         did).  The route searches index this tuple directly in their inner
-        loops; a memo hit is billed to *stats* when the caller passes its
-        counters."""
+        loops."""
         if hint_id is None:
             return self.allowed_moves
         tbl = self._moves_tables.get(hint_id)
@@ -155,13 +182,9 @@ class RoutingContext:
             key = self.gi.manhattan[hint_id].__getitem__
             tbl = tuple(tuple(sorted(qs, key=key)) for qs in self.allowed_moves)
             self._moves_tables[hint_id] = tbl
-        elif stats is not None:
-            stats.move_cache_hits += 1
         return tbl
 
-    def goal_table(
-        self, dst_id: int, stats: MapperCounters | None = None
-    ) -> _GoalEntry:
+    def goal_table(self, dst_id: int) -> _GoalEntry:
         """Goal PEs from which the consumer at *dst_id* can read the value,
         sorted by PE id, plus a membership mask, the per-PE minimum
         Manhattan distance to any goal (the depth-first search's pruning
@@ -180,15 +203,7 @@ class RoutingContext:
         if entry is None:
             gi = self.gi
             coords = gi.coords
-            dst = coords[dst_id]
-            if self.hop_allowed is None:
-                unsorted_goal = list(gi.reach1_ids[dst_id])
-            else:
-                unsorted_goal = [
-                    p
-                    for p in gi.reach1_ids[dst_id]
-                    if self.hop_allowed(coords[p], dst)
-                ]
+            unsorted_goal = self.readable_from[dst_id]
             goal = sorted(unsorted_goal)
             mask = [False] * gi.num_pes
             for g in goal:
@@ -217,8 +232,6 @@ class RoutingContext:
             bits = sum(1 << g for g in goal)
             entry = (tuple(goal), tuple(mask), min_dist, hint, bits)
             self._goals[dst_id] = entry
-        elif stats is not None:
-            stats.target_cache_hits += 1
         return entry
 
     def reachable(
@@ -245,17 +258,10 @@ class RoutingContext:
         gap = t_dst - t_src_eff
         if gap < 1:
             return False
-        front = fronts.get((src_id, t_src_eff))
-        if front is None:
-            front = fronts[(src_id, t_src_eff)] = [1 << src_id]
-        ii = mrt.ii
-        if len(front) < gap:
-            _sweep(
-                front, self.move_bits, mrt.free_mask, ii,
-                range(t_src_eff + len(front), t_dst),
-            )
+        front = self._front(mrt, fronts, src_id, t_src_eff, gap)
         if not front[gap - 1] & self.goal_table(dst_id)[4]:
             return False
+        ii = mrt.ii
         hops = gap - 1
         if hops <= ii:
             return True  # at most one step per modulo slot
@@ -273,6 +279,64 @@ class RoutingContext:
             if room.bit_count() < len(sharing):
                 return False
         return True
+
+    def _front(
+        self,
+        mrt: ReservationTable,
+        fronts: dict[tuple[int, int], list[int]],
+        src_id: int,
+        t_src_eff: int,
+        gap: int,
+    ) -> list[int]:
+        """The forward sweep from ``(src_id, t_src_eff)``, memoized in
+        *fronts* and extended to at least *gap* sets."""
+        front = fronts.get((src_id, t_src_eff))
+        if front is None:
+            front = fronts[(src_id, t_src_eff)] = [1 << src_id]
+        if len(front) < gap:
+            _sweep(
+                front, self.move_bits, mrt.free_mask, mrt.ii,
+                range(t_src_eff + len(front), t_src_eff + gap),
+            )
+        return front
+
+    def reach_from(
+        self,
+        mrt: ReservationTable,
+        fronts: dict[tuple[int, int], list[int]],
+        src_id: int,
+        t_src_eff: int,
+        t_dst: int,
+    ) -> int:
+        """Every *dst_id* for which :meth:`reachable` ``(src_id, t_src_eff,
+        dst_id, t_dst)`` passes its frontier test, as one bitmask: the
+        holder's frontier pushed one read further.  That is the whole of
+        ``reachable`` wherever the route is no longer than the II."""
+        gap = t_dst - t_src_eff
+        if gap < 1:
+            return 0
+        front = self._front(mrt, fronts, src_id, t_src_eff, gap)
+        return _hop(front[gap - 1], self.arrive_bits)
+
+    def reach_to(
+        self,
+        mrt: ReservationTable,
+        fronts: dict[tuple[int, int], list[int]],
+        dst_id: int,
+        t_dst: int,
+        t_src_eff: int,
+    ) -> int:
+        """:meth:`reach_from` seen from the consumer: every *src_id* for
+        which ``reachable(src_id, t_src_eff, dst_id, t_dst)`` passes its
+        frontier test — the consumer's :meth:`corridor` pulled one move
+        back (a holder's own slot need not be free)."""
+        gap = t_dst - t_src_eff
+        if gap < 1:
+            return 0
+        if gap == 1:
+            return self.goal_table(dst_id)[4]
+        back = self.corridor(mrt, fronts, dst_id, t_dst, gap - 1)
+        return _hop(back[gap - 2], self.rev_bits)
 
     def corridor(
         self,
@@ -315,13 +379,18 @@ def _sweep(
     ``step_bits`` move away from the previous set whose slot is free."""
     bits = sets[-1]
     for t in times:
-        nxt = 0
-        while bits:
-            low = bits & -bits
-            nxt |= step_bits[low.bit_length() - 1]
-            bits ^= low
-        bits = nxt & free[t % ii]
+        bits = _hop(bits, step_bits) & free[t % ii]
         sets.append(bits)
+
+
+def _hop(bits: int, step_bits: tuple[int, ...]) -> int:
+    """The PEs one ``step_bits`` move away from some PE of *bits*."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= step_bits[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def find_route_shared_ids(
@@ -405,7 +474,7 @@ def find_route_ids(
     gap = t_dst - t_src_eff
     if gap < 1:
         return None
-    _, goal_mask, min_dist, hint, _ = ctx.goal_table(dst_id, stats)
+    _, goal_mask, min_dist, hint, _ = ctx.goal_table(dst_id)
     if gap == 1:
         return () if goal_mask[src_id] else None
     hops = gap - 1  # number of route steps, at times t_src_eff+1 .. t_dst-1
@@ -447,7 +516,7 @@ def _walk_route(
     stats.bfs_calls += 1
     hops = t_dst - t_src_eff - 1
     back = ctx.corridor(mrt, {}, dst_id, t_dst, hops)
-    mt = ctx.moves_table(hint, stats)
+    mt = ctx.moves_table(hint)
     path: list[int] = []
     p = src_id
     for k in range(hops - 1, -1, -1):
@@ -486,7 +555,7 @@ def _dfs_route(
     stats.dfs_calls += 1
     ii = mrt.ii
     num_pes = mrt.num_pes
-    mt = ctx.moves_table(hint, stats)
+    mt = ctx.moves_table(hint)
     # visited-set seeded with the MRT occupancy bitmap (one C-speed copy),
     # so the inner loop tests a single byte per candidate slot
     used = bytearray(mrt._occ_mask)

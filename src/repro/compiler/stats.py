@@ -1,8 +1,8 @@
 """Compile-perf instrumentation for the place-and-route hot path.
 
 The mapper's cost model is search volume: how many time-extended states the
-router expands, how many (time, PE) candidates the placer probes, how often
-the memoized routing tables answer without a search.  These counters are
+router expands, how many (time, PE) candidates the placer probes, how many
+of them are refuted before any search.  These counters are
 what ``perf/wl_compile.py`` reports next to wall-clock timings, so a perf
 regression shows up as a *search-volume* regression even on noisy CI
 machines.
@@ -33,13 +33,16 @@ class MapperCounters:
     """Search-effort counters of one counter scope (one compile job)."""
 
     #: route queries that reached the router (find_route_ids); edges of
-    #: candidates the placer refuted before claiming never issue one
+    #: candidates the placer refuted before claiming never issue one, and
+    #: the candidate an op commits replays its trial's routes without one
     route_calls: int = 0
     #: long-route queries answered None by RoutingContext.reachable (no
     #: walk through free slots, or too few corridor PEs for some modulo
     #: slot's steps), no DFS run
     routes_refuted: int = 0
-    #: placer candidates rejected by the same predicate before any claim
+    #: placer candidates rejected by the same predicate before any claim:
+    #: in bulk by the per-cycle candidate mask (its frontier half, asked
+    #: once per anchored endpoint) or one at a time by the predicate itself
     trials_refuted: int = 0
     #: short-route searches (route shorter than II): one backward corridor
     #: sweep plus a greedy walk (the steps a layered BFS would return —
@@ -48,12 +51,11 @@ class MapperCounters:
     dfs_calls: int = 0  #: depth-first searches (route >= II, self-collisions)
     #: search volume: time-extended states a depth-first search visited,
     #: plus one per step of every short route walked (a short route that
-    #: does not exist costs a sweep and no expansion)
+    #: does not exist costs a sweep and no expansion); trials only — the
+    #: committed candidate is not searched a second time
     expansions: int = 0
     placement_probes: int = 0  #: (time, PE) candidates probed by the placer
     trial_commits: int = 0  #: tentative commit+rollback scoring passes
-    target_cache_hits: int = 0  #: memoized per-(dst, hop-filter) goal tables reused
-    move_cache_hits: int = 0  #: memoized per-(pe, hint) move orderings reused
     hier_attempts: int = 0  #: hierarchical (cluster-then-place) probes run
     hier_wins: int = 0  #: hierarchical probes that produced a mapping
     hier_flat_attempts: int = 0  #: flat-ladder probes run inside the hier backend

@@ -119,7 +119,7 @@ class CompileStats:
 
     ``counters`` is the job's own :class:`~repro.compiler.stats.
     MapperCounters` scope: route-search expansions, BFS/DFS invocations,
-    placement probes, and memo-table hits (probe workers report their
+    placement probes, and refuted routes/trials (probe workers report their
     deltas back, so the search effort of every probe the ladder read is
     included).  ``base_map_seconds``/``paged_map_seconds`` split the
     mapper wall clock by phase (unconstrained baseline vs ring-constrained

@@ -3,6 +3,8 @@ table, router."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.arch.cgra import CGRA
@@ -484,6 +486,74 @@ class TestReachabilityFilter:
         # the ROUTE-capable goals only, on the masked fabrics) did cut nodes
         assert routed > 0 and unrouted > 0 and pruned
 
+    @pytest.mark.parametrize("name", ["4x4", "8x8-memcols"])
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("route_mask", [False, True])
+    def test_candidate_mask_is_the_frontier_half(self, name, ring, route_mask):
+        """``EMSMapper._candidate_mask`` against the per-candidate predicate
+        of ``_commit_candidate``'s pre-claim check, for random anchored
+        pred / succ edge sets and every ``(pe, t)``: a clear bit means the
+        predicate is false, a set bit on an exact cycle means it is true,
+        and only an inexact cycle leaves set bits undecided."""
+        import random
+
+        from repro.compiler.ems import EMSMapper, _Attempt
+        from repro.compiler.stats import MapperCounters
+
+        rng = random.Random(f"mask/{name}/{ring}/{route_mask}")
+        cgra, ctx = self._context(name, ring, route_mask, rng)
+        mapper = EMSMapper(cgra, hop_allowed=ctx.hop_allowed)
+        # reading parks nothing, so only the move tables carry the ROUTE mask
+        assert (ctx.arrive_bits != ctx.move_bits) == route_mask
+        n = cgra.num_pes
+        refuted = passed = undecided = undecided_false = 0
+        for _ in range(120):
+            ii = rng.randrange(1, 6)
+            mrt = self._random_mrt(cgra, ii, rng)
+            st = _Attempt(mrt, MapperCounters())
+            # per pred edge the holders of its value; per succ edge the
+            # placed consumer and the edge's distance * II
+            pred_holders = [
+                [
+                    (rng.randrange(n), rng.randrange(0, 6))
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                for _ in range(rng.randrange(0, 3))
+            ]
+            succ_anchors = [
+                (rng.randrange(n), rng.randrange(4, 14), rng.randrange(0, 2) * ii)
+                for _ in range(rng.randrange(0 if pred_holders else 1, 3))
+            ]
+            reference: dict = {}  # the predicate's own sweeps, not st.fronts
+            for t in range(0, 13):
+                mask, exact = mapper._candidate_mask(
+                    st, t, pred_holders, succ_anchors
+                )
+                for pe in range(n):
+                    predicate = all(
+                        any(
+                            ctx.reachable(mrt, reference, s_id, s_t, pe, t)
+                            for s_id, s_t in holders
+                        )
+                        for holders in pred_holders
+                    ) and all(
+                        ctx.reachable(mrt, reference, pe, t - shift, dst_id, dst_t)
+                        for dst_id, dst_t, shift in succ_anchors
+                    )
+                    if not mask >> pe & 1:
+                        assert not predicate
+                        refuted += 1
+                    elif exact:
+                        assert predicate
+                        passed += 1
+                    else:
+                        undecided += 1
+                        undecided_false += not predicate
+        # every outcome occurred, and the inexact residue is real: the
+        # pigeonhole does refute candidates the frontier lets through
+        assert refuted > 0 and passed > 0 and undecided > 0
+        assert undecided_false > 0
+
     def test_shared_frontiers_match_fresh_ones(self, cgra44):
         """One ``fronts`` dict shared across queries of different lengths
         (the placer's use) answers exactly like a fresh dict per query."""
@@ -505,34 +575,39 @@ class TestReachabilityFilter:
             assert ctx.reachable(mrt, shared, *q) == ctx.reachable(mrt, {}, *q)
 
 
-#: Parent-commit (pre-corridor) search trajectory of cold ``compile_job_stats``
-#: at mapper seed 0: (backend, kernel, page size) -> (ii_base, ii_paged,
-#: placement_probes, trial_commits, rungs_skipped, rungs_pruned,
-#: hier_attempts, hier_wins, hier_flat_attempts, hier_flat_wins, expansions).
-#: ``fft/ps4`` is the long-route-heavy one: the others barely reach the DFS.
+#: Parent-commit (0de780d, before the candidate mask) search trajectory of
+#: cold ``compile_job_stats`` at mapper seed 0: (backend, kernel, page size)
+#: -> (ii_base, ii_paged, placement_probes, trial_commits, trials_refuted,
+#: rungs_skipped, rungs_pruned, hier_attempts, hier_wins,
+#: hier_flat_attempts, hier_flat_wins, expansions).  ``fft/ps4`` is the
+#: long-route-heavy one, ``yuv2rgb`` on the hier backend the refutation-heavy
+#: one (82 % of its trials are refuted, nearly all of them by the mask).
 _PARENT_TRAJECTORY = {
-    ("flat", "mpeg", 2): (1, 1, 3082, 2260, 0, 0, 0, 0, 0, 0, 3152),
-    ("flat", "mpeg", 4): (1, 1, 2731, 1815, 0, 0, 0, 0, 0, 0, 3766),
-    ("flat", "sor", 2): (4, 4, 1440, 1165, 0, 0, 0, 0, 0, 0, 2306),
-    ("flat", "sor", 4): (4, 4, 309, 262, 0, 0, 0, 0, 0, 0, 305),
-    ("flat", "wavelet", 2): (1, 2, 1689, 1267, 0, 0, 0, 0, 0, 0, 1460),
-    ("flat", "wavelet", 4): (1, 2, 2206, 1663, 0, 0, 0, 0, 0, 0, 2587),
-    ("flat", "compress", 2): (4, 5, 3810, 3287, 0, 0, 0, 0, 0, 0, 147627),
-    ("flat", "compress", 4): (4, 4, 1250, 1133, 0, 0, 0, 0, 0, 0, 42920),
-    ("flat", "fft", 4): (3, 7, 37039, 26444, 0, 0, 0, 0, 0, 0, 2067037),
-    ("hier", "sor", 4): (4, 4, 1201, 1137, 0, 0, 1, 1, 0, 0, 554),
-    ("hier", "sor", 8): (4, 4, 1219, 1159, 0, 0, 1, 1, 0, 0, 538),
-    ("hier", "compress", 4): (4, 4, 667, 616, 0, 0, 1, 1, 0, 0, 465),
-    ("hier", "compress", 8): (4, 4, 677, 641, 0, 0, 1, 1, 0, 0, 501),
+    ("flat", "mpeg", 2): (1, 1, 3082, 2260, 1479, 0, 0, 0, 0, 0, 0, 1278),
+    ("flat", "mpeg", 4): (1, 1, 2731, 1815, 1033, 0, 0, 0, 0, 0, 0, 2074),
+    ("flat", "sor", 2): (4, 4, 1440, 1165, 550, 0, 0, 0, 0, 0, 0, 1043),
+    ("flat", "sor", 4): (4, 4, 309, 262, 134, 0, 0, 0, 0, 0, 0, 260),
+    ("flat", "wavelet", 2): (1, 2, 1689, 1267, 751, 0, 0, 0, 0, 0, 0, 1035),
+    ("flat", "wavelet", 4): (1, 2, 2206, 1663, 937, 0, 0, 0, 0, 0, 0, 1793),
+    ("flat", "compress", 2): (4, 5, 3810, 3287, 1858, 0, 0, 0, 0, 0, 0, 22104),
+    ("flat", "compress", 4): (4, 4, 1250, 1133, 584, 0, 0, 0, 0, 0, 0, 1228),
+    ("flat", "fft", 4): (3, 7, 37039, 26444, 17086, 0, 0, 0, 0, 0, 0, 223651),
+    ("hier", "sor", 4): (4, 4, 1201, 1137, 943, 0, 0, 1, 1, 0, 0, 500),
+    ("hier", "sor", 8): (4, 4, 1219, 1159, 968, 0, 0, 1, 1, 0, 0, 501),
+    ("hier", "compress", 4): (4, 4, 667, 616, 449, 0, 0, 1, 1, 0, 0, 376),
+    ("hier", "compress", 8): (4, 4, 677, 641, 472, 0, 0, 1, 1, 0, 0, 419),
+    ("hier", "yuv2rgb", 4): (2, 5, 41321, 35297, 29078, 0, 0, 5, 0, 18, 1, 29674),
 }
 
 
 @pytest.mark.parametrize("backend,kernel,page_size", sorted(_PARENT_TRAJECTORY))
 def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
-    """A refuted candidate still counts as probed and trialled, so the
-    eval-budget / candidate-cap cuts fall where they always did: every
+    """A refuted candidate still counts as probed and trialled — whether
+    the per-cycle mask refuted it or the per-candidate predicate did — so
+    the eval-budget / candidate-cap cuts fall where they always did: every
     trajectory counter equals the parent's value and only search volume
-    (``expansions``) drops."""
+    (``expansions``) drops, by the re-route of each op's winning candidate
+    that replaying its trial's routes removes."""
     from repro.pipeline.compile import CompileJob, compile_job_stats
 
     job = (
@@ -547,9 +622,96 @@ def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
     *pinned, parent_expansions = _PARENT_TRAJECTORY[backend, kernel, page_size]
     assert [
         artifact.ii_base, artifact.ii_paged, c["placement_probes"],
-        c["trial_commits"], c["rungs_skipped"], c["rungs_pruned"],
-        c["hier_attempts"], c["hier_wins"], c["hier_flat_attempts"],
-        c["hier_flat_wins"],
+        c["trial_commits"], c["trials_refuted"], c["rungs_skipped"],
+        c["rungs_pruned"], c["hier_attempts"], c["hier_wins"],
+        c["hier_flat_attempts"], c["hier_flat_wins"],
     ] == pinned
     assert c["expansions"] < parent_expansions
-    assert c["trials_refuted"] > 0
+
+
+#: ``random_dfg`` draws ``(seed, n_ops)`` for the differential test below,
+#: named by what their ladders do at ``max_ii=10`` (at mapper seed 0; a
+#: perturbed attempt of another seed may land elsewhere).  Flat 4x4 ps2: the
+#: bounded chain pass fails and the ring wins / chain, ring and the resumed
+#: chain all fail (stored unmappable) / the chain wins and page-need
+#: shrinking re-maps it.  Hier 8x8-memcols ps4: the clustered probe wins / a
+#: flat fallback rung wins / every rung fails.
+_MASK_DRAWS = {
+    ("flat", "ring"): (30, 7),
+    ("flat", "unmappable"): (34, 7),
+    ("flat", "chain"): (6, 10),
+    ("hier", "clustered"): (15, 9),
+    ("hier", "fallback"): (6, 9),
+    ("hier", "unmappable"): (14, 9),
+}
+
+
+@pytest.mark.parametrize("backend,outcome", sorted(_MASK_DRAWS))
+def test_mask_and_replay_change_no_byte_and_no_counter(
+    backend, outcome, monkeypatch
+):
+    """The placer with its two shortcuts switched off — every candidate's
+    bit set on an inexact cycle, so each trial asks the per-candidate
+    predicate, and the winner searched again through ``_commit_candidate``
+    instead of replayed — produces the same artifact bytes and the same
+    counters at mapper seeds 0-3 (the winner's second search aside, which
+    the reference keeps off the books), and that second search finds the
+    replayed routes."""
+    import types
+
+    import repro.pipeline.compile as compile_mod
+    from repro.compiler.ems import EMSMapper, MapperConfig
+    from repro.dfg.random_dfg import random_dfg
+
+    seed, n_ops = _MASK_DRAWS[backend, outcome]
+    drawn = types.SimpleNamespace(build=lambda: random_dfg(seed, n_ops=n_ops))
+    monkeypatch.setattr(compile_mod, "get_kernel", lambda name: drawn)
+    rerouted = []
+
+    def reroute(self, dfg, st, op_id, pe_id, t, routes):
+        before = dict(vars(st.stats))
+        assert self._commit_candidate(
+            dfg, st.mrt.ii, st, op_id, pe_id, t,
+            *self._placed_edges(dfg, st, op_id),
+        )
+        vars(st.stats).update(before)
+        assert [st.routes[r.edge_id] for r in routes] == routes
+        rerouted.append(len(routes))
+
+    def compile_all():
+        out = []
+        for mapper_seed in range(4):
+            config = MapperConfig(
+                seed=mapper_seed, attempts_per_ii=4, max_ii=10, backend=backend
+            )
+            job = (
+                compile_mod.CompileJob("drawn", 4, 2, mapper=config)
+                if backend == "flat"
+                else compile_mod.CompileJob(
+                    "drawn", 8, 4, arch="8x8-memcols", mapper=config
+                )
+            )
+            artifact, stats = compile_mod.compile_job_stats(job)
+            out.append((artifact.to_json(), stats.counters))
+        return out
+
+    real = compile_all()
+    with monkeypatch.context() as patched:
+        patched.setattr(
+            EMSMapper, "_candidate_mask", lambda self, *args: (-1, False)
+        )
+        patched.setattr(EMSMapper, "_replay", reroute)
+        reference = compile_all()
+    assert real == reference
+    assert sum(rerouted) > 0
+    # the draw does what its name says
+    artifact, counters = json.loads(real[0][0]), real[0][1]
+    assert counters["trials_refuted"] > 0
+    assert artifact["unmappable"] == (outcome == "unmappable")
+    assert artifact["layout_wrap"] == (outcome == "ring")
+    if backend == "flat":
+        assert (counters["rungs_skipped"] > 0) == (outcome == "unmappable")
+        assert outcome != "chain" or artifact["pages_used"] < 8
+    else:
+        assert counters["hier_wins"] == (outcome == "clustered")
+        assert counters["hier_flat_wins"] == (outcome == "fallback")

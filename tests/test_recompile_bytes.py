@@ -14,11 +14,15 @@ Tier-1 recompiles only the sub-second 4x4 kernels.  Run as a script
 cold-compiles *every* committed artifact — 11 kernels at page sizes {2,4}
 on 4x4 and {2,4,8} on 6x6 and 8x8, 88 jobs fanned out over two worker
 processes — and byte-compares each: the check a router or placer change
-exists to pass.
+exists to pass.  The committed store holds homogeneous flat jobs only, so
+the same run also compiles the 22 jobs of ``perf/``'s ``compile_hier_8x8``
+workload (the hier backend on ``8x8-memcols``, page sizes {4,8}) and
+compares each artifact's sha256 with :data:`HIER_SHA256`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -36,6 +40,36 @@ FAST_JOBS = [
     for kernel in ("mpeg", "sor", "gsr", "laplace", "wavelet")
     for page_size in (2, 4)
 ]
+
+
+#: sha256 of the artifact file of ``CompileJob(kernel, 8, page_size, seed=0,
+#: arch="8x8-memcols", backend="hier")``, recorded at 0de780d (the parent of
+#: the candidate-mask change).  Re-record only with a change that means to
+#: alter hier schedules.
+HIER_SHA256 = {
+    ("mpeg", 4): "60bd336dc1d735eb39d47749e2904dbb8b3f207d2fc109c9410e7443ec2c0a17",
+    ("mpeg", 8): "1955cb39c108d42005bc7bc2e91a0332c15d2cf9401fed3e618834c9297a1c41",
+    ("yuv2rgb", 4): "6cee6443cbbec421b27cb68b37f8096afe4fdd848d7f910428b8791a33bfd791",
+    ("yuv2rgb", 8): "ac9c86fddb4ef3d63e72c7f16ca224e703ced3d6ffbd1dae4efffb806e42e123",
+    ("sor", 4): "c64515278b713bd09294bf3aaec7a44145b9e9db866ad8f82c4c58468b33aa18",
+    ("sor", 8): "936247b7da60e1d246152cb15bf265ff4676b336332bbe471d17114a5eb7bd98",
+    ("compress", 4): "632c5f69e79ebd78c63cedced2d16905a3e238f21a239a4e038df5c01fca165b",
+    ("compress", 8): "0af89cd2734016e41935323744102c86858d21559894aabf45f9d66d06ac3e9d",
+    ("gsr", 4): "881bef9e92fcd15cadae7dc16989901bf3e10ac6adb6e3a97a2f8150bb273ad7",
+    ("gsr", 8): "d5eb4b82c097f8b0a9771f3f735f5dff21653c4598a96c7b318c48e23ec5b3bd",
+    ("laplace", 4): "d8224a2ec1672f5dbc54edb5341c115808db4c05ea08ebc3715c3bddb6830d75",
+    ("laplace", 8): "885be19f26afe911fe3e43bd33e3832d88ae1f3995cc5669ad27cfe81c201bd1",
+    ("lowpass", 4): "a4b8f30100395067851cb2ee086805d60fc01da783b0f97a19f3ab970032fbd3",
+    ("lowpass", 8): "cac838efbaf1fd0a70e503d4257551c0315859d4409b1c921cd9a1aabc3f0d62",
+    ("swim", 4): "5a729917e2aa7f88f799a1a1ae07918b9560535ca50d8df3c7da7a3292588246",
+    ("swim", 8): "ea9d79623ada9fa3e6127983ac5e2d2900587b00b1d11e712ab7d94137eb140e",
+    ("sobel", 4): "ebdeaa09ab0babecf8729a62c0a2359548263d04464a6725b4537b646f2d38f1",
+    ("sobel", 8): "cbd2a939ebb34db40ac8a73f3b85b766b4e02ba60d265e85ae553923efb4dcf6",
+    ("wavelet", 4): "6b74d91b46c69cdbb1ca0d0d126e059f8ae9f70001ca7845cfc849e46a7343bc",
+    ("wavelet", 8): "64cb654155967b368c6aad4611ed20cd2242f4630c484efb642f892a7be737c2",
+    ("fft", 4): "46e4532f437a93248600daa3f340917517f6fe5627153d7fe5a62ac404e268c1",
+    ("fft", 8): "4056024ea50baefd53f1f5424df5cbdda147378612ba58e67ac89fb4a9877ca8",
+}
 
 
 @pytest.mark.parametrize(
@@ -82,9 +116,10 @@ def test_speculative_recompile_is_byte_identical(workers, tmp_path):
 
 
 def recompile_all() -> list[str]:
-    """Cold-compile every job behind the committed store into a temporary
-    one; the problems found (empty when every file is byte-identical and
-    the two stores hold the same files)."""
+    """Cold-compile every job behind the committed store, and the pinned
+    hier jobs, into a temporary store; the problems found (empty when every
+    file is byte-identical to its reference and every committed file was
+    produced)."""
     from repro.bench.fig8 import page_sizes_for
     from repro.kernels import kernel_names
 
@@ -94,11 +129,24 @@ def recompile_all() -> list[str]:
         for kernel in kernel_names()
         for page_size in page_sizes_for(size)
     ]
+    hier_jobs = [
+        CompileJob(kernel, 8, page_size, arch="8x8-memcols", backend="hier")
+        for kernel in kernel_names()
+        for page_size in (4, 8)
+    ]
     committed = ArtifactStore(REPO_STORE)
     with tempfile.TemporaryDirectory(prefix="recompile-") as tmp:
         fresh = ArtifactStore(Path(tmp) / "store")
-        compile_many(jobs, store=fresh, workers=2)
+        compile_many(jobs + hier_jobs, store=fresh, workers=2)
         problems = []
+        for job in hier_jobs:
+            produced = fresh.path_for(job_key(job)).read_bytes()
+            pinned = HIER_SHA256.get((job.kernel, job.page_size))
+            if hashlib.sha256(produced).hexdigest() != pinned:
+                problems.append(
+                    f"{job.kernel} 8x8-memcols hier ps={job.page_size}: "
+                    f"sha256 differs from the pinned {pinned}"
+                )
         for job in jobs:
             label = f"{job.kernel} {job.size}x{job.size} ps={job.page_size}"
             reference = committed.path_for(job_key(job))
@@ -115,5 +163,8 @@ def recompile_all() -> list[str]:
 
 if __name__ == "__main__":  # spawned workers re-import this file: keep the guard
     found = recompile_all()
-    print("\n".join(found) or "all committed artifacts recompile byte-identical")
+    print(
+        "\n".join(found)
+        or "all committed artifacts and pinned hier jobs recompile byte-identical"
+    )
     sys.exit(1 if found else 0)
