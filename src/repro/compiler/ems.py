@@ -147,6 +147,10 @@ class _Attempt:
     #: back to the state the op started from, so its candidate masks and
     #: all its candidates share them
     fronts: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    #: ``(op_id, reason)`` the attempt died on: ``window`` (no cycle between
+    #: the op's placed producers and consumers), ``no-pe`` (empty candidate
+    #: pool), ``no-slot`` (window scanned, none admissible), ``budget`` (cut)
+    stuck: tuple[int, str] | None = None
 
 
 class EMSMapper:
@@ -155,6 +159,9 @@ class EMSMapper:
     #: the page layout the mapper is constrained to: None on the whole
     #: array, set by :class:`repro.compiler.paged.PagedMapper`
     layout = None
+    #: :attr:`_Attempt.stuck` of the probe that just failed — what
+    #: :class:`~repro.compiler.search.LadderReport` shows for its rung
+    stuck: tuple[int, str] | None = None
 
     def __init__(
         self,
@@ -235,11 +242,14 @@ class EMSMapper:
     # run out of order (or in another process) is bit-identical to the same
     # probe of an in-order walk.
 
-    def ladder_start_ii(self, dfg: DFG, *, min_ii: int | None = None) -> int:
-        """First II rung of the ladder (MII, floored by *min_ii*).
+    def ladder_rungs(self, dfg: DFG, *, min_ii: int | None = None) -> tuple[int, int]:
+        """``(first, last)`` II rung of the ladder: MII floored by *min_ii*,
+        and ``config.max_ii`` — on a paged mapper (chain, ring, page-need
+        prefix, hier) at most the II ceiling, :attr:`~repro.compiler.feas.
+        IIBound.ceiling`.  First > last is a ladder with no rung.
 
-        Raises :class:`MappingError` for DFGs that can never fit, before
-        any rung is probed.
+        Raises :class:`~repro.util.errors.LadderExhausted` for DFGs that
+        can never fit, before any rung is probed.
         """
         bound = ii_lower_bound(
             dfg,
@@ -251,14 +261,10 @@ class EMSMapper:
         start_ii = bound.mii
         if min_ii is not None:
             start_ii = max(start_ii, min_ii)
-        return start_ii
-
-    def ladder_fail_message(self, dfg: DFG) -> str:
-        """The error text of a ladder exhausted up to ``config.max_ii``."""
-        return (
-            f"could not map {dfg.name!r} ({dfg.num_ops} ops) on "
-            f"{len(self.allowed_pes)} PEs within II <= {self.config.max_ii}"
-        )
+        max_ii = self.config.max_ii
+        if self.layout is not None:
+            max_ii = min(max_ii, bound.ceiling)
+        return start_ii, max_ii
 
     def attempt_orders(self, dfg: DFG) -> list[list[int]]:
         """The three base op orders tried at every II rung.
@@ -292,8 +298,7 @@ class EMSMapper:
         length never changes), so any probe can replay the stream from the
         seed: burn the preceding perturbations on scratch copies, then
         apply the real one.  Being indexed — not incremental — is what
-        makes a probe's order independent of which other probes ran: out
-        of order, in another process, or above skipped rungs.
+        makes a probe's order independent of which other probes ran.
         """
         if attempt < len(orders):
             return list(orders[attempt])
@@ -387,6 +392,7 @@ class EMSMapper:
         self._op_domains = domains or {}
         for op_id in order:
             if not self._place_op(dfg, ii, st, op_id, asap, horizon):
+                self.stuck = st.stuck
                 return None
         coords = self._gi.coords
         placements = {
@@ -458,6 +464,7 @@ class EMSMapper:
         for e in succ_edges:
             t_hi = min(t_hi, st.placements[e.dst][1] + e.distance * ii - 1)
         if t_lo > t_hi:
+            st.stuck = (op_id, "window")
             return False
         if not pred_edges and not succ_edges and dfg.in_edges(op_id):
             # anchor-less non-source op: the roots of a reverse-order pass.
@@ -476,6 +483,7 @@ class EMSMapper:
             cap_mask = self._alu_ok
         candidates = self._candidate_pes(anchor_ids, op_id, cap_mask)
         if not candidates:
+            st.stuck = (op_id, "no-pe")
             return False
 
         # Cost-based selection: tentatively commit feasible candidates,
@@ -541,6 +549,8 @@ class EMSMapper:
             if evals >= self.config.eval_budget:
                 break
         if best is None:
+            cut = evals >= self.config.eval_budget
+            st.stuck = (op_id, "budget" if cut else "no-slot")
             return False
         _, pe, t, routes = best
         self._replay(dfg, st, op_id, pe, t, routes)

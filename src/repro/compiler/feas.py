@@ -1,10 +1,11 @@
-"""II feasibility: the exact lower bound every ladder starts from.
+"""II feasibility: both ends of every ladder.
 
 Every backend climbs an (II, attempt) ladder whose first rung is the
 minimum initiation interval MII = max(ResMII, RecMII).  This module owns
 that computation — :func:`ii_lower_bound` is the single source of truth the
-flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_start_ii`), the
-hierarchical backend and the auditor's ``MAP-MII`` rule delegate to.
+flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_rungs`), the
+hierarchical backend and the auditor's ``MAP-MII`` rule delegate to — and
+the last rung of every *paged* ladder, :attr:`IIBound.ceiling`.
 
 Soundness contract: the bound may only exclude an II at which **no**
 mapping exists under the mapper's own constraint model.  It therefore
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from repro.compiler.mapping import materialized_ops
 from repro.dfg.analysis import rec_mii
 from repro.dfg.graph import DFG
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted, MappingError
 
 __all__ = [
     "IIBound",
@@ -48,6 +49,13 @@ class IIBound:
     def mii(self) -> int:
         return max(self.res_mii, self.mem_slot_mii, self.mem_cap_mii, self.rec_mii)
 
+    @property
+    def ceiling(self) -> int:
+        """Last rung of every paged ladder.  A policy, not a bound: it is
+        where the traffic ends — all 354 mapped jobs of the 374 measured
+        (DESIGN.md §11, "The II ceiling") win below it."""
+        return 3 * max(self.res_mii, self.rec_mii, 1) + 6
+
     def binding(self) -> str:
         """Name of (one of) the binding resources, for reports."""
         m = self.mii
@@ -69,22 +77,22 @@ def ii_lower_bound(
     *mem_slots* memory issue slots per cycle and *mem_capable_pes*
     mem-capable PEs.
 
-    Raises :class:`MappingError` — with the ladder's historical messages —
-    for DFGs that can never map at any II up to *max_ii*: nothing to
-    place, more ops than (PE, slot) pairs, or memory ops with no
-    mem-capable PE.
+    Raises :class:`MappingError` for a DFG with nothing to place, and
+    :class:`LadderExhausted` — the ladder's verdict, reached without a
+    probe — for one that can never map at any II up to *max_ii*: more ops
+    than (PE, slot) pairs, or memory ops with no mem-capable PE.
     """
     n_mat = len(materialized_ops(dfg))
     if n_mat == 0:
         raise MappingError("cannot map a DFG with no materialized ops")
     if n_mat > num_pes * max_ii:
-        raise MappingError(
+        raise LadderExhausted(
             f"{n_mat} ops can never fit {num_pes} PEs "
             f"within max II {max_ii}"
         )
     n_mem = dfg.num_memory_ops
     if n_mem and mem_capable_pes == 0:
-        raise MappingError(
+        raise LadderExhausted(
             f"{dfg.name!r} has {n_mem} memory ops but no "
             f"mem-capable PE is available to the mapper"
         )

@@ -311,6 +311,7 @@ class HierMapper(PagedMapper):
         return hit
 
     def _hier_attempt(self, dfg: DFG, ii: int, orders) -> Mapping | None:
+        self.stuck = None  # until the placer is reached there is no stuck op
         # Single-row/column page tiles (ps=2 is 2x1) leave clustered
         # domains no lateral routing room: the probe essentially never
         # succeeds but still burns its full eval budget at every rung.
@@ -340,6 +341,7 @@ class HierMapper(PagedMapper):
         # quickly or not at all, and a cheap failure keeps the rung's cost
         # near the flat ladder's.
         mapping = mapper._try_map(dfg, ii, list(orders[0]), domains=domains)
+        self.stuck = mapper.stuck  # the primary probe's, whatever follows
         if mapping is not None or k > 1:
             return mapping
         # Single-page kernels: the page domain is vacuous (every op may use

@@ -20,8 +20,7 @@ from repro.compiler.mapping import Mapping, materialized_ops
 from repro.compiler.search import climb_ladder
 from repro.core.page_schedule import PageSchedule, extract_page_schedule
 from repro.core.paging import PageLayout
-from repro.dfg.analysis import rec_mii
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted, MappingError
 
 __all__ = ["PagedMapping", "PagedMapper", "map_dfg_paged"]
 
@@ -95,10 +94,12 @@ def map_dfg_paged(
 
     By default the mapper first tries the *chain* topology (ring minus the
     wrap link — a legal subset per §VI-B — which makes the optimal grouped
-    fold available for every divisor page count).  If that fails and the
-    layout's wrap pair is physically adjacent, it retries with the full
-    ring (``wrap_fallback``); the resulting mapping may then only be shrunk
-    with the zigzag transformation.
+    fold available for every divisor page count).  If that ladder is
+    exhausted and the layout's wrap pair is physically adjacent, it retries
+    with the full ring (``wrap_fallback``); the resulting mapping may then
+    only be shrunk with the zigzag transformation.  A kernel neither maps
+    at or below the II ceiling (:meth:`~repro.compiler.ems.EMSMapper.
+    ladder_rungs`) raises :class:`~repro.util.errors.LadderExhausted`.
 
     With ``minimize_pages`` (the default) the compiler then re-maps the
     kernel onto the smallest page *prefix* that preserves the achieved II —
@@ -175,7 +176,7 @@ def shrink_to_page_need(
                 dfg, cgra, layout.subchain(k), tight, min_ii, validate,
                 full_layout=layout, search=search, search_log=search_log,
             )
-        except MappingError:
+        except LadderExhausted:
             continue
         if candidate.ii <= best.ii:
             return candidate
@@ -193,49 +194,22 @@ def _map_topologies(
     search=None,
     search_log=None,
 ) -> PagedMapping:
-    can_fall_back = (
-        wrap_fallback and not layout.allow_wrap and layout.ring_wrap_adjacent
-    )
-    first_config = config
-    if can_fall_back:
-        # bound the chain pass so a hard kernel falls back to the full ring
-        # quickly instead of escalating the II all the way to max_ii
-        covered = sum(1 for pe in cgra.coords() if pe in layout.page_of)
-        floor_ii = max(
-            math.ceil(len(materialized_ops(dfg)) / covered),
-            rec_mii(dfg),
-            1,
-        )
-        first_config = replace(
-            config, max_ii=min(config.max_ii, 3 * floor_ii + 6)
-        )
+    """The chain ladder, then — where the wrap pair is physically adjacent
+    — the full ring's (the only home of a recurrence wider than a page),
+    both to the same II ceiling."""
     try:
         return _map_once(
-            dfg, cgra, layout, first_config, min_ii, validate,
+            dfg, cgra, layout, config, min_ii, validate,
             search=search, search_log=search_log,
         )
-    except MappingError as chain_exc:
-        if not can_fall_back:
+    except LadderExhausted:
+        if not (wrap_fallback and not layout.allow_wrap and layout.ring_wrap_adjacent):
             raise
-        # When the bounded chain pass exhausted its ladder (rather than
-        # failing before it), it proved every rung up to its II cap fails
-        # in exactly the context the unbounded retry below re-enters —
-        # same layout, mapper geometry and config apart from max_ii.  The
-        # retry resumes above the cap; rng anchoring keeps it byte-equal.
-        probed = getattr(chain_exc, "ladder_probed", None)
-        ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
-        try:
-            return _map_once(
-                dfg, cgra, ring_layout, config, min_ii, validate,
-                search=search, search_log=search_log,
-            )
-        except MappingError:
-            # last resort: the chain again, unbounded II
-            return _map_once(
-                dfg, cgra, layout, config, min_ii, validate,
-                search=search, search_log=search_log,
-                resume_ii=probed[1] + 1 if probed is not None else None,
-            )
+    ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
+    return _map_once(
+        dfg, cgra, ring_layout, config, min_ii, validate,
+        search=search, search_log=search_log,
+    )
 
 
 class PagedMapper(EMSMapper):
@@ -273,12 +247,10 @@ def _map_once(
     full_layout: PageLayout | None = None,
     search=None,
     search_log=None,
-    resume_ii=None,
 ) -> PagedMapping:
     mapper = PagedMapper(cgra, layout, config)
     mapping = climb_ladder(
-        mapper, dfg, min_ii=min_ii, resume_ii=resume_ii,
-        search=search, log=search_log,
+        mapper, dfg, min_ii=min_ii, search=search, log=search_log
     )
     if validate:
         validate_mapping(

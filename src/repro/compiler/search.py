@@ -1,12 +1,12 @@
 """The II ladder: one driver over the (II, attempt) lattice, two executors.
 
 Every mapping in this compiler is the answer to the same question: walking
-the lattice {(ii, attempt)} in lexicographic order from the lower bound
-``ladder_start_ii``, which probe succeeds first?  :func:`climb_ladder` is
-the only code that knows that walk — start rung, rank <-> (ii, attempt),
-``resume_ii`` as rank arithmetic, the ``cancel_check`` poll between
-probes, the exhaustion :class:`~repro.util.errors.MappingError` — and it
-runs the probes through one of two executors:
+the lattice {(ii, attempt)} in lexicographic order between the mapper's
+first and last rung (``ladder_rungs``), which probe succeeds first?
+:func:`climb_ladder` is the only code that knows that walk — rank <->
+(ii, attempt), the ``cancel_check`` poll between probes, the exhaustion
+:class:`~repro.util.errors.LadderExhausted` — and it runs the probes
+through one of two executors:
 
 * **inline** (a :class:`SearchContext` without a pool, which is what
   ``workers=1`` means): each probe runs in the calling thread on the
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 
@@ -48,7 +49,7 @@ from repro.arch.cgra import CGRA
 from repro.compiler.ems import EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping
 from repro.compiler.stats import counters, job_counters
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted
 
 __all__ = [
     "MapperSpec",
@@ -183,7 +184,8 @@ class ProbeTask:
 
 @dataclass(frozen=True)
 class ProbeResult:
-    """A probe's verdict: the mapping on success, else None, plus the
+    """A probe's verdict: the mapping on success, else None (and *stuck*,
+    the mapper's ``(op_id, reason)``, says what it died on), plus the
     worker-side wall clock and search-counter delta for instrumentation."""
 
     ii: int
@@ -191,6 +193,7 @@ class ProbeResult:
     mapping: Mapping | None
     seconds: float
     counters: dict[str, int]
+    stuck: tuple[int, str] | None = None
 
 
 # Worker-side ladder context cache: rebuilding the mapper (grid index,
@@ -231,6 +234,7 @@ def run_probe(task: ProbeTask) -> ProbeResult:
         mapping=mapping,
         seconds=time.perf_counter() - started,
         counters=probe_counters.as_dict(),
+        stuck=mapper.stuck,
     )
 
 
@@ -331,11 +335,13 @@ def _warm(x: int = 0) -> int:  # pragma: no cover - trivial
 class LadderReport:
     """Per-ladder outcome record: the (II, attempt) timeline of one search.
 
-    ``timeline`` holds one ``[ii, attempt, outcome, seconds]`` row per
-    probe in canonical order; outcomes are ``success``/``fail`` (completed
-    verdicts), ``cancelled`` (never started), ``wasted`` (completed above
-    the winner) and ``abandoned`` (still running when the ladder
-    concluded).  ``per_ii`` compresses that into one row per II rung.
+    ``timeline`` holds one ``[ii, attempt, outcome, seconds, stuck]`` row
+    per probe in canonical order; outcomes are ``success``/``fail``
+    (completed verdicts), ``cancelled`` (never started), ``wasted``
+    (completed above the winner) and ``abandoned`` (still running when the
+    ladder concluded); *stuck* is the ``(op_id, reason)`` a ``fail`` died
+    on, else None.  ``per_ii`` compresses that into one row per II rung,
+    ``stuck`` into one count per (op, reason).
     """
 
     start_ii: int
@@ -351,7 +357,7 @@ class LadderReport:
     def per_ii(self) -> list[list]:
         """``[ii, launched, failed, cancelled, won_attempt|-1]`` per rung."""
         rows: dict[int, list] = {}
-        for ii, attempt, outcome, _seconds in self.timeline:
+        for ii, attempt, outcome, _seconds, _stuck in self.timeline:
             row = rows.setdefault(ii, [ii, 0, 0, 0, -1])
             row[1] += 1
             if outcome == "fail":
@@ -363,6 +369,11 @@ class LadderReport:
             ):
                 row[4] = attempt
         return [rows[ii] for ii in sorted(rows)]
+
+    def stuck(self) -> Counter:
+        """Failed probes per ``(op_id, reason)`` they died on — the ops a
+        failing ladder keeps dying on are its ``most_common()``."""
+        return Counter(row[4] for row in self.timeline if row[4] is not None)
 
 
 def ladder_totals(reports) -> dict:
@@ -396,10 +407,9 @@ def _probe_inline(
     the result carries no counter delta."""
     began = time.perf_counter()
     mapping = mapper.run_lattice_attempt(dfg, start_ii, ii, attempt, orders)
+    seconds = time.perf_counter() - began
     fut: Future = Future()
-    fut.set_result(
-        ProbeResult(ii, attempt, mapping, time.perf_counter() - began, {})
-    )
+    fut.set_result(ProbeResult(ii, attempt, mapping, seconds, {}, mapper.stuck))
     return fut
 
 
@@ -408,35 +418,24 @@ def climb_ladder(
     dfg,
     *,
     min_ii: int | None = None,
-    resume_ii: int | None = None,
     search: SearchContext | None = None,
     log: list[LadderReport] | None = None,
 ) -> Mapping:
     """Climb *mapper*'s (II, attempt) ladder for *dfg*: the one II walk.
 
     Returns the mapping of the lowest-(ii, attempt) success, or raises
-    :class:`MappingError` (carrying ``ladder_probed = (start_ii, max_ii)``)
-    when every rung up to ``config.max_ii`` fails.  *search* picks the
-    executor (``None`` is the inline one) and may carry a ``cancel_check``,
-    polled between probes; ``log`` collects this ladder's
-    :class:`LadderReport`.
-
-    *resume_ii* is the ladder-memoisation contract: the caller asserts
-    that every rung below it was already probed — with this exact mapper
-    geometry, config (up to ``max_ii``) and *min_ii* — and failed.  Those
-    lattice ranks are never submitted; probe op orders stay anchored at
-    the start rung (they are indexed, see :meth:`EMSMapper.attempt_order`),
-    so the result is byte-identical to a full climb.
+    :class:`~repro.util.errors.LadderExhausted` when every rung from the
+    first to the last of ``mapper.ladder_rungs`` fails — at once, with no
+    probe launched, when the first lies above the last.  *search* picks
+    the executor (``None`` is the inline one) and may carry a
+    ``cancel_check``, polled between probes; ``log`` collects this
+    ladder's :class:`LadderReport`.
     """
     ctx = search or SearchContext()
-    start_ii = mapper.ladder_start_ii(dfg, min_ii=min_ii)
-    max_ii = mapper.config.max_ii
+    start_ii, max_ii = mapper.ladder_rungs(dfg, min_ii=min_ii)
     per_ii = mapper.lattice_attempts_per_ii()
     n_ranks = max(0, max_ii - start_ii + 1) * per_ii
     next_rank = 0
-    if resume_ii is not None and resume_ii > start_ii:
-        next_rank = min(n_ranks, (resume_ii - start_ii) * per_ii)
-        counters().rungs_skipped += next_rank // per_ii
     report = LadderReport(start_ii=start_ii, attempts_per_ii=per_ii)
     inline = ctx.executor is None
     if inline:
@@ -447,8 +446,8 @@ def climb_ladder(
     def point(rank: int) -> tuple[int, int]:
         return (start_ii + rank // per_ii, rank % per_ii)
 
-    def record(rank: int, verdict: str, secs: float = 0.0) -> None:
-        report.timeline.append([*point(rank), verdict, round(secs, 4)])
+    def record(rank: int, verdict: str, secs: float = 0.0, stuck=None) -> None:
+        report.timeline.append([*point(rank), verdict, round(secs, 4), stuck])
         if verdict == "cancelled":
             report.probes_cancelled += 1
 
@@ -471,9 +470,10 @@ def climb_ladder(
             # never submit at or above a landed success: canonical pruning
             limit = n_ranks if best is None else best
             if next_rank >= limit and not inflight:
-                err = MappingError(mapper.ladder_fail_message(dfg))
-                err.ladder_probed = (start_ii, max_ii)
-                raise err
+                raise LadderExhausted(
+                    f"could not map {dfg.name!r} ({dfg.num_ops} ops) on "
+                    f"{len(mapper.allowed_pes)} PEs within II <= {max_ii}"
+                )
             while next_rank < limit and len(inflight) < ctx.workers:
                 ii, attempt = point(next_rank)
                 if inline:
@@ -515,11 +515,10 @@ def climb_ladder(
                     report.probes_wasted += 1
                     report.wasted_seconds += res.seconds
                     continue
-                record(
-                    rank,
-                    "success" if res.mapping is not None else "fail",
-                    res.seconds,
-                )
+                if res.mapping is not None:
+                    record(rank, "success", res.seconds)
+                else:
+                    record(rank, "fail", res.seconds, res.stuck)
                 report.useful_seconds += res.seconds
                 if res.mapping is not None:
                     # a success above an earlier one was billed as waste

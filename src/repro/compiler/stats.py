@@ -60,10 +60,10 @@ class MapperCounters:
     hier_wins: int = 0  #: hierarchical probes that produced a mapping
     hier_flat_attempts: int = 0  #: flat-ladder probes run inside the hier backend
     hier_flat_wins: int = 0  #: flat fallback probes that produced a mapping
-    rungs_skipped: int = 0  #: II rungs skipped as already proven failed (memoized)
-    #: II rungs skipped by a feasibility certificate.  No backend prunes a
-    #: rung today; the key is part of the counter table perf/wl_compile.py
-    #: records per job, so it stays reported (as 0)
+    #: II rungs skipped as proven failed / by a feasibility certificate.
+    #: No ladder does either today; both keys are part of the counter
+    #: table perf/wl_compile.py records per job, so they stay (as 0)
+    rungs_skipped: int = 0
     rungs_pruned: int = 0
 
     def as_dict(self) -> dict[str, int]:

@@ -40,7 +40,7 @@ from repro.core.paging import PageLayout, choose_page_shape
 from repro.kernels import get_kernel, kernel_names
 from repro.pipeline.artifact import ArtifactKey, CompiledKernel
 from repro.pipeline.store import ArtifactStore
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted, MappingError
 from repro.util.fingerprint import canonical_fingerprint
 
 __all__ = [
@@ -123,10 +123,10 @@ class CompileStats:
     deltas back, so the search effort of every probe the ladder read is
     included).  ``base_map_seconds``/``paged_map_seconds`` split the
     mapper wall clock by phase (unconstrained baseline vs ring-constrained
-    paged mapping).  ``ladders`` is present when the compile was handed a
-    :class:`~repro.compiler.search.SearchContext`: one
-    :class:`~repro.compiler.search.LadderReport` — the (II, attempt)
-    outcome timeline — per ladder climbed; ``search`` sums them.
+    paged mapping).  ``ladders`` holds one :class:`~repro.compiler.search.
+    LadderReport` — the (II, attempt) outcome timeline, each failed probe
+    with the op it died on — per ladder climbed, whichever executor ran
+    it; ``search`` sums them.
     """
 
     kernel: str
@@ -136,14 +136,14 @@ class CompileStats:
     base_map_seconds: float
     paged_map_seconds: float
     counters: dict[str, int]
-    ladders: tuple[LadderReport, ...] | None = field(default=None)
+    ladders: tuple[LadderReport, ...] = ()
     arch: str | None = field(default=None)
     backend: str = "flat"
 
     @property
-    def search(self) -> dict | None:
+    def search(self) -> dict:
         """Probe totals and speculation efficiency over :attr:`ladders`."""
-        return ladder_totals(self.ladders) if self.ladders is not None else None
+        return ladder_totals(self.ladders)
 
 
 def job_key(job: CompileJob) -> ArtifactKey:
@@ -189,7 +189,7 @@ def compile_job_stats(
     cgra = job.build_cgra()
     layout = make_layout(cgra, job.page_size, job.prefer)
     config = job.mapper_config
-    search_log: list = [] if search is not None else None
+    search_log: list[LadderReport] = []
     with job_counters() as job_ctrs:
         base_started = time.perf_counter()
         base = map_dfg(
@@ -202,7 +202,8 @@ def compile_job_stats(
                 dfg, cgra, layout, config=config, search=search,
                 search_log=search_log,
             )
-        except MappingError:
+        except LadderExhausted:
+            # the one verdict that is an artifact; anything else is a failure
             paged = None
         paged_seconds = time.perf_counter() - paged_started
     common = dict(
@@ -227,7 +228,7 @@ def compile_job_stats(
         base_map_seconds=base_seconds,
         paged_map_seconds=paged_seconds,
         counters=job_ctrs.as_dict(),
-        ladders=tuple(search_log) if search_log is not None else None,
+        ladders=tuple(search_log),
         arch=job.arch,
         backend=job.backend,
     )

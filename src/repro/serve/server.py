@@ -46,6 +46,7 @@ _ERROR_STATUS = {
     "WorkloadError": 404,  # unknown kernel
     "RequestCancelled": 409,
     "MappingError": 422,
+    "LadderExhausted": 422,  # the baseline ladder itself found nothing
     "ArchitectureError": 422,
 }
 

@@ -26,6 +26,12 @@ class MappingError(ReproError):
     """The compiler could not produce (or was handed) a valid mapping."""
 
 
+class LadderExhausted(MappingError):
+    """No rung of an (II, attempt) ladder maps the kernel, or the bound shows
+    none can.  The only error ever turned into an ``unmappable`` artifact or
+    a fallback pass; any other :class:`MappingError` is a failure."""
+
+
 class ConstraintViolation(ReproError):
     """A compile-time paging constraint (ring topology / register usage)
     or a transformation output constraint was violated."""

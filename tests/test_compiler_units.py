@@ -629,43 +629,43 @@ def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
     assert c["expansions"] < parent_expansions
 
 
-#: ``random_dfg`` draws ``(seed, n_ops)`` for the differential test below,
-#: named by what their ladders do at ``max_ii=10`` (at mapper seed 0; a
-#: perturbed attempt of another seed may land elsewhere).  Flat 4x4 ps2: the
-#: bounded chain pass fails and the ring wins / chain, ring and the resumed
-#: chain all fail (stored unmappable) / the chain wins and page-need
-#: shrinking re-maps it.  Hier 8x8-memcols ps4: the clustered probe wins / a
-#: flat fallback rung wins / every rung fails.
-_MASK_DRAWS = {
-    ("flat", "ring"): (30, 7),
-    ("flat", "unmappable"): (34, 7),
-    ("flat", "chain"): (6, 10),
-    ("hier", "clustered"): (15, 9),
-    ("hier", "fallback"): (6, 9),
-    ("hier", "unmappable"): (14, 9),
+#: ``random_dfg`` draws for the differential below: ``(seed, n_ops, mapper
+#: seeds tier-1 runs)``, named by what their ladders do at ``max_ii=10`` (at
+#: mapper seed 0; a perturbed attempt of another seed may land elsewhere).
+#: Flat 4x4 ps2: the chain ladder is exhausted and the ring wins / chain and
+#: ring are both exhausted (stored unmappable) / the chain wins and
+#: page-need shrinking re-maps it.  Hier 8x8-memcols ps4: the clustered
+#: probe wins / a flat fallback rung wins / every rung fails.  The draws
+#: that climb failing ladders to the top cost ~1 s per mapper seed, so
+#: tier-1 runs them at seed 0 only; ``python tests/test_recompile_bytes.py``
+#: (a CI step) runs every draw at mapper seeds 0-3.
+MASK_DRAWS = {
+    ("flat", "ring"): (30, 7, (0,)),
+    ("flat", "unmappable"): (34, 7, (0,)),
+    ("flat", "chain"): (6, 10, range(4)),
+    ("hier", "clustered"): (15, 9, range(4)),
+    ("hier", "fallback"): (6, 9, range(4)),
+    ("hier", "unmappable"): (14, 9, (0,)),
 }
 
 
-@pytest.mark.parametrize("backend,outcome", sorted(_MASK_DRAWS))
-def test_mask_and_replay_change_no_byte_and_no_counter(
-    backend, outcome, monkeypatch
-):
+def mask_replay_differential(backend, outcome, mapper_seeds) -> None:
     """The placer with its two shortcuts switched off — every candidate's
     bit set on an inexact cycle, so each trial asks the per-candidate
     predicate, and the winner searched again through ``_commit_candidate``
     instead of replayed — produces the same artifact bytes and the same
-    counters at mapper seeds 0-3 (the winner's second search aside, which
+    counters at every mapper seed (the winner's second search aside, which
     the reference keeps off the books), and that second search finds the
     replayed routes."""
     import types
+    from unittest import mock
 
     import repro.pipeline.compile as compile_mod
     from repro.compiler.ems import EMSMapper, MapperConfig
     from repro.dfg.random_dfg import random_dfg
 
-    seed, n_ops = _MASK_DRAWS[backend, outcome]
+    seed, n_ops, _tier1 = MASK_DRAWS[backend, outcome]
     drawn = types.SimpleNamespace(build=lambda: random_dfg(seed, n_ops=n_ops))
-    monkeypatch.setattr(compile_mod, "get_kernel", lambda name: drawn)
     rerouted = []
 
     def reroute(self, dfg, st, op_id, pe_id, t, routes):
@@ -680,7 +680,7 @@ def test_mask_and_replay_change_no_byte_and_no_counter(
 
     def compile_all():
         out = []
-        for mapper_seed in range(4):
+        for mapper_seed in mapper_seeds:
             config = MapperConfig(
                 seed=mapper_seed, attempts_per_ii=4, max_ii=10, backend=backend
             )
@@ -692,26 +692,51 @@ def test_mask_and_replay_change_no_byte_and_no_counter(
                 )
             )
             artifact, stats = compile_mod.compile_job_stats(job)
-            out.append((artifact.to_json(), stats.counters))
+            out.append((artifact.to_json(), stats.counters, stats.ladders))
         return out
 
-    real = compile_all()
-    with monkeypatch.context() as patched:
-        patched.setattr(
+    with mock.patch.object(compile_mod, "get_kernel", lambda name: drawn):
+        real = compile_all()
+        with mock.patch.object(
             EMSMapper, "_candidate_mask", lambda self, *args: (-1, False)
-        )
-        patched.setattr(EMSMapper, "_replay", reroute)
-        reference = compile_all()
-    assert real == reference
+        ), mock.patch.object(EMSMapper, "_replay", reroute):
+            reference = compile_all()
+    assert [run[:2] for run in real] == [run[:2] for run in reference]
     assert sum(rerouted) > 0
-    # the draw does what its name says
-    artifact, counters = json.loads(real[0][0]), real[0][1]
+    if 0 not in mapper_seeds:
+        return
+    # at mapper seed 0 the draw does what its name says
+    artifact, counters, ladders = json.loads(real[0][0]), real[0][1], real[0][2]
     assert counters["trials_refuted"] > 0
     assert artifact["unmappable"] == (outcome == "unmappable")
     assert artifact["layout_wrap"] == (outcome == "ring")
     if backend == "flat":
-        assert (counters["rungs_skipped"] > 0) == (outcome == "unmappable")
+        # both topologies were climbed exactly when the chain was exhausted,
+        # each from the bound to the last rung of a paged ladder — the II
+        # ceiling (which cuts the ring draw's chain at 9) or ``max_ii``,
+        # whichever is lower — and nothing was climbed above it
+        from repro.compiler.paged import PagedMapper
+
+        cgra = CGRA(4, 4)
+        layout = compile_mod.make_layout(cgra, 2)
+        mapper = PagedMapper(cgra, layout, MapperConfig(max_ii=10))
+        first, last = mapper.ladder_rungs(drawn.build())
+        assert last == (10 if outcome == "unmappable" else 9)
+        _base, chain, *rest = ladders
+        assert chain.start_ii == first
+        assert (chain.winner is None) == (outcome != "chain")
+        if outcome != "chain":
+            ring = rest[0]
+            assert (ring.winner is None) == (outcome == "unmappable")
+            assert chain.timeline[-1][:2] == [last, 3]
+            assert ring.start_ii == first and ring.timeline[-1][0] <= last
+            assert (len(rest) == 1) == (outcome == "unmappable")
         assert outcome != "chain" or artifact["pages_used"] < 8
     else:
         assert counters["hier_wins"] == (outcome == "clustered")
         assert counters["hier_flat_wins"] == (outcome == "fallback")
+
+
+@pytest.mark.parametrize("backend,outcome", sorted(MASK_DRAWS))
+def test_mask_and_replay_change_no_byte_and_no_counter(backend, outcome):
+    mask_replay_differential(backend, outcome, MASK_DRAWS[backend, outcome][2])

@@ -19,7 +19,7 @@ from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
 from repro.compiler.feas import ii_lower_bound
 from repro.dfg.graph import DFG
 from repro.kernels import get_kernel, kernel_names
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted, MappingError
 
 REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
 
@@ -45,7 +45,7 @@ class TestIIBound:
         mapper = EMSMapper(cgra)
         for name in kernel_names():
             dfg = get_kernel(name).build()
-            assert mapper.ladder_start_ii(dfg) == base_bound(dfg, cgra).mii
+            assert mapper.ladder_rungs(dfg)[0] == base_bound(dfg, cgra).mii
 
     def test_bound_never_exceeds_achieved_ii(self):
         """Soundness over the whole suite: the mapper actually lands on an
@@ -81,14 +81,14 @@ class TestIIBound:
 
     def test_overfull_dfg_raises(self):
         dfg = get_kernel("yuv2rgb").build()
-        with pytest.raises(MappingError, match="can never fit"):
+        with pytest.raises(LadderExhausted, match="can never fit"):
             ii_lower_bound(
                 dfg, num_pes=1, mem_slots=1, mem_capable_pes=1, max_ii=1
             )
 
     def test_memory_without_capability_raises(self):
         dfg = get_kernel("compress").build()
-        with pytest.raises(MappingError, match="mem-capable PE"):
+        with pytest.raises(LadderExhausted, match="mem-capable PE"):
             ii_lower_bound(
                 dfg, num_pes=16, mem_slots=4, mem_capable_pes=0, max_ii=32
             )
@@ -121,6 +121,40 @@ class TestCommittedStore:
             assert entry.findings == [], [f.render() for f in entry.findings]
             checked += 1
         assert checked > 50
+
+    @pytest.mark.skipif(
+        not REPO_STORE.is_dir(), reason="committed artifact store not present"
+    )
+    def test_every_committed_winner_sits_under_the_ceiling(self):
+        """The traffic the II ceiling was set from: every committed mapping
+        won on the chain, at least 2 rungs below the last rung of its paged
+        ladder.  A ceiling change that would cut a committed winner fails
+        here, not in the recompile step."""
+        from repro.analysis.audit import _build_cgra
+        from repro.compiler.paged import PagedMapper
+        from repro.core.paging import PageLayout
+        from repro.pipeline.artifact import CompiledKernel
+        from repro.pipeline.store import ArtifactStore
+
+        mappers: dict[tuple, PagedMapper] = {}
+        headroom = {}
+        for path, is_artifact in ArtifactStore(REPO_STORE).walk():
+            if not is_artifact:
+                continue
+            artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
+            if artifact.unmappable:
+                continue
+            assert artifact.layout_wrap is False, path.name
+            geometry = (artifact.rows, tuple(artifact.page_shape))
+            if geometry not in mappers:
+                cgra = _build_cgra(artifact)
+                layout = PageLayout(cgra, tuple(artifact.page_shape))
+                mappers[geometry] = PagedMapper(cgra, layout)
+            dfg = get_kernel(artifact.kernel).build()
+            _first, last = mappers[geometry].ladder_rungs(dfg)
+            headroom[path.name] = last - artifact.ii_paged
+        assert len(headroom) > 50
+        assert min(headroom.values()) >= 2, min(headroom.items(), key=lambda kv: kv[1])
 
 
 # ------------------------------------------------------------- backend set

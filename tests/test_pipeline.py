@@ -237,11 +237,13 @@ class TestParallelFanout:
 
         job = CompileJob("sor", 4, 4)
         _, serial_stats = compile_job_stats(job)
-        assert serial_stats.search is None
         with SearchContext.create(2) as ctx:
             artifact, stats = compile_job_stats(job, search=ctx)
-        assert stats.search is not None
-        assert stats.search["ladders"] >= 1
+        # an offline compile has the same rung timeline the raced one has
+        assert serial_stats.search["ladders"] == stats.search["ladders"] >= 1
+        assert [r.winner for r in serial_stats.ladders] == [
+            r.winner for r in stats.ladders
+        ]
         assert stats.search["probes_launched"] >= 1
         assert stats.search["speculation_efficiency"] <= 1.0
         # the returned stats carry the ladders themselves, timelines included
@@ -376,6 +378,47 @@ class TestBatchOutcomes:
             for got in (outcomes, storeless):
                 assert got[0].to_json() == clean[0].to_json()
                 assert got[2].to_json() == clean[1].to_json()
+
+    @pytest.mark.parametrize(
+        "job, module, passes",
+        [
+            (CompileJob("sor", 4, 4), "paged", 0),  # the chain ladder's winner
+            (CompileJob("sor", 4, 4), "paged", 1),  # the page-need prefix's
+            (CompileJob("sor", 8, 4, arch="8x8-memcols", backend="hier"), "hier", 0),
+        ],
+        ids=["flat-main", "flat-shrink", "hier-main"],
+    )
+    def test_validator_rejection_is_a_failure_not_an_unmappable_artifact(
+        self, tmp_path, monkeypatch, job, module, passes
+    ):
+        """Only an exhausted ladder is an ``unmappable`` artifact or a
+        skipped page-need prefix; a mapping the validator rejects — here
+        after *passes* good verdicts — is the job's failure, and nothing
+        is stored for it."""
+        import importlib
+
+        from repro.pipeline import CompileFailure, compile_many_outcomes
+        from repro.pipeline.compile import compile_job_stats
+        from repro.util.errors import LadderExhausted, MappingError
+
+        target = importlib.import_module(f"repro.compiler.{module}")
+        real, calls = target.validate_mapping, []
+
+        def rejecting(mapping, **kwargs):
+            calls.append(mapping.ii)
+            if len(calls) > passes:
+                raise MappingError("injected validator rejection")
+            real(mapping, **kwargs)
+
+        monkeypatch.setattr(target, "validate_mapping", rejecting)
+        with pytest.raises(MappingError, match="injected") as caught:
+            compile_job_stats(job)
+        assert not isinstance(caught.value, LadderExhausted)
+        assert len(calls) == passes + 1
+        store = ArtifactStore(tmp_path / "store")
+        (outcome,) = compile_many_outcomes([job], store=store)
+        assert isinstance(outcome, CompileFailure)
+        assert (outcome.error, store.puts) == ("MappingError", 0)
 
     def test_unpicklable_cause_is_dropped_in_the_worker(self, monkeypatch):
         """A pool worker ships a failure whose exception cannot make the

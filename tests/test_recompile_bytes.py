@@ -17,7 +17,10 @@ processes — and byte-compares each: the check a router or placer change
 exists to pass.  The committed store holds homogeneous flat jobs only, so
 the same run also compiles the 22 jobs of ``perf/``'s ``compile_hier_8x8``
 workload (the hier backend on ``8x8-memcols``, page sizes {4,8}) and
-compares each artifact's sha256 with :data:`HIER_SHA256`.
+compares each artifact's sha256 with :data:`HIER_SHA256`, and then runs the
+placer's shortcut differential (``test_compiler_units.
+mask_replay_differential``) on all six of its draws at mapper seeds 0-3 —
+tier-1 runs the three draws that climb failing ladders at seed 0 only.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 import pytest
@@ -161,10 +165,30 @@ def recompile_all() -> list[str]:
     return problems
 
 
+def differential_all() -> list[str]:
+    """The mask/replay differential on every draw at mapper seeds 0-3."""
+    # script mode only: tests/ is sys.path[0] there
+    from test_compiler_units import MASK_DRAWS, mask_replay_differential
+
+    problems = []
+    for backend, outcome in sorted(MASK_DRAWS):
+        try:
+            mask_replay_differential(backend, outcome, range(4))
+        except AssertionError as exc:
+            # plain asserts carry no message outside pytest: name the line
+            at = traceback.extract_tb(exc.__traceback__)[-1]
+            problems.append(
+                f"mask/replay differential {backend}-{outcome}: "
+                f"line {at.lineno}: {at.line}"
+            )
+    return problems
+
+
 if __name__ == "__main__":  # spawned workers re-import this file: keep the guard
-    found = recompile_all()
+    found = recompile_all() + differential_all()
     print(
         "\n".join(found)
-        or "all committed artifacts and pinned hier jobs recompile byte-identical"
+        or "all committed artifacts and pinned hier jobs recompile byte-identical; "
+        "mask/replay differential clean on 6 draws x 4 mapper seeds"
     )
     sys.exit(1 if found else 0)

@@ -10,9 +10,10 @@ tests here attack that contract directly:
   rungs first) with fabricated verdicts, proving canonical reduction
   beats completion order and that cancellation prunes strictly above the
   winner;
-* a ``ScriptedMapper`` fabricates verdicts per lattice point, so the
-  ``resume_ii`` contract is checked on the inline executor and on a raced
-  one alike;
+* a ``ScriptedMapper`` fabricates verdicts per lattice point, so where a
+  ladder ends — its last rung, the II ceiling of a paged one, a first rung
+  above either — is checked on the inline executor and on a raced one
+  alike;
 * the rng-replay helper is checked against an incrementally drawn
   perturbation stream;
 * ``MapperSpec``/``ProbeTask`` are round-tripped through ``pickle`` and a
@@ -24,6 +25,7 @@ from __future__ import annotations
 import pickle
 import threading
 import time
+from collections import Counter
 from concurrent.futures import Future
 
 import pytest
@@ -43,7 +45,7 @@ from repro.compiler.search import (
 )
 from repro.compiler.stats import MapperCounters, counters, job_counters
 from repro.kernels import get_kernel
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted
 from repro.util.rng import make_rng
 
 
@@ -63,7 +65,7 @@ class TestAttemptOrderReplay:
         dfg = _sor()
         mapper = EMSMapper(CGRA(4, 4))
         cfg = mapper.config
-        start_ii = mapper.ladder_start_ii(dfg)
+        start_ii = mapper.ladder_rungs(dfg)[0]
         orders = mapper.attempt_orders(dfg)
 
         # walk a few rungs in order, drawing from one stream
@@ -119,7 +121,7 @@ class TestMapperSpec:
         assert spec.num_pages == layout.num_pages
         rebuilt = spec.build()
         assert sorted(rebuilt.allowed_pes) == sorted(layout.page_of)
-        start = rebuilt.ladder_start_ii(dfg)
+        start = rebuilt.ladder_rungs(dfg)[0]
         order = rebuilt.attempt_orders(dfg)[0]
         probe = rebuilt._try_map(dfg, start, order)
         # pin against the caller-side paged mapper wiring
@@ -266,7 +268,7 @@ def _mapper_and_start(attempts_per_ii=6):
     dfg = _sor()
     cgra = CGRA(4, 4)
     mapper = EMSMapper(cgra, config=MapperConfig(attempts_per_ii=attempts_per_ii))
-    return mapper, dfg, cgra, mapper.ladder_start_ii(dfg)
+    return mapper, dfg, cgra, mapper.ladder_rungs(dfg)[0]
 
 
 # ------------------------------------------------------------ canonical winner
@@ -290,7 +292,7 @@ class TestCanonicalReduction:
         # the early high-attempt success is not the winner; depending on
         # when the winner's verdict arrived it is recorded as a useful
         # success (landed first) or as waste (batched with the winner)
-        outcomes = {(ii, a): o for ii, a, o, _s in report.timeline}
+        outcomes = {(ii, a): o for ii, a, o, *_ in report.timeline}
         assert outcomes[(start, 1)] in ("success", "wasted")
         assert outcomes[(start, 0)] == "success"
 
@@ -316,7 +318,7 @@ class TestCanonicalReduction:
         assert result is win
         (report,) = log
         assert report.winner == (start, 1)
-        outcomes = {(ii, a): o for ii, a, o, _s in report.timeline}
+        outcomes = {(ii, a): o for ii, a, o, *_ in report.timeline}
         assert outcomes[(start + 1, 0)] == "success"  # completed before win
         assert outcomes[(start, 0)] == "fail"
         assert outcomes[(start, 1)] == "success"
@@ -350,7 +352,7 @@ class TestCanonicalReduction:
             assert result is win
             (report,) = log
             assert report.winner == (start, 0)
-            outcomes = {(ii, a): o for ii, a, o, _s in report.timeline}
+            outcomes = {(ii, a): o for ii, a, o, *_ in report.timeline}
             assert outcomes[(start, 1)] == "abandoned"
             assert outcomes[(start + 1, 0)] == "cancelled"
             assert outcomes[(start + 1, 1)] == "cancelled"
@@ -367,25 +369,22 @@ class TestCanonicalReduction:
         }
         verdicts = {p: None for p in verdicts}
         ctx = _scripted_ctx(verdicts, sorted(verdicts), workers=2)
-        with ctx, pytest.raises(MappingError, match="could not map") as exc:
+        with ctx, pytest.raises(LadderExhausted, match=f"II <= {start + 1}"):
             climb_ladder(mapper, dfg, search=ctx)
-        assert exc.value.ladder_probed == (start, start + 1)
 
 
-# ------------------------------------------------------------------- resume_ii
+# ------------------------------------------------------------ where a ladder ends
 
 
 class ScriptedMapper(EMSMapper):
     """A mapper whose probes never place anything: every lattice point
-    below ``win`` (start rung + 2, a perturbed attempt — so the winning op
-    order depends on the rng stream position) fails, every point from it
-    on succeeds with a :class:`_FakeMapping` tagged with the op order the
-    real ``attempt_order`` assigns that point.  ``probed`` lists the
-    points in the order they ran."""
+    below ``win`` (start rung + 2, attempt 4) fails, every point from it
+    on succeeds with a :class:`_FakeMapping`.  ``probed`` lists the points
+    in the order they ran."""
 
     def __init__(self, dfg, **config) -> None:
         super().__init__(CGRA(4, 4), config=MapperConfig(**config))
-        self.start = self.ladder_start_ii(dfg)
+        self.start = self.ladder_rungs(dfg)[0]
         self.win = (self.start + 2, 4)
         self.probed: list[tuple[int, int]] = []
 
@@ -393,7 +392,7 @@ class ScriptedMapper(EMSMapper):
         self.probed.append((ii, attempt))
         if (ii, attempt) < self.win:
             return None
-        return _FakeMapping(self.attempt_order(orders, start_ii, ii, attempt))
+        return _FakeMapping((ii, attempt))
 
 
 class MapperExecutor:
@@ -413,16 +412,25 @@ class MapperExecutor:
         return fut
 
 
-@pytest.mark.parametrize("raced", [False, True], ids=["inline", "raced"])
-class TestResumeII:
-    """``resume_ii`` is rank arithmetic: rungs below it are never probed,
-    and what is probed is exactly what a full climb probes there — with
-    either executor."""
+def _sobel_ps2_mapper(**config):
+    """The paged chain mapper of the one committed 4x4 job that maps
+    nowhere, ``sobel/ps2`` — and its DFG."""
+    from repro.compiler.paged import PagedMapper
+    from repro.pipeline.compile import make_layout
 
-    def _climb(self, raced, resume_ii=None, **config):
-        """(mapper, result or the MappingError raised, job counters)"""
-        dfg = _sor()
-        mapper = ScriptedMapper(dfg, attempts_per_ii=6, **config)
+    cgra = CGRA(4, 4)
+    config = MapperConfig(attempts_per_ii=4, **config)
+    return PagedMapper(cgra, make_layout(cgra, 2), config), get_kernel("sobel").build()
+
+
+@pytest.mark.parametrize("raced", [False, True], ids=["inline", "raced"])
+class TestLadderEnds:
+    """A ladder is the rungs ``ladder_rungs`` names and nothing else: the
+    walk stops at the last one, and a first rung above it is exhausted
+    without a probe — with either executor."""
+
+    def _climb(self, raced, mapper, dfg, **kwargs):
+        """(result or the LadderExhausted raised, the ladder's report)"""
         search = (
             SearchContext(
                 workers=2, executor=MapperExecutor(mapper), budget=WorkerBudget(2)
@@ -430,39 +438,87 @@ class TestResumeII:
             if raced
             else None
         )
-        with job_counters() as ctrs:
-            try:
-                result = climb_ladder(
-                    mapper, dfg, resume_ii=resume_ii, search=search
-                )
-            except MappingError as exc:
-                result = exc
-        return mapper, result, ctrs
+        log: list[LadderReport] = []
+        try:
+            result = climb_ladder(mapper, dfg, search=search, log=log, **kwargs)
+        except LadderExhausted as exc:
+            result = exc
+        return result, log[0]
 
-    def test_resumed_climb_equals_full_climb(self, raced):
-        full_mapper, full, full_ctrs = self._climb(raced)
-        start = full_mapper.start
-        assert full_ctrs.rungs_skipped == 0
-        assert full_mapper.probed[0] == (start, 0)
-        mapper, resumed, ctrs = self._climb(raced, resume_ii=start + 2)
-        assert resumed.tag == full.tag  # same op order at the winning point
-        assert ctrs.rungs_skipped == 2
-        assert min(mapper.probed) == (start + 2, 0)  # nothing below resume_ii
-        assert mapper.win in mapper.probed
-        if not raced:
-            assert mapper.probed == [(start + 2, a) for a in range(5)]
+    def test_last_rung_below_the_winner_exhausts(self, raced):
+        dfg = _sor()
+        mapper = ScriptedMapper(dfg, attempts_per_ii=6, max_ii=5)
+        assert mapper.win[0] == mapper.start + 2 == 6
+        error, report = self._climb(raced, mapper, dfg)
+        assert isinstance(error, LadderExhausted) and "II <= 5" in str(error)
+        assert max(mapper.probed) == (5, 5)
+        assert report.winner is None and report.probes_launched == 12
 
-    def test_resume_at_or_below_the_start_rung_skips_nothing(self, raced):
-        mapper, _result, ctrs = self._climb(raced, resume_ii=1)
-        assert ctrs.rungs_skipped == 0
-        assert mapper.probed[0] == (mapper.start, 0)
+    def test_first_rung_above_the_last_exhausts_without_probing(self, raced):
+        dfg = _sor()
+        mapper = ScriptedMapper(dfg, attempts_per_ii=6, max_ii=8)
+        error, report = self._climb(raced, mapper, dfg, min_ii=9)
+        assert isinstance(error, LadderExhausted)
+        assert mapper.probed == [] and report.timeline == []
 
-    def test_resume_past_the_top_exhausts_without_probing(self, raced):
-        mapper, error, ctrs = self._climb(raced, resume_ii=99, max_ii=8)
-        assert isinstance(error, MappingError)
-        assert error.ladder_probed == (mapper.start, 8)
-        assert mapper.probed == []
-        assert ctrs.rungs_skipped == 8 - mapper.start + 1
+    def test_paged_ladder_ends_at_the_ceiling(self, raced):
+        """Whole-array ladders run to ``config.max_ii``; every paged one to
+        ``IIBound.ceiling`` — and a ``min_ii`` above it launches nothing."""
+        from repro.compiler.hier import HierMapper
+
+        mapper, dfg = _sobel_ps2_mapper()
+        ceiling = 3 * 2 + 6  # 26 ops on 16 PEs: res_mii 2, rec_mii 1
+        assert mapper.ladder_rungs(dfg) == (2, ceiling)
+        assert mapper.ladder_rungs(dfg, min_ii=20) == (20, ceiling)
+        assert EMSMapper(mapper.cgra).ladder_rungs(dfg)[1] == 64
+        hier = HierMapper(mapper.cgra, mapper.layout, mapper.config)
+        assert hier.ladder_rungs(dfg) == (2, ceiling)
+        tight, _ = _sobel_ps2_mapper(max_ii=7)
+        assert tight.ladder_rungs(dfg) == (2, 7)
+        error, report = self._climb(raced, mapper, dfg, min_ii=ceiling + 1)
+        assert isinstance(error, LadderExhausted)
+        assert f"II <= {ceiling}" in str(error)
+        assert report.probes_launched == 0 and report.timeline == []
+
+
+class TestStuck:
+    """A failed probe says which op it died on and why, on the report of
+    its ladder, from whichever side of the process boundary it ran."""
+
+    def test_failed_rows_carry_the_stuck_op_across_the_probe_boundary(self):
+        mapper, dfg = _sobel_ps2_mapper(max_ii=2)
+        log: list[LadderReport] = []
+        with pytest.raises(LadderExhausted):
+            climb_ladder(mapper, dfg, log=log)
+        rows = log[0].timeline
+        assert [row[:3] for row in rows] == [[2, a, "fail"] for a in range(4)]
+        reasons = {"window", "no-pe", "no-slot", "budget"}
+        assert all(op in dfg.ops and why in reasons for *_, (op, why) in rows)
+        assert log[0].stuck() == Counter(tuple(row[4]) for row in rows)
+        # the same probes as picklable tasks, as a pool worker runs them
+        spec, fp = MapperSpec.of(mapper), dfg.fingerprint()
+        for ii, attempt, _outcome, _seconds, stuck in rows:
+            task = pickle.loads(pickle.dumps(ProbeTask(spec, dfg, fp, 2, ii, attempt)))
+            result = pickle.loads(pickle.dumps(run_probe(task)))
+            assert result.mapping is None and result.stuck == stuck
+
+    def test_sobel_ps2_dies_on_the_same_three_ops(self):
+        """ROADMAP item 3's instrumented finding, now a return value: the
+        one unmappable 4x4 job keeps failing on ``ADD 21`` / ``SUB 8`` /
+        ``LOAD 2``, on the chain and on the ring alike."""
+        from repro.pipeline.compile import CompileJob, compile_job_stats
+
+        artifact, stats = compile_job_stats(CompileJob("sobel", 4, 2))
+        assert artifact.unmappable
+        _base, chain, ring = stats.ladders
+        dfg = get_kernel("sobel").build()
+        for report in (chain, ring):
+            assert report.winner is None
+            assert sum(report.stuck().values()) == report.probes_launched == 44
+        per_op = Counter()
+        for (op, _why), n in (chain.stuck() + ring.stuck()).items():
+            per_op[f"{dfg.ops[op].opcode.name} {op}"] += n
+        assert {op for op, _n in per_op.most_common(3)} == {"ADD 21", "SUB 8", "LOAD 2"}
 
 
 # --------------------------------------------------------------- worker budget
@@ -527,9 +583,7 @@ class TestRealPoolParity:
 class TestLadderTotals:
     def test_sums_reports_per_job_and_across_jobs(self):
         """One sum for one job's ladders (``CompileStats.search``) and for
-        every job's of a run; no ladders recorded means no totals."""
-        from dataclasses import replace
-
+        every job's of a run."""
         from repro.pipeline.compile import CompileStats
 
         ladder = LadderReport(
@@ -563,7 +617,6 @@ class TestLadderTotals:
             "speculation_efficiency": 0.75,
         }
         assert ladder_totals([])["speculation_efficiency"] == 1.0
-        assert replace(job, ladders=None).search is None
 
 
 # -------------------------------------------------------------- counter scopes

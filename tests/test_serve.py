@@ -314,6 +314,42 @@ class TestCompileService:
         assert stats["errors"] == 2
         assert stats["resolve"] == {"memo_hits": 0, "memo_misses": 2, "entries": 0}
 
+    def test_validator_rejection_is_an_error_and_nothing_is_stored(
+        self, tmp_path, monkeypatch
+    ):
+        """A mapping the validator rejects is a structured error to every
+        waiter of the flight — never an ``unmappable`` artifact the store
+        would serve forever — and the flight, the key memo and the slot
+        are released: once the validator is sane the same request compiles."""
+        import repro.compiler.paged as paged_mod
+        from repro.util.errors import MappingError
+
+        real = paged_mod.validate_mapping
+
+        def rejecting(mapping, **kwargs):
+            raise MappingError("injected validator rejection")
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with CompileService(config) as service:
+                monkeypatch.setattr(paged_mod, "validate_mapping", rejecting)
+                failed = await asyncio.gather(
+                    *(service.submit(_request()) for _ in range(3))
+                )
+                broken = service.stats()
+                monkeypatch.setattr(paged_mod, "validate_mapping", real)
+                healed = await service.submit(_request())
+                return failed, broken, healed, service.stats()
+
+        failed, broken, healed, stats = _run(body())
+        assert [(r.ok, r.error) for r in failed] == [(False, "MappingError")] * 3
+        assert all("injected" in r.message for r in failed)
+        assert broken["store"]["puts"] == 0 and broken["compiles"] == 0
+        assert broken["singleflight"]["in_flight"] == 0
+        assert healed.ok and healed.source == "compiled"
+        assert json.loads(healed.body)["unmappable"] is False
+        assert stats["store"]["puts"] == 1 and stats["errors"] == 3
+
     def test_cancel_queued_request_drops_compile(self, tmp_path, monkeypatch):
         """Cancelling the only waiter of a queued compile drops it: the
         mapper never runs for it and nothing lands in the store."""
