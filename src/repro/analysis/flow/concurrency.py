@@ -2,7 +2,7 @@
 
 A *concurrency root* is a site that hands a callable to another thread or
 process: ``ThreadPoolExecutor.submit``/``.map``, ``ProcessPoolExecutor``
-probes, ``loop.run_in_executor(pool, fn, *args)`` (an asyncio service's
+jobs, ``loop.run_in_executor(pool, fn, *args)`` (an asyncio service's
 blocking work: any number of coroutines may be awaiting one at a time, so
 it is always a *multi* root), ``Future.add_done_callback`` (callbacks run
 on executor threads), and ``threading.Thread(target=...)``.  A ``.submit``

@@ -69,33 +69,22 @@ class Contract:
         return "reads-global" in self.allow_effects or g in self.allow_global_reads
 
 
-#: The one global a compile may write: the per-process probe context
-#: cache.  Everything else a worker touches must arrive through its task
-#: payload, and its telemetry leaves as a return value.
-_PROBE_CACHE = frozenset({"repro.compiler.search._CTX_CACHE"})
-
+#: No contract allows a global write (``allow_global_writes`` is empty
+#: everywhere): what a compile touches arrives through its job, and its
+#: telemetry leaves as a return value.
 DEFAULT_CONTRACTS: tuple[Contract, ...] = (
-    Contract(
-        name="probe-worker",
-        entrypoints=("repro.compiler.search.run_probe",),
-        description="process-pool probe workers: results must be a pure "
-        "function of the task payload; the per-process context cache never "
-        "flows back, and search effort returns only as the explicit counter "
-        "delta in the result",
-        allow_effects=frozenset({"mutates-param", "reads-global"}),
-        allow_global_writes=_PROBE_CACHE,
-    ),
     Contract(
         name="compile-job",
         entrypoints=(
             "repro.pipeline.compile.compile_job",
             "repro.pipeline.compile.compile_job_stats",
+            "repro.pipeline.compile._job_outcome_pooled",
         ),
-        description="concurrent compile-thread jobs: artifact bytes must "
-        "depend only on the job spec; counters live in the job's own "
-        "thread-local scope and leave as the returned stats",
+        description="a compile, on a service slot thread or as the root of "
+        "a pool worker process (compile_many and the service at workers >= "
+        "2): artifact bytes must depend only on the job spec; counters live "
+        "in the job's own thread-local scope and leave as the returned stats",
         allow_effects=frozenset({"mutates-param", "reads-global"}),
-        allow_global_writes=_PROBE_CACHE,
     ),
     Contract(
         name="artifact-store",
@@ -114,15 +103,18 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
     ),
     Contract(
         name="serve-worker",
-        entrypoints=("repro.serve.service.CompileService._compile_blocking",),
+        entrypoints=(
+            "repro.serve.service.CompileService._compile_blocking",
+            "repro.serve.service.CompileService._store_compiled",
+        ),
         description="compile-service worker threads, entered on a store "
-        "miss only: one compile, then the bytes are read back from the "
-        "store file (so byte-identical to offline compile_many); store I/O "
-        "and temp-name pid/tid are the store contract's business",
+        "miss only: one compile (at workers >= 2 a pool process ran it and "
+        "only the storing happens here), then the bytes are read back from "
+        "the store file (so byte-identical to offline compile_many); store "
+        "I/O and temp-name pid/tid are the store contract's business",
         allow_effects=frozenset(
             {"mutates-param", "reads-global", "io", "wall-clock"}
         ),
-        allow_global_writes=_PROBE_CACHE,
     ),
     Contract(
         name="serve-loop",

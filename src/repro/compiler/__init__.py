@@ -18,9 +18,8 @@ flat ladder and the cluster-then-place ``hier`` one.
 
 A mapper knows how to run one (II, attempt) probe; the walk over IIs and
 restarts is :func:`repro.compiler.search.climb_ladder`, the single ladder
-driver every entry point above calls.  A :class:`SearchContext` chooses
-where its probes run — inline in the calling thread, or raced over a
-process pool — and the result is the same bytes either way.
+driver every entry point above calls: one serial walk in the calling
+thread, first success wins.
 """
 
 from repro.compiler.mapping import Mapping, Placement, Route, RouteStep
@@ -29,13 +28,7 @@ from repro.compiler.check import validate_mapping
 from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
 from repro.compiler.paged import PagedMapping, map_dfg_paged
 from repro.compiler.annealing import anneal_map
-from repro.compiler.search import (
-    LadderReport,
-    MapperSpec,
-    SearchContext,
-    WorkerBudget,
-    climb_ladder,
-)
+from repro.compiler.search import LadderReport, climb_ladder
 
 __all__ = [
     "Mapping",
@@ -52,8 +45,5 @@ __all__ = [
     "map_dfg_paged",
     "anneal_map",
     "LadderReport",
-    "MapperSpec",
-    "SearchContext",
-    "WorkerBudget",
     "climb_ladder",
 ]

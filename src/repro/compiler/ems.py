@@ -235,12 +235,10 @@ class EMSMapper:
     # -- the (II, attempt) ladder as data ------------------------------------------
     #
     # The mapper knows what one probe is; what a *ladder* is — the walk over
-    # the lattice {(ii, attempt)}, first success in canonical order wins —
-    # lives in :func:`repro.compiler.search.climb_ladder` alone.  The helpers
-    # below are the pieces that driver asks for: start rung, rung width, base
-    # orders, and the exact per-(ii, attempt) op order, indexed so a probe
-    # run out of order (or in another process) is bit-identical to the same
-    # probe of an in-order walk.
+    # the lattice {(ii, attempt)}, first success wins — lives in
+    # :func:`repro.compiler.search.climb_ladder` alone.  The helpers below
+    # are the pieces that driver asks for: start rung, rung width, base
+    # orders, and the exact per-(ii, attempt) op order.
 
     def ladder_rungs(self, dfg: DFG, *, min_ii: int | None = None) -> tuple[int, int]:
         """``(first, last)`` II rung of the ladder: MII floored by *min_ii*,
@@ -297,8 +295,13 @@ class EMSMapper:
         Each perturbation consumes a fixed amount of rng state (the order
         length never changes), so any probe can replay the stream from the
         seed: burn the preceding perturbations on scratch copies, then
-        apply the real one.  Being indexed — not incremental — is what
-        makes a probe's order independent of which other probes ran.
+        apply the real one.  The ladder is walked in order, so one
+        incremental stream would draw the same orders; the indexed form is
+        kept because it makes a probe a pure function of its lattice point
+        (no rng state in the driver, none to get wrong in a subclass that
+        widens a rung), because it is the stream every stored artifact's
+        bytes came from, and because ``tests/test_search.py::
+        TestAttemptOrderReplay`` pins it against the incremental draw.
         """
         if attempt < len(orders):
             return list(orders[attempt])
@@ -327,8 +330,7 @@ class EMSMapper:
         orders: Sequence[Sequence[int]],
     ) -> Mapping | None:
         """Run the single lattice probe (*ii*, *attempt*) — the one probe
-        entry point both executors of the ladder driver call (see
-        :meth:`attempt_order` for why its result is order-independent)."""
+        entry point of the ladder driver."""
         order = self.attempt_order(orders, start_ii, ii, attempt)
         return self._try_map(dfg, ii, order)
 
@@ -906,17 +908,15 @@ def map_dfg(
     *,
     config: MapperConfig | None = None,
     min_ii: int | None = None,
-    search=None,
+    cancel_check=None,
     search_log=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
 
-    *search* is an optional :class:`repro.compiler.search.SearchContext`:
-    with a live process pool the (II, attempt) ladder is raced
-    speculatively, without one it is walked in this thread — the same
-    driver either way, and the same bytes.  ``search_log`` collects the
-    ladder's :class:`~repro.compiler.search.LadderReport`.
+    *cancel_check*, when given, is polled between the ladder's probes
+    (:func:`~repro.compiler.search.climb_ladder`); ``search_log`` collects
+    the ladder's :class:`~repro.compiler.search.LadderReport`.
     """
     from repro.compiler.search import climb_ladder
 
@@ -924,6 +924,6 @@ def map_dfg(
         EMSMapper(cgra, config=config),
         dfg,
         min_ii=min_ii,
-        search=search,
+        cancel_check=cancel_check,
         log=search_log,
     )

@@ -29,10 +29,9 @@ granularity before deciding *when* at PE granularity:
 The backend plugs into the (II, attempt) lattice as *attempt 0* of every
 II rung; attempts 1..N replay the flat ladder's probes unchanged.  The
 lattice therefore stays a deterministic total order that the one ladder
-driver (:func:`repro.compiler.search.climb_ladder`) walks inline or races
-speculatively with canonical reduction — the hier backend's artifacts are
-byte-identical either way, and the flat fallback guarantees it never maps
-less than the flat chain pass at the same II.
+driver (:func:`repro.compiler.search.climb_ladder`) walks in order, and
+the flat fallback guarantees the backend never maps less than the flat
+chain pass at the same II.
 
 The hier backend is chain-only (it never uses the ring-wrap link): the
 contiguous forward partition cannot produce a wrap dependency, and flat
@@ -244,9 +243,7 @@ class HierMapper(PagedMapper):
     ``0 .. attempts_per_ii - 1``, bit for bit (same op orders, same
     replayed rng perturbations).  Everything else about the ladder — its
     bounds, so hier and flat start at the same rung; its base orders — is
-    the inherited flat mapper's.  The ladder driver enumerates exactly
-    this lattice with either executor, which keeps the hier backend's
-    artifacts byte-identical across worker counts.
+    the inherited flat mapper's.
     """
 
     def __init__(
@@ -262,8 +259,8 @@ class HierMapper(PagedMapper):
             (layout.num_pages, False): self
         }
         # SCC/topo block decomposition is II-independent: a one-slot memo
-        # ``(DFG adjacency epoch, blocks)`` shared by every rung of a ladder
-        # (and every probe in a worker), like EMSMapper._dfg_tables
+        # ``(DFG adjacency epoch, blocks)`` shared by every rung of a ladder,
+        # like EMSMapper._dfg_tables
         self._block_cache: tuple | None = None
 
     def lattice_attempts_per_ii(self) -> int:
@@ -382,7 +379,7 @@ def map_dfg_hier(
     min_ii: int | None = None,
     validate: bool = True,
     minimize_pages: bool = True,
-    search=None,
+    cancel_check=None,
     search_log=None,
 ) -> PagedMapping:
     """Map *dfg* with the hierarchical backend (see the module docstring).
@@ -391,15 +388,14 @@ def map_dfg_hier(
     ``config.backend == "hier"``; the signature mirrors
     :func:`~repro.compiler.paged.map_dfg_paged` minus ``wrap_fallback``
     (the hier backend is chain-only).  The widened (II, attempt) lattice
-    is climbed by the same driver as the flat one, with whichever executor
-    *search* carries.
+    is climbed by the same driver as the flat one.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
     cfg = config or MapperConfig()
     hier = HierMapper(cgra, layout, cfg)
     mapping = climb_ladder(
-        hier, dfg, min_ii=min_ii, search=search, log=search_log
+        hier, dfg, min_ii=min_ii, cancel_check=cancel_check, log=search_log
     )
     # the result lives on the prefix it touches: validate against, and
     # page-schedule on, the flat mapper of exactly those pages
@@ -418,5 +414,5 @@ def map_dfg_hier(
     # When the clustered attempt won, the prefix already sits at the
     # capacity lower bound and there is nothing left to try.
     return shrink_to_page_need(
-        best, dfg, cgra, layout, cfg, min_ii, validate, search, search_log
+        best, dfg, cgra, layout, cfg, min_ii, validate, cancel_check, search_log
     )

@@ -87,7 +87,7 @@ def map_dfg_paged(
     validate: bool = True,
     wrap_fallback: bool = True,
     minimize_pages: bool = True,
-    search=None,
+    cancel_check=None,
     search_log=None,
 ) -> PagedMapping:
     """Map *dfg* onto the paged CGRA under the §VI-B constraints.
@@ -110,9 +110,9 @@ def map_dfg_paged(
 
     Every inner (II, attempt) ladder — chain pass, ring fallback,
     page-minimisation passes — is one :func:`~repro.compiler.search.
-    climb_ladder` call; *search* (a :class:`~repro.compiler.search.
-    SearchContext`) picks its executor, and artifacts are byte-identical
-    whichever it is.
+    climb_ladder` call, each polling *cancel_check* between probes and
+    appending its :class:`~repro.compiler.search.LadderReport` to
+    ``search_log``.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
@@ -131,17 +131,17 @@ def map_dfg_paged(
             min_ii=min_ii,
             validate=validate,
             minimize_pages=minimize_pages,
-            search=search,
+            cancel_check=cancel_check,
             search_log=search_log,
         )
     best = _map_topologies(
         dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
-        search, search_log,
+        cancel_check, search_log,
     )
     if not minimize_pages:
         return best
     return shrink_to_page_need(
-        best, dfg, cgra, layout, config, min_ii, validate, search, search_log
+        best, dfg, cgra, layout, config, min_ii, validate, cancel_check, search_log
     )
 
 
@@ -153,7 +153,7 @@ def shrink_to_page_need(
     config: MapperConfig,
     min_ii,
     validate,
-    search,
+    cancel_check,
     search_log,
 ) -> PagedMapping:
     """Page-need minimisation, shared by both backends: re-map *dfg* with
@@ -174,7 +174,7 @@ def shrink_to_page_need(
         try:
             candidate = _map_once(
                 dfg, cgra, layout.subchain(k), tight, min_ii, validate,
-                full_layout=layout, search=search, search_log=search_log,
+                full_layout=layout, cancel_check=cancel_check, search_log=search_log,
             )
         except LadderExhausted:
             continue
@@ -191,7 +191,7 @@ def _map_topologies(
     min_ii,
     validate,
     wrap_fallback,
-    search=None,
+    cancel_check=None,
     search_log=None,
 ) -> PagedMapping:
     """The chain ladder, then — where the wrap pair is physically adjacent
@@ -200,7 +200,7 @@ def _map_topologies(
     try:
         return _map_once(
             dfg, cgra, layout, config, min_ii, validate,
-            search=search, search_log=search_log,
+            cancel_check=cancel_check, search_log=search_log,
         )
     except LadderExhausted:
         if not (wrap_fallback and not layout.allow_wrap and layout.ring_wrap_adjacent):
@@ -208,15 +208,14 @@ def _map_topologies(
     ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
     return _map_once(
         dfg, cgra, ring_layout, config, min_ii, validate,
-        search=search, search_log=search_log,
+        cancel_check=cancel_check, search_log=search_log,
     )
 
 
 class PagedMapper(EMSMapper):
     """The flat ring-constrained mapper of *layout*: the baseline engine
     under the §VI-B wiring (covered PEs, ring hop filter, banked bus key,
-    page-rank bias), written here once — every flat paged ladder, the
-    probe workers' :class:`~repro.compiler.search.MapperSpec` and the
+    page-rank bias), written here once — every flat paged ladder and the
     hierarchical backend build through it, and validation reads the
     constraints back off it."""
 
@@ -245,12 +244,12 @@ def _map_once(
     min_ii,
     validate,
     full_layout: PageLayout | None = None,
-    search=None,
+    cancel_check=None,
     search_log=None,
 ) -> PagedMapping:
     mapper = PagedMapper(cgra, layout, config)
     mapping = climb_ladder(
-        mapper, dfg, min_ii=min_ii, search=search, log=search_log
+        mapper, dfg, min_ii=min_ii, cancel_check=cancel_check, log=search_log
     )
     if validate:
         validate_mapping(

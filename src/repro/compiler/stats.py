@@ -70,12 +70,9 @@ class MapperCounters:
         return asdict(self)
 
     def add(self, delta: dict[str, int]) -> None:
-        """Fold a counter delta (a nested scope's totals, or a probe worker
-        process's :attr:`~repro.compiler.search.ProbeResult.counters`) into
-        this instance."""
+        """Fold a nested scope's totals into this instance."""
         for k, v in delta.items():
-            if hasattr(self, k):
-                setattr(self, k, getattr(self, k) + v)
+            setattr(self, k, getattr(self, k) + v)
 
 
 #: Per-thread active counter scope.  ``threading.local`` keeps each compile

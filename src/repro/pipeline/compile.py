@@ -9,16 +9,15 @@ the :class:`~repro.pipeline.store.ArtifactStore`, and only invokes the
 mapper on a genuine miss.
 
 Every mapping ladder of a job is one :func:`repro.compiler.search.
-climb_ladder` call.  A batch is N independent compiles (the paper's §III:
-mapping happens offline, once per kernel), so ``compile_many`` with
-``workers > 1`` fans **whole jobs** out over a ``ProcessPoolExecutor``:
-each worker process runs :func:`compile_job` exactly as ``workers=1``
-does — every ladder inline — and the parent stores the results in input
-order, which is why the artifacts are byte-identical at any worker count.
-The raced executor (:meth:`~repro.compiler.search.SearchContext.create`)
-is not used here: it is the compile service's tool for single-miss
-latency, handed to :func:`compile_job` as *search* (DESIGN.md §11 has the
-measurements behind both choices).
+climb_ladder` call, a serial walk.  A batch is N independent compiles (the
+paper's §III: mapping happens offline, once per kernel), so a kernel job
+is the one grain of parallel compile work: ``compile_many`` with
+``workers > 1`` fans **whole jobs** out over a spawned
+``ProcessPoolExecutor`` — each worker process runs :func:`compile_job`
+exactly as ``workers=1`` does and the parent stores the results in input
+order, which is why the artifacts are byte-identical at any worker count —
+and ``repro.serve --workers N`` hands each miss to the same worker entry
+point, :func:`_job_outcome_pooled` (DESIGN.md §11 has the measurements).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Iterable, Sequence
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
-from repro.compiler.search import LadderReport, ladder_totals
+from repro.compiler.search import LadderReport
 from repro.compiler.stats import job_counters
 from repro.core.pagemaster import steady_state_ii
 from repro.core.paging import PageLayout, choose_page_shape
@@ -119,14 +118,12 @@ class CompileStats:
 
     ``counters`` is the job's own :class:`~repro.compiler.stats.
     MapperCounters` scope: route-search expansions, BFS/DFS invocations,
-    placement probes, and refuted routes/trials (probe workers report their
-    deltas back, so the search effort of every probe the ladder read is
-    included).  ``base_map_seconds``/``paged_map_seconds`` split the
-    mapper wall clock by phase (unconstrained baseline vs ring-constrained
-    paged mapping).  ``ladders`` holds one :class:`~repro.compiler.search.
-    LadderReport` — the (II, attempt) outcome timeline, each failed probe
-    with the op it died on — per ladder climbed, whichever executor ran
-    it; ``search`` sums them.
+    placement probes, and refuted routes/trials.
+    ``base_map_seconds``/``paged_map_seconds`` split the mapper wall clock
+    by phase (unconstrained baseline vs ring-constrained paged mapping).
+    ``ladders`` holds one :class:`~repro.compiler.search.LadderReport` —
+    the (II, attempt) outcome timeline, each failed probe with the op it
+    died on — per ladder climbed.
     """
 
     kernel: str
@@ -139,11 +136,6 @@ class CompileStats:
     ladders: tuple[LadderReport, ...] = ()
     arch: str | None = field(default=None)
     backend: str = "flat"
-
-    @property
-    def search(self) -> dict:
-        """Probe totals and speculation efficiency over :attr:`ladders`."""
-        return ladder_totals(self.ladders)
 
 
 def job_key(job: CompileJob) -> ArtifactKey:
@@ -158,21 +150,21 @@ def job_key(job: CompileJob) -> ArtifactKey:
     return ArtifactKey(dfg.fingerprint(), arch_fp, job.mapper_config.fingerprint())
 
 
-def compile_job(job: CompileJob, search=None) -> tuple[CompiledKernel, float]:
+def compile_job(job: CompileJob, cancel_check=None) -> tuple[CompiledKernel, float]:
     """Compile one job, uncached.  Returns (artifact, mapper seconds).
 
     Top-level (picklable) so callers can run it in worker processes;
     deterministic for a fixed job, so parallel and serial runs produce
-    byte-identical artifacts.  *search* is an optional
-    :class:`~repro.compiler.search.SearchContext` — the executor (and
-    cancellation check) every mapping ladder of the job runs under.
+    byte-identical artifacts.  *cancel_check*, when given, is polled
+    between the probes of every mapping ladder of the job; once it returns
+    True the compile raises :class:`~repro.compiler.search.CancelledSearch`.
     """
-    artifact, stats = compile_job_stats(job, search=search)
+    artifact, stats = compile_job_stats(job, cancel_check=cancel_check)
     return artifact, stats.seconds
 
 
 def compile_job_stats(
-    job: CompileJob, search=None
+    job: CompileJob, cancel_check=None
 ) -> tuple[CompiledKernel, CompileStats]:
     """Compile one job, uncached, with per-phase timings and the mapper's
     search-effort counter deltas (the input of ``perf/``'s compile workloads).
@@ -193,13 +185,14 @@ def compile_job_stats(
     with job_counters() as job_ctrs:
         base_started = time.perf_counter()
         base = map_dfg(
-            dfg, cgra, config=config, search=search, search_log=search_log
+            dfg, cgra, config=config, cancel_check=cancel_check,
+            search_log=search_log,
         )
         base_seconds = time.perf_counter() - base_started
         paged_started = time.perf_counter()
         try:
             paged = map_dfg_paged(
-                dfg, cgra, layout, config=config, search=search,
+                dfg, cgra, layout, config=config, cancel_check=cancel_check,
                 search_log=search_log,
             )
         except LadderExhausted:

@@ -15,10 +15,10 @@ resolves each to its content address
   dispatch through a weighted round-robin across tenants with per-request
   priorities and cooperative cancellation, onto a bounded set of compile
   slots.
-* **Warm worker pool** (:mod:`repro.serve.service`) — one long-lived
-  :class:`~repro.compiler.search.SearchContext` (pre-forked probe
-  processes plus the shared WorkerBudget) serves every request's ladders,
-  instead of a pool per batch.
+* **Warm worker pool** (:mod:`repro.serve.service`) — at ``--workers N``
+  (N >= 2) one long-lived pool of N spawned processes compiles whole jobs,
+  one miss per process: the grain and the worker entry point of
+  ``compile_many(workers=N)``, without a pool per batch.
 * **Byte parity** — responses are read back from the
   :class:`~repro.pipeline.store.ArtifactStore` files, so a served payload
   is byte-identical to the offline :func:`~repro.pipeline.compile

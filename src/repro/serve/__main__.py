@@ -28,8 +28,8 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="probe worker processes in the warm search pool "
-        "(>= 2 races each II ladder speculatively; 1 walks it inline)",
+        help="compile worker processes (>= 2: each miss is a whole job in "
+        "one of a warm pool of spawned processes; 1: on a slot thread)",
     )
     p.add_argument(
         "--slots",

@@ -14,9 +14,10 @@ models it the same way the paper models fabric sharing:
   cross-tenant knob is the weight.
 * **cancellation** is cooperative and two-stage: a queued request is
   dropped at pick time (never dispatched); a running one has its
-  :class:`CancelToken` polled by the ladder
-  (:class:`~repro.compiler.search.SearchContext.cancel_check`) and stops
-  at the next probe boundary.
+  :class:`CancelToken` polled by the ladder (``cancel_check`` of
+  :func:`~repro.compiler.search.climb_ladder`) and stops at the next probe
+  boundary — or, when a worker process holds the job, is answered when
+  the job ends, its result discarded.
 
 Everything here runs on the event loop — single-threaded bookkeeping, no
 locks — except the token, which worker threads poll and is backed by a

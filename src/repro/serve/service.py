@@ -1,4 +1,4 @@
-"""The compile service: singleflight + fair scheduler + one search context.
+"""The compile service: singleflight + fair scheduler + whole-job workers.
 
 :class:`CompileService` is the transport-independent core the HTTP server
 (:mod:`repro.serve.server`) and the bench harness drive directly.  One
@@ -7,12 +7,12 @@ instance owns:
 * the :class:`~repro.pipeline.store.ArtifactStore` (thread-safe counters,
   atomic unique-temp writes — the PR's store fixes are what make sharing
   one store across handler threads sound);
-* one long-lived :class:`~repro.compiler.search.SearchContext`: with
-  ``workers >= 2`` a **warm** pool whose probe processes fork once at
-  startup and serve every request's ladders, instead of a pool per batch;
-  with ``workers = 1`` the inline executor.  Either way each request
-  compiles under its own view of it (``for_request``), which is what
-  carries the request's cancel token into the ladder driver;
+* with ``workers >= 2``, one long-lived pool of that many **spawned**
+  worker processes, started and warmed at start-up: a miss is a whole job
+  run by :func:`~repro.pipeline.compile._job_outcome_pooled` in one of
+  them — the worker entry point ``compile_many(workers=N)`` maps — and
+  the parent stores the result.  With ``workers = 1`` a miss compiles on
+  a slot thread, its ladders polling the request's cancel token;
 * a worker thread pool of ``slots + 2`` threads: one per scheduler
   dispatch slot, plus headroom so request-key resolution stays responsive
   while every compile slot is busy;
@@ -31,20 +31,32 @@ only a miss hands the compile to a worker thread.
 Served bytes are always read back from the store file, so they are
 byte-identical to offline ``compile_many`` output.  Cancellation detaches
 one waiter; the last detach fires the flight's token, which drops a
-queued compile at pick time or stops a running ladder at its next probe
-boundary (:class:`~repro.compiler.search.CancelledSearch`).
+queued compile at pick time, stops a ladder running on a slot thread at
+its next probe boundary (:class:`~repro.compiler.search.CancelledSearch`),
+or — at ``workers >= 2`` — lets the worker process finish the job it
+holds and discards the result unstored.  A worker process that dies breaks
+its pool: every job in flight on it answers ``BrokenProcessPool`` (never
+stored) and the pool is replaced before the next miss (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.compiler.search import CancelledSearch, SearchContext
-from repro.pipeline.artifact import ArtifactKey
-from repro.pipeline.compile import CompileJob, compile_job, job_key
+from repro.compiler.search import CancelledSearch
+from repro.pipeline.artifact import ArtifactKey, CompiledKernel
+from repro.pipeline.compile import (
+    CompileFailure,
+    CompileJob,
+    _job_outcome_pooled,
+    compile_job,
+    job_key,
+)
 from repro.pipeline.store import ArtifactStore
 from repro.serve.protocol import CompileRequest, ServeResult
 from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
@@ -53,21 +65,27 @@ from repro.util.errors import ReproError
 
 __all__ = ["ServiceConfig", "CompileService"]
 
-#: Bound on the key memo (FIFO, like ``search._CTX_CACHE_MAX``): ``seed`` is
-#: an unbounded wire field, so the set of distinct jobs is unbounded too.
+#: Bound on the key memo (FIFO): ``seed`` is an unbounded wire field, so
+#: the set of distinct jobs is unbounded too.
 _KEY_MEMO_MAX = 1024
+
+
+def _warm() -> None:
+    """Initializer and warm-up task of the job pool: a spawned worker
+    imports this module — and with it the whole compiler — to find it."""
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning for one service instance.
 
-    ``workers >= 2`` pre-forks that many probe processes into the warm
-    :class:`~repro.compiler.search.SearchContext`; ``workers = 1`` walks
-    each ladder inline on the handler thread.  A running compile stops at
-    its next probe boundary when cancelled, at any worker count.  ``slots``
-    bounds concurrent compiles; ``tenant_weights`` feeds the weighted
-    round-robin (missing tenants get ``default_weight``).
+    ``workers >= 2`` spawns that many worker processes at start-up, each
+    compiling whole jobs; ``workers = 1`` compiles on the handler thread.
+    A cancelled running compile stops at its next probe boundary at
+    ``workers = 1``, and runs to the end with its result discarded at
+    ``workers >= 2``.  ``slots`` bounds concurrent compiles;
+    ``tenant_weights`` feeds the weighted round-robin (missing tenants get
+    ``default_weight``).
     """
 
     store_root: str | None = None
@@ -113,7 +131,7 @@ class CompileService:
             weights=self.config.tenant_weights,
             default_weight=self.config.default_weight,
         )
-        self._search: SearchContext | None = None
+        self._jobs: ProcessPoolExecutor | None = None
         self._pool: ThreadPoolExecutor | None = None
         self._active: dict[str, _ActiveRequest] = {}
         self._leader_tasks: dict[str, asyncio.Task] = {}
@@ -142,13 +160,7 @@ class CompileService:
             max_workers=self.config.slots + 2, thread_name_prefix="repro-serve"
         )
         if self.config.workers >= 2:
-            # warm pool: fork every probe worker now, before any handler
-            # thread exists, and keep it for the server's whole lifetime
-            self._search = await loop.run_in_executor(
-                self._pool, SearchContext.create, self.config.workers
-            )
-        else:
-            self._search = SearchContext()
+            await asyncio.gather(*map(asyncio.wrap_future, self._spawn_jobs_pool()))
         self.scheduler.start()
         self._started = True
         return self
@@ -159,14 +171,25 @@ class CompileService:
         await self.scheduler.stop()
         for task in list(self._leader_tasks.values()):
             await task
-        if self._search is not None:
-            self._search.close()
-            self._search = None
+        if self._jobs is not None:
+            self._jobs.shutdown(wait=True, cancel_futures=True)
+            self._jobs = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         self._keys.clear()  # its futures belong to this run's loop
         self._started = False
+
+    def _spawn_jobs_pool(self) -> list:
+        """(Re)place the job pool; the futures of its warm-up tasks.  One
+        warm-up per worker, submitted back to back, starts every process
+        now — spawned, not forked: this process has threads."""
+        self._jobs = ProcessPoolExecutor(
+            self.config.workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_warm,
+        )
+        return [self._jobs.submit(_warm) for _ in range(self.config.workers)]
 
     async def __aenter__(self) -> "CompileService":
         return await self.start()
@@ -344,25 +367,61 @@ class CompileService:
                     source="hit",
                     body=self.store.path_for(key).read_bytes(),
                 )
+            if self._jobs is not None:
+                return await self._compile_pooled(job, key, token)
             return await loop.run_in_executor(
                 self._pool, self._compile_blocking, job, key, token
             )
 
         return work
 
+    async def _compile_pooled(
+        self, job: CompileJob, key: ArtifactKey, token: CancelToken
+    ) -> _FlightOutcome:
+        """A store miss at ``workers >= 2``: the whole job in a worker
+        process, exactly as ``compile_many(workers=N)`` runs it; storing
+        stays here in the parent.  The worker cannot be interrupted, so a
+        flight cancelled meanwhile is answered when its job ends."""
+        loop = asyncio.get_running_loop()
+        started = time.perf_counter()
+        jobs = self._jobs
+        try:
+            outcome = await loop.run_in_executor(jobs, _job_outcome_pooled, job)
+        except BrokenProcessPool:
+            # a worker died: every job on this pool fails like this one;
+            # the first to notice replaces the pool for the next miss
+            if self._jobs is jobs:
+                jobs.shutdown(wait=False)
+                self._spawn_jobs_pool()
+            raise
+        if token.cancelled:
+            raise RequestCancelled("cancelled while its job ran; nothing stored")
+        if isinstance(outcome, CompileFailure):
+            return _FlightOutcome(
+                digest=key.digest, error=outcome.error, message=outcome.message
+            )
+        return await loop.run_in_executor(
+            self._pool, self._store_compiled, key, *outcome, started
+        )
+
     def _compile_blocking(
         self, job: CompileJob, key: ArtifactKey, token: CancelToken
     ) -> _FlightOutcome:
-        """The worker-thread body, entered on a store miss only: one
-        mapper invocation under this request's view of the search context;
-        served bytes are read back from the store file for byte parity
-        with offline compiles."""
+        """The worker-thread body at ``workers = 1``, entered on a store
+        miss only: one mapper invocation, its ladders polling the flight's
+        cancel token."""
         if token.cancelled:
             raise CancelledSearch("cancelled before ladder start")
         started = time.perf_counter()
-        artifact, seconds = compile_job(
-            job, search=self._search.for_request(token.is_set)
-        )
+        artifact, seconds = compile_job(job, cancel_check=token.is_set)
+        return self._store_compiled(key, artifact, seconds, started)
+
+    def _store_compiled(
+        self, key: ArtifactKey, artifact: CompiledKernel, seconds: float, started: float
+    ) -> _FlightOutcome:
+        """Store a fresh artifact, as ``compile_many_outcomes`` does; the
+        served bytes are read back from the store file for byte parity
+        with offline compiles."""
         self.store.note_compile_time(seconds)
         path = self.store.put(artifact)
         body = (

@@ -541,15 +541,16 @@ def test_flow_baseline_is_clean_over_repro_tree():
     report = analyze_tree()
     assert report.findings == []
     # the concurrency surface the pass certifies is actually in view
-    entries = {e for r in report.roots for e in r.entries}
-    assert "repro.compiler.search.run_probe" in entries
-    # compile_many fans whole jobs out to a process pool (no shared state
-    # to race on); the compiler's thread-side concurrency is the service's
-    # run_in_executor hand-offs, which is where RACE-SHARED-MUT now reaches
-    # compile_job from
-    kinds = {e: r.kind for r in report.roots for e in r.entries}
-    assert kinds["repro.pipeline.compile._job_outcome_pooled"] == "process"
-    assert kinds["repro.serve.service.CompileService._compile_blocking"] == "thread"
+    # compile_many and the service at workers >= 2 fan whole jobs out to a
+    # process pool (no shared state to race on); the compiler's thread-side
+    # concurrency is the service's run_in_executor hand-offs, which is
+    # where RACE-SHARED-MUT reaches compile_job from
+    kinds = {(r.owner, e): r.kind for r in report.roots for e in r.entries}
+    pooled = "repro.pipeline.compile._job_outcome_pooled"
+    service = "repro.serve.service.CompileService."
+    assert kinds["repro.pipeline.compile.compile_many_outcomes", pooled] == "process"
+    assert (service + "_compile_pooled", pooled) in kinds
+    assert kinds[service + "_make_work", service + "_compile_blocking"] == "thread"
     assert any(
         r.kind == "thread" and r.owner.startswith("repro.serve.service.")
         for r in report.roots
@@ -560,14 +561,13 @@ def test_default_contracts_cover_live_entrypoints():
     graph = build_callgraph()
     summaries = infer_effects(graph)
     assert check_contracts(graph, summaries) == []
-    # a compile's only sanctioned global write is the probe context cache
-    budgets = {c.name: c.allow_global_writes for c in DEFAULT_CONTRACTS}
-    cache = {"repro.compiler.search._CTX_CACHE"}
-    assert budgets["probe-worker"] == budgets["compile-job"] == cache
-    # the service's loop side (key memo, on-loop store probe) may write no
-    # global at all — and the probe it certifies is really in view: the
-    # inferred summary of submit() reaches the store file read
-    assert budgets["serve-loop"] == frozenset()
+    # no contract sanctions a global write — not a compile, on a slot
+    # thread or as a pool worker's root, and not the service's loop side
+    # (key memo, on-loop store probe), whose certified probe is really in
+    # view: the inferred summary of submit() reaches the store file read
+    assert all(c.allow_global_writes == frozenset() for c in DEFAULT_CONTRACTS)
+    compile_job = next(c for c in DEFAULT_CONTRACTS if c.name == "compile-job")
+    assert "repro.pipeline.compile._job_outcome_pooled" in compile_job.entrypoints
     submit = summaries["repro.serve.service.CompileService.submit"]
     assert "io" in submit.hazards and not submit.writes
 
@@ -601,8 +601,7 @@ def test_cli_rules_lists_flow_rules(capsys):
 def test_cli_summaries_dump(capsys):
     assert main(["flow", "--summaries"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    probe = payload["repro.compiler.search.run_probe"]
-    assert "mutates-global" in probe["effects"]
-    # telemetry is a return value: the probe context cache is the one
-    # global a probe (and so a compile) writes
-    assert set(probe["writes"]) == {"repro.compiler.search._CTX_CACHE"}
+    worker = payload["repro.pipeline.compile._job_outcome_pooled"]
+    # telemetry is a return value: a compile writes no global, even as the
+    # root of a pool worker process
+    assert "mutates-global" not in worker["effects"] and not worker["writes"]

@@ -34,7 +34,7 @@ from repro.arch.presets import (
 from repro.core.paging import PageLayout
 from repro.kernels import get_kernel
 from repro.pipeline.artifact import CompiledKernel
-from repro.pipeline.compile import CompileJob, compile_job, compile_many, job_key
+from repro.pipeline.compile import CompileJob, compile_many, job_key
 from repro.pipeline.store import ArtifactStore
 from repro.util.errors import ArchitectureError
 
@@ -375,25 +375,17 @@ class TestHierBackend:
         assert a.to_json() == b.to_json()
 
     def test_hier_serial_equals_portfolio(self, tmp_path):
-        """Both parallel paths return the serial ladder's bytes for the
-        hier backend too: the batch fan-out, and (canonical reduction) the
-        raced executor the compile service compiles under."""
-        from repro.compiler.search import SearchContext
-
+        """The batch fan-out (whole jobs in worker processes) returns the
+        serial ladder's bytes for the hier backend too."""
         jobs = [CompileJob(k, 4, 4, seed=0, backend="hier") for k in HIER_KERNELS]
         serial = ArtifactStore(tmp_path / "serial")
         fanned = ArtifactStore(tmp_path / "fanned")
-        raced = ArtifactStore(tmp_path / "raced")
         compile_many(jobs, store=serial, workers=1)
         compile_many(jobs, store=fanned, workers=2)
-        with SearchContext.create(2) as ctx:
-            for job in jobs:
-                raced.put(compile_job(job, search=ctx)[0])
         for job in jobs:
             a = serial.path_for(job_key(job)).read_bytes()
-            for store in (fanned, raced):
-                b = store.path_for(job_key(job)).read_bytes()
-                assert a == b, f"hier parity violation: {job.kernel}"
+            b = fanned.path_for(job_key(job)).read_bytes()
+            assert a == b, f"hier parity violation: {job.kernel}"
 
     def test_hier_on_memcols_8x8(self, tmp_path):
         """The acceptance fabric: hierarchical mapping on the 8x8

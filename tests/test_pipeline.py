@@ -231,28 +231,6 @@ class TestParallelFanout:
         )
         assert [a.to_json() for a in serial] == [a.to_json() for a in par]
 
-    def test_speculative_compile_records_search_stats(self):
-        from repro.compiler.search import SearchContext
-        from repro.pipeline.compile import compile_job_stats
-
-        job = CompileJob("sor", 4, 4)
-        _, serial_stats = compile_job_stats(job)
-        with SearchContext.create(2) as ctx:
-            artifact, stats = compile_job_stats(job, search=ctx)
-        # an offline compile has the same rung timeline the raced one has
-        assert serial_stats.search["ladders"] == stats.search["ladders"] >= 1
-        assert [r.winner for r in serial_stats.ladders] == [
-            r.winner for r in stats.ladders
-        ]
-        assert stats.search["probes_launched"] >= 1
-        assert stats.search["speculation_efficiency"] <= 1.0
-        # the returned stats carry the ladders themselves, timelines included
-        assert len(stats.ladders) == stats.search["ladders"]
-        assert all(report.timeline for report in stats.ladders)
-        # and the speculative artifact matches the serial one byte for byte
-        serial_artifact, _ = compile_job(job)
-        assert artifact.to_json() == serial_artifact.to_json()
-
     def test_duplicate_jobs_compiled_once(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         job = CompileJob("sor", 4, 4)

@@ -6,13 +6,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
-from repro.compiler.search import CancelledSearch, SearchContext
+from repro.compiler.search import CancelledSearch
 from repro.pipeline import (
     ArtifactStore,
     CompileJob,
@@ -253,9 +255,9 @@ class TestCompileService:
         calls: list[str] = []
         real = service_mod.compile_job
 
-        def counting(job, search=None):
+        def counting(job, cancel_check=None):
             calls.append(job.kernel)
-            return real(job, search=search)
+            return real(job, cancel_check=cancel_check)
 
         monkeypatch.setattr(service_mod, "compile_job", counting)
 
@@ -357,9 +359,9 @@ class TestCompileService:
 
         real = service_mod.compile_job
 
-        def slow(job, search=None):
+        def slow(job, cancel_check=None):
             time.sleep(0.3)
-            return real(job, search=search)
+            return real(job, cancel_check=cancel_check)
 
         monkeypatch.setattr(service_mod, "compile_job", slow)
 
@@ -640,54 +642,48 @@ class TestMidLadderCancellation:
         assert not issubclass(CancelledSearch, MappingError)
         token = CancelToken()
         token.cancel()
-        with SearchContext.create(2) as ctx:
-            view = ctx.for_request(token.is_set)
-            assert view.executor is ctx.executor  # shares the warm pool
-            with pytest.raises(CancelledSearch):
-                compile_job(CompileJob("sor", 4, 2), search=view)
+        with pytest.raises(CancelledSearch):
+            compile_job(CompileJob("sor", 4, 2), cancel_check=token.is_set)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_check_firing_mid_ladder_stops_it(self, workers):
-        """The poll sits in the one ladder driver, so it is there with
-        either executor: a check that turns true on its third poll — after
-        probes have run — raises out of the compile."""
+    def test_check_firing_mid_ladder_stops_it(self):
+        """A check that turns true on its third poll — after probes have
+        run — raises out of the compile."""
         polls = []
 
         def third_poll() -> bool:
             polls.append(None)
             return len(polls) >= 3
 
-        ctx = SearchContext.create(workers) if workers > 1 else SearchContext()
-        with ctx:
-            with pytest.raises(CancelledSearch):
-                compile_job(
-                    CompileJob("compress", 4, 2), search=ctx.for_request(third_poll)
-                )
+        with pytest.raises(CancelledSearch):
+            compile_job(CompileJob("compress", 4, 2), cancel_check=third_poll)
         assert len(polls) == 3
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sole_waiter_cancelling_a_running_compile(
         self, tmp_path, monkeypatch, workers
     ):
-        """The only waiter of a request whose ladder is already running
-        cancels: the ladder stops at its next probe boundary, nothing is
-        stored, and every slot and flight is given back."""
+        """The only waiter of a request whose compile is already running
+        cancels and is answered at once.  On a slot thread (``workers=1``)
+        the ladder stops at its next probe boundary; in a worker process
+        (``workers=2``) the job runs to its end and the result is dropped.
+        Either way nothing is stored, and every slot and flight is given
+        back."""
         import repro.serve.service as service_mod
 
         climbing = threading.Event()
         real = service_mod.compile_job
 
-        def signalling(job, search=None):
-            inner = search.cancel_check
-
+        def signalling(job, cancel_check=None):
             def check() -> bool:
                 climbing.set()  # polled: a ladder of this compile is running
-                return inner()
+                return cancel_check()
 
-            return real(job, search=replace(search, cancel_check=check))
+            return real(job, cancel_check=check)
 
         monkeypatch.setattr(service_mod, "compile_job", signalling)
-        request = _request("compress", request_id="victim")
+        if workers > 1:
+            climbing.set()  # the ladder climbs in another process, unseen
+        request = _request("sobel", page_size=4, request_id="victim")  # 0.3 s
 
         async def body():
             config = ServiceConfig(
@@ -696,23 +692,29 @@ class TestMidLadderCancellation:
             async with CompileService(config) as service:
                 pending = asyncio.ensure_future(service.submit(request))
                 deadline = time.monotonic() + 30.0
-                while not climbing.is_set() and time.monotonic() < deadline:
+                while (
+                    not (climbing.is_set() and service.scheduler.stats()["running"])
+                    and time.monotonic() < deadline
+                ):
                     await asyncio.sleep(0.005)
                 assert climbing.is_set()
                 assert service.scheduler.stats()["running"] == 1
                 assert await service.cancel("victim")
                 result = await pending
-                # the waiter is answered at once; the ladder itself stops
-                # at its next poll, which is when the slot comes back — and
-                # the flight leader resolves the flight one loop turn later
+                # the waiter is answered at once: the worker process still
+                # holds the job, and a slot thread gives its slot back at
+                # the ladder's next poll — the flight leader resolves the
+                # flight one loop turn after that
+                still_running = service.scheduler.stats()["running"]
                 while (
                     service.scheduler.stats()["running"] or len(service.flights)
                 ) and time.monotonic() < deadline:
                     await asyncio.sleep(0.005)
-                return result, service.stats()
+                return result, still_running, service.stats()
 
-        result, stats = _run(body())
+        result, still_running, stats = _run(body())
         assert not result.ok and result.error == "RequestCancelled"
+        assert still_running == 1 or workers == 1
         key = job_key(request.to_job())
         assert not ArtifactStore(tmp_path).path_for(key).exists()
         assert stats["store"]["puts"] == 0
@@ -721,6 +723,102 @@ class TestMidLadderCancellation:
         assert stats["scheduler"]["queued"] == 0
         assert stats["singleflight"]["in_flight"] == 0
         assert stats["singleflight"]["cancelled_flights"] == 1
+
+
+# ------------------------------------------- whole jobs in worker processes
+
+
+def _idle(stats: dict) -> bool:
+    """Every slot, flight and pending key resolution has been given back."""
+    return (
+        stats["scheduler"]["running"] == 0
+        and stats["scheduler"]["queued"] == 0
+        and stats["singleflight"]["in_flight"] == 0
+    )
+
+
+class TestJobPool:
+    """``workers=2``: a miss is a whole job in a spawned worker process,
+    stored by the parent — with the guarantees the slot-thread path has."""
+
+    def test_served_bytes_match_offline_compile_job(self, tmp_path):
+        requests = [
+            _request("sor"),
+            _request("sor", size=8, page_size=4, arch="8x8-memcols", backend="hier"),
+        ]
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=2, slots=2)
+            async with CompileService(config) as service:
+                cold = await asyncio.gather(*map(service.submit, requests))
+                warm = await asyncio.gather(*map(service.submit, requests))
+                return cold, warm, service.stats()
+
+        cold, warm, stats = _run(body())
+        assert [r.source for r in cold + warm] == ["compiled"] * 2 + ["hit"] * 2
+        for request, served, again in zip(requests, cold, warm):
+            offline = compile_job(request.to_job())[0].to_json().encode()
+            assert served.body == again.body == offline
+        assert stats["compiles"] == stats["store"]["puts"] == 2 and _idle(stats)
+
+    def test_failing_job_is_that_requests_error_only(self, tmp_path, monkeypatch):
+        """A compile that raises in the worker comes back as a
+        ``CompileFailure``: a structured error for that flight, nothing
+        stored, and its sibling in the other worker compiles."""
+        import repro.serve.service as service_mod
+
+        def sor_key(job):  # resolves in the parent; only the worker's compile fails
+            return job_key(CompileJob("sor", job.size, job.page_size, seed=job.seed))
+
+        monkeypatch.setattr(service_mod, "job_key", sor_key)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=2, slots=2)
+            async with CompileService(config) as service:
+                results = await asyncio.gather(
+                    service.submit(_request("no-such-kernel")),
+                    service.submit(_request("sor", seed=1)),
+                )
+                return results, service.stats()
+
+        (failed, sibling), stats = _run(body())
+        assert (failed.ok, failed.error) == (False, "WorkloadError")
+        assert "no-such-kernel" in failed.message
+        assert sibling.ok and sibling.source == "compiled"
+        assert stats["errors"] == 1 and stats["compiles"] == 1
+        assert stats["store"]["puts"] == 1 and _idle(stats)
+
+    def test_dead_worker_is_one_failed_request_not_a_wedged_service(self, tmp_path):
+        """SIGKILL a pool process mid-compile: that request is answered
+        ``BrokenProcessPool`` (never stored, never ``unmappable``), the
+        pool is replaced, and the next three misses compile."""
+        victim = _request("sobel", page_size=4)  # 0.3 s: killed while it climbs
+        after = [_request(kernel) for kernel in ("sor", "mpeg", "gsr")]
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=2, slots=2)
+            async with CompileService(config) as service:
+                pending = asyncio.ensure_future(service.submit(victim))
+                while not service.scheduler.stats()["running"]:
+                    await asyncio.sleep(0.005)
+                await asyncio.sleep(0.1)
+                os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+                # the parent commit hung on the third miss after the kill
+                killed = await asyncio.wait_for(pending, 60)
+                served = [
+                    await asyncio.wait_for(service.submit(r), 60) for r in after
+                ]
+                unresolved = [f for f in service._keys.values() if not f.done()]
+                return killed, served, unresolved, service.stats()
+
+        killed, served, unresolved, stats = _run(body())
+        assert (killed.ok, killed.error) == (False, "BrokenProcessPool")
+        assert not ArtifactStore(tmp_path).path_for(job_key(victim.to_job())).exists()
+        for request, result in zip(after, served):
+            assert result.source == "compiled"
+            assert result.body == compile_job(request.to_job())[0].to_json().encode()
+        assert stats["errors"] == 1 and stats["compiles"] == 3
+        assert stats["store"]["puts"] == 3 and _idle(stats) and not unresolved
 
 
 # ----------------------------------------------------- HTTP server + parity
