@@ -43,8 +43,6 @@ import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
-import networkx as nx
-
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
@@ -55,6 +53,7 @@ from repro.compiler.mapping import (
     Placement,
     Route,
     RouteStep,
+    materialized_edges,
     materialized_ops,
 )
 from repro.compiler.mrt import ReservationTable
@@ -67,6 +66,7 @@ from repro.compiler.routing import (
 from repro.compiler.stats import MapperCounters, counters
 from repro.dfg.analysis import alap_times, asap_times, rec_mii
 from repro.dfg.graph import DFG
+from repro.dfg.graphalg import strong_components
 from repro.util.errors import MappingError
 from repro.util.fingerprint import canonical_fingerprint
 from repro.util.rng import make_rng
@@ -274,10 +274,12 @@ class EMSMapper:
         recurrence-heavy graphs, so all three are tried before bumping the
         II; attempts beyond the three are perturbations of the first.
         """
+        asap = self._dfg_tables(dfg).asap  # the table every probe reads
+        alap = alap_times(dfg, max(asap.values(), default=0))
         return [
-            self._reverse_dataflow_order(dfg),
-            self._dataflow_order(dfg),
-            self._priority_order(dfg),
+            self._reverse_dataflow_order(dfg, asap, alap),
+            self._dataflow_order(dfg, asap, alap),
+            self._priority_order(dfg, asap, alap),
         ]
 
     def attempt_order(
@@ -336,33 +338,30 @@ class EMSMapper:
 
     # -- op ordering ---------------------------------------------------------------
 
-    def _priority_order(self, dfg: DFG) -> list[int]:
+    @staticmethod
+    def _priority_order(dfg: DFG, asap: dict, alap: dict) -> list[int]:
         """Slack order: ops on the critical path (zero slack) first; among
         equals, deeper (later-ASAP) ops later so producers tend to precede
         consumers."""
-        asap = asap_times(dfg)
-        alap = alap_times(dfg)
         return sorted(
             materialized_ops(dfg),
             key=lambda v: (alap[v] - asap[v], asap[v], v),
         )
 
-    def _dataflow_order(self, dfg: DFG) -> list[int]:
+    @staticmethod
+    def _dataflow_order(dfg: DFG, asap: dict, alap: dict) -> list[int]:
         """Topological (ASAP) order with low-slack ops first within a
         level: each op is placed while its producers' neighbourhoods still
         have routing headroom."""
-        asap = asap_times(dfg)
-        alap = alap_times(dfg)
         return sorted(
             materialized_ops(dfg),
             key=lambda v: (asap[v], alap[v] - asap[v], v),
         )
 
-    def _reverse_dataflow_order(self, dfg: DFG) -> list[int]:
+    @staticmethod
+    def _reverse_dataflow_order(dfg: DFG, asap: dict, alap: dict) -> list[int]:
         """Deepest ops (stores) first; producers placed after all their
         consumers, so every edge is routed the moment its producer lands."""
-        alap = alap_times(dfg)
-        asap = asap_times(dfg)
         return sorted(
             materialized_ops(dfg),
             key=lambda v: (-alap[v], alap[v] - asap[v], v),
@@ -422,25 +421,23 @@ class EMSMapper:
         # (loop-carried edges included): a recurrence cycle is one node, so
         # all its ops share a target page — on a chain topology a cycle can
         # never span pages, data cannot flow backwards.
-        g = nx.DiGraph()
-        g.add_nodes_from(dfg.ops)
-        for e in dfg.edges.values():
-            if dfg.ops[e.src].opcode is not Opcode.CONST and e.src != e.dst:
-                g.add_edge(e.src, e.dst)
-        cond = nx.condensation(g)
-        height: dict[int, int] = {}
-        for scc in reversed(list(nx.topological_sort(cond))):
-            succs = list(cond.successors(scc))
-            height[scc] = 0 if not succs else 1 + max(height[s] for s in succs)
+        succ: dict[int, dict[int, None]] = {v: {} for v in dfg.ops}
+        for e in materialized_edges(dfg):
+            succ[e.src][e.dst] = None
+        components = strong_components(succ)  # successors come first
+        scc = {v: i for i, members in enumerate(components) for v in members}
+        height: list[int] = []
+        for i, members in enumerate(components):
+            below = {scc[w] for v in members for w in succ[v]} - {i}
+            height.append(1 + max(height[j] for j in below) if below else 0)
         # When the graph is deeper than the chain, compress heights
         # proportionally so every page carries a share of the levels
         # instead of everything deep squashing onto page 0.
-        max_h = max(height.values(), default=0)
+        max_h = max(height, default=0)
         scale = min(1.0, top / max_h) if max_h else 0.0
         targets: dict[int, int] = {}
         for v in materialized_ops(dfg):
-            h = height[cond.graph["mapping"][v]]
-            targets[v] = ranks[max(0, top - round(h * scale))]
+            targets[v] = ranks[max(0, top - round(height[scc[v]] * scale))]
         return targets
 
     def _place_op(

@@ -40,6 +40,7 @@ fallback attempts run on the chain topology.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import replace
 
@@ -47,13 +48,14 @@ from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
 from repro.compiler.ems import MapperConfig
-from repro.compiler.mapping import Mapping, materialized_ops
+from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
 from repro.compiler.paged import PagedMapper, PagedMapping, shrink_to_page_need
 from repro.compiler.search import climb_ladder
 from repro.compiler.stats import counters
 from repro.core.page_schedule import extract_page_schedule
 from repro.core.paging import PageLayout
 from repro.dfg.graph import DFG
+from repro.dfg.graphalg import strong_components
 from repro.util.errors import MappingError
 
 __all__ = ["HierMapper", "map_dfg_hier", "cluster_dfg"]
@@ -71,35 +73,33 @@ def _blocks(dfg: DFG):
     topological sort keyed on the smallest op id in the block, so equal
     DFGs produce identical partitions on every run and every worker.
     """
-    import networkx as nx
-
-    from repro.arch.isa import Opcode
-
-    mat = set(materialized_ops(dfg))
-    g = nx.DiGraph()
-    g.add_nodes_from(mat)
-    for e in dfg.edges.values():
-        if (
-            e.src in mat
-            and e.dst in mat
-            and e.src != e.dst
-            and dfg.ops[e.src].opcode is not Opcode.CONST
-        ):
-            g.add_edge(e.src, e.dst)
-    cond = nx.condensation(g)
-    order = list(
-        nx.lexicographical_topological_sort(
-            cond, key=lambda n: min(cond.nodes[n]["members"])
-        )
+    succ: dict[int, dict[int, None]] = {v: {} for v in materialized_ops(dfg)}
+    for e in materialized_edges(dfg):
+        succ[e.src][e.dst] = None
+    components = strong_components(succ)
+    scc = {v: i for i, members in enumerate(components) for v in members}
+    cross = sorted(
+        {(scc[u], scc[v]) for u in succ for v in succ[u] if scc[u] != scc[v]}
     )
-    index = {scc: i for i, scc in enumerate(order)}
-    block_ops = [tuple(sorted(cond.nodes[scc]["members"])) for scc in order]
-    block_edges = sorted(
-        {
-            (index[u], index[v])
-            for u, v in cond.edges()
-        }
-    )
+    # Kahn's algorithm on the condensation, the ready set a heap keyed on
+    # the smallest op id of the component
+    after: list[list[int]] = [[] for _ in components]
+    waiting = [0] * len(components)
+    for a, b in cross:
+        after[a].append(b)
+        waiting[b] += 1
+    ready = [(min(c), i) for i, c in enumerate(components) if not waiting[i]]
+    heapq.heapify(ready)
+    index: dict[int, int] = {}
+    while ready:
+        _, a = heapq.heappop(ready)
+        index[a] = len(index)
+        for b in after[a]:
+            waiting[b] -= 1
+            if not waiting[b]:
+                heapq.heappush(ready, (min(components[b]), b))
+    block_ops = [tuple(sorted(components[a])) for a in index]
+    block_edges = sorted((index[a], index[b]) for a, b in cross)
     return block_ops, block_edges
 
 

@@ -16,11 +16,12 @@ All latencies are 1 cycle (see :mod:`repro.arch.isa`).
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.dfg.graph import DFG
+from repro.dfg.graphalg import has_negative_cycle, strong_components, topological_order
+from repro.util.errors import GraphError
 
 __all__ = [
+    "dataflow_dag",
     "asap_times",
     "alap_times",
     "rec_mii",
@@ -30,36 +31,54 @@ __all__ = [
 LATENCY = 1  # single-cycle PEs
 
 
-def _dag(dfg: DFG) -> nx.DiGraph:
-    g = nx.DiGraph()
-    g.add_nodes_from(dfg.ops)
+def dataflow_dag(dfg: DFG) -> tuple[dict[int, dict[int, None]], list[int]]:
+    """The distance-0 subgraph as adjacency dicts (ops and edges in
+    insertion order) and its topological order.  A :class:`GraphError`
+    naming the ops of one cycle if it has any."""
+    succ: dict[int, dict[int, None]] = {v: {} for v in dfg.ops}
     for e in dfg.edges.values():
         if e.distance == 0:
-            g.add_edge(e.src, e.dst)
-    return g
+            succ[e.src][e.dst] = None
+    order = topological_order(succ)
+    if order is None:
+        # every member of a cyclic component has a successor inside it:
+        # walk those from the smallest op until one repeats
+        members = next(
+            set(c) for c in strong_components(succ) if len(c) > 1 or c[0] in succ[c[0]]
+        )
+        path = [min(members)]
+        while path[-1] not in path[:-1]:
+            path.append(next(w for w in succ[path[-1]] if w in members))
+        cycle = path[path.index(path[-1]):]
+        raise GraphError(
+            f"distance-0 dependency cycle "
+            f"{' -> '.join(f'op {v} ({dfg.ops[v].label})' for v in cycle)}: "
+            f"every recurrence must cross a loop-carried edge"
+        )
+    return succ, order
 
 
 def asap_times(dfg: DFG) -> dict[int, int]:
     """Earliest start time of each op on the distance-0 DAG (sources at 0)."""
-    g = _dag(dfg)
-    times: dict[int, int] = {}
-    for v in nx.topological_sort(g):
-        preds = list(g.predecessors(v))
-        times[v] = 0 if not preds else max(times[u] + LATENCY for u in preds)
+    succ, order = dataflow_dag(dfg)
+    times = dict.fromkeys(order, 0)
+    for v in order:
+        t = times[v] + LATENCY
+        for w in succ[v]:
+            if times[w] < t:
+                times[w] = t
     return times
 
 
 def alap_times(dfg: DFG, horizon: int | None = None) -> dict[int, int]:
     """Latest start time of each op given a schedule *horizon* (defaults to
     the critical-path length, making ALAP-ASAP the slack)."""
-    g = _dag(dfg)
-    asap = asap_times(dfg)
     if horizon is None:
-        horizon = max(asap.values(), default=0)
+        horizon = max(asap_times(dfg).values(), default=0)
+    succ, order = dataflow_dag(dfg)
     times: dict[int, int] = {}
-    for v in reversed(list(nx.topological_sort(g))):
-        succs = list(g.successors(v))
-        times[v] = horizon if not succs else min(times[w] - LATENCY for w in succs)
+    for v in reversed(order):
+        times[v] = min((times[w] - LATENCY for w in succ[v]), default=horizon)
     return times
 
 
@@ -69,16 +88,14 @@ def has_positive_cycle(dfg: DFG, ii: int) -> bool:
 
     Checked with Bellman-Ford on negated weights: edge u->v gets weight
     ``distance*ii - latency``; a cycle of negative total weight in that
-    graph is a positive-slack violation in the original.
+    graph is a positive-slack violation in the original.  Of two parallel
+    edges the smaller weight (the tighter dependence) is the one kept.
     """
-    g = nx.DiGraph()
-    g.add_nodes_from(dfg.ops)
+    weight: dict[int, dict[int, int]] = {v: {} for v in dfg.ops}
     for e in dfg.edges.values():
         w = e.distance * ii - LATENCY
-        if g.has_edge(e.src, e.dst):
-            w = min(w, g[e.src][e.dst]["weight"])
-        g.add_edge(e.src, e.dst, weight=w)
-    return bool(nx.negative_edge_cycle(g, weight="weight"))
+        weight[e.src][e.dst] = min(w, weight[e.src].get(e.dst, w))
+    return has_negative_cycle(weight)
 
 
 def rec_mii(dfg: DFG) -> int:

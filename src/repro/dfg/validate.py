@@ -8,9 +8,8 @@ execute), and loop-carried edges carry their initial values.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.arch.isa import OPCODE_INFO
+from repro.dfg.analysis import dataflow_dag
 from repro.dfg.graph import DFG
 from repro.util.errors import GraphError
 
@@ -33,14 +32,4 @@ def validate_dfg(dfg: DFG) -> None:
         if e.distance == 0 and len(e.init) != 0:
             raise GraphError(f"edge {e.id}: init values on a distance-0 edge")
 
-    g = nx.DiGraph()
-    g.add_nodes_from(dfg.ops)
-    for e in dfg.edges.values():
-        if e.distance == 0:
-            g.add_edge(e.src, e.dst)
-    if not nx.is_directed_acyclic_graph(g):
-        cycle = nx.find_cycle(g)
-        raise GraphError(
-            f"distance-0 dependency cycle {cycle}: every recurrence must "
-            f"cross a loop-carried edge"
-        )
+    dataflow_dag(dfg)  # raises on a distance-0 cycle, naming it

@@ -8,10 +8,10 @@ array contents.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
 from repro.arch.isa import Opcode, evaluate, wrap32
+from repro.dfg.analysis import dataflow_dag
 from repro.dfg.graph import DFG, MemRef
 from repro.util.errors import SimulationError
 
@@ -46,12 +46,8 @@ def run_reference(
     """
     if trip < 0:
         raise SimulationError(f"trip count must be >= 0, got {trip}")
-    order_graph = nx.DiGraph()
-    order_graph.add_nodes_from(dfg.ops)
-    for e in dfg.edges.values():
-        if e.distance == 0:
-            order_graph.add_edge(e.src, e.dst)
-    topo = list(nx.topological_sort(order_graph))
+    # its order is also the order of memory ops that no edge relates
+    _, topo = dataflow_dag(dfg)
 
     max_dist = max((e.distance for e in dfg.edges.values()), default=0)
     history: dict[int, list[int]] = {v: [] for v in dfg.ops}  # recent values

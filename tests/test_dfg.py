@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.arch.isa import Opcode
+from repro.dfg.analysis import has_positive_cycle, rec_mii
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.graph import DFG, MemRef
 from repro.dfg.transforms import unroll
@@ -163,8 +164,32 @@ class TestValidate:
         bb = g.add_op(Opcode.ROUTE)
         g.add_edge(a, bb, 0)
         g.add_edge(bb, a, 0)
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=r"cycle op 0 \(op0\) -> op 1 \(op1\) -> op 0 \(op0\):"):
             validate_dfg(g)
+
+    def test_distance0_self_loop_rejected(self):
+        g = DFG()
+        g.add_op(Opcode.LOAD, memref=MemRef("in"))
+        a = g.add_op(Opcode.ROUTE, name="spin")
+        g.add_edge(a, a, 0)
+        with pytest.raises(GraphError, match=r"cycle op 1 \(spin\) -> op 1 \(spin\):"):
+            validate_dfg(g)
+
+    def test_cycle_message_names_only_the_ops_on_it(self):
+        # x -> a <-> b -> y: x and y touch the cycle but are not on it
+        g = DFG()
+        x = g.add_op(Opcode.LOAD, memref=MemRef("in"))
+        a = g.add_op(Opcode.ADD, name="a")
+        bb = g.add_op(Opcode.ROUTE, name="b")
+        y = g.add_op(Opcode.STORE, memref=MemRef("out"))
+        g.add_edge(x, a, 0)
+        g.add_edge(bb, a, 1)
+        g.add_edge(a, bb, 0)
+        g.add_edge(bb, y, 0)
+        with pytest.raises(GraphError) as err:
+            validate_dfg(g)
+        assert "cycle op 1 (a) -> op 2 (b) -> op 1 (a):" in str(err.value)
+        assert "op 0" not in str(err.value) and "op 3" not in str(err.value)
 
     def test_cycle_through_carry_accepted(self):
         validate_dfg(recurrence_dfg())
@@ -174,6 +199,25 @@ class TestValidate:
         g.add_op(Opcode.ROUTE)  # route with no input edge
         with pytest.raises(GraphError):
             validate_dfg(g)
+
+
+class TestRecurrenceBound:
+    @pytest.mark.parametrize("tight_first", [True, False])
+    def test_parallel_edges_keep_the_smaller_weight(self, tight_first):
+        # a feeds both operands of b, once in this iteration and once from
+        # two iterations back; b feeds a one iteration on.  The distance-0
+        # edge makes the a -> b -> a recurrence 2 cycles over distance 1:
+        # RecMII 2.  Were the distance-2 edge the one kept, it would be 1.
+        g = DFG()
+        a = g.add_op(Opcode.ROUTE)
+        b = g.add_op(Opcode.ADD)
+        for operand, distance in ((0, 0), (1, 2)) if tight_first else ((1, 2), (0, 0)):
+            g.add_edge(a, b, operand, distance=distance, init=(0,) * distance)
+        g.add_edge(b, a, 0, distance=1, init=(0,))
+        validate_dfg(g)
+        assert has_positive_cycle(g, 1)
+        assert not has_positive_cycle(g, 2)
+        assert rec_mii(g) == 2
 
 
 class TestUnroll:
