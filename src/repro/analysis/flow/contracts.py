@@ -121,10 +121,14 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
         entrypoints=("repro.serve.service.CompileService.submit",),
         description="the event-loop side of a request — key memo, flight "
         "bookkeeping and the store probe a hit is served from: it reads "
-        "the store file (io) and mutates its own service instance, and "
-        "writes no global at all, so the memo is instance state that dies "
-        "with its service, never process state",
+        "the store file (io: one read, inside the store's `get`, reached "
+        "through `_stored_bytes`, whose typed `store` parameter keeps the "
+        "call in view) and mutates its own service instance, and writes "
+        "no global at all, so the key and probe memos are instance state "
+        "that dies with its service, never process state; the one global "
+        "it reads is the store's logger (`get` warns about a corrupt file)",
         allow_effects=frozenset({"mutates-param", "io"}),
+        allow_global_reads=frozenset({"repro.pipeline.store.logger"}),
     ),
     Contract(
         name="fingerprint",

@@ -40,7 +40,7 @@ generating the original schedule" (§I).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, NamedTuple, Sequence
 
 from repro.arch.capability import OpClass
@@ -71,13 +71,19 @@ from repro.util.errors import MappingError
 from repro.util.fingerprint import canonical_fingerprint
 from repro.util.rng import make_rng
 
-__all__ = ["BACKENDS", "MapperConfig", "EMSMapper", "map_dfg"]
+__all__ = ["BACKENDS", "LADDER_ONLY_FIELDS", "MapperConfig", "EMSMapper", "map_dfg"]
 
 HopFilter = Callable[[Coord, Coord], bool]
 
 #: The paged-mapping backends, spelled once: ``MapperConfig``, the wire
 #: protocol and the bench CLI all validate against this tuple.
 BACKENDS = ("flat", "hier")
+
+#: The :class:`MapperConfig` fields no probe reads: they choose which
+#: lattice points a ladder visits and the rng behind its perturbed orders,
+#: never what happens at a point.  Every *other* field is part of a probe's
+#: identity (:meth:`EMSMapper.probe_scope`), a future knob included.
+LADDER_ONLY_FIELDS = frozenset({"seed", "max_ii", "attempts_per_ii", "backend"})
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,14 @@ class EMSMapper:
         bus_key=None,
         pe_rank: Callable[[Coord], int] | None = None,
         config: MapperConfig | None = None,
+        probes=None,
     ) -> None:
         self.cgra = cgra
         self.config = config or MapperConfig()
+        #: the :class:`~repro.compiler.search.DfgProbes` every probe is
+        #: looked up in first, or None: every probe runs
+        self.probes = probes
+        self._scope: tuple | None = None
         self.allowed_pes: tuple[Coord, ...] = tuple(
             allowed_pes if allowed_pes is not None else cgra.coords()
         )
@@ -378,12 +389,90 @@ class EMSMapper:
 
     # -- one attempt -----------------------------------------------------------------
 
+    def probe_scope(self) -> tuple:
+        """What a probe of this mapper reads besides its arguments: the
+        fabric, the constraint set — read off the layout the mapper was
+        built from: covered pages in ring order, page shape, wrap link —
+        and every config field a probe can read.  With the DFG, the II,
+        the op order and the hier domains it is the probe's identity."""
+        scope = self._scope
+        if scope is None:
+            layout = self.layout
+            if layout is None and (
+                self.allowed_pes != tuple(self.cgra.coords())
+                or (self.hop_allowed, self.bus_key, self.pe_rank) != (None,) * 3
+            ):
+                raise MappingError(
+                    "probes constrained by bare callables have no identity to share under"
+                )
+            config = self.config
+            scope = self._scope = (
+                self.cgra.fingerprint(),
+                None
+                if layout is None
+                else (
+                    tuple(map(layout.page_origin, range(layout.num_pages))),
+                    layout.shape,
+                    layout.allow_wrap,
+                ),
+                self.mem_slots,
+                tuple(
+                    (f.name, getattr(config, f.name))
+                    for f in fields(config)
+                    if f.name not in LADDER_ONLY_FIELDS
+                ),
+            )
+        return scope
+
     def _try_map(
         self,
         dfg: DFG,
         ii: int,
         order: list[int],
         domains: dict[int, tuple[int, ...]] | None = None,
+    ) -> Mapping | None:
+        """One probe: through :attr:`probes` when there is one.  A miss runs
+        :meth:`_probe` and stores what it returned; a hit rebuilds that on
+        this mapper's own ``cgra`` / *dfg* objects (fresh dicts over the
+        immutable placements and routes) and restores :attr:`stuck`."""
+        stats = counters()
+        probes = self.probes
+        if probes is not None:
+            if probes.epoch is not dfg._adjacency():
+                raise MappingError(
+                    f"the probe memo was bound to another DFG than {dfg.name!r}"
+                )
+            key = (
+                self.probe_scope(),
+                ii,
+                tuple(order),
+                tuple(sorted(domains.items())) if domains else None,
+            )
+            outcome = probes.get(key)
+            if outcome is not None:
+                stats.probes_shared += 1
+                placements, routes = outcome
+                if placements is None:
+                    self.stuck = routes
+                    return None
+                return Mapping(self.cgra, dfg, ii, dict(placements), dict(routes))
+        stats.probes_run += 1
+        mapping = self._probe(dfg, ii, order, domains)
+        if probes is not None:
+            probes.put(
+                key,
+                (None, self.stuck)
+                if mapping is None
+                else (dict(mapping.placements), dict(mapping.routes)),
+            )
+        return mapping
+
+    def _probe(
+        self,
+        dfg: DFG,
+        ii: int,
+        order: list[int],
+        domains: dict[int, tuple[int, ...]] | None,
     ) -> Mapping | None:
         tables = self._dfg_tables(dfg)
         asap = tables.asap
@@ -907,18 +996,21 @@ def map_dfg(
     min_ii: int | None = None,
     cancel_check=None,
     search_log=None,
+    probes=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
 
     *cancel_check*, when given, is polled between the ladder's probes
     (:func:`~repro.compiler.search.climb_ladder`); ``search_log`` collects
-    the ladder's :class:`~repro.compiler.search.LadderReport`.
+    the ladder's :class:`~repro.compiler.search.LadderReport`; *probes* is
+    the :class:`~repro.compiler.search.DfgProbes` of *dfg* to share probe
+    outcomes through (this ladder never reads a page size).
     """
     from repro.compiler.search import climb_ladder
 
     return climb_ladder(
-        EMSMapper(cgra, config=config),
+        EMSMapper(cgra, config=config, probes=probes),
         dfg,
         min_ii=min_ii,
         cancel_check=cancel_check,

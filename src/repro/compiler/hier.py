@@ -251,8 +251,9 @@ class HierMapper(PagedMapper):
         cgra: CGRA,
         layout: PageLayout,
         config: MapperConfig | None = None,
+        probes=None,
     ) -> None:
-        super().__init__(cgra, layout, config)
+        super().__init__(cgra, layout, config, probes)
         # chain-prefix mappers by (pages, reduced budget), built lazily;
         # the full chain at full budget is this mapper itself
         self._subs: dict[tuple[int, bool], PagedMapper] = {
@@ -304,7 +305,7 @@ class HierMapper(PagedMapper):
                 if cheap
                 else self.config
             )
-            hit = self._subs[key] = PagedMapper(self.cgra, sub, config)
+            hit = self._subs[key] = PagedMapper(self.cgra, sub, config, self.probes)
         return hit
 
     def _hier_attempt(self, dfg: DFG, ii: int, orders) -> Mapping | None:
@@ -381,6 +382,7 @@ def map_dfg_hier(
     minimize_pages: bool = True,
     cancel_check=None,
     search_log=None,
+    probes=None,
 ) -> PagedMapping:
     """Map *dfg* with the hierarchical backend (see the module docstring).
 
@@ -393,7 +395,7 @@ def map_dfg_hier(
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
     cfg = config or MapperConfig()
-    hier = HierMapper(cgra, layout, cfg)
+    hier = HierMapper(cgra, layout, cfg, probes)
     mapping = climb_ladder(
         hier, dfg, min_ii=min_ii, cancel_check=cancel_check, log=search_log
     )
@@ -414,5 +416,6 @@ def map_dfg_hier(
     # When the clustered attempt won, the prefix already sits at the
     # capacity lower bound and there is nothing left to try.
     return shrink_to_page_need(
-        best, dfg, cgra, layout, cfg, min_ii, validate, cancel_check, search_log
+        best, dfg, cgra, layout, cfg, min_ii, validate, cancel_check, search_log,
+        probes,
     )

@@ -89,6 +89,7 @@ def map_dfg_paged(
     minimize_pages: bool = True,
     cancel_check=None,
     search_log=None,
+    probes=None,
 ) -> PagedMapping:
     """Map *dfg* onto the paged CGRA under the §VI-B constraints.
 
@@ -112,7 +113,9 @@ def map_dfg_paged(
     page-minimisation passes — is one :func:`~repro.compiler.search.
     climb_ladder` call, each polling *cancel_check* between probes and
     appending its :class:`~repro.compiler.search.LadderReport` to
-    ``search_log``.
+    ``search_log``; every mapper they build shares probe outcomes through
+    *probes* (the :class:`~repro.compiler.search.DfgProbes` of *dfg*) when
+    given.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
@@ -133,15 +136,17 @@ def map_dfg_paged(
             minimize_pages=minimize_pages,
             cancel_check=cancel_check,
             search_log=search_log,
+            probes=probes,
         )
     best = _map_topologies(
         dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
-        cancel_check, search_log,
+        cancel_check, search_log, probes,
     )
     if not minimize_pages:
         return best
     return shrink_to_page_need(
-        best, dfg, cgra, layout, config, min_ii, validate, cancel_check, search_log
+        best, dfg, cgra, layout, config, min_ii, validate, cancel_check, search_log,
+        probes,
     )
 
 
@@ -155,6 +160,7 @@ def shrink_to_page_need(
     validate,
     cancel_check,
     search_log,
+    probes=None,
 ) -> PagedMapping:
     """Page-need minimisation, shared by both backends: re-map *dfg* with
     the flat ladder onto ever larger chain prefixes of *layout*, from the
@@ -175,6 +181,7 @@ def shrink_to_page_need(
             candidate = _map_once(
                 dfg, cgra, layout.subchain(k), tight, min_ii, validate,
                 full_layout=layout, cancel_check=cancel_check, search_log=search_log,
+                probes=probes,
             )
         except LadderExhausted:
             continue
@@ -193,6 +200,7 @@ def _map_topologies(
     wrap_fallback,
     cancel_check=None,
     search_log=None,
+    probes=None,
 ) -> PagedMapping:
     """The chain ladder, then — where the wrap pair is physically adjacent
     — the full ring's (the only home of a recurrence wider than a page),
@@ -200,7 +208,7 @@ def _map_topologies(
     try:
         return _map_once(
             dfg, cgra, layout, config, min_ii, validate,
-            cancel_check=cancel_check, search_log=search_log,
+            cancel_check=cancel_check, search_log=search_log, probes=probes,
         )
     except LadderExhausted:
         if not (wrap_fallback and not layout.allow_wrap and layout.ring_wrap_adjacent):
@@ -208,7 +216,7 @@ def _map_topologies(
     ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
     return _map_once(
         dfg, cgra, ring_layout, config, min_ii, validate,
-        cancel_check=cancel_check, search_log=search_log,
+        cancel_check=cancel_check, search_log=search_log, probes=probes,
     )
 
 
@@ -220,7 +228,11 @@ class PagedMapper(EMSMapper):
     constraints back off it."""
 
     def __init__(
-        self, cgra: CGRA, layout: PageLayout, config: MapperConfig | None = None
+        self,
+        cgra: CGRA,
+        layout: PageLayout,
+        config: MapperConfig | None = None,
+        probes=None,
     ) -> None:
         super().__init__(
             cgra,
@@ -232,6 +244,7 @@ class PagedMapper(EMSMapper):
             bus_key=paged_bus_key(layout),
             pe_rank=lambda pe: layout.page_of[pe],
             config=config,
+            probes=probes,
         )
         self.layout = layout
 
@@ -246,8 +259,9 @@ def _map_once(
     full_layout: PageLayout | None = None,
     cancel_check=None,
     search_log=None,
+    probes=None,
 ) -> PagedMapping:
-    mapper = PagedMapper(cgra, layout, config)
+    mapper = PagedMapper(cgra, layout, config, probes)
     mapping = climb_ladder(
         mapper, dfg, min_ii=min_ii, cancel_check=cancel_check, log=search_log
     )

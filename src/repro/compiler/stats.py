@@ -65,6 +65,11 @@ class MapperCounters:
     #: table perf/wl_compile.py records per job, so they stay (as 0)
     rungs_skipped: int = 0
     rungs_pruned: int = 0
+    #: (II, order) probes the placer ran, and probes answered from the
+    #: owner's :class:`~repro.compiler.search.ProbeMemo` instead — whose
+    #: search effort is on the books of the job that ran them
+    probes_run: int = 0
+    probes_shared: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)

@@ -18,6 +18,13 @@ exactly as ``workers=1`` does and the parent stores the results in input
 order, which is why the artifacts are byte-identical at any worker count —
 and ``repro.serve --workers N`` hands each miss to the same worker entry
 point, :func:`_job_outcome_pooled` (DESIGN.md §11 has the measurements).
+
+Jobs that share a kernel share probes — the whole-array ladder reads no
+page size, and no ladder reads the mapper seed before its fourth attempt —
+so whoever compiles many jobs in one process hands each the same
+:class:`~repro.compiler.search.ProbeMemo` (``memo=``): the serial path of
+a batch holds one, a ``workers=1`` service holds one; a pooled job gets
+none, its worker process has no owner to keep one.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Iterable, Sequence
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
-from repro.compiler.search import LadderReport
+from repro.compiler.search import LadderReport, ProbeMemo
 from repro.compiler.stats import job_counters
 from repro.core.pagemaster import steady_state_ii
 from repro.core.paging import PageLayout, choose_page_shape
@@ -138,11 +145,14 @@ class CompileStats:
     backend: str = "flat"
 
 
-def job_key(job: CompileJob) -> ArtifactKey:
+def job_key(job: CompileJob, dfg=None, cgra=None) -> ArtifactKey:
     """Content address of *job*: structural DFG hash, architecture hash
-    (grid plus page geometry), mapper-configuration hash."""
-    dfg = get_kernel(job.kernel).build()
-    cgra = job.build_cgra()
+    (grid plus page geometry), mapper-configuration hash.  *dfg* / *cgra*
+    are the job's DFG and fabric where the caller has built them already."""
+    if dfg is None:
+        dfg = get_kernel(job.kernel).build()
+    if cgra is None:
+        cgra = job.build_cgra()
     shape = choose_page_shape(job.page_size, cgra.rows, cgra.cols, job.prefer)
     arch_fp = canonical_fingerprint(
         {"cgra": cgra.fingerprint(), "page_shape": list(shape)}
@@ -150,7 +160,9 @@ def job_key(job: CompileJob) -> ArtifactKey:
     return ArtifactKey(dfg.fingerprint(), arch_fp, job.mapper_config.fingerprint())
 
 
-def compile_job(job: CompileJob, cancel_check=None) -> tuple[CompiledKernel, float]:
+def compile_job(
+    job: CompileJob, cancel_check=None, memo: ProbeMemo | None = None
+) -> tuple[CompiledKernel, float]:
     """Compile one job, uncached.  Returns (artifact, mapper seconds).
 
     Top-level (picklable) so callers can run it in worker processes;
@@ -158,16 +170,23 @@ def compile_job(job: CompileJob, cancel_check=None) -> tuple[CompiledKernel, flo
     byte-identical artifacts.  *cancel_check*, when given, is polled
     between the probes of every mapping ladder of the job; once it returns
     True the compile raises :class:`~repro.compiler.search.CancelledSearch`.
+    *memo* is :func:`compile_job_stats`'s.
     """
-    artifact, stats = compile_job_stats(job, cancel_check=cancel_check)
+    artifact, stats = compile_job_stats(job, cancel_check=cancel_check, memo=memo)
     return artifact, stats.seconds
 
 
 def compile_job_stats(
-    job: CompileJob, cancel_check=None
+    job: CompileJob, cancel_check=None, memo: ProbeMemo | None = None
 ) -> tuple[CompiledKernel, CompileStats]:
     """Compile one job, uncached, with per-phase timings and the mapper's
     search-effort counter deltas (the input of ``perf/``'s compile workloads).
+
+    With *memo*, the caller's :class:`~repro.compiler.search.ProbeMemo`,
+    the job runs only the probes no earlier job of that memo has run and
+    leaves its own behind: the same walk and the same artifact bytes, with
+    ``probes_shared`` of the counters (and ``shared`` of each ladder)
+    saying how much of it was looked up.  Without one every probe runs.
 
     The compile runs inside a per-job counter scope
     (:func:`repro.compiler.stats.job_counters`): the mapper's increments
@@ -176,24 +195,25 @@ def compile_job_stats(
     and nothing outlives the call but the returned stats.
     """
     started = time.perf_counter()
-    key = job_key(job)
     dfg = get_kernel(job.kernel).build()
     cgra = job.build_cgra()
+    key = job_key(job, dfg, cgra)
     layout = make_layout(cgra, job.page_size, job.prefer)
     config = job.mapper_config
+    probes = None if memo is None else memo.for_dfg(dfg, key.dfg_fp)
     search_log: list[LadderReport] = []
     with job_counters() as job_ctrs:
         base_started = time.perf_counter()
         base = map_dfg(
             dfg, cgra, config=config, cancel_check=cancel_check,
-            search_log=search_log,
+            search_log=search_log, probes=probes,
         )
         base_seconds = time.perf_counter() - base_started
         paged_started = time.perf_counter()
         try:
             paged = map_dfg_paged(
                 dfg, cgra, layout, config=config, cancel_check=cancel_check,
-                search_log=search_log,
+                search_log=search_log, probes=probes,
             )
         except LadderExhausted:
             # the one verdict that is an artifact; anything else is a failure
@@ -289,10 +309,10 @@ class CompileFailure:
         raise MappingError(f"{self.job.kernel}: {self.error}: {self.message}")
 
 
-def _job_outcome(job: CompileJob):
+def _job_outcome(job: CompileJob, memo: ProbeMemo | None = None):
     """Compile one job, capturing any exception as a structured failure."""
     try:
-        return compile_job(job)
+        return compile_job(job, memo=memo)
     except Exception as exc:  # noqa: BLE001 - isolated per-job, reported upstream
         return CompileFailure(
             job=job, error=type(exc).__name__, message=str(exc), cause=exc
@@ -325,7 +345,10 @@ def compile_many_outcomes(
     whose compile raises yields a :class:`CompileFailure` in its slot
     instead of aborting the batch, and every other job's artifact is still
     compiled, stored, and returned.  Successful outcomes are
-    byte-identical to a batch with the failing jobs removed.
+    byte-identical to a batch with the failing jobs removed.  The serial
+    path shares probe outcomes between its jobs through one
+    :class:`~repro.compiler.search.ProbeMemo` of its own, gone with the
+    call; the pooled path shares nothing.
     """
     jobs = list(jobs)
     resolved: dict[CompileJob, CompiledKernel | CompileFailure] = {}
@@ -359,7 +382,8 @@ def compile_many_outcomes(
             ) as pool:
                 compiled = list(pool.map(_job_outcome_pooled, pending))
         else:
-            compiled = [_job_outcome(job) for job in pending]
+            memo = ProbeMemo()
+            compiled = [_job_outcome(job, memo) for job in pending]
         for job, outcome in zip(pending, compiled):
             if isinstance(outcome, CompileFailure):
                 resolved[job] = outcome
@@ -381,10 +405,13 @@ def compile_many(
     """Compile *jobs*, returning artifacts in input order.
 
     Warm jobs are served from *store* without touching the mapper;
-    duplicate jobs are compiled once.  With ``workers > 1`` and more than
+    duplicate jobs are compiled once.  Compiled serially, the misses share
+    one :class:`~repro.compiler.search.ProbeMemo` for the length of the
+    call, so a sweep of one kernel over page sizes or mapper seeds runs
+    each distinct probe once.  With ``workers > 1`` and more than
     one miss, whole jobs fan out over ``min(workers, misses)`` worker
-    processes, each compiling its job exactly as ``workers=1`` would; the
-    parent stores the results.  Artifacts are byte-identical to the serial
+    processes, each compiling its job with no memo; the
+    parent stores the results.  Artifacts are byte-identical on either
     path, only wall-clock changes.  The workers are *spawned* (safe in a
     threaded caller), so a script that passes ``workers > 1`` needs the
     usual ``if __name__ == "__main__":`` guard.

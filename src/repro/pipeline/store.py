@@ -95,8 +95,11 @@ class ArtifactStore:
 
     # -- access ---------------------------------------------------------------------
 
-    def get(self, key: ArtifactKey) -> CompiledKernel | None:
+    def get(self, key: ArtifactKey, *, raw: bool = False):
         """The stored artifact for *key*, or None (counted as a miss).
+        With *raw*, ``(artifact, bytes)``: the file is read once, and the
+        bytes are the ones the artifact was validated from — what a server
+        sends, whatever another process does to the file meanwhile.
 
         Unreadable files — corrupt JSON, foreign schema versions, content
         that does not match its address — are reported via
@@ -105,16 +108,17 @@ class ArtifactStore:
         """
         path = self.path_for(key)
         try:
-            raw = json.loads(path.read_text())
+            data = path.read_bytes()
+            parsed = json.loads(data)
         except FileNotFoundError:
             self._count_miss()
             return None
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8
             logger.warning("discarding unreadable artifact %s: %s", path, exc)
             self._count_miss()
             return None
         try:
-            artifact = CompiledKernel.from_json_dict(raw)
+            artifact = CompiledKernel.from_json_dict(parsed)
         except ArtifactError as exc:
             logger.warning("discarding incompatible artifact %s: %s", path, exc)
             self._count_miss()
@@ -130,7 +134,7 @@ class ArtifactStore:
             return None
         with self._lock:
             self.hits += 1
-        return artifact
+        return (artifact, data) if raw else artifact
 
     def put(self, artifact: CompiledKernel) -> Path | None:
         """Persist *artifact* atomically; best-effort but never silent."""

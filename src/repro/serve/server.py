@@ -10,8 +10,8 @@ Routes (all bodies JSON):
   kernel, 409 cancelled, 422 unmappable, 500 anything else).
 * ``POST /cancel`` — ``{"request_id": ...}``; cancels one waiter, the
   underlying compile stops only when its last waiter is gone.
-* ``GET /stats`` — the service's counters (singleflight, scheduler,
-  store) as JSON.
+* ``GET /stats`` — the service's counters (key and probe memos,
+  singleflight, scheduler, store) as JSON.
 * ``GET /healthz`` — liveness.
 
 Connections are keep-alive; one request is served at a time per

@@ -18,6 +18,11 @@ instance owns:
   while every compile slot is busy;
 * the key memo, ``CompileJob`` -> the future of its ``job_key`` call
   (bounded, FIFO; instance state like everything here);
+* the probe memo, a :class:`~repro.compiler.search.ProbeMemo` the compiles
+  on the slot threads of ``workers = 1`` share (bounded, FIFO, one lock,
+  emptied by ``close()``): a miss runs only the probes no earlier miss of
+  this service has run — the other seeds and page sizes of its kernel
+  left most of them behind.  Jobs in worker processes share nothing;
 * the :class:`~repro.serve.singleflight.Singleflight` table and the
   :class:`~repro.serve.scheduler.FairScheduler`.
 
@@ -25,10 +30,11 @@ Request lifecycle: resolve the job to its ArtifactKey digest, join the
 digest's flight; the flight leader schedules probe-then-compile onto the
 fair scheduler; waiters coalesce.  Resolution builds the DFG, so a job's
 first requests share one off-loop call and every later one reads the memo
-without awaiting.  The scheduled work probes the store on the loop (two
-small file reads): a hit — the common case — has no thread hop at all,
+without awaiting.  The scheduled work probes the store on the loop (one
+small file read): a hit — the common case — has no thread hop at all,
 only a miss hands the compile to a worker thread.
-Served bytes are always read back from the store file, so they are
+Served bytes are always read back from the store file — a hit serves the
+very bytes its probe validated — so they are
 byte-identical to offline ``compile_many`` output.  Cancellation detaches
 one waiter; the last detach fires the flight's token, which drops a
 queued compile at pick time, stops a ladder running on a slot thread at
@@ -48,7 +54,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.compiler.search import CancelledSearch
+from repro.compiler.search import CancelledSearch, ProbeMemo
 from repro.pipeline.artifact import ArtifactKey, CompiledKernel
 from repro.pipeline.compile import (
     CompileFailure,
@@ -75,12 +81,24 @@ def _warm() -> None:
     imports this module — and with it the whole compiler — to find it."""
 
 
+def _stored_bytes(store: ArtifactStore, key: ArtifactKey) -> bytes | None:
+    """The on-loop store probe: the file bytes of a valid stored artifact,
+    the very ones ``get`` validated in its one read, or None on a miss.
+    *store* is a typed parameter so the flow analysis follows the call into
+    ``ArtifactStore.get`` — through ``self.store`` it would not, and the
+    serve-loop contract would certify a ``submit`` with the read out of view."""
+    hit = store.get(key, raw=True)
+    return None if hit is None else hit[1]
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning for one service instance.
 
     ``workers >= 2`` spawns that many worker processes at start-up, each
-    compiling whole jobs; ``workers = 1`` compiles on the handler thread.
+    compiling whole jobs; ``workers = 1`` compiles on the handler thread,
+    and only there do the misses share probe outcomes (DESIGN.md §11 has
+    the two measured side by side).
     A cancelled running compile stops at its next probe boundary at
     ``workers = 1``, and runs to the end with its result discarded at
     ``workers >= 2``.  ``slots`` bounds concurrent compiles;
@@ -138,6 +156,7 @@ class CompileService:
         self._seq = 0
         self._started = False
         self._keys: dict[CompileJob, asyncio.Future] = {}
+        self._probes = ProbeMemo()
         # request-level counters: only ever touched on the event loop
         self.memo_hits = 0
         self.memo_misses = 0
@@ -178,6 +197,7 @@ class CompileService:
             self._pool.shutdown(wait=True)
             self._pool = None
         self._keys.clear()  # its futures belong to this run's loop
+        self._probes.clear()
         self._started = False
 
     def _spawn_jobs_pool(self) -> list:
@@ -360,13 +380,11 @@ class CompileService:
 
         async def work(token: CancelToken) -> _FlightOutcome:
             # the one store probe of the request, on the loop: a hit costs
-            # two ~50 us file reads, less than the thread hop it would ride
-            if self.store.get(key) is not None:
-                return _FlightOutcome(
-                    digest=key.digest,
-                    source="hit",
-                    body=self.store.path_for(key).read_bytes(),
-                )
+            # one ~50 us file read, less than the thread hop it would ride,
+            # and serves the bytes it validated
+            body = _stored_bytes(self.store, key)
+            if body is not None:
+                return _FlightOutcome(digest=key.digest, source="hit", body=body)
             if self._jobs is not None:
                 return await self._compile_pooled(job, key, token)
             return await loop.run_in_executor(
@@ -409,11 +427,13 @@ class CompileService:
     ) -> _FlightOutcome:
         """The worker-thread body at ``workers = 1``, entered on a store
         miss only: one mapper invocation, its ladders polling the flight's
-        cancel token."""
+        cancel token and looking their probes up in the service's memo."""
         if token.cancelled:
             raise CancelledSearch("cancelled before ladder start")
         started = time.perf_counter()
-        artifact, seconds = compile_job(job, cancel_check=token.is_set)
+        artifact, seconds = compile_job(
+            job, cancel_check=token.is_set, memo=self._probes
+        )
         return self._store_compiled(key, artifact, seconds, started)
 
     def _store_compiled(
@@ -459,6 +479,7 @@ class CompileService:
                 "memo_misses": self.memo_misses,
                 "entries": len(self._keys),
             },
+            "probes": self._probes.stats(),
             "singleflight": self.flights.stats(),
             "scheduler": self.scheduler.stats(),
             "store": self.store.stats(),

@@ -563,13 +563,15 @@ def test_default_contracts_cover_live_entrypoints():
     assert check_contracts(graph, summaries) == []
     # no contract sanctions a global write — not a compile, on a slot
     # thread or as a pool worker's root, and not the service's loop side
-    # (key memo, on-loop store probe), whose certified probe is really in
-    # view: the inferred summary of submit() reaches the store file read
+    # (key and probe memos, on-loop store probe), whose certified probe is
+    # really in view: the inferred summary of submit() reaches the one file
+    # read of a hit, inside the store's `get`, through `_stored_bytes`
     assert all(c.allow_global_writes == frozenset() for c in DEFAULT_CONTRACTS)
     compile_job = next(c for c in DEFAULT_CONTRACTS if c.name == "compile-job")
     assert "repro.pipeline.compile._job_outcome_pooled" in compile_job.entrypoints
     submit = summaries["repro.serve.service.CompileService.submit"]
     assert "io" in submit.hazards and not submit.writes
+    assert submit.witness_for("io").via[-1] == "repro.pipeline.store.ArtifactStore.get"
 
 
 def test_cli_flow_exit_codes_and_json(tmp_path, capsys):

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -66,6 +68,34 @@ class TestFingerprints:
         assert job_key(CompileJob("sor", 6, 4)).arch_fp != base.arch_fp
         assert job_key(CompileJob("sor", 4, 2)).arch_fp != base.arch_fp
         assert job_key(CompileJob("sor", 4, 4, seed=9)).mapper_fp != base.mapper_fp
+
+    def test_a_compile_builds_and_fingerprints_its_job_once(self, monkeypatch):
+        """``job_key`` takes the DFG and the fabric the caller has built,
+        so a compile builds each once and fingerprints the DFG once — the
+        memo's keys start from ``key.dfg_fp``, not from another hash."""
+        import repro.pipeline.compile as pc
+        from repro.compiler.search import ProbeMemo
+
+        job = CompileJob("sor", 4, 2)
+        dfg, cgra = pc.get_kernel("sor").build(), job.build_cgra()
+        assert job_key(job, dfg, cgra) == job_key(job, dfg=dfg) == job_key(job)
+        calls = {"kernel": 0, "cgra": 0, "fingerprint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        spec = pc.get_kernel("sor")
+        monkeypatch.setattr(
+            pc, "get_kernel", lambda name: SimpleNamespace(build=counted("kernel", spec.build))
+        )
+        monkeypatch.setattr(CompileJob, "build_cgra", counted("cgra", CompileJob.build_cgra))
+        monkeypatch.setattr(DFG, "fingerprint", counted("fingerprint", DFG.fingerprint))
+        pc.compile_job_stats(job, memo=ProbeMemo())
+        assert calls == {"kernel": 1, "cgra": 1, "fingerprint": 1}
 
     def test_key_digest_shape(self):
         key = job_key(CompileJob("sor", 4, 4))
@@ -239,6 +269,29 @@ class TestParallelFanout:
         assert out[0] == out[1] == out[2]
         assert store.misses == 1 and store.puts == 1
 
+    def test_a_serial_batch_shares_one_memo_and_a_pooled_one_none(self, monkeypatch):
+        """The serial path hands every miss of a call the same memo, a new
+        one per call; the worker entry point of the pooled path hands none."""
+        import repro.pipeline.compile as pc
+
+        seen = []
+        real = pc.compile_job
+
+        def recording(job, **kwargs):
+            seen.append(kwargs.get("memo"))
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(pc, "compile_job", recording)
+        jobs = [CompileJob("sor", 4, ps, seed=seed) for ps in (2, 4) for seed in (0, 1)]
+        first = compile_many(jobs)
+        assert seen[0] is not None and len(set(map(id, seen))) == 1
+        assert seen[0].stats()["shared"] > 0
+        compile_many(jobs[:1])
+        assert seen[4] is not None and seen[4] is not seen[0]
+        pc._job_outcome_pooled(jobs[0])
+        assert seen[5] is None
+        assert [a.to_json() for a in first] == [real(job)[0].to_json() for job in jobs]
+
     def test_compile_time_counted(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         compile_many([CompileJob("sor", 4, 4)], store=store)
@@ -407,7 +460,7 @@ class TestBatchOutcomes:
         class Local(Exception):  # local classes do not pickle
             pass
 
-        def boom(job):
+        def boom(job, **kwargs):
             raise Local("nope")
 
         monkeypatch.setattr(compile_mod, "compile_job", boom)

@@ -21,6 +21,14 @@ compares each artifact's sha256 with :data:`HIER_SHA256`, and then runs the
 placer's shortcut differential (``test_compiler_units.
 mask_replay_differential``) on all six of its draws at mapper seeds 0-3 —
 tier-1 runs the three draws that climb failing ladders at seed 0 only.
+
+A job compiled through a :class:`~repro.compiler.search.ProbeMemo` depends
+on what earlier jobs left in it, so the script also compiles the 22
+committed 4x4 jobs, the 22 pinned hier jobs and the 64 jobs of ``perf/``'s
+serve universe serially through one shared memo, in forward and in
+reversed job order, and byte-compares each with its reference (the
+committed store, :data:`HIER_SHA256`, the memo-less compile); tier-1 runs
+that on an eight-job slice.
 """
 
 from __future__ import annotations
@@ -33,7 +41,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.pipeline.compile import CompileJob, compile_many, job_key
+from repro.compiler.search import ProbeMemo
+from repro.pipeline.compile import CompileJob, compile_job_stats, compile_many, job_key
 from repro.pipeline.store import ArtifactStore
 
 REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
@@ -110,6 +119,88 @@ def test_speculative_recompile_is_byte_identical(workers, tmp_path):
         )
 
 
+def _hier_jobs() -> list[CompileJob]:
+    """The 22 jobs of ``perf/``'s ``compile_hier_8x8``, pinned in
+    :data:`HIER_SHA256`."""
+    from repro.kernels import kernel_names
+
+    return [
+        CompileJob(kernel, 8, page_size, arch="8x8-memcols", backend="hier")
+        for kernel in kernel_names()
+        for page_size in (4, 8)
+    ]
+
+
+def shared_memo_problems(jobs, matches) -> list[str]:
+    """Compile *jobs* serially through one shared memo, in the order given
+    and then reversed through another: ``matches(job, bytes)`` must hold
+    for every artifact whatever the jobs before it left behind, and each
+    pass must have shared something."""
+    problems = []
+    for direction, ordered in (("forward", jobs), ("reversed", jobs[::-1])):
+        memo = ProbeMemo()
+        shared = 0
+        for job in ordered:
+            artifact, stats = compile_job_stats(job, memo=memo)
+            shared += stats.counters["probes_shared"]
+            if not matches(job, artifact.to_json().encode()):
+                problems.append(
+                    f"{job.kernel} {job.arch or job.size} {job.backend} "
+                    f"ps={job.page_size} seed={job.seed}: bytes through a shared "
+                    f"memo ({direction} order) differ from the reference"
+                )
+        if not shared:
+            problems.append(f"{direction} pass of {len(jobs)} jobs shared no probe")
+    return problems
+
+
+def _memoless(job) -> bytes:
+    return compile_job_stats(job)[0].to_json().encode()
+
+
+def test_shared_memo_compile_is_byte_identical():
+    """The tier-1 slice of the script's shared-memo pass: two kernels at
+    both page sizes and two mapper seeds — the baseline ladder shared
+    across page sizes, attempts 0-2 across seeds — in both job orders."""
+    jobs = [
+        CompileJob(kernel, 4, page_size, seed=seed)
+        for kernel in ("mpeg", "sor")
+        for page_size in (2, 4)
+        for seed in (0, 1)
+    ]
+    memoless = {job: _memoless(job) for job in jobs}
+    assert shared_memo_problems(jobs, lambda job, data: data == memoless[job]) == []
+
+
+def shared_memo_all() -> list[str]:
+    """The shared-memo pass on the 22 committed 4x4 jobs (against the
+    committed store), the 22 pinned hier jobs (against their sha256) and
+    the 64 jobs of ``perf/``'s serve universe (against the memo-less
+    compile of each)."""
+    from repro.kernels import kernel_names
+
+    committed = ArtifactStore(REPO_STORE)
+    flat = [CompileJob(k, 4, ps) for k in kernel_names() for ps in (2, 4)]
+    serve = [
+        CompileJob(k, 4, ps, seed=seed)
+        for k in ("mpeg", "sor", "compress", "gsr", "laplace", "lowpass", "swim", "wavelet")
+        for ps in (2, 4)
+        for seed in range(4)
+    ]
+    memoless = {job: _memoless(job) for job in serve}
+    return (
+        shared_memo_problems(
+            flat, lambda job, data: data == committed.path_for(job_key(job)).read_bytes()
+        )
+        + shared_memo_problems(
+            _hier_jobs(),
+            lambda job, data: hashlib.sha256(data).hexdigest()
+            == HIER_SHA256[job.kernel, job.page_size],
+        )
+        + shared_memo_problems(serve, lambda job, data: data == memoless[job])
+    )
+
+
 def recompile_all() -> list[str]:
     """Cold-compile every job behind the committed store, and the pinned
     hier jobs, into a temporary store; the problems found (empty when every
@@ -124,11 +215,7 @@ def recompile_all() -> list[str]:
         for kernel in kernel_names()
         for page_size in page_sizes_for(size)
     ]
-    hier_jobs = [
-        CompileJob(kernel, 8, page_size, arch="8x8-memcols", backend="hier")
-        for kernel in kernel_names()
-        for page_size in (4, 8)
-    ]
+    hier_jobs = _hier_jobs()
     committed = ArtifactStore(REPO_STORE)
     with tempfile.TemporaryDirectory(prefix="recompile-") as tmp:
         fresh = ArtifactStore(Path(tmp) / "store")
@@ -176,10 +263,12 @@ def differential_all() -> list[str]:
 
 
 if __name__ == "__main__":  # spawned workers re-import this file: keep the guard
-    found = recompile_all() + differential_all()
+    found = recompile_all() + shared_memo_all() + differential_all()
     print(
         "\n".join(found)
-        or "all committed artifacts and pinned hier jobs recompile byte-identical; "
+        or "all committed artifacts and pinned hier jobs recompile byte-identical, "
+        "pooled and through a shared probe memo in both job orders (the 64 serve "
+        "jobs: with and without the memo); "
         "mask/replay differential clean on 6 draws x 4 mapper seeds"
     )
     sys.exit(1 if found else 0)

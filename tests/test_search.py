@@ -7,21 +7,36 @@ says which op it died on.  A ``ScriptedMapper`` fabricates verdicts per
 lattice point to check where a ladder ends — its last rung, the II ceiling
 of a paged one, a first rung above either — and the rng-replay helper is
 checked against an incrementally drawn perturbation stream.
+
+The second half is the premise a :class:`ProbeMemo` stands on and the
+memo itself: a probe is a pure function of its key (run twice, run on a
+fresh mapper, run through a memo: one answer), every part of the key is
+there for a probe that needs it (drop it and a named scenario fails), and
+sharing — across jobs, across threads, across a cancelled compile — moves
+no byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import threading
 from collections import Counter
 
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.compiler.ems import EMSMapper, MapperConfig
-from repro.compiler.search import LadderReport, climb_ladder
+from repro.compiler.ems import LADDER_ONLY_FIELDS, EMSMapper, MapperConfig
+from repro.compiler.search import (
+    CancelledSearch,
+    DfgProbes,
+    LadderReport,
+    ProbeMemo,
+    climb_ladder,
+)
 from repro.compiler.stats import MapperCounters, counters, job_counters
-from repro.kernels import get_kernel
-from repro.util.errors import LadderExhausted
+from repro.kernels import get_kernel, kernel_names
+from repro.util.errors import LadderExhausted, MappingError
 from repro.util.rng import make_rng
 
 
@@ -236,3 +251,422 @@ class TestJobCounters:
         assert isinstance(seen[0], MapperCounters)
         assert seen[0] is not counters()
         assert counters() is counters()
+
+
+# ------------------------------------------------------------- probe purity
+
+
+CONFIG = MapperConfig(attempts_per_ii=4)
+
+
+def _paged(kernel, page_size, size=4):
+    """``(dfg, cgra, layout)`` of a suite kernel on a paged square grid."""
+    from repro.pipeline.compile import make_layout
+
+    cgra = CGRA(size, size)
+    return get_kernel(kernel).build(), cgra, make_layout(cgra, page_size)
+
+
+def _probe(mapper, dfg, ii, order, domains=None):
+    """One probe's outcome in the memo's own terms: ``(placements,
+    routes)`` or ``(None, stuck)``.  *order* indexes the base orders."""
+    if isinstance(order, int):
+        order = mapper.attempt_orders(dfg)[order]
+    mapping = mapper._try_map(dfg, ii, list(order), domains)
+    if mapping is None:
+        return None, mapper.stuck
+    assert mapping.cgra is mapper.cgra and mapping.dfg is dfg and mapping.ii == ii
+    return mapping.placements, mapping.routes
+
+
+def _purity_dfgs():
+    from repro.dfg.random_dfg import random_dfg
+
+    for name in kernel_names():
+        yield get_kernel(name).build()
+    for seed in range(30):
+        yield random_dfg(seed, n_ops=5 + seed % 6)
+
+
+def test_a_probe_is_a_pure_function_of_its_key():
+    """On the 11 kernels and 30 random draws: the probes of a rung and of
+    the next rung's first, run on one chain mapper, run again on it, and
+    run each on a mapper built for it alone, give one outcome per lattice
+    point — nothing a probe leaves in the mapper (routing context, rank
+    targets, DFG tables, the stuck op) reaches the next — and a memo (the
+    fresh mappers filled one) hands a later job exactly that outcome."""
+    from repro.compiler.paged import PagedMapper
+    from repro.pipeline.compile import make_layout
+
+    cgra = CGRA(4, 4)
+    layout = make_layout(cgra, 4)
+    failed = mapped = 0
+    for dfg in _purity_dfgs():
+        used = PagedMapper(cgra, layout, CONFIG)
+        first = used.ladder_rungs(dfg)[0]
+        points = [(first, 0), (first, 1), (first + 1, 0)]
+        once = [_probe(used, dfg, ii, order) for ii, order in points]
+        again = [_probe(used, dfg, ii, order) for ii, order in points]
+        memo = ProbeMemo()
+        probes = memo.for_dfg(dfg)
+        fresh = [
+            _probe(PagedMapper(cgra, layout, CONFIG, probes), dfg, ii, order)
+            for ii, order in points
+        ]
+        assert once == again == fresh, dfg.name
+        later = PagedMapper(cgra, layout, CONFIG, probes)
+        assert [_probe(later, dfg, ii, order) for ii, order in points] == once
+        assert memo.stats() == {"run": 3, "shared": 3, "entries": 3}
+        failed += sum(placements is None for placements, _ in once)
+        mapped += sum(placements is not None for placements, _ in once)
+    assert failed >= 10 and mapped >= 10  # both kinds of outcome, many times over
+
+
+def test_a_hit_is_rebuilt_on_the_asking_jobs_objects():
+    """Two jobs build a DFG and a fabric each: the second job's hit is a
+    mapping of *its* objects (``_probe`` asserts the identities), passes
+    ``validate_mapping`` downstream, and owns its dicts — emptying them
+    reaches neither the memo nor the next hit."""
+    from repro.compiler.paged import map_dfg_paged
+
+    memo = ProbeMemo()
+    direct = None
+    for _job in range(3):
+        dfg, cgra, layout = _paged("sor", 4)
+        result = map_dfg_paged(
+            dfg, cgra, layout, config=CONFIG, probes=memo.for_dfg(dfg)
+        ).mapping
+        assert result.cgra is cgra and result.dfg is dfg
+        seen = (dict(result.placements), dict(result.routes), result.ii)
+        direct = direct or seen
+        assert seen == direct
+        result.placements.clear()
+        result.routes.clear()
+    assert memo.stats()["shared"] == 2 * memo.stats()["run"] > 0
+
+
+class TestProbeKey:
+    """Every part of the key is there for a probe that needs it."""
+
+    @staticmethod
+    def _vary(value):
+        if isinstance(value, int):
+            return value + 1
+        assert value == "flat", "teach _vary the type of the new MapperConfig field"
+        return "hier"
+
+    def test_every_config_field_is_in_the_key_or_is_not_read_by_a_probe(self):
+        """A field of ``MapperConfig`` either moves the key or is one of
+        the four a probe never reads — and for those four, a probe under
+        another value returns the same thing.  A new knob is in the key
+        until someone shows it belongs on the short list."""
+        from repro.compiler.paged import PagedMapper
+
+        dfg, cgra, layout = _paged("sor", 4)
+        scope = PagedMapper(cgra, layout, CONFIG).probe_scope()
+        outcome = _probe(PagedMapper(cgra, layout, CONFIG), dfg, 4, 1)
+        assert LADDER_ONLY_FIELDS == {"seed", "max_ii", "attempts_per_ii", "backend"}
+        for f in dataclasses.fields(MapperConfig):
+            varied = dataclasses.replace(
+                CONFIG, **{f.name: self._vary(getattr(CONFIG, f.name))}
+            )
+            mapper = PagedMapper(cgra, layout, varied)
+            if f.name in LADDER_ONLY_FIELDS:
+                assert mapper.probe_scope() == scope, f.name
+                assert _probe(mapper, dfg, 4, 1) == outcome, f.name
+            else:
+                assert mapper.probe_scope() != scope, f.name
+
+    def test_the_key_names_the_fabric_and_the_layout(self):
+        from repro.arch.presets import preset
+        from repro.compiler.paged import PagedMapper
+        from repro.core.paging import PageLayout
+        from repro.pipeline.compile import make_layout
+
+        cgra = CGRA(8, 8)
+        layout = make_layout(cgra, 4)
+        scopes = [
+            EMSMapper(cgra).probe_scope(),
+            EMSMapper(preset("8x8-memcols")).probe_scope(),
+            PagedMapper(cgra, layout).probe_scope(),
+            PagedMapper(cgra, PageLayout(cgra, (2, 2), allow_wrap=True)).probe_scope(),
+            PagedMapper(cgra, layout.subchain(3)).probe_scope(),
+            PagedMapper(cgra, make_layout(cgra, 8)).probe_scope(),
+        ]
+        assert len(set(scopes)) == len(scopes)
+        again = CGRA(8, 8)  # another job's equal fabric
+        assert PagedMapper(again, make_layout(again, 4)).probe_scope() == scopes[2]
+
+    def test_a_mapper_without_an_identity_refuses_a_memo(self):
+        """Constraints given as bare callables cannot be told apart, and a
+        memo bound to one DFG answers for no other."""
+        dfg, cgra, _layout = _paged("sor", 4)
+        probes = ProbeMemo().for_dfg(dfg)
+        bare = EMSMapper(cgra, hop_allowed=lambda a, b: True, probes=probes)
+        with pytest.raises(MappingError, match="no identity"):
+            _probe(bare, dfg, 4, 0)
+        other = get_kernel("sor").build()
+        with pytest.raises(MappingError, match="another DFG"):
+            _probe(EMSMapper(cgra, probes=probes), other, 4, 0)
+
+    def test_the_key_names_the_edge_numbering(self):
+        """``DFG.fingerprint()`` is blind to edge ids, a stored outcome's
+        routes are keyed by them: the same graph from a builder that adds
+        its edges in another order shares nothing, and maps as it would
+        with no memo."""
+        from repro.dfg.graph import DFG
+
+        dfg, cgra, _layout = _paged("sor", 4)
+        twin = DFG(name="twin", ops=dict(dfg.ops), _next_op=dfg._next_op)
+        for e in reversed(dfg.edges.values()):
+            twin.add_edge(e.src, e.dst, e.operand_index, distance=e.distance, init=e.init)
+        assert twin.fingerprint() == dfg.fingerprint()
+        memo = ProbeMemo()
+        for graph in (dfg, twin, dfg, twin):
+            through = _probe(EMSMapper(cgra, probes=memo.for_dfg(graph)), graph, 4, 0)
+            assert through[0] is not None and through == _probe(EMSMapper(cgra), graph, 4, 0)
+        assert memo.stats() == {"run": 2, "shared": 2, "entries": 2}
+
+
+# Each scenario runs a few probes whose outcomes differ although all of
+# their key but one part is equal, first with no memo and then through one:
+# the answers must not change.  The mutant of the same name removes that
+# part from every key, and the scenario must notice.
+
+
+def _scenario_allow_wrap(probes_for):
+    """sor 4x4 ps4, II 4, forward order: the chain fails, the ring maps."""
+    from repro.compiler.paged import PagedMapper
+    from repro.core.paging import PageLayout
+
+    dfg, cgra, chain = _paged("sor", 4)
+    ring = PageLayout(cgra, chain.shape, allow_wrap=True)
+    probes = probes_for(dfg)
+    return [
+        _probe(PagedMapper(cgra, layout, CONFIG, probes), dfg, 4, 1)
+        for layout in (chain, ring)
+    ]
+
+
+def _scenario_prefix_length(probes_for):
+    """mpeg 4x4 ps4, II 2: two pages cannot hold it, three can — the step
+    page-need minimisation takes."""
+    from repro.compiler.paged import PagedMapper
+
+    dfg, cgra, layout = _paged("mpeg", 4)
+    probes = probes_for(dfg)
+    return [
+        _probe(PagedMapper(cgra, layout.subchain(k), CONFIG, probes), dfg, 2, 0)
+        for k in (2, 3)
+    ]
+
+
+def _scenario_domains(probes_for):
+    """laplace 4x4 ps4, II 1, on the three-page prefix: pinned to its
+    clustering's pages it fails, free of them it maps — the hier rung's
+    attempt 0 and the page-need ladder after it."""
+    from repro.compiler.hier import HierMapper, cluster_dfg
+
+    dfg, cgra, layout = _paged("laplace", 4)
+    hier = HierMapper(cgra, layout, CONFIG, probes_for(dfg))
+    assignment = cluster_dfg(dfg, layout, 1)
+    prefix = hier.prefix_mapper(1 + max(assignment.values()))
+    id_of = cgra.grid_index.id_of
+    domains = {
+        op: tuple(sorted(id_of[pe] for pe in layout.coords_of_page(page)))
+        for op, page in assignment.items()
+    }
+    return [_probe(prefix, dfg, 1, 0, domains), _probe(prefix, dfg, 1, 0)]
+
+
+def _scenario_eval_budget(probes_for):
+    """sor 4x4 ps4, II 4: five evaluations per op find another mapping
+    than two hundred do — one budget field apart."""
+    from repro.compiler.paged import PagedMapper
+
+    dfg, cgra, layout = _paged("sor", 4)
+    probes = probes_for(dfg)
+    return [
+        _probe(PagedMapper(cgra, layout, config, probes), dfg, 4, 0)
+        for config in (CONFIG, dataclasses.replace(CONFIG, eval_budget=5))
+    ]
+
+
+def _scenario_budgets(probes_for):
+    """laplace 4x4 ps4, II 2, one page: the hier backend's cheap prefix
+    mapper gives up where its full-budget one maps."""
+    from repro.compiler.hier import HierMapper
+
+    dfg, cgra, layout = _paged("laplace", 4)
+    hier = HierMapper(cgra, layout, CONFIG, probes_for(dfg))
+    return [
+        _probe(hier.prefix_mapper(1, cheap=cheap), dfg, 2, 0) for cheap in (False, True)
+    ]
+
+
+def _without_knobs(*names):
+    def mutate(key):
+        (fabric, constraint, mem_slots, knobs), *point = key
+        knobs = tuple(kv for kv in knobs if kv[0] not in names)
+        return ((fabric, constraint, mem_slots, knobs), *point)
+
+    return mutate
+
+
+def _without_allow_wrap(key):
+    (fabric, constraint, *rest), *point = key
+    return ((fabric, constraint and constraint[:2], *rest), *point)
+
+
+def _without_prefix_length(key):
+    # the covered pages, and the bus slots that are a multiple of them
+    (fabric, constraint, _mem_slots, knobs), *point = key
+    return ((fabric, constraint and constraint[1:], None, knobs), *point)
+
+
+SCENARIOS = {
+    "allow_wrap": (_scenario_allow_wrap, _without_allow_wrap),
+    "prefix_length": (_scenario_prefix_length, _without_prefix_length),
+    "domains": (_scenario_domains, lambda key: key[:-1]),
+    "eval_budget": (_scenario_eval_budget, _without_knobs("eval_budget")),
+    "budgets": (
+        _scenario_budgets,
+        _without_knobs("eval_budget", "route_budget", "candidate_cap"),
+    ),
+}
+
+
+def _drop_from_every_key(monkeypatch, mutant) -> None:
+    """Make every memo key go through *mutant* on its way in and out."""
+    get, put = DfgProbes.get, DfgProbes.put
+    monkeypatch.setattr(DfgProbes, "get", lambda self, key: get(self, mutant(key)))
+    monkeypatch.setattr(
+        DfgProbes, "put", lambda self, key, outcome: put(self, mutant(key), outcome)
+    )
+
+
+@pytest.mark.parametrize("part", sorted(SCENARIOS))
+def test_probes_that_differ_in_one_part_of_the_key_are_not_shared(part, monkeypatch):
+    scenario, mutant = SCENARIOS[part]
+    direct = scenario(lambda dfg: None)
+    assert direct[0] != direct[1]  # the part decides the outcome here
+    memo = ProbeMemo()
+    assert scenario(memo.for_dfg) == direct
+    assert scenario(memo.for_dfg) == direct  # and again, every probe a hit
+    assert memo.stats() == {"run": 2, "shared": 2, "entries": 2}
+    # the same scenario on a memo whose keys lack the part: caught
+    _drop_from_every_key(monkeypatch, mutant)
+    assert scenario(ProbeMemo().for_dfg) != direct
+
+
+def test_sobel_ps2_ring_ladder_shares_nothing_with_its_chain(monkeypatch):
+    """The one 4x4 job that maps nowhere climbs the chain and then the
+    ring, rung for rung through the same (II, order) points and — on its
+    first rung — to the same stuck ops.  Only ``allow_wrap`` keeps the
+    second ladder from being answered out of the first."""
+    from repro.compiler.paged import map_dfg_paged
+
+    def ladders(probes_for):
+        dfg, cgra, layout = _paged("sobel", 2)
+        log: list[LadderReport] = []
+        with pytest.raises(LadderExhausted):
+            map_dfg_paged(
+                dfg, cgra, layout, config=dataclasses.replace(CONFIG, max_ii=2),
+                search_log=log, probes=probes_for(dfg),
+            )
+        return [
+            (report.shared, [[*row[:3], row[4]] for row in report.timeline])
+            for report in log
+        ]
+
+    direct = ladders(lambda dfg: None)
+    assert [shared for shared, _rows in direct] == [0, 0]
+    assert direct[0][1] == direct[1][1] and len(direct[0][1]) == 4
+    memo = ProbeMemo()
+    assert ladders(memo.for_dfg) == direct  # a first job shares nothing
+    assert ladders(memo.for_dfg) == [(4, rows) for _shared, rows in direct]
+    _drop_from_every_key(monkeypatch, _without_allow_wrap)
+    assert [shared for shared, _rows in ladders(ProbeMemo().for_dfg)] == [0, 4]
+
+
+# ------------------------------------------------------- sharing between jobs
+
+
+def _compile(jobs, memo=None):
+    """``[(artifact json, probes run, probes shared)]`` of *jobs*, in order."""
+    from repro.pipeline.compile import compile_job_stats
+
+    out = []
+    for job in jobs:
+        artifact, stats = compile_job_stats(job, memo=memo)
+        assert sum(report.shared for report in stats.ladders) == stats.counters[
+            "probes_shared"
+        ]
+        out.append(
+            (artifact.to_json(), stats.counters["probes_run"], stats.counters["probes_shared"])
+        )
+    return out
+
+
+def test_two_threads_on_one_memo():
+    """Six threads on two cores compile the same sweep through one memo,
+    switching every few bytecodes: every artifact equals its unshared
+    compile, and the memo's books balance — each lookup either ran or was
+    shared, and nothing was stored that did not run."""
+    from repro.pipeline.compile import CompileJob
+
+    jobs = [CompileJob("sor", 4, ps, seed=seed) for ps in (2, 4) for seed in (0, 1)]
+    direct = _compile(jobs)
+    memo = ProbeMemo()
+    results: list = []
+
+    def work(order):
+        results.append((order, _compile([jobs[i] for i in order], memo)))
+
+    orders = [[(start + step) % len(jobs) for step in range(len(jobs))] for start in range(6)]
+    threads = [threading.Thread(target=work, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == len(threads)
+    ran = shared = 0
+    for order, compiled in results:
+        assert [c[0] for c in compiled] == [direct[i][0] for i in order]
+        ran += sum(c[1] for c in compiled)
+        shared += sum(c[2] for c in compiled)
+    stats = memo.stats()
+    assert (stats["run"], stats["shared"]) == (ran, shared)
+    assert ran + shared == 6 * sum(d[1] for d in direct)
+    serial = ProbeMemo()
+    _compile(jobs, serial)
+    distinct = serial.stats()["entries"]
+    assert distinct == stats["entries"] <= ran < 6 * distinct
+
+
+def test_a_cancelled_compile_leaves_only_complete_outcomes():
+    """Cancelled at its fourth poll, a compile has run three probes: the
+    memo holds those three, whole, and the next compile of the job starts
+    from them and ends on the unshared bytes."""
+    from repro.pipeline.compile import CompileJob, compile_job_stats
+
+    job = CompileJob("compress", 4, 2)
+    (direct, probes, _), = _compile([job])
+    memo = ProbeMemo()
+    polls = []
+    with pytest.raises(CancelledSearch):
+        compile_job_stats(
+            job, cancel_check=lambda: len(polls.append(None) or polls) > 3, memo=memo
+        )
+    assert memo.stats() == {"run": 3, "shared": 0, "entries": 3}
+    for placements, rest in memo._entries.values():
+        assert (placements is None and rest[1] in {"window", "no-pe", "no-slot", "budget"}) or (
+            placements and isinstance(rest, dict)
+        )
+    assert _compile([job], memo) == [(direct, probes - 3, 3)]

@@ -255,9 +255,9 @@ class TestCompileService:
         calls: list[str] = []
         real = service_mod.compile_job
 
-        def counting(job, cancel_check=None):
+        def counting(job, **kwargs):
             calls.append(job.kernel)
-            return real(job, cancel_check=cancel_check)
+            return real(job, **kwargs)
 
         monkeypatch.setattr(service_mod, "compile_job", counting)
 
@@ -359,9 +359,9 @@ class TestCompileService:
 
         real = service_mod.compile_job
 
-        def slow(job, cancel_check=None):
+        def slow(job, **kwargs):
             time.sleep(0.3)
-            return real(job, cancel_check=cancel_check)
+            return real(job, **kwargs)
 
         monkeypatch.setattr(service_mod, "compile_job", slow)
 
@@ -456,9 +456,9 @@ class TestHitPath:
                     hops.append(fn)
                     return pool_submit(fn, *args)
 
-                def counting_get(key):
+                def counting_get(key, **kwargs):
                     gets.append(key)
-                    return store_get(key)
+                    return store_get(key, **kwargs)
 
                 monkeypatch.setattr(service._pool, "submit", counting_submit)
                 monkeypatch.setattr(service.store, "get", counting_get)
@@ -546,6 +546,55 @@ class TestHitPath:
         assert result.source == "compiled" and result.body == good
         assert path.read_bytes() == good
         assert stats["store"]["misses"] == 1 and stats["store"]["puts"] == 1
+
+    @pytest.mark.parametrize("meanwhile", ["removed", "replaced", "garbage"])
+    def test_a_hit_serves_the_bytes_it_validated(self, tmp_path, monkeypatch, meanwhile):
+        """Two processes on one store: whatever the other one does to the
+        file around the probe's read, the answer is the job's bytes — the
+        hit reads the file once and serves what it validated; a file that
+        is already garbage when read is a logged miss and a recompile.
+        Never an error for bytes that were just validated."""
+        from pathlib import Path
+
+        request = _request()
+        path = ArtifactStore(tmp_path).path_for(job_key(request.to_job()))
+        other = compile_job(CompileJob("mpeg", 4, 2))[0].to_json().encode()
+        reads = []
+
+        def interfering(read):
+            def patched(self, *args, **kwargs):
+                if self != path:
+                    return read(self, *args, **kwargs)
+                reads.append(self)
+                if meanwhile == "garbage" and len(reads) == 1:
+                    path.write_bytes(b"{")
+                data = read(self, *args, **kwargs)
+                if meanwhile == "removed":
+                    path.unlink()
+                elif meanwhile == "replaced":
+                    path.write_bytes(other)
+                return data
+
+            return patched
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with CompileService(config) as service:
+                cold = await service.submit(request)
+                monkeypatch.setattr(Path, "read_bytes", interfering(Path.read_bytes))
+                monkeypatch.setattr(Path, "read_text", interfering(Path.read_text))
+                warm = await service.submit(request)
+                monkeypatch.undo()
+                return cold, warm
+
+        cold, warm = _run(body())
+        assert cold.ok and warm.ok, warm
+        assert warm.body == cold.body == compile_job(request.to_job())[0].to_json().encode()
+        if meanwhile == "garbage":
+            # read as garbage, recompiled, stored, read back
+            assert warm.source == "compiled" and path.read_bytes() == cold.body
+        else:
+            assert warm.source == "hit" and len(reads) == 1
 
     @pytest.mark.parametrize("how", ["cancel", "task_cancel"])
     def test_cancel_while_resolving_spares_the_sibling(
@@ -673,12 +722,12 @@ class TestMidLadderCancellation:
         climbing = threading.Event()
         real = service_mod.compile_job
 
-        def signalling(job, cancel_check=None):
+        def signalling(job, cancel_check=None, **kwargs):
             def check() -> bool:
                 climbing.set()  # polled: a ladder of this compile is running
                 return cancel_check()
 
-            return real(job, cancel_check=check)
+            return real(job, cancel_check=check, **kwargs)
 
         monkeypatch.setattr(service_mod, "compile_job", signalling)
         if workers > 1:
@@ -723,6 +772,104 @@ class TestMidLadderCancellation:
         assert stats["scheduler"]["queued"] == 0
         assert stats["singleflight"]["in_flight"] == 0
         assert stats["singleflight"]["cancelled_flights"] == 1
+
+
+class TestProbeMemo:
+    """``workers=1``: the compiles of one service share probe outcomes —
+    and nothing else about an answer changes."""
+
+    SWEEP = [
+        {"kernel": kernel, "page_size": ps, "seed": seed}
+        for kernel in ("sor", "mpeg")
+        for ps in (2, 4)
+        for seed in (0, 1)
+    ]
+
+    def _serve(self, tmp_path, payloads):
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            service = CompileService(config)
+            async with service:
+                results = [
+                    await service.submit(CompileRequest.from_dict(p)) for p in payloads
+                ]
+                stats = service.stats()
+            return results, stats, service
+
+        return _run(body())
+
+    def test_served_bytes_equal_offline_bytes_with_the_memo_warm(self, tmp_path):
+        results, stats, service = self._serve(tmp_path, self.SWEEP)
+        for payload, result in zip(self.SWEEP, results):
+            job = CompileRequest.from_dict(payload).to_job()
+            assert result.source == "compiled"
+            assert result.body == compile_job(job)[0].to_json().encode(), payload
+        probes = stats["probes"]
+        assert probes["run"] == probes["entries"] > 0 and 2 * probes["shared"] > probes["run"]
+        # the memo is the service's, and goes with it
+        assert service.stats()["probes"] == {**probes, "entries": 0}
+
+    def test_the_memo_is_bounded(self, tmp_path, monkeypatch):
+        """Oldest out first; an evicted probe is simply run again."""
+        import repro.compiler.search as search_mod
+
+        free, free_stats, _service = self._serve(tmp_path / "free", self.SWEEP[:2])
+        monkeypatch.setattr(search_mod, "_PROBE_MEMO_MAX", 3)
+        bounded, stats, _service = self._serve(tmp_path / "bounded", self.SWEEP[:2])
+        assert stats["probes"]["entries"] == 3 < free_stats["probes"]["entries"]
+        assert stats["probes"]["run"] > free_stats["probes"]["run"]
+        assert [r.body for r in bounded] == [r.body for r in free]
+
+    def test_a_cancelled_flight_stores_nothing_and_poisons_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        """A compile cancelled mid-ladder (here: held at its fourth poll
+        until the cancel has landed) leaves its three finished probes in
+        the memo and no artifact in the store; the same job asked for
+        again is compiled from those probes on, to the offline bytes."""
+        import repro.serve.service as service_mod
+
+        climbing, cancelled = threading.Event(), threading.Event()
+        polls = []
+        real = service_mod.compile_job
+
+        def holding(job, cancel_check=None, **kwargs):
+            def check() -> bool:
+                polls.append(None)
+                if len(polls) == 4:
+                    climbing.set()
+                    assert cancelled.wait(30.0)
+                return cancel_check()
+
+            return real(job, cancel_check=check, **kwargs)
+
+        monkeypatch.setattr(service_mod, "compile_job", holding)
+        request = _request("compress", request_id="victim")
+        path = ArtifactStore(tmp_path).path_for(job_key(request.to_job()))
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                pending = asyncio.ensure_future(service.submit(request))
+                deadline = time.monotonic() + 30.0
+                while not climbing.is_set() and time.monotonic() < deadline:
+                    await asyncio.sleep(0.002)
+                assert await service.cancel("victim")
+                cancelled.set()
+                gone = await pending
+                while len(service.flights) and time.monotonic() < deadline:
+                    await asyncio.sleep(0.002)
+                stored, left = path.exists(), service.stats()["probes"]
+                again = await service.submit(_request("compress"))
+                return gone, stored, left, again, service.stats()
+
+        gone, stored, left, again, stats = _run(body())
+        assert gone.error == "RequestCancelled" and not stored
+        assert left == {"run": 3, "shared": 0, "entries": 3}
+        assert again.source == "compiled"
+        assert again.body == compile_job(request.to_job())[0].to_json().encode()
+        assert stats["probes"]["shared"] == 3
+        assert stats["store"]["puts"] == 1 and stats["compiles"] == 1
 
 
 # ------------------------------------------- whole jobs in worker processes
