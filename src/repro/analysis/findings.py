@@ -27,10 +27,6 @@ class Severity(enum.Enum):
     ERROR = "error"
     WARNING = "warning"
 
-    @property
-    def rank(self) -> int:
-        return 0 if self is Severity.ERROR else 1
-
 
 @dataclass(frozen=True, order=True)
 class Finding:

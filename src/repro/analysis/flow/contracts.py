@@ -104,14 +104,14 @@ DEFAULT_CONTRACTS: tuple[Contract, ...] = (
     Contract(
         name="serve-worker",
         entrypoints=(
-            "repro.serve.service.CompileService._compile_blocking",
+            "repro.serve.service.CompileService._compile_inline",
             "repro.serve.service.CompileService._store_compiled",
         ),
         description="compile-service worker threads, entered on a store "
-        "miss only: one compile (at workers >= 2 a pool process ran it and "
-        "only the storing happens here), then the bytes are read back from "
-        "the store file (so byte-identical to offline compile_many); store "
-        "I/O and temp-name pid/tid are the store contract's business",
+        "miss only: one compile (at workers >= 2 a pool process runs it "
+        "instead), then storing, with the bytes read back from the store "
+        "file (so byte-identical to offline compile_many); store I/O and "
+        "temp-name pid/tid are the store contract's business",
         allow_effects=frozenset(
             {"mutates-param", "reads-global", "io", "wall-clock"}
         ),

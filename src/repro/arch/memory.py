@@ -34,9 +34,6 @@ class ArraySpec:
     base: int
     length: int
 
-    def contains(self, addr: int) -> bool:
-        return self.base <= addr < self.base + self.length
-
 
 class DataMemory:
     """Word-addressed data memory with named arrays.

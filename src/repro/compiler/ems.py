@@ -251,9 +251,9 @@ class EMSMapper:
     # are the pieces that driver asks for: start rung, rung width, base
     # orders, and the exact per-(ii, attempt) op order.
 
-    def ladder_rungs(self, dfg: DFG, *, min_ii: int | None = None) -> tuple[int, int]:
-        """``(first, last)`` II rung of the ladder: MII floored by *min_ii*,
-        and ``config.max_ii`` — on a paged mapper (chain, ring, page-need
+    def ladder_rungs(self, dfg: DFG) -> tuple[int, int]:
+        """``(first, last)`` II rung of the ladder: the MII, and
+        ``config.max_ii`` — on a paged mapper (chain, ring, page-need
         prefix, hier) at most the II ceiling, :attr:`~repro.compiler.feas.
         IIBound.ceiling`.  First > last is a ladder with no rung.
 
@@ -267,13 +267,10 @@ class EMSMapper:
             mem_capable_pes=self._mem_capable_count,
             max_ii=self.config.max_ii,
         )
-        start_ii = bound.mii
-        if min_ii is not None:
-            start_ii = max(start_ii, min_ii)
         max_ii = self.config.max_ii
         if self.layout is not None:
             max_ii = min(max_ii, bound.ceiling)
-        return start_ii, max_ii
+        return bound.mii, max_ii
 
     def attempt_orders(self, dfg: DFG) -> list[list[int]]:
         """The three base op orders tried at every II rung.
@@ -993,26 +990,19 @@ def map_dfg(
     cgra: CGRA,
     *,
     config: MapperConfig | None = None,
-    min_ii: int | None = None,
-    cancel_check=None,
     search_log=None,
     probes=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
 
-    *cancel_check*, when given, is polled between the ladder's probes
-    (:func:`~repro.compiler.search.climb_ladder`); ``search_log`` collects
-    the ladder's :class:`~repro.compiler.search.LadderReport`; *probes* is
-    the :class:`~repro.compiler.search.DfgProbes` of *dfg* to share probe
+    ``search_log`` collects the ladder's
+    :class:`~repro.compiler.search.LadderReport`; *probes* is the
+    :class:`~repro.compiler.search.DfgProbes` of *dfg* to share probe
     outcomes through (this ladder never reads a page size).
     """
     from repro.compiler.search import climb_ladder
 
     return climb_ladder(
-        EMSMapper(cgra, config=config, probes=probes),
-        dfg,
-        min_ii=min_ii,
-        cancel_check=cancel_check,
-        log=search_log,
+        EMSMapper(cgra, config=config, probes=probes), dfg, log=search_log
     )

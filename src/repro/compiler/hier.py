@@ -377,45 +377,36 @@ def map_dfg_hier(
     layout: PageLayout,
     *,
     config: MapperConfig | None = None,
-    min_ii: int | None = None,
-    validate: bool = True,
     minimize_pages: bool = True,
-    cancel_check=None,
     search_log=None,
     probes=None,
 ) -> PagedMapping:
     """Map *dfg* with the hierarchical backend (see the module docstring).
 
     Entry point the paged compiler dispatches to for
-    ``config.backend == "hier"``; the signature mirrors
-    :func:`~repro.compiler.paged.map_dfg_paged` minus ``wrap_fallback``
-    (the hier backend is chain-only).  The widened (II, attempt) lattice
-    is climbed by the same driver as the flat one.
+    ``config.backend == "hier"``, with the same signature (the hier
+    backend is chain-only: there is no ring fallback).  The widened
+    (II, attempt) lattice is climbed by the same ``climb_ladder`` as the
+    flat one.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
     cfg = config or MapperConfig()
     hier = HierMapper(cgra, layout, cfg, probes)
-    mapping = climb_ladder(
-        hier, dfg, min_ii=min_ii, cancel_check=cancel_check, log=search_log
-    )
+    mapping = climb_ladder(hier, dfg, log=search_log)
     # the result lives on the prefix it touches: validate against, and
     # page-schedule on, the flat mapper of exactly those pages
     spanned = hier.prefix_mapper(_spanned_prefix(mapping, layout))
-    if validate:
-        validate_mapping(
-            mapping,
-            allowed_pes=spanned.allowed_pes,
-            hop_allowed=spanned.hop_allowed,
-            bus_key=spanned.bus_key,
-        )
+    validate_mapping(
+        mapping,
+        allowed_pes=spanned.allowed_pes,
+        hop_allowed=spanned.hop_allowed,
+        bus_key=spanned.bus_key,
+    )
     sub = spanned.layout
     best = PagedMapping(mapping, sub, extract_page_schedule(mapping, sub), layout)
     if not minimize_pages:
         return best
     # When the clustered attempt won, the prefix already sits at the
     # capacity lower bound and there is nothing left to try.
-    return shrink_to_page_need(
-        best, dfg, cgra, layout, cfg, min_ii, validate, cancel_check, search_log,
-        probes,
-    )
+    return shrink_to_page_need(best, dfg, cgra, layout, cfg, search_log, probes)

@@ -208,14 +208,3 @@ class ReservationTable:
     @property
     def occupancy(self) -> int:
         return sum(self._occ_mask)
-
-    @property
-    def slots(self) -> dict[tuple[Coord, int], str]:
-        """Dict view of the claimed slots (diagnostics/tests; not a hot
-        path — the storage itself is the flat array)."""
-        coords = self.cgra.grid_index.coords
-        out: dict[tuple[Coord, int], str] = {}
-        for idx, label in enumerate(self._occ):
-            if label is not None:
-                out[(coords[idx % self.num_pes], idx // self.num_pes)] = label
-        return out

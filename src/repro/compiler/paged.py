@@ -49,10 +49,6 @@ class PagedMapping:
         return self.mapping.ii
 
     @property
-    def num_pages(self) -> int:
-        return self.layout.num_pages
-
-    @property
     def wrap_used(self) -> bool:
         """Does the schedule depend on the ring-wrap link (last page feeding
         page 0)?  Wrap-free schedules unlock the optimal grouped fold."""
@@ -83,24 +79,22 @@ def map_dfg_paged(
     layout: PageLayout,
     *,
     config: MapperConfig | None = None,
-    min_ii: int | None = None,
-    validate: bool = True,
-    wrap_fallback: bool = True,
     minimize_pages: bool = True,
-    cancel_check=None,
     search_log=None,
     probes=None,
 ) -> PagedMapping:
     """Map *dfg* onto the paged CGRA under the §VI-B constraints.
 
-    By default the mapper first tries the *chain* topology (ring minus the
-    wrap link — a legal subset per §VI-B — which makes the optimal grouped
-    fold available for every divisor page count).  If that ladder is
-    exhausted and the layout's wrap pair is physically adjacent, it retries
-    with the full ring (``wrap_fallback``); the resulting mapping may then
-    only be shrunk with the zigzag transformation.  A kernel neither maps
-    at or below the II ceiling (:meth:`~repro.compiler.ems.EMSMapper.
-    ladder_rungs`) raises :class:`~repro.util.errors.LadderExhausted`.
+    The mapper first tries the *chain* topology (ring minus the wrap link
+    — a legal subset per §VI-B — which makes the optimal grouped fold
+    available for every divisor page count).  If that ladder is exhausted
+    and the layout's wrap pair is physically adjacent, it retries with the
+    full ring; the resulting mapping may then only be shrunk with the
+    zigzag transformation.  A kernel that maps on neither at or below the
+    II ceiling (:meth:`~repro.compiler.ems.EMSMapper.ladder_rungs`) raises
+    :class:`~repro.util.errors.LadderExhausted`.  Every mapping is checked
+    by :func:`~repro.compiler.check.validate_mapping` against the mapper
+    that produced it.
 
     With ``minimize_pages`` (the default) the compiler then re-maps the
     kernel onto the smallest page *prefix* that preserves the achieved II —
@@ -111,11 +105,10 @@ def map_dfg_paged(
 
     Every inner (II, attempt) ladder — chain pass, ring fallback,
     page-minimisation passes — is one :func:`~repro.compiler.search.
-    climb_ladder` call, each polling *cancel_check* between probes and
-    appending its :class:`~repro.compiler.search.LadderReport` to
-    ``search_log``; every mapper they build shares probe outcomes through
-    *probes* (the :class:`~repro.compiler.search.DfgProbes` of *dfg*) when
-    given.
+    climb_ladder` call, appending its :class:`~repro.compiler.search.
+    LadderReport` to ``search_log``; every mapper they build shares probe
+    outcomes through *probes* (the :class:`~repro.compiler.search.DfgProbes`
+    of *dfg*) when given.
     """
     if layout.cgra is not cgra:
         raise MappingError("layout was built for a different CGRA instance")
@@ -131,23 +124,14 @@ def map_dfg_paged(
             cgra,
             layout,
             config=config,
-            min_ii=min_ii,
-            validate=validate,
             minimize_pages=minimize_pages,
-            cancel_check=cancel_check,
             search_log=search_log,
             probes=probes,
         )
-    best = _map_topologies(
-        dfg, cgra, layout, config, min_ii, validate, wrap_fallback,
-        cancel_check, search_log, probes,
-    )
+    best = _map_topologies(dfg, cgra, layout, config, search_log, probes)
     if not minimize_pages:
         return best
-    return shrink_to_page_need(
-        best, dfg, cgra, layout, config, min_ii, validate, cancel_check, search_log,
-        probes,
-    )
+    return shrink_to_page_need(best, dfg, cgra, layout, config, search_log, probes)
 
 
 def shrink_to_page_need(
@@ -156,9 +140,6 @@ def shrink_to_page_need(
     cgra: CGRA,
     layout: PageLayout,
     config: MapperConfig,
-    min_ii,
-    validate,
-    cancel_check,
     search_log,
     probes=None,
 ) -> PagedMapping:
@@ -179,9 +160,8 @@ def shrink_to_page_need(
     for k in range(k_min, best.layout.num_pages):
         try:
             candidate = _map_once(
-                dfg, cgra, layout.subchain(k), tight, min_ii, validate,
-                full_layout=layout, cancel_check=cancel_check, search_log=search_log,
-                probes=probes,
+                dfg, cgra, layout.subchain(k), tight, search_log, probes,
+                full_layout=layout,
             )
         except LadderExhausted:
             continue
@@ -195,10 +175,6 @@ def _map_topologies(
     cgra: CGRA,
     layout: PageLayout,
     config: MapperConfig,
-    min_ii,
-    validate,
-    wrap_fallback,
-    cancel_check=None,
     search_log=None,
     probes=None,
 ) -> PagedMapping:
@@ -206,18 +182,12 @@ def _map_topologies(
     — the full ring's (the only home of a recurrence wider than a page),
     both to the same II ceiling."""
     try:
-        return _map_once(
-            dfg, cgra, layout, config, min_ii, validate,
-            cancel_check=cancel_check, search_log=search_log, probes=probes,
-        )
+        return _map_once(dfg, cgra, layout, config, search_log, probes)
     except LadderExhausted:
-        if not (wrap_fallback and not layout.allow_wrap and layout.ring_wrap_adjacent):
+        if layout.allow_wrap or not layout.ring_wrap_adjacent:
             raise
     ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
-    return _map_once(
-        dfg, cgra, ring_layout, config, min_ii, validate,
-        cancel_check=cancel_check, search_log=search_log, probes=probes,
-    )
+    return _map_once(dfg, cgra, ring_layout, config, search_log, probes)
 
 
 class PagedMapper(EMSMapper):
@@ -254,23 +224,17 @@ def _map_once(
     cgra: CGRA,
     layout: PageLayout,
     config,
-    min_ii,
-    validate,
-    full_layout: PageLayout | None = None,
-    cancel_check=None,
     search_log=None,
     probes=None,
+    full_layout: PageLayout | None = None,
 ) -> PagedMapping:
     mapper = PagedMapper(cgra, layout, config, probes)
-    mapping = climb_ladder(
-        mapper, dfg, min_ii=min_ii, cancel_check=cancel_check, log=search_log
+    mapping = climb_ladder(mapper, dfg, log=search_log)
+    validate_mapping(
+        mapping,
+        allowed_pes=mapper.allowed_pes,
+        hop_allowed=mapper.hop_allowed,
+        bus_key=mapper.bus_key,
     )
-    if validate:
-        validate_mapping(
-            mapping,
-            allowed_pes=mapper.allowed_pes,
-            hop_allowed=mapper.hop_allowed,
-            bus_key=mapper.bus_key,
-        )
     schedule = extract_page_schedule(mapping, layout)
     return PagedMapping(mapping, layout, schedule, full_layout)

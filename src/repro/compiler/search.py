@@ -4,9 +4,9 @@ Every mapping in this compiler is the answer to the same question: walking
 the lattice {(ii, attempt)} in lexicographic order between the mapper's
 first and last rung (``ladder_rungs``), which probe succeeds first?
 :func:`climb_ladder` is the only code that knows that walk — rung by rung,
-attempts in order, the ``cancel_check`` poll between probes, the
-:class:`~repro.util.errors.LadderExhausted` at the end — and it runs every
-probe in the calling thread, on the caller's mapper.  "Lowest
+attempts in order, the :class:`~repro.util.errors.LadderExhausted` at the
+end — and it runs every probe in the calling thread, on the caller's
+mapper; nothing cuts a ladder short.  "Lowest
 (ii, attempt) wins" is therefore true by construction, and the
 :class:`LadderReport` is the effort-per-rung record SAT-MapIt (PAPERS.md)
 reports for the same climb.
@@ -40,7 +40,7 @@ from repro.dfg.graph import DFG
 from repro.util.errors import LadderExhausted
 from repro.util.fingerprint import canonical_fingerprint
 
-__all__ = ["CancelledSearch", "DfgProbes", "LadderReport", "ProbeMemo", "climb_ladder"]
+__all__ = ["DfgProbes", "LadderReport", "ProbeMemo", "climb_ladder"]
 
 #: Bound on a :class:`ProbeMemo` (FIFO).  A failed probe's entry is its key
 #: and a stuck op, a successful one's also the placements and routes of one
@@ -127,16 +127,6 @@ class DfgProbes:
         self._memo.put((*self._prefix, *key), outcome)
 
 
-class CancelledSearch(Exception):
-    """A ladder was cooperatively cancelled mid-search.
-
-    Deliberately *not* a :class:`~repro.util.errors.MappingError`: the
-    pipeline converts exhausted ladders into unmappable artifacts, and a
-    cancelled request must never masquerade as an unmappable kernel (that
-    artifact would be stored and served to every future tenant).
-    """
-
-
 @dataclass
 class LadderReport:
     """Per-ladder outcome record: the (II, attempt) timeline of one climb.
@@ -175,24 +165,17 @@ class LadderReport:
 
 
 def climb_ladder(
-    mapper: EMSMapper,
-    dfg,
-    *,
-    min_ii: int | None = None,
-    cancel_check=None,
-    log: list[LadderReport] | None = None,
+    mapper: EMSMapper, dfg, *, log: list[LadderReport] | None = None
 ) -> Mapping:
     """Climb *mapper*'s (II, attempt) ladder for *dfg*: the one II walk.
 
     Returns the mapping of the first success, or raises
     :class:`~repro.util.errors.LadderExhausted` when every rung from the
     first to the last of ``mapper.ladder_rungs`` fails — at once, with no
-    probe launched, when the first lies above the last.  *cancel_check*,
-    when given, is polled before every probe; returning True raises
-    :class:`CancelledSearch` out of the ladder.  ``log`` collects this
-    ladder's :class:`LadderReport`.
+    probe launched, when the first lies above the last.  ``log`` collects
+    this ladder's :class:`LadderReport`.
     """
-    start_ii, max_ii = mapper.ladder_rungs(dfg, min_ii=min_ii)
+    start_ii, max_ii = mapper.ladder_rungs(dfg)
     per_ii = mapper.lattice_attempts_per_ii()
     report = LadderReport(start_ii=start_ii, attempts_per_ii=per_ii)
     if log is not None:
@@ -201,8 +184,6 @@ def climb_ladder(
     stats = counters()
     for ii in range(start_ii, max_ii + 1):
         for attempt in range(per_ii):
-            if cancel_check is not None and cancel_check():
-                raise CancelledSearch(f"ladder cancelled at II {ii}, attempt {attempt}")
             began = time.perf_counter()
             shared = stats.probes_shared
             mapping = mapper.run_lattice_attempt(dfg, start_ii, ii, attempt, orders)

@@ -111,10 +111,6 @@ class ThreadHandle:
     allocation: Allocation | None = None  # None -> queued
     reallocations: int = 0
 
-    @property
-    def resident(self) -> bool:
-        return self.allocation is not None
-
 
 @dataclass
 class CGRAManager:

@@ -161,23 +161,20 @@ def job_key(job: CompileJob, dfg=None, cgra=None) -> ArtifactKey:
 
 
 def compile_job(
-    job: CompileJob, cancel_check=None, memo: ProbeMemo | None = None
+    job: CompileJob, memo: ProbeMemo | None = None
 ) -> tuple[CompiledKernel, float]:
     """Compile one job, uncached.  Returns (artifact, mapper seconds).
 
     Top-level (picklable) so callers can run it in worker processes;
     deterministic for a fixed job, so parallel and serial runs produce
-    byte-identical artifacts.  *cancel_check*, when given, is polled
-    between the probes of every mapping ladder of the job; once it returns
-    True the compile raises :class:`~repro.compiler.search.CancelledSearch`.
-    *memo* is :func:`compile_job_stats`'s.
+    byte-identical artifacts.  *memo* is :func:`compile_job_stats`'s.
     """
-    artifact, stats = compile_job_stats(job, cancel_check=cancel_check, memo=memo)
+    artifact, stats = compile_job_stats(job, memo=memo)
     return artifact, stats.seconds
 
 
 def compile_job_stats(
-    job: CompileJob, cancel_check=None, memo: ProbeMemo | None = None
+    job: CompileJob, memo: ProbeMemo | None = None
 ) -> tuple[CompiledKernel, CompileStats]:
     """Compile one job, uncached, with per-phase timings and the mapper's
     search-effort counter deltas (the input of ``perf/``'s compile workloads).
@@ -204,16 +201,12 @@ def compile_job_stats(
     search_log: list[LadderReport] = []
     with job_counters() as job_ctrs:
         base_started = time.perf_counter()
-        base = map_dfg(
-            dfg, cgra, config=config, cancel_check=cancel_check,
-            search_log=search_log, probes=probes,
-        )
+        base = map_dfg(dfg, cgra, config=config, search_log=search_log, probes=probes)
         base_seconds = time.perf_counter() - base_started
         paged_started = time.perf_counter()
         try:
             paged = map_dfg_paged(
-                dfg, cgra, layout, config=config, cancel_check=cancel_check,
-                search_log=search_log, probes=probes,
+                dfg, cgra, layout, config=config, search_log=search_log, probes=probes
             )
         except LadderExhausted:
             # the one verdict that is an artifact; anything else is a failure

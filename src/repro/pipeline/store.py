@@ -86,13 +86,6 @@ class ArtifactStore:
                 rel = child.relative_to(self.root).as_posix()
                 yield child, ARTIFACT_NAME_RE.match(rel) is not None
 
-    def audit(self):
-        """Audit every stored artifact from bytes alone; see
-        :func:`repro.analysis.audit.audit_store`."""
-        from repro.analysis.audit import audit_store
-
-        return audit_store(self)
-
     # -- access ---------------------------------------------------------------------
 
     def get(self, key: ArtifactKey, *, raw: bool = False):

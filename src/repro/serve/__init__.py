@@ -13,8 +13,8 @@ resolves each to its content address
   requests cost exactly one mapper invocation.
 * **Fair scheduling** (:mod:`repro.serve.scheduler`) — cache misses
   dispatch through a weighted round-robin across tenants with per-request
-  priorities and cooperative cancellation, onto a bounded set of compile
-  slots.
+  priorities, onto a bounded set of compile slots; a cancelled queued
+  miss is dropped, a running one ends unstored.
 * **Warm worker pool** (:mod:`repro.serve.service`) — at ``--workers N``
   (N >= 2) one long-lived pool of N spawned processes compiles whole jobs,
   one miss per process: the grain and the worker entry point of

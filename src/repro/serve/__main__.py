@@ -5,16 +5,30 @@ Example::
     python -m repro.serve --port 8741 --workers 4 --slots 4
     curl -s localhost:8741/healthz
     curl -s -XPOST localhost:8741/compile -d '{"kernel": "sor", "size": 4, "page_size": 4}'
+
+SIGTERM stops the server like Ctrl-C does: the listening socket closes,
+running compiles finish, the worker pool is shut down, and the process
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 
 from repro.serve.server import serve_forever
 from repro.serve.service import ServiceConfig
+
+
+async def _serve(config: ServiceConfig, host: str, port: int) -> None:
+    """``serve_forever`` with SIGTERM cancelling it, so that leaving its
+    ``async with`` closes the server, the service and the worker pool."""
+    asyncio.get_running_loop().add_signal_handler(
+        signal.SIGTERM, asyncio.current_task().cancel
+    )
+    await serve_forever(config, host=host, port=port)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -29,7 +43,9 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="compile worker processes (>= 2: each miss is a whole job in "
-        "one of a warm pool of spawned processes; 1: on a slot thread)",
+        "one of a warm pool of spawned processes; 1: on a slot thread, "
+        "sharing probe outcomes between misses).  A cancelled compile "
+        "runs to its end either way, its result discarded",
     )
     p.add_argument(
         "--slots",
@@ -50,9 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         p.error(str(exc))
     try:
-        asyncio.run(serve_forever(config, host=args.host, port=args.port))
-    except KeyboardInterrupt:
-        print("repro.serve: interrupted, shutting down")
+        asyncio.run(_serve(config, args.host, args.port))
+    except (KeyboardInterrupt, asyncio.CancelledError):
+        print("repro.serve: stopped, worker pool shut down")
     return 0
 
 

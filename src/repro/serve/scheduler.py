@@ -12,23 +12,19 @@ models it the same way the paper models fabric sharing:
 * **priorities** order requests *within* a tenant (higher first, FIFO
   among equals).  A tenant's priorities never affect its neighbours; the
   cross-tenant knob is the weight.
-* **cancellation** is cooperative and two-stage: a queued request is
-  dropped at pick time (never dispatched); a running one has its
-  :class:`CancelToken` polled by the ladder (``cancel_check`` of
-  :func:`~repro.compiler.search.climb_ladder`) and stops at the next probe
-  boundary — or, when a worker process holds the job, is answered when
-  the job ends, its result discarded.
+* **cancellation**: a queued request whose :class:`CancelToken` has fired
+  is dropped at pick time (never dispatched); a running one is never
+  interrupted — its work reads the token when the compile ends and
+  discards the result.
 
-Everything here runs on the event loop — single-threaded bookkeeping, no
-locks — except the token, which worker threads poll and is backed by a
-``threading.Event``.
+Everything here, the token included, runs on the event loop —
+single-threaded bookkeeping, no locks.
 """
 
 from __future__ import annotations
 
 import asyncio
 import heapq
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,21 +36,13 @@ class RequestCancelled(Exception):
 
 
 class CancelToken:
-    """A cancellation flag shared between the event loop (which sets it)
-    and the compile worker thread (which polls it mid-ladder)."""
+    """A cancellation flag, set and read on the event loop only."""
 
     def __init__(self) -> None:
-        self._event = threading.Event()
+        self.cancelled = False
 
     def cancel(self) -> None:
-        self._event.set()
-
-    def is_set(self) -> bool:
-        return self._event.is_set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
+        self.cancelled = True
 
 
 @dataclass

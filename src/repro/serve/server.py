@@ -8,8 +8,10 @@ Routes (all bodies JSON):
   serving metadata in ``X-Repro-*`` headers; failures return a structured
   JSON error with a per-request status (400 malformed, 404 unknown
   kernel, 409 cancelled, 422 unmappable, 500 anything else).
-* ``POST /cancel`` — ``{"request_id": ...}``; cancels one waiter, the
-  underlying compile stops only when its last waiter is gone.
+* ``POST /cancel`` — ``{"request_id": ...}``; answers that waiter 409 at
+  once and returns ``{"cancelled": true}`` (``false`` for an id not in
+  flight).  Its compile is dropped only when its last waiter is gone, and
+  then only if still queued; a running one ends with its result unstored.
 * ``GET /stats`` — the service's counters (key and probe memos,
   singleflight, scheduler, store) as JSON.
 * ``GET /healthz`` — liveness.
@@ -174,7 +176,11 @@ class ServeServer:
         status = _ERROR_STATUS.get(result.error, 500)
         return json_response(status, result.meta())
 
-    async def _handle_cancel(self, payload: dict) -> bytes:
+    async def _handle_cancel(self, payload) -> bytes:
+        if not isinstance(payload, dict):
+            raise ProtocolError(
+                f"request body must be a JSON object, got {type(payload).__name__}"
+            )
         rid = payload.get("request_id")
         if not isinstance(rid, str) or not rid:
             raise ProtocolError("'request_id' is required")

@@ -10,9 +10,9 @@ instance owns:
 * with ``workers >= 2``, one long-lived pool of that many **spawned**
   worker processes, started and warmed at start-up: a miss is a whole job
   run by :func:`~repro.pipeline.compile._job_outcome_pooled` in one of
-  them — the worker entry point ``compile_many(workers=N)`` maps — and
-  the parent stores the result.  With ``workers = 1`` a miss compiles on
-  a slot thread, its ladders polling the request's cancel token;
+  them — the worker entry point ``compile_many(workers=N)`` maps.  With
+  ``workers = 1`` a miss is the same whole job on a slot thread.  Either
+  way the parent stores the result;
 * a worker thread pool of ``slots + 2`` threads: one per scheduler
   dispatch slot, plus headroom so request-key resolution stays responsive
   while every compile slot is busy;
@@ -35,14 +35,13 @@ small file read): a hit — the common case — has no thread hop at all,
 only a miss hands the compile to a worker thread.
 Served bytes are always read back from the store file — a hit serves the
 very bytes its probe validated — so they are
-byte-identical to offline ``compile_many`` output.  Cancellation detaches
-one waiter; the last detach fires the flight's token, which drops a
-queued compile at pick time, stops a ladder running on a slot thread at
-its next probe boundary (:class:`~repro.compiler.search.CancelledSearch`),
-or — at ``workers >= 2`` — lets the worker process finish the job it
-holds and discards the result unstored.  A worker process that dies breaks
-its pool: every job in flight on it answers ``BrokenProcessPool`` (never
-stored) and the pool is replaced before the next miss (DESIGN.md §13).
+byte-identical to offline ``compile_many`` output.  Cancellation has one
+contract at every worker count: ``cancel()`` answers its waiter at once;
+the last detach fires the flight's token, which drops a queued compile at
+pick time, and a compile already running finishes and its result is
+dropped unstored.  A worker process that dies breaks its pool: every job
+in flight on it answers ``BrokenProcessPool`` (never stored) and the pool
+is replaced before the next miss (DESIGN.md §13).
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
-from repro.compiler.search import CancelledSearch, ProbeMemo
+from repro.compiler.search import ProbeMemo
 from repro.pipeline.artifact import ArtifactKey, CompiledKernel
 from repro.pipeline.compile import (
     CompileFailure,
@@ -96,12 +95,11 @@ class ServiceConfig:
     """Tuning for one service instance.
 
     ``workers >= 2`` spawns that many worker processes at start-up, each
-    compiling whole jobs; ``workers = 1`` compiles on the handler thread,
-    and only there do the misses share probe outcomes (DESIGN.md §11 has
-    the two measured side by side).
-    A cancelled running compile stops at its next probe boundary at
-    ``workers = 1``, and runs to the end with its result discarded at
-    ``workers >= 2``.  ``slots`` bounds concurrent compiles;
+    compiling whole jobs; ``workers = 1`` compiles on a slot thread, and
+    only there do the misses share probe outcomes (DESIGN.md §11 has the
+    two measured side by side).  A cancelled running compile runs to its
+    end at any worker count, its result discarded.  ``slots`` bounds
+    concurrent compiles;
     ``tenant_weights`` feeds the weighted round-robin (missing tenants get
     ``default_weight``).
     """
@@ -327,8 +325,8 @@ class CompileService:
 
     async def cancel(self, request_id: str) -> bool:
         """Cancel one active request; True when it was still in flight.
-        Other waiters coalesced onto the same compile are untouched — the
-        underlying ladder stops only when its last waiter cancels."""
+        Other waiters coalesced onto the same compile are untouched — its
+        result is discarded only when its last waiter has cancelled."""
         active = self._active.get(request_id)
         if active is None or active.waiter.done():
             return False
@@ -353,7 +351,7 @@ class CompileService:
         async def _lead() -> None:
             try:
                 outcome = await sched.future
-            except (RequestCancelled, CancelledSearch) as exc:
+            except RequestCancelled as exc:
                 outcome = _FlightOutcome(
                     digest=key.digest, error="RequestCancelled", message=str(exc)
                 )
@@ -376,8 +374,6 @@ class CompileService:
         )
 
     def _make_work(self, job: CompileJob, key: ArtifactKey):
-        loop = asyncio.get_running_loop()
-
         async def work(token: CancelToken) -> _FlightOutcome:
             # the one store probe of the request, on the loop: a hit costs
             # one ~50 us file read, less than the thread hop it would ride,
@@ -385,33 +381,33 @@ class CompileService:
             body = _stored_bytes(self.store, key)
             if body is not None:
                 return _FlightOutcome(digest=key.digest, source="hit", body=body)
-            if self._jobs is not None:
-                return await self._compile_pooled(job, key, token)
-            return await loop.run_in_executor(
-                self._pool, self._compile_blocking, job, key, token
-            )
+            return await self._compile_miss(job, key, token)
 
         return work
 
-    async def _compile_pooled(
+    async def _compile_miss(
         self, job: CompileJob, key: ArtifactKey, token: CancelToken
     ) -> _FlightOutcome:
-        """A store miss at ``workers >= 2``: the whole job in a worker
-        process, exactly as ``compile_many(workers=N)`` runs it; storing
-        stays here in the parent.  The worker cannot be interrupted, so a
-        flight cancelled meanwhile is answered when its job ends."""
+        """A store miss, at any worker count: the whole job on a slot
+        thread (``workers = 1``) or in a worker process (``workers >= 2``,
+        exactly as ``compile_many(workers=N)`` runs it); storing stays here
+        in the parent.  A compile is never interrupted, so a flight
+        cancelled meanwhile is answered when its job ends, nothing stored."""
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         jobs = self._jobs
-        try:
-            outcome = await loop.run_in_executor(jobs, _job_outcome_pooled, job)
-        except BrokenProcessPool:
-            # a worker died: every job on this pool fails like this one;
-            # the first to notice replaces the pool for the next miss
-            if self._jobs is jobs:
-                jobs.shutdown(wait=False)
-                self._spawn_jobs_pool()
-            raise
+        if jobs is None:
+            outcome = await loop.run_in_executor(self._pool, self._compile_inline, job)
+        else:
+            try:
+                outcome = await loop.run_in_executor(jobs, _job_outcome_pooled, job)
+            except BrokenProcessPool:
+                # a worker died: every job on this pool fails like this one;
+                # the first to notice replaces the pool for the next miss
+                if self._jobs is jobs:
+                    jobs.shutdown(wait=False)
+                    self._spawn_jobs_pool()
+                raise
         if token.cancelled:
             raise RequestCancelled("cancelled while its job ran; nothing stored")
         if isinstance(outcome, CompileFailure):
@@ -422,19 +418,16 @@ class CompileService:
             self._pool, self._store_compiled, key, *outcome, started
         )
 
-    def _compile_blocking(
-        self, job: CompileJob, key: ArtifactKey, token: CancelToken
-    ) -> _FlightOutcome:
-        """The worker-thread body at ``workers = 1``, entered on a store
-        miss only: one mapper invocation, its ladders polling the flight's
-        cancel token and looking their probes up in the service's memo."""
-        if token.cancelled:
-            raise CancelledSearch("cancelled before ladder start")
-        started = time.perf_counter()
-        artifact, seconds = compile_job(
-            job, cancel_check=token.is_set, memo=self._probes
-        )
-        return self._store_compiled(key, artifact, seconds, started)
+    def _compile_inline(self, job: CompileJob):
+        """The slot-thread body at ``workers = 1``: the whole job, its
+        probes looked up in the service's memo, any failure captured as a
+        :class:`~repro.pipeline.compile.CompileFailure` like a worker's."""
+        try:
+            return compile_job(job, memo=self._probes)
+        except Exception as exc:  # noqa: BLE001 - reported as that flight's error
+            return CompileFailure(
+                job=job, error=type(exc).__name__, message=str(exc), cause=exc
+            )
 
     def _store_compiled(
         self, key: ArtifactKey, artifact: CompiledKernel, seconds: float, started: float

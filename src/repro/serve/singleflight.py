@@ -11,8 +11,8 @@ store's content-addressed dedup, extended to work still in flight.
 
 Cancellation is refcounted: detaching a waiter never disturbs the others;
 only when the *last* attached request cancels does the flight's token
-fire and the underlying ladder stop (see
-:class:`~repro.serve.scheduler.CancelToken`).
+fire (see :class:`~repro.serve.scheduler.CancelToken`): a queued compile
+is dropped, a running one ends unstored.
 
 Single-threaded by construction: every method runs on the event loop, so
 the counters need no lock (the compile itself runs on worker threads, but
@@ -81,8 +81,8 @@ class Singleflight:
 
     def leave(self, flight: Flight) -> None:
         """Detach one waiter (request finished or cancelled).  When the
-        last waiter leaves an unresolved flight, fire its cancel token so
-        the scheduled compile stops cooperatively."""
+        last waiter leaves an unresolved flight, fire its cancel token: its
+        compile is dropped if still queued, and its result unstored if not."""
         if flight.detach() and not flight.future.done():
             flight.token.cancel()
             self.cancelled_flights += 1

@@ -549,8 +549,8 @@ def test_flow_baseline_is_clean_over_repro_tree():
     pooled = "repro.pipeline.compile._job_outcome_pooled"
     service = "repro.serve.service.CompileService."
     assert kinds["repro.pipeline.compile.compile_many_outcomes", pooled] == "process"
-    assert (service + "_compile_pooled", pooled) in kinds
-    assert kinds[service + "_make_work", service + "_compile_blocking"] == "thread"
+    assert (service + "_compile_miss", pooled) in kinds
+    assert kinds[service + "_compile_miss", service + "_compile_inline"] == "thread"
     assert any(
         r.kind == "thread" and r.owner.startswith("repro.serve.service.")
         for r in report.roots

@@ -66,12 +66,6 @@ class TestMappingQuality:
         assert m1.ii == m2.ii
         assert m1.placements == m2.placements
 
-    def test_min_ii_respected(self):
-        cgra = CGRA(4, 4)
-        dfg = get_kernel("laplace").build()
-        m = map_dfg(dfg, cgra, min_ii=5)
-        assert m.ii >= 5
-
     def test_consts_not_placed(self, mapped44):
         _, mapped = mapped44
         for name, (dfg, m) in mapped.items():

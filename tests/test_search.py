@@ -12,8 +12,7 @@ The second half is the premise a :class:`ProbeMemo` stands on and the
 memo itself: a probe is a pure function of its key (run twice, run on a
 fresh mapper, run through a memo: one answer), every part of the key is
 there for a probe that needs it (drop it and a named scenario fails), and
-sharing — across jobs, across threads, across a cancelled compile — moves
-no byte.
+sharing — across jobs, across threads — moves no byte.
 """
 
 from __future__ import annotations
@@ -27,13 +26,7 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import LADDER_ONLY_FIELDS, EMSMapper, MapperConfig
-from repro.compiler.search import (
-    CancelledSearch,
-    DfgProbes,
-    LadderReport,
-    ProbeMemo,
-    climb_ladder,
-)
+from repro.compiler.search import DfgProbes, LadderReport, ProbeMemo, climb_ladder
 from repro.compiler.stats import MapperCounters, counters, job_counters
 from repro.kernels import get_kernel, kernel_names
 from repro.util.errors import LadderExhausted, MappingError
@@ -123,11 +116,11 @@ class TestLadderEnds:
     walked in order: the first success returns, the walk stops at the last
     rung, and a first rung above it is exhausted without a probe."""
 
-    def _climb(self, mapper, dfg, **kwargs):
+    def _climb(self, mapper, dfg):
         """(result or the LadderExhausted raised, the ladder's report)"""
         log: list[LadderReport] = []
         try:
-            result = climb_ladder(mapper, dfg, log=log, **kwargs)
+            result = climb_ladder(mapper, dfg, log=log)
         except LadderExhausted as exc:
             result = exc
         return result, log[0]
@@ -135,14 +128,11 @@ class TestLadderEnds:
     def test_first_success_wins_and_nothing_above_it_runs(self):
         dfg = _sor()
         mapper = ScriptedMapper(dfg, attempts_per_ii=6)
-        start, polls = mapper.start, []
-        winner, report = self._climb(
-            mapper, dfg, cancel_check=lambda: bool(polls.append(None))
-        )
+        start = mapper.start
+        winner, report = self._climb(mapper, dfg)
         assert winner == report.winner == mapper.win == (start + 2, 4)
         lattice = [(ii, a) for ii in range(start, start + 3) for a in range(6)]
         assert mapper.probed == lattice[: lattice.index(winner) + 1]
-        assert len(polls) == len(mapper.probed)  # one poll before every probe
         assert [tuple(row[:3]) for row in report.timeline] == [
             (*point, "fail") for point in mapper.probed[:-1]
         ] + [(*winner, "success")]
@@ -161,29 +151,25 @@ class TestLadderEnds:
 
     def test_first_rung_above_the_last_exhausts_without_probing(self):
         dfg = _sor()
-        mapper = ScriptedMapper(dfg, attempts_per_ii=6, max_ii=8)
-        error, report = self._climb(mapper, dfg, min_ii=9)
+        mapper = ScriptedMapper(dfg, attempts_per_ii=6, max_ii=3)
+        assert mapper.ladder_rungs(dfg) == (4, 3)  # the MII lies above max_ii
+        error, report = self._climb(mapper, dfg)
         assert isinstance(error, LadderExhausted)
         assert mapper.probed == [] and report.timeline == []
 
     def test_paged_ladder_ends_at_the_ceiling(self):
         """Whole-array ladders run to ``config.max_ii``; every paged one to
-        ``IIBound.ceiling`` — and a ``min_ii`` above it launches nothing."""
+        ``IIBound.ceiling``."""
         from repro.compiler.hier import HierMapper
 
         mapper, dfg = _sobel_ps2_mapper()
         ceiling = 3 * 2 + 6  # 26 ops on 16 PEs: res_mii 2, rec_mii 1
         assert mapper.ladder_rungs(dfg) == (2, ceiling)
-        assert mapper.ladder_rungs(dfg, min_ii=20) == (20, ceiling)
         assert EMSMapper(mapper.cgra).ladder_rungs(dfg)[1] == 64
         hier = HierMapper(mapper.cgra, mapper.layout, mapper.config)
         assert hier.ladder_rungs(dfg) == (2, ceiling)
         tight, _ = _sobel_ps2_mapper(max_ii=7)
         assert tight.ladder_rungs(dfg) == (2, 7)
-        error, report = self._climb(mapper, dfg, min_ii=ceiling + 1)
-        assert isinstance(error, LadderExhausted)
-        assert f"II <= {ceiling}" in str(error)
-        assert report.timeline == []
 
 
 class TestStuck:
@@ -649,24 +635,3 @@ def test_two_threads_on_one_memo():
     distinct = serial.stats()["entries"]
     assert distinct == stats["entries"] <= ran < 6 * distinct
 
-
-def test_a_cancelled_compile_leaves_only_complete_outcomes():
-    """Cancelled at its fourth poll, a compile has run three probes: the
-    memo holds those three, whole, and the next compile of the job starts
-    from them and ends on the unshared bytes."""
-    from repro.pipeline.compile import CompileJob, compile_job_stats
-
-    job = CompileJob("compress", 4, 2)
-    (direct, probes, _), = _compile([job])
-    memo = ProbeMemo()
-    polls = []
-    with pytest.raises(CancelledSearch):
-        compile_job_stats(
-            job, cancel_check=lambda: len(polls.append(None) or polls) > 3, memo=memo
-        )
-    assert memo.stats() == {"run": 3, "shared": 0, "entries": 3}
-    for placements, rest in memo._entries.values():
-        assert (placements is None and rest[1] in {"window", "no-pe", "no-slot", "budget"}) or (
-            placements and isinstance(rest, dict)
-        )
-    assert _compile([job], memo) == [(direct, probes - 3, 3)]

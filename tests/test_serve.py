@@ -1,5 +1,5 @@
 """Tests for the compile service: protocol validation, fair scheduling,
-singleflight coalescing, cooperative cancellation, and byte parity between
+singleflight coalescing, cancellation, shutdown, and byte parity between
 served responses and offline ``compile_many`` output."""
 
 from __future__ import annotations
@@ -8,13 +8,18 @@ import asyncio
 import json
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
+from pathlib import Path
 
 import pytest
 
-from repro.compiler.search import CancelledSearch
+import repro
 from repro.pipeline import (
     ArtifactStore,
     CompileJob,
@@ -24,7 +29,7 @@ from repro.pipeline import (
 )
 from repro.serve.loadgen import ServeClient
 from repro.serve.protocol import CompileRequest, ProtocolError
-from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
+from repro.serve.scheduler import FairScheduler, RequestCancelled
 from repro.serve.server import ServeServer
 from repro.serve.service import CompileService, ServiceConfig
 from repro.serve.singleflight import Singleflight
@@ -680,58 +685,42 @@ class TestHitPath:
         assert stats["compiles"] == 3 and stats["hits"] == 1
 
 
+def _hold_compiles(monkeypatch, which=lambda job: True):
+    """Hold the service's slot-thread compiles of the jobs *which* picks
+    until released: ``(running, release)`` events — *running* is set once
+    such a compile has started, *release* lets it go on to the end."""
+    import repro.serve.service as service_mod
+
+    running, release = threading.Event(), threading.Event()
+    real = service_mod.compile_job
+
+    def held(job, **kwargs):
+        if which(job):
+            running.set()
+            assert release.wait(30.0)
+        return real(job, **kwargs)
+
+    monkeypatch.setattr(service_mod, "compile_job", held)
+    return running, release
+
+
 class TestMidLadderCancellation:
-    def test_preset_token_stops_ladder(self):
-        """A fired cancel token stops the ladder at a probe boundary with
-        CancelledSearch — which is deliberately NOT a MappingError, so a
-        cancelled compile can never be stored as a bogus 'unmappable'
-        artifact."""
-        from repro.util.errors import MappingError
-
-        assert not issubclass(CancelledSearch, MappingError)
-        token = CancelToken()
-        token.cancel()
-        with pytest.raises(CancelledSearch):
-            compile_job(CompileJob("sor", 4, 2), cancel_check=token.is_set)
-
-    def test_check_firing_mid_ladder_stops_it(self):
-        """A check that turns true on its third poll — after probes have
-        run — raises out of the compile."""
-        polls = []
-
-        def third_poll() -> bool:
-            polls.append(None)
-            return len(polls) >= 3
-
-        with pytest.raises(CancelledSearch):
-            compile_job(CompileJob("compress", 4, 2), cancel_check=third_poll)
-        assert len(polls) == 3
+    """A cancel that lands while the job's ladders are climbing."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_sole_waiter_cancelling_a_running_compile(
         self, tmp_path, monkeypatch, workers
     ):
         """The only waiter of a request whose compile is already running
-        cancels and is answered at once.  On a slot thread (``workers=1``)
-        the ladder stops at its next probe boundary; in a worker process
-        (``workers=2``) the job runs to its end and the result is dropped.
-        Either way nothing is stored, and every slot and flight is given
-        back."""
-        import repro.serve.service as service_mod
-
-        climbing = threading.Event()
-        real = service_mod.compile_job
-
-        def signalling(job, cancel_check=None, **kwargs):
-            def check() -> bool:
-                climbing.set()  # polled: a ladder of this compile is running
-                return cancel_check()
-
-            return real(job, cancel_check=check, **kwargs)
-
-        monkeypatch.setattr(service_mod, "compile_job", signalling)
+        cancels and is answered at once, while the job still runs.  One
+        contract at every worker count — on a slot thread (``workers=1``,
+        held here until the answer is in) or in a worker process
+        (``workers=2``): the job runs to its end, its result is dropped
+        unstored, its slot is given back when it ends, and no flight or key
+        resolution is left behind."""
+        running, release = _hold_compiles(monkeypatch)
         if workers > 1:
-            climbing.set()  # the ladder climbs in another process, unseen
+            running.set()  # the job runs in another process, unseen
         request = _request("sobel", page_size=4, request_id="victim")  # 0.3 s
 
         async def body():
@@ -741,36 +730,33 @@ class TestMidLadderCancellation:
             async with CompileService(config) as service:
                 pending = asyncio.ensure_future(service.submit(request))
                 deadline = time.monotonic() + 30.0
-                while (
-                    not (climbing.is_set() and service.scheduler.stats()["running"])
-                    and time.monotonic() < deadline
-                ):
-                    await asyncio.sleep(0.005)
-                assert climbing.is_set()
-                assert service.scheduler.stats()["running"] == 1
-                assert await service.cancel("victim")
-                result = await pending
-                # the waiter is answered at once: the worker process still
-                # holds the job, and a slot thread gives its slot back at
-                # the ladder's next poll — the flight leader resolves the
-                # flight one loop turn after that
-                still_running = service.scheduler.stats()["running"]
+                try:
+                    while (
+                        not (running.is_set() and service.scheduler.stats()["running"])
+                        and time.monotonic() < deadline
+                    ):
+                        await asyncio.sleep(0.005)
+                    assert service.scheduler.stats()["running"] == 1
+                    assert await service.cancel("victim")
+                    result = await pending
+                    answered_while_running = service.scheduler.stats()["running"]
+                finally:
+                    release.set()
                 while (
                     service.scheduler.stats()["running"] or len(service.flights)
                 ) and time.monotonic() < deadline:
                     await asyncio.sleep(0.005)
-                return result, still_running, service.stats()
+                unresolved = [f for f in service._keys.values() if not f.done()]
+                return result, answered_while_running, unresolved, service.stats()
 
-        result, still_running, stats = _run(body())
+        result, answered_while_running, unresolved, stats = _run(body())
         assert not result.ok and result.error == "RequestCancelled"
-        assert still_running == 1 or workers == 1
+        assert answered_while_running == 1
         key = job_key(request.to_job())
         assert not ArtifactStore(tmp_path).path_for(key).exists()
         assert stats["store"]["puts"] == 0
         assert stats["compiles"] == 0 and stats["cancelled"] == 1
-        assert stats["scheduler"]["running"] == 0
-        assert stats["scheduler"]["queued"] == 0
-        assert stats["singleflight"]["in_flight"] == 0
+        assert _idle(stats) and not unresolved
         assert stats["singleflight"]["cancelled_flights"] == 1
 
 
@@ -823,52 +809,39 @@ class TestProbeMemo:
     def test_a_cancelled_flight_stores_nothing_and_poisons_nothing(
         self, tmp_path, monkeypatch
     ):
-        """A compile cancelled mid-ladder (here: held at its fourth poll
-        until the cancel has landed) leaves its three finished probes in
-        the memo and no artifact in the store; the same job asked for
-        again is compiled from those probes on, to the offline bytes."""
-        import repro.serve.service as service_mod
-
-        climbing, cancelled = threading.Event(), threading.Event()
-        polls = []
-        real = service_mod.compile_job
-
-        def holding(job, cancel_check=None, **kwargs):
-            def check() -> bool:
-                polls.append(None)
-                if len(polls) == 4:
-                    climbing.set()
-                    assert cancelled.wait(30.0)
-                return cancel_check()
-
-            return real(job, cancel_check=check, **kwargs)
-
-        monkeypatch.setattr(service_mod, "compile_job", holding)
-        request = _request("compress", request_id="victim")
-        path = ArtifactStore(tmp_path).path_for(job_key(request.to_job()))
+        """A miss cancelled while its job runs: the job runs to its end,
+        leaves its probes in the memo, whole, and no artifact in the store;
+        a sibling job of the same kernel (another mapper seed) then shares
+        those probes and is served the bytes ``compile_job`` gives it."""
+        running, release = _hold_compiles(monkeypatch, lambda job: job.seed == 0)
+        victim = _request("compress", request_id="victim")
+        sibling = _request("compress", seed=1)
+        path = ArtifactStore(tmp_path).path_for(job_key(victim.to_job()))
 
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
             async with CompileService(config) as service:
-                pending = asyncio.ensure_future(service.submit(request))
+                pending = asyncio.ensure_future(service.submit(victim))
                 deadline = time.monotonic() + 30.0
-                while not climbing.is_set() and time.monotonic() < deadline:
-                    await asyncio.sleep(0.002)
-                assert await service.cancel("victim")
-                cancelled.set()
-                gone = await pending
+                try:
+                    while not running.is_set() and time.monotonic() < deadline:
+                        await asyncio.sleep(0.002)
+                    assert await service.cancel("victim")
+                    gone = await pending
+                finally:
+                    release.set()
                 while len(service.flights) and time.monotonic() < deadline:
                     await asyncio.sleep(0.002)
                 stored, left = path.exists(), service.stats()["probes"]
-                again = await service.submit(_request("compress"))
-                return gone, stored, left, again, service.stats()
+                served = await service.submit(sibling)
+                return gone, stored, left, served, service.stats()
 
-        gone, stored, left, again, stats = _run(body())
+        gone, stored, left, served, stats = _run(body())
         assert gone.error == "RequestCancelled" and not stored
-        assert left == {"run": 3, "shared": 0, "entries": 3}
-        assert again.source == "compiled"
-        assert again.body == compile_job(request.to_job())[0].to_json().encode()
-        assert stats["probes"]["shared"] == 3
+        assert left["run"] == left["entries"] > 0 and left["shared"] == 0
+        assert served.source == "compiled"
+        assert served.body == compile_job(sibling.to_job())[0].to_json().encode()
+        assert stats["probes"]["shared"] > 0
         assert stats["store"]["puts"] == 1 and stats["compiles"] == 1
 
 
@@ -1091,3 +1064,134 @@ class TestServeServer:
             "hits": 0, "misses": 0, "puts": 0, "compile_seconds": 0.0,
         }
         assert not any(ArtifactStore(tmp_path).walk())
+
+    def test_cancel_over_http(self, tmp_path, monkeypatch):
+        """``POST /cancel`` on a request held in the queue (one slot, a
+        compile running ahead of it): the cancel answers ``true``, the
+        request's ``/compile`` a 409, an unknown id ``false``; a body that
+        is not an object, or whose ``request_id`` is missing or not a
+        string, is a 400 — and afterwards every flight, slot and key
+        resolution has been given back."""
+        running, release = _hold_compiles(monkeypatch, lambda job: job.kernel == "sor")
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with ServeServer(config) as server:
+                service = server.service
+                clients = [ServeClient(server.host, server.port) for _ in range(3)]
+                for client in clients:
+                    await client.connect()
+                first, second, control = clients
+
+                def cancel(payload):
+                    return control.request("POST", "/cancel", payload)
+
+                try:
+                    ahead = asyncio.ensure_future(
+                        first.compile({"kernel": "sor", "page_size": 2})
+                    )
+                    deadline = time.monotonic() + 30.0
+                    while not running.is_set() and time.monotonic() < deadline:
+                        await asyncio.sleep(0.002)
+                    victim = asyncio.ensure_future(
+                        second.compile(
+                            {"kernel": "mpeg", "page_size": 2, "request_id": "victim"}
+                        )
+                    )
+                    while (
+                        not service.scheduler.stats()["queued"]
+                        and time.monotonic() < deadline
+                    ):
+                        await asyncio.sleep(0.002)
+                    cancelled = await cancel({"request_id": "victim"})
+                    refused = await victim
+                    unknown = await cancel({"request_id": "no-such-request"})
+                    bad = [
+                        await cancel(payload)
+                        for payload in ({}, {"request_id": 7}, [1, 2], "x")
+                    ]
+                finally:
+                    release.set()
+                served = await ahead
+                for client in clients:
+                    await client.close()
+                unresolved = [f for f in service._keys.values() if not f.done()]
+                return cancelled, refused, unknown, bad, served, unresolved, service.stats()
+
+        cancelled, refused, unknown, bad, served, unresolved, stats = _run(body())
+        assert cancelled[0] == 200
+        assert json.loads(cancelled[2]) == {"request_id": "victim", "cancelled": True}
+        assert refused[0] == 409
+        assert json.loads(refused[2])["error"] == "RequestCancelled"
+        assert unknown[0] == 200 and json.loads(unknown[2])["cancelled"] is False
+        assert [status for status, _headers, _body in bad] == [400] * 4
+        assert all(json.loads(b)["error"] == "ProtocolError" for _s, _h, b in bad)
+        assert served[0] == 200 and served[1]["x-repro-source"] == "compiled"
+        assert stats["cancelled"] == 1 and stats["compiles"] == 1
+        assert stats["scheduler"]["cancelled_queued"] == 1
+        assert _idle(stats) and not unresolved
+
+
+def _live_children(pid: int) -> set[int]:
+    """Pids of the live (non-zombie) processes whose parent is *pid*."""
+    out = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, ppid = stat.read_text().rpartition(")")[2].split()[:2]
+        except OSError:  # exited while we looked
+            continue
+        if int(ppid) == pid and state != "Z":
+            out.add(int(stat.parent.name))
+    return out
+
+
+def _alive(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_shuts_the_pool_down_and_exits_zero(tmp_path):
+    """``python -m repro.serve --workers 2`` stopped with SIGTERM closes
+    like Ctrl-C does: it exits 0 within 10 s and leaves none of its
+    children behind — neither the two spawned workers nor the resource
+    tracker is re-parented and left running."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent),
+        "PYTHONUNBUFFERED": "1",
+    }
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.serve", "--port", "0", "--workers", "2",
+            "--store", str(tmp_path / "store"),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        env=env,
+    )
+    children: set[int] = set()
+    try:
+        assert select.select([proc.stdout], [], [], 30.0)[0], "no address printed"
+        line = proc.stdout.readline().decode()
+        assert "listening on" in line, line
+        address = line.split()[-1]
+        with urllib.request.urlopen(f"{address}/healthz", timeout=10) as health:
+            assert json.loads(health.read()) == {"ok": True}
+        children = _live_children(proc.pid)
+        assert len(children) >= 2  # the workers, and the resource tracker
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 0
+        deadline = time.monotonic() + 5.0
+        while any(map(_alive, children)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in children if _alive(pid)]
+    finally:
+        for pid in children | {proc.pid}:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+        proc.stdout.close()
