@@ -8,6 +8,10 @@ case through :func:`~repro.sim.oracle.verify_system` in **both** modes:
 the event-driven simulator must agree bit-for-bit with the cycle-quantum
 reference oracle and satisfy every timeline invariant, or
 :class:`~repro.util.errors.OracleViolation` names the divergence.
+:func:`~repro.sim.oracle.verify_system` always attaches a timeline, which
+keeps the engine on its per-event path, so every case is simulated once
+more with no recorder attached (the path a bare ``simulate_system`` call
+takes) and must give the verified run's :class:`SystemResult` exactly.
 
 Exposed as ``python -m repro.bench sim-oracle`` and run as a CI smoke
 step; everything is seeded through :func:`~repro.util.rng.derive_seed`,
@@ -16,7 +20,7 @@ so a reported case number reproduces exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.policies import (
     BestFitPolicy,
@@ -27,8 +31,13 @@ from repro.core.policies import (
     StaticEqualPolicy,
 )
 from repro.sim.oracle import OracleResult, verify_system
-from repro.sim.system import KernelProfile, SystemConfig, SystemResult
-from repro.sim.workload import generate_workload
+from repro.sim.system import (
+    KernelProfile,
+    SystemConfig,
+    SystemResult,
+    simulate_system,
+)
+from repro.sim.workload import ThreadSpec, generate_workload
 from repro.util.errors import OracleViolation
 from repro.util.rng import derive_seed
 
@@ -147,7 +156,8 @@ class FuzzReport:
     def render(self) -> str:
         lines = [
             f"sim-oracle fuzz: {self.cases} configs, {self.runs} verified "
-            f"runs, {self.oracle_steps} oracle quantum-steps",
+            f"runs (each matched by a recorder-free run), "
+            f"{self.oracle_steps} oracle quantum-steps",
             "  policies: "
             + ", ".join(
                 f"{p}={n}" for p, n in sorted(self.by_policy.items())
@@ -161,10 +171,8 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def fuzz_case(
-    case: FuzzCase, mode: str
-) -> tuple[SystemResult, OracleResult]:
-    """Build the workload and config of *case* and verify one *mode*."""
+def _case_inputs(case: FuzzCase) -> tuple[list[ThreadSpec], SystemConfig]:
+    """The workload and a fresh config (policy instance included) of *case*."""
     workload = generate_workload(
         case.n_threads,
         case.cgra_need,
@@ -182,24 +190,42 @@ def fuzz_case(
         reconfig_overhead=case.reconfig_overhead,
         switch_at_iteration_boundary=case.switch_at_iteration_boundary,
     )
-    return verify_system(workload, config, mode)
+    return workload, config
+
+
+def fuzz_case(
+    case: FuzzCase, mode: str
+) -> tuple[SystemResult, OracleResult]:
+    """Build the workload and config of *case* and verify one *mode*."""
+    return verify_system(*_case_inputs(case), mode)
 
 
 def run_fuzz(n_cases: int = 60, seed: int = 0) -> FuzzReport:
-    """Verify *n_cases* lattice points in both modes; never raises — the
-    report carries any violations so a sweep shows *all* divergences."""
+    """Verify *n_cases* lattice points in both modes, each also simulated
+    with no recorder attached; never raises — the report carries any
+    violations so a sweep shows *all* divergences."""
     report = FuzzReport()
     for i in range(n_cases):
         case = make_case(i, seed)
         report.cases += 1
         report.by_policy[case.policy] = report.by_policy.get(case.policy, 0) + 1
         for mode in ("single", "multithreaded"):
+            where = f"case {case.index} ({case.policy}, {mode}, seed {case.seed})"
             try:
-                _, oracle = fuzz_case(case, mode)
+                verified, oracle = fuzz_case(case, mode)
             except OracleViolation as err:
+                report.failures.append(f"{where}: {err}")
+                continue
+            bare = simulate_system(*_case_inputs(case), mode)
+            differ = [
+                f.name
+                for f in fields(SystemResult)
+                if getattr(bare, f.name) != getattr(verified, f.name)
+            ]
+            if differ:
                 report.failures.append(
-                    f"case {case.index} ({case.policy}, {mode}, "
-                    f"seed {case.seed}): {err}"
+                    f"{where}: with no recorder attached, "
+                    f"{', '.join(differ)} differ from the verified run"
                 )
                 continue
             report.runs += 1

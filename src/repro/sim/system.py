@@ -188,6 +188,9 @@ class SystemResult:
     finish_times: dict[int, float]
     cgra_busy_page_cycles: float
     n_pages: int
+    # reshapes of *other* threads on release decisions (the departing
+    # thread's neighbours expanding, the queue head admitted); the
+    # admission-time halving of residents on a request is not counted
     reallocations: int = 0
     kernel_invocations: int = 0
     wait_cycles: float = 0.0  # total time threads spent queued for the CGRA
@@ -291,6 +294,7 @@ class _ThreadState:
     rate: int | Fraction = 1  # cycles per iteration
     last_update: int | Fraction = 0
     stall_until: int | Fraction = 0
+    done_at: int | Fraction = 0  # time of the live kernel_done entry
     queued_since: int | Fraction | None = None
     finished: int | Fraction | None = None
 
@@ -485,148 +489,122 @@ class _SystemSim:
         self._schedule_completion(tid, now)
 
     def _schedule_completion(self, tid: int, now) -> None:
-        # the single hottest scheduling call: every reallocation of a
-        # running kernel lands here, so the int lane and the heap push are
-        # inlined rather than routed through max()/_mul()/_push()
         st = self.threads[tid]
         st.version += 1
-        su = st.stall_until
-        base = now if now >= su else su
-        il = st.iterations_left
-        r = st.rate
-        dur = il * r if il.__class__ is int and r.__class__ is int else _mul(il, r)
-        heapq.heappush(
-            self.events,
-            (base + dur, next(self.counter), st.version, "kernel_done", tid),
-        )
+        st.done_at = max(now, st.stall_until) + _mul(st.iterations_left, st.rate)
+        self._push(st.done_at, "kernel_done", tid)
 
-    def _progress(self, tid: int, now) -> None:
-        """Advance a running kernel's iteration count to *now*."""
-        st = self.threads[tid]
-        h = self.manager.threads.get(tid)
-        alloc = h.allocation if h is not None else None
-        if alloc is None:
-            return
-        lu = st.last_update
-        su = st.stall_until
-        start = lu if lu >= su else su
+    def _progress(self, st: _ThreadState, now, pages: int) -> None:
+        """Bill a running kernel's progress on *pages* pages up to *now*."""
+        start = max(st.last_update, st.stall_until)
         if now > start and st.rate > 0:
-            advanced = _div(now - start, st.rate)
-            left = st.iterations_left - advanced
+            left = st.iterations_left - _div(now - start, st.rate)
             st.iterations_left = left if left > 0 else 0
-            self.busy_page_cycles += _mul(now - start, alloc.length)
+            self.busy_page_cycles += _mul(now - start, pages)
         st.last_update = now
 
     def _apply_reallocations(self, events, now) -> None:
-        """Reshape running threads after manager events: bill progress at
-        the old rate up to *now*, charge the reconfiguration stall, and
-        reschedule their completions at the new rate."""
-        threads = self.threads
-        timeline = self.timeline
-        boundary = self.config.switch_at_iteration_boundary
-        overhead = self.config.reconfig_overhead
-        rates = self._rates
-        heap = self.events
-        counter = self.counter
-        heappush = heapq.heappush
-        for ev in events:
-            # every simulated thread stays in the state table for the whole
-            # run, so this lookup cannot miss
-            st = threads[ev.tid]
-            if st.finished is not None:
-                continue
-            if timeline is not None and ev.before and ev.after:
-                timeline.record(
-                    now,
-                    "realloc",
-                    ev.tid,
-                    f"{ev.before.length} -> {ev.after.length} pages",
-                    alloc=(ev.after.start, ev.after.length),
-                )
-            segments = st.spec.segments
-            seg = segments[st.seg_idx] if st.seg_idx < len(segments) else None
-            if seg is None or seg.kind != "cgra":
-                continue
-            if ev.before is not None:
-                # it was running: bill progress at the old allocation
-                # first (int lane inlined — this block runs per
-                # reallocation event of every running kernel)
-                lu = st.last_update
-                su = st.stall_until
-                start = lu if lu >= su else su
-                if now > start and st.rate > 0:
-                    delta = now - start
-                    r = st.rate
-                    advanced = (
-                        _div(delta, r)
-                        if delta.__class__ is not int or r.__class__ is not int
-                        else delta // r if delta % r == 0 else Fraction(delta, r)
-                    )
-                    left = st.iterations_left - advanced
-                    st.iterations_left = left if left > 0 else 0
-                    bl = ev.before.length
-                    self.busy_page_cycles += (
-                        delta * bl if delta.__class__ is int else _mul(delta, bl)
-                    )
-                st.last_update = now
-            if ev.after is None:
-                # eviction back to the manager's queue (callers filter the
-                # departing thread's own release event, so a None `after`
-                # here always means eviction): invalidate the scheduled
-                # completion — otherwise the stale kernel_done fires and
-                # the thread "completes" while holding zero pages — and
-                # mark it queued; the re-admission grant resumes it
-                # through _mt_activate with its remaining iterations
-                st.version += 1
-                st.queued_since = now
-                self.result.evictions += 1
-                if timeline is not None:
-                    timeline.record(now, "queued", ev.tid, seg.kernel)
-                continue
-            if ev.before is not None and boundary and st.iterations_left > 0:
-                # finish the in-flight iteration at the old rate before
-                # the transformed schedule takes over; the drain occupies
-                # the pages the thread holds *now* (its old segment may
-                # already belong to the thread that forced this reshape)
-                whole = math.floor(st.iterations_left)
-                frac = st.iterations_left - whole
-                if frac > 0:
-                    drain = _mul(frac, st.rate)
-                    st.stall_until = max(st.stall_until, now) + drain
-                    st.iterations_left = whole
-                    self.busy_page_cycles += _mul(drain, ev.after.length)
-            rate = rates.get((seg.kernel, ev.after.length))
-            st.rate = (
-                rate
-                if rate is not None
-                else self._ii_eff(seg.kernel, ev.after.length)
-            )
-            if ev.before is not None and overhead:
-                # the overhead overlaps an iteration-boundary drain: take
-                # the later of the two stalls, never overwrite (a plain
-                # assignment clobbered the boundary stall and double-ran
-                # the already-billed drain window)
-                stalled = now + overhead
-                if stalled > st.stall_until:
-                    st.stall_until = stalled
-            if st.queued_since is not None:
-                self._mt_activate(ev.tid, now, ev.after)
+        """Apply one manager decision's reallocations to the threads.
+
+        When nothing is charged or observed per event (no reconfiguration
+        overhead, no iteration-boundary switch, no timeline, no eviction
+        in the batch), only each thread's net change matters: its first
+        ``before`` and last ``after``, applied in the order of its last
+        event, which is the tie-break order a per-event replay gives the
+        live heap entries.  A resident whose allocation length is
+        unchanged keeps its rate and so its scheduled completion: it is
+        not re-billed, only given a fresh heap entry at ``done_at``.
+        """
+        cfg = self.config
+        if (
+            self.timeline is None
+            and not cfg.reconfig_overhead
+            and not cfg.switch_at_iteration_boundary
+        ):
+            net: dict[int, tuple] = {}
+            for ev in events:
+                if ev.after is None:
+                    break  # an eviction: replay the batch per event
+                prev = net.pop(ev.tid, None)
+                net[ev.tid] = (ev.before if prev is None else prev[0], ev.after)
             else:
-                # _schedule_completion, inlined for the hottest caller
-                st.version += 1
-                su = st.stall_until
-                base = now if now >= su else su
-                il = st.iterations_left
-                r = st.rate
-                dur = (
-                    il * r
-                    if il.__class__ is int and r.__class__ is int
-                    else _mul(il, r)
-                )
-                heappush(
-                    heap,
-                    (base + dur, next(counter), st.version, "kernel_done", ev.tid),
-                )
+                for tid, (before, after) in net.items():
+                    if before is not None and before.length == after.length:
+                        st = self.threads[tid]
+                        st.version += 1
+                        self._push(st.done_at, "kernel_done", tid)
+                    else:
+                        self._reshape(tid, before, after, now)
+                return
+        for ev in events:
+            self._reshape(ev.tid, ev.before, ev.after, now)
+
+    def _reshape(self, tid: int, before, after, now) -> None:
+        """Reshape one thread: bill progress at the old allocation up to
+        *now*, charge the reconfiguration stall, and reschedule its
+        completion at the new rate."""
+        # every simulated thread stays in the state table for the whole
+        # run, so this lookup cannot miss
+        st = self.threads[tid]
+        if st.finished is not None:
+            return
+        timeline = self.timeline
+        if timeline is not None and before and after:
+            timeline.record(
+                now,
+                "realloc",
+                tid,
+                f"{before.length} -> {after.length} pages",
+                alloc=(after.start, after.length),
+            )
+        segments = st.spec.segments
+        seg = segments[st.seg_idx] if st.seg_idx < len(segments) else None
+        if seg is None or seg.kind != "cgra":
+            return
+        if before is not None:
+            # it was running: bill progress at the old allocation first
+            self._progress(st, now, before.length)
+        if after is None:
+            # eviction back to the manager's queue (callers filter the
+            # departing thread's own release event, so a None `after`
+            # here always means eviction): invalidate the scheduled
+            # completion — otherwise the stale kernel_done fires and
+            # the thread "completes" while holding zero pages — and
+            # mark it queued; the re-admission grant resumes it
+            # through _mt_activate with its remaining iterations
+            st.version += 1
+            st.queued_since = now
+            self.result.evictions += 1
+            if timeline is not None:
+                timeline.record(now, "queued", tid, seg.kernel)
+            return
+        if (
+            before is not None
+            and self.config.switch_at_iteration_boundary
+            and st.iterations_left > 0
+        ):
+            # finish the in-flight iteration at the old rate before
+            # the transformed schedule takes over; the drain occupies
+            # the pages the thread holds *now* (its old segment may
+            # already belong to the thread that forced this reshape)
+            whole = math.floor(st.iterations_left)
+            frac = st.iterations_left - whole
+            if frac > 0:
+                drain = _mul(frac, st.rate)
+                st.stall_until = max(st.stall_until, now) + drain
+                st.iterations_left = whole
+                self.busy_page_cycles += _mul(drain, after.length)
+        st.rate = self._ii_eff(seg.kernel, after.length)
+        if before is not None and self.config.reconfig_overhead:
+            # the overhead overlaps an iteration-boundary drain: take
+            # the later of the two stalls, never overwrite (a plain
+            # assignment clobbered the boundary stall and double-ran
+            # the already-billed drain window)
+            st.stall_until = max(st.stall_until, now + self.config.reconfig_overhead)
+        if st.queued_since is not None:
+            self._mt_activate(tid, now, after)
+        else:
+            self._schedule_completion(tid, now)
 
     # -- event loop -------------------------------------------------------------------
 
@@ -686,7 +664,9 @@ class _SystemSim:
                     st.seg_idx += 1
                     self._start_segment(tid, now)
                 else:
-                    self._progress(tid, now)
+                    self._progress(
+                        st, now, self.manager.threads[tid].allocation.length
+                    )
                     if self.timeline is not None and st.iterations_left <= 0:
                         self.timeline.record(now, "kernel_done", tid)
                     if st.iterations_left > 0:

@@ -103,7 +103,7 @@ class TimelineEvent:
     """
 
     time: float
-    kind: str  # kernel_start | kernel_done | realloc | queued | cpu_start
+    kind: str  # kernel_start | kernel_done | realloc | queued
     tid: int
     detail: str = ""
     alloc: tuple[int, int] | None = None

@@ -9,8 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.policies import HalvingPolicy
-from repro.sim.fuzz import PriorityEvictionPolicy, make_case, run_fuzz
+from repro.core.policies import FairSharePolicy, HalvingPolicy
+from repro.sim.fuzz import (
+    FUZZ_PROFILES,
+    _POLICIES,
+    PriorityEvictionPolicy,
+    _make_policy,
+    make_case,
+    run_fuzz,
+)
 from repro.sim.oracle import (
     check_invariants,
     compare_results,
@@ -27,7 +34,13 @@ from repro.sim.system import (
     simulate_system,
 )
 from repro.sim.trace import DecisionTrace, SystemTimeline
-from repro.sim.workload import ARRIVAL_MODELS, Segment, ThreadSpec, generate_trace
+from repro.sim.workload import (
+    ARRIVAL_MODELS,
+    PriorityClass,
+    Segment,
+    ThreadSpec,
+    generate_trace,
+)
 from repro.util.errors import OracleViolation, SimulationError
 
 PROFILES = {
@@ -525,3 +538,76 @@ class TestFuzzSweep:
         }
         assert report.by_mode == {"single": 12, "multithreaded": 12}
         assert "all green" in report.render()
+
+
+class TestNetReallocations:
+    """With no timeline, overhead or boundary switch, the engine applies a
+    decision's net effect per thread and leaves an unchanged-length
+    resident unbilled; a timeline keeps it on the per-event path.  Both
+    paths must give the same result and the same decisions."""
+
+    @pytest.mark.parametrize("model", ARRIVAL_MODELS)
+    def test_generated_trace_same_with_and_without_timeline(self, model):
+        # 16 pages and a deep queue: fair-share forms full 16-resident
+        # batches, a shape the fuzz lattice (2-6 threads) never builds.
+        # 60 single-phase threads keep each model's 18 pairs of runs near
+        # 0.4 s on a 2-core VM (300 threads: ~2 s per model)
+        wl = generate_trace(
+            60,
+            0.75,
+            sorted(FUZZ_PROFILES),
+            {name: p.ii_base for name, p in FUZZ_PROFILES.items()},
+            seed=0,
+            arrival_model=model,
+            mean_arrival_gap=2.0,
+            diurnal_period=200,
+            mean_total_work=40,
+            classes=(PriorityClass("one", 1.0, 0, phases=1),),
+        )
+        widest = 0
+        for policy in _POLICIES:
+            for overhead, boundary in ((0, False), (3, False), (0, True)):
+                runs = []
+                for timeline in (SystemTimeline(), None):
+                    cfg = SystemConfig(
+                        n_pages=16,
+                        profiles=FUZZ_PROFILES,
+                        policy=_make_policy(policy),
+                        reconfig_overhead=overhead,
+                        switch_at_iteration_boundary=boundary,
+                        validate_decisions=False,
+                    )
+                    decisions = DecisionTrace()
+                    result = simulate_system(
+                        wl,
+                        cfg,
+                        "multithreaded",
+                        timeline=timeline,
+                        decisions=decisions,
+                    )
+                    runs.append((result, decisions.decisions))
+                assert runs[0] == runs[1], (policy, overhead, boundary)
+                if policy == "fair-share":
+                    widest = max(
+                        widest, *(len(d.residents) for d in runs[1][1])
+                    )
+        assert widest == 16
+
+    def test_same_length_shift_still_pays_the_overhead(self):
+        # three pages, fair-share: thread 1 holds (2, 1) from t=0; thread
+        # 2's arrival at t=8 moves it to (1, 1), same length and rate.
+        # Unstalled it finishes at 10 * 4 = 40; the 5-cycle overhead of
+        # that shift must still delay it to 45
+        wl = [
+            thread(0, Segment("cgra", kernel="slow", trip=10)),
+            thread(1, Segment("cgra", kernel="slow", trip=10)),
+            thread(2, Segment("cgra", kernel="slow", trip=20), arrival=8),
+        ]
+        for overhead, finish in ((0, 40), (5, 45)):
+            cfg = config(
+                n_pages=3, policy=FairSharePolicy(), reconfig_overhead=overhead
+            )
+            bare = simulate_system(wl, cfg, "multithreaded")
+            assert bare.finish_times[1] == finish
+            verified_result, _ = verified(wl, cfg, "multithreaded")
+            assert verified_result == bare
