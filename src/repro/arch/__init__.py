@@ -1,18 +1,19 @@
 """CGRA architecture model.
 
-This package models the hardware substrate of the paper (Fig. 1): a 2-D grid
-of processing elements (PEs) connected by a mesh interconnect, each PE an ALU
-with a local rotating register file, plus a data memory with one shared bus
-per row.  The per-PE configuration memory is not modelled as words: a
-compiled schedule is a :class:`~repro.compiler.mapping.Mapping`, lowered to
-firings by :mod:`repro.sim.lowering`.
+This package describes the hardware substrate of the paper (Fig. 1): a 2-D
+grid of processing elements (PEs) connected by a mesh interconnect, the
+operations each PE's ALU performs, and a data memory with one shared bus
+per row.  The behaviour of a PE over time — its rotating register file
+(§VI-E) and one operation per cycle — is modelled where firings execute,
+in :mod:`repro.sim.cgra_sim`.  The per-PE configuration memory is not
+modelled as words: a compiled schedule is a
+:class:`~repro.compiler.mapping.Mapping`, lowered to firings by
+:mod:`repro.sim.lowering`.
 """
 
 from repro.arch.isa import Opcode, OPCODE_INFO, evaluate, is_memory_op
 from repro.arch.interconnect import Coord, Interconnect
-from repro.arch.register_file import RotatingRegisterFile
 from repro.arch.memory import DataMemory, ArraySpec
-from repro.arch.pe import ProcessingElement
 from repro.arch.capability import CapabilityMap, OpClass, op_class
 from repro.arch.cgra import CGRA
 from repro.arch.presets import demo_cgra, experiment_cgra, preset, preset_names
@@ -24,10 +25,8 @@ __all__ = [
     "is_memory_op",
     "Coord",
     "Interconnect",
-    "RotatingRegisterFile",
     "DataMemory",
     "ArraySpec",
-    "ProcessingElement",
     "CapabilityMap",
     "OpClass",
     "op_class",

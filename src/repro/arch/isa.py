@@ -22,6 +22,7 @@ __all__ = [
     "Opcode",
     "OpInfo",
     "OPCODE_INFO",
+    "ALU_BY_VALUE",
     "evaluate",
     "is_memory_op",
     "wrap32",
@@ -163,6 +164,13 @@ _ALU: dict[Opcode, Callable[..., int]] = {
     Opcode.EQ: lambda a, b: int(a == b),
     Opcode.NE: lambda a, b: int(a != b),
     Opcode.SELECT: lambda a, b, c: wrap32(b if a else c),
+}
+
+#: The ALU functions keyed by ``(opcode value, operand count)``: only the
+#: well-formed calls are here, and the key hashes a str and an int in C
+#: where an :class:`Opcode` key would run ``Enum.__hash__`` in Python.
+ALU_BY_VALUE: dict[tuple[str, int], Callable[..., int]] = {
+    (op.value, OPCODE_INFO[op].arity): fn for op, fn in _ALU.items()
 }
 
 

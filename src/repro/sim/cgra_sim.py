@@ -14,6 +14,19 @@ CGRA description and a data memory, enforcing the architectural contracts:
 * a load and a store to the same address in the same cycle is rejected as
   a hazard (the order would be undefined in hardware).
 
+The rotating register files (§II, §VI-E) are kept here.  Every value a PE
+produces is pushed into its file, and a reader addresses "the value this
+PE produced *k* firings ago".  Rotation is what makes modulo-scheduled
+code work without explicit move instructions (Rau's rotating registers),
+and the paper's architecture-support section states that *N* rotating
+registers per PE are what allow a whole-CGRA schedule to be shrunk onto a
+single page: while a folded schedule stretches producer-to-consumer
+distances from 1 cycle up to ~N cycles, the producing PE keeps the value
+alive in its file.  Each PE's file is its values by production cycle,
+each numbered by the PE's push count at the time, so the depth a read
+reaches is ``pushes - number + 1``; a read deeper than the file fails
+loudly instead of silently reading stale data.
+
 The result bundles cycle counts and instrumentation for the experiment
 harness (IPC, PE utilization — the paper's §IV throughput quantities).
 """
@@ -21,13 +34,14 @@ harness (IPC, PE utilization — the paper's §IV throughput quantities).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from typing import Callable, Hashable, Sequence
 
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
-from repro.arch.isa import Opcode
+from repro.arch.isa import ALU_BY_VALUE, Opcode, evaluate
 from repro.arch.memory import DataMemory
-from repro.arch.pe import ProcessingElement
 from repro.sim.lowering import Firing, GlobalSlot, ResolvedRead, firing_order
 from repro.util.errors import SimulationError
 
@@ -83,24 +97,24 @@ def simulate(
     if bus_key is None:
         bus_key = lambda pe: pe.row  # noqa: E731 - tiny local default
     depth = rf_depth if rf_depth is not None else cgra.rf_depth
-    pes: dict[Coord, ProcessingElement] = {}
+    if depth < 1:
+        raise SimulationError(f"register file depth must be >= 1, got {depth}")
+    # the rotating register files: (PE, production cycle) -> (value, push
+    # number on that PE), and each PE's push count.  Nothing is evicted: a
+    # value more than `depth` pushes old is refused by the read instead.
+    produced: dict[tuple[Coord, int], tuple[int, int]] = {}
+    pushes: dict[Coord, int] = {}
     global_store: dict[GlobalSlot, int] = {}
     loads = stores = rf_reads = rf_max_depth = global_reads = global_writes = 0
     load, loadt, store = Opcode.LOAD, Opcode.LOADT, Opcode.STORE
+    alu = ALU_BY_VALUE
     cycle = -1
 
     ordered = sorted(firings, key=firing_order)
-    idx = 0
-    n = len(ordered)
-    while idx < n:
-        cycle = ordered[idx].cycle
+    for cycle, group in groupby(ordered, key=attrgetter("cycle")):
+        batch = list(group)
         if cycle < 0:
-            raise SimulationError(f"firing {ordered[idx].label} at negative cycle")
-        end = idx + 1
-        while end < n and ordered[end].cycle == cycle:
-            end += 1
-        batch = ordered[idx:end]
-        idx = end
+            raise SimulationError(f"firing {batch[0].label} at negative cycle")
 
         if check_conflicts:
             _check_conflicts(batch, cgra, bus_key, cycle)
@@ -110,35 +124,42 @@ def simulate(
         for f in batch:
             ops: list[int] = []
             for src in f.operands:
-                if isinstance(src, int):
-                    ops.append(src)
-                elif isinstance(src, ResolvedRead):
+                kind = type(src)
+                if kind not in _KINDS:
+                    kind = _operand_kind(src, f.label)
+                if kind is ResolvedRead:
                     if src.cycle >= cycle:
                         raise SimulationError(
                             f"{f.label} reads a value produced at cycle "
                             f"{src.cycle} >= its own cycle {cycle}"
                         )
-                    producer = pes.get(src.pe)
-                    if producer is None:
+                    count = pushes.get(src.pe)
+                    if count is None:
                         raise SimulationError(
                             f"{f.label} reads PE {src.pe} which never produced"
                         )
-                    ops.append(producer.read_output(src.cycle))
+                    entry = produced.get(src)
+                    if entry is None or count - entry[1] >= depth:
+                        raise SimulationError(
+                            f"{f.label} reads PE {src.pe}: value produced at "
+                            f"cycle {src.cycle} is not in the rotating register "
+                            f"file (depth {depth}); schedule requires more "
+                            f"rotating registers than the architecture provides"
+                        )
+                    ops.append(entry[0])
                     rf_reads += 1
-                    used = producer.depth_of(src.cycle)
+                    used = count - entry[1] + 1
                     if used > rf_max_depth:
                         rf_max_depth = used
-                elif isinstance(src, GlobalSlot):
+                elif kind is int:
+                    ops.append(src)
+                else:
                     if src not in global_store:
                         raise SimulationError(
                             f"{f.label} reads global slot {src} before any write"
                         )
                     ops.append(global_store[src])
                     global_reads += 1
-                else:
-                    raise SimulationError(
-                        f"{f.label}: unknown operand source {src!r}"
-                    )
             resolved.append(ops)
 
         # 2) execute, push results, queue memory effects.  Store addresses
@@ -156,9 +177,6 @@ def simulate(
         pending_stores: list[tuple[int, int]] = []
         for f, ops in zip(batch, resolved):
             opcode = f.opcode
-            pe = pes.get(f.pe)
-            if pe is None:
-                pe = pes[f.pe] = ProcessingElement(f.pe, depth)
             if opcode is load or opcode is loadt:
                 if f.addr is None:
                     raise SimulationError(f"{f.label}: load without address")
@@ -169,15 +187,27 @@ def simulate(
                     )
                 value = memory.load(f.addr)
                 loads += 1
-                pe.commit(cycle, value)
             elif opcode is store:
                 if f.addr is None:
                     raise SimulationError(f"{f.label}: store without address")
                 value = ops[0]
                 pending_stores.append((f.addr, value))
-                pe.commit(cycle, value)
             else:
-                value = pe.execute(opcode, ops, f.immediate, cycle)
+                # the table holds every well-formed ALU call (`_value_`, not
+                # the `value` property, to stay in C); `evaluate` computes
+                # CONST and raises on any other shape
+                fn = alu.get((opcode._value_, len(ops)))
+                value = fn(*ops) if fn else evaluate(opcode, ops, f.immediate)
+            # push onto the PE's rotating register file
+            pe = f.pe
+            number = pushes.get(pe, 0) + 1
+            entry = (value, number)
+            if produced.setdefault((pe, cycle), entry) is not entry:
+                raise SimulationError(
+                    f"{f.label}: register file pushes must be time-ordered: "
+                    f"PE {pe} already pushed at cycle {cycle}"
+                )
+            pushes[pe] = number
             if trace is not None:
                 trace.record(f, ops, value)
             for slot in f.global_writes:
@@ -192,26 +222,41 @@ def simulate(
 
     return SimResult(
         cycles=cycle + 1,
-        firings=n,
+        firings=len(ordered),
         loads=loads,
         stores=stores,
         rf_reads=rf_reads,
         rf_max_depth_used=rf_max_depth,
         global_reads=global_reads,
         global_writes=global_writes,
-        # every firing commits exactly one value on its PE
-        pe_busy={pe.coord: pe.firings for pe in pes.values()},
+        # every firing pushes exactly one value on its PE
+        pe_busy=pushes,
     )
+
+
+#: The operand kinds, told apart by type: an immediate, a register read, a
+#: global-storage read.
+_KINDS = (int, ResolvedRead, GlobalSlot)
+
+
+def _operand_kind(src, label: str) -> type:
+    """The kind of an operand whose type is a subclass of one (``bool`` is
+    an immediate); anything else is refused."""
+    for kind in _KINDS:
+        if isinstance(src, kind):
+            return kind
+    raise SimulationError(f"{label}: unknown operand source {src!r}")
 
 
 def _check_conflicts(batch, cgra, bus_key, cycle) -> None:
     """One firing per PE per cycle, on the grid, within each bus segment's
     port count.  *batch* is sorted by PE, so a double booking is adjacent."""
     rows, cols, ports = cgra.rows, cgra.cols, cgra.mem_ports_per_row
+    load, loadt, store = Opcode.LOAD, Opcode.LOADT, Opcode.STORE
     bus: dict[Hashable, int] = {}
     previous = None
     for f in batch:
-        pe = f.pe
+        pe, opcode = f.pe, f.opcode
         if not (0 <= pe.row < rows and 0 <= pe.col < cols):
             raise SimulationError(f"{f.label} fires on PE {pe} outside grid")
         if previous is not None and previous.pe == pe:
@@ -220,7 +265,7 @@ def _check_conflicts(batch, cgra, bus_key, cycle) -> None:
                 f"{previous.label} and {f.label}"
             )
         previous = f
-        if f.is_memory:
+        if opcode is load or opcode is loadt or opcode is store:
             key = bus_key(pe)
             bus[key] = bus.get(key, 0) + 1
             if bus[key] > ports:

@@ -17,7 +17,6 @@ positions a PageMaster placement assigns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -44,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ResolvedRead:
+class ResolvedRead(NamedTuple):
     """Read the value *pe* produced at exactly cycle *cycle* (register-file
     depth = reader cycle - *cycle*)."""
 
@@ -53,8 +51,7 @@ class ResolvedRead:
     cycle: int
 
 
-@dataclass(frozen=True)
-class GlobalSlot:
+class GlobalSlot(NamedTuple):
     """A value parked in the reserved global storage area, keyed by the DFG
     edge and the consumer iteration it serves."""
 
@@ -62,9 +59,13 @@ class GlobalSlot:
     iteration: int
 
 
-@dataclass(frozen=True)
-class Firing:
-    """One execution of one op/route step for one kernel iteration."""
+class Firing(NamedTuple):
+    """One execution of one op/route step for one kernel iteration.
+
+    The records are tuples, so building, reading and sorting the tens of
+    thousands a run makes stays in C.  Their ``repr`` is what the golden
+    firing digests hash (``tests/test_firing_golden.py``): field names,
+    order and defaults are fixed."""
 
     cycle: int
     pe: Coord
@@ -75,10 +76,6 @@ class Firing:
     addr: int | None = None
     iteration: int = 0
     global_writes: tuple[GlobalSlot, ...] = ()
-
-    @property
-    def is_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.LOADT, Opcode.STORE)
 
 
 #: Sort key of a firing program: by cycle, then PE (row-major).
@@ -237,11 +234,14 @@ def stamp_firings(
         raise SimulationError(f"trip count must be >= 0, got {trip}")
     if start_cycle < 0:
         raise SimulationError(f"start_cycle must be >= 0, got {start_cycle}")
-    # positions[k][i]: where and when item k fires in iteration i
+    if first_iteration < 0:
+        raise SimulationError(f"first_iteration must be >= 0, got {first_iteration}")
+    # positions[k][i]: where and when item k fires in iteration i — the very
+    # read every consumer of that firing's value makes, shared by all of them
     positions = [
         [None] * item.first
         + [
-            (pe, cycle + start_cycle)
+            ResolvedRead(pe, cycle + start_cycle)
             for pe, cycle in locate(
                 item,
                 range(item.time + item.first * ii, item.time + trip * ii, ii),
@@ -250,8 +250,8 @@ def stamp_firings(
         for item in items
     ]
     width = len(items)
-    # Firing arguments by (iteration, item), in the order firings are listed
-    rows: list[tuple | None] = [None] * (trip * width)
+    # firings by (iteration, item), in the order they are listed
+    rows: list[Firing | None] = [None] * (trip * width)
     # global fallback transfers: row index of the holder firing -> slots
     pending: dict[int, list[GlobalSlot]] = {}
     for i in range(trip):
@@ -271,9 +271,9 @@ def stamp_firings(
                 if i < len(init):
                     operands.append(init[i])
                     continue
-                holder_pe, holder_cycle = positions[holder][i - lag]
-                if readable is None or readable(pe, holder_pe, cycle - holder_cycle):
-                    operands.append(ResolvedRead(holder_pe, holder_cycle))
+                read = positions[holder][i - lag]
+                if readable is None or readable(pe, read.pe, cycle - read.cycle):
+                    operands.append(read)
                 else:
                     slot = GlobalSlot(
                         (firing_tag, edge_id) if firing_tag else edge_id, i
@@ -285,14 +285,12 @@ def stamp_firings(
                 if memref is not None
                 else None
             )
-            rows[i * width + k] = (
+            rows[i * width + k] = Firing(
                 cycle, pe, stem + suffix, opcode, tuple(operands), immediate, addr, i
             )
-    firings = [
-        Firing(*row, tuple(pending.get(n, ())))
-        for n, row in enumerate(rows)
-        if row is not None
-    ]
+    for n, slots in pending.items():
+        rows[n] = rows[n]._replace(global_writes=tuple(slots))
+    firings = [f for f in rows if f is not None]
     firings.sort(key=firing_order)
     return firings
 

@@ -1,4 +1,5 @@
-"""Unit tests for the mesh interconnect, register files, memory and CGRA."""
+"""Unit tests for the mesh interconnect, memory and CGRA, and for the
+rotating register files as `simulate` keeps them."""
 
 from __future__ import annotations
 
@@ -9,8 +10,11 @@ from hypothesis import strategies as st
 
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord, Interconnect
+from repro.arch.isa import Opcode
 from repro.arch.memory import DataMemory
-from repro.arch.register_file import RotatingRegisterFile
+from repro.sim.cgra_sim import simulate
+from repro.sim.lowering import Firing, ResolvedRead
+from repro.sim.trace import CycleTrace
 from repro.util.errors import ArchitectureError, SimulationError
 
 
@@ -81,89 +85,126 @@ class TestInterconnect:
         assert total == 2 * expected_edges
 
 
+# The rotating register file lives inside `simulate`: a PE's file is
+# observed through CONST firings pushing onto PE (0,0) and ROUTE firings on
+# its neighbour (0,1) reading them back.
+PRODUCER, READER = Coord(0, 0), Coord(0, 1)
+NOT_IN_FILE = "not in the rotating register file"
+
+
+def push(cycle, value, pe=PRODUCER, opcode=Opcode.CONST):
+    if opcode is Opcode.CONST:
+        return Firing(cycle, pe, f"p{cycle}", opcode, immediate=value)
+    return Firing(cycle, pe, f"p{cycle}", opcode, operands=value)
+
+
+def read(cycle, produced, pe=READER):
+    return Firing(
+        cycle, pe, f"r{produced}", Opcode.ROUTE,
+        operands=(ResolvedRead(PRODUCER, produced),),
+    )
+
+
+def run_rf(firings, depth, **keywords):
+    """Simulate *firings* with a *depth*-deep file; return the result and
+    each firing's value by label."""
+    trace = CycleTrace()
+    result = simulate(
+        firings, CGRA(2, 2), DataMemory(8), rf_depth=depth, trace=trace, **keywords
+    )
+    return result, {r.label: r.value for r in trace.records}
+
+
 class TestRotatingRegisterFile:
     def test_push_read(self):
-        rf = RotatingRegisterFile(4)
-        rf.push(0, 10)
-        rf.push(2, 20)
-        assert rf.read_produced_at(0) == 10
-        assert rf.read_produced_at(2) == 20
-        assert rf.latest() == 20
+        result, values = run_rf([push(0, 10), push(2, 20), read(3, 0), read(4, 2)], 4)
+        assert values["r0"] == 10 and values["r2"] == 20
+        # the oldest value sits one push under the newest (the output register)
+        assert result.rf_reads == 2 and result.rf_max_depth_used == 2
 
     def test_eviction_at_depth(self):
-        rf = RotatingRegisterFile(2)
-        for c, v in [(0, 1), (1, 2), (2, 3)]:
-            rf.push(c, v)
-        with pytest.raises(SimulationError):
-            rf.read_produced_at(0)
-        assert rf.read_produced_at(1) == 2
+        pushes = [push(c, v) for c, v in [(0, 1), (1, 2), (2, 3)]]
+        with pytest.raises(SimulationError, match=NOT_IN_FILE):
+            run_rf(pushes + [read(3, 0)], 2)
+        result, values = run_rf(pushes + [read(3, 1)], 2)
+        assert values["r1"] == 2 and result.rf_max_depth_used == 2
 
     def test_time_ordering_enforced(self):
-        rf = RotatingRegisterFile(4)
-        rf.push(5, 1)
-        with pytest.raises(SimulationError):
-            rf.push(5, 2)
-        with pytest.raises(SimulationError):
-            rf.push(3, 2)
+        # a file takes one push per cycle: a second push at cycle 5 is refused
+        # even when the slot-conflict check that would catch it first is off
+        twice = [push(5, 1), Firing(5, PRODUCER, "again", Opcode.CONST, immediate=2)]
+        with pytest.raises(SimulationError, match="double-booked"):
+            run_rf(twice, 4)
+        with pytest.raises(SimulationError, match="pushes must be time-ordered"):
+            run_rf(twice, 4, check_conflicts=False)
+        # pushes listed out of order are executed in time order
+        result, values = run_rf([push(5, 1), push(3, 2), read(6, 3)], 4)
+        assert values["r3"] == 2 and result.rf_max_depth_used == 2
 
     def test_depth_validation(self):
-        with pytest.raises(SimulationError):
-            RotatingRegisterFile(0)
+        for depth in (0, -2):
+            with pytest.raises(SimulationError, match=f"depth must be >= 1, got {depth}"):
+                run_rf([push(0, 1)], depth)
 
     def test_occupancy_watermark(self):
-        rf = RotatingRegisterFile(3)
-        for c in range(10):
-            rf.push(c, c)
-        assert rf.occupancy() == 3
-        assert rf.max_occupancy == 3
+        pushes = [push(c, c) for c in range(10)]
+        result, values = run_rf(pushes + [read(10 + k, 9 - k) for k in range(3)], 3)
+        assert [values[f"r{c}"] for c in (9, 8, 7)] == [9, 8, 7]
+        assert result.rf_max_depth_used == 3
+        with pytest.raises(SimulationError, match=NOT_IN_FILE):
+            run_rf(pushes + [read(10, 6)], 3)
 
     def test_clear(self):
-        rf = RotatingRegisterFile(3)
-        rf.push(0, 1)
-        rf.clear()
-        assert rf.latest() is None
-        rf.push(0, 2)  # time restarts after clear
-        assert rf.latest() == 2
+        run_rf([push(0, 1)], 3)
+        # every run starts from empty files: nothing of the last run is read
+        with pytest.raises(SimulationError, match="never produced"):
+            run_rf([read(1, 0)], 3)
+        _, values = run_rf([push(0, 2), read(1, 0)], 3)  # time restarts
+        assert values["r0"] == 2
 
     def test_depth_is_the_count_of_entries_at_least_as_new(self):
-        """The O(1) depth (a push-sequence subtraction) against its
-        definition, under random pushes and reads that overflow the file;
-        evicted and never-produced cycles read as absent."""
+        """A read against its definition, under random pushes and reads
+        that overflow the file: it succeeds exactly when the value is among
+        the PE's newest `depth` productions, and the depth it reaches is
+        the number of those at least as new; evicted and never-produced
+        cycles are refused."""
         import random
 
         rng = random.Random(20260930)
         for _ in range(200):
             depth = rng.randint(1, 9)
-            rf = RotatingRegisterFile(depth)
+            pushes: list[Firing] = []
             retained: list[int] = []  # the model: the newest `depth` cycles
             cycle = -1
             for _ in range(rng.randint(1, 60)):
                 if retained and rng.random() < 0.4:
-                    probe = rng.randint(0, cycle + 2)
+                    probe = rng.randint(0, cycle)
+                    firings = pushes + [read(cycle + 1, probe)]
                     if probe in retained:
+                        result, values = run_rf(firings, depth)
                         newer_or_same = sum(1 for c in retained if c >= probe)
-                        assert rf.depth_of(probe) == newer_or_same
-                        assert rf.read_produced_at(probe) == probe * 3
+                        assert result.rf_max_depth_used == newer_or_same
+                        assert values[f"r{probe}"] == probe * 3
                     else:
-                        assert rf.depth_of(probe) == 0
-                        with pytest.raises(SimulationError):
-                            rf.read_produced_at(probe)
+                        with pytest.raises(SimulationError, match=NOT_IN_FILE):
+                            run_rf(firings, depth)
                 else:
                     cycle += rng.randint(1, 3)
-                    rf.push(cycle, cycle * 3)
+                    pushes.append(push(cycle, cycle * 3))
                     retained = (retained + [cycle])[-depth:]
-                    assert rf.occupancy() == len(retained)
-                    assert rf.depth_of(cycle) == 1
-                    assert rf.depth_of(retained[0]) == len(retained)
+            newest = run_rf(pushes + [read(cycle + 1, cycle)], depth)[0]
+            oldest = run_rf(pushes + [read(cycle + 1, retained[0])], depth)[0]
+            assert newest.rf_max_depth_used == 1
+            assert oldest.rf_max_depth_used == len(retained)
 
     @given(st.integers(1, 8), st.lists(st.integers(0, 100), min_size=1, max_size=20, unique=True))
     def test_last_depth_values_always_readable(self, depth, cycles):
         cycles = sorted(cycles)
-        rf = RotatingRegisterFile(depth)
-        for c in cycles:
-            rf.push(c, c * 7)
+        last = cycles[-1]
+        reads = [read(last + 1 + k, c) for k, c in enumerate(cycles[-depth:])]
+        _, values = run_rf([push(c, c * 7) for c in cycles] + reads, depth)
         for c in cycles[-depth:]:
-            assert rf.read_produced_at(c) == c * 7
+            assert values[f"r{c}"] == c * 7
 
 
 class TestDataMemory:
@@ -235,34 +276,21 @@ class TestCGRA:
 
 class TestProcessingElement:
     def test_execute_commits(self):
-        from repro.arch.isa import Opcode
-        from repro.arch.pe import ProcessingElement
-
-        pe = ProcessingElement(Coord(0, 0), rf_depth=4)
-        v = pe.execute(Opcode.ADD, [2, 3], None, cycle=5)
-        assert v == 5
-        assert pe.read_output(5) == 5
-        assert pe.firings == 1
+        add = push(5, (2, 3), opcode=Opcode.ADD)
+        result, values = run_rf([add, read(6, 5)], 4)
+        assert values["p5"] == 5 and values["r5"] == 5
+        assert result.pe_busy[PRODUCER] == 1
 
     def test_depth_accounting(self):
-        from repro.arch.isa import Opcode
-        from repro.arch.pe import ProcessingElement
-
-        pe = ProcessingElement(Coord(1, 1), rf_depth=4)
-        for c in range(3):
-            pe.execute(Opcode.ADD, [c, 0], None, cycle=c)
-        assert pe.depth_of(2) == 1  # newest
-        assert pe.depth_of(0) == 3  # oldest retained
+        adds = [push(c, (c, 0), opcode=Opcode.ADD) for c in range(3)]
+        assert run_rf(adds + [read(3, 2)], 4)[0].rf_max_depth_used == 1  # newest
+        assert run_rf(adds + [read(3, 0)], 4)[0].rf_max_depth_used == 3  # oldest
 
     def test_depth_of_missing_raises(self):
-        from repro.arch.pe import ProcessingElement
-
-        pe = ProcessingElement(Coord(0, 0), rf_depth=2)
-        with pytest.raises(SimulationError):
-            pe.depth_of(9)
+        with pytest.raises(SimulationError, match=NOT_IN_FILE):
+            run_rf([push(0, 1), read(10, 9)], 2)
 
     def test_rf_depth_of_absent_is_zero(self):
-        rf = RotatingRegisterFile(2)
-        assert rf.depth_of(0) == 0
-        rf.push(0, 7)
-        assert rf.depth_of(0) == 1
+        with pytest.raises(SimulationError, match="never produced"):
+            run_rf([read(1, 0)], 2)
+        assert run_rf([push(0, 7), read(1, 0)], 2)[0].rf_max_depth_used == 1

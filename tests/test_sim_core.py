@@ -9,9 +9,20 @@ from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
 from repro.arch.isa import Opcode
 from repro.arch.memory import DataMemory
+from repro.compiler.paged import map_dfg_paged
+from repro.core.pagemaster import PageMaster
+from repro.core.paging import PageLayout
+from repro.kernels import bind_memory
 from repro.sim.cgra_sim import simulate
-from repro.sim.lowering import Firing, GlobalSlot, ResolvedRead, resolve_addr
+from repro.sim.lowering import (
+    Firing,
+    GlobalSlot,
+    ResolvedRead,
+    lower_mapping,
+    resolve_addr,
+)
 from repro.sim.reference import run_reference
+from repro.sim.retarget import required_batches, retarget_firings
 from repro.dfg.builder import DFGBuilder
 from repro.dfg.graph import MemRef
 from repro.util.errors import SimulationError
@@ -28,7 +39,7 @@ class TestSimulatorContracts:
             F(0, Coord(0, 0), Opcode.CONST, "a", immediate=1),
             F(0, Coord(0, 0), Opcode.CONST, "b", immediate=2),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="double-booked at cycle 0: a and b"):
             simulate(firings, cgra44, mem)
 
     def test_bus_capacity_enforced(self, cgra44):
@@ -38,7 +49,7 @@ class TestSimulatorContracts:
             F(0, Coord(0, 0), Opcode.LOAD, "l0", addr=0),
             F(0, Coord(0, 1), Opcode.LOAD, "l1", addr=1),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="bus segment 0 over capacity"):
             simulate(firings, cgra44, mem)
         # different rows: fine
         ok = [
@@ -70,7 +81,7 @@ class TestSimulatorContracts:
                 operands=(ResolvedRead(Coord(0, 0), 1),),
             ),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="cycle 1 >= its own cycle 1"):
             simulate(firings, cgra44, mem)
 
     def test_read_of_never_produced_rejected(self, cgra44):
@@ -84,7 +95,7 @@ class TestSimulatorContracts:
                 operands=(ResolvedRead(Coord(3, 3), 0),),
             ),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"PE \(3,3\) which never produced"):
             simulate(firings, cgra44, mem)
 
     def test_rf_depth_enforced(self, cgra44):
@@ -99,7 +110,7 @@ class TestSimulatorContracts:
                 operands=(ResolvedRead(Coord(0, 0), 0),),
             )
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="not in the rotating register file"):
             simulate(firings, cgra44, mem, rf_depth=3)
         res = simulate(firings, cgra44, mem, rf_depth=6)
         assert res.rf_max_depth_used == 6
@@ -119,7 +130,7 @@ class TestSimulatorContracts:
             ),
             F(1, Coord(1, 0), Opcode.LOAD, "ld", addr=0),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="ld: load/store hazard at address 0"):
             simulate(firings, cgra44, mem)
 
     def test_double_store_same_address_rejected(self, cgra44):
@@ -144,7 +155,7 @@ class TestSimulatorContracts:
                 addr=0,
             ),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"s2: double store to address 0 \(s1\)"):
             simulate(firings, cgra44, mem)
 
     def test_global_slot_roundtrip(self, cgra44):
@@ -169,7 +180,7 @@ class TestSimulatorContracts:
         firings = [
             F(0, Coord(0, 0), Opcode.ROUTE, "c", operands=(GlobalSlot(1, 0),)),
         ]
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="before any write"):
             simulate(firings, cgra44, mem)
 
     def test_operand_sources_are_told_apart_by_kind(self, cgra44):
@@ -194,8 +205,46 @@ class TestSimulatorContracts:
 
     def test_negative_cycle_rejected(self, cgra44):
         mem = DataMemory(64)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="firing f at negative cycle"):
             simulate([F(-1, Coord(0, 0), Opcode.CONST, immediate=0)], cgra44, mem)
+
+    def test_pe_outside_grid_rejected(self, cgra44):
+        mem = DataMemory(64)
+        for pe in (Coord(4, 0), Coord(0, 4), Coord(-1, 2)):
+            with pytest.raises(SimulationError, match="fires on PE .* outside grid"):
+                simulate([F(0, pe, Opcode.CONST, "c", immediate=0)], cgra44, mem)
+
+    @pytest.mark.parametrize("opcode", [Opcode.LOAD, Opcode.LOADT, Opcode.STORE])
+    def test_memory_firing_without_address_rejected(self, cgra44, opcode):
+        kind = "store" if opcode is Opcode.STORE else "load"
+        operands = (0,) if opcode is not Opcode.LOAD else ()
+        with pytest.raises(SimulationError, match=f"m: {kind} without address"):
+            simulate([F(0, Coord(0, 0), opcode, "m", operands=operands)], cgra44,
+                     DataMemory(64))
+
+    def test_out_of_order_push_rejected(self, cgra44):
+        """A double-booked PE that slips past the conflict check still
+        cannot push two values into its register file in one cycle."""
+        firings = [
+            F(3, Coord(1, 1), Opcode.CONST, "a", immediate=1),
+            F(3, Coord(1, 1), Opcode.ADD, "b", operands=(1, 2)),
+        ]
+        with pytest.raises(
+            SimulationError,
+            match=r"b: register file pushes must be time-ordered: "
+            r"PE \(1,1\) already pushed at cycle 3",
+        ):
+            simulate(firings, cgra44, DataMemory(64), check_conflicts=False)
+
+    def test_alu_shape_errors_come_from_evaluate(self, cgra44):
+        """The simulator's ALU table covers only well-formed calls; an arity
+        mismatch or an immediate-less CONST is reported as `evaluate`
+        reports it."""
+        mem = DataMemory(64)
+        with pytest.raises(SimulationError, match="add expects 2 operands, got 1"):
+            simulate([F(0, Coord(0, 0), Opcode.ADD, "a", operands=(1,))], cgra44, mem)
+        with pytest.raises(SimulationError, match="CONST requires an immediate"):
+            simulate([F(0, Coord(0, 0), Opcode.CONST, "c")], cgra44, mem)
 
     def test_utilization_metric(self, cgra44):
         mem = DataMemory(64)
@@ -216,10 +265,42 @@ class TestAddressing:
         mem = DataMemory(64)
         mem.bind_array("a", [0] * 4)
         assert resolve_addr(MemRef("a", stride=1, offset=0), 3, mem) == 3
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=r"index 4 out of bounds \[0,4\)"):
             resolve_addr(MemRef("a", stride=1, offset=0), 4, mem)
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="no array named 'missing'"):
             resolve_addr(MemRef("missing"), 0, mem)
+
+
+class TestStampArguments:
+    """``lower_mapping`` and ``retarget_firings`` share ``stamp_firings``'s
+    argument checks."""
+
+    @pytest.fixture(scope="class")
+    def copy_kernel(self):
+        # out[i+1] = in[i+1]: iteration -1 would be in bounds at index 0
+        b = DFGBuilder("copy")
+        b.store("out", b.load("in", offset=1), offset=1)
+        cgra = CGRA(4, 4)
+        return map_dfg_paged(b.build(), cgra, PageLayout(cgra, (2, 2)))
+
+    def memory(self):
+        return bind_memory({"in": np.arange(1, 5), "out": np.zeros(4, dtype=np.int64)})
+
+    def test_lower_rejects_negative_first_iteration(self, copy_kernel):
+        mem = self.memory()
+        with pytest.raises(SimulationError, match="first_iteration must be >= 0, got -1"):
+            lower_mapping(copy_kernel.mapping, mem, 2, first_iteration=-1)
+        simulate(lower_mapping(copy_kernel.mapping, mem, 2), copy_kernel.mapping.cgra, mem)
+        assert list(mem.read_array("out")) == [0, 2, 3, 0]
+
+    def test_retarget_rejects_negative_first_iteration(self, copy_kernel):
+        paged = copy_kernel
+        placement = PageMaster(
+            paged.layout.num_pages, paged.ii, 1, wrap_used=paged.wrap_used
+        ).place(batches=required_batches(paged.mapping, 2))
+        with pytest.raises(SimulationError, match="first_iteration must be >= 0, got -1"):
+            retarget_firings(paged, placement, [0], self.memory(), 2, first_iteration=-1)
+        assert retarget_firings(paged, placement, [0], self.memory(), 2)
 
 
 class TestReferenceInterpreter:
@@ -227,7 +308,7 @@ class TestReferenceInterpreter:
         b = DFGBuilder("t")
         b.store("out", b.load("in"))
         g = b.build()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="trip count must be >= 0, got -1"):
             run_reference(g, {"in": np.zeros(1), "out": np.zeros(1)}, -1)
 
     def test_out_of_bounds_index_rejected(self):
@@ -238,14 +319,14 @@ class TestReferenceInterpreter:
             "in": np.zeros(4, dtype=np.int64),
             "out": np.zeros(4, dtype=np.int64),
         }
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="index 10 out of bounds"):
             run_reference(g, arrays, 1)
 
     def test_unbound_array_rejected(self):
         b = DFGBuilder("t")
         b.store("out", b.load("nope"))
         g = b.build()
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match="unbound array 'nope'"):
             run_reference(g, {"out": np.zeros(1, dtype=np.int64)}, 1)
 
     def test_carry_inits_used(self):
