@@ -1,4 +1,4 @@
-"""``python -m repro.analysis`` — the CI entry point for all three passes.
+"""``python -m repro.analysis`` — the CI entry point for both passes.
 
 Subcommands:
 
@@ -6,15 +6,14 @@ Subcommands:
   (default: the installed ``repro`` package);
 * ``audit [--store PATH]`` — run the artifact auditor over a store
   (default: the standard ``.repro_artifacts`` location);
-* ``flow [--root PATH] [--summaries]`` — interprocedural effect &
-  concurrency analysis over the whole package (``--summaries`` dumps the
-  per-function effect summaries as JSON);
-* ``all`` — every pass, combined report, worst exit code wins;
+* ``all`` — both passes, combined report, worst exit code wins;
 * ``rules`` — print the rule catalogue.
 
 ``--json`` switches to the machine-readable report, ``--strict`` makes
 warnings gate the build (the required CI step runs ``all --strict``).
 Exit codes: 0 clean, 1 findings, 2 the analysis itself failed to run.
+What no lint rule sees — file I/O and argument mutation on the compile
+and fingerprint paths — is ``tests/test_contracts.py``.
 """
 
 from __future__ import annotations
@@ -25,21 +24,14 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.findings import Finding
-from repro.analysis.report import (
-    EXIT_FATAL,
-    exit_code,
-    render_json,
-    render_text,
-)
+from repro.analysis.report import EXIT_FATAL, exit_code, render_json, render_text
 
 __all__ = ["main"]
 
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit the JSON report"
-    )
+    common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument(
         "--strict",
         action="store_true",
@@ -48,7 +40,7 @@ def _parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="determinism lint + artifact auditor + flow analysis",
+        description="determinism lint + artifact auditor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -72,25 +64,8 @@ def _parser() -> argparse.ArgumentParser:
         help="store root (default: .repro_artifacts / $REPRO_CACHE_DIR)",
     )
 
-    flow = sub.add_parser(
-        "flow",
-        parents=[common],
-        help="interprocedural effect & concurrency analysis",
-    )
-    flow.add_argument(
-        "--root",
-        type=Path,
-        default=None,
-        help="package directory to analyze (default: the repro package)",
-    )
-    flow.add_argument(
-        "--summaries",
-        action="store_true",
-        help="dump per-function effect summaries as JSON and exit",
-    )
-
     both = sub.add_parser(
-        "all", parents=[common], help="all passes, worst exit code wins"
+        "all", parents=[common], help="both passes, worst exit code wins"
     )
     both.add_argument("--root", type=Path, default=None)
     both.add_argument("--store", type=Path, default=None)
@@ -116,20 +91,6 @@ def _run_audit(store: Path | None) -> tuple[list[Finding], dict, str]:
     return report.findings, {"audit": report.as_record()}, report.summary()
 
 
-def _run_flow(root: Path | None) -> tuple[list[Finding], dict, str]:
-    from repro.analysis.flow import analyze_tree
-
-    if root is not None and not root.exists():
-        raise FileNotFoundError(f"flow root {root} does not exist")
-    report = analyze_tree(root)
-    stats = report.stats()
-    summary = (
-        f"flow: {stats['functions']} functions / {stats['modules']} modules, "
-        f"{stats['roots']} concurrency roots, {stats['findings']} findings"
-    )
-    return report.findings, {"flow": stats}, summary
-
-
 def _print_rules(as_json: bool) -> int:
     from repro.analysis.registry import all_rules
 
@@ -137,21 +98,12 @@ def _print_rules(as_json: bool) -> int:
     if as_json:
         import json
 
-        print(
-            json.dumps(
-                [
-                    {
-                        "id": r.id,
-                        "kind": r.kind,
-                        "severity": r.severity.value,
-                        "summary": r.summary,
-                        "fix_hint": r.fix_hint,
-                    }
-                    for r in rules
-                ],
-                indent=2,
-            )
-        )
+        records = [
+            {"id": r.id, "kind": r.kind, "severity": r.severity.value,
+             "summary": r.summary, "fix_hint": r.fix_hint}
+            for r in rules
+        ]
+        print(json.dumps(records, indent=2))
         return 0
     width = max(len(r.id) for r in rules)
     for r in rules:
@@ -159,26 +111,10 @@ def _print_rules(as_json: bool) -> int:
     return 0
 
 
-def _print_summaries(root: Path | None) -> int:
-    import json
-
-    from repro.analysis.flow import analyze_tree
-
-    if root is not None and not root.exists():
-        print(f"repro.analysis: fatal: flow root {root} does not exist",
-              file=sys.stderr)
-        return EXIT_FATAL
-    report = analyze_tree(root)
-    print(json.dumps(report.summary_records(), indent=2, sort_keys=True))
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "rules":
         return _print_rules(args.json)
-    if args.command == "flow" and args.summaries:
-        return _print_summaries(args.root)
 
     findings: list[Finding] = []
     payload: dict = {}
@@ -190,11 +126,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             audit_findings, audit_payload, summary = _run_audit(args.store)
             findings.extend(audit_findings)
             payload.update(audit_payload)
-            extra.append(summary)
-        if args.command in ("flow", "all"):
-            flow_findings, flow_payload, summary = _run_flow(args.root)
-            findings.extend(flow_findings)
-            payload.update(flow_payload)
             extra.append(summary)
     except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
         print(f"repro.analysis: fatal: {exc}", file=sys.stderr)

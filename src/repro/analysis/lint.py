@@ -19,13 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import (
-    Rule,
-    flow_rule_ids,
-    known_rule_ids,
-    lint_rules,
-    register,
-)
+from repro.analysis.registry import Rule, known_rule_ids, lint_rules, register
 from repro.analysis.rules import collect_imports
 from repro.analysis.suppressions import Suppression, parse_suppressions
 
@@ -151,7 +145,6 @@ def _lint_module(ctx: ModuleContext) -> list[Finding]:
         kept.append(f)
 
     known = known_rule_ids()
-    flow_ids = flow_rule_ids()
     for s in suppressions:
         where = ast.Constant(value=None)
         where.lineno, where.col_offset = s.comment_line, 0
@@ -170,10 +163,6 @@ def _lint_module(ctx: ModuleContext) -> list[Finding]:
                     f"allow[{', '.join(s.rule_ids)}] has no reason",
                 )
             )
-        elif not s.used and any(rid in flow_ids for rid in s.rule_ids):
-            # flow-rule suppressions are judged by the flow pass (this
-            # per-file engine cannot know what the whole-program pass hit)
-            continue
         elif not s.used:
             kept.append(
                 ctx.finding(

@@ -14,9 +14,7 @@ Rule id families:
 * ``ART-*`` — artifact encoding/addressing invariants (audit pass);
 * ``MAP-*`` — mapping legality invariants, §VI-B included (audit pass);
 * ``FOLD-*`` — PageMaster foldability invariants (audit pass);
-* ``STORE-*`` — store hygiene (audit pass);
-* ``RACE-*`` — interprocedural data-race hazards (flow pass);
-* ``FLOW-*`` — determinism-contract violations (flow pass).
+* ``STORE-*`` — store hygiene (audit pass).
 """
 
 from __future__ import annotations
@@ -31,8 +29,6 @@ __all__ = [
     "register",
     "all_rules",
     "lint_rules",
-    "flow_rules",
-    "flow_rule_ids",
 ]
 
 
@@ -47,7 +43,7 @@ class Rule:
     """
 
     id: str
-    kind: str  # "lint" | "audit" | "flow"
+    kind: str  # "lint" | "audit"
     severity: Severity
     summary: str
     fix_hint: str
@@ -60,8 +56,9 @@ _REGISTRY: dict[str, Rule] = {}
 def register(rule: Rule) -> Rule:
     if rule.id in _REGISTRY:
         raise ValueError(f"duplicate rule id {rule.id!r}")
-    if rule.kind not in ("lint", "audit", "flow"):
+    if rule.kind not in ("lint", "audit"):
         raise ValueError(f"rule {rule.id}: unknown kind {rule.kind!r}")
+    # repro: allow[DET-GLOBAL-WRITE] the catalogue is filled by register() calls at module import, never after
     _REGISTRY[rule.id] = rule
     return rule
 
@@ -81,15 +78,6 @@ def lint_rules() -> list[Rule]:
     return [r for r in all_rules() if r.kind == "lint"]
 
 
-def flow_rules() -> list[Rule]:
-    return [r for r in all_rules() if r.kind == "flow"]
-
-
-def flow_rule_ids() -> frozenset[str]:
-    return frozenset(r.id for r in flow_rules())
-
-
 def _ensure_loaded() -> None:
     """Import the modules that register rules (idempotent)."""
     from repro.analysis import audit, lint, rules  # noqa: F401
-    from repro.analysis.flow import concurrency, contracts  # noqa: F401

@@ -63,4 +63,4 @@ def resolve_call_target(func: ast.AST, imports: dict[str, str]) -> str | None:
 
 
 # Load every rule module so the registry is complete after one import.
-from repro.analysis.rules import environment, ordering, pitfalls, randomness  # noqa: E402,F401
+from repro.analysis.rules import environment, ordering, pitfalls, randomness, state  # noqa: E402,F401

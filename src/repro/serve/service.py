@@ -80,16 +80,6 @@ def _warm() -> None:
     imports this module — and with it the whole compiler — to find it."""
 
 
-def _stored_bytes(store: ArtifactStore, key: ArtifactKey) -> bytes | None:
-    """The on-loop store probe: the file bytes of a valid stored artifact,
-    the very ones ``get`` validated in its one read, or None on a miss.
-    *store* is a typed parameter so the flow analysis follows the call into
-    ``ArtifactStore.get`` — through ``self.store`` it would not, and the
-    serve-loop contract would certify a ``submit`` with the read out of view."""
-    hit = store.get(key, raw=True)
-    return None if hit is None else hit[1]
-
-
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning for one service instance.
@@ -378,9 +368,9 @@ class CompileService:
             # the one store probe of the request, on the loop: a hit costs
             # one ~50 us file read, less than the thread hop it would ride,
             # and serves the bytes it validated
-            body = _stored_bytes(self.store, key)
-            if body is not None:
-                return _FlightOutcome(digest=key.digest, source="hit", body=body)
+            hit = self.store.get(key, raw=True)
+            if hit is not None:
+                return _FlightOutcome(digest=key.digest, source="hit", body=hit[1])
             return await self._compile_miss(job, key, token)
 
         return work

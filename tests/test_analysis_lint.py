@@ -5,6 +5,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.analysis.findings import Severity
 from repro.analysis.lint import default_root, lint_paths, lint_tree
 from repro.analysis.registry import all_rules
@@ -69,6 +70,14 @@ FIRES = {
         def f(energy):
             return energy == 0.0
         """,
+    "DET-GLOBAL-WRITE": """
+        _CACHE = {}
+
+        def f(key, build):
+            if key not in _CACHE:
+                _CACHE[key] = build(key)
+            return _CACHE[key]
+        """,
 }
 
 CLEAN = {
@@ -119,6 +128,26 @@ CLEAN = {
     "DET-FLOAT-EQ": """
         def f(energy):
             return abs(energy) < 1e-9
+        """,
+    "DET-GLOBAL-WRITE": """
+        import os
+        import threading
+
+        _TLS = threading.local()
+        TABLE = {}
+        TABLE["seed"] = 0  # at import time
+
+        def f(path):
+            _TLS.counters = []  # per-thread by construction
+            TABLE = {}  # a local that shadows the global
+            TABLE["x"] = 1
+
+            def inner():
+                TABLE.update(y=2)  # the enclosing local, not the global
+
+            inner()
+            os.remove(path)  # a module function, not a container method
+            return TABLE
         """,
 }
 
@@ -242,6 +271,120 @@ def test_wall_clock_rule_names_the_target(tmp_path):
     assert "os.getpid" in finding.message
 
 
+def test_global_write_covers_every_write_form(tmp_path):
+    findings = lint_source(
+        tmp_path,
+        """
+        import sys
+
+        HITS = 0
+        SEEN = []
+        TABLE = {}
+
+        def bump():
+            global HITS
+            HITS += 1
+
+        def record(key, value):
+            TABLE[key].count += 1
+            del TABLE[key]
+            SEEN.append(value)
+            sys.path.insert(0, value)
+            return [TABLE.setdefault(k, v) for k, v in value]
+        """,
+    )
+    assert [(f.rule_id, f.line) for f in findings] == [
+        ("DET-GLOBAL-WRITE", line) for line in (10, 13, 14, 15, 16, 17)
+    ]
+    assert "'HITS': rebinds it through `global`" in findings[0].message
+
+
+def test_global_write_exempts_only_thread_local_globals(tmp_path):
+    """Whatever a global holds, a function writing it fires — a lock or a
+    compiled pattern included — except a ``threading.local()``, however
+    the constructor was imported."""
+    findings = lint_source(
+        tmp_path,
+        """
+        import re
+        import threading
+        from threading import local
+
+        TABLE = {}
+        NAMES = ["a", "b"]
+        PATTERN = re.compile(r"x")
+        LOCK = threading.Lock()
+        TLS = threading.local()
+        SLOT = local()
+
+        def touch(v):
+            TABLE["k"] = v
+            NAMES.append(v)
+            PATTERN.cache = v
+            LOCK.owner = v
+            TLS.value = v
+            SLOT.value = v
+        """,
+    )
+    assert set(rule_ids(findings)) == {"DET-GLOBAL-WRITE"}
+    written = [f.message.split("module global ")[1].split(":")[0] for f in findings]
+    assert sorted(written) == ["'LOCK'", "'NAMES'", "'PATTERN'", "'TABLE'"]
+
+
+def test_global_write_fires_even_under_lock(tmp_path):
+    """A lock orders the writes of concurrent threads, but the state still
+    outlives the call that wrote it, so a locked write fires too."""
+    findings = lint_source(
+        tmp_path,
+        """
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        TOTALS = {}
+        _LOCK = threading.Lock()
+
+
+        def job(x):
+            with _LOCK:
+                TOTALS[x] = x * 2
+
+
+        def fan_out(items):
+            with ThreadPoolExecutor() as tp:
+                for it in items:
+                    tp.submit(job, it)
+        """,
+    )
+    assert [(f.rule_id, f.line) for f in findings] == [("DET-GLOBAL-WRITE", 11)]
+    assert "'job' writes module global 'TOTALS'" in findings[0].message
+
+
+def test_reverting_counters_fix_fires_global_write(tmp_path):
+    """Textually revert compiler/routing.py to bumping one module-level
+    counter instance from the router (what the process-wide totals once
+    were) and lint that text alone: the rule fires at the write line, for
+    an attribute bump and for a merge through ``MapperCounters.add``."""
+    text = (default_root() / "compiler" / "routing.py").read_text()
+    # the router fetches the thread's counters once per query and bumps
+    # that instance; the reverted form bumps one shared by every thread
+    fixed_import = "from repro.compiler.stats import MapperCounters, counters"
+    fixed_bump = "stats = counters()\n    stats.route_calls += 1"
+    assert fixed_import in text and fixed_bump in text
+    reverted = text.replace(
+        fixed_import, fixed_import + "\n\nCOUNTERS = MapperCounters()"
+    )
+    path = tmp_path / "routing.py"
+    for bump in ("COUNTERS.route_calls += 1", 'COUNTERS.add({"route_calls": 1})'):
+        mutated = reverted.replace(fixed_bump, f"stats = COUNTERS\n    {bump}")
+        path.write_text(mutated)
+        line = mutated.splitlines().index(f"    {bump}") + 1
+        findings = lint_paths([path], base=tmp_path)
+        assert [(f.rule_id, f.line) for f in findings] == [
+            ("DET-GLOBAL-WRITE", line)
+        ], findings
+        assert "'COUNTERS'" in findings[0].message
+
+
 def test_unparseable_module_is_a_finding(tmp_path):
     findings = lint_source(tmp_path, "def broken(:\n")
     assert rule_ids(findings) == ["LINT-PARSE"]
@@ -259,6 +402,15 @@ def test_suppression_with_reason_silences(tmp_path):
         """,
     )
     assert findings == []
+
+
+def test_reasoned_suppression_silences_global_write(tmp_path):
+    source = FIRES["DET-GLOBAL-WRITE"].replace(
+        "_CACHE[key] = build(key)",
+        "_CACHE[key] = build(key)  # repro: allow[DET-GLOBAL-WRITE] filled once per key",
+    )
+    assert source != FIRES["DET-GLOBAL-WRITE"]
+    assert lint_source(tmp_path, source) == []
 
 
 def test_standalone_suppression_covers_next_line(tmp_path):
@@ -308,6 +460,18 @@ def test_unknown_rule_id_is_reported(tmp_path):
     assert "SUP-UNKNOWN" in ids and "DET-FLOAT-EQ" in ids
 
 
+def test_stale_mixed_suppression_is_reported(tmp_path):
+    """A suppression naming a live rule and a retired one, on code where
+    nothing fires: the retired id is unknown and the line is stale."""
+    findings = lint_source(
+        tmp_path,
+        "X = 1  # repro: allow[DET-FLOAT-EQ, RACE-SHARED-MUT] reason\n",
+    )
+    assert sorted(rule_ids(findings)) == ["SUP-UNKNOWN", "SUP-UNUSED"]
+    (unknown,) = [f for f in findings if f.rule_id == "SUP-UNKNOWN"]
+    assert "RACE-SHARED-MUT" in unknown.message
+
+
 def test_suppression_examples_in_docstrings_are_inert(tmp_path):
     findings = lint_source(
         tmp_path,
@@ -341,6 +505,53 @@ def test_rule_catalogue_is_stable():
 def test_repro_tree_is_lint_clean():
     findings = lint_tree(default_root())
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+def test_only_the_registry_may_write_a_global():
+    """The one function in the tree that writes a module global is
+    ``register()``, which fills the rule catalogue at import time."""
+    root = default_root()
+    allowed = [
+        (str(path.relative_to(root)), s.reason)
+        for path in sorted(root.rglob("*.py"))
+        for s in parse_suppressions(path.read_text())
+        if "DET-GLOBAL-WRITE" in s.rule_ids
+    ]
+    assert [where for where, _ in allowed] == ["analysis/registry.py"]
+
+
+def test_rule_kinds_are_lint_and_audit_only():
+    """Every rule runs in one of the two passes; the global-write rule is a
+    lint rule with a firing and a clean fixture like the rest."""
+    rules = {r.id: r for r in all_rules()}
+    assert {r.kind for r in rules.values()} == {"lint", "audit"}
+    assert rules["DET-GLOBAL-WRITE"].kind == "lint"
+    assert "DET-GLOBAL-WRITE" in FIRES and "DET-GLOBAL-WRITE" in CLEAN
+
+
+def test_cli_flow_subcommand_is_a_usage_error(capsys):
+    for argv in (["flow"], ["flow", "--summaries"], ["all", "--summaries"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv
+
+
+def test_cli_rules_lists_global_write_and_no_flow_rule(capsys):
+    assert main(["rules"]) == 0
+    ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert ids == sorted(r.id for r in all_rules())
+    assert "DET-GLOBAL-WRITE" in ids
+    assert not [i for i in ids if i.startswith(("RACE-", "FLOW-"))]
+
+
+def test_cli_all_strict_is_clean(capsys):
+    """The CI step: lint over the tree and audit of the committed store,
+    warnings gating, with no third pass in the report."""
+    assert main(["all", "--strict"]) == 0
+    out = capsys.readouterr().out
+    assert out.rstrip().endswith("repro.analysis all: clean")
+    assert "flow" not in out
 
 
 def test_exit_code_contract():
