@@ -7,13 +7,22 @@ into the freed portion"; when schedules do not use the entire CGRA the new
 thread simply takes the unused pages, and "threads are expanded as other
 threads complete".
 
-Two additional policies support the ablation benches:
+Four policies implement :class:`AllocationPolicy`:
 
+* :class:`HalvingPolicy` — the paper's policy, above;
+* :class:`NeedAwareHalvingPolicy` — halving, but no grant exceeds the
+  kernel's page need, so the surplus stays free for the next arrival;
 * :class:`FairSharePolicy` — rebalance to an equal split on every arrival
   and departure (more transformations, better balance);
 * :class:`StaticEqualPolicy` — fixed equal partitions sized for a declared
   maximum thread count, in the spirit of the Polymorphic Pipeline Array
   [28] comparison: no runtime reshaping at all.
+
+Every policy keeps the two contracts the manager relies on: ``release``
+returns every other resident (a running thread never loses its pages —
+the paper's runtime shrinks and expands, it does not preempt), and an
+``admit`` that fails fails for every newcomer until the resident map
+changes.
 
 Policies work on *segments*: contiguous runs of pages on the layout's
 chain (contiguity is what lets the retargeter place transformed schedules
@@ -34,8 +43,6 @@ __all__ = [
     "NeedAwareHalvingPolicy",
     "FairSharePolicy",
     "StaticEqualPolicy",
-    "BestFitPolicy",
-    "PriorityEvictionPolicy",
 ]
 
 
@@ -59,15 +66,24 @@ class AllocationPolicy(Protocol):
     """Decides how page segments change on thread arrival/departure.
 
     Both hooks receive the current resident map and return the complete new
-    map (threads absent from the result are queued / unchanged semantics
-    are owned by the manager).  The map passed in is the manager's live
-    bookkeeping — policies must treat it as read-only and build a fresh
-    dict for their answer; the manager deliberately skips a defensive copy
-    on what is the hottest call of a large simulation.  Returning ``None``
-    from :meth:`admit` means the newcomer cannot be admitted now.  ``needs`` maps thread ids to
-    their page *need* (the compiled kernel's ``pages_used``); policies may
-    ignore it, or use it to avoid granting pages a thread cannot convert
-    into speed.
+    map.  The map passed in is the manager's live bookkeeping — policies
+    must treat it as read-only and build a fresh dict for their answer; the
+    manager deliberately skips a defensive copy on what is the hottest call
+    of a large simulation.  ``needs`` maps thread ids to their page *need*
+    (the compiled kernel's ``pages_used``); policies may ignore it, or use
+    it to avoid granting pages a thread cannot convert into speed.
+
+    Two contracts, which the manager relies on:
+
+    * :meth:`admit` returns every resident plus the newcomer, or ``None``
+      when the newcomer cannot be admitted now — and then it returns
+      ``None`` for every newcomer, whatever its id or need, until the
+      resident map changes (the manager caches one failed probe);
+    * :meth:`release` returns every resident except the departing one.
+
+    A policy never drops a resident: the manager raises
+    :class:`~repro.util.errors.ReproError` on an answer whose size differs
+    from the resident map it should produce.
     """
 
     def admit(
@@ -87,35 +103,8 @@ class AllocationPolicy(Protocol):
     ) -> dict[int, Allocation]: ...
 
 
-def _free_segments(n_pages: int, residents: dict[int, Allocation]) -> list[Allocation]:
-    if not residents:
-        return [Allocation(0, n_pages)]
-    used = sorted((a.start, a.length) for a in residents.values())
-    free: list[Allocation] = []
-    cursor = 0
-    for start, length in used:
-        if start > cursor:
-            free.append(Allocation(cursor, start - cursor))
-        cursor = start + length
-    if cursor < n_pages:
-        free.append(Allocation(cursor, n_pages - cursor))
-    return free
-
-
 class HalvingPolicy:
     """The paper's policy: take free pages if any, else halve the largest."""
-
-    # Optimization contracts the manager reads (see
-    # :func:`repro.core.runtime._declared_policy_flag` — a subclass that
-    # overrides admit/release without re-declaring them falls back to the
-    # safe defaults):
-    # whether this policy can admit a newcomer depends only on the resident
-    # map, never on who is asking (or their need) — the manager uses this to
-    # skip re-probing a saturated array until an allocation changes.
-    admit_failure_is_state_independent = True
-    # halving shrinks residents but never drops one from the map, so the
-    # manager can skip its per-decision eviction scan
-    evicts_residents = False
 
     def admit(self, n_pages, residents, tid, needs=None):
         # inlined free-span scan on (start, length) tuples: this runs ~3x
@@ -189,9 +178,6 @@ class HalvingPolicy:
 class FairSharePolicy:
     """Equal split across residents, rebalanced on every change."""
 
-    admit_failure_is_state_independent = True
-    evicts_residents = False
-
     @staticmethod
     def _split(n_pages: int, tids: list[int]) -> dict[int, Allocation]:
         k = len(tids)
@@ -220,9 +206,6 @@ class StaticEqualPolicy:
     """PPA-style fixed partitioning for a declared max thread count: the
     CGRA is split into ``max_threads`` equal slices at 'compile time' and
     slices are never resized."""
-
-    admit_failure_is_state_independent = True
-    evicts_residents = False
 
     def __init__(self, max_threads: int) -> None:
         if max_threads < 1:
@@ -253,82 +236,6 @@ class StaticEqualPolicy:
         return {t: a for t, a in residents.items() if t != tid}
 
 
-class BestFitPolicy(HalvingPolicy):
-    """Halving, but free pages are granted best-fit against the newcomer's
-    declared need: the smallest free segment that covers the need wins and
-    is trimmed to it, leaving the surplus for the next arrival.  Without a
-    fitting segment (or without a declared need) the largest free segment
-    is granted whole; with no free pages at all it falls back to halving.
-    """
-
-    # re-declared because this class overrides admit: best-fit changes
-    # *which* pages a newcomer gets, but an admission fails exactly when
-    # plain halving's does (no free segment and nothing splittable), and
-    # residents are only ever shrunk, never dropped
-    admit_failure_is_state_independent = True
-    evicts_residents = False
-
-    def admit(self, n_pages, residents, tid, needs=None):
-        free = _free_segments(n_pages, residents)
-        if not free:
-            return super().admit(n_pages, residents, tid, needs)
-        need = needs.get(tid) if needs else None
-        if need:
-            fitting = [s for s in free if s.length >= need]
-            if fitting:
-                seg = min(fitting, key=lambda s: (s.length, s.start))
-                out = dict(residents)
-                out[tid] = Allocation(seg.start, need)
-                return out
-        seg = max(free, key=lambda s: (s.length, -s.start))
-        out = dict(residents)
-        out[tid] = seg
-        return out
-
-
-class PriorityEvictionPolicy(HalvingPolicy):
-    """Halving, but a full array evicts a lower-priority resident.
-
-    Priorities come from the *priorities* map (thread id -> priority,
-    higher wins — matching ``ThreadSpec.priority``); threads absent from
-    the map rank 0.  Without a map, priority defaults to ``-tid`` (earlier
-    threads outrank later ones), which makes evictions fire whenever an
-    early thread re-requests the CGRA for a later segment while the array
-    is full — the eviction path no stock policy exercises.
-
-    Eviction is restricted to *strictly* lower priorities so the manager's
-    re-admission drain terminates: priorities strictly decrease along any
-    eviction chain, and an evicted thread can never in turn evict its
-    evictor.
-    """
-
-    # admission success depends on the requester's priority, so the
-    # manager's saturated-array negative cache must not apply; and a
-    # successful admission may drop the victim from the map, so the
-    # manager must keep its eviction scan
-    admit_failure_is_state_independent = False
-    evicts_residents = True
-
-    def __init__(self, priorities: dict[int, int] | None = None) -> None:
-        self.priorities = priorities
-
-    def _prio(self, tid: int) -> int:
-        if self.priorities is None:
-            return -tid
-        return self.priorities.get(tid, 0)
-
-    def admit(self, n_pages, residents, tid, needs=None):
-        p = self._prio(tid)
-        victims = [t for t in residents if self._prio(t) < p]
-        if victims and not _free_segments(n_pages, residents):
-            # lowest priority loses its pages; ties broken by highest tid
-            victim = min(victims, key=lambda t: (self._prio(t), -t))
-            out = {t: a for t, a in residents.items() if t != victim}
-            out[tid] = residents[victim]
-            return out
-        return super().admit(n_pages, residents, tid, needs)
-
-
 class NeedAwareHalvingPolicy(HalvingPolicy):
     """Halving, but no thread is ever granted more pages than its kernel's
     need — the grant is trimmed and the surplus stays free for the next
@@ -337,13 +244,6 @@ class NeedAwareHalvingPolicy(HalvingPolicy):
 
     Falls back to plain halving when needs are unknown.
     """
-
-    # re-declared (not inherited) because this class overrides admit and
-    # release: trimming changes who gets how much, but an admission still
-    # fails exactly when plain halving's does, and trimmed residents are
-    # shrunk, never dropped
-    admit_failure_is_state_independent = True
-    evicts_residents = False
 
     def admit(self, n_pages, residents, tid, needs=None):
         out = super().admit(n_pages, residents, tid, needs)

@@ -8,7 +8,8 @@ memory." (§VII-B)
 :class:`CGRAManager` owns the page pool of one paged CGRA and brokers it
 between threads: arrivals are admitted through the allocation policy
 (shrinking residents when needed, queueing when the array is saturated),
-departures trigger expansion and admit queued threads.  Every allocation
+departures trigger expansion and admit queued threads.  A running thread
+never loses its pages; only its own departure frees them.  Every allocation
 change is recorded as a :class:`Reallocation` event so callers can charge
 transformation/transfer overheads and drive the PageMaster transformation
 for the affected threads.
@@ -34,35 +35,6 @@ __all__ = [
     "CGRAManager",
     "check_allocation_map",
 ]
-
-
-def _declared_policy_flag(policy, flag: str, methods: tuple[str, ...]):
-    """Resolve an optimization flag a policy class declares about its own
-    behavior (``admit_failure_is_state_independent``, ``evicts_residents``).
-
-    The flag is only honored when it is declared at — or more derived
-    than — every class providing the methods it makes claims about: a
-    subclass that overrides ``admit`` without re-declaring the flag
-    silently loses the optimization instead of silently breaking the
-    manager's bookkeeping.  Returns the declared value, or ``None`` when
-    no trustworthy declaration exists (callers pick the safe default).
-    """
-    mro = type(policy).__mro__
-
-    def first(attr: str) -> int | None:
-        for i, klass in enumerate(mro):
-            if attr in klass.__dict__:
-                return i
-        return None
-
-    fi = first(flag)
-    if fi is None:
-        return None
-    for m in methods:
-        mi = first(m)
-        if mi is not None and mi < fi:
-            return None
-    return mro[fi].__dict__[flag]
 
 
 def check_allocation_map(
@@ -96,7 +68,9 @@ def check_allocation_map(
 
 @dataclass(frozen=True, slots=True)
 class Reallocation:
-    """One allocation change: a thread's page segment before/after."""
+    """One allocation change: a thread's page segment before/after
+    (``before`` is None for an admission, ``after`` only for the departing
+    thread of a release)."""
 
     tid: int
     before: Allocation | None
@@ -109,7 +83,6 @@ class ThreadHandle:
 
     tid: int
     allocation: Allocation | None = None  # None -> queued
-    reallocations: int = 0
 
 
 @dataclass
@@ -134,20 +107,11 @@ class CGRAManager:
         # on every decision made the simulator quadratic in thread count
         self._residents: dict[int, Allocation] = {}
         self.needs: dict[int, int] = {}
-        # negative admission cache: when the policy's admission failures
-        # depend only on the resident map (all stock policies), one failed
-        # probe means every further probe fails until an allocation
+        # negative admission cache: a policy's admission failure depends
+        # only on the resident map (the AllocationPolicy contract), so one
+        # failed probe means every further probe fails until an allocation
         # changes.  `_rev` counts allocation changes; `_admit_fail_rev`
         # remembers the revision of the last failed probe.
-        neg = _declared_policy_flag(
-            self.policy, "admit_failure_is_state_independent", ("admit",)
-        )
-        self._neg_cache_ok = bool(neg)
-        # unknown policies get the safe default: assume they may evict
-        evicts = _declared_policy_flag(
-            self.policy, "evicts_residents", ("admit", "release")
-        )
-        self._policy_evicts = True if evicts is None else bool(evicts)
         self._rev = 0
         self._admit_fail_rev = -1
 
@@ -180,7 +144,7 @@ class CGRAManager:
         self.threads[tid] = ThreadHandle(tid)
         if need is not None:
             self.needs[tid] = need
-        if self._neg_cache_ok and self._admit_fail_rev == self._rev:
+        if self._admit_fail_rev == self._rev:
             new_map = None
         else:
             new_map = self.policy.admit(
@@ -213,7 +177,7 @@ class CGRAManager:
         # admit as many queued threads as now fit
         while self._queue:
             nxt = self._queue[0]
-            if self._neg_cache_ok and self._admit_fail_rev == self._rev:
+            if self._admit_fail_rev == self._rev:
                 break
             new_map = self.policy.admit(
                 self.n_pages, self._residents, nxt, self.needs
@@ -250,20 +214,14 @@ class CGRAManager:
             if old is None or old.start != alloc.start or old.length != alloc.length:
                 events.append(Reallocation(tid, old, alloc))
                 h.allocation = alloc
-                h.reallocations += 1
                 residents[tid] = alloc
-        if not self._policy_evicts:
-            return events
-        # scan the (bounded) resident map, never the full thread table —
-        # queued threads cannot be evicted and vastly outnumber residents
-        # under heavy traffic
-        for tid in [t for t in self._residents if t not in new_map]:
-            if tid == departed:
-                continue
-            # policy dropped a resident: treat as eviction back to queue
-            h = self.threads[tid]
-            events.append(Reallocation(tid, h.allocation, None))
-            h.allocation = None
-            del self._residents[tid]
-            self._queue.append(tid)
+        # every resident is in the answer and nothing else is: a policy
+        # that drops a running thread, or a release answer that still holds
+        # the departing one, breaks the AllocationPolicy contract
+        if len(residents) != len(new_map):
+            raise ReproError(
+                f"policy answer holds {len(new_map)} threads but "
+                f"{len(residents)} must be resident: a policy may neither "
+                f"drop a running thread nor keep a departing one"
+            )
         return events

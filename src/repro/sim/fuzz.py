@@ -1,10 +1,10 @@
 """Deterministic workload fuzzer for the simulation oracle.
 
 Sweeps a seeded lattice of :func:`~repro.sim.workload.generate_workload`
-configurations — all five non-evicting stock allocation policies plus the
-eviction-happy priority one, staggered and simultaneous arrivals, reconfiguration
-overhead on/off, iteration-boundary switching on/off — and pushes every
-case through :func:`~repro.sim.oracle.verify_system` in **both** modes:
+configurations — all four allocation policies, staggered and simultaneous
+arrivals, reconfiguration overhead on/off, iteration-boundary switching
+on/off — and pushes every case through
+:func:`~repro.sim.oracle.verify_system` in **both** modes:
 the event-driven simulator must agree bit-for-bit with the cycle-quantum
 reference oracle and satisfy every timeline invariant, or
 :class:`~repro.util.errors.OracleViolation` names the divergence.
@@ -23,11 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 from repro.core.policies import (
-    BestFitPolicy,
     FairSharePolicy,
     HalvingPolicy,
     NeedAwareHalvingPolicy,
-    PriorityEvictionPolicy,
     StaticEqualPolicy,
 )
 from repro.sim.oracle import OracleResult, verify_system
@@ -43,7 +41,6 @@ from repro.util.rng import derive_seed
 
 __all__ = [
     "FUZZ_PROFILES",
-    "PriorityEvictionPolicy",
     "FuzzCase",
     "FuzzReport",
     "fuzz_case",
@@ -74,22 +71,10 @@ def _make_policy(name: str):
         return FairSharePolicy()
     if name == "static-equal":
         return StaticEqualPolicy(max_threads=4)
-    if name == "best-fit":
-        return BestFitPolicy()
-    if name == "evicting":
-        # no priorities map: tid-based default, lower tid outranks higher
-        return PriorityEvictionPolicy()
     raise ValueError(f"unknown fuzz policy {name!r}")
 
 
-_POLICIES = (
-    "halving",
-    "need-aware",
-    "fair-share",
-    "static-equal",
-    "best-fit",
-    "evicting",
-)
+_POLICIES = ("halving", "need-aware", "fair-share", "static-equal")
 _OVERHEADS = (0, 3)
 _BOUNDARY = (False, True)
 _GAPS = (0, 40)
@@ -116,10 +101,14 @@ class FuzzCase:
 def make_case(index: int, seed: int) -> FuzzCase:
     """The *index*-th lattice point: the policy x overhead x boundary x
     arrival-gap grid cycles fastest, thread/page/need shape slower, so any
-    prefix of the sweep already spans all six policies and both modes'
+    prefix of the sweep already spans all four policies and both modes'
     interesting knobs."""
     pol = _POLICIES[index % len(_POLICIES)]
     rest = index // len(_POLICIES)
+    # the shape steps once more per round of policies: four policies
+    # against four thread/page counts would otherwise pin each policy to
+    # one shape for the whole sweep
+    shape = index + rest
     overhead = _OVERHEADS[rest % len(_OVERHEADS)]
     rest //= len(_OVERHEADS)
     boundary = _BOUNDARY[rest % len(_BOUNDARY)]
@@ -128,9 +117,9 @@ def make_case(index: int, seed: int) -> FuzzCase:
     return FuzzCase(
         index=index,
         policy=pol,
-        n_threads=_N_THREADS[index % len(_N_THREADS)],
-        n_pages=_N_PAGES[index % len(_N_PAGES)],
-        cgra_need=_NEEDS[index % len(_NEEDS)],
+        n_threads=_N_THREADS[shape % len(_N_THREADS)],
+        n_pages=_N_PAGES[shape % len(_N_PAGES)],
+        cgra_need=_NEEDS[shape % len(_NEEDS)],
         reconfig_overhead=overhead,
         switch_at_iteration_boundary=boundary,
         mean_arrival_gap=gap,

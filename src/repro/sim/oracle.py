@@ -31,7 +31,7 @@ so this module provides the "re-prove it the dumb way" counterpart that
   :class:`~repro.sim.system.SystemResult` plus
   :class:`~repro.sim.trace.SystemTimeline`: busy-page capacity, wait-cycle
   identity (queued intervals sum to ``wait_cycles``), no progress while
-  queued/evicted, allocation-map validity at every event, finish after
+  queued, allocation-map validity at every event, finish after
   arrival, work conservation against the workload.
 
 * :func:`verify_system` — the one-stop entry used by the tests and the
@@ -199,16 +199,14 @@ class _Oracle:
                 f"but the oracle holds {self.allocs.get(ev.tid)}"
             )
         if ev.after is None:
+            if ev.tid != d.tid or d.kind != "release":
+                self._viol(
+                    f"thread {ev.tid} loses its pages in the {d.kind} of "
+                    f"thread {d.tid}: only a departing thread gives them up"
+                )
+            # the departure; the caller advances the segment
             self.allocs.pop(ev.tid, None)
             st.alloc = None
-            if ev.tid == d.tid and d.kind == "release":
-                return  # normal departure; segment advance handled by caller
-            # eviction back to the queue
-            if st.status != "running":
-                self._viol(f"eviction of thread {ev.tid} while {st.status}")
-            st.status = "queued"
-            st.queued_since = d.time
-            st.completed_at = None
             return
         prev = st.alloc
         self.allocs[ev.tid] = ev.after
@@ -250,6 +248,15 @@ class _Oracle:
             )
         st.completed_at = None
 
+    def _apply_reallocations(self, d: Decision) -> None:
+        """Replay *d*'s events; in multithreaded mode, each event of a
+        thread other than ``d.tid`` (always a grant: only the departing
+        thread gives its pages up) is one reallocation."""
+        for ev in d.reallocations:
+            self._apply_reallocation(ev, d)
+        if self.mode == "multithreaded":
+            self.reallocations += sum(1 for e in d.reallocations if e.tid != d.tid)
+
     def _apply_decision(self, d: Decision) -> None:
         st = self.threads.get(d.tid)
         if st is None:
@@ -267,8 +274,7 @@ class _Oracle:
             st.queued_since = d.time
             st.status = "queued"
             self.kernel_invocations += 1
-            for ev in d.reallocations:
-                self._apply_reallocation(ev, d)
+            self._apply_reallocations(d)
         elif d.kind == "release":
             if st.status != "running":
                 self._viol(f"release of thread {d.tid} while {st.status}")
@@ -282,14 +288,7 @@ class _Oracle:
                     f"thread {d.tid} completed its kernel at "
                     f"t={st.completed_at} but was released at t={d.time}"
                 )
-            if self.mode == "multithreaded":
-                self.reallocations += sum(
-                    1
-                    for e in d.reallocations
-                    if e.tid != d.tid and e.after is not None
-                )
-            for ev in d.reallocations:
-                self._apply_reallocation(ev, d)
+            self._apply_reallocations(d)
             st.seg_idx += 1
             st.completed_at = None
             self._enter_segment(st)
@@ -459,7 +458,7 @@ def check_invariants(
     Returns human-readable violation strings (empty when all hold):
     finishes after arrivals, makespan consistency, busy-page capacity,
     allocation-map validity at every timeline event, wait-cycle identity,
-    no kernel progress while queued/evicted, and — when the *workload* is
+    no kernel progress while queued, and — when the *workload* is
     supplied — per-thread completeness and invocation counts.
     """
     v: list[str] = []
@@ -507,7 +506,7 @@ def check_invariants(
             live.pop(e.tid, None)
     if batch_time is not None:
         _check_live(batch_time)
-    # wait identity + no progress while queued/evicted
+    # wait identity + no progress while queued
     queued_at: dict[int, float] = {}
     gaps = 0.0
     for e in timeline.events:
@@ -526,7 +525,7 @@ def check_invariants(
             if e.tid in queued_at:
                 v.append(
                     f"thread {e.tid} completed a kernel at t={e.time} "
-                    f"while queued/evicted (no pages held)"
+                    f"while queued (no pages held)"
                 )
         elif e.kind == "realloc":
             if e.tid in queued_at:

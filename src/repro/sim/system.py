@@ -188,14 +188,14 @@ class SystemResult:
     finish_times: dict[int, float]
     cgra_busy_page_cycles: float
     n_pages: int
-    # reshapes of *other* threads on release decisions (the departing
-    # thread's neighbours expanding, the queue head admitted); the
-    # admission-time halving of residents on a request is not counted
+    # multithreaded mode: allocation changes granted to a thread other than
+    # the deciding one, on request and release decisions alike — residents
+    # halved for a newcomer, neighbours expanding over a departure, queued
+    # threads admitted, and same-length shifts
     reallocations: int = 0
     kernel_invocations: int = 0
     wait_cycles: float = 0.0  # total time threads spent queued for the CGRA
     arrivals: dict[int, float] = field(default_factory=dict)
-    evictions: int = 0  # residents pushed back to the queue mid-kernel
 
     @property
     def cgra_utilization(self) -> float:
@@ -247,14 +247,6 @@ class SystemResult:
     def turnaround_p99(self) -> float:
         return self.turnaround_percentile(99)
 
-    @property
-    def eviction_churn(self) -> float:
-        """Evictions per kernel invocation — how often the policy yanked
-        pages from a running kernel, normalised by offered load."""
-        if self.kernel_invocations <= 0:
-            return 0.0
-        return self.evictions / self.kernel_invocations
-
     def slo_summary(self) -> dict:
         """The SLO metrics of the run, as one record."""
         return {
@@ -265,8 +257,10 @@ class SystemResult:
             "cgra_utilization": self.cgra_utilization,
             "wait_cycles": self.wait_cycles,
             "reallocations": self.reallocations,
-            "evictions": self.evictions,
-            "eviction_churn": self.eviction_churn,
+            # a running thread never loses its pages; the two constant keys
+            # stay because perf/wl_sim.py reads them
+            "evictions": 0,
+            "eviction_churn": 0.0,
         }
 
 
@@ -456,7 +450,7 @@ class _SystemSim:
         )
         if self.decisions is not None:
             self._record_decision(now, "request", tid, events)
-        self._apply_reallocations(events, now)
+        self._apply_reallocations(events, now, tid)
         if self.manager.threads[tid].allocation is None:
             if self.timeline is not None:
                 self.timeline.record(now, "queued", tid, seg.kernel)
@@ -466,11 +460,9 @@ class _SystemSim:
 
     def _mt_activate(self, tid: int, now, alloc: Allocation) -> None:
         # `alloc` is the allocation of the admission *event*, not the
-        # manager's current one: within one decision batch a thread can be
-        # admitted and immediately reshaped (eviction hand-off followed by
-        # the queue drain), and the manager's table already holds the
-        # final allocation — billing the admission at it would run the
-        # in-flight iteration at a rate the thread never had
+        # manager's current one: within one release batch a queued thread
+        # can be admitted and then reshaped by the next admission of the
+        # drain, and the manager's table already holds the final allocation
         st = self.threads[tid]
         if st.queued_since is not None:
             self.wait_cycles += now - st.queued_since
@@ -503,41 +495,48 @@ class _SystemSim:
             self.busy_page_cycles += _mul(now - start, pages)
         st.last_update = now
 
-    def _apply_reallocations(self, events, now) -> None:
+    def _apply_reallocations(self, events, now, decider: int) -> None:
         """Apply one manager decision's reallocations to the threads.
 
+        Every event of a thread other than *decider* counts as one
+        reallocation.  The decider's own event is its admission (applied
+        here) or its departure (skipped: the caller advances the thread).
+
         When nothing is charged or observed per event (no reconfiguration
-        overhead, no iteration-boundary switch, no timeline, no eviction
-        in the batch), only each thread's net change matters: its first
-        ``before`` and last ``after``, applied in the order of its last
-        event, which is the tie-break order a per-event replay gives the
-        live heap entries.  A resident whose allocation length is
-        unchanged keeps its rate and so its scheduled completion: it is
-        not re-billed, only given a fresh heap entry at ``done_at``.
+        overhead, no iteration-boundary switch, no timeline), only each
+        thread's net change matters: its first ``before`` and last
+        ``after``, applied in the order of its last event, which is the
+        tie-break order a per-event replay gives the live heap entries.  A
+        resident whose allocation length is unchanged keeps its rate and so
+        its scheduled completion: it is not re-billed, only given a fresh
+        heap entry at ``done_at``.
         """
         cfg = self.config
-        if (
-            self.timeline is None
-            and not cfg.reconfig_overhead
-            and not cfg.switch_at_iteration_boundary
-        ):
-            net: dict[int, tuple] = {}
-            for ev in events:
-                if ev.after is None:
-                    break  # an eviction: replay the batch per event
+        per_event = (
+            self.timeline is not None
+            or cfg.reconfig_overhead
+            or cfg.switch_at_iteration_boundary
+        )
+        reallocs = 0
+        net: dict[int, tuple] = {}
+        for ev in events:
+            if ev.tid != decider:
+                reallocs += 1
+            elif ev.after is None:
+                continue  # the decider's departure
+            if per_event:
+                self._reshape(ev.tid, ev.before, ev.after, now)
+            else:
                 prev = net.pop(ev.tid, None)
                 net[ev.tid] = (ev.before if prev is None else prev[0], ev.after)
+        self.result.reallocations += reallocs
+        for tid, (before, after) in net.items():
+            if before is not None and before.length == after.length:
+                st = self.threads[tid]
+                st.version += 1
+                self._push(st.done_at, "kernel_done", tid)
             else:
-                for tid, (before, after) in net.items():
-                    if before is not None and before.length == after.length:
-                        st = self.threads[tid]
-                        st.version += 1
-                        self._push(st.done_at, "kernel_done", tid)
-                    else:
-                        self._reshape(tid, before, after, now)
-                return
-        for ev in events:
-            self._reshape(ev.tid, ev.before, ev.after, now)
+                self._reshape(tid, before, after, now)
 
     def _reshape(self, tid: int, before, after, now) -> None:
         """Reshape one thread: bill progress at the old allocation up to
@@ -549,7 +548,7 @@ class _SystemSim:
         if st.finished is not None:
             return
         timeline = self.timeline
-        if timeline is not None and before and after:
+        if timeline is not None and before is not None:
             timeline.record(
                 now,
                 "realloc",
@@ -564,20 +563,6 @@ class _SystemSim:
         if before is not None:
             # it was running: bill progress at the old allocation first
             self._progress(st, now, before.length)
-        if after is None:
-            # eviction back to the manager's queue (callers filter the
-            # departing thread's own release event, so a None `after`
-            # here always means eviction): invalidate the scheduled
-            # completion — otherwise the stale kernel_done fires and
-            # the thread "completes" while holding zero pages — and
-            # mark it queued; the re-admission grant resumes it
-            # through _mt_activate with its remaining iterations
-            st.version += 1
-            st.queued_since = now
-            self.result.evictions += 1
-            if timeline is not None:
-                timeline.record(now, "queued", tid, seg.kernel)
-            return
         if (
             before is not None
             and self.config.switch_at_iteration_boundary
@@ -677,16 +662,8 @@ class _SystemSim:
                     events = self.manager.release(tid)
                     if self.decisions is not None:
                         self._record_decision(now, "release", tid, events)
-                    others = []
-                    reallocs = 0
-                    for e in events:
-                        if e.tid != tid:
-                            others.append(e)
-                            if e.after is not None:
-                                reallocs += 1
-                    self.result.reallocations += reallocs
                     st.seg_idx += 1
-                    self._apply_reallocations(others, now)
+                    self._apply_reallocations(events, now, tid)
                     self._start_segment(tid, now, st)
             else:
                 raise SimulationError(f"unknown event kind {kind!r}")

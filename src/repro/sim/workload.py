@@ -27,7 +27,7 @@ from repro.util.rng import make_rng
 __all__ = [
     "Segment",
     "ThreadSpec",
-    "PriorityClass",
+    "ServiceClass",
     "DEFAULT_CLASSES",
     "ARRIVAL_MODELS",
     "generate_workload",
@@ -65,9 +65,6 @@ class ThreadSpec:
     tid: int
     segments: tuple[Segment, ...]
     arrival: int = 0
-    # scheduling class of the thread (0 = lowest); only priority-aware
-    # allocation policies read it, everything else ignores it
-    priority: int = 0
 
 
 def generate_workload(
@@ -157,18 +154,16 @@ def _phase_segments(
 
 
 @dataclass(frozen=True)
-class PriorityClass:
+class ServiceClass:
     """One service class of a trace.
 
     ``weight`` is the relative share of threads drawn from this class,
-    ``priority`` the scheduling priority (higher wins; only priority-aware
-    policies look at it), ``work_scale`` scales the class's mean thread
-    length, and ``phases`` its number of (CPU, CGRA) phase pairs.
+    ``work_scale`` scales the class's mean thread length, and ``phases``
+    its number of (CPU, CGRA) phase pairs.
     """
 
     name: str
     weight: float
-    priority: int
     work_scale: float = 1.0
     phases: int = 4
 
@@ -182,11 +177,11 @@ class PriorityClass:
 
 
 #: batch jobs dominate thread count; interactive and realtime threads are
-#: shorter but jump the page queue under priority-aware policies
-DEFAULT_CLASSES: tuple[PriorityClass, ...] = (
-    PriorityClass("batch", weight=0.6, priority=0, work_scale=1.0, phases=6),
-    PriorityClass("interactive", weight=0.3, priority=1, work_scale=0.4, phases=4),
-    PriorityClass("realtime", weight=0.1, priority=2, work_scale=0.15, phases=2),
+#: shorter, with fewer phases
+DEFAULT_CLASSES: tuple[ServiceClass, ...] = (
+    ServiceClass("batch", weight=0.6, work_scale=1.0, phases=6),
+    ServiceClass("interactive", weight=0.3, work_scale=0.4, phases=4),
+    ServiceClass("realtime", weight=0.1, work_scale=0.15, phases=2),
 )
 
 ARRIVAL_MODELS = ("all-at-once", "poisson", "bursty", "diurnal")
@@ -250,7 +245,7 @@ def generate_trace(
     burst_size: int = 8,
     diurnal_period: int = 50_000,
     diurnal_amplitude: float = 0.8,
-    classes: Sequence[PriorityClass] = DEFAULT_CLASSES,
+    classes: Sequence[ServiceClass] = DEFAULT_CLASSES,
     mean_total_work: int = 2_000,
     jitter: float = 0.25,
 ) -> list[ThreadSpec]:
@@ -258,8 +253,7 @@ def generate_trace(
 
     Arrivals follow *arrival_model* (see :data:`ARRIVAL_MODELS`); each
     thread draws a service class from *classes* by weight, which sets its
-    priority, mean length (``work_scale * mean_total_work``) and phase
-    count.  Fully deterministic for a given seed and parameter set.
+    mean length (``work_scale * mean_total_work``) and phase count.  Fully deterministic for a given seed and parameter set.
     """
     if not 0.0 < cgra_need < 1.0:
         raise WorkloadError(f"cgra_need must be in (0,1), got {cgra_need}")
@@ -271,7 +265,7 @@ def generate_trace(
         if k not in nominal_ii:
             raise WorkloadError(f"no nominal II for kernel {k!r}")
     if not classes:
-        raise WorkloadError("trace needs at least one priority class")
+        raise WorkloadError("trace needs at least one service class")
     if burst_size < 1:
         raise WorkloadError(f"burst_size must be >= 1, got {burst_size}")
     if diurnal_period < 1:
@@ -304,7 +298,5 @@ def generate_trace(
         segments = _phase_segments(
             rng, total, cgra_need, kernels, nominal_ii, cls.phases
         )
-        threads.append(
-            ThreadSpec(tid, segments, int(arrivals[tid]), priority=cls.priority)
-        )
+        threads.append(ThreadSpec(tid, segments, int(arrivals[tid])))
     return threads

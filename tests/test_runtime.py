@@ -3,6 +3,8 @@ CGRA manager (§VII-B thread arrival/departure protocol)."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.core.policies import (
     Allocation,
     FairSharePolicy,
     HalvingPolicy,
+    NeedAwareHalvingPolicy,
     StaticEqualPolicy,
 )
 from repro.core.runtime import CGRAManager
@@ -171,22 +174,91 @@ class TestManagerErrors:
 
     def test_reallocation_counters(self):
         mgr = CGRAManager(8, HalvingPolicy())
+        first = mgr.request(0)
+        second = mgr.request(1)
+        # one event per allocation change: the grant, then the halving
+        assert [e.tid for e in first + second] == [0, 0, 1]
+        assert second[0].before == Allocation(0, 8)
+        assert second[0].after == Allocation(0, 4)
+
+    def test_dropped_resident_raises(self):
+        """The runtime never takes pages from a running thread: a policy
+        whose answer drops a resident is an error, not a preemption."""
+        mgr = CGRAManager(2, _ConfiscatingPolicy())
+        mgr.request(0)
+        with pytest.raises(ReproError, match="drop a running thread"):
+            mgr.request(1)
+
+    def test_release_keeping_the_departed_raises(self):
+        class _Sticky(HalvingPolicy):
+            def release(self, n_pages, residents, tid, needs=None):
+                return dict(residents)
+
+        mgr = CGRAManager(4, _Sticky())
         mgr.request(0)
         mgr.request(1)
-        assert mgr.threads[0].reallocations == 2  # initial + halving
+        with pytest.raises(ReproError, match="keep a departing one"):
+            mgr.release(0)
+
+
+class _ConfiscatingPolicy(HalvingPolicy):
+    """Scripted: thread 1's arrival takes thread 0's pages."""
+
+    def admit(self, n_pages, residents, tid, needs=None):
+        if tid == 1 and 0 in residents:
+            return {1: residents[0]}
+        return super().admit(n_pages, residents, tid, needs)
+
+
+KEPT_POLICIES = {
+    "halving": HalvingPolicy,
+    "need-aware": NeedAwareHalvingPolicy,
+    "fair-share": FairSharePolicy,
+    "static-equal": lambda: StaticEqualPolicy(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_POLICIES))
+def test_admission_failure_ignores_the_newcomer(name):
+    """The contract behind the manager's negative admission cache: when
+    ``admit`` refuses one newcomer, it refuses every other tid and need
+    until the resident map changes.  Seeded random resident maps (runs of
+    free and held pages, random resident needs), four newcomers each."""
+    policy = KEPT_POLICIES[name]()
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(500):
+        n_pages = rng.randint(1, 8)
+        residents: dict[int, Allocation] = {}
+        cursor = tid = 0
+        while cursor < n_pages:
+            length = 1 if rng.random() < 0.6 else rng.randint(1, n_pages - cursor)
+            if rng.random() < 0.85:
+                residents[tid] = Allocation(cursor, length)
+            cursor += length
+            tid += 1
+        needs = {t: rng.randint(1, n_pages) for t in residents}
+        refused = set()
+        for newcomer in range(tid, tid + 4):
+            answer = policy.admit(
+                n_pages,
+                residents,
+                newcomer,
+                {**needs, newcomer: rng.randint(1, 2 * n_pages)},
+            )
+            refused.add(answer is None)
+        assert len(refused) == 1, (n_pages, residents, needs)
+        seen |= refused
+    assert seen == {True, False}  # both outcomes drawn
 
 
 class TestNeedAwareHalving:
     def test_grant_trimmed_to_need(self):
-        from repro.core.policies import NeedAwareHalvingPolicy
-
         mgr = CGRAManager(8, NeedAwareHalvingPolicy())
         mgr.request(0, need=2)
         assert mgr.allocation_of(0).length == 2  # not all 8
 
     def test_surplus_serves_next_arrival_without_shrinking(self):
-        from repro.core.policies import NeedAwareHalvingPolicy
-
         mgr = CGRAManager(8, NeedAwareHalvingPolicy())
         mgr.request(0, need=2)
         events = mgr.request(1, need=4)
@@ -196,104 +268,13 @@ class TestNeedAwareHalving:
         assert all(e.tid != 0 for e in events)
 
     def test_falls_back_to_halving_without_needs(self):
-        from repro.core.policies import NeedAwareHalvingPolicy
-
         mgr = CGRAManager(8, NeedAwareHalvingPolicy())
         mgr.request(0)
         assert mgr.allocation_of(0).length == 8
 
     def test_release_expansion_respects_need(self):
-        from repro.core.policies import NeedAwareHalvingPolicy
-
         mgr = CGRAManager(4, NeedAwareHalvingPolicy())
         mgr.request(0, need=1)
         mgr.request(1, need=4)
         mgr.release(1)
         assert mgr.allocation_of(0).length == 1  # never grown past its need
-
-
-class TestBestFit:
-    def test_smallest_fitting_segment_trimmed_to_need(self):
-        from repro.core.policies import BestFitPolicy
-
-        mgr = CGRAManager(8, BestFitPolicy())
-        mgr.request(0, need=2)  # takes 8, trimmed to 2: free = [2..8)
-        mgr.request(1, need=4)  # free segment of 6 covers it, trimmed to 4
-        assert mgr.allocation_of(0) == Allocation(0, 2)
-        assert mgr.allocation_of(1) == Allocation(2, 4)
-        # a 2-page need best-fits the remaining 2-page hole exactly
-        mgr.request(2, need=2)
-        assert mgr.allocation_of(2) == Allocation(6, 2)
-
-    def test_without_need_takes_largest_free_segment(self):
-        from repro.core.policies import BestFitPolicy
-
-        mgr = CGRAManager(8, BestFitPolicy())
-        mgr.request(0, need=2)
-        mgr.request(1)  # no declared need: whole largest free segment
-        assert mgr.allocation_of(1) == Allocation(2, 6)
-
-    def test_falls_back_to_halving_when_full(self):
-        from repro.core.policies import BestFitPolicy
-
-        mgr = CGRAManager(8, BestFitPolicy())
-        mgr.request(0)  # no need: takes all 8
-        mgr.request(1)  # no free pages: halving splits thread 0
-        assert mgr.allocation_of(0).length == 4
-        assert mgr.allocation_of(1).length == 4
-
-    def test_oversized_need_gets_largest_free(self):
-        from repro.core.policies import BestFitPolicy
-
-        mgr = CGRAManager(8, BestFitPolicy())
-        mgr.request(0, need=2)
-        mgr.request(1, need=16)  # nothing fits: grant the largest whole
-        assert mgr.allocation_of(1) == Allocation(2, 6)
-
-
-class TestPriorityEviction:
-    def test_default_tid_priority_evicts_latest(self):
-        from repro.core.policies import PriorityEvictionPolicy
-
-        mgr = CGRAManager(2, PriorityEvictionPolicy())
-        mgr.request(1)
-        mgr.request(2)  # halved in
-        mgr.release(1)
-        mgr.request(3)  # free pages reused, no eviction
-        events = mgr.request(0)  # full array: tid 3 (lowest priority) evicted
-        assert mgr.allocation_of(0) is not None
-        assert mgr.allocation_of(3) is None
-        assert 3 in mgr.queue
-        assert any(e.tid == 3 and e.after is None for e in events)
-
-    def test_priority_map_overrides_tid_order(self):
-        from repro.core.policies import PriorityEvictionPolicy
-
-        # tid 0 is LOW priority here; tid 2 outranks everyone
-        pol = PriorityEvictionPolicy({0: 0, 1: 1, 2: 5})
-        mgr = CGRAManager(1, pol)
-        mgr.request(0)
-        events = mgr.request(2)
-        assert mgr.allocation_of(2) == Allocation(0, 1)
-        assert mgr.allocation_of(0) is None
-        assert any(e.tid == 0 and e.after is None for e in events)
-
-    def test_equal_priority_never_evicts(self):
-        from repro.core.policies import PriorityEvictionPolicy
-
-        pol = PriorityEvictionPolicy({0: 1, 1: 1})
-        mgr = CGRAManager(1, pol)
-        mgr.request(0)
-        mgr.request(1)
-        assert mgr.allocation_of(0) == Allocation(0, 1)
-        assert 1 in mgr.queue
-
-    def test_threads_absent_from_map_rank_zero(self):
-        from repro.core.policies import PriorityEvictionPolicy
-
-        pol = PriorityEvictionPolicy({5: 3})
-        mgr = CGRAManager(1, pol)
-        mgr.request(7)  # unknown tid: priority 0
-        mgr.request(5)  # mapped: priority 3 -> evicts 7
-        assert mgr.allocation_of(5) == Allocation(0, 1)
-        assert mgr.allocation_of(7) is None

@@ -1,7 +1,7 @@
 """Tests for the cycle-quantum simulation oracle (:mod:`repro.sim.oracle`),
 the invariant checker, the workload fuzzer, and the regression scenarios
 for the simulator bugfixes that shipped with the oracle (stall clobbering,
-the broken eviction protocol, turnaround accounting, exact wait cycles)."""
+admission billing, turnaround accounting, exact wait cycles)."""
 
 from __future__ import annotations
 
@@ -9,11 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.policies import FairSharePolicy, HalvingPolicy
+from repro.core.policies import Allocation, FairSharePolicy, HalvingPolicy
+from repro.core.runtime import Reallocation
 from repro.sim.fuzz import (
     FUZZ_PROFILES,
     _POLICIES,
-    PriorityEvictionPolicy,
     _make_policy,
     make_case,
     run_fuzz,
@@ -36,8 +36,8 @@ from repro.sim.system import (
 from repro.sim.trace import DecisionTrace, SystemTimeline
 from repro.sim.workload import (
     ARRIVAL_MODELS,
-    PriorityClass,
     Segment,
+    ServiceClass,
     ThreadSpec,
     generate_trace,
 )
@@ -123,7 +123,8 @@ class TestOracleParity:
         ]
         result, oracle = verified(wl, config(), "multithreaded")
         assert result.makespan == 24
-        assert oracle.reallocations == result.reallocations == 1
+        # thread 0 halved for thread 1, then expanded over its pages
+        assert oracle.reallocations == result.reallocations == 2
 
     def test_queueing_wave(self):
         wl = [
@@ -196,6 +197,31 @@ class TestOracleCatchesLies:
         ]
         with pytest.raises(OracleViolation):
             run_oracle(wl, cfg, "multithreaded", shifted)
+
+    def test_dropped_resident_detected(self):
+        # thread 1's request halves thread 0; the tampered trace takes all
+        # of thread 0's pages instead, with a resident map to match
+        wl = [
+            thread(0, Segment("cgra", kernel="wide", trip=8)),
+            thread(1, Segment("cgra", kernel="wide", trip=4)),
+        ]
+        cfg = config()
+        decisions = self._trace(wl, cfg, "multithreaded").decisions
+        admit = decisions[1]
+        assert (admit.kind, admit.tid) == ("request", 1)
+        dropped = type(admit)(
+            admit.time,
+            admit.kind,
+            admit.tid,
+            tuple(
+                Reallocation(0, e.before, None) if e.tid == 0 else e
+                for e in admit.reallocations
+            ),
+            tuple((t, a) for t, a in admit.residents if t != 0),
+        )
+        tampered = decisions[:1] + [dropped] + decisions[2:]
+        with pytest.raises(OracleViolation, match="only a departing thread"):
+            run_oracle(wl, cfg, "multithreaded", tampered)
 
     def test_wrong_result_flagged_by_compare(self):
         wl = [thread(0, Segment("cgra", kernel="slow", trip=10))]
@@ -332,7 +358,8 @@ class TestStallClobberRegression:
         assert result.finish_times[0] == 28
         assert result.finish_times[1] == 33
         assert result.makespan == 33
-        assert result.reallocations == 1
+        # halved for thread 1 at t=1, thread 1 expanded at t=28
+        assert result.reallocations == 2
 
     def test_oracle_agrees(self):
         wl, cfg = self._scenario()
@@ -347,98 +374,56 @@ class TestStallClobberRegression:
         assert check_invariants(result, timeline, workload=wl) == []
 
 
-class _PreemptPolicy(HalvingPolicy):
-    """Scripted: thread 1's arrival always confiscates thread 0's pages."""
+class _OverNeedHalving(HalvingPolicy):
+    """Scripted, non-evicting: a full array halves only a resident holding
+    more pages than its need, so a queue forms while a thread holds its
+    whole need, and a thread admitted onto a wide free segment is halved
+    by the next admission of the same drain.  Refusal depends on the
+    resident map alone, as the manager's negative cache requires."""
 
     def admit(self, n_pages, residents, tid, needs=None):
-        if tid == 1 and 0 in residents:
-            return {1: residents[0]}
-        return super().admit(n_pages, residents, tid, needs)
+        if sum(a.length for a in residents.values()) < n_pages:
+            return super().admit(n_pages, residents, tid, needs)
+        over = [t for t, a in residents.items() if a.length > needs[t]]
+        if not over:
+            return None
+        victim = max(over, key=lambda t: (residents[t].length, -t))
+        a = residents[victim]
+        keep = a.length - a.length // 2
+        out = dict(residents)
+        out[victim] = Allocation(a.start, keep)
+        out[tid] = Allocation(a.start + keep, a.length - keep)
+        return out
 
 
-class TestEvictionRegression:
-    """Regression for the eviction protocol: a policy dropping a resident
-    emits ``Reallocation(tid, alloc, None)``, and the simulator must bump
-    the thread's event version (else the stale completion fires while it
-    holds zero pages), start its wait clock, record the queue entry, and
-    resume it on re-admission."""
-
-    def _scenario(self):
-        wl = [
-            thread(0, Segment("cgra", kernel="slow", trip=5)),
-            thread(1, Segment("cgra", kernel="slow", trip=4), arrival=8),
-        ]
-        cfg = SystemConfig(
-            n_pages=2,
-            profiles=PROFILES,
-            policy=_PreemptPolicy(),
-        )
-        return wl, cfg
-
-    def test_evicted_thread_resumes_and_waits(self):
-        wl, cfg = self._scenario()
-        timeline = SystemTimeline()
-        result = simulate_system(wl, cfg, "multithreaded", timeline=timeline)
-        # t0: 2 of 5 iterations by t=8, evicted; t1 runs 8..24; t0 resumes
-        # with 3 left, finishing at 36 after 16 cycles queued
-        assert result.finish_times == {1: 24.0, 0: 36.0}
-        assert result.wait_cycles == 16
-        of_t0 = [e for e in timeline.events if e.tid == 0]
-        assert [e.time for e in of_t0 if e.kind == "queued"] == [8.0]
-        assert [e.time for e in of_t0 if e.kind == "kernel_start"] == [0.0, 24.0]
-
-    def test_no_completion_while_evicted(self):
-        wl, cfg = self._scenario()
-        timeline = SystemTimeline()
-        result = simulate_system(wl, cfg, "multithreaded", timeline=timeline)
-        assert check_invariants(result, timeline, workload=wl) == []
-
-    def test_oracle_agrees(self):
-        wl, cfg = self._scenario()
-        result, oracle = verified(wl, cfg, "multithreaded")
-        assert oracle.wait_cycles == Fraction(16)
-
-    def test_fuzz_eviction_policy_verifies(self):
-        wl = [
-            thread(0, Segment("cgra", kernel="slow", trip=3),
-                   Segment("cpu", cycles=2),
-                   Segment("cgra", kernel="slow", trip=3)),
-            thread(1, Segment("cgra", kernel="slow", trip=9), arrival=1),
-            thread(2, Segment("cgra", kernel="slow", trip=9), arrival=2),
-        ]
-        cfg = SystemConfig(
-            n_pages=2, profiles=PROFILES, policy=PriorityEvictionPolicy()
-        )
-        result, oracle = verified(wl, cfg, "multithreaded")
-        assert len(result.finish_times) == 3
-
+class TestAdmitThenReshape:
     def test_same_batch_admit_then_reshape_bills_admission_rate(self):
-        # regression: a release can admit an evicted thread and reshape it
-        # again within the same decision batch (eviction hand-off followed
-        # by the queue drain).  The activation used to read the manager's
-        # *final* allocation — billing the in-flight iteration's boundary
-        # drain at a rate the thread never ran at (off by 1.5 page-cycles
-        # in this scenario)
+        # thread 0 holds all 4 pages, its whole need, so threads 1 and 2
+        # queue.  Its release at t=16 admits thread 1 onto all 4 pages and
+        # then halves it for thread 2, in one decision.  The activation
+        # must bill thread 1's admission at the admission event's 4 pages:
+        # the manager's table already holds the final 2
         wl = [
-            thread(0, Segment("cpu", cycles=7),
-                   Segment("cgra", kernel="fast", trip=46)),
-            thread(1, Segment("cpu", cycles=7),
-                   Segment("cgra", kernel="fast", trip=49)),
-            thread(2, Segment("cpu", cycles=6),
-                   Segment("cgra", kernel="wide", trip=42)),
-            thread(3, Segment("cpu", cycles=8),
-                   Segment("cgra", kernel="fast", trip=54)),
+            thread(0, Segment("cgra", kernel="wide", trip=8)),
+            thread(1, Segment("cgra", kernel="fast", trip=10), arrival=1),
+            thread(2, Segment("cgra", kernel="fast", trip=10), arrival=2),
         ]
         cfg = SystemConfig(
-            n_pages=8,
+            n_pages=4,
             profiles=PROFILES,
-            policy=PriorityEvictionPolicy(),
+            policy=_OverNeedHalving(),
             reconfig_overhead=3,
             switch_at_iteration_boundary=True,
         )
-        result, oracle = verified(wl, cfg, "multithreaded")
-        assert result.evictions == 2
-        assert result.cgra_busy_page_cycles == float(oracle.busy_page_cycles)
+        timeline = SystemTimeline()
+        result = simulate_system(wl, cfg, "multithreaded", timeline=timeline)
+        of_t1 = [(e.time, e.kind, e.alloc) for e in timeline.events if e.tid == 1]
+        assert of_t1[1:3] == [(16, "kernel_start", (0, 4)), (16, "realloc", (0, 2))]
+        # thread 0's release: thread 1 admitted, thread 1 halved, thread 2
+        # admitted; thread 2's release at t=26: thread 1 expanded
+        assert result.reallocations == 4
+        assert result.finish_times == {0: 16.0, 2: 26.0, 1: 32.0}
+        assert verified(wl, cfg, "multithreaded")[0] == result
 
 
 class TestTurnaroundAndImprovement:
@@ -528,13 +513,11 @@ class TestFuzzSweep:
         assert report.ok, report.render()
         assert report.cases == 12
         assert report.runs == 24  # both modes per case
-        assert set(report.by_policy) == {
-            "halving",
-            "need-aware",
-            "fair-share",
-            "static-equal",
-            "best-fit",
-            "evicting",
+        assert report.by_policy == {
+            "halving": 3,
+            "need-aware": 3,
+            "fair-share": 3,
+            "static-equal": 3,
         }
         assert report.by_mode == {"single": 12, "multithreaded": 12}
         assert "all green" in report.render()
@@ -562,7 +545,7 @@ class TestNetReallocations:
             mean_arrival_gap=2.0,
             diurnal_period=200,
             mean_total_work=40,
-            classes=(PriorityClass("one", 1.0, 0, phases=1),),
+            classes=(ServiceClass("one", 1.0, phases=1),),
         )
         widest = 0
         for policy in _POLICIES:

@@ -2,7 +2,7 @@
 
 Covers the three properties trace-driven runs depend on: seeded
 determinism (same seed, same trace, bit for bit), arrival-rate sanity for
-every arrival model, and the priority-class mix tracking its declared
+every arrival model, and the service-class mix tracking its declared
 weights."""
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.sim.system import KernelProfile, SystemConfig, simulate_system
 from repro.sim.workload import (
     ARRIVAL_MODELS,
     DEFAULT_CLASSES,
-    PriorityClass,
+    ServiceClass,
     generate_trace,
 )
 from repro.util.errors import WorkloadError
@@ -107,51 +107,58 @@ class TestArrivals:
             trace(arrival_model="tidal")
 
 
+def phases_of(t) -> int:
+    return len(t.segments) // 2
+
+
 class TestPriorityClasses:
+    """The service-class mix; a thread's class shows in its phase count
+    (6 / 4 / 2 for the default batch / interactive / realtime classes)."""
+
     def test_default_mix_tracks_weights(self):
         wl = trace(n=4000)
-        counts = {c.priority: 0 for c in DEFAULT_CLASSES}
+        counts = {c.phases: 0 for c in DEFAULT_CLASSES}
         for t in wl:
-            counts[t.priority] += 1
+            counts[phases_of(t)] += 1
         for c in DEFAULT_CLASSES:
-            assert counts[c.priority] / len(wl) == pytest.approx(
+            assert counts[c.phases] / len(wl) == pytest.approx(
                 c.weight, abs=0.05
             )
 
     def test_work_scale_orders_thread_lengths(self):
         wl = trace(n=3000, mean_total_work=4000)
-        by_pri: dict[int, list[int]] = {}
+        by_class: dict[int, list[int]] = {}
         for t in wl:
             total = sum(s.cycles for s in t.segments if s.kind == "cpu") + sum(
                 s.trip * NOMINAL[s.kernel]
                 for s in t.segments
                 if s.kind == "cgra"
             )
-            by_pri.setdefault(t.priority, []).append(total)
+            by_class.setdefault(phases_of(t), []).append(total)
         means = {
-            p: sum(v) / len(v) for p, v in by_pri.items()
+            p: sum(v) / len(v) for p, v in by_class.items()
         }
-        # batch (pri 0) threads are the long ones; realtime the short ones
-        assert means[0] > means[1] > means[2]
+        # batch threads are the long ones; realtime the short ones
+        assert means[6] > means[4] > means[2]
 
     def test_phase_counts_follow_class(self):
         wl = trace(n=500)
-        phases = {c.priority: c.phases for c in DEFAULT_CLASSES}
+        assert {phases_of(t) for t in wl} == {c.phases for c in DEFAULT_CLASSES}
         for t in wl:
-            assert len(t.segments) == 2 * phases[t.priority]
+            kinds = [s.kind for s in t.segments]
+            assert kinds == ["cpu", "cgra"] * phases_of(t)
 
     def test_custom_single_class(self):
-        only = (PriorityClass("only", weight=1.0, priority=5, phases=3),)
+        only = (ServiceClass("only", weight=1.0, phases=3),)
         wl = trace(n=50, classes=only)
-        assert all(t.priority == 5 for t in wl)
         assert all(len(t.segments) == 6 for t in wl)
 
     def test_class_validation(self):
         with pytest.raises(WorkloadError):
-            PriorityClass("bad", weight=0.0, priority=0)
+            ServiceClass("bad", weight=0.0)
         with pytest.raises(WorkloadError):
-            PriorityClass("bad", weight=1.0, priority=0, work_scale=-1.0)
+            ServiceClass("bad", weight=1.0, work_scale=-1.0)
         with pytest.raises(WorkloadError):
-            PriorityClass("bad", weight=1.0, priority=0, phases=0)
+            ServiceClass("bad", weight=1.0, phases=0)
         with pytest.raises(WorkloadError):
             trace(classes=())
