@@ -18,11 +18,12 @@ Four policies implement :class:`AllocationPolicy`:
   maximum thread count, in the spirit of the Polymorphic Pipeline Array
   [28] comparison: no runtime reshaping at all.
 
-Every policy keeps the two contracts the manager relies on: ``release``
-returns every other resident (a running thread never loses its pages —
-the paper's runtime shrinks and expands, it does not preempt), and an
-``admit`` that fails fails for every newcomer until the resident map
-changes.
+Every policy answers with a *delta*: the threads whose segment is new or
+different, and nothing else — a halving decision names at most two.  It
+keeps the two contracts the manager relies on: a running thread never
+loses its pages (the paper's runtime shrinks and expands, it does not
+preempt), and an ``admit`` that fails fails for every newcomer until the
+resident map changes.
 
 Policies work on *segments*: contiguous runs of pages on the layout's
 chain (contiguity is what lets the retargeter place transformed schedules
@@ -65,25 +66,29 @@ class Allocation:
 class AllocationPolicy(Protocol):
     """Decides how page segments change on thread arrival/departure.
 
-    Both hooks receive the current resident map and return the complete new
-    map.  The map passed in is the manager's live bookkeeping — policies
-    must treat it as read-only and build a fresh dict for their answer; the
-    manager deliberately skips a defensive copy on what is the hottest call
-    of a large simulation.  ``needs`` maps thread ids to their page *need*
-    (the compiled kernel's ``pages_used``); policies may ignore it, or use
-    it to avoid granting pages a thread cannot convert into speed.
+    Both hooks receive the current resident map (read-only) and answer
+    with a *delta*: a dict naming only the threads whose segment is new or
+    different.  Every resident the answer does not name keeps its segment,
+    so the complete new map is a valid, slower answer.  ``needs`` maps
+    thread ids to their page *need* (the compiled kernel's
+    ``pages_used``); policies may ignore it, or use it to avoid granting
+    pages a thread cannot convert into speed.
 
     Two contracts, which the manager relies on:
 
-    * :meth:`admit` returns every resident plus the newcomer, or ``None``
-      when the newcomer cannot be admitted now — and then it returns
-      ``None`` for every newcomer, whatever its id or need, until the
-      resident map changes (the manager caches one failed probe);
-    * :meth:`release` returns every resident except the departing one.
+    * a running thread never loses its pages: an answer names residents
+      only to give them a new segment, and a :meth:`release` answer never
+      names the departing thread;
+    * :meth:`admit` grants the newcomer a segment, or returns ``None``
+      when it cannot be admitted now — and then it returns ``None`` for
+      every newcomer, whatever its id or need, until the resident map
+      changes (the manager caches one failed probe).
 
-    A policy never drops a resident: the manager raises
-    :class:`~repro.util.errors.ReproError` on an answer whose size differs
-    from the resident map it should produce.
+    The manager raises :class:`~repro.util.errors.ReproError` on an answer
+    that names the departing thread, an unknown thread or a queued thread
+    other than the newcomer, and on an admit answer without the newcomer.
+    Overlapping segments are :func:`~repro.core.runtime.check_allocation_map`'s
+    to catch.
     """
 
     def admit(
@@ -107,72 +112,60 @@ class HalvingPolicy:
     """The paper's policy: take free pages if any, else halve the largest."""
 
     def admit(self, n_pages, residents, tid, needs=None):
+        # a resident per page: every page is held by a one-page resident,
+        # so there is no free span and nothing to halve — what the scan
+        # below ends in, without sorting every segment first
+        if len(residents) >= n_pages:
+            return None
         # inlined free-span scan on (start, length) tuples: this runs ~3x
         # per simulated kernel invocation (request probe, drain admit,
         # drain exit probe), so it never materialises Allocation objects
         # for segments it does not grant
-        if residents:
-            best_start = best_len = 0
-            cursor = 0
-            widest = 1
-            spans = [(a.start, a.length) for a in residents.values()]
-            spans.sort()
-            for start, length in spans:
-                if start - cursor > best_len:
-                    best_start, best_len = cursor, start - cursor
-                cursor = start + length
-                if length > widest:
-                    widest = length
-            if n_pages - cursor > best_len:
-                best_start, best_len = cursor, n_pages - cursor
-        else:
-            best_start, best_len = 0, n_pages
-            widest = 1
+        best_start = best_len = cursor = 0
+        widest = 1
+        spans = [(a.start, a.length) for a in residents.values()]
+        spans.sort()
+        for start, length in spans:
+            if start - cursor > best_len:
+                best_start, best_len = cursor, start - cursor
+            cursor = start + length
+            if length > widest:
+                widest = length
+        if n_pages - cursor > best_len:
+            best_start, best_len = cursor, n_pages - cursor
         if best_len:
-            out = dict(residents)
-            out[tid] = Allocation(best_start, best_len)
-            return out
-        if widest <= 1:  # nothing splittable; skip building the victim list
+            return {tid: Allocation(best_start, best_len)}
+        if widest <= 1:  # nothing splittable
             return None
-        victims = [t for t, a in residents.items() if a.length > 1]
-        if not victims:
-            return None
-        victim = max(victims, key=lambda t: (residents[t].length, -t))
+        # the largest by (length, -tid)
+        victim = min(t for t, a in residents.items() if a.length == widest)
         a = residents[victim]
         keep = a.length - a.length // 2  # victim keeps the larger half
-        out = dict(residents)
-        out[victim] = Allocation(a.start, keep)
-        out[tid] = Allocation(a.start + keep, a.length - keep)
-        return out
+        return {
+            victim: Allocation(a.start, keep),
+            tid: Allocation(a.start + keep, a.length - keep),
+        }
 
     def release(self, n_pages, residents, tid, needs=None):
         # expand an adjacent resident over the freed segment (smallest
         # adjacent first by (length, tid), to even allocations out over
-        # time); one pass builds the survivor map and finds the winner
+        # time); the departing thread is adjacent to neither end of itself
         freed = residents[tid]
         fs = freed.start
         fe = fs + freed.length
-        out: dict[int, Allocation] = {}
-        grow = None
-        grow_key = None
+        grow = grow_key = None
         grow_left = False
         for t, a in residents.items():
-            if t == tid:
-                continue
-            out[t] = a
             is_left = a.start + a.length == fs
             if is_left or a.start == fe:
                 key = (a.length, t)
                 if grow_key is None or key < grow_key:
                     grow, grow_key, grow_left = t, key, is_left
         if grow is None:
-            return out
-        a = out[grow]
-        if grow_left:
-            out[grow] = Allocation(a.start, a.length + freed.length)
-        else:
-            out[grow] = Allocation(fs, a.length + freed.length)
-        return out
+            return {}
+        a = residents[grow]
+        start = a.start if grow_left else fs
+        return {grow: Allocation(start, a.length + freed.length)}
 
 
 class FairSharePolicy:
@@ -227,13 +220,11 @@ class StaticEqualPolicy:
         taken = {a.start for a in residents.values()}
         for s in self._slices(n_pages):
             if s.start not in taken:
-                out = dict(residents)
-                out[tid] = s
-                return out
+                return {tid: s}
         return None
 
     def release(self, n_pages, residents, tid, needs=None):
-        return {t: a for t, a in residents.items() if t != tid}
+        return {}
 
 
 class NeedAwareHalvingPolicy(HalvingPolicy):
@@ -242,31 +233,21 @@ class NeedAwareHalvingPolicy(HalvingPolicy):
     arrival (§VII-B: a schedule that does not use the entire CGRA leaves
     the unused portion available, with no transformation required).
 
-    Falls back to plain halving when needs are unknown.
+    Falls back to plain halving when needs are unknown.  Only the delta is
+    trimmed: every grant was, so no resident it leaves out exceeds its need.
     """
 
     def admit(self, n_pages, residents, tid, needs=None):
-        out = super().admit(n_pages, residents, tid, needs)
-        if out is None or not needs:
-            return out
-        trimmed: dict[int, Allocation] = {}
-        for t, a in out.items():
-            need = needs.get(t)
-            if need is not None and a.length > need:
-                trimmed[t] = Allocation(a.start, need)
-            else:
-                trimmed[t] = a
-        return trimmed
+        return _trim(super().admit(n_pages, residents, tid, needs), needs)
 
     def release(self, n_pages, residents, tid, needs=None):
-        out = super().release(n_pages, residents, tid, needs)
-        if not needs:
-            return out
-        return {
-            t: (
-                Allocation(a.start, needs[t])
-                if t in needs and a.length > needs[t]
-                else a
-            )
-            for t, a in out.items()
-        }
+        return _trim(super().release(n_pages, residents, tid, needs), needs)
+
+
+def _trim(delta, needs):
+    if not delta or not needs:
+        return delta
+    return {
+        t: Allocation(a.start, needs[t]) if needs.get(t, a.length) < a.length else a
+        for t, a in delta.items()
+    }

@@ -145,16 +145,16 @@ class CGRAManager:
         if need is not None:
             self.needs[tid] = need
         if self._admit_fail_rev == self._rev:
-            new_map = None
+            answer = None
         else:
-            new_map = self.policy.admit(
+            answer = self.policy.admit(
                 self.n_pages, self._residents, tid, self.needs
             )
-        if new_map is None:
+        if answer is None:
             self._admit_fail_rev = self._rev
             self._queue.append(tid)
             return []
-        events = self._apply(new_map)
+        events = self._apply(answer, newcomer=tid)
         self._check_invariants()
         return events
 
@@ -168,25 +168,25 @@ class CGRAManager:
             self._queue.remove(tid)
             self.needs.pop(tid, None)
             return []
-        # the policy sees the departing thread still resident; it must
-        # return a map without it
-        new_map = self.policy.release(self.n_pages, self._residents, tid, self.needs)
+        # the policy sees the departing thread still resident; its answer
+        # must not name it
+        answer = self.policy.release(self.n_pages, self._residents, tid, self.needs)
         del self._residents[tid]
         self.needs.pop(tid, None)
-        events = self._apply(new_map, departed=tid, before=h.allocation)
+        events = self._apply(answer, departed=tid, before=h.allocation)
         # admit as many queued threads as now fit
         while self._queue:
             nxt = self._queue[0]
             if self._admit_fail_rev == self._rev:
                 break
-            new_map = self.policy.admit(
+            answer = self.policy.admit(
                 self.n_pages, self._residents, nxt, self.needs
             )
-            if new_map is None:
+            if answer is None:
                 self._admit_fail_rev = self._rev
                 break
             self._queue.popleft()
-            events.extend(self._apply(new_map))
+            events.extend(self._apply(answer, newcomer=nxt))
         self._check_invariants()
         return events
 
@@ -194,34 +194,37 @@ class CGRAManager:
 
     def _apply(
         self,
-        new_map: dict[int, Allocation],
+        answer: dict[int, Allocation],
+        newcomer: int | None = None,
         departed: int | None = None,
         before: Allocation | None = None,
     ) -> list[Reallocation]:
+        """Apply a policy's delta: O(threads named), not O(residents).
+        Segment overlap is left to :func:`check_allocation_map`."""
         self._rev += 1
         threads = self.threads
         residents = self._residents
         events: list[Reallocation] = []
         if departed is not None:
             events.append(Reallocation(departed, before, None))
-        for tid, alloc in new_map.items():
-            if tid == departed:
-                continue
-            h = threads[tid]
+        for tid, alloc in answer.items():
+            h = threads.get(tid)  # the departing thread is already gone
+            if h is None:
+                what = "the departing" if tid == departed else "an unknown"
+                raise ReproError(f"policy answer names {what} thread {tid}")
             # field compare, not dataclass __eq__ — this is the hottest
             # comparison of the whole simulation loop
             old = h.allocation
-            if old is None or old.start != alloc.start or old.length != alloc.length:
-                events.append(Reallocation(tid, old, alloc))
-                h.allocation = alloc
-                residents[tid] = alloc
-        # every resident is in the answer and nothing else is: a policy
-        # that drops a running thread, or a release answer that still holds
-        # the departing one, breaks the AllocationPolicy contract
-        if len(residents) != len(new_map):
-            raise ReproError(
-                f"policy answer holds {len(new_map)} threads but "
-                f"{len(residents)} must be resident: a policy may neither "
-                f"drop a running thread nor keep a departing one"
-            )
+            if old is None:
+                if tid != newcomer:
+                    raise ReproError(
+                        f"policy answer grants pages to queued thread {tid}"
+                    )
+            elif old.start == alloc.start and old.length == alloc.length:
+                continue
+            events.append(Reallocation(tid, old, alloc))
+            h.allocation = alloc
+            residents[tid] = alloc
+        if newcomer is not None and threads[newcomer].allocation is None:
+            raise ReproError(f"admit answer leaves out newcomer {newcomer}")
         return events

@@ -10,8 +10,10 @@ reference oracle and satisfy every timeline invariant, or
 :class:`~repro.util.errors.OracleViolation` names the divergence.
 :func:`~repro.sim.oracle.verify_system` always attaches a timeline, which
 keeps the engine on its per-event path, so every case is simulated once
-more with no recorder attached (the path a bare ``simulate_system`` call
-takes) and must give the verified run's :class:`SystemResult` exactly.
+more with no recorder attached and ``validate_decisions=False`` (the path
+``perf/``'s simulation workloads time) and must give the verified run's
+:class:`SystemResult` exactly — which also shows that per-decision
+validation changes no decision.
 
 Exposed as ``python -m repro.bench sim-oracle`` and run as a CI smoke
 step; everything is seeded through :func:`~repro.util.rng.derive_seed`,
@@ -191,8 +193,9 @@ def fuzz_case(
 
 def run_fuzz(n_cases: int = 60, seed: int = 0) -> FuzzReport:
     """Verify *n_cases* lattice points in both modes, each also simulated
-    with no recorder attached; never raises — the report carries any
-    violations so a sweep shows *all* divergences."""
+    with no recorder attached and no per-decision validation; never raises
+    — the report carries any violations so a sweep shows *all*
+    divergences."""
     report = FuzzReport()
     for i in range(n_cases):
         case = make_case(i, seed)
@@ -205,7 +208,9 @@ def run_fuzz(n_cases: int = 60, seed: int = 0) -> FuzzReport:
             except OracleViolation as err:
                 report.failures.append(f"{where}: {err}")
                 continue
-            bare = simulate_system(*_case_inputs(case), mode)
+            workload, config = _case_inputs(case)
+            config.validate_decisions = False
+            bare = simulate_system(workload, config, mode)
             differ = [
                 f.name
                 for f in fields(SystemResult)
