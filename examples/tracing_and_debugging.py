@@ -4,7 +4,8 @@
 Shows the debugging workflow a compiler developer would use: render the
 mapping on the PE grid, trace its execution (every firing with operand
 values), follow one dataflow value through the fabric, and watch the OS
-manager's timeline in a small multithreaded run.
+manager's timeline in a small multithreaded run, replayed from the
+decisions the simulation recorded.
 
 Run:  python examples/tracing_and_debugging.py
 """
@@ -15,7 +16,7 @@ from repro.compiler import map_dfg
 from repro.kernels import bind_memory, get_kernel
 from repro.sim import lower_mapping, simulate
 from repro.sim.system import KernelProfile, SystemConfig, simulate_system
-from repro.sim.trace import CycleTrace, SystemTimeline
+from repro.sim.trace import CycleTrace, DecisionTrace, SystemTimeline
 from repro.sim.workload import Segment, ThreadSpec
 
 TRIP = 4
@@ -49,14 +50,18 @@ def main() -> None:
         ThreadSpec(0, (Segment("cgra", kernel="k", trip=40),)),
         ThreadSpec(1, (Segment("cgra", kernel="k", trip=20),), arrival=20),
     ]
-    timeline = SystemTimeline()
+    decisions = DecisionTrace()
     simulate_system(
         workload,
         SystemConfig(n_pages=4, profiles=profiles),
         "multithreaded",
-        timeline=timeline,
+        decisions=decisions,
     )
+    timeline = SystemTimeline.replay(decisions, workload)
     print(timeline.render())
+    # json.dump(timeline.chrome_trace(), f) gives a file Perfetto opens
+    slices = [e for e in timeline.chrome_trace()["traceEvents"] if e["ph"] == "X"]
+    print(f"({len(slices)} slices in its Chrome / Perfetto trace)")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,9 @@
 * :mod:`repro.sim.oracle`, :mod:`repro.sim.fuzz` — the cycle-quantum
   reference simulator that replays a system run's decision trace and
   re-derives its results independently, the invariant checker over
-  results/timelines, and the seeded workload fuzzer asserting event-sim
-  == oracle across the configuration lattice.
+  results and the timelines replayed from the same trace, and the seeded
+  workload fuzzer asserting event-sim == oracle across the configuration
+  lattice.
 """
 
 from repro.sim.reference import run_reference

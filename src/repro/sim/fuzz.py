@@ -5,15 +5,16 @@ configurations — all four allocation policies, staggered and simultaneous
 arrivals, reconfiguration overhead on/off, iteration-boundary switching
 on/off — and pushes every case through
 :func:`~repro.sim.oracle.verify_system` in **both** modes:
-the event-driven simulator must agree bit-for-bit with the cycle-quantum
-reference oracle and satisfy every timeline invariant, or
-:class:`~repro.util.errors.OracleViolation` names the divergence.
-:func:`~repro.sim.oracle.verify_system` always attaches a timeline, which
-keeps the engine on its per-event path, so every case is simulated once
-more with no recorder attached and ``validate_decisions=False`` (the path
-``perf/``'s simulation workloads time) and must give the verified run's
-:class:`SystemResult` exactly — which also shows that per-decision
-validation changes no decision.
+the event-driven simulator, which applies each decision's net effect per
+thread, must agree bit-for-bit with the cycle-quantum reference oracle,
+which replays the same decisions event by event, and satisfy every
+conservation invariant, or
+:class:`~repro.util.errors.OracleViolation` names the divergence.  Every
+case is then simulated once more with no recorder attached and
+``validate_decisions=False`` (the setting ``perf/``'s simulation
+workloads time) and must give the verified run's :class:`SystemResult`
+exactly — which shows that neither recording nor per-decision validation
+changes a decision.
 
 Exposed as ``python -m repro.bench sim-oracle`` and run as a CI smoke
 step; everything is seeded through :func:`~repro.util.rng.derive_seed`,

@@ -28,11 +28,12 @@ so this module provides the "re-prove it the dumb way" counterpart that
   progress in exact fractions between them — naive, slow, and exact.
 
 * :func:`check_invariants` — a conservation checker over any
-  :class:`~repro.sim.system.SystemResult` plus
-  :class:`~repro.sim.trace.SystemTimeline`: busy-page capacity, wait-cycle
-  identity (queued intervals sum to ``wait_cycles``), no progress while
-  queued, allocation-map validity at every event, finish after
-  arrival, work conservation against the workload.
+  :class:`~repro.sim.system.SystemResult`: busy-page capacity, finish
+  after arrival, makespan, work conservation against the workload, and,
+  given the run's :class:`~repro.sim.trace.DecisionTrace`, over the
+  timeline replayed from it: wait-cycle identity (queued intervals sum
+  to ``wait_cycles``), no progress while queued, allocation-map validity
+  at every instant.
 
 * :func:`verify_system` — the one-stop entry used by the tests and the
   ``python -m repro.bench sim-oracle`` fuzz sweep: simulate, replay,
@@ -129,6 +130,7 @@ class _OThread:
     rate: Fraction = Fraction(1)
     alloc: Allocation | None = None
     stall_until: Fraction = Fraction(0)
+    drain_until: Fraction = Fraction(0)
     queued_since: Fraction | None = None
     completed_at: Fraction | None = None
     finish: Fraction | None = None
@@ -235,12 +237,13 @@ class _Oracle:
             whole = st.iterations_left.__floor__()
             frac = st.iterations_left - whole
             if frac > 0:
-                # the in-flight iteration drains at the old rate on the
-                # pages the thread holds from now on
+                # the in-flight iteration drains at the old rate, billed
+                # by _integrate on whatever pages the thread holds while
+                # it drains
                 st.stall_until = max(st.stall_until, d.time) + frac * st.rate
+                st.drain_until = st.stall_until
                 st.iterations_left = Fraction(whole)
                 st.iterations_done += frac
-                self.busy += frac * st.rate * ev.after.length
         st.rate = self._rate_of(seg.kernel, ev.after.length)
         if self.config.reconfig_overhead:
             st.stall_until = max(
@@ -315,6 +318,9 @@ class _Oracle:
                 if st.cpu_left < 0:
                     self._viol("CPU segment drained past zero")  # unreachable
             elif st.status == "running":
+                if st.drain_until > self.now:
+                    drained = min(t2, st.drain_until) - self.now
+                    self.busy += drained * st.alloc.length
                 start = max(self.now, st.stall_until)
                 if t2 > start and st.rate > 0:
                     window = t2 - start
@@ -449,17 +455,20 @@ def run_oracle(
 
 def check_invariants(
     result: SystemResult,
-    timeline: SystemTimeline,
     *,
     workload: list[ThreadSpec] | None = None,
+    decisions: DecisionTrace | list[Decision] | None = None,
 ) -> list[str]:
     """Conservation invariants over a simulation outcome.
 
     Returns human-readable violation strings (empty when all hold):
     finishes after arrivals, makespan consistency, busy-page capacity,
-    allocation-map validity at every timeline event, wait-cycle identity,
-    no kernel progress while queued, and — when the *workload* is
-    supplied — per-thread completeness and invocation counts.
+    non-negative totals, and — when the *workload* is supplied —
+    per-thread completeness and invocation counts.  Given the run's
+    *decisions* as well, the timeline replayed from them is audited too:
+    allocation-map validity at every instant, wait-cycle identity, and no
+    kernel completion or reshape while queued.  All of it is O(decisions)
+    and needs no re-simulation.
     """
     v: list[str] = []
     for tid, fin in result.finish_times.items():
@@ -482,9 +491,33 @@ def check_invariants(
         )
     if result.wait_cycles < 0:
         v.append(f"negative wait cycles {result.wait_cycles}")
-    # allocation-map validity between events: changes at one instant form
-    # an atomic batch (a fair-share rebalance moves several residents at
-    # once), so the map is only checked when time advances past the batch
+    if workload is not None:
+        n_cgra = sum(
+            1 for t in workload for s in t.segments if s.kind == "cgra"
+        )
+        if result.kernel_invocations != n_cgra:
+            v.append(
+                f"{result.kernel_invocations} kernel invocations billed "
+                f"but the workload has {n_cgra} CGRA segments"
+            )
+        for t in workload:
+            if t.tid not in result.finish_times:
+                v.append(f"thread {t.tid} has no finish time")
+    if decisions is not None:
+        if workload is None:
+            raise SimulationError("checking decisions needs the workload")
+        timeline = SystemTimeline.replay(decisions, workload)
+        v += _timeline_invariants(result, timeline)
+    return v
+
+
+def _timeline_invariants(
+    result: SystemResult, timeline: SystemTimeline
+) -> list[str]:
+    v: list[str] = []
+    # allocation-map validity between instants: the changes of one instant
+    # form an atomic batch (a fair-share rebalance moves several residents
+    # at once), so the map is only checked when time advances past it
     live: dict[int, Allocation] = {}
     batch_time: float | None = None
 
@@ -500,9 +533,8 @@ def check_invariants(
             _check_live(batch_time)
         batch_time = e.time
         if e.kind in ("kernel_start", "realloc"):
-            if e.alloc is not None:
-                live[e.tid] = Allocation(*e.alloc)
-        elif e.kind in ("kernel_done", "queued"):
+            live[e.tid] = Allocation(*e.alloc)
+        else:
             live.pop(e.tid, None)
     if batch_time is not None:
         _check_live(batch_time)
@@ -521,17 +553,13 @@ def check_invariants(
             since = queued_at.pop(e.tid, None)
             if since is not None:
                 gaps += e.time - since
-        elif e.kind == "kernel_done":
-            if e.tid in queued_at:
-                v.append(
-                    f"thread {e.tid} completed a kernel at t={e.time} "
-                    f"while queued (no pages held)"
-                )
-        elif e.kind == "realloc":
-            if e.tid in queued_at:
-                v.append(
-                    f"queued thread {e.tid} was reshaped at t={e.time}"
-                )
+        elif e.kind == "kernel_done" and e.tid in queued_at:
+            v.append(
+                f"thread {e.tid} completed a kernel at t={e.time} "
+                f"while queued (no pages held)"
+            )
+        elif e.tid in queued_at:
+            v.append(f"queued thread {e.tid} was reshaped at t={e.time}")
     for tid in queued_at:
         if tid in result.finish_times:
             v.append(f"thread {tid} finished while still queued")
@@ -540,18 +568,6 @@ def check_invariants(
             f"queued intervals sum to {gaps} but wait_cycles is "
             f"{result.wait_cycles}"
         )
-    if workload is not None:
-        n_cgra = sum(
-            1 for t in workload for s in t.segments if s.kind == "cgra"
-        )
-        if result.kernel_invocations != n_cgra:
-            v.append(
-                f"{result.kernel_invocations} kernel invocations billed "
-                f"but the workload has {n_cgra} CGRA segments"
-            )
-        for t in workload:
-            if t.tid not in result.finish_times:
-                v.append(f"thread {t.tid} has no finish time")
     return v
 
 
@@ -610,16 +626,14 @@ def verify_system(
     *,
     quantum: Fraction | None = None,
 ) -> tuple[SystemResult, OracleResult]:
-    """Simulate *workload*, replay it through the oracle, and check every
-    invariant; raise :class:`OracleViolation` on any disagreement."""
-    timeline = SystemTimeline()
+    """Simulate *workload*, replay its decisions through the oracle, and
+    check every invariant; raise :class:`OracleViolation` on any
+    disagreement."""
     decisions = DecisionTrace()
-    result = simulate_system(
-        workload, config, mode, timeline=timeline, decisions=decisions
-    )
+    result = simulate_system(workload, config, mode, decisions=decisions)
     oracle = run_oracle(workload, config, mode, decisions, quantum=quantum)
     problems = compare_results(oracle, result)
-    problems += check_invariants(result, timeline, workload=workload)
+    problems += check_invariants(result, workload=workload, decisions=decisions)
     if problems:
         raise OracleViolation(
             f"{mode} simulation failed verification: " + "; ".join(problems)

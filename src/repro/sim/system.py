@@ -288,6 +288,8 @@ class _ThreadState:
     rate: int | Fraction = 1  # cycles per iteration
     last_update: int | Fraction = 0
     stall_until: int | Fraction = 0
+    # end of an in-flight iteration's boundary drain, billed as it elapses
+    drain_until: int | Fraction = 0
     done_at: int | Fraction = 0  # time of the live kernel_done entry
     queued_since: int | Fraction | None = None
     finished: int | Fraction | None = None
@@ -309,7 +311,6 @@ class _SystemSim:
         # FIFO of threads waiting for the whole-array CGRA; deque so the
         # dequeue is O(1) instead of list.pop(0)'s O(n) shift
         self.single_queue: deque[int] = deque()
-        self.timeline = None
         self.decisions = None  # optional repro.sim.trace.DecisionTrace
         # initiation intervals per (kernel, allocation size), resolved
         # once: the integral-config detection of the fast lane — an
@@ -408,12 +409,8 @@ class _SystemSim:
             grant = self._single_start(tid, now)
             self._record_decision(now, "request", tid, [grant])
         else:
-            st = self.threads[tid]
-            st.queued_since = now
+            self.threads[tid].queued_since = now
             self.single_queue.append(tid)
-            if self.timeline is not None:
-                seg = st.spec.segments[st.seg_idx]
-                self.timeline.record(now, "queued", tid, seg.kernel)
             self._record_decision(now, "request", tid, [])
 
     def _single_start(self, tid: int, now) -> Reallocation:
@@ -423,19 +420,10 @@ class _SystemSim:
             st.queued_since = None
         seg = st.spec.segments[st.seg_idx]
         self.single_running = tid
-        full = Allocation(0, self.config.n_pages)
-        if self.timeline is not None:
-            self.timeline.record(
-                now,
-                "kernel_start",
-                tid,
-                f"{seg.kernel} x{seg.trip} on {full.length} pages",
-                alloc=(full.start, full.length),
-            )
         dur = _mul(seg.trip, self._ii_eff(seg.kernel, self.config.n_pages))
         self.busy_page_cycles += _mul(dur, self.config.n_pages)
         self._push(now + dur, "kernel_done", tid)
-        return Reallocation(tid, None, full)
+        return Reallocation(tid, None, Allocation(0, self.config.n_pages))
 
     # multithreaded CGRA ---------------------------------------------------------------
 
@@ -443,42 +431,15 @@ class _SystemSim:
         st = self.threads[tid]
         seg = st.spec.segments[st.seg_idx]
         st.iterations_left = seg.trip
-        st.last_update = now
         st.queued_since = now
         events = self.manager.request(
             tid, need=self._profile(seg.kernel).pages_used
         )
         if self.decisions is not None:
             self._record_decision(now, "request", tid, events)
+        # an admission is the request's own event; with none the thread
+        # stays queued until a release admits it
         self._apply_reallocations(events, now, tid)
-        if self.manager.threads[tid].allocation is None:
-            if self.timeline is not None:
-                self.timeline.record(now, "queued", tid, seg.kernel)
-            return  # queued; woken by a future release
-        if st.queued_since is not None:  # not already activated by the events
-            self._mt_activate(tid, now, self.manager.threads[tid].allocation)
-
-    def _mt_activate(self, tid: int, now, alloc: Allocation) -> None:
-        # `alloc` is the allocation of the admission *event*, not the
-        # manager's current one: within one release batch a queued thread
-        # can be admitted and then reshaped by the next admission of the
-        # drain, and the manager's table already holds the final allocation
-        st = self.threads[tid]
-        if st.queued_since is not None:
-            self.wait_cycles += now - st.queued_since
-            st.queued_since = None
-        seg = st.spec.segments[st.seg_idx]
-        if self.timeline is not None:
-            self.timeline.record(
-                now,
-                "kernel_start",
-                tid,
-                f"{seg.kernel} x{seg.trip} on {alloc.length} pages",
-                alloc=(alloc.start, alloc.length),
-            )
-        st.rate = self._ii_eff(seg.kernel, alloc.length)
-        st.last_update = now
-        self._schedule_completion(tid, now)
 
     def _schedule_completion(self, tid: int, now) -> None:
         st = self.threads[tid]
@@ -487,7 +448,13 @@ class _SystemSim:
         self._push(st.done_at, "kernel_done", tid)
 
     def _progress(self, st: _ThreadState, now, pages: int) -> None:
-        """Bill a running kernel's progress on *pages* pages up to *now*."""
+        """Bill a running kernel's progress on *pages* pages up to *now*:
+        any boundary drain still running, then whole iterations once the
+        stall is over."""
+        if st.drain_until > st.last_update:
+            self.busy_page_cycles += _mul(
+                min(now, st.drain_until) - st.last_update, pages
+            )
         start = max(st.last_update, st.stall_until)
         if now > start and st.rate > 0:
             left = st.iterations_left - _div(now - start, st.rate)
@@ -502,94 +469,89 @@ class _SystemSim:
         reallocation.  The decider's own event is its admission (applied
         here) or its departure (skipped: the caller advances the thread).
 
-        When nothing is charged or observed per event (no reconfiguration
-        overhead, no iteration-boundary switch, no timeline), only each
-        thread's net change matters: its first ``before`` and last
-        ``after``, applied in the order of its last event, which is the
-        tie-break order a per-event replay gives the live heap entries.  A
-        resident whose allocation length is unchanged keeps its rate and so
-        its scheduled completion: it is not re-billed, only given a fresh
-        heap entry at ``done_at``.
+        A decision can name a thread several times (a neighbour expands
+        over a departure and is halved again for the queue head; a queued
+        thread is admitted and then halved by the next admission), so each
+        thread is applied once, from its net change: its first ``before``,
+        its last ``after``, and whether it was reshaped, in the order of its
+        last event (the tie-break order applying event by event gives the
+        live heap entries).  That is exactly what applying every event in
+        turn gives, which the oracle does (DESIGN §10): progress is billed
+        and the boundary drain taken at the first reshape only, since the
+        next one finds nothing elapsed and a whole number of iterations
+        left; the drain is billed as it elapses, so on the last segment;
+        the overhead stall is a ``max``, so charging it again changes
+        nothing; and the rate is the last segment's.  With no overhead and
+        no boundary switch, a resident whose length is unchanged keeps its
+        rate and so its scheduled completion: it is not re-billed, only
+        given a fresh heap entry at ``done_at``.
         """
-        cfg = self.config
-        per_event = (
-            self.timeline is not None
-            or cfg.reconfig_overhead
-            or cfg.switch_at_iteration_boundary
-        )
         reallocs = 0
         net: dict[int, tuple] = {}
         for ev in events:
-            if ev.tid != decider:
+            tid = ev.tid
+            if tid != decider:
                 reallocs += 1
             elif ev.after is None:
                 continue  # the decider's departure
-            if per_event:
-                self._reshape(ev.tid, ev.before, ev.after, now)
+            prev = net.pop(tid, None)
+            if prev is None:
+                net[tid] = (ev.before, ev.after, ev.before is not None)
             else:
-                prev = net.pop(ev.tid, None)
-                net[ev.tid] = (ev.before if prev is None else prev[0], ev.after)
+                net[tid] = (prev[0], ev.after, True)
         self.result.reallocations += reallocs
-        for tid, (before, after) in net.items():
-            if before is not None and before.length == after.length:
-                st = self.threads[tid]
+        cfg = self.config
+        keep_same_length = not (
+            cfg.reconfig_overhead or cfg.switch_at_iteration_boundary
+        )
+        for tid, (before, after, reshaped) in net.items():
+            st = self.threads[tid]
+            if before is None:
+                self._mt_activate(tid, st, now, after, reshaped)
+            elif keep_same_length and before.length == after.length:
                 st.version += 1
                 self._push(st.done_at, "kernel_done", tid)
             else:
-                self._reshape(tid, before, after, now)
+                self._reshape(tid, st, now, before, after)
 
-    def _reshape(self, tid: int, before, after, now) -> None:
-        """Reshape one thread: bill progress at the old allocation up to
-        *now*, charge the reconfiguration stall, and reschedule its
-        completion at the new rate."""
-        # every simulated thread stays in the state table for the whole
-        # run, so this lookup cannot miss
-        st = self.threads[tid]
-        if st.finished is not None:
-            return
-        timeline = self.timeline
-        if timeline is not None and before is not None:
-            timeline.record(
-                now,
-                "realloc",
-                tid,
-                f"{before.length} -> {after.length} pages",
-                alloc=(after.start, after.length),
-            )
-        segments = st.spec.segments
-        seg = segments[st.seg_idx] if st.seg_idx < len(segments) else None
-        if seg is None or seg.kind != "cgra":
-            return
-        if before is not None:
-            # it was running: bill progress at the old allocation first
-            self._progress(st, now, before.length)
-        if (
-            before is not None
-            and self.config.switch_at_iteration_boundary
-            and st.iterations_left > 0
-        ):
-            # finish the in-flight iteration at the old rate before
-            # the transformed schedule takes over; the drain occupies
-            # the pages the thread holds *now* (its old segment may
-            # already belong to the thread that forced this reshape)
+    def _mt_activate(self, tid: int, st: _ThreadState, now, alloc, reshaped) -> None:
+        """Start a queued thread's kernel on *alloc*, the last segment this
+        decision gave it; *reshaped* when the decision moved it again after
+        admitting it, which stalls it like any reshape."""
+        self.wait_cycles += now - st.queued_since
+        st.queued_since = None
+        st.rate = self._ii_eff(st.spec.segments[st.seg_idx].kernel, alloc.length)
+        st.last_update = now
+        if reshaped and self.config.reconfig_overhead:
+            st.stall_until = max(st.stall_until, now + self.config.reconfig_overhead)
+        self._schedule_completion(tid, now)
+
+    def _reshape(self, tid: int, st: _ThreadState, now, before, after) -> None:
+        """Reshape a running thread from *before* to *after*: bill progress
+        at the old allocation up to *now*, charge the reconfiguration
+        stall, and reschedule its completion at the new rate."""
+        self._progress(st, now, before.length)
+        cfg = self.config
+        if cfg.switch_at_iteration_boundary and st.iterations_left > 0:
+            # finish the in-flight iteration at the old rate before the
+            # transformed schedule takes over.  A fraction in flight means
+            # progress was billed just now, so no stall is running and the
+            # drain starts now; it is billed as it elapses, on the pages
+            # the thread holds meanwhile (its old segment may already
+            # belong to the thread that forced this reshape)
             whole = math.floor(st.iterations_left)
             frac = st.iterations_left - whole
             if frac > 0:
-                drain = _mul(frac, st.rate)
-                st.stall_until = max(st.stall_until, now) + drain
+                st.stall_until = st.drain_until = now + _mul(frac, st.rate)
                 st.iterations_left = whole
-                self.busy_page_cycles += _mul(drain, after.length)
-        st.rate = self._ii_eff(seg.kernel, after.length)
-        if before is not None and self.config.reconfig_overhead:
-            # the overhead overlaps an iteration-boundary drain: take
-            # the later of the two stalls, never overwrite (a plain
-            # assignment clobbered the boundary stall and double-ran
-            # the already-billed drain window)
-            st.stall_until = max(st.stall_until, now + self.config.reconfig_overhead)
-        if st.queued_since is not None:
-            self._mt_activate(tid, now, after)
-        else:
-            self._schedule_completion(tid, now)
+        st.rate = self._ii_eff(st.spec.segments[st.seg_idx].kernel, after.length)
+        if cfg.reconfig_overhead:
+            # the overhead overlaps an iteration-boundary drain: take the
+            # later of the two stalls, never overwrite (a plain assignment
+            # clobbered the boundary stall and double-ran the already-billed
+            # drain window)
+            st.stall_until = max(st.stall_until, now + cfg.reconfig_overhead)
+        self._schedule_completion(tid, now)
 
     # -- event loop -------------------------------------------------------------------
 
@@ -638,8 +600,6 @@ class _SystemSim:
                 if single:
                     full = Allocation(0, self.config.n_pages)
                     self.single_running = None
-                    if self.timeline is not None:
-                        self.timeline.record(now, "kernel_done", tid)
                     reallocs = [Reallocation(tid, full, None)]
                     if self.single_queue:
                         reallocs.append(
@@ -652,8 +612,6 @@ class _SystemSim:
                     self._progress(
                         st, now, self.manager.threads[tid].allocation.length
                     )
-                    if self.timeline is not None and st.iterations_left <= 0:
-                        self.timeline.record(now, "kernel_done", tid)
                     if st.iterations_left > 0:
                         # numeric guard; with exact fractions this only
                         # happens for stale events filtered above
@@ -681,19 +639,17 @@ def simulate_system(
     config: SystemConfig,
     mode: str,
     *,
-    timeline=None,
     decisions=None,
 ) -> SystemResult:
     """Simulate *workload* on the system in the given mode.
 
-    ``timeline`` (a :class:`repro.sim.trace.SystemTimeline`) records
-    thread-level events: kernel starts/completions, reallocations, queue
-    entries.  ``decisions`` (a :class:`repro.sim.trace.DecisionTrace`)
-    records every allocation decision with exact times — the input the
-    cycle-quantum oracle (:func:`repro.sim.oracle.run_oracle`) replays to
-    re-derive the result independently.
+    ``decisions`` (a :class:`repro.sim.trace.DecisionTrace`) records every
+    allocation decision with exact times: the run's one record.  The
+    cycle-quantum oracle (:func:`repro.sim.oracle.run_oracle`) replays it
+    to re-derive the result independently, and
+    :meth:`repro.sim.trace.SystemTimeline.replay` renders it as the
+    thread-level timeline.  Recording changes no simulated number.
     """
     sim = _SystemSim(workload, config, mode)
-    sim.timeline = timeline
     sim.decisions = decisions
     return sim.run()

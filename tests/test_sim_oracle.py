@@ -5,6 +5,7 @@ admission billing, turnaround accounting, exact wait cycles)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,45 @@ class TestOracleParity:
         verified(wl, config(n_pages=5), "single")
 
 
+def _queue_of_three():
+    """Three one-page kernels on two pages: thread 2's request at t=0 is
+    queued, and thread 0's release at t=20 admits it."""
+    wl = [thread(t, Segment("cgra", kernel="slow", trip=5)) for t in range(3)]
+    cfg = config(n_pages=2)
+    decisions = DecisionTrace()
+    result = simulate_system(wl, cfg, "multithreaded", decisions=decisions)
+    return wl, cfg, result, decisions.decisions
+
+
+def _tampered(decisions, how):
+    """The decisions of :func:`_queue_of_three` changed to break one
+    invariant."""
+    ds = list(decisions)
+    assert [(d.kind, d.tid) for d in ds[1:4]] == [
+        ("request", 1), ("request", 2), ("release", 0)
+    ]
+    assert ds[2].reallocations == ()  # thread 2 queued
+    if how == "overlap":
+        # thread 1's admission halves thread 0 to page 0, then takes page 0
+        d = ds[1]
+        assert d.reallocations[-1] == Reallocation(1, None, Allocation(1, 1))
+        ds[1] = replace(
+            d,
+            reallocations=d.reallocations[:-1]
+            + (Reallocation(1, None, Allocation(0, 1)),),
+            residents=((0, Allocation(0, 1)), (1, Allocation(0, 1))),
+        )
+    elif how == "release while queued":
+        ds.insert(3, replace(ds[2], kind="release"))
+    elif how == "reshape while queued":
+        # thread 0's release reshapes thread 2 before admitting it
+        reshape = Reallocation(2, Allocation(1, 1), Allocation(0, 1))
+        ds[3] = replace(ds[3], reallocations=(reshape,) + ds[3].reallocations)
+    else:
+        raise ValueError(how)
+    return ds
+
+
 class TestOracleCatchesLies:
     """The oracle is only useful if a *wrong* trace fails: tampering with
     the recorded decisions must raise, proving the timing arithmetic is
@@ -223,14 +263,36 @@ class TestOracleCatchesLies:
         with pytest.raises(OracleViolation, match="only a departing thread"):
             run_oracle(wl, cfg, "multithreaded", tampered)
 
+    def test_overlapping_decision_detected(self):
+        wl, cfg, _, decisions = _queue_of_three()
+        with pytest.raises(OracleViolation, match="overlapping"):
+            run_oracle(wl, cfg, "multithreaded", _tampered(decisions, "overlap"))
+
+    def test_release_while_queued_detected(self):
+        wl, cfg, _, decisions = _queue_of_three()
+        tampered = _tampered(decisions, "release while queued")
+        with pytest.raises(OracleViolation, match="while queued"):
+            run_oracle(wl, cfg, "multithreaded", tampered)
+
+    def test_reshape_of_queued_thread_detected(self):
+        wl, cfg, _, decisions = _queue_of_three()
+        tampered = _tampered(decisions, "reshape while queued")
+        with pytest.raises(OracleViolation, match="the oracle holds None"):
+            run_oracle(wl, cfg, "multithreaded", tampered)
+
+    def test_wrong_wait_cycles_flagged_by_compare(self):
+        wl, cfg, result, decisions = _queue_of_three()
+        oracle = run_oracle(wl, cfg, "multithreaded", decisions)
+        assert result.wait_cycles == oracle.wait_cycles == 20
+        result.wait_cycles = 0.0
+        problems = compare_results(oracle, result)
+        assert any("wait cycles" in p for p in problems)
+
     def test_wrong_result_flagged_by_compare(self):
         wl = [thread(0, Segment("cgra", kernel="slow", trip=10))]
         cfg = config()
-        timeline = SystemTimeline()
         decisions = DecisionTrace()
-        result = simulate_system(
-            wl, cfg, "multithreaded", timeline=timeline, decisions=decisions
-        )
+        result = simulate_system(wl, cfg, "multithreaded", decisions=decisions)
         oracle = run_oracle(wl, cfg, "multithreaded", decisions)
         assert compare_results(oracle, result) == []
         result.makespan += 1.0
@@ -238,6 +300,11 @@ class TestOracleCatchesLies:
 
 
 class TestInvariantChecker:
+    """The result alone must be consistent; given the run's decisions, so
+    must the timeline replayed from them: a valid map at every instant,
+    queued intervals summing to ``wait_cycles``, nothing done while
+    queued."""
+
     def _base_result(self, **kw):
         defaults = dict(
             mode="multithreaded",
@@ -252,82 +319,75 @@ class TestInvariantChecker:
         defaults.update(kw)
         return SystemResult(**defaults)
 
+    def _tampered_problems(self, how):
+        wl, _, result, decisions = _queue_of_three()
+        return check_invariants(
+            result, workload=wl, decisions=_tampered(decisions, how)
+        )
+
     def test_clean_run_passes(self):
         wl = [
             thread(t, Segment("cgra", kernel="slow", trip=5)) for t in range(6)
         ]
-        timeline = SystemTimeline()
-        result = simulate_system(
-            wl, config(), "multithreaded", timeline=timeline
-        )
-        assert check_invariants(result, timeline, workload=wl) == []
+        decisions = DecisionTrace()
+        result = simulate_system(wl, config(), "multithreaded", decisions=decisions)
+        assert result.wait_cycles > 0
+        assert check_invariants(result, workload=wl, decisions=decisions) == []
 
     def test_busy_pages_over_capacity(self):
         r = self._base_result(cgra_busy_page_cycles=21.0)  # cap = 2*10
-        problems = check_invariants(r, SystemTimeline())
+        problems = check_invariants(r)
         assert any("capacity" in p for p in problems)
 
     def test_makespan_not_max_finish(self):
         r = self._base_result(makespan=9.0, cgra_busy_page_cycles=9.0)
-        problems = check_invariants(r, SystemTimeline())
+        problems = check_invariants(r)
         assert any("max finish" in p for p in problems)
 
     def test_finish_before_arrival(self):
         r = self._base_result(arrivals={0: 11.0})
-        problems = check_invariants(r, SystemTimeline())
+        problems = check_invariants(r)
         assert any("before its arrival" in p for p in problems)
 
     def test_overlapping_allocations_flagged(self):
-        timeline = SystemTimeline()
-        timeline.record(0, "kernel_start", 0, alloc=(0, 2))
-        timeline.record(1, "kernel_start", 1, alloc=(1, 1))  # overlaps
-        r = self._base_result(finish_times={0: 10.0, 1: 10.0})
-        problems = check_invariants(r, timeline)
+        problems = self._tampered_problems("overlap")
         assert any("overlapping" in p for p in problems)
 
     def test_atomic_rebalance_not_flagged(self):
-        # two reallocs at one instant swap segments: transiently
-        # overlapping mid-batch, valid once the batch is applied
-        timeline = SystemTimeline()
-        timeline.record(0, "kernel_start", 0, alloc=(0, 1))
-        timeline.record(0, "kernel_start", 1, alloc=(1, 1))
-        timeline.record(5, "realloc", 0, alloc=(1, 1))
-        timeline.record(5, "realloc", 1, alloc=(0, 1))
-        r = self._base_result(
-            finish_times={0: 10.0, 1: 10.0}, wait_cycles=0.0
+        # a fair-share rebalance moves several residents in one decision:
+        # transiently overlapping mid-batch, valid once it is applied
+        wl = [
+            thread(t, Segment("cgra", kernel="slow", trip=10 + 5 * t), arrival=t)
+            for t in range(3)
+        ]
+        cfg = config(n_pages=4, policy=FairSharePolicy())
+        decisions = DecisionTrace()
+        result = simulate_system(wl, cfg, "multithreaded", decisions=decisions)
+        assert any(
+            sum(e.before is not None for e in d.reallocations) >= 2
+            for d in decisions.decisions
         )
-        assert check_invariants(r, timeline) == []
+        assert check_invariants(result, workload=wl, decisions=decisions) == []
 
     def test_completion_while_queued_flagged(self):
-        timeline = SystemTimeline()
-        timeline.record(0, "kernel_start", 0, alloc=(0, 2))
-        timeline.record(2, "queued", 0)
-        timeline.record(5, "kernel_done", 0)
-        r = self._base_result(wait_cycles=0.0)
-        problems = check_invariants(r, timeline)
+        problems = self._tampered_problems("release while queued")
         assert any("while queued" in p for p in problems)
 
     def test_wait_identity_violation_flagged(self):
-        timeline = SystemTimeline()
-        timeline.record(0, "queued", 0)
-        timeline.record(4, "kernel_start", 0, alloc=(0, 1))
-        timeline.record(10, "kernel_done", 0)
-        r = self._base_result(wait_cycles=0.0)  # timeline says 4
-        problems = check_invariants(r, timeline)
+        wl, _, result, decisions = _queue_of_three()
+        assert result.wait_cycles == 20
+        result.wait_cycles = 0.0  # the replayed timeline says 20
+        problems = check_invariants(result, workload=wl, decisions=decisions)
         assert any("wait_cycles" in p for p in problems)
 
     def test_reshape_of_queued_thread_flagged(self):
-        timeline = SystemTimeline()
-        timeline.record(0, "queued", 0)
-        timeline.record(1, "realloc", 0, alloc=(0, 1))
-        r = self._base_result(wait_cycles=0.0)
-        problems = check_invariants(r, timeline)
+        problems = self._tampered_problems("reshape while queued")
         assert any("reshaped" in p for p in problems)
 
     def test_missing_invocations_flagged(self):
         wl = [thread(0, Segment("cgra", kernel="slow", trip=1))]
         r = self._base_result(kernel_invocations=0)
-        problems = check_invariants(r, SystemTimeline(), workload=wl)
+        problems = check_invariants(r, workload=wl)
         assert any("invocations" in p for p in problems)
 
 
@@ -368,10 +428,45 @@ class TestStallClobberRegression:
 
     def test_no_busy_billing_past_capacity(self):
         wl, cfg = self._scenario()
-        timeline = SystemTimeline()
-        result = simulate_system(wl, cfg, "multithreaded", timeline=timeline)
+        decisions = DecisionTrace()
+        result = simulate_system(wl, cfg, "multithreaded", decisions=decisions)
         assert result.cgra_busy_page_cycles <= cfg.n_pages * result.makespan
-        assert check_invariants(result, timeline, workload=wl) == []
+        assert check_invariants(result, workload=wl, decisions=decisions) == []
+
+
+class TestBoundaryDrainBilling:
+    """A boundary drain is billed as it elapses, on the pages the thread
+    holds meanwhile.  Billing it up front on the thread's first new
+    segment double-billed pages another thread held: both runs below
+    billed more page-cycles than the two pages have."""
+
+    def test_drain_billed_on_the_segment_held_after_the_decision(self):
+        # thread 0's release at t=10 grows thread 1 to both pages and
+        # halves it again for thread 2, with half an iteration (2 cycles)
+        # in flight: the drain runs on one page, not two (42 billed)
+        wl = [
+            thread(0, Segment("cgra", kernel="fast", trip=10)),
+            thread(1, Segment("cgra", kernel="slow", trip=5)),
+            thread(2, Segment("cgra", kernel="slow", trip=2)),
+        ]
+        cfg = config(n_pages=2, switch_at_iteration_boundary=True)
+        result, _ = verified(wl, cfg, "multithreaded")
+        assert result.makespan == 20
+        assert result.cgra_busy_page_cycles == 40  # the array, always busy
+
+    def test_reshape_mid_drain_moves_the_rest_of_it(self):
+        # thread 1's release at t=5 grows thread 0 to both pages with 3/4
+        # of an iteration in flight: it drains until t=8, but thread 2
+        # takes page 1 at t=6, so [6, 8] is billed on one page (26 billed)
+        wl = [
+            thread(0, Segment("cgra", kernel="slow", trip=3)),
+            thread(1, Segment("cgra", kernel="fast", trip=5)),
+            thread(2, Segment("cgra", kernel="fast", trip=4), arrival=6),
+        ]
+        cfg = config(n_pages=2, switch_at_iteration_boundary=True)
+        result, _ = verified(wl, cfg, "multithreaded")
+        assert result.finish_times == {1: 5.0, 2: 10.0, 0: 12.0}
+        assert result.cgra_busy_page_cycles == 24
 
 
 class _OverNeedHalving(HalvingPolicy):
@@ -400,9 +495,11 @@ class TestAdmitThenReshape:
     def test_same_batch_admit_then_reshape_bills_admission_rate(self):
         # thread 0 holds all 4 pages, its whole need, so threads 1 and 2
         # queue.  Its release at t=16 admits thread 1 onto all 4 pages and
-        # then halves it for thread 2, in one decision.  The activation
-        # must bill thread 1's admission at the admission event's 4 pages:
-        # the manager's table already holds the final 2
+        # then halves it for thread 2, in one decision.  The kernel_start
+        # row shows the admission event's 4 pages (the manager's table
+        # already holds the final 2); thread 1 runs at the 2-page rate and
+        # pays the 3-cycle overhead of its halving, so its 10 iterations
+        # end at 16 + 3 + 7 + 3 + 3 = 32, with a second stall at t=26
         wl = [
             thread(0, Segment("cgra", kernel="wide", trip=8)),
             thread(1, Segment("cgra", kernel="fast", trip=10), arrival=1),
@@ -415,8 +512,9 @@ class TestAdmitThenReshape:
             reconfig_overhead=3,
             switch_at_iteration_boundary=True,
         )
-        timeline = SystemTimeline()
-        result = simulate_system(wl, cfg, "multithreaded", timeline=timeline)
+        decisions = DecisionTrace()
+        result = simulate_system(wl, cfg, "multithreaded", decisions=decisions)
+        timeline = SystemTimeline.replay(decisions, wl)
         of_t1 = [(e.time, e.kind, e.alloc) for e in timeline.events if e.tid == 1]
         assert of_t1[1:3] == [(16, "kernel_start", (0, 4)), (16, "realloc", (0, 2))]
         # thread 0's release: thread 1 admitted, thread 1 halved, thread 2
@@ -524,18 +622,21 @@ class TestFuzzSweep:
 
 
 class TestNetReallocations:
-    """With no timeline, overhead or boundary switch, the engine applies a
-    decision's net effect per thread and leaves an unchanged-length
-    resident unbilled; a timeline keeps it on the per-event path.  Both
-    paths must give the same result and the same decisions."""
+    """The engine applies each decision once per thread, from its net
+    change, with or without overhead and boundary switching; the oracle
+    applies the same decisions event by event.  Recording the decisions
+    (from which the timeline is replayed) and validating each decision
+    must change nothing: a run with both gives the bare run's result, and
+    the timeline replayed from its decisions passes the invariant
+    checker."""
 
     @pytest.mark.parametrize("model", ARRIVAL_MODELS)
     def test_generated_trace_same_with_and_without_timeline(self, model):
         # 16 pages and a deep queue: fair-share forms full 16-resident
         # batches and halving packs 16 one-page residents, shapes the fuzz
         # lattice (2-6 threads) never builds.
-        # 60 single-phase threads keep each model's 18 pairs of runs near
-        # 0.4 s on a 2-core VM (300 threads: ~2 s per model)
+        # 60 single-phase threads keep each model's 12 pairs of runs near
+        # 0.3 s on a 2-core VM (300 threads: ~2 s per model)
         wl = generate_trace(
             60,
             0.75,
@@ -551,31 +652,33 @@ class TestNetReallocations:
         widest = {}
         for policy in _POLICIES:
             for overhead, boundary in ((0, False), (3, False), (0, True)):
-                runs = []
-                for timeline in (SystemTimeline(), None):
-                    cfg = SystemConfig(
+
+                def cfg(validate):
+                    return SystemConfig(
                         n_pages=16,
                         profiles=FUZZ_PROFILES,
                         policy=_make_policy(policy),
                         reconfig_overhead=overhead,
                         switch_at_iteration_boundary=boundary,
-                        validate_decisions=False,
+                        validate_decisions=validate,
                     )
-                    decisions = DecisionTrace()
-                    result = simulate_system(
-                        wl,
-                        cfg,
-                        "multithreaded",
-                        timeline=timeline,
-                        decisions=decisions,
-                    )
-                    runs.append((result, decisions.decisions))
-                assert runs[0] == runs[1], (policy, overhead, boundary)
+
+                decisions = DecisionTrace()
+                result = simulate_system(
+                    wl, cfg(True), "multithreaded", decisions=decisions
+                )
+                bare = simulate_system(wl, cfg(False), "multithreaded")
+                assert result == bare, (policy, overhead, boundary)
+                assert (
+                    check_invariants(result, workload=wl, decisions=decisions)
+                    == []
+                )
                 widest[policy] = max(
-                    widest.get(policy, 0), *(len(d.residents) for d in runs[1][1])
+                    widest.get(policy, 0),
+                    *(len(d.residents) for d in decisions.decisions),
                 )
         # 16 one-page residents: halving's next admission is refused
-        # without a scan, on both paths
+        # without a scan
         assert widest["fair-share"] == widest["halving"] == 16
 
     def test_same_length_shift_still_pays_the_overhead(self):

@@ -15,7 +15,7 @@ from repro.sim.system import (
     improvement,
 )
 from repro.sim.system import simulate_system as _simulate_system
-from repro.sim.trace import SystemTimeline
+from repro.sim.trace import DecisionTrace
 from repro.sim.workload import Segment, ThreadSpec, generate_workload
 from repro.util.errors import SimulationError, WorkloadError
 
@@ -27,12 +27,13 @@ PROFILES = {
 
 
 def simulate_system(workload, cfg, mode):
-    """Checked wrapper: every simulation in this module also records a
-    timeline and passes it through the oracle's invariant checker, so the
-    whole suite doubles as invariant coverage."""
-    timeline = SystemTimeline()
-    result = _simulate_system(workload, cfg, mode, timeline=timeline)
-    problems = check_invariants(result, timeline, workload=workload)
+    """Checked wrapper: every simulation in this module also records its
+    decisions and passes them through the oracle's invariant checker,
+    which audits the timeline replayed from them, so the whole suite
+    doubles as invariant coverage."""
+    decisions = DecisionTrace()
+    result = _simulate_system(workload, cfg, mode, decisions=decisions)
+    problems = check_invariants(result, workload=workload, decisions=decisions)
     assert not problems, "; ".join(problems)
     return result
 
