@@ -10,8 +10,8 @@ process that wrote it — and proves the full invariant suite:
   independent re-derivation from the kernel registry and the stored
   geometry;
 * **mapping legality** — :func:`repro.compiler.check.validate_mapping` over
-  the materialized mapping, with the §VI-B ring-topology hop filter and the
-  fold-safe banked bus budgets, plus an explicit register-depth-1 re-check
+  the materialized mapping under its page layout (the §VI-B ring topology
+  and the fold-safe banked bus budgets), plus an explicit register-depth-1 re-check
   (every value is read exactly one cycle after it was produced or
   re-emitted, so the rotating register file stays free for PageMaster);
 * **foldability** — for every target ``M <= N`` the PageMaster fold
@@ -406,7 +406,6 @@ def _build_cgra(artifact):
 
 def _audit_mapping(entry: AuditEntry, artifact, dfg) -> None:
     from repro.compiler.check import validate_mapping
-    from repro.compiler.constraints import paged_bus_key, ring_hop_filter
     from repro.compiler.mapping import materialized_edges
     from repro.util.errors import CapabilityViolation
 
@@ -421,15 +420,8 @@ def _audit_mapping(entry: AuditEntry, artifact, dfg) -> None:
     except (MappingError, ArchitectureError, ArtifactError, TransformError) as exc:
         entry.findings.append(_finding(MAP_LEGAL, entry.path, str(exc)))
         return
-    layout = paged.layout
-    cgra = paged.mapping.cgra
     try:
-        validate_mapping(
-            paged.mapping,
-            allowed_pes=[pe for pe in cgra.coords() if pe in layout.page_of],
-            hop_allowed=ring_hop_filter(layout),
-            bus_key=paged_bus_key(layout),
-        )
+        validate_mapping(paged.mapping, paged.layout)
     except CapabilityViolation as exc:
         entry.findings.append(_finding(MAP_CAP, entry.path, str(exc)))
     except ConstraintViolation as exc:

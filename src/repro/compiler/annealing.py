@@ -13,15 +13,22 @@ edge whose Manhattan distance exceeds its timing gap, i.e. unroutable even
 on an empty fabric), and modulo-slot/bus conflicts.  A zero-cost placement
 is then routed in detail with the shared router; congestion failures are
 penalised and the anneal resumes.
+
+Given a page layout, the anneal runs under the paper's §VI-B constraints —
+covered PEs, ring hops, the banked bus segments, each derived from the
+layout exactly as the EMS-style mapper derives them — which demonstrates
+the §IX claim that the multithreading framework is mapper-agnostic: the
+resulting mappings feed the identical PageMaster transformation.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
+from repro.compiler.check import validate_mapping
+from repro.compiler.constraints import bus_segment, covered_pes, mem_slots
 from repro.compiler.mapping import (
     Mapping,
     Placement,
@@ -31,12 +38,13 @@ from repro.compiler.mapping import (
 )
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.routing import RoutingContext, commit_route, find_route
+from repro.core.paging import PageLayout
 from repro.dfg.analysis import asap_times, rec_mii
 from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
 from repro.util.rng import make_rng
 
-__all__ = ["anneal_map", "anneal_map_paged"]
+__all__ = ["anneal_map"]
 
 _W_CAUSAL = 100.0
 _W_STRETCH = 10.0
@@ -48,17 +56,16 @@ def _energy(
     cgra: CGRA,
     ii: int,
     pos: dict[int, tuple[Coord, int]],
-    page_of=None,
-    ring_succ=None,
+    layout: PageLayout | None,
 ) -> float:
     e = 0.0
     slots: dict[tuple[Coord, int], int] = {}
-    bus: dict[tuple[int, int], int] = {}
+    bus: dict[tuple, int] = {}
     for op_id, (pe, t) in pos.items():
         key = (pe, t % ii)
         slots[key] = slots.get(key, 0) + 1
         if dfg.ops[op_id].is_memory:
-            bkey = (pe.row, t % ii)
+            bkey = (bus_segment(layout, pe), t % ii)
             bus[bkey] = bus.get(bkey, 0) + 1
     e += _W_CONFLICT * sum(c - 1 for c in slots.values() if c > 1)
     e += _W_CONFLICT * sum(
@@ -76,14 +83,14 @@ def _energy(
         dist = pe_u.manhattan(pe_v)
         if dist > gap:
             e += _W_STRETCH * (dist - gap)
-        if page_of is not None:
+        if layout is not None:
             # ring feasibility proxy: the consumer's page must be reachable
             # by moving forward 0..gap ring hops from the producer's page
-            p_u, p_v = page_of[pe_u], page_of[pe_v]
+            p_u, p_v = layout.page_of[pe_u], layout.page_of[pe_v]
             steps = 0
             page = p_u
             while page != p_v and steps <= gap:
-                page = ring_succ(page)
+                page = layout.ring_succ(page)
                 steps += 1
             if page != p_v or steps > gap:
                 e += _W_STRETCH * 2
@@ -96,15 +103,16 @@ def _detailed_route(
     ii: int,
     pos: dict[int, tuple[Coord, int]],
     ctx: RoutingContext,
-    bus_key=None,
 ) -> Mapping | None:
     """Try to realise a zero-cost placement with concrete routes (*ctx*:
-    the anneal's one routing context, hop filter included)."""
-    mrt = ReservationTable(cgra, ii, bus_key)
+    the anneal's one routing context, page layout included), validated
+    against that layout."""
+    mrt = ReservationTable(cgra, ii, ctx.layout)
+    id_of = cgra.grid_index.id_of
     placements: dict[int, Placement] = {}
     try:
         for op_id, (pe, t) in pos.items():
-            mrt.claim(pe, t, f"op{op_id}", memory=dfg.ops[op_id].is_memory)
+            mrt.claim_id(id_of[pe], t, f"op{op_id}", memory=dfg.ops[op_id].is_memory)
             placements[op_id] = Placement(op_id, pe, t)
     except MappingError:
         return None
@@ -124,45 +132,43 @@ def _detailed_route(
             return None
         commit_route(mrt, e.id, steps)
         routes[e.id] = Route(e.id, steps)
-    return Mapping(cgra, dfg, ii, placements, routes)
+    mapping = Mapping(cgra, dfg, ii, placements, routes)
+    validate_mapping(mapping, ctx.layout)
+    return mapping
 
 
 def anneal_map(
     dfg: DFG,
     cgra: CGRA,
+    layout: PageLayout | None = None,
     *,
     seed: int = 0,
     max_ii: int = 64,
     iterations: int = 4000,
     restarts: int = 3,
-    allowed_pes: Sequence[Coord] | None = None,
-    hop_allowed=None,
-    page_of=None,
-    ring_succ=None,
-    bus_key=None,
 ) -> Mapping:
-    """Map *dfg* onto *cgra* by simulated annealing over placements.
+    """Map *dfg* onto *cgra* — under *layout*'s §VI-B constraints when
+    given — by simulated annealing over placements.
 
     Deterministic for a given seed.  Raises :class:`MappingError` if no
-    mapping is found up to ``max_ii``.  ``hop_allowed`` restricts routing
-    hops, which is how the paging constraints plug in — the paper's §IX
-    notes the transformation framework "is independent of the underlying
-    mapping algorithm", and :func:`anneal_map_paged` demonstrates exactly
-    that with this second mapper.
+    mapping is found up to ``max_ii``; every mapping it returns has passed
+    :func:`~repro.compiler.check.validate_mapping` against *layout*.  (Use
+    :func:`repro.compiler.paged.map_dfg_paged` for production compilation;
+    the paged anneal exists for the mapper-independence ablation.)
     """
     mat = materialized_ops(dfg)
     if not mat:
         raise MappingError("cannot map a DFG with no materialized ops")
-    pes = list(allowed_pes) if allowed_pes is not None else list(cgra.coords())
+    pes = covered_pes(cgra, layout)
     rng = make_rng(seed)
     start_ii = max(
         math.ceil(len(mat) / len(pes)),
-        math.ceil(dfg.num_memory_ops / (cgra.rows * cgra.mem_ports_per_row)),
+        math.ceil(dfg.num_memory_ops / mem_slots(cgra, layout)),
         rec_mii(dfg),
     )
     asap = asap_times(dfg)
     depth = max(asap.values(), default=0)
-    ctx = RoutingContext(cgra, hop_allowed)
+    ctx = RoutingContext(cgra, layout)
 
     for ii in range(start_ii, max_ii + 1):
         horizon = depth + 3 * ii + 1
@@ -171,12 +177,12 @@ def anneal_map(
                 v: (pes[int(rng.integers(len(pes)))], int(rng.integers(horizon)))
                 for v in mat
             }
-            energy = _energy(dfg, cgra, ii, pos, page_of, ring_succ)
+            energy = _energy(dfg, cgra, ii, pos, layout)
             temp = 10.0 + energy / 4.0
             for it in range(iterations):
                 # repro: allow[DET-FLOAT-EQ] energies are sums of integer penalty weights, exact by construction
                 if energy == 0.0 and it % 50 == 0:
-                    mapping = _detailed_route(dfg, cgra, ii, pos, ctx, bus_key)
+                    mapping = _detailed_route(dfg, cgra, ii, pos, ctx)
                     if mapping is not None:
                         return mapping
                     energy += _W_CONFLICT  # congestion: keep searching
@@ -186,7 +192,7 @@ def anneal_map(
                     pes[int(rng.integers(len(pes)))],
                     int(rng.integers(horizon)),
                 )
-                new_energy = _energy(dfg, cgra, ii, pos, page_of, ring_succ)
+                new_energy = _energy(dfg, cgra, ii, pos, layout)
                 delta = new_energy - energy
                 if delta <= 0 or rng.random() < math.exp(-delta / max(temp, 1e-9)):
                     energy = new_energy
@@ -195,55 +201,9 @@ def anneal_map(
                 temp *= 0.999
             # repro: allow[DET-FLOAT-EQ] energies are sums of integer penalty weights, exact by construction
             if energy == 0.0:
-                mapping = _detailed_route(dfg, cgra, ii, pos, ctx, bus_key)
+                mapping = _detailed_route(dfg, cgra, ii, pos, ctx)
                 if mapping is not None:
                     return mapping
     raise MappingError(
         f"annealing failed to map {dfg.name!r} within II <= {max_ii}"
     )
-
-
-def anneal_map_paged(
-    dfg: DFG,
-    cgra: CGRA,
-    layout,
-    *,
-    seed: int = 0,
-    max_ii: int = 64,
-    iterations: int = 4000,
-    restarts: int = 3,
-) -> Mapping:
-    """Annealing mapper under the paper's §VI-B paging constraints.
-
-    Demonstrates the §IX claim that the multithreading framework is
-    mapper-agnostic: the same ring-topology hop filter that constrains the
-    EMS-style mapper constrains DRESC-style annealing, and the resulting
-    mappings feed the identical PageMaster transformation.  (Use
-    :func:`repro.compiler.paged.map_dfg_paged` for production compilation;
-    this variant exists for the mapper-independence ablation.)
-    """
-    from repro.compiler.check import validate_mapping
-    from repro.compiler.constraints import paged_bus_key, ring_hop_filter
-
-    hop = ring_hop_filter(layout)
-    allowed = [pe for pe in cgra.coords() if pe in layout.page_of]
-    mapping = anneal_map(
-        dfg,
-        cgra,
-        seed=seed,
-        max_ii=max_ii,
-        iterations=iterations,
-        restarts=restarts,
-        allowed_pes=allowed,
-        hop_allowed=hop,
-        page_of=layout.page_of,
-        ring_succ=layout.ring_succ,
-        bus_key=paged_bus_key(layout),
-    )
-    validate_mapping(
-        mapping,
-        allowed_pes=allowed,
-        hop_allowed=hop,
-        bus_key=paged_bus_key(layout),
-    )
-    return mapping

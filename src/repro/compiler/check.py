@@ -3,13 +3,14 @@
 Independently re-checks everything the mapper is supposed to guarantee, so
 tests can treat the mapper as untrusted:
 
-* every op placed exactly once, on an allowed PE;
+* every op placed exactly once, on a PE the page layout covers;
 * modulo-slot exclusivity across ops and route steps;
-* row data-bus capacity respected by memory ops;
+* data-bus capacity respected by memory ops, per grid row or per the
+  layout's (page, local row) segment;
 * every edge's value physically reaches its consumer: timing gap >= 1,
   route steps contiguous in time, each hop 1-cycle reachable, and the final
   holder adjacent-or-same to the consumer;
-* (optionally, for paged mappings) every hop obeys the §VI-B ring-topology
+* under a page layout, every hop obeys the §VI-B ring-topology
   constraint;
 * on heterogeneous fabrics, capability legality: each op sits on a PE
   supporting its op class and every route step sits on a ROUTE-capable PE
@@ -17,36 +18,27 @@ tests can treat the mapper as untrusted:
 
 The inner loops run in the :class:`~repro.arch.interconnect.GridIndex`
 integer id domain: occupancy is keyed by ``pid * ii + slot``, adjacency is
-one probe of the precomputed hop-distance matrix, bus segments and the
-ring-hop predicate are resolved per PE id once and memoized.  Coordinates
+one probe of the precomputed hop-distance matrix, bus segments and ring
+hops are resolved per PE id once and memoized.  Coordinates
 only reappear in error messages.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 from repro.arch.capability import OpClass, op_class
 from repro.arch.interconnect import Coord
+from repro.compiler.constraints import bus_segment, covered_pes, ring_hop_ok
 from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
+from repro.core.paging import PageLayout
 from repro.util.errors import CapabilityViolation, ConstraintViolation, MappingError
 
 __all__ = ["validate_mapping"]
 
 
-def validate_mapping(
-    mapping: Mapping,
-    *,
-    allowed_pes: Sequence[Coord] | None = None,
-    hop_allowed: Callable[[Coord, Coord], bool] | None = None,
-    bus_key: Callable[[Coord], object] | None = None,
-) -> None:
+def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None:
     """Raise :class:`MappingError` / :class:`ConstraintViolation` on any
-    inconsistency in *mapping*.
-
-    ``bus_key`` selects the data-bus segmentation to check memory ops
-    against (per grid row by default; the paged compiler passes its banked
-    per-page segmentation).
+    inconsistency in *mapping*, checked against the §VI-B constraints of
+    *layout* (none: the whole array).
     """
     cgra, dfg, ii = mapping.cgra, mapping.dfg, mapping.ii
     gi = cgra.interconnect.grid_index
@@ -54,25 +46,21 @@ def validate_mapping(
     n_pes = len(coords)
 
     # per-id tables resolved lazily and memoized, so the hot loops never
-    # call back into Coord-domain predicates twice for the same PE (a
-    # paged bus_key may reject PEs no memory op ever lands on)
-    if bus_key is None:
-        bus_key = lambda pe: pe.row  # noqa: E731
+    # call back into Coord-domain predicates twice for the same PE (an
+    # uncovered PE has no bus segment, and no memory op may land on it)
     bus_cache: dict[int, object] = {}
 
     def bus_of(pid: int) -> object:
         seg = bus_cache.get(pid)
         if seg is None:
-            seg = bus_key(coords[pid])
+            seg = bus_segment(layout, coords[pid])
             bus_cache[pid] = seg
         return seg
     allowed_mask: bytearray | None = None
-    if allowed_pes is not None:
+    if layout is not None:
         allowed_mask = bytearray(n_pes)
-        for pe in allowed_pes:
-            pid = id_of.get(pe)
-            if pid is not None:
-                allowed_mask[pid] = 1
+        for pe in covered_pes(cgra, layout):
+            allowed_mask[id_of[pe]] = 1
     hop_cache: dict[int, bool] = {}
 
     def check_hop(src_id: int, dst_id: int, what: str) -> None:
@@ -81,12 +69,12 @@ def validate_mapping(
                 f"{what}: {coords[src_id]} -> {coords[dst_id]} is not a "
                 "1-hop link"
             )
-        if hop_allowed is None:
+        if layout is None:
             return
         key = src_id * n_pes + dst_id
         ok = hop_cache.get(key)
         if ok is None:
-            ok = hop_allowed(coords[src_id], coords[dst_id])
+            ok = ring_hop_ok(layout, coords[src_id], coords[dst_id])
             hop_cache[key] = ok
         if not ok:
             raise ConstraintViolation(

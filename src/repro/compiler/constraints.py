@@ -1,10 +1,16 @@
-"""The paper's compile-time paging constraints (§VI-B), as mapper plug-ins.
+"""The paper's compile-time paging constraints (§VI-B), as functions of a
+:class:`~repro.core.paging.PageLayout`.
+
+Every constraint is derived from the layout alone, so the layout (or
+``None``, the whole array) is the only constraint value the compiler
+passes around: the mapper, the reservation table, the router, the
+validator and the annealer each work their part out of it with the
+functions below.
 
 1. **Data-flow (ring-topology) constraint** — inter-page dependencies must
    form a subset of a ring: a value on page *a* may be read one cycle later
    only within page *a* or on the ring-successor page.
-   :func:`ring_hop_filter` turns a :class:`~repro.core.paging.PageLayout`
-   into the hop predicate the router and validator consume; hops into
+   :func:`ring_hop_ok` is that rule for one hop between PEs; hops into
    uncovered PEs are rejected too.
 
 2. **Register-usage constraint** — "the compiler must use memory [and the
@@ -20,50 +26,68 @@
    and, on stored artifacts, by the ``MAP-REGDEPTH`` audit rule.
 
 3. **Fold-safe bus constraint** — memory ops budget their page's banked bus
-   segment (see :mod:`repro.compiler.mrt`); :func:`paged_bus_key` builds
-   the segment key.
+   segment (see :mod:`repro.compiler.mrt`): :func:`bus_segment` names it,
+   :func:`paged_bus_key` hands the same model to the simulator.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable
 
+from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
 from repro.core.paging import PageLayout
 from repro.util.errors import ConstraintViolation
 
 __all__ = [
-    "ring_hop_filter",
+    "covered_pes",
+    "mem_slots",
+    "ring_hop_ok",
+    "bus_segment",
     "paged_bus_key",
     "register_usage_report",
 ]
 
 
-def ring_hop_filter(layout: PageLayout) -> Callable[[Coord, Coord], bool]:
-    """Hop predicate enforcing the §VI-B ring-topology constraint."""
+def covered_pes(cgra: CGRA, layout: PageLayout | None) -> tuple[Coord, ...]:
+    """The PEs a mapping may use, in grid order: the layout's pages, or
+    the whole array."""
+    if layout is None:
+        return tuple(cgra.coords())
+    return tuple(pe for pe in cgra.coords() if pe in layout.page_of)
 
-    page_of = layout.page_of
 
-    def allowed(src: Coord, dst: Coord) -> bool:
-        a = page_of.get(src)
-        b = page_of.get(dst)
-        if a is None or b is None:  # uncovered PEs are off-limits
-            return False
-        return layout.ring_hop_allowed(a, b)
+def mem_slots(cgra: CGRA, layout: PageLayout | None) -> int:
+    """Memory issue slots per cycle: one bus per grid row on the whole
+    array, one per (page, local row) segment under a layout."""
+    rows = cgra.rows if layout is None else layout.num_pages * layout.shape[0]
+    return rows * cgra.mem_ports_per_row
 
-    return allowed
+
+def ring_hop_ok(layout: PageLayout, src: Coord, dst: Coord) -> bool:
+    """May a value move from *src* to *dst* in one cycle under the §VI-B
+    ring-topology constraint?  Uncovered PEs are off-limits."""
+    a = layout.page_of.get(src)
+    b = layout.page_of.get(dst)
+    return a is not None and b is not None and layout.ring_hop_allowed(a, b)
+
+
+def bus_segment(layout: PageLayout | None, pe: Coord) -> Hashable:
+    """The data-bus segment a memory op on *pe* uses: its grid row on the
+    whole array, ``(page, local row)`` — the banked-memory model — under a
+    layout."""
+    if layout is None:
+        return pe.row
+    page = layout.page_of.get(pe)
+    if page is None:
+        raise ConstraintViolation(f"memory op on uncovered PE {pe}")
+    return (page, layout.local_of[pe].row)
 
 
 def paged_bus_key(layout: PageLayout) -> Callable[[Coord], Hashable]:
-    """Bus segment key ``(page, local row)`` for the banked-memory model."""
-
-    def key(pe: Coord) -> Hashable:
-        page = layout.page_of.get(pe)
-        if page is None:
-            raise ConstraintViolation(f"memory op on uncovered PE {pe}")
-        return (page, layout.local_of[pe].row)
-
-    return key
+    """:func:`bus_segment` of *layout* as the simulator's ``bus_key``."""
+    return partial(bus_segment, layout)
 
 
 def register_usage_report(mapping) -> dict[str, int]:
@@ -71,17 +95,16 @@ def register_usage_report(mapping) -> dict[str, int]:
 
     ``self_holds`` counts route steps that stay on the same PE (a value
     parked in place for a cycle — occupying a slot, not a deep register);
-    ``move_hops`` counts real mesh hops.  Under the register-usage
-    constraint both are explicit schedule slots, so rotating registers stay
-    free.
+    ``move_hops`` counts real mesh hops.  A fanout-shared route starts at
+    its tap, not at the producer.  Under the register-usage constraint both
+    are explicit schedule slots, so rotating registers stay free.
     """
     from repro.compiler.mapping import materialized_edges
 
     self_holds = 0
     move_hops = 0
     for e in materialized_edges(mapping.dfg):
-        src = mapping.placement(e.src)
-        holder = src.pe
+        holder, _ = mapping.route_origin(e)
         for step in mapping.route(e.id).steps:
             if step.pe == holder:
                 self_holds += 1
@@ -89,4 +112,3 @@ def register_usage_report(mapping) -> dict[str, int]:
                 move_hops += 1
             holder = step.pe
     return {"self_holds": self_holds, "move_hops": move_hops}
-

@@ -32,7 +32,8 @@ the best one's routes are kept and replayed as the commit
 (:meth:`EMSMapper._replay`) instead of being searched a second time.
 
 The paged compiler (:mod:`repro.compiler.paged`) reuses this engine with a
-hop filter and a restricted PE set, which is how the paper describes its
+page layout, from which the mapper derives every §VI-B constraint
+(:mod:`repro.compiler.constraints`) — which is how the paper describes its
 approach: "add some additional constraints to the compiler when it is
 generating the original schedule" (§I).
 """
@@ -40,13 +41,13 @@ generating the original schedule" (§I).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Sequence
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
-from repro.arch.interconnect import Coord
 from repro.arch.isa import Opcode
+from repro.compiler.constraints import covered_pes, mem_slots
 from repro.compiler.feas import ii_lower_bound
 from repro.compiler.mapping import (
     Mapping,
@@ -64,40 +65,60 @@ from repro.compiler.routing import (
     release_route,
 )
 from repro.compiler.stats import MapperCounters, counters
-from repro.dfg.analysis import alap_times, asap_times, rec_mii
+from repro.core.paging import PageLayout
+from repro.dfg.analysis import alap_times, asap_times
 from repro.dfg.graph import DFG
 from repro.dfg.graphalg import strong_components
 from repro.util.errors import MappingError
 from repro.util.fingerprint import canonical_fingerprint
 from repro.util.rng import make_rng
 
-__all__ = ["BACKENDS", "LADDER_ONLY_FIELDS", "MapperConfig", "EMSMapper", "map_dfg"]
-
-HopFilter = Callable[[Coord, Coord], bool]
+__all__ = [
+    "BACKENDS",
+    "Budget",
+    "FULL_BUDGET",
+    "FAIL_FAST_BUDGET",
+    "MapperConfig",
+    "EMSMapper",
+    "map_dfg",
+]
 
 #: The paged-mapping backends, spelled once: ``MapperConfig``, the wire
 #: protocol and the bench CLI all validate against this tuple.
 BACKENDS = ("flat", "hier")
 
-#: The :class:`MapperConfig` fields no probe reads: they choose which
-#: lattice points a ladder visits and the rng behind its perturbed orders,
-#: never what happens at a point.  Every *other* field is part of a probe's
-#: identity (:meth:`EMSMapper.probe_scope`), a future knob included.
-LADDER_ONLY_FIELDS = frozenset({"seed", "max_ii", "attempts_per_ii", "backend"})
+
+class Budget(NamedTuple):
+    """The placer's search budgets for one probe."""
+
+    horizon_factor: int  #: schedule horizon = critical path + factor * II
+    route_budget: int  #: DFS expansion cap for long routes
+    candidate_cap: int  #: feasible candidates scored per op
+    eval_budget: int  #: total (time, PE) candidates probed per op
+    root_margin: int  #: extra slack before anchor-less non-source ops
+
+
+#: What every ladder probes with.
+FULL_BUDGET = Budget(
+    horizon_factor=4, route_budget=3000, candidate_cap=10, eval_budget=200,
+    root_margin=2,
+)
+#: The hier backend's clustered probes (:mod:`repro.compiler.hier`): hard
+#: page domains place quickly or not at all, so they fail fast.
+FAIL_FAST_BUDGET = FULL_BUDGET._replace(
+    route_budget=800, candidate_cap=6, eval_budget=50
+)
 
 
 @dataclass(frozen=True)
 class MapperConfig:
-    """Tuning knobs of the mapper."""
+    """What a caller chooses about a ladder: its length, its width, the
+    seed of its perturbed op orders and the paged backend.  No probe reads
+    any of them; the probe's budgets are :data:`FULL_BUDGET`."""
 
     max_ii: int = 64
     attempts_per_ii: int = 6
-    horizon_factor: int = 4  # schedule horizon = critical path + factor * II
     seed: int = 0
-    route_budget: int = 3000  # DFS expansion cap for long routes
-    candidate_cap: int = 10  # feasible candidates scored per op
-    eval_budget: int = 200  # total (time, PE) candidates probed per op
-    root_margin: int = 2  # extra slack before anchor-less non-source ops
     #: Paged-mapping backend (one of :data:`BACKENDS`): "flat" is the
     #: original single-level ladder; "hier" prepends a cluster-then-place
     #: hierarchical attempt at every II rung (:mod:`repro.compiler.hier`).
@@ -111,11 +132,12 @@ class MapperConfig:
             )
 
     def fingerprint(self) -> str:
-        """Canonical hash over every knob — any tuning change invalidates
-        cached artifacts keyed on it (:mod:`repro.pipeline`).  The default
-        ``backend`` is dropped from the payload so configs predating the
-        knob keep their fingerprint (and committed artifact addresses)."""
-        payload = asdict(self)
+        """Canonical hash over every knob and the :data:`FULL_BUDGET` the
+        ladder probes with — any tuning change invalidates cached artifacts
+        keyed on it (:mod:`repro.pipeline`).  The default ``backend`` is
+        dropped from the payload so configs predating the knob keep their
+        fingerprint (and committed artifact addresses)."""
+        payload = {**asdict(self), **FULL_BUDGET._asdict()}
         if payload["backend"] == "flat":
             del payload["backend"]
         return canonical_fingerprint(payload)
@@ -160,11 +182,10 @@ class _Attempt:
 
 
 class EMSMapper:
-    """Place-and-route modulo scheduler for one CGRA (optionally paged)."""
+    """Place-and-route modulo scheduler for one CGRA, constrained to a page
+    layout when given one (None: the whole array), probing with one
+    :class:`Budget` tier."""
 
-    #: the page layout the mapper is constrained to: None on the whole
-    #: array, set by :class:`repro.compiler.paged.PagedMapper`
-    layout = None
     #: :attr:`_Attempt.stuck` of the probe that just failed — what
     #: :class:`~repro.compiler.search.LadderReport` shows for its rung
     stuck: tuple[int, str] | None = None
@@ -172,40 +193,25 @@ class EMSMapper:
     def __init__(
         self,
         cgra: CGRA,
-        *,
-        allowed_pes: Sequence[Coord] | None = None,
-        hop_allowed: HopFilter | None = None,
-        mem_slots_per_cycle: int | None = None,
-        bus_key=None,
-        pe_rank: Callable[[Coord], int] | None = None,
+        layout: PageLayout | None = None,
         config: MapperConfig | None = None,
         probes=None,
+        *,
+        budget: Budget = FULL_BUDGET,
     ) -> None:
+        if layout is not None and layout.cgra is not cgra:
+            raise MappingError("layout was built for a different CGRA instance")
         self.cgra = cgra
+        self.layout = layout
         self.config = config or MapperConfig()
+        self.budget = budget
         #: the :class:`~repro.compiler.search.DfgProbes` every probe is
         #: looked up in first, or None: every probe runs
         self.probes = probes
         self._scope: tuple | None = None
-        self.allowed_pes: tuple[Coord, ...] = tuple(
-            allowed_pes if allowed_pes is not None else cgra.coords()
-        )
-        if not self.allowed_pes:
-            raise MappingError("no PEs available to the mapper")
-        self.hop_allowed = hop_allowed
-        self.bus_key = bus_key
-        # Rank of each PE along the dataflow direction of the fabric (the
-        # page ring index for paged layouts).  Anchor-less sources prefer
-        # low ranks and anchor-less sinks high ranks, so chains flow
-        # forward and never start in the last page of the chain, which the
-        # ring constraint makes a dataflow sink.
-        self.pe_rank = pe_rank
+        self.allowed_pes = covered_pes(cgra, layout)
         self._rank_targets: dict[int, int] = {}
-        self.mem_slots = (
-            mem_slots_per_cycle
-            if mem_slots_per_cycle is not None
-            else cgra.rows * cgra.mem_ports_per_row
-        )
+        self.mem_slots = mem_slots(cgra, layout)
         # Integer-domain hot-path tables (see GridIndex/RoutingContext):
         # everything the placer and router touch per candidate is an
         # indexed load over these, never a Coord hash.
@@ -230,18 +236,22 @@ class EMSMapper:
         # one-slot memo of everything a probe derives from the DFG alone
         # (see _dfg_tables), keyed on the DFG's adjacency epoch
         self._dfg_cache: _DfgTables | None = None
-        self._route_ctx = RoutingContext(cgra, hop_allowed)
+        self._route_ctx = RoutingContext(cgra, layout)
         # escape direction (pe -> nb) shares the router's allowed-move
         # table, arrival direction (nb -> pe) its read table
         self._esc_ids = self._route_ctx.allowed_moves
         self._arr_ids = self._route_ctx.readable_from
-        # fabric rank per PE id (None where pe_rank is unset/undefined)
-        if pe_rank is None:
+        # Rank of each PE id along the dataflow direction of the fabric: its
+        # page's ring index (None on the whole array).  Anchor-less sources
+        # prefer low ranks and anchor-less sinks high ranks, so chains flow
+        # forward and never start in the last page of the chain, which the
+        # ring constraint makes a dataflow sink.
+        if layout is None:
             self._rank_ids = None
         else:
             self._rank_ids = [0] * gi.num_pes
             for pe in self.allowed_pes:
-                self._rank_ids[gi.id_of[pe]] = pe_rank(pe)
+                self._rank_ids[gi.id_of[pe]] = layout.page_of[pe]
 
     # -- the (II, attempt) ladder as data ------------------------------------------
     #
@@ -388,21 +398,13 @@ class EMSMapper:
 
     def probe_scope(self) -> tuple:
         """What a probe of this mapper reads besides its arguments: the
-        fabric, the constraint set — read off the layout the mapper was
-        built from: covered pages in ring order, page shape, wrap link —
-        and every config field a probe can read.  With the DFG, the II,
-        the op order and the hier domains it is the probe's identity."""
+        fabric, the layout every constraint is derived from — covered
+        pages in ring order, page shape, wrap link — and the budget tier.
+        With the DFG, the II, the op order and the hier domains it is the
+        probe's identity."""
         scope = self._scope
         if scope is None:
             layout = self.layout
-            if layout is None and (
-                self.allowed_pes != tuple(self.cgra.coords())
-                or (self.hop_allowed, self.bus_key, self.pe_rank) != (None,) * 3
-            ):
-                raise MappingError(
-                    "probes constrained by bare callables have no identity to share under"
-                )
-            config = self.config
             scope = self._scope = (
                 self.cgra.fingerprint(),
                 None
@@ -412,12 +414,7 @@ class EMSMapper:
                     layout.shape,
                     layout.allow_wrap,
                 ),
-                self.mem_slots,
-                tuple(
-                    (f.name, getattr(config, f.name))
-                    for f in fields(config)
-                    if f.name not in LADDER_ONLY_FIELDS
-                ),
+                self.budget,
             )
         return scope
 
@@ -474,8 +471,8 @@ class EMSMapper:
         tables = self._dfg_tables(dfg)
         asap = tables.asap
         self._rank_targets = tables.rank_targets
-        horizon = max(asap.values(), default=0) + self.config.horizon_factor * ii
-        st = _Attempt(ReservationTable(self.cgra, ii, self.bus_key), counters())
+        horizon = max(asap.values(), default=0) + self.budget.horizon_factor * ii
+        st = _Attempt(ReservationTable(self.cgra, ii, self.layout), counters())
         self._op_domains = domains or {}
         for op_id in order:
             if not self._place_op(dfg, ii, st, op_id, asap, horizon):
@@ -489,7 +486,7 @@ class EMSMapper:
         return Mapping(self.cgra, dfg, ii, placements, st.routes)
 
     def _spread_targets(self, dfg: DFG) -> dict[int, int]:
-        """Target fabric rank per materialized op when a ``pe_rank`` is set.
+        """Target page (fabric rank) per materialized op under a layout.
 
         On a ring/chain-constrained fabric dataflow can only move forward
         through the page chain, so an op with *h* levels of computation
@@ -499,10 +496,9 @@ class EMSMapper:
         deep sources start at page 0 and never land on the terminal page
         (which the ring makes a dataflow sink).
         """
-        if self.pe_rank is None:
+        if self.layout is None:
             return {}
-        ranks = sorted({self.pe_rank(pe) for pe in self.allowed_pes})
-        top = len(ranks) - 1
+        top = self.layout.num_pages - 1
         # Height on the SCC condensation of the *full* dependence graph
         # (loop-carried edges included): a recurrence cycle is one node, so
         # all its ops share a target page — on a chain topology a cycle can
@@ -523,7 +519,7 @@ class EMSMapper:
         scale = min(1.0, top / max_h) if max_h else 0.0
         targets: dict[int, int] = {}
         for v in materialized_ops(dfg):
-            targets[v] = ranks[max(0, top - round(height[scc[v]] * scale))]
+            targets[v] = max(0, top - round(height[scc[v]] * scale))
         return targets
 
     def _place_op(
@@ -555,7 +551,7 @@ class EMSMapper:
             # anchor-less non-source op: the roots of a reverse-order pass.
             # Placing them at bare ASAP leaves zero slack for the upstream
             # chain to route through the mesh; start them a margin later.
-            t_lo = min(t_lo + self.config.root_margin + ii // 2, t_hi)
+            t_lo = min(t_lo + self.budget.root_margin + ii // 2, t_hi)
 
         anchor_ids = [st.placements[e.src][0] for e in pred_edges] + [
             st.placements[e.dst][0] for e in succ_edges
@@ -587,6 +583,7 @@ class EMSMapper:
         evals = 0
         mrt = st.mrt
         stats = st.stats
+        budget = self.budget
         st.fronts = {}
         is_mem = op.is_memory
         # what the masks sweep from: every holder of each pred edge's
@@ -625,16 +622,16 @@ class EMSMapper:
                     if best is None or cost < best[0]:
                         best = (cost, pe, t, trial[1])
                     feasible_seen += 1
-                if feasible_seen >= self.config.candidate_cap:
+                if feasible_seen >= budget.candidate_cap:
                     break
-                if evals >= self.config.eval_budget:
+                if evals >= budget.eval_budget:
                     break
-            if feasible_seen >= self.config.candidate_cap:
+            if feasible_seen >= budget.candidate_cap:
                 break
-            if evals >= self.config.eval_budget:
+            if evals >= budget.eval_budget:
                 break
         if best is None:
-            cut = evals >= self.config.eval_budget
+            cut = evals >= budget.eval_budget
             st.stuck = (op_id, "budget" if cut else "no-slot")
             return False
         _, pe, t, routes = best
@@ -875,7 +872,7 @@ class EMSMapper:
                 self._holders(dfg, st, e, src_id, src_t),
                 dst_id,
                 dst_t,
-                max_expansions=self.config.route_budget,
+                max_expansions=self.budget.route_budget,
             )
             if found is None:
                 ok = False
@@ -1003,6 +1000,4 @@ def map_dfg(
     """
     from repro.compiler.search import climb_ladder
 
-    return climb_ladder(
-        EMSMapper(cgra, config=config, probes=probes), dfg, log=search_log
-    )
+    return climb_ladder(EMSMapper(cgra, None, config, probes), dfg, log=search_log)

@@ -42,21 +42,19 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import replace
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
-from repro.compiler.ems import MapperConfig
+from repro.compiler.ems import FAIL_FAST_BUDGET, FULL_BUDGET, EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
-from repro.compiler.paged import PagedMapper, PagedMapping, shrink_to_page_need
+from repro.compiler.paged import PagedMapping, shrink_to_page_need
 from repro.compiler.search import climb_ladder
 from repro.compiler.stats import counters
 from repro.core.page_schedule import extract_page_schedule
 from repro.core.paging import PageLayout
 from repro.dfg.graph import DFG
 from repro.dfg.graphalg import strong_components
-from repro.util.errors import MappingError
 
 __all__ = ["HierMapper", "map_dfg_hier", "cluster_dfg"]
 
@@ -235,7 +233,7 @@ def cluster_dfg(
     return None
 
 
-class HierMapper(PagedMapper):
+class HierMapper(EMSMapper):
     """The flat chain mapper of a layout, with one more probe per rung.
 
     Rung layout: attempt 0 is the clustered (hierarchical) probe; attempts
@@ -254,9 +252,9 @@ class HierMapper(PagedMapper):
         probes=None,
     ) -> None:
         super().__init__(cgra, layout, config, probes)
-        # chain-prefix mappers by (pages, reduced budget), built lazily;
+        # chain-prefix mappers by (pages, fail-fast budget), built lazily;
         # the full chain at full budget is this mapper itself
-        self._subs: dict[tuple[int, bool], PagedMapper] = {
+        self._subs: dict[tuple[int, bool], EMSMapper] = {
             (layout.num_pages, False): self
         }
         # SCC/topo block decomposition is II-independent: a one-slot memo
@@ -286,26 +284,20 @@ class HierMapper(PagedMapper):
 
     # -- the clustered attempt -------------------------------------------------------
 
-    def prefix_mapper(self, k: int, *, cheap: bool = False) -> PagedMapper:
+    def prefix_mapper(self, k: int, *, cheap: bool = False) -> EMSMapper:
         """The flat mapper of the first *k* chain pages (its ``layout`` is
-        that prefix).  *cheap* selects the reduced budgets of the fail-fast
-        probes: an easy win still lands well inside them."""
+        that prefix).  *cheap* selects :data:`~repro.compiler.ems.
+        FAIL_FAST_BUDGET`: an easy win still lands well inside it."""
         key = (k, cheap)
         hit = self._subs.get(key)
         if hit is None:
-            sub = (
-                self.layout.subchain(k)
-                if k < self.layout.num_pages
-                else self.layout
+            hit = self._subs[key] = EMSMapper(
+                self.cgra,
+                _prefix(self.layout, k),
+                self.config,
+                self.probes,
+                budget=FAIL_FAST_BUDGET if cheap else FULL_BUDGET,
             )
-            config = (
-                replace(
-                    self.config, eval_budget=50, route_budget=800, candidate_cap=6
-                )
-                if cheap
-                else self.config
-            )
-            hit = self._subs[key] = PagedMapper(self.cgra, sub, config, self.probes)
         return hit
 
     def _hier_attempt(self, dfg: DFG, ii: int, orders) -> Mapping | None:
@@ -358,8 +350,13 @@ class HierMapper(PagedMapper):
         return None
 
 
-def _spanned_prefix(mapping: Mapping, layout: PageLayout) -> int:
-    """Number of chain-prefix pages the mapping actually touches
+def _prefix(layout: PageLayout, k: int) -> PageLayout:
+    """The first *k* chain pages of *layout* (*layout* itself for all)."""
+    return layout.subchain(k) if k < layout.num_pages else layout
+
+
+def _spanned_prefix(mapping: Mapping, layout: PageLayout) -> PageLayout:
+    """The chain prefix of *layout* the mapping actually touches
     (placements and route steps)."""
     page_of = layout.page_of
     top = 0
@@ -368,7 +365,7 @@ def _spanned_prefix(mapping: Mapping, layout: PageLayout) -> int:
     for r in mapping.routes.values():
         for s in r.steps:
             top = max(top, page_of[s.pe])
-    return top + 1
+    return _prefix(layout, top + 1)
 
 
 def map_dfg_hier(
@@ -389,21 +386,12 @@ def map_dfg_hier(
     (II, attempt) lattice is climbed by the same ``climb_ladder`` as the
     flat one.
     """
-    if layout.cgra is not cgra:
-        raise MappingError("layout was built for a different CGRA instance")
     cfg = config or MapperConfig()
-    hier = HierMapper(cgra, layout, cfg, probes)
-    mapping = climb_ladder(hier, dfg, log=search_log)
+    mapping = climb_ladder(HierMapper(cgra, layout, cfg, probes), dfg, log=search_log)
     # the result lives on the prefix it touches: validate against, and
-    # page-schedule on, the flat mapper of exactly those pages
-    spanned = hier.prefix_mapper(_spanned_prefix(mapping, layout))
-    validate_mapping(
-        mapping,
-        allowed_pes=spanned.allowed_pes,
-        hop_allowed=spanned.hop_allowed,
-        bus_key=spanned.bus_key,
-    )
-    sub = spanned.layout
+    # page-schedule on, exactly those pages
+    sub = _spanned_prefix(mapping, layout)
+    validate_mapping(mapping, sub)
     best = PagedMapping(mapping, sub, extract_page_schedule(mapping, sub), layout)
     if not minimize_pages:
         return best

@@ -149,22 +149,15 @@ class Mapping:
         src = self.placement(edge.src)
         return src.pe, src.time - edge.distance * self.ii
 
-    def slot_occupancy(self) -> dict[tuple[Coord, int], list[str]]:
-        """All (PE, modulo-slot) claims: op ids and route step labels."""
-        occ: dict[tuple[Coord, int], list[str]] = {}
-        for p in self.placements.values():
-            occ.setdefault((p.pe, p.time % self.ii), []).append(f"op{p.op_id}")
-        for r in self.routes.values():
-            for s in r.steps:
-                occ.setdefault((s.pe, s.time % self.ii), []).append(
-                    f"route{r.edge_id}@{s.time}"
-                )
-        return occ
-
     def pe_utilization(self) -> float:
-        """Fraction of (PE, modulo-slot) pairs doing work — the *U* of the
-        paper's throughput identity ``I = N x U x II`` (§IV)."""
-        return len(self.slot_occupancy()) / float(self.cgra.num_pes * self.ii)
+        """Fraction of (PE, modulo-slot) pairs doing work — an op or a route
+        step — the *U* of the paper's throughput identity ``I = N x U x II``
+        (§IV)."""
+        busy = {(p.pe, p.time % self.ii) for p in self.placements.values()}
+        busy.update(
+            (s.pe, s.time % self.ii) for r in self.routes.values() for s in r.steps
+        )
+        return len(busy) / float(self.cgra.num_pes * self.ii)
 
     def summary(self) -> str:
         return (

@@ -1,9 +1,10 @@
 """The paged compiler: baseline engine + the paper's compile-time constraints.
 
-``map_dfg_paged`` runs the EMS-style mapper restricted to the page-covered
-PEs, with the ring-topology hop filter and the fold-safe banked bus model,
-and wraps the result with its :class:`~repro.core.page_schedule.PageSchedule`
-— the page-level view ``P = {p_(n,t)}`` that the PageMaster transformation
+``map_dfg_paged`` runs the EMS-style mapper on a page layout — which
+restricts it to the page-covered PEs, the ring topology and the fold-safe
+banked bus model (:mod:`repro.compiler.constraints`) — and wraps the
+result with its :class:`~repro.core.page_schedule.PageSchedule`, the
+page-level view ``P = {p_(n,t)}`` that the PageMaster transformation
 (§VI-D) consumes.
 """
 
@@ -14,15 +15,14 @@ from dataclasses import dataclass, replace
 
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
-from repro.compiler.constraints import paged_bus_key, ring_hop_filter
 from repro.compiler.ems import EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping, materialized_ops
 from repro.compiler.search import climb_ladder
 from repro.core.page_schedule import PageSchedule, extract_page_schedule
 from repro.core.paging import PageLayout
-from repro.util.errors import LadderExhausted, MappingError
+from repro.util.errors import LadderExhausted
 
-__all__ = ["PagedMapping", "PagedMapper", "map_dfg_paged"]
+__all__ = ["PagedMapping", "map_dfg_paged"]
 
 
 @dataclass
@@ -93,8 +93,8 @@ def map_dfg_paged(
     zigzag transformation.  A kernel that maps on neither at or below the
     II ceiling (:meth:`~repro.compiler.ems.EMSMapper.ladder_rungs`) raises
     :class:`~repro.util.errors.LadderExhausted`.  Every mapping is checked
-    by :func:`~repro.compiler.check.validate_mapping` against the mapper
-    that produced it.
+    by :func:`~repro.compiler.check.validate_mapping` against the layout
+    it was mapped on.
 
     With ``minimize_pages`` (the default) the compiler then re-maps the
     kernel onto the smallest page *prefix* that preserves the achieved II —
@@ -110,8 +110,6 @@ def map_dfg_paged(
     outcomes through *probes* (the :class:`~repro.compiler.search.DfgProbes`
     of *dfg*) when given.
     """
-    if layout.cgra is not cgra:
-        raise MappingError("layout was built for a different CGRA instance")
     config = config or MapperConfig()
     if config.backend == "hier":
         # cluster-then-place (chain topology only); shares the flat ladder
@@ -190,35 +188,6 @@ def _map_topologies(
     return _map_once(dfg, cgra, ring_layout, config, search_log, probes)
 
 
-class PagedMapper(EMSMapper):
-    """The flat ring-constrained mapper of *layout*: the baseline engine
-    under the §VI-B wiring (covered PEs, ring hop filter, banked bus key,
-    page-rank bias), written here once — every flat paged ladder and the
-    hierarchical backend build through it, and validation reads the
-    constraints back off it."""
-
-    def __init__(
-        self,
-        cgra: CGRA,
-        layout: PageLayout,
-        config: MapperConfig | None = None,
-        probes=None,
-    ) -> None:
-        super().__init__(
-            cgra,
-            allowed_pes=[pe for pe in cgra.coords() if pe in layout.page_of],
-            hop_allowed=ring_hop_filter(layout),
-            mem_slots_per_cycle=(
-                layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row
-            ),
-            bus_key=paged_bus_key(layout),
-            pe_rank=lambda pe: layout.page_of[pe],
-            config=config,
-            probes=probes,
-        )
-        self.layout = layout
-
-
 def _map_once(
     dfg,
     cgra: CGRA,
@@ -228,13 +197,7 @@ def _map_once(
     probes=None,
     full_layout: PageLayout | None = None,
 ) -> PagedMapping:
-    mapper = PagedMapper(cgra, layout, config, probes)
-    mapping = climb_ladder(mapper, dfg, log=search_log)
-    validate_mapping(
-        mapping,
-        allowed_pes=mapper.allowed_pes,
-        hop_allowed=mapper.hop_allowed,
-        bus_key=mapper.bus_key,
-    )
+    mapping = climb_ladder(EMSMapper(cgra, layout, config, probes), dfg, log=search_log)
+    validate_mapping(mapping, layout)
     schedule = extract_page_schedule(mapping, layout)
     return PagedMapping(mapping, layout, schedule, full_layout)

@@ -8,10 +8,10 @@ models holding the value in place for a cycle.
 
 The search runs on the time-extended graph: states are ``(PE, time)``, a
 transition advances time by one cycle and moves to a 1-hop-reachable PE
-whose modulo slot is free in the reservation table.  An optional
-``hop_allowed`` predicate restricts transitions — the paged compiler uses it
-to enforce the §VI-B ring-topology constraint (values may only stay within
-a page or cross to the ring-successor page).
+whose modulo slot is free in the reservation table.  Under a page layout
+transitions obey the §VI-B ring-topology constraint
+(:func:`~repro.compiler.constraints.ring_hop_ok`: values may only stay
+within a page or cross to the ring-successor page).
 
 Both searches start from the query's *corridor*: the PEs a walk may stand
 on at each step and still end on a goal PE at the right cycle, one ``int``
@@ -44,7 +44,7 @@ reachable from.
 
 The searches run entirely on integer PE ids from the fabric's
 :class:`~repro.arch.interconnect.GridIndex`: a :class:`RoutingContext`
-pins one (fabric, hop filter) pair and memoizes the per-PE allowed-move
+pins one (fabric, page layout) pair and memoizes the per-PE allowed-move
 lists (and their bitmask, transposed and read-hop forms), the per-(PE,
 destination-hint) greedy move orderings, and the per-destination goal
 tables (goal PEs sorted by PE id, a membership mask, the
@@ -56,14 +56,14 @@ at the public API boundary.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
+from repro.compiler.constraints import ring_hop_ok
 from repro.compiler.mapping import RouteStep
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.stats import MapperCounters, counters
+from repro.core.paging import PageLayout
 
 __all__ = [
     "RoutingContext",
@@ -71,8 +71,6 @@ __all__ = [
     "commit_route",
     "release_route",
 ]
-
-HopFilter = Callable[[Coord, Coord], bool]
 
 #: Pruning distance for states when the goal set is empty (no PE can ever
 #: satisfy ``dist > remaining`` being False): larger than any grid distance.
@@ -85,7 +83,7 @@ _GoalEntry = tuple[
 
 
 class RoutingContext:
-    """Memoized integer-domain routing tables for one (fabric, hop filter).
+    """Memoized integer-domain routing tables for one (fabric, layout).
 
     Built once per mapper (or per standalone :func:`find_route` call) and
     consulted millions of times: every table is an indexed load, computed
@@ -94,7 +92,7 @@ class RoutingContext:
 
     __slots__ = (
         "gi",
-        "hop_allowed",
+        "layout",
         "allowed_moves",
         "move_bits",
         "rev_bits",
@@ -105,28 +103,28 @@ class RoutingContext:
         "_goals",
     )
 
-    def __init__(self, cgra: CGRA, hop_allowed: HopFilter | None = None) -> None:
+    def __init__(self, cgra: CGRA, layout: PageLayout | None = None) -> None:
         gi = cgra.grid_index
         self.gi = gi
-        self.hop_allowed = hop_allowed
+        self.layout = layout
+        coords = gi.coords
         # A transition *into* q parks a route step on q, so q must be
         # ROUTE-capable; homogeneous fabrics have no mask and keep the
         # original (byte-identical) tables.
         route_mask = cgra.class_mask(OpClass.ROUTE)
         self._route_mask = route_mask
-        if hop_allowed is None and route_mask is None:
+        if layout is None and route_mask is None:
             # identical order to Interconnect.reachable_in_one: self first
             self.allowed_moves: tuple[tuple[int, ...], ...] = gi.reach1_ids
         else:
-            coords = gi.coords
             self.allowed_moves = tuple(
                 tuple(
                     q
                     for q in gi.reach1_ids[p]
                     if (route_mask is None or route_mask[q])
                     and (
-                        hop_allowed is None
-                        or hop_allowed(coords[p], coords[q])
+                        layout is None
+                        or ring_hop_ok(layout, coords[p], coords[q])
                     )
                 )
                 for p in range(gi.num_pes)
@@ -144,15 +142,14 @@ class RoutingContext:
         # readable_from[c]: the PEs whose output a consumer on c can read
         # (its goal PEs, in reach1_ids order; reading parks nothing, so no
         # ROUTE mask)
-        if hop_allowed is None:
+        if layout is None:
             self.readable_from: tuple[tuple[int, ...], ...] = gi.reach1_ids
         else:
-            coords = gi.coords
             self.readable_from = tuple(
                 tuple(
                     p
                     for p in gi.reach1_ids[c]
-                    if hop_allowed(coords[p], coords[c])
+                    if ring_hop_ok(layout, coords[p], coords[c])
                 )
                 for c in range(gi.num_pes)
             )
@@ -432,7 +429,6 @@ def find_route(
     dst_pe: Coord,
     t_dst: int,
     *,
-    hop_allowed: HopFilter | None = None,
     max_expansions: int = 20000,
     ctx: RoutingContext | None = None,
 ) -> tuple[RouteStep, ...] | None:
@@ -442,10 +438,11 @@ def find_route(
     Returns the tuple of steps (empty for a direct 1-cycle link), or None
     when no route exists under the current reservations.  Steps at negative
     times are legal during search bookkeeping only in the consumer frame;
-    modulo arithmetic maps them onto the repeating schedule.
+    modulo arithmetic maps them onto the repeating schedule.  *ctx* pins
+    the page layout the route obeys (none: the whole array).
     """
     if ctx is None:
-        ctx = RoutingContext(cgra, hop_allowed)
+        ctx = RoutingContext(cgra)
     id_of = ctx.gi.id_of
     return find_route_ids(
         ctx,

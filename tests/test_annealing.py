@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.compiler.annealing import anneal_map, anneal_map_paged
+from repro.compiler.annealing import _energy, anneal_map
 from repro.compiler.check import validate_mapping
-from repro.compiler.constraints import paged_bus_key, ring_hop_filter
+from repro.compiler.constraints import paged_bus_key
 from repro.core.page_schedule import extract_page_schedule
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
@@ -65,12 +65,38 @@ class TestMapperIndependence:
         cgra = CGRA(4, 4, rf_depth=24)
         layout = PageLayout(cgra, (2, 2))
         dfg = get_kernel("laplace").build()
-        m = anneal_map_paged(dfg, cgra, layout, seed=2, max_ii=12)
-        hop = ring_hop_filter(layout)
-        validate_mapping(
-            m, allowed_pes=list(layout.page_of), hop_allowed=hop
-        )
+        m = anneal_map(dfg, cgra, layout, seed=2, max_ii=12)
+        validate_mapping(m, layout)
         extract_page_schedule(m, layout).validate_ring()
+
+    def test_paged_energy_scores_the_layouts_bus_segments(self):
+        """Two loads in one grid row but on different pages, in the same
+        modulo slot: one bus each under the banked (page, local row) model
+        the anneal routes with, so zero energy — and one shared, full bus
+        (``mem_ports_per_row=1``) on the whole array."""
+        from repro.arch.interconnect import Coord
+        from repro.dfg.builder import DFGBuilder
+
+        b = DFGBuilder("two_loads")
+        b.store("out", b.add(b.load("a"), b.load("b")))
+        dfg = b.build()
+        load_a, load_b, add, store = sorted(
+            (op for op in dfg.ops.values() if op.opcode.name != "CONST"),
+            key=lambda op: op.id,
+        )
+        assert load_a.is_memory and load_b.is_memory and store.is_memory
+        cgra = CGRA(4, 4)
+        assert cgra.mem_ports_per_row == 1
+        layout = PageLayout(cgra, (2, 2))
+        pos = {
+            load_a.id: (Coord(0, 1), 0),  # page 0, local row 0
+            load_b.id: (Coord(0, 2), 0),  # page 1, local row 0
+            add.id: (Coord(1, 2), 2),
+            store.id: (Coord(1, 3), 3),
+        }
+        assert layout.page_of[Coord(0, 1)] != layout.page_of[Coord(0, 2)]
+        assert _energy(dfg, cgra, 4, pos, layout) == 0.0
+        assert _energy(dfg, cgra, 4, pos, None) == 25.0
 
     def test_annealed_mapping_shrinks_correctly(self):
         trip = 10
@@ -78,7 +104,7 @@ class TestMapperIndependence:
         layout = PageLayout(cgra, (2, 2))
         spec = get_kernel("laplace")
         dfg, arrays, expected = spec.fresh(seed=4, trip=trip)
-        m = anneal_map_paged(dfg, cgra, layout, seed=2, max_ii=12)
+        m = anneal_map(dfg, cgra, layout, seed=2, max_ii=12)
         schedule = extract_page_schedule(m, layout)
         pm = PagedMapping(m, layout, schedule)
         placement = PageMaster(

@@ -4,6 +4,7 @@ table, router."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -46,52 +47,59 @@ class TestMaterialization:
         assert len(edges) == g.num_edges - 1
 
 
+def _id(cgra, row, col):
+    return cgra.grid_index.id_of[Coord(row, col)]
+
+
 class TestReservationTable:
     def test_claim_release_cycle(self, cgra44):
         t = ReservationTable(cgra44, ii=2)
-        pe = Coord(0, 0)
-        t.claim(pe, 0, "a")
-        assert not t.slot_free(pe, 2)  # modulo II
-        t.release(pe, 0)
-        assert t.slot_free(pe, 2)
+        pe = _id(cgra44, 0, 0)
+        t.claim_id(pe, 0, "a")
+        assert not t.slot_free_id(pe, 2)  # modulo II
+        t.release_id(pe, 0)
+        assert t.slot_free_id(pe, 2)
 
     def test_double_claim_rejected(self, cgra44):
         t = ReservationTable(cgra44, ii=2)
-        t.claim(Coord(1, 1), 3, "a")
+        t.claim_id(_id(cgra44, 1, 1), 3, "a")
         with pytest.raises(MappingError):
-            t.claim(Coord(1, 1), 5, "b")  # same modulo slot
+            t.claim_id(_id(cgra44, 1, 1), 5, "b")  # same modulo slot
 
     def test_bus_capacity_default_per_row(self, cgra44):
         t = ReservationTable(cgra44, ii=1)
-        t.claim(Coord(0, 0), 0, "ld0", memory=True)
-        assert not t.bus_free(Coord(0, 3), 0)  # same row
-        assert t.bus_free(Coord(1, 0), 0)  # other row
+        t.claim_id(_id(cgra44, 0, 0), 0, "ld0", memory=True)
+        assert not t.bus_free_id(_id(cgra44, 0, 3), 0)  # same row
+        assert t.bus_free_id(_id(cgra44, 1, 0), 0)  # other row
         with pytest.raises(MappingError):
-            t.claim(Coord(0, 1), 0, "ld1", memory=True)
+            t.claim_id(_id(cgra44, 0, 1), 0, "ld1", memory=True)
 
     def test_bus_release(self, cgra44):
         t = ReservationTable(cgra44, ii=1)
-        t.claim(Coord(0, 0), 0, "ld", memory=True)
-        t.release(Coord(0, 0), 0, memory=True)
-        assert t.bus_free(Coord(0, 1), 0)
+        t.claim_id(_id(cgra44, 0, 0), 0, "ld", memory=True)
+        t.release_id(_id(cgra44, 0, 0), 0, memory=True)
+        assert t.bus_free_id(_id(cgra44, 0, 1), 0)
 
     def test_custom_bus_key(self, cgra44):
-        t = ReservationTable(cgra44, ii=1, bus_key=lambda pe: pe.col % 2)
-        t.claim(Coord(0, 0), 0, "a", memory=True)
-        assert not t.bus_free(Coord(3, 2), 0)  # same segment (even col)
-        assert t.bus_free(Coord(3, 1), 0)
+        """A layout keys buses by (page, local row): one grid row holds a
+        bus per page it crosses, and an uncovered PE has none."""
+        from repro.core.paging import PageLayout
+        from repro.util.errors import ConstraintViolation
+
+        t = ReservationTable(cgra44, ii=1, layout=PageLayout(cgra44, (2, 2)))
+        t.claim_id(_id(cgra44, 0, 0), 0, "a", memory=True)
+        assert not t.bus_free_id(_id(cgra44, 0, 1), 0)  # same page and row
+        assert t.bus_free_id(_id(cgra44, 0, 2), 0)  # same row, next page
+        assert t.bus_free_id(_id(cgra44, 1, 0), 0)  # same page, next row
+        cgra = CGRA(3, 3)
+        t = ReservationTable(cgra, ii=1, layout=PageLayout(cgra, (2, 2)))
+        with pytest.raises(ConstraintViolation, match="uncovered"):
+            t.claim_id(_id(cgra, 2, 2), 0, "b", memory=True)
 
     def test_release_unclaimed_rejected(self, cgra44):
         t = ReservationTable(cgra44, ii=2)
         with pytest.raises(MappingError):
-            t.release(Coord(0, 0), 0)
-
-    def test_copy_is_independent(self, cgra44):
-        t = ReservationTable(cgra44, ii=2)
-        t.claim(Coord(0, 0), 0, "a")
-        c = t.copy()
-        c.claim(Coord(0, 0), 1, "b")
-        assert t.slot_free(Coord(0, 0), 1)
+            t.release_id(_id(cgra44, 0, 0), 0)
 
     def test_bad_ii(self, cgra44):
         with pytest.raises(MappingError):
@@ -129,7 +137,7 @@ class TestRouting:
         # block the entire escape neighbourhood of (0,0) at time 1 (mod 0 &
         # 1 as needed)
         for pe in [Coord(0, 0), Coord(0, 1), Coord(1, 0)]:
-            mrt.claim(pe, 1, "blocker")
+            mrt.claim_id(_id(cgra44, *pe), 1, "blocker")
         steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 1), 4)
         assert steps is None
 
@@ -142,22 +150,29 @@ class TestRouting:
         assert len(used) == len(steps)
 
     def test_hop_filter_blocks(self, cgra44):
-        mrt = ReservationTable(cgra44, ii=4)
-        never = lambda a, b: False  # noqa: E731
-        assert (
-            find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 1), 2, hop_allowed=never)
-            is None
-        )
+        """Under a layout a value never moves backwards along the chain:
+        page 1 cannot reach page 0 however long the route."""
+        from repro.compiler.routing import RoutingContext
+        from repro.core.paging import PageLayout
+
+        layout = PageLayout(cgra44, (2, 2))
+        ctx = RoutingContext(cgra44, layout)
+        mrt = ReservationTable(cgra44, ii=4, layout=layout)
+        assert find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 3), 4, ctx=ctx)
+        assert find_route(cgra44, mrt, Coord(0, 2), 0, Coord(0, 1), 1) == ()
+        assert find_route(cgra44, mrt, Coord(0, 2), 0, Coord(0, 1), 1, ctx=ctx) is None
+        assert find_route(cgra44, mrt, Coord(0, 3), 0, Coord(0, 0), 4, ctx=ctx) is None
 
     def test_commit_and_release(self, cgra44):
         mrt = ReservationTable(cgra44, ii=8)
         steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(2, 0), 4)
         commit_route(mrt, 7, steps)
+        id_of = cgra44.grid_index.id_of
         for s in steps:
-            assert not mrt.slot_free(s.pe, s.time)
+            assert not mrt.slot_free_id(id_of[s.pe], s.time)
         release_route(mrt, steps)
         for s in steps:
-            assert mrt.slot_free(s.pe, s.time)
+            assert mrt.slot_free_id(id_of[s.pe], s.time)
 
 
 class TestMappingModel:
@@ -185,69 +200,53 @@ class TestMappingModel:
 
 
 class TestReservationCounters:
-    """The flat table's per-slot free-PE bitmasks and bus use-counts must
-    agree with a brute-force scan of the occupancy array at every point of
-    an interleaved claim/release history (``free_slots_at`` is a bit count
-    of these masks, and the routers' reachability filter ANDs with them)."""
+    """The flat table's occupancy labels, occupancy bitmap, per-slot
+    free-PE bitmasks and bus use-counts must move in lockstep at every
+    point of an interleaved claim/release history (the routers'
+    reachability filter ANDs with the bitmasks, the DFS seeds its visited
+    set from the bitmap)."""
 
-    def _assert_counters_agree(self, t, cgra):
+    def _assert_counters_agree(self, t, cgra, held):
         n = cgra.num_pes
+        taken = {(pe, time % t.ii) for pe, time, _memory in held}
         for m in range(t.ii):
-            assert t.free_mask[m] == sum(
-                1 << p for p in range(n) if not t._occ_mask[m * n + p]
-            ), f"slot {m}"
-            brute = sum(
-                1 for pe in cgra.interconnect.coords() if t.slot_free(pe, m)
-            )
-            assert t.free_slots_at(m) == brute, f"slot {m}"
-        assert t.occupancy == t.ii * cgra.num_pes - sum(
-            t.free_slots_at(m) for m in range(t.ii)
-        )
+            free = {p for p in range(n) if t.slot_free_id(p, m)}
+            assert free == {p for p in range(n) if (p, m) not in taken}, m
+            assert free == {p for p in range(n) if not t._occ_mask[m * n + p]}, m
+            assert t.free_mask[m] == sum(1 << p for p in free), f"slot {m}"
+        rows = [pe.row for pe in cgra.grid_index.coords]
+        used = Counter((rows[q], time % t.ii) for q, time, memory in held if memory)
+        for p in range(n):
+            for m in range(t.ii):
+                assert t.bus_free_id(p, m) == (used[rows[p], m] < cgra.mem_ports_per_row)
 
     def test_interleaved_claim_release_with_bus(self, cgra44):
         import random
 
         rng = random.Random(7)
         t = ReservationTable(cgra44, ii=3)
-        pes = list(cgra44.interconnect.coords())
-        held: list[tuple[Coord, int, bool]] = []
+        held: list[tuple[int, int, bool]] = []
         for step in range(300):
             if held and rng.random() < 0.45:
                 pe, time, memory = held.pop(rng.randrange(len(held)))
-                t.release(pe, time, memory=memory)
+                t.release_id(pe, time, memory=memory)
             else:
-                pe = rng.choice(pes)
+                pe = rng.randrange(cgra44.num_pes)
                 time = rng.randrange(0, 12)
-                if not t.slot_free(pe, time):
+                if not t.slot_free_id(pe, time):
                     continue
-                memory = rng.random() < 0.4 and t.bus_free(pe, time)
-                t.claim(pe, time, f"op{step}", memory=memory)
+                memory = rng.random() < 0.4 and t.bus_free_id(pe, time)
+                t.claim_id(pe, time, f"op{step}", memory=memory)
                 held.append((pe, time, memory))
             if step % 25 == 0:
-                self._assert_counters_agree(t, cgra44)
-        self._assert_counters_agree(t, cgra44)
+                self._assert_counters_agree(t, cgra44, held)
+        self._assert_counters_agree(t, cgra44, held)
         for pe, time, memory in held:
-            t.release(pe, time, memory=memory)
+            t.release_id(pe, time, memory=memory)
         # fully drained: every counter back to its initial state
-        assert t.occupancy == 0
-        for m in range(t.ii):
-            assert t.free_slots_at(m) == cgra44.num_pes
-        for pe in pes:
-            for m in range(t.ii):
-                assert t.bus_free(pe, m)
-
-    def test_copy_preserves_counter_agreement(self, cgra44):
-        t = ReservationTable(cgra44, ii=2)
-        t.claim(Coord(0, 0), 0, "a", memory=True)
-        t.claim(Coord(1, 1), 1, "b")
-        dup = t.copy()
-        dup.claim(Coord(2, 2), 0, "c", memory=True)
-        dup.release(Coord(0, 0), 0, memory=True)
-        self._assert_counters_agree(t, cgra44)
-        self._assert_counters_agree(dup, cgra44)
-        # original untouched by the copy's mutations
-        assert not t.slot_free(Coord(0, 0), 0)
-        assert dup.slot_free(Coord(0, 0), 0)
+        self._assert_counters_agree(t, cgra44, [])
+        assert not any(t._occ_mask)
+        assert t.free_mask == [(1 << cgra44.num_pes) - 1] * t.ii
 
 
 class TestRoutingDeterminism:
@@ -267,7 +266,7 @@ class TestRoutingDeterminism:
             (Coord(1, 2), 1),
             (Coord(2, 3), 2),
         ]:
-            mrt.claim(pe, time, "obstacle")
+            mrt.claim_id(cgra.grid_index.id_of[pe], time, "obstacle")
         return mrt
 
     def test_bfs_route_stable_across_fresh_contexts(self, cgra44):
@@ -377,13 +376,12 @@ class TestReachabilityFilter:
 
     @classmethod
     def _context(cls, name, ring, route_mask, rng):
-        from repro.compiler.constraints import ring_hop_filter
         from repro.compiler.routing import RoutingContext
         from repro.core.paging import PageLayout
 
         cgra = cls._fabric(name, route_mask, rng)
-        hop = ring_hop_filter(PageLayout(cgra, (2, 2))) if ring else None
-        return cgra, RoutingContext(cgra, hop)
+        layout = PageLayout(cgra, (2, 2)) if ring else None
+        return cgra, RoutingContext(cgra, layout)
 
     @staticmethod
     def _random_mrt(cgra, ii, rng):
@@ -502,7 +500,7 @@ class TestReachabilityFilter:
 
         rng = random.Random(f"mask/{name}/{ring}/{route_mask}")
         cgra, ctx = self._context(name, ring, route_mask, rng)
-        mapper = EMSMapper(cgra, hop_allowed=ctx.hop_allowed)
+        mapper = EMSMapper(cgra, ctx.layout)
         # reading parks nothing, so only the move tables carry the ROUTE mask
         assert (ctx.arrive_bits != ctx.move_bits) == route_mask
         n = cgra.num_pes
@@ -715,11 +713,9 @@ def mask_replay_differential(backend, outcome, mapper_seeds) -> None:
         # each from the bound to the last rung of a paged ladder — the II
         # ceiling (which cuts the ring draw's chain at 9) or ``max_ii``,
         # whichever is lower — and nothing was climbed above it
-        from repro.compiler.paged import PagedMapper
-
         cgra = CGRA(4, 4)
         layout = compile_mod.make_layout(cgra, 2)
-        mapper = PagedMapper(cgra, layout, MapperConfig(max_ii=10))
+        mapper = EMSMapper(cgra, layout, MapperConfig(max_ii=10))
         first, last = mapper.ladder_rungs(drawn.build())
         assert last == (10 if outcome == "unmappable" else 9)
         _base, chain, *rest = ladders

@@ -131,12 +131,12 @@ class TestCommittedStore:
         ladder.  A ceiling change that would cut a committed winner fails
         here, not in the recompile step."""
         from repro.analysis.audit import _build_cgra
-        from repro.compiler.paged import PagedMapper
+        from repro.compiler.ems import EMSMapper
         from repro.core.paging import PageLayout
         from repro.pipeline.artifact import CompiledKernel
         from repro.pipeline.store import ArtifactStore
 
-        mappers: dict[tuple, PagedMapper] = {}
+        mappers: dict[tuple, EMSMapper] = {}
         headroom = {}
         for path, is_artifact in ArtifactStore(REPO_STORE).walk():
             if not is_artifact:
@@ -149,7 +149,7 @@ class TestCommittedStore:
             if geometry not in mappers:
                 cgra = _build_cgra(artifact)
                 layout = PageLayout(cgra, tuple(artifact.page_shape))
-                mappers[geometry] = PagedMapper(cgra, layout)
+                mappers[geometry] = EMSMapper(cgra, layout)
             dfg = get_kernel(artifact.kernel).build()
             _first, last = mappers[geometry].ladder_rungs(dfg)
             headroom[path.name] = last - artifact.ii_paged

@@ -18,7 +18,7 @@ from repro.arch import CGRA  # noqa: E402
 from repro.arch.isa import Opcode  # noqa: E402
 from repro.compiler import hier  # noqa: E402
 from repro.compiler.mapping import materialized_ops  # noqa: E402
-from repro.compiler.paged import PagedMapper  # noqa: E402
+from repro.compiler.ems import EMSMapper  # noqa: E402
 from repro.core.paging import PageLayout  # noqa: E402
 from repro.dfg import analysis  # noqa: E402
 from repro.dfg.graphalg import (  # noqa: E402
@@ -179,7 +179,7 @@ def _nx_rec_mii(dfg):
 
 
 def _nx_spread_targets(mapper, dfg):
-    ranks = sorted({mapper.pe_rank(pe) for pe in mapper.allowed_pes})
+    ranks = range(mapper.layout.num_pages)
     top = len(ranks) - 1
     g = nx.DiGraph()
     g.add_nodes_from(dfg.ops)
@@ -235,7 +235,7 @@ def _suite_and_random_dfgs():
 
 def test_call_sites_equal_their_networkx_versions(monkeypatch):
     cgra = CGRA(4, 4, rf_depth=24)
-    mapper = PagedMapper(cgra, PageLayout(cgra, (2, 2)))
+    mapper = EMSMapper(cgra, PageLayout(cgra, (2, 2)))
     used = []  # the order run_reference walked, from inside it
     monkeypatch.setattr(
         reference,

@@ -9,11 +9,7 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
-from repro.compiler.constraints import (
-    paged_bus_key,
-    register_usage_report,
-    ring_hop_filter,
-)
+from repro.compiler.constraints import paged_bus_key, register_usage_report
 from repro.compiler.paged import map_dfg_paged
 from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel
@@ -43,13 +39,7 @@ class TestConstraints:
     def test_mapping_validates_with_hop_filter(self, paged44):
         cgra, _, mapped = paged44
         for name, pm in mapped.items():
-            hop = ring_hop_filter(pm.layout)
-            validate_mapping(
-                pm.mapping,
-                allowed_pes=list(pm.layout.page_of),
-                hop_allowed=hop,
-                bus_key=paged_bus_key(pm.layout),
-            )
+            validate_mapping(pm.mapping, pm.layout)
 
     def test_all_deps_forward_in_ring(self, paged44):
         _, _, mapped = paged44
@@ -78,6 +68,53 @@ class TestConstraints:
         _, _, mapped = paged44
         rep = register_usage_report(mapped["sor"].mapping)
         assert rep["self_holds"] >= 0 and rep["move_hops"] >= 0
+
+    def test_register_usage_report_starts_a_tapped_route_at_its_tap(self):
+        """x on (0,0) at t=0 feeds y on (0,3) at t=4 through (0,1), (0,2),
+        (0,2) — two moves and a self-hold — and z on (1,1) at t=3 through a
+        tap of that route's first step, held one more cycle on (0,1): a
+        self-hold of the tap, not a move from the producer."""
+        from repro.arch.interconnect import Coord
+        from repro.compiler.mapping import Mapping, Placement, Route, RouteStep
+        from repro.dfg.builder import DFGBuilder
+
+        b = DFGBuilder("fanout")
+        x = b.load("in")
+        b.store("out", b.neg(x))
+        b.store("out2", b.abs(x))
+        dfg = b.build()
+        load, neg, absolute = (
+            next(op.id for op in dfg.ops.values() if op.opcode.name == name)
+            for name in ("LOAD", "NEG", "ABS")
+        )
+        stores = [op.id for op in dfg.ops.values() if op.opcode.name == "STORE"]
+        to_neg, to_abs = (
+            next(e.id for e in dfg.out_edges(load) if e.dst == dst) for dst in (neg, absolute)
+        )
+        first = RouteStep(Coord(0, 1), 1)
+        mapping = Mapping(
+            CGRA(4, 4),
+            dfg,
+            ii=8,
+            placements={
+                op: Placement(op, pe, t)
+                for op, pe, t in [
+                    (load, Coord(0, 0), 0),
+                    (neg, Coord(0, 3), 4),
+                    (absolute, Coord(1, 1), 3),
+                    (stores[0], Coord(1, 3), 5),
+                    (stores[1], Coord(2, 1), 4),
+                ]
+            },
+            routes={
+                to_neg: Route(
+                    to_neg, (first, RouteStep(Coord(0, 2), 2), RouteStep(Coord(0, 2), 3))
+                ),
+                to_abs: Route(to_abs, (RouteStep(Coord(0, 1), 2),), tap=first),
+            },
+        )
+        validate_mapping(mapping)
+        assert register_usage_report(mapping) == {"self_holds": 2, "move_hops": 2}
 
 class TestPageNeed:
     def test_recurrence_kernels_need_one_page(self, paged44):

@@ -435,11 +435,11 @@ class TestBatchOutcomes:
         target = importlib.import_module(f"repro.compiler.{module}")
         real, calls = target.validate_mapping, []
 
-        def rejecting(mapping, **kwargs):
+        def rejecting(mapping, layout):
             calls.append(mapping.ii)
             if len(calls) > passes:
                 raise MappingError("injected validator rejection")
-            real(mapping, **kwargs)
+            real(mapping, layout)
 
         monkeypatch.setattr(target, "validate_mapping", rejecting)
         with pytest.raises(MappingError, match="injected") as caught:

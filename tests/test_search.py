@@ -25,7 +25,7 @@ from collections import Counter
 import pytest
 
 from repro.arch.cgra import CGRA
-from repro.compiler.ems import LADDER_ONLY_FIELDS, EMSMapper, MapperConfig
+from repro.compiler.ems import FAIL_FAST_BUDGET, FULL_BUDGET, EMSMapper, MapperConfig
 from repro.compiler.search import DfgProbes, LadderReport, ProbeMemo, climb_ladder
 from repro.compiler.stats import MapperCounters, counters, job_counters
 from repro.kernels import get_kernel, kernel_names
@@ -103,12 +103,11 @@ class ScriptedMapper(EMSMapper):
 def _sobel_ps2_mapper(**config):
     """The paged chain mapper of the one committed 4x4 job that maps
     nowhere, ``sobel/ps2`` — and its DFG."""
-    from repro.compiler.paged import PagedMapper
     from repro.pipeline.compile import make_layout
 
     cgra = CGRA(4, 4)
     config = MapperConfig(attempts_per_ii=4, **config)
-    return PagedMapper(cgra, make_layout(cgra, 2), config), get_kernel("sobel").build()
+    return EMSMapper(cgra, make_layout(cgra, 2), config), get_kernel("sobel").build()
 
 
 class TestLadderEnds:
@@ -281,14 +280,13 @@ def test_a_probe_is_a_pure_function_of_its_key():
     point — nothing a probe leaves in the mapper (routing context, rank
     targets, DFG tables, the stuck op) reaches the next — and a memo (the
     fresh mappers filled one) hands a later job exactly that outcome."""
-    from repro.compiler.paged import PagedMapper
     from repro.pipeline.compile import make_layout
 
     cgra = CGRA(4, 4)
     layout = make_layout(cgra, 4)
     failed = mapped = 0
     for dfg in _purity_dfgs():
-        used = PagedMapper(cgra, layout, CONFIG)
+        used = EMSMapper(cgra, layout, CONFIG)
         first = used.ladder_rungs(dfg)[0]
         points = [(first, 0), (first, 1), (first + 1, 0)]
         once = [_probe(used, dfg, ii, order) for ii, order in points]
@@ -296,11 +294,11 @@ def test_a_probe_is_a_pure_function_of_its_key():
         memo = ProbeMemo()
         probes = memo.for_dfg(dfg)
         fresh = [
-            _probe(PagedMapper(cgra, layout, CONFIG, probes), dfg, ii, order)
+            _probe(EMSMapper(cgra, layout, CONFIG, probes), dfg, ii, order)
             for ii, order in points
         ]
         assert once == again == fresh, dfg.name
-        later = PagedMapper(cgra, layout, CONFIG, probes)
+        later = EMSMapper(cgra, layout, CONFIG, probes)
         assert [_probe(later, dfg, ii, order) for ii, order in points] == once
         assert memo.stats() == {"run": 3, "shared": 3, "entries": 3}
         failed += sum(placements is None for placements, _ in once)
@@ -342,30 +340,28 @@ class TestProbeKey:
         return "hier"
 
     def test_every_config_field_is_in_the_key_or_is_not_read_by_a_probe(self):
-        """A field of ``MapperConfig`` either moves the key or is one of
-        the four a probe never reads — and for those four, a probe under
-        another value returns the same thing.  A new knob is in the key
-        until someone shows it belongs on the short list."""
-        from repro.compiler.paged import PagedMapper
-
+        """No field of ``MapperConfig`` is read by a probe: under another
+        value of any of them the key and the outcome are the same.  What a
+        probe does read besides the fabric and the layout — its budgets —
+        is the tier the mapper was built with, and that is in the key."""
         dfg, cgra, layout = _paged("sor", 4)
-        scope = PagedMapper(cgra, layout, CONFIG).probe_scope()
-        outcome = _probe(PagedMapper(cgra, layout, CONFIG), dfg, 4, 1)
-        assert LADDER_ONLY_FIELDS == {"seed", "max_ii", "attempts_per_ii", "backend"}
-        for f in dataclasses.fields(MapperConfig):
-            varied = dataclasses.replace(
-                CONFIG, **{f.name: self._vary(getattr(CONFIG, f.name))}
-            )
-            mapper = PagedMapper(cgra, layout, varied)
-            if f.name in LADDER_ONLY_FIELDS:
-                assert mapper.probe_scope() == scope, f.name
-                assert _probe(mapper, dfg, 4, 1) == outcome, f.name
-            else:
-                assert mapper.probe_scope() != scope, f.name
+        scope = EMSMapper(cgra, layout, CONFIG).probe_scope()
+        outcome = _probe(EMSMapper(cgra, layout, CONFIG), dfg, 4, 1)
+        names = {f.name for f in dataclasses.fields(MapperConfig)}
+        assert names == {"seed", "max_ii", "attempts_per_ii", "backend"}
+        for name in names:
+            varied = dataclasses.replace(CONFIG, **{name: self._vary(getattr(CONFIG, name))})
+            mapper = EMSMapper(cgra, layout, varied)
+            assert mapper.probe_scope() == scope, name
+            assert _probe(mapper, dfg, 4, 1) == outcome, name
+        assert scope[-1] == FULL_BUDGET
+        fail_fast = EMSMapper(cgra, layout, CONFIG, budget=FAIL_FAST_BUDGET)
+        assert fail_fast.probe_scope() == (*scope[:-1], FAIL_FAST_BUDGET)
 
     def test_the_key_names_the_fabric_and_the_layout(self):
+        """Fabric, layout and budget tier each tell keys apart; equal
+        layouts on equal fabrics — another job's objects — share one."""
         from repro.arch.presets import preset
-        from repro.compiler.paged import PagedMapper
         from repro.core.paging import PageLayout
         from repro.pipeline.compile import make_layout
 
@@ -374,23 +370,21 @@ class TestProbeKey:
         scopes = [
             EMSMapper(cgra).probe_scope(),
             EMSMapper(preset("8x8-memcols")).probe_scope(),
-            PagedMapper(cgra, layout).probe_scope(),
-            PagedMapper(cgra, PageLayout(cgra, (2, 2), allow_wrap=True)).probe_scope(),
-            PagedMapper(cgra, layout.subchain(3)).probe_scope(),
-            PagedMapper(cgra, make_layout(cgra, 8)).probe_scope(),
+            EMSMapper(cgra, layout).probe_scope(),
+            EMSMapper(cgra, PageLayout(cgra, (2, 2), allow_wrap=True)).probe_scope(),
+            EMSMapper(cgra, layout.subchain(3)).probe_scope(),
+            EMSMapper(cgra, make_layout(cgra, 8)).probe_scope(),
+            EMSMapper(cgra, layout, budget=FAIL_FAST_BUDGET).probe_scope(),
         ]
         assert len(set(scopes)) == len(scopes)
         again = CGRA(8, 8)  # another job's equal fabric
-        assert PagedMapper(again, make_layout(again, 4)).probe_scope() == scopes[2]
+        assert EMSMapper(again, make_layout(again, 4)).probe_scope() == scopes[2]
+        assert EMSMapper(again, make_layout(again, 4).subchain(3)).probe_scope() == scopes[4]
 
-    def test_a_mapper_without_an_identity_refuses_a_memo(self):
-        """Constraints given as bare callables cannot be told apart, and a
-        memo bound to one DFG answers for no other."""
+    def test_a_memo_bound_to_one_dfg_refuses_another(self):
+        """A memo bound to one DFG answers for no other."""
         dfg, cgra, _layout = _paged("sor", 4)
         probes = ProbeMemo().for_dfg(dfg)
-        bare = EMSMapper(cgra, hop_allowed=lambda a, b: True, probes=probes)
-        with pytest.raises(MappingError, match="no identity"):
-            _probe(bare, dfg, 4, 0)
         other = get_kernel("sor").build()
         with pytest.raises(MappingError, match="another DFG"):
             _probe(EMSMapper(cgra, probes=probes), other, 4, 0)
@@ -422,14 +416,13 @@ class TestProbeKey:
 
 def _scenario_allow_wrap(probes_for):
     """sor 4x4 ps4, II 4, forward order: the chain fails, the ring maps."""
-    from repro.compiler.paged import PagedMapper
     from repro.core.paging import PageLayout
 
     dfg, cgra, chain = _paged("sor", 4)
     ring = PageLayout(cgra, chain.shape, allow_wrap=True)
     probes = probes_for(dfg)
     return [
-        _probe(PagedMapper(cgra, layout, CONFIG, probes), dfg, 4, 1)
+        _probe(EMSMapper(cgra, layout, CONFIG, probes), dfg, 4, 1)
         for layout in (chain, ring)
     ]
 
@@ -437,12 +430,10 @@ def _scenario_allow_wrap(probes_for):
 def _scenario_prefix_length(probes_for):
     """mpeg 4x4 ps4, II 2: two pages cannot hold it, three can — the step
     page-need minimisation takes."""
-    from repro.compiler.paged import PagedMapper
-
     dfg, cgra, layout = _paged("mpeg", 4)
     probes = probes_for(dfg)
     return [
-        _probe(PagedMapper(cgra, layout.subchain(k), CONFIG, probes), dfg, 2, 0)
+        _probe(EMSMapper(cgra, layout.subchain(k), CONFIG, probes), dfg, 2, 0)
         for k in (2, 3)
     ]
 
@@ -465,22 +456,10 @@ def _scenario_domains(probes_for):
     return [_probe(prefix, dfg, 1, 0, domains), _probe(prefix, dfg, 1, 0)]
 
 
-def _scenario_eval_budget(probes_for):
-    """sor 4x4 ps4, II 4: five evaluations per op find another mapping
-    than two hundred do — one budget field apart."""
-    from repro.compiler.paged import PagedMapper
-
-    dfg, cgra, layout = _paged("sor", 4)
-    probes = probes_for(dfg)
-    return [
-        _probe(PagedMapper(cgra, layout, config, probes), dfg, 4, 0)
-        for config in (CONFIG, dataclasses.replace(CONFIG, eval_budget=5))
-    ]
-
-
 def _scenario_budgets(probes_for):
-    """laplace 4x4 ps4, II 2, one page: the hier backend's cheap prefix
-    mapper gives up where its full-budget one maps."""
+    """laplace 4x4 ps4, II 2, one page: the hier backend's fail-fast prefix
+    mapper gives up where its full-budget one maps — one layout, two
+    tiers, never one entry."""
     from repro.compiler.hier import HierMapper
 
     dfg, cgra, layout = _paged("laplace", 4)
@@ -490,13 +469,9 @@ def _scenario_budgets(probes_for):
     ]
 
 
-def _without_knobs(*names):
-    def mutate(key):
-        (fabric, constraint, mem_slots, knobs), *point = key
-        knobs = tuple(kv for kv in knobs if kv[0] not in names)
-        return ((fabric, constraint, mem_slots, knobs), *point)
-
-    return mutate
+def _without_budget(key):
+    (fabric, constraint, _budget), *point = key
+    return ((fabric, constraint, None), *point)
 
 
 def _without_allow_wrap(key):
@@ -505,20 +480,15 @@ def _without_allow_wrap(key):
 
 
 def _without_prefix_length(key):
-    # the covered pages, and the bus slots that are a multiple of them
-    (fabric, constraint, _mem_slots, knobs), *point = key
-    return ((fabric, constraint and constraint[1:], None, knobs), *point)
+    (fabric, constraint, budget), *point = key
+    return ((fabric, constraint and constraint[1:], budget), *point)
 
 
 SCENARIOS = {
     "allow_wrap": (_scenario_allow_wrap, _without_allow_wrap),
     "prefix_length": (_scenario_prefix_length, _without_prefix_length),
     "domains": (_scenario_domains, lambda key: key[:-1]),
-    "eval_budget": (_scenario_eval_budget, _without_knobs("eval_budget")),
-    "budgets": (
-        _scenario_budgets,
-        _without_knobs("eval_budget", "route_budget", "candidate_cap"),
-    ),
+    "budgets": (_scenario_budgets, _without_budget),
 }
 
 
@@ -538,7 +508,8 @@ def test_probes_that_differ_in_one_part_of_the_key_are_not_shared(part, monkeypa
     assert direct[0] != direct[1]  # the part decides the outcome here
     memo = ProbeMemo()
     assert scenario(memo.for_dfg) == direct
-    assert scenario(memo.for_dfg) == direct  # and again, every probe a hit
+    # and again on another job's equal fabric and layout: every probe a hit
+    assert scenario(memo.for_dfg) == direct
     assert memo.stats() == {"run": 2, "shared": 2, "entries": 2}
     # the same scenario on a memo whose keys lack the part: caught
     _drop_from_every_key(monkeypatch, mutant)

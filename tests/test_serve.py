@@ -333,7 +333,7 @@ class TestCompileService:
 
         real = paged_mod.validate_mapping
 
-        def rejecting(mapping, **kwargs):
+        def rejecting(mapping, layout):
             raise MappingError("injected validator rejection")
 
         async def body():
