@@ -19,10 +19,12 @@ resolves each to its content address
   (N >= 2) one long-lived pool of N spawned processes compiles whole jobs,
   one miss per process: the grain and the worker entry point of
   ``compile_many(workers=N)``, without a pool per batch.
-* **Byte parity** — responses are read back from the
-  :class:`~repro.pipeline.store.ArtifactStore` files, so a served payload
-  is byte-identical to the offline :func:`~repro.pipeline.compile
-  .compile_many` output at any concurrency.
+* **Byte parity** — every served body was read from an
+  :class:`~repro.pipeline.store.ArtifactStore` file: the bytes a store
+  probe validated, or a fresh compile's read-back.  The service keeps them
+  per digest (a digest has exactly one valid body) and answers later
+  requests from them, so a served payload is byte-identical to the offline
+  :func:`~repro.pipeline.compile.compile_many` output at any concurrency.
 
 ``python -m repro.serve`` runs the server.  Throughput, latency
 percentiles, coalesce rate and cache hit rate under load are measured by

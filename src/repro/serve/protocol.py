@@ -34,6 +34,11 @@ __all__ = [
 #: fields; anything larger is a malformed or hostile client.
 MAX_BODY_BYTES = 1 << 20
 
+#: Request head caps: a request line and header lines beyond either is a
+#: malformed or hostile client (a 400; the server then closes the connection).
+MAX_HEADER_LINES = 100
+MAX_HEAD_BYTES = 64 << 10
+
 _VALID_PREFER = ("square", "column", "row")
 
 #: ``tenant`` and ``request_id`` are echoed into response headers
@@ -181,7 +186,9 @@ class HttpRequest:
 
 
 async def read_http_request(reader) -> HttpRequest | None:
-    """Parse one HTTP/1.1 request off *reader*; None on a clean EOF."""
+    """Parse one HTTP/1.1 request off *reader*; None on a clean EOF.  A head
+    past :data:`MAX_HEADER_LINES` or :data:`MAX_HEAD_BYTES`, or cut short by
+    EOF, is a :class:`ProtocolError`."""
     line = await reader.readline()
     if not line:
         return None
@@ -189,11 +196,21 @@ async def read_http_request(reader) -> HttpRequest | None:
         method, path, _version = line.decode("ascii").split()
     except ValueError as exc:
         raise ProtocolError(f"malformed request line: {line!r}") from exc
+    head_bytes, header_lines = len(line), 0
     headers: dict[str, str] = {}
     while True:
         line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
+        if line in (b"\r\n", b"\n"):
             break
+        if not line.endswith(b"\n"):
+            raise ProtocolError("connection closed inside the request head")
+        head_bytes += len(line)
+        header_lines += 1
+        if header_lines > MAX_HEADER_LINES or head_bytes > MAX_HEAD_BYTES:
+            raise ProtocolError(
+                f"request head exceeds {MAX_HEADER_LINES} header lines "
+                f"or {MAX_HEAD_BYTES} bytes"
+            )
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")

@@ -12,13 +12,14 @@ Routes (all bodies JSON):
   once and returns ``{"cancelled": true}`` (``false`` for an id not in
   flight).  Its compile is dropped only when its last waiter is gone, and
   then only if still queued; a running one ends with its result unstored.
-* ``GET /stats`` — the service's counters (key and probe memos,
+* ``GET /stats`` — the service's counters (key, body and probe memos,
   singleflight, scheduler, store) as JSON.
 * ``GET /healthz`` — liveness.
 
 Connections are keep-alive; one request is served at a time per
 connection (pipelining is not supported), but any number of connections
-are served concurrently on the event loop.
+are served concurrently on the event loop.  ``close()`` stops accepting,
+lets every in-flight response finish and closes every idle connection.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class ServeServer:
         self.host = host
         self.port = port
         self._server: asyncio.Server | None = None
+        self._handlers: set[asyncio.Task] = set()
+        self._idle: set[asyncio.StreamWriter] = set()  # awaiting a request
+        self._closing = False
 
     async def start(self) -> "ServeServer":
         await self.service.start()
@@ -79,7 +83,11 @@ class ServeServer:
 
     async def close(self) -> None:
         if self._server is not None:
+            self._closing = True
             self._server.close()
+            for writer in self._idle:
+                writer.close()  # its handler reads EOF and returns
+            await asyncio.gather(*self._handlers, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
         await self.service.close()
@@ -97,8 +105,11 @@ class ServeServer:
     # -- connection handling --------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
-            while True:
+            while not self._closing:
+                self._idle.add(writer)
                 try:
                     request = await read_http_request(reader)
                 except (ProtocolError, ValueError, asyncio.IncompleteReadError) as exc:
@@ -107,6 +118,8 @@ class ServeServer:
                     )
                     await writer.drain()
                     break
+                finally:
+                    self._idle.discard(writer)
                 if request is None:
                     break
                 response = await self._dispatch(request)
@@ -117,6 +130,7 @@ class ServeServer:
         except (ConnectionError, BrokenPipeError):  # pragma: no cover - client gone
             pass
         finally:
+            self._handlers.discard(handler)
             writer.close()
             try:
                 await writer.wait_closed()

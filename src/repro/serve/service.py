@@ -18,6 +18,11 @@ instance owns:
   while every compile slot is busy;
 * the key memo, ``CompileJob`` -> the future of its ``job_key`` call
   (bounded, FIFO; instance state like everything here);
+* the body memo, digest -> the bytes its flight served (a store hit's
+  validated read, or a compile's read-back; same bound, FIFO, emptied by
+  ``close()``): a digest has exactly one valid body, so a request whose
+  digest is in it is answered at once, without a flight, a slot or a
+  file read;
 * the probe memo, a :class:`~repro.compiler.search.ProbeMemo` the compiles
   on the slot threads of ``workers = 1`` share (bounded, FIFO, one lock,
   emptied by ``close()``): a miss runs only the probes no earlier miss of
@@ -26,16 +31,19 @@ instance owns:
 * the :class:`~repro.serve.singleflight.Singleflight` table and the
   :class:`~repro.serve.scheduler.FairScheduler`.
 
-Request lifecycle: resolve the job to its ArtifactKey digest, join the
-digest's flight; the flight leader schedules probe-then-compile onto the
-fair scheduler; waiters coalesce.  Resolution builds the DFG, so a job's
-first requests share one off-loop call and every later one reads the memo
-without awaiting.  The scheduled work probes the store on the loop (one
-small file read): a hit — the common case — has no thread hop at all,
-only a miss hands the compile to a worker thread.
-Served bytes are always read back from the store file — a hit serves the
-very bytes its probe validated — so they are
-byte-identical to offline ``compile_many`` output.  Cancellation has one
+Request lifecycle: resolve the job to its ArtifactKey digest; a digest
+this service has already served is answered from the body memo in the same
+loop turn — the common case.  Otherwise join the digest's flight; the
+flight leader schedules probe-then-compile onto the fair scheduler;
+waiters coalesce.  Resolution builds the DFG, so a job's first requests
+share one off-loop call and every later one reads the memo without
+awaiting.  The scheduled work probes the store on the loop (one small file
+read): a hit has no thread hop at all, only a miss hands the compile to a
+worker thread.  Every body the service holds came from a store file — the
+bytes a probe validated, or a compile's read-back — so served bytes are
+byte-identical to offline ``compile_many`` output; a file damaged after
+its first read is not read again by this service (the next process
+recompiles it).  Cancellation has one
 contract at every worker count: ``cancel()`` answers its waiter at once;
 the last detach fires the flight's token, which drops a queued compile at
 pick time, and a compile already running finishes and its result is
@@ -70,8 +78,9 @@ from repro.util.errors import ReproError
 
 __all__ = ["ServiceConfig", "CompileService"]
 
-#: Bound on the key memo (FIFO): ``seed`` is an unbounded wire field, so
-#: the set of distinct jobs is unbounded too.
+#: Bound on the key and body memos (FIFO): ``seed`` is an unbounded wire
+#: field, so the set of distinct jobs is unbounded too.  Artifacts are
+#: 0.5-1.2 KB, so a full body memo is about 1 MiB.
 _KEY_MEMO_MAX = 1024
 
 
@@ -145,7 +154,9 @@ class CompileService:
         self._started = False
         self._keys: dict[CompileJob, asyncio.Future] = {}
         self._probes = ProbeMemo()
+        self._bodies: dict[str, bytes] = {}
         # request-level counters: only ever touched on the event loop
+        self.body_hits = 0
         self.memo_hits = 0
         self.memo_misses = 0
         self.requests = 0
@@ -186,6 +197,7 @@ class CompileService:
             self._pool = None
         self._keys.clear()  # its futures belong to this run's loop
         self._probes.clear()
+        self._bodies.clear()
         self._started = False
 
     def _spawn_jobs_pool(self) -> list:
@@ -273,6 +285,13 @@ class CompileService:
             # cancel() may have landed while the key resolved: that request
             # must not join (and, by leaving, cancel) its siblings' flight
             if not waiter.done():
+                body = self._bodies.get(key.digest)
+                if body is not None:
+                    self.hits += 1
+                    self.body_hits += 1
+                    return ServeResult(
+                        request_id=rid, digest=key.digest, source="hit", body=body
+                    )
                 flight, leader = self.flights.join(key.digest)
                 if leader:
                     self._lead_flight(flight, job, key, request)
@@ -355,6 +374,8 @@ class CompileService:
                 )
             if outcome.source == "compiled":
                 self.compiles += 1
+            if outcome.body is not None:
+                self._remember(key.digest, outcome.body)
             self.flights.resolve(flight, outcome)
 
         task = asyncio.get_running_loop().create_task(_lead())
@@ -363,11 +384,18 @@ class CompileService:
             lambda _t, digest=flight.digest: self._leader_tasks.pop(digest, None)
         )
 
+    def _remember(self, digest: str, body: bytes) -> None:
+        """Keep the served bytes of *digest* for every later request."""
+        if len(self._bodies) >= _KEY_MEMO_MAX:
+            del self._bodies[next(iter(self._bodies))]
+        self._bodies[digest] = body
+
     def _make_work(self, job: CompileJob, key: ArtifactKey):
         async def work(token: CancelToken) -> _FlightOutcome:
-            # the one store probe of the request, on the loop: a hit costs
-            # one ~50 us file read, less than the thread hop it would ride,
-            # and serves the bytes it validated
+            # the digest's one store probe in this service, on the loop: a
+            # hit costs one ~50 us file read, less than the thread hop it
+            # would ride, and serves (and leaves in the body memo) the
+            # bytes it validated
             hit = self.store.get(key, raw=True)
             if hit is not None:
                 return _FlightOutcome(digest=key.digest, source="hit", body=hit[1])
@@ -461,6 +489,11 @@ class CompileService:
                 "memo_hits": self.memo_hits,
                 "memo_misses": self.memo_misses,
                 "entries": len(self._keys),
+            },
+            "memo": {
+                "entries": len(self._bodies),
+                "bytes": sum(map(len, self._bodies.values())),
+                "hits": self.body_hits,
             },
             "probes": self._probes.stats(),
             "singleflight": self.flights.stats(),

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -28,7 +29,12 @@ from repro.pipeline import (
     job_key,
 )
 from repro.serve.loadgen import ServeClient
-from repro.serve.protocol import CompileRequest, ProtocolError
+from repro.serve.protocol import (
+    MAX_HEAD_BYTES,
+    MAX_HEADER_LINES,
+    CompileRequest,
+    ProtocolError,
+)
 from repro.serve.scheduler import FairScheduler, RequestCancelled
 from repro.serve.server import ServeServer
 from repro.serve.service import CompileService, ServiceConfig
@@ -442,11 +448,33 @@ def _count_job_key(monkeypatch, before=None) -> list[CompileJob]:
     return calls
 
 
+def _count_hops_and_gets(monkeypatch, service):
+    """Record what *service* hands its thread pool and asks its store:
+    ``(functions submitted, keys probed)``."""
+    hops, gets = [], []
+    pool_submit, store_get = service._pool.submit, service.store.get
+
+    def counting_submit(fn, *args):
+        hops.append(fn)
+        return pool_submit(fn, *args)
+
+    def counting_get(key, **kwargs):
+        gets.append(key)
+        return store_get(key, **kwargs)
+
+    monkeypatch.setattr(service._pool, "submit", counting_submit)
+    monkeypatch.setattr(service.store, "get", counting_get)
+    return hops, gets
+
+
 class TestHitPath:
     """Count-based guards (no timing asserts) of what makes a hit cheap:
-    one key resolution per job, and no thread hop once the job is stored."""
+    one key resolution per job, one store probe per digest per service, and
+    no thread hop once the job is stored."""
 
     def test_stored_job_is_served_from_the_loop(self, tmp_path, monkeypatch):
+        """After a compile, a request is answered from the body memo: no
+        thread hop, no key resolution, no store read, no flight, no slot."""
         key_calls = _count_job_key(monkeypatch)
 
         async def body():
@@ -454,30 +482,112 @@ class TestHitPath:
             async with CompileService(config) as service:
                 cold = await service.submit(_request())
                 del key_calls[:]
-                hops, gets = [], []
-                pool_submit, store_get = service._pool.submit, service.store.get
-
-                def counting_submit(fn, *args):
-                    hops.append(fn)
-                    return pool_submit(fn, *args)
-
-                def counting_get(key, **kwargs):
-                    gets.append(key)
-                    return store_get(key, **kwargs)
-
-                monkeypatch.setattr(service._pool, "submit", counting_submit)
-                monkeypatch.setattr(service.store, "get", counting_get)
+                hops, gets = _count_hops_and_gets(monkeypatch, service)
                 warm = await service.submit(_request())
                 return cold, warm, hops, gets, service.stats()
 
         cold, warm, hops, gets, stats = _run(body())
         assert cold.source == "compiled" and warm.source == "hit"
-        assert hops == [] and key_calls == []
-        assert len(gets) == 1
+        assert hops == [] and key_calls == [] and gets == []
         path = ArtifactStore(tmp_path).path_for(job_key(_request().to_job()))
         assert warm.body == path.read_bytes() == cold.body
         assert stats["resolve"] == {"memo_hits": 1, "memo_misses": 1, "entries": 1}
-        assert stats["store"]["hits"] == 1 and stats["store"]["misses"] == 1
+        assert stats["memo"] == {"entries": 1, "bytes": len(cold.body), "hits": 1}
+        assert stats["store"]["hits"] == 0 and stats["store"]["misses"] == 1
+        assert stats["scheduler"]["dispatched"] == 1 and stats["hits"] == 1
+
+    def test_a_stored_digest_is_probed_once_per_service(self, tmp_path, monkeypatch):
+        """A fresh service over a filled store: the first request of a
+        digest probes the store on the loop — one ``store.get``, no thread
+        hop — and every later one is a body-memo hit."""
+        compile_many([_request().to_job()], store=ArtifactStore(tmp_path))
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                hops, gets = _count_hops_and_gets(monkeypatch, service)
+                answers = [await service.submit(_request()) for _ in range(3)]
+                return answers, hops, gets, service.stats()
+
+        answers, hops, gets, stats = _run(body())
+        path = ArtifactStore(tmp_path).path_for(job_key(_request().to_job()))
+        assert [r.source for r in answers] == ["hit"] * 3
+        assert all(r.body == path.read_bytes() for r in answers)
+        assert hops == [job_key] and len(gets) == 1  # the hop is the resolution
+        assert stats["memo"]["hits"] == 2 and stats["scheduler"]["dispatched"] == 1
+        assert stats["store"]["hits"] == 1 and stats["hits"] == 3
+
+    def test_the_body_memo_is_fifo_bounded(self, tmp_path, monkeypatch):
+        """Oldest digest out first; an evicted digest is probed again, a
+        store hit with the same bytes; ``close()`` empties the memo."""
+        import repro.serve.service as service_mod
+
+        monkeypatch.setattr(service_mod, "_KEY_MEMO_MAX", 2)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            service = CompileService(config)
+            async with service:
+                cold = [await service.submit(_request(seed=seed)) for seed in (0, 1, 2)]
+                held = list(service._bodies)
+                again = [await service.submit(_request(seed=seed)) for seed in (2, 0)]
+                stats = service.stats()
+            return cold, held, again, stats, service.stats()["memo"]
+
+        cold, held, again, stats, closed = _run(body())
+        assert held == [cold[1].digest, cold[2].digest]
+        assert [r.source for r in again] == ["hit", "hit"]
+        assert [r.body for r in again] == [cold[2].body, cold[0].body]
+        assert stats["memo"]["hits"] == 1 and stats["store"]["hits"] == 1
+        assert stats["memo"]["entries"] == 2
+        assert closed == {"entries": 0, "bytes": 0, "hits": 1}
+
+    @pytest.mark.parametrize("how", ["failure", "cancel"])
+    def test_failed_and_cancelled_flights_leave_no_body(
+        self, tmp_path, monkeypatch, how
+    ):
+        """Only a flight that resolved with bytes enters the body memo: after
+        a compile failure, or a flight cancelled while its job ran, the next
+        request for the digest compiles."""
+        import repro.compiler.paged as paged_mod
+        from repro.util.errors import MappingError
+
+        def rejecting(mapping, layout):
+            raise MappingError("injected validator rejection")
+
+        running, release = _hold_compiles(
+            monkeypatch, lambda job: how == "cancel" and job.seed == 0
+        )
+        if how == "failure":
+            monkeypatch.setattr(paged_mod, "validate_mapping", rejecting)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                pending = asyncio.ensure_future(
+                    service.submit(_request(request_id="first"))
+                )
+                deadline = time.monotonic() + 30.0
+                try:
+                    if how == "cancel":
+                        while not running.is_set() and time.monotonic() < deadline:
+                            await asyncio.sleep(0.002)
+                        assert await service.cancel("first")
+                    first = await pending
+                finally:
+                    release.set()
+                while len(service.flights) and time.monotonic() < deadline:
+                    await asyncio.sleep(0.002)
+                left = service.stats()["memo"]
+                monkeypatch.undo()
+                return first, left, await service.submit(_request())
+
+        first, left, second = _run(body())
+        assert not first.ok
+        assert first.error == ("MappingError" if how == "failure" else "RequestCancelled")
+        assert left == {"entries": 0, "bytes": 0, "hits": 0}
+        assert second.source == "compiled"
+        assert second.body == compile_job(_request().to_job())[0].to_json().encode()
 
     def test_concurrent_first_requests_share_one_resolution(
         self, tmp_path, monkeypatch
@@ -555,12 +665,11 @@ class TestHitPath:
     @pytest.mark.parametrize("meanwhile", ["removed", "replaced", "garbage"])
     def test_a_hit_serves_the_bytes_it_validated(self, tmp_path, monkeypatch, meanwhile):
         """Two processes on one store: whatever the other one does to the
-        file around the probe's read, the answer is the job's bytes — the
-        hit reads the file once and serves what it validated; a file that
-        is already garbage when read is a logged miss and a recompile.
-        Never an error for bytes that were just validated."""
-        from pathlib import Path
-
+        file, the answer is the job's bytes.  The service that compiled it
+        serves the bytes it holds without reading the file again; a fresh
+        service reads the file once and serves what it validated, and a
+        file that is already garbage when read is a logged miss and a
+        recompile.  Never an error for bytes that were just validated."""
         request = _request()
         path = ArtifactStore(tmp_path).path_for(job_key(request.to_job()))
         other = compile_job(CompileJob("mpeg", 4, 2))[0].to_json().encode()
@@ -588,13 +697,18 @@ class TestHitPath:
                 cold = await service.submit(request)
                 monkeypatch.setattr(Path, "read_bytes", interfering(Path.read_bytes))
                 monkeypatch.setattr(Path, "read_text", interfering(Path.read_text))
-                warm = await service.submit(request)
+                held = await service.submit(request)
+                held_reads = len(reads)
+            async with CompileService(config) as fresh:
+                warm = await fresh.submit(request)
                 monkeypatch.undo()
-                return cold, warm
+            return cold, held, held_reads, warm
 
-        cold, warm = _run(body())
-        assert cold.ok and warm.ok, warm
-        assert warm.body == cold.body == compile_job(request.to_job())[0].to_json().encode()
+        cold, held, held_reads, warm = _run(body())
+        assert cold.ok and held.ok and warm.ok, warm
+        offline = compile_job(request.to_job())[0].to_json().encode()
+        assert held.body == warm.body == cold.body == offline
+        assert held.source == "hit" and held_reads == 0
         if meanwhile == "garbage":
             # read as garbage, recompiled, stored, read back
             assert warm.source == "compiled" and path.read_bytes() == cold.body
@@ -880,6 +994,8 @@ class TestJobPool:
             offline = compile_job(request.to_job())[0].to_json().encode()
             assert served.body == again.body == offline
         assert stats["compiles"] == stats["store"]["puts"] == 2 and _idle(stats)
+        # the hits are the compiles' read-backs, held in the body memo
+        assert stats["memo"]["hits"] == 2 and stats["store"]["hits"] == 0
 
     def test_failing_job_is_that_requests_error_only(self, tmp_path, monkeypatch):
         """A compile that raises in the worker comes back as a
@@ -1132,6 +1248,102 @@ class TestServeServer:
         assert _idle(stats) and not unresolved
 
 
+_HEAD = b"GET /healthz HTTP/1.1\r\n"
+
+
+class TestConnections:
+    """Raw-socket framing faults and shutdown with connections still open."""
+
+    @pytest.mark.parametrize(
+        "head, eof",
+        [
+            (_HEAD + b"X-Flood: 1\r\n" * (MAX_HEADER_LINES + 1), False),
+            (_HEAD + b"X-Long: " + b"a" * (MAX_HEAD_BYTES - len(_HEAD) - 9) + b"\r\n", False),
+            (_HEAD + b"no colon here\r\n", False),
+            (_HEAD + b"Host: x\r\n", True),
+        ],
+        ids=["too_many_lines", "over_long_line", "no_colon", "eof_in_head"],
+    )
+    def test_a_bad_request_head_is_a_400_and_a_closed_connection(
+        self, tmp_path, head, eof
+    ):
+        """The head is read only up to its caps: a flood of header lines, one
+        line past the byte cap, a line without a colon or a head cut short
+        by EOF is answered 400 and the connection closes; the server goes
+        on serving with nothing left held."""
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with ServeServer(config) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(head)
+                if eof:
+                    writer.write_eof()
+                answer = await asyncio.wait_for(reader.read(), 10.0)
+                writer.close()
+                async with ServeClient(server.host, server.port) as client:
+                    health = await client.request("GET", "/healthz")
+                return answer, health, server.service.stats()
+
+        answer, health, stats = _run(body())
+        status_line, _, payload = answer.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request", answer[:200]
+        assert json.loads(payload.partition(b"\r\n\r\n")[2])["error"] == "ProtocolError"
+        assert health[0] == 200
+        assert stats["requests"] == 0 and _idle(stats)
+
+    def test_close_ends_an_idle_keep_alive_connection(self, tmp_path):
+        """A client idle on a keep-alive connection reads EOF within 1 s of
+        ``close()``, which returns once that connection is gone."""
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            server = await ServeServer(config).start()
+            client = await ServeClient(server.host, server.port).connect()
+            health = await client.request("GET", "/healthz")
+            closing = asyncio.ensure_future(server.close())
+            try:
+                eof = await asyncio.wait_for(client._reader.read(), 1.0)
+            finally:
+                await closing
+                await client.close()
+            return health, eof
+
+        health, eof = _run(body())
+        assert health[0] == 200 and eof == b""
+
+    def test_shutdown_with_an_idle_connection_logs_no_error(self, tmp_path, caplog):
+        """A connection still open, idle, when the server closes and its
+        event loop is torn down: no handler is left to be cancelled, so
+        nothing is logged at ERROR (each such handler used to log a
+        ``CancelledError`` traceback)."""
+        idle: list[socket.socket] = []
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with ServeServer(config) as server:
+                idle.append(socket.create_connection((server.host, server.port)))
+                idle[0].sendall(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+                deadline = time.monotonic() + 10.0
+                while (
+                    not select.select(idle, [], [], 0)[0] and time.monotonic() < deadline
+                ):
+                    await asyncio.sleep(0.01)  # until the answer is on its way
+
+        try:
+            with caplog.at_level("ERROR"):
+                _run(body())
+            idle[0].settimeout(1.0)
+            answer = b""
+            while chunk := idle[0].recv(4096):
+                answer += chunk
+        finally:
+            for sock in idle:
+                sock.close()
+        assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == []
+        assert answer.startswith(b"HTTP/1.1 200 OK")
+
+
 def _live_children(pid: int) -> set[int]:
     """Pids of the live (non-zombie) processes whose parent is *pid*."""
     out = set()
@@ -1158,7 +1370,9 @@ def test_sigterm_shuts_the_pool_down_and_exits_zero(tmp_path):
     """``python -m repro.serve --workers 2`` stopped with SIGTERM closes
     like Ctrl-C does: it exits 0 within 10 s and leaves none of its
     children behind — neither the two spawned workers nor the resource
-    tracker is re-parented and left running."""
+    tracker is re-parented and left running.  A client idle on a
+    keep-alive connection across it reads EOF, and nothing is logged but
+    the stop line."""
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent),
@@ -1174,6 +1388,7 @@ def test_sigterm_shuts_the_pool_down_and_exits_zero(tmp_path):
         env=env,
     )
     children: set[int] = set()
+    idle = None
     try:
         assert select.select([proc.stdout], [], [], 30.0)[0], "no address printed"
         line = proc.stdout.readline().decode()
@@ -1181,15 +1396,27 @@ def test_sigterm_shuts_the_pool_down_and_exits_zero(tmp_path):
         address = line.split()[-1]
         with urllib.request.urlopen(f"{address}/healthz", timeout=10) as health:
             assert json.loads(health.read()) == {"ok": True}
+        host, port = address.removeprefix("http://").split(":")
+        idle = socket.create_connection((host, int(port)), timeout=10)
+        idle.sendall(b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+        answer = b""
+        while not answer.endswith(b'{"ok": true}\n'):
+            answer += idle.recv(4096)
         children = _live_children(proc.pid)
         assert len(children) >= 2  # the workers, and the resource tracker
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0
+        assert idle.recv(4096) == b""
+        log = proc.stdout.read().decode()
+        assert log.rstrip().endswith("repro.serve: stopped, worker pool shut down"), log
+        assert "Exception" not in log and "Traceback" not in log, log
         deadline = time.monotonic() + 5.0
         while any(map(_alive, children)) and time.monotonic() < deadline:
             time.sleep(0.05)
         assert not [pid for pid in children if _alive(pid)]
     finally:
+        if idle is not None:
+            idle.close()
         for pid in children | {proc.pid}:
             if _alive(pid):
                 os.kill(pid, signal.SIGKILL)
