@@ -508,7 +508,11 @@ def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
     every backend's ladder starts from.  The terms only assume what any
     legal modulo schedule must satisfy (one op per (PE, slot), memory
     issue-slot and capability budgets, recurrence circuits), so an II
-    *below* the bound is impossible, whatever heuristic produced it.
+    *below* the bound is impossible, whatever heuristic produced it.  The
+    base II is bounded on the whole array, the paged II on the stored
+    prefix — the first ``pages_used`` chain pages, which hold every op of
+    the paged mapping.  The counting is the auditor's own, from the stored
+    geometry, not the compiler's capacity records.
     """
     from repro.arch.capability import OpClass
     from repro.compiler.feas import ii_lower_bound
@@ -526,8 +530,8 @@ def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
             bound = ii_lower_bound(
                 dfg,
                 num_pes=n_pes,
-                mem_slots=max(1, mem_slots),
-                mem_capable_pes=max(1, mem_capable),
+                mem_slots=mem_slots,
+                mem_capable_pes=mem_capable,
                 max_ii=ii,
             )
         except MappingError as exc:
@@ -561,12 +565,15 @@ def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
     except (ArchitectureError, MappingError):
         return  # geometry problems are ART-ARCH/MAP-LEGAL territory
     gi = cgra.grid_index
-    covered = [gi.id_of[pe] for pe in cgra.coords() if pe in layout.page_of]
+    pages = artifact.pages_used
+    prefix = [
+        gi.id_of[pe] for n in range(pages) for pe in layout.coords_of_page(n)
+    ]
     check(
         "paged",
         artifact.ii_paged,
-        covered,
-        layout.num_pages * layout.shape[0] * cgra.mem_ports_per_row,
+        prefix,
+        pages * layout.shape[0] * cgra.mem_ports_per_row,
     )
 
 

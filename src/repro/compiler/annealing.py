@@ -28,7 +28,8 @@ import math
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
 from repro.compiler.check import validate_mapping
-from repro.compiler.constraints import bus_segment, covered_pes, mem_slots
+from repro.compiler.constraints import bus_segment, covered_pes, slot_capacity
+from repro.compiler.feas import ii_lower_bound
 from repro.compiler.mapping import (
     Mapping,
     Placement,
@@ -39,7 +40,7 @@ from repro.compiler.mapping import (
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.routing import RoutingContext, commit_route, find_route
 from repro.core.paging import PageLayout
-from repro.dfg.analysis import asap_times, rec_mii
+from repro.dfg.analysis import asap_times
 from repro.dfg.graph import DFG
 from repro.util.errors import MappingError
 from repro.util.rng import make_rng
@@ -59,6 +60,7 @@ def _energy(
     layout: PageLayout | None,
 ) -> float:
     e = 0.0
+    ports = slot_capacity(cgra).segment_ports
     slots: dict[tuple[Coord, int], int] = {}
     bus: dict[tuple, int] = {}
     for op_id, (pe, t) in pos.items():
@@ -68,11 +70,7 @@ def _energy(
             bkey = (bus_segment(layout, pe), t % ii)
             bus[bkey] = bus.get(bkey, 0) + 1
     e += _W_CONFLICT * sum(c - 1 for c in slots.values() if c > 1)
-    e += _W_CONFLICT * sum(
-        c - cgra.mem_ports_per_row
-        for c in bus.values()
-        if c > cgra.mem_ports_per_row
-    )
+    e += _W_CONFLICT * sum(c - ports for c in bus.values() if c > ports)
     for edge in materialized_edges(dfg):
         pe_u, t_u = pos[edge.src]
         pe_v, t_v = pos[edge.dst]
@@ -112,7 +110,7 @@ def _detailed_route(
     placements: dict[int, Placement] = {}
     try:
         for op_id, (pe, t) in pos.items():
-            mrt.claim_id(id_of[pe], t, f"op{op_id}", memory=dfg.ops[op_id].is_memory)
+            mrt.claim_id(id_of[pe], t, memory=dfg.ops[op_id].is_memory)
             placements[op_id] = Placement(op_id, pe, t)
     except MappingError:
         return None
@@ -130,7 +128,7 @@ def _detailed_route(
         )
         if steps is None:
             return None
-        commit_route(mrt, e.id, steps)
+        commit_route(mrt, steps)
         routes[e.id] = Route(e.id, steps)
     mapping = Mapping(cgra, dfg, ii, placements, routes)
     validate_mapping(mapping, ctx.layout)
@@ -156,16 +154,17 @@ def anneal_map(
     :func:`repro.compiler.paged.map_dfg_paged` for production compilation;
     the paged anneal exists for the mapper-independence ablation.)
     """
+    cap = slot_capacity(cgra, layout)
+    start_ii = ii_lower_bound(
+        dfg,
+        num_pes=cap.pes,
+        mem_slots=cap.bus_ports,
+        mem_capable_pes=cap.mem_pes,
+        max_ii=max_ii,
+    ).mii
     mat = materialized_ops(dfg)
-    if not mat:
-        raise MappingError("cannot map a DFG with no materialized ops")
     pes = covered_pes(cgra, layout)
     rng = make_rng(seed)
-    start_ii = max(
-        math.ceil(len(mat) / len(pes)),
-        math.ceil(dfg.num_memory_ops / mem_slots(cgra, layout)),
-        rec_mii(dfg),
-    )
     asap = asap_times(dfg)
     depth = max(asap.values(), default=0)
     ctx = RoutingContext(cgra, layout)

@@ -4,9 +4,9 @@ Independently re-checks everything the mapper is supposed to guarantee, so
 tests can treat the mapper as untrusted:
 
 * every op placed exactly once, on a PE the page layout covers;
-* modulo-slot exclusivity across ops and route steps;
-* data-bus capacity respected by memory ops, per grid row or per the
-  layout's (page, local row) segment;
+* modulo-slot exclusivity and data-bus capacity (per grid row, or per
+  the layout's (page, local row) segment), by booking every placement and
+  route step into a fresh :class:`~repro.compiler.mrt.ReservationTable`;
 * every edge's value physically reaches its consumer: timing gap >= 1,
   route steps contiguous in time, each hop 1-cycle reachable, and the final
   holder adjacent-or-same to the consumer;
@@ -17,18 +17,18 @@ tests can treat the mapper as untrusted:
   (:class:`~repro.util.errors.CapabilityViolation`).
 
 The inner loops run in the :class:`~repro.arch.interconnect.GridIndex`
-integer id domain: occupancy is keyed by ``pid * ii + slot``, adjacency is
-one probe of the precomputed hop-distance matrix, bus segments and ring
-hops are resolved per PE id once and memoized.  Coordinates
-only reappear in error messages.
+integer id domain: adjacency is one probe of the precomputed hop-distance
+matrix, ring hops are resolved per PE-id pair once and memoized.
+Coordinates only reappear in error messages.
 """
 
 from __future__ import annotations
 
 from repro.arch.capability import OpClass, op_class
 from repro.arch.interconnect import Coord
-from repro.compiler.constraints import bus_segment, covered_pes, ring_hop_ok
+from repro.compiler.constraints import covered_pes, ring_hop_ok
 from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
+from repro.compiler.mrt import ReservationTable
 from repro.core.paging import PageLayout
 from repro.util.errors import CapabilityViolation, ConstraintViolation, MappingError
 
@@ -45,17 +45,6 @@ def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None
     id_of, coords, hop_dist = gi.id_of, gi.coords, gi.hop_dist
     n_pes = len(coords)
 
-    # per-id tables resolved lazily and memoized, so the hot loops never
-    # call back into Coord-domain predicates twice for the same PE (an
-    # uncovered PE has no bus segment, and no memory op may land on it)
-    bus_cache: dict[int, object] = {}
-
-    def bus_of(pid: int) -> object:
-        seg = bus_cache.get(pid)
-        if seg is None:
-            seg = bus_segment(layout, coords[pid])
-            bus_cache[pid] = seg
-        return seg
     allowed_mask: bytearray | None = None
     if layout is not None:
         allowed_mask = bytearray(n_pes)
@@ -89,20 +78,18 @@ def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None
         missing = expected - set(mapping.placements)
         extra = set(mapping.placements) - expected
         raise MappingError(f"placement mismatch: missing={missing} extra={extra}")
-    occ: dict[int, str] = {}
+    table = ReservationTable(cgra, ii, layout)
 
-    def claim(pe: Coord, time: int, label: str) -> int:
+    def claim(pe: Coord, time: int, label: str, memory: bool = False) -> int:
         pid = id_of.get(pe)
         if pid is None:
             raise MappingError(f"{label} on PE {pe} outside the grid")
         if allowed_mask is not None and not allowed_mask[pid]:
             raise ConstraintViolation(f"{label} on disallowed PE {pe}")
-        key = pid * ii + time % ii
-        if key in occ:
-            raise MappingError(
-                f"slot conflict at {pe} mod {time % ii}: {occ[key]} vs {label}"
-            )
-        occ[key] = label
+        try:
+            table.claim_id(pid, time, memory=memory)
+        except (MappingError, ConstraintViolation) as exc:
+            raise type(exc)(f"{label}: {exc}") from None
         return pid
 
     # capability legality (heterogeneous fabrics only; cap/route_mask stay
@@ -110,25 +97,17 @@ def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None
     cap = cgra.capability
     route_mask = cgra.class_mask(OpClass.ROUTE) if cap is not None else None
 
-    bus: dict[tuple, int] = {}
     pid_of_op: dict[str, int] = {}
     for p in mapping.placements.values():
-        pid = claim(p.pe, p.time, f"op{p.op_id}")
+        op = dfg.ops[p.op_id]
+        pid = claim(p.pe, p.time, f"op{p.op_id}", op.is_memory)
         pid_of_op[p.op_id] = pid
         if cap is not None:
-            cls = op_class(dfg.ops[p.op_id].opcode)
+            cls = op_class(op.opcode)
             if not cap.supports_id(cls, pid):
                 raise CapabilityViolation(
                     f"op{p.op_id} ({cls.value}) placed on {p.pe}, which "
                     f"does not support op class {cls.value!r}"
-                )
-        if dfg.ops[p.op_id].is_memory:
-            key = (bus_of(pid), p.time % ii)
-            bus[key] = bus.get(key, 0) + 1
-            if bus[key] > cgra.mem_ports_per_row:
-                raise MappingError(
-                    f"bus segment {bus_of(pid)} over capacity at modulo "
-                    f"slot {p.time % ii}"
                 )
     for r in mapping.routes.values():
         for s in r.steps:
@@ -178,11 +157,7 @@ def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None
                     f"edge {e.id}: route step at time {s.time}, expected "
                     f"{holder_time + 1}"
                 )
-            step_id = id_of.get(s.pe)
-            if step_id is None:
-                raise MappingError(
-                    f"edge {e.id} route: step on PE {s.pe} outside the grid"
-                )
+            step_id = id_of[s.pe]  # on the grid: every step was claimed
             check_hop(holder_id, step_id, f"edge {e.id} route")
             holder_id, holder_time = step_id, s.time
         check_hop(holder_id, pid_of_op[e.dst], f"edge {e.id} final read")

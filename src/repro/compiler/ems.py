@@ -40,14 +40,13 @@ generating the original schedule" (§I).
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Sequence
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.arch.isa import Opcode
-from repro.compiler.constraints import covered_pes, mem_slots
+from repro.compiler.constraints import covered_pes, slot_capacity
 from repro.compiler.feas import ii_lower_bound
 from repro.compiler.mapping import (
     Mapping,
@@ -211,7 +210,6 @@ class EMSMapper:
         self._scope: tuple | None = None
         self.allowed_pes = covered_pes(cgra, layout)
         self._rank_targets: dict[int, int] = {}
-        self.mem_slots = mem_slots(cgra, layout)
         # Integer-domain hot-path tables (see GridIndex/RoutingContext):
         # everything the placer and router touch per candidate is an
         # indexed load over these, never a Coord hash.
@@ -225,11 +223,6 @@ class EMSMapper:
         self._mem_ok = cgra.class_mask(OpClass.MEM)
         self._alu_ok = cgra.class_mask(OpClass.ALU)
         self._route_ok = cgra.class_mask(OpClass.ROUTE)
-        self._mem_capable_count = (
-            len(self._allowed_ids)
-            if self._mem_ok is None
-            else sum(1 for pid in self._allowed_ids if self._mem_ok[pid])
-        )
         # Per-op placement domains (hier backend: ops pinned to one page's
         # PEs); empty outside a hierarchical attempt.
         self._op_domains: dict[int, tuple[int, ...]] = {}
@@ -270,11 +263,12 @@ class EMSMapper:
         Raises :class:`~repro.util.errors.LadderExhausted` for DFGs that
         can never fit, before any rung is probed.
         """
+        cap = slot_capacity(self.cgra, self.layout)
         bound = ii_lower_bound(
             dfg,
-            num_pes=len(self.allowed_pes),
-            mem_slots=self.mem_slots,
-            mem_capable_pes=self._mem_capable_count,
+            num_pes=cap.pes,
+            mem_slots=cap.bus_ports,
+            mem_capable_pes=cap.mem_pes,
             max_ii=self.config.max_ii,
         )
         max_ii = self.config.max_ii
@@ -710,9 +704,9 @@ class EMSMapper:
         started from, so searching again would find them route for route;
         the trap check passed on this very state."""
         mrt = st.mrt
-        mrt.claim_id(pe_id, t, f"op{op_id}", memory=dfg.ops[op_id].is_memory)
+        mrt.claim_id(pe_id, t, memory=dfg.ops[op_id].is_memory)
         for route in routes:
-            commit_route(mrt, route.edge_id, route.steps)
+            commit_route(mrt, route.steps)
             st.routes[route.edge_id] = route
         st.placements[op_id] = (pe_id, t)
 
@@ -857,7 +851,7 @@ class EMSMapper:
                     st.stats.trials_refuted += 1
                     return False
 
-        mrt.claim_id(pe_id, t, f"op{op_id}", memory=op.is_memory)
+        mrt.claim_id(pe_id, t, memory=op.is_memory)
         # Routes go straight into st.routes, where the holders of the next
         # edge's value are read from; edges with zero steps still get a
         # Route record so downstream consumers can distinguish "routed,
@@ -878,7 +872,7 @@ class EMSMapper:
                 ok = False
                 break
             steps, tap = found
-            commit_route(mrt, e.id, steps)
+            commit_route(mrt, steps)
             st.routes[e.id] = Route(e.id, steps, tap)
             routed.append(e.id)
         if ok:
@@ -922,7 +916,7 @@ class EMSMapper:
         mrt = st.mrt
         arr_ids = self._arr_ids
         esc_ids = self._esc_ids
-        occ = mrt._occ_mask
+        occ = mrt.occupied
         num_pes = mrt.num_pes
         placements = st.placements
         tables = self._dfg_tables(dfg)

@@ -41,11 +41,10 @@ fallback attempts run on the chain topology.
 from __future__ import annotations
 
 import heapq
-import math
 
-from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
+from repro.compiler.constraints import page_need, slot_capacity
 from repro.compiler.ems import FAIL_FAST_BUDGET, FULL_BUDGET, EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
 from repro.compiler.paged import PagedMapping, shrink_to_page_need
@@ -169,37 +168,24 @@ def _partition(
     return groups
 
 
-def _page_caps(layout: PageLayout, k: int, ii: int) -> list[tuple[int, int]]:
-    """Per-page ``(slot, mem)`` capacities of the first *k* chain pages at
-    initiation interval *ii* (capability-aware memory budgets)."""
-    caps: list[tuple[int, int]] = []
-    bus_rows = layout.shape[0] * layout.cgra.mem_ports_per_row
-    for n in range(k):
-        mem_pes = layout.class_capable_count(n, OpClass.MEM)
-        caps.append(
-            (layout.page_size * ii, min(bus_rows, mem_pes) * ii)
-        )
-    return caps
-
-
 def cluster_dfg(
     dfg: DFG,
     layout: PageLayout,
     ii: int,
     *,
-    k_min: int | None = None,
     blocks=None,
 ) -> dict[int, int] | None:
     """Assign every materialized op to a page of *layout*'s chain prefix.
 
-    Tries the smallest feasible page count first (from the capacity lower
-    bound, or *k_min*) and grows it while the capacity-constrained min-cut
-    DP is infeasible.  Returns ``{op_id: page}`` or None when no prefix of
-    the chain can hold the clustering (e.g. a recurrence SCC bigger than a
-    page).  Pure function of its arguments — no randomness — so every
-    worker computes the identical clustering.  *blocks* may carry a
-    precomputed ``_blocks(dfg)`` result — the decomposition is
-    II-independent, so ladder callers compute it once per DFG.
+    Tries the smallest feasible page count first (the capacity lower
+    bound, :func:`~repro.compiler.constraints.page_need`) and grows it
+    while the capacity-constrained min-cut DP is infeasible.  Returns
+    ``{op_id: page}`` or None when no prefix of the chain can hold the
+    clustering (e.g. a recurrence SCC bigger than a page).  Pure function
+    of its arguments — no randomness — so every worker computes the
+    identical clustering.  *blocks* may carry a precomputed
+    ``_blocks(dfg)`` result — the decomposition is II-independent, so
+    ladder callers compute it once per DFG.
     """
     block_ops, block_edges = blocks if blocks is not None else _blocks(dfg)
     if not block_ops:
@@ -211,18 +197,11 @@ def cluster_dfg(
         )
         for ops in block_ops
     ]
-    n_mat = sum(s[0] for s in sizes)
-    n_mem = sum(s[1] for s in sizes)
-    full_caps = _page_caps(layout, layout.num_pages, ii)
-    if k_min is None:
-        per_page_mem = max((c[1] for c in full_caps), default=1)
-        k_min = max(
-            1,
-            math.ceil(n_mat / (layout.page_size * ii)),
-            math.ceil(n_mem / max(1, per_page_mem)),
-        )
-    for k in range(max(1, k_min), layout.num_pages + 1):
-        groups = _partition(sizes, block_edges, full_caps[:k])
+    # per-page (slot, mem) capacities at *ii*, capability-aware
+    pages = [slot_capacity(layout.cgra, layout, n) for n in range(layout.num_pages)]
+    caps = [(c.pes * ii, c.mem_ops * ii) for c in pages]
+    for k in range(page_need(dfg, layout, ii), layout.num_pages + 1):
+        groups = _partition(sizes, block_edges, caps[:k])
         if groups is None:
             continue
         assignment: dict[int, int] = {}

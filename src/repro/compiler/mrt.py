@@ -4,7 +4,9 @@ Tracks which (PE, modulo-slot) pairs are claimed by operations or route
 steps and how much data-bus capacity each modulo slot has consumed.  This
 is the resource model of classic modulo scheduling (Rau) adapted to a CGRA:
 the PE array is the function-unit pool and the memory buses are the shared
-resource (§III: "a shared data bus for each row of the CGRA").
+resource (§III: "a shared data bus for each row of the CGRA").  The mapper
+books its placements and routes here, and :func:`~repro.compiler.check.
+validate_mapping` books a finished mapping into a fresh table.
 
 Bus segmentation: on the whole array a memory op claims capacity on its
 *grid row*'s bus.  Under a page layout buses are keyed by ``(page, local
@@ -14,16 +16,19 @@ This is what makes schedules *foldable*: when the PageMaster
 transformation stacks page instances onto fewer tiles, each tile carries at
 most one page instance per cycle, so per-page bus budgets remain valid on
 the physical tile.  (With a monolithic per-grid-row bus, folding two pages
-that each legally used the row's bus would oversubscribe it.)
+that each legally used the row's bus would oversubscribe it.)  A segment's
+budget is :attr:`~repro.compiler.constraints.SlotCapacity.segment_ports`.
 
-Storage model: one flat ``ii x num_pes`` occupancy array indexed by
-``modulo_slot * num_pes + pe_id`` (PE ids from the fabric's
-:class:`~repro.arch.interconnect.GridIndex`), one free-PE bitmask per
-modulo slot (bit ``p`` set == PE ``p`` free; the routers' reachability
-filter ANDs its frontiers with it), and a flat per-(bus segment, modulo
-slot) use-count array.  Every query the mapper's inner loops issue —
-``slot_free_id``, ``bus_free_id`` — is O(1) array arithmetic on integer PE
-ids.
+Storage model: two records of one occupancy.  :attr:`ReservationTable.
+occupied` is a flat ``ii x num_pes`` bytearray (1 == taken) indexed by
+``modulo_slot * num_pes + pe_id`` (ids from the fabric's
+:class:`~repro.arch.interconnect.GridIndex`): the routers copy it to seed
+their visited sets, the placer's trap check reads it.
+:attr:`ReservationTable.free_mask` holds one free-PE bitmask per modulo
+slot (bit ``p`` set == PE ``p`` free), which the routers' reachability
+filter ANDs its frontiers with.  Bus use is a flat per-(bus segment,
+modulo slot) count array.  Every query — ``slot_free_id``,
+``bus_free_id`` — is O(1) array arithmetic on integer PE ids.
 
 Bus segments are interned lazily: a segment is only ever looked up for PEs
 that actually issue memory operations, so an uncovered PE (which has no
@@ -36,7 +41,7 @@ from typing import Hashable
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
-from repro.compiler.constraints import bus_segment
+from repro.compiler.constraints import bus_segment, slot_capacity
 from repro.core.paging import PageLayout
 from repro.util.errors import CapabilityViolation, MappingError
 
@@ -54,8 +59,7 @@ class ReservationTable:
         "ii",
         "layout",
         "num_pes",
-        "_occ",
-        "_occ_mask",
+        "occupied",
         "free_mask",
         "_bus_of_pe",
         "_bus_segments",
@@ -73,20 +77,17 @@ class ReservationTable:
         self.ii = ii
         self.layout = layout
         self.num_pes = cgra.num_pes
-        # occupancy label per (modulo slot, PE), flat; None == free
-        self._occ: list[str | None] = [None] * (ii * self.num_pes)
-        # the same occupancy as a bytearray bitmap (1 == taken), kept in
-        # lockstep so the routers' inner loops test one byte per slot and
-        # seed their visited sets with a C-speed copy
-        self._occ_mask = bytearray(ii * self.num_pes)
-        # free-PE bitmask per modulo slot (bit p set == PE p free)
+        #: occupancy per (modulo slot, PE), flat ``[slot * num_pes + pe]``;
+        #: 1 == taken
+        self.occupied = bytearray(ii * self.num_pes)
+        #: free-PE bitmask per modulo slot (bit p set == PE p free)
         self.free_mask: list[int] = [(1 << self.num_pes) - 1] * ii
         # lazily interned bus segments: pe_id -> segment index
         self._bus_of_pe: list[int] = [_UNKNOWN_BUS] * self.num_pes
         self._bus_segments: dict[Hashable, int] = {}
         # use count per (segment, modulo slot), flat [seg * ii + slot]
         self._bus_use: list[int] = []
-        self._bus_cap = cgra.mem_ports_per_row
+        self._bus_cap = slot_capacity(cgra).segment_ports
         # None on homogeneous fabrics (no per-claim capability check at all)
         self._mem_mask = cgra.class_mask(OpClass.MEM)
 
@@ -105,7 +106,7 @@ class ReservationTable:
         return b
 
     def slot_free_id(self, pe_id: int, time: int) -> bool:
-        return self._occ[(time % self.ii) * self.num_pes + pe_id] is None
+        return not self.occupied[(time % self.ii) * self.num_pes + pe_id]
 
     def bus_free_id(self, pe_id: int, time: int) -> bool:
         """Can a memory op on *pe_id* use its bus segment at this modulo
@@ -113,18 +114,16 @@ class ReservationTable:
         used = self._bus_use[self._bus_id(pe_id) * self.ii + time % self.ii]
         return used < self._bus_cap
 
-    def claim_id(
-        self, pe_id: int, time: int, label: str, *, memory: bool = False
-    ) -> None:
+    def claim_id(self, pe_id: int, time: int, *, memory: bool = False) -> None:
+        """Book *pe_id* at *time*'s modulo slot (and, for a memory op, its
+        bus segment).  Raises :class:`MappingError` on a slot already taken
+        or a full bus segment, :class:`CapabilityViolation` on a memory op
+        on a PE without memory capability."""
         m = time % self.ii
         idx = m * self.num_pes + pe_id
-        old = self._occ[idx]
-        if old is not None:
+        if self.occupied[idx]:
             pe = self.cgra.grid_index.coords[pe_id]
-            raise MappingError(
-                f"slot ({pe}, mod {m}) already claimed by {old}, "
-                f"cannot add {label}"
-            )
+            raise MappingError(f"slot ({pe}, mod {m}) already claimed")
         if memory:
             if self._mem_mask is not None and not self._mem_mask[pe_id]:
                 pe = self.cgra.grid_index.coords[pe_id]
@@ -139,18 +138,16 @@ class ReservationTable:
                     f"modulo slot {m}"
                 )
             self._bus_use[b * self.ii + m] += 1
-        self._occ[idx] = label
-        self._occ_mask[idx] = 1
+        self.occupied[idx] = 1
         self.free_mask[m] ^= 1 << pe_id
 
     def release_id(self, pe_id: int, time: int, *, memory: bool = False) -> None:
         m = time % self.ii
         idx = m * self.num_pes + pe_id
-        if self._occ[idx] is None:
+        if not self.occupied[idx]:
             pe = self.cgra.grid_index.coords[pe_id]
             raise MappingError(f"slot ({pe}, mod {m}) not claimed")
-        self._occ[idx] = None
-        self._occ_mask[idx] = 0
+        self.occupied[idx] = 0
         self.free_mask[m] ^= 1 << pe_id
         if memory:
             b = self._bus_id(pe_id)

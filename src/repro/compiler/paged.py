@@ -10,13 +10,13 @@ page-level view ``P = {p_(n,t)}`` that the PageMaster transformation
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from repro.arch.cgra import CGRA
 from repro.compiler.check import validate_mapping
+from repro.compiler.constraints import page_need
 from repro.compiler.ems import EMSMapper, MapperConfig
-from repro.compiler.mapping import Mapping, materialized_ops
+from repro.compiler.mapping import Mapping
 from repro.compiler.search import climb_ladder
 from repro.core.page_schedule import PageSchedule, extract_page_schedule
 from repro.core.paging import PageLayout
@@ -143,19 +143,12 @@ def shrink_to_page_need(
 ) -> PagedMapping:
     """Page-need minimisation, shared by both backends: re-map *dfg* with
     the flat ladder onto ever larger chain prefixes of *layout*, from the
-    capacity lower bound up, and return the first that preserves
-    ``best.ii`` (else *best*).  A prefix that cannot hold the kernel — by
-    capacity or capability — just fails its ladder and is skipped."""
-    n_mat = len(materialized_ops(dfg))
-    slots_per_page = layout.page_size * best.ii
-    mem_per_page = layout.shape[0] * cgra.mem_ports_per_row * best.ii
-    k_min = max(
-        1,
-        math.ceil(n_mat / slots_per_page),
-        math.ceil(dfg.num_memory_ops / max(1, mem_per_page)),
-    )
+    capacity lower bound (:func:`~repro.compiler.constraints.page_need`)
+    up, and return the first that preserves ``best.ii`` (else *best*).  A
+    prefix that cannot hold the kernel — by capacity or capability — just
+    fails its ladder and is skipped."""
     tight = replace(config, max_ii=best.ii, backend="flat")
-    for k in range(k_min, best.layout.num_pages):
+    for k in range(page_need(dfg, layout, best.ii), best.layout.num_pages):
         try:
             candidate = _map_once(
                 dfg, cgra, layout.subchain(k), tight, search_log, probes,

@@ -555,7 +555,7 @@ def _dfs_route(
     mt = ctx.moves_table(hint)
     # visited-set seeded with the MRT occupancy bitmap (one C-speed copy),
     # so the inner loop tests a single byte per candidate slot
-    used = bytearray(mrt._occ_mask)
+    used = bytearray(mrt.occupied)
     # path[d]: the step-d PE of the current partial path; positions are
     # overwritten on backtrack, and only read out along a successful chain
     path: list[int] = [0] * hops
@@ -644,14 +644,12 @@ def _dfs_route(
     return _steps_of(ctx, path, t_src_eff)
 
 
-def commit_route(
-    mrt: ReservationTable, edge_id: int, steps: tuple[RouteStep, ...]
-) -> None:
+def commit_route(mrt: ReservationTable, steps: tuple[RouteStep, ...]) -> None:
     """Claim every step's modulo slot in the reservation table."""
     id_of = mrt.cgra.grid_index.id_of
     claim = mrt.claim_id
     for s in steps:
-        claim(id_of[s.pe], s.time, f"route{edge_id}@{s.time}")
+        claim(id_of[s.pe], s.time)
 
 
 def release_route(

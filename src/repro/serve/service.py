@@ -112,6 +112,8 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.slots < 1:
+            raise ValueError(f"slots must be >= 1, got {self.slots}")
 
 
 @dataclass

@@ -272,6 +272,47 @@ def test_lowered_ii_is_map_mii(committed):
     assert any("paged II 1" in f.message for f in mii)
 
 
+def test_paged_ii_is_bounded_on_the_stored_prefix(committed):
+    """MAP-MII bounds the paged II on the pages the mapping was stored on
+    (the first ``pages_used`` chain pages), not on the whole array: an
+    ``ii_paged`` edited to sit between the two bounds is a finding."""
+    from repro.arch.capability import OpClass
+    from repro.compiler.feas import ii_lower_bound
+    from repro.core.paging import PageLayout
+    from repro.kernels import get_kernel
+
+    def mii(dfg, cgra, pe_ids, bus_rows):
+        mask = cgra.class_mask(OpClass.MEM)
+        return ii_lower_bound(
+            dfg,
+            num_pes=len(pe_ids),
+            mem_slots=bus_rows * cgra.mem_ports_per_row,
+            mem_capable_pes=sum(1 for p in pe_ids if mask is None or mask[p]),
+            max_ii=64,
+        ).mii
+
+    for victim in sorted(committed, key=lambda a: (len(a.placements), a.key.digest)):
+        if victim.unmappable:
+            continue
+        cgra = audit_mod._build_cgra(victim)
+        layout = PageLayout(cgra, tuple(victim.page_shape))
+        id_of, h = cgra.grid_index.id_of, layout.shape[0]
+        dfg = get_kernel(victim.kernel).build()
+        covered = [id_of[pe] for pe in layout.page_of]
+        whole = mii(dfg, cgra, covered, layout.num_pages * h)
+        pages = victim.pages_used
+        stored = [id_of[pe] for n in range(pages) for pe in layout.coords_of_page(n)]
+        prefix = mii(dfg, cgra, stored, pages * h)
+        if prefix > whole:
+            break
+    else:
+        pytest.fail("no committed artifact's prefix bound beats its whole-array one")
+    payload = payload_of(victim)
+    payload["ii_paged"] = prefix - 1
+    mii_findings = [f for f in _solo_audit(payload).findings if f.rule_id == "MAP-MII"]
+    assert any(f"paged II {prefix - 1}" in f.message for f in mii_findings)
+
+
 # -- fold corruption -----------------------------------------------------------------
 
 

@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from repro.arch.capability import CapabilityMap, OpClass
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
+from repro.arch.presets import preset
+from repro.compiler.check import validate_mapping
 from repro.compiler.mapping import (
     Mapping,
     Placement,
@@ -23,8 +27,12 @@ from repro.compiler.routing import (
     find_route,
     release_route,
 )
+from repro.core.paging import PageLayout
 from repro.dfg.builder import DFGBuilder
-from repro.util.errors import MappingError
+from repro.kernels import get_kernel
+from repro.pipeline.artifact import CompiledKernel
+from repro.pipeline.store import ArtifactStore
+from repro.util.errors import CapabilityViolation, ConstraintViolation, MappingError
 
 
 def tiny_dfg():
@@ -55,28 +63,28 @@ class TestReservationTable:
     def test_claim_release_cycle(self, cgra44):
         t = ReservationTable(cgra44, ii=2)
         pe = _id(cgra44, 0, 0)
-        t.claim_id(pe, 0, "a")
+        t.claim_id(pe, 0)
         assert not t.slot_free_id(pe, 2)  # modulo II
         t.release_id(pe, 0)
         assert t.slot_free_id(pe, 2)
 
     def test_double_claim_rejected(self, cgra44):
         t = ReservationTable(cgra44, ii=2)
-        t.claim_id(_id(cgra44, 1, 1), 3, "a")
+        t.claim_id(_id(cgra44, 1, 1), 3)
         with pytest.raises(MappingError):
-            t.claim_id(_id(cgra44, 1, 1), 5, "b")  # same modulo slot
+            t.claim_id(_id(cgra44, 1, 1), 5)  # same modulo slot
 
     def test_bus_capacity_default_per_row(self, cgra44):
         t = ReservationTable(cgra44, ii=1)
-        t.claim_id(_id(cgra44, 0, 0), 0, "ld0", memory=True)
+        t.claim_id(_id(cgra44, 0, 0), 0, memory=True)
         assert not t.bus_free_id(_id(cgra44, 0, 3), 0)  # same row
         assert t.bus_free_id(_id(cgra44, 1, 0), 0)  # other row
         with pytest.raises(MappingError):
-            t.claim_id(_id(cgra44, 0, 1), 0, "ld1", memory=True)
+            t.claim_id(_id(cgra44, 0, 1), 0, memory=True)
 
     def test_bus_release(self, cgra44):
         t = ReservationTable(cgra44, ii=1)
-        t.claim_id(_id(cgra44, 0, 0), 0, "ld", memory=True)
+        t.claim_id(_id(cgra44, 0, 0), 0, memory=True)
         t.release_id(_id(cgra44, 0, 0), 0, memory=True)
         assert t.bus_free_id(_id(cgra44, 0, 1), 0)
 
@@ -87,14 +95,14 @@ class TestReservationTable:
         from repro.util.errors import ConstraintViolation
 
         t = ReservationTable(cgra44, ii=1, layout=PageLayout(cgra44, (2, 2)))
-        t.claim_id(_id(cgra44, 0, 0), 0, "a", memory=True)
+        t.claim_id(_id(cgra44, 0, 0), 0, memory=True)
         assert not t.bus_free_id(_id(cgra44, 0, 1), 0)  # same page and row
         assert t.bus_free_id(_id(cgra44, 0, 2), 0)  # same row, next page
         assert t.bus_free_id(_id(cgra44, 1, 0), 0)  # same page, next row
         cgra = CGRA(3, 3)
         t = ReservationTable(cgra, ii=1, layout=PageLayout(cgra, (2, 2)))
         with pytest.raises(ConstraintViolation, match="uncovered"):
-            t.claim_id(_id(cgra, 2, 2), 0, "b", memory=True)
+            t.claim_id(_id(cgra, 2, 2), 0, memory=True)
 
     def test_release_unclaimed_rejected(self, cgra44):
         t = ReservationTable(cgra44, ii=2)
@@ -137,7 +145,7 @@ class TestRouting:
         # block the entire escape neighbourhood of (0,0) at time 1 (mod 0 &
         # 1 as needed)
         for pe in [Coord(0, 0), Coord(0, 1), Coord(1, 0)]:
-            mrt.claim_id(_id(cgra44, *pe), 1, "blocker")
+            mrt.claim_id(_id(cgra44, *pe), 1)
         steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 1), 4)
         assert steps is None
 
@@ -166,7 +174,7 @@ class TestRouting:
     def test_commit_and_release(self, cgra44):
         mrt = ReservationTable(cgra44, ii=8)
         steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(2, 0), 4)
-        commit_route(mrt, 7, steps)
+        commit_route(mrt, steps)
         id_of = cgra44.grid_index.id_of
         for s in steps:
             assert not mrt.slot_free_id(id_of[s.pe], s.time)
@@ -199,9 +207,137 @@ class TestMappingModel:
             Placement(0, Coord(0, 0), -1)
 
 
+REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
+
+
+@pytest.fixture(scope="module")
+def committed44():
+    """Every mappable committed 4x4 artifact, materialized, smallest first."""
+    if not REPO_STORE.is_dir():
+        pytest.skip("committed artifact store not present")
+    artifacts = []
+    for path, is_artifact in ArtifactStore(REPO_STORE).walk():
+        if is_artifact:
+            a = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
+            if not a.unmappable and (a.rows, a.cols) == (4, 4):
+                artifacts.append(a)
+    artifacts.sort(key=lambda a: (len(a.placements), a.key.digest))
+    return [a.materialize(get_kernel(a.kernel).build()) for a in artifacts]
+
+
+def _rebuilt(paged, placements=None, cgra=None):
+    """*paged*'s mapping and layout, with some placements replaced and/or
+    on another fabric of the same grid."""
+    m, layout = paged.mapping, paged.layout
+    if cgra is not None:
+        full = PageLayout(cgra, layout.shape, allow_wrap=layout.allow_wrap)
+        if layout.num_pages < full.num_pages:
+            full = full.subchain(layout.num_pages)
+        layout = full
+    placements = {**m.placements, **(placements or {})}
+    return Mapping(cgra or m.cgra, m.dfg, m.ii, placements, m.routes), layout
+
+
+def _taken(mapping):
+    """Every (PE, modulo slot) the mapping's ops and route steps book."""
+    ii = mapping.ii
+    out = {(p.pe, p.time % ii) for p in mapping.placements.values()}
+    out |= {(s.pe, s.time % ii) for r in mapping.routes.values() for s in r.steps}
+    return out
+
+
+class TestValidatorRejections:
+    """``validate_mapping``'s rejection taxonomy, one mutation of a
+    committed mapping per failure kind: the auditor's MAP-LEGAL /
+    MAP-RING / MAP-CAP split reads these exception classes."""
+
+    def test_double_booked_slot_is_mapping_error(self, committed44):
+        paged = committed44[0]
+        a, b = list(paged.mapping.placements.values())[:2]
+        moved = {a.op_id: Placement(a.op_id, b.pe, b.time)}
+        mapping, layout = _rebuilt(paged, moved)
+        with pytest.raises(MappingError) as exc:
+            validate_mapping(mapping, layout)
+        assert exc.type is MappingError
+
+    def test_bus_segment_over_ports_is_mapping_error(self, committed44):
+        for paged in committed44:
+            mapping, layout = paged.mapping, paged.layout
+            taken = _taken(mapping)
+            mem = [
+                p for p in mapping.placements.values()
+                if mapping.dfg.ops[p.op_id].is_memory
+            ]
+            for a in mem:
+                for b in mem:
+                    if a is b:
+                        continue
+                    # a free PE on b's bus segment, in b's modulo slot
+                    page, row = layout.page_of[b.pe], layout.local_of[b.pe].row
+                    for pe in layout.coords_of_page(page):
+                        if (
+                            layout.local_of[pe].row == row
+                            and pe != b.pe
+                            and (pe, b.time % mapping.ii) not in taken
+                        ):
+                            moved = {a.op_id: Placement(a.op_id, pe, b.time)}
+                            bad, layout = _rebuilt(paged, moved)
+                            assert mapping.cgra.mem_ports_per_row == 1
+                            with pytest.raises(
+                                MappingError, match="bus segment"
+                            ) as exc:
+                                validate_mapping(bad, layout)
+                            assert exc.type is MappingError
+                            return
+        pytest.fail("no committed mapping has a free PE on a memory bus segment")
+
+    def test_uncovered_pe_is_constraint_violation(self, committed44):
+        paged = next(
+            p for p in committed44 if p.pages_used < p.full_layout.num_pages
+        )
+        pe = next(
+            c for c in paged.mapping.cgra.coords() if c not in paged.layout.page_of
+        )
+        p = next(iter(paged.mapping.placements.values()))
+        moved = {p.op_id: Placement(p.op_id, pe, p.time)}
+        mapping, layout = _rebuilt(paged, moved)
+        with pytest.raises(ConstraintViolation) as exc:
+            validate_mapping(mapping, layout)
+        assert exc.type is ConstraintViolation
+
+    def test_memory_op_on_non_mem_pe_is_capability_violation(self, committed44):
+        memcols = preset("4x4-memcols")
+        mem_mask = memcols.class_mask(OpClass.MEM)
+        id_of = memcols.grid_index.id_of
+        paged = next(
+            p for p in committed44
+            if any(
+                p.mapping.dfg.ops[q.op_id].is_memory and not mem_mask[id_of[q.pe]]
+                for q in p.mapping.placements.values()
+            )
+        )
+        mapping, layout = _rebuilt(paged, cgra=memcols)
+        with pytest.raises(CapabilityViolation, match="mem"):
+            validate_mapping(mapping, layout)
+
+    def test_route_step_on_non_route_pe_is_capability_violation(self, committed44):
+        paged = next(
+            p for p in committed44 if any(r.steps for r in p.mapping.routes.values())
+        )
+        step = next(s for r in paged.mapping.routes.values() for s in r.steps)
+        cgra = paged.mapping.cgra
+        no_route = cgra.grid_index.id_of[step.pe]
+        routers = tuple(i for i in range(cgra.num_pes) if i != no_route)
+        cap = CapabilityMap(cgra.rows, cgra.cols, ((OpClass.ROUTE.value, routers),))
+        fabric = CGRA(cgra.rows, cgra.cols, rf_depth=cgra.rf_depth, capability=cap)
+        mapping, layout = _rebuilt(paged, cgra=fabric)
+        with pytest.raises(CapabilityViolation, match="route"):
+            validate_mapping(mapping, layout)
+
+
 class TestReservationCounters:
-    """The flat table's occupancy labels, occupancy bitmap, per-slot
-    free-PE bitmasks and bus use-counts must move in lockstep at every
+    """The flat table's occupancy bitmap, per-slot free-PE bitmasks and
+    bus use-counts must move in lockstep at every
     point of an interleaved claim/release history (the routers'
     reachability filter ANDs with the bitmasks, the DFS seeds its visited
     set from the bitmap)."""
@@ -212,7 +348,7 @@ class TestReservationCounters:
         for m in range(t.ii):
             free = {p for p in range(n) if t.slot_free_id(p, m)}
             assert free == {p for p in range(n) if (p, m) not in taken}, m
-            assert free == {p for p in range(n) if not t._occ_mask[m * n + p]}, m
+            assert free == {p for p in range(n) if not t.occupied[m * n + p]}, m
             assert t.free_mask[m] == sum(1 << p for p in free), f"slot {m}"
         rows = [pe.row for pe in cgra.grid_index.coords]
         used = Counter((rows[q], time % t.ii) for q, time, memory in held if memory)
@@ -236,7 +372,7 @@ class TestReservationCounters:
                 if not t.slot_free_id(pe, time):
                     continue
                 memory = rng.random() < 0.4 and t.bus_free_id(pe, time)
-                t.claim_id(pe, time, f"op{step}", memory=memory)
+                t.claim_id(pe, time, memory=memory)
                 held.append((pe, time, memory))
             if step % 25 == 0:
                 self._assert_counters_agree(t, cgra44, held)
@@ -245,7 +381,7 @@ class TestReservationCounters:
             t.release_id(pe, time, memory=memory)
         # fully drained: every counter back to its initial state
         self._assert_counters_agree(t, cgra44, [])
-        assert not any(t._occ_mask)
+        assert not any(t.occupied)
         assert t.free_mask == [(1 << cgra44.num_pes) - 1] * t.ii
 
 
@@ -266,7 +402,7 @@ class TestRoutingDeterminism:
             (Coord(1, 2), 1),
             (Coord(2, 3), 2),
         ]:
-            mrt.claim_id(cgra.grid_index.id_of[pe], time, "obstacle")
+            mrt.claim_id(cgra.grid_index.id_of[pe], time)
         return mrt
 
     def test_bfs_route_stable_across_fresh_contexts(self, cgra44):
@@ -390,7 +526,7 @@ class TestReachabilityFilter:
         for m in range(ii):
             for p in range(cgra.num_pes):
                 if rng.random() < density:
-                    mrt.claim_id(p, m, "x")
+                    mrt.claim_id(p, m)
         return mrt
 
     @staticmethod
@@ -565,7 +701,7 @@ class TestReachabilityFilter:
         for m in range(3):
             for p in range(16):
                 if rng.random() < 0.6:
-                    mrt.claim_id(p, m, "x")
+                    mrt.claim_id(p, m)
         shared: dict = {}
         for _ in range(400):
             q = (rng.randrange(4), rng.randrange(3), rng.randrange(16),

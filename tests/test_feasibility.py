@@ -3,8 +3,9 @@
 The prover's contract is one-sided: the bound may only rule out IIs at
 which **no** mapping exists.  Every test here attacks that direction —
 real mappings (the full kernel suite, plus every committed artifact) are
-replayed against the bound, and none of them may ever be rejected.  The last class pins the backend set and
-the mapper fingerprints the committed artifacts are addressed by.
+replayed against the bound, and none of them may ever be rejected.  The
+page-need bound gets the same treatment.  The last class pins the backend
+set and the mapper fingerprints the committed artifacts are addressed by.
 """
 
 from __future__ import annotations
@@ -13,11 +14,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.cgra import CGRA
+from repro.arch.presets import preset
+from repro.compiler.constraints import page_need
 from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
 from repro.compiler.feas import ii_lower_bound
+from repro.compiler.paged import map_dfg_paged
+from repro.core.paging import PageLayout
 from repro.dfg.graph import DFG
+from repro.dfg.random_dfg import random_dfg
 from repro.kernels import get_kernel, kernel_names
 from repro.util.errors import LadderExhausted, MappingError
 
@@ -155,6 +163,48 @@ class TestCommittedStore:
             headroom[path.name] = last - artifact.ii_paged
         assert len(headroom) > 50
         assert min(headroom.values()) >= 2, min(headroom.items(), key=lambda kv: kv[1])
+
+    @pytest.mark.skipif(
+        not REPO_STORE.is_dir(), reason="committed artifact store not present"
+    )
+    def test_no_committed_page_need_beats_the_bound(self):
+        """The page-need bound is sound on the store: no committed mapping
+        sits on fewer chain pages than its paged II needs by capacity."""
+        from repro.analysis.audit import _build_cgra
+        from repro.pipeline.artifact import CompiledKernel
+        from repro.pipeline.store import ArtifactStore
+
+        checked = 0
+        for path, is_artifact in ArtifactStore(REPO_STORE).walk():
+            if not is_artifact:
+                continue
+            artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
+            if artifact.unmappable:
+                continue
+            layout = PageLayout(_build_cgra(artifact), tuple(artifact.page_shape))
+            dfg = get_kernel(artifact.kernel).build()
+            need = page_need(dfg, layout, artifact.ii_paged)
+            assert artifact.pages_used >= need, path.name
+            checked += 1
+        assert checked > 50
+
+
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=8, deadline=None)
+def test_flat_page_need_never_beats_the_bound(seed):
+    """The flat mapper's page need on a heterogeneous fabric (half of the
+    4x4-memcols column pages have no mem-capable PE) never lies below the
+    bound."""
+    cgra = preset("4x4-memcols")
+    layout = PageLayout(cgra, (2, 1))
+    dfg = random_dfg(seed, n_ops=6)
+    try:
+        pm = map_dfg_paged(
+            dfg, cgra, layout, config=MapperConfig(max_ii=8, attempts_per_ii=2)
+        )
+    except MappingError:
+        return
+    assert pm.pages_used >= page_need(dfg, pm.full_layout, pm.ii)
 
 
 # ------------------------------------------------------------- backend set

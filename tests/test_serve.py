@@ -214,6 +214,19 @@ class TestFairScheduler:
         assert exit_.value.code == 2  # argparse usage error
         assert "workers must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("slots", [0, -1])
+    def test_rejects_bad_slots(self, slots, capsys):
+        """A non-positive slot count is a usage error before the event loop
+        starts, not a traceback out of the scheduler."""
+        from repro.serve.__main__ import main
+
+        with pytest.raises(ValueError, match="slots"):
+            ServiceConfig(slots=slots)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--slots", str(slots)])
+        assert exit_.value.code == 2  # argparse usage error
+        assert "slots must be >= 1" in capsys.readouterr().err
+
 
 # --------------------------------------------------------------- singleflight
 
