@@ -4,10 +4,13 @@ Compiles a kernel under the paper's paging constraints, shows the mapping
 and its page-level schedule, shrinks it with PageMaster, executes both
 schedules cycle-accurately, and finishes with a miniature multithreading
 experiment.  For the full figure suite use ``python -m repro.bench``.
+
+    python -m repro [KERNEL]      # KERNEL defaults to mpeg
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 import numpy as np
@@ -18,7 +21,7 @@ from repro.compiler import map_dfg_paged
 from repro.compiler.constraints import paged_bus_key
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
-from repro.kernels import bind_memory, get_kernel
+from repro.kernels import bind_memory, get_kernel, kernel_names
 from repro.pipeline import ArtifactStore, build_profiles
 from repro.sim import (
     lower_mapping,
@@ -30,7 +33,16 @@ from repro.sim.system import SystemConfig, improvement, simulate_system
 from repro.sim.workload import generate_workload
 
 
-def main(kernel: str = "mpeg") -> int:
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="A guided demo of the reproduction on one kernel.",
+    )
+    p.add_argument(
+        "kernel", nargs="?", default="mpeg", choices=kernel_names(),
+        help="the kernel to compile and run (default: mpeg)",
+    )
+    kernel = p.parse_args(argv).kernel
     trip = 24
     cgra = demo_cgra()
     layout = PageLayout(cgra, (2, 2))
@@ -91,4 +103,4 @@ def main(kernel: str = "mpeg") -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1] if len(sys.argv) > 1 else "mpeg"))
+    sys.exit(main())

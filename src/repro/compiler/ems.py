@@ -484,11 +484,11 @@ class EMSMapper:
 
         On a ring/chain-constrained fabric dataflow can only move forward
         through the page chain, so an op with *h* levels of computation
-        still below it should sit roughly *h* ranks before the end of the
-        chain: ``target = top - height``.  Ops that feed the same consumer
-        share a height and thus a target, keeping affine groups together;
-        deep sources start at page 0 and never land on the terminal page
-        (which the ring makes a dataflow sink).
+        still below it should sit *h* ranks before its sinks, and the plan
+        is anchored at page 0: ``target = max_height - height``, so a kernel
+        shallower than the chain packs onto a prefix and leaves the rest to
+        other threads (§VII-B).  Ops that feed the same consumer share a
+        height and thus a target, keeping affine groups together.
         """
         if self.layout is None:
             return {}
@@ -511,10 +511,8 @@ class EMSMapper:
         # instead of everything deep squashing onto page 0.
         max_h = max(height, default=0)
         scale = min(1.0, top / max_h) if max_h else 0.0
-        targets: dict[int, int] = {}
-        for v in materialized_ops(dfg):
-            targets[v] = max(0, top - round(height[scc[v]] * scale))
-        return targets
+        last = round(max_h * scale)
+        return {v: last - round(height[scc[v]] * scale) for v in materialized_ops(dfg)}
 
     def _place_op(
         self,

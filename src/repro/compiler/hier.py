@@ -47,7 +47,9 @@ from repro.compiler.check import validate_mapping
 from repro.compiler.constraints import page_need, slot_capacity
 from repro.compiler.ems import FAIL_FAST_BUDGET, FULL_BUDGET, EMSMapper, MapperConfig
 from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
-from repro.compiler.paged import PagedMapping, shrink_to_page_need
+from repro.compiler.paged import (
+    PagedMapping, prefix, shrink_to_page_need, spanned_prefix,
+)
 from repro.compiler.search import climb_ladder
 from repro.compiler.stats import counters
 from repro.core.page_schedule import extract_page_schedule
@@ -272,7 +274,7 @@ class HierMapper(EMSMapper):
         if hit is None:
             hit = self._subs[key] = EMSMapper(
                 self.cgra,
-                _prefix(self.layout, k),
+                prefix(self.layout, k),
                 self.config,
                 self.probes,
                 budget=FAIL_FAST_BUDGET if cheap else FULL_BUDGET,
@@ -329,24 +331,6 @@ class HierMapper(EMSMapper):
         return None
 
 
-def _prefix(layout: PageLayout, k: int) -> PageLayout:
-    """The first *k* chain pages of *layout* (*layout* itself for all)."""
-    return layout.subchain(k) if k < layout.num_pages else layout
-
-
-def _spanned_prefix(mapping: Mapping, layout: PageLayout) -> PageLayout:
-    """The chain prefix of *layout* the mapping actually touches
-    (placements and route steps)."""
-    page_of = layout.page_of
-    top = 0
-    for p in mapping.placements.values():
-        top = max(top, page_of[p.pe])
-    for r in mapping.routes.values():
-        for s in r.steps:
-            top = max(top, page_of[s.pe])
-    return _prefix(layout, top + 1)
-
-
 def map_dfg_hier(
     dfg: DFG,
     cgra: CGRA,
@@ -369,7 +353,7 @@ def map_dfg_hier(
     mapping = climb_ladder(HierMapper(cgra, layout, cfg, probes), dfg, log=search_log)
     # the result lives on the prefix it touches: validate against, and
     # page-schedule on, exactly those pages
-    sub = _spanned_prefix(mapping, layout)
+    sub = spanned_prefix(mapping, layout)
     validate_mapping(mapping, sub)
     best = PagedMapping(mapping, sub, extract_page_schedule(mapping, sub), layout)
     if not minimize_pages:

@@ -22,7 +22,7 @@ from repro.core.page_schedule import PageSchedule, extract_page_schedule
 from repro.core.paging import PageLayout
 from repro.util.errors import LadderExhausted
 
-__all__ = ["PagedMapping", "map_dfg_paged"]
+__all__ = ["PagedMapping", "map_dfg_paged", "spanned_prefix"]
 
 
 @dataclass
@@ -96,12 +96,13 @@ def map_dfg_paged(
     by :func:`~repro.compiler.check.validate_mapping` against the layout
     it was mapped on.
 
-    With ``minimize_pages`` (the default) the compiler then re-maps the
-    kernel onto the smallest page *prefix* that preserves the achieved II —
-    the paper's Fig. 6 mapping "only uses 3 pages", and §VII-B schedules
-    other threads onto the unused portion without any transformation.  The
+    With ``minimize_pages`` (the default) the winner is stored on the page
+    *prefix* it spans (:func:`spanned_prefix`) and the compiler then tries
+    to re-map the kernel onto a smaller prefix at the achieved II — the
+    paper's Fig. 6 mapping "only uses 3 pages", and §VII-B schedules other
+    threads onto the unused portion without any transformation.  The
     returned mapping's layout covers exactly :attr:`PagedMapping.pages_used`
-    pages.
+    pages, each of which it touches.
 
     Every inner (II, attempt) ladder — chain pass, ring fallback,
     page-minimisation passes — is one :func:`~repro.compiler.search.
@@ -118,15 +119,12 @@ def map_dfg_paged(
         from repro.compiler.hier import map_dfg_hier
 
         return map_dfg_hier(
-            dfg,
-            cgra,
-            layout,
-            config=config,
-            minimize_pages=minimize_pages,
-            search_log=search_log,
-            probes=probes,
+            dfg, cgra, layout, config=config, minimize_pages=minimize_pages,
+            search_log=search_log, probes=probes,
         )
-    best = _map_topologies(dfg, cgra, layout, config, search_log, probes)
+    best = _map_topologies(
+        dfg, cgra, layout, config, search_log, probes, spanned=minimize_pages
+    )
     if not minimize_pages:
         return best
     return shrink_to_page_need(best, dfg, cgra, layout, config, search_log, probes)
@@ -142,23 +140,36 @@ def shrink_to_page_need(
     probes=None,
 ) -> PagedMapping:
     """Page-need minimisation, shared by both backends: re-map *dfg* with
-    the flat ladder onto ever larger chain prefixes of *layout*, from the
-    capacity lower bound (:func:`~repro.compiler.constraints.page_need`)
-    up, and return the first that preserves ``best.ii`` (else *best*).  A
-    prefix that cannot hold the kernel — by capacity or capability — just
-    fails its ladder and is skipped."""
+    the flat ladder onto ever larger chain prefixes of *layout* below the
+    span of *best*, from the capacity lower bound (:func:`~repro.compiler.
+    constraints.page_need`) up, and return the first that maps at
+    ``best.ii``, on the prefix it spans (else *best*).  A prefix that
+    cannot hold the kernel — by capacity or capability — fails its ladder."""
     tight = replace(config, max_ii=best.ii, backend="flat")
-    for k in range(page_need(dfg, layout, best.ii), best.layout.num_pages):
+    for k in range(page_need(dfg, layout, best.ii), best.pages_used):
         try:
-            candidate = _map_once(
+            return _map_once(
                 dfg, cgra, layout.subchain(k), tight, search_log, probes,
-                full_layout=layout,
+                full_layout=layout, spanned=True,
             )
         except LadderExhausted:
             continue
-        if candidate.ii <= best.ii:
-            return candidate
     return best
+
+
+def prefix(layout: PageLayout, k: int) -> PageLayout:
+    """The first *k* chain pages of *layout* (*layout* itself for all)."""
+    return layout.subchain(k) if k < layout.num_pages else layout
+
+
+def spanned_prefix(mapping: Mapping, layout: PageLayout) -> PageLayout:
+    """The chain prefix of *layout* the mapping actually touches
+    (placements and route steps): its page need, read off what was mapped.
+    A ring mapping that uses the wrap link touches the last page, so it
+    keeps the whole ring."""
+    pes = [p.pe for p in mapping.placements.values()]
+    pes += [s.pe for r in mapping.routes.values() for s in r.steps]
+    return prefix(layout, 1 + max(layout.page_of[pe] for pe in pes))
 
 
 def _map_topologies(
@@ -168,17 +179,18 @@ def _map_topologies(
     config: MapperConfig,
     search_log=None,
     probes=None,
+    spanned: bool = False,
 ) -> PagedMapping:
     """The chain ladder, then — where the wrap pair is physically adjacent
     — the full ring's (the only home of a recurrence wider than a page),
     both to the same II ceiling."""
     try:
-        return _map_once(dfg, cgra, layout, config, search_log, probes)
+        return _map_once(dfg, cgra, layout, config, search_log, probes, spanned=spanned)
     except LadderExhausted:
         if layout.allow_wrap or not layout.ring_wrap_adjacent:
             raise
-    ring_layout = PageLayout(cgra, layout.shape, allow_wrap=True)
-    return _map_once(dfg, cgra, ring_layout, config, search_log, probes)
+    ring = PageLayout(cgra, layout.shape, allow_wrap=True)
+    return _map_once(dfg, cgra, ring, config, search_log, probes, spanned=spanned)
 
 
 def _map_once(
@@ -189,8 +201,14 @@ def _map_once(
     search_log=None,
     probes=None,
     full_layout: PageLayout | None = None,
+    spanned: bool = False,
 ) -> PagedMapping:
+    """Climb one ladder on *layout*; with *spanned*, store the winner on
+    the prefix of *layout* it touches."""
     mapping = climb_ladder(EMSMapper(cgra, layout, config, probes), dfg, log=search_log)
+    full_layout = full_layout or layout
+    if spanned:
+        layout = spanned_prefix(mapping, layout)
     validate_mapping(mapping, layout)
     schedule = extract_page_schedule(mapping, layout)
     return PagedMapping(mapping, layout, schedule, full_layout)

@@ -256,13 +256,14 @@ class TestCapabilityCompilation:
         M = N — and the simulator would execute them silently.  Retargeting
         must refuse, naming the op, the PE and the missing class.  (The
         homogeneous fabric is unaffected: tests/test_firing_golden.py runs
-        all 69 committed 4x4 folds through the same code.)"""
+        all 67 committed 4x4 folds through the same code.)  Page size 8:
+        at page size 4 laplace now fits on one page, where no fold mirrors."""
         from repro.core.pagemaster import PageMaster
         from repro.kernels import bind_memory
         from repro.sim import required_batches, retarget_firings
         from repro.util.errors import TransformError
 
-        job = CompileJob("laplace", 8, 4, arch="8x8-memcols", backend="hier")
+        job = CompileJob("laplace", 8, 8, arch="8x8-memcols", backend="hier")
         artifact, _ = _compile_one(job, tmp_path)
         dfg, arrays, _ = get_kernel("laplace").fresh(seed=7, trip=8)
         paged = artifact.materialize(dfg)

@@ -715,22 +715,28 @@ class TestReachabilityFilter:
 #: rungs_skipped, rungs_pruned, hier_attempts, hier_wins,
 #: hier_flat_attempts, hier_flat_wins, expansions).  ``fft/ps4`` is the
 #: long-route-heavy one, ``yuv2rgb`` on the hier backend the refutation-heavy
-#: one (82 % of its trials are refuted, nearly all of them by the mask).
+#: one (82 % of its trials are refuted, nearly all of them by the mask).  The
+#: seven entries whose trajectory moved when the page plan was anchored at
+#: page 0 were re-pinned: the counters are the new compile's, and
+#: ``expansions`` is the same compile's with both placer shortcuts switched
+#: off as in ``mask_replay_differential`` (the winner's second search
+#: counted) — the search volume before the mask, which that measure
+#: reproduces exactly on every entry kept.
 _PARENT_TRAJECTORY = {
     ("flat", "mpeg", 2): (1, 1, 3082, 2260, 1479, 0, 0, 0, 0, 0, 0, 1278),
     ("flat", "mpeg", 4): (1, 1, 2731, 1815, 1033, 0, 0, 0, 0, 0, 0, 2074),
-    ("flat", "sor", 2): (4, 4, 1440, 1165, 550, 0, 0, 0, 0, 0, 0, 1043),
-    ("flat", "sor", 4): (4, 4, 309, 262, 134, 0, 0, 0, 0, 0, 0, 260),
-    ("flat", "wavelet", 2): (1, 2, 1689, 1267, 751, 0, 0, 0, 0, 0, 0, 1035),
-    ("flat", "wavelet", 4): (1, 2, 2206, 1663, 937, 0, 0, 0, 0, 0, 0, 1793),
-    ("flat", "compress", 2): (4, 5, 3810, 3287, 1858, 0, 0, 0, 0, 0, 0, 22104),
-    ("flat", "compress", 4): (4, 4, 1250, 1133, 584, 0, 0, 0, 0, 0, 0, 1228),
+    ("flat", "sor", 2): (4, 4, 958, 779, 421, 0, 0, 0, 0, 0, 0, 503),
+    ("flat", "sor", 4): (4, 4, 311, 264, 130, 0, 0, 0, 0, 0, 0, 196),
+    ("flat", "wavelet", 2): (1, 2, 1723, 1300, 753, 0, 0, 0, 0, 0, 0, 1164),
+    ("flat", "wavelet", 4): (1, 2, 1911, 1498, 879, 0, 0, 0, 0, 0, 0, 1625),
+    ("flat", "compress", 2): (4, 5, 2624, 2311, 1287, 0, 0, 0, 0, 0, 0, 3371),
+    ("flat", "compress", 4): (4, 4, 647, 565, 269, 0, 0, 0, 0, 0, 0, 814),
     ("flat", "fft", 4): (3, 7, 37039, 26444, 17086, 0, 0, 0, 0, 0, 0, 223651),
     ("hier", "sor", 4): (4, 4, 1201, 1137, 943, 0, 0, 1, 1, 0, 0, 500),
     ("hier", "sor", 8): (4, 4, 1219, 1159, 968, 0, 0, 1, 1, 0, 0, 501),
     ("hier", "compress", 4): (4, 4, 667, 616, 449, 0, 0, 1, 1, 0, 0, 376),
     ("hier", "compress", 8): (4, 4, 677, 641, 472, 0, 0, 1, 1, 0, 0, 419),
-    ("hier", "yuv2rgb", 4): (2, 5, 41321, 35297, 29078, 0, 0, 5, 0, 18, 1, 29674),
+    ("hier", "yuv2rgb", 4): (2, 5, 39990, 35095, 30326, 0, 0, 5, 0, 19, 1, 7711),
 }
 
 
@@ -774,9 +780,9 @@ def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
 #: tier-1 runs them at seed 0 only; ``python tests/test_recompile_bytes.py``
 #: (a CI step) runs every draw at mapper seeds 0-3.
 MASK_DRAWS = {
-    ("flat", "ring"): (30, 7, (0,)),
-    ("flat", "unmappable"): (34, 7, (0,)),
-    ("flat", "chain"): (6, 10, range(4)),
+    ("flat", "ring"): (167, 7, (0,)),
+    ("flat", "unmappable"): (132, 7, (0,)),
+    ("flat", "chain"): (28, 10, range(4)),
     ("hier", "clustered"): (15, 9, range(4)),
     ("hier", "fallback"): (6, 9, range(4)),
     ("hier", "unmappable"): (14, 9, (0,)),

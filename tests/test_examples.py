@@ -50,3 +50,20 @@ def test_quickstart_reports_correct(capsys):
     out = capsys.readouterr().out
     assert "correct=True" in out
     assert "correct=False" not in out
+
+
+@pytest.mark.parametrize(
+    "argv,code", [(["--help"], 0), (["nosuch"], 2)], ids=["help", "unknown-kernel"]
+)
+def test_demo_parses_its_arguments_before_any_output(argv, code, capsys):
+    """``python -m repro --help`` and an unknown kernel are argparse exits
+    (0 and 2), decided before the demo prints its first line."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    out, err = capsys.readouterr()
+    assert ("usage: python -m repro" in out) == (code == 0)
+    assert ("invalid choice: 'nosuch'" in err) == (code == 2)
+    assert "page" not in out.lower()  # no layout was rendered

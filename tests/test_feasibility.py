@@ -188,6 +188,46 @@ class TestCommittedStore:
             checked += 1
         assert checked > 50
 
+    @pytest.mark.skipif(
+        not REPO_STORE.is_dir(), reason="committed artifact store not present"
+    )
+    def test_every_committed_page_need_is_its_span(self):
+        """The stored page need is read off the mapping: every mapped
+        artifact touches its last stored page and none past it."""
+        assert page_span_problems(REPO_STORE) == []
+
+
+def page_span_problems(root) -> list[str]:
+    """Every mapped artifact of the store at *root* whose ``pages_used`` is
+    not ``1 +`` the highest chain page any placement or route step
+    touches; raises if the store holds fewer than 20 mapped artifacts."""
+    from repro.analysis.audit import _build_cgra
+    from repro.pipeline.artifact import CompiledKernel
+    from repro.pipeline.store import ArtifactStore
+
+    problems, checked = [], 0
+    for path, is_artifact in ArtifactStore(root).walk():
+        if not is_artifact:
+            continue
+        artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
+        if artifact.unmappable:
+            continue
+        layout = PageLayout(_build_cgra(artifact), tuple(artifact.page_shape))
+        page_of = {(pe.row, pe.col): n for pe, n in layout.page_of.items()}
+        touched = [page_of[r, c] for _op, r, c, _t in artifact.placements]
+        touched += [
+            page_of[r, c] for _e, steps, _tap in artifact.routes for r, c, _t in steps
+        ]
+        if artifact.pages_used != 1 + max(touched):
+            problems.append(
+                f"{artifact.kernel} {artifact.rows}x{artifact.cols} "
+                f"ps{artifact.page_shape[0] * artifact.page_shape[1]}: stores "
+                f"{artifact.pages_used} pages, touches {1 + max(touched)}"
+            )
+        checked += 1
+    assert checked >= 20, checked
+    return problems
+
 
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=8, deadline=None)

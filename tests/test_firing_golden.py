@@ -1,7 +1,7 @@
 """Golden firing programs: the acceptance gate for "same firings".
 
 Every mappable committed 4x4 artifact is lowered (``lower_mapping``) and
-folded onto every M <= pages_used (``retarget_firings`` — the 69 folds of
+folded onto every M <= pages_used (``retarget_firings`` — the 67 folds of
 the ``fold_exec`` benchmark workload), then executed; a SHA-256 over the
 ``repr`` of the firing list and of the ``SimResult`` is compared with the
 digest the parent of the schedule-template rewrite (commit 2503f71)
@@ -116,7 +116,9 @@ def keyword_digests() -> dict[str, str]:
     return out
 
 
-#: digests computed at the parent commit (2503f71), before the rewrite
+#: digests computed at the parent commit (2503f71), before the rewrite; the
+#: fft, gsr, sor and yuv2rgb ps2 entries re-pinned when the page plan was
+#: anchored at page 0 (their artifacts moved on purpose)
 GOLDEN = {
     "mpeg/ps2/lower": "82b8b4fc3b0e03424f6077de4eac6dafcb4d0a4d14f09ec2bf52208a340220ca",
     "mpeg/ps2@8": "beaf450c4f0c34688673032eddce928f2c69d49ef28ac09b60f943e01061e5a5",
@@ -132,22 +134,19 @@ GOLDEN = {
     "mpeg/ps4@2": "402c2909714d36056d9f1d0ba8f85a8560b5fb97a96da7e3991ff57b0f133aef",
     "mpeg/ps4@1": "5ab55fef91cf8fca6503abec12a1e35db4bdcac4ccdb371d797bb1564a442292",
     "yuv2rgb/ps2/lower": "065f60f2b4d182792bab2492643c24a0060128f7b6739b4fdbe3d9b1f2306175",
-    "yuv2rgb/ps2@8": "1fd3e1bfca6c0986d2ef719830e842122b7014b94eced93bff8e1d4ab3aa02f2",
-    "yuv2rgb/ps2@7": "93f9b8fd767ab605d5884d40feec57575378c66f47a273229210cd50a58b3f3e",
-    "yuv2rgb/ps2@6": "cb0f03a80ff85d7d964d9448d89a7be26436c98b2c0318ba1cd4ee765452895e",
-    "yuv2rgb/ps2@5": "5211a7834945d62ad324566bf8d8c68067546f199d6b9635d3cd7f205bbcd249",
-    "yuv2rgb/ps2@4": "70687cc27d83153eded14f550b9b8348b63c5f37bb6b2352157dc8355adb0452",
-    "yuv2rgb/ps2@3": "7a6c9e81b9cd48c212da23439fe39a6bc0fcca95a44646ccf94bb4a94f2cf06e",
-    "yuv2rgb/ps2@2": "46075a17596b56015c4a92d38a8a5a7ea6254148b1cbe0829baadd5ecb73aa39",
-    "yuv2rgb/ps2@1": "b5e2fab8d9aaa3bbccbf77feae03590d7f19b895eb27968cbe19b77edbf313e4",
+    "yuv2rgb/ps2@6": "1fd3e1bfca6c0986d2ef719830e842122b7014b94eced93bff8e1d4ab3aa02f2",
+    "yuv2rgb/ps2@5": "3d448ff3c0f1ce1701ed5cf7c168da9d4a278addfe5c6ceeff9e146d4ca8bd6b",
+    "yuv2rgb/ps2@4": "7fbc9b1627aadb27d413024d25349f336dbfbf9c84adbf561b0a63bd1cc9dc5b",
+    "yuv2rgb/ps2@3": "70687cc27d83153eded14f550b9b8348b63c5f37bb6b2352157dc8355adb0452",
+    "yuv2rgb/ps2@2": "64a3bb141b0ce35651c99692c8f980412186e9d48e4668c17c58f66b171dfe60",
+    "yuv2rgb/ps2@1": "9b12cb948113ba3cdf5fe53cba35d03e3e279f500ef7d409ed812a074079eece",
     "yuv2rgb/ps4/lower": "e5c781457b92e06b900f28c482c7f5bf37712648c733fe36af3a651aa52a9f86",
     "yuv2rgb/ps4@2": "39c4814b7fecdb74204a27c50fecfc321a73c6468ea0a9fe4882d373c6524c68",
     "yuv2rgb/ps4@1": "eb0fb234694974a452b36c290a4f4f46503c286f798465cc997f02a947d2725e",
-    "sor/ps2/lower": "8f0430bba4a35da7ed3956d6e3fd70fc945b8e5848eb36912a051eaa414009d9",
-    "sor/ps2@4": "8f0430bba4a35da7ed3956d6e3fd70fc945b8e5848eb36912a051eaa414009d9",
-    "sor/ps2@3": "7d334cf957bbead3dfba07d46b74d59f8fac34cf6691b8feda16cb4eb5a9b25d",
-    "sor/ps2@2": "e3e49ef25e3e3ba2722e3ed32485ae8db145737eac6864cfbc38577213c60652",
-    "sor/ps2@1": "bfbb3507199c6f8d5a4e80ecc44272c235791c88f44a8033abcc2908ffce0896",
+    "sor/ps2/lower": "449868292752afecb79acba37d7a23876907cb7e9e2d3632846dfba2e1ea453e",
+    "sor/ps2@3": "449868292752afecb79acba37d7a23876907cb7e9e2d3632846dfba2e1ea453e",
+    "sor/ps2@2": "a97b63e98058e4066a4ae4bea860df8877f5ab4aedea104355f30b34e7e225d8",
+    "sor/ps2@1": "b6d84c69896d59231421f90f37e854a7773cb781a4e2edd4164c39d45d3affb2",
     "sor/ps4/lower": "450a480f0d9cf4f41a4e0a030fe622ff4dafb9f5a56e38375f5afc4c2c391881",
     "sor/ps4@1": "450a480f0d9cf4f41a4e0a030fe622ff4dafb9f5a56e38375f5afc4c2c391881",
     "compress/ps2/lower": "b9c41949557b8603dc5fc7e35f54413cc83b2aa0c71cb790b2ed7303936a8b5e",
@@ -156,11 +155,11 @@ GOLDEN = {
     "compress/ps2@1": "360d9c8f8ed115adf7418e96b7f642195fd357e83cb8c142695ff71526e2c01f",
     "compress/ps4/lower": "1e990b070467832b2e8e9c64ff84552b10b5f9393ac2bde4fd19dc57fcbbeb5a",
     "compress/ps4@1": "1e990b070467832b2e8e9c64ff84552b10b5f9393ac2bde4fd19dc57fcbbeb5a",
-    "gsr/ps2/lower": "80d6f9e6769de59d9fc4d6c2d4aa0fc6f49626125c58249fd3dbbd899813f6f3",
-    "gsr/ps2@4": "80d6f9e6769de59d9fc4d6c2d4aa0fc6f49626125c58249fd3dbbd899813f6f3",
-    "gsr/ps2@3": "41aac4c5b039792e23751db77d8d02fb34ec32372d28591d9d46c19e85c3d0c7",
-    "gsr/ps2@2": "9924e57276c29787de276458f67c999ed405bbcb910c7de88ca61ece529a6890",
-    "gsr/ps2@1": "53fe2372f1b75b4eaa7d048d042e27e575493ca942442b0586a3e1f62f07ffbe",
+    "gsr/ps2/lower": "314c253f6b51689caed3f14a6318da85e3b2c0b70452d54f7e4a7bf6c86ce74f",
+    "gsr/ps2@4": "314c253f6b51689caed3f14a6318da85e3b2c0b70452d54f7e4a7bf6c86ce74f",
+    "gsr/ps2@3": "a5a17e7339c7323e611857a53e9af7613e6c4b96fff418b7cbbc44530084d0ea",
+    "gsr/ps2@2": "4befa22777de86041739570cbcc8f62082136ce265397a7f8fee2c043b195a25",
+    "gsr/ps2@1": "20cfa99d7a58487a2877f2f02f61086ac4be8179f4a7817299332bba86c6da94",
     "gsr/ps4/lower": "b90232ae893a03754e91f44ac45d0ae8f8d1d78e0e79a3144b826cd99b32595d",
     "gsr/ps4@1": "b90232ae893a03754e91f44ac45d0ae8f8d1d78e0e79a3144b826cd99b32595d",
     "laplace/ps2/lower": "f86c3fb1dd480947b0de3a4f702d8988cec7bedb69f88e97d04fe16901dc5591",
@@ -200,10 +199,11 @@ GOLDEN = {
     "wavelet/ps2@1": "99194624f28da52e306473a03f2786ea2f9dc16f513554f1916dc1ae3e303546",
     "wavelet/ps4/lower": "71def0de7fbbd5146180c80c50f45f2c25653c894913bc50699912ac10d419b3",
     "wavelet/ps4@1": "71def0de7fbbd5146180c80c50f45f2c25653c894913bc50699912ac10d419b3",
-    "fft/ps2/lower": "6945397074119af3c75373992879301e3466292a4ee18afe947590fb3f7d333a",
-    "fft/ps2@3": "6945397074119af3c75373992879301e3466292a4ee18afe947590fb3f7d333a",
-    "fft/ps2@2": "3e873ffdd9ff1e6d4cde347d60f4986a4782a1a1ba53e56ae78f16f7e9be93e3",
-    "fft/ps2@1": "a554fc9291cce0541efccabceeba1d1291c0b4a132ff2fa369bc10de21b273e5",
+    "fft/ps2/lower": "f337d935e7c13976bcb0da41b9e2087f8ab05afabb30f13d4f61b6292a2f15ed",
+    "fft/ps2@4": "f337d935e7c13976bcb0da41b9e2087f8ab05afabb30f13d4f61b6292a2f15ed",
+    "fft/ps2@3": "7cb5c8188c73dbfcaf72af15388d115593551d1fa6fefd85de579bc13d73fc9e",
+    "fft/ps2@2": "71b07c4e19e7584a3001bb73e41284541f9ed5db675df55a772f8844cdc88195",
+    "fft/ps2@1": "6122d2aebaa3bb0c73ad911e9a77a7270d9bd043e1094d08ee78ec5962c0eb47",
     "fft/ps4/lower": "34ab86919bfc9805626d42555cef59f9ed7b4d85671c77c1d099bae1a5135405",
     "fft/ps4@3": "e9e4086fb33358f70cc940a1bf545445e594bc1de67e98fc5e377cb907d6af0b",
     "fft/ps4@2": "7b844a1da828eea0551a76eb52414dba2204a395fc5a817eab05058ebb731480",
@@ -225,7 +225,7 @@ def digests():
 def test_golden_covers_the_fold_exec_set(digests):
     folds = [k for k in digests if "@" in k and not k.startswith("keywords")]
     lowered = [k for k in digests if k.endswith("/lower") and not k.startswith("keywords")]
-    assert (len(folds), len(lowered)) == (69, 21)
+    assert (len(folds), len(lowered)) == (67, 21)
 
 
 def test_firing_programs_match_the_parent_commit(digests):

@@ -196,7 +196,7 @@ def _nx_spread_targets(mapper, dfg):
     targets = {}
     for v in materialized_ops(dfg):
         h = height[cond.graph["mapping"][v]]
-        targets[v] = ranks[max(0, top - round(h * scale))]
+        targets[v] = ranks[round(max_h * scale) - round(h * scale)]
     return targets
 
 

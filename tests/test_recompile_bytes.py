@@ -17,10 +17,12 @@ processes — and byte-compares each: the check a router or placer change
 exists to pass.  The committed store holds homogeneous flat jobs only, so
 the same run also compiles the 22 jobs of ``perf/``'s ``compile_hier_8x8``
 workload (the hier backend on ``8x8-memcols``, page sizes {4,8}) and
-compares each artifact's sha256 with :data:`HIER_SHA256`, and then runs the
-placer's shortcut differential (``test_compiler_units.
-mask_replay_differential``) on all six of its draws at mapper seeds 0-3 —
-tier-1 runs the three draws that climb failing ladders at seed 0 only.
+compares each artifact's sha256 with :data:`HIER_SHA256`; every artifact of
+both sets must store as its page need the pages it touches
+(``test_feasibility.page_span_problems``).  It then runs the placer's
+shortcut differential (``test_compiler_units.mask_replay_differential``)
+on all six of its draws at mapper seeds 0-3 — tier-1 runs the three draws
+that climb failing ladders at seed 0 only.
 
 A job compiled through a :class:`~repro.compiler.search.ProbeMemo` depends
 on what earlier jobs left in it, so the script also compiles the 22
@@ -56,8 +58,9 @@ FAST_JOBS = [
 
 #: sha256 of the artifact file of ``CompileJob(kernel, 8, page_size, seed=0,
 #: arch="8x8-memcols", backend="hier")``, recorded at 0de780d (the parent of
-#: the candidate-mask change).  Re-record only with a change that means to
-#: alter hier schedules.
+#: the candidate-mask change); fft, laplace, lowpass and sobel at ps4 and
+#: swim at ps8 re-recorded when the page plan was anchored at page 0.
+#: Re-record only with a change that means to alter hier schedules.
 HIER_SHA256 = {
     ("mpeg", 4): "60bd336dc1d735eb39d47749e2904dbb8b3f207d2fc109c9410e7443ec2c0a17",
     ("mpeg", 8): "1955cb39c108d42005bc7bc2e91a0332c15d2cf9401fed3e618834c9297a1c41",
@@ -69,17 +72,17 @@ HIER_SHA256 = {
     ("compress", 8): "0af89cd2734016e41935323744102c86858d21559894aabf45f9d66d06ac3e9d",
     ("gsr", 4): "881bef9e92fcd15cadae7dc16989901bf3e10ac6adb6e3a97a2f8150bb273ad7",
     ("gsr", 8): "d5eb4b82c097f8b0a9771f3f735f5dff21653c4598a96c7b318c48e23ec5b3bd",
-    ("laplace", 4): "d8224a2ec1672f5dbc54edb5341c115808db4c05ea08ebc3715c3bddb6830d75",
+    ("laplace", 4): "820503dad98aef52cc51f586ef584a2ae13550e0fc2ad3d10e15dc6dd7492978",
     ("laplace", 8): "885be19f26afe911fe3e43bd33e3832d88ae1f3995cc5669ad27cfe81c201bd1",
-    ("lowpass", 4): "a4b8f30100395067851cb2ee086805d60fc01da783b0f97a19f3ab970032fbd3",
+    ("lowpass", 4): "20035f145eb9c09b38662b861c74e5f8f3cd21be9637c76e31e85d32d9ff47e8",
     ("lowpass", 8): "cac838efbaf1fd0a70e503d4257551c0315859d4409b1c921cd9a1aabc3f0d62",
     ("swim", 4): "5a729917e2aa7f88f799a1a1ae07918b9560535ca50d8df3c7da7a3292588246",
-    ("swim", 8): "ea9d79623ada9fa3e6127983ac5e2d2900587b00b1d11e712ab7d94137eb140e",
-    ("sobel", 4): "ebdeaa09ab0babecf8729a62c0a2359548263d04464a6725b4537b646f2d38f1",
+    ("swim", 8): "2767f132c0dd0acdfc09a6e989bed5227200e5495901db56f7a444ae50ddd1b8",
+    ("sobel", 4): "dae6346142913c1eea2d2f261f9ba68e93e4ce931e2b022d201c12cbd7422e3c",
     ("sobel", 8): "cbd2a939ebb34db40ac8a73f3b85b766b4e02ba60d265e85ae553923efb4dcf6",
     ("wavelet", 4): "6b74d91b46c69cdbb1ca0d0d126e059f8ae9f70001ca7845cfc849e46a7343bc",
     ("wavelet", 8): "64cb654155967b368c6aad4611ed20cd2242f4630c484efb642f892a7be737c2",
-    ("fft", 4): "46e4532f437a93248600daa3f340917517f6fe5627153d7fe5a62ac404e268c1",
+    ("fft", 4): "09a48cdabb7e7722cb0200c5672e559c83732e7e4e8bbe106e5d3cbd70c6f5f4",
     ("fft", 8): "4056024ea50baefd53f1f5424df5cbdda147378612ba58e67ac89fb4a9877ca8",
 }
 
@@ -204,8 +207,8 @@ def shared_memo_all() -> list[str]:
 def recompile_all() -> list[str]:
     """Cold-compile every job behind the committed store, and the pinned
     hier jobs, into a temporary store; the problems found (empty when every
-    file is byte-identical to its reference and every committed file was
-    produced)."""
+    file is byte-identical to its reference, every committed file was
+    produced and every stored page need is the mapping's own span)."""
     from repro.bench.fig8 import page_sizes_for
     from repro.kernels import kernel_names
 
@@ -236,6 +239,10 @@ def recompile_all() -> list[str]:
                 problems.append(f"{label}: no committed artifact")
             elif reference.read_bytes() != fresh.path_for(job_key(job)).read_bytes():
                 problems.append(f"{label}: bytes differ from the committed artifact")
+        # script mode only: tests/ is sys.path[0] there
+        from test_feasibility import page_span_problems
+
+        problems += page_span_problems(fresh.root)
         produced = {path.relative_to(fresh.root) for path, _ in fresh.walk()}
         for path, _ in committed.walk():
             if path.relative_to(committed.root) not in produced:

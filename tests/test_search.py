@@ -415,10 +415,10 @@ class TestProbeKey:
 
 
 def _scenario_allow_wrap(probes_for):
-    """sor 4x4 ps4, II 4, forward order: the chain fails, the ring maps."""
+    """gsr 4x4 ps4, II 4, forward order: the chain fails, the ring maps."""
     from repro.core.paging import PageLayout
 
-    dfg, cgra, chain = _paged("sor", 4)
+    dfg, cgra, chain = _paged("gsr", 4)
     ring = PageLayout(cgra, chain.shape, allow_wrap=True)
     probes = probes_for(dfg)
     return [
