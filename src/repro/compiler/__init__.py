@@ -14,7 +14,8 @@ The *paged* compiler (:func:`repro.compiler.paged.map_dfg_paged`) runs the
 same engine with the paper's §VI-B compile-time constraints switched on and
 additionally returns the page-level schedule the PageMaster transformation
 consumes.  It has two backends (:data:`~repro.compiler.ems.BACKENDS`): the
-flat ladder and the cluster-then-place ``hier`` one.
+flat ladder and ``hier``, the same ladder with a one-page probe first on
+every II rung.
 
 A mapper knows how to run one (II, attempt) probe; the walk over IIs and
 restarts is :func:`repro.compiler.search.climb_ladder`, the single ladder

@@ -11,9 +11,9 @@ What one modulo slot offers — PEs, mem-capable PEs and bus ports, of the
 whole array or of one page — is :func:`slot_capacity`, the compiler's one
 reader of the fabric's port count and capability masks.  Its records feed
 the II lower bound (the mapper's first rung, the annealer's first II), the
-page-need bound :func:`page_need` (hier clustering, page minimisation),
-the hier backend's per-page capacities, the annealer's bus penalty and the
-reservation table's bus budget, which the validator books through.
+page-need bound :func:`page_need` (the hier backend's one-page test, page
+minimisation), the annealer's bus penalty and the reservation table's bus
+budget, which the validator books through.
 
 1. **Data-flow (ring-topology) constraint** — inter-page dependencies must
    form a subset of a ring: a value on page *a* may be read one cycle later

@@ -102,8 +102,9 @@ FULL_BUDGET = Budget(
     horizon_factor=4, route_budget=3000, candidate_cap=10, eval_budget=200,
     root_margin=2,
 )
-#: The hier backend's clustered probes (:mod:`repro.compiler.hier`): hard
-#: page domains place quickly or not at all, so they fail fast.
+#: The hier backend's one-page probes after the first base order
+#: (:mod:`repro.compiler.hier`): a kernel that fits one page either places
+#: there quickly or not at all, so they fail fast.
 FAIL_FAST_BUDGET = FULL_BUDGET._replace(
     route_budget=800, candidate_cap=6, eval_budget=50
 )
@@ -119,8 +120,8 @@ class MapperConfig:
     attempts_per_ii: int = 6
     seed: int = 0
     #: Paged-mapping backend (one of :data:`BACKENDS`): "flat" is the
-    #: original single-level ladder; "hier" prepends a cluster-then-place
-    #: hierarchical attempt at every II rung (:mod:`repro.compiler.hier`).
+    #: original single-level ladder; "hier" prepends a one-page probe to
+    #: every II rung (:mod:`repro.compiler.hier`).
     backend: str = "flat"
 
     def __post_init__(self) -> None:
@@ -223,9 +224,6 @@ class EMSMapper:
         self._mem_ok = cgra.class_mask(OpClass.MEM)
         self._alu_ok = cgra.class_mask(OpClass.ALU)
         self._route_ok = cgra.class_mask(OpClass.ROUTE)
-        # Per-op placement domains (hier backend: ops pinned to one page's
-        # PEs); empty outside a hierarchical attempt.
-        self._op_domains: dict[int, tuple[int, ...]] = {}
         # one-slot memo of everything a probe derives from the DFG alone
         # (see _dfg_tables), keyed on the DFG's adjacency epoch
         self._dfg_cache: _DfgTables | None = None
@@ -394,8 +392,7 @@ class EMSMapper:
         """What a probe of this mapper reads besides its arguments: the
         fabric, the layout every constraint is derived from — covered
         pages in ring order, page shape, wrap link — and the budget tier.
-        With the DFG, the II, the op order and the hier domains it is the
-        probe's identity."""
+        With the DFG, the II and the op order it is the probe's identity."""
         scope = self._scope
         if scope is None:
             layout = self.layout
@@ -412,13 +409,7 @@ class EMSMapper:
             )
         return scope
 
-    def _try_map(
-        self,
-        dfg: DFG,
-        ii: int,
-        order: list[int],
-        domains: dict[int, tuple[int, ...]] | None = None,
-    ) -> Mapping | None:
+    def _try_map(self, dfg: DFG, ii: int, order: list[int]) -> Mapping | None:
         """One probe: through :attr:`probes` when there is one.  A miss runs
         :meth:`_probe` and stores what it returned; a hit rebuilds that on
         this mapper's own ``cgra`` / *dfg* objects (fresh dicts over the
@@ -430,12 +421,7 @@ class EMSMapper:
                 raise MappingError(
                     f"the probe memo was bound to another DFG than {dfg.name!r}"
                 )
-            key = (
-                self.probe_scope(),
-                ii,
-                tuple(order),
-                tuple(sorted(domains.items())) if domains else None,
-            )
+            key = (self.probe_scope(), ii, tuple(order))
             outcome = probes.get(key)
             if outcome is not None:
                 stats.probes_shared += 1
@@ -445,7 +431,7 @@ class EMSMapper:
                     return None
                 return Mapping(self.cgra, dfg, ii, dict(placements), dict(routes))
         stats.probes_run += 1
-        mapping = self._probe(dfg, ii, order, domains)
+        mapping = self._probe(dfg, ii, order)
         if probes is not None:
             probes.put(
                 key,
@@ -455,19 +441,12 @@ class EMSMapper:
             )
         return mapping
 
-    def _probe(
-        self,
-        dfg: DFG,
-        ii: int,
-        order: list[int],
-        domains: dict[int, tuple[int, ...]] | None,
-    ) -> Mapping | None:
+    def _probe(self, dfg: DFG, ii: int, order: list[int]) -> Mapping | None:
         tables = self._dfg_tables(dfg)
         asap = tables.asap
         self._rank_targets = tables.rank_targets
         horizon = max(asap.values(), default=0) + self.budget.horizon_factor * ii
         st = _Attempt(ReservationTable(self.cgra, ii, self.layout), counters())
-        self._op_domains = domains or {}
         for op_id in order:
             if not self._place_op(dfg, ii, st, op_id, asap, horizon):
                 self.stuck = st.stuck
@@ -774,12 +753,9 @@ class EMSMapper:
         placer.
 
         The pool is pre-filtered by the op's capability mask (heterogeneous
-        fabrics only) and by an explicit per-op domain when the
-        hierarchical backend pinned the op to a page — illegality is ruled
-        out before enumeration instead of discovered per probe."""
+        fabrics only) — illegality is ruled out before enumeration instead
+        of discovered per probe."""
         pool: Sequence[int] = self._allowed_ids
-        if op_id is not None and self._op_domains:
-            pool = self._op_domains.get(op_id, pool)
         if cap_mask is not None:
             pool = [pid for pid in pool if cap_mask[pid]]
         target = self._rank_targets.get(op_id) if op_id is not None else None

@@ -4,7 +4,7 @@ Every backend climbs an (II, attempt) ladder whose first rung is the
 minimum initiation interval MII = max(ResMII, RecMII).  This module owns
 that computation — :func:`ii_lower_bound` is the single source of truth the
 flat ladder (:meth:`repro.compiler.ems.EMSMapper.ladder_rungs`), the
-hierarchical backend and the auditor's ``MAP-MII`` rule delegate to — and
+hier backend and the auditor's ``MAP-MII`` rule delegate to — and
 the last rung of every *paged* ladder, :attr:`IIBound.ceiling`.
 
 Soundness contract: the bound may only exclude an II at which **no**

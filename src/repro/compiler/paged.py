@@ -89,7 +89,8 @@ def map_dfg_paged(
     — a legal subset per §VI-B — which makes the optimal grouped fold
     available for every divisor page count).  If that ladder is exhausted
     and the layout's wrap pair is physically adjacent, it retries with the
-    full ring; the resulting mapping may then only be shrunk with the
+    ring closed over the same pages (:meth:`~repro.core.paging.PageLayout.
+    ring`); the resulting mapping may then only be shrunk with the
     zigzag transformation.  A kernel that maps on neither at or below the
     II ceiling (:meth:`~repro.compiler.ems.EMSMapper.ladder_rungs`) raises
     :class:`~repro.util.errors.LadderExhausted`.  Every mapping is checked
@@ -113,9 +114,8 @@ def map_dfg_paged(
     """
     config = config or MapperConfig()
     if config.backend == "hier":
-        # cluster-then-place (chain topology only); shares the flat ladder
-        # as its in-lattice fallback, so it can only match or beat the
-        # chain pass — see repro.compiler.hier.
+        # the chain ladder with a one-page probe first on every rung, so
+        # it can only match or beat the chain pass — see repro.compiler.hier.
         from repro.compiler.hier import map_dfg_hier
 
         return map_dfg_hier(
@@ -182,15 +182,16 @@ def _map_topologies(
     spanned: bool = False,
 ) -> PagedMapping:
     """The chain ladder, then — where the wrap pair is physically adjacent
-    — the full ring's (the only home of a recurrence wider than a page),
-    both to the same II ceiling."""
+    — the ladder of the ring closed over the same pages (the only home of
+    a recurrence wider than a page), both to the same II ceiling."""
     try:
         return _map_once(dfg, cgra, layout, config, search_log, probes, spanned=spanned)
     except LadderExhausted:
         if layout.allow_wrap or not layout.ring_wrap_adjacent:
             raise
-    ring = PageLayout(cgra, layout.shape, allow_wrap=True)
-    return _map_once(dfg, cgra, ring, config, search_log, probes, spanned=spanned)
+    return _map_once(
+        dfg, cgra, layout.ring(), config, search_log, probes, spanned=spanned
+    )
 
 
 def _map_once(

@@ -18,9 +18,9 @@ like this.  DESIGN.md §11 has the measurement that retired probe racing.
 
 What the walk *pays* for a probe is a separate matter.  A probe is a pure
 function of what it reads — the DFG, the fabric, the mapper's constraints
-and budgets, the II, the op order, the hier domains — and that is neither
-the mapper seed (attempts 0-2 are the same orders at every seed) nor, on
-the whole-array ladder, the page size.  A :class:`ProbeMemo` keeps probe
+and budgets, the II and the op order — and that is neither the mapper
+seed (attempts 0-2 are the same orders at every seed) nor, on the
+whole-array ladder, the page size.  A :class:`ProbeMemo` keeps probe
 outcomes under exactly that identity, so the jobs of one owner (a compile
 service, a serial batch) run each distinct probe once; the walk, and what
 it returns, are the same with or without one.

@@ -56,8 +56,8 @@ class MapperCounters:
     expansions: int = 0
     placement_probes: int = 0  #: (time, PE) candidates probed by the placer
     trial_commits: int = 0  #: tentative commit+rollback scoring passes
-    hier_attempts: int = 0  #: hierarchical (cluster-then-place) probes run
-    hier_wins: int = 0  #: hierarchical probes that produced a mapping
+    hier_attempts: int = 0  #: hier rungs' one-page attempts, run or gated off
+    hier_wins: int = 0  #: one-page attempts that produced a mapping
     hier_flat_attempts: int = 0  #: flat-ladder probes run inside the hier backend
     hier_flat_wins: int = 0  #: flat fallback probes that produced a mapping
     #: II rungs skipped as proven failed / by a feasibility certificate.

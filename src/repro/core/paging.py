@@ -21,6 +21,7 @@ link unless it is physically there.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -166,18 +167,6 @@ class PageLayout:
             Coord(o.row + dr, o.col + dc) for dr in range(h) for dc in range(w)
         )
 
-    def class_capable_count(self, n: int, cls_) -> int:
-        """How many PEs of page *n* support op class *cls_*
-        (:class:`~repro.arch.capability.OpClass`).  The whole page on a
-        homogeneous fabric; the hierarchical backend sizes per-page
-        cluster capacities (e.g. memory-op budgets) from this."""
-        self._check_page(n)
-        mask = self.cgra.class_mask(cls_)
-        if mask is None:
-            return self.page_size
-        gi = self.cgra.grid_index
-        return sum(1 for pe in self.coords_of_page(n) if mask[gi.id_of[pe]])
-
     def place_local(
         self, n: int, local: Coord, orientation: Orientation = Orientation.IDENTITY
     ) -> Coord:
@@ -230,7 +219,7 @@ class PageLayout:
         Used by the paged compiler to map a kernel onto the smallest page
         prefix that preserves its II (the paper's Fig. 6 mapping "only uses
         3 pages"); the remaining pages stay free for other threads.  A
-        sub-chain is never a closed ring, so ``allow_wrap`` is off.
+        sub-chain starts open (``allow_wrap`` off); :meth:`ring` closes it.
         """
         self._check_page(k - 1)
         sub = object.__new__(PageLayout)
@@ -247,6 +236,14 @@ class PageLayout:
         )
         sub.ring_wrap_adjacent = k > 1 and sub._pages_adjacent(k - 1, 0)
         return sub
+
+    def ring(self) -> "PageLayout":
+        """The same pages with the wrap hop (last page -> page 0) allowed:
+        the closed ring, which the paged compiler falls back to when the
+        chain cannot map a kernel and the wrap pair is adjacent."""
+        ring = copy.copy(self)
+        ring.allow_wrap = True
+        return ring
 
     def _check_page(self, n: int) -> None:
         if not 0 <= n < self.num_pages:

@@ -1,5 +1,5 @@
-"""Heterogeneous PE capabilities, fabric presets, and the hierarchical
-two-level backend.
+"""Heterogeneous PE capabilities, fabric presets, and the hier backend
+(the flat chain ladder with a one-page probe first on every II rung).
 
 Three invariants anchor this file:
 
@@ -9,7 +9,7 @@ Three invariants anchor this file:
 * **legality everywhere** — a capability restriction is enforced by the
   mapper, the validator, the lowering pass, and the bytes-only artifact
   auditor (rule ``MAP-CAP``) independently;
-* **hier never loses** — the hierarchical backend reproduces the flat
+* **hier never loses** — the hier backend reproduces the flat
   ladder's II (its fallback rungs replay the flat ladder exactly) and is
   deterministic at any worker count.
 """
@@ -162,6 +162,7 @@ class TestPresets:
     def test_memcols_pages_keep_mem_pes(self, size):
         """Every canonical page tile of a -memcols fabric must contain at
         least one mem-capable PE, else small-page compiles are dead."""
+        from repro.compiler.constraints import slot_capacity
         from repro.core.paging import choose_page_shape
 
         cgra = preset(f"{size}x{size}-memcols")
@@ -173,7 +174,7 @@ class TestPresets:
             shape = choose_page_shape(ps, size, size)
             layout = PageLayout(cgra, shape)
             for page in range(layout.num_pages):
-                assert layout.class_capable_count(page, OpClass.MEM) > 0, (
+                assert slot_capacity(cgra, layout, page).mem_pes > 0, (
                     f"{size}x{size}-memcols page {page} of shape {shape} "
                     f"has no mem-capable PE"
                 )
@@ -347,7 +348,7 @@ class TestMapCapAudit:
         assert not report.ok
 
 
-# -- hierarchical backend ------------------------------------------------------------
+# -- hier backend --------------------------------------------------------------------
 
 
 HIER_KERNELS = ["sor", "compress", "gsr"]
@@ -389,7 +390,7 @@ class TestHierBackend:
             assert a == b, f"hier parity violation: {job.kernel}"
 
     def test_hier_on_memcols_8x8(self, tmp_path):
-        """The acceptance fabric: hierarchical mapping on the 8x8
+        """The acceptance fabric: hier mapping on the 8x8
         memory-capable-columns preset, capability-legal by construction."""
         job = CompileJob("sor", 8, 4, seed=0, arch="8x8-memcols", backend="hier")
         artifact, _ = _compile_one(job, tmp_path)
@@ -399,6 +400,34 @@ class TestHierBackend:
         for op_id, _r, c, _t in artifact.placements:
             if op_id in dfg.ops and op_class(dfg.ops[op_id].opcode) is OpClass.MEM:
                 assert c in mem_cols
+
+    #: ``random_dfg`` draws ``(seed, n_ops)`` that the flat ladder cannot
+    #: map on 8x8-memcols ps4 at ``max_ii=10`` and the hier backend's
+    #: one-page probe maps on one page, with the II it maps them at
+    ONE_PAGE_DRAWS = {(52, 7): 9, (57, 7): 5, (67, 7): 7, (27, 10): 8, (34, 10): 6}
+
+    @pytest.mark.parametrize("draw", sorted(ONE_PAGE_DRAWS))
+    def test_one_page_probe_maps_what_flat_cannot(self, draw):
+        from repro.compiler.ems import MapperConfig
+        from repro.compiler.paged import map_dfg_paged
+        from repro.compiler.stats import job_counters
+        from repro.dfg.random_dfg import random_dfg
+        from repro.pipeline.compile import make_layout
+        from repro.util.errors import LadderExhausted
+
+        cgra = preset("8x8-memcols")
+        layout = make_layout(cgra, 4)
+        dfg = random_dfg(draw[0], n_ops=draw[1])
+
+        def config(backend):
+            return MapperConfig(seed=0, attempts_per_ii=4, max_ii=10, backend=backend)
+
+        with pytest.raises(LadderExhausted):
+            map_dfg_paged(dfg, cgra, layout, config=config("flat"))
+        with job_counters() as counters:
+            pm = map_dfg_paged(dfg, cgra, layout, config=config("hier"))
+        assert (pm.ii, pm.pages_used) == (self.ONE_PAGE_DRAWS[draw], 1)
+        assert counters.hier_wins == 1 and counters.hier_flat_wins == 0
 
     def test_hier_backend_distinct_mapper_fp(self):
         flat = CompileJob("sor", 4, 4, seed=0)

@@ -16,7 +16,6 @@ nx = pytest.importorskip("networkx")
 
 from repro.arch import CGRA  # noqa: E402
 from repro.arch.isa import Opcode  # noqa: E402
-from repro.compiler import hier  # noqa: E402
 from repro.compiler.mapping import materialized_ops  # noqa: E402
 from repro.compiler.ems import EMSMapper  # noqa: E402
 from repro.core.paging import PageLayout  # noqa: E402
@@ -200,30 +199,6 @@ def _nx_spread_targets(mapper, dfg):
     return targets
 
 
-def _nx_blocks(dfg):
-    mat = set(materialized_ops(dfg))
-    g = nx.DiGraph()
-    g.add_nodes_from(mat)
-    for e in dfg.edges.values():
-        if (
-            e.src in mat
-            and e.dst in mat
-            and e.src != e.dst
-            and dfg.ops[e.src].opcode is not Opcode.CONST
-        ):
-            g.add_edge(e.src, e.dst)
-    cond = nx.condensation(g)
-    order = list(
-        nx.lexicographical_topological_sort(
-            cond, key=lambda n: min(cond.nodes[n]["members"])
-        )
-    )
-    index = {scc: i for i, scc in enumerate(order)}
-    block_ops = [tuple(sorted(cond.nodes[scc]["members"])) for scc in order]
-    block_edges = sorted({(index[u], index[v]) for u, v in cond.edges()})
-    return block_ops, block_edges
-
-
 def _suite_and_random_dfgs():
     for name in kernel_names():
         spec = get_kernel(name)
@@ -242,7 +217,7 @@ def test_call_sites_equal_their_networkx_versions(monkeypatch):
         "dataflow_dag",
         lambda dfg: used.append(analysis.dataflow_dag(dfg)) or used[-1],
     )
-    recurrences = cyclic_blocks = 0
+    recurrences = 0
     for name, dfg, arrays in _suite_and_random_dfgs():
         asap, alap = analysis.asap_times(dfg), analysis.alap_times(dfg)
         # as ordered dicts: the mappers never iterate them, but equal
@@ -257,11 +232,8 @@ def test_call_sites_equal_their_networkx_versions(monkeypatch):
                 dfg, ii
             ), (name, ii)
         assert mapper._spread_targets(dfg) == _nx_spread_targets(mapper, dfg), name
-        blocks = hier._blocks(dfg)
-        assert blocks == _nx_blocks(dfg), name
         reference.run_reference(dfg, arrays(), 4)
         assert used.pop()[1] == list(nx.topological_sort(_nx_dag(dfg))), name
         recurrences += analysis.rec_mii(dfg) > 1
-        cyclic_blocks += any(len(ops) > 1 for ops in blocks[0])
     # both branches of every comparison were taken
-    assert recurrences and cyclic_blocks
+    assert recurrences

@@ -138,6 +138,33 @@ class TestPageNeed:
         assert pm.layout.num_pages == 4
 
 
+class TestRingFallback:
+    @pytest.mark.parametrize("minimize_pages", [False, True])
+    def test_ring_fallback_stays_on_a_subchain(self, minimize_pages):
+        """On a sub-chain whose end pages touch, the ring the chain ladder
+        falls back to is closed over those pages, not over the array."""
+        from repro.compiler.ems import MapperConfig
+        from repro.compiler.paged import _map_once
+        from repro.dfg.random_dfg import random_dfg
+        from repro.util.errors import LadderExhausted
+
+        cgra = CGRA(4, 4)
+        sub = PageLayout(cgra, (2, 1)).subchain(2)
+        assert sub.ring_wrap_adjacent
+        dfg, config = random_dfg(12, n_ops=4), MapperConfig(max_ii=10)
+        with pytest.raises(LadderExhausted):
+            _map_once(dfg, cgra, sub, config)  # the chain cannot map it
+        pm = map_dfg_paged(
+            dfg, cgra, sub, config=config, minimize_pages=minimize_pages
+        )
+        assert pm.wrap_used and pm.ii == 3
+        assert pm.layout.num_pages == pm.full_layout.num_pages == 2
+        pes = [p.pe for p in pm.mapping.placements.values()]
+        pes += [s.pe for r in pm.mapping.routes.values() for s in r.steps]
+        assert all(pe in sub.page_of for pe in pes)
+        validate_mapping(pm.mapping, pm.layout)
+
+
 class TestFunctional:
     @pytest.mark.parametrize("name", FAST)
     def test_paged_mapping_computes_correctly(self, paged44, name):

@@ -252,12 +252,12 @@ def _paged(kernel, page_size, size=4):
     return get_kernel(kernel).build(), cgra, make_layout(cgra, page_size)
 
 
-def _probe(mapper, dfg, ii, order, domains=None):
+def _probe(mapper, dfg, ii, order):
     """One probe's outcome in the memo's own terms: ``(placements,
     routes)`` or ``(None, stuck)``.  *order* indexes the base orders."""
     if isinstance(order, int):
         order = mapper.attempt_orders(dfg)[order]
-    mapping = mapper._try_map(dfg, ii, list(order), domains)
+    mapping = mapper._try_map(dfg, ii, list(order))
     if mapping is None:
         return None, mapper.stuck
     assert mapping.cgra is mapper.cgra and mapping.dfg is dfg and mapping.ii == ii
@@ -438,34 +438,16 @@ def _scenario_prefix_length(probes_for):
     ]
 
 
-def _scenario_domains(probes_for):
-    """laplace 4x4 ps4, II 1, on the three-page prefix: pinned to its
-    clustering's pages it fails, free of them it maps — the hier rung's
-    attempt 0 and the page-need ladder after it."""
-    from repro.compiler.hier import HierMapper, cluster_dfg
-
-    dfg, cgra, layout = _paged("laplace", 4)
-    hier = HierMapper(cgra, layout, CONFIG, probes_for(dfg))
-    assignment = cluster_dfg(dfg, layout, 1)
-    prefix = hier.prefix_mapper(1 + max(assignment.values()))
-    id_of = cgra.grid_index.id_of
-    domains = {
-        op: tuple(sorted(id_of[pe] for pe in layout.coords_of_page(page)))
-        for op, page in assignment.items()
-    }
-    return [_probe(prefix, dfg, 1, 0, domains), _probe(prefix, dfg, 1, 0)]
-
-
 def _scenario_budgets(probes_for):
-    """laplace 4x4 ps4, II 2, one page: the hier backend's fail-fast prefix
-    mapper gives up where its full-budget one maps — one layout, two
-    tiers, never one entry."""
+    """laplace 4x4 ps4, II 2, one page: the hier backend's fail-fast
+    one-page mapper gives up where its full-budget one maps — one layout,
+    two tiers, never one entry."""
     from repro.compiler.hier import HierMapper
 
     dfg, cgra, layout = _paged("laplace", 4)
     hier = HierMapper(cgra, layout, CONFIG, probes_for(dfg))
     return [
-        _probe(hier.prefix_mapper(1, cheap=cheap), dfg, 2, 0) for cheap in (False, True)
+        _probe(hier.one_page_mapper(cheap=cheap), dfg, 2, 0) for cheap in (False, True)
     ]
 
 
@@ -487,7 +469,6 @@ def _without_prefix_length(key):
 SCENARIOS = {
     "allow_wrap": (_scenario_allow_wrap, _without_allow_wrap),
     "prefix_length": (_scenario_prefix_length, _without_prefix_length),
-    "domains": (_scenario_domains, lambda key: key[:-1]),
     "budgets": (_scenario_budgets, _without_budget),
 }
 
