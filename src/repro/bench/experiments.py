@@ -133,7 +133,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for flag in ("repeats", "configs"):
+        if getattr(args, flag) < 1:
+            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     if args.experiment == "list":
         print("\n".join(_LISTED))
         return 0

@@ -59,6 +59,8 @@ def main(argv: list[str] | None = None) -> int:
         help="artifact store root (default: $REPRO_CACHE_DIR/.repro_artifacts)",
     )
     args = p.parse_args(argv)
+    if not 0 <= args.port <= 65535:
+        p.error(f"--port must be in 0..65535, got {args.port}")
     try:
         config = ServiceConfig(
             store_root=args.store, workers=args.workers, slots=args.slots
@@ -69,6 +71,14 @@ def main(argv: list[str] | None = None) -> int:
         asyncio.run(_serve(config, args.host, args.port))
     except (KeyboardInterrupt, asyncio.CancelledError):
         print("repro.serve: stopped, worker pool shut down")
+    except OSError as exc:
+        # the listening socket could not be bound; the service and its
+        # worker pool are already closed (ServeServer.start)
+        print(
+            f"repro.serve: cannot listen on {args.host}:{args.port}: {exc}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -75,9 +75,14 @@ class ServeServer:
 
     async def start(self) -> "ServeServer":
         await self.service.start()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
+        try:
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port
+            )
+        except BaseException:
+            # `async with` never reaches __aexit__ when this raises
+            await self.service.close()
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
         return self
 

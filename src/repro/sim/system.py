@@ -1,13 +1,16 @@
 """Discrete-event simulation of a multithreaded CPU with a CGRA accelerator.
 
-Implements the paper's §VII-B evaluation system in two modes:
+Implements the paper's §VII-B evaluation system in two modes, both
+scheduled by one :class:`~repro.core.runtime.CGRAManager`:
 
 * ``"single"`` — the status-quo baseline: the CGRA is single-threaded and
-  non-preemptive; a kernel occupies the whole array (at its *unconstrained*
-  baseline II) and other threads queue FIFO;
+  non-preemptive, which is the manager with one whole-array slot
+  (:class:`~repro.core.policies.StaticEqualPolicy` of one thread): a kernel
+  occupies the whole array at its *unconstrained* baseline II and other
+  threads queue FIFO;
 * ``"multithreaded"`` — the paper's system: kernels are compiled with the
   paging constraints (paying the constrained ``II_paged``), and at runtime
-  the :class:`~repro.core.runtime.CGRAManager` space-multiplexes the array.
+  the manager space-multiplexes the array under ``SystemConfig.policy``.
   A kernel resident on *M* of the *N* pages progresses at the exact
   steady-state initiation interval of its PageMaster-transformed schedule,
   ``II_eff = steady_state_ii(N, II_paged, M)`` (``II_paged`` when it holds
@@ -33,7 +36,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -41,8 +43,8 @@ from typing import Mapping
 import numpy as np
 
 from repro.core.pagemaster import steady_state_ii
-from repro.core.policies import Allocation, AllocationPolicy, HalvingPolicy
-from repro.core.runtime import CGRAManager, Reallocation
+from repro.core.policies import AllocationPolicy, HalvingPolicy, StaticEqualPolicy
+from repro.core.runtime import CGRAManager
 from repro.sim.workload import ThreadSpec
 from repro.util.errors import SimulationError, WorkloadError
 
@@ -175,6 +177,10 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_pages < 1:
             raise SimulationError(f"n_pages must be >= 1, got {self.n_pages}")
+        if self.reconfig_overhead < 0:
+            raise SimulationError(
+                f"reconfig_overhead must be >= 0, got {self.reconfig_overhead}"
+            )
         if self.policy is None:
             self.policy = HalvingPolicy()
 
@@ -304,13 +310,10 @@ class _SystemSim:
         self.threads = {t.tid: _ThreadState(t) for t in workload}
         self.events: list = []
         self.counter = itertools.count()
+        policy = StaticEqualPolicy(1) if mode == "single" else config.policy
         self.manager = CGRAManager(
-            config.n_pages, config.policy, validate=config.validate_decisions
+            config.n_pages, policy, validate=config.validate_decisions
         )
-        self.single_running: int | None = None
-        # FIFO of threads waiting for the whole-array CGRA; deque so the
-        # dequeue is O(1) instead of list.pop(0)'s O(n) shift
-        self.single_queue: deque[int] = deque()
         self.decisions = None  # optional repro.sim.trace.DecisionTrace
         # initiation intervals per (kernel, allocation size), resolved
         # once: the integral-config detection of the fast lane — an
@@ -333,21 +336,6 @@ class _SystemSim:
         )
 
     # -- helpers --------------------------------------------------------------------
-
-    def _residents(self) -> dict[int, Allocation]:
-        if self.mode == "single":
-            if self.single_running is None:
-                return {}
-            return {self.single_running: Allocation(0, self.config.n_pages)}
-        return self.manager.residents
-
-    def _record_decision(
-        self, now: Fraction, kind: str, tid: int, reallocations
-    ) -> None:
-        if self.decisions is not None:
-            self.decisions.record(
-                now, kind, tid, reallocations, self._residents()
-            )
 
     def _profile(self, kernel: str) -> KernelProfile:
         try:
@@ -397,37 +385,11 @@ class _SystemSim:
             self._push(now + seg.cycles, "cpu_done", tid)
         else:
             self.result.kernel_invocations += 1
-            if self.mode == "single":
-                self._single_request(tid, now)
-            else:
-                self._mt_request(tid, now)
+            self._request(tid, now)
 
-    # single-threaded CGRA ------------------------------------------------------------
+    # -- the CGRA ----------------------------------------------------------------------
 
-    def _single_request(self, tid: int, now: Fraction) -> None:
-        if self.single_running is None:
-            grant = self._single_start(tid, now)
-            self._record_decision(now, "request", tid, [grant])
-        else:
-            self.threads[tid].queued_since = now
-            self.single_queue.append(tid)
-            self._record_decision(now, "request", tid, [])
-
-    def _single_start(self, tid: int, now) -> Reallocation:
-        st = self.threads[tid]
-        if st.queued_since is not None:
-            self.wait_cycles += now - st.queued_since
-            st.queued_since = None
-        seg = st.spec.segments[st.seg_idx]
-        self.single_running = tid
-        dur = _mul(seg.trip, self._ii_eff(seg.kernel, self.config.n_pages))
-        self.busy_page_cycles += _mul(dur, self.config.n_pages)
-        self._push(now + dur, "kernel_done", tid)
-        return Reallocation(tid, None, Allocation(0, self.config.n_pages))
-
-    # multithreaded CGRA ---------------------------------------------------------------
-
-    def _mt_request(self, tid: int, now) -> None:
+    def _request(self, tid: int, now) -> None:
         st = self.threads[tid]
         seg = st.spec.segments[st.seg_idx]
         st.iterations_left = seg.trip
@@ -436,7 +398,9 @@ class _SystemSim:
             tid, need=self._profile(seg.kernel).pages_used
         )
         if self.decisions is not None:
-            self._record_decision(now, "request", tid, events)
+            self.decisions.record(
+                now, "request", tid, events, self.manager.residents
+            )
         # an admission is the request's own event; with none the thread
         # stays queued until a release admits it
         self._apply_reallocations(events, now, tid)
@@ -465,8 +429,9 @@ class _SystemSim:
     def _apply_reallocations(self, events, now, decider: int) -> None:
         """Apply one manager decision's reallocations to the threads.
 
-        Every event of a thread other than *decider* counts as one
-        reallocation.  The decider's own event is its admission (applied
+        In multithreaded mode every event of a thread other than *decider*
+        counts as one reallocation (the baseline's queue-head admissions
+        stay uncounted).  The decider's own event is its admission (applied
         here) or its departure (skipped: the caller advances the thread).
 
         A decision can name a thread several times (a neighbour expands
@@ -499,7 +464,8 @@ class _SystemSim:
                 net[tid] = (ev.before, ev.after, ev.before is not None)
             else:
                 net[tid] = (prev[0], ev.after, True)
-        self.result.reallocations += reallocs
+        if self.mode == "multithreaded":
+            self.result.reallocations += reallocs
         cfg = self.config
         keep_same_length = not (
             cfg.reconfig_overhead or cfg.switch_at_iteration_boundary
@@ -507,14 +473,14 @@ class _SystemSim:
         for tid, (before, after, reshaped) in net.items():
             st = self.threads[tid]
             if before is None:
-                self._mt_activate(tid, st, now, after, reshaped)
+                self._activate(tid, st, now, after, reshaped)
             elif keep_same_length and before.length == after.length:
                 st.version += 1
                 self._push(st.done_at, "kernel_done", tid)
             else:
                 self._reshape(tid, st, now, before, after)
 
-    def _mt_activate(self, tid: int, st: _ThreadState, now, alloc, reshaped) -> None:
+    def _activate(self, tid: int, st: _ThreadState, now, alloc, reshaped) -> None:
         """Start a queued thread's kernel on *alloc*, the last segment this
         decision gave it; *reshaped* when the decision moved it again after
         admitting it, which stalls it like any reshape."""
@@ -578,7 +544,6 @@ class _SystemSim:
         threads = self.threads
         heappop = heapq.heappop
         n_arrivals = len(wheel)
-        single = self.mode == "single"
         while heap or ai < n_arrivals:
             # arrivals precede heap events at the same instant, matching
             # the arrival-events-pushed-first order of the unbatched loop
@@ -597,32 +562,22 @@ class _SystemSim:
                 st.seg_idx += 1
                 self._start_segment(tid, now, st)
             elif kind == "kernel_done":
-                if single:
-                    full = Allocation(0, self.config.n_pages)
-                    self.single_running = None
-                    reallocs = [Reallocation(tid, full, None)]
-                    if self.single_queue:
-                        reallocs.append(
-                            self._single_start(self.single_queue.popleft(), now)
-                        )
-                    self._record_decision(now, "release", tid, reallocs)
-                    st.seg_idx += 1
-                    self._start_segment(tid, now)
-                else:
-                    self._progress(
-                        st, now, self.manager.threads[tid].allocation.length
+                self._progress(
+                    st, now, self.manager.threads[tid].allocation.length
+                )
+                if st.iterations_left > 0:
+                    # numeric guard; with exact fractions this only
+                    # happens for stale events filtered above
+                    self._schedule_completion(tid, now)
+                    continue
+                events = self.manager.release(tid)
+                if self.decisions is not None:
+                    self.decisions.record(
+                        now, "release", tid, events, self.manager.residents
                     )
-                    if st.iterations_left > 0:
-                        # numeric guard; with exact fractions this only
-                        # happens for stale events filtered above
-                        self._schedule_completion(tid, now)
-                        continue
-                    events = self.manager.release(tid)
-                    if self.decisions is not None:
-                        self._record_decision(now, "release", tid, events)
-                    st.seg_idx += 1
-                    self._apply_reallocations(events, now, tid)
-                    self._start_segment(tid, now, st)
+                st.seg_idx += 1
+                self._apply_reallocations(events, now, tid)
+                self._start_segment(tid, now, st)
             else:
                 raise SimulationError(f"unknown event kind {kind!r}")
         unfinished = [t for t, s in self.threads.items() if s.finished is None]

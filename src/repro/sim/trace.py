@@ -5,9 +5,9 @@
   mappings and transformed schedules (``render()`` prints a per-cycle
   log like a waveform viewer's transcript).
 * :class:`DecisionTrace` — the one record of a system run: every
-  allocation decision (``CGRAManager`` request/release, or the single-mode
-  FIFO grant) at its exact time, with the reallocations applied and the
-  post-decision resident map.  The cycle-quantum oracle
+  ``CGRAManager`` request/release decision (in single mode the manager
+  has one whole-array slot) at its exact time, with the reallocations
+  applied and the post-decision resident map.  The cycle-quantum oracle
   (:mod:`repro.sim.oracle`) replays it to re-derive finish times,
   busy-page-cycles and wait cycles independently of the event-driven
   engine.
@@ -218,10 +218,10 @@ class SystemTimeline:
 class Decision:
     """One allocation decision, with exact time and full context.
 
-    ``kind`` is ``"request"`` (a thread asked for the CGRA — in single
-    mode the grant of the whole array, in multithreaded mode the manager
-    admission) or ``"release"`` (a thread finished its kernel — including
-    any expansions/admissions of other threads the departure triggered).
+    ``kind`` is ``"request"`` (a thread asked for the CGRA: the manager's
+    admission, in single mode a grant of the whole array) or
+    ``"release"`` (a thread finished its kernel — including any
+    expansions/admissions of other threads the departure triggered).
     ``reallocations`` are the :class:`~repro.core.runtime.Reallocation`
     events applied (empty when the requester was queued), and
     ``residents`` is the complete post-decision allocation map.

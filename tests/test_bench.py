@@ -214,3 +214,25 @@ class TestCLI:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig9_4x4", "--repeats", "0"],
+            ["headline", "--repeats", "-1"],
+            ["sim-oracle", "--configs", "0"],
+            ["sim-oracle", "--configs", "-3"],
+        ],
+    )
+    def test_empty_counts_are_usage_errors(self, argv, capsys):
+        """A repeat or config count below one is an argparse usage error,
+        not a ``StatisticsError`` over no samples or an "all green" over
+        nothing verified."""
+        from repro.bench.experiments import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"{argv[1]} must be >= 1, got {argv[2]}" in captured.err
+        assert captured.out == ""

@@ -227,6 +227,43 @@ class TestFairScheduler:
         assert exit_.value.code == 2  # argparse usage error
         assert "slots must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("port", [-1, 70000])
+    def test_rejects_out_of_range_port(self, port, capsys):
+        """A port outside 0..65535 is a usage error, not an
+        ``OverflowError`` out of the socket layer."""
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--port", str(port)])
+        assert exit_.value.code == 2  # argparse usage error
+        assert f"--port must be in 0..65535, got {port}" in capsys.readouterr().err
+
+    def test_busy_port_is_one_line(self, tmp_path, capsys, monkeypatch):
+        """A port already in use prints one line to stderr and exits 1,
+        after the service (started before the bind) is closed again."""
+        from repro.serve.__main__ import main
+
+        closed = []
+        real_close = CompileService.close
+
+        async def close(self):
+            closed.append(self._started)
+            await real_close(self)
+
+        monkeypatch.setattr(CompileService, "close", close)
+        with socket.socket() as busy:
+            busy.bind(("127.0.0.1", 0))
+            busy.listen()
+            port = busy.getsockname()[1]
+            code = main(["--port", str(port), "--store", str(tmp_path / "s")])
+        assert code == 1
+        assert closed == [True]
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith(f"repro.serve: cannot listen on 127.0.0.1:{port}: ")
+        assert "Traceback" not in captured.err
+
 
 # --------------------------------------------------------------- singleflight
 

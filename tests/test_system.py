@@ -3,15 +3,19 @@ and the discrete-event simulation of both CGRA modes."""
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies import FairSharePolicy
+from repro.core.policies import FairSharePolicy, StaticEqualPolicy
+from repro.sim.fuzz import _case_inputs, make_case
 from repro.sim.oracle import check_invariants
 from repro.sim.system import (
     KernelProfile,
     SystemConfig,
+    SystemResult,
     improvement,
 )
 from repro.sim.system import simulate_system as _simulate_system
@@ -110,6 +114,39 @@ class TestSingleMode:
         ]
         res = simulate_system(wl, config(), "single")
         assert res.makespan == 100
+
+    def test_baseline_is_the_one_slot_manager(self):
+        """The single-threaded baseline is the page manager with one
+        whole-array slot at the unconstrained II: on the fuzz lattice,
+        ``"single"`` and ``"multithreaded"`` under ``StaticEqualPolicy(1)``
+        with ``ii_paged = ii_base`` decide the same grants at the same
+        times and give the same result (only the multithreaded run counts
+        its queue-head admissions as reallocations)."""
+        for i in range(48):
+            workload, cfg = _case_inputs(make_case(i, 0))
+            single = DecisionTrace()
+            base = _simulate_system(workload, cfg, "single", decisions=single)
+            cfg.policy = StaticEqualPolicy(1)
+            cfg.profiles = {
+                k: KernelProfile(k, p.ii_base, p.ii_base)
+                for k, p in cfg.profiles.items()
+            }
+            managed = DecisionTrace()
+            one_slot = _simulate_system(
+                workload, cfg, "multithreaded", decisions=managed
+            )
+            assert single.decisions == managed.decisions, i
+            for f in fields(SystemResult):
+                if f.name not in ("mode", "reallocations"):
+                    assert getattr(base, f.name) == getattr(one_slot, f.name), (
+                        i,
+                        f.name,
+                    )
+
+    def test_negative_reconfig_overhead_rejected(self):
+        with pytest.raises(SimulationError, match="reconfig_overhead"):
+            config(reconfig_overhead=-5)
+        assert config(reconfig_overhead=0).reconfig_overhead == 0
 
 
 class TestMultithreadedMode:
