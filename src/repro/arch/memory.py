@@ -18,10 +18,12 @@ re-checked by the simulator; the memory itself only does loads and stores.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.util.errors import SimulationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ArraySpec", "DataMemory"]
 
@@ -43,6 +45,8 @@ class DataMemory:
     """
 
     def __init__(self, size: int = 1 << 16) -> None:
+        import numpy as np
+
         if size <= 0:
             raise SimulationError(f"memory size must be positive, got {size}")
         self.size = size
@@ -56,6 +60,8 @@ class DataMemory:
 
     def bind_array(self, name: str, values) -> ArraySpec:
         """Allocate and initialise a named array; returns its spec."""
+        import numpy as np
+
         if name in self._arrays:
             raise SimulationError(f"array {name!r} already bound")
         data = np.asarray(values, dtype=np.int64)

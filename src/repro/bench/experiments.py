@@ -138,6 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     for flag in ("repeats", "configs"):
         if getattr(args, flag) < 1:
             parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.experiment == "list":
         print("\n".join(_LISTED))
         return 0

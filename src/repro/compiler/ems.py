@@ -70,7 +70,7 @@ from repro.dfg.graph import DFG
 from repro.dfg.graphalg import strong_components
 from repro.util.errors import MappingError
 from repro.util.fingerprint import canonical_fingerprint
-from repro.util.rng import make_rng
+from repro.util.rng import PCG64Stream
 
 __all__ = [
     "BACKENDS",
@@ -130,6 +130,11 @@ class MapperConfig:
                 f"unknown mapper backend {self.backend!r} "
                 f"(valid: {', '.join(BACKENDS)})"
             )
+        if self.seed < 0:
+            raise MappingError(f"mapper seed must be >= 0, got {self.seed}")
+        for knob in ("max_ii", "attempts_per_ii"):
+            if getattr(self, knob) < 1:
+                raise MappingError(f"{knob} must be >= 1, got {getattr(self, knob)}")
 
     def fingerprint(self) -> str:
         """Canonical hash over every knob and the :data:`FULL_BUDGET` the
@@ -319,7 +324,7 @@ class EMSMapper:
             return list(orders[attempt])
         per_ii = self.config.attempts_per_ii - len(orders)
         preceding = (ii - start_ii) * per_ii + (attempt - len(orders))
-        rng = make_rng(self.config.seed)
+        rng = PCG64Stream(self.config.seed)
         for _ in range(preceding):
             self._perturb(list(orders[0]), rng)
         order = list(orders[0])

@@ -9,13 +9,16 @@ stress-testing mappers beyond the 11-kernel suite.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.arch.isa import Opcode
 from repro.dfg.builder import DFGBuilder, Value
 from repro.dfg.graph import DFG
 from repro.util.errors import GraphError
 from repro.util.rng import make_rng
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["random_dfg", "random_arrays"]
 
@@ -102,6 +105,8 @@ def random_arrays(
     dfg: DFG, seed: int, trip: int
 ) -> dict[str, np.ndarray]:
     """Input/output arrays sized for *trip* iterations of a random kernel."""
+    import numpy as np
+
     rng = make_rng(seed ^ 0xA5A5)
     arrays: dict[str, np.ndarray] = {}
     for op in dfg.ops.values():

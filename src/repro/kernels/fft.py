@@ -8,10 +8,13 @@ streams (Q7 twiddle factors).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -42,6 +45,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "a_re": rng.integers(-128, 128, trip, dtype=np.int64),
         "a_im": rng.integers(-128, 128, trip, dtype=np.int64),

@@ -5,10 +5,13 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -26,6 +29,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "in": rng.integers(0, 256, trip + 2, dtype=np.int64),
         "out": np.zeros(trip, dtype=np.int64),

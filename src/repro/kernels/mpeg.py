@@ -6,10 +6,13 @@ example family: three loads, one store, arithmetic in between).
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -29,6 +32,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "fwd": rng.integers(0, 256, trip, dtype=np.int64),
         "bwd": rng.integers(0, 256, trip, dtype=np.int64),
@@ -38,6 +43,8 @@ def arrays(rng: np.random.Generator, trip: int):
 
 
 def golden(a, trip: int):
+    import numpy as np
+
     avg = (a["fwd"][:trip] + a["bwd"][:trip] + 1) >> 1
     a["out"][:trip] = np.clip(avg + a["resid"][:trip], 0, 255)
     return a

@@ -10,10 +10,13 @@ stresses the data-bus resource bound.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -48,6 +51,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "r0": rng.integers(0, 256, trip + 2, dtype=np.int64),
         "r1": rng.integers(0, 256, trip + 2, dtype=np.int64),
@@ -57,6 +62,8 @@ def arrays(rng: np.random.Generator, trip: int):
 
 
 def golden(a, trip: int):
+    import numpy as np
+
     r0, r1, r2 = a["r0"], a["r1"], a["r2"]
     gx = (
         (r0[2 : trip + 2] - r0[:trip])

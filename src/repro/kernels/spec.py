@@ -13,19 +13,20 @@ and the simulator's 32-bit wrapping semantics agree exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from repro.arch.memory import DataMemory
 from repro.dfg.graph import DFG
 from repro.util.errors import WorkloadError
 from repro.util.rng import make_rng
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = ["KernelSpec", "bind_memory", "fresh_arrays"]
 
-ArraysFn = Callable[[np.random.Generator, int], dict[str, np.ndarray]]
-GoldenFn = Callable[[dict[str, np.ndarray], int], dict[str, np.ndarray]]
+ArraysFn = Callable[["np.random.Generator", int], "dict[str, np.ndarray]"]
+GoldenFn = Callable[["dict[str, np.ndarray]", int], "dict[str, np.ndarray]"]
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ velocity and pressure fields from each other's spatial differences.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -29,6 +32,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "u": rng.integers(-128, 128, trip + 1, dtype=np.int64),
         "p": rng.integers(0, 256, trip + 1, dtype=np.int64),

@@ -6,10 +6,13 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -26,6 +29,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "in": rng.integers(0, 256, 2 * trip, dtype=np.int64),
         "s": np.zeros(trip, dtype=np.int64),

@@ -11,10 +11,13 @@ arithmetic chains) — it exercises compute ResMII on small CGRAs.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SPEC"]
 
@@ -49,6 +52,8 @@ def build():
 
 
 def arrays(rng: np.random.Generator, trip: int):
+    import numpy as np
+
     return {
         "y": rng.integers(16, 236, trip, dtype=np.int64),
         "u": rng.integers(16, 241, trip, dtype=np.int64),
@@ -60,6 +65,8 @@ def arrays(rng: np.random.Generator, trip: int):
 
 
 def golden(a, trip: int):
+    import numpy as np
+
     c = a["y"][:trip] - 16
     d = a["u"][:trip] - 128
     e = a["v"][:trip] - 128

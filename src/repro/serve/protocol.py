@@ -105,6 +105,8 @@ class CompileRequest:
         req = cls(**out)
         if req.size < 1 or req.page_size < 1:
             raise ProtocolError("'size' and 'page_size' must be >= 1")
+        if req.seed < 0:
+            raise ProtocolError(f"'seed' must be >= 0, got {req.seed}")
         if req.prefer not in _VALID_PREFER:
             raise ProtocolError(
                 f"'prefer' must be one of {_VALID_PREFER}, got {req.prefer!r}"

@@ -236,3 +236,16 @@ class TestCLI:
         captured = capsys.readouterr()
         assert f"{argv[1]} must be >= 1, got {argv[2]}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("experiment", ["fig8_4x4", "sim-oracle"])
+    def test_negative_seed_is_a_usage_error(self, experiment, capsys):
+        """A negative ``--seed`` is an argparse usage error, not a numpy
+        traceback out of the workload generator or the mapper."""
+        from repro.bench.experiments import main
+
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""

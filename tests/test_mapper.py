@@ -91,6 +91,27 @@ class TestMappingQuality:
         with pytest.raises(MappingError):
             map_dfg(DFG(), CGRA(4, 4))
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [{"seed": -1}, {"attempts_per_ii": 0}, {"max_ii": 0}],
+    )
+    def test_config_out_of_range_rejected(self, knobs):
+        """A ladder with no width or length, or a perturbation stream with
+        a negative seed, is refused when the config is built — not after
+        64 empty rungs, or only on kernels whose ladder reaches a
+        perturbed attempt."""
+        name = next(iter(knobs))
+        with pytest.raises(MappingError, match=name):
+            MapperConfig(**knobs)
+
+    def test_negative_job_seed_rejected_before_compiling(self):
+        """sor wins its ladder before any perturbed attempt, so a negative
+        seed used to compile (and store) an artifact."""
+        from repro.pipeline.compile import CompileJob, compile_job_stats
+
+        with pytest.raises(MappingError, match="seed"):
+            compile_job_stats(CompileJob("sor", 4, 4, seed=-1))
+
 
 class TestFunctionalEquivalence:
     @pytest.mark.parametrize("name", FAST_KERNELS)

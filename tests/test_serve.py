@@ -101,6 +101,12 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             CompileRequest.from_dict({"kernel": "sor", **patch})
 
+    def test_negative_seed_rejected(self):
+        """A negative mapper seed is a 400, not a compile that succeeds or
+        fails depending on the kernel."""
+        with pytest.raises(ProtocolError, match="'seed' must be >= 0"):
+            CompileRequest.from_dict({"kernel": "sor", "seed": -1})
+
     def test_bad_backend_names_the_valid_set(self):
         with pytest.raises(ProtocolError, match=r"\('flat', 'hier'\)"):
             CompileRequest.from_dict({"kernel": "sor", "backend": "exact"})

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.util.errors import ReproError, SimulationError
-from repro.util.rng import derive_seed, make_rng
+from repro.util.rng import PCG64Stream, derive_seed, make_rng
 from repro.util.tables import format_table
 
 
@@ -31,6 +37,88 @@ class TestRng:
     def test_derive_seed_streams_independent(self):
         assert derive_seed(5, "a") != derive_seed(5, "b")
         assert derive_seed(5, 1) != derive_seed(5, 2)
+
+
+class TestPCG64Stream:
+    """The mapper's perturbation stream is numpy's ``default_rng(seed).
+    integers(n)``, draw for draw: every stored artifact's bytes depend on
+    it, and numpy is the reference it is checked against."""
+
+    #: 2 000 draws per seed, the bounds interleaved
+    BOUNDS = [(1, 2, 3, 7, 30, 2**31, 2**32)[k % 7] for k in range(2000)]
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [range(0, 32), range(32, 64), (2**32, 2**64 + 123, 2**130 + 7)],
+        ids=["0-31", "32-63", "wide"],
+    )
+    def test_draws_equal_numpy(self, seeds):
+        for seed in seeds:
+            ours, ref = PCG64Stream(seed), np.random.default_rng(seed)
+            got = [ours.integers(n) for n in self.BOUNDS]
+            assert got == [int(ref.integers(n)) for n in self.BOUNDS], seed
+
+    def test_out_of_range_raises(self):
+        with pytest.raises(ValueError, match="seed"):
+            PCG64Stream(-1)
+        with pytest.raises(ValueError, match="bound"):
+            PCG64Stream(0).integers(0)
+        with pytest.raises(ValueError, match="bound"):
+            PCG64Stream(0).integers(2**32 + 1)
+
+
+NO_NUMPY_CHILD = """
+import asyncio, sys, tempfile
+from pathlib import Path
+
+from repro.analysis.audit import audit_file
+from repro.pipeline import ArtifactStore, CompileJob
+from repro.pipeline.compile import compile_job_stats
+from repro.serve.protocol import CompileRequest
+from repro.serve.service import CompileService, ServiceConfig
+
+art, stats = compile_job_stats(CompileJob("compress", 4, 2, seed=0))
+perturbed = max(row[1] for ladder in stats.ladders for row in ladder.timeline)
+with tempfile.TemporaryDirectory() as tmp:
+    store = ArtifactStore(tmp)
+    path = Path(store.put(art))
+    audit = audit_file(path, path.relative_to(tmp).as_posix())
+
+    async def serve():
+        config = ServiceConfig(store_root=str(Path(tmp) / "served"), workers=1)
+        request = {"kernel": "compress", "size": 4, "page_size": 2}
+        async with CompileService(config) as service:
+            return [
+                await service.submit(CompileRequest.from_dict(request))
+                for _ in range(2)
+            ]
+
+    served = asyncio.run(serve())
+    print(perturbed, audit.status, *(r.source for r in served),
+          all(r.body == path.read_bytes() for r in served), "numpy" in sys.modules)
+"""
+
+
+def test_compile_audit_and_serve_never_import_numpy():
+    """Importing the entry points without numpy is not enough: a lazy
+    import could still fire at runtime.  A fresh interpreter compiles a
+    job whose ladder reaches a perturbed attempt, audits the artifact and
+    serves it (a miss, then a hit); numpy is still not loaded."""
+    src = str(Path(repro.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_CHILD],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr
+    perturbed, status, first, second, same, numpy_loaded = child.stdout.split()
+    assert int(perturbed) >= 3  # compress 4x4 ps2 wins its chain at attempt 3
+    assert (status, first, second, same) == ("ok", "compiled", "hit", "True")
+    assert numpy_loaded == "False"
 
 class TestTables:
     def test_format_table_basic(self):
