@@ -18,12 +18,11 @@ reconstructed deterministically from the mapping by :meth:`materialize`.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
 from repro.util.errors import ArtifactError
-from repro.util.fingerprint import canonical_json
+from repro.util.fingerprint import canonical_json, sha256
 
 __all__ = ["ARTIFACT_VERSION", "ArtifactKey", "CompiledKernel"]
 
@@ -46,7 +45,7 @@ class ArtifactKey:
     def digest(self) -> str:
         """Filesystem-safe combined digest used as the store filename."""
         blob = f"{self.dfg_fp}/{self.arch_fp}/{self.mapper_fp}".encode("ascii")
-        return hashlib.sha256(blob).hexdigest()
+        return sha256(blob).hexdigest()
 
     def __str__(self) -> str:
         return f"{self.dfg_fp}/{self.arch_fp}/{self.mapper_fp}"

@@ -29,10 +29,7 @@ none, its worker process has no owner to keep one.
 
 from __future__ import annotations
 
-import multiprocessing
-import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -317,6 +314,8 @@ def _job_outcome_pooled(job: CompileJob):
     pickled back to the parent, so a failure whose exception does not
     survive the round trip travels as its class name and message alone
     (an unpicklable result would otherwise break the whole pool)."""
+    import pickle  # a pool worker's import: the serial path never pickles
+
     outcome = _job_outcome(job)
     if isinstance(outcome, CompileFailure):
         try:
@@ -368,6 +367,12 @@ def compile_many_outcomes(
             pending.append(job)
     if pending:
         if workers > 1 and len(pending) > 1:
+            # imported here, where a pool is spawned: the process-pool
+            # stack (multiprocessing, pickle, socket, queue) is ~1.7 MiB
+            # that a serial compile never uses
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # spawn, not fork: the caller may be a threaded process
             with ProcessPoolExecutor(
                 min(workers, len(pending)),

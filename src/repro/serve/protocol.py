@@ -17,6 +17,7 @@ import json
 import re
 from dataclasses import dataclass, field
 
+from repro.arch.presets import PRESET_SIZES
 from repro.compiler.ems import BACKENDS
 from repro.pipeline.compile import CompileJob
 
@@ -40,6 +41,16 @@ MAX_HEADER_LINES = 100
 MAX_HEAD_BYTES = 64 << 10
 
 _VALID_PREFER = ("square", "column", "row")
+
+#: Grid sizes a request may name: key resolution builds the fabric before
+#: anything else runs, and that costs time and memory growing with the
+#: grid (0.7 s and 51 MiB at 256, 14 s and 686 MiB at 1024), so a size past
+#: the largest preset is refused as malformed.  Below 2 is no fabric.
+MIN_SIZE, MAX_SIZE = 2, max(PRESET_SIZES)
+
+#: ``Content-Length`` is ``1*DIGIT``: ``int()`` would also take ``+5``,
+#: ``-0`` or ``1_0`` (as 10).
+_LENGTH_RE = re.compile(r"[0-9]+")
 
 #: ``tenant`` and ``request_id`` are echoed into response headers
 #: (``X-Repro-Request-Id``; a server-assigned id embeds the tenant), so they
@@ -103,8 +114,12 @@ class CompileRequest:
                     raise ProtocolError(f"'{name}' must be a string")
                 out[name] = value
         req = cls(**out)
-        if req.size < 1 or req.page_size < 1:
-            raise ProtocolError("'size' and 'page_size' must be >= 1")
+        if not MIN_SIZE <= req.size <= MAX_SIZE:
+            raise ProtocolError(
+                f"'size' must be in {MIN_SIZE}..{MAX_SIZE}, got {req.size}"
+            )
+        if req.page_size < 1:
+            raise ProtocolError("'page_size' must be >= 1")
         if req.seed < 0:
             raise ProtocolError(f"'seed' must be >= 0, got {req.seed}")
         if req.prefer not in _VALID_PREFER:
@@ -181,9 +196,12 @@ class HttpRequest:
     body: bytes = b""
 
     def json(self):
+        """The decoded body.  ``ValueError`` covers a syntax error, bytes
+        that are not UTF-8 and an integer past the interpreter's digit
+        limit; ``RecursionError`` a body nested past the recursion limit."""
         try:
             return json.loads(self.body) if self.body else {}
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
 
@@ -217,8 +235,11 @@ async def read_http_request(reader) -> HttpRequest | None:
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
-    if length < 0 or length > MAX_BODY_BYTES:
+    value = headers.get("content-length", "0")
+    if not _LENGTH_RE.fullmatch(value):
+        raise ProtocolError(f"malformed content-length: {value!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(f"content-length {length} out of bounds")
     body = await reader.readexactly(length) if length else b""
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)

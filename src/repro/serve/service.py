@@ -55,11 +55,10 @@ is replaced before the next miss (DESIGN.md §13).
 from __future__ import annotations
 
 import asyncio
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.compiler.search import ProbeMemo
 from repro.pipeline.artifact import ArtifactKey, CompiledKernel
@@ -75,6 +74,9 @@ from repro.serve.protocol import CompileRequest, ServeResult
 from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
 from repro.serve.singleflight import Flight, Singleflight
 from repro.util.errors import ReproError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = ["ServiceConfig", "CompileService"]
 
@@ -205,7 +207,12 @@ class CompileService:
     def _spawn_jobs_pool(self) -> list:
         """(Re)place the job pool; the futures of its warm-up tasks.  One
         warm-up per worker, submitted back to back, starts every process
-        now — spawned, not forked: this process has threads."""
+        now — spawned, not forked: this process has threads.  The pool's
+        imports live here, so a ``workers = 1`` service never loads
+        ``multiprocessing``."""
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         self._jobs = ProcessPoolExecutor(
             self.config.workers,
             mp_context=multiprocessing.get_context("spawn"),
@@ -419,6 +426,8 @@ class CompileService:
         if jobs is None:
             outcome = await loop.run_in_executor(self._pool, self._compile_inline, job)
         else:
+            from concurrent.futures.process import BrokenProcessPool
+
             try:
                 outcome = await loop.run_in_executor(jobs, _job_outcome_pooled, job)
             except BrokenProcessPool:

@@ -10,10 +10,21 @@ hashing a JSON rendering with sorted keys and fixed separators.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
-__all__ = ["canonical_json", "canonical_fingerprint", "FINGERPRINT_LENGTH"]
+# SHA-256 from the interpreter's built-in module, not from ``hashlib``:
+# importing ``hashlib`` loads ``_hashlib``, which maps OpenSSL's libcrypto
+# (+3.4 MiB resident) into every process that compiles or audits, and
+# SHA-256 is the only hash this package needs.  The digests are the same.
+try:  # CPython >= 3.12
+    from _sha2 import sha256
+except ImportError:
+    try:  # CPython 3.10 and 3.11
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without the built-in module
+        from hashlib import sha256
+
+__all__ = ["canonical_json", "canonical_fingerprint", "sha256", "FINGERPRINT_LENGTH"]
 
 #: Hex digits kept from the sha256 digest.  64 bits — collisions across the
 #: handful of thousands of artifacts a repository ever holds are negligible,
@@ -31,4 +42,4 @@ def canonical_json(payload) -> str:
 def canonical_fingerprint(payload, *, length: int = FINGERPRINT_LENGTH) -> str:
     """Stable hex digest of a JSON-able *payload*."""
     blob = canonical_json(payload).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:length]
+    return sha256(blob).hexdigest()[:length]

@@ -475,11 +475,13 @@ class TestBatchOutcomes:
 
     @pytest.mark.parametrize("jobs, workers", [(1, 4), (3, 1)])
     def test_no_pool_for_one_miss_or_one_worker(self, monkeypatch, jobs, workers):
-        import repro.pipeline.compile as compile_mod
+        """The pool class is imported where a pool is spawned, so it is
+        patched where that import finds it."""
+        import concurrent.futures
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was created")
 
-        monkeypatch.setattr(compile_mod, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         batch = [CompileJob(k, 4, 4) for k in ("sor", "mpeg", "gsr")[:jobs]]
         assert len(compile_many(batch, workers=workers)) == jobs

@@ -95,6 +95,9 @@ class TestProtocol:
             {"request_id": ""},
             {"request_id": "a\r\nX-Evil: 1"},
             {"request_id": "\u00e9-1"},
+            {"size": 1},
+            {"size": 17},
+            {"size": 1024},
         ],
     )
     def test_bad_fields_rejected(self, patch):
@@ -1317,16 +1320,29 @@ class TestConnections:
             (_HEAD + b"X-Long: " + b"a" * (MAX_HEAD_BYTES - len(_HEAD) - 9) + b"\r\n", False),
             (_HEAD + b"no colon here\r\n", False),
             (_HEAD + b"Host: x\r\n", True),
+            (_HEAD + b"Content-Length: 1_0\r\n\r\n" + b"x" * 10, False),
+            (_HEAD + b"Content-Length: +5\r\n\r\n" + b"x" * 5, False),
+            (_HEAD + b"Content-Length: -0\r\n\r\n", False),
         ],
-        ids=["too_many_lines", "over_long_line", "no_colon", "eof_in_head"],
+        ids=[
+            "too_many_lines",
+            "over_long_line",
+            "no_colon",
+            "eof_in_head",
+            "length_underscore",
+            "length_plus",
+            "length_minus_zero",
+        ],
     )
     def test_a_bad_request_head_is_a_400_and_a_closed_connection(
         self, tmp_path, head, eof
     ):
         """The head is read only up to its caps: a flood of header lines, one
-        line past the byte cap, a line without a colon or a head cut short
-        by EOF is answered 400 and the connection closes; the server goes
-        on serving with nothing left held."""
+        line past the byte cap, a line without a colon, a head cut short
+        by EOF or a ``Content-Length`` that is not ASCII digits alone (what
+        ``int()`` would take: ``1_0`` as 10, ``+5``, ``-0``) is answered 400
+        and the connection closes; the server goes on serving with nothing
+        left held."""
 
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
@@ -1347,6 +1363,52 @@ class TestConnections:
         assert json.loads(payload.partition(b"\r\n\r\n")[2])["error"] == "ProtocolError"
         assert health[0] == 200
         assert stats["requests"] == 0 and _idle(stats)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"kernel": "sor", "seed": ' + b"9" * 5001 + b"}",
+            b"[" * 100_000,
+            b'{"kernel": "\xff"}',
+        ],
+        ids=["int_past_digit_limit", "nested_past_recursion_limit", "not_utf8"],
+    )
+    def test_an_undecodable_body_is_a_400_and_nothing_logged(
+        self, tmp_path, caplog, payload
+    ):
+        """A body ``json.loads`` refuses with something other than a
+        ``JSONDecodeError`` — an integer past the interpreter's digit limit,
+        nesting past the recursion limit, bytes that are not UTF-8 — is a
+        400 like any malformed body, logs nothing, and the connection
+        serves on."""
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with ServeServer(config) as server:
+                async with ServeClient(server.host, server.port) as client:
+                    client._writer.write(
+                        b"POST /compile HTTP/1.1\r\nContent-Length: "
+                        + str(len(payload)).encode("ascii")
+                        + b"\r\n\r\n"
+                        + payload
+                    )
+                    status_line = await client._reader.readline()
+                    head = await client._reader.readuntil(b"\r\n\r\n")
+                    length = int(
+                        head.lower().partition(b"content-length:")[2].split()[0]
+                    )
+                    answer = json.loads(await client._reader.readexactly(length))
+                    health = await client.request("GET", "/healthz")
+                return status_line, answer, health, server.service.stats()
+
+        with caplog.at_level("WARNING"):
+            status_line, answer, health, stats = _run(body())
+        assert status_line == b"HTTP/1.1 400 Bad Request\r\n"
+        assert answer["error"] == "ProtocolError"
+        assert "not valid JSON" in answer["message"]
+        assert health[0] == 200
+        assert stats["requests"] == 0 and _idle(stats)
+        assert [r.getMessage() for r in caplog.records] == []
 
     def test_close_ends_an_idle_keep_alive_connection(self, tmp_path):
         """A client idle on a keep-alive connection reads EOF within 1 s of

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.util.errors import ReproError, SimulationError
+from repro.util.fingerprint import sha256
 from repro.util.rng import PCG64Stream, derive_seed, make_rng
 from repro.util.tables import format_table
 
@@ -95,7 +99,8 @@ with tempfile.TemporaryDirectory() as tmp:
 
     served = asyncio.run(serve())
     print(perturbed, audit.status, *(r.source for r in served),
-          all(r.body == path.read_bytes() for r in served), "numpy" in sys.modules)
+          all(r.body == path.read_bytes() for r in served),
+          *(m in sys.modules for m in ("numpy", "_hashlib", "multiprocessing")))
 """
 
 
@@ -103,7 +108,8 @@ def test_compile_audit_and_serve_never_import_numpy():
     """Importing the entry points without numpy is not enough: a lazy
     import could still fire at runtime.  A fresh interpreter compiles a
     job whose ladder reaches a perturbed attempt, audits the artifact and
-    serves it (a miss, then a hit); numpy is still not loaded."""
+    serves it at ``workers=1`` (a miss, then a hit); numpy is still not
+    loaded, nor OpenSSL's ``_hashlib``, nor the process-pool stack."""
     src = str(Path(repro.__file__).parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -115,10 +121,20 @@ def test_compile_audit_and_serve_never_import_numpy():
         timeout=120,
     )
     assert child.returncode == 0, child.stderr
-    perturbed, status, first, second, same, numpy_loaded = child.stdout.split()
+    perturbed, status, first, second, same, *loaded = child.stdout.split()
     assert int(perturbed) >= 3  # compress 4x4 ps2 wins its chain at attempt 3
     assert (status, first, second, same) == ("ok", "compiled", "hit", "True")
-    assert numpy_loaded == "False"
+    assert loaded == ["False", "False", "False"]  # numpy, _hashlib, multiprocessing
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.binary(max_size=300))
+@example(b"")
+def test_sha256_is_hashlibs(blob):
+    """The fingerprints' built-in ``sha256`` digests like ``hashlib``'s,
+    from the empty blob to several 64-byte blocks."""
+    assert sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+
 
 class TestTables:
     def test_format_table_basic(self):
