@@ -48,7 +48,7 @@ def _fig8(size: int):
 
 def _fig9(size: int):
     def run(store: ArtifactStore, args) -> str:
-        ps = args.page_size or 4
+        ps = args.page_size
         cells = run_fig9(
             size,
             ps,
@@ -110,7 +110,9 @@ def _parser() -> argparse.ArgumentParser:
         description="Regenerate the paper's tables and figures.",
     )
     p.add_argument("experiment", choices=[*_LISTED, "all", "list"])
-    p.add_argument("--page-size", type=int, default=None)
+    p.add_argument(
+        "--page-size", type=int, default=4, help="page size of the fig9 experiments"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--repeats", type=int, default=2)
     p.add_argument(
@@ -135,9 +137,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    for flag in ("repeats", "configs"):
+    for flag in ("page_size", "repeats", "workers", "configs"):
         if getattr(args, flag) < 1:
-            parser.error(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+            name = flag.replace("_", "-")
+            parser.error(f"--{name} must be >= 1, got {getattr(args, flag)}")
     if args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")
     if args.experiment == "list":

@@ -2,13 +2,10 @@
 
 Maps a software-pipelined loop DFG onto the CGRA: operations to PEs, data
 dependency edges to interconnect paths, all inside a modulo schedule with
-initiation interval II (§II of the paper).  Two mappers are provided:
-
-* :func:`repro.compiler.ems.map_dfg` — a modulo-scheduling place-and-route
-  mapper in the style of edge-centric modulo scheduling (EMS, Park et al.),
-  the baseline compiler the paper builds on;
-* :func:`repro.compiler.annealing.anneal_map` — a DRESC-style simulated
-  annealing mapper, kept as a second baseline / ablation.
+initiation interval II (§II of the paper).  The mapper,
+:func:`repro.compiler.ems.map_dfg`, is a modulo-scheduling place-and-route
+mapper in the style of edge-centric modulo scheduling (EMS, Park et al.),
+the baseline compiler the paper builds on.
 
 The *paged* compiler (:func:`repro.compiler.paged.map_dfg_paged`) runs the
 same engine with the paper's §VI-B compile-time constraints switched on and
@@ -28,7 +25,6 @@ from repro.compiler.mrt import ReservationTable
 from repro.compiler.check import validate_mapping
 from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
 from repro.compiler.paged import PagedMapping, map_dfg_paged
-from repro.compiler.annealing import anneal_map
 from repro.compiler.search import LadderReport, climb_ladder
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "map_dfg",
     "PagedMapping",
     "map_dfg_paged",
-    "anneal_map",
     "LadderReport",
     "climb_ladder",
 ]

@@ -3,17 +3,16 @@
 
 Every constraint is derived from the layout alone, so the layout (or
 ``None``, the whole array) is the only constraint value the compiler
-passes around: the mapper, the reservation table, the router, the
-validator and the annealer each work their part out of it with the
-functions below.
+passes around: the mapper, the reservation table, the router and the
+validator each work their part out of it with the functions below.
 
 What one modulo slot offers — PEs, mem-capable PEs and bus ports, of the
 whole array or of one page — is :func:`slot_capacity`, the compiler's one
 reader of the fabric's port count and capability masks.  Its records feed
-the II lower bound (the mapper's first rung, the annealer's first II), the
-page-need bound :func:`page_need` (the hier backend's one-page test, page
-minimisation), the annealer's bus penalty and the reservation table's bus
-budget, which the validator books through.
+the II lower bound (the mapper's first rung), the page-need bound
+:func:`page_need` (the hier backend's one-page test, page minimisation)
+and the reservation table's bus budget, which the validator books
+through.
 
 1. **Data-flow (ring-topology) constraint** — inter-page dependencies must
    form a subset of a ring: a value on page *a* may be read one cycle later

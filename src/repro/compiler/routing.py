@@ -50,15 +50,15 @@ destination-hint) greedy move orderings, and the per-destination goal
 tables (goal PEs sorted by PE id, a membership mask, the
 min-Manhattan-to-goal pruning bound, and the greedy destination *hint*).
 Route choice is a pure function of these explicit tables — the search
-itself never consults set iteration order.  ``Coord`` objects only appear
-at the public API boundary.
+itself never consults set iteration order.  A search returns its steps as
+:class:`~repro.compiler.mapping.RouteStep` records, the only place a
+``Coord`` appears.
 """
 
 from __future__ import annotations
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
-from repro.arch.interconnect import Coord
 from repro.compiler.constraints import ring_hop_ok
 from repro.compiler.mapping import RouteStep
 from repro.compiler.mrt import ReservationTable
@@ -67,7 +67,6 @@ from repro.core.paging import PageLayout
 
 __all__ = [
     "RoutingContext",
-    "find_route",
     "commit_route",
     "release_route",
 ]
@@ -85,9 +84,9 @@ _GoalEntry = tuple[
 class RoutingContext:
     """Memoized integer-domain routing tables for one (fabric, layout).
 
-    Built once per mapper (or per standalone :func:`find_route` call) and
-    consulted millions of times: every table is an indexed load, computed
-    lazily on first use and reused for the rest of the mapping run.
+    Built once per mapper and consulted millions of times: every table is
+    an indexed load, computed lazily on first use and reused for the rest
+    of the mapping run.
     """
 
     __slots__ = (
@@ -421,40 +420,6 @@ def find_route_shared_ids(
     return None
 
 
-def find_route(
-    cgra: CGRA,
-    mrt: ReservationTable,
-    src_pe: Coord,
-    t_src_eff: int,
-    dst_pe: Coord,
-    t_dst: int,
-    *,
-    max_expansions: int = 20000,
-    ctx: RoutingContext | None = None,
-) -> tuple[RouteStep, ...] | None:
-    """Find route steps carrying a value from *src_pe* (produced at
-    consumer-frame time *t_src_eff*) to the consumer at (*dst_pe*, *t_dst*).
-
-    Returns the tuple of steps (empty for a direct 1-cycle link), or None
-    when no route exists under the current reservations.  Steps at negative
-    times are legal during search bookkeeping only in the consumer frame;
-    modulo arithmetic maps them onto the repeating schedule.  *ctx* pins
-    the page layout the route obeys (none: the whole array).
-    """
-    if ctx is None:
-        ctx = RoutingContext(cgra)
-    id_of = ctx.gi.id_of
-    return find_route_ids(
-        ctx,
-        mrt,
-        id_of[src_pe],
-        t_src_eff,
-        id_of[dst_pe],
-        t_dst,
-        max_expansions=max_expansions,
-    )
-
-
 def find_route_ids(
     ctx: RoutingContext,
     mrt: ReservationTable,
@@ -465,7 +430,19 @@ def find_route_ids(
     *,
     max_expansions: int = 20000,
 ) -> tuple[RouteStep, ...] | None:
-    """Integer-domain :func:`find_route` (hot-path entry point)."""
+    """Route steps carrying a value from PE *src_id* (produced at
+    consumer-frame time *t_src_eff*) to the consumer on PE *dst_id* at
+    *t_dst*, through the free slots of *mrt* and the moves *ctx* allows
+    (its page layout's ring hops and ROUTE-capable PEs).
+
+    Returns the steps, one per cycle strictly between the two times (empty
+    for a direct one-cycle link), or None when no route exists under the
+    current reservations.  Steps at negative times are legal in the
+    consumer frame; modulo arithmetic maps them onto the repeating
+    schedule.  Nothing is claimed: the caller commits the steps
+    (:func:`commit_route`).  A route at least as long as the II is a
+    depth-first search of at most *max_expansions* states.
+    """
     stats = counters()
     stats.route_calls += 1
     gap = t_dst - t_src_eff

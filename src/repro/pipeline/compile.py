@@ -217,7 +217,7 @@ def compile_job_stats(
         mem_ports_per_row=cgra.mem_ports_per_row,
         page_shape=layout.shape,
         capability=cgra.capability.classes if cgra.capability is not None else None,
-        seed=job.seed,
+        seed=config.seed,
         dfg_fp=key.dfg_fp,
         arch_fp=key.arch_fp,
         mapper_fp=key.mapper_fp,

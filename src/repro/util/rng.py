@@ -12,8 +12,7 @@ experiment in the reproduction is bit-for-bit repeatable.  Two sources:
   test reference (``tests/test_rng.py``).
 * :func:`make_rng` / :func:`derive_seed` — numpy generators and seeds for
   everything that builds arrays (workload traces, random DFGs, kernel
-  inputs, the annealing mapper, fuzz helpers).  numpy is imported inside
-  them.
+  inputs, fuzz helpers).  numpy is imported inside them.
 """
 
 from __future__ import annotations

@@ -222,12 +222,17 @@ class TestCLI:
             ["headline", "--repeats", "-1"],
             ["sim-oracle", "--configs", "0"],
             ["sim-oracle", "--configs", "-3"],
+            ["fig9_4x4", "--page-size", "0"],
+            ["fig9_4x4", "--page-size", "-2"],
+            ["fig8_4x4", "--workers", "0"],
+            ["fig8_4x4", "--workers", "-1"],
         ],
     )
     def test_empty_counts_are_usage_errors(self, argv, capsys):
-        """A repeat or config count below one is an argparse usage error,
-        not a ``StatisticsError`` over no samples or an "all green" over
-        nothing verified."""
+        """A repeat, config, page-size or worker count below one is an
+        argparse usage error, not a ``StatisticsError`` over no samples, an
+        "all green" over nothing verified, an ``ArchitectureError``
+        traceback or a silent fallback to the default."""
         from repro.bench.experiments import main
 
         with pytest.raises(SystemExit) as exc:

@@ -22,9 +22,10 @@ from repro.compiler.mapping import (
 )
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.routing import (
+    RoutingContext,
     _steps_of,
     commit_route,
-    find_route,
+    find_route_ids,
     release_route,
 )
 from repro.core.paging import PageLayout
@@ -117,20 +118,26 @@ class TestReservationTable:
 class TestRouting:
     def test_direct_link(self, cgra44):
         mrt = ReservationTable(cgra44, ii=4)
-        steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 1), 1)
+        ctx = RoutingContext(cgra44)
+        steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 0, 1), 1)
         assert steps == ()
 
     def test_direct_link_requires_adjacency(self, cgra44):
         mrt = ReservationTable(cgra44, ii=4)
-        assert find_route(cgra44, mrt, Coord(0, 0), 0, Coord(3, 3), 1) is None
+        ctx = RoutingContext(cgra44)
+        src, dst = _id(cgra44, 0, 0), _id(cgra44, 3, 3)
+        assert find_route_ids(ctx, mrt, src, 0, dst, 1) is None
 
     def test_non_causal_rejected(self, cgra44):
         mrt = ReservationTable(cgra44, ii=4)
-        assert find_route(cgra44, mrt, Coord(0, 0), 5, Coord(0, 1), 5) is None
+        ctx = RoutingContext(cgra44)
+        src, dst = _id(cgra44, 0, 0), _id(cgra44, 0, 1)
+        assert find_route_ids(ctx, mrt, src, 5, dst, 5) is None
 
     def test_multi_hop_route_times(self, cgra44):
         mrt = ReservationTable(cgra44, ii=8)
-        steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(3, 3), 6)
+        ctx = RoutingContext(cgra44)
+        steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 3, 3), 6)
         assert steps is not None and len(steps) == 5
         assert [s.time for s in steps] == [1, 2, 3, 4, 5]
         # chain is physically contiguous
@@ -146,13 +153,15 @@ class TestRouting:
         # 1 as needed)
         for pe in [Coord(0, 0), Coord(0, 1), Coord(1, 0)]:
             mrt.claim_id(_id(cgra44, *pe), 1)
-        steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 1), 4)
+        ctx = RoutingContext(cgra44)
+        steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 0, 1), 4)
         assert steps is None
 
     def test_route_longer_than_ii_self_collision_avoided(self, cgra44):
         # gap > II forces the DFS path not to reuse its own modulo slots
         mrt = ReservationTable(cgra44, ii=2)
-        steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 0), 6)
+        ctx = RoutingContext(cgra44)
+        steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 0, 0), 6)
         assert steps is not None
         used = {(s.pe, s.time % 2) for s in steps}
         assert len(used) == len(steps)
@@ -160,20 +169,21 @@ class TestRouting:
     def test_hop_filter_blocks(self, cgra44):
         """Under a layout a value never moves backwards along the chain:
         page 1 cannot reach page 0 however long the route."""
-        from repro.compiler.routing import RoutingContext
-        from repro.core.paging import PageLayout
-
         layout = PageLayout(cgra44, (2, 2))
         ctx = RoutingContext(cgra44, layout)
+        whole = RoutingContext(cgra44)
         mrt = ReservationTable(cgra44, ii=4, layout=layout)
-        assert find_route(cgra44, mrt, Coord(0, 0), 0, Coord(0, 3), 4, ctx=ctx)
-        assert find_route(cgra44, mrt, Coord(0, 2), 0, Coord(0, 1), 1) == ()
-        assert find_route(cgra44, mrt, Coord(0, 2), 0, Coord(0, 1), 1, ctx=ctx) is None
-        assert find_route(cgra44, mrt, Coord(0, 3), 0, Coord(0, 0), 4, ctx=ctx) is None
+        c0, c1, c2, c3 = (_id(cgra44, 0, col) for col in range(4))
+        assert find_route_ids(ctx, mrt, c0, 0, c3, 4)
+        # no layout: the backward hop is a plain direct link
+        assert find_route_ids(whole, mrt, c2, 0, c1, 1) == ()
+        assert find_route_ids(ctx, mrt, c2, 0, c1, 1) is None
+        assert find_route_ids(ctx, mrt, c3, 0, c0, 4) is None
 
     def test_commit_and_release(self, cgra44):
         mrt = ReservationTable(cgra44, ii=8)
-        steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(2, 0), 4)
+        ctx = RoutingContext(cgra44)
+        steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 2, 0), 4)
         commit_route(mrt, steps)
         id_of = cgra44.grid_index.id_of
         for s in steps:
@@ -409,7 +419,8 @@ class TestRoutingDeterminism:
         ref = None
         for _ in range(5):
             mrt = self._occupied_mrt(cgra44, ii=8)
-            steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(3, 3), 7)
+            ctx = RoutingContext(cgra44)
+            steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 3, 3), 7)
             assert steps is not None
             if ref is None:
                 ref = steps
@@ -419,29 +430,24 @@ class TestRoutingDeterminism:
         ref = None
         for _ in range(5):
             mrt = self._occupied_mrt(cgra44, ii=2)
-            steps = find_route(cgra44, mrt, Coord(0, 0), 0, Coord(3, 3), 8)
+            ctx = RoutingContext(cgra44)
+            steps = find_route_ids(ctx, mrt, _id(cgra44, 0, 0), 0, _id(cgra44, 3, 3), 8)
             assert steps is not None
             if ref is None:
                 ref = steps
             assert steps == ref
 
     def test_warm_memo_matches_cold_context(self, cgra44):
-        from repro.compiler.routing import RoutingContext
-
         ctx = RoutingContext(cgra44)
-        query = (Coord(0, 0), 0, Coord(3, 3), 7)
-        cold = find_route(cgra44, self._occupied_mrt(cgra44, 8), *query)
-        warm1 = find_route(
-            cgra44, self._occupied_mrt(cgra44, 8), *query, ctx=ctx
+        query = (_id(cgra44, 0, 0), 0, _id(cgra44, 3, 3), 7)
+        cold = find_route_ids(
+            RoutingContext(cgra44), self._occupied_mrt(cgra44, 8), *query
         )
-        warm2 = find_route(
-            cgra44, self._occupied_mrt(cgra44, 8), *query, ctx=ctx
-        )
+        warm1 = find_route_ids(ctx, self._occupied_mrt(cgra44, 8), *query)
+        warm2 = find_route_ids(ctx, self._occupied_mrt(cgra44, 8), *query)
         assert cold == warm1 == warm2
 
     def test_goal_table_explicitly_ordered(self, cgra44):
-        from repro.compiler.routing import RoutingContext
-
         ctx = RoutingContext(cgra44)
         gi = cgra44.grid_index
         for dst_id in range(gi.num_pes):
@@ -692,8 +698,6 @@ class TestReachabilityFilter:
         """One ``fronts`` dict shared across queries of different lengths
         (the placer's use) answers exactly like a fresh dict per query."""
         import random
-
-        from repro.compiler.routing import RoutingContext
 
         rng = random.Random(11)
         ctx = RoutingContext(cgra44)

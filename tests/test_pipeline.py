@@ -102,6 +102,19 @@ class TestFingerprints:
         assert len(key.digest) == 64
         assert str(key) == f"{key.dfg_fp}/{key.arch_fp}/{key.mapper_fp}"
 
+    def test_one_address_holds_one_byte_string(self):
+        """A job's ``seed`` only derives the default mapper configuration:
+        two jobs with the same configuration share a content address, so
+        their artifacts must be the same bytes (the stored ``seed`` is the
+        mapper's, not the job field an explicit ``mapper`` overrides)."""
+        explicit = CompileJob("sor", 4, 4, mapper=MapperConfig(seed=3, attempts_per_ii=4))
+        derived = CompileJob("sor", 4, 4, seed=3)
+        assert job_key(explicit).digest == job_key(derived).digest
+        a, _ = compile_job(explicit)
+        b, _ = compile_job(derived)
+        assert a.seed == b.seed == 3
+        assert a.to_json() == b.to_json()
+
 
 # ------------------------------------------------------- round-trip (property)
 
