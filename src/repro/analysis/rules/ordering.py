@@ -6,6 +6,9 @@ whose order is filesystem-dependent) on a path that can influence
 placement, routing, fingerprints, or reports must impose a canonical order
 first.  Dicts are *not* flagged — CPython dicts are insertion-ordered, and
 the mapper's determinism story already rests on deterministic insertion.
+A directory's order never reaches a compiled byte the recompile net pins,
+so on the serve path nothing but this rule compares two readdir orders
+(DESIGN.md §12).
 """
 
 from __future__ import annotations

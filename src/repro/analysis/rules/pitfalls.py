@@ -1,8 +1,9 @@
-"""Classic Python determinism pitfalls: mutable defaults, float equality.
+"""The mutable-default pitfall.
 
 A mutable default argument is shared across calls, so results depend on
-call history; float ``==`` on computed values (schedule times, energies)
-depends on evaluation order and platform rounding.
+call history.  In a long-lived service process that is state one request
+leaves behind for the next, on a path the byte-recompile net never takes
+(DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -44,25 +45,6 @@ def _check_mutable_default(ctx) -> Iterator[Finding]:
                 )
 
 
-def _check_float_eq(ctx) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        if not any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
-            continue
-        operands = [node.left, *node.comparators]
-        if any(
-            isinstance(o, ast.Constant) and isinstance(o.value, float)
-            for o in operands
-        ):
-            yield ctx.finding(
-                FLOAT_EQ,
-                node,
-                "exact float equality depends on evaluation order and "
-                "platform rounding",
-            )
-
-
 MUT_DEFAULT = register(
     Rule(
         id="DET-MUT-DEFAULT",
@@ -72,18 +54,5 @@ MUT_DEFAULT = register(
         fix_hint="default to None and construct the container inside the "
         "function (or use dataclasses.field(default_factory=...))",
         checker=_check_mutable_default,
-    )
-)
-
-FLOAT_EQ = register(
-    Rule(
-        id="DET-FLOAT-EQ",
-        kind="lint",
-        severity=Severity.ERROR,
-        summary="float == / != comparison",
-        fix_hint="compare against a tolerance, use exact types "
-        "(int/Fraction) for schedule arithmetic, or suppress with a reason "
-        "when the float is integer-valued by construction",
-        checker=_check_float_eq,
     )
 )

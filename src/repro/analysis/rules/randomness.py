@@ -1,11 +1,12 @@
-"""Randomness and identity-order hazards.
+"""Randomness and string-hash hazards.
 
 All stochastic pieces of the library are required to build their generators
 through :mod:`repro.util.rng` with an explicit seed; any use of the global
 stdlib RNG, numpy's legacy global RNG, or an entropy-seeded generator is a
-reproducibility bug by construction.  ``id()`` and ``hash()`` are flagged
-because both leak process-lifetime state (allocation addresses, the
-per-process string-hash salt) into anything that sorts or keys by them.
+reproducibility bug by construction.  ``hash()`` is flagged because it
+leaks the per-process string-hash salt into anything that sorts or keys by
+it: a simulator run ordered by it changes with ``PYTHONHASHSEED``, and no
+runtime check compares two salts on that path (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -96,22 +97,6 @@ def _check_unseeded_rng(ctx) -> Iterator[Finding]:
                 )
 
 
-def _check_identity_order(ctx) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "id"
-            and len(node.args) == 1
-        ):
-            yield ctx.finding(
-                ID_ORDER,
-                node,
-                "id() exposes allocation addresses; any ordering or keying "
-                "derived from it varies run to run",
-            )
-
-
 def _check_hash_order(ctx) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if (
@@ -137,18 +122,6 @@ RNG_SEED = register(
         fix_hint="take an explicit seed and build the generator with "
         "repro.util.rng.make_rng / derive_seed",
         checker=_check_unseeded_rng,
-    )
-)
-
-ID_ORDER = register(
-    Rule(
-        id="DET-ID-ORDER",
-        kind="lint",
-        severity=Severity.ERROR,
-        summary="id()-derived value (identity order is allocation order)",
-        fix_hint="key by a stable field (op id, coordinate, fingerprint) "
-        "instead of object identity",
-        checker=_check_identity_order,
     )
 )
 

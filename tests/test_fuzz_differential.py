@@ -1,6 +1,7 @@
 """Differential fuzzing: random kernels, mapped and simulated, must agree
 bit-exactly with the reference interpreter — through the baseline
-compiler, the paged compiler, and PageMaster shrinks."""
+compiler, the paged compiler, and PageMaster shrinks, the last also at the
+fabric's own register-file depth."""
 
 from __future__ import annotations
 
@@ -10,20 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.arch.cgra import CGRA
+from repro.arch.presets import preset
 from repro.compiler.check import validate_mapping
-from repro.compiler.constraints import paged_bus_key
+from repro.compiler.constraints import paged_bus_key, slot_capacity
 from repro.compiler.ems import MapperConfig, map_dfg
+from repro.compiler.feas import ii_lower_bound
 from repro.compiler.paged import map_dfg_paged
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
+from repro.core.transform_check import check_placement
 from repro.dfg.random_dfg import random_arrays, random_dfg
 from repro.dfg.validate import validate_dfg
 from repro.kernels.spec import bind_memory
+from repro.pipeline.compile import make_layout
 from repro.sim.cgra_sim import simulate
 from repro.sim.lowering import lower_mapping
 from repro.sim.reference import run_reference
 from repro.sim.retarget import required_batches, retarget_firings
-from repro.util.errors import MappingError
+from repro.util.errors import LadderExhausted, MappingError, TransformError
 
 TRIP = 12
 
@@ -112,3 +117,78 @@ def test_known_seeds_full_pipeline(seed):
     simulate(lower_mapping(m, mem, TRIP), cgra, mem)
     for name, data in outputs_of(mem, dfg).items():
         assert np.array_equal(data, expected[name])
+
+
+# -- every fold at the fabric's real register depth ----------------------------------
+
+#: Seeds of the tier-1 slice.  A draw's fabric and page size follow its
+#: seed, so the slice meets both fabrics at both page sizes.
+REAL_DEPTH_SEEDS = tuple(range(16))
+REAL_DEPTH_FABRICS = ("4x4", "4x4-memcols")
+
+
+def fold_at_real_depth(seed):
+    """Map ``random_dfg(seed)`` paged and run it folded onto every M <=
+    ``pages_used``, retargeted and simulated at the fabric's own
+    ``rf_depth`` (values that wait longer go through global storage).
+    Returns ``(folds run, refused folds)``; a refusal is ``(draw, M,
+    reason)``.  A kernel the ladder cannot map runs no fold."""
+    fabric = REAL_DEPTH_FABRICS[seed % 2]
+    page_size = (2, 4)[seed // 2 % 2]
+    draw = f"seed {seed} {fabric} ps{page_size}"
+    cgra = preset(fabric)
+    dfg = random_dfg(seed, n_ops=4 + seed % 7)
+    try:
+        pm = map_dfg_paged(
+            dfg,
+            cgra,
+            make_layout(cgra, page_size),
+            config=MapperConfig(max_ii=10, attempts_per_ii=2),
+        )
+    except LadderExhausted:
+        return 0, []
+    cap = slot_capacity(cgra, pm.layout)
+    bound = ii_lower_bound(
+        dfg,
+        num_pes=cap.pes,
+        mem_slots=cap.bus_ports,
+        mem_capable_pes=cap.mem_pes,
+        max_ii=pm.ii,
+    )
+    assert bound.mii <= pm.ii, draw
+    arrays, expected = reference_outputs(dfg, seed)
+    bus_key = paged_bus_key(pm.layout)
+    ran, refused = 0, []
+    for m in range(1, pm.pages_used + 1):
+        placement = PageMaster(
+            pm.pages_used, pm.ii, m, wrap_used=pm.wrap_used
+        ).place(batches=required_batches(pm.mapping, TRIP))
+        check_placement(placement)
+        mem = bind_memory({k: v.copy() for k, v in arrays.items()})
+        try:
+            firings = retarget_firings(pm, placement, list(range(m)), mem, TRIP)
+        except TransformError as exc:
+            refused.append((draw, m, str(exc)))
+            continue
+        simulate(firings, cgra, mem, bus_key=bus_key)
+        for name, data in outputs_of(mem, dfg).items():
+            assert np.array_equal(data, expected[name]), (draw, m, name)
+        ran += 1
+    return ran, refused
+
+
+def test_every_fold_at_the_real_register_depth_equals_reference():
+    """No ``rf_limit`` or ``rf_depth`` override: the register-usage
+    constraint (§VI-B a) and the global-storage fallback at the depth the
+    fabric has.  Refused folds are reported (``-s``), not failed: on
+    ``4x4-memcols`` the fold's mirroring puts memory ops on columns
+    without the capability (ROADMAP item 4)."""
+    ran, refused = 0, []
+    for seed in REAL_DEPTH_SEEDS:
+        r, no = fold_at_real_depth(seed)
+        ran += r
+        refused += no
+    print(f"real-depth folds: {ran} run, {len(refused)} refused")
+    for draw, m, reason in refused:
+        print(f"  refused {draw} M={m}: {reason}")
+    assert ran
