@@ -374,7 +374,7 @@ def _audit_provenance(entry: AuditEntry, artifact) -> object | None:
             )
         )
         return None
-    cgra = _build_cgra(artifact)
+    cgra = artifact.build_cgra()
     arch_fp = canonical_fingerprint(
         {"cgra": cgra.fingerprint(), "page_shape": list(artifact.page_shape)}
     )
@@ -387,21 +387,6 @@ def _audit_provenance(entry: AuditEntry, artifact) -> object | None:
             )
         )
     return dfg
-
-
-def _build_cgra(artifact):
-    from repro.arch.capability import CapabilityMap
-    from repro.arch.cgra import CGRA
-
-    return CGRA(
-        artifact.rows,
-        artifact.cols,
-        rf_depth=artifact.rf_depth,
-        mem_ports_per_row=artifact.mem_ports_per_row,
-        capability=CapabilityMap(artifact.rows, artifact.cols, artifact.capability)
-        if artifact.capability is not None
-        else None,
-    )
 
 
 def _audit_mapping(entry: AuditEntry, artifact, dfg) -> None:
@@ -518,7 +503,7 @@ def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
     from repro.compiler.feas import ii_lower_bound
     from repro.core.paging import PageLayout
 
-    cgra = _build_cgra(artifact)
+    cgra = artifact.build_cgra()
     mem_mask = cgra.class_mask(OpClass.MEM)
 
     def check(label: str, ii: int, pe_ids, mem_slots: int) -> None:

@@ -12,7 +12,7 @@ modelled as words: a compiled schedule is a
 """
 
 from repro.arch.isa import Opcode, OPCODE_INFO, evaluate, is_memory_op
-from repro.arch.interconnect import Coord, Interconnect
+from repro.arch.interconnect import Coord, GridIndex
 from repro.arch.memory import DataMemory, ArraySpec
 from repro.arch.capability import CapabilityMap, OpClass, op_class
 from repro.arch.cgra import CGRA
@@ -24,7 +24,7 @@ __all__ = [
     "evaluate",
     "is_memory_op",
     "Coord",
-    "Interconnect",
+    "GridIndex",
     "DataMemory",
     "ArraySpec",
     "CapabilityMap",

@@ -17,7 +17,7 @@ This module models that axis with three *op classes*:
     pure-router PE is expressible.
 
 A :class:`CapabilityMap` assigns each PE (in row-major id order, matching
-:class:`~repro.compiler.grid.GridIndex`) the set of classes it supports.
+:class:`~repro.arch.interconnect.GridIndex`) the set of classes it supports.
 The canonical encoding — used both by :meth:`CGRA.fingerprint
 <repro.arch.cgra.CGRA.fingerprint>` and by the artifact serialization —
 lists **only the classes that are restricted** (supported by a strict

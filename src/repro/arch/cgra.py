@@ -1,17 +1,19 @@
 """Top-level CGRA architecture description.
 
 Bundles the pieces of Fig. 1 into one immutable-ish description object that
-the compiler, the paging layer and the simulators all consume: grid size,
-interconnect flavour, rotating-register-file depth, and the per-row data-bus
-memory port model (§III: "a shared data bus for each row of the CGRA").
+the compiler, the paging layer and the simulators all consume: grid size
+(a plain 4-neighbour mesh), rotating-register-file depth, and the per-row
+data-bus memory port model (§III: "a shared data bus for each row of the
+CGRA").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.arch.capability import CapabilityMap, OpClass
-from repro.arch.interconnect import Coord, Interconnect
+from repro.arch.interconnect import Coord, GridIndex
 from repro.util.errors import ArchitectureError
 from repro.util.fingerprint import canonical_fingerprint
 
@@ -33,8 +35,6 @@ class CGRA:
         building paged systems should size this accordingly.
     mem_ports_per_row:
         How many memory operations one row's data bus can serve per cycle.
-    diagonal, torus:
-        Interconnect flavour; the paper uses a plain 4-neighbour mesh.
     capability:
         Optional per-PE op-class masks (:class:`~repro.arch.capability.
         CapabilityMap`).  ``None`` means the homogeneous fabric of the
@@ -47,10 +47,7 @@ class CGRA:
     cols: int
     rf_depth: int = 8
     mem_ports_per_row: int = 1
-    diagonal: bool = False
-    torus: bool = False
     capability: CapabilityMap | None = None
-    interconnect: Interconnect = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.cols <= 0:
@@ -69,9 +66,6 @@ class CGRA:
                 )
             if self.capability.is_homogeneous:
                 self.capability = None
-        self.interconnect = Interconnect(
-            self.rows, self.cols, diagonal=self.diagonal, torus=self.torus
-        )
 
     # -- convenience passthroughs ------------------------------------------------
 
@@ -79,21 +73,31 @@ class CGRA:
     def num_pes(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def grid_index(self):
-        """Precomputed integer view of the fabric (Coord<->id tables,
-        int adjacency, all-pairs distance matrices) — the compiler's hot
-        paths run on this instead of hashing ``Coord`` objects."""
-        return self.interconnect.grid_index
+    @cached_property
+    def grid_index(self) -> GridIndex:
+        """Precomputed integer view of the mesh (Coord<->id tables, int
+        adjacency, the all-pairs distance matrix), built on first use — the
+        compiler's hot paths run on this instead of hashing ``Coord``
+        objects."""
+        return GridIndex(self.rows, self.cols)
 
-    def coords(self):
-        return self.interconnect.coords()
+    def coords(self) -> tuple[Coord, ...]:
+        """All PE coordinates in row-major order."""
+        return self.grid_index.coords
 
-    def neighbors(self, c: Coord):
-        return self.interconnect.neighbors(c)
+    def neighbors(self, c: Coord) -> tuple[Coord, ...]:
+        """Neighbouring PEs of *c* (not including *c* itself)."""
+        gi = self.grid_index
+        pe_id = gi.id_of.get(c)
+        if pe_id is None:
+            raise ArchitectureError(f"{c} outside {self.rows}x{self.cols} grid")
+        return tuple(gi.coords[n] for n in gi.neighbor_ids[pe_id])
 
     def adjacent_or_same(self, a: Coord, b: Coord) -> bool:
-        return self.interconnect.adjacent_or_same(a, b)
+        """True if *b*'s output register is readable by *a* (1-hop model:
+        a PE reads itself and its mesh neighbours)."""
+        gi = self.grid_index
+        return gi.manhattan[gi.id_of[a]][gi.id_of[b]] <= 1
 
     # -- capabilities ------------------------------------------------------------
 
@@ -114,21 +118,23 @@ class CGRA:
         """Canonical structural hash of the architecture description.
 
         Covers every parameter that can change what the compiler produces
-        (grid, register depth, memory ports, interconnect flavour, and any
-        capability restriction), so two CGRA objects fingerprint equal iff
-        a mapping for one is valid for the other.  Used as a cache-key
-        component by :mod:`repro.pipeline`.  The capability key is emitted
-        only for heterogeneous fabrics: the homogeneous default hashes the
-        exact payload it always has, keeping every previously committed
-        artifact address unchanged.
+        (grid, register depth, memory ports, and any capability
+        restriction), so two CGRA objects fingerprint equal iff a mapping
+        for one is valid for the other.  Used as a cache-key component by
+        :mod:`repro.pipeline`.  The capability key is emitted only for
+        heterogeneous fabrics: the homogeneous default hashes the exact
+        payload it always has, keeping every previously committed artifact
+        address unchanged.
         """
         payload = {
             "rows": self.rows,
             "cols": self.cols,
             "rf_depth": self.rf_depth,
             "mem_ports_per_row": self.mem_ports_per_row,
-            "diagonal": self.diagonal,
-            "torus": self.torus,
+            # constants: the fabric is always the plain mesh, but every
+            # committed artifact address hashes these two keys
+            "diagonal": False,
+            "torus": False,
         }
         if self.capability is not None:
             payload["capability"] = self.capability.spec()
@@ -144,6 +150,5 @@ class CGRA:
             f"{self.rows}x{self.cols} CGRA "
             f"(rf_depth={self.rf_depth}, "
             f"mem_ports/row={self.mem_ports_per_row}, "
-            f"{'8' if self.diagonal else '4'}-neighbour mesh"
-            f"{', torus' if self.torus else ''}{cap})"
+            f"4-neighbour mesh{cap})"
         )

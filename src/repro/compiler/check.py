@@ -17,8 +17,9 @@ tests can treat the mapper as untrusted:
   (:class:`~repro.util.errors.CapabilityViolation`).
 
 The inner loops run in the :class:`~repro.arch.interconnect.GridIndex`
-integer id domain: adjacency is one probe of the precomputed hop-distance
-matrix, ring hops are resolved per PE-id pair once and memoized.
+integer id domain: adjacency is one probe of the precomputed Manhattan
+matrix (on the mesh it is the hop distance), ring hops are resolved per
+PE-id pair once and memoized.
 Coordinates only reappear in error messages.
 """
 
@@ -41,8 +42,8 @@ def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None
     *layout* (none: the whole array).
     """
     cgra, dfg, ii = mapping.cgra, mapping.dfg, mapping.ii
-    gi = cgra.interconnect.grid_index
-    id_of, coords, hop_dist = gi.id_of, gi.coords, gi.hop_dist
+    gi = cgra.grid_index
+    id_of, coords, manhattan = gi.id_of, gi.coords, gi.manhattan
     n_pes = len(coords)
 
     allowed_mask: bytearray | None = None
@@ -53,7 +54,7 @@ def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None
     hop_cache: dict[int, bool] = {}
 
     def check_hop(src_id: int, dst_id: int, what: str) -> None:
-        if hop_dist[src_id][dst_id] > 1:
+        if manhattan[src_id][dst_id] > 1:
             raise MappingError(
                 f"{what}: {coords[src_id]} -> {coords[dst_id]} is not a "
                 "1-hop link"

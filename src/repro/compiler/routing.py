@@ -113,7 +113,7 @@ class RoutingContext:
         route_mask = cgra.class_mask(OpClass.ROUTE)
         self._route_mask = route_mask
         if layout is None and route_mask is None:
-            # identical order to Interconnect.reachable_in_one: self first
+            # GridIndex.reach1_ids order: self first, then the neighbours
             self.allowed_moves: tuple[tuple[int, ...], ...] = gi.reach1_ids
         else:
             self.allowed_moves = tuple(
@@ -220,7 +220,7 @@ class RoutingContext:
                     for q in range(gi.num_pes)
                 )
                 # legacy v1 anchor: first member of the goal built as a set
-                # of Coords in reachable_in_one insertion order
+                # of Coords in reach1_ids order
                 hint = gi.id_of[next(iter({coords[p] for p in unsorted_goal}))]
             else:
                 min_dist = (_UNREACHABLE,) * gi.num_pes

@@ -66,32 +66,24 @@ class Orientation(enum.Enum):
 
 
 def choose_page_shape(
-    page_size: int, cgra_rows: int, cgra_cols: int, prefer: str = "square"
+    page_size: int, cgra_rows: int, cgra_cols: int
 ) -> tuple[int, int]:
-    """Pick a page tile shape (rows, cols) for *page_size* PEs.
-
-    ``prefer='square'`` picks the most square divisor pair that fits the
-    grid (2x2 for size 4); ``prefer='column'`` picks the tallest (4x1 for
-    size 4 on a 4-row grid), matching the two alternatives of Fig. 4.
-    """
+    """Pick a page tile shape (rows, cols) for *page_size* PEs: the most
+    square divisor pair that fits the grid, the taller one on a tie (2x2
+    for size 4, 2x1 for size 2; Fig. 4's 4x1 column pages are built with
+    :class:`PageLayout` directly)."""
     if page_size <= 0:
         raise ArchitectureError(f"page size must be positive, got {page_size}")
     pairs = [
         (h, page_size // h)
-        for h in range(1, page_size + 1)
-        if page_size % h == 0 and h <= cgra_rows and page_size // h <= cgra_cols
+        for h in range(1, min(page_size, cgra_rows) + 1)
+        if page_size % h == 0 and page_size // h <= cgra_cols
     ]
     if not pairs:
         raise ArchitectureError(
             f"no {page_size}-PE tile fits a {cgra_rows}x{cgra_cols} grid"
         )
-    if prefer == "square":
-        return min(pairs, key=lambda p: (abs(p[0] - p[1]), -p[0]))
-    if prefer == "column":
-        return max(pairs, key=lambda p: p[0])
-    if prefer == "row":
-        return max(pairs, key=lambda p: p[1])
-    raise ArchitectureError(f"unknown shape preference {prefer!r}")
+    return min(pairs, key=lambda p: (abs(p[0] - p[1]), -p[0]))
 
 
 @dataclass(frozen=True)

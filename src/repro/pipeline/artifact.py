@@ -210,6 +210,22 @@ class CompiledKernel:
             steady_ii=self.steady_table(),
         )
 
+    def build_cgra(self):
+        """The :class:`~repro.arch.cgra.CGRA` this artifact was compiled
+        for, rebuilt from its stored fields (capability map included)."""
+        from repro.arch.capability import CapabilityMap
+        from repro.arch.cgra import CGRA
+
+        return CGRA(
+            self.rows,
+            self.cols,
+            rf_depth=self.rf_depth,
+            mem_ports_per_row=self.mem_ports_per_row,
+            capability=CapabilityMap(self.rows, self.cols, self.capability)
+            if self.capability is not None
+            else None,
+        )
+
     def materialize(self, dfg):
         """Rebuild the full :class:`~repro.compiler.paged.PagedMapping` —
         mapping, layout, and page-level schedule — from the artifact.
@@ -218,7 +234,6 @@ class CompiledKernel:
         against ``dfg_fp``); the page schedule is re-extracted
         deterministically rather than stored twice.
         """
-        from repro.arch.cgra import CGRA
         from repro.arch.interconnect import Coord
         from repro.compiler.mapping import Mapping, Placement, Route, RouteStep
         from repro.compiler.paged import PagedMapping
@@ -234,17 +249,7 @@ class CompiledKernel:
                 f"DFG fingerprint {dfg.fingerprint()} does not match the "
                 f"artifact's {self.dfg_fp}"
             )
-        from repro.arch.capability import CapabilityMap
-
-        cgra = CGRA(
-            self.rows,
-            self.cols,
-            rf_depth=self.rf_depth,
-            mem_ports_per_row=self.mem_ports_per_row,
-            capability=CapabilityMap(self.rows, self.cols, self.capability)
-            if self.capability is not None
-            else None,
-        )
+        cgra = self.build_cgra()
         full = PageLayout(cgra, self.page_shape)
         layout = PageLayout(cgra, self.page_shape, allow_wrap=self.layout_wrap)
         if self.pages_used < layout.num_pages:

@@ -3,10 +3,10 @@
 Everything in the repository that needs a compiled kernel — the figure
 benches, the system simulator, the examples, the guided demo — goes through
 :func:`compile_kernel` / :func:`compile_many`.  A job names *what* to
-compile (kernel, grid size, page size/shape preference, seed); the pipeline
-fingerprints the job's DFG, architecture and mapper configuration, consults
-the :class:`~repro.pipeline.store.ArtifactStore`, and only invokes the
-mapper on a genuine miss.
+compile (kernel, grid size, page size, seed); the pipeline fingerprints the
+job's DFG, architecture and mapper configuration, consults the
+:class:`~repro.pipeline.store.ArtifactStore`, and only invokes the mapper
+on a genuine miss.
 
 Every mapping ladder of a job is one :func:`repro.compiler.search.
 climb_ladder` call, a serial walk.  A batch is N independent compiles (the
@@ -61,10 +61,10 @@ __all__ = [
 ]
 
 
-def make_layout(cgra: CGRA, page_size: int, prefer: str = "square") -> PageLayout:
+def make_layout(cgra: CGRA, page_size: int) -> PageLayout:
     """Standard page layout for the experiments: the most square tile of
     *page_size* PEs that fits (Fig. 4 uses 2x2 for size 4)."""
-    return PageLayout(cgra, choose_page_shape(page_size, cgra.rows, cgra.cols, prefer))
+    return PageLayout(cgra, choose_page_shape(page_size, cgra.rows, cgra.cols))
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class CompileJob:
     kernel: str
     size: int
     page_size: int
-    prefer: str = "square"
     seed: int = 0
     mapper: MapperConfig | None = None
     arch: str | None = None
@@ -150,7 +149,7 @@ def job_key(job: CompileJob, dfg=None, cgra=None) -> ArtifactKey:
         dfg = get_kernel(job.kernel).build()
     if cgra is None:
         cgra = job.build_cgra()
-    shape = choose_page_shape(job.page_size, cgra.rows, cgra.cols, job.prefer)
+    shape = choose_page_shape(job.page_size, cgra.rows, cgra.cols)
     arch_fp = canonical_fingerprint(
         {"cgra": cgra.fingerprint(), "page_shape": list(shape)}
     )
@@ -192,7 +191,7 @@ def compile_job_stats(
     dfg = get_kernel(job.kernel).build()
     cgra = job.build_cgra()
     key = job_key(job, dfg, cgra)
-    layout = make_layout(cgra, job.page_size, job.prefer)
+    layout = make_layout(cgra, job.page_size)
     config = job.mapper_config
     probes = None if memo is None else memo.for_dfg(dfg, key.dfg_fp)
     search_log: list[LadderReport] = []
@@ -430,13 +429,12 @@ def compile_kernel(
     size: int,
     page_size: int,
     *,
-    prefer: str = "square",
     seed: int = 0,
     mapper: MapperConfig | None = None,
     store: ArtifactStore | None = None,
 ) -> CompiledKernel:
     """Compile (or load) one kernel for one configuration."""
-    job = CompileJob(kernel, size, page_size, prefer=prefer, seed=seed, mapper=mapper)
+    job = CompileJob(kernel, size, page_size, seed=seed, mapper=mapper)
     return compile_many([job], store=store)[0]
 
 
@@ -444,7 +442,6 @@ def build_profiles(
     size: int,
     page_size: int,
     *,
-    prefer: str = "square",
     seed: int = 0,
     store: ArtifactStore | None = None,
     kernels: Sequence[str] | None = None,
@@ -454,10 +451,7 @@ def build_profiles(
     on one configuration — the system simulator's input."""
     names = list(kernels) if kernels is not None else kernel_names()
     artifacts = compile_many(
-        [
-            CompileJob(name, size, page_size, prefer=prefer, seed=seed)
-            for name in names
-        ],
+        [CompileJob(name, size, page_size, seed=seed) for name in names],
         store=store,
         workers=workers,
     )

@@ -40,12 +40,11 @@ MAX_BODY_BYTES = 1 << 20
 MAX_HEADER_LINES = 100
 MAX_HEAD_BYTES = 64 << 10
 
-_VALID_PREFER = ("square", "column", "row")
-
 #: Grid sizes a request may name: key resolution builds the fabric before
 #: anything else runs, and that costs time and memory growing with the
 #: grid (0.7 s and 51 MiB at 256, 14 s and 686 MiB at 1024), so a size past
-#: the largest preset is refused as malformed.  Below 2 is no fabric.
+#: the largest preset is refused as malformed.  Below 2 is no fabric.  A
+#: ``page_size`` past ``size * size`` fits no grid of that size.
 MIN_SIZE, MAX_SIZE = 2, max(PRESET_SIZES)
 
 #: ``Content-Length`` is ``1*DIGIT``: ``int()`` would also take ``+5``,
@@ -76,7 +75,6 @@ class CompileRequest:
     kernel: str
     size: int = 4
     page_size: int = 4
-    prefer: str = "square"
     seed: int = 0
     arch: str | None = None
     backend: str = "flat"
@@ -107,7 +105,7 @@ class CompileRequest:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ProtocolError(f"'{name}' must be an integer")
                 out[name] = value
-        for name in ("prefer", "backend", "tenant", "arch", "request_id"):
+        for name in ("backend", "tenant", "arch", "request_id"):
             if name in raw and raw[name] is not None:
                 value = raw[name]
                 if not isinstance(value, str):
@@ -118,14 +116,13 @@ class CompileRequest:
             raise ProtocolError(
                 f"'size' must be in {MIN_SIZE}..{MAX_SIZE}, got {req.size}"
             )
-        if req.page_size < 1:
-            raise ProtocolError("'page_size' must be >= 1")
+        if not 1 <= req.page_size <= req.size * req.size:
+            raise ProtocolError(
+                f"'page_size' must be in 1..{req.size * req.size} at size "
+                f"{req.size}, got {req.page_size}"
+            )
         if req.seed < 0:
             raise ProtocolError(f"'seed' must be >= 0, got {req.seed}")
-        if req.prefer not in _VALID_PREFER:
-            raise ProtocolError(
-                f"'prefer' must be one of {_VALID_PREFER}, got {req.prefer!r}"
-            )
         if req.backend not in BACKENDS:
             raise ProtocolError(
                 f"'backend' must be one of {BACKENDS}, got {req.backend!r}"
@@ -143,7 +140,6 @@ class CompileRequest:
             kernel=self.kernel,
             size=self.size,
             page_size=self.page_size,
-            prefer=self.prefer,
             seed=self.seed,
             arch=self.arch,
             backend=self.backend,

@@ -15,7 +15,6 @@ where a kernel's nominal time is ``trip x II`` on the full array.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,12 +75,11 @@ def generate_workload(
     seed: int = 0,
     mean_total_work: int = 50_000,
     phases_per_thread: int = 6,
-    jitter: float = 0.25,
     mean_arrival_gap: int = 0,
 ) -> list[ThreadSpec]:
     """Generate *n_threads* independent random threads.
 
-    Each thread's total nominal work is ``mean_total_work`` +/- *jitter*;
+    Each thread's total nominal work is ``mean_total_work`` +/- 25 %;
     it is split into ``phases_per_thread`` (CPU, CGRA) phase pairs of
     random relative sizes, with the CGRA share fixed at *cgra_need* and
     kernels drawn uniformly.  ``mean_arrival_gap > 0`` staggers thread
@@ -103,12 +101,20 @@ def generate_workload(
     for tid in range(n_threads):
         if mean_arrival_gap > 0 and tid > 0:
             arrival += int(rng.exponential(mean_arrival_gap))
-        total = mean_total_work * (1.0 + jitter * (2 * rng.random() - 1.0))
+        total = mean_total_work * _jittered(rng)
         segments = _phase_segments(
             rng, total, cgra_need, kernels, nominal_ii, phases_per_thread
         )
         threads.append(ThreadSpec(tid, segments, arrival))
     return threads
+
+
+#: a thread's length is drawn uniformly within +/- this share of its mean
+_JITTER = 0.25
+
+
+def _jittered(rng) -> float:
+    return 1.0 + _JITTER * (2 * rng.random() - 1.0)
 
 
 def _phase_segments(
@@ -146,8 +152,8 @@ def _phase_segments(
 # -- trace-driven generation ------------------------------------------------------
 #
 # Datacenter-style load is not "N identical threads at t=0": requests come
-# in bursts, follow daily load curves, and carry different service classes.
-# `generate_trace` models all three while staying seeded and deterministic
+# in bursts and carry different service classes.  `generate_trace` models
+# both while staying seeded and deterministic
 # — the same (seed, parameters) pair always produces the identical trace,
 # which is what lets policy comparisons and recorded benchmark runs be
 # replayed bit-for-bit.
@@ -184,53 +190,27 @@ DEFAULT_CLASSES: tuple[ServiceClass, ...] = (
     ServiceClass("realtime", weight=0.1, work_scale=0.15, phases=2),
 )
 
-ARRIVAL_MODELS = ("all-at-once", "poisson", "bursty", "diurnal")
+ARRIVAL_MODELS = ("all-at-once", "poisson", "bursty")
 
 
 def _arrival_times(
-    rng,
-    n: int,
-    model: str,
-    mean_gap: float,
-    burst_size: int,
-    diurnal_period: int,
-    diurnal_amplitude: float,
+    rng, n: int, model: str, mean_gap: float, burst_size: int
 ) -> np.ndarray:
     """Nondecreasing integer arrival times for *n* threads (first at 0)."""
-    if model == "all-at-once" or mean_gap <= 0:
+    if model == "all-at-once" or mean_gap == 0:
         return np.zeros(n, dtype=np.int64)
     if model == "poisson":
         gaps = rng.exponential(mean_gap, size=n).astype(np.int64)
         gaps[0] = 0
         return np.cumsum(gaps)
-    if model == "bursty":
-        # bursts of ~burst_size threads arrive together; gaps between
-        # bursts stretched so the long-run arrival rate matches poisson's
-        sizes = 1 + rng.poisson(burst_size - 1, size=n)
-        n_bursts = int(np.searchsorted(np.cumsum(sizes), n) + 1)
-        gaps = rng.exponential(mean_gap * burst_size, size=n_bursts).astype(
-            np.int64
-        )
-        gaps[0] = 0
-        starts = np.cumsum(gaps)
-        return np.repeat(starts, sizes[:n_bursts])[:n]
-    if model == "diurnal":
-        # a Poisson process with sinusoidally modulated intensity: the
-        # "day" peaks at 1 + amplitude times the base rate and bottoms
-        # out at 1 - amplitude (floored, so the trough never stalls)
-        draws = rng.exponential(mean_gap, size=n)
-        out = np.empty(n, dtype=np.int64)
-        out[0] = 0
-        t = 0.0
-        two_pi = 2.0 * math.pi
-        for i in range(1, n):
-            lam = 1.0 + diurnal_amplitude * math.sin(two_pi * t / diurnal_period)
-            t += draws[i] / max(lam, 0.05)
-            out[i] = int(t)
-        return out
-    raise WorkloadError(
-        f"unknown arrival model {model!r}; expected one of {ARRIVAL_MODELS}"
-    )
+    # bursty: bursts of ~burst_size threads arrive together; gaps between
+    # bursts stretched so the long-run arrival rate matches poisson's
+    sizes = 1 + rng.poisson(burst_size - 1, size=n)
+    n_bursts = int(np.searchsorted(np.cumsum(sizes), n) + 1)
+    gaps = rng.exponential(mean_gap * burst_size, size=n_bursts).astype(np.int64)
+    gaps[0] = 0
+    starts = np.cumsum(gaps)
+    return np.repeat(starts, sizes[:n_bursts])[:n]
 
 
 def generate_trace(
@@ -243,17 +223,17 @@ def generate_trace(
     arrival_model: str = "poisson",
     mean_arrival_gap: float = 20.0,
     burst_size: int = 8,
-    diurnal_period: int = 50_000,
-    diurnal_amplitude: float = 0.8,
     classes: Sequence[ServiceClass] = DEFAULT_CLASSES,
     mean_total_work: int = 2_000,
-    jitter: float = 0.25,
 ) -> list[ThreadSpec]:
     """Generate a datacenter-style arrival trace of *n_threads* threads.
 
     Arrivals follow *arrival_model* (see :data:`ARRIVAL_MODELS`); each
     thread draws a service class from *classes* by weight, which sets its
-    mean length (``work_scale * mean_total_work``) and phase count.  Fully deterministic for a given seed and parameter set.
+    mean length (``work_scale * mean_total_work``, +/- 25 %) and phase
+    count.  A ``mean_arrival_gap`` of 0 launches every thread at cycle 0
+    whatever the model.  Fully deterministic for a given seed and parameter
+    set.
     """
     if not 0.0 < cgra_need < 1.0:
         raise WorkloadError(f"cgra_need must be in (0,1), got {cgra_need}")
@@ -266,23 +246,20 @@ def generate_trace(
             raise WorkloadError(f"no nominal II for kernel {k!r}")
     if not classes:
         raise WorkloadError("trace needs at least one service class")
+    if arrival_model not in ARRIVAL_MODELS:
+        raise WorkloadError(
+            f"unknown arrival model {arrival_model!r}; "
+            f"expected one of {ARRIVAL_MODELS}"
+        )
+    if mean_arrival_gap < 0:
+        raise WorkloadError(
+            f"mean_arrival_gap must be >= 0, got {mean_arrival_gap}"
+        )
     if burst_size < 1:
         raise WorkloadError(f"burst_size must be >= 1, got {burst_size}")
-    if diurnal_period < 1:
-        raise WorkloadError(f"diurnal_period must be >= 1, got {diurnal_period}")
-    if not 0.0 <= diurnal_amplitude <= 1.0:
-        raise WorkloadError(
-            f"diurnal_amplitude must be in [0,1], got {diurnal_amplitude}"
-        )
     rng = make_rng(seed)
     arrivals = _arrival_times(
-        rng,
-        n_threads,
-        arrival_model,
-        mean_arrival_gap,
-        burst_size,
-        diurnal_period,
-        diurnal_amplitude,
+        rng, n_threads, arrival_model, mean_arrival_gap, burst_size
     )
     weights = np.array([c.weight for c in classes], dtype=float)
     weights /= weights.sum()
@@ -290,11 +267,7 @@ def generate_trace(
     threads: list[ThreadSpec] = []
     for tid in range(n_threads):
         cls = classes[int(class_idx[tid])]
-        total = (
-            cls.work_scale
-            * mean_total_work
-            * (1.0 + jitter * (2 * rng.random() - 1.0))
-        )
+        total = cls.work_scale * mean_total_work * _jittered(rng)
         segments = _phase_segments(
             rng, total, cgra_need, kernels, nominal_ii, cls.phases
         )

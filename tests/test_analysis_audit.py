@@ -294,7 +294,7 @@ def test_paged_ii_is_bounded_on_the_stored_prefix(committed):
     for victim in sorted(committed, key=lambda a: (len(a.placements), a.key.digest)):
         if victim.unmappable:
             continue
-        cgra = audit_mod._build_cgra(victim)
+        cgra = victim.build_cgra()
         layout = PageLayout(cgra, tuple(victim.page_shape))
         id_of, h = cgra.grid_index.id_of, layout.shape[0]
         dfg = get_kernel(victim.kernel).build()

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.arch.cgra import CGRA
-from repro.arch.interconnect import Coord, Interconnect
+from repro.arch.interconnect import Coord, GridIndex
 from repro.arch.isa import Opcode
 from repro.arch.memory import DataMemory
 from repro.sim.cgra_sim import simulate
@@ -28,61 +28,78 @@ class TestCoord:
 
 
 class TestInterconnect:
+    """The mesh: :class:`GridIndex`'s integer tables and the Coord-domain
+    queries :class:`CGRA` answers from them."""
+
     def test_corner_has_two_neighbors(self):
-        ic = Interconnect(4, 4)
-        assert set(ic.neighbors(Coord(0, 0))) == {Coord(0, 1), Coord(1, 0)}
+        assert set(CGRA(4, 4).neighbors(Coord(0, 0))) == {Coord(0, 1), Coord(1, 0)}
 
     def test_interior_has_four_neighbors(self):
-        ic = Interconnect(4, 4)
-        assert len(ic.neighbors(Coord(1, 1))) == 4
-
-    def test_diagonal_flavour(self):
-        ic = Interconnect(4, 4, diagonal=True)
-        assert Coord(1, 1) in ic.neighbors(Coord(0, 0))
-        assert len(ic.neighbors(Coord(1, 1))) == 8
-
-    def test_torus_wraps(self):
-        ic = Interconnect(4, 4, torus=True)
-        assert Coord(3, 0) in ic.neighbors(Coord(0, 0))
-        assert Coord(0, 3) in ic.neighbors(Coord(0, 0))
-        assert all(len(ic.neighbors(c)) == 4 for c in ic.coords())
+        assert len(CGRA(4, 4).neighbors(Coord(1, 1))) == 4
 
     def test_self_reachable(self):
-        ic = Interconnect(3, 3)
-        assert Coord(1, 1) in ic.reachable_in_one(Coord(1, 1))
-        assert ic.adjacent_or_same(Coord(1, 1), Coord(1, 1))
+        cgra = CGRA(3, 3)
+        gi = cgra.grid_index
+        centre = gi.id_of[Coord(1, 1)]
+        assert gi.reach1_ids[centre][0] == centre
+        assert cgra.adjacent_or_same(Coord(1, 1), Coord(1, 1))
 
     def test_adjacency_symmetric(self):
-        ic = Interconnect(5, 3)
-        for a in ic.coords():
-            for b in ic.coords():
-                assert ic.adjacent_or_same(a, b) == ic.adjacent_or_same(b, a)
+        cgra = CGRA(5, 3)
+        for a in cgra.coords():
+            for b in cgra.coords():
+                assert cgra.adjacent_or_same(a, b) == cgra.adjacent_or_same(b, a)
 
     def test_index_roundtrip(self):
-        ic = Interconnect(3, 5)
-        for c in ic.coords():
-            assert ic.coord(ic.index(c)) == c
+        gi = GridIndex(3, 5)
+        for i, c in enumerate(gi.coords):
+            assert gi.id_of[c] == i == c.row * 5 + c.col
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ArchitectureError):
-            Interconnect(0, 4)
+            CGRA(0, 4)
 
     def test_out_of_grid_queries_rejected(self):
-        ic = Interconnect(2, 2)
+        cgra = CGRA(2, 2)
         with pytest.raises(ArchitectureError):
-            ic.neighbors(Coord(5, 5))
-        with pytest.raises(ArchitectureError):
-            ic.index(Coord(-1, 0))
-        with pytest.raises(ArchitectureError):
-            ic.coord(99)
+            cgra.neighbors(Coord(5, 5))
+        assert Coord(-1, 0) not in cgra.grid_index.id_of
 
     @given(st.integers(1, 6), st.integers(1, 6))
     def test_neighbor_counts_sum(self, rows, cols):
         """Handshake lemma: directed neighbour links == 2 * mesh edges."""
-        ic = Interconnect(rows, cols)
-        total = sum(len(ic.neighbors(c)) for c in ic.coords())
+        gi = GridIndex(rows, cols)
+        total = sum(len(n) for n in gi.neighbor_ids)
         expected_edges = rows * (cols - 1) + cols * (rows - 1)
         assert total == 2 * expected_edges
+        for i, nbrs in enumerate(gi.neighbor_ids):
+            assert all(gi.manhattan[i][j] == 1 for j in nbrs)
+
+    @pytest.mark.parametrize(
+        "shape, pe, expected",
+        [
+            ((4, 4), (0, 0), ((1, 0), (0, 1))),  # corner
+            ((4, 4), (3, 3), ((2, 3), (3, 2))),  # corner
+            ((4, 4), (0, 2), ((1, 2), (0, 1), (0, 3))),  # top edge
+            ((4, 4), (3, 1), ((2, 1), (3, 0), (3, 2))),  # bottom edge
+            ((4, 4), (2, 1), ((1, 1), (3, 1), (2, 0), (2, 2))),  # interior
+            ((3, 5), (0, 0), ((1, 0), (0, 1))),  # corner
+            ((3, 5), (2, 4), ((1, 4), (2, 3))),  # corner
+            ((3, 5), (1, 0), ((0, 0), (2, 0), (1, 1))),  # left edge
+            ((3, 5), (0, 3), ((1, 3), (0, 2), (0, 4))),  # top edge
+            ((3, 5), (1, 2), ((0, 2), (2, 2), (1, 1), (1, 3))),  # interior
+        ],
+    )
+    def test_neighbor_order_is_pinned(self, shape, pe, expected):
+        """Up, down, left, right: the router and placer try candidates in
+        this order, so it is part of every artifact's bytes."""
+        cgra = CGRA(*shape)
+        gi = cgra.grid_index
+        expected = tuple(Coord(*c) for c in expected)
+        assert cgra.neighbors(Coord(*pe)) == expected
+        pe_id = gi.id_of[Coord(*pe)]
+        assert gi.neighbor_ids[pe_id] == tuple(gi.id_of[c] for c in expected)
+        assert gi.reach1_ids[pe_id] == (pe_id,) + gi.neighbor_ids[pe_id]
 
 
 # The rotating register file lives inside `simulate`: a PE's file is

@@ -138,7 +138,6 @@ class TestCommittedStore:
         won on the chain, at least 2 rungs below the last rung of its paged
         ladder.  A ceiling change that would cut a committed winner fails
         here, not in the recompile step."""
-        from repro.analysis.audit import _build_cgra
         from repro.compiler.ems import EMSMapper
         from repro.core.paging import PageLayout
         from repro.pipeline.artifact import CompiledKernel
@@ -155,7 +154,7 @@ class TestCommittedStore:
             assert artifact.layout_wrap is False, path.name
             geometry = (artifact.rows, tuple(artifact.page_shape))
             if geometry not in mappers:
-                cgra = _build_cgra(artifact)
+                cgra = artifact.build_cgra()
                 layout = PageLayout(cgra, tuple(artifact.page_shape))
                 mappers[geometry] = EMSMapper(cgra, layout)
             dfg = get_kernel(artifact.kernel).build()
@@ -170,7 +169,6 @@ class TestCommittedStore:
     def test_no_committed_page_need_beats_the_bound(self):
         """The page-need bound is sound on the store: no committed mapping
         sits on fewer chain pages than its paged II needs by capacity."""
-        from repro.analysis.audit import _build_cgra
         from repro.pipeline.artifact import CompiledKernel
         from repro.pipeline.store import ArtifactStore
 
@@ -181,7 +179,7 @@ class TestCommittedStore:
             artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
             if artifact.unmappable:
                 continue
-            layout = PageLayout(_build_cgra(artifact), tuple(artifact.page_shape))
+            layout = PageLayout(artifact.build_cgra(), tuple(artifact.page_shape))
             dfg = get_kernel(artifact.kernel).build()
             need = page_need(dfg, layout, artifact.ii_paged)
             assert artifact.pages_used >= need, path.name
@@ -201,7 +199,6 @@ def page_span_problems(root) -> list[str]:
     """Every mapped artifact of the store at *root* whose ``pages_used`` is
     not ``1 +`` the highest chain page any placement or route step
     touches; raises if the store holds fewer than 20 mapped artifacts."""
-    from repro.analysis.audit import _build_cgra
     from repro.pipeline.artifact import CompiledKernel
     from repro.pipeline.store import ArtifactStore
 
@@ -212,7 +209,7 @@ def page_span_problems(root) -> list[str]:
         artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
         if artifact.unmappable:
             continue
-        layout = PageLayout(_build_cgra(artifact), tuple(artifact.page_shape))
+        layout = PageLayout(artifact.build_cgra(), tuple(artifact.page_shape))
         page_of = {(pe.row, pe.col): n for pe, n in layout.page_of.items()}
         touched = [page_of[r, c] for _op, r, c, _t in artifact.placements]
         touched += [

@@ -16,12 +16,6 @@ class TestChooseShape:
     def test_square_preference(self):
         assert choose_page_shape(4, 4, 4) == (2, 2)
 
-    def test_column_preference(self):
-        assert choose_page_shape(4, 4, 4, prefer="column") == (4, 1)
-
-    def test_row_preference(self):
-        assert choose_page_shape(4, 4, 4, prefer="row") == (1, 4)
-
     def test_size_two(self):
         assert choose_page_shape(2, 4, 4) in ((2, 1), (1, 2))
 
@@ -32,12 +26,12 @@ class TestChooseShape:
     def test_must_fit_grid(self):
         with pytest.raises(ArchitectureError):
             choose_page_shape(32, 4, 4)  # no 32-PE tile in a 4x4
+        with pytest.raises(ArchitectureError):
+            choose_page_shape(10**9, 4, 4)  # only heights up to 4 are tried
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ArchitectureError):
             choose_page_shape(0, 4, 4)
-        with pytest.raises(ArchitectureError):
-            choose_page_shape(4, 4, 4, prefer="diagonal")
 
 
 class TestPageLayout:

@@ -54,7 +54,6 @@ class TestFingerprints:
         assert CGRA(4, 4).fingerprint() == CGRA(4, 4).fingerprint()
         assert CGRA(4, 4).fingerprint() != CGRA(6, 6).fingerprint()
         assert CGRA(4, 4).fingerprint() != CGRA(4, 4, rf_depth=16).fingerprint()
-        assert CGRA(4, 4).fingerprint() != CGRA(4, 4, torus=True).fingerprint()
 
     def test_mapper_fingerprint(self):
         assert MapperConfig().fingerprint() == MapperConfig().fingerprint()

@@ -49,6 +49,8 @@ class TestProtocol:
         req = CompileRequest.from_dict({"kernel": "sor"})
         assert req.size == 4 and req.page_size == 4
         assert req.tenant == "default" and req.priority == 0
+        whole = CompileRequest.from_dict({"kernel": "sor", "page_size": 16})
+        assert whole.page_size == 16  # one page of the whole 4x4 grid
         job = req.to_job()
         assert job == CompileJob("sor", 4, 4)
 
@@ -58,7 +60,6 @@ class TestProtocol:
                 "kernel": "mpeg",
                 "size": 6,
                 "page_size": 2,
-                "prefer": "column",
                 "seed": 3,
                 "backend": "hier",
                 "tenant": "alpha",
@@ -68,11 +69,14 @@ class TestProtocol:
         )
         job = req.to_job()
         assert job.kernel == "mpeg" and job.backend == "hier"
-        assert job.prefer == "column" and job.seed == 3
+        assert job.size == 6 and job.page_size == 2 and job.seed == 3
 
     def test_unknown_field_rejected(self):
-        with pytest.raises(ProtocolError, match="unknown request field"):
-            CompileRequest.from_dict({"kernel": "sor", "kernal": "typo"})
+        """A typo, or ``prefer``: the page shape follows from the page size
+        alone."""
+        for field in ("kernal", "prefer"):
+            with pytest.raises(ProtocolError, match="unknown request field"):
+                CompileRequest.from_dict({"kernel": "sor", field: "column"})
 
     def test_missing_kernel_rejected(self):
         with pytest.raises(ProtocolError, match="kernel"):
@@ -98,6 +102,10 @@ class TestProtocol:
             {"size": 1},
             {"size": 17},
             {"size": 1024},
+            # a page larger than the grid: a 400, not a failed key resolution
+            {"page_size": 17},
+            {"size": 16, "page_size": 257},
+            {"page_size": 10**8},
         ],
     )
     def test_bad_fields_rejected(self, patch):

@@ -599,7 +599,6 @@ class TestFuzzSweep:
             seed=0,
             arrival_model=model,
             mean_arrival_gap=8.0,
-            diurnal_period=500,
             mean_total_work=300,
         )
         cfg = config(n_pages=8, validate_decisions=True)
@@ -645,7 +644,6 @@ class TestNetReallocations:
             seed=0,
             arrival_model=model,
             mean_arrival_gap=2.0,
-            diurnal_period=200,
             mean_total_work=40,
             classes=(ServiceClass("one", 1.0, phases=1),),
         )

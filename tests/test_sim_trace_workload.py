@@ -87,24 +87,17 @@ class TestArrivals:
         # but arrivals cluster: far fewer distinct instants than threads
         assert len(set(arr)) < len(arr) / 3
 
-    def test_diurnal_rate_varies_with_phase(self):
-        period = 20_000
-        wl = trace(
-            n=4000,
-            arrival_model="diurnal",
-            mean_arrival_gap=10.0,
-            diurnal_period=period,
-            diurnal_amplitude=0.9,
-        )
-        arr = [t.arrival for t in wl]
-        # peak half-cycles (sin > 0) must be denser than trough half-cycles
-        peak = sum(1 for a in arr if (a % period) < period / 2)
-        trough = len(arr) - peak
-        assert peak > 1.5 * trough
-
     def test_unknown_model_rejected(self):
-        with pytest.raises(WorkloadError):
+        """Also at a zero mean gap, which launches every thread at cycle 0:
+        the model name and the gap's sign are checked first."""
+        with pytest.raises(WorkloadError, match="unknown arrival model"):
             trace(arrival_model="tidal")
+        with pytest.raises(WorkloadError, match="unknown arrival model"):
+            trace(n=3, arrival_model="tidal", mean_arrival_gap=0)
+        with pytest.raises(WorkloadError, match="mean_arrival_gap"):
+            trace(n=3, mean_arrival_gap=-5.0)
+        assert all(t.arrival == 0 for t in trace(n=3, mean_arrival_gap=0))
+
 
 
 def phases_of(t) -> int:
