@@ -324,6 +324,12 @@ def _job_outcome_pooled(job: CompileJob):
     return outcome
 
 
+def _warm() -> None:
+    """Initializer and warm-up task of ``repro.serve``'s job pool: a spawned
+    worker imports this module, and with it the whole compiler, to find
+    it, and nothing of the service (no asyncio, no ``ssl``)."""
+
+
 def compile_many_outcomes(
     jobs: Iterable[CompileJob],
     *,

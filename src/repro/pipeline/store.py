@@ -25,6 +25,7 @@ increments.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -143,7 +144,9 @@ class ArtifactStore:
             os.replace(tmp, path)
         except OSError as exc:
             logger.warning("could not persist artifact %s: %s", path, exc)
-            tmp.unlink(missing_ok=True)
+            # best effort: under a root that is a file, the unlink fails too
+            with contextlib.suppress(OSError):
+                tmp.unlink(missing_ok=True)
             return None
         with self._lock:
             self.puts += 1

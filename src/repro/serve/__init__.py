@@ -19,36 +19,19 @@ resolves each to its content address
   (N >= 2) one long-lived pool of N spawned processes compiles whole jobs,
   one miss per process: the grain and the worker entry point of
   ``compile_many(workers=N)``, without a pool per batch.
-* **Byte parity** — every served body was read from an
+* **Byte parity** — a served body is the bytes of an
   :class:`~repro.pipeline.store.ArtifactStore` file: the bytes a store
-  probe validated, or a fresh compile's read-back.  The service keeps them
-  per digest (a digest has exactly one valid body) and answers later
-  requests from them, so a served payload is byte-identical to the offline
+  probe validated, or a fresh compile's read-back.  When the store write
+  fails, it is ``artifact.to_json()``, the bytes the write would have put
+  there, and nothing is stored.  The service keeps them per digest (a
+  digest has exactly one valid body) and answers later requests from them,
+  so a served payload is byte-identical to the offline
   :func:`~repro.pipeline.compile.compile_many` output at any concurrency.
 
-``python -m repro.serve`` runs the server.  Throughput, latency
+``python -m repro.serve`` runs the server (plain HTTP, no TLS).  The
+package imports nothing itself: import the module you need, so the server
+entry point decides what its process loads.  Throughput, latency
 percentiles, coalesce rate and cache hit rate under load are measured by
 ``perf/`` (``serve_zipf``, ``serve_warm``, ``service_burst``), which also
 checks served bytes against offline bytes on every run.
 """
-
-from repro.serve.protocol import (
-    CompileRequest,
-    ProtocolError,
-    ServeResult,
-)
-from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
-from repro.serve.service import CompileService, ServiceConfig
-from repro.serve.singleflight import Singleflight
-
-__all__ = [
-    "CompileRequest",
-    "ServeResult",
-    "ProtocolError",
-    "CancelToken",
-    "FairScheduler",
-    "RequestCancelled",
-    "CompileService",
-    "ServiceConfig",
-    "Singleflight",
-]

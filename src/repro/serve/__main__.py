@@ -9,17 +9,29 @@ Example::
 SIGTERM stops the server like Ctrl-C does: the listening socket closes,
 running compiles finish, the worker pool is shut down, and the process
 exits 0.
+
+The server speaks plain HTTP; TLS is terminated by a proxy in front of it.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
 
-from repro.serve.server import serve_forever
-from repro.serve.service import ServiceConfig
+# Before the first asyncio import: asyncio guards each ``import ssl`` with
+# ``except ImportError``, and this server never opens a TLS connection, so
+# a None entry keeps OpenSSL (``_ssl``, libssl, libcrypto: ~4.4 MiB
+# resident) out of the process.  setdefault: a process that has already
+# loaded ``ssl`` (a test run, through urllib) keeps it; any other importer
+# of this module gives TLS up for the rest of its life.
+sys.modules.setdefault("ssl", None)
+
+import asyncio  # noqa: E402 - after the ssl entry above
+
+from repro.pipeline.store import ArtifactStore  # noqa: E402
+from repro.serve.server import serve_forever  # noqa: E402
+from repro.serve.service import ServiceConfig  # noqa: E402
 
 
 async def _serve(config: ServiceConfig, host: str, port: int) -> None:
@@ -67,6 +79,13 @@ def main(argv: list[str] | None = None) -> int:
         )
     except ValueError as exc:
         p.error(str(exc))
+    # a store root that is a file, or that cannot be created, would fail
+    # (or store nothing) on every miss: refuse it before serving
+    root = ArtifactStore(args.store).root
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        p.error(f"--store {root} is not a usable directory: {exc}")
     try:
         asyncio.run(_serve(config, args.host, args.port))
     except (KeyboardInterrupt, asyncio.CancelledError):

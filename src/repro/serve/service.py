@@ -39,9 +39,10 @@ waiters coalesce.  Resolution builds the DFG, so a job's first requests
 share one off-loop call and every later one reads the memo without
 awaiting.  The scheduled work probes the store on the loop (one small file
 read): a hit has no thread hop at all, only a miss hands the compile to a
-worker thread.  Every body the service holds came from a store file — the
-bytes a probe validated, or a compile's read-back — so served bytes are
-byte-identical to offline ``compile_many`` output; a file damaged after
+worker thread.  Every body the service holds is the bytes of a store file
+— the bytes a probe validated, or a compile's read-back; when that put
+fails, ``artifact.to_json()``, what it would have written — so served bytes
+are byte-identical to offline ``compile_many`` output; a file damaged after
 its first read is not read again by this service (the next process
 recompiles it).  Cancellation has one
 contract at every worker count: ``cancel()`` answers its waiter at once;
@@ -66,6 +67,7 @@ from repro.pipeline.compile import (
     CompileFailure,
     CompileJob,
     _job_outcome_pooled,
+    _warm,
     compile_job,
     job_key,
 )
@@ -84,11 +86,6 @@ __all__ = ["ServiceConfig", "CompileService"]
 #: field, so the set of distinct jobs is unbounded too.  Artifacts are
 #: 0.5-1.2 KB, so a full body memo is about 1 MiB.
 _KEY_MEMO_MAX = 1024
-
-
-def _warm() -> None:
-    """Initializer and warm-up task of the job pool: a spawned worker
-    imports this module — and with it the whole compiler — to find it."""
 
 
 @dataclass(frozen=True)
@@ -209,7 +206,9 @@ class CompileService:
         warm-up per worker, submitted back to back, starts every process
         now — spawned, not forked: this process has threads.  The pool's
         imports live here, so a ``workers = 1`` service never loads
-        ``multiprocessing``."""
+        ``multiprocessing``; its warm-up ``_warm`` lives beside the worker
+        entry point, so a worker imports the compile path and not this
+        module."""
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
@@ -463,7 +462,9 @@ class CompileService:
     ) -> _FlightOutcome:
         """Store a fresh artifact, as ``compile_many_outcomes`` does; the
         served bytes are read back from the store file for byte parity
-        with offline compiles."""
+        with offline compiles.  When the put fails (it logs why), they are
+        ``artifact.to_json()``, the bytes it would have written, and
+        nothing is stored."""
         self.store.note_compile_time(seconds)
         path = self.store.put(artifact)
         body = (

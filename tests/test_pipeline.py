@@ -240,6 +240,17 @@ class TestCacheCorrectness:
             assert store.get(wrong) is None
         assert any("does not match its address" in r.message for r in caplog.records)
 
+    def test_put_under_a_file_root_returns_none(self, tmp_path, caplog):
+        """A failed write is best effort: under a root that is a file the
+        temp file cannot even be unlinked, and the put still returns None
+        after logging why, raising nothing."""
+        root = tmp_path / "root"
+        root.write_text("")
+        artifact, _ = compile_job(CompileJob("sor", 4, 4))
+        with caplog.at_level("WARNING", logger="repro.pipeline.store"):
+            assert ArtifactStore(root).put(artifact) is None
+        assert any("could not persist artifact" in r.message for r in caplog.records)
+
     def test_profile_steady_table_preserved(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         artifact = compile_many([CompileJob("sor", 4, 4)], store=store)[0]

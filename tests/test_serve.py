@@ -255,6 +255,30 @@ class TestFairScheduler:
         assert exit_.value.code == 2  # argparse usage error
         assert f"--port must be in 0..65535, got {port}" in capsys.readouterr().err
 
+    def test_rejects_unusable_store_root(self, tmp_path, capsys, monkeypatch):
+        """A store root that is a file, or that cannot be created, is a
+        usage error before anything is served (it would fail, or store
+        nothing, on every miss); a usable root is created at start-up."""
+        from repro.serve import __main__ as entry
+
+        served = []
+
+        async def no_serve(*args):  # binds no socket
+            served.append(args)
+
+        monkeypatch.setattr(entry, "_serve", no_serve)
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        for root in (a_file, a_file / "store"):
+            with pytest.raises(SystemExit) as exit_:
+                entry.main(["--store", str(root)])
+            assert exit_.value.code == 2  # argparse usage error
+            assert f"--store {root} is not a usable directory" in capsys.readouterr().err
+        assert served == []
+        root = tmp_path / "new" / "store"
+        assert entry.main(["--store", str(root)]) == 0
+        assert root.is_dir() and len(served) == 1
+
     def test_busy_port_is_one_line(self, tmp_path, capsys, monkeypatch):
         """A port already in use prints one line to stderr and exits 1,
         after the service (started before the bind) is closed again."""
@@ -1483,6 +1507,12 @@ def _live_children(pid: int) -> set[int]:
     return out
 
 
+def _mapped_libraries(pid: int) -> set[str]:
+    """Base names of the files mapped into process *pid*."""
+    lines = Path(f"/proc/{pid}/maps").read_text().splitlines()
+    return {Path(fields[5]).name for fields in map(str.split, lines) if len(fields) > 5}
+
+
 def _alive(pid: int) -> bool:
     try:
         state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
@@ -1498,7 +1528,9 @@ def test_sigterm_shuts_the_pool_down_and_exits_zero(tmp_path):
     children behind — neither the two spawned workers nor the resource
     tracker is re-parented and left running.  A client idle on a
     keep-alive connection across it reads EOF, and nothing is logged but
-    the stop line."""
+    the stop line.  Neither the server nor a worker maps OpenSSL
+    (``_ssl``, libssl), and no worker maps the event loop's ``_asyncio``:
+    a worker imports the compile path only."""
     env = {
         **os.environ,
         "PYTHONPATH": str(Path(repro.__file__).resolve().parent.parent),
@@ -1530,6 +1562,11 @@ def test_sigterm_shuts_the_pool_down_and_exits_zero(tmp_path):
             answer += idle.recv(4096)
         children = _live_children(proc.pid)
         assert len(children) >= 2  # the workers, and the resource tracker
+        for pid in children | {proc.pid}:
+            mapped = _mapped_libraries(pid)
+            assert not {m for m in mapped if m.startswith(("libssl", "_ssl."))}, pid
+            if pid != proc.pid:
+                assert not {m for m in mapped if m.startswith("_asyncio.")}, pid
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=10) == 0
         assert idle.recv(4096) == b""
