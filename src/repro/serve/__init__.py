@@ -7,10 +7,11 @@ accepts (kernel, arch preset, mapper config) requests over HTTP/JSON,
 resolves each to its content address
 (:func:`repro.pipeline.compile.job_key`), and serves the artifact bytes:
 
-* **Singleflight** (:mod:`repro.serve.singleflight`) — concurrent
+* **One flight per digest** (:mod:`repro.serve.service`) — concurrent
   identical requests coalesce onto one in-flight compile, keyed by the
   :class:`~repro.pipeline.artifact.ArtifactKey` digest, so N duplicate
-  requests cost exactly one mapper invocation.
+  requests cost exactly one mapper invocation; a flight that served bytes
+  stays in the same table as the digest's memo entry.
 * **Fair scheduling** (:mod:`repro.serve.scheduler`) — cache misses
   dispatch through a weighted round-robin across tenants with per-request
   priorities, onto a bounded set of compile slots; a cancelled queued

@@ -256,13 +256,12 @@ def http_response(
     status: int,
     body: bytes,
     *,
-    content_type: str = "application/json",
     headers: dict[str, str] | None = None,
 ) -> bytes:
-    """Serialize one HTTP/1.1 keep-alive response."""
+    """Serialize one HTTP/1.1 keep-alive JSON response."""
     lines = [
         f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
+        "Content-Type: application/json",
         f"Content-Length: {len(body)}",
         "Connection: keep-alive",
     ]

@@ -55,7 +55,6 @@ class ScheduledRequest:
     work: object  # async callable: work(token) -> result
     token: CancelToken
     future: asyncio.Future
-    started: bool = False
 
     def sort_key(self) -> tuple[int, int]:
         # higher priority first; FIFO (arrival seq) among equals
@@ -92,31 +91,22 @@ class FairScheduler:
 
     ``slots`` bounds concurrent work (the service pairs it with a compile
     thread pool of the same size); ``weights`` maps tenant name to its
-    per-cycle dispatch share (missing tenants get ``default_weight``).
+    per-cycle dispatch share (a tenant not named there has weight 1).
     """
 
-    def __init__(
-        self,
-        slots: int,
-        *,
-        weights: dict[str, int] | None = None,
-        default_weight: int = 1,
-    ) -> None:
+    def __init__(self, slots: int, *, weights: dict[str, int] | None = None) -> None:
         if slots < 1:
             raise ValueError(f"scheduler needs >= 1 slot, got {slots}")
-        if default_weight < 1:
-            raise ValueError(f"default weight must be >= 1, got {default_weight}")
         for tenant, weight in (weights or {}).items():
             if weight < 1:
                 raise ValueError(f"tenant {tenant!r} weight must be >= 1, got {weight}")
         self.slots = slots
         self._weights = dict(weights or {})
-        self._default_weight = default_weight
         self._queues: dict[str, _TenantQueue] = {}
         self._ring: deque[str] = deque()
         self._credits: dict[str, int] = {}
         self._seq = 0
-        self._sem = asyncio.Semaphore(slots)
+        self._sem: asyncio.Semaphore | None = None
         self._wake = asyncio.Event()
         self._stopped = False
         self._dispatcher: asyncio.Task | None = None
@@ -127,15 +117,24 @@ class FairScheduler:
     # -- public API -----------------------------------------------------------------
 
     def weight_of(self, tenant: str) -> int:
-        return self._weights.get(tenant, self._default_weight)
+        return self._weights.get(tenant, 1)
 
     def start(self) -> None:
+        """Dispatch on the running loop, also after :meth:`stop`: the
+        semaphore and the wake event are made anew, since an asyncio
+        primitive belongs to the loop that first waits on it."""
         if self._dispatcher is None:
+            self._stopped = False
+            self._sem = asyncio.Semaphore(self.slots)
+            self._wake = asyncio.Event()
+            self._wake.set()  # work submitted before the start
             self._dispatcher = asyncio.get_running_loop().create_task(
                 self._dispatch_loop()
             )
 
     async def stop(self) -> None:
+        """Stop dispatching: running work finishes, and every request still
+        queued is answered :class:`RequestCancelled` without running."""
         self._stopped = True
         self._wake.set()
         if self._dispatcher is not None:
@@ -143,6 +142,13 @@ class FairScheduler:
             self._dispatcher = None
         for task in list(self._running.values()):
             await task
+        for queue in self._queues.values():
+            for _key, req in queue.heap:
+                self.cancelled_queued += 1
+                req.future.set_exception(RequestCancelled(f"request {req.seq}"))
+        self._queues.clear()
+        self._ring.clear()
+        self._credits.clear()
 
     def submit(
         self,
@@ -226,7 +232,6 @@ class FairScheduler:
                 self._sem.release()
                 self._wake.clear()
                 continue
-            req.started = True
             self.dispatched += 1
             task = asyncio.get_running_loop().create_task(self._run(req))
             self._running[req.seq] = task

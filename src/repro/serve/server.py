@@ -12,8 +12,10 @@ Routes (all bodies JSON):
   once and returns ``{"cancelled": true}`` (``false`` for an id not in
   flight).  Its compile is dropped only when its last waiter is gone, and
   then only if still queued; a running one ends with its result unstored.
-* ``GET /stats`` — the service's counters (key, body and probe memos,
-  singleflight, scheduler, store) as JSON.
+* ``GET /stats`` — the service's counters as JSON: the key and probe
+  memos, and the flight table read two ways (``memo``: the flights that
+  resolved with a body; ``singleflight``: the ones still pending), the
+  scheduler and the store.
 * ``GET /healthz`` — liveness.
 
 Connections are keep-alive; one request is served at a time per

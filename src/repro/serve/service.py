@@ -1,4 +1,4 @@
-"""The compile service: singleflight + fair scheduler + whole-job workers.
+"""The compile service: one flight table + fair scheduler + whole-job workers.
 
 :class:`CompileService` is the transport-independent core the HTTP server
 (:mod:`repro.serve.server`) and the bench harness drive directly.  One
@@ -18,44 +18,50 @@ instance owns:
   while every compile slot is busy;
 * the key memo, ``CompileJob`` -> the future of its ``job_key`` call
   (bounded, FIFO; instance state like everything here);
-* the body memo, digest -> the bytes its flight served (a store hit's
-  validated read, or a compile's read-back; same bound, FIFO, emptied by
-  ``close()``): a digest has exactly one valid body, so a request whose
-  digest is in it is answered at once, without a flight, a slot or a
-  file read;
+* the flight table, digest -> :class:`_Flight`, one record per digest.  A
+  pending flight is the digest's coalescing point: the first request
+  opens it and schedules the probe-then-compile, every concurrent
+  duplicate waits on its future, and the last request to leave it fires
+  its cancel token.  A flight that resolved with a body — a store hit's
+  validated bytes, or a compile's read-back — stays as the digest's memo
+  entry (a digest has exactly one valid body), so a later request is
+  answered at once, without a slot or a file read; at most
+  ``_KEY_MEMO_MAX`` of them, FIFO, a pending flight never evicted.  A
+  flight that resolved without a body (a failure or a cancel) leaves the
+  table.  ``close()`` empties it;
 * the probe memo, a :class:`~repro.compiler.search.ProbeMemo` the compiles
   on the slot threads of ``workers = 1`` share (bounded, FIFO, one lock,
   emptied by ``close()``): a miss runs only the probes no earlier miss of
   this service has run — the other seeds and page sizes of its kernel
   left most of them behind.  Jobs in worker processes share nothing;
-* the :class:`~repro.serve.singleflight.Singleflight` table and the
-  :class:`~repro.serve.scheduler.FairScheduler`.
+* the :class:`~repro.serve.scheduler.FairScheduler`.
 
 Request lifecycle: resolve the job to its ArtifactKey digest; a digest
-this service has already served is answered from the body memo in the same
-loop turn — the common case.  Otherwise join the digest's flight; the
-flight leader schedules probe-then-compile onto the fair scheduler;
-waiters coalesce.  Resolution builds the DFG, so a job's first requests
-share one off-loop call and every later one reads the memo without
-awaiting.  The scheduled work probes the store on the loop (one small file
-read): a hit has no thread hop at all, only a miss hands the compile to a
-worker thread.  Every body the service holds is the bytes of a store file
-— the bytes a probe validated, or a compile's read-back; when that put
-fails, ``artifact.to_json()``, what it would have written — so served bytes
-are byte-identical to offline ``compile_many`` output; a file damaged after
-its first read is not read again by this service (the next process
-recompiles it).  Cancellation has one
-contract at every worker count: ``cancel()`` answers its waiter at once;
-the last detach fires the flight's token, which drops a queued compile at
-pick time, and a compile already running finishes and its result is
-dropped unstored.  A worker process that dies breaks its pool: every job
-in flight on it answers ``BrokenProcessPool`` (never stored) and the pool
-is replaced before the next miss (DESIGN.md §13).
+whose flight resolved with a body is answered from it in the same loop
+turn — the common case.  Otherwise join the digest's pending flight, or
+open one and schedule its probe-then-compile onto the fair scheduler; the
+scheduler's answer resolves the flight.  Resolution builds the DFG, so a
+job's first requests share one off-loop call and every later one reads the
+memo without awaiting.  The scheduled work probes the store on the loop
+(one small file read): a hit has no thread hop at all, only a miss hands
+the compile to a worker thread.  Every body the service holds is the bytes
+of a store file — the bytes a probe validated, or a compile's read-back;
+when that put fails, ``artifact.to_json()``, what it would have written —
+so served bytes are byte-identical to offline ``compile_many`` output; a
+file damaged after its first read is not read again by this service (the
+next process recompiles it).  Cancellation has one contract at every
+worker count: ``cancel()`` answers its waiter at once; the last detach
+fires the flight's token, which drops a queued compile at pick time, and a
+compile already running finishes and its result is dropped unstored.  A
+worker process that dies breaks its pool: every job in flight on it
+answers ``BrokenProcessPool`` (never stored) and the pool is replaced
+before the next miss (DESIGN.md §13).
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,7 +80,6 @@ from repro.pipeline.compile import (
 from repro.pipeline.store import ArtifactStore
 from repro.serve.protocol import CompileRequest, ServeResult
 from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
-from repro.serve.singleflight import Flight, Singleflight
 from repro.util.errors import ReproError
 
 if TYPE_CHECKING:
@@ -82,9 +87,9 @@ if TYPE_CHECKING:
 
 __all__ = ["ServiceConfig", "CompileService"]
 
-#: Bound on the key and body memos (FIFO): ``seed`` is an unbounded wire
-#: field, so the set of distinct jobs is unbounded too.  Artifacts are
-#: 0.5-1.2 KB, so a full body memo is about 1 MiB.
+#: Bound on the key memo and on the resolved flights (FIFO): ``seed`` is an
+#: unbounded wire field, so the set of distinct jobs is unbounded too.
+#: Artifacts are 0.5-1.2 KB, so a full flight table is about 1 MiB.
 _KEY_MEMO_MAX = 1024
 
 
@@ -97,16 +102,14 @@ class ServiceConfig:
     only there do the misses share probe outcomes (DESIGN.md §11 has the
     two measured side by side).  A cancelled running compile runs to its
     end at any worker count, its result discarded.  ``slots`` bounds
-    concurrent compiles;
-    ``tenant_weights`` feeds the weighted round-robin (missing tenants get
-    ``default_weight``).
+    concurrent compiles; ``tenant_weights`` feeds the weighted round-robin
+    (a tenant not named there has weight 1).
     """
 
     store_root: str | None = None
     workers: int = 1
     slots: int = 2
     tenant_weights: dict[str, int] | None = None
-    default_weight: int = 1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -116,21 +119,14 @@ class ServiceConfig:
 
 
 @dataclass
-class _FlightOutcome:
-    """What a resolved flight publishes to its waiters."""
+class _Flight:
+    """One digest's record: its future (resolves to a :class:`ServeResult`
+    whose ``request_id`` each waiter replaces with its own), the token the
+    last waiter to leave a pending flight fires, and the waiters attached."""
 
-    digest: str
-    source: str | None = None  # "hit" | "compiled"
-    body: bytes | None = None
-    seconds: float = 0.0
-    error: str | None = None
-    message: str | None = None
-
-
-@dataclass
-class _ActiveRequest:
-    waiter: asyncio.Future
-    cancelled: bool = field(default=False)
+    future: asyncio.Future
+    token: CancelToken = field(default_factory=CancelToken)
+    waiters: int = 0
 
 
 class CompileService:
@@ -141,21 +137,17 @@ class CompileService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.store = store if store is not None else ArtifactStore(self.config.store_root)
-        self.flights = Singleflight()
         self.scheduler = FairScheduler(
-            self.config.slots,
-            weights=self.config.tenant_weights,
-            default_weight=self.config.default_weight,
+            self.config.slots, weights=self.config.tenant_weights
         )
         self._jobs: ProcessPoolExecutor | None = None
         self._pool: ThreadPoolExecutor | None = None
-        self._active: dict[str, _ActiveRequest] = {}
-        self._leader_tasks: dict[str, asyncio.Task] = {}
+        self._active: dict[str, asyncio.Future] = {}
+        self._flights: dict[str, _Flight] = {}
         self._seq = 0
         self._started = False
         self._keys: dict[CompileJob, asyncio.Future] = {}
         self._probes = ProbeMemo()
-        self._bodies: dict[str, bytes] = {}
         # request-level counters: only ever touched on the event loop
         self.body_hits = 0
         self.memo_hits = 0
@@ -165,6 +157,9 @@ class CompileService:
         self.compiles = 0
         self.errors = 0
         self.cancelled = 0
+        self.flights_started = 0
+        self.coalesced = 0
+        self.cancelled_flights = 0
 
     # -- lifecycle ------------------------------------------------------------------
 
@@ -185,20 +180,24 @@ class CompileService:
         return self
 
     async def close(self) -> None:
+        """Stop: running compiles finish, queued ones are answered
+        ``RequestCancelled``, and every pending flight resolves before the
+        pools shut down.  The service may be started again, on any loop."""
         if not self._started:
             return
         await self.scheduler.stop()
-        for task in list(self._leader_tasks.values()):
-            await task
+        pending = [f.future for f in self._flights.values() if not f.future.done()]
+        await asyncio.gather(*pending)
         if self._jobs is not None:
             self._jobs.shutdown(wait=True, cancel_futures=True)
             self._jobs = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-        self._keys.clear()  # its futures belong to this run's loop
+        # their futures belong to this run's loop
+        self._keys.clear()
+        self._flights.clear()
         self._probes.clear()
-        self._bodies.clear()
         self._started = False
 
     def _spawn_jobs_pool(self) -> list:
@@ -266,11 +265,12 @@ class CompileService:
                 message=f"request id {rid!r} is already active",
             )
         # reserve the id before the first await: a concurrent submit with
-        # the same id must see it active, and cancel() can already reach it
+        # the same id must see it active, and cancel() can already reach it;
+        # the waiter resolves to the flight's result, or to None on cancel()
         waiter: asyncio.Future = loop.create_future()
-        active = self._active[rid] = _ActiveRequest(waiter=waiter)
+        self._active[rid] = waiter
         self.requests += 1
-        flight: Flight | None = None
+        flight: _Flight | None = None
         leader = False
         try:
             job = request.to_job()
@@ -285,33 +285,38 @@ class CompileService:
                 return ServeResult(
                     request_id=rid, error=type(exc).__name__, message=str(exc)
                 )
-
-            def _on_flight_done(fut: asyncio.Future) -> None:
-                if not waiter.done():
-                    waiter.set_result(fut.result())
-
             # cancel() may have landed while the key resolved: that request
             # must not join (and, by leaving, cancel) its siblings' flight
             if not waiter.done():
-                body = self._bodies.get(key.digest)
-                if body is not None:
+                known = self._flights.get(key.digest)
+                if known is not None and known.future.done():
                     self.hits += 1
                     self.body_hits += 1
+                    body = known.future.result().body
                     return ServeResult(
                         request_id=rid, digest=key.digest, source="hit", body=body
                     )
-                flight, leader = self.flights.join(key.digest)
+                leader = known is None
                 if leader:
-                    self._lead_flight(flight, job, key, request)
-                flight.future.add_done_callback(_on_flight_done)
-            outcome: _FlightOutcome | None = await waiter
+                    flight = self._lead(job, key, request)
+                else:
+                    flight = known
+                    self.coalesced += 1
+                flight.waiters += 1
+                flight.future.add_done_callback(
+                    lambda fut: waiter.done() or waiter.set_result(fut.result())
+                )
+            result: ServeResult | None = await waiter
         finally:
             del self._active[rid]
             # single detach per request: cancel() only resolves the waiter,
             # the flight refcount is always settled here
             if flight is not None:
-                self.flights.leave(flight)
-        if active.cancelled or outcome is None:
+                flight.waiters -= 1
+                if not flight.waiters and not flight.future.done():
+                    flight.token.cancel()
+                    self.cancelled_flights += 1
+        if result is None:
             self.cancelled += 1
             return ServeResult(
                 request_id=rid,
@@ -319,101 +324,92 @@ class CompileService:
                 error="RequestCancelled",
                 message="request was cancelled",
             )
-        if outcome.body is None:
+        if not result.ok:
             self.errors += 1
-            return ServeResult(
-                request_id=rid,
-                digest=key.digest,
-                source=outcome.source,
-                seconds=outcome.seconds,
-                error=outcome.error,
-                message=outcome.message,
-            )
-        source = outcome.source if leader else "coalesced"
-        if outcome.source == "hit" and leader:
+            return dataclasses.replace(result, request_id=rid)
+        if leader and result.source == "hit":
             self.hits += 1
-        return ServeResult(
-            request_id=rid,
-            digest=key.digest,
-            source=source,
-            body=outcome.body,
-            seconds=outcome.seconds,
+        return dataclasses.replace(
+            result, request_id=rid, source=result.source if leader else "coalesced"
         )
 
     async def cancel(self, request_id: str) -> bool:
         """Cancel one active request; True when it was still in flight.
         Other waiters coalesced onto the same compile are untouched — its
         result is discarded only when its last waiter has cancelled."""
-        active = self._active.get(request_id)
-        if active is None or active.waiter.done():
+        waiter = self._active.get(request_id)
+        if waiter is None or waiter.done():
             return False
-        active.cancelled = True
-        active.waiter.set_result(None)
+        waiter.set_result(None)
         return True
 
-    # -- the flight leader ----------------------------------------------------------
+    # -- the flight -----------------------------------------------------------------
 
-    def _lead_flight(
-        self, flight: Flight, job: CompileJob, key: ArtifactKey, request: CompileRequest
+    def _lead(
+        self, job: CompileJob, key: ArtifactKey, request: CompileRequest
+    ) -> _Flight:
+        """Open *key*'s flight and schedule its probe-then-compile; the
+        scheduler's answer resolves it.  A submit that raises (a stopped
+        scheduler) resolves it at once with that error."""
+        digest = key.digest
+        flight = _Flight(asyncio.get_running_loop().create_future())
+        self._flights[digest] = flight
+        self.flights_started += 1
+
+        def answered(fut: asyncio.Future) -> None:
+            exc = fut.exception()
+            result = fut.result() if exc is None else _error(digest, exc)
+            self._resolve_flight(digest, flight, result)
+
+        try:
+            sched = self.scheduler.submit(
+                self._make_work(job, key),
+                tenant=request.tenant,
+                priority=request.priority,
+                token=flight.token,
+            )
+        except Exception as exc:  # noqa: BLE001 - structured per-request error
+            self._resolve_flight(digest, flight, _error(digest, exc))
+        else:
+            sched.future.add_done_callback(answered)
+        return flight
+
+    def _resolve_flight(
+        self, digest: str, flight: _Flight, result: ServeResult
     ) -> None:
-        """Schedule the flight's probe-then-compile and publish its outcome
-        to every waiter."""
-        sched = self.scheduler.submit(
-            self._make_work(job, key),
-            tenant=request.tenant,
-            priority=request.priority,
-            token=flight.token,
-        )
-
-        async def _lead() -> None:
-            try:
-                outcome = await sched.future
-            except RequestCancelled as exc:
-                outcome = _FlightOutcome(
-                    digest=key.digest, error="RequestCancelled", message=str(exc)
-                )
-            except ReproError as exc:
-                outcome = _FlightOutcome(
-                    digest=key.digest, error=type(exc).__name__, message=str(exc)
-                )
-            except Exception as exc:  # noqa: BLE001 - structured per-request error
-                outcome = _FlightOutcome(
-                    digest=key.digest, error=type(exc).__name__, message=str(exc)
-                )
-            if outcome.source == "compiled":
-                self.compiles += 1
-            if outcome.body is not None:
-                self._remember(key.digest, outcome.body)
-            self.flights.resolve(flight, outcome)
-
-        task = asyncio.get_running_loop().create_task(_lead())
-        self._leader_tasks[flight.digest] = task
-        task.add_done_callback(
-            lambda _t, digest=flight.digest: self._leader_tasks.pop(digest, None)
-        )
-
-    def _remember(self, digest: str, body: bytes) -> None:
-        """Keep the served bytes of *digest* for every later request."""
-        if len(self._bodies) >= _KEY_MEMO_MAX:
-            del self._bodies[next(iter(self._bodies))]
-        self._bodies[digest] = body
+        """Publish *result* to every waiter.  With a body the flight becomes
+        the digest's memo entry, the newest in FIFO order (the oldest memo
+        entry goes past the bound); without one it leaves the table."""
+        if result.source == "compiled":
+            self.compiles += 1
+        flight.future.set_result(result)
+        del self._flights[digest]
+        if result.body is None:
+            return
+        self._flights[digest] = flight
+        if len(self._flights) > _KEY_MEMO_MAX:
+            memo = [d for d, f in self._flights.items() if f.future.done()]
+            if len(memo) > _KEY_MEMO_MAX:
+                del self._flights[memo[0]]
 
     def _make_work(self, job: CompileJob, key: ArtifactKey):
-        async def work(token: CancelToken) -> _FlightOutcome:
+        async def work(token: CancelToken) -> ServeResult:
             # the digest's one store probe in this service, on the loop: a
             # hit costs one ~50 us file read, less than the thread hop it
-            # would ride, and serves (and leaves in the body memo) the
+            # would ride, and serves (and leaves in the flight table) the
             # bytes it validated
             hit = self.store.get(key, raw=True)
             if hit is not None:
-                return _FlightOutcome(digest=key.digest, source="hit", body=hit[1])
+                return ServeResult(
+                    request_id="", digest=key.digest, source="hit", body=hit[1]
+                )
             return await self._compile_miss(job, key, token)
 
         return work
 
     async def _compile_miss(
         self, job: CompileJob, key: ArtifactKey, token: CancelToken
-    ) -> _FlightOutcome:
+    ) -> ServeResult:
         """A store miss, at any worker count: the whole job on a slot
         thread (``workers = 1``) or in a worker process (``workers >= 2``,
         exactly as ``compile_many(workers=N)`` runs it); storing stays here
@@ -439,8 +435,11 @@ class CompileService:
         if token.cancelled:
             raise RequestCancelled("cancelled while its job ran; nothing stored")
         if isinstance(outcome, CompileFailure):
-            return _FlightOutcome(
-                digest=key.digest, error=outcome.error, message=outcome.message
+            return ServeResult(
+                request_id="",
+                digest=key.digest,
+                error=outcome.error,
+                message=outcome.message,
             )
         return await loop.run_in_executor(
             self._pool, self._store_compiled, key, *outcome, started
@@ -459,7 +458,7 @@ class CompileService:
 
     def _store_compiled(
         self, key: ArtifactKey, artifact: CompiledKernel, seconds: float, started: float
-    ) -> _FlightOutcome:
+    ) -> ServeResult:
         """Store a fresh artifact, as ``compile_many_outcomes`` does; the
         served bytes are read back from the store file for byte parity
         with offline compiles.  When the put fails (it logs why), they are
@@ -472,7 +471,8 @@ class CompileService:
             if path is not None
             else artifact.to_json().encode("utf-8")
         )
-        return _FlightOutcome(
+        return ServeResult(
+            request_id="",
             digest=key.digest,
             source="compiled",
             body=body,
@@ -483,15 +483,18 @@ class CompileService:
 
     def stats(self) -> dict:
         served = self.requests - self.errors - self.cancelled
+        bodies = [
+            f.future.result().body for f in self._flights.values() if f.future.done()
+        ]
         return {
             "requests": self.requests,
             "served": served,
             "hits": self.hits,
             "compiles": self.compiles,
-            "coalesced": self.flights.coalesced,
+            "coalesced": self.coalesced,
             "errors": self.errors,
             "cancelled": self.cancelled,
-            "coalesce_rate": round(self.flights.coalesced / self.requests, 4)
+            "coalesce_rate": round(self.coalesced / self.requests, 4)
             if self.requests
             else 0.0,
             "cache_hit_rate": round(self.hits / self.requests, 4)
@@ -503,12 +506,24 @@ class CompileService:
                 "entries": len(self._keys),
             },
             "memo": {
-                "entries": len(self._bodies),
-                "bytes": sum(map(len, self._bodies.values())),
+                "entries": len(bodies),
+                "bytes": sum(map(len, bodies)),
                 "hits": self.body_hits,
             },
             "probes": self._probes.stats(),
-            "singleflight": self.flights.stats(),
+            "singleflight": {
+                "flights_started": self.flights_started,
+                "coalesced": self.coalesced,
+                "cancelled_flights": self.cancelled_flights,
+                "in_flight": len(self._flights) - len(bodies),
+            },
             "scheduler": self.scheduler.stats(),
             "store": self.store.stats(),
         }
+
+
+def _error(digest: str, exc: BaseException) -> ServeResult:
+    """A flight's structured error: the exception's class name and text."""
+    return ServeResult(
+        request_id="", digest=digest, error=type(exc).__name__, message=str(exc)
+    )

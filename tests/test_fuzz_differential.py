@@ -5,11 +5,18 @@ fabric's own register-file depth."""
 
 from __future__ import annotations
 
+import types
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.kernels
+import repro.pipeline.compile as compile_mod
+from repro.analysis.audit import audit_file
+from repro.analysis.findings import Severity
 from repro.arch.cgra import CGRA
 from repro.arch.presets import preset
 from repro.compiler.check import validate_mapping
@@ -23,7 +30,8 @@ from repro.core.transform_check import check_placement
 from repro.dfg.random_dfg import random_arrays, random_dfg
 from repro.dfg.validate import validate_dfg
 from repro.kernels.spec import bind_memory
-from repro.pipeline.compile import make_layout
+from repro.pipeline.compile import CompileJob, compile_job_stats, make_layout
+from repro.pipeline.store import ArtifactStore
 from repro.sim.cgra_sim import simulate
 from repro.sim.lowering import lower_mapping
 from repro.sim.reference import run_reference
@@ -125,28 +133,57 @@ def test_known_seeds_full_pipeline(seed):
 #: seed, so the slice meets both fabrics at both page sizes.
 REAL_DEPTH_SEEDS = tuple(range(16))
 REAL_DEPTH_FABRICS = ("4x4", "4x4-memcols")
+#: Draws whose whole-array ladder exhausts II <= 10, so ``compile_job_stats``
+#: raises and stores nothing: 13 maps on neither ladder, but 11's paged
+#: ladder maps it at II 6 (a whole-array mapping at that II exists, the
+#: base search misses it; ROADMAP item 1).
+BASE_EXHAUSTED = frozenset({11, 13})
 
 
-def fold_at_real_depth(seed):
-    """Map ``random_dfg(seed)`` paged and run it folded onto every M <=
-    ``pages_used``, retargeted and simulated at the fabric's own
-    ``rf_depth`` (values that wait longer go through global storage).
-    Returns ``(folds run, refused folds)``; a refusal is ``(draw, M,
-    reason)``.  A kernel the ladder cannot map runs no fold."""
+def fold_at_real_depth(seed, store_root):
+    """Compile ``random_dfg(seed)`` as a job, store it under *store_root*,
+    audit the stored file (no ERROR finding), and run the artifact folded
+    onto every M <= ``pages_used``, retargeted and simulated at the
+    fabric's own ``rf_depth`` (values that wait longer go through global
+    storage).  Returns ``(folds run, refused folds)``; a refusal is
+    ``(draw, M, reason)``.  A kernel the paged ladder cannot map runs no
+    fold."""
     fabric = REAL_DEPTH_FABRICS[seed % 2]
     page_size = (2, 4)[seed // 2 % 2]
     draw = f"seed {seed} {fabric} ps{page_size}"
     cgra = preset(fabric)
-    dfg = random_dfg(seed, n_ops=4 + seed % 7)
-    try:
-        pm = map_dfg_paged(
-            dfg,
-            cgra,
-            make_layout(cgra, page_size),
-            config=MapperConfig(max_ii=10, attempts_per_ii=2),
-        )
-    except LadderExhausted:
-        return 0, []
+    n_ops = 4 + seed % 7
+    dfg = random_dfg(seed, n_ops=n_ops)
+    config = MapperConfig(max_ii=10, attempts_per_ii=2)
+    job = CompileJob("drawn", 4, page_size, mapper=config, arch=fabric)
+    # the kernel lookups of the compile and of the audit find the draw
+    drawn = types.SimpleNamespace(build=lambda: random_dfg(seed, n_ops=n_ops))
+    with (
+        mock.patch.object(compile_mod, "get_kernel", lambda name: drawn),
+        mock.patch.object(repro.kernels, "get_kernel", lambda name: drawn),
+    ):
+        try:
+            artifact = compile_job_stats(job)[0]
+        except LadderExhausted:
+            artifact = None
+        else:
+            path = ArtifactStore(store_root).put(artifact)
+            entry = audit_file(path, path.relative_to(store_root).as_posix())
+    if artifact is None:
+        # the whole-array ladder gave up, so the job has no artifact to
+        # audit; the paged mapping is folded all the same
+        assert seed in BASE_EXHAUSTED, draw
+        try:
+            pm = map_dfg_paged(dfg, cgra, make_layout(cgra, page_size), config=config)
+        except LadderExhausted:
+            return 0, []
+    else:
+        assert seed not in BASE_EXHAUSTED, draw
+        errors = [f for f in entry.findings if f.severity is Severity.ERROR]
+        assert not errors, (draw, errors)
+        if artifact.unmappable:
+            return 0, []
+        pm = artifact.materialize(dfg)
     cap = slot_capacity(cgra, pm.layout)
     bound = ii_lower_bound(
         dfg,
@@ -177,15 +214,15 @@ def fold_at_real_depth(seed):
     return ran, refused
 
 
-def test_every_fold_at_the_real_register_depth_equals_reference():
+def test_every_fold_at_the_real_register_depth_equals_reference(tmp_path):
     """No ``rf_limit`` or ``rf_depth`` override: the register-usage
     constraint (§VI-B a) and the global-storage fallback at the depth the
-    fabric has.  Refused folds are reported (``-s``), not failed: on
-    ``4x4-memcols`` the fold's mirroring puts memory ops on columns
-    without the capability (ROADMAP item 4)."""
+    fabric has, on artifacts the auditor passes.  Refused folds are
+    reported (``-s``), not failed: on ``4x4-memcols`` the fold's mirroring
+    puts memory ops on columns without the capability (ROADMAP item 4)."""
     ran, refused = 0, []
     for seed in REAL_DEPTH_SEEDS:
-        r, no = fold_at_real_depth(seed)
+        r, no = fold_at_real_depth(seed, tmp_path)
         ran += r
         refused += no
     print(f"real-depth folds: {ran} run, {len(refused)} refused")

@@ -38,7 +38,6 @@ from repro.serve.protocol import (
 from repro.serve.scheduler import FairScheduler, RequestCancelled
 from repro.serve.server import ServeServer
 from repro.serve.service import CompileService, ServiceConfig
-from repro.serve.singleflight import Singleflight
 
 
 # ------------------------------------------------------------------- protocol
@@ -304,41 +303,6 @@ class TestFairScheduler:
         assert len(lines) == 1, captured.err
         assert lines[0].startswith(f"repro.serve: cannot listen on 127.0.0.1:{port}: ")
         assert "Traceback" not in captured.err
-
-
-# --------------------------------------------------------------- singleflight
-
-
-class TestSingleflight:
-    def test_join_coalesces_and_leave_refcounts(self):
-        async def body():
-            sf = Singleflight()
-            flight, leader = sf.join("d1")
-            assert leader and len(sf) == 1
-            same, second_leader = sf.join("d1")
-            assert same is flight and not second_leader
-            assert sf.coalesced == 1
-            sf.resolve(flight, "result")
-            assert len(sf) == 0
-            sf.leave(flight)
-            sf.leave(flight)
-            assert not flight.token.cancelled  # resolved before last leave
-            return await flight.future
-
-        assert _run(body()) == "result"
-
-    def test_last_leave_fires_cancel_token(self):
-        async def body():
-            sf = Singleflight()
-            flight, _ = sf.join("d2")
-            other, _ = sf.join("d2")
-            sf.leave(flight)
-            assert not flight.token.cancelled  # one waiter still attached
-            sf.leave(other)
-            assert flight.token.cancelled
-            assert sf.cancelled_flights == 1
-
-        _run(body())
 
 
 # -------------------------------------------------------- service end to end
@@ -620,7 +584,7 @@ class TestHitPath:
             service = CompileService(config)
             async with service:
                 cold = [await service.submit(_request(seed=seed)) for seed in (0, 1, 2)]
-                held = list(service._bodies)
+                held = [d for d, f in service._flights.items() if f.future.done()]
                 again = [await service.submit(_request(seed=seed)) for seed in (2, 0)]
                 stats = service.stats()
             return cold, held, again, stats, service.stats()["memo"]
@@ -667,7 +631,7 @@ class TestHitPath:
                     first = await pending
                 finally:
                     release.set()
-                while len(service.flights) and time.monotonic() < deadline:
+                while _in_flight(service) and time.monotonic() < deadline:
                     await asyncio.sleep(0.002)
                 left = service.stats()["memo"]
                 monkeypatch.undo()
@@ -688,18 +652,10 @@ class TestHitPath:
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
             async with CompileService(config) as service:
-                flights = []
-                join = service.flights.join
-
-                def recording_join(digest):
-                    flight, leader = join(digest)
-                    flights.append(flight)
-                    return flight, leader
-
-                monkeypatch.setattr(service.flights, "join", recording_join)
                 results = await asyncio.gather(
                     *(service.submit(_request()) for _ in range(50))
                 )
+                flights = list(service._flights.values())
                 return results, flights, service.stats()
 
         results, flights, stats = _run(body())
@@ -708,7 +664,9 @@ class TestHitPath:
         assert len({r.body for r in results}) == 1
         assert stats["compiles"] == 1 and stats["coalesced"] == 49
         assert stats["resolve"] == {"memo_hits": 49, "memo_misses": 1, "entries": 1}
-        assert len(flights) == 50 and all(f.waiters == 0 for f in flights)
+        # one flight, joined 50 times and left 50 times: the digest's memo entry
+        assert [f.waiters for f in flights] == [0] and flights[0].future.done()
+        assert stats["singleflight"]["flights_started"] == 1
         assert stats["singleflight"]["in_flight"] == 0
         assert stats["singleflight"]["cancelled_flights"] == 0
         assert stats["scheduler"]["queued"] == 0
@@ -909,6 +867,155 @@ def _hold_compiles(monkeypatch, which=lambda job: True):
     return running, release
 
 
+def _in_flight(service) -> int:
+    """The flights of *service* still pending (not yet resolved)."""
+    return service.stats()["singleflight"]["in_flight"]
+
+
+async def _until(predicate, timeout=30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        await asyncio.sleep(0.002)
+    assert predicate()
+
+
+class TestFlightTable:
+    """One record per digest, refcounted by the requests attached to it."""
+
+    def test_only_the_last_waiter_to_leave_fires_the_token(self, tmp_path, monkeypatch):
+        """Two requests on one held compile.  The first cancel answers its
+        request and leaves the compile running for the other; the second
+        fires the token, and the job, run to its end, is dropped unstored
+        and leaves no flight behind."""
+        running, release = _hold_compiles(monkeypatch)
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=2)
+            async with CompileService(config) as service:
+                pending = [
+                    asyncio.ensure_future(service.submit(_request(request_id=rid)))
+                    for rid in ("a", "b")
+                ]
+                try:
+                    await _until(running.is_set)
+                    [flight] = service._flights.values()
+                    joined = (flight.waiters, service.stats()["coalesced"])
+                    seen = []
+                    for rid, waiting in zip(("a", "b"), pending):
+                        assert await service.cancel(rid)
+                        await waiting  # answered at once, the compile still held
+                        seen.append(
+                            (flight.token.cancelled, service.stats()["singleflight"])
+                        )
+                finally:
+                    release.set()
+                answers = await asyncio.gather(*pending)
+                await _until(lambda: _idle(service.stats()))
+                return joined, seen, answers, flight, service.stats()
+
+        joined, seen, answers, flight, stats = _run(body())
+        assert joined == (2, 1)
+        (fired_first, after_first), (fired_second, after_second) = seen
+        assert not fired_first and after_first["cancelled_flights"] == 0
+        assert after_first["in_flight"] == 1
+        assert fired_second and after_second["cancelled_flights"] == 1
+        assert [r.error for r in answers] == ["RequestCancelled"] * 2
+        assert stats["cancelled"] == 2 and stats["compiles"] == 0
+        assert stats["store"]["puts"] == 0 and _idle(stats)
+        assert stats["memo"]["entries"] == 0 and not flight.waiters
+
+
+class TestLifecycle:
+    """``close()`` with work queued, and a service started again after it."""
+
+    def test_close_answers_a_queued_request_cancelled(self, tmp_path, monkeypatch):
+        """One slot, busy with job A; job B waits in the scheduler.
+        ``close()`` lets A finish and store, answers B ``RequestCancelled``
+        without running it, stores nothing for B, and returns."""
+        import repro.serve.service as service_mod
+
+        real = service_mod.compile_job
+        compiled = []
+
+        def slow(job, **kwargs):
+            compiled.append(job.kernel)
+            time.sleep(0.3)
+            return real(job, **kwargs)
+
+        monkeypatch.setattr(service_mod, "compile_job", slow)
+        first, queued = _request("sor"), _request("mpeg")
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            service = await CompileService(config).start()
+            a = asyncio.ensure_future(service.submit(first))
+            await _until(lambda: service.scheduler.stats()["running"])
+            b = asyncio.ensure_future(service.submit(queued))
+            await _until(lambda: service.scheduler.stats()["queued"])
+            await asyncio.wait_for(service.close(), 10)
+            answers = await asyncio.wait_for(asyncio.gather(a, b), 10)
+            return answers, service.stats()
+
+        (done, dropped), stats = _run(body())
+        assert done.ok and done.source == "compiled"
+        assert (dropped.ok, dropped.error) == (False, "RequestCancelled")
+        assert compiled == ["sor"] and stats["store"]["puts"] == 1
+        assert not ArtifactStore(tmp_path).path_for(job_key(queued.to_job())).exists()
+        assert stats["scheduler"]["cancelled_queued"] == 1 and _idle(stats)
+
+    @pytest.mark.parametrize("loops", ["same_loop", "second_asyncio_run"])
+    def test_a_restarted_service_serves(self, tmp_path, loops):
+        """``close()`` then ``start()`` again, in the same loop or under a
+        second ``asyncio.run``: a stored digest is a store hit and a new one
+        compiles, and nothing is left pending."""
+        config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+        service = CompileService(config)
+
+        async def run(request):
+            async with service:
+                return await asyncio.wait_for(service.submit(request), 30)
+
+        async def both():
+            return await run(_request("sor")), await run(_request("mpeg"))
+
+        if loops == "same_loop":
+            first, second = _run(both())
+        else:
+            first, second = _run(run(_request("sor"))), _run(run(_request("mpeg")))
+        again = _run(run(_request("sor")))
+        assert first.source == second.source == "compiled"
+        assert again.ok and again.source == "hit"
+        stats = service.stats()
+        assert stats["compiles"] == 2 and stats["errors"] == 0 and _idle(stats)
+
+    def test_a_submit_the_scheduler_refuses_is_a_structured_error(
+        self, tmp_path, monkeypatch
+    ):
+        """A leader whose ``scheduler.submit`` raises resolves its flight
+        with that error: the request is answered, nothing is left pending,
+        and the next request for the digest compiles."""
+
+        def refusing(*args, **kwargs):
+            raise RuntimeError("injected refusal")
+
+        async def body():
+            config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
+            async with CompileService(config) as service:
+                monkeypatch.setattr(service.scheduler, "submit", refusing)
+                refused = await asyncio.wait_for(service.submit(_request()), 30)
+                left = _in_flight(service)
+                monkeypatch.undo()
+                served = await asyncio.wait_for(service.submit(_request()), 30)
+                return refused, left, served, service.stats()
+
+        refused, left, served, stats = _run(body())
+        assert (refused.ok, refused.error) == (False, "RuntimeError")
+        assert refused.message == "injected refusal" and refused.digest
+        assert left == 0
+        assert served.ok and served.source == "compiled"
+        assert stats["errors"] == 1 and stats["memo"]["entries"] == 1
+
+
 class TestMidLadderCancellation:
     """A cancel that lands while the job's ladders are climbing."""
 
@@ -948,7 +1055,7 @@ class TestMidLadderCancellation:
                 finally:
                     release.set()
                 while (
-                    service.scheduler.stats()["running"] or len(service.flights)
+                    service.scheduler.stats()["running"] or _in_flight(service)
                 ) and time.monotonic() < deadline:
                     await asyncio.sleep(0.005)
                 unresolved = [f for f in service._keys.values() if not f.done()]
@@ -1035,7 +1142,7 @@ class TestProbeMemo:
                     gone = await pending
                 finally:
                     release.set()
-                while len(service.flights) and time.monotonic() < deadline:
+                while _in_flight(service) and time.monotonic() < deadline:
                     await asyncio.sleep(0.002)
                 stored, left = path.exists(), service.stats()["probes"]
                 served = await service.submit(sibling)
