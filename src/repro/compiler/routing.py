@@ -68,6 +68,7 @@ from repro.core.paging import PageLayout
 __all__ = [
     "RoutingContext",
     "commit_route",
+    "cost_floors",
     "release_route",
 ]
 
@@ -461,6 +462,43 @@ def find_route_ids(
         ctx, mrt, src_id, t_src_eff, goal_mask, min_dist, hint, hops,
         max_expansions, stats,
     )
+
+
+def cost_floors(
+    t_lo: int,
+    t_hi: int,
+    pred_holders: list[list[tuple[int, int]]],
+    succ_anchors: list[tuple[int, int, int]],
+) -> list[float]:
+    """Lower bounds on the cost of the placer's trials, one per cycle of
+    ``t_lo..t_hi``: entry ``t - t_lo`` bounds every trial at cycle *t* or
+    later (a suffix minimum), from times alone.
+
+    :func:`find_route_ids` lays one step per cycle strictly between a holder
+    and its consumer, and a route that taps a sibling's step (the same
+    value, the same distance) still stands on a chain of steps back to a
+    holder that was there before the trial.  So the routes of one value
+    cost at least their longest gap minus one: per entry of
+    *pred_holders* (the holders of one placed producer's value at one
+    distance, ``(pe, time)``) the gap from the latest holder before *t*;
+    per distance of the op's own value, the gap to its latest placed
+    consumer (*succ_anchors*: ``(pe, time, distance * II)``).  The
+    congestion term is never negative; the placer's ``0.25 * (t - t_lo)``
+    time term is added as it adds it, so float rounding keeps the bound."""
+    ends: dict[int, int] = {}  # distance * II -> latest consumer time + it
+    for _, dst_t, shift in succ_anchors:
+        ends[shift] = max(ends.get(shift, 0), dst_t + shift)
+    floors = []
+    for t in range(t_lo, t_hi + 1):
+        slots = 0
+        for holders in pred_holders:
+            slots += t - 1 - max((h for _, h in holders if h < t), default=t - 1)
+        for end in ends.values():
+            slots += end - t - 1
+        floors.append(slots + 0.25 * (t - t_lo))
+    for i in range(len(floors) - 2, -1, -1):
+        floors[i] = min(floors[i], floors[i + 1])
+    return floors
 
 
 def _steps_of(ctx: RoutingContext, path: list[int], t_src_eff: int):

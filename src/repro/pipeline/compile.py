@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.arch.cgra import CGRA
+from repro.compiler.check import validate_mapping
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
 from repro.compiler.search import LadderReport, ProbeMemo
@@ -181,6 +182,10 @@ def compile_job_stats(
     ``probes_shared`` of the counters (and ``shared`` of each ladder)
     saying how much of it was looked up.  Without one every probe runs.
 
+    When the whole-array ladder is exhausted the paged mapping, if there is
+    one, stands in as the base mapping; when neither maps, the base
+    ladder's :class:`~repro.util.errors.LadderExhausted` propagates.
+
     The compile runs inside a per-job counter scope
     (:func:`repro.compiler.stats.job_counters`): the mapper's increments
     land on this thread's private instance, so per-job attribution is
@@ -197,7 +202,12 @@ def compile_job_stats(
     search_log: list[LadderReport] = []
     with job_counters() as job_ctrs:
         base_started = time.perf_counter()
-        base = map_dfg(dfg, cgra, config=config, search_log=search_log, probes=probes)
+        try:
+            base = map_dfg(
+                dfg, cgra, config=config, search_log=search_log, probes=probes
+            )
+        except LadderExhausted as exc:
+            base, exhausted = None, exc
         base_seconds = time.perf_counter() - base_started
         paged_started = time.perf_counter()
         try:
@@ -208,6 +218,13 @@ def compile_job_stats(
             # the one verdict that is an artifact; anything else is a failure
             paged = None
         paged_seconds = time.perf_counter() - paged_started
+    if base is None:
+        if paged is None:
+            raise exhausted
+        # a paged mapping uses a subset of the whole array's PEs and links,
+        # so it is a whole-array mapping the base search missed
+        validate_mapping(paged.mapping)
+        base = paged
     common = dict(
         kernel=job.kernel,
         rows=cgra.rows,

@@ -727,7 +727,8 @@ class TestReachabilityFilter:
 #: counted) — the search volume before the mask, which that measure
 #: reproduces exactly on every entry kept.  ``yuv2rgb`` on the hier backend
 #: was re-pinned the same way when its rungs lost the multi-page clustered
-#: probe, which never won: only its search volume dropped.
+#: probe, which never won: only its search volume dropped.  The three trial
+#: counters are now a bound: the cost floor stops scans early.
 _PARENT_TRAJECTORY = {
     ("flat", "mpeg", 2): (1, 1, 3082, 2260, 1479, 0, 0, 0, 0, 0, 0, 1278),
     ("flat", "mpeg", 4): (1, 1, 2731, 1815, 1033, 0, 0, 0, 0, 0, 0, 2074),
@@ -745,15 +746,39 @@ _PARENT_TRAJECTORY = {
     ("hier", "yuv2rgb", 4): (2, 5, 39527, 34784, 30292, 0, 0, 5, 0, 19, 1, 7366),
 }
 
+#: (placement_probes, trial_commits, trials_refuted) of the same compiles
+#: since a placement scan stops at its cost floor (``routing.cost_floors``):
+#: no later candidate could have won, so only these three fell — flat
+#: ``compress`` ps2 from 2624 probes to 1197, the flat 4x4 suite's trials
+#: from 168 873 to 77 747.  ``floor_differential`` shows the bytes stayed.
+_FLOOR_TRIALS = {
+    ("flat", "mpeg", 2): (2986, 2214, 1435),
+    ("flat", "mpeg", 4): (1749, 1192, 720),
+    ("flat", "sor", 2): (471, 363, 185),
+    ("flat", "sor", 4): (127, 103, 18),
+    ("flat", "wavelet", 2): (1100, 885, 569),
+    ("flat", "wavelet", 4): (996, 776, 518),
+    ("flat", "compress", 2): (1197, 985, 685),
+    ("flat", "compress", 4): (166, 148, 64),
+    ("flat", "fft", 4): (18340, 12284, 8869),
+    ("hier", "sor", 4): (445, 400, 322),
+    ("hier", "sor", 8): (451, 410, 334),
+    ("hier", "compress", 4): (134, 122, 64),
+    ("hier", "compress", 8): (140, 129, 73),
+    ("hier", "yuv2rgb", 4): (27641, 24532, 22394),
+}
+
 
 @pytest.mark.parametrize("backend,kernel,page_size", sorted(_PARENT_TRAJECTORY))
 def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
     """A refuted candidate still counts as probed and trialled — whether
     the per-cycle mask refuted it or the per-candidate predicate did — so
-    the eval-budget / candidate-cap cuts fall where they always did: every
-    trajectory counter equals the parent's value and only search volume
-    (``expansions``) drops, by the re-route of each op's winning candidate
-    that replaying its trial's routes removes."""
+    the eval-budget / candidate-cap cuts fall where they would without the
+    mask: the IIs, rungs and hier counters equal the parent's values, the
+    trial counters fall only where a scan stops at its cost floor
+    (:data:`_FLOOR_TRIALS`), and search volume (``expansions``) drops, by
+    the re-route of each op's winning candidate that replaying its trial's
+    routes removes and by the trials the floor skips."""
     from repro.pipeline.compile import CompileJob, compile_job_stats
 
     job = (
@@ -765,13 +790,16 @@ def test_filter_leaves_the_search_trajectory_alone(backend, kernel, page_size):
     )
     artifact, stats = compile_job_stats(job)
     c = stats.counters
-    *pinned, parent_expansions = _PARENT_TRAJECTORY[backend, kernel, page_size]
+    parent = _PARENT_TRAJECTORY[backend, kernel, page_size]
+    parent_trials, parent_expansions = parent[2:5], parent[-1]
     assert [
-        artifact.ii_base, artifact.ii_paged, c["placement_probes"],
-        c["trial_commits"], c["trials_refuted"], c["rungs_skipped"],
+        artifact.ii_base, artifact.ii_paged, c["rungs_skipped"],
         c["rungs_pruned"], c["hier_attempts"], c["hier_wins"],
         c["hier_flat_attempts"], c["hier_flat_wins"],
-    ] == pinned
+    ] == [*parent[:2], *parent[5:-1]]
+    trials = c["placement_probes"], c["trial_commits"], c["trials_refuted"]
+    assert trials == _FLOOR_TRIALS[backend, kernel, page_size]
+    assert all(now <= then for now, then in zip(trials, parent_trials))
     assert c["expansions"] < parent_expansions
 
 
@@ -796,6 +824,31 @@ MASK_DRAWS = {
 }
 
 
+def draw_jobs(backend, outcome, mapper_seeds):
+    """``(kernel, jobs)``: the compile jobs of the ``MASK_DRAWS`` draw at
+    each of *mapper_seeds* (``max_ii=10``, four attempts per rung), and
+    what their kernel lookup (``compile_mod.get_kernel``) must find."""
+    import types
+
+    from repro.compiler.ems import MapperConfig
+    from repro.dfg.random_dfg import random_dfg
+    from repro.pipeline.compile import CompileJob
+
+    seed, n_ops, _tier1 = MASK_DRAWS[backend, outcome]
+    drawn = types.SimpleNamespace(build=lambda: random_dfg(seed, n_ops=n_ops))
+    jobs = []
+    for mapper_seed in mapper_seeds:
+        config = MapperConfig(
+            seed=mapper_seed, attempts_per_ii=4, max_ii=10, backend=backend
+        )
+        jobs.append(
+            CompileJob("drawn", 4, 2, mapper=config)
+            if backend == "flat"
+            else CompileJob("drawn", 8, 4, arch="8x8-memcols", mapper=config)
+        )
+    return drawn, jobs
+
+
 def mask_replay_differential(backend, outcome, mapper_seeds) -> None:
     """The placer with its two shortcuts switched off — every candidate's
     bit set on an inexact cycle, so each trial asks the per-candidate
@@ -804,15 +857,12 @@ def mask_replay_differential(backend, outcome, mapper_seeds) -> None:
     counters at every mapper seed (the winner's second search aside, which
     the reference keeps off the books), and that second search finds the
     replayed routes."""
-    import types
     from unittest import mock
 
     import repro.pipeline.compile as compile_mod
     from repro.compiler.ems import EMSMapper, MapperConfig
-    from repro.dfg.random_dfg import random_dfg
 
-    seed, n_ops, _tier1 = MASK_DRAWS[backend, outcome]
-    drawn = types.SimpleNamespace(build=lambda: random_dfg(seed, n_ops=n_ops))
+    drawn, jobs = draw_jobs(backend, outcome, mapper_seeds)
     rerouted = []
 
     def reroute(self, dfg, st, op_id, pe_id, t, routes):
@@ -827,17 +877,7 @@ def mask_replay_differential(backend, outcome, mapper_seeds) -> None:
 
     def compile_all():
         out = []
-        for mapper_seed in mapper_seeds:
-            config = MapperConfig(
-                seed=mapper_seed, attempts_per_ii=4, max_ii=10, backend=backend
-            )
-            job = (
-                compile_mod.CompileJob("drawn", 4, 2, mapper=config)
-                if backend == "flat"
-                else compile_mod.CompileJob(
-                    "drawn", 8, 4, arch="8x8-memcols", mapper=config
-                )
-            )
+        for job in jobs:
             artifact, stats = compile_mod.compile_job_stats(job)
             out.append((artifact.to_json(), stats.counters, stats.ladders))
         return out
@@ -885,3 +925,149 @@ def mask_replay_differential(backend, outcome, mapper_seeds) -> None:
 @pytest.mark.parametrize("backend,outcome", sorted(MASK_DRAWS))
 def test_mask_and_replay_change_no_byte_and_no_counter(backend, outcome):
     mask_replay_differential(backend, outcome, MASK_DRAWS[backend, outcome][2])
+
+
+#: Counters the cost floor may only lower (the search it skips), and the
+#: ones it must leave alone (the ladder's walk).
+_SEARCH_COUNTERS = (
+    "route_calls", "routes_refuted", "trials_refuted", "bfs_calls",
+    "dfs_calls", "expansions", "placement_probes", "trial_commits",
+)
+
+
+def floor_differential(jobs, kernel=None) -> int:
+    """The placer with its cost floor switched off — every placement scan
+    runs on to its budget cuts, as it did before the floor — compiles
+    *jobs* to the same artifact bytes and the same ladders (winner, rungs,
+    stuck ops), with no search counter above the floor-off run's and every
+    other counter equal.  *kernel* is what the jobs' kernel lookup finds
+    (a ``draw_jobs`` draw), if given.  Returns the trials the floor saved."""
+    import contextlib
+    import math
+    from unittest import mock
+
+    import repro.compiler.ems as ems_mod
+    import repro.pipeline.compile as compile_mod
+
+    def compile_all():
+        out = []
+        for job in jobs:
+            artifact, stats = compile_mod.compile_job_stats(job)
+            ladders = [(r.winner, r.per_ii(), r.stuck()) for r in stats.ladders]
+            out.append((artifact.to_json(), ladders, stats.counters))
+        return out
+
+    def no_floor(t_lo, t_hi, *_):
+        return [-math.inf] * (t_hi - t_lo + 1)
+
+    with contextlib.ExitStack() as patches:
+        if kernel is not None:
+            patches.enter_context(
+                mock.patch.object(compile_mod, "get_kernel", lambda name: kernel)
+            )
+        floored = compile_all()
+        patches.enter_context(mock.patch.object(ems_mod, "cost_floors", no_floor))
+        unfloored = compile_all()
+    saved = 0
+    for (artifact, ladders, c), (artifact0, ladders0, c0) in zip(floored, unfloored):
+        assert artifact == artifact0
+        assert ladders == ladders0
+        for name in c:
+            if name in _SEARCH_COUNTERS:
+                assert c[name] <= c0[name], name
+            else:
+                assert c[name] == c0[name], name
+        saved += c0["trial_commits"] - c["trial_commits"]
+    return saved
+
+
+def test_cost_floor_changes_no_byte_on_a_suite_slice():
+    from repro.pipeline.compile import CompileJob
+
+    jobs = [CompileJob(k, 4, ps) for k in ("sor", "compress") for ps in (2, 4)]
+    jobs.append(CompileJob("sor", 8, 4, arch="8x8-memcols", backend="hier"))
+    assert floor_differential(jobs) > 0
+
+
+@pytest.mark.parametrize(
+    # the flat ring draw costs 2.3 s with the floor off (two failing chain
+    # and ring climbs); ``python tests/test_recompile_bytes.py`` runs it,
+    # and every draw at mapper seeds 0-3
+    "backend,outcome", sorted(set(MASK_DRAWS) - {("flat", "ring")})
+)
+def test_cost_floor_changes_no_byte_on_the_mask_draws(backend, outcome):
+    """Mapper seed 0, failing ladders included, where the stuck ops and
+    the budget cuts must come out the same."""
+    kernel, jobs = draw_jobs(backend, outcome, (0,))
+    floor_differential(jobs, kernel)
+
+
+def _self_recurrence(distance):
+    """``acc = acc + in[i]`` as one op whose value feeds itself
+    *distance* iterations later.  No kernel has a self edge: a recurrence
+    goes through a placeholder op."""
+    from repro.arch.isa import Opcode
+    from repro.dfg.graph import DFG, MemRef
+
+    dfg = DFG(name=f"acc{distance}")
+    x = dfg.add_op(Opcode.LOAD, memref=MemRef("in"))
+    acc = dfg.add_op(Opcode.ADD)
+    dfg.add_edge(x, acc, 0)
+    dfg.add_edge(acc, acc, 1, distance=distance, init=(0,) * distance)
+    dfg.add_edge(acc, dfg.add_op(Opcode.STORE, memref=MemRef("out")), 0)
+    return dfg
+
+
+def test_cost_floor_bounds_every_trial():
+    """Soundness of the stop: with the stop switched off, every feasible
+    trial costs at least the floor of a one-cycle window at its cycle, and
+    with the time term at least the suffix-minimum floor the scan would
+    compare with — on random draws (both fabrics, both page sizes) and on
+    self-recurrences, whose routes the floor leaves out but a consumer's
+    route may tap."""
+    import math
+    from unittest import mock
+
+    import repro.compiler.ems as ems_mod
+    from repro.compiler.ems import EMSMapper, MapperConfig
+    from repro.compiler.paged import map_dfg_paged
+    from repro.dfg.random_dfg import random_dfg
+    from repro.pipeline.compile import make_layout
+    from repro.util.errors import LadderExhausted
+
+    cost_floors, trial_cost = ems_mod.cost_floors, EMSMapper._trial_cost
+    scan = {}  # the current placement scan's floor arguments and floors
+    tally = Counter()
+
+    def floors(t_lo, t_hi, *anchors):
+        scan.update(t_lo=t_lo, anchors=anchors)
+        scan["floors"] = cost_floors(t_lo, t_hi, *anchors)
+        return [-math.inf] * (t_hi - t_lo + 1)
+
+    def trial(self, dfg, ii, st, op_id, pe, t, *edges):
+        out = trial_cost(self, dfg, ii, st, op_id, pe, t, *edges)
+        if out is not None:
+            at_t = cost_floors(t, t, *scan["anchors"])[0]
+            assert out[0] >= at_t
+            t_lo = scan["t_lo"]
+            assert out[0] + 0.25 * (t - t_lo) >= scan["floors"][t - t_lo]
+            tally["tight" if out[0] == at_t else "slack"] += 1
+            tally["self"] += bool(edges[2])
+        return out
+
+    draws = [(random_dfg(seed, n_ops=4 + seed % 7), seed) for seed in range(10)]
+    draws += [(_self_recurrence(d), d) for d in (1, 2)]
+    config = MapperConfig(max_ii=10, attempts_per_ii=2)
+    with mock.patch.object(ems_mod, "cost_floors", floors), mock.patch.object(
+        EMSMapper, "_trial_cost", trial
+    ):
+        for dfg, seed in draws:
+            cgra = preset(("4x4", "4x4-memcols")[seed % 2])
+            layout = make_layout(cgra, (2, 4)[seed // 2 % 2])
+            try:
+                map_dfg_paged(dfg, cgra, layout, config=config)
+            except LadderExhausted:
+                pass
+    # the bound is met with equality on a real share of the trials (that
+    # is what lets the scan stop), and self edges were trialled
+    assert tally["tight"] > 0 and tally["slack"] > 0 and tally["self"] > 0

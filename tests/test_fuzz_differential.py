@@ -30,7 +30,7 @@ from repro.core.transform_check import check_placement
 from repro.dfg.random_dfg import random_arrays, random_dfg
 from repro.dfg.validate import validate_dfg
 from repro.kernels.spec import bind_memory
-from repro.pipeline.compile import CompileJob, compile_job_stats, make_layout
+from repro.pipeline.compile import CompileJob, compile_job_stats
 from repro.pipeline.store import ArtifactStore
 from repro.sim.cgra_sim import simulate
 from repro.sim.lowering import lower_mapping
@@ -133,11 +133,11 @@ def test_known_seeds_full_pipeline(seed):
 #: seed, so the slice meets both fabrics at both page sizes.
 REAL_DEPTH_SEEDS = tuple(range(16))
 REAL_DEPTH_FABRICS = ("4x4", "4x4-memcols")
-#: Draws whose whole-array ladder exhausts II <= 10, so ``compile_job_stats``
-#: raises and stores nothing: 13 maps on neither ladder, but 11's paged
-#: ladder maps it at II 6 (a whole-array mapping at that II exists, the
-#: base search misses it; ROADMAP item 1).
-BASE_EXHAUSTED = frozenset({11, 13})
+#: Draws that map on neither ladder at II <= 10, so ``compile_job_stats``
+#: raises and stores nothing.  (Draw 11's whole-array ladder exhausts too,
+#: but its paged ladder maps it at II 6, and the job stores that mapping
+#: as its base mapping as well.)
+BASE_EXHAUSTED = frozenset({13})
 
 
 def fold_at_real_depth(seed, store_root):
@@ -170,20 +170,15 @@ def fold_at_real_depth(seed, store_root):
             path = ArtifactStore(store_root).put(artifact)
             entry = audit_file(path, path.relative_to(store_root).as_posix())
     if artifact is None:
-        # the whole-array ladder gave up, so the job has no artifact to
-        # audit; the paged mapping is folded all the same
+        # neither ladder maps the draw: no artifact to audit or fold
         assert seed in BASE_EXHAUSTED, draw
-        try:
-            pm = map_dfg_paged(dfg, cgra, make_layout(cgra, page_size), config=config)
-        except LadderExhausted:
-            return 0, []
-    else:
-        assert seed not in BASE_EXHAUSTED, draw
-        errors = [f for f in entry.findings if f.severity is Severity.ERROR]
-        assert not errors, (draw, errors)
-        if artifact.unmappable:
-            return 0, []
-        pm = artifact.materialize(dfg)
+        return 0, []
+    assert seed not in BASE_EXHAUSTED, draw
+    errors = [f for f in entry.findings if f.severity is Severity.ERROR]
+    assert not errors, (draw, errors)
+    if artifact.unmappable:
+        return 0, []
+    pm = artifact.materialize(dfg)
     cap = slot_capacity(cgra, pm.layout)
     bound = ii_lower_bound(
         dfg,

@@ -474,6 +474,33 @@ class TestBatchOutcomes:
         assert isinstance(outcome, CompileFailure)
         assert (outcome.error, store.puts) == ("MappingError", 0)
 
+    def test_a_base_ladder_miss_keeps_the_paged_mapping(self, tmp_path, monkeypatch):
+        """When the whole-array ladder is exhausted but the paged ladder
+        maps the kernel, that mapping is a whole-array mapping too (a
+        subset of the PEs and links): the job stores it with its II as
+        ``ii_base`` instead of failing, and the artifact audits clean.
+        Fuzz draw 11 of ``tests/test_fuzz_differential.py``: the base
+        ladder gives up at II 10, the paged one maps at II 6."""
+        import repro.kernels
+        import repro.pipeline.compile as compile_mod
+        from repro.analysis.audit import audit_file
+        from repro.analysis.findings import Severity
+        from repro.dfg.random_dfg import random_dfg
+
+        drawn = SimpleNamespace(build=lambda: random_dfg(11, n_ops=8))
+        monkeypatch.setattr(compile_mod, "get_kernel", lambda name: drawn)
+        monkeypatch.setattr(repro.kernels, "get_kernel", lambda name: drawn)
+        config = MapperConfig(max_ii=10, attempts_per_ii=2)
+        job = CompileJob("drawn", 4, 4, mapper=config, arch="4x4-memcols")
+        artifact, stats = compile_mod.compile_job_stats(job)
+        base, chain, *_ = stats.ladders
+        assert base.winner is None and chain.winner is not None
+        assert not artifact.unmappable
+        assert artifact.ii_base == artifact.ii_paged == 6
+        path = ArtifactStore(tmp_path).put(artifact)
+        entry = audit_file(path, path.relative_to(tmp_path).as_posix())
+        assert not [f for f in entry.findings if f.severity is Severity.ERROR]
+
     def test_unpicklable_cause_is_dropped_in_the_worker(self, monkeypatch):
         """A pool worker ships a failure whose exception cannot make the
         pickle round trip as class name + message only."""

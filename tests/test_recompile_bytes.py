@@ -21,8 +21,10 @@ compares each artifact's sha256 with :data:`HIER_SHA256`; every artifact of
 both sets must store as its page need the pages it touches
 (``test_feasibility.page_span_problems``).  It then runs the placer's
 shortcut differential (``test_compiler_units.mask_replay_differential``)
-on all six of its draws at mapper seeds 0-3 — tier-1 runs the three draws
-that climb failing ladders at seed 0 only.
+and its cost-floor differential (``test_compiler_units.floor_differential``)
+on all six draws at mapper seeds 0-3 — tier-1 runs the three draws that
+climb failing ladders at seed 0 only for the first, every draw but the
+flat ring one at seed 0 only for the second.
 
 A job compiled through a :class:`~repro.compiler.search.ProbeMemo` depends
 on what earlier jobs left in it, so the script also compiles the 22
@@ -251,21 +253,35 @@ def recompile_all() -> list[str]:
 
 
 def differential_all() -> list[str]:
-    """The mask/replay differential on every draw at mapper seeds 0-3."""
+    """The mask/replay and the cost-floor differentials on every draw at
+    mapper seeds 0-3."""
     # script mode only: tests/ is sys.path[0] there
-    from test_compiler_units import MASK_DRAWS, mask_replay_differential
+    from test_compiler_units import (
+        MASK_DRAWS,
+        draw_jobs,
+        floor_differential,
+        mask_replay_differential,
+    )
+
+    def floor_leg(backend, outcome, mapper_seeds):
+        kernel, jobs = draw_jobs(backend, outcome, mapper_seeds)
+        floor_differential(jobs, kernel)
 
     problems = []
     for backend, outcome in sorted(MASK_DRAWS):
-        try:
-            mask_replay_differential(backend, outcome, range(4))
-        except AssertionError as exc:
-            # plain asserts carry no message outside pytest: name the line
-            at = traceback.extract_tb(exc.__traceback__)[-1]
-            problems.append(
-                f"mask/replay differential {backend}-{outcome}: "
-                f"line {at.lineno}: {at.line}"
-            )
+        for name, check in (
+            ("mask/replay", mask_replay_differential),
+            ("cost floor", floor_leg),
+        ):
+            try:
+                check(backend, outcome, range(4))
+            except AssertionError as exc:
+                # plain asserts carry no message outside pytest: name the line
+                at = traceback.extract_tb(exc.__traceback__)[-1]
+                problems.append(
+                    f"{name} differential {backend}-{outcome}: "
+                    f"line {at.lineno}: {at.line}"
+                )
     return problems
 
 
@@ -276,6 +292,6 @@ if __name__ == "__main__":  # spawned workers re-import this file: keep the guar
         or "all committed artifacts and pinned hier jobs recompile byte-identical, "
         "pooled and through a shared probe memo in both job orders (the 64 serve "
         "jobs: with and without the memo); "
-        "mask/replay differential clean on 6 draws x 4 mapper seeds"
+        "mask/replay and cost-floor differentials clean on 6 draws x 4 mapper seeds"
     )
     sys.exit(1 if found else 0)
