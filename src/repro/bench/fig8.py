@@ -48,18 +48,16 @@ def run_fig8(
     kernels: list[str] | None = None,
     workers: int = 1,
     arch: str | None = None,
-    backend: str = "flat",
 ) -> list[Fig8Row]:
     """Reproduce Fig. 8(a/b/c) for one CGRA size.
 
     *arch* compiles against a fabric preset instead of the homogeneous
-    ``size x size`` grid (``repro.arch.presets``; must agree with *size*);
-    *backend* selects the paged mapping strategy (``"flat"``/``"hier"``).
+    ``size x size`` grid (``repro.arch.presets``; must agree with *size*).
     """
     sizes = page_sizes if page_sizes is not None else page_sizes_for(size)
     names = kernels if kernels is not None else kernel_names()
     jobs = [
-        CompileJob(name, size, ps, seed=seed, arch=arch, backend=backend)
+        CompileJob(name, size, ps, seed=seed, arch=arch)
         for name in names
         for ps in sizes
     ]

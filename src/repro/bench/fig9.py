@@ -62,7 +62,6 @@ def run_fig9(
     repeats: int = 3,
     store: ArtifactStore | None = None,
     kernels: list[str] | None = None,
-    reconfig_overhead: int = 0,
     workers: int = 1,
 ) -> list[Fig9Cell]:
     """Reproduce one panel of Fig. 9.
@@ -76,11 +75,7 @@ def run_fig9(
     if not profiles:
         return []
     n_pages = _num_pages(size, page_size)
-    config = SystemConfig(
-        n_pages=n_pages,
-        profiles=profiles,
-        reconfig_overhead=reconfig_overhead,
-    )
+    config = SystemConfig(n_pages=n_pages, profiles=profiles)
     nominal = {k: p.ii_paged for k, p in profiles.items()}
     cells: list[Fig9Cell] = []
     for need in needs:

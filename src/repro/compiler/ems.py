@@ -518,7 +518,7 @@ class EMSMapper:
         horizon: int,
     ) -> bool:
         op = dfg.ops[op_id]
-        pred_edges, succ_edges, self_edges = self._placed_edges(dfg, st, op_id)
+        pred_edges, succ_edges = self._placed_edges(dfg, st, op_id)
         t_lo = max(
             [asap[op_id]]
             + [
@@ -589,9 +589,6 @@ class EMSMapper:
             if best is not None and floor >= best[0]:
                 break  # no trial from here on can cost less
             mask, exact = self._candidate_mask(st, t, pred_holders, succ_anchors)
-            # a recurrence leaves from the candidate itself: nothing
-            # anchored to sweep from, so its trials ask per candidate
-            prechecked = exact and not self_edges
             for pe in candidates:
                 stats.placement_probes += 1
                 if not mrt.slot_free_id(pe, t):
@@ -601,8 +598,7 @@ class EMSMapper:
                 evals += 1
                 if mask >> pe & 1:
                     trial = self._trial_cost(
-                        dfg, ii, st, op_id, pe, t,
-                        pred_edges, succ_edges, self_edges, prechecked,
+                        dfg, ii, st, op_id, pe, t, pred_edges, succ_edges, exact
                     )
                 else:
                     stats.trial_commits += 1
@@ -634,22 +630,17 @@ class EMSMapper:
     @staticmethod
     def _placed_edges(dfg: DFG, st: _Attempt, op_id: int):
         """The edges of *op_id* that are routed when it is placed: from a
-        placed (non-constant) producer, to a placed consumer, and its
-        self-recurrences — ``(pred_edges, succ_edges, self_edges)``."""
-        self_edges = [e for e in dfg.in_edges(op_id) if e.src == op_id]
+        placed (non-constant) producer and to a placed consumer —
+        ``(pred_edges, succ_edges)``.  No edge is a self-loop
+        (:meth:`~repro.dfg.graph.DFG.add_edge`)."""
         pred_edges = [
             e
             for e in dfg.in_edges(op_id)
             if e.src in st.placements
-            and e.src != op_id
             and dfg.ops[e.src].opcode is not Opcode.CONST
         ]
-        succ_edges = [
-            e
-            for e in dfg.out_edges(op_id)
-            if e.dst in st.placements and e.dst != op_id
-        ]
-        return pred_edges, succ_edges, self_edges
+        succ_edges = [e for e in dfg.out_edges(op_id) if e.dst in st.placements]
+        return pred_edges, succ_edges
 
     def _candidate_mask(
         self,
@@ -710,8 +701,7 @@ class EMSMapper:
         st.placements[op_id] = (pe_id, t)
 
     def _trial_cost(
-        self, dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges,
-        prechecked,
+        self, dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, prechecked
     ) -> tuple[float, list[Route]] | None:
         """Score a candidate slot by committing it and rolling back.
 
@@ -722,8 +712,7 @@ class EMSMapper:
         """
         st.stats.trial_commits += 1
         if not self._commit_candidate(
-            dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, self_edges,
-            prechecked,
+            dfg, ii, st, op_id, pe_id, t, pred_edges, succ_edges, prechecked
         ):
             return None
         # congestion terms, only in the directions with unrouted edges:
@@ -745,18 +734,14 @@ class EMSMapper:
             for nb in self._arr_ids[pe_id]:
                 if not mrt.slot_free_id(nb, t - 1):
                     blocked += 1
-        routes = self._rollback(dfg, st, op_id, pred_edges, succ_edges, self_edges)
+        routes = self._rollback(dfg, st, op_id, pred_edges, succ_edges)
         route_slots = sum(len(route.steps) for route in routes)
         return route_slots + 0.6 * blocked, routes
 
-    def _rollback(
-        self, dfg, st, op_id, pred_edges, succ_edges, self_edges
-    ) -> list[Route]:
+    def _rollback(self, dfg, st, op_id, pred_edges, succ_edges) -> list[Route]:
         """Undo a committed candidate; the routes it held, released."""
         pe_id, t = st.placements.pop(op_id)
-        routes = [
-            st.routes.pop(e.id) for e in (*pred_edges, *succ_edges, *self_edges)
-        ]
+        routes = [st.routes.pop(e.id) for e in (*pred_edges, *succ_edges)]
         for route in routes:
             release_route(st.mrt, route.steps)
         st.mrt.release_id(pe_id, t, memory=dfg.ops[op_id].is_memory)
@@ -810,13 +795,12 @@ class EMSMapper:
         t: int,
         pred_edges,
         succ_edges,
-        self_edges=(),
         prechecked: bool = False,
     ) -> bool:
-        """Claim the op slot and route all its placed-neighbour edges
-        (including self-recurrences); roll back entirely on any failure,
-        including when the commit would *trap* another placed op by taking
-        the last free arrival/escape slot one of its unrouted edges needs.
+        """Claim the op slot and route all its placed-neighbour edges;
+        roll back entirely on any failure, including when the commit would
+        *trap* another placed op by taking the last free arrival/escape
+        slot one of its unrouted edges needs.
 
         Nothing is claimed when some edge is already unreachable from every
         holder of its value on the table as it stands: claiming the op and
@@ -831,7 +815,7 @@ class EMSMapper:
 
         # (edge, producer PE, producer time in the consumer's frame,
         # consumer PE, consumer time), in routing order
-        edges = [(e, pe_id, t - e.distance * ii, pe_id, t) for e in self_edges]
+        edges = []
         for e in pred_edges:
             src_id, src_t = st.placements[e.src]
             edges.append((e, src_id, src_t - e.distance * ii, pe_id, t))

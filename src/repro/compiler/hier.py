@@ -135,7 +135,6 @@ def map_dfg_hier(
     layout: PageLayout,
     *,
     config: MapperConfig | None = None,
-    minimize_pages: bool = True,
     search_log=None,
     probes=None,
 ) -> PagedMapping:
@@ -154,8 +153,6 @@ def map_dfg_hier(
     sub = spanned_prefix(mapping, layout)
     validate_mapping(mapping, sub)
     best = PagedMapping(mapping, sub, extract_page_schedule(mapping, sub), layout)
-    if not minimize_pages:
-        return best
     # When the one-page probe won, the mapping sits on one page and there
     # is nothing left to try.
     return shrink_to_page_need(best, dfg, cgra, layout, cfg, search_log, probes)

@@ -79,7 +79,6 @@ def map_dfg_paged(
     layout: PageLayout,
     *,
     config: MapperConfig | None = None,
-    minimize_pages: bool = True,
     search_log=None,
     probes=None,
 ) -> PagedMapping:
@@ -97,9 +96,9 @@ def map_dfg_paged(
     by :func:`~repro.compiler.check.validate_mapping` against the layout
     it was mapped on.
 
-    With ``minimize_pages`` (the default) the winner is stored on the page
-    *prefix* it spans (:func:`spanned_prefix`) and the compiler then tries
-    to re-map the kernel onto a smaller prefix at the achieved II — the
+    The winner is stored on the page *prefix* it spans
+    (:func:`spanned_prefix`) and the compiler then tries to re-map the
+    kernel onto a smaller prefix at the achieved II — the
     paper's Fig. 6 mapping "only uses 3 pages", and §VII-B schedules other
     threads onto the unused portion without any transformation.  The
     returned mapping's layout covers exactly :attr:`PagedMapping.pages_used`
@@ -119,14 +118,9 @@ def map_dfg_paged(
         from repro.compiler.hier import map_dfg_hier
 
         return map_dfg_hier(
-            dfg, cgra, layout, config=config, minimize_pages=minimize_pages,
-            search_log=search_log, probes=probes,
+            dfg, cgra, layout, config=config, search_log=search_log, probes=probes
         )
-    best = _map_topologies(
-        dfg, cgra, layout, config, search_log, probes, spanned=minimize_pages
-    )
-    if not minimize_pages:
-        return best
+    best = _map_topologies(dfg, cgra, layout, config, search_log, probes)
     return shrink_to_page_need(best, dfg, cgra, layout, config, search_log, probes)
 
 
@@ -150,7 +144,7 @@ def shrink_to_page_need(
         try:
             return _map_once(
                 dfg, cgra, layout.subchain(k), tight, search_log, probes,
-                full_layout=layout, spanned=True,
+                full_layout=layout,
             )
         except LadderExhausted:
             continue
@@ -179,19 +173,16 @@ def _map_topologies(
     config: MapperConfig,
     search_log=None,
     probes=None,
-    spanned: bool = False,
 ) -> PagedMapping:
     """The chain ladder, then — where the wrap pair is physically adjacent
     — the ladder of the ring closed over the same pages (the only home of
     a recurrence wider than a page), both to the same II ceiling."""
     try:
-        return _map_once(dfg, cgra, layout, config, search_log, probes, spanned=spanned)
+        return _map_once(dfg, cgra, layout, config, search_log, probes)
     except LadderExhausted:
         if layout.allow_wrap or not layout.ring_wrap_adjacent:
             raise
-    return _map_once(
-        dfg, cgra, layout.ring(), config, search_log, probes, spanned=spanned
-    )
+    return _map_once(dfg, cgra, layout.ring(), config, search_log, probes)
 
 
 def _map_once(
@@ -202,14 +193,12 @@ def _map_once(
     search_log=None,
     probes=None,
     full_layout: PageLayout | None = None,
-    spanned: bool = False,
 ) -> PagedMapping:
-    """Climb one ladder on *layout*; with *spanned*, store the winner on
-    the prefix of *layout* it touches."""
+    """Climb one ladder on *layout* and store the winner on the prefix of
+    *layout* it touches."""
     mapping = climb_ladder(EMSMapper(cgra, layout, config, probes), dfg, log=search_log)
     full_layout = full_layout or layout
-    if spanned:
-        layout = spanned_prefix(mapping, layout)
+    layout = spanned_prefix(mapping, layout)
     validate_mapping(mapping, layout)
     schedule = extract_page_schedule(mapping, layout)
     return PagedMapping(mapping, layout, schedule, full_layout)

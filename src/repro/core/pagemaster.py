@@ -16,9 +16,9 @@ Terminology used here:
 The algorithm follows the paper:
 
 1. **Schedule initialization** — batch 0 is laid out as a zigzag
-   "scheduling line": an arbitrary start page at column 0, its ring
-   neighbours fanning outwards (``p_(n-1)`` at column 1, ``p_(n+1)`` at
-   column 2, ...), so every ring-adjacent pair sits within two columns.
+   "scheduling line": page 0 at column 0, its ring neighbours fanning
+   outwards (``p_(N-1)`` at column 1, ``p_1`` at column 2, ...), so every
+   ring-adjacent pair sits within two columns.
    When N > M the leftover pages are placed as *tails* that extend the two
    ends of the line downwards in the end columns.
 2. **PlacePage** — every later instance is placed by looking up the columns
@@ -62,7 +62,6 @@ class PagePlacement:
     n_pages: int
     ii_p: int
     m: int
-    start_page: int
     slots: dict[tuple[int, int], tuple[int, int]] = field(default_factory=dict)
     batches: int = 0
     init_order: tuple[int, ...] = ()
@@ -140,7 +139,6 @@ class PageMaster:
         ii_p: int,
         m: int,
         *,
-        start_page: int = 0,
         wrap_used: bool = False,
         force_zigzag: bool = False,
     ) -> None:
@@ -154,27 +152,28 @@ class PageMaster:
             raise TransformError(
                 f"target M={m} must satisfy 1 <= M <= N={n_pages}"
             )
-        if not 0 <= start_page < n_pages:
-            raise TransformError(f"start page {start_page} out of range")
         self.n = n_pages
         self.ii_p = ii_p
         self.m = m
-        self.start_page = start_page
 
     # -- public ------------------------------------------------------------------
 
     def place(self, batches: int | None = None) -> PagePlacement:
         """Run the transformation for *batches* original cycles (default:
-        long enough to detect the steady-state period)."""
+        long enough to detect the steady-state period; 0 places nothing)."""
+        if batches is not None and batches < 0:
+            raise TransformError(f"batches must be >= 0, got {batches}")
         if (
             not self.force_zigzag
             and not self.wrap_used
             and self.n % self.m == 0
         ):
             return self._place_grouped(batches)
+        if batches == 0:
+            return PagePlacement(self.n, self.ii_p, self.m)
         detect = batches is None
         horizon = batches if batches is not None else 8 * self.n * self.ii_p + 64
-        result = PagePlacement(self.n, self.ii_p, self.m, self.start_page)
+        result = PagePlacement(self.n, self.ii_p, self.m)
         used: list[set[int]] = [set() for _ in range(self.m)]
         fill: list[int] = [0] * self.m  # pages scheduled per column
 
@@ -220,7 +219,6 @@ class PageMaster:
             self.n,
             self.ii_p,
             self.m,
-            self.start_page,
             strategy="grouped",
             period_batches=1,
             period_rows=k,
@@ -234,13 +232,13 @@ class PageMaster:
 
     def _init_batch(self, result, used, fill):
         """Batch 0: zigzag scheduling line plus tails (paper §VI-D.1)."""
-        n0, N, M = self.start_page, self.n, self.m
-        line: list[int] = [n0]
+        N, M = self.n, self.m
+        line: list[int] = [0]
         d = 1
         while len(line) < min(N, M):
-            line.append((n0 - d) % N)
+            line.append(-d % N)
             if len(line) < min(N, M):
-                line.append((n0 + d) % N)
+                line.append(d % N)
             d += 1
         col_prev: dict[int, int] = {}
         time_prev: dict[int, int] = {}
@@ -250,11 +248,11 @@ class PageMaster:
             time_prev[n] = 0
         init_order = list(line)
         if N > M:
-            minus = (N - 1) // 2 if M >= N else self._minus_count(len(line))
+            minus = self._minus_count(len(line))
             plus = len(line) - 1 - minus
-            rem = [(n0 + plus + k) % N for k in range(1, N - len(line) + 1)]
-            plus_nb = (n0 + plus) % N  # growth front on the + side
-            minus_nb = (n0 - minus) % N
+            rem = [(plus + k) % N for k in range(1, N - len(line) + 1)]
+            plus_nb = plus % N  # growth front on the + side
+            minus_nb = -minus % N
             take_plus = True
             while rem:
                 if len(rem) == 1:
@@ -354,11 +352,7 @@ def steady_state_ii(
     ii_p: int,
     m: int,
     *,
-    start_page: int = 0,
     wrap_used: bool = False,
 ) -> Fraction:
     """Steady-state II of the PageMaster-transformed schedule, exact."""
-    placement = PageMaster(
-        n_pages, ii_p, m, start_page=start_page, wrap_used=wrap_used
-    ).place()
-    return placement.ii_q_effective()
+    return PageMaster(n_pages, ii_p, m, wrap_used=wrap_used).place().ii_q_effective()

@@ -141,6 +141,8 @@ class CGRAManager:
         *need*).  Returns the reallocations applied (empty if queued)."""
         if tid in self.threads:
             raise ReproError(f"thread {tid} already known to the manager")
+        if need is not None and need < 1:
+            raise ReproError(f"thread {tid}: page need must be >= 1, got {need}")
         self.threads[tid] = ThreadHandle(tid)
         if need is not None:
             self.needs[tid] = need

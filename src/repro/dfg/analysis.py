@@ -42,10 +42,9 @@ def dataflow_dag(dfg: DFG) -> tuple[dict[int, dict[int, None]], list[int]]:
     order = topological_order(succ)
     if order is None:
         # every member of a cyclic component has a successor inside it:
-        # walk those from the smallest op until one repeats
-        members = next(
-            set(c) for c in strong_components(succ) if len(c) > 1 or c[0] in succ[c[0]]
-        )
+        # walk those from the smallest op until one repeats (no edge is a
+        # self-loop, so a cyclic component has two ops or more)
+        members = next(set(c) for c in strong_components(succ) if len(c) > 1)
         path = [min(members)]
         while path[-1] not in path[:-1]:
             path.append(next(w for w in succ[path[-1]] if w in members))

@@ -135,6 +135,11 @@ class DFG:
             raise GraphError(f"edge source op {s} not in graph")
         if d not in self.ops:
             raise GraphError(f"edge destination op {d} not in graph")
+        if s == d:
+            raise GraphError(
+                f"op {s} cannot feed itself: a recurrence enters a placeholder "
+                f"op through a loop-carried edge (DFGBuilder.bind_carry)"
+            )
         if not self.ops[s].produces_value:
             raise GraphError(f"op {s} ({self.ops[s].opcode.value}) produces no value")
         arity = OPCODE_INFO[self.ops[d].opcode].arity

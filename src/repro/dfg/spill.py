@@ -14,10 +14,9 @@ by the compiler in the Data Memory"):
 
 The transform is a plain DFG rewrite, so the reference interpreter, every
 mapper and every simulator handle it with no special cases, and functional
-equivalence is testable directly.  The ring length bounds how many
-in-flight iterations share the buffer; it must cover the edge's lifetime in
-iterations (``stages + distance + 1`` is always safe and is the default
-sizing).
+equivalence is testable directly.  The ring length (:data:`SPILL_RING`)
+bounds how many in-flight iterations share the buffer; it must cover the
+edge's lifetime in iterations.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from repro.util.errors import GraphError
 __all__ = ["spill_long_edges", "spill_candidates", "TMP_ARRAY_PREFIX"]
 
 TMP_ARRAY_PREFIX = "__tmp"
+#: Words per spill buffer: iterations whose spilled value can be in flight.
+SPILL_RING = 8
 
 
 def spill_candidates(dfg: DFG, threshold: int) -> list[int]:
@@ -54,15 +55,13 @@ def spill_candidates(dfg: DFG, threshold: int) -> list[int]:
     return sorted(out)
 
 
-def spill_long_edges(
-    dfg: DFG, *, threshold: int = 4, ring: int = 8
-) -> tuple[DFG, int]:
+def spill_long_edges(dfg: DFG, *, threshold: int = 4) -> tuple[DFG, int]:
     """Return a copy of *dfg* with every long edge spilled through memory,
     plus the number of edges rewritten.
 
     Each spilled edge gets its own circular temporary array
-    ``__tmp<edge_id>`` of *ring* words (bind a zeroed array of that name
-    before executing).
+    ``__tmp<edge_id>`` of :data:`SPILL_RING` words (bind a zeroed array of
+    that name before executing).
     """
     targets = set(spill_candidates(dfg, threshold))
     if not targets:
@@ -80,7 +79,7 @@ def spill_long_edges(
             out.add_edge(e.src, e.dst, e.operand_index, distance=e.distance, init=e.init)
             continue
         array = f"{TMP_ARRAY_PREFIX}{e.id}"
-        ref = MemRef(array, stride=1, offset=0, ring=ring)
+        ref = MemRef(array, stride=1, offset=0, ring=SPILL_RING)
         store = out.add_op(Opcode.STORE, name=f"spill{e.id}", memref=ref)
         out.add_edge(e.src, store, 0)
         # LOADT's token operand orders the read after this iteration's

@@ -55,10 +55,10 @@ def fresh_arrays(spec: KernelSpec, seed: int, trip: int) -> dict[str, np.ndarray
     return spec.arrays(make_rng(seed), trip)
 
 
-def bind_memory(arrays: dict[str, np.ndarray], size: int = 1 << 16) -> DataMemory:
+def bind_memory(arrays: dict[str, np.ndarray]) -> DataMemory:
     """Load a kernel's arrays into a fresh data memory (sorted by name so
     layouts are deterministic)."""
-    mem = DataMemory(size)
+    mem = DataMemory()
     for name in sorted(arrays):
         mem.bind_array(name, arrays[name])
     return mem

@@ -452,13 +452,10 @@ def compile_kernel(
     size: int,
     page_size: int,
     *,
-    seed: int = 0,
-    mapper: MapperConfig | None = None,
     store: ArtifactStore | None = None,
 ) -> CompiledKernel:
     """Compile (or load) one kernel for one configuration."""
-    job = CompileJob(kernel, size, page_size, seed=seed, mapper=mapper)
-    return compile_many([job], store=store)[0]
+    return compile_many([CompileJob(kernel, size, page_size)], store=store)[0]
 
 
 def build_profiles(

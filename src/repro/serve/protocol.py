@@ -270,8 +270,6 @@ def http_response(
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
 
 
-def json_response(
-    status: int, payload: dict, headers: dict[str, str] | None = None
-) -> bytes:
+def json_response(status: int, payload: dict) -> bytes:
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-    return http_response(status, body, headers=headers)
+    return http_response(status, body)

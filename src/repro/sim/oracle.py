@@ -66,6 +66,11 @@ __all__ = [
 ]
 
 
+#: Steps after which :func:`run_oracle` gives up on a replay: a trace that
+#: never drains is a violation, not a hang.
+MAX_STEPS = 2_000_000
+
+
 def fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     """Greatest common divisor of two positive fractions: the largest
     fraction dividing both to an integer quotient."""
@@ -344,13 +349,13 @@ class _Oracle:
                     f"simulator recorded no request for it at this instant"
                 )
 
-    def run(self, quantum: Fraction, max_steps: int) -> OracleResult:
+    def run(self, quantum: Fraction) -> OracleResult:
         steps = 0
         di = 0
         while True:
             steps += 1
-            if steps > max_steps:
-                self._viol(f"step budget {max_steps} exceeded")
+            if steps > MAX_STEPS:
+                self._viol(f"step budget {MAX_STEPS} exceeded")
             # arrivals land exactly on their (integral, breakpointed) time
             for st in self.threads.values():
                 if st.status == "pending" and Fraction(st.spec.arrival) <= self.now:
@@ -430,9 +435,6 @@ def run_oracle(
     config: SystemConfig,
     mode: str,
     decisions: DecisionTrace | list[Decision],
-    *,
-    quantum: Fraction | None = None,
-    max_steps: int = 2_000_000,
 ) -> OracleResult:
     """Replay *decisions* through the cycle-quantum reference simulator.
 
@@ -444,10 +446,8 @@ def run_oracle(
         if isinstance(decisions, DecisionTrace)
         else decisions
     )
-    q = quantum if quantum is not None else quantum_for(workload, config, mode)
-    if q <= 0:
-        raise SimulationError(f"quantum must be positive, got {q}")
-    return _Oracle(workload, config, mode, trace).run(q, max_steps)
+    quantum = quantum_for(workload, config, mode)
+    return _Oracle(workload, config, mode, trace).run(quantum)
 
 
 # -- invariant checker -------------------------------------------------------------
@@ -623,15 +623,13 @@ def verify_system(
     workload: list[ThreadSpec],
     config: SystemConfig,
     mode: str,
-    *,
-    quantum: Fraction | None = None,
 ) -> tuple[SystemResult, OracleResult]:
     """Simulate *workload*, replay its decisions through the oracle, and
     check every invariant; raise :class:`OracleViolation` on any
     disagreement."""
     decisions = DecisionTrace()
     result = simulate_system(workload, config, mode, decisions=decisions)
-    oracle = run_oracle(workload, config, mode, decisions, quantum=quantum)
+    oracle = run_oracle(workload, config, mode, decisions)
     problems = compare_results(oracle, result)
     problems += check_invariants(result, workload=workload, decisions=decisions)
     if problems:

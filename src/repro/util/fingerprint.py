@@ -39,7 +39,7 @@ def canonical_json(payload) -> str:
     )
 
 
-def canonical_fingerprint(payload, *, length: int = FINGERPRINT_LENGTH) -> str:
+def canonical_fingerprint(payload) -> str:
     """Stable hex digest of a JSON-able *payload*."""
     blob = canonical_json(payload).encode("utf-8")
-    return sha256(blob).hexdigest()[:length]
+    return sha256(blob).hexdigest()[:FINGERPRINT_LENGTH]

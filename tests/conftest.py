@@ -8,6 +8,26 @@ from repro.arch import CGRA
 from repro.core.paging import PageLayout
 
 
+@pytest.fixture(scope="session")
+def full_width():
+    """``build(dfg, cgra, layout)``: *dfg* mapped by the chain ladder and
+    kept on every page of *layout* — an N-page schedule to fold onto each
+    M <= N.  The paged compiler stores a mapping on the page prefix it
+    spans instead, which for most kernels is fewer pages."""
+    from repro.compiler.check import validate_mapping
+    from repro.compiler.ems import EMSMapper
+    from repro.compiler.paged import PagedMapping
+    from repro.compiler.search import climb_ladder
+    from repro.core.page_schedule import extract_page_schedule
+
+    def build(dfg, cgra: CGRA, layout: PageLayout) -> PagedMapping:
+        mapping = climb_ladder(EMSMapper(cgra, layout), dfg)
+        validate_mapping(mapping, layout)
+        return PagedMapping(mapping, layout, extract_page_schedule(mapping, layout))
+
+    return build
+
+
 @pytest.fixture
 def cgra44() -> CGRA:
     """The paper's smallest configuration: 4x4 mesh."""

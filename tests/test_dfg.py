@@ -171,9 +171,23 @@ class TestValidate:
         g = DFG()
         g.add_op(Opcode.LOAD, memref=MemRef("in"))
         a = g.add_op(Opcode.ROUTE, name="spin")
-        g.add_edge(a, a, 0)
-        with pytest.raises(GraphError, match=r"cycle op 1 \(spin\) -> op 1 \(spin\):"):
-            validate_dfg(g)
+        with pytest.raises(GraphError, match=r"op 1 cannot feed itself.*bind_carry"):
+            g.add_edge(a, a, 0)
+        assert g.num_edges == 0
+
+    def test_carried_self_loop_rejected(self):
+        """An op never feeds itself, not even iterations later: a
+        recurrence is a carried edge into a placeholder op."""
+        g = DFG()
+        x = g.add_op(Opcode.LOAD, memref=MemRef("in"))
+        acc = g.add_op(Opcode.ADD, name="acc")
+        g.add_edge(x, acc, 0)
+        with pytest.raises(GraphError, match=r"op 1 cannot feed itself.*bind_carry"):
+            g.add_edge(acc, acc, 1, distance=2, init=(0, 0))
+        b = DFGBuilder()
+        ph = b.placeholder("acc")
+        with pytest.raises(GraphError, match="cannot feed itself"):
+            b.bind_carry(ph, ph)
 
     def test_cycle_message_names_only_the_ops_on_it(self):
         # x -> a <-> b -> y: x and y touch the cycle but are not on it

@@ -24,7 +24,6 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.compiler.constraints import paged_bus_key
 from repro.compiler.mapping import Mapping
-from repro.compiler.paged import map_dfg_paged
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel
@@ -60,10 +59,10 @@ def shrunk_firings(pm, mem, trip, m_cols, *, first_iteration=0):
 
 
 @pytest.mark.parametrize("name", ["mpeg", "laplace", "swim", "wavelet"])
-def test_expand_mid_kernel_acyclic(env, name):
+def test_expand_mid_kernel_acyclic(env, full_width, name):
     """Phase 1 shrunk to one page, phase 2 on the full array."""
     cgra, layout = env
-    pm = map_dfg_paged(get_kernel(name).build(), cgra, layout, minimize_pages=False)
+    pm = full_width(get_kernel(name).build(), cgra, layout)
     spec = get_kernel(name)
     _, arrays, expected = spec.fresh(seed=13, trip=TRIP)
     mem = bind_memory(arrays)
@@ -80,12 +79,12 @@ def test_expand_mid_kernel_acyclic(env, name):
 
 
 @pytest.mark.parametrize("name", ["sor", "gsr", "compress"])
-def test_expand_mid_kernel_with_recurrence_handoff(env, name):
+def test_expand_mid_kernel_with_recurrence_handoff(env, full_width, name):
     """Recurrence kernels: carried values captured from phase one become
     phase two's preloaded initial registers."""
     cgra, layout = env
     dfg = get_kernel(name).build()
-    pm = map_dfg_paged(dfg, cgra, layout, minimize_pages=False)
+    pm = full_width(dfg, cgra, layout)
     spec = get_kernel(name)
     _, arrays, expected = spec.fresh(seed=13, trip=TRIP)
     mem = bind_memory(arrays)
@@ -126,12 +125,12 @@ def test_expand_mid_kernel_with_recurrence_handoff(env, name):
         assert np.array_equal(snap[arr], expected[arr]), (name, arr)
 
 
-def test_shrink_then_shrink_differently(env):
+def test_shrink_then_shrink_differently(env, full_width):
     """M=2 for the first iterations, then M=1 — two transformations of the
     same compiled schedule chained at a boundary."""
     cgra, layout = env
     name = "laplace"
-    pm = map_dfg_paged(get_kernel(name).build(), cgra, layout, minimize_pages=False)
+    pm = full_width(get_kernel(name).build(), cgra, layout)
     spec = get_kernel(name)
     _, arrays, expected = spec.fresh(seed=13, trip=TRIP)
     mem = bind_memory(arrays)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
-from repro.compiler.paged import map_dfg_paged
 from repro.core.mirroring import boundary_axis, fold_orientations
 from repro.core.page_schedule import PageSchedule, extract_page_schedule
 from repro.core.paging import Orientation, PageLayout
@@ -15,12 +14,10 @@ from repro.util.errors import ConstraintViolation, TransformError
 
 
 @pytest.fixture(scope="module")
-def swim_paged():
+def swim_paged(full_width):
     cgra = CGRA(4, 4, rf_depth=20)
     layout = PageLayout(cgra, (2, 2))
-    return map_dfg_paged(
-        get_kernel("swim").build(), cgra, layout, minimize_pages=False
-    )
+    return full_width(get_kernel("swim").build(), cgra, layout)
 
 
 class TestExtraction:

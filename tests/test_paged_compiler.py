@@ -129,22 +129,16 @@ class TestPageNeed:
         for name, pm in mapped.items():
             assert 1 <= pm.pages_used <= layout.num_pages
 
-    def test_minimize_pages_off_uses_full_layout(self):
-        cgra = CGRA(4, 4)
-        layout = PageLayout(cgra, (2, 2))
-        pm = map_dfg_paged(
-            get_kernel("sor").build(), cgra, layout, minimize_pages=False
-        )
-        assert pm.layout.num_pages == 4
-
 
 class TestRingFallback:
-    @pytest.mark.parametrize("minimize_pages", [False, True])
-    def test_ring_fallback_stays_on_a_subchain(self, minimize_pages):
+    @pytest.mark.parametrize("shared_probes", [False, True])
+    def test_ring_fallback_stays_on_a_subchain(self, shared_probes):
         """On a sub-chain whose end pages touch, the ring the chain ladder
-        falls back to is closed over those pages, not over the array."""
+        falls back to is closed over those pages, not over the array —
+        also when the chain and ring mappers share one probe memo."""
         from repro.compiler.ems import MapperConfig
         from repro.compiler.paged import _map_once
+        from repro.compiler.search import ProbeMemo
         from repro.dfg.random_dfg import random_dfg
         from repro.util.errors import LadderExhausted
 
@@ -154,9 +148,8 @@ class TestRingFallback:
         dfg, config = random_dfg(12, n_ops=4), MapperConfig(max_ii=10)
         with pytest.raises(LadderExhausted):
             _map_once(dfg, cgra, sub, config)  # the chain cannot map it
-        pm = map_dfg_paged(
-            dfg, cgra, sub, config=config, minimize_pages=minimize_pages
-        )
+        probes = ProbeMemo().for_dfg(dfg) if shared_probes else None
+        pm = map_dfg_paged(dfg, cgra, sub, config=config, probes=probes)
         assert pm.wrap_used and pm.ii == 3
         assert pm.layout.num_pages == pm.full_layout.num_pages == 2
         pes = [p.pe for p in pm.mapping.placements.values()]

@@ -30,8 +30,18 @@ class TestValidation:
             PageMaster(4, 1, 5)  # M > N
         with pytest.raises(TransformError):
             PageMaster(4, 1, 0)
-        with pytest.raises(TransformError):
-            PageMaster(4, 1, 2, start_page=7)
+
+    @pytest.mark.parametrize("n,strategy", [(3, "zigzag"), (4, "grouped")])
+    def test_place_honours_batches(self, n, strategy):
+        """``batches=0`` places nothing and a negative count is refused,
+        on both strategies."""
+        pm = PageMaster(n, 1, 2)
+        assert pm.place(batches=1).strategy == strategy
+        with pytest.raises(TransformError, match="batches must be >= 0"):
+            pm.place(batches=-3)
+        p = pm.place(batches=0)
+        assert (p.batches, p.slots, p.makespan) == (0, {}, 0)
+        check_placement(p)
 
     def test_checker_catches_slot_collision(self):
         p = PageMaster(2, 1, 1).place(batches=3)
@@ -119,18 +129,13 @@ class TestZigzag:
         """The paper's worked example: 6 pages onto 5 columns."""
         p = PageMaster(6, 1, 5).place()
         check_placement(p, require_wrap=True)
-        # batch 0 follows the zigzag scheduling line: start page at column
-        # 0, ring neighbours fanning outward
+        # batch 0 follows the zigzag scheduling line: page 0 at column 0,
+        # ring neighbours fanning outward
         assert p.col(0, 0) == 0
         assert p.col(5, 0) == 1
         assert p.col(1, 0) == 2
         # the leftover page is a tail in a boundary column
         assert p.col(3, 0) in (0, 4)
-
-    def test_start_page_rotates_line(self):
-        p = PageMaster(6, 1, 5, start_page=2).place(batches=3)
-        assert p.col(2, 0) == 0
-        check_placement(p)
 
     def test_no_irregular_placements_in_standard_configs(self):
         for n, m in [(4, 3), (6, 5), (8, 5), (8, 7), (16, 9)]:

@@ -49,12 +49,10 @@ class TestCrossLayerAgreement:
             expected += steps * max(0, trip - e.distance)
         assert res.firings == expected
 
-    def test_page_schedule_occupancy_vs_mapping(self):
+    def test_page_schedule_occupancy_vs_mapping(self, full_width):
         cgra = CGRA(4, 4, rf_depth=16)
         layout = PageLayout(cgra, (2, 2))
-        pm = map_dfg_paged(
-            get_kernel("swim").build(), cgra, layout, minimize_pages=False
-        )
+        pm = full_width(get_kernel("swim").build(), cgra, layout)
         items = sum(len(i) for i in pm.page_schedule.instances.values())
         routes = sum(len(r.steps) for r in pm.mapping.routes.values())
         assert items == len(pm.mapping.placements) + routes
@@ -112,16 +110,12 @@ class TestPlacementProperties:
         n=st.integers(1, 10),
         ii=st.integers(1, 3),
         m_frac=st.floats(0.1, 1.0),
-        start=st.integers(0, 9),
         batches=st.integers(1, 40),
     )
     @settings(max_examples=40, deadline=None)
-    def test_property_finite_placements_always_valid(
-        self, n, ii, m_frac, start, batches
-    ):
+    def test_property_finite_placements_always_valid(self, n, ii, m_frac, batches):
         m = max(1, min(n, round(m_frac * n)))
-        pm = PageMaster(n, ii, m, start_page=start % n)
-        p = pm.place(batches=batches)
+        p = PageMaster(n, ii, m).place(batches=batches)
         assert p.batches == batches
         check_placement(p)
         # every batch fully placed, timing monotone per page

@@ -159,6 +159,19 @@ class TestManagerErrors:
         with pytest.raises(ReproError):
             mgr.request(0)
 
+    @pytest.mark.parametrize("policy", [HalvingPolicy, NeedAwareHalvingPolicy])
+    @pytest.mark.parametrize("need", [0, -3])
+    def test_bad_need_rejected_before_any_state(self, policy, need):
+        """A need below one is refused before the thread is registered,
+        so a corrected retry is admitted."""
+        mgr = CGRAManager(4, policy())
+        mgr.request(1)
+        with pytest.raises(ReproError, match=f"page need must be >= 1, got {need}"):
+            mgr.request(2, need=need)
+        assert sorted(mgr.threads) == [1] and mgr.needs == {} and mgr.queue == []
+        mgr.request(2, need=2)
+        assert mgr.allocation_of(2) is not None and mgr.needs == {2: 2}
+
     def test_unknown_release_rejected(self):
         mgr = CGRAManager(4)
         with pytest.raises(ReproError):

@@ -83,7 +83,7 @@ class TestRewrite:
 
     def test_reference_equivalence(self):
         g = deep_dfg()
-        spilled, _ = spill_long_edges(g, threshold=4, ring=6)
+        spilled, _ = spill_long_edges(g, threshold=4)
         trip = 15
         arrays = {
             "in": np.arange(1, trip + 1, dtype=np.int64),

@@ -13,7 +13,6 @@ import pytest
 
 from repro.arch.cgra import CGRA
 from repro.compiler.constraints import paged_bus_key
-from repro.compiler.paged import map_dfg_paged
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel
@@ -27,14 +26,10 @@ KERNELS = ["sor", "mpeg", "laplace", "swim", "wavelet", "gsr"]
 
 
 @pytest.fixture(scope="module")
-def compiled():
+def compiled(full_width):
     cgra = CGRA(4, 4, rf_depth=24)
     layout = PageLayout(cgra, (2, 2))
-    out = {}
-    for name in KERNELS:
-        out[name] = map_dfg_paged(
-            get_kernel(name).build(), cgra, layout, minimize_pages=False
-        )
+    out = {name: full_width(get_kernel(name).build(), cgra, layout) for name in KERNELS}
     return cgra, layout, out
 
 

@@ -7,19 +7,18 @@ import pytest
 from repro import viz
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import map_dfg
-from repro.compiler.paged import map_dfg_paged
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
 from repro.kernels import get_kernel
 
 
 @pytest.fixture(scope="module")
-def artifacts():
+def artifacts(full_width):
     cgra = CGRA(4, 4, rf_depth=16)
     layout = PageLayout(cgra, (2, 2))
     dfg = get_kernel("sor").build()
     mapping = map_dfg(dfg, cgra)
-    paged = map_dfg_paged(dfg, cgra, layout, minimize_pages=False)
+    paged = full_width(dfg, cgra, layout)
     placement = PageMaster(4, paged.ii, 2).place(batches=8)
     return mapping, layout, paged, placement
 
