@@ -12,7 +12,7 @@ Run:  python examples/pagemaster_walkthrough.py
 """
 
 from repro import viz
-from repro.arch import CGRA
+from repro.arch.cgra import CGRA
 from repro.core.mirroring import fold_orientations
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout

@@ -10,12 +10,15 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro.arch.presets import demo_cgra
-from repro.compiler import map_dfg, map_dfg_paged
+from repro.compiler.ems import map_dfg
 from repro.compiler.constraints import paged_bus_key
+from repro.compiler.paged import map_dfg_paged
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel
-from repro.sim import lower_mapping, required_batches, retarget_firings, simulate
+from repro.sim.cgra_sim import simulate
+from repro.sim.lowering import lower_mapping
+from repro.sim.retarget import required_batches, retarget_firings
 
 TRIP = 32
 

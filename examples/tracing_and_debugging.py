@@ -11,10 +11,11 @@ Run:  python examples/tracing_and_debugging.py
 """
 
 from repro import viz
-from repro.arch import CGRA
-from repro.compiler import map_dfg
+from repro.arch.cgra import CGRA
+from repro.compiler.ems import map_dfg
 from repro.kernels import bind_memory, get_kernel
-from repro.sim import lower_mapping, simulate
+from repro.sim.cgra_sim import simulate
+from repro.sim.lowering import lower_mapping
 from repro.sim.system import KernelProfile, SystemConfig, simulate_system
 from repro.sim.trace import CycleTrace, DecisionTrace, SystemTimeline
 from repro.sim.workload import Segment, ThreadSpec

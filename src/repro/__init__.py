@@ -17,7 +17,7 @@ Quick tour::
 
     from repro.arch.presets import demo_cgra
     from repro.core.paging import PageLayout
-    from repro.compiler import map_dfg_paged
+    from repro.compiler.paged import map_dfg_paged
     from repro.core.pagemaster import PageMaster
     from repro.kernels import get_kernel
 

@@ -17,18 +17,15 @@ import numpy as np
 
 from repro import viz
 from repro.arch.presets import demo_cgra
-from repro.compiler import map_dfg_paged
+from repro.compiler.paged import map_dfg_paged
 from repro.compiler.constraints import paged_bus_key
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel, kernel_names
 from repro.pipeline import ArtifactStore, build_profiles
-from repro.sim import (
-    lower_mapping,
-    required_batches,
-    retarget_firings,
-    simulate,
-)
+from repro.sim.cgra_sim import simulate
+from repro.sim.lowering import lower_mapping
+from repro.sim.retarget import required_batches, retarget_firings
 from repro.sim.system import SystemConfig, improvement, simulate_system
 from repro.sim.workload import generate_workload
 

@@ -10,23 +10,3 @@
 
 CLI: ``python -m repro.analysis {lint,audit,all,rules} [--json] [--strict]``.
 """
-
-from repro.analysis.audit import AuditReport, audit_store
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.lint import lint_paths, lint_tree
-from repro.analysis.registry import Rule, all_rules
-from repro.analysis.report import exit_code, render_json, render_text
-
-__all__ = [
-    "AuditReport",
-    "audit_store",
-    "Finding",
-    "Severity",
-    "lint_paths",
-    "lint_tree",
-    "Rule",
-    "all_rules",
-    "exit_code",
-    "render_json",
-    "render_text",
-]

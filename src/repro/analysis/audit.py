@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -48,11 +47,7 @@ from repro.util.errors import (
     TransformError,
 )
 
-__all__ = ["AuditEntry", "AuditReport", "audit_store", "ARTIFACT_NAME_RE"]
-
-#: Shape of a store-resident artifact path relative to the store root:
-#: a two-hex-digit shard directory, then ``<sha256>.json``.
-ARTIFACT_NAME_RE = re.compile(r"^[0-9a-f]{2}/[0-9a-f]{64}\.json$")
+__all__ = ["AuditEntry", "AuditReport", "audit_store"]
 
 
 ART_READ = register(

@@ -10,29 +10,3 @@ modelled as words: a compiled schedule is a
 :class:`~repro.compiler.mapping.Mapping`, lowered to firings by
 :mod:`repro.sim.lowering`.
 """
-
-from repro.arch.isa import Opcode, OPCODE_INFO, evaluate, is_memory_op
-from repro.arch.interconnect import Coord, GridIndex
-from repro.arch.memory import DataMemory, ArraySpec
-from repro.arch.capability import CapabilityMap, OpClass, op_class
-from repro.arch.cgra import CGRA
-from repro.arch.presets import demo_cgra, experiment_cgra, preset, preset_names
-
-__all__ = [
-    "Opcode",
-    "OPCODE_INFO",
-    "evaluate",
-    "is_memory_op",
-    "Coord",
-    "GridIndex",
-    "DataMemory",
-    "ArraySpec",
-    "CapabilityMap",
-    "OpClass",
-    "op_class",
-    "CGRA",
-    "demo_cgra",
-    "experiment_cgra",
-    "preset",
-    "preset_names",
-]

@@ -19,27 +19,3 @@ restarts is :func:`repro.compiler.search.climb_ladder`, the single ladder
 driver every entry point above calls: one serial walk in the calling
 thread, first success wins.
 """
-
-from repro.compiler.mapping import Mapping, Placement, Route, RouteStep
-from repro.compiler.mrt import ReservationTable
-from repro.compiler.check import validate_mapping
-from repro.compiler.ems import BACKENDS, EMSMapper, MapperConfig, map_dfg
-from repro.compiler.paged import PagedMapping, map_dfg_paged
-from repro.compiler.search import LadderReport, climb_ladder
-
-__all__ = [
-    "Mapping",
-    "Placement",
-    "Route",
-    "RouteStep",
-    "ReservationTable",
-    "validate_mapping",
-    "BACKENDS",
-    "EMSMapper",
-    "MapperConfig",
-    "map_dfg",
-    "PagedMapping",
-    "map_dfg_paged",
-    "LadderReport",
-    "climb_ladder",
-]

@@ -2,35 +2,3 @@
 constraints, the PageMaster runtime transformation, and the multithreading
 runtime built on top of them.
 """
-
-from repro.core.paging import Orientation, PageLayout, choose_page_shape
-from repro.core.page_schedule import PageInstance, PageSchedule
-from repro.core.pagemaster import PageMaster, PagePlacement, steady_state_ii
-from repro.core.transform_check import check_placement
-from repro.core.runtime import CGRAManager, ThreadHandle
-from repro.core.policies import (
-    AllocationPolicy,
-    HalvingPolicy,
-    NeedAwareHalvingPolicy,
-    FairSharePolicy,
-    StaticEqualPolicy,
-)
-
-__all__ = [
-    "Orientation",
-    "PageLayout",
-    "choose_page_shape",
-    "PageInstance",
-    "PageSchedule",
-    "PageMaster",
-    "PagePlacement",
-    "steady_state_ii",
-    "check_placement",
-    "CGRAManager",
-    "ThreadHandle",
-    "AllocationPolicy",
-    "HalvingPolicy",
-    "NeedAwareHalvingPolicy",
-    "FairSharePolicy",
-    "StaticEqualPolicy",
-]

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.arch.isa import OPCODE_INFO, Opcode
 from repro.dfg.graph import DFG, MemRef, Op
+from repro.dfg.validate import validate_dfg
 from repro.util.errors import GraphError
 
 __all__ = ["DFGBuilder", "Value"]
@@ -192,7 +193,5 @@ class DFGBuilder:
             raise GraphError(
                 f"unbound placeholders: {sorted(self._pending)} — call bind_carry"
             )
-        from repro.dfg.validate import validate_dfg
-
         validate_dfg(self._dfg)
         return self._dfg

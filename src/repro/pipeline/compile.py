@@ -34,6 +34,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from repro.arch.cgra import CGRA
+from repro.arch.presets import experiment_cgra, preset
 from repro.compiler.check import validate_mapping
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
@@ -101,8 +102,6 @@ class CompileJob:
 
     def build_cgra(self) -> CGRA:
         if self.arch is not None:
-            from repro.arch.presets import preset
-
             cgra = preset(self.arch)
             if (cgra.rows, cgra.cols) != (self.size, self.size):
                 raise MappingError(
@@ -110,8 +109,6 @@ class CompileJob:
                     f"but the job says size={self.size}"
                 )
             return cgra
-        from repro.arch.presets import experiment_cgra
-
         return experiment_cgra(self.size)
 
 

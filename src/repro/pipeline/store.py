@@ -30,6 +30,7 @@ import itertools
 import json
 import logging
 import os
+import re
 import threading
 from pathlib import Path
 
@@ -42,6 +43,11 @@ logger = logging.getLogger(__name__)
 
 #: Default store directory, created under ``$REPRO_CACHE_DIR`` (or ".").
 STORE_DIRNAME = ".repro_artifacts"
+
+#: Shape of an artifact path relative to the store root, as
+#: :meth:`ArtifactStore.path_for` builds it: a two-hex-digit shard
+#: directory, then ``<sha256>.json``.
+ARTIFACT_NAME_RE = re.compile(r"^[0-9a-f]{2}/[0-9a-f]{64}\.json$")
 
 
 class ArtifactStore:
@@ -78,8 +84,6 @@ class ArtifactStore:
         content-addressed shape (``ab/<sha256>.json``); anything else is a
         foreign file the store tolerates (and the auditor reports).
         """
-        from repro.analysis.audit import ARTIFACT_NAME_RE
-
         if not self.root.is_dir():
             return
         for child in sorted(self.root.rglob("*")):

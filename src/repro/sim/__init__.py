@@ -20,51 +20,3 @@
   workload fuzzer asserting event-sim == oracle across the configuration
   lattice.
 """
-
-from repro.sim.reference import run_reference
-from repro.sim.lowering import Firing, ResolvedRead, lower_mapping
-from repro.sim.cgra_sim import SimResult, simulate
-from repro.sim.retarget import retarget_firings, required_batches
-from repro.sim.workload import ThreadSpec, Segment, generate_workload
-from repro.sim.system import (
-    SystemConfig,
-    SystemResult,
-    improvement,
-    simulate_system,
-)
-from repro.sim.trace import DecisionTrace, SystemTimeline
-from repro.sim.oracle import (
-    OracleResult,
-    check_invariants,
-    compare_results,
-    run_oracle,
-    verify_system,
-)
-from repro.sim.fuzz import FuzzReport, run_fuzz
-
-__all__ = [
-    "run_reference",
-    "Firing",
-    "ResolvedRead",
-    "lower_mapping",
-    "SimResult",
-    "simulate",
-    "retarget_firings",
-    "required_batches",
-    "ThreadSpec",
-    "Segment",
-    "generate_workload",
-    "SystemConfig",
-    "SystemResult",
-    "improvement",
-    "simulate_system",
-    "DecisionTrace",
-    "SystemTimeline",
-    "OracleResult",
-    "check_invariants",
-    "compare_results",
-    "run_oracle",
-    "verify_system",
-    "FuzzReport",
-    "run_fuzz",
-]

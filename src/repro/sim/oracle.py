@@ -44,7 +44,7 @@ so this module provides the "re-prove it the dumb way" counterpart that
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 

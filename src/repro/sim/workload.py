@@ -95,6 +95,14 @@ def generate_workload(
     for k in kernels:
         if k not in nominal_ii:
             raise WorkloadError(f"no nominal II for kernel {k!r}")
+    if phases_per_thread < 1:
+        raise WorkloadError(
+            f"phases_per_thread must be >= 1, got {phases_per_thread}"
+        )
+    if mean_arrival_gap < 0:
+        raise WorkloadError(
+            f"mean_arrival_gap must be >= 0, got {mean_arrival_gap}"
+        )
     rng = make_rng(seed)
     threads: list[ThreadSpec] = []
     arrival = 0
@@ -138,13 +146,16 @@ def _phase_segments(
     w_acc = rng.random(phases) + 0.2
     w_cpu /= w_cpu.sum()
     w_acc /= w_acc.sum()
+    # the same doubles as Python floats: the arithmetic below is scalar
+    w_cpu = w_cpu.tolist()
+    w_acc = w_acc.tolist()
     segments: list[Segment] = []
     for p in range(phases):
-        cpu_cycles = max(1, int(round(cpu_work * w_cpu[p])))
+        cpu_cycles = max(1, round(cpu_work * w_cpu[p]))
         segments.append(Segment("cpu", cycles=cpu_cycles))
         kernel = kernels[int(rng.integers(len(kernels)))]
         ii = nominal_ii[kernel]
-        trip = max(1, int(round(cgra_work * w_acc[p] / ii)))
+        trip = max(1, round(cgra_work * w_acc[p] / ii))
         segments.append(Segment("cgra", kernel=kernel, trip=trip))
     return tuple(segments)
 
@@ -260,16 +271,16 @@ def generate_trace(
     rng = make_rng(seed)
     arrivals = _arrival_times(
         rng, n_threads, arrival_model, mean_arrival_gap, burst_size
-    )
+    ).tolist()
     weights = np.array([c.weight for c in classes], dtype=float)
     weights /= weights.sum()
-    class_idx = rng.choice(len(classes), size=n_threads, p=weights)
+    class_idx = rng.choice(len(classes), size=n_threads, p=weights).tolist()
     threads: list[ThreadSpec] = []
     for tid in range(n_threads):
-        cls = classes[int(class_idx[tid])]
+        cls = classes[class_idx[tid]]
         total = cls.work_scale * mean_total_work * _jittered(rng)
         segments = _phase_segments(
             rng, total, cgra_need, kernels, nominal_ii, cls.phases
         )
-        threads.append(ThreadSpec(tid, segments, int(arrivals[tid])))
+        threads.append(ThreadSpec(tid, segments, arrivals[tid]))
     return threads

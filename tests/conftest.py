@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.arch import CGRA
+from repro.arch.cgra import CGRA
 from repro.core.paging import PageLayout
 
 

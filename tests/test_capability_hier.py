@@ -226,7 +226,7 @@ class TestCapabilityCompilation:
         -memcols restriction must be refused at lowering time."""
         from repro.compiler.mapping import Mapping
         from repro.kernels import bind_memory
-        from repro.sim import lower_mapping
+        from repro.sim.lowering import lower_mapping
         from repro.util.errors import SimulationError
 
         artifact, _ = _compile_one(CompileJob("sor", 4, 4, seed=0), tmp_path)
@@ -261,7 +261,7 @@ class TestCapabilityCompilation:
         at page size 4 laplace now fits on one page, where no fold mirrors."""
         from repro.core.pagemaster import PageMaster
         from repro.kernels import bind_memory
-        from repro.sim import required_batches, retarget_firings
+        from repro.sim.retarget import required_batches, retarget_firings
         from repro.util.errors import TransformError
 
         job = CompileJob("laplace", 8, 8, arch="8x8-memcols", backend="hier")

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 nx = pytest.importorskip("networkx")
 
-from repro.arch import CGRA  # noqa: E402
+from repro.arch.cgra import CGRA  # noqa: E402
 from repro.arch.isa import Opcode  # noqa: E402
 from repro.compiler.mapping import materialized_ops  # noqa: E402
 from repro.compiler.ems import EMSMapper  # noqa: E402

@@ -83,6 +83,15 @@ class TestWorkloadGeneration:
         with pytest.raises(WorkloadError):
             generate_workload(1, 0.5, ["missing"], {"fast": 1})
 
+    @pytest.mark.parametrize(
+        "bad", [dict(phases_per_thread=0), dict(mean_arrival_gap=-5)]
+    )
+    def test_rejects_what_generate_trace_and_service_class_reject(self, bad):
+        # zero phases gave every thread no segment (an all-zero SLO summary);
+        # a negative gap launched every thread at once
+        with pytest.raises(WorkloadError):
+            generate_workload(2, 0.5, ["fast"], {"fast": 1}, **bad)
+
     def test_segment_validation(self):
         with pytest.raises(WorkloadError):
             Segment("cpu", cycles=0)

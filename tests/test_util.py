@@ -104,27 +104,65 @@ with tempfile.TemporaryDirectory() as tmp:
 """
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """*code* run in a fresh interpreter that imports this ``repro``."""
+    src = str(Path(repro.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def test_compile_audit_and_serve_never_import_numpy():
     """Importing the entry points without numpy is not enough: a lazy
     import could still fire at runtime.  A fresh interpreter compiles a
     job whose ladder reaches a perturbed attempt, audits the artifact and
     serves it at ``workers=1`` (a miss, then a hit); numpy is still not
     loaded, nor OpenSSL's ``_hashlib``, nor the process-pool stack."""
-    src = str(Path(repro.__file__).parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    child = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY_CHILD],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    child = run_fresh(NO_NUMPY_CHILD)
     assert child.returncode == 0, child.stderr
     perturbed, status, first, second, same, *loaded = child.stdout.split()
     assert int(perturbed) >= 3  # compress 4x4 ps2 wins its chain at attempt 3
     assert (status, first, second, same) == ("ok", "compiled", "hit", "True")
     assert loaded == ["False", "False", "False"]  # numpy, _hashlib, multiprocessing
+
+
+SIM_CHILD = """
+import sys
+
+from repro.sim.system import KernelProfile, SystemConfig, simulate_system
+from repro.sim.workload import generate_trace
+
+profiles = {
+    "fast": KernelProfile("fast", ii_base=1, ii_paged=1, pages_used=2),
+    "slow": KernelProfile("slow", ii_base=3, ii_paged=4, pages_used=4),
+}
+trace = generate_trace(
+    40, 0.75, sorted(profiles), {"fast": 1, "slow": 3}, seed=3,
+    arrival_model="bursty", mean_total_work=300,
+)
+result = simulate_system(trace, SystemConfig(n_pages=4, profiles=profiles), "multithreaded")
+print(result.kernel_invocations,
+      *sorted(m for m in sys.modules if m.split(".")[:2] in (
+          ["repro", "compiler"], ["repro", "pipeline"],
+          ["repro", "analysis"], ["repro", "serve"])))
+"""
+
+
+def test_system_simulator_runs_without_the_mapper():
+    """A system run loads the simulator, the runtime and the policies: a
+    fresh interpreter simulates a small trace, and no module of the
+    mapper, the compile pipeline, the auditor or the service is loaded."""
+    child = run_fresh(SIM_CHILD)
+    assert child.returncode == 0, child.stderr
+    invocations, *loaded = child.stdout.split()
+    assert int(invocations) > 0
+    assert loaded == []
 
 
 @settings(max_examples=200, deadline=None)
