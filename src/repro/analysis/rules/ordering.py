@@ -8,7 +8,7 @@ first.  Dicts are *not* flagged — CPython dicts are insertion-ordered, and
 the mapper's determinism story already rests on deterministic insertion.
 A directory's order never reaches a compiled byte the recompile net pins,
 so on the serve path nothing but this rule compares two readdir orders
-(DESIGN.md §12).
+(DESIGN.md §10).
 """
 
 from __future__ import annotations

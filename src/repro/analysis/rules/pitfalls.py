@@ -3,7 +3,7 @@
 A mutable default argument is shared across calls, so results depend on
 call history.  In a long-lived service process that is state one request
 leaves behind for the next, on a path the byte-recompile net never takes
-(DESIGN.md §12).
+(DESIGN.md §10).
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class IIBound:
     def ceiling(self) -> int:
         """Last rung of every paged ladder.  A policy, not a bound: it is
         where the traffic ends — all 354 mapped jobs of the 374 measured
-        (DESIGN.md §11, "The II ceiling") win below it."""
+        (DESIGN.md §5, "The II ladder") win below it."""
         return 3 * max(self.res_mii, self.rec_mii, 1) + 6
 
     def binding(self) -> str:

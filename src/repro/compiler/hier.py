@@ -22,7 +22,7 @@ link.
 
 The one-page test is :func:`cluster_dfg`.  It keeps the name of the
 cluster-then-place step it replaced (a min-cut page partition of the
-DFG's SCC blocks, whose multi-page case never won a job; DESIGN.md §9)
+DFG's SCC blocks, whose multi-page case never won a job; DESIGN.md §12)
 because the benchmark in ``perf/`` traces it under that name, as its
 ``compiler.cluster`` span.
 """

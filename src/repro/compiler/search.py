@@ -14,7 +14,7 @@ reports for the same climb.
 Parallel compile work has one grain, and it is not here: whole jobs across
 worker processes (:func:`repro.pipeline.compile.compile_many` and
 ``repro.serve --workers N``), each process walking its ladders exactly
-like this.  DESIGN.md §11 has the measurement that retired probe racing.
+like this.  DESIGN.md §12 has the measurement that retired probe racing.
 
 What the walk *pays* for a probe is a separate matter.  A probe is a pure
 function of what it reads — the DFG, the fabric, the mapper's constraints

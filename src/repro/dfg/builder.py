@@ -106,32 +106,17 @@ class DFGBuilder:
     def mul(self, a: Value, b: Value, name: str = "") -> Value:
         return self.op(Opcode.MUL, a, b, name=name)
 
-    def div(self, a: Value, b: Value, name: str = "") -> Value:
-        return self.op(Opcode.DIV, a, b, name=name)
-
     def shl(self, a: Value, b: Value, name: str = "") -> Value:
         return self.op(Opcode.SHL, a, b, name=name)
 
     def shr(self, a: Value, b: Value, name: str = "") -> Value:
         return self.op(Opcode.SHR, a, b, name=name)
 
-    def and_(self, a: Value, b: Value, name: str = "") -> Value:
-        return self.op(Opcode.AND, a, b, name=name)
-
-    def or_(self, a: Value, b: Value, name: str = "") -> Value:
-        return self.op(Opcode.OR, a, b, name=name)
-
-    def xor(self, a: Value, b: Value, name: str = "") -> Value:
-        return self.op(Opcode.XOR, a, b, name=name)
-
     def min(self, a: Value, b: Value, name: str = "") -> Value:
         return self.op(Opcode.MIN, a, b, name=name)
 
     def max(self, a: Value, b: Value, name: str = "") -> Value:
         return self.op(Opcode.MAX, a, b, name=name)
-
-    def lt(self, a: Value, b: Value, name: str = "") -> Value:
-        return self.op(Opcode.LT, a, b, name=name)
 
     def abs(self, a: Value, name: str = "") -> Value:
         return self.op(Opcode.ABS, a, name=name)

@@ -17,7 +17,7 @@ is the one grain of parallel compile work: ``compile_many`` with
 exactly as ``workers=1`` does and the parent stores the results in input
 order, which is why the artifacts are byte-identical at any worker count —
 and ``repro.serve --workers N`` hands each miss to the same worker entry
-point, :func:`_job_outcome_pooled` (DESIGN.md §11 has the measurements).
+point, :func:`_job_outcome_pooled` (DESIGN.md §7 has the measurements).
 
 Jobs that share a kernel share probes — the whole-array ladder reads no
 page size, and no ladder reads the mapper seed before its fourth attempt —

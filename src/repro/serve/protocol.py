@@ -203,8 +203,10 @@ class HttpRequest:
 
 async def read_http_request(reader) -> HttpRequest | None:
     """Parse one HTTP/1.1 request off *reader*; None on a clean EOF.  A head
-    past :data:`MAX_HEADER_LINES` or :data:`MAX_HEAD_BYTES`, or cut short by
-    EOF, is a :class:`ProtocolError`."""
+    past :data:`MAX_HEADER_LINES` or :data:`MAX_HEAD_BYTES`, cut short by
+    EOF, with a ``Transfer-Encoding`` or with two different
+    ``Content-Length`` values is a :class:`ProtocolError`: the body's end is
+    then unknown, so nothing after the head may be read as a request."""
     line = await reader.readline()
     if not line:
         return None
@@ -230,7 +232,12 @@ async def read_http_request(reader) -> HttpRequest | None:
         name, sep, value = line.decode("latin-1").partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolError("conflicting content-length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        raise ProtocolError("transfer-encoding is not supported: send content-length")
     value = headers.get("content-length", "0")
     if not _LENGTH_RE.fullmatch(value):
         raise ProtocolError(f"malformed content-length: {value!r}")

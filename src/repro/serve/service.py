@@ -55,7 +55,7 @@ fires the flight's token, which drops a queued compile at pick time, and a
 compile already running finishes and its result is dropped unstored.  A
 worker process that dies breaks its pool: every job in flight on it
 answers ``BrokenProcessPool`` (never stored) and the pool is replaced
-before the next miss (DESIGN.md §13).
+before the next miss (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ class ServiceConfig:
 
     ``workers >= 2`` spawns that many worker processes at start-up, each
     compiling whole jobs; ``workers = 1`` compiles on a slot thread, and
-    only there do the misses share probe outcomes (DESIGN.md §11 has the
+    only there do the misses share probe outcomes (DESIGN.md §9 has the
     two measured side by side).  A cancelled running compile runs to its
     end at any worker count, its result discarded.  ``slots`` bounds
     concurrent compiles; ``tenant_weights`` feeds the weighted round-robin

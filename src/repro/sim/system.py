@@ -441,7 +441,7 @@ class _SystemSim:
         its last ``after``, and whether it was reshaped, in the order of its
         last event (the tie-break order applying event by event gives the
         live heap entries).  That is exactly what applying every event in
-        turn gives, which the oracle does (DESIGN §10): progress is billed
+        turn gives, which the oracle does (DESIGN §8): progress is billed
         and the boundary drain taken at the first reshape only, since the
         next one finds nothing elapsed and a whole number of iterations
         left; the drain is billed as it elapses, so on the last segment;

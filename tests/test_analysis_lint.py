@@ -46,12 +46,6 @@ FIRES = {
         def f(d):
             return [p for p in os.listdir(d)]
         """,
-    "DET-RNG-SEED": """
-        import random
-
-        def f():
-            return random.random()
-        """,
     "DET-HASH-ORDER": """
         def f(name):
             return hash(name) % 16
@@ -92,12 +86,6 @@ CLEAN = {
 
         def f(d):
             return sorted(os.listdir(d))
-        """,
-    "DET-RNG-SEED": """
-        from repro.util.rng import make_rng
-
-        def f(seed):
-            return make_rng(seed).random()
         """,
     "DET-HASH-ORDER": """
         from repro.util.fingerprint import canonical_fingerprint
@@ -194,56 +182,6 @@ def test_dir_scan_pathlib_methods(tmp_path):
         """,
     )
     assert rule_ids(findings).count("DET-DIR-SCAN") == 1
-
-
-def test_rng_rule_exempts_the_seeding_choke_point(tmp_path):
-    nest = tmp_path / "repro" / "util"
-    nest.mkdir(parents=True)
-    path = nest / "rng.py"
-    path.write_text("import random\nr = random.Random()\n")
-    assert lint_paths([path], base=tmp_path) == []
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        "np.random.PCG64()",
-        "np.random.MT19937()",
-        "np.random.Philox()",
-        "np.random.SFC64()",
-        "np.random.PCG64DXSM()",
-        "np.random.SeedSequence()",
-        "np.random.default_rng()",
-        "np.random.default_rng(None)",
-        "np.random.PCG64(seed=None)",
-    ],
-)
-def test_rng_rule_fires_on_unseeded_numpy_constructors(tmp_path, call):
-    findings = lint_source(
-        tmp_path, f"import numpy as np\n\ndef f():\n    return {call}\n"
-    )
-    assert rule_ids(findings) == ["DET-RNG-SEED"], findings
-    assert "draws OS entropy" in findings[0].message
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        "np.random.PCG64(seed)",
-        "np.random.PCG64(seed=seed)",
-        "np.random.MT19937(seed)",
-        "np.random.SeedSequence(seed)",
-        "np.random.SeedSequence(entropy=seed)",
-        "np.random.default_rng(seed)",
-        "np.random.default_rng(seed=seed)",
-        "np.random.Generator(np.random.PCG64(seed))",
-    ],
-)
-def test_rng_rule_quiet_on_seeded_numpy_constructors(tmp_path, call):
-    findings = lint_source(
-        tmp_path, f"import numpy as np\n\ndef f(seed):\n    return {call}\n"
-    )
-    assert findings == [], findings
 
 
 def test_wall_clock_rule_names_the_target(tmp_path):

@@ -2,9 +2,8 @@
 
 A compile's bytes must depend only on its job, and a content address only
 on its payload.  The lint holds the rest of each contract over the whole
-tree — no function writes a global (``DET-GLOBAL-WRITE``), no unseeded RNG,
-wall clock or unordered iteration (``DET-RNG-SEED``, ``DET-WALL-CLOCK``,
-``DET-SET-ITER``, ...) — but it cannot see file, process or socket I/O, or
+tree — no function writes a global (``DET-GLOBAL-WRITE``), no wall clock
+or unordered iteration (``DET-WALL-CLOCK``, ``DET-SET-ITER``, ...) — but it cannot see file, process or socket I/O, or
 a callee mutating its caller's argument.  So a child interpreter runs the
 compile and fingerprint paths once to import everything they need, installs
 an audit hook (in a child, because a hook cannot be removed) and runs them

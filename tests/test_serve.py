@@ -1447,6 +1447,7 @@ class TestServeServer:
 
 
 _HEAD = b"GET /healthz HTTP/1.1\r\n"
+_PIPELINED_HEALTHZ = _HEAD + b"\r\n"
 
 
 class TestConnections:
@@ -1462,6 +1463,16 @@ class TestConnections:
             (_HEAD + b"Content-Length: 1_0\r\n\r\n" + b"x" * 10, False),
             (_HEAD + b"Content-Length: +5\r\n\r\n" + b"x" * 5, False),
             (_HEAD + b"Content-Length: -0\r\n\r\n", False),
+            (
+                b"POST /compile HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b'11\r\n{"kernel": "sor"}\r\n0\r\n\r\n' + _PIPELINED_HEALTHZ,
+                False,
+            ),
+            (
+                b"POST /compile HTTP/1.1\r\nContent-Length: 17\r\nContent-Length: 2\r\n\r\n"
+                b'{"kernel": "sor"}' + _PIPELINED_HEALTHZ,
+                False,
+            ),
         ],
         ids=[
             "too_many_lines",
@@ -1471,6 +1482,8 @@ class TestConnections:
             "length_underscore",
             "length_plus",
             "length_minus_zero",
+            "chunked",
+            "conflicting_lengths",
         ],
     )
     def test_a_bad_request_head_is_a_400_and_a_closed_connection(
@@ -1478,10 +1491,12 @@ class TestConnections:
     ):
         """The head is read only up to its caps: a flood of header lines, one
         line past the byte cap, a line without a colon, a head cut short
-        by EOF or a ``Content-Length`` that is not ASCII digits alone (what
-        ``int()`` would take: ``1_0`` as 10, ``+5``, ``-0``) is answered 400
-        and the connection closes; the server goes on serving with nothing
-        left held."""
+        by EOF, a ``Content-Length`` that is not ASCII digits alone (what
+        ``int()`` would take: ``1_0`` as 10, ``+5``, ``-0``), a chunked body
+        or two different ``Content-Length`` values is answered one 400 and
+        the connection closes: no body byte is parsed as a second request,
+        and a request pipelined behind it gets no answer.  The server goes
+        on serving with nothing left held."""
 
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=1, slots=1)
@@ -1499,6 +1514,7 @@ class TestConnections:
         answer, health, stats = _run(body())
         status_line, _, payload = answer.partition(b"\r\n")
         assert status_line == b"HTTP/1.1 400 Bad Request", answer[:200]
+        assert answer.count(b"HTTP/1.1 ") == 1, answer
         assert json.loads(payload.partition(b"\r\n\r\n")[2])["error"] == "ProtocolError"
         assert health[0] == 200
         assert stats["requests"] == 0 and _idle(stats)
