@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-
 from repro.core.pagemaster import steady_state_ii
 from repro.core.policies import AllocationPolicy, HalvingPolicy, StaticEqualPolicy
 from repro.core.runtime import CGRAManager
@@ -223,14 +221,10 @@ class SystemResult:
 
     # -- SLO-style metrics ---------------------------------------------------------
 
-    def _turnarounds(self) -> np.ndarray:
-        return np.sort(
-            np.array(
-                [
-                    finish - self.arrivals.get(tid, 0.0)
-                    for tid, finish in self.finish_times.items()
-                ]
-            )
+    def _turnarounds(self) -> list[float]:
+        return sorted(
+            finish - self.arrivals.get(tid, 0.0)
+            for tid, finish in self.finish_times.items()
         )
 
     def turnaround_percentile(self, p: float) -> float:
@@ -523,19 +517,15 @@ class _SystemSim:
 
     def run(self) -> SystemResult:
         now = 0
-        # batched arrival wheel: all arrivals are sorted up front (numpy,
-        # stable so simultaneous arrivals keep workload order — the same
-        # order init-time heap pushes gave them) and fed to the loop from
-        # a cursor; the heap holds only live completion events, not one
+        # batched arrival wheel: all arrivals are sorted up front (stable,
+        # so simultaneous arrivals keep workload order — the same order
+        # init-time heap pushes gave them) and fed to the loop from a
+        # cursor; the heap holds only live completion events, not one
         # entry per not-yet-arrived thread
-        tids = list(self.threads)
-        order = np.argsort(
-            np.array([self.threads[t].spec.arrival for t in tids]),
-            kind="stable",
+        wheel = sorted(
+            ((st.spec.arrival, tid) for tid, st in self.threads.items()),
+            key=lambda entry: entry[0],
         )
-        wheel = [
-            (self.threads[tids[i]].spec.arrival, tids[i]) for i in order
-        ]
         ai = 0
         while ai < len(wheel) and wheel[ai][0] <= 0:
             self._start_segment(wheel[ai][1], now)

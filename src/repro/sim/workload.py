@@ -15,13 +15,14 @@ where a kernel's nominal time is ``trip x II`` on the full array.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
-import numpy as np
-
 from repro.util.errors import WorkloadError
-from repro.util.rng import make_rng
+from repro.util.rng import PCG64Stream
 
 __all__ = [
     "Segment",
@@ -84,7 +85,9 @@ def generate_workload(
     random relative sizes, with the CGRA share fixed at *cgra_need* and
     kernels drawn uniformly.  ``mean_arrival_gap > 0`` staggers thread
     launches with exponential inter-arrival times (the paper launches all
-    threads at once, the default).
+    threads at once, the default).  Every draw comes from
+    :class:`~repro.util.rng.PCG64Stream`, numpy's ``default_rng(seed)``
+    draw for draw.
     """
     if not 0.0 < cgra_need < 1.0:
         raise WorkloadError(f"cgra_need must be in (0,1), got {cgra_need}")
@@ -99,11 +102,8 @@ def generate_workload(
         raise WorkloadError(
             f"phases_per_thread must be >= 1, got {phases_per_thread}"
         )
-    if mean_arrival_gap < 0:
-        raise WorkloadError(
-            f"mean_arrival_gap must be >= 0, got {mean_arrival_gap}"
-        )
-    rng = make_rng(seed)
+    _check_sizes(mean_arrival_gap, mean_total_work)
+    rng = PCG64Stream(seed)
     threads: list[ThreadSpec] = []
     arrival = 0
     for tid in range(n_threads):
@@ -117,16 +117,39 @@ def generate_workload(
     return threads
 
 
+def _check_sizes(mean_arrival_gap: float, mean_total_work: float) -> None:
+    # chained compares: NaN fails them, so it is refused with infinity
+    if not 0 <= mean_arrival_gap < math.inf:
+        raise WorkloadError(
+            f"mean_arrival_gap must be finite and >= 0, got {mean_arrival_gap}"
+        )
+    if not 0 < mean_total_work < math.inf:
+        raise WorkloadError(
+            f"mean_total_work must be finite and > 0, got {mean_total_work}"
+        )
+
+
 #: a thread's length is drawn uniformly within +/- this share of its mean
 _JITTER = 0.25
 
 
-def _jittered(rng) -> float:
+def _jittered(rng: PCG64Stream) -> float:
     return 1.0 + _JITTER * (2 * rng.random() - 1.0)
 
 
+def _float_sum(values: list[float]) -> float:
+    """*values* summed left to right: numpy's ``ndarray.sum()`` below 8
+    values, which covers every phase and class count in use (from 8 on,
+    numpy adds in eight lanes and may differ in the last bit).  ``sum()``
+    is no substitute: from Python 3.12 it compensates floats."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _phase_segments(
-    rng,
+    rng: PCG64Stream,
     total: float,
     cgra_need: float,
     kernels: Sequence[str],
@@ -141,19 +164,18 @@ def _phase_segments(
     """
     cgra_work = total * cgra_need
     cpu_work = total - cgra_work
-    # random phase weights, one pair per phase
-    w_cpu = rng.random(phases) + 0.2
-    w_acc = rng.random(phases) + 0.2
-    w_cpu /= w_cpu.sum()
-    w_acc /= w_acc.sum()
-    # the same doubles as Python floats: the arithmetic below is scalar
-    w_cpu = w_cpu.tolist()
-    w_acc = w_acc.tolist()
+    # random phase weights, one pair per phase, all CPU weights drawn first
+    w_cpu = [rng.random() + 0.2 for _ in range(phases)]
+    w_acc = [rng.random() + 0.2 for _ in range(phases)]
+    cpu_sum = _float_sum(w_cpu)
+    acc_sum = _float_sum(w_acc)
+    w_cpu = [w / cpu_sum for w in w_cpu]
+    w_acc = [w / acc_sum for w in w_acc]
     segments: list[Segment] = []
     for p in range(phases):
         cpu_cycles = max(1, round(cpu_work * w_cpu[p]))
         segments.append(Segment("cpu", cycles=cpu_cycles))
-        kernel = kernels[int(rng.integers(len(kernels)))]
+        kernel = kernels[rng.integers(len(kernels))]
         ii = nominal_ii[kernel]
         trip = max(1, round(cgra_work * w_acc[p] / ii))
         segments.append(Segment("cgra", kernel=kernel, trip=trip))
@@ -205,23 +227,26 @@ ARRIVAL_MODELS = ("all-at-once", "poisson", "bursty")
 
 
 def _arrival_times(
-    rng, n: int, model: str, mean_gap: float, burst_size: int
-) -> np.ndarray:
+    rng: PCG64Stream, n: int, model: str, mean_gap: float, burst_size: int
+) -> list[int]:
     """Nondecreasing integer arrival times for *n* threads (first at 0)."""
     if model == "all-at-once" or mean_gap == 0:
-        return np.zeros(n, dtype=np.int64)
+        return [0] * n
     if model == "poisson":
-        gaps = rng.exponential(mean_gap, size=n).astype(np.int64)
+        gaps = [int(rng.exponential(mean_gap)) for _ in range(n)]
         gaps[0] = 0
-        return np.cumsum(gaps)
+        return list(accumulate(gaps))
     # bursty: bursts of ~burst_size threads arrive together; gaps between
     # bursts stretched so the long-run arrival rate matches poisson's
-    sizes = 1 + rng.poisson(burst_size - 1, size=n)
-    n_bursts = int(np.searchsorted(np.cumsum(sizes), n) + 1)
-    gaps = rng.exponential(mean_gap * burst_size, size=n_bursts).astype(np.int64)
+    sizes = [1 + rng.poisson(burst_size - 1) for _ in range(n)]
+    n_bursts = bisect_left(list(accumulate(sizes)), n) + 1
+    burst_gap = mean_gap * burst_size
+    gaps = [int(rng.exponential(burst_gap)) for _ in range(n_bursts)]
     gaps[0] = 0
-    starts = np.cumsum(gaps)
-    return np.repeat(starts, sizes[:n_bursts])[:n]
+    arrivals: list[int] = []
+    for start, size in zip(accumulate(gaps), sizes):
+        arrivals += [start] * size
+    return arrivals[:n]
 
 
 def generate_trace(
@@ -244,7 +269,8 @@ def generate_trace(
     mean length (``work_scale * mean_total_work``, +/- 25 %) and phase
     count.  A ``mean_arrival_gap`` of 0 launches every thread at cycle 0
     whatever the model.  Fully deterministic for a given seed and parameter
-    set.
+    set: the draws are :func:`generate_workload`'s, and the class draw is
+    numpy's ``choice(p=)`` (every class before the first thread).
     """
     if not 0.0 < cgra_need < 1.0:
         raise WorkloadError(f"cgra_need must be in (0,1), got {cgra_need}")
@@ -262,19 +288,18 @@ def generate_trace(
             f"unknown arrival model {arrival_model!r}; "
             f"expected one of {ARRIVAL_MODELS}"
         )
-    if mean_arrival_gap < 0:
-        raise WorkloadError(
-            f"mean_arrival_gap must be >= 0, got {mean_arrival_gap}"
-        )
+    _check_sizes(mean_arrival_gap, mean_total_work)
     if burst_size < 1:
         raise WorkloadError(f"burst_size must be >= 1, got {burst_size}")
-    rng = make_rng(seed)
+    rng = PCG64Stream(seed)
     arrivals = _arrival_times(
         rng, n_threads, arrival_model, mean_arrival_gap, burst_size
-    ).tolist()
-    weights = np.array([c.weight for c in classes], dtype=float)
-    weights /= weights.sum()
-    class_idx = rng.choice(len(classes), size=n_threads, p=weights).tolist()
+    )
+    weights = [float(c.weight) for c in classes]
+    weight_sum = _float_sum(weights)
+    cdf = list(accumulate(w / weight_sum for w in weights))
+    cdf = [c / cdf[-1] for c in cdf]
+    class_idx = [bisect_right(cdf, rng.random()) for _ in range(n_threads)]
     threads: list[ThreadSpec] = []
     for tid in range(n_threads):
         cls = classes[class_idx[tid]]

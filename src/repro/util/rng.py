@@ -4,19 +4,23 @@ Every stochastic piece of the library takes an explicit seed, so every
 experiment in the reproduction is bit-for-bit repeatable.  Two sources:
 
 * :class:`PCG64Stream` — the mapper's perturbed op orders
-  (:meth:`repro.compiler.ems.EMSMapper.attempt_order`).  It is pure Python,
-  so compiling, storing, auditing and serving never import numpy, and an
-  artifact's bytes depend on this file rather than on numpy's internals.
-  ``PCG64Stream(seed).integers(n)`` returns exactly the integers
-  ``numpy.random.default_rng(seed).integers(n)`` returns; numpy stays its
-  test reference (``tests/test_rng.py``).
-* :func:`make_rng` / :func:`derive_seed` — numpy generators and seeds for
-  everything that builds arrays (workload traces, random DFGs, kernel
-  inputs, fuzz helpers).  numpy is imported inside them.
+  (:meth:`repro.compiler.ems.EMSMapper.attempt_order`) and the system
+  simulator's traces (:mod:`repro.sim.workload`).  It is pure Python, so
+  compiling, storing, auditing, serving and simulating the system never
+  import numpy, and an artifact's or a trace's bytes depend on this file
+  rather than on numpy's internals.  Its draws (``integers``, ``random``,
+  ``exponential``, ``poisson``) return exactly what the same calls on
+  ``numpy.random.default_rng(seed)`` return, in any interleaving; numpy
+  stays their test reference (``tests/test_util.py``).
+  :func:`derive_seed` is numpy's ``SeedSequence`` with a spawn key, in
+  pure Python too.
+* :func:`make_rng` — a numpy generator for everything that builds arrays
+  (kernel inputs, random DFGs).  numpy is imported inside it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -49,9 +53,9 @@ def _seed_words(seed: int) -> list[int]:
     return words
 
 
-def _seed_state(seed: int) -> tuple[int, int]:
-    """PCG64's (state, increment) after seeding from
-    ``SeedSequence(seed).generate_state(4, uint64)``."""
+def _entropy_pool(entropy: list[int]) -> list[int]:
+    """``SeedSequence.mix_entropy``: the pool hashed from the 32-bit
+    *entropy* words."""
     hash_const = _INIT_A
 
     def hashmix(value: int) -> int:
@@ -65,7 +69,6 @@ def _seed_state(seed: int) -> tuple[int, int]:
         result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
         return result ^ (result >> _XSHIFT)
 
-    entropy = _seed_words(seed)
     padded = entropy + [0] * (_POOL_SIZE - len(entropy))
     pool = [hashmix(word) for word in padded[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
@@ -75,15 +78,26 @@ def _seed_state(seed: int) -> tuple[int, int]:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
 
-    # generate_state(4, uint64): eight 32-bit words, paired little-endian.
+
+def _state_words(pool: list[int], n: int) -> list[int]:
+    """``SeedSequence.generate_state(n, uint32)`` from a mixed *pool*."""
     hash_const = _INIT_B
     words = []
-    for k in range(8):
+    for k in range(n):
         value = pool[k % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _M32
         value = (value * hash_const) & _M32
         words.append(value ^ (value >> _XSHIFT))
+    return words
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """PCG64's (state, increment) after seeding from
+    ``SeedSequence(seed).generate_state(4, uint64)``."""
+    # four uint64 words: eight 32-bit words, paired little-endian
+    words = _state_words(_entropy_pool(_seed_words(seed)), 8)
     s0, s1, i0, i1 = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
 
     # pcg_setseq_128_srandom_r; of each 64-bit pair the first is the high half.
@@ -93,13 +107,14 @@ def _seed_state(seed: int) -> tuple[int, int]:
 
 
 class PCG64Stream:
-    """Bounded integer draws identical to ``numpy.random.default_rng(seed)``.
+    """Draws identical to the same calls on ``numpy.random.default_rng(seed)``.
 
     The parts are numpy's: SeedSequence pool hashing, PCG64 seeding, the
-    XSL-RR 128/64 output, the spare 32-bit half of each 64-bit output kept
-    for the next draw, and Lemire's bounded draw.  Only
-    :meth:`integers` with a scalar bound in ``[1, 2**32]`` is provided —
-    the one call the mapper makes.
+    XSL-RR 128/64 output, the spare 32-bit half of a 64-bit output kept
+    for the next 32-bit draw (a 64-bit draw leaves it alone), Lemire's
+    bounded draw, the 53-bit double, the exponential ziggurat and the
+    Poisson samplers.  Only scalar draws are provided, one per call; an
+    array draw of numpy's is the same draws in order.
     """
 
     __slots__ = ("_state", "_inc", "_spare")
@@ -110,15 +125,18 @@ class PCG64Stream:
         self._state, self._inc = _seed_state(seed)
         self._spare: int | None = None
 
+    def _next64(self) -> int:
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        rot = state >> 122
+        x = ((state >> 64) ^ state) & _M64
+        return ((x >> rot) | (x << (64 - rot))) & _M64
+
     def _next32(self) -> int:
         spare = self._spare
         if spare is not None:
             self._spare = None
             return spare
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        rot = state >> 122
-        x = ((state >> 64) ^ state) & _M64
-        out = ((x >> rot) | (x << (64 - rot))) & _M64
+        out = self._next64()
         self._spare = out >> 32
         return out & _M32
 
@@ -136,6 +154,102 @@ class PCG64Stream:
             while m & _M32 < threshold:
                 m = self._next32() * n
         return m >> 32
+
+    def random(self) -> float:
+        """A uniform double in ``[0, 1)``: the top 53 bits of a 64-bit draw."""
+        return (self._next64() >> 11) * _TWO_M53
+
+    def exponential(self, scale: float = 1.0) -> float:
+        """An exponential draw of mean *scale*: numpy's 256-layer ziggurat."""
+        from repro.util.ziggurat import FE, KE, WE
+
+        while True:
+            bits = self._next64() >> 3
+            idx = bits & 0xFF
+            bits >>= 8
+            x = bits * WE[idx]
+            if bits < KE[idx]:
+                return scale * x
+            if idx == 0:  # the tail, drawn as 1 - U to keep log away from 0
+                return scale * (_ZIGGURAT_EXP_R - math.log1p(-self.random()))
+            if (FE[idx - 1] - FE[idx]) * self.random() + FE[idx] < math.exp(-x):
+                return scale * x
+
+    def poisson(self, lam: float) -> int:
+        """A Poisson draw of mean *lam*: numpy's PTRS rejection sampler for
+        ``lam >= 10``, its product of uniforms below."""
+        if not 0 <= lam <= _POISSON_LAM_MAX:
+            raise ValueError(f"lam must be in [0, {_POISSON_LAM_MAX}], got {lam}")
+        lam = float(lam)
+        if lam >= 10:
+            return self._poisson_ptrs(lam)
+        if lam == 0:
+            return 0
+        limit = math.exp(-lam)
+        count, prod = 0, 1.0
+        while True:
+            prod *= self.random()
+            if prod <= limit:
+                return count
+            count += 1
+
+    def _poisson_ptrs(self, lam: float) -> int:
+        """Hörmann's transformed rejection (PTRS), as numpy writes it."""
+        slam = math.sqrt(lam)
+        loglam = math.log(lam)
+        b = 0.931 + 2.53 * slam
+        a = -0.059 + 0.02483 * b
+        log_invalpha = math.log(1.1239 + 1.1328 / (b - 3.4))
+        vr = 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = self.random() - 0.5
+            v = self.random()
+            us = 0.5 - abs(u)
+            if us == 0.0:  # C's k is then floor(-inf) cast: negative, rejected
+                continue
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            # C casts k to int64: out of range it is negative, rejected
+            if not 0 <= k < 1 << 63 or (us < 0.013 and v > us):
+                continue
+            log_v = math.log(v) if v > 0.0 else -math.inf  # C's log(0) is -inf
+            if (log_v + log_invalpha - math.log(a / (us * us) + b)
+                    <= -lam + k * loglam - _loggam(float(k + 1))):
+                return k
+
+
+#: ``2**-53``: a 53-bit integer scaled into ``[0, 1)``
+_TWO_M53 = 1.0 / 9007199254740992.0
+#: the ziggurat's rightmost layer edge, where the idx-0 tail starts
+_ZIGGURAT_EXP_R = 7.69711747013104972
+#: numpy's largest accepted Poisson mean
+_POISSON_LAM_MAX = 9.223372006484771e18
+#: numpy's Stirling-series coefficients of ``random_loggam``
+_LOGGAM_COEFFS = (
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04,
+    -5.952380952380952e-04, 8.417508417508418e-04, -1.917526917526918e-03,
+    6.410256410256410e-03, -2.955065359477124e-02, 1.796443723688307e-01,
+    -1.39243221690590e00,
+)
+_HALF_LOG_2PI = 0.5 * 1.8378770664093453
+
+
+def _loggam(x: float) -> float:
+    """``log(Gamma(x))`` for ``x >= 1``: numpy's ``random_loggam``."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_COEFFS[9]
+    for coeff in reversed(_LOGGAM_COEFFS[:9]):
+        gl0 = gl0 * x2 + coeff
+    gl = gl0 / x0 + _HALF_LOG_2PI + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
 
 
 def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
@@ -155,13 +269,14 @@ def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
 def derive_seed(seed: int, *streams: int | str) -> int:
     """Derive a child seed from *seed* and a tuple of stream labels.
 
-    Uses :class:`numpy.random.SeedSequence` entropy mixing, so children of
-    distinct labels are statistically independent while remaining
-    reproducible.  String labels are hashed stably (not with ``hash()``,
-    which is salted per process).
+    ``SeedSequence(entropy=seed, spawn_key=labels).generate_state(1,
+    uint64)``, in pure Python: children of distinct labels are
+    statistically independent while remaining reproducible.  String
+    labels are hashed stably (FNV-1a, not ``hash()``, which is salted per
+    process); integer labels are taken modulo ``2**32``.
     """
-    import numpy as np
-
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     keys: list[int] = []
     for s in streams:
         if isinstance(s, str):
@@ -171,5 +286,8 @@ def derive_seed(seed: int, *streams: int | str) -> int:
             keys.append(acc)
         else:
             keys.append(int(s) & 0xFFFFFFFF)
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(keys))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    entropy = _seed_words(seed)
+    if keys:  # a spawn key starts after an entropy zero-padded to the pool
+        entropy += [0] * (_POOL_SIZE - len(entropy))
+    low, high = _state_words(_entropy_pool(entropy + keys), 2)
+    return low | high << 32

@@ -8,7 +8,9 @@ weights."""
 from __future__ import annotations
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from repro.sim.system import KernelProfile, SystemConfig, simulate_system
@@ -16,6 +18,7 @@ from repro.sim.workload import (
     ARRIVAL_MODELS,
     DEFAULT_CLASSES,
     ServiceClass,
+    _float_sum,
     generate_trace,
     generate_workload,
 )
@@ -70,6 +73,15 @@ class TestDeterminism:
         else:
             wl = trace(seed=seed, arrival_model=make)
         assert hashlib.sha256(repr(wl).encode()).hexdigest() == digest
+
+    def test_weight_sums_round_as_numpy(self):
+        """Phase and class weights are normalised by a sum rounded as
+        numpy's ``ndarray.sum()`` rounds up to 7 values: left to right
+        (``sum()`` compensates on Python 3.12 and rounds some of these apart)."""
+        rng = np.random.default_rng(5)
+        for n in [n for n in range(1, 8) for _ in range(200)]:
+            values = (rng.random(n) + 0.2).tolist()
+            assert _float_sum(values) == float(np.array(values).sum()), values
 
     def test_simulation_of_trace_is_deterministic(self):
         wl = trace(n=40, arrival_model="bursty", mean_total_work=200)
@@ -126,6 +138,27 @@ class TestArrivals:
         with pytest.raises(WorkloadError, match="mean_arrival_gap"):
             trace(n=3, mean_arrival_gap=-5.0)
         assert all(t.arrival == 0 for t in trace(n=3, mean_arrival_gap=0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(mean_arrival_gap=math.inf),
+            dict(mean_arrival_gap=math.nan),
+            dict(mean_total_work=-500),
+            dict(mean_total_work=0),
+            dict(mean_total_work=math.inf),
+            dict(mean_total_work=math.nan),
+        ],
+        ids=["gap-inf", "gap-nan", "work-neg", "work-0", "work-inf", "work-nan"],
+    )
+    def test_rejects_non_finite_or_non_positive_sizes(self, bad):
+        """An infinite or NaN gap gave arrivals ``[0, -2**63, 0]`` (negative
+        and not monotone), and a work of -500 gave every CPU segment 1 cycle
+        and every trip 1."""
+        with pytest.raises(WorkloadError, match=next(iter(bad))):
+            generate_trace(
+                3, 0.75, ["a"], {"a": 2}, seed=1, arrival_model="poisson", **bad
+            )
 
 
 

@@ -3,6 +3,7 @@ and the discrete-event simulation of both CGRA modes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields
 
 import pytest
@@ -91,6 +92,25 @@ class TestWorkloadGeneration:
         # a negative gap launched every thread at once
         with pytest.raises(WorkloadError):
             generate_workload(2, 0.5, ["fast"], {"fast": 1}, **bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(mean_arrival_gap=math.inf),
+            dict(mean_arrival_gap=math.nan),
+            dict(mean_total_work=0),
+            dict(mean_total_work=-500),
+            dict(mean_total_work=math.inf),
+            dict(mean_total_work=math.nan),
+        ],
+        ids=["gap-inf", "gap-nan", "work-0", "work-neg", "work-inf", "work-nan"],
+    )
+    def test_rejects_non_finite_or_non_positive_sizes(self, bad):
+        # an infinite gap overflowed the integer arrival (OverflowError), a
+        # NaN gap launched every thread at once, and a work of 0 gave every
+        # CPU segment 1 cycle and every trip 1
+        with pytest.raises(WorkloadError, match=next(iter(bad))):
+            generate_workload(3, 0.5, ["fast"], {"fast": 2}, seed=1, **bad)
 
     def test_segment_validation(self):
         with pytest.raises(WorkloadError):
