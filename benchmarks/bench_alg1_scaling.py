@@ -17,25 +17,29 @@ from repro.util.tables import format_table
 
 def _time_placement(n: int, m: int, batches: int) -> float:
     t0 = time.perf_counter()
-    PageMaster(n, 2, m, force_zigzag=True).place(batches=batches)
+    PageMaster(n, 2, m).place(batches=batches)
     return time.perf_counter() - t0
 
 
 def test_alg1_runtime_linear_in_instances():
+    """Each configuration is timed as the best of 5 runs: a process sharing
+    the cores can only lengthen a run, so the minimum is the placement's
+    own cost and the ratio below compares like with like."""
     rows = []
+    per_instance = []
     for n, batches in [(8, 200), (16, 200), (32, 200), (16, 400), (16, 800)]:
-        m = n - 1  # zigzag path (the expensive one)
-        dt = _time_placement(n, m, batches)
+        m = n - 1  # zigzag path (the expensive one): m never divides n
+        dt = min(_time_placement(n, m, batches) for _ in range(5))
         rows.append([n, m, batches, n * batches, f"{dt * 1e3:.1f}"])
+        per_instance.append(dt / (n * batches))
     emit(
         format_table(
             ["N", "M", "batches", "instances", "ms"],
             rows,
-            title="Algorithm 1 — transformation runtime",
+            title="Algorithm 1 — transformation runtime (best of 5)",
         )
     )
     # linearity: per-instance cost stays within a small factor across sizes
-    per_instance = [float(r[4]) / r[3] for r in rows]
     assert max(per_instance) < 8 * min(per_instance)
 
 

@@ -70,7 +70,7 @@ def test_fig6_fold_to_one_page(store):
 
 
 def test_fig7_zigzag_n6_m5():
-    p = PageMaster(6, 1, 5, force_zigzag=True).place()
+    p = PageMaster(6, 1, 5).place()
     check_placement(p, require_wrap=True)
     emit(
         f"Fig. 7 — N=6 -> M=5: II_q={float(p.ii_q_effective()):.3f} "

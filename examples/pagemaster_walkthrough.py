@@ -19,8 +19,8 @@ from repro.core.paging import PageLayout
 from repro.core.transform_check import check_placement
 
 
-def show_placement(title: str, n: int, ii: int, m: int, batches: int, **kw) -> None:
-    placement = PageMaster(n, ii, m, **kw).place(batches=batches)
+def show_placement(title: str, n: int, ii: int, m: int, batches: int) -> None:
+    placement = PageMaster(n, ii, m).place(batches=batches)
     check_placement(placement)
     print(f"=== {title}")
     print(viz.render_placement(placement, max_rows=14))
@@ -42,14 +42,7 @@ def main() -> None:
     print()
 
     # Fig. 7: six pages onto five columns with the zigzag Algorithm 1.
-    show_placement(
-        "Fig. 7 — N=6 onto M=5 (zigzag Algorithm 1)",
-        6,
-        1,
-        5,
-        batches=6,
-        force_zigzag=True,
-    )
+    show_placement("Fig. 7 — N=6 onto M=5 (zigzag Algorithm 1)", 6, 1, 5, batches=6)
 
     # A non-dividing shrink: watch the column pattern wander while every
     # §VI-C constraint holds.

@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.arch.presets import demo_cgra
+from repro.arch.presets import preset
 from repro.compiler.ems import map_dfg
 from repro.compiler.constraints import paged_bus_key
 from repro.compiler.paged import map_dfg_paged
@@ -25,7 +25,7 @@ TRIP = 32
 
 def main() -> None:
     # --- the hardware: a 4x4 CGRA divided into four 2x2 pages (Fig. 4) ----
-    cgra = demo_cgra()  # preset("4x4"): the paper's 4x4 fabric, rf_depth 16
+    cgra = preset("4x4")  # the paper's 4x4 fabric, rf_depth 16
     layout = PageLayout(cgra, (2, 2))
     print(f"hardware: {cgra.describe()}")
     print(f"paging:   {layout}\n")

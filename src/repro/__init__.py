@@ -15,13 +15,13 @@ The package provides, from scratch:
 
 Quick tour::
 
-    from repro.arch.presets import demo_cgra
+    from repro.arch.presets import preset
     from repro.core.paging import PageLayout
     from repro.compiler.paged import map_dfg_paged
     from repro.core.pagemaster import PageMaster
     from repro.kernels import get_kernel
 
-    cgra = demo_cgra()  # the 4x4 paper fabric; see repro.arch.presets
+    cgra = preset("4x4")  # the paper's 4x4 fabric
     layout = PageLayout(cgra, (2, 2))
     paged = map_dfg_paged(get_kernel("mpeg").build(), cgra, layout)
     shrink = PageMaster(paged.pages_used, paged.ii, 1).place()

@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from repro import viz
-from repro.arch.presets import demo_cgra
+from repro.arch.presets import preset
 from repro.compiler.paged import map_dfg_paged
 from repro.compiler.constraints import paged_bus_key
 from repro.core.pagemaster import PageMaster
@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     kernel = p.parse_args(argv).kernel
     trip = 24
-    cgra = demo_cgra()
+    cgra = preset("4x4")
     layout = PageLayout(cgra, (2, 2))
     print(viz.render_layout(layout))
 

@@ -8,5 +8,5 @@
   from bytes alone (content address, canonical encoding, mapping legality,
   §VI-B constraints, PageMaster foldability for every M <= N).
 
-CLI: ``python -m repro.analysis {lint,audit,all,rules} [--json] [--strict]``.
+CLI: ``python -m repro.analysis {lint,audit,all,rules} [--strict]``.
 """

@@ -221,15 +221,6 @@ class AuditEntry:
     findings: list[Finding] = field(default_factory=list)
     folds_checked: int = 0
 
-    def as_record(self) -> dict:
-        return {
-            "path": self.path,
-            "status": self.status,
-            "kernel": self.kernel,
-            "folds_checked": self.folds_checked,
-            "findings": [f.as_record() for f in self.findings],
-        }
-
 
 @dataclass
 class AuditReport:
@@ -252,13 +243,6 @@ class AuditReport:
             out[e.status] += 1
         out["folds_checked"] = sum(e.folds_checked for e in self.entries)
         return out
-
-    def as_record(self) -> dict:
-        return {
-            "root": self.root,
-            "counts": self.counts(),
-            "entries": [e.as_record() for e in self.entries],
-        }
 
     def summary(self) -> str:
         c = self.counts()

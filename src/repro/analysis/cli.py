@@ -9,8 +9,8 @@ Subcommands:
 * ``all`` — both passes, combined report, worst exit code wins;
 * ``rules`` — print the rule catalogue.
 
-``--json`` switches to the machine-readable report, ``--strict`` makes
-warnings gate the build (the required CI step runs ``all --strict``).
+``--strict`` makes warnings gate the build (the required CI step runs
+``all --strict``).
 Exit codes: 0 clean, 1 findings, 2 the analysis itself failed to run.
 What no lint rule sees — file I/O and argument mutation on the compile
 and fingerprint paths — is ``tests/test_contracts.py``.
@@ -24,14 +24,13 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.findings import Finding
-from repro.analysis.report import EXIT_FATAL, exit_code, render_json, render_text
+from repro.analysis.report import EXIT_FATAL, exit_code, render_text
 
 __all__ = ["main"]
 
 
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit the JSON report")
     common.add_argument(
         "--strict",
         action="store_true",
@@ -82,29 +81,22 @@ def _run_lint(root: Path | None) -> list[Finding]:
     return lint_tree(root)
 
 
-def _run_audit(store: Path | None) -> tuple[list[Finding], dict, str]:
+def _run_audit(store: Path | None) -> tuple[list[Finding], str]:
     from repro.analysis.audit import audit_store
 
-    if store is not None and not store.is_dir():
-        raise FileNotFoundError(f"artifact store {store} does not exist")
+    if store is not None:
+        if not store.exists():
+            raise FileNotFoundError(f"artifact store {store} does not exist")
+        if not store.is_dir():
+            raise NotADirectoryError(f"artifact store {store} is not a directory")
     report = audit_store(store)
-    return report.findings, {"audit": report.as_record()}, report.summary()
+    return report.findings, report.summary()
 
 
-def _print_rules(as_json: bool) -> int:
+def _print_rules() -> int:
     from repro.analysis.registry import all_rules
 
     rules = all_rules()
-    if as_json:
-        import json
-
-        records = [
-            {"id": r.id, "kind": r.kind, "severity": r.severity.value,
-             "summary": r.summary, "fix_hint": r.fix_hint}
-            for r in rules
-        ]
-        print(json.dumps(records, indent=2))
-        return 0
     width = max(len(r.id) for r in rules)
     for r in rules:
         print(f"{r.id:<{width}}  {r.kind:<5}  {r.severity.value:<7}  {r.summary}")
@@ -114,26 +106,21 @@ def _print_rules(as_json: bool) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "rules":
-        return _print_rules(args.json)
+        return _print_rules()
 
     findings: list[Finding] = []
-    payload: dict = {}
     extra: list[str] = []
     try:
         if args.command in ("lint", "all"):
             findings.extend(_run_lint(args.root))
         if args.command in ("audit", "all"):
-            audit_findings, audit_payload, summary = _run_audit(args.store)
+            audit_findings, summary = _run_audit(args.store)
             findings.extend(audit_findings)
-            payload.update(audit_payload)
             extra.append(summary)
     except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
         print(f"repro.analysis: fatal: {exc}", file=sys.stderr)
         return EXIT_FATAL
 
     title = f"repro.analysis {args.command}"
-    if args.json:
-        print(render_json(findings, title=title, payload=payload))
-    else:
-        print(render_text(findings, title=title, extra=extra))
+    print(render_text(findings, title=title, extra=extra))
     return exit_code(findings, strict=args.strict)

@@ -46,14 +46,3 @@ class Finding:
         if self.fix_hint:
             text += f"\n    fix: {self.fix_hint}"
         return text
-
-    def as_record(self) -> dict:
-        return {
-            "file": self.file,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule_id,
-            "severity": self.severity.value,
-            "message": self.message,
-            "fix_hint": self.fix_hint,
-        }

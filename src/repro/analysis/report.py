@@ -1,8 +1,8 @@
 """Reporters and the CI exit-code contract.
 
-Both passes end here: findings go out either as human-readable text (one
-block per finding, fix hint indented under it) or as a JSON document stable
-enough to diff in CI.  Exit codes are the contract the workflow relies on:
+Both passes end here: findings go out as human-readable text (one block
+per finding, fix hint indented under it).  Exit codes are the contract the
+workflow relies on:
 
 * ``0`` — clean (warnings allowed unless ``--strict``);
 * ``1`` — findings that gate the build (any ERROR; WARNINGs too under
@@ -12,7 +12,6 @@ enough to diff in CI.  Exit codes are the contract the workflow relies on:
 
 from __future__ import annotations
 
-import json
 from typing import Sequence
 
 from repro.analysis.findings import Finding, Severity
@@ -23,7 +22,6 @@ __all__ = [
     "EXIT_FATAL",
     "exit_code",
     "render_text",
-    "render_json",
 ]
 
 EXIT_CLEAN = 0
@@ -60,17 +58,3 @@ def render_text(
         else f"{title}: clean"
     )
     return "\n".join(lines)
-
-
-def render_json(
-    findings: Sequence[Finding], *, title: str, payload: dict | None = None
-) -> str:
-    """JSON report: sorted keys, canonical finding order, diff-stable."""
-    doc = {
-        "title": title,
-        "counts": _counts(findings),
-        "findings": [f.as_record() for f in sorted(findings)],
-    }
-    if payload:
-        doc.update(payload)
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -20,8 +20,8 @@ name       grid  rf depth   capabilities
 ========== ===== ========== ============================================
 
 The register-file depth follows the repository-wide ``4 * size`` rule
-(:func:`experiment_cgra`), so ``preset("4x4")`` is *exactly* the demo
-fabric the README and quick-tour build — same fingerprint, same artifact
+(:func:`experiment_cgra`), so ``preset("4x4")`` is *exactly* the
+fabric the experiments build — same fingerprint, same artifact
 addresses.  The ``-memcols`` variants put a memory port in every even
 column (:meth:`~repro.arch.capability.CapabilityMap.mem_columns`), so
 every page tile at least two columns wide contains mem-capable PEs
@@ -42,7 +42,6 @@ __all__ = [
     "preset",
     "preset_names",
     "experiment_cgra",
-    "demo_cgra",
     "mem_columns_for",
 ]
 
@@ -58,12 +57,6 @@ def experiment_cgra(size: int) -> CGRA:
     if size < 2:
         raise ArchitectureError(f"experiment fabric needs size >= 2, got {size}")
     return CGRA(size, size, rf_depth=4 * size)
-
-
-def demo_cgra() -> CGRA:
-    """The 4x4 demo fabric used by the quick tour, README and examples
-    (identical to ``preset("4x4")``)."""
-    return experiment_cgra(4)
 
 
 def mem_columns_for(size: int) -> tuple[int, ...]:

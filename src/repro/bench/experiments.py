@@ -22,6 +22,7 @@ import argparse
 import sys
 from typing import Callable
 
+from repro.arch.presets import experiment_cgra
 from repro.bench.fig8 import page_sizes_for, render_fig8, run_fig8
 from repro.bench.fig9 import (
     HEADLINE_CLAIMS,
@@ -29,7 +30,8 @@ from repro.bench.fig9 import (
     render_fig9,
     run_fig9,
 )
-from repro.pipeline import ArtifactStore
+from repro.pipeline import ArtifactStore, make_layout
+from repro.util.errors import ArchitectureError
 
 __all__ = ["EXPERIMENTS", "main"]
 
@@ -37,10 +39,6 @@ __all__ = ["EXPERIMENTS", "main"]
 def _fig8(size: int):
     def run(store: ArtifactStore, args) -> str:
         rows = run_fig8(size, store=store, seed=args.seed, workers=args.workers)
-        if getattr(args, "json", None):
-            from repro.bench.reporting import fig8_to_records, write_json
-
-            write_json(fig8_to_records(size, rows), args.json)
         return render_fig8(size, rows)
 
     return run
@@ -57,10 +55,6 @@ def _fig9(size: int):
             repeats=args.repeats,
             workers=args.workers,
         )
-        if getattr(args, "json", None):
-            from repro.bench.reporting import fig9_to_records, write_json
-
-            write_json(fig9_to_records(size, ps, cells), args.json)
         out = render_fig9(size, ps, cells)
         return out + f"\nbest improvement: {best_improvement(cells) * 100:+.1f}%"
 
@@ -89,13 +83,14 @@ def _headline(store: ArtifactStore, args) -> str:
     return "\n".join(lines)
 
 
+#: The fig9 panels and their grid sizes: ``--page-size`` must tile each.
+_FIG9_SIZES = {"fig9_4x4": 4, "fig9_6x6": 6, "fig9_8x8": 8}
+
 EXPERIMENTS: dict[str, Callable] = {
     "fig8_4x4": _fig8(4),
     "fig8_6x6": _fig8(6),
     "fig8_8x8": _fig8(8),
-    "fig9_4x4": _fig9(4),
-    "fig9_6x6": _fig9(6),
-    "fig9_8x8": _fig9(8),
+    **{name: _fig9(size) for name, size in _FIG9_SIZES.items()},
     "headline": _headline,
 }
 
@@ -121,9 +116,6 @@ def _parser() -> argparse.ArgumentParser:
         default=1,
         help="processes compiling cache misses in parallel (results are "
         "identical to --workers 1; only wall-clock changes)",
-    )
-    p.add_argument(
-        "--json", default=None, help="also write the series as JSON records"
     )
     p.add_argument(
         "--configs",
@@ -153,8 +145,14 @@ def main(argv: list[str] | None = None) -> int:
         report = run_fuzz(n_cases=args.configs, seed=args.seed)
         print(report.render())
         return 0 if report.ok else 1
-    store = ArtifactStore()
     names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    for name in names:
+        if name in _FIG9_SIZES:
+            try:
+                make_layout(experiment_cgra(_FIG9_SIZES[name]), args.page_size)
+            except ArchitectureError as exc:
+                parser.error(f"--page-size {args.page_size}: {exc}")
+    store = ArtifactStore()
     for name in names:
         print(f"==== {name} " + "=" * max(0, 60 - len(name)))
         before = store.stats()

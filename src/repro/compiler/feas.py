@@ -52,8 +52,8 @@ class IIBound:
     @property
     def ceiling(self) -> int:
         """Last rung of every paged ladder.  A policy, not a bound: it is
-        where the traffic ends — all 354 mapped jobs of the 374 measured
-        (DESIGN.md §5, "The II ladder") win below it."""
+        where the traffic ends — none of the 354 mapped jobs of the 374
+        measured (DESIGN.md §5, "The II ladder") wins above it."""
         return 3 * max(self.res_mii, self.rec_mii, 1) + 6
 
     def binding(self) -> str:

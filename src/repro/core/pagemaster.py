@@ -140,10 +140,8 @@ class PageMaster:
         m: int,
         *,
         wrap_used: bool = False,
-        force_zigzag: bool = False,
     ) -> None:
         self.wrap_used = wrap_used
-        self.force_zigzag = force_zigzag
         if n_pages < 1:
             raise TransformError(f"N must be >= 1, got {n_pages}")
         if ii_p < 1:
@@ -163,11 +161,7 @@ class PageMaster:
         long enough to detect the steady-state period; 0 places nothing)."""
         if batches is not None and batches < 0:
             raise TransformError(f"batches must be >= 0, got {batches}")
-        if (
-            not self.force_zigzag
-            and not self.wrap_used
-            and self.n % self.m == 0
-        ):
+        if not self.wrap_used and self.n % self.m == 0:
             return self._place_grouped(batches)
         if batches == 0:
             return PagePlacement(self.n, self.ii_p, self.m)

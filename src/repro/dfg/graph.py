@@ -161,9 +161,6 @@ class DFG:
 
     # -- queries --------------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.ops)
-
     @property
     def num_ops(self) -> int:
         return len(self.ops)

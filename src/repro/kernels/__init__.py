@@ -1,12 +1,11 @@
 """Benchmark kernel suite (§VII-A): executable media loop bodies."""
 
-from repro.kernels.spec import KernelSpec, bind_memory, fresh_arrays
+from repro.kernels.spec import KernelSpec, bind_memory
 from repro.kernels.suite import SUITE, get_kernel, kernel_names
 
 __all__ = [
     "KernelSpec",
     "bind_memory",
-    "fresh_arrays",
     "SUITE",
     "get_kernel",
     "kernel_names",

@@ -23,7 +23,7 @@ from repro.util.rng import make_rng
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["KernelSpec", "bind_memory", "fresh_arrays"]
+__all__ = ["KernelSpec", "bind_memory"]
 
 ArraysFn = Callable[["np.random.Generator", int], "dict[str, np.ndarray]"]
 GoldenFn = Callable[["dict[str, np.ndarray]", int], "dict[str, np.ndarray]"]
@@ -49,10 +49,6 @@ class KernelSpec:
         arrays = self.arrays(rng, t)
         expected = self.golden({k: v.copy() for k, v in arrays.items()}, t)
         return self.build(), arrays, expected
-
-
-def fresh_arrays(spec: KernelSpec, seed: int, trip: int) -> dict[str, np.ndarray]:
-    return spec.arrays(make_rng(seed), trip)
 
 
 def bind_memory(arrays: dict[str, np.ndarray]) -> DataMemory:

@@ -269,16 +269,3 @@ class CompiledKernel:
         mapping = Mapping(cgra, dfg, self.ii_paged, placements, routes)
         schedule = extract_page_schedule(mapping, layout)
         return PagedMapping(mapping, layout, schedule, full)
-
-    def summary(self) -> str:
-        if self.unmappable:
-            return (
-                f"{self.kernel} on {self.rows}x{self.cols} "
-                f"(pages {self.page_shape[0]}x{self.page_shape[1]}): unmappable"
-            )
-        return (
-            f"{self.kernel} on {self.rows}x{self.cols} "
-            f"(pages {self.page_shape[0]}x{self.page_shape[1]}): "
-            f"II {self.ii_base}->{self.ii_paged}, need {self.pages_used} "
-            f"page(s){', wrap' if self.wrap_used else ''}"
-        )

@@ -127,16 +127,11 @@ class CompileStats:
     died on — per ladder climbed.
     """
 
-    kernel: str
-    size: int
-    page_size: int
     seconds: float
     base_map_seconds: float
     paged_map_seconds: float
     counters: dict[str, int]
     ladders: tuple[LadderReport, ...] = ()
-    arch: str | None = field(default=None)
-    backend: str = "flat"
 
 
 def job_key(job: CompileJob, dfg=None, cgra=None) -> ArtifactKey:
@@ -237,16 +232,11 @@ def compile_job_stats(
         ii_base=base.ii,
     )
     stats = CompileStats(
-        kernel=job.kernel,
-        size=job.size,
-        page_size=job.page_size,
         seconds=time.perf_counter() - started,
         base_map_seconds=base_seconds,
         paged_map_seconds=paged_seconds,
         counters=job_ctrs.as_dict(),
         ladders=tuple(search_log),
-        arch=job.arch,
-        backend=job.backend,
     )
     if paged is None:
         artifact = CompiledKernel(layout_wrap=False, unmappable=True, **common)

@@ -453,3 +453,13 @@ def test_cli_contract(tmp_path, small):
 
     assert main(["audit", "--store", str(tmp_path / "missing")]) == 2
     assert main(["rules"]) == 0
+
+
+def test_cli_store_that_is_a_file_is_not_a_directory(tmp_path, capsys):
+    from repro.analysis.cli import main
+
+    not_a_store = tmp_path / "README.md"
+    not_a_store.write_text("text\n")
+    assert main(["audit", "--store", str(not_a_store)]) == 2
+    err = capsys.readouterr().err
+    assert "is not a directory" in err and "does not exist" not in err

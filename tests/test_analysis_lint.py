@@ -467,6 +467,14 @@ def test_cli_flow_subcommand_is_a_usage_error(capsys):
         assert "usage:" in capsys.readouterr().err, argv
 
 
+def test_cli_json_flag_is_gone(capsys):
+    for argv in (["rules", "--json"], ["all", "--json"], ["audit", "--json"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "unrecognized arguments: --json" in capsys.readouterr().err, argv
+
+
 def test_cli_rules_lists_global_write_and_no_flow_rule(capsys):
     assert main(["rules"]) == 0
     ids = [line.split()[0] for line in capsys.readouterr().out.splitlines()]

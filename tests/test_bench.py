@@ -138,40 +138,10 @@ class TestRegistry:
         assert main(["fig8_4x4"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 8" in out and " 0 miss(es)" in out
-
-
-class TestReporting:
-    def test_fig8_records_roundtrip(self, tmp_store, tmp_path):
-        import json
-
-        from repro.bench.reporting import fig8_to_records, write_json
-
-        rows = run_fig8(4, page_sizes=[4], store=tmp_store, kernels=FAST)
-        records = fig8_to_records(4, rows)
-        assert len(records) == len(FAST)
-        assert all(r["experiment"] == "fig8" for r in records)
-        jpath = write_json(records, tmp_path / "out.json")
-        assert json.loads(jpath.read_text()) == records
-
-    def test_fig9_records(self, tmp_store):
-        from repro.bench.reporting import fig9_to_records
-
-        cells = run_fig9(
-            4, 4, store=tmp_store, kernels=FAST, repeats=1,
-            thread_counts=(1, 2), needs=(0.5,),
+        # sobel at page size 2 is stored unmappable: its cell reads n/a
+        assert any(
+            line.split()[:3] == ["sobel", "4", "n/a"] for line in out.splitlines()
         )
-        records = fig9_to_records(4, 4, cells)
-        assert len(records) == 2
-        assert {r["threads"] for r in records} == {1, 2}
-
-    def test_unmappable_marked(self, tmp_store):
-        from repro.bench.reporting import fig8_to_records
-        from repro.bench.fig8 import Fig8Row
-
-        rows = [Fig8Row("sobel", 4, {2: None, 4: 0.5})]
-        records = fig8_to_records(4, rows)
-        assert records[0]["mappable"] is False
-        assert records[1]["performance"] == 0.5
 
 
 class TestCLI:
@@ -182,23 +152,47 @@ class TestCLI:
         # the paper registry plus the simulator's differential check
         assert capsys.readouterr().out.split() == [*EXPERIMENTS, "sim-oracle"]
 
-    def test_single_experiment_with_json(self, capsys, tmp_path):
-        import json
-
+    def test_single_fig9_experiment(self, capsys):
         from repro.bench.experiments import main
 
-        out_path = tmp_path / "fig9.json"
-        assert main(["fig9_4x4", "--json", str(out_path)]) == 0
+        assert main(["fig9_4x4"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 9" in out
         assert "[cache]" in out  # hit/miss counters are reported
-        records = json.loads(out_path.read_text())
-        assert records and records[0]["experiment"] == "fig9"
+
+    @pytest.mark.parametrize(
+        "argv,grid",
+        [
+            (["fig9_4x4", "--page-size", "5"], "4x4"),
+            (["fig9_6x6", "--page-size", "11"], "6x6"),
+            (["fig9_8x8", "--page-size", "65"], "8x8"),
+            (["all", "--page-size", "7"], "4x4"),
+        ],
+    )
+    def test_page_size_without_a_tile_is_a_usage_error(
+        self, argv, grid, capsys, monkeypatch
+    ):
+        """A page size no tile of the panel's grid holds is an argparse
+        usage error naming the grid, raised before the store is opened, not
+        an ``ArchitectureError`` traceback after the compiles."""
+        from repro.bench import experiments
+
+        def no_store(*_args, **_kwargs):
+            raise AssertionError("the store was opened")
+
+        monkeypatch.setattr(experiments, "ArtifactStore", no_store)
+        with pytest.raises(SystemExit) as exc:
+            experiments.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        ps = argv[2]
+        assert f"--page-size {ps}: no {ps}-PE tile fits a {grid} grid" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "arg",
         [
-            "--label=x", "--out=x.json", "--dry-run",
+            "--label=x", "--out=x.json", "--dry-run", "--json=x.json",
             # flags only the deleted report-only commands read
             "--smoke", "--size=4", "--kernels=sor", "--page-sizes=2",
             "--arch=4x4-memcols", "--backend=hier", "--requests=8",

@@ -58,7 +58,7 @@ class TestValidation:
             check_placement(p)
 
     def test_checker_catches_column_violation(self):
-        p = PageMaster(6, 1, 3, force_zigzag=True).place(batches=4)
+        p = PageMaster(6, 1, 3, wrap_used=True).place(batches=4)
         n, b = 2, 2
         _, t = p.slots[(n, b)]
         # move to a free far-away slot: keep time legal, break the column
@@ -112,7 +112,7 @@ class TestZigzag:
 
     @pytest.mark.parametrize("n,m", [(4, 4), (6, 6), (8, 4), (6, 2)])
     def test_forced_zigzag_satisfies_full_ring(self, n, m):
-        p = PageMaster(n, 1, m, force_zigzag=True).place()
+        p = PageMaster(n, 1, m, wrap_used=True).place()
         check_placement(p, require_wrap=True)
 
     def test_periodicity_detected(self):
@@ -170,5 +170,5 @@ class TestSteadyStateII:
     @settings(max_examples=30, deadline=None)
     def test_property_zigzag_always_valid(self, n, ii):
         for m in range(1, n + 1):
-            p = PageMaster(n, ii, m, force_zigzag=True).place()
+            p = PageMaster(n, ii, m, wrap_used=True).place()
             check_placement(p, require_wrap=True)
