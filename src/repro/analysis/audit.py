@@ -217,7 +217,6 @@ class AuditEntry:
 
     path: str  # store-relative, '/'-separated
     status: str  # "ok" | "corrupt" | "foreign"
-    kernel: str | None = None
     findings: list[Finding] = field(default_factory=list)
     folds_checked: int = 0
 
@@ -635,7 +634,6 @@ def audit_file(path: Path, rel: str) -> AuditEntry:
         entry.findings.append(_finding(ART_READ, rel, str(exc)))
         entry.status = "corrupt"
         return entry
-    entry.kernel = artifact.kernel
     _audit_encoding(entry, raw, artifact)
     if _audit_fields(entry, artifact):
         dfg = _audit_provenance(entry, artifact)

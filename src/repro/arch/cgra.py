@@ -1,10 +1,13 @@
 """Top-level CGRA architecture description.
 
-Bundles the pieces of Fig. 1 into one immutable-ish description object that
-the compiler, the paging layer and the simulators all consume: grid size
-(a plain 4-neighbour mesh), rotating-register-file depth, and the per-row
+Bundles the pieces of Fig. 1 into one frozen description value that the
+compiler, the paging layer and the simulators all consume: grid size (a
+plain 4-neighbour mesh), rotating-register-file depth, and the per-row
 data-bus memory port model (§III: "a shared data bus for each row of the
-CGRA").
+CGRA").  The tables derived from the fabric alone (grid index,
+fingerprint, page layouts) are built on first use and kept on the object,
+so the shared presets of :mod:`repro.arch.presets` build each of them once
+per process.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.util.fingerprint import canonical_fingerprint
 __all__ = ["CGRA"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CGRA:
     """A coarse-grained reconfigurable array.
 
@@ -65,7 +68,7 @@ class CGRA:
                     f"{self.capability.cols}, fabric is {self.rows}x{self.cols}"
                 )
             if self.capability.is_homogeneous:
-                self.capability = None
+                object.__setattr__(self, "capability", None)
 
     # -- convenience passthroughs ------------------------------------------------
 
@@ -80,6 +83,13 @@ class CGRA:
         compiler's hot paths run on this instead of hashing ``Coord``
         objects."""
         return GridIndex(self.rows, self.cols)
+
+    @cached_property
+    def layouts(self) -> dict:
+        """This fabric's standard page layouts by page size, filled by
+        :func:`repro.pipeline.compile.make_layout`: a layout belongs to one
+        fabric object, so it is kept on that object."""
+        return {}
 
     def coords(self) -> tuple[Coord, ...]:
         """All PE coordinates in row-major order."""
@@ -124,8 +134,12 @@ class CGRA:
         :mod:`repro.pipeline`.  The capability key is emitted only for
         heterogeneous fabrics: the homogeneous default hashes the exact
         payload it always has, keeping every previously committed artifact
-        address unchanged.
+        address unchanged.  Computed once per object.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         payload = {
             "rows": self.rows,
             "cols": self.cols,

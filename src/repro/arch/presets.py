@@ -21,16 +21,21 @@ name       grid  rf depth   capabilities
 
 The register-file depth follows the repository-wide ``4 * size`` rule
 (:func:`experiment_cgra`), so ``preset("4x4")`` is *exactly* the
-fabric the experiments build — same fingerprint, same artifact
-addresses.  The ``-memcols`` variants put a memory port in every even
-column (:meth:`~repro.arch.capability.CapabilityMap.mem_columns`), so
-every page tile at least two columns wide contains mem-capable PEs
+fabric the experiments build — the same object, so the same
+fingerprint and artifact addresses.  Each spec is built once per process
+and shared: a :class:`~repro.arch.cgra.CGRA` is frozen, so the tables
+derived from it (grid index, fingerprint, page layouts and the routing
+tables of each) are built once and serve every job on that fabric.  The
+``-memcols`` variants put a memory port in every even column
+(:meth:`~repro.arch.capability.CapabilityMap.mem_columns`), so every
+page tile at least two columns wide contains mem-capable PEs
 (single-column ``ps=2`` tiles on odd columns hold none — the mapper then
 clusters memory ops onto the even-column pages).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 from repro.arch.capability import CapabilityMap
@@ -49,8 +54,10 @@ __all__ = [
 PRESET_SIZES: tuple[int, ...] = (4, 6, 8, 16)
 
 
+@lru_cache(maxsize=None)
 def experiment_cgra(size: int) -> CGRA:
-    """The homogeneous ``size`` x ``size`` experiment fabric.
+    """The homogeneous ``size`` x ``size`` experiment fabric, one shared
+    object per size.
 
     Register-file depth scales with the grid (``4 * size``) exactly as
     the figure-8/9 pipelines have always built it."""
@@ -64,6 +71,7 @@ def mem_columns_for(size: int) -> tuple[int, ...]:
     return tuple(range(0, size, 2))
 
 
+@lru_cache(maxsize=None)
 def _memcols_cgra(size: int) -> CGRA:
     cap = CapabilityMap.mem_columns(size, size, mem_columns_for(size))
     return CGRA(size, size, rf_depth=4 * size, capability=cap)
@@ -86,7 +94,8 @@ def preset_names() -> list[str]:
 
 
 def preset(name: str) -> CGRA:
-    """Build a fresh CGRA for preset *name* (see the module table)."""
+    """The shared CGRA of preset *name* (see the module table): every call
+    with one name returns the same frozen object."""
     try:
         build = _REGISTRY[name]
     except KeyError:

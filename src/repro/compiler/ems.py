@@ -67,11 +67,11 @@ from repro.compiler.mapping import (
 )
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.routing import (
-    RoutingContext,
     commit_route,
     cost_floors,
     find_route_shared_ids,
     release_route,
+    routing_context,
 )
 from repro.compiler.stats import MapperCounters, counters
 from repro.core.paging import PageLayout
@@ -159,16 +159,18 @@ class MapperConfig:
 
 
 class _DfgTables(NamedTuple):
-    """What every probe of a ladder needs and only the DFG (and the
-    mapper's ranks) determines; see :meth:`EMSMapper._dfg_tables`."""
+    """What every probe of every ladder of a job needs and only the DFG
+    determines, built once per graph (:func:`_dfg_tables`)."""
 
-    epoch: tuple  #: the ``DFG._adjacency()`` object the tables were built from
     asap: dict[int, int]
-    rank_targets: dict[int, int]
+    #: the three base op orders of :meth:`EMSMapper.attempt_orders`
+    orders: tuple[tuple[int, ...], ...]
     #: non-constant producer of every in-edge of an op (duplicates
     #: preserved, one per edge, matching the historical per-edge count)
     trap_in: dict[int, tuple[int, ...]]
     trap_out: dict[int, tuple[int, ...]]  #: consumer op ids of an op
+    #: :meth:`EMSMapper._spread_targets` per chain length, filled on use
+    spread: dict[int, dict[int, int]]
 
 
 @dataclass
@@ -239,10 +241,7 @@ class EMSMapper:
         self._mem_ok = cgra.class_mask(OpClass.MEM)
         self._alu_ok = cgra.class_mask(OpClass.ALU)
         self._route_ok = cgra.class_mask(OpClass.ROUTE)
-        # one-slot memo of everything a probe derives from the DFG alone
-        # (see _dfg_tables), keyed on the DFG's adjacency epoch
-        self._dfg_cache: _DfgTables | None = None
-        self._route_ctx = RoutingContext(cgra, layout)
+        self._route_ctx = routing_context(cgra, layout)
         # escape direction (pe -> nb) shares the router's allowed-move
         # table, arrival direction (nb -> pe) its read table
         self._esc_ids = self._route_ctx.allowed_moves
@@ -299,13 +298,7 @@ class EMSMapper:
         recurrence-heavy graphs, so all three are tried before bumping the
         II; attempts beyond the three are perturbations of the first.
         """
-        asap = self._dfg_tables(dfg).asap  # the table every probe reads
-        alap = alap_times(dfg, max(asap.values(), default=0))
-        return [
-            self._reverse_dataflow_order(dfg, asap, alap),
-            self._dataflow_order(dfg, asap, alap),
-            self._priority_order(dfg, asap, alap),
-        ]
+        return [list(order) for order in _dfg_tables(dfg).orders]
 
     def attempt_order(
         self,
@@ -457,9 +450,8 @@ class EMSMapper:
         return mapping
 
     def _probe(self, dfg: DFG, ii: int, order: list[int]) -> Mapping | None:
-        tables = self._dfg_tables(dfg)
-        asap = tables.asap
-        self._rank_targets = tables.rank_targets
+        asap = _dfg_tables(dfg).asap
+        self._rank_targets = self._spread_targets(dfg)
         horizon = max(asap.values(), default=0) + self.budget.horizon_factor * ii
         st = _Attempt(ReservationTable(self.cgra, ii, self.layout), counters())
         for op_id in order:
@@ -482,31 +474,18 @@ class EMSMapper:
         is anchored at page 0: ``target = max_height - height``, so a kernel
         shallower than the chain packs onto a prefix and leaves the rest to
         other threads (§VII-B).  Ops that feed the same consumer share a
-        height and thus a target, keeping affine groups together.
+        height and thus a target, keeping affine groups together.  The plan
+        depends on the chain length alone, so it is built once per length
+        and graph.
         """
         if self.layout is None:
             return {}
-        top = self.layout.num_pages - 1
-        # Height on the SCC condensation of the *full* dependence graph
-        # (loop-carried edges included): a recurrence cycle is one node, so
-        # all its ops share a target page — on a chain topology a cycle can
-        # never span pages, data cannot flow backwards.
-        succ: dict[int, dict[int, None]] = {v: {} for v in dfg.ops}
-        for e in materialized_edges(dfg):
-            succ[e.src][e.dst] = None
-        components = strong_components(succ)  # successors come first
-        scc = {v: i for i, members in enumerate(components) for v in members}
-        height: list[int] = []
-        for i, members in enumerate(components):
-            below = {scc[w] for v in members for w in succ[v]} - {i}
-            height.append(1 + max(height[j] for j in below) if below else 0)
-        # When the graph is deeper than the chain, compress heights
-        # proportionally so every page carries a share of the levels
-        # instead of everything deep squashing onto page 0.
-        max_h = max(height, default=0)
-        scale = min(1.0, top / max_h) if max_h else 0.0
-        last = round(max_h * scale)
-        return {v: last - round(height[scc[v]] * scale) for v in materialized_ops(dfg)}
+        spread = _dfg_tables(dfg).spread
+        n = self.layout.num_pages
+        targets = spread.get(n)
+        if targets is None:
+            targets = spread.setdefault(n, _spread_targets(dfg, n - 1))
+        return targets
 
     def _place_op(
         self,
@@ -899,7 +878,7 @@ class EMSMapper:
         occ = mrt.occupied
         num_pes = mrt.num_pes
         placements = st.placements
-        tables = self._dfg_tables(dfg)
+        tables = _dfg_tables(dfg)
         trap_in, trap_out = tables.trap_in, tables.trap_out
         for u_id, (u_pe, u_t) in placements.items():
             srcs = trap_in[u_id]
@@ -930,30 +909,63 @@ class EMSMapper:
                     break
         return False
 
-    def _dfg_tables(self, dfg: DFG) -> _DfgTables:
-        """The per-DFG invariants of a probe — ASAP times, rank targets,
-        the trap check's operand-source / consumer tables — memoized per
-        DFG adjacency epoch, so the ~1 000 probes of a ladder build them
-        once."""
-        adj = dfg._adjacency()
-        cache = self._dfg_cache
-        if cache is not None and cache.epoch is adj:
-            return cache
-        ins, outs = adj
-        ops = dfg.ops
-        trap_in = {
-            u: tuple(
-                e.src
-                for e in edges
-                if ops[e.src].opcode is not Opcode.CONST
-            )
-            for u, edges in ins.items()
-        }
-        trap_out = {u: tuple(e.dst for e in edges) for u, edges in outs.items()}
-        cache = self._dfg_cache = _DfgTables(
-            adj, asap_times(dfg), self._spread_targets(dfg), trap_in, trap_out
+
+def _dfg_tables(dfg: DFG) -> _DfgTables:
+    """The per-DFG invariants of a probe — ASAP times, base orders, the
+    trap check's operand-source / consumer tables, spread targets — built
+    once per graph and adjacency epoch (:meth:`~repro.dfg.graph.DFG.
+    derived`), so the ~1 000 probes of a job's 3–5 ladders share them."""
+    return dfg.derived(_build_dfg_tables)
+
+
+def _build_dfg_tables(dfg: DFG) -> _DfgTables:
+    ins, outs = dfg._adjacency()
+    ops = dfg.ops
+    trap_in = {
+        u: tuple(
+            e.src
+            for e in edges
+            if ops[e.src].opcode is not Opcode.CONST
         )
-        return cache
+        for u, edges in ins.items()
+    }
+    trap_out = {u: tuple(e.dst for e in edges) for u, edges in outs.items()}
+    asap = asap_times(dfg)
+    alap = alap_times(dfg, max(asap.values(), default=0))
+    orders = tuple(
+        tuple(order(dfg, asap, alap))
+        for order in (
+            EMSMapper._reverse_dataflow_order,
+            EMSMapper._dataflow_order,
+            EMSMapper._priority_order,
+        )
+    )
+    return _DfgTables(asap, orders, trap_in, trap_out, {})
+
+
+def _spread_targets(dfg: DFG, top: int) -> dict[int, int]:
+    """:meth:`EMSMapper._spread_targets` on a chain whose last rank is
+    *top*."""
+    # Height on the SCC condensation of the *full* dependence graph
+    # (loop-carried edges included): a recurrence cycle is one node, so
+    # all its ops share a target page — on a chain topology a cycle can
+    # never span pages, data cannot flow backwards.
+    succ: dict[int, dict[int, None]] = {v: {} for v in dfg.ops}
+    for e in materialized_edges(dfg):
+        succ[e.src][e.dst] = None
+    components = strong_components(succ)  # successors come first
+    scc = {v: i for i, members in enumerate(components) for v in members}
+    height: list[int] = []
+    for i, members in enumerate(components):
+        below = {scc[w] for v in members for w in succ[v]} - {i}
+        height.append(1 + max(height[j] for j in below) if below else 0)
+    # When the graph is deeper than the chain, compress heights
+    # proportionally so every page carries a share of the levels
+    # instead of everything deep squashing onto page 0.
+    max_h = max(height, default=0)
+    scale = min(1.0, top / max_h) if max_h else 0.0
+    last = round(max_h * scale)
+    return {v: last - round(height[scc[v]] * scale) for v in materialized_ops(dfg)}
 
 
 def map_dfg(

@@ -44,11 +44,13 @@ reachable from.
 
 The searches run entirely on integer PE ids from the fabric's
 :class:`~repro.arch.interconnect.GridIndex`: a :class:`RoutingContext`
-pins one (fabric, page layout) pair and memoizes the per-PE allowed-move
-lists (and their bitmask, transposed and read-hop forms), the per-(PE,
-destination-hint) greedy move orderings, and the per-destination goal
-tables (goal PEs sorted by PE id, a membership mask, the
-min-Manhattan-to-goal pruning bound, and the greedy destination *hint*).
+pins one (fabric, page layout) pair (:func:`routing_context` keeps one
+per pair for every mapper, ladder, job and thread that maps on it) and
+memoizes the per-PE allowed-move lists (and their bitmask, transposed and
+read-hop forms), the per-(PE, destination-hint) greedy move orderings,
+and the per-destination goal tables (goal PEs sorted by PE id, a
+membership mask, the min-Manhattan-to-goal pruning bound, and the greedy
+destination *hint*).
 Route choice is a pure function of these explicit tables — the search
 itself never consults set iteration order.  A search returns its steps as
 :class:`~repro.compiler.mapping.RouteStep` records, the only place a
@@ -56,6 +58,8 @@ itself never consults set iteration order.  A search returns its steps as
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from repro.arch.capability import OpClass
 from repro.arch.cgra import CGRA
@@ -70,6 +74,7 @@ __all__ = [
     "commit_route",
     "cost_floors",
     "release_route",
+    "routing_context",
 ]
 
 #: Pruning distance for states when the goal set is empty (no PE can ever
@@ -85,9 +90,11 @@ _GoalEntry = tuple[
 class RoutingContext:
     """Memoized integer-domain routing tables for one (fabric, layout).
 
-    Built once per mapper and consulted millions of times: every table is
-    an indexed load, computed lazily on first use and reused for the rest
-    of the mapping run.
+    Built once per pair (:func:`routing_context`) and consulted millions
+    of times: every table is an indexed load, computed lazily on first use
+    and reused by every later mapper on the pair.  A table is a pure
+    function of the pair, so two threads that fill one entry at once
+    store equal values and either may win.
     """
 
     __slots__ = (
@@ -363,6 +370,16 @@ class RoutingContext:
                 range(t_dst - 1 - len(back), t_dst - 1 - hops, -1),
             )
         return back
+
+
+@lru_cache(maxsize=64)
+def routing_context(cgra: CGRA, layout: PageLayout | None = None) -> RoutingContext:
+    """The shared :class:`RoutingContext` of (*cgra*, *layout*): the
+    fabric is a frozen value and the experiments' layouts are shared
+    objects (:func:`~repro.pipeline.compile.make_layout`, with their
+    sub-chains and rings), so the tables warmed by one ladder serve the
+    next ladders, jobs and slot threads on the same pair."""
+    return RoutingContext(cgra, layout)
 
 
 def _sweep(

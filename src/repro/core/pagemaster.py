@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from repro.util.errors import TransformError
 
@@ -341,6 +342,7 @@ class PageMaster:
         return (cols, times, frontier), base
 
 
+@lru_cache(maxsize=1024)
 def steady_state_ii(
     n_pages: int,
     ii_p: int,
@@ -348,5 +350,7 @@ def steady_state_ii(
     *,
     wrap_used: bool = False,
 ) -> Fraction:
-    """Steady-state II of the PageMaster-transformed schedule, exact."""
+    """Steady-state II of the PageMaster-transformed schedule, exact.  A
+    pure function of its four arguments, so each distinct call places
+    once per process."""
     return PageMaster(n_pages, ii_p, m, wrap_used=wrap_used).place().ii_q_effective()

@@ -144,6 +144,7 @@ class PageLayout:
         self.ring_wrap_adjacent = self.num_pages > 1 and self._pages_adjacent(
             self.num_pages - 1, 0
         )
+        self._derived: dict[int | str, PageLayout] = {}
 
     # -- geometry ----------------------------------------------------------------
 
@@ -212,8 +213,16 @@ class PageLayout:
         prefix that preserves its II (the paper's Fig. 6 mapping "only uses
         3 pages"); the remaining pages stay free for other threads.  A
         sub-chain starts open (``allow_wrap`` off); :meth:`ring` closes it.
+        Built once per *k* and kept on this layout, so every ladder on the
+        prefix gets the same object (and the routing tables kept for it).
         """
         self._check_page(k - 1)
+        sub = self._derived.get(k)
+        if sub is None:
+            sub = self._derived.setdefault(k, self._subchain(k))
+        return sub
+
+    def _subchain(self, k: int) -> "PageLayout":
         sub = object.__new__(PageLayout)
         sub.cgra = self.cgra
         sub.shape = self.shape
@@ -227,14 +236,20 @@ class PageLayout:
             c for c in self.cgra.coords() if c not in sub.page_of
         )
         sub.ring_wrap_adjacent = k > 1 and sub._pages_adjacent(k - 1, 0)
+        sub._derived = {}
         return sub
 
     def ring(self) -> "PageLayout":
         """The same pages with the wrap hop (last page -> page 0) allowed:
         the closed ring, which the paged compiler falls back to when the
-        chain cannot map a kernel and the wrap pair is adjacent."""
-        ring = copy.copy(self)
-        ring.allow_wrap = True
+        chain cannot map a kernel and the wrap pair is adjacent.  Built
+        once and kept on this layout, like :meth:`subchain`."""
+        ring = self._derived.get("ring")
+        if ring is None:
+            ring = copy.copy(self)
+            ring.allow_wrap = True
+            ring._derived = {}
+            ring = self._derived.setdefault("ring", ring)
         return ring
 
     def _check_page(self, n: int) -> None:

@@ -99,7 +99,12 @@ def has_positive_cycle(dfg: DFG, ii: int) -> bool:
 
 def rec_mii(dfg: DFG) -> int:
     """Recurrence-constrained minimum II: smallest II with no infeasible
-    dependence cycle.  1 for acyclic graphs."""
+    dependence cycle.  1 for acyclic graphs.  Computed once per graph
+    (:meth:`~repro.dfg.graph.DFG.derived`): every ladder of a job reads it."""
+    return dfg.derived(_rec_mii)
+
+
+def _rec_mii(dfg: DFG) -> int:
     if not any(e.distance > 0 for e in dfg.edges.values()):
         return 1
     # The worst possible RecMII is the total latency of all ops over a

@@ -16,10 +16,13 @@ binding to concrete base addresses happens when a kernel is loaded into a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from repro.arch.isa import OPCODE_INFO, Opcode
 from repro.util.errors import GraphError
 from repro.util.fingerprint import canonical_fingerprint
+
+T = TypeVar("T")
 
 __all__ = ["MemRef", "Op", "Edge", "DFG"]
 
@@ -101,6 +104,10 @@ class DFG:
     _next_edge: int = 0
     # lazily-built per-op (in_edges, out_edges) tables; dropped on mutation
     _adj: tuple[dict, dict] | None = field(
+        default=None, repr=False, compare=False
+    )
+    # (adjacency epoch, {builder: table}) of :meth:`derived`
+    _derived: tuple[tuple, dict] | None = field(
         default=None, repr=False, compare=False
     )
 
@@ -195,6 +202,23 @@ class DFG:
             )
             self._adj = adj
         return adj
+
+    def derived(self, build: Callable[["DFG"], T]) -> T:
+        """``build(self)``, built once per adjacency epoch and kept on the
+        graph: the tables that the analyses and the mapper derive from the
+        graph alone (RecMII, ASAP times, op orders), shared by every
+        ladder of a job instead of rebuilt per ladder.  *build* is the key,
+        so it must be a pure function of the graph; a mutation starts a new
+        epoch, and with it an empty table."""
+        adj = self._adjacency()
+        memo = self._derived
+        if memo is None or memo[0] is not adj:
+            memo = self._derived = (adj, {})
+        tables = memo[1]
+        table = tables.get(build)
+        if table is None:
+            table = tables.setdefault(build, build(self))
+        return table
 
     def in_edges(self, op: Op | int) -> tuple[Edge, ...]:
         """Incoming edges of *op*, sorted by operand index."""

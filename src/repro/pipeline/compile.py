@@ -65,8 +65,17 @@ __all__ = [
 
 def make_layout(cgra: CGRA, page_size: int) -> PageLayout:
     """Standard page layout for the experiments: the most square tile of
-    *page_size* PEs that fits (Fig. 4 uses 2x2 for size 4)."""
-    return PageLayout(cgra, choose_page_shape(page_size, cgra.rows, cgra.cols))
+    *page_size* PEs that fits (Fig. 4 uses 2x2 for size 4).  Built once per
+    fabric object and page size and kept on the fabric
+    (:attr:`~repro.arch.cgra.CGRA.layouts`), so on a shared preset every
+    job and ladder gets the same layout, its sub-chains, its ring and the
+    routing tables of each."""
+    layouts = cgra.layouts
+    layout = layouts.get(page_size)
+    if layout is None:
+        shape = choose_page_shape(page_size, cgra.rows, cgra.cols)
+        layout = layouts.setdefault(page_size, PageLayout(cgra, shape))
+    return layout
 
 
 @dataclass(frozen=True)

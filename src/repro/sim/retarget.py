@@ -112,15 +112,21 @@ def retarget_firings(
         rf_limit = mapping.cgra.rf_depth
     cgra, slots = mapping.cgra, placement.slots
     orients = fold_orientations(layout)
+    tile_orients = fold_orientations(full)
 
     def locate(item: TemplateItem, batches: range) -> list[tuple[Coord, int]]:
         """Transformed (physical PE, cycle) of *item* at each original
         cycle in *batches*: the cycle and column come from the placement,
         the PE from the item's page-local position re-oriented on that
-        column's tile."""
+        column's tile.  The orientation is relative to the tile: undo the
+        page's own fold orientation, then apply the target tile's, so a
+        page that lands on its own tile keeps its compiled PEs."""
         page, local = layout.page_of[item.pe], layout.local_of[item.pe]
         tiles = [
-            full.place_local(target, local, orients[page]) for target in target_pages
+            full.place_local(
+                target, local, tile_orients[target].compose(orients[page])
+            )
+            for target in target_pages
         ]
         hits = [slots[(page, batch)] for batch in batches]
         if cgra.capability is not None:

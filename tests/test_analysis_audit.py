@@ -111,7 +111,6 @@ def test_clean_artifact_round_trips(tmp_path, small):
     report = audit_store(tmp_path)
     assert report.ok and report.findings == []
     (entry,) = report.entries
-    assert entry.kernel == small.kernel
     assert entry.folds_checked == small.pages_used
 
 

@@ -190,6 +190,41 @@ class TestCLI:
         assert captured.out == ""
 
     @pytest.mark.parametrize(
+        "experiment", ["fig8_4x4", "fig8_6x6", "fig8_8x8", "headline", "sim-oracle"]
+    )
+    def test_page_size_outside_fig9_is_a_usage_error(
+        self, experiment, capsys, monkeypatch
+    ):
+        """fig8 sweeps the paper's page sizes and headline takes the best of
+        them, so neither reads ``--page-size``: passing it is an argparse
+        usage error before the store is opened, not a silent no-op."""
+        from repro.bench import experiments
+
+        def no_store(*_args, **_kwargs):
+            raise AssertionError("the store was opened")
+
+        monkeypatch.setattr(experiments, "ArtifactStore", no_store)
+        with pytest.raises(SystemExit) as exc:
+            experiments.main([experiment, "--page-size", "5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert (
+            f"--page-size applies to the fig9 experiments only, not {experiment}"
+            in captured.err
+        )
+        assert captured.out == ""
+
+    def test_fig9_page_size_defaults_to_four(self, monkeypatch):
+        from repro.bench import experiments
+
+        seen = []
+        monkeypatch.setitem(
+            experiments.EXPERIMENTS, "fig9_4x4", lambda store, args: seen.append(args.page_size) or ""
+        )
+        assert experiments.main(["fig9_4x4"]) == 0
+        assert seen == [4]
+
+    @pytest.mark.parametrize(
         "arg",
         [
             "--label=x", "--out=x.json", "--dry-run", "--json=x.json",

@@ -250,15 +250,19 @@ class TestCapabilityCompilation:
             lower_mapping(moved, bind_memory(arrays), 8)
 
     def test_fold_refuses_capability_violation(self, tmp_path):
-        """Fold mirroring is capability-blind: on 8x8-memcols it re-places
-        laplace's LOAD/STORE ops onto odd (port-less) columns — even at
-        M = N — and the simulator would execute them silently.  Retargeting
-        must refuse, naming the op, the PE and the missing class.  (The
-        homogeneous fabric is unaffected: tests/test_firing_golden.py runs
-        all 67 committed 4x4 folds through the same code.)  Page size 8:
-        at page size 4 laplace now fits on one page, where no fold mirrors."""
+        """Fold mirroring is capability-blind: folding laplace onto one
+        page of 8x8-memcols re-places its LOAD/STORE ops onto odd
+        (port-less) columns, and the simulator would execute them
+        silently.  Retargeting must refuse, naming the op, the PE and the
+        missing class.  At M = N every page lands on its own tile, so the
+        fold is the compiled schedule and runs where it was compiled.
+        (The homogeneous fabric is unaffected: tests/test_firing_golden.py
+        runs all 67 committed 4x4 folds through the same code.)  Page size
+        8: at page size 4 laplace now fits on one page, where no fold
+        mirrors."""
         from repro.core.pagemaster import PageMaster
         from repro.kernels import bind_memory
+        from repro.sim.lowering import lower_mapping
         from repro.sim.retarget import required_batches, retarget_firings
         from repro.util.errors import TransformError
 
@@ -267,15 +271,26 @@ class TestCapabilityCompilation:
         dfg, arrays, _ = get_kernel("laplace").fresh(seed=7, trip=8)
         paged = artifact.materialize(dfg)
         assert paged.mapping.cgra.capability is not None
-        for m in (artifact.pages_used, 1):
+        assert artifact.pages_used > 1
+
+        def fold(m):
             placement = PageMaster(
                 paged.layout.num_pages, paged.ii, m, wrap_used=paged.wrap_used
             ).place(batches=required_batches(paged.mapping, 8))
-            with pytest.raises(
-                TransformError,
-                match=r"\(mem\) would fire on \(\d,[1357]\), which lacks the 'mem'",
-            ):
-                retarget_firings(paged, placement, list(range(m)), bind_memory(arrays), 8)
+            return retarget_firings(
+                paged, placement, list(range(m)), bind_memory(arrays), 8
+            )
+
+        compiled = lower_mapping(paged.mapping, bind_memory(arrays), 8)
+        unfolded = fold(artifact.pages_used)
+        assert sorted((f.cycle, f.pe, f.label) for f in unfolded) == sorted(
+            (f.cycle, f.pe, f.label) for f in compiled
+        )
+        with pytest.raises(
+            TransformError,
+            match=r"\(mem\) would fire on \(\d,[1357]\), which lacks the 'mem'",
+        ):
+            fold(1)
 
     @pytest.mark.parametrize("arch", ["4x4", "4x4-memcols"])
     def test_recompilation_is_byte_identical_per_preset(self, arch, tmp_path):

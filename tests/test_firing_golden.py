@@ -118,30 +118,32 @@ def keyword_digests() -> dict[str, str]:
 
 #: digests computed at the parent commit (2503f71), before the rewrite; the
 #: fft, gsr, sor and yuv2rgb ps2 entries re-pinned when the page plan was
-#: anchored at page 0 (their artifacts moved on purpose)
+#: anchored at page 0 (their artifacts moved on purpose), and the 22
+#: multi-column folds whose pages change orientation re-pinned when a
+#: page's orientation became relative to the tile it lands on
 GOLDEN = {
     "mpeg/ps2/lower": "82b8b4fc3b0e03424f6077de4eac6dafcb4d0a4d14f09ec2bf52208a340220ca",
-    "mpeg/ps2@8": "beaf450c4f0c34688673032eddce928f2c69d49ef28ac09b60f943e01061e5a5",
-    "mpeg/ps2@7": "8b3d082801148c04152c20bb70e932caf9aa0d37ea7a0acc98b5e93b040ff260",
-    "mpeg/ps2@6": "35c5909424ad3d0683eeaf61b66d6f44f2bab65866ef59f3b7047d7223d4060d",
-    "mpeg/ps2@5": "192416c9f14e2e9b51a64fa6ba5c932b47e01209346e6ada5087f5b08856197a",
+    "mpeg/ps2@8": "82b8b4fc3b0e03424f6077de4eac6dafcb4d0a4d14f09ec2bf52208a340220ca",
+    "mpeg/ps2@7": "a0d1b6f42e6f36443fe97345a00216fc0c5fe0b6dd2601e3b6e7c1267efee11a",
+    "mpeg/ps2@6": "1fc39d7b875c1fc42429a01fb2c70418bda2b57047990834d4a9cfa2f6365a84",
+    "mpeg/ps2@5": "1963ec7c80fad8871f3aab22c8b82b43da6e31e406557c83d3c23b805c66018c",
     "mpeg/ps2@4": "aa1a475c3a764f366f768eda4393d3adcdc108694eeae05ca6d08f13749a277f",
     "mpeg/ps2@3": "44c2e41c1802d025bf3fc0cb14ef10e59d95ea6272e083c372421d3450c7547d",
     "mpeg/ps2@2": "dc2a9dc88af3f7099b60801861f3fd587c8ed2e7c466aba0aa38ce24955a2c48",
     "mpeg/ps2@1": "a36d6c1e279f3d4d76f589fe5ca7b29387052504c78eb1856835000bc2917f07",
     "mpeg/ps4/lower": "8bd74fce7b75417f6d1728b76dc92833f7c00d405b154343d9b975b8363b5566",
-    "mpeg/ps4@3": "9f4cdacb08fc0fee2dc67975e9f2ee68ed72fee9b65abef4f3b1c5cdcbe481e0",
-    "mpeg/ps4@2": "402c2909714d36056d9f1d0ba8f85a8560b5fb97a96da7e3991ff57b0f133aef",
+    "mpeg/ps4@3": "8bd74fce7b75417f6d1728b76dc92833f7c00d405b154343d9b975b8363b5566",
+    "mpeg/ps4@2": "6c1f415c0514c03f70ca278999a902006bdd34fce3efee9c1d870b38de54a3bf",
     "mpeg/ps4@1": "5ab55fef91cf8fca6503abec12a1e35db4bdcac4ccdb371d797bb1564a442292",
     "yuv2rgb/ps2/lower": "065f60f2b4d182792bab2492643c24a0060128f7b6739b4fdbe3d9b1f2306175",
-    "yuv2rgb/ps2@6": "1fd3e1bfca6c0986d2ef719830e842122b7014b94eced93bff8e1d4ab3aa02f2",
-    "yuv2rgb/ps2@5": "3d448ff3c0f1ce1701ed5cf7c168da9d4a278addfe5c6ceeff9e146d4ca8bd6b",
+    "yuv2rgb/ps2@6": "065f60f2b4d182792bab2492643c24a0060128f7b6739b4fdbe3d9b1f2306175",
+    "yuv2rgb/ps2@5": "763954167f7a935081dcced70e2f2ae95e25838428cddf3047e8c8673cd842a9",
     "yuv2rgb/ps2@4": "7fbc9b1627aadb27d413024d25349f336dbfbf9c84adbf561b0a63bd1cc9dc5b",
     "yuv2rgb/ps2@3": "70687cc27d83153eded14f550b9b8348b63c5f37bb6b2352157dc8355adb0452",
     "yuv2rgb/ps2@2": "64a3bb141b0ce35651c99692c8f980412186e9d48e4668c17c58f66b171dfe60",
     "yuv2rgb/ps2@1": "9b12cb948113ba3cdf5fe53cba35d03e3e279f500ef7d409ed812a074079eece",
     "yuv2rgb/ps4/lower": "e5c781457b92e06b900f28c482c7f5bf37712648c733fe36af3a651aa52a9f86",
-    "yuv2rgb/ps4@2": "39c4814b7fecdb74204a27c50fecfc321a73c6468ea0a9fe4882d373c6524c68",
+    "yuv2rgb/ps4@2": "e5c781457b92e06b900f28c482c7f5bf37712648c733fe36af3a651aa52a9f86",
     "yuv2rgb/ps4@1": "eb0fb234694974a452b36c290a4f4f46503c286f798465cc997f02a947d2725e",
     "sor/ps2/lower": "449868292752afecb79acba37d7a23876907cb7e9e2d3632846dfba2e1ea453e",
     "sor/ps2@3": "449868292752afecb79acba37d7a23876907cb7e9e2d3632846dfba2e1ea453e",
@@ -167,32 +169,32 @@ GOLDEN = {
     "laplace/ps2@2": "b6acdcbf4db1ecabebef28f9fd7f25cd381db632478ee9806dbd7a29a02da847",
     "laplace/ps2@1": "2704609cd61474488c3050148c3cc7ae2376fc29ef23e333b9ff44f266dc754f",
     "laplace/ps4/lower": "20702a93e76ac6becd36f1cc43e03e3e1ccc9ad6e26fac4a87af8688563c001f",
-    "laplace/ps4@3": "e7c32949453843a993201cd5c9f0aa1d123d8dd810211ebe2d14023c08bed061",
-    "laplace/ps4@2": "29048a2fca9d7562a38db7a117114d697a3c39de87144a4e98cd6d05e28eb222",
+    "laplace/ps4@3": "20702a93e76ac6becd36f1cc43e03e3e1ccc9ad6e26fac4a87af8688563c001f",
+    "laplace/ps4@2": "c081256dd2383d8e43eaa2ca242817b368a3e7f5ef198333c2644f74f225ad7b",
     "laplace/ps4@1": "451a907b083c2999599fcb0fbbbf9e673dd6e4f94ee1f324a16cddc1ea593ec3",
     "lowpass/ps2/lower": "b215cfe38134bb43c68d61a828d2825e4ef254f7d4d49a99764ed610d4139ae7",
-    "lowpass/ps2@6": "daefb84c0f56f0c37ae791737c0b9e0cd4ac31a3ae7fccc7a45f061989e94a37",
-    "lowpass/ps2@5": "335dbe5d5dbd87bf7643641fbfa04e7293906afd91923507f6eb4641b64ebfc0",
+    "lowpass/ps2@6": "b215cfe38134bb43c68d61a828d2825e4ef254f7d4d49a99764ed610d4139ae7",
+    "lowpass/ps2@5": "ca79bf6dbbb988804d27a6894d5cfb5727429895cf2a3723dac49b77e457b34c",
     "lowpass/ps2@4": "f61bb1a32ba1fced114303f1e73ecefba11e4d8fc10ac726f166ef0a08d7de67",
     "lowpass/ps2@3": "6d751bdf688102d5b5cc69ed7be1153d4007bc78b202ec31ccbbbd028a339142",
     "lowpass/ps2@2": "8ad060044a4034dd346e78ea3a53b85534c496fff8ad121e8c18560880a18499",
     "lowpass/ps2@1": "225e03d30d414015db87992cafa071a238315c5034139e1991012a009649c274",
     "lowpass/ps4/lower": "f282a282ecf7eea3034a1aafa9fc9cbc4c0327e6540fea09532f5be409be2790",
-    "lowpass/ps4@2": "8dbbb0a907eb2aa1eb58ed222c5056ef52bb0bdda8cfd4d45da435577bd61355",
+    "lowpass/ps4@2": "f282a282ecf7eea3034a1aafa9fc9cbc4c0327e6540fea09532f5be409be2790",
     "lowpass/ps4@1": "af5aba72a722e3fdd06a84fb92123fac982b519bfb0337c1965011dfe671a525",
     "swim/ps2/lower": "9e529ca925537361485955a19af2b89e47e169fe02c5fc894c3d9377d29e6e6a",
     "swim/ps2@3": "9e529ca925537361485955a19af2b89e47e169fe02c5fc894c3d9377d29e6e6a",
     "swim/ps2@2": "ce198ece3c954e9486937502bc093a78b2db5b31cdeba0ba06fcf87a89d42010",
     "swim/ps2@1": "bc5bc6618519e65e11ae9910deef66e7aad25ee6b3232b137d825743ee74e09c",
     "swim/ps4/lower": "ca3cf4d8799a6d2dc61bbb7490232ddfae6c7f975fd4801673fd2cff85290fc8",
-    "swim/ps4@4": "1a016628536a5237f9dc3736dcfe5d4be08935bc19564ad4ce903f9076d1481b",
-    "swim/ps4@3": "4d0faa5a71a929a209365b77a9953013bbce1c57cd60f7846ffc8b46da4c3029",
-    "swim/ps4@2": "c5ec86e3aac8901417b4dac16fc507f2ee5b9ddf7c3c403ab0c7728607fa7f22",
+    "swim/ps4@4": "ca3cf4d8799a6d2dc61bbb7490232ddfae6c7f975fd4801673fd2cff85290fc8",
+    "swim/ps4@3": "5f5ef9398aabf0a47fcdeb72fa0a2052c09e282026c1fde38057ad0678bb8eeb",
+    "swim/ps4@2": "af523bab5f1ed6c264f96146874f96717500445382972cda493487a82168c158",
     "swim/ps4@1": "aaff38735d0e25de2d653e9d1186cd26609508319ec8658056eaf73ca62f59fc",
     "sobel/ps4/lower": "d9ddb791c057fb41c8f11605d5d24c8331a174cfb9b006815af5ae4f59ab5ccd",
-    "sobel/ps4@4": "b32432cea3a10efdb6b82cbc3e01310cba267c6018d27b096c3d02b2ec5e5ac0",
-    "sobel/ps4@3": "8ddacf59511e15d621ffa9f59cfad2053cf94347f8705f6ebd5d6b37b00cf2ab",
-    "sobel/ps4@2": "c6306a292a4be0b1251330683a457a9ca731d0ad1c99af0da3ae4dce78ec71f0",
+    "sobel/ps4@4": "d9ddb791c057fb41c8f11605d5d24c8331a174cfb9b006815af5ae4f59ab5ccd",
+    "sobel/ps4@3": "a17782008fac78e691cf9522c37926ef16e9e2eb9c049785a4e8d9d9aa5fd401",
+    "sobel/ps4@2": "40125a6ec2601b8d4808eee663d252da65902b0875608d44f5af4b3f9e6d9f2c",
     "sobel/ps4@1": "abaf393e77f8c9af816d4c9d072764930f494ba7a5808fa2b99a82e33250b9a5",
     "wavelet/ps2/lower": "b223706aa1d055ea1724bb894b974bf968ec570c3295c6bd316b5ab0b57fbe4d",
     "wavelet/ps2@2": "b223706aa1d055ea1724bb894b974bf968ec570c3295c6bd316b5ab0b57fbe4d",
@@ -205,8 +207,8 @@ GOLDEN = {
     "fft/ps2@2": "71b07c4e19e7584a3001bb73e41284541f9ed5db675df55a772f8844cdc88195",
     "fft/ps2@1": "6122d2aebaa3bb0c73ad911e9a77a7270d9bd043e1094d08ee78ec5962c0eb47",
     "fft/ps4/lower": "34ab86919bfc9805626d42555cef59f9ed7b4d85671c77c1d099bae1a5135405",
-    "fft/ps4@3": "e9e4086fb33358f70cc940a1bf545445e594bc1de67e98fc5e377cb907d6af0b",
-    "fft/ps4@2": "7b844a1da828eea0551a76eb52414dba2204a395fc5a817eab05058ebb731480",
+    "fft/ps4@3": "34ab86919bfc9805626d42555cef59f9ed7b4d85671c77c1d099bae1a5135405",
+    "fft/ps4@2": "60ea3e3b5828ddd38c09b1c0381ab2b11193a6fff093327679bb5a8ae251ef7c",
     "fft/ps4@1": "3dbe538736a2df24bfdda982893218c827a438eaa374bd8ef1347d9a30141323",
     "keywords/lower": "4072efcfd248af35695a21d7b507a9912759f7d5252d8976ff98ec5ac74b3584",
     "keywords@3": "4072efcfd248af35695a21d7b507a9912759f7d5252d8976ff98ec5ac74b3584",

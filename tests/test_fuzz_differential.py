@@ -140,12 +140,18 @@ REAL_DEPTH_FABRICS = ("4x4", "4x4-memcols")
 BASE_EXHAUSTED = frozenset({13})
 
 
+def firing_sites(firings):
+    """Where and when each firing executes, in a comparable order."""
+    return sorted((f.cycle, f.pe, f.label) for f in firings)
+
+
 def fold_at_real_depth(seed, store_root):
     """Compile ``random_dfg(seed)`` as a job, store it under *store_root*,
     audit the stored file (no ERROR finding), and run the artifact folded
     onto every M <= ``pages_used``, retargeted and simulated at the
     fabric's own ``rf_depth`` (values that wait longer go through global
-    storage).  Returns ``(folds run, refused folds)``; a refusal is
+    storage).  A wrap-free schedule at M = ``pages_used`` must fire
+    exactly where and when ``lower_mapping`` fires it.  Returns ``(folds run, refused folds)``; a refusal is
     ``(draw, M, reason)``.  A kernel the paged ladder cannot map runs no
     fold."""
     fabric = REAL_DEPTH_FABRICS[seed % 2]
@@ -197,11 +203,17 @@ def fold_at_real_depth(seed, store_root):
         ).place(batches=required_batches(pm.mapping, TRIP))
         check_placement(placement)
         mem = bind_memory({k: v.copy() for k, v in arrays.items()})
+        unfolded = m == pm.pages_used and not pm.wrap_used
         try:
             firings = retarget_firings(pm, placement, list(range(m)), mem, TRIP)
         except TransformError as exc:
+            assert not unfolded, (draw, str(exc))
             refused.append((draw, m, str(exc)))
             continue
+        if unfolded:
+            # every page lands on its own tile: the compiled schedule
+            compiled = lower_mapping(pm.mapping, bind_memory(arrays), TRIP)
+            assert firing_sites(firings) == firing_sites(compiled), draw
         simulate(firings, cgra, mem, bus_key=bus_key)
         for name, data in outputs_of(mem, dfg).items():
             assert np.array_equal(data, expected[name]), (draw, m, name)

@@ -8,6 +8,9 @@ original CGRA causes an increase in execution time of only 1/frac".
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,14 @@ from repro.compiler.constraints import paged_bus_key
 from repro.core.pagemaster import PageMaster
 from repro.core.paging import PageLayout
 from repro.kernels import bind_memory, get_kernel
+from repro.pipeline.artifact import CompiledKernel
+from repro.pipeline.store import ArtifactStore
 from repro.sim.cgra_sim import simulate
 from repro.sim.lowering import lower_mapping
 from repro.sim.retarget import required_batches, retarget_firings
 from repro.util.errors import SimulationError, TransformError
 
+REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
 TRIP = 16
 KERNELS = ["sor", "mpeg", "laplace", "swim", "wavelet", "gsr"]
 
@@ -231,3 +237,30 @@ def test_retarget_deterministic(compiled):
         firings = retarget_firings(pm, placement, [0, 1], mem, TRIP)
         outs.append([(f.cycle, f.pe, f.label) for f in firings])
     assert outs[0] == outs[1]
+
+
+@pytest.mark.skipif(not REPO_STORE.is_dir(), reason="committed artifact store not present")
+def test_unfolded_committed_schedules_fire_on_the_compiled_pes():
+    """M = N folds nothing: on every wrap-free committed schedule (4x4, 6x6
+    and 8x8), each page lands on its own tile, so the retargeted program
+    fires every item on the PE and cycle ``lower_mapping`` uses."""
+    checked = 0
+    for path, is_artifact in ArtifactStore(REPO_STORE).walk():
+        if not is_artifact:
+            continue
+        artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
+        if artifact.unmappable or artifact.wrap_used:
+            continue
+        pm = artifact.materialize(get_kernel(artifact.kernel).build())
+        _, arrays, _ = get_kernel(artifact.kernel).fresh(seed=7, trip=4)
+        n = artifact.pages_used
+        placement = PageMaster(n, pm.ii, n).place(
+            batches=required_batches(pm.mapping, 4)
+        )
+        folded = retarget_firings(pm, placement, list(range(n)), bind_memory(arrays), 4)
+        compiled = lower_mapping(pm.mapping, bind_memory(arrays), 4)
+        assert sorted((f.cycle, f.pe, f.label) for f in folded) == sorted(
+            (f.cycle, f.pe, f.label) for f in compiled
+        ), path.name
+        checked += 1
+    assert checked == 85
