@@ -1,38 +1,41 @@
-"""Pass 2 — the independent artifact auditor.
+"""Pass 2 — the artifact auditor.
 
 Loads every :class:`~repro.pipeline.artifact.CompiledKernel` in an artifact
 store *from bytes alone* — no mapper, no cache state, no trust in the
-process that wrote it — and proves the full invariant suite:
+process that wrote it — and checks what stored bytes can get wrong, each
+stored field by the rule that is its only check:
 
-* **encoding** — the JSON is the canonical byte encoding of its own
-  content, and the file sits at the address its fingerprints dictate;
+* **encoding** — the file parses into a well-typed artifact (``ART-READ``),
+  is the canonical encoding of its content (``ART-BYTES``) and sits at the
+  address its fingerprints dictate (``ART-ADDR``); nothing else lives in
+  the store (``STORE-FOREIGN``);
+* **fields** — an unmappable artifact carries no mapping, the page need
+  fits the grid, ``wrap_used`` only on a wrap layout (``ART-FIELDS``);
 * **provenance** — the stored DFG/architecture fingerprints match an
   independent re-derivation from the kernel registry and the stored
-  geometry;
-* **mapping legality** — :func:`repro.compiler.check.validate_mapping` over
-  the materialized mapping under its page layout (the §VI-B ring topology
-  and the fold-safe banked bus budgets), plus an explicit register-depth-1 re-check
-  (every value is read exactly one cycle after it was produced or
-  re-emitted, so the rotating register file stays free for PageMaster);
-* **foldability** — for every target ``M <= N`` the PageMaster fold
-  passes :func:`repro.core.transform_check.check_placement` (all page
-  dependencies on chain-adjacent columns, strictly later, no slot
-  double-booked), the stored steady-state II table matches an
-  independent recomputation exactly, and the achieved ``II_q`` respects the
-  paper's ``II_q ~ II_p * N / M`` model: never below the resource bound
-  ``II_p * N / M``, *equal* to it whenever ``M`` divides ``N`` on a
-  wrap-free schedule (the grouped fold is optimal), and within 2x of it for
-  the zigzag fold (Algorithm 1's worst observed efficiency is 0.5).
+  geometry (``ART-DFG``, ``ART-ARCH``);
+* **base II** — ``ii_base`` respects the provable lower bound on the whole
+  array (``MAP-MII``): the base mapping is not stored, so nothing else
+  checks it;
+* **mapping legality** — :func:`repro.compiler.check.validate_mapping`
+  over the materialized mapping under its page layout, split by the
+  validator's exception class (``MAP-LEGAL``, ``MAP-RING``, ``MAP-CAP``).
+  ``materialize`` does not validate, so this is the one legality check on
+  stored placements and routes; the §VI-B register depth 1 is part of it;
+* **fold table** — the stored steady-state II table lists ``M = 1..N`` in
+  order, each entry equal to the PageMaster recomputation
+  (``FOLD-TABLE``).  The fold's own legality and its ``II_q`` envelope
+  are functions of four ints, not of the bytes: ``tests/test_pagemaster.py``
+  sweeps them over every ``N <= 16``.
 
-Every violation carries the rule id of the invariant it broke — the
-corruption taxonomy — so a failed audit names *what* is wrong and *where*,
-not just that bytes differ.
+Every violation carries the rule id of the invariant it broke, so a failed
+audit names *what* is wrong and *where*, not just that bytes differ.
+DESIGN §10 says which planted hazard each rule alone catches.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -55,7 +58,8 @@ ART_READ = register(
         id="ART-READ",
         kind="audit",
         severity=Severity.ERROR,
-        summary="artifact unreadable (bad JSON or foreign schema version)",
+        summary="artifact unreadable (bad JSON, a malformed field or a "
+        "foreign schema version)",
         fix_hint="delete the file and recompile; the store treats it as a "
         "miss but the audit will not vouch for a store holding garbage",
     )
@@ -142,29 +146,18 @@ MAP_CAP = register(
         "recompile with the capability-aware mapper",
     )
 )
-MAP_REGDEPTH = register(
-    Rule(
-        id="MAP-REGDEPTH",
-        kind="audit",
-        severity=Severity.ERROR,
-        summary="mapping violates the §VI-B register-usage (depth-1) "
-        "constraint",
-        fix_hint="every read must consume a value produced or re-emitted "
-        "exactly one cycle earlier; deeper reads would steal the rotating "
-        "file PageMaster needs",
-    )
-)
 MAP_MII = register(
     Rule(
         id="MAP-MII",
         kind="audit",
         severity=Severity.ERROR,
-        summary="stored II beats the provable minimum initiation interval",
+        summary="stored base II beats the provable minimum initiation "
+        "interval",
         fix_hint="the II lower bound (max of ResMII, memory-slot, "
         "memory-capability and RecMII terms, re-derived from the kernel "
         "registry and the artifact's stored geometry alone) is sound for "
-        "every legal mapping; an II below it means the artifact bytes are "
-        "corrupt or the store was written by a broken mapper",
+        "every legal mapping; a base II below it means the artifact bytes "
+        "are corrupt or the store was written by a broken mapper",
     )
 )
 FOLD_TABLE = register(
@@ -172,31 +165,10 @@ FOLD_TABLE = register(
         id="FOLD-TABLE",
         kind="audit",
         severity=Severity.ERROR,
-        summary="stored steady-state II table disagrees with recomputation",
+        summary="stored steady-state II table is not M=1..N, each equal to "
+        "its recomputation",
         fix_hint="the simulator would plan with wrong throughput numbers; "
         "recompile to refresh the table",
-    )
-)
-FOLD_DEPS = register(
-    Rule(
-        id="FOLD-DEPS",
-        kind="audit",
-        severity=Severity.ERROR,
-        summary="PageMaster fold breaks a page dependency or double-books a "
-        "slot",
-        fix_hint="fold placements must keep ring/self dependencies on "
-        "chain-adjacent columns, strictly later in time, one instance per "
-        "(column, time) slot",
-    )
-)
-FOLD_BOUND = register(
-    Rule(
-        id="FOLD-BOUND",
-        kind="audit",
-        severity=Severity.ERROR,
-        summary="fold II_q outside the paper's bound envelope",
-        fix_hint="II_q must satisfy II_p*N/M <= II_q, with equality when M "
-        "divides N (wrap-free), and II_q <= 2*II_p*N/M for the zigzag fold",
     )
 )
 STORE_FOREIGN = register(
@@ -288,36 +260,28 @@ def _audit_encoding(entry: AuditEntry, raw: bytes, artifact) -> None:
 
 
 def _audit_fields(entry: AuditEntry, artifact) -> bool:
-    """Internal consistency of the plain fields; False aborts deeper checks."""
+    """The field relations no later check reads; False aborts deeper checks
+    (an empty grid cannot be built, and a fold table cannot be recomputed
+    at II 0)."""
     problems: list[str] = []
-    if artifact.rows < 1 or artifact.cols < 1:
-        problems.append(f"grid {artifact.rows}x{artifact.cols} is empty")
-    h, w = artifact.page_shape
-    if h < 1 or w < 1 or h > artifact.rows or w > artifact.cols:
-        problems.append(
-            f"page shape {h}x{w} does not fit {artifact.rows}x{artifact.cols}"
-        )
-    if artifact.ii_base < 1:
-        problems.append(f"ii_base {artifact.ii_base} < 1")
-    if artifact.unmappable:
+    rows, cols = artifact.rows, artifact.cols
+    if rows < 1 or cols < 1:
+        problems.append(f"grid {rows}x{cols} is empty")
+    elif artifact.unmappable:
         if artifact.placements or artifact.routes or artifact.steady_ii:
             problems.append("unmappable artifact carries mapping data")
     else:
         if artifact.ii_paged < 1:
             problems.append(f"ii_paged {artifact.ii_paged} < 1")
-        if artifact.pages_used < 1:
-            problems.append(f"pages_used {artifact.pages_used} < 1")
-        if h and w:
-            max_pages = (artifact.rows // h) * (artifact.cols // w)
-            if artifact.pages_used > max_pages:
-                problems.append(
-                    f"pages_used {artifact.pages_used} exceeds the "
-                    f"{max_pages} page(s) the grid holds"
-                )
+        h, w = artifact.page_shape
+        max_pages = (rows // max(h, 1)) * (cols // max(w, 1))
+        if artifact.pages_used > max_pages:
+            problems.append(
+                f"pages_used {artifact.pages_used} exceeds the "
+                f"{max_pages} page(s) the grid holds"
+            )
         if artifact.wrap_used and not artifact.layout_wrap:
             problems.append("wrap_used without a wrap-capable layout")
-        if not artifact.placements:
-            problems.append("mappable artifact has no placements")
     for msg in problems:
         entry.findings.append(_finding(ART_FIELDS, entry.path, msg))
     return not problems
@@ -369,249 +333,99 @@ def _audit_provenance(entry: AuditEntry, artifact) -> object | None:
 
 def _audit_mapping(entry: AuditEntry, artifact, dfg) -> None:
     from repro.compiler.check import validate_mapping
-    from repro.compiler.mapping import materialized_edges
     from repro.util.errors import CapabilityViolation
 
     try:
         paged = artifact.materialize(dfg)
-    except CapabilityViolation as exc:
-        entry.findings.append(_finding(MAP_CAP, entry.path, str(exc)))
-        return
-    except ConstraintViolation as exc:
-        entry.findings.append(_finding(MAP_RING, entry.path, str(exc)))
-        return
-    except (MappingError, ArchitectureError, ArtifactError, TransformError) as exc:
-        entry.findings.append(_finding(MAP_LEGAL, entry.path, str(exc)))
-        return
-    try:
         validate_mapping(paged.mapping, paged.layout)
     except CapabilityViolation as exc:
         entry.findings.append(_finding(MAP_CAP, entry.path, str(exc)))
     except ConstraintViolation as exc:
         entry.findings.append(_finding(MAP_RING, entry.path, str(exc)))
-    except (MappingError, ArchitectureError) as exc:
+    except (MappingError, ArchitectureError, ArtifactError, TransformError) as exc:
         entry.findings.append(_finding(MAP_LEGAL, entry.path, str(exc)))
-
-    _audit_capability(entry, artifact, dfg)
-
-    # register-usage constraint (§VI-B): depth-1 reads, re-checked
-    # explicitly so a violation is named, not folded into route legality
-    mapping = paged.mapping
-    for e in materialized_edges(dfg):
-        try:
-            holder, held_at = mapping.route_origin(e)
-            steps = mapping.route(e.id).steps
-            dst = mapping.placement(e.dst)
-        except MappingError:
-            continue  # already reported by validate_mapping
-        reads = [(s.pe, s.time) for s in steps] + [(dst.pe, dst.time)]
-        for pe, t in reads:
-            if t != held_at + 1:
-                entry.findings.append(
-                    _finding(
-                        MAP_REGDEPTH,
-                        entry.path,
-                        f"edge {e.id}: read at {pe} t={t} is depth "
-                        f"{t - held_at} from the value held at t={held_at}",
-                    )
-                )
-                break
-            holder, held_at = pe, t
-
-
-def _audit_capability(entry: AuditEntry, artifact, dfg) -> None:
-    """Bytes-level capability legality: re-checked straight off the stored
-    placement/route tuples, so a capability violation is caught even when
-    materialization itself fails for an unrelated reason."""
-    if artifact.capability is None:
-        return
-    from repro.arch.capability import CapabilityMap, OpClass, op_class
-
-    try:
-        cap = CapabilityMap(artifact.rows, artifact.cols, artifact.capability)
-    except ArchitectureError as exc:
-        entry.findings.append(_finding(MAP_CAP, entry.path, str(exc)))
-        return
-    for (op_id, r, c, _t) in artifact.placements:
-        op = dfg.ops.get(op_id)
-        if op is None:
-            continue  # dangling op id is MAP-LEGAL territory
-        cls = op_class(op.opcode)
-        pe_id = r * artifact.cols + c
-        if not cap.supports_id(cls, pe_id):
-            entry.findings.append(
-                _finding(
-                    MAP_CAP,
-                    entry.path,
-                    f"op{op_id} ({cls.value}) stored on PE({r},{c}), which "
-                    f"lacks the {cls.value!r} capability",
-                )
-            )
-    for (edge_id, steps, _tap) in artifact.routes:
-        for (r, c, _t) in steps:
-            pe_id = r * artifact.cols + c
-            if not cap.supports_id(OpClass.ROUTE, pe_id):
-                entry.findings.append(
-                    _finding(
-                        MAP_CAP,
-                        entry.path,
-                        f"edge {edge_id}: route step on PE({r},{c}), which "
-                        f"lacks the 'route' capability",
-                    )
-                )
-                break
 
 
 def _audit_mii(entry: AuditEntry, artifact, dfg) -> None:
-    """MAP-MII: the stored IIs must respect the provable lower bound.
+    """MAP-MII: the stored base II must respect the provable lower bound.
 
     The bound is re-derived from artifact bytes alone — the registry DFG
-    (already fingerprint-matched by provenance) and the stored grid/page
-    geometry — via the same :func:`repro.compiler.feas.ii_lower_bound`
-    every backend's ladder starts from.  The terms only assume what any
-    legal modulo schedule must satisfy (one op per (PE, slot), memory
-    issue-slot and capability budgets, recurrence circuits), so an II
-    *below* the bound is impossible, whatever heuristic produced it.  The
-    base II is bounded on the whole array, the paged II on the stored
-    prefix — the first ``pages_used`` chain pages, which hold every op of
-    the paged mapping.  The counting is the auditor's own, from the stored
-    geometry, not the compiler's capacity records.
+    (already fingerprint-matched by provenance) and the stored grid — via
+    the same :func:`repro.compiler.feas.ii_lower_bound` every backend's
+    ladder starts from.  The terms only assume what any legal modulo
+    schedule must satisfy (one op per (PE, slot), memory issue-slot and
+    capability budgets, recurrence circuits), so an II *below* the bound is
+    impossible, whatever heuristic produced it.  The counting is the
+    auditor's own, from the stored geometry, not the compiler's capacity
+    records.  The paged II needs no such check: a stored mapping below its
+    bound cannot pass ``validate_mapping``.
     """
     from repro.arch.capability import OpClass
     from repro.compiler.feas import ii_lower_bound
-    from repro.core.paging import PageLayout
 
     cgra = artifact.build_cgra()
     mem_mask = cgra.class_mask(OpClass.MEM)
-
-    def check(label: str, ii: int, pe_ids, mem_slots: int) -> None:
-        n_pes = len(pe_ids)
-        mem_capable = (
-            n_pes if mem_mask is None else sum(1 for p in pe_ids if mem_mask[p])
-        )
-        try:
-            bound = ii_lower_bound(
-                dfg,
-                num_pes=n_pes,
-                mem_slots=mem_slots,
-                mem_capable_pes=mem_capable,
-                max_ii=ii,
-            )
-        except MappingError as exc:
-            entry.findings.append(
-                _finding(
-                    MAP_MII,
-                    entry.path,
-                    f"{label} II {ii} stored for a kernel that provably "
-                    f"cannot map: {exc}",
-                )
-            )
-            return
-        if ii < bound.mii:
-            entry.findings.append(
-                _finding(
-                    MAP_MII,
-                    entry.path,
-                    f"{label} II {ii} beats the provable lower bound "
-                    f"{bound.mii} (binding term: {bound.binding()})",
-                )
-            )
-
-    check(
-        "base",
-        artifact.ii_base,
-        list(range(cgra.num_pes)),
-        cgra.rows * cgra.mem_ports_per_row,
-    )
+    ii = artifact.ii_base
     try:
-        layout = PageLayout(cgra, tuple(artifact.page_shape))
-    except (ArchitectureError, MappingError):
-        return  # geometry problems are ART-ARCH/MAP-LEGAL territory
-    gi = cgra.grid_index
-    pages = artifact.pages_used
-    prefix = [
-        gi.id_of[pe] for n in range(pages) for pe in layout.coords_of_page(n)
-    ]
-    check(
-        "paged",
-        artifact.ii_paged,
-        prefix,
-        pages * layout.shape[0] * cgra.mem_ports_per_row,
-    )
+        bound = ii_lower_bound(
+            dfg,
+            num_pes=cgra.num_pes,
+            mem_slots=cgra.rows * cgra.mem_ports_per_row,
+            mem_capable_pes=cgra.num_pes if mem_mask is None else sum(mem_mask),
+            max_ii=ii,
+        )
+    except MappingError as exc:
+        entry.findings.append(
+            _finding(
+                MAP_MII,
+                entry.path,
+                f"base II {ii} stored for a kernel that provably cannot map: "
+                f"{exc}",
+            )
+        )
+        return
+    if ii < bound.mii:
+        entry.findings.append(
+            _finding(
+                MAP_MII,
+                entry.path,
+                f"base II {ii} beats the provable lower bound {bound.mii} "
+                f"(binding term: {bound.binding()})",
+            )
+        )
 
 
 def _audit_fold(entry: AuditEntry, artifact) -> None:
-    from repro.core.pagemaster import PageMaster
-    from repro.core.transform_check import check_placement
+    """FOLD-TABLE: the stored rows are ``M = 1..N`` in order (what compile
+    writes; a repeated M would hide behind ``steady_table()``), and each
+    ``II_q`` equals the recomputation from ``(N, II_p, wrap_used)``."""
+    from repro.core.pagemaster import steady_state_ii
 
-    n, ii_p = artifact.pages_used, artifact.ii_paged
-    stored = artifact.steady_table()
-    expected_targets = set(range(1, n + 1))
-    if set(stored) != expected_targets:
+    n = artifact.pages_used
+    targets = [m for (m, _, _) in artifact.steady_ii]
+    if targets != list(range(1, n + 1)):
         entry.findings.append(
             _finding(
                 FOLD_TABLE,
                 entry.path,
-                f"steady table covers M={sorted(stored)}, expected "
-                f"M=1..{n}",
+                f"steady table rows are M={targets}, expected M=1..{n} in order",
             )
         )
         return
-    for m in range(1, n + 1):
-        try:
-            placement = PageMaster(
-                n, ii_p, m, wrap_used=artifact.wrap_used
-            ).place()
-            check_placement(placement)
-        except (TransformError, ConstraintViolation) as exc:
-            entry.findings.append(
-                _finding(FOLD_DEPS, entry.path, f"M={m}: {exc}")
-            )
-            continue
+    for (m, num, den) in artifact.steady_ii:
+        stored = Fraction(num, den)
+        achieved = steady_state_ii(
+            n, artifact.ii_paged, m, wrap_used=artifact.wrap_used
+        )
         entry.folds_checked += 1
-        achieved = placement.ii_q_effective()
-        if stored[m] != achieved:
+        if stored != achieved:
             entry.findings.append(
                 _finding(
                     FOLD_TABLE,
                     entry.path,
-                    f"M={m}: stored II_q {stored[m]} != recomputed {achieved}",
+                    f"M={m}: stored II_q {stored} != recomputed {achieved}",
                 )
             )
-        _check_fold_bound(entry, artifact, achieved, m)
-
-
-def _check_fold_bound(entry: AuditEntry, artifact, achieved, m: int) -> None:
-    n, ii_p = artifact.pages_used, artifact.ii_paged
-    resource = Fraction(ii_p * n, m)
-    grouped = n % m == 0 and not artifact.wrap_used
-    if achieved < resource:
-        entry.findings.append(
-            _finding(
-                FOLD_BOUND,
-                entry.path,
-                f"M={m}: II_q {achieved} beats the resource bound "
-                f"{resource} — impossible, the table is corrupt",
-            )
-        )
-    elif grouped and achieved != resource:
-        entry.findings.append(
-            _finding(
-                FOLD_BOUND,
-                entry.path,
-                f"M={m} divides N={n} wrap-free: grouped fold must meet "
-                f"II_p*N/M = {resource} exactly, got {achieved}",
-            )
-        )
-    elif achieved > 2 * resource:
-        entry.findings.append(
-            _finding(
-                FOLD_BOUND,
-                entry.path,
-                f"M={m}: II_q {achieved} exceeds 2x the resource bound "
-                f"{resource} (zigzag efficiency below 0.5)",
-            )
-        )
 
 
 def audit_file(path: Path, rel: str) -> AuditEntry:
@@ -637,10 +451,11 @@ def audit_file(path: Path, rel: str) -> AuditEntry:
     _audit_encoding(entry, raw, artifact)
     if _audit_fields(entry, artifact):
         dfg = _audit_provenance(entry, artifact)
-        if dfg is not None and not artifact.unmappable:
-            _audit_mapping(entry, artifact, dfg)
+        if dfg is not None:
             _audit_mii(entry, artifact, dfg)
-            _audit_fold(entry, artifact)
+            if not artifact.unmappable:
+                _audit_mapping(entry, artifact, dfg)
+                _audit_fold(entry, artifact)
     if any(f.severity is Severity.ERROR for f in entry.findings):
         entry.status = "corrupt"
     return entry

@@ -13,7 +13,7 @@ Rule id families:
 * ``SUP-*`` — suppression hygiene (lint pass);
 * ``ART-*`` — artifact encoding/addressing invariants (audit pass);
 * ``MAP-*`` — mapping legality invariants, §VI-B included (audit pass);
-* ``FOLD-*`` — PageMaster foldability invariants (audit pass);
+* ``FOLD-*`` — the stored steady-state II table (audit pass);
 * ``STORE-*`` — store hygiene (audit pass).
 """
 

@@ -29,8 +29,9 @@ through.
    remains free for the PageMaster transformation to stretch lifetimes.
    :func:`register_usage_report` quantifies how much transfer state a
    mapping keeps in flight; the depth-1 property itself is checked by
-   :func:`repro.compiler.check.validate_mapping` (contiguous route steps)
-   and, on stored artifacts, by the ``MAP-REGDEPTH`` audit rule.
+   :func:`repro.compiler.check.validate_mapping` (exactly one route step
+   per cycle between producer and consumer), on stored artifacts too, where
+   the auditor reports it as ``MAP-LEGAL``.
 
 3. **Fold-safe bus constraint** — memory ops budget their page's banked bus
    segment (see :mod:`repro.compiler.mrt`): :func:`bus_segment` names it,

@@ -144,49 +144,46 @@ class CompiledKernel:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "CompiledKernel":
+        """The artifact *raw* encodes; :class:`ArtifactError` unless every
+        field has its JSON type and arity (``type(x) is int``: ``True`` is
+        an ``int`` to ``isinstance``) and every fold-table denominator is
+        positive, so a reader never meets a malformed nested field later."""
         if not isinstance(raw, dict):
             raise ArtifactError(f"artifact payload is {type(raw).__name__}, not an object")
         version = raw.get("version")
-        if version != ARTIFACT_VERSION:
+        if type(version) is not int or version != ARTIFACT_VERSION:
             raise ArtifactError(
                 f"artifact schema version {version!r} != {ARTIFACT_VERSION}"
             )
         try:
-            return cls(
-                kernel=raw["kernel"],
-                rows=raw["rows"],
-                cols=raw["cols"],
-                rf_depth=raw["rf_depth"],
-                mem_ports_per_row=raw["mem_ports_per_row"],
-                page_shape=tuple(raw["page_shape"]),
-                layout_wrap=raw["layout_wrap"],
-                seed=raw["seed"],
-                dfg_fp=raw["dfg_fp"],
-                arch_fp=raw["arch_fp"],
-                mapper_fp=raw["mapper_fp"],
-                ii_base=raw["ii_base"],
-                unmappable=raw["unmappable"],
-                ii_paged=raw["ii_paged"],
-                pages_used=raw["pages_used"],
-                wrap_used=raw["wrap_used"],
-                placements=tuple(tuple(p) for p in raw["placements"]),
-                routes=tuple(
-                    (
-                        e,
-                        tuple(tuple(s) for s in steps),
-                        tuple(tap) if tap is not None else None,
-                    )
-                    for (e, steps, tap) in raw["routes"]
-                ),
-                steady_ii=tuple(tuple(s) for s in raw["steady_ii"]),
-                capability=tuple(
-                    (cls_, tuple(ids)) for (cls_, ids) in raw["capability"]
-                )
-                if raw.get("capability") is not None
-                else None,
+            fields = {name: raw[name] for name in _SCALARS}
+            page_shape, placements = raw["page_shape"], raw["placements"]
+            routes, steady_ii = raw["routes"], raw["steady_ii"]
+        except KeyError as exc:
+            raise ArtifactError(f"malformed artifact payload: no field {exc}") from None
+        for name, kind in _SCALARS.items():
+            if type(fields[name]) is not kind:
+                raise ArtifactError(f"{name} {fields[name]!r} is not a {kind.__name__}")
+        steady = tuple(
+            _ints(s, 3, "steady_ii entry") for s in _items(steady_ii, "steady_ii")
+        )
+        if any(den <= 0 for (_, _, den) in steady):
+            raise ArtifactError(f"steady_ii {steady_ii!r} has a denominator <= 0")
+        capability = raw.get("capability")
+        if capability is not None:
+            capability = tuple(
+                _capability_row(row) for row in _items(capability, "capability")
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ArtifactError(f"malformed artifact payload: {exc}") from exc
+        return cls(
+            **fields,
+            page_shape=_ints(page_shape, 2, "page_shape"),
+            placements=tuple(
+                _ints(p, 4, "placement") for p in _items(placements, "placements")
+            ),
+            routes=tuple(_route(r) for r in _items(routes, "routes")),
+            steady_ii=steady,
+            capability=capability,
+        )
 
     # -- consumption ----------------------------------------------------------------
 
@@ -269,3 +266,46 @@ class CompiledKernel:
         mapping = Mapping(cgra, dfg, self.ii_paged, placements, routes)
         schedule = extract_page_schedule(mapping, layout)
         return PagedMapping(mapping, layout, schedule, full)
+
+
+#: JSON type of every scalar field of the encoding.
+_SCALARS = {
+    "kernel": str, "rows": int, "cols": int, "rf_depth": int,
+    "mem_ports_per_row": int, "layout_wrap": bool, "seed": int,
+    "dfg_fp": str, "arch_fp": str, "mapper_fp": str, "ii_base": int,
+    "unmappable": bool, "ii_paged": int, "pages_used": int, "wrap_used": bool,
+}
+
+
+def _items(value, what: str) -> list:
+    if type(value) is not list:
+        raise ArtifactError(f"{what} {value!r} is not a list")
+    return value
+
+
+def _ints(row, n: int | None, what: str) -> tuple[int, ...]:
+    """*row* as a tuple, if it is a list of *n* (None: any number of) ints."""
+    if (
+        type(row) is not list
+        or n not in (None, len(row))
+        or any(type(x) is not int for x in row)
+    ):
+        raise ArtifactError(f"{what} {row!r} is not a list of {n or 'any'} int(s)")
+    return tuple(row)
+
+
+def _route(row) -> tuple:
+    if type(row) is not list or len(row) != 3 or type(row[0]) is not int:
+        raise ArtifactError(f"route {row!r} is not [edge id, steps, tap]")
+    edge, steps, tap = row
+    return (
+        edge,
+        tuple(_ints(s, 3, "route step") for s in _items(steps, "route steps")),
+        None if tap is None else _ints(tap, 3, "route tap"),
+    )
+
+
+def _capability_row(row) -> tuple:
+    if type(row) is not list or len(row) != 2 or type(row[0]) is not str:
+        raise ArtifactError(f"capability entry {row!r} is not [class, PE ids]")
+    return (row[0], _ints(row[1], None, "capability PE ids"))

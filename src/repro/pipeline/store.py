@@ -99,8 +99,8 @@ class ArtifactStore:
         bytes are the ones the artifact was validated from — what a server
         sends, whatever another process does to the file meanwhile.
 
-        Unreadable files — corrupt JSON, foreign schema versions, content
-        that does not match its address — are reported via
+        Unreadable files — corrupt JSON, a malformed field, foreign schema
+        versions, content that does not match its address — are reported via
         ``logging.warning`` and treated as misses; the next ``put``
         overwrites them.
         """

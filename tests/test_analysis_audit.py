@@ -2,13 +2,10 @@
 corruption is caught with the exact rule id of the invariant it breaks."""
 
 import json
-from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
-from repro.analysis import audit as audit_mod
 from repro.analysis.audit import AuditEntry, audit_file, audit_store
 from repro.analysis.findings import Severity
 from repro.analysis.report import exit_code
@@ -111,7 +108,7 @@ def test_clean_artifact_round_trips(tmp_path, small):
     report = audit_store(tmp_path)
     assert report.ok and report.findings == []
     (entry,) = report.entries
-    assert entry.folds_checked == small.pages_used
+    assert entry.folds_checked == small.pages_used  # one table row per M
 
 
 # -- encoding / addressing corruption ------------------------------------------------
@@ -202,8 +199,8 @@ def test_flipped_placement_pe_is_map_legal(committed):
 
 
 def test_dropped_route_step_is_map_legal(committed):
-    # a missing step breaks route-count legality AND leaves the consumer
-    # reading at depth 2 — both invariants are genuinely violated
+    # a missing step leaves the consumer reading at depth 2, which the
+    # validator's route-step count refuses
     def mutate(artifact):
         payload = payload_of(artifact)
         for i, (_, steps, _) in enumerate(artifact.routes):
@@ -213,7 +210,7 @@ def test_dropped_route_step_is_map_legal(committed):
             out["routes"][i][1] = out["routes"][i][1][:-1]
             yield out
 
-    payload = find_mutation(committed, mutate, {"MAP-LEGAL", "MAP-REGDEPTH"})
+    payload = find_mutation(committed, mutate, {"MAP-LEGAL"})
     assert payload is not None, "no route-step drop produced MAP-LEGAL"
 
 
@@ -236,6 +233,9 @@ def test_broken_ring_hop_is_map_ring(committed):
 
 
 def test_time_shift_breaks_register_depth(committed):
+    """A read moved off depth 1 is MAP-LEGAL: the validator wants exactly
+    ``dst.time - origin - 1`` route steps, each one cycle after the last."""
+
     def mutate(artifact):
         if artifact.ii_paged != 1:
             return  # ii==1 keeps the page schedule legal, isolating depth
@@ -245,16 +245,14 @@ def test_time_shift_breaks_register_depth(committed):
             out["placements"][i] = [op, r, c, t + 1]
             yield out
 
-    payload = find_mutation(
-        committed, mutate, {"MAP-LEGAL", "MAP-REGDEPTH"}
-    )
+    payload = find_mutation(committed, mutate, {"MAP-LEGAL"})
     assert payload is not None, "no time shift produced a register-depth break"
 
 
 def test_lowered_ii_is_map_mii(committed):
-    """An II edited below the provable minimum trips MAP-MII — the one
-    rule that needs no mapping data, only the stored geometry — alongside
-    whatever slot/fold rules the now-overpacked schedule also breaks."""
+    """A base II edited below the provable minimum trips MAP-MII — the one
+    check on ``ii_base``, whose mapping is not stored — alongside whatever
+    slot rules the now-overpacked paged schedule also breaks."""
     victim = next(
         a
         for a in sorted(committed, key=lambda a: (len(a.placements), a.key.digest))
@@ -265,18 +263,30 @@ def test_lowered_ii_is_map_mii(committed):
     payload["ii_paged"] = 1
     entry = _solo_audit(payload)
     ids = {f.rule_id for f in entry.findings}
-    assert "MAP-MII" in ids
+    assert "MAP-MII" in ids and "MAP-LEGAL" in ids
     mii = [f for f in entry.findings if f.rule_id == "MAP-MII"]
-    assert any("base II 1" in f.message for f in mii)
-    assert any("paged II 1" in f.message for f in mii)
+    assert [f.message.split(" beats")[0] for f in mii] == ["base II 1"]
+
+
+def test_unmappable_ii_base_is_bounded(committed):
+    """An unmappable artifact keeps only its base II, and MAP-MII checks
+    it too."""
+    victim = next(a for a in committed if a.unmappable)
+    payload = payload_of(victim)
+    payload["ii_base"] = 1
+    entry = _solo_audit(payload)
+    assert {f.rule_id for f in entry.findings} == {"MAP-MII"}
+    assert "base II 1" in entry.findings[0].message
 
 
 def test_paged_ii_is_bounded_on_the_stored_prefix(committed):
-    """MAP-MII bounds the paged II on the pages the mapping was stored on
-    (the first ``pages_used`` chain pages), not on the whole array: an
-    ``ii_paged`` edited to sit between the two bounds is a finding."""
+    """An ``ii_paged`` edited below the bound of the pages the mapping was
+    stored on (the first ``pages_used`` chain pages), with the fold table
+    rewritten to agree, is a finding: a stored mapping below its bound
+    cannot pass the validator, so MAP-LEGAL or MAP-RING refuses it."""
     from repro.arch.capability import OpClass
     from repro.compiler.feas import ii_lower_bound
+    from repro.core.pagemaster import steady_state_ii
     from repro.core.paging import PageLayout
     from repro.kernels import get_kernel
 
@@ -307,9 +317,14 @@ def test_paged_ii_is_bounded_on_the_stored_prefix(committed):
     else:
         pytest.fail("no committed artifact's prefix bound beats its whole-array one")
     payload = payload_of(victim)
-    payload["ii_paged"] = prefix - 1
-    mii_findings = [f for f in _solo_audit(payload).findings if f.rule_id == "MAP-MII"]
-    assert any(f"paged II {prefix - 1}" in f.message for f in mii_findings)
+    ii = payload["ii_paged"] = prefix - 1
+    payload["steady_ii"] = [
+        [m, q.numerator, q.denominator]
+        for m in range(1, pages + 1)
+        for q in [steady_state_ii(pages, ii, m, wrap_used=victim.wrap_used)]
+    ]
+    ids = {f.rule_id for f in _solo_audit(payload).findings}
+    assert ids in ({"MAP-LEGAL"}, {"MAP-RING"}), ids
 
 
 # -- fold corruption -----------------------------------------------------------------
@@ -333,78 +348,60 @@ def test_steady_table_coverage_gap_is_fold_table(tmp_path, committed):
     assert audit_ids(tmp_path) == {"FOLD-TABLE"}
 
 
-def _fold_stub(n=2, ii=1, wrap=False):
-    return SimpleNamespace(pages_used=n, ii_paged=ii, wrap_used=wrap)
+def test_repeated_m_is_fold_table(tmp_path, committed):
+    """``steady_table()`` keeps the last row of each M, so a table with a
+    wrong row before the right one reads correctly; the audit wants the
+    rows M = 1..N in order, as compile writes them."""
+    multi = min(
+        (a for a in committed if not a.unmappable and a.pages_used >= 2),
+        key=lambda a: (len(a.placements), a.key.digest),
+    )
+    payload = payload_of(multi)
+    payload["steady_ii"].insert(1, [2, 999, 1])
+    write_artifact(tmp_path, payload)
+    read_back = CompiledKernel.from_json_dict(payload)
+    assert read_back.steady_table() == multi.steady_table()
+    assert audit_ids(tmp_path) == {"FOLD-TABLE"}
 
 
-def _audit_tampered_fold(monkeypatch, overrides, n=2):
-    """Run the auditor's fold pass over an *n*-page, II 1, wrap-free
-    artifact whose M=n fold — the identity, (page, batch) at (col page,
-    t batch) — comes back from PageMaster with *overrides* applied; every
-    other M is the real fold."""
-    from repro.core.pagemaster import PageMaster
-
-    real = PageMaster.place
-    table = {
-        m: real(PageMaster(n, 1, m)).ii_q_effective() for m in range(1, n + 1)
-    }
-
-    def place(self):
-        placement = real(self)
-        if self.m == n:
-            placement.slots.update(overrides)
-        return placement
-
-    monkeypatch.setattr(PageMaster, "place", place)
-    artifact = _fold_stub(n)
-    artifact.steady_table = lambda: table
-    entry = AuditEntry(path="x", status="ok")
-    audit_mod._audit_fold(entry, artifact)
-    return entry
+# -- malformed nested fields ---------------------------------------------------------
 
 
-def test_fold_legality_catches_time_inversion(monkeypatch):
-    entry = _audit_tampered_fold(monkeypatch, {(0, 0): (0, 2)})
-    assert [f.rule_id for f in entry.findings] == ["FOLD-DEPS"]
-    assert "M=2" in entry.findings[0].message
-    assert "not after its dependency" in entry.findings[0].message
-    assert entry.folds_checked == 1  # M=1 verified, M=2 refused
+MALFORMED = {
+    "steady-zero-denominator": lambda p: p["steady_ii"].__setitem__(0, [1, 2, 0]),
+    "steady-two-fields": lambda p: p["steady_ii"].__setitem__(0, [1, 2]),
+    "steady-string": lambda p: p["steady_ii"].__setitem__(0, [1, "x", 1]),
+    "placement-three-fields": lambda p: p["placements"][0].pop(),
+    "route-step-two-fields": lambda p: next(
+        r[1][0].pop() for r in p["routes"] if r[1]
+    ),
+    "page-shape-string": lambda p: p.update(page_shape=["a", 2]),
+    "ii-paged-string": lambda p: p.update(ii_paged="2"),
+    "pages-used-float": lambda p: p.update(pages_used=2.5),
+}
 
 
-def test_fold_legality_catches_double_booking(monkeypatch):
-    entry = _audit_tampered_fold(monkeypatch, {(1, 0): (0, 0)})
-    assert [f.rule_id for f in entry.findings] == ["FOLD-DEPS"]
-    assert "holds both" in entry.findings[0].message
+@pytest.mark.parametrize("shape", sorted(MALFORMED))
+def test_malformed_nested_field_is_a_miss_and_art_read(
+    tmp_path, committed, shape, caplog
+):
+    """A well-formed JSON file whose nested field has the wrong type or
+    arity is refused on read: the store logs it and misses, and the audit
+    reports ART-READ instead of raising."""
+    victim = min(
+        (a for a in committed if any(steps for (_, steps, _) in a.routes)),
+        key=lambda a: (len(a.placements), a.key.digest),
+    )
+    payload = payload_of(victim)
+    MALFORMED[shape](payload)
+    digest = victim.key.digest
+    path = tmp_path / digest[:2] / f"{digest}.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
-
-def test_fold_legality_catches_column_jump(monkeypatch):
-    entry = _audit_tampered_fold(monkeypatch, {(0, 1): (2, 2)}, n=3)
-    assert [f.rule_id for f in entry.findings] == ["FOLD-DEPS"]
-    assert "more than one hop" in entry.findings[0].message
-
-
-def test_fold_bound_envelope():
-    stub = _fold_stub(n=4, ii=2)  # resource bound for M=2: 2*4/2 = 4
-    entry = AuditEntry(path="x", status="ok")
-    audit_mod._check_fold_bound(entry, stub, Fraction(3), 2)
-    assert [f.rule_id for f in entry.findings] == ["FOLD-BOUND"]  # below
-
-    entry = AuditEntry(path="x", status="ok")
-    audit_mod._check_fold_bound(entry, stub, Fraction(5), 2)
-    assert [f.rule_id for f in entry.findings] == ["FOLD-BOUND"]  # M|N inexact
-
-    entry = AuditEntry(path="x", status="ok")
-    audit_mod._check_fold_bound(entry, stub, Fraction(4), 2)
-    assert entry.findings == []  # grouped fold, exact
-
-    wrap = _fold_stub(n=4, ii=2, wrap=True)  # zigzag: 2x envelope applies
-    entry = AuditEntry(path="x", status="ok")
-    audit_mod._check_fold_bound(entry, wrap, Fraction(7), 2)
-    assert entry.findings == []
-
-    entry = AuditEntry(path="x", status="ok")
-    audit_mod._check_fold_bound(entry, wrap, Fraction(9), 2)
-    assert [f.rule_id for f in entry.findings] == ["FOLD-BOUND"]  # over 2x
+    assert ArtifactStore(tmp_path).get(victim.key) is None
+    assert "discarding" in caplog.text
+    assert audit_ids(tmp_path) == {"ART-READ"}
 
 
 # -- store hygiene -------------------------------------------------------------------

@@ -7,8 +7,9 @@ Three invariants anchor this file:
   exactly as before the capability model existed (pinned hashes), and
   recompilation on any preset is byte-deterministic;
 * **legality everywhere** — a capability restriction is enforced by the
-  mapper, the validator, the lowering pass, and the bytes-only artifact
-  auditor (rule ``MAP-CAP``) independently;
+  mapper, the validator and the lowering pass independently, and the
+  bytes-only artifact auditor reports the validator's refusal as
+  ``MAP-CAP``;
 * **hier never loses** — the hier backend reproduces the flat
   ladder's II (its fallback rungs replay the flat ladder exactly) and is
   deterministic at any worker count.

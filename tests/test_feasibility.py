@@ -105,8 +105,9 @@ class TestIIBound:
 class TestCommittedStore:
     """Replay the prover against every committed artifact: an II that a
     mapper actually achieved (and that recompile-bytes pins) must never
-    sit below the bound — the MAP-MII audit rule's property, tested
-    directly on the store bytes."""
+    sit below the bound: the base II (unmappable artifacts included) is
+    the MAP-MII audit rule's property, and the paged II is bounded on the
+    stored prefix, the first ``pages_used`` chain pages."""
 
     @pytest.mark.skipif(
         not REPO_STORE.is_dir(), reason="committed artifact store not present"
@@ -121,13 +122,24 @@ class TestCommittedStore:
             if not is_artifact:
                 continue
             artifact = CompiledKernel.from_json_dict(json.loads(path.read_bytes()))
-            if artifact.unmappable:
-                continue
             dfg = get_kernel(artifact.kernel).build()
             entry = AuditEntry(path=path.name, status="ok")
             _audit_mii(entry, artifact, dfg)
             assert entry.findings == [], [f.render() for f in entry.findings]
             checked += 1
+            if artifact.unmappable:
+                continue
+            cgra = artifact.build_cgra()
+            layout = PageLayout(cgra, artifact.page_shape)
+            pes = artifact.pages_used * layout.shape[0] * layout.shape[1]
+            bound = ii_lower_bound(
+                dfg,
+                num_pes=pes,
+                mem_slots=artifact.pages_used * layout.shape[0] * cgra.mem_ports_per_row,
+                mem_capable_pes=pes,
+                max_ii=artifact.ii_paged,
+            )
+            assert artifact.ii_paged >= bound.mii, path.name
         assert checked > 50
 
     @pytest.mark.skipif(

@@ -5,10 +5,14 @@ principles via :func:`repro.core.transform_check.check_placement`, plus the
 steady-state II properties: grouped folds hit the resource bound exactly,
 the zigzag satisfies the full ring including the wrap, and shrinking to one
 page degenerates to pure sequencing.
+
+Run as a script (``python tests/test_pagemaster.py``) it sweeps the fold
+envelope over every N <= 16 instead of the N <= 8 that tier-1 covers.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -172,3 +176,47 @@ class TestSteadyStateII:
         for m in range(1, n + 1):
             p = PageMaster(n, ii, m, wrap_used=True).place()
             check_placement(p, require_wrap=True)
+
+
+def fold_envelope(max_pages: int) -> tuple[int, Fraction, list[str]]:
+    """Every fold of ``N <= max_pages`` pages onto ``M <= N`` columns, with
+    and without ``wrap_used``, at ``II_p`` 1 and 3: ``check_placement``
+    passes, ``II_p*N/M <= II_q <= 2*II_p*N/M``, with equality when M
+    divides N on a wrap-free schedule.  Returns the (N, M, wrap) cell
+    count, the worst ``II_q`` over its resource bound, and the problems."""
+    cells, worst, problems = 0, Fraction(0), []
+    for n in range(1, max_pages + 1):
+        for m in range(1, n + 1):
+            for wrap in (False, True):
+                cells += 1
+                for ii_p in (1, 3):
+                    p = PageMaster(n, ii_p, m, wrap_used=wrap).place()
+                    cell = f"N={n} M={m} II_p={ii_p} wrap_used={wrap}"
+                    try:
+                        check_placement(p)
+                    except ConstraintViolation as exc:
+                        problems.append(f"{cell}: {exc}")
+                    bound, ii_q = Fraction(ii_p * n, m), p.ii_q_effective()
+                    worst = max(worst, ii_q / bound)
+                    if not bound <= ii_q <= 2 * bound:
+                        problems.append(f"{cell}: II_q {ii_q} outside the envelope")
+                    elif n % m == 0 and not wrap and ii_q != bound:
+                        problems.append(f"{cell}: grouped II_q {ii_q} != {bound}")
+    return cells, worst, problems
+
+
+def test_every_fold_the_store_can_hold_meets_the_envelope():
+    """The committed store holds N <= 8 (no ``wrap_used``): every fold it
+    can ask for, on both strategies, is legal and inside the paper's
+    envelope, whatever a stored table says (the script sweeps N <= 16)."""
+    cells, worst, problems = fold_envelope(8)
+    assert problems == []
+    assert cells == 72 and worst <= 2
+
+
+if __name__ == "__main__":
+    cells, worst, problems = fold_envelope(16)
+    print(*problems, sep="\n")
+    print(f"{cells} (N, M, wrap_used) cells at II_p 1 and 3, N <= 16: "
+          f"{len(problems)} problem(s); worst II_q / (II_p*N/M) = {worst}")
+    sys.exit(1 if problems else 0)
