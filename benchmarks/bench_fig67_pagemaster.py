@@ -10,8 +10,6 @@ Fig. 7: the N=6 -> M=5 zigzag transformation — validated against the
 
 from __future__ import annotations
 
-import numpy as np
-
 from conftest import emit
 from repro.arch.cgra import CGRA
 from repro.compiler.constraints import paged_bus_key
@@ -54,9 +52,7 @@ def test_fig6_fold_to_one_page(store):
         bus_key=paged_bus_key(pm.layout),
         rf_depth=16,
     )
-    ok = all(
-        np.array_equal(mem2.snapshot()[k], expected[k]) for k in expected
-    )
+    ok = all(mem2.snapshot()[k] == expected[k] for k in expected)
     emit(
         f"Fig. 6 — mpeg uses {pm.pages_used} pages at II={pm.ii}; "
         f"full run {full.cycles} cycles, folded-to-1-page run "

@@ -7,8 +7,6 @@ predicted cost.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro.arch.presets import preset
 from repro.compiler.ems import map_dfg
 from repro.compiler.constraints import paged_bus_key
@@ -55,7 +53,7 @@ def main() -> None:
         mem,
         bus_key=paged_bus_key(paged.layout),
     )
-    ok = all(np.array_equal(mem.snapshot()[k], expected[k]) for k in expected)
+    ok = all(mem.snapshot()[k] == expected[k] for k in expected)
     print(f"full-size run: {res.summary()}  correct={ok}")
 
     # --- runtime shrink: give half the pages away to another thread -------
@@ -75,7 +73,7 @@ def main() -> None:
     res2 = simulate(
         firings, cgra, mem2, bus_key=paged_bus_key(paged.layout), rf_depth=32
     )
-    ok2 = all(np.array_equal(mem2.snapshot()[k], expected[k]) for k in expected)
+    ok2 = all(mem2.snapshot()[k] == expected[k] for k in expected)
     print(f"shrunk run ({m} pages): {res2.summary()}  correct={ok2}")
     print(
         f"slowdown: x{res2.cycles / res.cycles:.2f} "

@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro import viz
 from repro.arch.presets import preset
 from repro.compiler.paged import map_dfg_paged
@@ -60,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
         mem,
         bus_key=paged_bus_key(paged.layout),
     )
-    ok = all(np.array_equal(mem.snapshot()[k], expected[k]) for k in expected)
+    ok = all(mem.snapshot()[k] == expected[k] for k in expected)
     print(f"\nfull-size execution: {full.summary()}  correct={ok}")
 
     m = max(1, paged.pages_used // 2)
@@ -78,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         bus_key=paged_bus_key(paged.layout),
         rf_depth=32,
     )
-    ok2 = all(np.array_equal(mem2.snapshot()[k], expected[k]) for k in expected)
+    ok2 = all(mem2.snapshot()[k] == expected[k] for k in expected)
     print(
         f"\nshrunk to {m} page(s): {shrunk.summary()}  correct={ok2}  "
         f"slowdown x{shrunk.cycles / full.cycles:.2f}"

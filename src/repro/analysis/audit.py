@@ -5,10 +5,11 @@ store *from bytes alone* — no mapper, no cache state, no trust in the
 process that wrote it — and checks what stored bytes can get wrong, each
 stored field by the rule that is its only check:
 
-* **encoding** — the file parses into a well-typed artifact (``ART-READ``),
-  is the canonical encoding of its content (``ART-BYTES``) and sits at the
-  address its fingerprints dictate (``ART-ADDR``); nothing else lives in
-  the store (``STORE-FOREIGN``);
+* **encoding** — the file parses into a well-typed artifact whose IIs and
+  page need are at least 1 (``ART-READ``), is the canonical encoding of
+  its content (``ART-BYTES``) and sits at the address its fingerprints
+  dictate (``ART-ADDR``); nothing else lives in the store
+  (``STORE-FOREIGN``);
 * **fields** — an unmappable artifact carries no mapping, the page need
   fits the grid, ``wrap_used`` only on a wrap layout (``ART-FIELDS``);
 * **provenance** — the stored DFG/architecture fingerprints match an
@@ -261,8 +262,8 @@ def _audit_encoding(entry: AuditEntry, raw: bytes, artifact) -> None:
 
 def _audit_fields(entry: AuditEntry, artifact) -> bool:
     """The field relations no later check reads; False aborts deeper checks
-    (an empty grid cannot be built, and a fold table cannot be recomputed
-    at II 0)."""
+    (an empty grid cannot be built).  A mappable artifact's II and page
+    need below 1 never get here: the read refuses them (``ART-READ``)."""
     problems: list[str] = []
     rows, cols = artifact.rows, artifact.cols
     if rows < 1 or cols < 1:
@@ -271,8 +272,6 @@ def _audit_fields(entry: AuditEntry, artifact) -> bool:
         if artifact.placements or artifact.routes or artifact.steady_ii:
             problems.append("unmappable artifact carries mapping data")
     else:
-        if artifact.ii_paged < 1:
-            problems.append(f"ii_paged {artifact.ii_paged} < 1")
         h, w = artifact.page_shape
         max_pages = (rows // max(h, 1)) * (cols // max(w, 1))
         if artifact.pages_used > max_pages:

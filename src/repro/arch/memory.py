@@ -17,13 +17,11 @@ re-checked by the simulator; the memory itself only does loads and stores.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from repro.util.errors import SimulationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["ArraySpec", "DataMemory"]
 
@@ -40,17 +38,17 @@ class ArraySpec:
 class DataMemory:
     """Word-addressed data memory with named arrays.
 
-    ``size`` is the number of 32-bit words.  Arrays are allocated
-    sequentially from address 0 with :meth:`bind_array`.
+    ``size`` is the number of 32-bit words, held in a signed 64-bit
+    ``array``: a load returns a Python int, and :meth:`read_array` and
+    :meth:`snapshot` return lists.  Arrays are allocated sequentially from
+    address 0 with :meth:`bind_array`.
     """
 
     def __init__(self, size: int = 1 << 16) -> None:
-        import numpy as np
-
         if size <= 0:
             raise SimulationError(f"memory size must be positive, got {size}")
         self.size = size
-        self._words = np.zeros(size, dtype=np.int64)
+        self._words = array("q", [0]) * size
         self._arrays: dict[str, ArraySpec] = {}
         self._next_base = 0
         self.load_count = 0
@@ -58,16 +56,18 @@ class DataMemory:
 
     # -- allocation -------------------------------------------------------------
 
-    def bind_array(self, name: str, values) -> ArraySpec:
-        """Allocate and initialise a named array; returns its spec."""
-        import numpy as np
-
+    def bind_array(self, name: str, values: Iterable[int]) -> ArraySpec:
+        """Allocate and initialise a named array from a sequence of
+        integers; returns its spec."""
         if name in self._arrays:
             raise SimulationError(f"array {name!r} already bound")
-        data = np.asarray(values, dtype=np.int64)
-        if data.ndim != 1:
-            raise SimulationError(f"array {name!r} must be 1-D, got {data.ndim}-D")
-        length = int(data.shape[0])
+        try:
+            data = array("q", values)
+        except (TypeError, OverflowError):
+            raise SimulationError(
+                f"array {name!r} must be a 1-D sequence of integers"
+            ) from None
+        length = len(data)
         if self._next_base + length > self.size:
             raise SimulationError(
                 f"out of data memory binding {name!r} "
@@ -87,16 +87,16 @@ class DataMemory:
         except KeyError:
             raise SimulationError(f"no array named {name!r}") from None
 
-    def read_array(self, name: str) -> np.ndarray:
+    def read_array(self, name: str) -> list[int]:
         """A copy of the named array's current contents."""
         spec = self.array(name)
-        return self._words[spec.base : spec.base + spec.length].copy()
+        return self._words[spec.base : spec.base + spec.length].tolist()
 
     def load(self, addr: int) -> int:
         if not 0 <= addr < self.size:
             raise SimulationError(f"load address {addr} out of range [0,{self.size})")
         self.load_count += 1
-        return int(self._words[addr])
+        return self._words[addr]
 
     def store(self, addr: int, value: int) -> None:
         if not 0 <= addr < self.size:
@@ -104,6 +104,6 @@ class DataMemory:
         self.store_count += 1
         self._words[addr] = int(value)
 
-    def snapshot(self) -> dict[str, np.ndarray]:
+    def snapshot(self) -> dict[str, list[int]]:
         """Contents of every named array, for end-to-end comparisons."""
         return {name: self.read_array(name) for name in self._arrays}

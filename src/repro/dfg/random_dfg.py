@@ -9,16 +9,11 @@ stress-testing mappers beyond the 11-kernel suite.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.arch.isa import Opcode
 from repro.dfg.builder import DFGBuilder, Value
 from repro.dfg.graph import DFG
 from repro.util.errors import GraphError
-from repro.util.rng import make_rng
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["random_dfg", "random_arrays"]
 
@@ -54,7 +49,7 @@ def random_dfg(
     """
     if n_ops < 1 or n_inputs < 1 or n_outputs < 1:
         raise GraphError("random_dfg needs at least one op, input and output")
-    rng = make_rng(seed)
+    rng = PCG64Stream(seed)
     b = DFGBuilder(f"fuzz{seed}")
     values: list[Value] = []
 
@@ -65,25 +60,25 @@ def random_dfg(
 
     for i in range(n_inputs):
         values.append(
-            b.load(f"in{i}", offset=int(rng.integers(0, max_offset + 1)))
+            b.load(f"in{i}", offset=rng.integers(max_offset + 1))
         )
 
     def pick() -> Value:
-        return values[int(rng.integers(len(values)))]
+        return values[rng.integers(len(values))]
 
     for _ in range(n_ops):
         roll = rng.random()
         if roll < 0.15:
-            v = b.op(_UNARY[int(rng.integers(len(_UNARY)))], pick())
+            v = b.op(_UNARY[rng.integers(len(_UNARY))], pick())
         elif roll < 0.35:
             # shifts keep magnitudes bounded, which keeps recurrences from
             # wrapping ranges the goldens cannot reproduce cheaply
-            amount = b.const(int(rng.integers(1, 4)))
-            v = b.op(_SHIFT[int(rng.integers(len(_SHIFT)))], pick(), amount)
+            amount = b.const(1 + rng.integers(3))
+            v = b.op(_SHIFT[rng.integers(len(_SHIFT))], pick(), amount)
         elif roll < 0.45:
-            v = b.add(pick(), b.const(int(rng.integers(-64, 64))))
+            v = b.add(pick(), b.const(rng.integers(128) - 64))
         else:
-            op = _BINARY[int(rng.integers(len(_BINARY)))]
+            op = _BINARY[rng.integers(len(_BINARY))]
             v = b.op(op, pick(), pick())
         values.append(v)
 
@@ -91,8 +86,8 @@ def random_dfg(
         # close the recurrence on a value that (transitively) uses it, so
         # the cycle is real; shift keeps it numerically tame
         feed = b.shr(values[-1], b.const(1), name="carry_feed")
-        dist = int(rng.integers(1, 3))
-        init = tuple(int(rng.integers(-8, 8)) for _ in range(dist))
+        dist = 1 + rng.integers(2)
+        init = tuple(rng.int_list(-8, 8, dist))
         b.bind_carry(carry, feed, distance=dist, init=init)
 
     # stores read late values so most of the graph is live
@@ -101,14 +96,10 @@ def random_dfg(
     return b.build()
 
 
-def random_arrays(
-    dfg: DFG, seed: int, trip: int
-) -> dict[str, np.ndarray]:
+def random_arrays(dfg: DFG, seed: int, trip: int) -> dict[str, list[int]]:
     """Input/output arrays sized for *trip* iterations of a random kernel."""
-    import numpy as np
-
-    rng = make_rng(seed ^ 0xA5A5)
-    arrays: dict[str, np.ndarray] = {}
+    rng = PCG64Stream(seed ^ 0xA5A5)
+    arrays: dict[str, list[int]] = {}
     for op in dfg.ops.values():
         if op.memref is None:
             continue
@@ -116,7 +107,7 @@ def random_arrays(
         length = trip * abs(op.memref.stride or 1) + abs(op.memref.offset) + 2
         if op.opcode is Opcode.LOAD:
             if name not in arrays or len(arrays[name]) < length:
-                arrays[name] = rng.integers(-64, 64, length, dtype=np.int64)
+                arrays[name] = rng.int_list(-64, 64, length)
         else:
-            arrays[name] = np.zeros(length, dtype=np.int64)
+            arrays[name] = [0] * length
     return arrays

@@ -8,13 +8,9 @@ predictor with a loop-carried update.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -31,19 +27,14 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
-    return {
-        "in": rng.integers(0, 256, trip, dtype=np.int64),
-        "out": np.zeros(trip, dtype=np.int64),
-    }
+def arrays(rng: PCG64Stream, trip: int):
+    return {"in": rng.int_list(0, 256, trip), "out": [0] * trip}
 
 
 def golden(a, trip: int):
     pred = 128
     for i in range(trip):
-        diff = int(a["in"][i]) - pred
+        diff = a["in"][i] - pred
         a["out"][i] = diff
         pred = pred + (diff >> 1)
     return a

@@ -8,13 +8,9 @@ streams (Q7 twiddle factors).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -44,32 +40,31 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
+def arrays(rng: PCG64Stream, trip: int):
     return {
-        "a_re": rng.integers(-128, 128, trip, dtype=np.int64),
-        "a_im": rng.integers(-128, 128, trip, dtype=np.int64),
-        "b_re": rng.integers(-128, 128, trip, dtype=np.int64),
-        "b_im": rng.integers(-128, 128, trip, dtype=np.int64),
-        "w_re": rng.integers(-128, 128, trip, dtype=np.int64),
-        "w_im": rng.integers(-128, 128, trip, dtype=np.int64),
-        "x_re": np.zeros(trip, dtype=np.int64),
-        "x_im": np.zeros(trip, dtype=np.int64),
-        "y_re": np.zeros(trip, dtype=np.int64),
-        "y_im": np.zeros(trip, dtype=np.int64),
+        "a_re": rng.int_list(-128, 128, trip),
+        "a_im": rng.int_list(-128, 128, trip),
+        "b_re": rng.int_list(-128, 128, trip),
+        "b_im": rng.int_list(-128, 128, trip),
+        "w_re": rng.int_list(-128, 128, trip),
+        "w_im": rng.int_list(-128, 128, trip),
+        "x_re": [0] * trip,
+        "x_im": [0] * trip,
+        "y_re": [0] * trip,
+        "y_im": [0] * trip,
     }
 
 
 def golden(a, trip: int):
-    br, bi = a["b_re"][:trip], a["b_im"][:trip]
-    wr, wi = a["w_re"][:trip], a["w_im"][:trip]
-    tr = (br * wr - bi * wi) >> 7
-    ti = (br * wi + bi * wr) >> 7
-    a["x_re"][:trip] = a["a_re"][:trip] + tr
-    a["x_im"][:trip] = a["a_im"][:trip] + ti
-    a["y_re"][:trip] = a["a_re"][:trip] - tr
-    a["y_im"][:trip] = a["a_im"][:trip] - ti
+    for i in range(trip):
+        br, bi = a["b_re"][i], a["b_im"][i]
+        wr, wi = a["w_re"][i], a["w_im"][i]
+        tr = (br * wr - bi * wi) >> 7
+        ti = (br * wi + bi * wr) >> 7
+        a["x_re"][i] = a["a_re"][i] + tr
+        a["x_im"][i] = a["a_im"][i] + ti
+        a["y_re"][i] = a["a_re"][i] - tr
+        a["y_im"][i] = a["a_im"][i] - ti
     return a
 
 

@@ -5,13 +5,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -28,18 +24,14 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
-    return {
-        "in": rng.integers(0, 256, trip + 2, dtype=np.int64),
-        "out": np.zeros(trip, dtype=np.int64),
-    }
+def arrays(rng: PCG64Stream, trip: int):
+    return {"in": rng.int_list(0, 256, trip + 2), "out": [0] * trip}
 
 
 def golden(a, trip: int):
     src = a["in"]
-    a["out"][:trip] = src[:trip] + src[2 : trip + 2] - 2 * src[1 : trip + 1]
+    for i in range(trip):
+        a["out"][i] = src[i] + src[i + 2] - 2 * src[i + 1]
     return a
 
 

@@ -5,13 +5,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -32,24 +28,16 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
-    return {
-        "in": rng.integers(0, 256, trip + 4, dtype=np.int64),
-        "out": np.zeros(trip, dtype=np.int64),
-    }
+def arrays(rng: PCG64Stream, trip: int):
+    return {"in": rng.int_list(0, 256, trip + 4), "out": [0] * trip}
 
 
 def golden(a, trip: int):
     s = a["in"]
-    a["out"][:trip] = (
-        s[:trip]
-        + 4 * s[1 : trip + 1]
-        + 6 * s[2 : trip + 2]
-        + 4 * s[3 : trip + 3]
-        + s[4 : trip + 4]
-    ) >> 4
+    for i in range(trip):
+        a["out"][i] = (
+            s[i] + 4 * s[i + 1] + 6 * s[i + 2] + 4 * s[i + 3] + s[i + 4]
+        ) >> 4
     return a
 
 

@@ -6,13 +6,9 @@ example family: three loads, one store, arithmetic in between).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -31,22 +27,19 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
+def arrays(rng: PCG64Stream, trip: int):
     return {
-        "fwd": rng.integers(0, 256, trip, dtype=np.int64),
-        "bwd": rng.integers(0, 256, trip, dtype=np.int64),
-        "resid": rng.integers(-64, 64, trip, dtype=np.int64),
-        "out": np.zeros(trip, dtype=np.int64),
+        "fwd": rng.int_list(0, 256, trip),
+        "bwd": rng.int_list(0, 256, trip),
+        "resid": rng.int_list(-64, 64, trip),
+        "out": [0] * trip,
     }
 
 
 def golden(a, trip: int):
-    import numpy as np
-
-    avg = (a["fwd"][:trip] + a["bwd"][:trip] + 1) >> 1
-    a["out"][:trip] = np.clip(avg + a["resid"][:trip], 0, 255)
+    for i in range(trip):
+        avg = (a["fwd"][i] + a["bwd"][i] + 1) >> 1
+        a["out"][i] = min(max(avg + a["resid"][i], 0), 255)
     return a
 
 

@@ -10,13 +10,9 @@ stresses the data-bus resource bound.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -50,30 +46,26 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
+def arrays(rng: PCG64Stream, trip: int):
     return {
-        "r0": rng.integers(0, 256, trip + 2, dtype=np.int64),
-        "r1": rng.integers(0, 256, trip + 2, dtype=np.int64),
-        "r2": rng.integers(0, 256, trip + 2, dtype=np.int64),
-        "out": np.zeros(trip, dtype=np.int64),
+        "r0": rng.int_list(0, 256, trip + 2),
+        "r1": rng.int_list(0, 256, trip + 2),
+        "r2": rng.int_list(0, 256, trip + 2),
+        "out": [0] * trip,
     }
 
 
 def golden(a, trip: int):
-    import numpy as np
-
     r0, r1, r2 = a["r0"], a["r1"], a["r2"]
-    gx = (
-        (r0[2 : trip + 2] - r0[:trip])
-        + 2 * (r1[2 : trip + 2] - r1[:trip])
-        + (r2[2 : trip + 2] - r2[:trip])
-    )
-    top = r0[:trip] + 2 * r0[1 : trip + 1] + r0[2 : trip + 2]
-    bot = r2[:trip] + 2 * r2[1 : trip + 1] + r2[2 : trip + 2]
-    gy = bot - top
-    a["out"][:trip] = np.minimum(np.abs(gx) + np.abs(gy), 255)
+    for i in range(trip):
+        gx = (
+            (r0[i + 2] - r0[i])
+            + 2 * (r1[i + 2] - r1[i])
+            + (r2[i + 2] - r2[i])
+        )
+        top = r0[i] + 2 * r0[i + 1] + r0[i + 2]
+        bot = r2[i] + 2 * r2[i + 1] + r2[i + 2]
+        a["out"][i] = min(abs(gx) + abs(bot - top), 255)
     return a
 
 

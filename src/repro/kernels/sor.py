@@ -8,13 +8,9 @@ regardless of CGRA size — the paper's Fig. 3 utilization argument.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -32,20 +28,15 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
-    return {
-        "in": rng.integers(0, 256, trip + 1, dtype=np.int64),
-        "out": np.zeros(trip, dtype=np.int64),
-    }
+def arrays(rng: PCG64Stream, trip: int):
+    return {"in": rng.int_list(0, 256, trip + 1), "out": [0] * trip}
 
 
 def golden(a, trip: int):
     prev = 0
     src = a["in"]
     for i in range(trip):
-        prev = (prev + int(src[i]) + int(src[i + 1])) >> 2
+        prev = (prev + src[i] + src[i + 1]) >> 2
         a["out"][i] = prev
     return a
 

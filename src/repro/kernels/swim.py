@@ -7,13 +7,9 @@ velocity and pressure fields from each other's spatial differences.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -31,21 +27,20 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
+def arrays(rng: PCG64Stream, trip: int):
     return {
-        "u": rng.integers(-128, 128, trip + 1, dtype=np.int64),
-        "p": rng.integers(0, 256, trip + 1, dtype=np.int64),
-        "unew": np.zeros(trip, dtype=np.int64),
-        "pnew": np.zeros(trip, dtype=np.int64),
+        "u": rng.int_list(-128, 128, trip + 1),
+        "p": rng.int_list(0, 256, trip + 1),
+        "unew": [0] * trip,
+        "pnew": [0] * trip,
     }
 
 
 def golden(a, trip: int):
     u, p = a["u"], a["p"]
-    a["unew"][:trip] = u[:trip] + ((p[:trip] - p[1 : trip + 1]) >> 2)
-    a["pnew"][:trip] = p[:trip] + ((u[:trip] - u[1 : trip + 1]) >> 2)
+    for i in range(trip):
+        a["unew"][i] = u[i] + ((p[i] - p[i + 1]) >> 2)
+        a["pnew"][i] = p[i] + ((u[i] - u[i + 1]) >> 2)
     return a
 
 

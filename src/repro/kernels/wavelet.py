@@ -6,13 +6,9 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -28,21 +24,15 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
-    return {
-        "in": rng.integers(0, 256, 2 * trip, dtype=np.int64),
-        "s": np.zeros(trip, dtype=np.int64),
-        "d": np.zeros(trip, dtype=np.int64),
-    }
+def arrays(rng: PCG64Stream, trip: int):
+    return {"in": rng.int_list(0, 256, 2 * trip), "s": [0] * trip, "d": [0] * trip}
 
 
 def golden(a, trip: int):
-    even = a["in"][0 : 2 * trip : 2]
-    odd = a["in"][1 : 2 * trip : 2]
-    a["s"][:trip] = (even + odd) >> 1
-    a["d"][:trip] = even - odd
+    for i in range(trip):
+        even, odd = a["in"][2 * i], a["in"][2 * i + 1]
+        a["s"][i] = (even + odd) >> 1
+        a["d"][i] = even - odd
     return a
 
 

@@ -11,13 +11,9 @@ arithmetic chains) — it exercises compute ResMII on small CGRAs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dfg.builder import DFGBuilder
 from repro.kernels.spec import KernelSpec
-
-if TYPE_CHECKING:
-    import numpy as np
+from repro.util.rng import PCG64Stream
 
 __all__ = ["SPEC"]
 
@@ -51,29 +47,25 @@ def build():
     return b.build()
 
 
-def arrays(rng: np.random.Generator, trip: int):
-    import numpy as np
-
+def arrays(rng: PCG64Stream, trip: int):
     return {
-        "y": rng.integers(16, 236, trip, dtype=np.int64),
-        "u": rng.integers(16, 241, trip, dtype=np.int64),
-        "v": rng.integers(16, 241, trip, dtype=np.int64),
-        "r": np.zeros(trip, dtype=np.int64),
-        "g": np.zeros(trip, dtype=np.int64),
-        "b": np.zeros(trip, dtype=np.int64),
+        "y": rng.int_list(16, 236, trip),
+        "u": rng.int_list(16, 241, trip),
+        "v": rng.int_list(16, 241, trip),
+        "r": [0] * trip,
+        "g": [0] * trip,
+        "b": [0] * trip,
     }
 
 
 def golden(a, trip: int):
-    import numpy as np
-
-    c = a["y"][:trip] - 16
-    d = a["u"][:trip] - 128
-    e = a["v"][:trip] - 128
-    base = 298 * c + 128
-    a["r"][:trip] = np.clip((base + 409 * e) >> 8, 0, 255)
-    a["g"][:trip] = np.clip((base - (100 * d + 208 * e)) >> 8, 0, 255)
-    a["b"][:trip] = np.clip((base + 516 * d) >> 8, 0, 255)
+    for i in range(trip):
+        d = a["u"][i] - 128
+        e = a["v"][i] - 128
+        base = 298 * (a["y"][i] - 16) + 128
+        a["r"][i] = min(max((base + 409 * e) >> 8, 0), 255)
+        a["g"][i] = min(max((base - (100 * d + 208 * e)) >> 8, 0), 255)
+        a["b"][i] = min(max((base + 516 * d) >> 8, 0), 255)
     return a
 
 

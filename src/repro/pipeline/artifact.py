@@ -146,8 +146,10 @@ class CompiledKernel:
     def from_json_dict(cls, raw: dict) -> "CompiledKernel":
         """The artifact *raw* encodes; :class:`ArtifactError` unless every
         field has its JSON type and arity (``type(x) is int``: ``True`` is
-        an ``int`` to ``isinstance``) and every fold-table denominator is
-        positive, so a reader never meets a malformed nested field later."""
+        an ``int`` to ``isinstance``), every fold-table denominator is
+        positive, ``ii_base`` is at least 1 and, on a mappable artifact,
+        so are ``ii_paged`` and ``pages_used``: a reader never meets a
+        malformed nested field or a profile it cannot build later."""
         if not isinstance(raw, dict):
             raise ArtifactError(f"artifact payload is {type(raw).__name__}, not an object")
         version = raw.get("version")
@@ -164,6 +166,12 @@ class CompiledKernel:
         for name, kind in _SCALARS.items():
             if type(fields[name]) is not kind:
                 raise ArtifactError(f"{name} {fields[name]!r} is not a {kind.__name__}")
+        positive = ["ii_base"]
+        if not fields["unmappable"]:  # an unmappable one stores zeros there
+            positive += ["ii_paged", "pages_used"]
+        for name in positive:
+            if fields[name] < 1:
+                raise ArtifactError(f"{name} {fields[name]} is below 1")
         steady = tuple(
             _ints(s, 3, "steady_ii entry") for s in _items(steady_ii, "steady_ii")
         )

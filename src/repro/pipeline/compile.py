@@ -185,7 +185,9 @@ def compile_job_stats(
 
     When the whole-array ladder is exhausted the paged mapping, if there is
     one, stands in as the base mapping; when neither maps, the base
-    ladder's :class:`~repro.util.errors.LadderExhausted` propagates.
+    ladder's :class:`~repro.util.errors.LadderExhausted` propagates.  The
+    base mapping passes ``validate_mapping`` before its II is stored as
+    ``ii_base``.
 
     The compile runs inside a per-job counter scope
     (:func:`repro.compiler.stats.job_counters`): the mapper's increments
@@ -224,8 +226,9 @@ def compile_job_stats(
             raise exhausted
         # a paged mapping uses a subset of the whole array's PEs and links,
         # so it is a whole-array mapping the base search missed
-        validate_mapping(paged.mapping)
-        base = paged
+        base = paged.mapping
+    # only its II is stored, so nothing downstream would see it illegal
+    validate_mapping(base)
     common = dict(
         kernel=job.kernel,
         rows=cgra.rows,

@@ -1,14 +1,12 @@
 """Reference DFG interpreter — the functional golden model.
 
-Executes a loop-body DFG for a given trip count directly on named numpy
-arrays, independent of any mapping or architecture.  Every mapped execution
+Executes a loop-body DFG for a given trip count directly on named lists of
+ints, independent of any mapping or architecture.  Every mapped execution
 (original, constrained, or PageMaster-transformed) must produce byte-equal
 array contents.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.arch.isa import Opcode, evaluate, wrap32
 from repro.dfg.analysis import dataflow_dag
@@ -18,7 +16,7 @@ from repro.util.errors import SimulationError
 __all__ = ["run_reference"]
 
 
-def _resolve(ref: MemRef, iteration: int, arrays: dict[str, np.ndarray]) -> tuple:
+def _resolve(ref: MemRef, iteration: int, arrays: dict[str, list[int]]) -> tuple:
     try:
         arr = arrays[ref.array]
     except KeyError:
@@ -26,17 +24,17 @@ def _resolve(ref: MemRef, iteration: int, arrays: dict[str, np.ndarray]) -> tupl
     idx = ref.offset + ref.stride * iteration
     if ref.ring is not None:
         idx %= ref.ring
-    if not 0 <= idx < arr.shape[0]:
+    if not 0 <= idx < len(arr):
         raise SimulationError(
             f"array {ref.array!r} index {idx} out of bounds "
-            f"[0,{arr.shape[0]}) at iteration {iteration}"
+            f"[0,{len(arr)}) at iteration {iteration}"
         )
     return arr, idx
 
 
 def run_reference(
-    dfg: DFG, arrays: dict[str, np.ndarray], trip: int
-) -> dict[str, np.ndarray]:
+    dfg: DFG, arrays: dict[str, list[int]], trip: int
+) -> dict[str, list[int]]:
     """Run *dfg* for *trip* iterations over *arrays* (mutated in place for
     stores; also returned for convenience).
 
@@ -66,11 +64,11 @@ def run_reference(
                     operands.append(history[e.src][-e.distance])
             if op.opcode is Opcode.LOAD:
                 arr, idx = _resolve(op.memref, i, arrays)
-                values[v] = wrap32(int(arr[idx]))
+                values[v] = wrap32(arr[idx])
             elif op.opcode is Opcode.LOADT:
                 # ordered load: the token operand only sequences it
                 arr, idx = _resolve(op.memref, i, arrays)
-                values[v] = wrap32(int(arr[idx]))
+                values[v] = wrap32(arr[idx])
             elif op.opcode is Opcode.STORE:
                 arr, idx = _resolve(op.memref, i, arrays)
                 arr[idx] = operands[0]

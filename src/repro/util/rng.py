@@ -1,30 +1,26 @@
 """Deterministic random-number helpers.
 
 Every stochastic piece of the library takes an explicit seed, so every
-experiment in the reproduction is bit-for-bit repeatable.  Two sources:
+experiment in the reproduction is bit-for-bit repeatable.  One source,
+:class:`PCG64Stream`, draws everything: the mapper's perturbed op orders
+(:meth:`repro.compiler.ems.EMSMapper.attempt_order`), the kernels' inputs
+(:mod:`repro.kernels`), the random DFGs (:mod:`repro.dfg.random_dfg`) and
+the system simulator's traces (:mod:`repro.sim.workload`).  It is pure
+Python, so the program never imports numpy, and an artifact's, an input's
+or a trace's bytes depend on this file rather than on numpy's internals.
+Its draws (``integers``, ``int_list``, ``random``, ``exponential``,
+``poisson``) return exactly what the same calls on
+``numpy.random.default_rng(seed)`` return, in any interleaving; numpy stays
+their test reference (``tests/test_util.py``).  :func:`derive_seed` is
+numpy's ``SeedSequence`` with a spawn key, in pure Python too.
 
-* :class:`PCG64Stream` — the mapper's perturbed op orders
-  (:meth:`repro.compiler.ems.EMSMapper.attempt_order`) and the system
-  simulator's traces (:mod:`repro.sim.workload`).  It is pure Python, so
-  compiling, storing, auditing, serving and simulating the system never
-  import numpy, and an artifact's or a trace's bytes depend on this file
-  rather than on numpy's internals.  Its draws (``integers``, ``random``,
-  ``exponential``, ``poisson``) return exactly what the same calls on
-  ``numpy.random.default_rng(seed)`` return, in any interleaving; numpy
-  stays their test reference (``tests/test_util.py``).
-  :func:`derive_seed` is numpy's ``SeedSequence`` with a spawn key, in
-  pure Python too.
-* :func:`make_rng` — a numpy generator for everything that builds arrays
-  (kernel inputs, random DFGs).  numpy is imported inside it.
+:func:`make_rng` returns a numpy generator for the benchmark harness under
+``perf/``, which imports it; nothing under ``src/`` calls it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["PCG64Stream", "make_rng", "derive_seed"]
 
@@ -113,8 +109,8 @@ class PCG64Stream:
     XSL-RR 128/64 output, the spare 32-bit half of a 64-bit output kept
     for the next 32-bit draw (a 64-bit draw leaves it alone), Lemire's
     bounded draw, the 53-bit double, the exponential ziggurat and the
-    Poisson samplers.  Only scalar draws are provided, one per call; an
-    array draw of numpy's is the same draws in order.
+    Poisson samplers.  An array draw of numpy's is the same scalar draws
+    in order (:meth:`int_list`).
     """
 
     __slots__ = ("_state", "_inc", "_spare")
@@ -154,6 +150,12 @@ class PCG64Stream:
             while m & _M32 < threshold:
                 m = self._next32() * n
         return m >> 32
+
+    def int_list(self, low: int, high: int, size: int) -> list[int]:
+        """*size* uniform integers in ``[low, high)``: numpy's
+        ``integers(low, high, size)``, the scalar draws in order."""
+        span, draw = high - low, self.integers
+        return [low + draw(span) for _ in range(size)]
 
     def random(self) -> float:
         """A uniform double in ``[0, 1)``: the top 53 bits of a 64-bit draw."""
@@ -252,8 +254,10 @@ def _loggam(x: float) -> float:
     return gl
 
 
-def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
-    """Return a :class:`numpy.random.Generator`.
+def make_rng(seed=0):
+    """Return a :class:`numpy.random.Generator`, for ``perf/`` only: its
+    serve workload draws its request mix from it.  The program draws from
+    :class:`PCG64Stream`.
 
     Accepts an integer seed (the common case), ``None`` (non-deterministic,
     only sensible for exploratory use), or an existing generator which is

@@ -378,6 +378,10 @@ MALFORMED = {
     "page-shape-string": lambda p: p.update(page_shape=["a", 2]),
     "ii-paged-string": lambda p: p.update(ii_paged="2"),
     "pages-used-float": lambda p: p.update(pages_used=2.5),
+    # well-typed, out of range: a profile of these cannot be built
+    "ii-base-zero": lambda p: p.update(ii_base=0),
+    "ii-paged-zero": lambda p: p.update(ii_paged=0),
+    "pages-used-zero": lambda p: p.update(pages_used=0),
 }
 
 
@@ -386,8 +390,9 @@ def test_malformed_nested_field_is_a_miss_and_art_read(
     tmp_path, committed, shape, caplog
 ):
     """A well-formed JSON file whose nested field has the wrong type or
-    arity is refused on read: the store logs it and misses, and the audit
-    reports ART-READ instead of raising."""
+    arity, or whose II or page need is below 1, is refused on read: the
+    store logs it and misses, and the audit reports ART-READ instead of
+    raising."""
     victim = min(
         (a for a in committed if any(steps for (_, steps, _) in a.routes)),
         key=lambda a: (len(a.placements), a.key.digest),

@@ -28,7 +28,7 @@ from repro.dfg.graphalg import (  # noqa: E402
 from repro.dfg.random_dfg import random_arrays, random_dfg  # noqa: E402
 from repro.kernels import get_kernel, kernel_names  # noqa: E402
 from repro.sim import reference  # noqa: E402
-from repro.util.rng import make_rng  # noqa: E402
+from repro.util.rng import PCG64Stream  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # the kernels on random digraphs
@@ -203,7 +203,7 @@ def _nx_spread_targets(mapper, dfg):
 def _suite_and_random_dfgs():
     for name in kernel_names():
         spec = get_kernel(name)
-        yield name, spec.build(), lambda spec=spec: spec.arrays(make_rng(0), 4)
+        yield name, spec.build(), lambda spec=spec: spec.arrays(PCG64Stream(0), 4)
     for seed in range(50):
         dfg = random_dfg(seed, n_ops=4 + seed % 12, n_outputs=1 + seed % 2)
         yield dfg.name, dfg, lambda dfg=dfg, seed=seed: random_arrays(dfg, seed, 4)

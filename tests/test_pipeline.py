@@ -165,7 +165,7 @@ def _artifacts():
         placements=placements,
         routes=routes,
         steady_ii=steady,
-    )
+    ).filter(lambda a: a.unmappable or min(a.ii_paged, a.pages_used) >= 1)
 
 
 class TestRoundTrip:
@@ -500,6 +500,32 @@ class TestBatchOutcomes:
         path = ArtifactStore(tmp_path).put(artifact)
         entry = audit_file(path, path.relative_to(tmp_path).as_posix())
         assert not [f for f in entry.findings if f.severity is Severity.ERROR]
+
+    def test_an_illegal_base_mapping_is_refused(self, tmp_path, monkeypatch):
+        """Only the base mapping's II is stored, so it is validated before:
+        laplace's whole-array mapping planted one II low (placements and
+        routes kept) fails ``validate_mapping``, the job fails, and nothing
+        is stored."""
+        import dataclasses
+
+        import repro.pipeline.compile as compile_mod
+        from repro.pipeline import CompileFailure, compile_many_outcomes
+        from repro.util.errors import LadderExhausted, ReproError
+
+        real = compile_mod.map_dfg
+
+        def one_ii_low(*args, **kwargs):
+            mapping = real(*args, **kwargs)
+            return dataclasses.replace(mapping, ii=mapping.ii - 1)
+
+        monkeypatch.setattr(compile_mod, "map_dfg", one_ii_low)
+        job = CompileJob("laplace", 4, 2)  # base II 2
+        with pytest.raises(ReproError) as caught:
+            compile_mod.compile_job_stats(job)
+        assert not isinstance(caught.value, LadderExhausted)
+        store = ArtifactStore(tmp_path / "store")
+        (outcome,) = compile_many_outcomes([job], store=store)
+        assert isinstance(outcome, CompileFailure) and store.puts == 0
 
     def test_unpicklable_cause_is_dropped_in_the_worker(self, monkeypatch):
         """A pool worker ships a failure whose exception cannot make the

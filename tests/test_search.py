@@ -30,7 +30,7 @@ from repro.compiler.search import DfgProbes, LadderReport, ProbeMemo, climb_ladd
 from repro.compiler.stats import MapperCounters, counters, job_counters
 from repro.kernels import get_kernel, kernel_names
 from repro.util.errors import LadderExhausted, MappingError
-from repro.util.rng import make_rng
+from repro.util.rng import PCG64Stream
 
 
 def _sor():
@@ -53,7 +53,7 @@ class TestAttemptOrderReplay:
         orders = mapper.attempt_orders(dfg)
 
         # walk a few rungs in order, drawing from one stream
-        rng = make_rng(cfg.seed)
+        rng = PCG64Stream(cfg.seed)
         serial: dict[tuple[int, int], list[int]] = {}
         for ii in range(start_ii, start_ii + 3):
             for attempt in range(cfg.attempts_per_ii):

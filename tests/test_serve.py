@@ -1223,22 +1223,23 @@ class TestJobPool:
         assert stats["store"]["puts"] == 1 and _idle(stats)
 
     def test_dead_worker_is_one_failed_request_not_a_wedged_service(self, tmp_path):
-        """SIGKILL a pool process mid-compile: that request is answered
-        ``BrokenProcessPool`` (never stored, never ``unmappable``), the
-        pool is replaced, and the next three misses compile."""
-        victim = _request("sobel", page_size=4)  # 0.3 s: killed while it climbs
+        """SIGKILL a warm pool process, and wait until it is dead, before
+        the next miss: that request is answered ``BrokenProcessPool``
+        (never stored, never ``unmappable``), the pool is replaced, and the
+        next three misses compile.  The kill lands before the dispatch, so
+        the outcome does not depend on how long the victim's compile takes."""
+        victim = _request("sobel", page_size=4)
         after = [_request(kernel) for kernel in ("sor", "mpeg", "gsr")]
 
         async def body():
             config = ServiceConfig(store_root=str(tmp_path), workers=2, slots=2)
             async with CompileService(config) as service:
-                pending = asyncio.ensure_future(service.submit(victim))
-                while not service.scheduler.stats()["running"]:
-                    await asyncio.sleep(0.005)
-                await asyncio.sleep(0.1)
-                os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+                worker = multiprocessing.active_children()[0]
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join(10)
+                assert not worker.is_alive()
                 # the parent commit hung on the third miss after the kill
-                killed = await asyncio.wait_for(pending, 60)
+                killed = await asyncio.wait_for(service.submit(victim), 60)
                 served = [
                     await asyncio.wait_for(service.submit(r), 60) for r in after
                 ]

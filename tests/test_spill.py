@@ -113,7 +113,7 @@ class TestRewrite:
             if op.opcode is Opcode.STORE and op.memref.array.startswith(
                 TMP_ARRAY_PREFIX
             ):
-                mem.bind_array(op.memref.array, np.zeros(op.memref.ring))
+                mem.bind_array(op.memref.array, [0] * op.memref.ring)
         simulate(lower_mapping(m, mem, trip), cgra, mem)
         snap = mem.snapshot()
         for arr in expected:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import math
 import os
@@ -90,6 +91,19 @@ class TestPCG64Stream:
             got = [ours.poisson(lam) for _ in range(400)]
             assert got == ref.poisson(lam, 400).tolist(), lam
         assert ours.integers(5) == ref.integers(5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 99, 2**40 + 3])
+    def test_int_list_equals_numpy_array_draws(self, seed):
+        """``int_list(low, high, size)`` is numpy's ``integers(low, high,
+        size)`` (int64), on the kernels' and the random DFGs' ranges,
+        interleaved with the scalar draws ``random_dfg`` makes."""
+        ours, ref = PCG64Stream(seed), np.random.default_rng(seed)
+        shapes = [(0, 256, 67), (-128, 128, 33), (16, 236, 1), (-64, 64, 130),
+                  (-8, 8, 2), (16, 241, 0)]
+        for low, high, size in shapes:
+            assert ours.int_list(low, high, size) == ref.integers(low, high, size).tolist()
+            assert ours.random() == ref.random()
+            assert ours.integers(9) == ref.integers(9)
 
     def test_interleaved_draws_equal_numpy(self):
         """A 64-bit draw leaves the spare 32-bit half of an earlier
@@ -299,6 +313,78 @@ def test_system_simulator_runs_without_the_mapper():
     assert int(invocations) > 0
     assert numpy_loaded == "False"
     assert loaded == []
+
+
+FOLD_CHILD = """
+import sys
+
+sys.modules["numpy"] = None  # any import of numpy now raises
+
+from pathlib import Path
+
+import repro
+from repro.compiler.constraints import paged_bus_key
+from repro.core.pagemaster import PageMaster
+from repro.kernels import bind_memory, get_kernel
+from repro.pipeline.compile import CompileJob, job_key
+from repro.pipeline.store import ArtifactStore
+from repro.sim.cgra_sim import simulate
+from repro.sim.reference import run_reference
+from repro.sim.retarget import required_batches, retarget_firings
+
+trip = 16
+committed = ArtifactStore(Path(repro.__file__).resolve().parents[2] / ".repro_artifacts")
+artifact = committed.get(job_key(CompileJob("mpeg", 4, 2)))
+dfg, arrays, expected = get_kernel("mpeg").fresh(seed=3, trip=trip)
+reference = run_reference(dfg, {k: list(v) for k, v in arrays.items()}, trip)
+paged = artifact.materialize(dfg)
+batches = required_batches(paged.mapping, trip)
+correct = []
+for m in range(paged.pages_used, 0, -1):
+    memory = bind_memory(arrays)
+    placement = PageMaster(
+        paged.layout.num_pages, paged.ii, m, wrap_used=paged.wrap_used
+    ).place(batches=batches)
+    firings = retarget_firings(paged, placement, list(range(m)), memory, trip)
+    simulate(firings, paged.mapping.cgra, memory, bus_key=paged_bus_key(paged.layout))
+    correct.append(memory.snapshot() == reference == expected)
+print(len(correct), all(correct))
+"""
+
+
+def test_fold_path_runs_without_numpy():
+    """The paper's runtime path, in a fresh interpreter where importing
+    numpy raises: a committed artifact is materialized, folded onto every
+    M by PageMaster, retargeted and simulated, and each memory equals the
+    reference interpreter's arrays and the kernel's golden."""
+    child = run_fresh(FOLD_CHILD)
+    assert child.returncode == 0, child.stderr
+    folds, correct = child.stdout.split()
+    assert int(folds) >= 2 and correct == "True"
+
+
+def test_no_numpy_import_in_the_program():
+    """No module under ``src/`` or ``examples/`` imports numpy, but
+    ``make_rng``'s body, which only the ``perf/`` harness calls."""
+    root = Path(repro.__file__).resolve().parents[2]
+    found = []
+
+    def visit(node, path, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.append((path, function, child.lineno))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, path, child.name if named else function)
+
+    for path in [*(root / "src").rglob("*.py"), *(root / "examples").glob("*.py")]:
+        visit(ast.parse(path.read_text()), path.relative_to(root).as_posix(), None)
+    assert [where[:2] for where in found] == [("src/repro/util/rng.py", "make_rng")], found
 
 
 @settings(max_examples=200, deadline=None)
