@@ -173,6 +173,13 @@ class _DfgTables(NamedTuple):
     spread: dict[int, dict[int, int]]
 
 
+class _OpFacts(NamedTuple):
+    """What every trial of one :meth:`EMSMapper._place_op` knows of its op."""
+    is_mem: bool
+    open_succ: bool  #: some consumer is unplaced: score the escape room
+    open_pred: bool  #: some producer is unplaced: score the arrival room
+
+
 @dataclass
 class _Attempt:
     """Mutable state of one placement attempt.
@@ -192,6 +199,11 @@ class _Attempt:
     #: back to the state the op started from, so its candidate masks and
     #: all its candidates share them
     fronts: dict[tuple[int, int], list[int]] = field(default_factory=dict)
+    #: what no trial of the current ``_place_op`` changes about its op
+    op: _OpFacts | None = None
+    #: what :meth:`EMSMapper._traps_pending_edge` checks, that op placed: op
+    #: id -> (arrival slots needed, <= 2; needs an escape slot), per pending op
+    watch: dict[int, tuple[int, bool]] = field(default_factory=dict)
     #: ``(op_id, reason)`` the attempt died on: ``window`` (no cycle between
     #: the op's placed producers and consumers), ``no-pe`` (empty candidate
     #: pool), ``no-slot`` (window scanned, none admissible), ``budget`` (cut)
@@ -551,6 +563,7 @@ class EMSMapper:
         budget = self.budget
         st.fronts = {}
         is_mem = op.is_memory
+        st.op = self._op_facts(dfg, st, op_id, is_mem)
         # what the masks sweep from: every holder of each placed
         # producer's value at each distance, and each placed consumer
         held = {}
@@ -673,7 +686,7 @@ class EMSMapper:
         started from, so searching again would find them route for route;
         the trap check passed on this very state."""
         mrt = st.mrt
-        mrt.claim_id(pe_id, t, memory=dfg.ops[op_id].is_memory)
+        mrt.claim_id(pe_id, t, memory=st.op.is_mem)
         for route in routes:
             commit_route(mrt, route.steps)
             st.routes[route.edge_id] = route
@@ -697,19 +710,13 @@ class EMSMapper:
         # congestion terms, only in the directions with unrouted edges:
         # escape room at t+1 when some consumer is still unplaced, arrival
         # room at t-1 when some producer is still unplaced
-        has_open_succ = any(
-            e.dst not in st.placements for e in dfg.out_edges(op_id)
-        )
-        has_open_pred = any(
-            e.src not in st.placements for e in dfg.in_edges(op_id)
-        )
         mrt = st.mrt
         blocked = 0
-        if has_open_succ:
+        if st.op.open_succ:
             for nb in self._esc_ids[pe_id]:
                 if not mrt.slot_free_id(nb, t + 1):
                     blocked += 1
-        if has_open_pred and t >= 1:
+        if st.op.open_pred and t >= 1:
             for nb in self._arr_ids[pe_id]:
                 if not mrt.slot_free_id(nb, t - 1):
                     blocked += 1
@@ -723,7 +730,7 @@ class EMSMapper:
         routes = [st.routes.pop(e.id) for e in (*pred_edges, *succ_edges)]
         for route in routes:
             release_route(st.mrt, route.steps)
-        st.mrt.release_id(pe_id, t, memory=dfg.ops[op_id].is_memory)
+        st.mrt.release_id(pe_id, t, memory=st.op.is_mem)
         return routes
 
     def _candidate_pes(
@@ -752,14 +759,9 @@ class EMSMapper:
         else:
             rank_bias = lambda pid: 0  # noqa: E731
         if anchor_ids:
-            return sorted(
-                pool,
-                key=lambda pid: (
-                    sum(man[pid][a] for a in anchor_ids),
-                    rank_bias(pid),
-                    pid,
-                ),
-            )
+            # Manhattan is symmetric: the anchors' rows, summed column-wise
+            dist = [sum(col) for col in zip(*[man[a] for a in anchor_ids])]
+            return sorted(pool, key=lambda pid: (dist[pid], rank_bias(pid), pid))
         if ranks is not None and target is not None:
             return sorted(pool, key=lambda pid: (rank_bias(pid), pid))
         return list(pool)
@@ -788,7 +790,7 @@ class EMSMapper:
         through slots free now, so that holder's frontier covers it.)
         *prechecked* says the caller's :meth:`_candidate_mask` has already
         answered that, exactly, for this candidate."""
-        op = dfg.ops[op_id]
+        is_mem = st.op.is_mem
         mrt = st.mrt
         ctx = self._route_ctx
 
@@ -810,7 +812,7 @@ class EMSMapper:
                     st.stats.trials_refuted += 1
                     return False
 
-        mrt.claim_id(pe_id, t, memory=op.is_memory)
+        mrt.claim_id(pe_id, t, memory=is_mem)
         # Routes go straight into st.routes, where the holders of the next
         # edge's value are read from; edges with zero steps still get a
         # Route record so downstream consumers can distinguish "routed,
@@ -836,13 +838,13 @@ class EMSMapper:
             routed.append(e.id)
         if ok:
             st.placements[op_id] = (pe_id, t)
-            if self._traps_pending_edge(dfg, ii, st):
+            if self._traps_pending_edge(ii, st):
                 del st.placements[op_id]
                 ok = False
         if not ok:
             for edge_id in routed:
                 release_route(mrt, st.routes.pop(edge_id).steps)
-            mrt.release_id(pe_id, t, memory=op.is_memory)
+            mrt.release_id(pe_id, t, memory=is_mem)
         return ok
 
     def _holders(
@@ -861,7 +863,29 @@ class EMSMapper:
                     out.append((id_of[s2.pe], s2.time, s2))
         return out
 
-    def _traps_pending_edge(self, dfg: DFG, ii: int, st: _Attempt) -> bool:
+    @staticmethod
+    def _op_facts(dfg: DFG, st: _Attempt, op_id: int, is_mem: bool) -> _OpFacts:
+        """:class:`_OpFacts` of *op_id*; ``st.watch`` takes it as placed
+        (only its own entry and its neighbours' can change)."""
+        placements = st.placements
+        tables = _dfg_tables(dfg)
+        trap_in, trap_out = tables.trap_in, tables.trap_out
+        for u_id in (op_id, *trap_in[op_id], *trap_out[op_id]):
+            if u_id != op_id and u_id not in placements:
+                continue
+            pending_in = sum(s not in placements and s != op_id for s in trap_in[u_id])
+            open_out = any(d not in placements and d != op_id for d in trap_out[u_id])
+            if pending_in or open_out:
+                st.watch[u_id] = (min(pending_in, 2), open_out)
+            else:
+                st.watch.pop(u_id, None)
+        return _OpFacts(
+            is_mem,
+            any(d not in placements for d in trap_out[op_id]),
+            any(e.src not in placements for e in dfg.in_edges(op_id)),
+        )
+
+    def _traps_pending_edge(self, ii: int, st: _Attempt) -> bool:
         """Would the current reservations starve a placed op whose edges
         are not all routed yet?
 
@@ -870,7 +894,8 @@ class EMSMapper:
         unrouted operands; one with an unplaced consumer needs at least one
         free escape slot at ``t+1`` for its value to leave.  Rejecting
         candidates that exhaust these slots is what keeps the greedy from
-        painting itself into a corner on load/const-heavy graphs.
+        painting itself into a corner on load/const-heavy graphs.  The ops
+        to check are ``st.watch``.
         """
         mrt = st.mrt
         arr_ids = self._arr_ids
@@ -878,35 +903,25 @@ class EMSMapper:
         occ = mrt.occupied
         num_pes = mrt.num_pes
         placements = st.placements
-        tables = _dfg_tables(dfg)
-        trap_in, trap_out = tables.trap_in, tables.trap_out
-        for u_id, (u_pe, u_t) in placements.items():
-            srcs = trap_in[u_id]
-            if srcs:
-                pending_in = 0
-                for s in srcs:
-                    if s not in placements:
-                        pending_in += 1
-                if pending_in:
-                    need = 2 if pending_in > 1 else 1
-                    base = ((u_t - 1) % ii) * num_pes
-                    free = 0
-                    for nb in arr_ids[u_pe]:
-                        if not occ[base + nb]:
-                            free += 1
-                            if free >= need:
-                                break
-                    if free < need:
-                        return True
-            for d in trap_out[u_id]:
-                if d not in placements:
-                    base = ((u_t + 1) % ii) * num_pes
-                    for nb in esc_ids[u_pe]:
-                        if not occ[base + nb]:
+        for u_id, (need, open_out) in st.watch.items():
+            u_pe, u_t = placements[u_id]
+            if need:
+                base = ((u_t - 1) % ii) * num_pes
+                free = 0
+                for nb in arr_ids[u_pe]:
+                    if not occ[base + nb]:
+                        free += 1
+                        if free >= need:
                             break
-                    else:
-                        return True
-                    break
+                if free < need:
+                    return True
+            if open_out:
+                base = ((u_t + 1) % ii) * num_pes
+                for nb in esc_ids[u_pe]:
+                    if not occ[base + nb]:
+                        break
+                else:
+                    return True
         return False
 
 

@@ -23,6 +23,7 @@ occupies its PE at modulo slot ``t % II``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.arch.cgra import CGRA
 from repro.arch.interconnect import Coord
@@ -73,10 +74,10 @@ class Placement:
             raise MappingError(f"op {self.op_id}: negative start time {self.time}")
 
 
-@dataclass(frozen=True)
-class RouteStep:
+class RouteStep(NamedTuple):
     """One routing hop: PE *pe* re-emits the value at consumer-frame time
-    *time* (it read the value produced/re-emitted at ``time - 1``)."""
+    *time* (it read the value produced/re-emitted at ``time - 1``); a
+    tuple, like :class:`Coord`, as the router makes one per trial step."""
 
     pe: Coord
     time: int

@@ -17,8 +17,10 @@ Both searches start from the query's *corridor*: the PEs a walk may stand
 on at each step and still end on a goal PE at the right cycle, one ``int``
 per step — a forward sweep from the holder (:meth:`RoutingContext.
 reachable`) and a backward one from the consumer (:meth:`RoutingContext.
-corridor`), each a handful of OR/AND steps over per-PE move bitmasks and the
-reservation table's per-slot free-PE bitmasks.
+corridor`), one step per cycle: five shift-and-mask terms over the whole
+set (:func:`_hop`; every allowed move is a hold or a 4-mesh hop, so each
+direction is one shift of the row-major ids) AND-ed with the reservation
+table's free-PE bitmask of that cycle's slot.
 
 A route shorter than the II visits every modulo slot at most once, so it
 cannot collide with itself and the backward sweep *is* the search: the
@@ -46,9 +48,9 @@ The searches run entirely on integer PE ids from the fabric's
 :class:`~repro.arch.interconnect.GridIndex`: a :class:`RoutingContext`
 pins one (fabric, page layout) pair (:func:`routing_context` keeps one
 per pair for every mapper, ladder, job and thread that maps on it) and
-memoizes the per-PE allowed-move lists (and their bitmask, transposed and
-read-hop forms), the per-(PE, destination-hint) greedy move orderings,
-and the per-destination goal tables (goal PEs sorted by PE id, a
+memoizes the per-PE allowed-move lists (and, as shift masks, those moves,
+their reverse and the reads), the per-(PE, destination-hint) greedy move
+orderings, and the per-destination goal tables (goal PEs sorted by PE id, a
 membership mask, the min-Manhattan-to-goal pruning bound, and the greedy
 destination *hint*).
 Route choice is a pure function of these explicit tables — the search
@@ -68,6 +70,7 @@ from repro.compiler.mapping import RouteStep
 from repro.compiler.mrt import ReservationTable
 from repro.compiler.stats import MapperCounters, counters
 from repro.core.paging import PageLayout
+from repro.util.errors import ArchitectureError
 
 __all__ = [
     "RoutingContext",
@@ -81,6 +84,9 @@ __all__ = [
 #: satisfy ``dist > remaining`` being False): larger than any grid distance.
 _UNREACHABLE = 1 << 30
 
+#: (row, col) offset of a step -> its index among _shift_masks' masks
+_DIRECTIONS = {(0, 0): 0, (-1, 0): 1, (1, 0): 2, (0, -1): 3, (0, 1): 4}
+
 #: (goal ids sorted, membership mask, min-dist-to-goal, hint, goal bitmask)
 _GoalEntry = tuple[
     tuple[int, ...], tuple[bool, ...], tuple[int, ...], int | None, int
@@ -91,20 +97,21 @@ class RoutingContext:
     """Memoized integer-domain routing tables for one (fabric, layout).
 
     Built once per pair (:func:`routing_context`) and consulted millions
-    of times: every table is an indexed load, computed lazily on first use
-    and reused by every later mapper on the pair.  A table is a pure
-    function of the pair, so two threads that fill one entry at once
-    store equal values and either may win.
+    of times: the move and read tables and their shift masks at
+    construction, the rest lazily on first use, all reused by every later
+    mapper on the pair.  A table is a pure function of the pair, so two
+    threads that fill one entry at once store equal values and either may
+    win.
     """
 
     __slots__ = (
         "gi",
         "layout",
         "allowed_moves",
-        "move_bits",
-        "rev_bits",
         "readable_from",
-        "arrive_bits",
+        "move_masks",
+        "rev_masks",
+        "read_masks",
         "_route_mask",
         "_moves_tables",
         "_goals",
@@ -136,16 +143,6 @@ class RoutingContext:
                 )
                 for p in range(gi.num_pes)
             )
-        # allowed_moves[p] as a bitmask (bit q set == p may move to q)
-        self.move_bits: tuple[int, ...] = tuple(
-            sum(1 << q for q in qs) for qs in self.allowed_moves
-        )
-        # move_bits transposed (bit p of rev_bits[q] set == p may move to q)
-        rev = [0] * gi.num_pes
-        for p, qs in enumerate(self.allowed_moves):
-            for q in qs:
-                rev[q] |= 1 << p
-        self.rev_bits: tuple[int, ...] = tuple(rev)
         # readable_from[c]: the PEs whose output a consumer on c can read
         # (its goal PEs, in reach1_ids order; reading parks nothing, so no
         # ROUTE mask)
@@ -160,14 +157,13 @@ class RoutingContext:
                 )
                 for c in range(gi.num_pes)
             )
-        # readable_from transposed (bit c of arrive_bits[p] set == a
-        # consumer on c can read a value held on p): move_bits without the
-        # ROUTE mask on the destination
-        arrive = [0] * gi.num_pes
-        for c, ps in enumerate(self.readable_from):
-            for p in ps:
-                arrive[p] |= 1 << c
-        self.arrive_bits: tuple[int, ...] = tuple(arrive)
+        # the sweeps' steps as shift masks (_hop): moves, reverse moves, reads
+        moves = [(p, q) for p, qs in enumerate(self.allowed_moves) for q in qs]
+        self.move_masks = _shift_masks(cgra, moves)
+        self.rev_masks = _shift_masks(cgra, [(q, p) for p, q in moves])
+        self.read_masks = _shift_masks(
+            cgra, [(p, c) for c, ps in enumerate(self.readable_from) for p in ps]
+        )
         # hint -> full per-PE move table (one indexed load per expansion in
         # the route searches instead of a method call + dict probe)
         self._moves_tables: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -299,7 +295,7 @@ class RoutingContext:
             front = fronts[(src_id, t_src_eff)] = [1 << src_id]
         if len(front) < gap:
             _sweep(
-                front, self.move_bits, mrt.free_mask, mrt.ii,
+                front, self.move_masks, mrt.free_mask, mrt.ii,
                 range(t_src_eff + len(front), t_src_eff + gap),
             )
         return front
@@ -320,7 +316,7 @@ class RoutingContext:
         if gap < 1:
             return 0
         front = self._front(mrt, fronts, src_id, t_src_eff, gap)
-        return _hop(front[gap - 1], self.arrive_bits)
+        return _hop(front[gap - 1], self.read_masks)
 
     def reach_to(
         self,
@@ -340,7 +336,7 @@ class RoutingContext:
         if gap == 1:
             return self.goal_table(dst_id)[4]
         back = self.corridor(mrt, fronts, dst_id, t_dst, gap - 1)
-        return _hop(back[gap - 2], self.rev_bits)
+        return _hop(back[gap - 2], self.rev_masks)
 
     def corridor(
         self,
@@ -366,7 +362,7 @@ class RoutingContext:
             back = fronts[key] = [last]
         if len(back) < hops:
             _sweep(
-                back, self.rev_bits, mrt.free_mask, ii,
+                back, self.rev_masks, mrt.free_mask, ii,
                 range(t_dst - 1 - len(back), t_dst - 1 - hops, -1),
             )
         return back
@@ -384,27 +380,44 @@ def routing_context(cgra: CGRA, layout: PageLayout | None = None) -> RoutingCont
 
 def _sweep(
     sets: list[int],
-    step_bits: tuple[int, ...],
+    step: tuple[int, ...],
     free: list[int],
     ii: int,
     times: range,
 ) -> None:
     """Extend *sets* by one bitmask per cycle of *times*: the PEs one
-    ``step_bits`` move away from the previous set whose slot is free."""
+    *step* away from the previous set whose slot is free (:func:`_hop`,
+    inlined: a call per step adds ~25 ms to the 1.1 s flat 4x4 suite)."""
+    cols, stay, up, down, left, right = step
     bits = sets[-1]
     for t in times:
-        bits = _hop(bits, step_bits) & free[t % ii]
+        bits = (bits & stay | bits >> cols & up | bits << cols & down
+                | bits >> 1 & left | bits << 1 & right) & free[t % ii]
         sets.append(bits)
 
 
-def _hop(bits: int, step_bits: tuple[int, ...]) -> int:
-    """The PEs one ``step_bits`` move away from some PE of *bits*."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= step_bits[low.bit_length() - 1]
-        bits ^= low
-    return out
+def _hop(bits: int, step: tuple[int, ...]) -> int:
+    """The PEs one *step* away from some PE of *bits*."""
+    cols, stay, up, down, left, right = step
+    return (bits & stay | bits >> cols & up | bits << cols & down
+            | bits >> 1 & left | bits << 1 & right)
+
+
+def _shift_masks(cgra: CGRA, steps: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The one-cycle *steps* ``(from, to)`` as :func:`_hop` shifts them:
+    ``(cols, stay, up, down, left, right)``, each mask the *to* PEs of its
+    direction (row-major ids: up ``-cols``, down ``+cols``, left ``-1``,
+    right ``+1``).  A step that is neither a hold nor a 4-mesh hop has no
+    shift, and raises."""
+    coords = cgra.grid_index.coords
+    masks = [0] * 5
+    for p, q in steps:
+        (r0, c0), (r1, c1) = coords[p], coords[q]
+        d = _DIRECTIONS.get((r1 - r0, c1 - c0))
+        if d is None:
+            raise ArchitectureError(f"{coords[p]} -> {coords[q]} is not a mesh hop")
+        masks[d] |= 1 << q
+    return (cgra.cols, *masks)
 
 
 def find_route_shared_ids(
@@ -505,13 +518,24 @@ def cost_floors(
     ends: dict[int, int] = {}  # distance * II -> latest consumer time + it
     for _, dst_t, shift in succ_anchors:
         ends[shift] = max(ends.get(shift, 0), dst_t + shift)
+    # one ascending sweep: the terms sum to active * (t - 1) - latest; a
+    # step (holder time, gain over its value's previous, first?) counts from t > time
+    steps = []
+    for holders in pred_holders:
+        prev = None
+        for h in sorted(h for _, h in holders):
+            steps.append((h, h - (prev or 0), prev is None))
+            prev = h
+    steps.sort()
+    steps.append((t_hi + 1, 0, False))  # sentinel: t never passes it
+    ends_sum, n_ends = sum(ends.values()), len(ends)
     floors = []
+    active = latest = i = 0
     for t in range(t_lo, t_hi + 1):
-        slots = 0
-        for holders in pred_holders:
-            slots += t - 1 - max((h for _, h in holders if h < t), default=t - 1)
-        for end in ends.values():
-            slots += end - t - 1
+        while steps[i][0] < t:
+            _, gain, first = steps[i]
+            latest, active, i = latest + gain, active + first, i + 1
+        slots = active * (t - 1) - latest + ends_sum - n_ends * (t + 1)
         floors.append(slots + 0.25 * (t - t_lo))
     for i in range(len(floors) - 2, -1, -1):
         floors[i] = min(floors[i], floors[i + 1])

@@ -33,7 +33,12 @@ from repro.dfg.builder import DFGBuilder
 from repro.kernels import get_kernel
 from repro.pipeline.artifact import CompiledKernel
 from repro.pipeline.store import ArtifactStore
-from repro.util.errors import CapabilityViolation, ConstraintViolation, MappingError
+from repro.util.errors import (
+    ArchitectureError,
+    CapabilityViolation,
+    ConstraintViolation,
+    MappingError,
+)
 
 
 def tiny_dfg():
@@ -644,7 +649,7 @@ class TestReachabilityFilter:
         cgra, ctx = self._context(name, ring, route_mask, rng)
         mapper = EMSMapper(cgra, ctx.layout)
         # reading parks nothing, so only the move tables carry the ROUTE mask
-        assert (ctx.arrive_bits != ctx.move_bits) == route_mask
+        assert (ctx.read_masks != ctx.move_masks) == route_mask
         n = cgra.num_pes
         refuted = passed = undecided = undecided_false = 0
         for _ in range(120):
@@ -711,6 +716,132 @@ class TestReachabilityFilter:
             q = (rng.randrange(4), rng.randrange(3), rng.randrange(16),
                  rng.randrange(0, 12))
             assert ctx.reachable(mrt, shared, *q) == ctx.reachable(mrt, {}, *q)
+
+    @pytest.mark.parametrize(
+        "name", ["4x4", "6x6", "8x8", "4x4-memcols", "8x8-memcols"]
+    )
+    @pytest.mark.parametrize("route_mask", [False, True])
+    def test_shift_mask_hop_is_the_set_bit_hop(self, name, route_mask):
+        """``routing._hop`` on the move, reverse and read masks equals the
+        per-PE bitmask loop it replaced, on every page size's layout: the
+        whole array, the chain, its ring and each of its sub-chains;
+        random sets, the empty set and every PE."""
+        import random
+
+        from repro.compiler.routing import _hop
+        from repro.core.paging import choose_page_shape
+
+        rng = random.Random(f"hop/{name}/{route_mask}")
+        cgra, whole = self._context(name, False, route_mask, rng)
+        n = cgra.num_pes
+        contexts = [whole]
+        for page_size in range(1, n + 1):
+            try:
+                shape = choose_page_shape(page_size, cgra.rows, cgra.cols)
+            except ArchitectureError:
+                continue
+            chain = PageLayout(cgra, shape)
+            contexts += [
+                RoutingContext(cgra, layout)
+                for layout in (
+                    chain, chain.ring(),
+                    *map(chain.subchain, range(1, chain.num_pages + 1)),
+                )
+            ]
+        sets = [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(6))]
+        for ctx in contexts:
+            moves = [(p, q) for p, qs in enumerate(ctx.allowed_moves) for q in qs]
+            reads = [(p, c) for c, ps in enumerate(ctx.readable_from) for p in ps]
+            for masks, steps in (
+                (ctx.move_masks, moves),
+                (ctx.rev_masks, [(q, p) for p, q in moves]),
+                (ctx.read_masks, reads),
+            ):
+                table = [0] * n  # the replaced form: bit q of table[p] == p -> q
+                for p, q in steps:
+                    table[p] |= 1 << q
+                for bits in sets:
+                    assert _hop(bits, masks) == _set_bit_hop(bits, table)
+        # a ring/ROUTE filter did remove moves (not only the mesh edge)
+        assert any(c.move_masks != whole.move_masks for c in contexts[1:])
+
+    def test_shift_masks_refuse_a_move_that_is_not_a_mesh_hop(self, cgra44):
+        """A step with no shift raises instead of vanishing from the masks:
+        two columns over, across a row end (ids 3 -> 4: a +1 shift, not a
+        hop), diagonal."""
+        from repro.compiler.routing import _shift_masks
+
+        assert _shift_masks(cgra44, [(5, 5), (5, 1), (5, 9), (5, 4), (5, 6)]) == (
+            4, 1 << 5, 1 << 1, 1 << 9, 1 << 4, 1 << 6,
+        )
+        for step in ((0, 2), (3, 4), (4, 3), (0, 5), (0, 8)):
+            with pytest.raises(ArchitectureError, match="not a mesh hop"):
+                _shift_masks(cgra44, [(5, 6), step])
+
+
+def _set_bit_hop(bits: int, step_bits: list[int]) -> int:
+    """The PEs one step of *step_bits* away from some PE of *bits*, one
+    set bit at a time: the form ``routing._hop`` had before its shift
+    masks, kept as its reference."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= step_bits[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _per_cycle_floors(t_lo, t_hi, pred_holders, succ_anchors) -> list[float]:
+    """``routing.cost_floors`` as it was written before its ascending
+    sweep: every cycle rescans every holder.  Kept as its reference."""
+    ends: dict[int, int] = {}
+    for _, dst_t, shift in succ_anchors:
+        ends[shift] = max(ends.get(shift, 0), dst_t + shift)
+    floors = []
+    for t in range(t_lo, t_hi + 1):
+        slots = 0
+        for holders in pred_holders:
+            slots += t - 1 - max((h for _, h in holders if h < t), default=t - 1)
+        for end in ends.values():
+            slots += end - t - 1
+        floors.append(slots + 0.25 * (t - t_lo))
+    for i in range(len(floors) - 2, -1, -1):
+        floors[i] = min(floors[i], floors[i + 1])
+    return floors
+
+
+def test_cost_floors_equal_the_per_cycle_formula():
+    """Float for float, on seeded draws: no values or no consumers, a value
+    with no holder, holders sharing a time, holders at or after ``t_hi``."""
+    import random
+
+    from repro.compiler.routing import cost_floors
+
+    rng = random.Random("floors")
+    seen = Counter()
+    for _ in range(2000):
+        t_lo = rng.randrange(0, 12)
+        t_hi = t_lo + rng.randrange(0, 20)
+        pred_holders = [
+            [
+                (rng.randrange(16), rng.choice((t_lo, t_hi, rng.randrange(0, t_hi + 6))))
+                for _ in range(rng.randrange(0, 6))
+            ]
+            for _ in range(rng.randrange(0, 4))
+        ]
+        succ_anchors = [
+            (rng.randrange(16), rng.randrange(t_lo, t_hi + 10), rng.randrange(0, 3) * 4)
+            for _ in range(rng.randrange(0, 4))
+        ]
+        floors = cost_floors(t_lo, t_hi, pred_holders, succ_anchors)
+        assert floors == _per_cycle_floors(t_lo, t_hi, pred_holders, succ_anchors)
+        times = [h for holders in pred_holders for _, h in holders]
+        seen["no values"] += not pred_holders
+        seen["no consumers"] += not succ_anchors
+        seen["holderless value"] += [] in pred_holders
+        seen["shared time"] += len(times) > len(set(times))
+        seen["late holder"] += any(h >= t_hi for h in times)
+    assert len(seen) == 5 and min(seen.values()) > 50, seen
 
 
 #: Parent-commit (0de780d, before the candidate mask) search trajectory of

@@ -9,8 +9,12 @@ up here as a byte diff — which is exactly the check the integer-indexed
 mapper rewrite had to pass, kept as a permanent test so future "harmless"
 refactors can't silently change schedules.
 
-Tier-1 recompiles only the sub-second 4x4 kernels.  Run as a script
-(``python tests/test_recompile_bytes.py``, a CI step of its own) the file
+Tier-1 recompiles only the sub-second 4x4 kernels, and pins how much
+search each one took (:data:`SEARCH_VOLUME`: its counters and its ladders'
+probe rows), so a change that should only make a state cheaper cannot
+visit other states and keep the bytes by luck; ``python
+tests/test_recompile_bytes.py search-volume`` prints that table.  Run as a
+script (``python tests/test_recompile_bytes.py``, a CI step of its own) the file
 cold-compiles *every* committed artifact — 11 kernels at page sizes {2,4}
 on 4x4 and {2,4,8} on 6x6 and 8x8, 88 jobs fanned out over two worker
 processes — and byte-compares each: the check a router or placer change
@@ -89,20 +93,192 @@ HIER_SHA256 = {
 }
 
 
+#: ``search_volume`` of each of :data:`FAST_JOBS`: the counters of its
+#: compile and its ladders' probe rows, recorded at 1cd9817 (before the
+#: router's shift-mask frontier hops).  ``python tests/test_recompile_bytes.py
+#: search-volume`` prints the table again; re-record it only with a change
+#: that means to move the search.
+SEARCH_VOLUME = {
+    ('mpeg', 2): (
+        {'bfs_calls': 0, 'dfs_calls': 280, 'expansions': 1273, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 2986, 'probes_run': 14, 'probes_shared': 0, 'route_calls':
+         585, 'routes_refuted': 240, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 2214, 'trials_refuted': 1435},
+        (
+            ((1, 0, 'success', None),),
+            ((1, 0, 'success', None),),
+            ((1, 0, 'fail', (5, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'fail', (3, 'no-slot')), (1, 3, 'fail', (8, 'no-slot'))),
+            ((1, 0, 'fail', (3, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'fail', (3, 'no-slot')), (1, 3, 'fail', (8, 'no-slot'))),
+            ((1, 0, 'fail', (3, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'fail', (3, 'no-slot')), (1, 3, 'fail', (8, 'no-slot'))),
+        ),
+    ),
+    ('mpeg', 4): (
+        {'bfs_calls': 0, 'dfs_calls': 159, 'expansions': 466, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 1749, 'probes_run': 7, 'probes_shared': 0, 'route_calls':
+         350, 'routes_refuted': 121, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 1192, 'trials_refuted': 720},
+        (
+            ((1, 0, 'success', None),),
+            ((1, 0, 'fail', (3, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'success', None)),
+            ((1, 0, 'fail', (3, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'success', None)),
+        ),
+    ),
+    ('sor', 2): (
+        {'bfs_calls': 88, 'dfs_calls': 40, 'expansions': 367, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 471, 'probes_run': 10, 'probes_shared': 0, 'route_calls':
+         169, 'routes_refuted': 1, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 363, 'trials_refuted': 185},
+        (
+            ((4, 0, 'success', None),),
+            ((4, 0, 'success', None),),
+            ((4, 0, 'fail', (3, 'no-slot')), (4, 1, 'fail', (3, 'no-slot')), (4, 2,
+             'fail', (3, 'no-slot')), (4, 3, 'fail', (3, 'no-slot'))),
+            ((4, 0, 'fail', (0, 'no-slot')), (4, 1, 'fail', (4, 'no-slot')), (4, 2,
+             'fail', (6, 'no-slot')), (4, 3, 'fail', (0, 'no-slot'))),
+        ),
+    ),
+    ('sor', 4): (
+        {'bfs_calls': 40, 'dfs_calls': 24, 'expansions': 184, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 127, 'probes_run': 3, 'probes_shared': 0, 'route_calls':
+         85, 'routes_refuted': 0, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 103, 'trials_refuted': 18},
+        (
+            ((4, 0, 'success', None),),
+            ((4, 0, 'success', None),),
+            ((4, 0, 'success', None),),
+        ),
+    ),
+    ('gsr', 2): (
+        {'bfs_calls': 144, 'dfs_calls': 50, 'expansions': 529, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 696, 'probes_run': 15, 'probes_shared': 0, 'route_calls':
+         280, 'routes_refuted': 2, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 538, 'trials_refuted': 225},
+        (
+            ((4, 0, 'success', None),),
+            ((4, 0, 'fail', (0, 'no-slot')), (4, 1, 'success', None)),
+            ((4, 0, 'fail', (5, 'no-slot')), (4, 1, 'fail', (4, 'no-slot')), (4, 2,
+             'fail', (9, 'no-slot')), (4, 3, 'fail', (6, 'window'))),
+            ((4, 0, 'fail', (0, 'no-slot')), (4, 1, 'fail', (6, 'no-slot')), (4, 2,
+             'fail', (0, 'no-slot')), (4, 3, 'fail', (6, 'window'))),
+            ((4, 0, 'fail', (0, 'no-slot')), (4, 1, 'fail', (8, 'no-slot')), (4, 2,
+             'fail', (0, 'no-slot')), (4, 3, 'fail', (6, 'window'))),
+        ),
+    ),
+    ('gsr', 4): (
+        {'bfs_calls': 50, 'dfs_calls': 26, 'expansions': 260, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 152, 'probes_run': 3, 'probes_shared': 0, 'route_calls':
+         102, 'routes_refuted': 0, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 125, 'trials_refuted': 23},
+        (
+            ((4, 0, 'success', None),),
+            ((4, 0, 'success', None),),
+            ((4, 0, 'success', None),),
+        ),
+    ),
+    ('laplace', 2): (
+        {'bfs_calls': 27, 'dfs_calls': 194, 'expansions': 657, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 2249, 'probes_run': 17, 'probes_shared': 0, 'route_calls':
+         400, 'routes_refuted': 91, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 1626, 'trials_refuted': 1075},
+        (
+            ((1, 0, 'fail', (2, 'no-slot')), (1, 1, 'fail', (5, 'no-slot')), (1, 2,
+             'fail', (5, 'no-slot')), (1, 3, 'fail', (2, 'no-slot')), (2, 0, 'fail', (1,
+             'no-slot')), (2, 1, 'success', None)),
+            ((1, 0, 'fail', (1, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'fail', (3, 'no-slot')), (1, 3, 'fail', (1, 'no-slot')), (2, 0, 'success',
+             None)),
+            ((2, 0, 'fail', (3, 'no-slot')), (2, 1, 'fail', (6, 'no-slot')), (2, 2,
+             'fail', (6, 'no-slot')), (2, 3, 'fail', (3, 'no-slot'))),
+            ((2, 0, 'fail', (3, 'no-slot')), (2, 1, 'success', None)),
+        ),
+    ),
+    ('laplace', 4): (
+        {'bfs_calls': 0, 'dfs_calls': 204, 'expansions': 592, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 1907, 'probes_run': 12, 'probes_shared': 0, 'route_calls':
+         368, 'routes_refuted': 103, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 1306, 'trials_refuted': 764},
+        (
+            ((1, 0, 'fail', (2, 'no-slot')), (1, 1, 'fail', (5, 'no-slot')), (1, 2,
+             'fail', (5, 'no-slot')), (1, 3, 'fail', (2, 'no-slot')), (2, 0, 'fail', (1,
+             'no-slot')), (2, 1, 'success', None)),
+            ((1, 0, 'success', None),),
+            ((1, 0, 'fail', (3, 'no-slot')), (1, 1, 'fail', (3, 'no-slot')), (1, 2,
+             'fail', (3, 'no-slot')), (1, 3, 'fail', (3, 'no-slot'))),
+            ((1, 0, 'success', None),),
+        ),
+    ),
+    ('wavelet', 2): (
+        {'bfs_calls': 11, 'dfs_calls': 97, 'expansions': 369, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 1100, 'probes_run': 9, 'probes_shared': 0, 'route_calls':
+         219, 'routes_refuted': 68, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 885, 'trials_refuted': 569},
+        (
+            ((1, 0, 'fail', (2, 'no-slot')), (1, 1, 'success', None)),
+            ((1, 0, 'fail', (2, 'no-slot')), (1, 1, 'fail', (2, 'no-slot')), (1, 2,
+             'fail', (2, 'no-slot')), (1, 3, 'fail', (2, 'no-slot')), (2, 0, 'success',
+             None)),
+            ((2, 0, 'fail', (5, 'no-slot')), (2, 1, 'success', None)),
+        ),
+    ),
+    ('wavelet', 4): (
+        {'bfs_calls': 2, 'dfs_calls': 61, 'expansions': 197, 'hier_attempts': 0,
+         'hier_flat_attempts': 0, 'hier_flat_wins': 0, 'hier_wins': 0,
+         'placement_probes': 996, 'probes_run': 8, 'probes_shared': 0, 'route_calls':
+         144, 'routes_refuted': 34, 'rungs_pruned': 0, 'rungs_skipped': 0,
+         'trial_commits': 776, 'trials_refuted': 518},
+        (
+            ((1, 0, 'fail', (2, 'no-slot')), (1, 1, 'success', None)),
+            ((1, 0, 'fail', (5, 'no-slot')), (1, 1, 'fail', (5, 'no-slot')), (1, 2,
+             'fail', (5, 'no-slot')), (1, 3, 'fail', (5, 'no-slot')), (2, 0, 'fail', (1,
+             'no-slot')), (2, 1, 'success', None)),
+        ),
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "job", FAST_JOBS, ids=lambda j: f"{j.kernel}-ps{j.page_size}"
 )
 def test_cold_recompile_is_byte_identical(job, tmp_path):
+    """Same bytes as the committed artifact, and the same search to get
+    there: the job's counters and every ladder's probe rows equal
+    :data:`SEARCH_VOLUME`, so a change meant to make the search cheaper per
+    state cannot quietly visit other states."""
     committed = ArtifactStore(REPO_STORE).path_for(job_key(job))
     if not committed.exists():
         pytest.skip(f"no committed artifact for {job.kernel} (store not present)")
     fresh = ArtifactStore(tmp_path / "store")
-    compile_many([job], store=fresh)
+    artifact, stats = compile_job_stats(job)
+    fresh.put(artifact)
     produced = fresh.path_for(job_key(job))
     assert produced.exists(), "cold compile did not write its artifact"
     assert produced.read_bytes() == committed.read_bytes(), (
         f"{job.kernel} ps={job.page_size}: recompiled artifact differs from "
         f"the committed store — the mapper's behaviour changed"
+    )
+    assert search_volume(stats) == SEARCH_VOLUME[job.kernel, job.page_size]
+
+
+def search_volume(stats) -> tuple:
+    """``(counters, ladders)`` of a compile: its counters, and per ladder
+    its ``(ii, attempt, outcome, stuck)`` probe rows."""
+    return dict(sorted(stats.counters.items())), tuple(
+        tuple((ii, attempt, outcome, stuck) for ii, attempt, outcome, _, stuck in r.timeline)
+        for r in stats.ladders
     )
 
 
@@ -285,7 +461,27 @@ def differential_all() -> list[str]:
     return problems
 
 
-if __name__ == "__main__":  # spawned workers re-import this file: keep the guard
+if __name__ == "__main__" and sys.argv[1:] == ["search-volume"]:
+    # re-record SEARCH_VOLUME, only with a change that means to move the search
+    import textwrap
+
+    def wrapped(value, indent: str) -> str:
+        return textwrap.fill(
+            repr(value), 88, initial_indent=indent, subsequent_indent=indent + " ",
+            break_long_words=False, break_on_hyphens=False,
+        ) + ","
+
+    print("SEARCH_VOLUME = {")
+    for job in FAST_JOBS:
+        counts, ladders = search_volume(compile_job_stats(job)[1])
+        print(f"    {(job.kernel, job.page_size)!r}: (")
+        print(wrapped(counts, " " * 8))
+        print("        (")
+        print("\n".join(wrapped(ladder, " " * 12) for ladder in ladders))
+        print("        ),")
+        print("    ),")
+    print("}")
+elif __name__ == "__main__":  # spawned workers re-import this file: keep the guard
     found = recompile_all() + shared_memo_all() + differential_all()
     print(
         "\n".join(found)
