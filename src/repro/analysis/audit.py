@@ -50,6 +50,7 @@ from repro.util.errors import (
     MappingError,
     TransformError,
 )
+from repro.util.spans import span
 
 __all__ = ["AuditEntry", "AuditReport", "audit_store"]
 
@@ -204,10 +205,6 @@ class AuditReport:
     @property
     def findings(self) -> list[Finding]:
         return sorted(f for e in self.entries for f in e.findings)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.status != "corrupt" for e in self.entries)
 
     def counts(self) -> dict[str, int]:
         out = {"ok": 0, "corrupt": 0, "foreign": 0}
@@ -427,6 +424,7 @@ def _audit_fold(entry: AuditEntry, artifact) -> None:
             )
 
 
+@span("analysis.audit_file")
 def audit_file(path: Path, rel: str) -> AuditEntry:
     """Audit one store-resident file (already known to be artifact-shaped)."""
     from repro.pipeline.artifact import CompiledKernel

@@ -104,11 +104,6 @@ class CapabilityMap:
     # -- constructors ---------------------------------------------------------------
 
     @classmethod
-    def homogeneous(cls, rows: int, cols: int) -> "CapabilityMap":
-        """Every PE supports every class (canonical empty encoding)."""
-        return cls(rows, cols, ())
-
-    @classmethod
     def mem_columns(
         cls, rows: int, cols: int, columns: Iterable[int]
     ) -> "CapabilityMap":

@@ -19,6 +19,7 @@ from repro.arch.capability import CapabilityMap, OpClass
 from repro.arch.interconnect import Coord, GridIndex
 from repro.util.errors import ArchitectureError
 from repro.util.fingerprint import canonical_fingerprint
+from repro.util.spans import span
 
 __all__ = ["CGRA"]
 
@@ -124,6 +125,7 @@ class CGRA:
             return None
         return self.capability.mask(cls_)
 
+    @span("arch.fingerprint")
     def fingerprint(self) -> str:
         """Canonical structural hash of the architecture description.
 

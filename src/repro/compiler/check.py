@@ -32,10 +32,12 @@ from repro.compiler.mapping import Mapping, materialized_edges, materialized_ops
 from repro.compiler.mrt import ReservationTable
 from repro.core.paging import PageLayout
 from repro.util.errors import CapabilityViolation, ConstraintViolation, MappingError
+from repro.util.spans import span
 
 __all__ = ["validate_mapping"]
 
 
+@span("compiler.validate")
 def validate_mapping(mapping: Mapping, layout: PageLayout | None = None) -> None:
     """Raise :class:`MappingError` / :class:`ConstraintViolation` on any
     inconsistency in *mapping*, checked against the §VI-B constraints of

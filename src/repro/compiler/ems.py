@@ -73,7 +73,6 @@ from repro.compiler.routing import (
     release_route,
     routing_context,
 )
-from repro.compiler.stats import MapperCounters, counters
 from repro.core.paging import PageLayout
 from repro.dfg.analysis import alap_times, asap_times
 from repro.dfg.graph import DFG
@@ -81,6 +80,7 @@ from repro.dfg.graphalg import strong_components
 from repro.util.errors import MappingError
 from repro.util.fingerprint import canonical_fingerprint
 from repro.util.rng import PCG64Stream
+from repro.util.spans import MapperCounters, counters
 
 __all__ = [
     "BACKENDS",
@@ -988,17 +988,16 @@ def map_dfg(
     cgra: CGRA,
     *,
     config: MapperConfig | None = None,
-    search_log=None,
     probes=None,
 ) -> Mapping:
     """Map *dfg* onto the whole *cgra* with the baseline (unconstrained)
     compiler.  This produces the paper's ``II_b`` reference points.
 
-    ``search_log`` collects the ladder's
-    :class:`~repro.compiler.search.LadderReport`; *probes* is the
-    :class:`~repro.compiler.search.DfgProbes` of *dfg* to share probe
-    outcomes through (this ladder never reads a page size).
+    The ladder reports to the open :func:`~repro.util.spans.collecting`
+    scope; *probes* is the :class:`~repro.compiler.search.DfgProbes` of
+    *dfg* to share probe outcomes through (this ladder never reads a page
+    size).
     """
     from repro.compiler.search import climb_ladder
 
-    return climb_ladder(EMSMapper(cgra, None, config, probes), dfg, log=search_log)
+    return climb_ladder(EMSMapper(cgra, None, config, probes), dfg)

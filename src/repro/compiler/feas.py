@@ -25,6 +25,7 @@ from repro.compiler.mapping import materialized_ops
 from repro.dfg.analysis import rec_mii
 from repro.dfg.graph import DFG
 from repro.util.errors import LadderExhausted, MappingError
+from repro.util.spans import span
 
 __all__ = [
     "IIBound",
@@ -65,6 +66,7 @@ class IIBound:
         return "res_mii"
 
 
+@span("compiler.ii_bound")
 def ii_lower_bound(
     dfg: DFG,
     *,

@@ -38,14 +38,15 @@ from repro.compiler.paged import (
     PagedMapping, prefix, shrink_to_page_need, spanned_prefix,
 )
 from repro.compiler.search import climb_ladder
-from repro.compiler.stats import counters
 from repro.core.page_schedule import extract_page_schedule
 from repro.core.paging import PageLayout
 from repro.dfg.graph import DFG
+from repro.util.spans import counters, span
 
 __all__ = ["HierMapper", "map_dfg_hier", "cluster_dfg"]
 
 
+@span("compiler.cluster")
 def cluster_dfg(dfg: DFG, layout: PageLayout, ii: int) -> bool:
     """Can *dfg* fit on the first page of *layout* at *ii*, by slot and
     memory-op capacity?  The test that gates the one-page probe."""
@@ -135,7 +136,6 @@ def map_dfg_hier(
     layout: PageLayout,
     *,
     config: MapperConfig | None = None,
-    search_log=None,
     probes=None,
 ) -> PagedMapping:
     """Map *dfg* with the hier backend (see the module docstring).
@@ -147,7 +147,7 @@ def map_dfg_hier(
     flat one.
     """
     cfg = config or MapperConfig()
-    mapping = climb_ladder(HierMapper(cgra, layout, cfg, probes), dfg, log=search_log)
+    mapping = climb_ladder(HierMapper(cgra, layout, cfg, probes), dfg)
     # the result lives on the prefix it touches: validate against, and
     # page-schedule on, exactly those pages
     sub = spanned_prefix(mapping, layout)
@@ -155,4 +155,4 @@ def map_dfg_hier(
     best = PagedMapping(mapping, sub, extract_page_schedule(mapping, sub), layout)
     # When the one-page probe won, the mapping sits on one page and there
     # is nothing left to try.
-    return shrink_to_page_need(best, dfg, cgra, layout, cfg, search_log, probes)
+    return shrink_to_page_need(best, dfg, cgra, layout, cfg, probes)

@@ -79,7 +79,6 @@ def map_dfg_paged(
     layout: PageLayout,
     *,
     config: MapperConfig | None = None,
-    search_log=None,
     probes=None,
 ) -> PagedMapping:
     """Map *dfg* onto the paged CGRA under the §VI-B constraints.
@@ -106,8 +105,8 @@ def map_dfg_paged(
 
     Every inner (II, attempt) ladder — chain pass, ring fallback,
     page-minimisation passes — is one :func:`~repro.compiler.search.
-    climb_ladder` call, appending its :class:`~repro.compiler.search.
-    LadderReport` to ``search_log``; every mapper they build shares probe
+    climb_ladder` call, reporting to the open :func:`~repro.util.spans.
+    collecting` scope; every mapper they build shares probe
     outcomes through *probes* (the :class:`~repro.compiler.search.DfgProbes`
     of *dfg*) when given.
     """
@@ -117,11 +116,9 @@ def map_dfg_paged(
         # it can only match or beat the chain pass — see repro.compiler.hier.
         from repro.compiler.hier import map_dfg_hier
 
-        return map_dfg_hier(
-            dfg, cgra, layout, config=config, search_log=search_log, probes=probes
-        )
-    best = _map_topologies(dfg, cgra, layout, config, search_log, probes)
-    return shrink_to_page_need(best, dfg, cgra, layout, config, search_log, probes)
+        return map_dfg_hier(dfg, cgra, layout, config=config, probes=probes)
+    best = _map_topologies(dfg, cgra, layout, config, probes)
+    return shrink_to_page_need(best, dfg, cgra, layout, config, probes)
 
 
 def shrink_to_page_need(
@@ -130,7 +127,6 @@ def shrink_to_page_need(
     cgra: CGRA,
     layout: PageLayout,
     config: MapperConfig,
-    search_log,
     probes=None,
 ) -> PagedMapping:
     """Page-need minimisation, shared by both backends: re-map *dfg* with
@@ -143,8 +139,7 @@ def shrink_to_page_need(
     for k in range(page_need(dfg, layout, best.ii), best.pages_used):
         try:
             return _map_once(
-                dfg, cgra, layout.subchain(k), tight, search_log, probes,
-                full_layout=layout,
+                dfg, cgra, layout.subchain(k), tight, probes, full_layout=layout
             )
         except LadderExhausted:
             continue
@@ -171,18 +166,17 @@ def _map_topologies(
     cgra: CGRA,
     layout: PageLayout,
     config: MapperConfig,
-    search_log=None,
     probes=None,
 ) -> PagedMapping:
     """The chain ladder, then — where the wrap pair is physically adjacent
     — the ladder of the ring closed over the same pages (the only home of
     a recurrence wider than a page), both to the same II ceiling."""
     try:
-        return _map_once(dfg, cgra, layout, config, search_log, probes)
+        return _map_once(dfg, cgra, layout, config, probes)
     except LadderExhausted:
         if layout.allow_wrap or not layout.ring_wrap_adjacent:
             raise
-    return _map_once(dfg, cgra, layout.ring(), config, search_log, probes)
+    return _map_once(dfg, cgra, layout.ring(), config, probes)
 
 
 def _map_once(
@@ -190,13 +184,12 @@ def _map_once(
     cgra: CGRA,
     layout: PageLayout,
     config,
-    search_log=None,
     probes=None,
     full_layout: PageLayout | None = None,
 ) -> PagedMapping:
     """Climb one ladder on *layout* and store the winner on the prefix of
     *layout* it touches."""
-    mapping = climb_ladder(EMSMapper(cgra, layout, config, probes), dfg, log=search_log)
+    mapping = climb_ladder(EMSMapper(cgra, layout, config, probes), dfg)
     full_layout = full_layout or layout
     layout = spanned_prefix(mapping, layout)
     validate_mapping(mapping, layout)

@@ -68,9 +68,9 @@ from repro.arch.cgra import CGRA
 from repro.compiler.constraints import ring_hop_ok
 from repro.compiler.mapping import RouteStep
 from repro.compiler.mrt import ReservationTable
-from repro.compiler.stats import MapperCounters, counters
 from repro.core.paging import PageLayout
 from repro.util.errors import ArchitectureError
+from repro.util.spans import MapperCounters, counters
 
 __all__ = [
     "RoutingContext",

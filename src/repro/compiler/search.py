@@ -29,16 +29,15 @@ it returns, are the same with or without one.
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.compiler.ems import EMSMapper
 from repro.compiler.mapping import Mapping
-from repro.compiler.stats import counters
 from repro.dfg.graph import DFG
 from repro.util.errors import LadderExhausted
 from repro.util.fingerprint import canonical_fingerprint
+from repro.util.spans import counters, current, span
 
 __all__ = ["DfgProbes", "LadderReport", "ProbeMemo", "climb_ladder"]
 
@@ -132,8 +131,9 @@ class LadderReport:
     """Per-ladder outcome record: the (II, attempt) timeline of one climb.
 
     ``timeline`` holds one ``[ii, attempt, outcome, seconds, stuck]`` row
-    per probe in the order it ran; *outcome* is ``success`` or ``fail``
-    and *stuck* is the ``(op_id, reason)`` a ``fail`` died on, else None.
+    per probe in the order it ran; *outcome* is ``success`` or ``fail``,
+    *seconds* the probe's ``compiler.probe`` span (0.0 with no scope open)
+    and *stuck* the ``(op_id, reason)`` a ``fail`` died on, else None.
     ``per_ii`` compresses that into one row per II rung, ``stuck`` into
     one count per (op, reason).  ``shared`` counts the probes a
     :class:`ProbeMemo` answered: their rows show the outcome and stuck op
@@ -164,30 +164,30 @@ class LadderReport:
         return Counter(row[4] for row in self.timeline if row[4] is not None)
 
 
-def climb_ladder(
-    mapper: EMSMapper, dfg, *, log: list[LadderReport] | None = None
-) -> Mapping:
+def climb_ladder(mapper: EMSMapper, dfg) -> Mapping:
     """Climb *mapper*'s (II, attempt) ladder for *dfg*: the one II walk.
 
     Returns the mapping of the first success, or raises
     :class:`~repro.util.errors.LadderExhausted` when every rung from the
     first to the last of ``mapper.ladder_rungs`` fails — at once, with no
-    probe launched, when the first lies above the last.  ``log`` collects
-    this ladder's :class:`LadderReport`.
+    probe launched, when the first lies above the last.  The ladder's
+    :class:`LadderReport` goes to the open :func:`~repro.util.spans.
+    collecting` scope, and each probe is a ``compiler.probe`` span there.
     """
     start_ii, max_ii = mapper.ladder_rungs(dfg)
     per_ii = mapper.lattice_attempts_per_ii()
     report = LadderReport(start_ii=start_ii, attempts_per_ii=per_ii)
-    if log is not None:
-        log.append(report)
+    scope = current()
+    if scope is not None:
+        scope.ladders.append(report)
     orders = mapper.attempt_orders(dfg)
     stats = counters()
     for ii in range(start_ii, max_ii + 1):
         for attempt in range(per_ii):
-            began = time.perf_counter()
             shared = stats.probes_shared
-            mapping = mapper.run_lattice_attempt(dfg, start_ii, ii, attempt, orders)
-            seconds = round(time.perf_counter() - began, 4)
+            with span("compiler.probe") as probe:
+                mapping = mapper.run_lattice_attempt(dfg, start_ii, ii, attempt, orders)
+            seconds = round(probe.seconds, 4)
             report.shared += stats.probes_shared - shared
             if mapping is not None:
                 report.winner = (ii, attempt)

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 from repro.arch.interconnect import Coord
 from repro.core.paging import PageLayout
 from repro.util.errors import ConstraintViolation
+from repro.util.spans import span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compiler.mapping import Mapping
@@ -53,9 +54,6 @@ class PageInstance:
     page: int
     mtime: int
     items: tuple[SlotItem, ...]
-
-    def __len__(self) -> int:
-        return len(self.items)
 
 
 @dataclass
@@ -119,6 +117,7 @@ class PageSchedule:
         )
 
 
+@span("core.extract_page_schedule")
 def extract_page_schedule(mapping: "Mapping", layout: PageLayout) -> PageSchedule:
     """Group a ring-constrained mapping into its page-level schedule."""
     ii = mapping.ii

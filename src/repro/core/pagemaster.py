@@ -45,6 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from repro.util.errors import TransformError
+from repro.util.spans import span
 
 __all__ = ["PagePlacement", "PageMaster", "steady_state_ii"]
 
@@ -73,9 +74,6 @@ class PagePlacement:
 
     def col(self, n: int, b: int) -> int:
         return self.slots[(n, b)][0]
-
-    def time(self, n: int, b: int) -> int:
-        return self.slots[(n, b)][1]
 
     @property
     def makespan(self) -> int:
@@ -157,6 +155,7 @@ class PageMaster:
 
     # -- public ------------------------------------------------------------------
 
+    @span("core.pagemaster_place")
     def place(self, batches: int | None = None) -> PagePlacement:
         """Run the transformation for *batches* original cycles (default:
         long enough to detect the steady-state period; 0 places nothing)."""
@@ -342,6 +341,7 @@ class PageMaster:
         return (cols, times, frontier), base
 
 
+@span("core.steady_state_ii")
 @lru_cache(maxsize=1024)
 def steady_state_ii(
     n_pages: int,

@@ -12,7 +12,10 @@ departures trigger expansion and admit queued threads.  A running thread
 never loses its pages; only its own departure frees them.  Every allocation
 change is recorded as a :class:`Reallocation` event so callers can charge
 transformation/transfer overheads and drive the PageMaster transformation
-for the affected threads.
+for the affected threads.  With a :func:`~repro.util.spans.collecting`
+scope open, each request and release is a span, and so is each policy
+answer it asks for; with none open that costs one context-variable read
+per call.
 
 The compiled facts a thread arrives with — its page need, constrained II,
 and the steady-state II table of its shrunk schedules — come from a
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 
 from repro.core.policies import Allocation, AllocationPolicy, HalvingPolicy
 from repro.util.errors import ReproError
+from repro.util.spans import current, span
 
 __all__ = [
     "Reallocation",
@@ -139,6 +143,20 @@ class CGRAManager:
     def request(self, tid: int, need: int | None = None) -> list[Reallocation]:
         """Thread *tid* wants the CGRA (optionally declaring its page
         *need*).  Returns the reallocations applied (empty if queued)."""
+        if current() is None:
+            return self._request(tid, need, self.policy)
+        with span("core.manager_request"):
+            return self._request(tid, need, _TimedPolicy(self.policy))
+
+    def release(self, tid: int) -> list[Reallocation]:
+        """Thread *tid* is done with the CGRA.  Expands survivors and admits
+        queued threads; returns all reallocations applied."""
+        if current() is None:
+            return self._release(tid, self.policy)
+        with span("core.manager_release"):
+            return self._release(tid, _TimedPolicy(self.policy))
+
+    def _request(self, tid: int, need: int | None, policy) -> list[Reallocation]:
         if tid in self.threads:
             raise ReproError(f"thread {tid} already known to the manager")
         if need is not None and need < 1:
@@ -149,9 +167,7 @@ class CGRAManager:
         if self._admit_fail_rev == self._rev:
             answer = None
         else:
-            answer = self.policy.admit(
-                self.n_pages, self._residents, tid, self.needs
-            )
+            answer = policy.admit(self.n_pages, self._residents, tid, self.needs)
         if answer is None:
             self._admit_fail_rev = self._rev
             self._queue.append(tid)
@@ -160,9 +176,7 @@ class CGRAManager:
         self._check_invariants()
         return events
 
-    def release(self, tid: int) -> list[Reallocation]:
-        """Thread *tid* is done with the CGRA.  Expands survivors and admits
-        queued threads; returns all reallocations applied."""
+    def _release(self, tid: int, policy) -> list[Reallocation]:
         h = self.threads.pop(tid, None)
         if h is None:
             raise ReproError(f"thread {tid} unknown to the manager")
@@ -172,7 +186,7 @@ class CGRAManager:
             return []
         # the policy sees the departing thread still resident; its answer
         # must not name it
-        answer = self.policy.release(self.n_pages, self._residents, tid, self.needs)
+        answer = policy.release(self.n_pages, self._residents, tid, self.needs)
         del self._residents[tid]
         self.needs.pop(tid, None)
         events = self._apply(answer, departed=tid, before=h.allocation)
@@ -181,9 +195,7 @@ class CGRAManager:
             nxt = self._queue[0]
             if self._admit_fail_rev == self._rev:
                 break
-            answer = self.policy.admit(
-                self.n_pages, self._residents, nxt, self.needs
-            )
+            answer = policy.admit(self.n_pages, self._residents, nxt, self.needs)
             if answer is None:
                 self._admit_fail_rev = self._rev
                 break
@@ -230,3 +242,21 @@ class CGRAManager:
         if newcomer is not None and threads[newcomer].allocation is None:
             raise ReproError(f"admit answer leaves out newcomer {newcomer}")
         return events
+
+
+class _TimedPolicy:
+    """What a manager asks while a scope is open: its policy, each answer
+    a ``core.policy_admit`` / ``core.policy_release`` span."""
+
+    __slots__ = ("policy",)
+
+    def __init__(self, policy: AllocationPolicy) -> None:
+        self.policy = policy
+
+    def admit(self, *args) -> dict[int, Allocation] | None:
+        with span("core.policy_admit"):
+            return self.policy.admit(*args)
+
+    def release(self, *args) -> dict[int, Allocation]:
+        with span("core.policy_release"):
+            return self.policy.release(*args)

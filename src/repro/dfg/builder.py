@@ -121,14 +121,8 @@ class DFGBuilder:
     def abs(self, a: Value, name: str = "") -> Value:
         return self.op(Opcode.ABS, a, name=name)
 
-    def neg(self, a: Value, name: str = "") -> Value:
-        return self.op(Opcode.NEG, a, name=name)
-
     def route(self, a: Value, name: str = "") -> Value:
         return self.op(Opcode.ROUTE, a, name=name)
-
-    def select(self, cond: Value, if_true: Value, if_false: Value, name: str = "") -> Value:
-        return self.op(Opcode.SELECT, cond, if_true, if_false, name=name)
 
     def clamp(self, v: Value, lo: int, hi: int) -> Value:
         """min(max(v, lo), hi) — the saturating clip common in media kernels."""

@@ -21,6 +21,7 @@ from typing import Callable, TypeVar
 from repro.arch.isa import OPCODE_INFO, Opcode
 from repro.util.errors import GraphError
 from repro.util.fingerprint import canonical_fingerprint
+from repro.util.spans import span
 
 T = TypeVar("T")
 
@@ -238,6 +239,7 @@ class DFG:
             _next_edge=self._next_edge,
         )
 
+    @span("dfg.fingerprint")
     def fingerprint(self) -> str:
         """Canonical structural hash of the graph.
 

@@ -9,6 +9,8 @@ It names ten; we add ``fft`` as the eleventh representative media kernel
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.kernels import (
     compress,
     fft,
@@ -24,11 +26,13 @@ from repro.kernels import (
 )
 from repro.kernels.spec import KernelSpec
 from repro.util.errors import WorkloadError
+from repro.util.spans import span
 
 __all__ = ["SUITE", "kernel_names", "get_kernel"]
 
+#: Each spec's ``build`` is a ``kernels.build`` span.
 SUITE: dict[str, KernelSpec] = {
-    spec.name: spec
+    spec.name: replace(spec, build=span("kernels.build")(spec.build))
     for spec in (
         mpeg.SPEC,
         yuv2rgb.SPEC,

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from repro.util.errors import ArtifactError
 from repro.util.fingerprint import canonical_json, sha256
+from repro.util.spans import span
 
 __all__ = ["ARTIFACT_VERSION", "ArtifactKey", "CompiledKernel"]
 
@@ -46,9 +47,6 @@ class ArtifactKey:
         """Filesystem-safe combined digest used as the store filename."""
         blob = f"{self.dfg_fp}/{self.arch_fp}/{self.mapper_fp}".encode("ascii")
         return sha256(blob).hexdigest()
-
-    def __str__(self) -> str:
-        return f"{self.dfg_fp}/{self.arch_fp}/{self.mapper_fp}"
 
 
 @dataclass(frozen=True)
@@ -138,11 +136,13 @@ class CompiledKernel:
             ]
         return payload
 
+    @span("pipeline.to_json")
     def to_json(self) -> str:
         """Canonical encoding: equal artifacts serialize byte-identically."""
         return canonical_json(self.to_json_dict())
 
     @classmethod
+    @span("pipeline.from_json")
     def from_json_dict(cls, raw: dict) -> "CompiledKernel":
         """The artifact *raw* encodes; :class:`ArtifactError` unless every
         field has its JSON type and arity (``type(x) is int``: ``True`` is
@@ -231,6 +231,7 @@ class CompiledKernel:
             else None,
         )
 
+    @span("pipeline.materialize")
     def materialize(self, dfg):
         """Rebuild the full :class:`~repro.compiler.paged.PagedMapping` —
         mapping, layout, and page-level schedule — from the artifact.

@@ -29,7 +29,6 @@ none, its worker process has no owner to keep one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -39,7 +38,6 @@ from repro.compiler.check import validate_mapping
 from repro.compiler.ems import MapperConfig, map_dfg
 from repro.compiler.paged import map_dfg_paged
 from repro.compiler.search import LadderReport, ProbeMemo
-from repro.compiler.stats import job_counters
 from repro.core.pagemaster import steady_state_ii
 from repro.core.paging import PageLayout, choose_page_shape
 from repro.kernels import get_kernel, kernel_names
@@ -47,6 +45,7 @@ from repro.pipeline.artifact import ArtifactKey, CompiledKernel
 from repro.pipeline.store import ArtifactStore
 from repro.util.errors import LadderExhausted, MappingError
 from repro.util.fingerprint import canonical_fingerprint
+from repro.util.spans import absorb, collecting, span
 
 __all__ = [
     "CompileJob",
@@ -109,6 +108,7 @@ class CompileJob:
             seed=self.seed, attempts_per_ii=4, backend=self.backend
         )
 
+    @span("arch.build")
     def build_cgra(self) -> CGRA:
         if self.arch is not None:
             cgra = preset(self.arch)
@@ -123,26 +123,31 @@ class CompileJob:
 
 @dataclass(frozen=True)
 class CompileStats:
-    """Wall-clock and search-effort profile of one uncached compilation:
-    the compile's whole telemetry, as a return value.
+    """The whole telemetry of one uncached compilation, as a return value:
+    what the job's own :func:`~repro.util.spans.collecting` scope received.
 
-    ``counters`` is the job's own :class:`~repro.compiler.stats.
-    MapperCounters` scope: route-search expansions, BFS/DFS invocations,
-    placement probes, and refuted routes/trials.
-    ``base_map_seconds``/``paged_map_seconds`` split the mapper wall clock
-    by phase (unconstrained baseline vs ring-constrained paged mapping).
-    ``ladders`` holds one :class:`~repro.compiler.search.LadderReport` —
-    the (II, attempt) outcome timeline, each failed probe with the op it
-    died on — per ladder climbed.
+    ``counters`` is its :class:`~repro.util.spans.MapperCounters` as a
+    dict (route-search expansions, BFS/DFS invocations, placement probes,
+    refuted routes/trials); ``ladders`` one :class:`~repro.compiler.search.
+    LadderReport` per ladder climbed — the (II, attempt) outcome timeline,
+    each failed probe with the op it died on; ``spans`` its ``(name,
+    start, end)`` spans, the last of them the job's ``pipeline.compile_job``.
+    Picklable, so a worker process sends it back with the artifact.
     """
 
-    seconds: float
-    base_map_seconds: float
-    paged_map_seconds: float
     counters: dict[str, int]
     ladders: tuple[LadderReport, ...] = ()
+    spans: tuple[tuple[str, float, float], ...] = ()
+
+    @property
+    def seconds(self) -> float:
+        """The whole job's wall clock: kernel build, fabric, both ladders,
+        validation and the artifact (its ``pipeline.compile_job`` span)."""
+        _name, start, end = self.spans[-1]
+        return end - start
 
 
+@span("pipeline.job_key")
 def job_key(job: CompileJob, dfg=None, cgra=None) -> ArtifactKey:
     """Content address of *job*: structural DFG hash, architecture hash
     (grid plus page geometry), mapper-configuration hash.  *dfg* / *cgra*
@@ -160,22 +165,22 @@ def job_key(job: CompileJob, dfg=None, cgra=None) -> ArtifactKey:
 
 def compile_job(
     job: CompileJob, memo: ProbeMemo | None = None
-) -> tuple[CompiledKernel, float]:
-    """Compile one job, uncached.  Returns (artifact, mapper seconds).
+) -> tuple[CompiledKernel, CompileStats]:
+    """Compile one job, uncached: (artifact, its :class:`CompileStats`).
 
-    Top-level (picklable) so callers can run it in worker processes;
+    The entry the batch path, the worker processes and the service's slot
+    threads call (:func:`compile_job_stats` under the name they look up);
     deterministic for a fixed job, so parallel and serial runs produce
     byte-identical artifacts.  *memo* is :func:`compile_job_stats`'s.
     """
-    artifact, stats = compile_job_stats(job, memo=memo)
-    return artifact, stats.seconds
+    return compile_job_stats(job, memo=memo)
 
 
 def compile_job_stats(
     job: CompileJob, memo: ProbeMemo | None = None
 ) -> tuple[CompiledKernel, CompileStats]:
-    """Compile one job, uncached, with per-phase timings and the mapper's
-    search-effort counter deltas (the input of ``perf/``'s compile workloads).
+    """Compile one job, uncached, with its telemetry (the input of
+    ``perf/``'s compile workloads).
 
     With *memo*, the caller's :class:`~repro.compiler.search.ProbeMemo`,
     the job runs only the probes no earlier job of that memo has run and
@@ -189,38 +194,37 @@ def compile_job_stats(
     base mapping passes ``validate_mapping`` before its II is stored as
     ``ii_base``.
 
-    The compile runs inside a per-job counter scope
-    (:func:`repro.compiler.stats.job_counters`): the mapper's increments
-    land on this thread's private instance, so per-job attribution is
-    *exact* even when several jobs compile concurrently on sibling threads,
-    and nothing outlives the call but the returned stats.
+    The compile runs inside its own :func:`~repro.util.spans.collecting`
+    scope, so per-job attribution is *exact* even when several jobs compile
+    concurrently on sibling threads; nothing outlives the call but the
+    returned stats, which also roll up into the caller's open scope.
     """
-    started = time.perf_counter()
+    with collecting() as scope:
+        with span("pipeline.compile_job"):
+            artifact = _compile(job, memo)
+    return artifact, CompileStats(
+        scope.counters.as_dict(), tuple(scope.ladders), tuple(scope.spans)
+    )
+
+
+def _compile(job: CompileJob, memo: ProbeMemo | None) -> CompiledKernel:
     dfg = get_kernel(job.kernel).build()
     cgra = job.build_cgra()
     key = job_key(job, dfg, cgra)
     layout = make_layout(cgra, job.page_size)
     config = job.mapper_config
     probes = None if memo is None else memo.for_dfg(dfg, key.dfg_fp)
-    search_log: list[LadderReport] = []
-    with job_counters() as job_ctrs:
-        base_started = time.perf_counter()
+    with span("compiler.base_map"):
         try:
-            base = map_dfg(
-                dfg, cgra, config=config, search_log=search_log, probes=probes
-            )
+            base = map_dfg(dfg, cgra, config=config, probes=probes)
         except LadderExhausted as exc:
             base, exhausted = None, exc
-        base_seconds = time.perf_counter() - base_started
-        paged_started = time.perf_counter()
+    with span("compiler.paged_map"):
         try:
-            paged = map_dfg_paged(
-                dfg, cgra, layout, config=config, search_log=search_log, probes=probes
-            )
+            paged = map_dfg_paged(dfg, cgra, layout, config=config, probes=probes)
         except LadderExhausted:
             # the one verdict that is an artifact; anything else is a failure
             paged = None
-        paged_seconds = time.perf_counter() - paged_started
     if base is None:
         if paged is None:
             raise exhausted
@@ -243,16 +247,8 @@ def compile_job_stats(
         mapper_fp=key.mapper_fp,
         ii_base=base.ii,
     )
-    stats = CompileStats(
-        seconds=time.perf_counter() - started,
-        base_map_seconds=base_seconds,
-        paged_map_seconds=paged_seconds,
-        counters=job_ctrs.as_dict(),
-        ladders=tuple(search_log),
-    )
     if paged is None:
-        artifact = CompiledKernel(layout_wrap=False, unmappable=True, **common)
-        return artifact, stats
+        return CompiledKernel(layout_wrap=False, unmappable=True, **common)
     steady = tuple(
         (m, ii.numerator, ii.denominator)
         for m in range(1, paged.pages_used + 1)
@@ -262,7 +258,7 @@ def compile_job_stats(
             )
         ]
     )
-    artifact = CompiledKernel(
+    return CompiledKernel(
         layout_wrap=paged.layout.allow_wrap,
         ii_paged=paged.ii,
         pages_used=paged.pages_used,
@@ -284,7 +280,6 @@ def compile_job_stats(
         steady_ii=steady,
         **common,
     )
-    return artifact, stats
 
 
 @dataclass(frozen=True)
@@ -400,6 +395,9 @@ def compile_many_outcomes(
                 mp_context=multiprocessing.get_context("spawn"),
             ) as pool:
                 compiled = list(pool.map(_job_outcome_pooled, pending))
+            for outcome in compiled:
+                if not isinstance(outcome, CompileFailure):
+                    absorb(outcome[1])  # as a serial job's scope rolls up
         else:
             memo = ProbeMemo()
             compiled = [_job_outcome(job, memo) for job in pending]
@@ -407,10 +405,10 @@ def compile_many_outcomes(
             if isinstance(outcome, CompileFailure):
                 resolved[job] = outcome
                 continue
-            artifact, seconds = outcome
+            artifact, stats = outcome
             resolved[job] = artifact
             if store is not None:
-                store.note_compile_time(seconds)
+                store.note_compile_time(stats.seconds)
                 store.put(artifact)
     return [resolved[job] for job in jobs]
 

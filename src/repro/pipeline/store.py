@@ -36,6 +36,7 @@ from pathlib import Path
 
 from repro.pipeline.artifact import CompiledKernel, ArtifactKey
 from repro.util.errors import ArtifactError
+from repro.util.spans import span
 
 __all__ = ["ArtifactStore", "STORE_DIRNAME"]
 
@@ -93,6 +94,7 @@ class ArtifactStore:
 
     # -- access ---------------------------------------------------------------------
 
+    @span("pipeline.store_get")
     def get(self, key: ArtifactKey, *, raw: bool = False):
         """The stored artifact for *key*, or None (counted as a miss).
         With *raw*, ``(artifact, bytes)``: the file is read once, and the
@@ -134,6 +136,7 @@ class ArtifactStore:
             self.hits += 1
         return (artifact, data) if raw else artifact
 
+    @span("pipeline.store_put")
     def put(self, artifact: CompiledKernel) -> Path | None:
         """Persist *artifact* atomically; best-effort but never silent."""
         path = self.path_for(artifact.key)

@@ -152,8 +152,10 @@ class ServeResult:
 
     ``source`` says how the bytes were obtained: ``"hit"`` (already in the
     store), ``"compiled"`` (this request led the compile), ``"coalesced"``
-    (rode a sibling's in-flight compile).  On failure ``body`` is None and
-    ``error``/``message`` carry the structured per-request error.
+    (rode a sibling's in-flight compile).  ``seconds`` is the compile's
+    own (its job's ``CompileStats.seconds``), 0.0 where none ran.  On
+    failure ``body`` is None and ``error``/``message`` carry the
+    structured per-request error.
     """
 
     request_id: str

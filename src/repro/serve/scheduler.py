@@ -18,15 +18,21 @@ models it the same way the paper models fabric sharing:
   discards the result.
 
 Everything here, the token included, runs on the event loop —
-single-threaded bookkeeping, no locks.
+single-threaded bookkeeping, no locks.  Work runs in the context its
+submitter had, so its spans land in the submitter's scope, beside the
+``serve.queue_wait`` (submit to slot) and ``serve.slot_busy`` (the work)
+spans of its request.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+
+from repro.util.spans import span
 
 __all__ = ["CancelToken", "RequestCancelled", "ScheduledRequest", "FairScheduler"]
 
@@ -55,6 +61,8 @@ class ScheduledRequest:
     work: object  # async callable: work(token) -> result
     token: CancelToken
     future: asyncio.Future
+    context: contextvars.Context = field(default_factory=contextvars.copy_context)
+    waiting: span = field(default_factory=lambda: span("serve.queue_wait").start())
 
     def sort_key(self) -> tuple[int, int]:
         # higher priority first; FIFO (arrival seq) among equals
@@ -233,14 +241,17 @@ class FairScheduler:
                 self._wake.clear()
                 continue
             self.dispatched += 1
-            task = asyncio.get_running_loop().create_task(self._run(req))
+            loop = asyncio.get_running_loop()
+            task = req.context.run(loop.create_task, self._run(req))
             self._running[req.seq] = task
 
     async def _run(self, req: ScheduledRequest) -> None:
+        req.waiting.stop()
         try:
             if req.token.cancelled:
                 raise RequestCancelled(f"request {req.seq}")
-            result = await req.work(req.token)
+            with span("serve.slot_busy"):
+                result = await req.work(req.token)
             if not req.future.done():
                 req.future.set_result(result)
         except BaseException as exc:  # noqa: BLE001 - forwarded to the waiter

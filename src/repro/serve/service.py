@@ -61,8 +61,8 @@ before the next miss (DESIGN.md §9).
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import dataclasses
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -72,6 +72,7 @@ from repro.pipeline.artifact import ArtifactKey, CompiledKernel
 from repro.pipeline.compile import (
     CompileFailure,
     CompileJob,
+    CompileStats,
     _job_outcome_pooled,
     _warm,
     compile_job,
@@ -81,6 +82,7 @@ from repro.pipeline.store import ArtifactStore
 from repro.serve.protocol import CompileRequest, ServeResult
 from repro.serve.scheduler import CancelToken, FairScheduler, RequestCancelled
 from repro.util.errors import ReproError
+from repro.util.spans import absorb, span
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -226,6 +228,13 @@ class CompileService:
 
     # -- the request path -----------------------------------------------------------
 
+    def _off_loop(self, fn, *args) -> asyncio.Future:
+        """``fn(*args)`` on the thread pool, in a copy of the caller's
+        context: its spans land in the caller's open scope."""
+        return asyncio.get_running_loop().run_in_executor(
+            self._pool, contextvars.copy_context().run, fn, *args
+        )
+
     def _next_request_id(self, request: CompileRequest) -> str:
         self._seq += 1
         return f"{request.tenant}-{self._seq}"
@@ -240,8 +249,7 @@ class CompileService:
         self.memo_misses += 1
         if len(self._keys) >= _KEY_MEMO_MAX:
             del self._keys[next(iter(self._keys))]
-        loop = asyncio.get_running_loop()
-        resolving = self._keys[job] = loop.run_in_executor(self._pool, job_key, job)
+        resolving = self._keys[job] = self._off_loop(job_key, job)
 
         def _evict_failure(fut: asyncio.Future) -> None:
             # a failed resolution is reported to its waiters, never cached
@@ -251,6 +259,7 @@ class CompileService:
         resolving.add_done_callback(_evict_failure)
         return resolving
 
+    @span("serve.submit")
     async def submit(self, request: CompileRequest) -> ServeResult:
         """Serve one compile request end to end; never raises for
         per-request failures (they come back as structured errors)."""
@@ -412,26 +421,30 @@ class CompileService:
     ) -> ServeResult:
         """A store miss, at any worker count: the whole job on a slot
         thread (``workers = 1``) or in a worker process (``workers >= 2``,
-        exactly as ``compile_many(workers=N)`` runs it); storing stays here
-        in the parent.  A compile is never interrupted, so a flight
-        cancelled meanwhile is answered when its job ends, nothing stored."""
-        loop = asyncio.get_running_loop()
-        started = time.perf_counter()
+        exactly as ``compile_many(workers=N)`` runs it, its record rolled
+        up here as a slot thread's is); storing stays here in the parent.
+        A compile is never interrupted, so a flight cancelled meanwhile is
+        answered when its job ends, nothing stored."""
         jobs = self._jobs
-        if jobs is None:
-            outcome = await loop.run_in_executor(self._pool, self._compile_inline, job)
-        else:
-            from concurrent.futures.process import BrokenProcessPool
+        with span("serve.compile"):
+            if jobs is None:
+                outcome = await self._off_loop(self._compile_inline, job)
+            else:
+                from concurrent.futures.process import BrokenProcessPool
 
-            try:
-                outcome = await loop.run_in_executor(jobs, _job_outcome_pooled, job)
-            except BrokenProcessPool:
-                # a worker died: every job on this pool fails like this one;
-                # the first to notice replaces the pool for the next miss
-                if self._jobs is jobs:
-                    jobs.shutdown(wait=False)
-                    self._spawn_jobs_pool()
-                raise
+                try:
+                    outcome = await asyncio.get_running_loop().run_in_executor(
+                        jobs, _job_outcome_pooled, job
+                    )
+                except BrokenProcessPool:
+                    # a worker died: every job on this pool fails like this
+                    # one; the first to notice replaces the pool for the next
+                    if self._jobs is jobs:
+                        jobs.shutdown(wait=False)
+                        self._spawn_jobs_pool()
+                    raise
+                if not isinstance(outcome, CompileFailure):
+                    absorb(outcome[1])
         if token.cancelled:
             raise RequestCancelled("cancelled while its job ran; nothing stored")
         if isinstance(outcome, CompileFailure):
@@ -441,9 +454,7 @@ class CompileService:
                 error=outcome.error,
                 message=outcome.message,
             )
-        return await loop.run_in_executor(
-            self._pool, self._store_compiled, key, *outcome, started
-        )
+        return await self._off_loop(self._store_compiled, key, *outcome)
 
     def _compile_inline(self, job: CompileJob):
         """The slot-thread body at ``workers = 1``: the whole job, its
@@ -457,14 +468,14 @@ class CompileService:
             )
 
     def _store_compiled(
-        self, key: ArtifactKey, artifact: CompiledKernel, seconds: float, started: float
+        self, key: ArtifactKey, artifact: CompiledKernel, stats: CompileStats
     ) -> ServeResult:
         """Store a fresh artifact, as ``compile_many_outcomes`` does; the
         served bytes are read back from the store file for byte parity
         with offline compiles.  When the put fails (it logs why), they are
         ``artifact.to_json()``, the bytes it would have written, and
         nothing is stored."""
-        self.store.note_compile_time(seconds)
+        self.store.note_compile_time(stats.seconds)
         path = self.store.put(artifact)
         body = (
             path.read_bytes()
@@ -476,7 +487,7 @@ class CompileService:
             digest=key.digest,
             source="compiled",
             body=body,
-            seconds=time.perf_counter() - started,
+            seconds=stats.seconds,
         )
 
     # -- introspection --------------------------------------------------------------

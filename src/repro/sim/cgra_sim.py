@@ -44,6 +44,7 @@ from repro.arch.isa import ALU_BY_VALUE, Opcode, evaluate
 from repro.arch.memory import DataMemory
 from repro.sim.lowering import Firing, GlobalSlot, ResolvedRead, firing_order
 from repro.util.errors import SimulationError
+from repro.util.spans import span
 
 __all__ = ["SimResult", "simulate"]
 
@@ -77,6 +78,7 @@ class SimResult:
         )
 
 
+@span("sim.cgra_simulate")
 def simulate(
     firings: Sequence[Firing],
     cgra: CGRA,

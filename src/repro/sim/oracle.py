@@ -54,6 +54,7 @@ from repro.sim.system import SystemConfig, SystemResult, simulate_system
 from repro.sim.trace import Decision, DecisionTrace, SystemTimeline
 from repro.sim.workload import ThreadSpec
 from repro.util.errors import OracleViolation, ReproError, SimulationError
+from repro.util.spans import span
 
 __all__ = [
     "OracleResult",
@@ -619,6 +620,7 @@ def compare_results(oracle: OracleResult, result: SystemResult) -> list[str]:
     return problems
 
 
+@span("sim.verify")
 def verify_system(
     workload: list[ThreadSpec],
     config: SystemConfig,

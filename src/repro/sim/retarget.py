@@ -47,6 +47,7 @@ from repro.sim.lowering import (
     stamp_firings,
 )
 from repro.util.errors import TransformError
+from repro.util.spans import span
 
 __all__ = ["required_batches", "retarget_firings"]
 
@@ -58,6 +59,7 @@ def required_batches(mapping, trip: int) -> int:
     return mapping.schedule_length + (trip - 1) * mapping.ii
 
 
+@span("sim.retarget")
 def retarget_firings(
     paged: PagedMapping,
     placement: PagePlacement,

@@ -45,6 +45,7 @@ from repro.core.policies import AllocationPolicy, HalvingPolicy, StaticEqualPoli
 from repro.core.runtime import CGRAManager
 from repro.sim.workload import ThreadSpec
 from repro.util.errors import SimulationError, WorkloadError
+from repro.util.spans import span
 
 __all__ = [
     "KernelProfile",
@@ -579,6 +580,7 @@ class _SystemSim:
         return self.result
 
 
+@span("sim.simulate_system")
 def simulate_system(
     workload: list[ThreadSpec],
     config: SystemConfig,

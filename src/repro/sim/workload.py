@@ -23,6 +23,7 @@ from typing import Sequence
 
 from repro.util.errors import WorkloadError
 from repro.util.rng import PCG64Stream
+from repro.util.spans import span
 
 __all__ = [
     "Segment",
@@ -249,6 +250,7 @@ def _arrival_times(
     return arrivals[:n]
 
 
+@span("sim.generate_trace")
 def generate_trace(
     n_threads: int,
     cgra_need: float,

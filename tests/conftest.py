@@ -28,6 +28,35 @@ def full_width():
     return build
 
 
+@pytest.fixture(scope="session")
+def durations_aside():
+    """``record(scope)``: what a :func:`~repro.util.spans.collecting` scope
+    received, every duration taken out — its counters, each ladder without
+    its probe seconds, the jobs it timed and the span names it saw — in an
+    order that does not depend on which of two concurrent jobs finished
+    first.  Two runs of the same jobs agree on it at any worker count.  How
+    often each name fired is left out, and so is ``core.pagemaster_place``:
+    a layer behind a process-wide cache (``steady_state_ii``'s runs
+    ``PageMaster.place`` on a miss only) is entered only where the process
+    has not run it before."""
+
+    def record(scope):
+        ladders = sorted(
+            repr((r.start_ii, r.attempts_per_ii, r.winner, r.shared))
+            + repr([[*row[:3], row[4]] for row in r.timeline])
+            for r in scope.ladders
+        )
+        names = [s[0] for s in scope.spans]
+        return (
+            scope.counters.as_dict(),
+            ladders,
+            names.count("pipeline.compile_job"),
+            sorted(set(names) - {"core.pagemaster_place"}),
+        )
+
+    return record
+
+
 @pytest.fixture
 def cgra44() -> CGRA:
     """The paper's smallest configuration: 4x4 mesh."""

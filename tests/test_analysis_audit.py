@@ -94,7 +94,6 @@ def _solo_audit(payload: dict, tmp_root: list = []) -> AuditEntry:
 
 def test_committed_store_audits_clean():
     report = audit_store(REPO_STORE)
-    assert report.ok
     assert report.findings == [], "\n".join(
         f.render() for f in report.findings
     )
@@ -106,7 +105,7 @@ def test_committed_store_audits_clean():
 def test_clean_artifact_round_trips(tmp_path, small):
     write_artifact(tmp_path, payload_of(small))
     report = audit_store(tmp_path)
-    assert report.ok and report.findings == []
+    assert report.findings == [] and report.counts()["corrupt"] == 0
     (entry,) = report.entries
     assert entry.folds_checked == small.pages_used  # one table row per M
 
@@ -120,7 +119,7 @@ def test_single_byte_corruption_is_art_read(tmp_path, small):
     raw[0] = ord("X")  # no longer JSON
     path.write_bytes(bytes(raw))
     assert audit_ids(tmp_path) == {"ART-READ"}
-    assert not audit_store(tmp_path).ok
+    assert audit_store(tmp_path).counts()["corrupt"] == 1
 
     raw[0] = 0xC5  # invalid UTF-8 continuation — not even decodable
     path.write_bytes(bytes(raw))
@@ -422,7 +421,8 @@ def test_foreign_files_are_tolerated_and_reported(tmp_path, small):
     assert store.get(small.key) is not None  # reads unaffected
 
     report = audit_store(tmp_path)
-    assert report.ok  # foreign files never fail the audit outright
+    # foreign files never fail the audit outright
+    assert report.counts()["corrupt"] == 0
     foreign = [e for e in report.entries if e.status == "foreign"]
     assert sorted(e.path for e in foreign) == sorted(
         ["README.txt", f"{small.key.digest[:2]}/notes.md"]

@@ -294,7 +294,7 @@ def test_reverting_counters_fix_fires_global_write(tmp_path):
     text = (default_root() / "compiler" / "routing.py").read_text()
     # the router fetches the thread's counters once per query and bumps
     # that instance; the reverted form bumps one shared by every thread
-    fixed_import = "from repro.compiler.stats import MapperCounters, counters"
+    fixed_import = "from repro.util.spans import MapperCounters, counters"
     fixed_bump = "stats = counters()\n    stats.route_calls += 1"
     assert fixed_import in text and fixed_bump in text
     reverted = text.replace(

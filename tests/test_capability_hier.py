@@ -67,7 +67,7 @@ class TestCapabilityMap:
         assert op_class(Opcode.CONST) is OpClass.ALU
 
     def test_homogeneous_is_empty_encoding(self):
-        cap = CapabilityMap.homogeneous(4, 4)
+        cap = CapabilityMap(4, 4, ())
         assert cap.is_homogeneous
         assert cap.classes == ()
         assert cap.spec() is None
@@ -120,7 +120,7 @@ class TestCapabilityMap:
             CapabilityMap.mem_columns(4, 4, (7,))
 
     def test_cgra_canonicalizes_homogeneous_map_to_none(self):
-        cgra = CGRA(4, 4, rf_depth=16, capability=CapabilityMap.homogeneous(4, 4))
+        cgra = CGRA(4, 4, rf_depth=16, capability=CapabilityMap(4, 4, ()))
         assert cgra.capability is None
         assert cgra.fingerprint() == PRESET_FINGERPRINTS["4x4"]
 
@@ -330,7 +330,8 @@ class TestMapCapAudit:
         root = tmp_path / "audit"
         self._write(root, artifact)
         report = audit_store(root)
-        assert report.ok, "\n".join(f.render() for f in report.findings)
+        counts = report.counts()
+        assert counts["corrupt"] == 0, "\n".join(f.render() for f in report.findings)
 
     def test_capability_violation_is_map_cap(self, tmp_path):
         """Shrink the stored capability map under the placements' feet:
@@ -359,7 +360,7 @@ class TestMapCapAudit:
         report = audit_store(root)
         ids_found = {f.rule_id for f in report.findings}
         assert "MAP-CAP" in ids_found, ids_found
-        assert not report.ok
+        assert report.counts()["corrupt"] == 1
 
 
 # -- hier backend --------------------------------------------------------------------
@@ -424,10 +425,10 @@ class TestHierBackend:
     def test_one_page_probe_maps_what_flat_cannot(self, draw):
         from repro.compiler.ems import MapperConfig
         from repro.compiler.paged import map_dfg_paged
-        from repro.compiler.stats import job_counters
         from repro.dfg.random_dfg import random_dfg
         from repro.pipeline.compile import make_layout
         from repro.util.errors import LadderExhausted
+        from repro.util.spans import collecting
 
         cgra = preset("8x8-memcols")
         layout = make_layout(cgra, 4)
@@ -438,10 +439,10 @@ class TestHierBackend:
 
         with pytest.raises(LadderExhausted):
             map_dfg_paged(dfg, cgra, layout, config=config("flat"))
-        with job_counters() as counters:
+        with collecting() as scope:
             pm = map_dfg_paged(dfg, cgra, layout, config=config("hier"))
         assert (pm.ii, pm.pages_used) == (self.ONE_PAGE_DRAWS[draw], 1)
-        assert counters.hier_wins == 1 and counters.hier_flat_wins == 0
+        assert scope.counters.hier_wins == 1 and scope.counters.hier_flat_wins == 0
 
     def test_hier_backend_distinct_mapper_fp(self):
         flat = CompileJob("sor", 4, 4, seed=0)

@@ -559,7 +559,7 @@ class TestReachabilityFilter:
         import random
 
         from repro.compiler.routing import _dfs_route, find_route_ids
-        from repro.compiler.stats import MapperCounters
+        from repro.util.spans import MapperCounters
 
         rng = random.Random(f"{name}/{ring}/{route_mask}")
         cgra, ctx = self._context(name, ring, route_mask, rng)
@@ -643,7 +643,7 @@ class TestReachabilityFilter:
         import random
 
         from repro.compiler.ems import EMSMapper, _Attempt
-        from repro.compiler.stats import MapperCounters
+        from repro.util.spans import MapperCounters
 
         rng = random.Random(f"mask/{name}/{ring}/{route_mask}")
         cgra, ctx = self._context(name, ring, route_mask, rng)

@@ -23,7 +23,7 @@ def swim_paged(full_width):
 class TestExtraction:
     def test_every_item_accounted(self, swim_paged):
         sched = swim_paged.page_schedule
-        n_items = sum(len(inst) for inst in sched.instances.values())
+        n_items = sum(len(inst.items) for inst in sched.instances.values())
         n_routes = sum(
             len(r.steps) for r in swim_paged.mapping.routes.values()
         )

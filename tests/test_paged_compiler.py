@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.arch.cgra import CGRA
+from repro.arch.isa import Opcode
 from repro.compiler.check import validate_mapping
 from repro.compiler.constraints import paged_bus_key, register_usage_report
 from repro.compiler.paged import map_dfg_paged
@@ -80,7 +81,7 @@ class TestConstraints:
 
         b = DFGBuilder("fanout")
         x = b.load("in")
-        b.store("out", b.neg(x))
+        b.store("out", b.op(Opcode.NEG, x))
         b.store("out2", b.abs(x))
         dfg = b.build()
         load, neg, absolute = (

@@ -68,3 +68,49 @@ def test_fold_workload_simulates_under_the_paged_bus_key():
 
     assert perf.wl_fold.paged_bus_key is paged_bus_key
     assert "bus_key" in inspect.signature(simulate).parameters
+
+
+#: The workloads whose spans all fire in this process (the HTTP ones fire
+#: in a server child), and the span only ``perf/``'s own client records.
+IN_PROCESS = [
+    "compile_flat_4x4", "compile_hier_8x8", "fold_exec", "sim_bursty_halving",
+    "sim_poisson_fairshare", "service_burst",
+]
+CLIENT_SIDE = {"loadgen.request"}
+
+
+@pytest.mark.parametrize("name", IN_PROCESS)
+def test_every_expected_span_fires_in_a_collecting_scope(name):
+    """The program's own spans cover what ``perf/layers.py`` declares: a
+    workload run at ``--check`` sizes under one ``collecting()`` scope
+    (set-up, a repeat and the correctness checks) fires every span named
+    for it in ``EXPECTED``, with no tracer installed.  ``service_burst``'s
+    check compiles a reference store under ``perf/out``, so it is not run.
+    ``perf/`` runs each workload in a fresh process; the one process-wide
+    cache a declared span sits behind (``steady_state_ii``'s, over
+    ``PageMaster.place``) is emptied to match."""
+    import time
+
+    from perf.harness import Run
+    from perf.layers import EXPECTED
+    from perf.run import build_workload
+    from repro.core.pagemaster import steady_state_ii
+    from repro.util.spans import collecting
+
+    steady_state_ii.__wrapped__.cache_clear()
+
+    run = Run(
+        workload=name, seed=0, seconds=0.1, trace=False, check_sizes=True,
+        process_start=time.perf_counter(),
+    )
+    workload = build_workload(name)
+    with collecting() as scope:
+        try:
+            workload.prepare(run)
+            repeats = [workload.repeat(run, 0)]
+            if name != "service_burst":
+                assert workload.check(run, repeats) == []
+        finally:
+            workload.cleanup()
+    fired = {span_name for span_name, _start, _end in scope.spans}
+    assert sorted(set(EXPECTED[name]) - CLIENT_SIDE - fired) == []

@@ -99,7 +99,6 @@ class TestFingerprints:
     def test_key_digest_shape(self):
         key = job_key(CompileJob("sor", 4, 4))
         assert len(key.digest) == 64
-        assert str(key) == f"{key.dfg_fp}/{key.arch_fp}/{key.mapper_fp}"
 
     def test_one_address_holds_one_byte_string(self):
         """A job's ``seed`` only derives the default mapper configuration:
@@ -394,9 +393,10 @@ class TestStoreConcurrency:
 
 
 class TestBatchOutcomes:
-    def test_failures_isolated_per_job(self, tmp_path):
+    def test_failures_isolated_per_job(self, tmp_path, durations_aside):
         from repro.pipeline import CompileFailure, compile_many_outcomes
         from repro.util.errors import MappingError, WorkloadError
+        from repro.util.spans import collecting
 
         jobs = [
             CompileJob("sor", 4, 2),
@@ -405,9 +405,16 @@ class TestBatchOutcomes:
             CompileJob("sor", 4, 2, arch="8x8-memcols"),  # preset is 8x8
         ]
         clean = compile_many([jobs[0], jobs[2]])
+        records = []
         for workers in (1, 2):  # inline, then across the process boundary
             store = ArtifactStore(tmp_path / f"store-{workers}")
-            outcomes = compile_many_outcomes(jobs, store=store, workers=workers)
+            with collecting() as scope:
+                outcomes = compile_many_outcomes(jobs, store=store, workers=workers)
+            # the jobs' records come back with their artifacts and roll up
+            # into the caller's scope: what a worker did is what a serial
+            # compile reports, durations aside
+            records.append(durations_aside(scope))
+            assert records[-1][2] == 2  # the two jobs that compile
             assert isinstance(outcomes[0], CompiledKernel)
             assert isinstance(outcomes[2], CompiledKernel)
             assert all(isinstance(outcomes[i], CompileFailure) for i in (1, 3))
@@ -432,6 +439,7 @@ class TestBatchOutcomes:
             for got in (outcomes, storeless):
                 assert got[0].to_json() == clean[0].to_json()
                 assert got[2].to_json() == clean[1].to_json()
+        assert records[0] == records[1]
 
     @pytest.mark.parametrize(
         "job, module, passes",

@@ -53,7 +53,7 @@ class TestCrossLayerAgreement:
         cgra = CGRA(4, 4, rf_depth=16)
         layout = PageLayout(cgra, (2, 2))
         pm = full_width(get_kernel("swim").build(), cgra, layout)
-        items = sum(len(i) for i in pm.page_schedule.instances.values())
+        items = sum(len(i.items) for i in pm.page_schedule.instances.values())
         routes = sum(len(r.steps) for r in pm.mapping.routes.values())
         assert items == len(pm.mapping.placements) + routes
 
@@ -120,7 +120,7 @@ class TestPlacementProperties:
         check_placement(p)
         # every batch fully placed, timing monotone per page
         for page in range(n):
-            times = [p.time(page, b) for b in range(batches)]
+            times = [p.slots[(page, b)][1] for b in range(batches)]
             assert times == sorted(times)
             assert len(set(times)) == len(times)
 

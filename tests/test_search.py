@@ -27,10 +27,10 @@ import pytest
 from repro.arch.cgra import CGRA
 from repro.compiler.ems import FAIL_FAST_BUDGET, FULL_BUDGET, EMSMapper, MapperConfig
 from repro.compiler.search import DfgProbes, LadderReport, ProbeMemo, climb_ladder
-from repro.compiler.stats import MapperCounters, counters, job_counters
 from repro.kernels import get_kernel, kernel_names
 from repro.util.errors import LadderExhausted, MappingError
 from repro.util.rng import PCG64Stream
+from repro.util.spans import MapperCounters, collecting, counters, current, span
 
 
 def _sor():
@@ -117,12 +117,15 @@ class TestLadderEnds:
 
     def _climb(self, mapper, dfg):
         """(result or the LadderExhausted raised, the ladder's report)"""
-        log: list[LadderReport] = []
-        try:
-            result = climb_ladder(mapper, dfg, log=log)
-        except LadderExhausted as exc:
-            result = exc
-        return result, log[0]
+        with collecting() as scope:
+            try:
+                result = climb_ladder(mapper, dfg)
+            except LadderExhausted as exc:
+                result = exc
+        (report,) = scope.ladders
+        probes = [name for name, *_ in scope.spans if name == "compiler.probe"]
+        assert len(probes) == len(report.timeline)  # one span per probe
+        return result, report
 
     def test_first_success_wins_and_nothing_above_it_runs(self):
         dfg = _sor()
@@ -177,9 +180,9 @@ class TestStuck:
 
     def test_failed_rows_carry_the_stuck_op(self):
         mapper, dfg = _sobel_ps2_mapper(max_ii=2)
-        log: list[LadderReport] = []
-        with pytest.raises(LadderExhausted):
-            climb_ladder(mapper, dfg, log=log)
+        with collecting() as scope, pytest.raises(LadderExhausted):
+            climb_ladder(mapper, dfg)
+        log: list[LadderReport] = scope.ladders
         rows = log[0].timeline
         assert [row[:3] for row in rows] == [[2, a, "fail"] for a in range(4)]
         reasons = {"window", "no-pe", "no-slot", "budget"}
@@ -210,20 +213,48 @@ class TestStuck:
 
 class TestJobCounters:
     def test_nested_scope_rolls_up_into_the_enclosing_one(self):
-        """A closed scope stays readable, its totals land in the scope that
-        encloses it — once — and increments go to the innermost open one."""
-        with job_counters() as outer:
+        """A closed scope stays readable, its record — counters, ladder
+        reports, spans — lands in the scope that encloses it, once, and
+        whatever is reported goes to the innermost open one."""
+        with collecting() as outer:
             counters().expansions += 2
-            with job_counters() as inner:
-                assert counters() is inner
+            with collecting() as inner:
+                assert counters() is inner.counters and current() is inner
                 counters().expansions += 5
                 counters().rungs_skipped += 1
-            assert counters() is outer
-            with job_counters() as sibling:
+                current().ladders.append("ladder")
+                with span("inner.block"):
+                    pass
+            assert counters() is outer.counters and current() is outer
+            with collecting() as sibling:
                 counters().expansions += 1
-        assert (inner.expansions, inner.rungs_skipped) == (5, 1)
-        assert sibling.expansions == 1
-        assert (outer.expansions, outer.rungs_skipped) == (8, 1)
+        assert current() is None
+        assert (inner.counters.expansions, inner.counters.rungs_skipped) == (5, 1)
+        assert sibling.counters.expansions == 1
+        assert (outer.counters.expansions, outer.counters.rungs_skipped) == (8, 1)
+        assert inner.ladders == outer.ladders == ["ladder"]
+        assert inner.spans == outer.spans and [s[0] for s in outer.spans] == ["inner.block"]
+        assert sibling.ladders == sibling.spans == []
+
+    def test_a_span_with_no_scope_open_leaves_nothing(self):
+        """With no scope open a span reads no clock and keeps nothing: the
+        decorated call runs as it would bare, the block's ``seconds`` stays
+        0.0, and the next scope opens empty."""
+        seen = []
+
+        @span("test.call")
+        def work(x):
+            seen.append(current())
+            return x + 1
+
+        assert current() is None
+        with span("test.block") as block:
+            assert work(1) == 2
+        assert seen == [None] and block.seconds == 0.0 and current() is None
+        with collecting() as scope:
+            pass
+        assert scope.spans == [] and scope.ladders == []
+        assert scope.counters == MapperCounters()
 
     def test_unscoped_counters_are_private_to_the_thread(self):
         """Outside any scope ``counters()`` is a per-thread instance: no
@@ -506,15 +537,14 @@ def test_sobel_ps2_ring_ladder_shares_nothing_with_its_chain(monkeypatch):
 
     def ladders(probes_for):
         dfg, cgra, layout = _paged("sobel", 2)
-        log: list[LadderReport] = []
-        with pytest.raises(LadderExhausted):
+        with collecting() as scope, pytest.raises(LadderExhausted):
             map_dfg_paged(
                 dfg, cgra, layout, config=dataclasses.replace(CONFIG, max_ii=2),
-                search_log=log, probes=probes_for(dfg),
+                probes=probes_for(dfg),
             )
         return [
             (report.shared, [[*row[:3], row[4]] for row in report.timeline])
-            for report in log
+            for report in scope.ladders
         ]
 
     direct = ladders(lambda dfg: None)
@@ -531,19 +561,35 @@ def test_sobel_ps2_ring_ladder_shares_nothing_with_its_chain(monkeypatch):
 
 
 def _compile(jobs, memo=None):
-    """``[(artifact json, probes run, probes shared)]`` of *jobs*, in order."""
+    """``[(artifact json, probes run, probes shared)]`` of *jobs*, in order.
+
+    The jobs compile under one scope of the caller's, which must receive
+    exactly their records: every ladder report and span of theirs, in
+    order, their counters summed, and nothing of a compile that another
+    thread runs meanwhile."""
     from repro.pipeline.compile import compile_job_stats
 
-    out = []
-    for job in jobs:
-        artifact, stats = compile_job_stats(job, memo=memo)
+    compiled = []
+    with collecting() as scope:
+        for job in jobs:
+            compiled.append(compile_job_stats(job, memo=memo))
+    records = [stats for _artifact, stats in compiled]
+    for stats in records:
         assert sum(report.shared for report in stats.ladders) == stats.counters[
             "probes_shared"
         ]
-        out.append(
-            (artifact.to_json(), stats.counters["probes_run"], stats.counters["probes_shared"])
-        )
-    return out
+        assert stats.spans[-1][0] == "pipeline.compile_job" and stats.seconds > 0
+    ladders = [report for stats in records for report in stats.ladders]
+    assert len(scope.ladders) == len(ladders)
+    assert all(mine is theirs for mine, theirs in zip(scope.ladders, ladders))
+    assert scope.spans == [s for stats in records for s in stats.spans]
+    assert scope.counters.as_dict() == {
+        key: sum(stats.counters[key] for stats in records) for key in records[0].counters
+    }
+    return [
+        (artifact.to_json(), stats.counters["probes_run"], stats.counters["probes_shared"])
+        for artifact, stats in compiled
+    ]
 
 
 def test_two_threads_on_one_memo():

@@ -5,6 +5,7 @@ served responses and offline ``compile_many`` output."""
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 import multiprocessing
 import os
@@ -505,13 +506,16 @@ def _count_job_key(monkeypatch, before=None) -> list[CompileJob]:
 
 def _count_hops_and_gets(monkeypatch, service):
     """Record what *service* hands its thread pool and asks its store:
-    ``(functions submitted, keys probed)``."""
+    ``(functions submitted, keys probed)``.  A hop runs its function in a
+    copy of the submitter's context, ``Context.run(fn, *args)``: *fn* is
+    what is recorded."""
     hops, gets = [], []
     pool_submit, store_get = service._pool.submit, service.store.get
 
-    def counting_submit(fn, *args):
+    def counting_submit(run, fn, *args):
+        assert isinstance(getattr(run, "__self__", None), contextvars.Context)
         hops.append(fn)
-        return pool_submit(fn, *args)
+        return pool_submit(run, fn, *args)
 
     def counting_get(key, **kwargs):
         gets.append(key)
@@ -1173,20 +1177,35 @@ class TestJobPool:
     """``workers=2``: a miss is a whole job in a spawned worker process,
     stored by the parent — with the guarantees the slot-thread path has."""
 
-    def test_served_bytes_match_offline_compile_job(self, tmp_path):
+    def test_served_bytes_match_offline_compile_job(self, tmp_path, durations_aside):
+        """...and the jobs' records cross back with their artifacts: under a
+        scope, a pooled service reports what a slot-thread one does,
+        durations aside, and ``seconds`` is the job's own."""
+        from repro.util.spans import collecting
+
         requests = [
             _request("sor"),
             _request("sor", size=8, page_size=4, arch="8x8-memcols", backend="hier"),
         ]
 
-        async def body():
-            config = ServiceConfig(store_root=str(tmp_path), workers=2, slots=2)
+        async def body(workers):
+            config = ServiceConfig(
+                store_root=str(tmp_path / f"w{workers}"), workers=workers, slots=2
+            )
             async with CompileService(config) as service:
-                cold = await asyncio.gather(*map(service.submit, requests))
+                with collecting() as scope:
+                    cold = await asyncio.gather(*map(service.submit, requests))
                 warm = await asyncio.gather(*map(service.submit, requests))
-                return cold, warm, service.stats()
+                return cold, warm, service.stats(), scope
 
-        cold, warm, stats = _run(body())
+        *_, inline = _run(body(1))
+        cold, warm, stats, pooled = _run(body(2))
+        assert durations_aside(pooled) == durations_aside(inline)
+        assert all(r.seconds > 0 for r in cold) and all(r.seconds == 0 for r in warm)
+        compiled = [
+            end - start for name, start, end in pooled.spans if name == "pipeline.compile_job"
+        ]
+        assert sorted(r.seconds for r in cold) == sorted(compiled)
         assert [r.source for r in cold + warm] == ["compiled"] * 2 + ["hit"] * 2
         for request, served, again in zip(requests, cold, warm):
             offline = compile_job(request.to_job())[0].to_json().encode()
