@@ -13,6 +13,7 @@ from repro.pipeline.artifact import CompiledKernel
 from repro.pipeline.store import ArtifactStore
 
 REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
+HIER_STORE = Path(__file__).resolve().parent / "hier_artifacts"
 
 pytestmark = pytest.mark.skipif(
     not REPO_STORE.is_dir(), reason="committed artifact store not present"
@@ -93,13 +94,15 @@ def _solo_audit(payload: dict, tmp_root: list = []) -> AuditEntry:
 
 
 def test_committed_store_audits_clean():
-    report = audit_store(REPO_STORE)
-    assert report.findings == [], "\n".join(
-        f.render() for f in report.findings
-    )
-    counts = report.counts()
-    assert counts["corrupt"] == 0 and counts["foreign"] == 0
-    assert counts["folds_checked"] > 0
+    """Both committed stores: the flat jobs and the 22 hier jobs."""
+    for root in (REPO_STORE, HIER_STORE):
+        report = audit_store(root)
+        assert report.findings == [], "\n".join(
+            f.render() for f in report.findings
+        )
+        counts = report.counts()
+        assert counts["corrupt"] == 0 and counts["foreign"] == 0, root
+        assert counts["folds_checked"] > 0, root
 
 
 def test_clean_artifact_round_trips(tmp_path, small):

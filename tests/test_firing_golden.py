@@ -9,8 +9,9 @@ produced.  Any change to a firing's cycle, PE, label, operand, address or
 global slot, to the order of the list, or to a simulator counter shows up
 here as a digest mismatch.
 
-``PYTHONPATH=src python tests/test_firing_golden.py`` prints the table
-(regenerate only when a change is *meant* to alter firings).
+``python tests/test_recompile_bytes.py --write`` rewrites :data:`GOLDEN`
+with :func:`render_golden` (run it only with a change that is *meant* to
+alter firings).
 """
 
 from __future__ import annotations
@@ -116,11 +117,14 @@ def keyword_digests() -> dict[str, str]:
     return out
 
 
-#: digests computed at the parent commit (2503f71), before the rewrite; the
-#: fft, gsr, sor and yuv2rgb ps2 entries re-pinned when the page plan was
-#: anchored at page 0 (their artifacts moved on purpose), and the 22
-#: multi-column folds whose pages change orientation re-pinned when a
-#: page's orientation became relative to the tile it lands on
+def render_golden(table) -> str:
+    """*table* as the ``GOLDEN = {...}`` block of this file."""
+    rows = "".join(f'    "{key}": "{value}",\n' for key, value in table.items())
+    return "GOLDEN = {\n" + rows + "}\n"
+
+
+#: :func:`compute_digests` as first pinned at 2503f71, before the rewrite,
+#: and re-pinned since only by changes that meant to move firings
 GOLDEN = {
     "mpeg/ps2/lower": "82b8b4fc3b0e03424f6077de4eac6dafcb4d0a4d14f09ec2bf52208a340220ca",
     "mpeg/ps2@8": "82b8b4fc3b0e03424f6077de4eac6dafcb4d0a4d14f09ec2bf52208a340220ca",
@@ -248,10 +252,3 @@ def test_keyword_run_exercises_the_global_fallback():
     slots = [s for f in firings for s in f.global_writes]
     assert slots and all(s.edge_id[0] == "t1" for s in slots)
     assert run(paged, firings, memory).global_reads >= len(slots)
-
-
-if __name__ == "__main__":
-    print("GOLDEN = {")
-    for key, value in compute_digests().items():
-        print(f'    "{key}": "{value}",')
-    print("}")

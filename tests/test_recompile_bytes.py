@@ -1,49 +1,60 @@
-"""Regression: cold compilation reproduces the committed artifact store.
+"""Regression: cold compilation reproduces the committed artifact bytes.
 
-The repository commits its compiled-kernel artifacts (``.repro_artifacts``
-at the repo root, content-addressed over DFG/arch/mapper fingerprints).
-Those bytes are the mapper's observable behaviour: II, placements, routes,
-steady-state IIs, serialised canonically.  Any change to candidate
-ordering, route tie-breaking, or search pruning that alters results shows
-up here as a byte diff — which is exactly the check the integer-indexed
-mapper rewrite had to pass, kept as a permanent test so future "harmless"
-refactors can't silently change schedules.
+The repository commits compiled-kernel artifacts in two content-addressed
+stores: ``.repro_artifacts/`` at the repo root, the 88 homogeneous flat
+jobs behind the figures (11 kernels at page sizes {2,4} on 4x4 and {2,4,8}
+on 6x6 and 8x8), and :data:`HIER_STORE`, the 22 jobs of ``perf/``'s
+``compile_hier_8x8`` workload (the hier backend on ``8x8-memcols``, page
+sizes {4,8}).  Those bytes are the mapper's observable behaviour: II,
+placements, routes, steady-state IIs, serialised canonically.  Any change
+to candidate ordering, route tie-breaking, or search pruning that alters
+results shows up here as a byte diff — which is exactly the check the
+integer-indexed mapper rewrite had to pass, kept as a permanent test so
+future "harmless" refactors can't silently change schedules.
 
 Tier-1 recompiles only the sub-second 4x4 kernels, and pins how much
 search each one took (:data:`SEARCH_VOLUME`: its counters and its ladders'
 probe rows), so a change that should only make a state cheaper cannot
-visit other states and keep the bytes by luck; ``python
-tests/test_recompile_bytes.py search-volume`` prints that table.  Run as a
-script (``python tests/test_recompile_bytes.py``, a CI step of its own) the file
-cold-compiles *every* committed artifact — 11 kernels at page sizes {2,4}
-on 4x4 and {2,4,8} on 6x6 and 8x8, 88 jobs fanned out over two worker
-processes — and byte-compares each: the check a router or placer change
-exists to pass.  The committed store holds homogeneous flat jobs only, so
-the same run also compiles the 22 jobs of ``perf/``'s ``compile_hier_8x8``
-workload (the hier backend on ``8x8-memcols``, page sizes {4,8}) and
-compares each artifact's sha256 with :data:`HIER_SHA256`; every artifact of
-both sets must store as its page need the pages it touches
-(``test_feasibility.page_span_problems``).  It then runs the placer's
-shortcut differential (``test_compiler_units.mask_replay_differential``)
-and its cost-floor differential (``test_compiler_units.floor_differential``)
-on all six draws at mapper seeds 0-3 — tier-1 runs the three draws that
-climb failing ladders at seed 0 only for the first, every draw but the
-flat ring one at seed 0 only for the second.
+visit other states and keep the bytes by luck.  Run as a script (``python
+tests/test_recompile_bytes.py``, a CI step of its own) the file
+cold-compiles all 110 jobs over two worker processes into a temporary
+store and compares each file with its committed twin.  It prints one
+:func:`diff_row` per job that differs — the fields that moved, old -> new
+— and one per job with no committed file ("new") or committed file that
+no job compiles ("orphaned"); every artifact must also store as its page
+need the pages it touches (``test_feasibility.page_span_problems``).  It
+then runs the placer's shortcut differential
+(``test_compiler_units.mask_replay_differential``) and its cost-floor
+differential (``test_compiler_units.floor_differential``) on all six
+draws at mapper seeds 0-3 — tier-1 runs the three draws that climb
+failing ladders at seed 0 only for the first, every draw but the flat
+ring one at seed 0 only for the second.
 
 A job compiled through a :class:`~repro.compiler.search.ProbeMemo` depends
 on what earlier jobs left in it, so the script also compiles the 22
-committed 4x4 jobs, the 22 pinned hier jobs and the 64 jobs of ``perf/``'s
-serve universe serially through one shared memo, in forward and in
-reversed job order, and byte-compares each with its reference (the
-committed store, :data:`HIER_SHA256`, the memo-less compile); tier-1 runs
-that on an eight-job slice.
+committed 4x4 jobs, the 22 hier jobs and the 64 jobs of ``perf/``'s serve
+universe serially through one shared memo, in forward and in reversed job
+order, and byte-compares each with its reference (the committed file, the
+memo-less compile); tier-1 runs that on an eight-job slice.
+
+``python tests/test_recompile_bytes.py --write`` re-pins, for a change
+that means to move schedules or the search: the same cold compile, then
+each differing, new or orphaned file is replaced, added or deleted in its
+store, and the :data:`SEARCH_VOLUME` block here and ``GOLDEN`` in
+``test_firing_golden.py`` are rewritten in place; it prints the same rows.
+It refuses (exit 2) while ``git status`` shows uncommitted changes in
+either store or either file.
 """
 
 from __future__ import annotations
 
-import hashlib
+import argparse
+import importlib
+import json
+import subprocess
 import sys
 import tempfile
+import textwrap
 import traceback
 from pathlib import Path
 
@@ -53,7 +64,11 @@ from repro.compiler.search import ProbeMemo
 from repro.pipeline.compile import CompileJob, compile_job_stats, compile_many, job_key
 from repro.pipeline.store import ArtifactStore
 
-REPO_STORE = Path(__file__).resolve().parents[1] / ".repro_artifacts"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+REPO_STORE = REPO_ROOT / ".repro_artifacts"
+#: The 22 hier jobs' store (:func:`_hier_jobs`), a root of its own so that
+#: the bench and the II-ceiling test read the flat jobs only.
+HIER_STORE = Path(__file__).resolve().parent / "hier_artifacts"
 
 FAST_JOBS = [
     CompileJob(kernel, 4, page_size)
@@ -62,42 +77,9 @@ FAST_JOBS = [
 ]
 
 
-#: sha256 of the artifact file of ``CompileJob(kernel, 8, page_size, seed=0,
-#: arch="8x8-memcols", backend="hier")``, recorded at 0de780d (the parent of
-#: the candidate-mask change); fft, laplace, lowpass and sobel at ps4 and
-#: swim at ps8 re-recorded when the page plan was anchored at page 0.
-#: Re-record only with a change that means to alter hier schedules.
-HIER_SHA256 = {
-    ("mpeg", 4): "60bd336dc1d735eb39d47749e2904dbb8b3f207d2fc109c9410e7443ec2c0a17",
-    ("mpeg", 8): "1955cb39c108d42005bc7bc2e91a0332c15d2cf9401fed3e618834c9297a1c41",
-    ("yuv2rgb", 4): "6cee6443cbbec421b27cb68b37f8096afe4fdd848d7f910428b8791a33bfd791",
-    ("yuv2rgb", 8): "ac9c86fddb4ef3d63e72c7f16ca224e703ced3d6ffbd1dae4efffb806e42e123",
-    ("sor", 4): "c64515278b713bd09294bf3aaec7a44145b9e9db866ad8f82c4c58468b33aa18",
-    ("sor", 8): "936247b7da60e1d246152cb15bf265ff4676b336332bbe471d17114a5eb7bd98",
-    ("compress", 4): "632c5f69e79ebd78c63cedced2d16905a3e238f21a239a4e038df5c01fca165b",
-    ("compress", 8): "0af89cd2734016e41935323744102c86858d21559894aabf45f9d66d06ac3e9d",
-    ("gsr", 4): "881bef9e92fcd15cadae7dc16989901bf3e10ac6adb6e3a97a2f8150bb273ad7",
-    ("gsr", 8): "d5eb4b82c097f8b0a9771f3f735f5dff21653c4598a96c7b318c48e23ec5b3bd",
-    ("laplace", 4): "820503dad98aef52cc51f586ef584a2ae13550e0fc2ad3d10e15dc6dd7492978",
-    ("laplace", 8): "885be19f26afe911fe3e43bd33e3832d88ae1f3995cc5669ad27cfe81c201bd1",
-    ("lowpass", 4): "20035f145eb9c09b38662b861c74e5f8f3cd21be9637c76e31e85d32d9ff47e8",
-    ("lowpass", 8): "cac838efbaf1fd0a70e503d4257551c0315859d4409b1c921cd9a1aabc3f0d62",
-    ("swim", 4): "5a729917e2aa7f88f799a1a1ae07918b9560535ca50d8df3c7da7a3292588246",
-    ("swim", 8): "2767f132c0dd0acdfc09a6e989bed5227200e5495901db56f7a444ae50ddd1b8",
-    ("sobel", 4): "dae6346142913c1eea2d2f261f9ba68e93e4ce931e2b022d201c12cbd7422e3c",
-    ("sobel", 8): "cbd2a939ebb34db40ac8a73f3b85b766b4e02ba60d265e85ae553923efb4dcf6",
-    ("wavelet", 4): "6b74d91b46c69cdbb1ca0d0d126e059f8ae9f70001ca7845cfc849e46a7343bc",
-    ("wavelet", 8): "64cb654155967b368c6aad4611ed20cd2242f4630c484efb642f892a7be737c2",
-    ("fft", 4): "09a48cdabb7e7722cb0200c5672e559c83732e7e4e8bbe106e5d3cbd70c6f5f4",
-    ("fft", 8): "4056024ea50baefd53f1f5424df5cbdda147378612ba58e67ac89fb4a9877ca8",
-}
-
-
 #: ``search_volume`` of each of :data:`FAST_JOBS`: the counters of its
-#: compile and its ladders' probe rows, recorded at 1cd9817 (before the
-#: router's shift-mask frontier hops).  ``python tests/test_recompile_bytes.py
-#: search-volume`` prints the table again; re-record it only with a change
-#: that means to move the search.
+#: compile and its ladders' probe rows, as :func:`render_search_volume`
+#: writes them; ``--write`` re-records the table.
 SEARCH_VOLUME = {
     ('mpeg', 2): (
         {'bfs_calls': 0, 'dfs_calls': 280, 'expansions': 1273, 'hier_attempts': 0,
@@ -282,27 +264,96 @@ def search_volume(stats) -> tuple:
     )
 
 
-@pytest.mark.parametrize("workers", [2])
-def test_speculative_recompile_is_byte_identical(workers, tmp_path):
-    """The batch fan-out (whole jobs in worker processes, ``compile_many``)
-    must reproduce the committed store bytes."""
-    store = ArtifactStore(REPO_STORE)
-    jobs = [j for j in FAST_JOBS if store.path_for(job_key(j)).exists()]
-    if not jobs:
-        pytest.skip("committed artifact store not present")
-    fanned = ArtifactStore(tmp_path / "fanned")
-    compile_many(jobs, store=fanned, workers=workers)
-    for job in jobs:
-        committed = store.path_for(job_key(job)).read_bytes()
-        assert fanned.path_for(job_key(job)).read_bytes() == committed, (
-            f"{job.kernel} ps={job.page_size} @ workers={workers}: "
-            f"fan-out compile diverged from the serial artifact"
-        )
+def render_search_volume(table) -> str:
+    """*table* as the ``SEARCH_VOLUME = {...}`` block of this file."""
+
+    def wrapped(value, indent: str) -> str:
+        return textwrap.fill(
+            repr(value), 88, initial_indent=indent, subsequent_indent=indent + " ",
+            break_long_words=False, break_on_hyphens=False,
+        ) + ","
+
+    lines = ["SEARCH_VOLUME = {"]
+    for job, (counts, ladders) in table.items():
+        lines += [f"    {job!r}: (", wrapped(counts, " " * 8), "        ("]
+        lines += [wrapped(ladder, " " * 12) for ladder in ladders]
+        lines += ["        ),", "    ),"]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def pinned_block(text: str, name: str) -> slice:
+    """Where the ``name = {`` ... ``}`` block of a test file's *text* sits."""
+    start = text.index(f"\n{name} = {{\n") + 1
+    return slice(start, text.index("\n}\n", start) + 3)
+
+
+def diff_row(label: str, digest: str, old: bytes | None, new: bytes | None) -> str | None:
+    """How the artifact *new* differs from the committed *old* (None for a
+    side with no file), as one line: the job, the first 12 hex of its key
+    and each top-level field that changed; None when the bytes are equal."""
+    if old == new:
+        return None
+    if old is None or new is None:
+        return f"{label} {digest[:12]}: {'new' if old is None else 'orphaned'}"
+    before, after = json.loads(old), json.loads(new)
+    changes = []
+    for field in sorted(before.keys() | after.keys()):
+        if field not in after:
+            changes.append(f"{field} removed")
+        elif field not in before:
+            changes.append(f"{field} added")
+        elif before[field] == after[field]:
+            continue
+        elif field in ("placements", "routes"):
+            changes.append(f"{field} moved")
+        else:
+            old_value, new_value = json.dumps(before[field]), json.dumps(after[field])
+            changes.append(f"{field} {old_value} -> {new_value}")
+    return f"{label} {digest[:12]}: {'; '.join(changes) or 'same fields, other bytes'}"
+
+
+def test_diff_row_names_each_change():
+    """One row per differing artifact, naming every field that moved."""
+    path = next(path for path, artifact in ArtifactStore(HIER_STORE).walk() if artifact)
+    old = path.read_bytes()
+    payload = json.loads(old)
+    ii = payload["ii_paged"]
+    payload["ii_paged"] += 1
+    payload["placements"][0][3] += 1
+    del payload["steady_ii"]
+    new = json.dumps(payload).encode()
+    digest = path.stem
+    assert diff_row("job", digest, old, old) is None
+    assert diff_row("job", digest, old, new) == (
+        f"job {digest[:12]}: ii_paged {ii} -> {ii + 1}; placements moved; steady_ii removed"
+    )
+    assert diff_row("job", digest, None, old) == f"job {digest[:12]}: new"
+    assert diff_row("job", digest, old, None) == f"job {digest[:12]}: orphaned"
+
+
+def test_pinned_tables_render_as_committed():
+    """``--write`` rewrites :data:`SEARCH_VOLUME` and ``GOLDEN`` with what
+    the renderers make of them; on the committed tables that is each
+    file's own block, byte for byte, so ``--write`` on a clean tree writes
+    nothing."""
+    golden = _sibling("test_firing_golden")
+    for path, name, block in (
+        (Path(__file__), "SEARCH_VOLUME", render_search_volume(SEARCH_VOLUME)),
+        (Path(golden.__file__), "GOLDEN", golden.render_golden(golden.GOLDEN)),
+    ):
+        text = path.read_text()
+        assert text[pinned_block(text, name)] == block
+
+
+def _sibling(name: str):
+    """The module *name* of tests/: ``tests.<name>`` under pytest, plain
+    ``<name>`` in script mode (tests/ is ``sys.path[0]`` there)."""
+    return importlib.import_module(f"{__package__}.{name}" if __package__ else name)
 
 
 def _hier_jobs() -> list[CompileJob]:
-    """The 22 jobs of ``perf/``'s ``compile_hier_8x8``, pinned in
-    :data:`HIER_SHA256`."""
+    """The 22 jobs of ``perf/``'s ``compile_hier_8x8``, committed in
+    :data:`HIER_STORE`."""
     from repro.kernels import kernel_names
 
     return [
@@ -310,6 +361,20 @@ def _hier_jobs() -> list[CompileJob]:
         for kernel in kernel_names()
         for page_size in (4, 8)
     ]
+
+
+def committed_jobs() -> dict[Path, list[CompileJob]]:
+    """Every job behind a committed artifact, by the store root holding it."""
+    from repro.bench.fig8 import page_sizes_for
+    from repro.kernels import kernel_names
+
+    flat = [
+        CompileJob(kernel, size, page_size)
+        for size in (4, 6, 8)
+        for kernel in kernel_names()
+        for page_size in page_sizes_for(size)
+    ]
+    return {REPO_STORE: flat, HIER_STORE: _hier_jobs()}
 
 
 def shared_memo_problems(jobs, matches) -> list[str]:
@@ -354,13 +419,15 @@ def test_shared_memo_compile_is_byte_identical():
 
 
 def shared_memo_all() -> list[str]:
-    """The shared-memo pass on the 22 committed 4x4 jobs (against the
-    committed store), the 22 pinned hier jobs (against their sha256) and
-    the 64 jobs of ``perf/``'s serve universe (against the memo-less
-    compile of each)."""
+    """The shared-memo pass on the 22 committed 4x4 jobs and the 22 hier
+    jobs (against their committed files) and the 64 jobs of ``perf/``'s
+    serve universe (against the memo-less compile of each)."""
     from repro.kernels import kernel_names
 
-    committed = ArtifactStore(REPO_STORE)
+    def committed(root):
+        store = ArtifactStore(root)
+        return lambda job, data: data == store.path_for(job_key(job)).read_bytes()
+
     flat = [CompileJob(k, 4, ps) for k in kernel_names() for ps in (2, 4)]
     serve = [
         CompileJob(k, 4, ps, seed=seed)
@@ -370,83 +437,67 @@ def shared_memo_all() -> list[str]:
     ]
     memoless = {job: _memoless(job) for job in serve}
     return (
-        shared_memo_problems(
-            flat, lambda job, data: data == committed.path_for(job_key(job)).read_bytes()
-        )
-        + shared_memo_problems(
-            _hier_jobs(),
-            lambda job, data: hashlib.sha256(data).hexdigest()
-            == HIER_SHA256[job.kernel, job.page_size],
-        )
+        shared_memo_problems(flat, committed(REPO_STORE))
+        + shared_memo_problems(_hier_jobs(), committed(HIER_STORE))
         + shared_memo_problems(serve, lambda job, data: data == memoless[job])
     )
 
 
-def recompile_all() -> list[str]:
-    """Cold-compile every job behind the committed store, and the pinned
-    hier jobs, into a temporary store; the problems found (empty when every
-    file is byte-identical to its reference, every committed file was
-    produced and every stored page need is the mapping's own span)."""
-    from repro.bench.fig8 import page_sizes_for
-    from repro.kernels import kernel_names
-
-    jobs = [
-        CompileJob(kernel, size, page_size)
-        for size in (4, 6, 8)
-        for kernel in kernel_names()
-        for page_size in page_sizes_for(size)
-    ]
-    hier_jobs = _hier_jobs()
-    committed = ArtifactStore(REPO_STORE)
+def recompile(write: bool = False) -> tuple[list[str], list[str]]:
+    """Cold-compile every committed job into a temporary store over two
+    worker processes: ``(rows, problems)``, one :func:`diff_row` per job
+    or committed file that differs, and each stored page need that is not
+    the mapping's span.  With *write*, each differing, new or orphaned file
+    is replaced, added or deleted in its store."""
+    stores = committed_jobs()
+    rows = []
     with tempfile.TemporaryDirectory(prefix="recompile-") as tmp:
-        fresh = ArtifactStore(Path(tmp) / "store")
-        compile_many(jobs + hier_jobs, store=fresh, workers=2)
-        problems = []
-        for job in hier_jobs:
-            produced = fresh.path_for(job_key(job)).read_bytes()
-            pinned = HIER_SHA256.get((job.kernel, job.page_size))
-            if hashlib.sha256(produced).hexdigest() != pinned:
-                problems.append(
-                    f"{job.kernel} 8x8-memcols hier ps={job.page_size}: "
-                    f"sha256 differs from the pinned {pinned}"
-                )
-        for job in jobs:
-            label = f"{job.kernel} {job.size}x{job.size} ps={job.page_size}"
-            reference = committed.path_for(job_key(job))
-            if not reference.exists():
-                problems.append(f"{label}: no committed artifact")
-            elif reference.read_bytes() != fresh.path_for(job_key(job)).read_bytes():
-                problems.append(f"{label}: bytes differ from the committed artifact")
-        # script mode only: tests/ is sys.path[0] there
-        from test_feasibility import page_span_problems
-
-        problems += page_span_problems(fresh.root)
-        produced = {path.relative_to(fresh.root) for path, _ in fresh.walk()}
-        for path, _ in committed.walk():
-            if path.relative_to(committed.root) not in produced:
-                problems.append(f"{path.name}: committed, but no job compiles it")
-    return problems
+        fresh = ArtifactStore(tmp)
+        everything = [job for jobs in stores.values() for job in jobs]
+        compile_many(everything, store=fresh, workers=2)
+        problems = _sibling("test_feasibility").page_span_problems(fresh.root)
+        for root, jobs in stores.items():
+            committed = ArtifactStore(root)
+            compiled = {}
+            for job in jobs:
+                key = job_key(job)
+                arch = job.arch or f"{job.size}x{job.size}"
+                label = f"{job.kernel} {arch} {job.backend} ps{job.page_size}"
+                compiled[committed.path_for(key)] = label, fresh.path_for(key).read_bytes()
+            orphans = {
+                path: (root.relative_to(REPO_ROOT).as_posix(), None)
+                for path, _ in committed.walk()
+                if path not in compiled
+            }
+            for path, (label, new) in {**compiled, **orphans}.items():
+                old = path.read_bytes() if path.exists() else None
+                row = diff_row(label, path.stem, old, new)
+                if row is None:
+                    continue
+                rows.append(row)
+                if write and new is None:
+                    path.unlink()
+                    if not any(path.parent.iterdir()):
+                        path.parent.rmdir()
+                elif write:
+                    path.parent.mkdir(parents=True, exist_ok=True)
+                    path.write_bytes(new)
+    return rows, problems
 
 
 def differential_all() -> list[str]:
     """The mask/replay and the cost-floor differentials on every draw at
     mapper seeds 0-3."""
-    # script mode only: tests/ is sys.path[0] there
-    from test_compiler_units import (
-        MASK_DRAWS,
-        draw_jobs,
-        floor_differential,
-        mask_replay_differential,
-    )
+    units = _sibling("test_compiler_units")
 
     def floor_leg(backend, outcome, mapper_seeds):
-        kernel, jobs = draw_jobs(backend, outcome, mapper_seeds)
-        floor_differential(jobs, kernel)
+        kernel, jobs = units.draw_jobs(backend, outcome, mapper_seeds)
+        units.floor_differential(jobs, kernel)
 
     problems = []
-    for backend, outcome in sorted(MASK_DRAWS):
+    for backend, outcome in sorted(units.MASK_DRAWS):
         for name, check in (
-            ("mask/replay", mask_replay_differential),
+            ("mask/replay", units.mask_replay_differential),
             ("cost floor", floor_leg),
         ):
             try:
@@ -461,33 +512,56 @@ def differential_all() -> list[str]:
     return problems
 
 
-if __name__ == "__main__" and sys.argv[1:] == ["search-volume"]:
-    # re-record SEARCH_VOLUME, only with a change that means to move the search
-    import textwrap
+def write() -> int:
+    """Re-pin: the committed stores, :data:`SEARCH_VOLUME` and ``GOLDEN``
+    become what this tree compiles; 2 if any of them has uncommitted
+    changes."""
+    golden = _sibling("test_firing_golden")
+    pinned = [REPO_STORE, HIER_STORE, Path(__file__), Path(golden.__file__)]
+    status = subprocess.run(
+        ["git", "status", "--porcelain", "--untracked-files=all", "--", *pinned],
+        cwd=REPO_ROOT, capture_output=True, text=True,
+    )
+    if status.returncode or status.stdout:
+        dirty = status.stderr.strip() or "\n  ".join(status.stdout.splitlines())
+        print(f"--write refused, uncommitted changes:\n  {dirty}", file=sys.stderr)
+        return 2
+    rows, problems = recompile(write=True)
+    volume = {
+        (job.kernel, job.page_size): search_volume(compile_job_stats(job)[1])
+        for job in FAST_JOBS
+    }
+    for path, name, block in (
+        (Path(__file__), "SEARCH_VOLUME", render_search_volume(volume)),
+        # after the stores: the digests fold the 4x4 artifacts just written
+        (Path(golden.__file__), "GOLDEN", golden.render_golden(golden.compute_digests())),
+    ):
+        text = path.read_text()
+        where = pinned_block(text, name)
+        if text[where] != block:
+            path.write_text(text[: where.start] + block + text[where.stop :])
+            rows.append(f"{name} rewritten in {path.relative_to(REPO_ROOT)}")
+    print("\n".join(rows + problems) or "nothing to write: every pin is current")
+    return 1 if problems else 0
 
-    def wrapped(value, indent: str) -> str:
-        return textwrap.fill(
-            repr(value), 88, initial_indent=indent, subsequent_indent=indent + " ",
-            break_long_words=False, break_on_hyphens=False,
-        ) + ","
 
-    print("SEARCH_VOLUME = {")
-    for job in FAST_JOBS:
-        counts, ladders = search_volume(compile_job_stats(job)[1])
-        print(f"    {(job.kernel, job.page_size)!r}: (")
-        print(wrapped(counts, " " * 8))
-        print("        (")
-        print("\n".join(wrapped(ladder, " " * 12) for ladder in ladders))
-        print("        ),")
-        print("    ),")
-    print("}")
-elif __name__ == "__main__":  # spawned workers re-import this file: keep the guard
-    found = recompile_all() + shared_memo_all() + differential_all()
+if __name__ == "__main__":  # spawned workers re-import this file: keep the guard
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument(
+        "--write", action="store_true",
+        help="re-pin the committed stores, SEARCH_VOLUME and GOLDEN from this tree",
+    )
+    if parser.parse_args().write:
+        sys.exit(write())
+    rows, problems = recompile()
+    problems += shared_memo_all() + differential_all()
+    jobs = committed_jobs()
     print(
-        "\n".join(found)
-        or "all committed artifacts and pinned hier jobs recompile byte-identical, "
+        "\n".join(rows + problems)
+        or f"{sum(map(len, jobs.values()))} jobs byte-identical "
+        f"({len(jobs[REPO_STORE])} committed, {len(jobs[HIER_STORE])} hier), "
         "pooled and through a shared probe memo in both job orders (the 64 serve "
         "jobs: with and without the memo); "
         "mask/replay and cost-floor differentials clean on 6 draws x 4 mapper seeds"
     )
-    sys.exit(1 if found else 0)
+    sys.exit(1 if rows or problems else 0)
